@@ -74,13 +74,14 @@ check: build vet fmt-check lint test
 # serving/training runtime (sequential TrainEpoch/TrainEpochBatched and the
 # data-parallel BenchmarkTrainEpochParallel shard variants), the memory pool
 # read path, the hot-swap serving runtime (full-copy BenchmarkPublish vs
-# BenchmarkPublishDelta, continuous-loop BenchmarkFitParallel), and the
-# tensor kernels underneath them.
+# BenchmarkPublishDelta, continuous-loop BenchmarkFitParallel), the tensor
+# kernels underneath them, and the request path's plan encoder.
 bench:
 	$(GO) test ./internal/core/ -run xxx \
 		-bench 'BenchmarkForwardSingle|BenchmarkForwardPooled|BenchmarkPoolGetParallel|BenchmarkEstimateBatch|BenchmarkTrainEpoch|BenchmarkTrainEpochParallel|BenchmarkPublish|BenchmarkServer|BenchmarkFitParallel' \
 		-benchmem -benchtime=1s
 	$(GO) test ./internal/tensor/ -run xxx -bench . -benchmem -benchtime=1s
+	$(GO) test ./internal/feature/ -run xxx -bench 'BenchmarkEncode' -benchmem -benchtime=1s
 
 # Regenerate $(BENCH_OUT) from a fresh benchmark run (see scripts/bench_json.sh).
 bench-json:

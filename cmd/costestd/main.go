@@ -90,8 +90,6 @@ func main() {
 		patience   = flag.Int("patience", 3, "early-stopping patience (0 disables)")
 		checkpoint = flag.String("checkpoint", "", "checkpoint path: cold-load if present, else train and save")
 		queueDepth = flag.Int("queue", 256, "admission queue depth")
-		maxBatch   = flag.Int("max-batch", 64, "max requests coalesced per model call")
-		window     = flag.Duration("batch-window", 2*time.Millisecond, "coalescing wait after a batch's first request")
 		workers    = flag.Int("workers", 0, "EstimateBatch workers (0 = GOMAXPROCS)")
 		poolBound  = flag.Int("pool", 4096, "representation pool entry bound")
 		retrain    = flag.Duration("retrain", 0, "background retrain+publish interval; in -peers mode also the promoted member's training cadence (0 disables training entirely)")
@@ -191,8 +189,6 @@ func main() {
 	srv.EnablePrewarm(16)
 	sched := serve.NewScheduler(srv, serve.SchedulerConfig{
 		QueueDepth:      *queueDepth,
-		MaxBatch:        *maxBatch,
-		BatchWindow:     *window,
 		Workers:         *workers,
 		BreakerFailures: *brkFails,
 		BreakerCooldown: *brkCool,
@@ -342,8 +338,8 @@ func main() {
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- httpSrv.Serve(ln) }()
 	becomeReady()
-	log.Printf("costestd: serving v%d on %s (%d params, queue %d, max batch %d, window %v)",
-		srv.Version(), ln.Addr(), model.NumParams(), *queueDepth, *maxBatch, *window)
+	log.Printf("costestd: serving v%d on %s (%d params, queue %d)",
+		srv.Version(), ln.Addr(), model.NumParams(), *queueDepth)
 
 	select {
 	case <-ctx.Done():

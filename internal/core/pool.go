@@ -2,6 +2,7 @@ package core
 
 import (
 	"hash/maphash"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -209,6 +210,9 @@ func (p *MemoryPool) PutGen(sig string, g, r []float64, gen uint64) {
 		s.mu.Unlock()
 		return
 	}
+	// Encoded plans slice every subtree signature out of the root's; the
+	// entry keeps its own copy so a small key does not pin a whole plan's.
+	sig = strings.Clone(sig)
 	e := &poolEntry{sig: sig, g: gc, r: rc, gen: gen}
 	if max := int(p.maxPerShard.Load()); max > 0 {
 		// A shrunk bound (SetBound) may leave the ring oversized; evict down

@@ -109,132 +109,233 @@ type EncodedPlan struct {
 
 // Encode converts an executed plan into tensors. The plan must carry
 // TrueRows/TrueCost annotations if the sample will be used for training.
+//
+// Encode sits on the request path, so it is one sizing pass and one building
+// pass: every feature vector is carved out of a single float slab, node and
+// predicate-node storage is allocated at its final length, and all subtree
+// signatures are slices of the root's (plan.Node.SubtreeSignatures).
 func (e *Encoder) Encode(root *plan.Node) (*EncodedPlan, error) {
-	ep := &EncodedPlan{Root: 0, Signature: root.Signature()}
-	cardNode := root.CardinalityNode()
-	if _, err := e.encodeNode(root, ep, cardNode); err != nil {
+	var sz planSize
+	sz.measure(e, root)
+	b := planBuilder{
+		e:        e,
+		ep:       &EncodedPlan{Nodes: make([]EncodedNode, 0, sz.nodes)},
+		sigs:     root.SubtreeSignatures(),
+		slab:     make([]float64, sz.floats),
+		preds:    make([]PredNode, sz.preds),
+		heights:  make([]int32, sz.nodes),
+		cardNode: root.CardinalityNode(),
+	}
+	if _, err := b.encodeNode(root); err != nil {
 		return nil, err
 	}
+	ep := b.ep
+	ep.Signature = ep.Nodes[ep.Root].Sig
 	ep.Cost = root.TrueCost
-	ep.Card = cardNode.TrueRows
-	ep.buildLevels()
+	ep.Card = b.cardNode.TrueRows
+	ep.buildLevels(b.heights)
 	return ep, nil
 }
 
-func (e *Encoder) encodeNode(n *plan.Node, ep *EncodedPlan, cardNode *plan.Node) (int, error) {
+// planSize is the storage one plan's encoding needs, measured up front so
+// the builder never grows a slice.
+type planSize struct {
+	nodes  int // plan nodes
+	preds  int // predicate-tree nodes over all plan nodes
+	floats int // feature-vector elements over all plan and predicate nodes
+}
+
+func (sz *planSize) measure(e *Encoder, n *plan.Node) {
+	if n == nil {
+		return
+	}
+	sz.nodes++
+	sz.floats += e.OpDim() + e.MetaDim()
+	k := predNodes(n)
+	sz.preds += k
+	sz.floats += k * e.AtomDim()
+	if e.UseSampleBitmap && n.Type.IsScan() && k > 0 {
+		sz.floats += e.BitmapDim()
+	}
+	sz.measure(e, n.Left)
+	sz.measure(e, n.Right)
+}
+
+// predNodes counts the predicate-tree nodes a plan node encodes: a scan's
+// filter with the index condition ANDed in front, or one pseudo-atom for a
+// join condition.
+func predNodes(n *plan.Node) int {
+	switch {
+	case n.Type.IsScan():
+		k := countPredNodes(n.Filter)
+		if n.IndexCond != nil {
+			if k > 0 {
+				k++ // the AND joining it to the filter
+			}
+			k++
+		}
+		return k
+	case n.JoinCond != nil:
+		return 1
+	default:
+		return 0
+	}
+}
+
+func countPredNodes(p sqlpred.Pred) int {
+	switch n := p.(type) {
+	case *sqlpred.Bool:
+		return 1 + countPredNodes(n.Left) + countPredNodes(n.Right)
+	case nil:
+		return 0
+	default:
+		return 1
+	}
+}
+
+// planBuilder carries one Encode call's storage through the recursion.
+type planBuilder struct {
+	e        *Encoder
+	ep       *EncodedPlan
+	sigs     []string   // subtree signatures, indexed like ep.Nodes (pre-order)
+	slab     []float64  // zeroed; feature vectors are carved off its front
+	preds    []PredNode // predicate nodes are carved off its front
+	heights  []int32    // per node, height above the leaves
+	cardNode *plan.Node
+}
+
+// floats carves the next n elements off the slab, capped so an append to one
+// vector can never run into its neighbour.
+func (b *planBuilder) floats(n int) []float64 {
+	v := b.slab[:n:n]
+	b.slab = b.slab[n:]
+	return v
+}
+
+func (b *planBuilder) encodeNode(n *plan.Node) (int, error) {
+	e, ep := b.e, b.ep
 	idx := len(ep.Nodes)
-	ep.Nodes = append(ep.Nodes, EncodedNode{Left: -1, Right: -1})
-	if n == cardNode {
+	ep.Nodes = append(ep.Nodes, EncodedNode{})
+	if n == b.cardNode {
 		ep.CardNode = idx
 	}
 
-	enc := EncodedNode{Left: -1, Right: -1, TrueRows: n.TrueRows, TrueCost: n.TrueCost,
-		Sig: n.Signature()}
-	enc.Op = e.encodeOp(n)
-	enc.Meta = e.encodeMeta(n)
-	pred, err := e.encodePred(nodePredicate(n))
-	if err != nil {
-		return 0, err
-	}
-	enc.Pred = pred
-	if e.UseSampleBitmap && n.Type.IsScan() {
-		if p := scanPredicate(n); p != nil {
-			bm, err := e.Cat.SampleBitmap(n.Table, p)
-			if err != nil {
+	enc := EncodedNode{Left: -1, Right: -1, TrueRows: n.TrueRows, TrueCost: n.TrueCost, Sig: b.sigs[idx]}
+	enc.Op = b.floats(e.OpDim())
+	enc.Op[int(n.Type)] = 1
+	enc.Meta = b.floats(e.MetaDim())
+	e.encodeMeta(enc.Meta, n)
+
+	if k := predNodes(n); k > 0 {
+		enc.Pred.Nodes = b.preds[:0:k]
+		b.preds = b.preds[k:]
+		if n.Type.IsScan() {
+			p := scanPredicate(n)
+			if _, err := b.encodePredNode(p, &enc.Pred); err != nil {
 				return 0, err
 			}
-			enc.Bitmap = bm
+			if e.UseSampleBitmap {
+				enc.Bitmap = b.floats(e.BitmapDim())
+				if err := e.Cat.SampleBitmap(enc.Bitmap, n.Table, p); err != nil {
+					return 0, err
+				}
+			}
+		} else {
+			vec := b.floats(e.AtomDim())
+			if err := e.encodeJoinVec(vec, n.JoinCond); err != nil {
+				return 0, err
+			}
+			enc.Pred.Nodes = append(enc.Pred.Nodes, PredNode{IsLeaf: true, Vec: vec, Left: -1, Right: -1})
 		}
 	}
 
+	height := int32(0)
 	if n.Left != nil {
-		l, err := e.encodeNode(n.Left, ep, cardNode)
+		l, err := b.encodeNode(n.Left)
 		if err != nil {
 			return 0, err
 		}
 		enc.Left = l
+		height = b.heights[l] + 1
 	}
 	if n.Right != nil {
-		r, err := e.encodeNode(n.Right, ep, cardNode)
+		r, err := b.encodeNode(n.Right)
 		if err != nil {
 			return 0, err
 		}
 		enc.Right = r
+		height = max(height, b.heights[r]+1)
 	}
+	b.heights[idx] = height
 	ep.Nodes[idx] = enc
 	return idx, nil
 }
 
-func (e *Encoder) encodeOp(n *plan.Node) []float64 {
-	v := make([]float64, e.OpDim())
-	v[int(n.Type)] = 1
-	return v
-}
-
-// encodeMeta ORs the one-hot vectors of every column, table and index the
-// node touches.
-func (e *Encoder) encodeMeta(n *plan.Node) []float64 {
+// encodeMeta ORs into v the one-hot vectors of every column, table and index
+// the node touches: [columns | tables | indexes].
+func (e *Encoder) encodeMeta(v []float64, n *plan.Node) {
 	s := e.Cat.DB.Schema
-	v := make([]float64, e.MetaDim())
-	setCol := func(table, col string) {
-		if id := s.ColumnID(table, col); id >= 0 {
-			v[id] = 1
-		}
+	if n.Table != "" {
+		e.setTable(v, n.Table)
 	}
-	setTable := func(t string) {
-		if id := s.TableID(t); id >= 0 {
-			v[s.NumColumns()+id] = 1
-		}
-	}
-	setIndex := func(name string) {
-		if id := s.IndexID(name); id >= 0 {
+	if n.Index != "" {
+		if id := s.IndexID(n.Index); id >= 0 {
 			v[s.NumColumns()+s.NumTables()+id] = 1
 		}
 	}
-	if n.Table != "" {
-		setTable(n.Table)
-	}
-	if n.Index != "" {
-		setIndex(n.Index)
-	}
-	sqlpred.Walk(n.Filter, func(a *sqlpred.Atom) { setCol(a.Table, a.Column) })
+	e.setPredColumns(v, n.Filter)
 	if n.IndexCond != nil {
-		setCol(n.IndexCond.Table, n.IndexCond.Column)
+		e.setColumn(v, n.IndexCond.Table, n.IndexCond.Column)
 	}
-	for _, jc := range []*plan.JoinCond{n.JoinCond, n.ParamJoin} {
-		if jc != nil {
-			setCol(jc.Left.Table, jc.Left.Column)
-			setCol(jc.Right.Table, jc.Right.Column)
-			setTable(jc.Left.Table)
-			setTable(jc.Right.Table)
-		}
-	}
+	e.setJoin(v, n.JoinCond)
+	e.setJoin(v, n.ParamJoin)
 	for _, k := range n.SortKeys {
-		setCol(k.Table, k.Column)
-		setTable(k.Table)
+		e.setColumn(v, k.Table, k.Column)
+		e.setTable(v, k.Table)
 	}
 	for _, a := range n.Aggs {
 		if a.Col.Table != "" {
-			setCol(a.Col.Table, a.Col.Column)
-			setTable(a.Col.Table)
+			e.setColumn(v, a.Col.Table, a.Col.Column)
+			e.setTable(v, a.Col.Table)
 		}
 	}
-	return v
 }
 
-// nodePredicate collects the predicate material at a node: scan filters
-// (with the index condition folded in) and join conditions.
-func nodePredicate(n *plan.Node) sqlpred.Pred {
-	switch {
-	case n.Type.IsScan():
-		return scanPredicate(n)
-	case n.JoinCond != nil:
-		return joinAtom(n.JoinCond)
-	default:
-		return nil
+func (e *Encoder) setColumn(v []float64, table, column string) {
+	if id := e.Cat.DB.Schema.ColumnID(table, column); id >= 0 {
+		v[id] = 1
 	}
 }
 
+func (e *Encoder) setTable(v []float64, table string) {
+	s := e.Cat.DB.Schema
+	if id := s.TableID(table); id >= 0 {
+		v[s.NumColumns()+id] = 1
+	}
+}
+
+func (e *Encoder) setJoin(v []float64, jc *plan.JoinCond) {
+	if jc == nil {
+		return
+	}
+	e.setColumn(v, jc.Left.Table, jc.Left.Column)
+	e.setColumn(v, jc.Right.Table, jc.Right.Column)
+	e.setTable(v, jc.Left.Table)
+	e.setTable(v, jc.Right.Table)
+}
+
+func (e *Encoder) setPredColumns(v []float64, p sqlpred.Pred) {
+	switch n := p.(type) {
+	case *sqlpred.Atom:
+		e.setColumn(v, n.Table, n.Column)
+	case *sqlpred.Bool:
+		e.setPredColumns(v, n.Left)
+		e.setPredColumns(v, n.Right)
+	}
+}
+
+// scanPredicate is the predicate material at a scan: its filter with the
+// index condition folded in.
 func scanPredicate(n *plan.Node) sqlpred.Pred {
 	p := n.Filter
 	if n.IndexCond != nil {
@@ -243,58 +344,32 @@ func scanPredicate(n *plan.Node) sqlpred.Pred {
 	return p
 }
 
-// joinAtom represents an equi-join condition as a pseudo-atom: both columns
-// are set in the column one-hot and the operand is empty.
-func joinAtom(jc *plan.JoinCond) *sqlpred.Atom {
-	return &sqlpred.Atom{
-		Table:  jc.Left.Table,
-		Column: jc.Left.Column,
-		Op:     sqlpred.OpEq,
-		// The right side is carried via joinRight in encodeAtomVec.
-		StrVal: joinRightMarker + jc.Right.Table + "." + jc.Right.Column,
-	}
-}
-
-// joinRightMarker tags the StrVal of a join pseudo-atom; the encoder decodes
-// it into a second column bit instead of a string operand.
-const joinRightMarker = "\x00join:"
-
-// encodePred converts a predicate tree into an EncodedPred.
-func (e *Encoder) encodePred(p sqlpred.Pred) (EncodedPred, error) {
-	var ep EncodedPred
-	if p == nil {
-		return ep, nil
-	}
-	if _, err := e.encodePredNode(p, &ep); err != nil {
-		return EncodedPred{}, err
-	}
-	return ep, nil
-}
-
-func (e *Encoder) encodePredNode(p sqlpred.Pred, ep *EncodedPred) (int, error) {
+// encodePredNode appends the subtree of p to ep.Nodes in DFS preorder; the
+// caller sized ep.Nodes' capacity, so the appends never reallocate.
+func (b *planBuilder) encodePredNode(p sqlpred.Pred, ep *EncodedPred) (int, error) {
 	idx := len(ep.Nodes)
-	ep.Nodes = append(ep.Nodes, PredNode{Left: -1, Right: -1})
+	ep.Nodes = append(ep.Nodes, PredNode{})
 	switch n := p.(type) {
 	case *sqlpred.Atom:
-		vec, err := e.encodeAtomVec(n)
-		if err != nil {
+		vec := b.floats(b.e.AtomDim())
+		if err := b.e.encodeAtomVec(vec, n); err != nil {
 			return 0, err
 		}
 		ep.Nodes[idx] = PredNode{IsLeaf: true, Vec: vec, Left: -1, Right: -1}
 	case *sqlpred.Bool:
-		l, err := e.encodePredNode(n.Left, ep)
-		if err != nil {
-			return 0, err
-		}
-		r, err := e.encodePredNode(n.Right, ep)
-		if err != nil {
-			return 0, err
-		}
-		vec := make([]float64, e.AtomDim())
+		vec := b.floats(b.e.AtomDim())
 		if n.Kind == sqlpred.And {
 			vec[0] = 1
 		} else {
 			vec[1] = 1
+		}
+		l, err := b.encodePredNode(n.Left, ep)
+		if err != nil {
+			return 0, err
+		}
+		r, err := b.encodePredNode(n.Right, ep)
+		if err != nil {
+			return 0, err
 		}
 		ep.Nodes[idx] = PredNode{Bool: n.Kind, Vec: vec, Left: l, Right: r}
 	default:
@@ -303,97 +378,81 @@ func (e *Encoder) encodePredNode(p sqlpred.Pred, ep *EncodedPred) (int, error) {
 	return idx, nil
 }
 
-// encodeAtomVec lays out one atom:
+// Atom vector layout:
 // [isAnd=0, isOr=0 | column one-hot | op one-hot | numeric | string embed].
-func (e *Encoder) encodeAtomVec(a *sqlpred.Atom) ([]float64, error) {
+const atomColBase = 2
+
+// encodeAtomVec lays one atom out in v (zeroed, AtomDim long).
+func (e *Encoder) encodeAtomVec(v []float64, a *sqlpred.Atom) error {
 	s := e.Cat.DB.Schema
-	v := make([]float64, e.AtomDim())
-	colBase := 2
-	opBase := colBase + s.NumColumns()
+	opBase := atomColBase + s.NumColumns()
 	numBase := opBase + int(sqlpred.NumOps)
 	strBase := numBase + 1
 
-	if id := s.ColumnID(a.Table, a.Column); id >= 0 {
-		v[colBase+id] = 1
-	} else {
-		return nil, fmt.Errorf("feature: unknown column %s.%s", a.Table, a.Column)
+	id := s.ColumnID(a.Table, a.Column)
+	if id < 0 {
+		return fmt.Errorf("feature: unknown column %s.%s", a.Table, a.Column)
 	}
+	v[atomColBase+id] = 1
 	v[opBase+int(a.Op)] = 1
-
-	// Join pseudo-atom: second column bit, no operand.
-	if len(a.StrVal) > len(joinRightMarker) && a.StrVal[:len(joinRightMarker)] == joinRightMarker {
-		ref := a.StrVal[len(joinRightMarker):]
-		for i := 0; i < len(ref); i++ {
-			if ref[i] == '.' {
-				if id := s.ColumnID(ref[:i], ref[i+1:]); id >= 0 {
-					v[colBase+id] = 1
-				}
-				break
-			}
-		}
-		return v, nil
-	}
 
 	switch {
 	case a.Op == sqlpred.OpIn:
-		copy(v[strBase:], e.embedMany(a.InVals))
+		// The operand of IN is the mean of its values' embeddings.
+		str := v[strBase:]
+		for _, val := range a.InVals {
+			for i, x := range e.Str.Embed(val) {
+				str[i] += x
+			}
+		}
+		if len(a.InVals) > 0 {
+			for i := range str {
+				str[i] /= float64(len(a.InVals))
+			}
+		}
 	case a.IsStr:
 		copy(v[strBase:], e.Str.Embed(a.StrVal))
 	default:
 		v[numBase] = e.Cat.NormalizeNumeric(a.Table, a.Column, a.NumVal)
 	}
-	return v, nil
+	return nil
 }
 
-func (e *Encoder) embedMany(vals []string) []float64 {
-	out := make([]float64, e.Str.Dim())
-	if len(vals) == 0 {
-		return out
+// encodeJoinVec lays an equi-join condition out in v as a pseudo-atom: both
+// columns set in the column one-hot, operator =, no operand.
+func (e *Encoder) encodeJoinVec(v []float64, jc *plan.JoinCond) error {
+	s := e.Cat.DB.Schema
+	id := s.ColumnID(jc.Left.Table, jc.Left.Column)
+	if id < 0 {
+		return fmt.Errorf("feature: unknown column %s.%s", jc.Left.Table, jc.Left.Column)
 	}
-	for _, v := range vals {
-		vec := e.Str.Embed(v)
-		for i := range out {
-			out[i] += vec[i]
-		}
+	v[atomColBase+id] = 1
+	if id := s.ColumnID(jc.Right.Table, jc.Right.Column); id >= 0 {
+		v[atomColBase+id] = 1
 	}
-	for i := range out {
-		out[i] /= float64(len(vals))
-	}
-	return out
+	v[atomColBase+s.NumColumns()+int(sqlpred.OpEq)] = 1
+	return nil
 }
 
 // buildLevels groups nodes by height above the leaves so batch training can
-// run whole levels at once (Section 4.3's width-first encoding).
-func (ep *EncodedPlan) buildLevels() {
-	heights := make([]int, len(ep.Nodes))
-	var height func(i int) int
-	height = func(i int) int {
-		if i < 0 {
-			return -1
-		}
-		if heights[i] > 0 {
-			return heights[i]
-		}
-		h := 0
-		n := ep.Nodes[i]
-		if l := height(n.Left); l+1 > h {
-			h = l + 1
-		}
-		if r := height(n.Right); r+1 > h {
-			h = r + 1
-		}
-		heights[i] = h
-		return h
+// run whole levels at once (Section 4.3's width-first encoding). Within a
+// level nodes keep their pre-order; all levels share one backing array.
+func (ep *EncodedPlan) buildLevels(heights []int32) {
+	// starts[h+1] first counts level h, then (prefix-summed) is where level
+	// h+1 begins in the flat array.
+	starts := make([]int32, heights[ep.Root]+2)
+	for _, h := range heights {
+		starts[h+1]++
 	}
-	maxH := 0
-	for i := range ep.Nodes {
-		if h := height(i); h > maxH {
-			maxH = h
-		}
+	for h := 1; h < len(starts); h++ {
+		starts[h] += starts[h-1]
 	}
-	ep.Levels = make([][]int32, maxH+1)
-	for i := range ep.Nodes {
-		h := heights[i]
+	flat := make([]int32, len(heights))
+	ep.Levels = make([][]int32, len(starts)-1)
+	for h := range ep.Levels {
+		ep.Levels[h] = flat[starts[h]:starts[h]:starts[h+1]]
+	}
+	for i, h := range heights {
 		ep.Levels[h] = append(ep.Levels[h], int32(i))
 	}
 }

@@ -166,10 +166,11 @@ func TestPredicateEncoding(t *testing.T) {
 			&sqlpred.Atom{Table: "title", Column: "episode_nr", Op: sqlpred.OpLt, NumVal: 5},
 		),
 	)
-	ep, err := e.encodePred(p)
+	scan, err := e.Encode(&plan.Node{Type: plan.SeqScan, Table: "title", Filter: p})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ep := scan.Nodes[0].Pred
 	if len(ep.Nodes) != 5 {
 		t.Fatalf("pred nodes = %d, want 5", len(ep.Nodes))
 	}
@@ -199,8 +200,8 @@ func TestStringOperandEmbedded(t *testing.T) {
 	e := newEncoder()
 	a := &sqlpred.Atom{Table: "movie_companies", Column: "note", Op: sqlpred.OpLike,
 		StrVal: "%(presents)%", IsStr: true}
-	vec, err := e.encodeAtomVec(a)
-	if err != nil {
+	vec := make([]float64, e.AtomDim())
+	if err := e.encodeAtomVec(vec, a); err != nil {
 		t.Fatal(err)
 	}
 	strBase := 2 + testDB.Schema.NumColumns() + int(sqlpred.NumOps) + 1
@@ -217,20 +218,45 @@ func TestINOperandAveraged(t *testing.T) {
 	e := newEncoder()
 	a := &sqlpred.Atom{Table: "company_type", Column: "kind", Op: sqlpred.OpIn,
 		InVals: []string{"distributors", "production companies"}, IsStr: true}
-	vec, err := e.encodeAtomVec(a)
-	if err != nil {
+	vec := make([]float64, e.AtomDim())
+	if err := e.encodeAtomVec(vec, a); err != nil {
 		t.Fatal(err)
 	}
-	if len(vec) != e.AtomDim() {
-		t.Fatalf("atom dim %d, want %d", len(vec), e.AtomDim())
+	strBase := 2 + testDB.Schema.NumColumns() + int(sqlpred.NumOps) + 1
+	hash := strembed.HashEmbedder{DimN: 16}
+	v0, v1 := hash.Embed(a.InVals[0]), hash.Embed(a.InVals[1])
+	for i, got := range vec[strBase:] {
+		if want := (v0[i] + v1[i]) / 2; got != want {
+			t.Fatalf("IN operand[%d] = %g, want the mean %g", i, got, want)
+		}
+	}
+	// An empty IN list has no operand, not a 0/0 one.
+	clear(vec)
+	if err := e.encodeAtomVec(vec, &sqlpred.Atom{Table: "company_type", Column: "kind", Op: sqlpred.OpIn, IsStr: true}); err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range vec[strBase:] {
+		if got != 0 {
+			t.Fatalf("empty IN operand[%d] = %g, want 0", i, got)
+		}
 	}
 }
 
 func TestUnknownColumnErrors(t *testing.T) {
 	e := newEncoder()
 	a := &sqlpred.Atom{Table: "title", Column: "nope", Op: sqlpred.OpEq, NumVal: 1}
-	if _, err := e.encodeAtomVec(a); err == nil {
+	if err := e.encodeAtomVec(make([]float64, e.AtomDim()), a); err == nil {
 		t.Fatal("unknown column must error")
+	}
+	scan := &plan.Node{Type: plan.SeqScan, Table: "title", Filter: a}
+	if _, err := e.Encode(scan); err == nil {
+		t.Fatal("plan with an unknown filter column must not encode")
+	}
+	join := &plan.Node{Type: plan.HashJoin,
+		JoinCond: &plan.JoinCond{Left: plan.ColRef{Table: "title", Column: "nope"}, Right: plan.ColRef{Table: "title", Column: "id"}},
+		Left:     &plan.Node{Type: plan.SeqScan, Table: "title"}, Right: &plan.Node{Type: plan.SeqScan, Table: "title"}}
+	if _, err := e.Encode(join); err == nil {
+		t.Fatal("plan with an unknown join column must not encode")
 	}
 }
 

@@ -100,11 +100,9 @@ func (m *Model) Featurize(q *query.Query) (*Features, error) {
 		}
 		vec[id] = 1
 		if m.Cfg.SampleBitmap {
-			bm, err := m.Cat.SampleBitmap(t, q.Filter(t))
-			if err != nil {
+			if err := m.Cat.SampleBitmap(vec[s.NumTables():], t, q.Filter(t)); err != nil {
 				return nil, err
 			}
-			copy(vec[s.NumTables():], bm)
 		}
 		f.Tables = append(f.Tables, vec)
 	}

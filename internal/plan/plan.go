@@ -5,6 +5,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"costest/internal/sqlpred"
@@ -51,12 +52,24 @@ type ColRef struct {
 
 func (c ColRef) String() string { return c.Table + "." + c.Column }
 
+func (c ColRef) appendString(dst []byte) []byte {
+	dst = append(dst, c.Table...)
+	dst = append(dst, '.')
+	return append(dst, c.Column...)
+}
+
 // JoinCond is an equi-join condition left = right.
 type JoinCond struct {
 	Left, Right ColRef
 }
 
 func (j JoinCond) String() string { return j.Left.String() + " = " + j.Right.String() }
+
+func (j JoinCond) appendString(dst []byte) []byte {
+	dst = j.Left.appendString(dst)
+	dst = append(dst, " = "...)
+	return j.Right.appendString(dst)
+}
 
 // AggFunc is an aggregate function.
 type AggFunc int
@@ -167,56 +180,78 @@ func (n *Node) Depth() int {
 // Signature returns a canonical string identifying the logical content of
 // the subtree; the Representation Memory Pool (Section 3) keys on it.
 func (n *Node) Signature() string {
-	var b strings.Builder
-	n.writeSignature(&b)
-	return b.String()
+	if n == nil {
+		return "_"
+	}
+	return n.SubtreeSignatures()[0]
 }
 
-func (n *Node) writeSignature(b *strings.Builder) {
+// SubtreeSignatures returns the Signature of every subtree of n, indexed in
+// pre-order (the order Walk visits nodes), so out[0] is n.Signature(). A
+// subtree's signature is a substring of its parent's: one pass over the plan
+// writes the root's, and every other entry is a slice of that one string.
+func (n *Node) SubtreeSignatures() []string {
+	count := n.Count()
+	spans := make([]sigSpan, 0, count)
+	// 48 bytes a node covers most workload plans without regrowing.
+	root := string(n.appendSignature(make([]byte, 0, 48*count), &spans))
+	out := make([]string, len(spans))
+	for i, sp := range spans {
+		out[i] = root[sp.start:sp.end]
+	}
+	return out
+}
+
+// sigSpan locates one subtree's signature inside the root's.
+type sigSpan struct{ start, end int }
+
+func (n *Node) appendSignature(dst []byte, spans *[]sigSpan) []byte {
 	if n == nil {
-		b.WriteByte('_')
-		return
+		return append(dst, '_')
 	}
-	fmt.Fprintf(b, "%d[", int(n.Type))
-	if n.Table != "" {
-		b.WriteString(n.Table)
-	}
+	idx := len(*spans)
+	*spans = append(*spans, sigSpan{start: len(dst)})
+	dst = strconv.AppendInt(dst, int64(n.Type), 10)
+	dst = append(dst, '[')
+	dst = append(dst, n.Table...)
 	if n.Index != "" {
-		b.WriteByte('/')
-		b.WriteString(n.Index)
+		dst = append(dst, '/')
+		dst = append(dst, n.Index...)
 	}
 	if n.Filter != nil {
-		b.WriteByte('|')
-		b.WriteString(n.Filter.String())
+		dst = append(dst, '|')
+		dst = sqlpred.AppendString(dst, n.Filter)
 	}
 	if n.IndexCond != nil {
-		b.WriteByte('@')
-		b.WriteString(n.IndexCond.String())
+		dst = append(dst, '@')
+		dst = sqlpred.AppendString(dst, n.IndexCond)
 	}
 	if n.ParamJoin != nil {
-		b.WriteByte('#')
-		b.WriteString(n.ParamJoin.String())
+		dst = append(dst, '#')
+		dst = n.ParamJoin.appendString(dst)
 	}
 	if n.JoinCond != nil {
-		b.WriteString(n.JoinCond.String())
+		dst = n.JoinCond.appendString(dst)
 	}
 	for _, k := range n.SortKeys {
-		b.WriteString(k.String())
-		b.WriteByte(',')
+		dst = k.appendString(dst)
+		dst = append(dst, ',')
 	}
 	for _, a := range n.Aggs {
-		b.WriteString(a.Func.String())
-		b.WriteString(a.Col.String())
-		b.WriteByte(',')
+		dst = append(dst, a.Func.String()...)
+		dst = a.Col.appendString(dst)
+		dst = append(dst, ',')
 	}
-	b.WriteByte(']')
+	dst = append(dst, ']')
 	if n.Left != nil || n.Right != nil {
-		b.WriteByte('(')
-		n.Left.writeSignature(b)
-		b.WriteByte(',')
-		n.Right.writeSignature(b)
-		b.WriteByte(')')
+		dst = append(dst, '(')
+		dst = n.Left.appendSignature(dst, spans)
+		dst = append(dst, ',')
+		dst = n.Right.appendSignature(dst, spans)
+		dst = append(dst, ')')
 	}
+	(*spans)[idx].end = len(dst)
+	return dst
 }
 
 // String renders the plan as an indented EXPLAIN-style tree.

@@ -51,14 +51,8 @@ func benchScheduler(b *testing.B, cfg SchedulerConfig) {
 	}
 }
 
-// BenchmarkSchedulerThroughput is the shipped configuration: a 200µs
-// coalescing window over a 64-deep max batch.
-func BenchmarkSchedulerThroughput(b *testing.B) {
-	benchScheduler(b, SchedulerConfig{QueueDepth: 512, MaxBatch: 64, BatchWindow: 200 * time.Microsecond})
-}
-
-// BenchmarkSchedulerGreedy drops the window: the dispatcher still coalesces
-// whatever is queued but never waits for stragglers.
+// BenchmarkSchedulerGreedy is the shipped configuration: the dispatcher
+// coalesces whatever is queued (up to 64) and never waits for stragglers.
 func BenchmarkSchedulerGreedy(b *testing.B) {
 	benchScheduler(b, SchedulerConfig{QueueDepth: 512, MaxBatch: 64})
 }

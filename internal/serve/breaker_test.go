@@ -231,27 +231,46 @@ func TestRetryAfterSecs(t *testing.T) {
 }
 
 // TestHTTPRetryAfterScalesWithQueueDepth: a 503 from a backed-up daemon must
-// carry a Retry-After derived from the actual backlog (queue depth over
-// batch throughput), not the constant floor.
+// carry a Retry-After derived from the actual backlog (queue depth times
+// measured batch time), not the constant floor.
 func TestHTTPRetryAfterScalesWithQueueDepth(t *testing.T) {
 	plans, eps := testCorpus(t, 304, 8)
 	srv, _ := testServer(t, eps)
-	// Unstarted scheduler: 4 submits fill the queue deterministically.
-	// 2s window, MaxBatch 1 -> hint (4/1+1)*2s = 10s, jitter caps at 15s.
-	sched := NewScheduler(srv, SchedulerConfig{QueueDepth: 4, MaxBatch: 1, BatchWindow: 2 * time.Second})
+	const depth = 8
+	sched := NewScheduler(srv, SchedulerConfig{QueueDepth: depth, MaxBatch: 1})
 	svc := NewService(sched, srv, testEnc)
 	svc.SetReady(true)
 	ts := httptest2(t, svc)
 
-	done := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		go func(i int) {
-			defer func() { done <- struct{}{} }()
-			sched.Submit(t.Context(), eps[i])
-		}(i)
+	// The first two batches take 400ms each: the first teaches the scheduler
+	// its batch time, the second holds the dispatcher while the queue fills.
+	const delay = 400 * time.Millisecond
+	fault.Enable(fault.New(1).Add(fault.Rule{Site: "serve.batch", Kind: fault.Latency, Delay: delay, Count: 2}))
+	defer fault.Disable()
+	sched.Start()
+	defer sched.Close()
+	if _, err := sched.Submit(t.Context(), eps[0]); err != nil {
+		t.Fatalf("first submit: %v", err)
 	}
-	waitDepth(t, sched, 4)
+	if got := sched.Stats().MeanBatchUS; got < float64(delay/time.Microsecond) {
+		t.Fatalf("mean_batch_us = %.0f after one %v batch", got, delay)
+	}
 
+	done := make(chan struct{})
+	submit := func(i int) {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			sched.Submit(t.Context(), eps[i%len(eps)])
+		}()
+	}
+	submit(0)
+	waitPickedUp(t, sched, 2)
+	for i := 1; i <= depth; i++ {
+		submit(i)
+	}
+	waitDepth(t, sched, depth)
+
+	// hint = (8/1+1) * ~400ms = ~3.6s; jitter adds up to half.
 	resp := postJSON(t, ts+"/estimate", estimateRequest{Plan: EncodeWire(plans[4])})
 	io.Copy(io.Discard, resp.Body)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -261,16 +280,12 @@ func TestHTTPRetryAfterScalesWithQueueDepth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Retry-After %q not an integer: %v", resp.Header.Get("Retry-After"), err)
 	}
-	if secs < 10 || secs > 15 {
-		t.Fatalf("Retry-After %ds outside derived range [10, 15] for a 4-deep queue", secs)
+	if secs < 4 || secs > 6 {
+		t.Fatalf("Retry-After %ds outside derived range [4, 6] for an %d-deep queue of %v batches", secs, depth, delay)
 	}
-
-	// Start the dispatcher so the queued submits complete, then drain.
-	sched.Start()
-	for i := 0; i < 4; i++ {
+	for i := 0; i <= depth; i++ {
 		<-done
 	}
-	sched.Close()
 }
 
 // TestHTTPDegradedSurface: with the breaker open, /readyz stays 200 but says

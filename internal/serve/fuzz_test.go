@@ -28,6 +28,12 @@ func FuzzWirePlanDecode(f *testing.F) {
 	f.Add([]byte(`{"op":"seqscan","table":"t","filter":{"atom":{"table":"t","column":"c","op":"in","in":["a"]},"bool":"or"}}`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`not json`))
+	// A deep chain of unary operators: the shape the size bounds exist for.
+	deep, err := json.Marshal(wireUnaryChain(4 * MaxPlanDepth))
+	if err != nil {
+		f.Fatalf("marshal deep seed: %v", err)
+	}
+	f.Add(deep)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var wp WirePlan

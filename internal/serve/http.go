@@ -27,7 +27,7 @@ type Service struct {
 
 	// RetryAfter floors the back-off hint attached to 503 responses. The
 	// actual hint is derived per response from the scheduler's current queue
-	// depth and batch window (see Scheduler.RetryAfterHint), plus a random
+	// depth and measured batch time (see Scheduler.RetryAfterHint), plus a random
 	// jitter of up to half the hint so a synchronized rejection burst does
 	// not come back as a synchronized retry storm.
 	RetryAfter time.Duration

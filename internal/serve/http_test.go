@@ -284,3 +284,89 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// Builders for the bounds tests: structurally valid plans of a chosen shape.
+func wireScan() *WirePlan { return &WirePlan{Op: "seqscan", Table: "title"} }
+
+// wireUnaryChain stacks n-1 sorts on a scan: n nodes, depth n.
+func wireUnaryChain(n int) *WirePlan {
+	w := wireScan()
+	for i := 1; i < n; i++ {
+		w = &WirePlan{Op: "sort", Left: w}
+	}
+	return w
+}
+
+// wireJoinTree is a balanced join tree over leaves scans: 2*leaves-1 nodes.
+func wireJoinTree(leaves int) *WirePlan {
+	if leaves == 1 {
+		return wireScan()
+	}
+	return &WirePlan{Op: "hashjoin", Left: wireJoinTree(leaves / 2), Right: wireJoinTree(leaves - leaves/2)}
+}
+
+func wireNumAtom() *WireAtom {
+	one := 1.0
+	return &WireAtom{Table: "title", Column: "production_year", Op: ">", Num: &one}
+}
+
+// wireAndChain is a left-deep AND of atoms: 2*atoms-1 predicate nodes.
+func wireAndChain(atoms int) *WirePred {
+	p := &WirePred{Atom: wireNumAtom()}
+	for i := 1; i < atoms; i++ {
+		p = &WirePred{Bool: "and", Left: p, Right: &WirePred{Atom: wireNumAtom()}}
+	}
+	return p
+}
+
+func wireInScan(vals int, asIndexCond bool) *WirePlan {
+	a := &WireAtom{Table: "title", Column: "title", Op: "in", In: make([]string, vals)}
+	for i := range a.In {
+		a.In[i] = strconv.Itoa(i)
+	}
+	w := wireScan()
+	if asIndexCond {
+		w.IndexCond = a
+	} else {
+		w.Filter = &WirePred{Atom: a}
+	}
+	return w
+}
+
+// TestWirePlanBounds: each hostile-plan limit admits a plan at the limit and
+// rejects one past it with an error (a 400 over HTTP) that names the limit,
+// before anything is built or queued.
+func TestWirePlanBounds(t *testing.T) {
+	withFilter := func(p *WirePred) *WirePlan { w := wireScan(); w.Filter = p; return w }
+	cases := []struct {
+		name     string
+		ok, over *WirePlan
+		want     string
+	}{
+		{"nodes", &WirePlan{Op: "sort", Left: wireJoinTree(128)}, // 256 nodes
+			&WirePlan{Op: "aggregate", Left: &WirePlan{Op: "sort", Left: wireJoinTree(128)}},
+			"plan has 257 nodes, limit 256"},
+		{"depth", wireUnaryChain(MaxPlanDepth), wireUnaryChain(MaxPlanDepth + 1), "65 levels deep, limit 64"},
+		{"predicate nodes", withFilter(wireAndChain(128)), // 255 nodes
+			withFilter(wireAndChain(129)), "predicate has 257 nodes, limit 256"},
+		{"in values", wireInScan(MaxInValues, false), wireInScan(MaxInValues+1, false), "IN list has 257 values, limit 256"},
+		{"index-cond in values", wireInScan(MaxInValues, true), wireInScan(MaxInValues+1, true), "IN list has 257 values, limit 256"},
+	}
+	_, sched, ts := newTestService(t)
+	for _, c := range cases {
+		if _, err := c.ok.Decode(); err != nil {
+			t.Errorf("%s: plan at the limit rejected: %v", c.name, err)
+		}
+		if _, err := c.over.Decode(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: plan past the limit: err = %v, want one naming %q", c.name, err, c.want)
+		}
+		resp := postJSON(t, ts.URL+"/estimate", estimateRequest{Plan: c.over})
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
+			t.Errorf("%s: POST past the limit: %d %q, want 400 naming %q", c.name, resp.StatusCode, body, c.want)
+		}
+	}
+	if st := sched.Stats(); st.Admitted != 0 {
+		t.Fatalf("oversized plans reached the queue: %+v", st)
+	}
+}

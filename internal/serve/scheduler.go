@@ -1,9 +1,9 @@
 // Package serve is the networked serving runtime: it fronts a core.Server
-// with a dynamic micro-batching scheduler and an HTTP API (cmd/costestd is
+// with a work-conserving batching scheduler and an HTTP API (cmd/costestd is
 // the daemon around it). Concurrent requests fan into one bounded queue and
-// a dispatcher coalesces them into single EstimateBatch calls per size- or
-// deadline-bounded window — the inference-server batching idiom — while the
-// robustness contract does the real work:
+// a dispatcher serves whatever queued while the previous batch ran as one
+// EstimateBatch call — a lone request is never delayed, batches grow with
+// load — while the robustness contract does the real work:
 //
 //   - Admission control: the queue is bounded and Submit never blocks on a
 //     full queue; overload is an immediate ErrOverloaded (HTTP 503 +
@@ -52,11 +52,6 @@ type SchedulerConfig struct {
 	// MaxBatch caps how many requests one EstimateBatch call serves.
 	// <= 0 defaults to 64.
 	MaxBatch int
-	// BatchWindow is how long the dispatcher waits after a batch's first
-	// request for more to coalesce. 0 disables waiting: the dispatcher still
-	// drains whatever is already queued into one batch (greedy coalescing)
-	// but never delays a lone request.
-	BatchWindow time.Duration
 	// Workers is passed to Server.EstimateBatch (<= 0 means GOMAXPROCS).
 	Workers int
 	// BreakerFailures is how many consecutive batch failures (estimator
@@ -127,6 +122,7 @@ type SchedulerStats struct {
 	// Coalescing.
 	Batches        uint64  `json:"batches"`
 	MeanBatch      float64 `json:"mean_batch"`
+	MeanBatchUS    float64 `json:"mean_batch_us"` // mean primary-path service time per batch
 	QueueHighWater int     `json:"queue_high_water"`
 	QueueDepth     int     `json:"queue_depth"`
 	// Circuit breaker / degraded serving.
@@ -160,6 +156,7 @@ type Scheduler struct {
 	admitted, rejected, drained  atomic.Uint64
 	served, expired, failed      atomic.Uint64
 	panics, batches, batchedReqs atomic.Uint64
+	busyNanos                    atomic.Int64 // time spent inside primary-path batches
 	queueHW                      atomic.Int64
 
 	// Circuit-breaker state. consecFails, good and lastTrip are
@@ -180,7 +177,6 @@ type Scheduler struct {
 	live  []*request
 	eps   []*feature.EncodedPlan
 	res   []core.Estimate
-	timer *time.Timer
 
 	// reqPool recycles request objects (each with its 1-buffered done
 	// channel) across Submit calls, keeping the admit and reject warm paths
@@ -201,14 +197,10 @@ func NewScheduler(srv *core.Server, cfg SchedulerConfig) *Scheduler {
 		live:  make([]*request, 0, cfg.MaxBatch),
 		eps:   make([]*feature.EncodedPlan, 0, cfg.MaxBatch),
 		res:   make([]core.Estimate, cfg.MaxBatch),
-		timer: time.NewTimer(time.Hour),
 		now:   time.Now,
 	}
 	s.reqPool.New = func() any {
 		return &request{done: make(chan response, 1)}
-	}
-	if !s.timer.Stop() {
-		<-s.timer.C
 	}
 	return s
 }
@@ -319,6 +311,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 	}
 	if st.Batches > 0 {
 		st.MeanBatch = float64(s.batchedReqs.Load()) / float64(st.Batches)
+		st.MeanBatchUS = float64(s.busyNanos.Load()) / float64(st.Batches) / float64(time.Microsecond)
 	}
 	return st
 }
@@ -331,21 +324,18 @@ func (s *Scheduler) Degraded() bool { return s.brkOpen.Load() }
 
 // RetryAfterHint estimates how long a rejected client should wait before
 // retrying: the time for the dispatcher to drain everything currently queued
-// at the configured coalescing rate — ceil(depth/MaxBatch)+1 batches, each
-// costing at least a batch window (floored at 1ms of dispatch + model time).
-// HTTP 503s derive their Retry-After from this instead of a constant, so the
-// hint scales with how backed up the daemon actually is.
+// — depth/MaxBatch + 1 batches at the measured mean batch time /statsz
+// reports. HTTP 503s derive their Retry-After from this instead of a
+// constant, so the hint scales with how backed up (and how slow) the daemon
+// actually is; before the first batch there is nothing measured and it is 0.
 func (s *Scheduler) RetryAfterHint() time.Duration {
-	per := s.cfg.BatchWindow
-	if per < time.Millisecond {
-		per = time.Millisecond
-	}
-	batches := len(s.queue)/s.cfg.MaxBatch + 1
-	return time.Duration(batches) * per
+	st := s.Stats()
+	batches := st.QueueDepth/s.cfg.MaxBatch + 1
+	return time.Duration(float64(batches) * st.MeanBatchUS * float64(time.Microsecond))
 }
 
 // dispatch is the single consumer: it blocks for a batch's first request,
-// coalesces more up to MaxBatch or the BatchWindow deadline, and serves the
+// takes whatever else is already queued (up to MaxBatch), and serves the
 // batch with one EstimateBatch call. A closed queue (Close) drains naturally:
 // buffered requests keep arriving until the channel reports empty-and-closed,
 // and every one of them is answered before the goroutine exits.
@@ -388,10 +378,9 @@ func (s *Scheduler) releaseGood() {
 	}
 }
 
-// coalesce fills the current batch from the queue: greedily when no window
-// is configured, otherwise waiting up to BatchWindow past the first request
-// for stragglers. The window is what turns concurrent load into large
-// batches; a lone request still ships after at most BatchWindow.
+// coalesce fills the current batch with whatever queued while the previous
+// batch was being served, without waiting: an idle dispatcher serves a lone
+// request at once, a busy one finds a backlog and batches it.
 func (s *Scheduler) coalesce() {
 	for len(s.batch) < s.cfg.MaxBatch {
 		select {
@@ -400,30 +389,9 @@ func (s *Scheduler) coalesce() {
 				return
 			}
 			s.batch = append(s.batch, r)
-			continue
 		default:
-		}
-		if s.cfg.BatchWindow <= 0 {
 			return
 		}
-		s.timer.Reset(s.cfg.BatchWindow)
-		windowOpen := true
-		for windowOpen && len(s.batch) < s.cfg.MaxBatch {
-			select {
-			case r, ok := <-s.queue:
-				if !ok {
-					windowOpen = false
-				} else {
-					s.batch = append(s.batch, r)
-				}
-			case <-s.timer.C:
-				return // timer fired: no drain needed on this path
-			}
-		}
-		if !s.timer.Stop() {
-			<-s.timer.C
-		}
-		return
 	}
 }
 
@@ -469,7 +437,9 @@ func (s *Scheduler) runBatch(batch []*request) {
 		s.probes.Add(1)
 	}
 
+	start := time.Now()
 	ests, snap, err := s.estimateBatch(s.eps)
+	s.busyNanos.Add(int64(time.Since(start)))
 	s.batches.Add(1)
 	s.batchedReqs.Add(uint64(len(s.live)))
 	if err != nil {

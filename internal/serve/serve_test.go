@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"costest/internal/core"
 	"costest/internal/dataset"
 	"costest/internal/exec"
+	"costest/internal/fault"
 	"costest/internal/feature"
 	"costest/internal/pg"
 	"costest/internal/plan"
@@ -61,18 +64,33 @@ func testServer(tb testing.TB, eps []*feature.EncodedPlan) (*core.Server, *core.
 	return srv, tr
 }
 
-// waitDepth polls until the scheduler's queue holds want requests (the
-// deterministic way to stage coalescing tests against an unstarted
-// dispatcher).
-func waitDepth(tb testing.TB, s *Scheduler, want int) {
+// waitStats polls until the scheduler's counters satisfy ok — the
+// deterministic way to stage tests against what the dispatcher has (not) done
+// yet.
+func waitStats(tb testing.TB, s *Scheduler, what string, ok func(SchedulerStats) bool) {
 	tb.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().QueueDepth != want {
+	for !ok(s.Stats()) {
 		if time.Now().After(deadline) {
-			tb.Fatalf("queue depth never reached %d (at %d)", want, s.Stats().QueueDepth)
+			tb.Fatalf("never reached %s: %+v", what, s.Stats())
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
+}
+
+// waitDepth waits until the queue holds want requests.
+func waitDepth(tb testing.TB, s *Scheduler, want int) {
+	tb.Helper()
+	waitStats(tb, s, fmt.Sprintf("queue depth %d", want), func(st SchedulerStats) bool { return st.QueueDepth == want })
+}
+
+// waitPickedUp waits until the dispatcher has taken the admitted-th admitted
+// request off the queue (and, in tests that inject batch latency, sits in it).
+func waitPickedUp(tb testing.TB, s *Scheduler, admitted uint64) {
+	tb.Helper()
+	waitStats(tb, s, fmt.Sprintf("request %d picked up", admitted), func(st SchedulerStats) bool {
+		return st.Admitted == admitted && st.QueueDepth == 0
+	})
 }
 
 // TestSchedulerCoalescesIntoOneBatch stages 16 concurrent requests against a
@@ -123,6 +141,93 @@ func TestSchedulerCoalescesIntoOneBatch(t *testing.T) {
 	if st.Served != n || st.Admitted != n {
 		t.Fatalf("stats = %+v, want %d admitted and served", st, n)
 	}
+}
+
+// TestSchedulerBatchesWhileBusy: natural batching survives without a window.
+// A latency fault holds the first batch in the estimator; the n submits that
+// arrive meanwhile queue up behind it and are coalesced, not served one by
+// one.
+func TestSchedulerBatchesWhileBusy(t *testing.T) {
+	_, eps := testCorpus(t, 106, 20)
+	srv, _ := testServer(t, eps)
+	s := NewScheduler(srv, SchedulerConfig{QueueDepth: 32, MaxBatch: 32, Workers: 2})
+	fault.Enable(fault.New(1).Add(fault.Rule{
+		Site: "serve.batch", Kind: fault.Latency, Delay: 200 * time.Millisecond, Count: 1}))
+	defer fault.Disable()
+	s.Start()
+	defer s.Close()
+
+	const n = 16
+	errs := make([]error, n+1)
+	var wg sync.WaitGroup
+	submit := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = s.Submit(context.Background(), eps[i%len(eps)])
+		}()
+	}
+	submit(n)
+	waitPickedUp(t, s, 1) // the first batch now sits in the injected delay
+	for i := 0; i < n; i++ {
+		submit(i)
+	}
+	waitDepth(t, s, n)
+	wg.Wait()
+
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d failed: %v", i, err)
+		}
+	}
+	st := s.Stats()
+	if st.Served != n+1 || st.Batches > 3 || st.MeanBatch <= 1 {
+		t.Fatalf("%d requests behind a busy dispatcher: served %d in %d batches (mean %.1f), want <= 3 batches",
+			n+1, st.Served, st.Batches, st.MeanBatch)
+	}
+}
+
+// TestSchedulerLoneRequestNotDelayed: on an idle dispatcher a lone Submit is
+// a batch of one, served at once — every sequential submit advances Batches
+// by exactly one — and no timer exists in Scheduler for a batching window to
+// come back through.
+func TestSchedulerLoneRequestNotDelayed(t *testing.T) {
+	_, eps := testCorpus(t, 107, 8)
+	srv, _ := testServer(t, eps)
+	s := NewScheduler(srv, SchedulerConfig{})
+	s.Start()
+	defer s.Close()
+
+	for i := 0; i < 200; i++ {
+		if _, err := s.Submit(context.Background(), eps[i%len(eps)]); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if got := s.Stats().Batches; got != uint64(i+1) {
+			t.Fatalf("after %d sequential submits: %d batches, want one batch per submit", i+1, got)
+		}
+	}
+	if st := s.Stats(); st.MeanBatch != 1 || st.MeanBatchUS <= 0 {
+		t.Fatalf("lone requests: mean batch %.2f (%.1f us), want 1 and a measured time", st.MeanBatch, st.MeanBatchUS)
+	}
+
+	var walk func(path string, typ reflect.Type)
+	seen := map[reflect.Type]bool{}
+	walk = func(path string, typ reflect.Type) {
+		for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice {
+			typ = typ.Elem()
+		}
+		if typ == reflect.TypeOf(time.Timer{}) || typ == reflect.TypeOf(time.Ticker{}) {
+			t.Errorf("%s is a %v: the dispatcher must not wait on a clock", path, typ)
+		}
+		if typ.Kind() != reflect.Struct || typ.PkgPath() != reflect.TypeOf(s).Elem().PkgPath() || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		for i := 0; i < typ.NumField(); i++ {
+			walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+		}
+	}
+	walk("Scheduler", reflect.TypeOf(s))
 }
 
 // TestSchedulerAdmissionControl pins the bounded-queue contract: a full
@@ -241,10 +346,9 @@ func TestDrainContractUnderLoad(t *testing.T) {
 	_, eps := testCorpus(t, 105, 24)
 	srv, tr := testServer(t, eps)
 	s := NewScheduler(srv, SchedulerConfig{
-		QueueDepth:  64,
-		MaxBatch:    8,
-		BatchWindow: 2 * time.Millisecond,
-		Workers:     2,
+		QueueDepth: 64,
+		MaxBatch:   8,
+		Workers:    2,
 	})
 	s.Start()
 
@@ -330,7 +434,7 @@ func TestDrainContractUnderLoad(t *testing.T) {
 		t.Fatal("no requests completed; load generator broken")
 	}
 	if st.MeanBatch <= 1 {
-		t.Fatalf("micro-batching did not coalesce under load: mean batch %.2f", st.MeanBatch)
+		t.Fatalf("work-conserving dispatch did not coalesce under load: mean batch %.2f", st.MeanBatch)
 	}
 
 	// Bit-identity: every completed request replays exactly on the snapshot

@@ -100,13 +100,69 @@ var wireAtomOps = map[string]sqlpred.Op{
 	"in":       sqlpred.OpIn,
 }
 
-// Decode converts the wire plan into a plan.Node tree, validating operator
-// and predicate shapes. Schema validity (table/column existence) is checked
-// downstream by the feature encoder against its catalog.
+// Size bounds on one wire plan, checked before anything is built. Subtree
+// signatures are Θ(nodes × depth) bytes, so without them a 1 MiB body of
+// nested unary operators (~15k nodes) would cost hundreds of MB to encode.
+// The workloads' largest plans have 18 nodes, depth 11 and 9 predicate nodes.
+const (
+	MaxPlanNodes = 256 // plan nodes per plan
+	MaxPlanDepth = 64  // plan tree height
+	MaxPredNodes = 256 // predicate-tree nodes per plan node
+	MaxInValues  = 256 // values per IN list
+)
+
+// Decode converts the wire plan into a plan.Node tree, validating size
+// bounds, operator and predicate shapes. Schema validity (table/column
+// existence) is checked downstream by the feature encoder against its
+// catalog.
 func (w *WirePlan) Decode() (*plan.Node, error) {
 	if w == nil {
 		return nil, fmt.Errorf("serve: empty plan")
 	}
+	var sz wireSize
+	sz.plan(w, 1)
+	switch {
+	case sz.nodes > MaxPlanNodes:
+		return nil, fmt.Errorf("serve: plan has %d nodes, limit %d", sz.nodes, MaxPlanNodes)
+	case sz.depth > MaxPlanDepth:
+		return nil, fmt.Errorf("serve: plan is %d levels deep, limit %d", sz.depth, MaxPlanDepth)
+	case sz.preds > MaxPredNodes:
+		return nil, fmt.Errorf("serve: a predicate has %d nodes, limit %d", sz.preds, MaxPredNodes)
+	case sz.in > MaxInValues:
+		return nil, fmt.Errorf("serve: an IN list has %d values, limit %d", sz.in, MaxInValues)
+	}
+	return w.decode()
+}
+
+// wireSize measures a wire plan without building anything: node count and
+// height of the plan tree, and the largest predicate tree and IN list in it.
+type wireSize struct{ nodes, depth, preds, in int }
+
+func (sz *wireSize) plan(w *WirePlan, depth int) {
+	if w == nil {
+		return
+	}
+	sz.nodes++
+	sz.depth = max(sz.depth, depth)
+	sz.preds = max(sz.preds, sz.pred(w.Filter))
+	if w.IndexCond != nil {
+		sz.in = max(sz.in, len(w.IndexCond.In))
+	}
+	sz.plan(w.Left, depth+1)
+	sz.plan(w.Right, depth+1)
+}
+
+func (sz *wireSize) pred(w *WirePred) int {
+	if w == nil {
+		return 0
+	}
+	if w.Atom != nil {
+		sz.in = max(sz.in, len(w.Atom.In))
+	}
+	return 1 + sz.pred(w.Left) + sz.pred(w.Right)
+}
+
+func (w *WirePlan) decode() (*plan.Node, error) {
 	t, ok := wireOps[strings.ToLower(w.Op)]
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown operator %q", w.Op)
@@ -145,12 +201,12 @@ func (w *WirePlan) Decode() (*plan.Node, error) {
 		n.Aggs = append(n.Aggs, spec)
 	}
 	if w.Left != nil {
-		if n.Left, err = w.Left.Decode(); err != nil {
+		if n.Left, err = w.Left.decode(); err != nil {
 			return nil, err
 		}
 	}
 	if w.Right != nil {
-		if n.Right, err = w.Right.Decode(); err != nil {
+		if n.Right, err = w.Right.decode(); err != nil {
 			return nil, err
 		}
 	}

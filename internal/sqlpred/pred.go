@@ -6,6 +6,7 @@ package sqlpred
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -57,15 +58,31 @@ type Atom struct {
 
 func (*Atom) isPred() {}
 
-func (a *Atom) String() string {
-	switch {
-	case a.Op == OpIn:
-		return fmt.Sprintf("%s.%s IN (%s)", a.Table, a.Column, strings.Join(a.InVals, ", "))
-	case a.IsStr:
-		return fmt.Sprintf("%s.%s %s '%s'", a.Table, a.Column, a.Op, a.StrVal)
-	default:
-		return fmt.Sprintf("%s.%s %s %g", a.Table, a.Column, a.Op, a.NumVal)
+func (a *Atom) String() string { return string(a.appendString(nil)) }
+
+func (a *Atom) appendString(dst []byte) []byte {
+	dst = append(dst, a.Table...)
+	dst = append(dst, '.')
+	dst = append(dst, a.Column...)
+	dst = append(dst, ' ')
+	if a.Op == OpIn {
+		dst = append(dst, "IN ("...)
+		for i, v := range a.InVals {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = append(dst, v...)
+		}
+		return append(dst, ')')
 	}
+	dst = append(dst, a.Op.String()...)
+	dst = append(dst, ' ')
+	if a.IsStr {
+		dst = append(dst, '\'')
+		dst = append(dst, a.StrVal...)
+		return append(dst, '\'')
+	}
+	return strconv.AppendFloat(dst, a.NumVal, 'g', -1, 64)
 }
 
 // BoolKind is the connective of a compound predicate.
@@ -93,8 +110,26 @@ type Bool struct {
 
 func (*Bool) isPred() {}
 
-func (b *Bool) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.Left, b.Kind, b.Right)
+func (b *Bool) String() string { return string(AppendString(nil, b)) }
+
+// AppendString appends p.String() to dst without the intermediate strings:
+// plan signatures are built from it on the request path. A nil p (or nil
+// operand of a malformed Bool) renders as fmt would, "%!s(<nil>)".
+func AppendString(dst []byte, p Pred) []byte {
+	switch n := p.(type) {
+	case *Atom:
+		return n.appendString(dst)
+	case *Bool:
+		dst = append(dst, '(')
+		dst = AppendString(dst, n.Left)
+		dst = append(dst, ' ')
+		dst = append(dst, n.Kind.String()...)
+		dst = append(dst, ' ')
+		dst = AppendString(dst, n.Right)
+		return append(dst, ')')
+	default:
+		return fmt.Appendf(dst, "%s", p)
+	}
 }
 
 // Tables returns the distinct table names referenced by p, in first-seen
@@ -178,30 +213,29 @@ func combine(kind BoolKind, preds []Pred) Pred {
 // any (possibly empty) substring. '_' is not supported; the workloads in the
 // paper only use '%'.
 func LikeMatch(pattern, s string) bool {
-	parts := strings.Split(pattern, "%")
-	if len(parts) == 1 {
+	// The pattern is scanned in place: this runs once per row in predicate
+	// evaluation, so it must not allocate.
+	first := strings.IndexByte(pattern, '%')
+	if first < 0 {
 		return s == pattern
 	}
 	// Anchored prefix.
-	if parts[0] != "" {
-		if !strings.HasPrefix(s, parts[0]) {
-			return false
-		}
-		s = s[len(parts[0]):]
+	if !strings.HasPrefix(s, pattern[:first]) {
+		return false
 	}
-	// Anchored suffix.
-	last := parts[len(parts)-1]
-	if last != "" {
-		if !strings.HasSuffix(s, last) {
-			return false
-		}
-		s = s[:len(s)-len(last)]
+	s, pattern = s[first:], pattern[first+1:]
+	// Anchored suffix, matched against what the prefix left over.
+	last := strings.LastIndexByte(pattern, '%')
+	suffix := pattern[last+1:]
+	if !strings.HasSuffix(s, suffix) {
+		return false
 	}
+	s = s[:len(s)-len(suffix)]
 	// Middle parts must appear in order.
-	for _, mid := range parts[1 : len(parts)-1] {
-		if mid == "" {
-			continue
-		}
+	mids := pattern[:max(last, 0)]
+	for mids != "" {
+		var mid string
+		mid, mids, _ = strings.Cut(mids, "%")
 		i := strings.Index(s, mid)
 		if i < 0 {
 			return false

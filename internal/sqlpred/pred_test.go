@@ -1,6 +1,8 @@
 package sqlpred
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -36,11 +38,135 @@ func TestLikeMatch(t *testing.T) {
 		{"a%b%c", "acb", false},
 		{"%a%a%", "aa", true},
 		{"%a%a%", "a", false},
+		// Empty parts: doubled and bare wildcards.
+		{"%%", "", true},
+		{"%%", "x", true},
+		{"a%%b", "ab", true},
+		{"a%%b", "axb", true},
+		{"a%%b", "a", false},
+		{"%%a%%", "bab", true},
+		{"", "", true},
+		{"", "x", false},
+		// Prefix and suffix may not share characters of s.
+		{"ab%b", "ab", false},
+		{"ab%b", "abb", true},
+		{"a%a", "a", false},
+		{"a%a", "aa", true},
+		{"ab%bc", "abc", false},
+		// Middle parts match leftmost-first, after the prefix, before the suffix.
+		{"a%b%b", "abb", true},
+		{"a%b%b", "ab", false},
+		{"%ab%ab%", "abab", true},
+		{"%ab%ab%", "aba", false},
+		{"x%x%x", "xx", false},
+		{"x%x%x", "xxx", true},
 	}
 	for _, c := range cases {
 		if got := LikeMatch(c.pattern, c.s); got != c.want {
 			t.Errorf("LikeMatch(%q, %q) = %v, want %v", c.pattern, c.s, got, c.want)
 		}
+		if got := likeMatchSplit(c.pattern, c.s); got != c.want {
+			t.Errorf("reference likeMatchSplit(%q, %q) = %v, want %v", c.pattern, c.s, got, c.want)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, c := range cases {
+			LikeMatch(c.pattern, c.s)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("LikeMatch allocates: %v allocs over the table, want 0", allocs)
+	}
+}
+
+// likeMatchSplit is the strings.Split formulation LikeMatch replaced, kept as
+// the oracle for TestLikeMatchAgainstSplit.
+func likeMatchSplit(pattern, s string) bool {
+	parts := strings.Split(pattern, "%")
+	if len(parts) == 1 {
+		return s == pattern
+	}
+	if !strings.HasPrefix(s, parts[0]) {
+		return false
+	}
+	s = s[len(parts[0]):]
+	last := parts[len(parts)-1]
+	if !strings.HasSuffix(s, last) {
+		return false
+	}
+	s = s[:len(s)-len(last)]
+	for _, mid := range parts[1 : len(parts)-1] {
+		i := strings.Index(s, mid)
+		if i < 0 {
+			return false
+		}
+		s = s[i+len(mid):]
+	}
+	return true
+}
+
+// TestLikeMatchAgainstSplit: on random patterns and subjects over a tiny
+// alphabet (so wildcards, repeats and overlaps are dense) the in-place scan
+// agrees with the Split formulation.
+func TestLikeMatchAgainstSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	gen := func(alphabet string, maxLen int) string {
+		b := make([]byte, rng.Intn(maxLen+1))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	for i := 0; i < 20000; i++ {
+		pattern, s := gen("ab%%", 6), gen("ab", 6)
+		if got, want := LikeMatch(pattern, s), likeMatchSplit(pattern, s); got != want {
+			t.Fatalf("LikeMatch(%q, %q) = %v, Split formulation says %v", pattern, s, got, want)
+		}
+	}
+}
+
+// TestStringMatchesFmt pins the append-based String to the fmt formatting it
+// replaced — plan signatures, and so memory-pool keys, are built from it —
+// including how %g renders every float64.
+func TestStringMatchesFmt(t *testing.T) {
+	check := func(a *Atom) {
+		t.Helper()
+		var want string
+		switch {
+		case a.Op == OpIn:
+			want = fmt.Sprintf("%s.%s IN (%s)", a.Table, a.Column, strings.Join(a.InVals, ", "))
+		case a.IsStr:
+			want = fmt.Sprintf("%s.%s %s '%s'", a.Table, a.Column, a.Op, a.StrVal)
+		default:
+			want = fmt.Sprintf("%s.%s %s %g", a.Table, a.Column, a.Op, a.NumVal)
+		}
+		if got := a.String(); got != want {
+			t.Fatalf("Atom.String() = %q, fmt renders %q", got, want)
+		}
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1e20, 1e21, 1e-4, 1e-5, 123456789, 2005,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
+		check(atomNum("t", "c", OpGe, v))
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 5000; i++ {
+		check(atomNum("t", "c", Op(rng.Intn(int(NumOps))), math.Float64frombits(rng.Uint64())))
+		check(atomNum("t", "c", OpLt, float64(rng.Intn(1<<30))/float64(1+rng.Intn(1000))))
+	}
+	check(atomStr("t", "c", OpLike, "%it's%"))
+	check(atomStr("t", "c", OpNotLike, ""))
+	check(&Atom{Table: "t", Column: "c", Op: OpIn, IsStr: true})
+	check(&Atom{Table: "t", Column: "c", Op: OpIn, InVals: []string{"a"}, IsStr: true})
+	check(&Atom{Table: "t", Column: "c", Op: OpIn, InVals: []string{"a", "", "b, c"}, IsStr: true})
+	check(&Atom{Table: "t", Column: "c", Op: Op(42), NumVal: 1})
+
+	a, b := atomNum("t", "x", OpGt, 1.5), atomStr("t", "y", OpEq, "v")
+	tree := &Bool{Kind: Or, Left: &Bool{Kind: And, Left: a, Right: b}, Right: a}
+	if got, want := tree.String(), fmt.Sprintf("((%s AND %s) OR %s)", a, b, a); got != want {
+		t.Fatalf("Bool.String() = %q, want %q", got, want)
+	}
+	if got := string(AppendString([]byte("p="), tree)); got != "p="+tree.String() {
+		t.Fatalf("AppendString does not append: %q", got)
 	}
 }
 

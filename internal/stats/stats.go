@@ -348,28 +348,26 @@ func (c *Catalog) NormalizeNumeric(table, column string, v float64) float64 {
 	return s
 }
 
-// SampleBitmap evaluates pred over the table's sample rows, returning one
-// 0/1 per sample row (the paper's Sample Bitmap feature). The slice length
-// always equals the catalog SampleSize, zero-padded when the table has fewer
-// sampled rows, so the feature has a fixed dimension.
-func (c *Catalog) SampleBitmap(table string, pred sqlpred.Pred) ([]float64, error) {
-	out := make([]float64, c.SampleSize)
+// SampleBitmap evaluates pred over the table's sample rows into dst, which
+// the caller supplies zeroed with the catalog's SampleSize as its length: one
+// 0/1 per sample row (the paper's Sample Bitmap feature), left zero-padded
+// when the table has fewer sampled rows, so the feature has a fixed dimension.
+func (c *Catalog) SampleBitmap(dst []float64, table string, pred sqlpred.Pred) error {
 	ts := c.Tables[table]
 	if ts == nil {
-		return out, nil
+		return nil
 	}
-	data := c.DB.Table(table)
-	match, err := sqlpred.Compile(pred, table, data)
+	match, err := sqlpred.Compile(pred, table, c.DB.Table(table))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i, row := range ts.Sample {
-		if i >= len(out) {
+		if i >= len(dst) {
 			break
 		}
 		if match(row) {
-			out[i] = 1
+			dst[i] = 1
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -191,12 +191,12 @@ func TestIndependenceAssumptionBreaks(t *testing.T) {
 
 func TestSampleBitmap(t *testing.T) {
 	p := &sqlpred.Atom{Table: "title", Column: "production_year", Op: sqlpred.OpGt, NumVal: 1900}
-	bm, err := testCat.SampleBitmap("title", p)
-	if err != nil {
-		t.Fatal(err)
+	if testCat.SampleSize != 64 {
+		t.Fatalf("catalog sample size %d, want 64", testCat.SampleSize)
 	}
-	if len(bm) != 64 {
-		t.Fatalf("bitmap length %d, want sample size 64", len(bm))
+	bm := make([]float64, testCat.SampleSize)
+	if err := testCat.SampleBitmap(bm, "title", p); err != nil {
+		t.Fatal(err)
 	}
 	ones := 0
 	for _, b := range bm {
@@ -219,8 +219,8 @@ func TestSampleBitmap(t *testing.T) {
 }
 
 func TestSampleBitmapUnknownTable(t *testing.T) {
-	bm, err := testCat.SampleBitmap("nope", nil)
-	if err != nil {
+	bm := make([]float64, testCat.SampleSize)
+	if err := testCat.SampleBitmap(bm, "nope", nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range bm {
