@@ -52,7 +52,7 @@ test-fault:
 
 # Short coverage-guided fuzzing over every network- and disk-facing parser:
 # the replication frame reader and delta payload applier, the /estimate wire
-# plan decoder, and the checkpoint loaders. Each target's seed corpus also
+# plan decoder, and the checkpoint loader. Each target's seed corpus also
 # runs as a plain test in `make test`; this target additionally explores.
 # FUZZTIME tunes the per-target budget (CI uses the default).
 FUZZTIME ?= 15s
@@ -61,7 +61,6 @@ test-fuzz:
 	$(GO) test ./internal/replica/ -run '^$$' -fuzz '^FuzzApplyModelPayload$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzWirePlanDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzModelLoad$$' -fuzztime $(FUZZTIME)
 
 # The replication conformance suite under the race detector — the
 # bit-identity acceptance gate for the scale-out streaming runtime.
@@ -70,15 +69,15 @@ test-replica:
 
 check: build vet fmt-check lint test
 
-# Hot-path microbenchmarks: the per-plan forward runtime, the batch
-# serving/training runtime (sequential TrainEpoch/TrainEpochBatched and the
-# data-parallel BenchmarkTrainEpochParallel shard variants), the memory pool
-# read path, the hot-swap serving runtime (full-copy BenchmarkPublish vs
-# BenchmarkPublishDelta, continuous-loop BenchmarkFitParallel), the tensor
-# kernels underneath them, and the request path's plan encoder.
+# Hot-path microbenchmarks: the batch runtime (single-plan batch-of-one
+# entry, batch serving, BenchmarkTrainEpochParallel shard variants), the
+# memory pool read path, the hot-swap serving runtime (full-copy
+# BenchmarkPublish vs BenchmarkPublishDelta, continuous-loop
+# BenchmarkFitParallel), the tensor kernels underneath them, and the request
+# path's plan encoder.
 bench:
 	$(GO) test ./internal/core/ -run xxx \
-		-bench 'BenchmarkForwardSingle|BenchmarkForwardPooled|BenchmarkPoolGetParallel|BenchmarkEstimateBatch|BenchmarkTrainEpoch|BenchmarkTrainEpochParallel|BenchmarkPublish|BenchmarkServer|BenchmarkFitParallel' \
+		-bench 'BenchmarkForwardSingle|BenchmarkForwardPooled|BenchmarkPoolGetParallel|BenchmarkEstimateBatch|BenchmarkTrainEpochParallel|BenchmarkPublish|BenchmarkServer|BenchmarkFitParallel' \
 		-benchmem -benchtime=1s
 	$(GO) test ./internal/tensor/ -run xxx -bench . -benchmem -benchtime=1s
 	$(GO) test ./internal/feature/ -run xxx -bench 'BenchmarkEncode' -benchmem -benchtime=1s

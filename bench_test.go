@@ -370,7 +370,9 @@ func ablationTrain(b *testing.B, mutate func(*core.Config)) (costQ, cardQ float6
 		}
 		vaE = append(vaE, ep)
 	}
-	hist := core.NewTrainer(model).Fit(trE, vaE, 6, 16, nil)
+	pt := core.NewParallelTrainer(model, 1)
+	defer pt.Close()
+	hist := pt.Fit(trE, vaE, 6, 16, 1, nil)
 	last := hist[len(hist)-1]
 	return last.ValidCost, last.ValidCard
 }

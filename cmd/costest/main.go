@@ -119,8 +119,9 @@ func demo(args []string) {
 		return out
 	}
 	trE, vaE := encode(train), encode(valid)
-	tr := core.NewTrainer(model)
-	tr.Fit(trE, vaE, *epochs, 16, func(s core.EpochStats) {
+	tr := core.NewParallelTrainer(model, 0)
+	defer tr.Close()
+	tr.Fit(trE, vaE, *epochs, 16, 0, func(s core.EpochStats) {
 		log.Printf("epoch %2d  loss=%8.2f  valid cost q=%6.2f  valid card q=%6.2f",
 			s.Epoch, s.TrainLoss, s.ValidCost, s.ValidCard)
 	})

@@ -205,7 +205,8 @@ func main() {
 	// SupervisorStats installation.
 	retrainDone := make(chan struct{})
 	if *retrain > 0 && *follow == "" && *peers == "" {
-		sup := newSupervisor(srv, core.NewTrainer(model), eps, *seed)
+		trainer := core.NewParallelTrainer(model, *shards)
+		sup := newSupervisor(srv, trainer, eps, *seed)
 		sup.Interval = *retrain
 		sup.Workers = *workers
 		sup.GateSlack = *gateSlack
@@ -215,6 +216,7 @@ func main() {
 		svc.SupervisorStats = sup.stats
 		go func() {
 			defer close(retrainDone)
+			defer trainer.Close()
 			sup.run(ctx)
 		}()
 	} else {

@@ -53,12 +53,13 @@ func testCorpus(tb testing.TB, seed int64, n int) ([]*plan.Node, []*feature.Enco
 
 // testStack builds a served, quick-trained model over the corpus: server,
 // started scheduler, HTTP service — the daemon's serving stack minus main().
-func testStack(tb testing.TB, eps []*feature.EncodedPlan, cfg serve.SchedulerConfig) (*core.Server, *core.Trainer, *serve.Scheduler, *serve.Service) {
+func testStack(tb testing.TB, eps []*feature.EncodedPlan, cfg serve.SchedulerConfig) (*core.Server, *core.ParallelTrainer, *serve.Scheduler, *serve.Service) {
 	tb.Helper()
 	m := core.New(core.TestConfig(), testEnc)
-	tr := core.NewTrainer(m)
+	tr := core.NewParallelTrainer(m, 1)
+	tb.Cleanup(tr.Close)
 	tr.FitNormalizers(eps)
-	tr.TrainEpochBatched(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8, 1)
 	srv := core.NewServer(m, core.NewBoundedMemoryPool(2048))
 	sched := serve.NewScheduler(srv, cfg)
 	sched.Start()

@@ -25,19 +25,21 @@ import (
 //     of the last published model's is skipped and logged — serving keeps
 //     the better model; training continues and may recover by the next
 //     cycle. This is the rollback: the bad weights simply never reach the
-//     serving path.
+//     serving path. A non-finite training loss or validation Q-error is not
+//     a regression to weigh but a failed cycle, whatever GateSlack says.
 //   - Crash-safe checkpoints: every CheckpointEvery-th published model is
 //     saved through core.SaveCheckpoint (write-fsync-rename, .prev kept), so
 //     a kill at any instant leaves a cold-loadable last-good file.
 type supervisor struct {
 	srv     *core.Server
-	trainer *core.Trainer
+	trainer *core.ParallelTrainer
 	train   []*feature.EncodedPlan
 	valid   []*feature.EncodedPlan
 
 	// Interval between cycle starts; failures wait nextBackoff instead.
 	Interval time.Duration
-	// Workers is the training worker count per epoch (0 = GOMAXPROCS).
+	// Workers caps how many trainer shards execute concurrently per epoch
+	// (0 = GOMAXPROCS).
 	Workers int
 	// GateSlack is the allowed relative validation regression: a candidate
 	// publishes only while candQ <= pubQ*(1+GateSlack). Negative disables
@@ -70,7 +72,7 @@ type supervisor struct {
 // newSupervisor builds a supervisor over the trainer's model, splitting eps
 // 4:1 into train/held-out validation and anchoring the publish gate at the
 // current model's validation error (the model being served at startup).
-func newSupervisor(srv *core.Server, trainer *core.Trainer, eps []*feature.EncodedPlan, seed int64) *supervisor {
+func newSupervisor(srv *core.Server, trainer *core.ParallelTrainer, eps []*feature.EncodedPlan, seed int64) *supervisor {
 	cut := len(eps) * 4 / 5
 	if cut < 1 {
 		cut = len(eps)
@@ -141,11 +143,18 @@ func (sv *supervisor) cycle() (err error) {
 	if err := fault.Point(fault.SiteDaemonRetrain); err != nil {
 		return err
 	}
-	loss := sv.trainer.TrainEpochBatched(sv.train, 16, sv.Workers)
+	loss := sv.trainer.TrainEpochParallel(sv.train, 16, sv.Workers)
 
 	// Publish gate: validate the candidate on the held-out slice against the
-	// published baseline before it can reach the serving path.
-	candQ, _ := sv.trainer.M.ValidationError(sv.valid)
+	// published baseline before it can reach the serving path. NaN compares
+	// false against everything, so non-finite candidates are refused before
+	// the comparison, gate on or off: publishing one would serve NaN and
+	// poison the baseline (and, on a primary, every follower).
+	candQ, candCardQ := sv.trainer.M.ValidationError(sv.valid)
+	if !isFinite(loss) || !isFinite(candQ) || !isFinite(candCardQ) {
+		return fmt.Errorf("non-finite candidate (loss %v, valid q-error cost %v card %v), keeping served model",
+			loss, candQ, candCardQ)
+	}
 	if pub := sv.pubQ(); sv.GateSlack >= 0 && pub > 0 && candQ > pub*(1+sv.GateSlack) {
 		sv.gateSkipped.Add(1)
 		sv.logf("costestd: publish gated: candidate q-error %.3f vs published %.3f (slack %.0f%%), keeping served model",
@@ -166,6 +175,9 @@ func (sv *supervisor) cycle() (err error) {
 	}
 	return nil
 }
+
+// isFinite reports whether x is neither NaN nor an infinity.
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // due reports whether the nth publish is a checkpoint cadence hit.
 func (sv *supervisor) due(n uint64) bool {

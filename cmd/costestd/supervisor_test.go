@@ -149,6 +149,58 @@ func TestSupervisorGateRejectsRegression(t *testing.T) {
 	}
 }
 
+// TestSupervisorRefusesNonFiniteCandidate: a candidate with a non-finite
+// weight has NaN loss and NaN validation Q-error, and NaN compares false
+// against every gate threshold — so it must be refused before the
+// comparison, with the gate on and with it off. The cycle counts as a
+// failure (backoff, never a publish), the baseline stays put, and the served
+// snapshot keeps answering finite estimates.
+func TestSupervisorRefusesNonFiniteCandidate(t *testing.T) {
+	for _, slack := range []float64{0.10, -1} {
+		_, eps := testCorpus(t, 504, 24)
+		srv, tr, sched, _ := testStack(t, eps, serve.SchedulerConfig{QueueDepth: 16, MaxBatch: 8})
+		t.Cleanup(sched.Close)
+
+		sup := newSupervisor(srv, tr, eps, 1)
+		sup.Interval = time.Millisecond
+		sup.GateSlack = slack
+		sup.BackoffBase = time.Hour // exactly one cycle runs before the test ends
+		sup.BackoffMax = time.Hour
+		sup.logf = t.Logf
+		v0, q0 := srv.Version(), sup.pubQBits.Load()
+
+		// Poison one weight on the cost head's path; stamp it so a delta
+		// publish would carry it.
+		tr.M.PS.Get("est.cost.h.W").Value[0] = math.NaN()
+		tr.M.PS.MarkAllUpdated()
+
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() { defer close(done); sup.run(ctx) }()
+		waitFor(t, "the poisoned cycle to finish", func() bool {
+			return sup.failures.Load()+sup.publishes.Load()+sup.gateSkipped.Load() > 0
+		})
+		cancel()
+		<-done
+
+		if got := srv.Version(); got != v0 {
+			t.Fatalf("slack %v: non-finite candidate was published: v%d -> v%d", slack, v0, got)
+		}
+		if sup.failures.Load() != 1 || sup.publishes.Load() != 0 {
+			t.Fatalf("slack %v: failures=%d publishes=%d, want 1/0", slack, sup.failures.Load(), sup.publishes.Load())
+		}
+		if sup.pubQBits.Load() != q0 {
+			t.Fatalf("slack %v: gate baseline moved to %v", slack, sup.pubQ())
+		}
+		for i, ep := range eps[:4] {
+			cost, card, _ := srv.Estimate(ep)
+			if !isFinite(cost) || !isFinite(card) {
+				t.Fatalf("slack %v: plan %d served (%v, %v)", slack, i, cost, card)
+			}
+		}
+	}
+}
+
 // TestSupervisorCheckpointsPublishedModel: each due publish saves a
 // crash-safe checkpoint that cold-loads to the exact published weights, and
 // an injected checkpoint write failure is absorbed (counted, last-good

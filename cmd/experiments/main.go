@@ -4,8 +4,7 @@
 // Usage:
 //
 //	experiments [-preset small|full] [-suite all|numeric|strings]
-//	            [-trainer parallel|sequential] [-shards N]
-//	            [-scale F] [-epochs N] [-seed N] [-out FILE]
+//	            [-shards N] [-scale F] [-epochs N] [-seed N] [-out FILE]
 //
 // The small preset finishes in about a minute of CPU; full approaches the
 // paper's workload sizes and takes much longer.
@@ -25,8 +24,7 @@ func main() {
 	log.SetFlags(0)
 	preset := flag.String("preset", "small", "configuration preset: small or full")
 	suite := flag.String("suite", "all", "which suite to run: all, numeric or strings")
-	trainer := flag.String("trainer", "", "training runtime: parallel (data-parallel epoch loop) or sequential; empty keeps the preset's choice")
-	shards := flag.Int("shards", 0, "data-parallel shard count for -trainer=parallel (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "data-parallel trainer shard count (0 = GOMAXPROCS)")
 	scale := flag.Float64("scale", 0, "override dataset scale factor")
 	epochs := flag.Int("epochs", 0, "override training epochs")
 	seed := flag.Int64("seed", 0, "override random seed")
@@ -51,21 +49,12 @@ func main() {
 	if *seed > 0 {
 		cfg.Seed = *seed
 	}
-	switch *trainer {
-	case "":
-		// keep the preset's runtime
-	case experiments.TrainerParallel, experiments.TrainerSequential:
-		cfg.Trainer = *trainer
-	default:
-		log.Fatalf("unknown trainer %q (want parallel or sequential)", *trainer)
-	}
 	if *shards > 0 {
 		cfg.Shards = *shards
 	}
 
 	start := time.Now()
-	log.Printf("building environment (scale=%.2f, sample=%d, trainer=%s)...",
-		cfg.Scale, cfg.SampleSize, cfg.Trainer)
+	log.Printf("building environment (scale=%.2f, sample=%d)...", cfg.Scale, cfg.SampleSize)
 	env := experiments.NewEnv(cfg)
 	log.Printf("database: %d rows across %d tables (%.1fs)",
 		env.DB.TotalRows(), len(env.DB.Tables), time.Since(start).Seconds())

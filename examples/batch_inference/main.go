@@ -50,7 +50,7 @@ func main() {
 	}
 	fmt.Printf("evaluating %d JOB-style plans\n\n", len(eps))
 
-	// One-by-one recursive evaluation.
+	// One plan per call: every plan is its own batch of one.
 	t0 := time.Now()
 	for _, ep := range eps {
 		model.Estimate(ep)
@@ -62,7 +62,7 @@ func main() {
 	model.EstimateBatch(eps, 0)
 	batch := time.Since(t0)
 
-	fmt.Printf("sequential: %7.3f ms/query\n", ms(seq, len(eps)))
+	fmt.Printf("one by one: %7.3f ms/query\n", ms(seq, len(eps)))
 	fmt.Printf("batched:    %7.3f ms/query  (%.1fx speedup)\n",
 		ms(batch, len(eps)), float64(seq)/float64(batch))
 

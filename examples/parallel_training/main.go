@@ -1,7 +1,7 @@
 // Parallel training: the data-parallel runtime end to end. A ParallelTrainer
 // shards every minibatch across worker sessions with private gradient
 // ParamSets and reduces them deterministically into one Adam step — the same
-// schedule as the sequential batched trainer, so losses agree to
+// schedule whatever the shard count, so losses agree across shard counts to
 // floating-point reassociation and the worker count cannot change the
 // trained bits.
 //
@@ -48,14 +48,15 @@ func main() {
 	}
 	fmt.Printf("corpus: %d labeled plans, %d CPU(s)\n", len(eps), runtime.GOMAXPROCS(0))
 
-	// 2. Two identically seeded models: one trained by the sequential
-	// batched runtime, one by the data-parallel runtime (2 shards). Both
-	// consume the same shuffle stream, so they walk the same minibatches.
+	// 2. Two identically seeded models: one trained with a single shard, one
+	// with two. Both consume the same shuffle stream, so they walk the same
+	// minibatches.
 	cfg := core.TestConfig()
 	mSeq := core.New(cfg, enc)
 	mPar := core.New(cfg, enc)
-	seq := core.NewTrainer(mSeq)
+	seq := core.NewParallelTrainer(mSeq, 1)
 	par := core.NewParallelTrainer(mPar, 2)
+	defer seq.Close()
 	defer par.Close()
 	seq.FitNormalizers(eps)
 	par.FitNormalizers(eps)
@@ -65,7 +66,7 @@ func main() {
 	t0 := time.Now()
 	var lossSeq float64
 	for e := 0; e < epochs; e++ {
-		lossSeq = seq.TrainEpochBatched(eps, 16, 1)
+		lossSeq = seq.TrainEpochParallel(eps, 16, 1)
 	}
 	dSeq := time.Since(t0)
 	t0 = time.Now()
@@ -74,9 +75,9 @@ func main() {
 		lossPar = par.TrainEpochParallel(eps, 16, 0)
 	}
 	dPar := time.Since(t0)
-	fmt.Printf("sequential: %d epochs in %v (final loss %.6f)\n", epochs, dSeq.Round(time.Millisecond), lossSeq)
-	fmt.Printf("parallel:   %d epochs in %v (final loss %.6f, %d shards)\n",
-		epochs, dPar.Round(time.Millisecond), lossPar, par.Shards())
+	fmt.Printf("1 shard:  %d epochs in %v (final loss %.6f)\n", epochs, dSeq.Round(time.Millisecond), lossSeq)
+	fmt.Printf("%d shards: %d epochs in %v (final loss %.6f)\n",
+		par.Shards(), epochs, dPar.Round(time.Millisecond), lossPar)
 	fmt.Printf("loss delta: %.2e (floating-point reassociation across shard boundaries only)\n",
 		math.Abs(lossSeq-lossPar))
 
@@ -115,9 +116,9 @@ func main() {
 		snap.Version(), costQ, cardQ)
 
 	// 5. The continuous train-and-serve loop: ParallelTrainer.Fit drives
-	// shuffled epochs with per-epoch validation (mirroring Trainer.Fit) and
-	// auto-publishes into the server, gated on validation improvement — the
-	// server only ever serves the best-validated weights. Publishes go
+	// shuffled epochs with per-epoch validation and auto-publishes into the
+	// server, gated on validation improvement — the server only ever serves
+	// the best-validated weights. Publishes go
 	// through the delta path: only the parameters the optimizer touched
 	// since the target snapshot buffers were last synced are copied
 	// (double-buffered rotation). Note the gate applies to epoch publishes
@@ -131,7 +132,6 @@ func main() {
 	loopSrv := core.NewServer(mLoop, core.NewBoundedMemoryPool(4096))
 	loop.AutoPublish(loopSrv, core.AutoPublishOptions{
 		Gated: true, // publish only on validation improvement
-		Delta: true,
 	})
 	hist := loop.Fit(train, valid, 4, 16, 0, func(st core.EpochStats) {
 		tag := "held back (validation did not improve)"

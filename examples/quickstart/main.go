@@ -59,8 +59,9 @@ func main() {
 	cfg.OpEmbed, cfg.MetaEmbed, cfg.BitmapEmbed, cfg.PredEmbed = 16, 16, 16, 16
 	cfg.LearnRate = 0.003
 	model := core.New(cfg, enc)
-	trainer := core.NewTrainer(model)
-	trainer.Fit(encode(train), encode(valid), 8, 16, func(s core.EpochStats) {
+	trainer := core.NewParallelTrainer(model, 1)
+	defer trainer.Close()
+	trainer.Fit(encode(train), encode(valid), 8, 16, 1, func(s core.EpochStats) {
 		fmt.Printf("  epoch %d: loss %.2f, valid cost q-error %.2f, valid card q-error %.2f\n",
 			s.Epoch, s.TrainLoss, s.ValidCost, s.ValidCard)
 	})

@@ -1,4 +1,4 @@
-// Serving: the hot-swap runtime end to end. A Trainer retrains the live
+// Serving: the hot-swap runtime end to end. A trainer retrains the live
 // model in place and publishes immutable snapshots while concurrent
 // goroutines keep serving pooled estimates — the long-lived optimizer
 // process of the paper's online workflow (Section 3), with atomic weight
@@ -52,7 +52,8 @@ func main() {
 	// representation memory pool.
 	cfg := core.TestConfig()
 	model := core.New(cfg, enc)
-	trainer := core.NewTrainer(model)
+	trainer := core.NewParallelTrainer(model, 1)
+	defer trainer.Close()
 	trainer.FitNormalizers(eps)
 	srv := core.NewServer(model, core.NewBoundedMemoryPool(4096))
 	// Pre-warming replays the hottest served plans through each newly
@@ -88,7 +89,7 @@ func main() {
 	}
 
 	for epoch := 0; epoch < 6; epoch++ {
-		loss := trainer.TrainEpochBatched(eps, 16, 0)
+		loss := trainer.TrainEpochParallel(eps, 16, 1)
 		snap := trainer.Publish(srv)
 		costQ, cardQ := snap.Model().ValidationError(eps)
 		fmt.Printf("epoch %d: loss %.3f -> published v%d (train-set q-error: cost %.2f, card %.2f)\n",
@@ -118,7 +119,7 @@ func main() {
 	// forever, bit for bit, regardless of what training does next.
 	final := srv.Snapshot()
 	c1, d1 := final.Model().Estimate(eps[0])
-	trainer.TrainEpochBatched(eps, 16, 0) // keep training past the last publish
+	trainer.TrainEpochParallel(eps, 16, 1) // keep training past the last publish
 	c2, d2 := final.Model().Estimate(eps[0])
 	fmt.Printf("snapshot v%d replay stable across further training: %v (cost %.2f, card %.0f, q-error vs truth %.2f)\n",
 		final.Version(), c1 == c2 && d1 == d2, c1, d1, nn.QError(d1, eps[0].Card))

@@ -30,6 +30,29 @@ type predItem struct {
 	flat int // arena slot
 }
 
+// Estimate runs the model over one encoded plan — a batch of one on a
+// session drawn from the model's internal pool, so concurrent callers each
+// get private buffers and the warm path performs zero heap allocations.
+// Optimizer loops that call per-plan estimation at high rates should hold
+// their own NewBatchSession and call its Estimate directly.
+//
+// costlint:noalloc
+func (m *Model) Estimate(ep *feature.EncodedPlan) (cost, card float64) {
+	return m.EstimateWithPool(ep, nil)
+}
+
+// EstimateWithPool is Estimate with a representation memory pool: sub-plans
+// already in the pool reuse their stored representations, and new sub-plan
+// representations are inserted (the paper's online workflow, Section 3).
+//
+// costlint:noalloc
+func (m *Model) EstimateWithPool(ep *feature.EncodedPlan, pool *MemoryPool) (cost, card float64) {
+	s := m.batchSession()
+	cost, card = s.EstimateWithPool(ep, pool)
+	m.batchSessions.Put(s)
+	return cost, card
+}
+
 // EstimateBatch evaluates many plans with the width-first batching of
 // Section 4.3. Instead of recursing plan-by-plan (one matrix-vector product
 // per gate per node), all nodes at the same height across the whole batch
@@ -153,9 +176,9 @@ func sigmoidScalar(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 // resolveWorkers maps the shared workers-knob convention onto a concrete
 // goroutine count: `workers <= 0` means one worker per available CPU
 // (runtime.GOMAXPROCS(0)). Every runtime entry point that takes a workers
-// parameter — EstimateBatch/EstimateBatchWithPool, Trainer.TrainEpochBatched
-// (via BatchSession.run) and the data-parallel trainer — resolves through
-// this one helper so the default cannot drift between paths.
+// parameter — EstimateBatch/EstimateBatchWithPool (via BatchSession.run) and
+// the data-parallel trainer — resolves through this one helper so the
+// default cannot drift between paths.
 func resolveWorkers(workers int) int {
 	if workers <= 0 {
 		return runtime.GOMAXPROCS(0)

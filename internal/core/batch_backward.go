@@ -1,7 +1,6 @@
 package core
 
 import (
-	"costest/internal/feature"
 	"costest/internal/nn"
 	"costest/internal/tensor"
 )
@@ -12,26 +11,14 @@ import (
 // gradients (and the predicate-tree cell gradients) become single
 // matrix-matrix products — dW += dGateᵀ·Z and dZ += dGate·W — instead of
 // per-node mat-vecs, with the elementwise work spread across parallelFor
-// workers. It produces gradients identical (to floating-point reassociation)
-// to the recursive per-node backward in backward.go, which stays as the
-// reference implementation.
+// workers. TestModelGradCheck pins it to central finite differences.
 
-// accumulateBatch runs forward + backward for one minibatch through the
-// trainer's shared BatchSession, accumulating parameter gradients into
-// t.M.PS and returning the summed per-sample (supervision-normalized) loss.
-func (t *Trainer) accumulateBatch(eps []*feature.EncodedPlan, workers int) float64 {
-	bs := t.bsess
-	bs.run(eps, nil, workers, true)
-	loss := t.batchLossAndGrads(bs)
-	bs.backward()
-	return loss
-}
-
-// batchLossAndGrads mirrors lossAndGrads over a whole minibatch: it fills
-// the session's per-node dCostS/dCardS head-gradient slabs (scaled per plan
-// by its supervision count) and returns the summed per-sample loss.
-func (t *Trainer) batchLossAndGrads(bs *BatchSession) float64 {
-	cfg := t.M.Cfg
+// batchLossAndGrads computes the multitask loss
+// ω·qerror(cost) + qerror(card) over a minibatch's supervised nodes: it
+// fills the session's per-node dCostS/dCardS head-gradient slabs (scaled per
+// plan by its supervision count) and returns the summed per-sample loss.
+func (pt *ParallelTrainer) batchLossAndGrads(bs *BatchSession) float64 {
+	cfg := pt.M.Cfg
 	bs.dCostS = growSlice(bs.dCostS, bs.total)
 	bs.dCardS = growSlice(bs.dCardS, bs.total)
 	tensor.ZeroVec(bs.dCostS)
@@ -42,13 +29,13 @@ func (t *Trainer) batchLossAndGrads(bs *BatchSession) float64 {
 		var loss float64
 		supervised := 0
 		supCost := func(idx int, truth, weight float64) {
-			l, g := t.costLoss.Eval(bs.sCost[base+idx], truth)
+			l, g := pt.costLoss.Eval(bs.sCost[base+idx], truth)
 			loss += weight * l
 			bs.dCostS[base+idx] += weight * g
 			supervised++
 		}
 		supCard := func(idx int, truth, weight float64) {
-			l, g := t.cardLoss.Eval(bs.sCard[base+idx], truth)
+			l, g := pt.cardLoss.Eval(bs.sCard[base+idx], truth)
 			loss += weight * l
 			bs.dCardS[base+idx] += weight * g
 			supervised++
@@ -74,7 +61,7 @@ func (t *Trainer) batchLossAndGrads(bs *BatchSession) float64 {
 			continue
 		}
 		// Normalize the gradient scale by the supervision count so sub-plan
-		// supervision does not inflate step sizes (matches lossAndGrads).
+		// supervision does not inflate step sizes.
 		scale := 1 / float64(supervised)
 		for j := base; j < base+len(ep.Nodes); j++ {
 			bs.dCostS[j] *= scale
@@ -170,10 +157,10 @@ func (s *BatchSession) headBackOne(h, o *nn.Linear, H, dR *tensor.Mat) {
 }
 
 // cellGateGrads computes one node's four gate gradients and its dGprev from
-// the upstream (dG, dR) and the retained forward activations — the algebra
-// of lstmCell.backward (R = k2 ⊙ tanh(G); G = f⊙Gprev + k1⊙r) vectorized
-// over a level. The node occupies column j of the gate-major mats (f..k2,
-// each dim×n) and row slices of everything else; outputs land in the
+// the upstream (dG, dR) and the retained forward activations — the cell
+// algebra (R = k2 ⊙ tanh(G); G = f⊙Gprev + k1⊙r) differentiated and
+// vectorized over a level. The node occupies column j of the gate-major mats
+// (f..k2, each dim×n) and row slices of everything else; outputs land in the
 // node-major dGate rows dfR..dk2R and dgpR. Shared by the representation
 // cell and the predicate tree-LSTM level backward.
 func cellGateGrads(dim, j, n int, dG, dR, tRow, gpRow []float64,
@@ -451,7 +438,7 @@ func (s *BatchSession) bindBackwardKernels() {
 			return
 		}
 		// Min/max pooling routes each component to the winning child (ties
-		// go left), like backwardPred.
+		// go left).
 		for i := range d {
 			takeLeft := l[i] <= r[i]
 			if pn.Bool != 0 { // OR → max pooling

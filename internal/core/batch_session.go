@@ -9,12 +9,13 @@ import (
 	"costest/internal/tensor"
 )
 
-// BatchSession owns every per-call buffer the width-first batch evaluator
-// needs — node/level arenas, the eBuf/gBuf/rBuf representation slabs, the
-// predicate level buffers and the per-level gate matrices — sized by
-// high-water mark and reused across calls. After warming up on the largest
-// batch shape it has seen, steady-state EstimateBatch performs zero heap
-// allocations, the batch-path counterpart of InferenceSession (PR 1).
+// BatchSession is the model runtime: it owns every per-call buffer the
+// width-first batch evaluator needs — node/level arenas, the eBuf/gBuf/rBuf
+// representation slabs, the predicate level buffers and the per-level gate
+// matrices — sized by high-water mark and reused across calls. After warming
+// up on the largest batch shape it has seen, steady-state EstimateBatch
+// performs zero heap allocations. A single plan is a batch of one (Estimate,
+// EstimateWithPool): there is no second, per-node evaluator.
 //
 // The parallel kernels are bound once at construction (the fn* fields) so
 // that repeated calls never materialize fresh closures; per-level context
@@ -24,10 +25,10 @@ import (
 // fanned out through parallelFor.
 //
 // A session is bound to one model and is NOT safe for concurrent use; give
-// each goroutine its own (Model.EstimateBatch maintains an internal
-// sync.Pool of sessions for the convenience API).
+// each goroutine its own (Model.Estimate and Model.EstimateBatch maintain an
+// internal sync.Pool of sessions for the convenience API).
 //
-// Training passes (Trainer.TrainEpochBatched) run the same forward with
+// Training passes (ParallelTrainer's shard workers) run the same forward with
 // retention switched on: per-level gate activations, tanh caches and
 // all-node head activations stay resident for the level-wise backward in
 // batch_backward.go.
@@ -36,14 +37,18 @@ type BatchSession struct {
 	// Cached model dimensions.
 	de, dh, eh, epd, atomDim int
 
-	// poolGen is the snapshot generation stamped on memory-pool traffic
-	// (see InferenceSession.poolGen); zero for standalone sessions.
+	// poolGen is the snapshot generation this session stamps on memory-pool
+	// traffic: GetGen only accepts entries recorded under the same
+	// generation and PutGen records it. Zero for standalone sessions
+	// (matching a fresh pool's generation); a Server sets it to the bound
+	// snapshot's version so pooled representations never cross a hot swap.
 	poolGen uint64
 
 	workers int
 	train   bool
 
-	// Per-call plan addressing.
+	// Per-call plan addressing. one backs the single-plan entry points.
+	one     [1]*feature.EncodedPlan
 	eps     []*feature.EncodedPlan
 	offsets []int
 	total   int
@@ -164,6 +169,32 @@ func (s *BatchSession) EstimateBatchWithPool(eps []*feature.EncodedPlan, pool *M
 	return s.run(eps, pool, workers, false)
 }
 
+// Estimate evaluates one plan as a batch of one and returns denormalized
+// estimates: the cost at the root, and the cardinality at the topmost
+// non-aggregate node (aggregates always emit one row, so the query's
+// cardinality is defined below them). The warm path performs zero heap
+// allocations, the property that lets the estimator sit inside an
+// optimizer's plan-enumeration loop (the paper's Table 12 use case).
+//
+// costlint:noalloc
+func (s *BatchSession) Estimate(ep *feature.EncodedPlan) (cost, card float64) {
+	return s.EstimateWithPool(ep, nil)
+}
+
+// EstimateWithPool is Estimate with a representation memory pool (nil for
+// none): sub-plans already in the pool reuse their stored representations,
+// and new sub-plan representations are inserted (the paper's online
+// workflow, Section 3).
+//
+// costlint:noalloc
+func (s *BatchSession) EstimateWithPool(ep *feature.EncodedPlan, pool *MemoryPool) (cost, card float64) {
+	s.one[0] = ep
+	e := s.run(s.one[:], pool, 1, false)[0]
+	s.one[0] = nil
+	s.releasePlans()
+	return e.Cost, e.Card
+}
+
 // slab accessors
 
 func (s *BatchSession) eOf(id int) []float64 { return s.eBuf[id*s.de : (id+1)*s.de] }
@@ -278,8 +309,8 @@ func (s *BatchSession) layout(pool *MemoryPool) {
 		s.tBuf = growSlice(s.tBuf, s.total*s.dh)
 	}
 	if s.m.Cfg.Rep == RepNN {
-		// RepNN has no G channel; keep the slab zero so pool inserts and
-		// the single-plan path agree on a zero G.
+		// RepNN has no G channel; keep the slab zero so pool inserts carry
+		// a zero G whatever the buffer held before.
 		for i := range s.gBuf {
 			s.gBuf[i] = 0
 		}
@@ -351,8 +382,7 @@ func (s *BatchSession) placeNode(pi int, ep *feature.EncodedPlan, idx int, pool 
 			// The plan's cardinality node sits strictly inside this pooled
 			// subtree. Taking the hit is only sound if its representation
 			// is itself resident (a bounded pool may have evicted it);
-			// otherwise fall through and recompute the subtree, exactly
-			// like the single-plan path.
+			// otherwise fall through and recompute the subtree.
 			cid := s.offsets[pi] + ep.CardNode
 			if cg, cr, cok := pool.GetGen(ep.Nodes[ep.CardNode].Sig, s.poolGen); cok {
 				copy(s.gOf(cid), cg)

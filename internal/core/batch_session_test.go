@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -38,32 +37,6 @@ func TestBatchSessionReuseMatchesFresh(t *testing.T) {
 		check(rev)
 		check(eps[7:9])
 		check(eps)
-	}
-}
-
-// TestBatchSessionMatchesSequential checks the session batch path against
-// the single-plan path for every architecture variant (the session is the
-// engine behind Model.EstimateBatch, but assert it directly too). The match
-// is bit-exact: every tensor kernel accumulates each output element in
-// dotKernel's canonical sequential order, so batching must not perturb even
-// the last bit — the invariant the hot-swap serving tests build on.
-func TestBatchSessionMatchesSequential(t *testing.T) {
-	eps := benchCorpus(t, 20)
-	for _, variant := range sessionVariants {
-		cfg := TestConfig()
-		variant.mod(&cfg)
-		m := New(cfg, testEnc)
-		sess := NewBatchSession(m)
-		for _, workers := range []int{1, 4} {
-			batch := sess.EstimateBatch(eps, workers)
-			for i, ep := range eps {
-				cost, card := m.Estimate(ep)
-				if batch[i].Cost != cost || batch[i].Card != card {
-					t.Fatalf("%s/workers=%d: batch[%d] = (%g,%g), sequential = (%g,%g)",
-						variant.name, workers, i, batch[i].Cost, batch[i].Card, cost, card)
-				}
-			}
-		}
 	}
 }
 
@@ -129,7 +102,7 @@ func TestEstimateBatchWithPool(t *testing.T) {
 		}
 		// Pooled batch must agree with the pooled single-plan path sharing
 		// the same pool.
-		sess := NewSession(m)
+		sess := NewBatchSession(m)
 		for i, ep := range eps {
 			c, d := sess.EstimateWithPool(ep, pool)
 			if warm[i].Cost != c || warm[i].Card != d {
@@ -178,83 +151,17 @@ func TestEstimateBatchWithPoolEvictedCardNode(t *testing.T) {
 	}
 }
 
-// TestTrainEpochBatchedGradientsMatch is the backward-pass equivalence gate:
-// accumulating one minibatch through the level-wise GEMM backward must
-// reproduce the per-sample recursive backward's parameter gradients within
-// floating-point reassociation tolerance, for every architecture variant and
-// for both supervision modes.
-func TestTrainEpochBatchedGradientsMatch(t *testing.T) {
-	eps := benchCorpus(t, 12)
-	for _, variant := range sessionVariants {
-		for _, subplan := range []bool{true, false} {
-			cfg := TestConfig()
-			variant.mod(&cfg)
-			cfg.SubplanLoss = subplan
-			mA := New(cfg, testEnc)
-			mB := New(cfg, testEnc) // identical seed → identical weights
-			trA := NewTrainer(mA)
-			trB := NewTrainer(mB)
-			trA.FitNormalizers(eps)
-			trB.FitNormalizers(eps)
-
-			mA.PS.ZeroGrad()
-			var lossA float64
-			for _, ep := range eps {
-				lossA += trA.accumulate(ep)
-			}
-			mB.PS.ZeroGrad()
-			trB.bsess = NewBatchSession(mB)
-			lossB := trB.accumulateBatch(eps, 2)
-
-			if math.Abs(lossA-lossB) > 1e-6*math.Max(1, math.Abs(lossA)) {
-				t.Errorf("%s/subplan=%v: loss %g (per-sample) vs %g (batched)",
-					variant.name, subplan, lossA, lossB)
-			}
-			paramsA := mA.PS.Params()
-			paramsB := mB.PS.Params()
-			for p := range paramsA {
-				ga, gb := paramsA[p].Grad, paramsB[p].Grad
-				for i := range ga {
-					if math.Abs(ga[i]-gb[i]) > 1e-6*math.Max(1, math.Abs(ga[i])) {
-						t.Fatalf("%s/subplan=%v: %s grad[%d] = %g (per-sample) vs %g (batched)",
-							variant.name, subplan, paramsA[p].Name, i, ga[i], gb[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestTrainEpochBatchedReducesLoss trains end to end through the batched
-// path and checks learning actually happens (optimizer wiring, not just
-// gradient math).
-func TestTrainEpochBatchedReducesLoss(t *testing.T) {
-	eps := labeledPlans(t, 303, 60, false)
-	train := eps[:len(eps)*8/10]
-	cfg := TestConfig()
-	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
-	tr.FitNormalizers(train)
-	first := tr.TrainEpochBatched(train, 16, 2)
-	var last float64
-	for e := 0; e < 11; e++ {
-		last = tr.TrainEpochBatched(train, 16, 2)
-	}
-	if last >= first {
-		t.Fatalf("batched training loss did not decrease: %g -> %g", first, last)
-	}
-}
-
 // TestBatchedTrainingConcurrentWithPooledEstimates exercises the paper's
 // serving topology under the race detector: one goroutine trains a model
-// with the batched runtime while serving goroutines hammer a second model's
-// pooled single-plan and batch paths against a shared memory pool.
+// while serving goroutines hammer a second model's pooled single-plan and
+// batch entry points against a shared memory pool.
 func TestBatchedTrainingConcurrentWithPooledEstimates(t *testing.T) {
 	eps := benchCorpus(t, 12)
 	cfg := TestConfig()
 	trainM := New(cfg, testEnc)
 	serveM := New(cfg, testEnc)
-	tr := NewTrainer(trainM)
+	tr := NewParallelTrainer(trainM, 1)
+	defer tr.Close()
 	tr.FitNormalizers(eps)
 	pool := NewBoundedMemoryPool(256)
 
@@ -263,14 +170,14 @@ func TestBatchedTrainingConcurrentWithPooledEstimates(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for e := 0; e < 3; e++ {
-			tr.TrainEpochBatched(eps, 8, 2)
+			tr.TrainEpochParallel(eps, 8, 1)
 		}
 	}()
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sess := NewSession(serveM)
+			sess := NewBatchSession(serveM)
 			for k := 0; k < 30; k++ {
 				sess.EstimateWithPool(eps[(w+k)%len(eps)], pool)
 				serveM.EstimateBatchWithPool(eps, pool, 2)
@@ -321,36 +228,4 @@ func BenchmarkEstimateBatchPooled(b *testing.B) {
 		sess.EstimateBatchWithPool(eps, pool, 0)
 	}
 	b.ReportMetric(pool.HitRate()*100, "hit%")
-}
-
-// BenchmarkTrainEpoch measures the per-sample reference trainer (one epoch,
-// 64 samples, batch 16) — the baseline TrainEpochBatched must beat.
-func BenchmarkTrainEpoch(b *testing.B) {
-	eps := benchCorpus(b, 64)
-	cfg := TestConfig()
-	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
-	tr.FitNormalizers(eps)
-	tr.TrainEpoch(eps, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.TrainEpoch(eps, 16)
-	}
-}
-
-// BenchmarkTrainEpochBatched measures the level-wise batched trainer on the
-// same workload as BenchmarkTrainEpoch.
-func BenchmarkTrainEpochBatched(b *testing.B) {
-	eps := benchCorpus(b, 64)
-	cfg := TestConfig()
-	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
-	tr.FitNormalizers(eps)
-	tr.TrainEpochBatched(eps, 16, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.TrainEpochBatched(eps, 16, 0)
-	}
 }

@@ -20,82 +20,16 @@ import (
 // repeated multiplication, addressing gradient vanishing (the paper's
 // information-vanishing argument).
 type lstmCell struct {
-	dh, dx           int
 	wf, wk1, wr, wk2 *nn.Linear
 }
 
 func newLSTMCell(ps *nn.ParamSet, name string, dh, dx int, rng *rand.Rand) *lstmCell {
 	in := dh + dx
 	return &lstmCell{
-		dh: dh, dx: dx,
 		wf:  nn.NewLinear(ps, name+".f", in, dh, rng),
 		wk1: nn.NewLinear(ps, name+".k1", in, dh, rng),
 		wr:  nn.NewLinear(ps, name+".r", in, dh, rng),
 		wk2: nn.NewLinear(ps, name+".k2", in, dh, rng),
-	}
-}
-
-// cellState caches one forward evaluation for backprop.
-type cellState struct {
-	z            []float64 // [Rprev, x]
-	gPrev, rPrev []float64
-	f, k1, r, k2 []float64
-	g, tG, rOut  []float64 // G_t, tanh(G_t), R_t
-}
-
-func (c *lstmCell) newState() *cellState {
-	return &cellState{
-		z:     make([]float64, c.dh+c.dx),
-		gPrev: make([]float64, c.dh),
-		rPrev: make([]float64, c.dh),
-		f:     make([]float64, c.dh),
-		k1:    make([]float64, c.dh),
-		r:     make([]float64, c.dh),
-		k2:    make([]float64, c.dh),
-		g:     make([]float64, c.dh),
-		tG:    make([]float64, c.dh),
-		rOut:  make([]float64, c.dh),
-	}
-}
-
-// forward computes (G_t, R_t) into st. Children states may be nil (leaves),
-// meaning zero vectors.
-func (c *lstmCell) forward(st *cellState, x, gl, rl, gr, rr []float64) {
-	for i := 0; i < c.dh; i++ {
-		var g, r float64
-		if gl != nil {
-			g += gl[i]
-			r += rl[i]
-		}
-		if gr != nil {
-			g += gr[i]
-			r += rr[i]
-		}
-		st.gPrev[i] = g / 2
-		st.rPrev[i] = r / 2
-	}
-	copy(st.z[:c.dh], st.rPrev)
-	copy(st.z[c.dh:], x)
-
-	// All four gates read the same z: one interleaved kernel pass computes
-	// their pre-activations, then biases and nonlinearities apply in place.
-	tensor.MatVec4(st.f, st.k1, st.r, st.k2,
-		c.wf.W.Mat(), c.wk1.W.Mat(), c.wr.W.Mat(), c.wk2.W.Mat(), st.z)
-	tensor.AddTo(st.f, c.wf.B.Vec())
-	nn.Sigmoid(st.f, st.f)
-	tensor.AddTo(st.k1, c.wk1.B.Vec())
-	nn.Sigmoid(st.k1, st.k1)
-	tensor.AddTo(st.r, c.wr.B.Vec())
-	nn.Tanh(st.r, st.r)
-	tensor.AddTo(st.k2, c.wk2.B.Vec())
-	nn.Sigmoid(st.k2, st.k2)
-
-	for i := 0; i < c.dh; i++ {
-		st.g[i] = st.f[i]*st.gPrev[i] + st.k1[i]*st.r[i]
-	}
-	nn.Tanh(st.tG, st.g)
-	for i := 0; i < c.dh; i++ {
-		st.rOut[i] = st.k2[i] * st.tG[i]
 	}
 }
 
@@ -104,10 +38,8 @@ func (c *lstmCell) forward(st *cellState, x, gl, rl, gr, rr []float64) {
 // products: for each gate, W.grad += dGateᵀ·Z (every node's outer product in
 // one sweep), B.grad += column sums of dGate, and dZ += dGate·W. The dGate
 // matrices and zt are node-major ([n×dh] / [n×in], rows aligned with the
-// level's items); dz ([n×in]) must be zeroed by the caller. This is the
-// level-wise counterpart of the four per-node Linear.Backward calls in
-// backward() — identical math, one weight-stream per level instead of per
-// node.
+// level's items); dz ([n×in]) must be zeroed by the caller — one
+// weight-stream per level instead of four Linear.Backward calls per node.
 func (c *lstmCell) levelBackwardGEMM(df, dk1, dr, dk2, zt, dz *tensor.Mat) {
 	gates := [4]struct {
 		d *tensor.Mat
@@ -117,68 +49,5 @@ func (c *lstmCell) levelBackwardGEMM(df, dk1, dr, dk2, zt, dz *tensor.Mat) {
 		tensor.MatMulTransAInto(g.l.W.GradMat(), g.d, zt)
 		tensor.AddColumnSums(g.l.B.GradVec(), g.d)
 		tensor.AddMatMulInto(dz, g.d, g.l.W.Mat())
-	}
-}
-
-// backward consumes upstream gradients (dG, dR) w.r.t. (G_t, R_t) and
-// accumulates parameter gradients, writing input gradients into dx and the
-// children's (dGl, dRl, dGr, dRr) accumulators (added, not overwritten).
-// Any output pointer may be nil. Scratch vectors come from ar so repeated
-// passes reuse one slab instead of allocating.
-func (c *lstmCell) backward(ar *f64Arena, st *cellState, dG, dR, dx, dGl, dRl, dGr, dRr []float64) {
-	dh := c.dh
-	// R = k2 ⊙ tanh(G)
-	dk2 := ar.take(dh)
-	dGTotal := ar.take(dh)
-	for i := 0; i < dh; i++ {
-		dk2[i] = dR[i] * st.tG[i]
-		dT := dR[i] * st.k2[i]
-		dGTotal[i] = dG[i] + dT*(1-st.tG[i]*st.tG[i])
-	}
-	// G = f⊙Gprev + k1⊙r
-	df := ar.take(dh)
-	dk1 := ar.take(dh)
-	dr := ar.take(dh)
-	dGprev := ar.take(dh)
-	for i := 0; i < dh; i++ {
-		df[i] = dGTotal[i] * st.gPrev[i]
-		dGprev[i] = dGTotal[i] * st.f[i]
-		dk1[i] = dGTotal[i] * st.r[i]
-		dr[i] = dGTotal[i] * st.k1[i]
-	}
-	// Through the gate nonlinearities.
-	for i := 0; i < dh; i++ {
-		df[i] *= st.f[i] * (1 - st.f[i])
-		dk1[i] *= st.k1[i] * (1 - st.k1[i])
-		dr[i] *= 1 - st.r[i]*st.r[i]
-		dk2[i] *= st.k2[i] * (1 - st.k2[i])
-	}
-	// Through the four linears; accumulate dz.
-	dz := ar.take(dh + c.dx)
-	tmp := ar.take(dh + c.dx)
-	c.wf.Backward(tmp, df, st.z)
-	tensor.AddTo(dz, tmp)
-	c.wk1.Backward(tmp, dk1, st.z)
-	tensor.AddTo(dz, tmp)
-	c.wr.Backward(tmp, dr, st.z)
-	tensor.AddTo(dz, tmp)
-	c.wk2.Backward(tmp, dk2, st.z)
-	tensor.AddTo(dz, tmp)
-
-	if dx != nil {
-		tensor.AddTo(dx, dz[dh:])
-	}
-	// Rprev = (Rl+Rr)/2, Gprev = (Gl+Gr)/2.
-	for i := 0; i < dh; i++ {
-		dRp := dz[i] / 2
-		dGp := dGprev[i] / 2
-		if dRl != nil {
-			dRl[i] += dRp
-			dGl[i] += dGp
-		}
-		if dRr != nil {
-			dRr[i] += dRp
-			dGr[i] += dGp
-		}
 	}
 }

@@ -15,9 +15,10 @@ func trainedCheckpointModel(t *testing.T) *Model {
 	t.Helper()
 	eps := benchCorpus(t, 8)
 	m := New(TestConfig(), testEnc)
-	tr := NewTrainer(m)
+	tr := NewParallelTrainer(m, 1)
+	defer tr.Close()
 	tr.FitNormalizers(eps)
-	tr.TrainEpochBatched(eps, 4, 1)
+	tr.TrainEpochParallel(eps, 4, 1)
 	return m
 }
 

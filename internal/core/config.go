@@ -8,14 +8,14 @@
 // provides level-wise batched inference and the Representation Memory Pool
 // of Section 3.
 //
-// Three runtime layers wrap the model for production serving: reusable
-// zero-allocation forward arenas (InferenceSession), the batched
-// serving/training runtime (BatchSession, Trainer.TrainEpochBatched), and
-// the hot-swap serving runtime (Server, ModelSnapshot, Trainer.Publish) —
-// atomic weight publication with generation-tagged pool invalidation, so a
-// long-lived service retrains in place while concurrent requests keep
-// serving immutable snapshots. See ARCHITECTURE.md and PERFORMANCE.md at
-// the repository root.
+// Two runtime layers wrap the model for production serving: the batch
+// runtime with its reusable zero-allocation arenas (BatchSession — a single
+// plan is a batch of one — and the ParallelTrainer that trains through it),
+// and the hot-swap serving runtime (Server, ModelSnapshot,
+// ParallelTrainer.Publish) — atomic weight publication with
+// generation-tagged pool invalidation, so a long-lived service retrains in
+// place while concurrent requests keep serving immutable snapshots. See
+// ARCHITECTURE.md and PERFORMANCE.md at the repository root.
 package core
 
 // PredModel selects the predicate embedding model (Section 4.2.1).

@@ -6,7 +6,7 @@ import (
 )
 
 // savedModelBytes serializes a small trained-shape model — the valid-input
-// seed for the checkpoint fuzzers.
+// seed for the checkpoint fuzzer.
 func savedModelBytes(tb testing.TB) []byte {
 	tb.Helper()
 	m := New(TestConfig(), testEnc)
@@ -39,36 +39,4 @@ func FuzzLoadModel(f *testing.F) {
 			t.Fatal("LoadModel returned nil model and nil error")
 		}
 	})
-}
-
-// FuzzModelLoad drives the in-place loader (which also accepts the legacy
-// headerless format, i.e. a bare gob stream) with arbitrary bytes. The
-// validate-then-commit contract means a failed load must leave the model's
-// weights untouched.
-func FuzzModelLoad(f *testing.F) {
-	valid := savedModelBytes(f)
-	f.Add(valid)
-	f.Add(valid[len(modelMagic):]) // headerless-looking: bare gob stream
-	f.Add(valid[:10])
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m := New(TestConfig(), testEnc)
-		before := snapshotBits(m)
-		if err := m.Load(bytes.NewReader(data)); err != nil {
-			if got := snapshotBits(m); !bytes.Equal(before, got) {
-				t.Fatal("failed Load mutated model weights")
-			}
-		}
-	})
-}
-
-// snapshotBits captures every parameter value bit-exactly for
-// mutation-on-error checks.
-func snapshotBits(m *Model) []byte {
-	var buf bytes.Buffer
-	if err := m.PS.Save(&buf); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
 }

@@ -38,11 +38,9 @@ type Model struct {
 	CostNorm nn.Normalizer
 	CardNorm nn.Normalizer
 
-	// sessions recycles InferenceSessions for the Estimate/EstimateWithPool
-	// convenience API, keeping the steady-state per-plan path allocation-free
-	// even under concurrent callers.
-	sessions sync.Pool
-	// batchSessions does the same for the EstimateBatch convenience API.
+	// batchSessions recycles BatchSessions for the Estimate/EstimateBatch
+	// convenience API, keeping the steady-state path allocation-free even
+	// under concurrent callers.
 	batchSessions sync.Pool
 }
 
@@ -78,7 +76,8 @@ func New(cfg Config, enc *feature.Encoder) *Model {
 	m.cardH = nn.NewLinear(ps, "est.card.h", cfg.Hidden, cfg.EstHidden, rng)
 	m.cardO = nn.NewLinear(ps, "est.card.o", cfg.EstHidden, 1, rng)
 
-	// Default normalizers; Trainer.Fit replaces them from training targets.
+	// Default normalizers; ParallelTrainer.Fit replaces them from training
+	// targets.
 	m.CostNorm = nn.NewNormalizer([]float64{1, 1e6})
 	m.CardNorm = nn.NewNormalizer([]float64{1, 1e8})
 	return m
@@ -92,8 +91,7 @@ func (m *Model) NumParams() int { return m.PS.NumParams() }
 
 // modelMagic prefixes versioned checkpoint files. Legacy files (written
 // before checkpoints carried a header) start directly with the gob stream of
-// the parameter payload and are still readable; they simply lack normalizer
-// state.
+// the parameter payload; LoadModel rejects them.
 const modelMagic = "COSTESTM"
 
 // modelCheckpointVersion is the current checkpoint format version. Version 3
@@ -187,40 +185,6 @@ func (m *Model) Save(w io.Writer) error {
 	return m.PS.EncodeGob(enc)
 }
 
-// Load restores a checkpoint saved by Save into an identically configured
-// model, including the target normalizers, so a round-tripped model
-// estimates bit-identically with no FitNormalizers re-run. Files written by
-// the headerless legacy format still load (weights only — the caller keeps
-// owning normalizer state for those, as before). Mismatched or truncated
-// payloads return an error without silently corrupting weights.
-func (m *Model) Load(r io.Reader) error {
-	br := bufio.NewReader(r)
-	prefix, err := br.Peek(len(modelMagic))
-	if err != nil || string(prefix) != modelMagic {
-		// Legacy headerless checkpoint: the stream is the bare parameter
-		// payload. (A file shorter than the magic can only be a corrupt or
-		// legacy stream; the param decode produces the descriptive error.)
-		return m.PS.Load(br)
-	}
-	if _, err := br.Discard(len(modelMagic)); err != nil {
-		return fmt.Errorf("core: read checkpoint magic: %w", err)
-	}
-	dec := gob.NewDecoder(br)
-	var hdr modelHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return fmt.Errorf("core: decode checkpoint header: %w", err)
-	}
-	if hdr.Version < 2 || hdr.Version > modelCheckpointVersion {
-		return fmt.Errorf("core: unsupported checkpoint version %d (supported: 2..%d)",
-			hdr.Version, modelCheckpointVersion)
-	}
-	if err := m.PS.DecodeGob(dec); err != nil {
-		return err
-	}
-	m.CostNorm, m.CardNorm = hdr.CostNorm, hdr.CardNorm
-	return nil
-}
-
 // maxCheckpointDim bounds each persisted Config dimension LoadModel will
 // construct a model from. The guard is against corrupt or hostile
 // checkpoint headers, not real models: the paper's full-size configuration
@@ -268,13 +232,12 @@ func (c Config) checkLoadable() error {
 // so a checkpoint from a different schema or embedding width fails with a
 // descriptive error instead of shape panics (or, worse, silently wrong
 // estimates). Older checkpoints (version 2 and the headerless legacy format)
-// do not carry a Config; load those with Model.Load into a model you
-// configured yourself.
+// do not carry a Config and are rejected with a descriptive error.
 func LoadModel(r io.Reader, enc *feature.Encoder) (*Model, error) {
 	br := bufio.NewReader(r)
 	prefix, err := br.Peek(len(modelMagic))
 	if err != nil || string(prefix) != modelMagic {
-		return nil, fmt.Errorf("core: checkpoint is not self-describing (legacy headerless format?); construct the model and use Model.Load")
+		return nil, fmt.Errorf("core: checkpoint is not self-describing (legacy headerless format?); retrain and save a current checkpoint")
 	}
 	if _, err := br.Discard(len(modelMagic)); err != nil {
 		return nil, fmt.Errorf("core: read checkpoint magic: %w", err)
@@ -285,7 +248,7 @@ func LoadModel(r io.Reader, enc *feature.Encoder) (*Model, error) {
 		return nil, fmt.Errorf("core: decode checkpoint header: %w", err)
 	}
 	if hdr.Version < 3 || hdr.Version > modelCheckpointVersion {
-		return nil, fmt.Errorf("core: checkpoint version %d carries no model config (self-describing needs 3..%d); construct the model and use Model.Load",
+		return nil, fmt.Errorf("core: checkpoint version %d is not self-describing (supported: 3..%d); retrain and save a current checkpoint",
 			hdr.Version, modelCheckpointVersion)
 	}
 	if diff := hdr.Encoder.check(enc); diff != "" {

@@ -1,0 +1,281 @@
+package core
+
+import (
+	"math"
+	"testing"
+
+	"costest/internal/feature"
+	"costest/internal/nn"
+	"costest/internal/tensor"
+)
+
+// The oracle: a naive recursive forward pass, one node at a time, every
+// intermediate freshly allocated — no arenas, no levels, no pool, no
+// sessions. It states the model's arithmetic once, in the order the paper
+// writes it (Section 4.2), and the batch runtime must match it bit for bit:
+// every inner product is tensor.Dot's canonical order, so how a batch was
+// composed, split across workers or short-circuited by the memory pool may
+// not move a single bit.
+
+func oracleSigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+
+func oracleReLU(x float64) float64 {
+	if x < 0 {
+		return 0
+	}
+	return x
+}
+
+// oracleLinear is y = W·x + b, one canonical dot per output row.
+func oracleLinear(l *nn.Linear, x []float64) []float64 {
+	w, b := l.W.Mat(), l.B.Vec()
+	y := make([]float64, w.Rows)
+	for i := range y {
+		y[i] = tensor.Dot(w.Row(i), x) + b[i]
+	}
+	return y
+}
+
+// oracleSparseReLU is ReLU(b + W·x) for a one-hot/bitmap x (nil = all zero):
+// the bias first, then the set bits' columns in ascending order.
+func oracleSparseReLU(l *nn.Linear, x []float64) []float64 {
+	w, b := l.W.Mat(), l.B.Vec()
+	y := make([]float64, w.Rows)
+	for i := range y {
+		v := b[i]
+		for j, xj := range x {
+			if xj != 0 {
+				v += xj * w.At(i, j)
+			}
+		}
+		y[i] = oracleReLU(v)
+	}
+	return y
+}
+
+// oracleCell is the LSTM-style unit of Section 4.2.2 over absent (nil) or
+// present children.
+func oracleCell(c *lstmCell, x, gl, rl, gr, rr []float64) (g, r []float64) {
+	dh := c.wf.W.Mat().Rows
+	gPrev, z := make([]float64, dh), make([]float64, dh, dh+len(x))
+	for i := 0; i < dh; i++ {
+		var gs, rs float64
+		if gl != nil {
+			gs, rs = gs+gl[i], rs+rl[i]
+		}
+		if gr != nil {
+			gs, rs = gs+gr[i], rs+rr[i]
+		}
+		gPrev[i], z[i] = gs/2, rs/2
+	}
+	z = append(z, x...)
+	f, k1, rg, k2 := oracleLinear(c.wf, z), oracleLinear(c.wk1, z), oracleLinear(c.wr, z), oracleLinear(c.wk2, z)
+	g, r = make([]float64, dh), make([]float64, dh)
+	for i := range g {
+		g[i] = oracleSigmoid(f[i])*gPrev[i] + oracleSigmoid(k1[i])*math.Tanh(rg[i])
+		r[i] = oracleSigmoid(k2[i]) * math.Tanh(g[i])
+	}
+	return g, r
+}
+
+// oraclePred embeds the predicate subtree at i (Section 4.2.1): min/max (or
+// mean) pooling over linear leaves, or the predicate tree-LSTM.
+func oraclePred(m *Model, p *feature.EncodedPred, i int) (g, r []float64) {
+	pn := &p.Nodes[i]
+	var gl, rl, gr, rr []float64
+	if pn.Left >= 0 {
+		gl, rl = oraclePred(m, p, pn.Left)
+	}
+	if pn.Right >= 0 {
+		gr, rr = oraclePred(m, p, pn.Right)
+	}
+	if m.Cfg.Pred == PredLSTM {
+		return oracleCell(m.predCell, pn.Vec, gl, rl, gr, rr)
+	}
+	if pn.IsLeaf {
+		return nil, oracleLinear(m.predLeaf, pn.Vec)
+	}
+	r = make([]float64, len(rl))
+	for k := range r {
+		switch {
+		case m.Cfg.Pred == PredPoolMean:
+			r[k] = (rl[k] + rr[k]) / 2
+		case pn.Bool == 0: // AND
+			r[k] = math.Min(rl[k], rr[k])
+		default: // OR
+			r[k] = math.Max(rl[k], rr[k])
+		}
+	}
+	return nil, r
+}
+
+// oracleNode returns the (G, R) representation of the subtree at i.
+func oracleNode(m *Model, ep *feature.EncodedPlan, i int) (g, r []float64) {
+	n := &ep.Nodes[i]
+	var gl, rl, gr, rr []float64
+	if n.Left >= 0 {
+		gl, rl = oracleNode(m, ep, n.Left)
+	}
+	if n.Right >= 0 {
+		gr, rr = oracleNode(m, ep, n.Right)
+	}
+	e := append(oracleSparseReLU(m.opL, n.Op), oracleSparseReLU(m.metaL, n.Meta)...)
+	if m.bmL != nil {
+		e = append(e, oracleSparseReLU(m.bmL, n.Bitmap)...)
+	}
+	pred := make([]float64, m.ePred)
+	if !n.Pred.Empty() {
+		_, pred = oraclePred(m, &n.Pred, 0)
+	}
+	e = append(e, pred...)
+	if m.Cfg.Rep == RepLSTM {
+		return oracleCell(m.repCell, e, gl, rl, gr, rr)
+	}
+	// RepNN: R = ReLU(W·[E, Rl, Rr] + b), absent children are zeros.
+	dh := m.Cfg.Hidden
+	z := make([]float64, len(e)+2*dh)
+	copy(z, e)
+	copy(z[len(e):], rl)
+	copy(z[len(e)+dh:], rr)
+	r = oracleLinear(m.repNN, z)
+	for k := range r {
+		r[k] = oracleReLU(r[k])
+	}
+	return make([]float64, dh), r
+}
+
+// oracleHead is one estimation head (Section 4.2.3) on a representation.
+func oracleHead(h, o *nn.Linear, r []float64) float64 {
+	hid := oracleLinear(h, r)
+	for k := range hid {
+		hid[k] = oracleReLU(hid[k])
+	}
+	return oracleSigmoid(oracleLinear(o, hid)[0])
+}
+
+// oracleEstimate is the reference for every Estimate* entry point.
+func oracleEstimate(m *Model, ep *feature.EncodedPlan) Estimate {
+	_, root := oracleNode(m, ep, ep.Root)
+	_, card := oracleNode(m, ep, ep.CardNode)
+	return Estimate{
+		Cost: m.CostNorm.Denormalize(oracleHead(m.costH, m.costO, root)),
+		Card: m.CardNorm.Denormalize(oracleHead(m.cardH, m.cardO, card)),
+	}
+}
+
+// oracleMatrix drives run — an EstimateBatch entry point; pool is nil for
+// the pool-less case — over every architecture variant, batch sizes 1, 7 and
+// 64, workers 1 and 4, and three pool states (none; cold then warm; only the
+// plans' root representations resident, i.e. the cardinality nodes evicted),
+// demanding bit-exact agreement with the oracle throughout.
+func oracleMatrix(t *testing.T, run func(m *Model, eps []*feature.EncodedPlan, pool *MemoryPool, workers int) []Estimate) {
+	corpus := benchCorpus(t, 40)
+	for _, variant := range sessionVariants {
+		cfg := TestConfig()
+		variant.mod(&cfg)
+		m := New(cfg, testEnc)
+		want := make(map[*feature.EncodedPlan]Estimate, len(corpus))
+		cardBelowRoot := false
+		for _, ep := range corpus {
+			want[ep] = oracleEstimate(m, ep)
+			cardBelowRoot = cardBelowRoot || ep.CardNode != ep.Root
+		}
+		if !cardBelowRoot {
+			t.Fatal("corpus has no plan with CardNode != Root: the evicted-card-node case is vacuous")
+		}
+		for _, size := range []int{1, 7, 64} {
+			eps := make([]*feature.EncodedPlan, size)
+			for i := range eps {
+				eps[i] = corpus[(i*3+size)%len(corpus)]
+			}
+			for _, workers := range []int{1, 4} {
+				check := func(label string, pool *MemoryPool) {
+					t.Helper()
+					for i, got := range run(m, eps, pool, workers) {
+						if got != want[eps[i]] {
+							t.Fatalf("%s/size=%d/workers=%d/%s: plan %d = %+v, oracle %+v",
+								variant.name, size, workers, label, i, got, want[eps[i]])
+						}
+					}
+				}
+				check("nopool", nil)
+				full := NewMemoryPool()
+				check("cold pool", full)
+				check("warm pool", full)
+				if full.HitRate() == 0 {
+					t.Fatalf("%s: warm pass produced no pool hits", variant.name)
+				}
+				rootsOnly := NewMemoryPool()
+				for _, ep := range eps {
+					sig := ep.Nodes[ep.Root].Sig
+					g, r, ok := full.Get(sig)
+					if !ok {
+						t.Fatalf("%s: root representation missing from warm pool", variant.name)
+					}
+					rootsOnly.Put(sig, g, r)
+				}
+				check("card node evicted", rootsOnly)
+			}
+		}
+	}
+}
+
+// TestBatchMatchesSequential pins the Model convenience API (pooled
+// sessions) to the oracle: EstimateBatch/EstimateBatchWithPool, and for a
+// lone plan Estimate/EstimateWithPool, which must be the same batch of one.
+func TestBatchMatchesSequential(t *testing.T) {
+	oracleMatrix(t, func(m *Model, eps []*feature.EncodedPlan, pool *MemoryPool, workers int) []Estimate {
+		var out []Estimate
+		if pool == nil {
+			out = m.EstimateBatch(eps, workers)
+		} else {
+			out = m.EstimateBatchWithPool(eps, pool, workers)
+		}
+		if len(eps) == 1 {
+			cost, card := m.EstimateWithPool(eps[0], pool)
+			if one := (Estimate{cost, card}); one != out[0] {
+				t.Fatalf("Model.EstimateWithPool = %+v, batch of one = %+v", one, out[0])
+			}
+		}
+		return out
+	})
+}
+
+// TestBatchSessionMatchesSequential holds one BatchSession per model across
+// the whole matrix, so every call also reuses arenas last shaped by a
+// different batch size, worker count and pool state.
+func TestBatchSessionMatchesSequential(t *testing.T) {
+	sessions := map[*Model]*BatchSession{}
+	oracleMatrix(t, func(m *Model, eps []*feature.EncodedPlan, pool *MemoryPool, workers int) []Estimate {
+		s := sessions[m]
+		if s == nil {
+			s = NewBatchSession(m)
+			sessions[m] = s
+		}
+		return s.EstimateBatchWithPool(eps, pool, workers)
+	})
+}
+
+// TestSessionReuseMatchesFresh drives one session's single-plan entry across
+// many plans in both directions: every estimate must equal the oracle's (and
+// so a fresh session's) — stale buffer state leaking between calls would
+// show up here.
+func TestSessionReuseMatchesFresh(t *testing.T) {
+	eps := benchCorpus(t, 16)
+	for _, variant := range sessionVariants {
+		cfg := TestConfig()
+		variant.mod(&cfg)
+		m := New(cfg, testEnc)
+		sess := NewBatchSession(m)
+		for k := 0; k < 2*len(eps); k++ {
+			ep := eps[k%len(eps)]
+			if k >= len(eps) {
+				ep = eps[2*len(eps)-1-k]
+			}
+			cost, card := sess.Estimate(ep)
+			if got, want := (Estimate{cost, card}), oracleEstimate(m, ep); got != want {
+				t.Fatalf("%s: reused session %+v != oracle %+v at step %d", variant.name, got, want, k)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"strings"
 	"testing"
 
 	"costest/internal/feature"
@@ -10,26 +11,26 @@ import (
 )
 
 // TestModelCheckpointRoundTrip is the persistence acceptance gate: for every
-// architecture variant, a trained model saved and loaded into a freshly
-// constructed model (normalizers deliberately NOT copied by hand) must
-// produce bit-identical estimates — the versioned checkpoint header carries
-// the target normalizers, so no FitNormalizers re-run is needed.
+// architecture variant, a trained model saved and cold-loaded must produce
+// bit-identical estimates — the versioned checkpoint header carries the
+// target normalizers, so no FitNormalizers re-run is needed.
 func TestModelCheckpointRoundTrip(t *testing.T) {
 	eps := benchCorpus(t, 10)
 	for _, variant := range sessionVariants {
 		cfg := TestConfig()
 		variant.mod(&cfg)
 		m := New(cfg, testEnc)
-		tr := NewTrainer(m)
+		tr := NewParallelTrainer(m, 1)
+		defer tr.Close()
 		tr.FitNormalizers(eps)
-		tr.TrainEpochBatched(eps, 4, 1)
+		tr.TrainEpochParallel(eps, 4, 1)
 
 		var buf bytes.Buffer
 		if err := m.Save(&buf); err != nil {
 			t.Fatalf("%s: save: %v", variant.name, err)
 		}
-		m2 := New(cfg, testEnc) // default normalizers; Load must restore them
-		if err := m2.Load(&buf); err != nil {
+		m2, err := LoadModel(&buf, testEnc)
+		if err != nil {
 			t.Fatalf("%s: load: %v", variant.name, err)
 		}
 		if m2.CostNorm != m.CostNorm || m2.CardNorm != m.CardNorm {
@@ -47,72 +48,69 @@ func TestModelCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestModelLoadLegacyFormat keeps old checkpoint files readable: a stream
-// written by the headerless parameter-only format (ParamSet.Save, what
-// Model.Save used to emit) still loads the weights; normalizer state stays
-// with the caller, exactly as before.
+// TestModelLoadLegacyFormat pins what happens to pre-v3 checkpoint files now
+// that the self-describing format is the only one: the headerless
+// parameter-only stream (v1) and the normalizer-only header (v2) are both
+// refused with the descriptive "not self-describing" error, never decoded
+// into a half-configured model.
 func TestModelLoadLegacyFormat(t *testing.T) {
-	eps := benchCorpus(t, 8)
-	cfg := TestConfig()
-	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
-	tr.FitNormalizers(eps)
-	tr.TrainEpochBatched(eps, 4, 1)
+	m := New(TestConfig(), testEnc)
 
-	var legacy bytes.Buffer
-	if err := m.PS.Save(&legacy); err != nil { // the pre-header wire format
+	var v1 bytes.Buffer
+	if err := m.PS.EncodeGob(gob.NewEncoder(&v1)); err != nil { // the pre-header wire format
 		t.Fatal(err)
 	}
-	m2 := New(cfg, testEnc)
-	defCost, defCard := m2.CostNorm, m2.CardNorm
-	if err := m2.Load(&legacy); err != nil {
-		t.Fatalf("legacy load: %v", err)
+	// A version-2 header (pre-config): hand-built the way Save used to write.
+	var v2 bytes.Buffer
+	v2.WriteString(modelMagic)
+	enc := gob.NewEncoder(&v2)
+	if err := enc.Encode(modelHeader{Version: 2, CostNorm: m.CostNorm, CardNorm: m.CardNorm}); err != nil {
+		t.Fatal(err)
 	}
-	if m2.CostNorm != defCost || m2.CardNorm != defCard {
-		t.Fatal("legacy load touched normalizers (legacy files carry none)")
+	if err := m.PS.EncodeGob(enc); err != nil {
+		t.Fatal(err)
 	}
-	m2.CostNorm, m2.CardNorm = m.CostNorm, m.CardNorm
-	for i, ep := range eps {
-		c1, d1 := m.Estimate(ep)
-		c2, d2 := m2.Estimate(ep)
-		if c1 != c2 || d1 != d2 {
-			t.Fatalf("plan %d: legacy-loaded estimates (%g,%g), original (%g,%g)", i, c2, d2, c1, d1)
+
+	for name, data := range map[string][]byte{"v1 headerless": v1.Bytes(), "v2 header": v2.Bytes()} {
+		_, err := LoadModel(bytes.NewReader(data), testEnc)
+		if err == nil || !strings.Contains(err.Error(), "not self-describing") {
+			t.Fatalf("%s: LoadModel error = %v, want the descriptive not-self-describing rejection", name, err)
 		}
 	}
 }
 
-// TestModelLoadErrors drives the corrupt-input paths: truncated headers,
-// truncated parameter payloads, garbage bytes and checkpoints from a
-// differently dimensioned model must all fail with an error and leave the
-// receiving model's weights and estimates untouched.
+// TestModelLoadErrors drives the corrupt-input paths of the cold loader:
+// truncated headers, truncated parameter payloads, garbage bytes and a
+// header whose Config disagrees with the parameter payload behind it must
+// all fail with an error, and a good checkpoint still loads afterwards.
 func TestModelLoadErrors(t *testing.T) {
 	eps := benchCorpus(t, 6)
 	cfg := TestConfig()
 	src := New(cfg, testEnc)
-	tr := NewTrainer(src)
+	tr := NewParallelTrainer(src, 1)
+	defer tr.Close()
 	tr.FitNormalizers(eps)
-	tr.TrainEpochBatched(eps, 4, 1)
+	tr.TrainEpochParallel(eps, 4, 1)
 	var good bytes.Buffer
 	if err := src.Save(&good); err != nil {
 		t.Fatal(err)
 	}
 	full := good.Bytes()
 
-	type est struct{ cost, card float64 }
-	target := New(cfg, testEnc)
-	before := make([]est, len(eps))
-	for i, ep := range eps {
-		c, d := target.Estimate(ep)
-		before[i] = est{c, d}
+	// A header describing a wider model than the payload that follows it:
+	// the shape check must refuse the weights.
+	var mismatched bytes.Buffer
+	mismatched.WriteString(modelMagic)
+	enc := gob.NewEncoder(&mismatched)
+	bigCfg := cfg
+	bigCfg.Hidden *= 2
+	hdr := modelHeader{Version: modelCheckpointVersion, CostNorm: src.CostNorm, CardNorm: src.CardNorm,
+		Config: bigCfg, Encoder: encoderMetaOf(testEnc)}
+	if err := enc.Encode(hdr); err != nil {
+		t.Fatal(err)
 	}
-	checkUntouched := func(label string) {
-		t.Helper()
-		for i, ep := range eps {
-			c, d := target.Estimate(ep)
-			if c != before[i].cost || d != before[i].card {
-				t.Fatalf("%s: failed load mutated the model (plan %d)", label, i)
-			}
-		}
+	if err := src.PS.EncodeGob(enc); err != nil {
+		t.Fatal(err)
 	}
 
 	cases := []struct {
@@ -124,46 +122,21 @@ func TestModelLoadErrors(t *testing.T) {
 		{"truncated-header", full[:len(modelMagic)+3]},
 		{"truncated-params", full[:len(full)*3/4]},
 		{"garbage", []byte("COSTESTMnot a gob stream at all....")},
+		{"config-payload-mismatch", mismatched.Bytes()},
 	}
 	for _, tc := range cases {
-		if err := target.Load(bytes.NewReader(tc.data)); err == nil {
-			t.Fatalf("%s: Load succeeded on corrupt input", tc.name)
+		if _, err := LoadModel(bytes.NewReader(tc.data), testEnc); err == nil {
+			t.Fatalf("%s: LoadModel succeeded on corrupt input", tc.name)
 		}
-		checkUntouched(tc.name)
 	}
-
-	// A checkpoint from a differently dimensioned model: shape mismatch.
-	bigCfg := cfg
-	bigCfg.Hidden *= 2
-	big := New(bigCfg, testEnc)
-	var bigBuf bytes.Buffer
-	if err := big.Save(&bigBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := target.Load(&bigBuf); err == nil {
-		t.Fatal("Load succeeded across mismatched model dimensions")
-	}
-	checkUntouched("dim-mismatch")
-
-	// A checkpoint from a different architecture (different parameter set).
-	lstmCfg := cfg
-	lstmCfg.Pred = PredLSTM
-	other := New(lstmCfg, testEnc)
-	var otherBuf bytes.Buffer
-	if err := other.Save(&otherBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := target.Load(&otherBuf); err == nil {
-		t.Fatal("Load succeeded across mismatched architectures")
-	}
-	checkUntouched("arch-mismatch")
 
 	// After all the failures, the good checkpoint still loads.
-	if err := target.Load(bytes.NewReader(full)); err != nil {
+	loaded, err := LoadModel(bytes.NewReader(full), testEnc)
+	if err != nil {
 		t.Fatalf("good checkpoint failed after corrupt attempts: %v", err)
 	}
 	for i, ep := range eps {
-		c, d := target.Estimate(ep)
+		c, d := loaded.Estimate(ep)
 		sc, sd := src.Estimate(ep)
 		if c != sc || d != sd {
 			t.Fatalf("plan %d: recovered load disagrees with source", i)
@@ -181,9 +154,10 @@ func TestLoadModelSelfDescribing(t *testing.T) {
 		cfg := TestConfig()
 		variant.mod(&cfg)
 		m := New(cfg, testEnc)
-		tr := NewTrainer(m)
+		tr := NewParallelTrainer(m, 1)
+		defer tr.Close()
 		tr.FitNormalizers(eps)
-		tr.TrainEpochBatched(eps, 4, 1)
+		tr.TrainEpochParallel(eps, 4, 1)
 
 		var buf bytes.Buffer
 		if err := m.Save(&buf); err != nil {
@@ -208,14 +182,14 @@ func TestLoadModelSelfDescribing(t *testing.T) {
 }
 
 // TestLoadModelRejectsIncompatible pins LoadModel's validation: encoders
-// whose feature dimensions differ from the checkpoint's, legacy headerless
-// streams, and pre-config (version 2) headers all fail with descriptive
-// errors instead of shape panics.
+// whose feature dimensions differ from the checkpoint's fail with
+// descriptive errors instead of shape panics.
 func TestLoadModelRejectsIncompatible(t *testing.T) {
 	eps := benchCorpus(t, 6)
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
+	tr := NewParallelTrainer(m, 1)
+	defer tr.Close()
 	tr.FitNormalizers(eps)
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -232,38 +206,6 @@ func TestLoadModelRejectsIncompatible(t *testing.T) {
 	noBmEnc := feature.NewEncoder(testCat, strembed.HashEmbedder{DimN: 12}, false)
 	if _, err := LoadModel(bytes.NewReader(good), noBmEnc); err == nil {
 		t.Fatal("LoadModel accepted an encoder without the checkpoint's sample bitmap")
-	}
-
-	// Legacy headerless stream: no config to rebuild from.
-	var legacy bytes.Buffer
-	if err := m.PS.Save(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadModel(&legacy, testEnc); err == nil {
-		t.Fatal("LoadModel accepted a headerless legacy stream")
-	}
-
-	// A version-2 header (pre-config): hand-built the way Save used to write.
-	var v2 bytes.Buffer
-	v2.WriteString(modelMagic)
-	enc := gob.NewEncoder(&v2)
-	if err := enc.Encode(modelHeader{Version: 2, CostNorm: m.CostNorm, CardNorm: m.CardNorm}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.PS.EncodeGob(enc); err != nil {
-		t.Fatal(err)
-	}
-	v2bytes := v2.Bytes()
-	if _, err := LoadModel(bytes.NewReader(v2bytes), testEnc); err == nil {
-		t.Fatal("LoadModel accepted a version-2 header with no config")
-	}
-	// ...but Model.Load still reads it (legacy compatibility).
-	m3 := New(cfg, testEnc)
-	if err := m3.Load(bytes.NewReader(v2bytes)); err != nil {
-		t.Fatalf("Model.Load rejected a version-2 checkpoint: %v", err)
-	}
-	if m3.CostNorm != m.CostNorm || m3.CardNorm != m.CardNorm {
-		t.Fatal("version-2 normalizers did not round-trip through Model.Load")
 	}
 
 	// The good checkpoint still cold-loads after all the failures.

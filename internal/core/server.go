@@ -8,21 +8,21 @@ import (
 	"costest/internal/feature"
 )
 
-// Server is the hot-swap serving runtime: it binds the inference sessions,
-// batch sessions and the representation memory pool to the current
-// ModelSnapshot, re-resolving the snapshot pointer on every request. A
-// long-lived optimizer process keeps one Server; a Trainer retrains the
-// live model in place and calls Publish between epochs, while concurrent
-// Estimate/EstimateBatch callers keep serving — requests in flight finish
-// on the snapshot they started with, later requests pick up the new one,
-// and no request ever observes torn weights.
+// Server is the hot-swap serving runtime: it binds the batch sessions and
+// the representation memory pool to the current ModelSnapshot, re-resolving
+// the snapshot pointer on every request. A long-lived optimizer process
+// keeps one Server; a ParallelTrainer retrains the live model in place and
+// calls Publish between epochs, while concurrent Estimate/EstimateBatch
+// callers keep serving — requests in flight finish on the snapshot they
+// started with, later requests pick up the new one, and no request ever
+// observes torn weights.
 //
 // The memory pool is generation-tagged with the snapshot version, so a
 // publish invalidates every pooled representation in O(1) (SetGeneration)
 // instead of flushing the pool: entries from the old generation are
 // rejected by new-generation lookups and evicted lazily.
 //
-// Sessions are recycled through internal sync.Pools and lazily rebound to
+// Sessions are recycled through an internal sync.Pool and lazily rebound to
 // the current snapshot on checkout, so steady-state Estimate does the same
 // zero-allocation work as a session held directly against a fixed model.
 // EstimateBatch allocates only its result slice (the session-owned slab
@@ -72,7 +72,6 @@ type Server struct {
 	// of each publication to its followers. Guarded by pubMu.
 	publishHook func(m *Model, version uint64)
 
-	sessions      sync.Pool
 	batchSessions sync.Pool
 }
 
@@ -263,8 +262,8 @@ func (srv *Server) SetPublishHook(h func(m *Model, version uint64)) {
 // snapshots; the first PublishDelta for a given source model (or after the
 // source changes) full-copies into a fresh buffer set. Like Publish, call
 // with training quiesced on m. Dirty tracking covers Adam steps,
-// ParamSet.Load and InitXavier; code that writes parameter values directly
-// must call nn.ParamSet.MarkAllUpdated first.
+// ParamSet.DecodeGob and InitXavier; code that writes parameter values
+// directly must call nn.ParamSet.MarkAllUpdated first.
 func (srv *Server) PublishDelta(m *Model) *ModelSnapshot {
 	srv.pubMu.Lock()
 	defer srv.pubMu.Unlock()
@@ -459,9 +458,9 @@ func (srv *Server) prewarmReplay(wantVersion uint64) int {
 // costlint:noalloc
 func (srv *Server) Estimate(ep *feature.EncodedPlan) (cost, card float64, version uint64) {
 	snap := srv.acquire()
-	s := srv.session(snap)
+	s := srv.batchSession(snap)
 	cost, card = s.EstimateWithPool(ep, srv.pool)
-	srv.sessions.Put(s)
+	srv.batchSessions.Put(s)
 	srv.release(snap)
 	if tr := srv.prewarm.Load(); tr != nil {
 		tr.track(ep)
@@ -520,24 +519,9 @@ func (srv *Server) EstimateBatchInto(snap *ModelSnapshot, eps []*feature.Encoded
 	return out
 }
 
-// session checks a recycled inference session out of the pool, rebinding
-// it to snap when it last served a different version (one pointer store;
-// the warm arenas carry over because all snapshots share a configuration).
-func (srv *Server) session(snap *ModelSnapshot) *InferenceSession {
-	if v := srv.sessions.Get(); v != nil {
-		s := v.(*InferenceSession)
-		if s.poolGen != snap.version {
-			s.Rebind(snap.model)
-			s.poolGen = snap.version
-		}
-		return s
-	}
-	s := NewSession(snap.model)
-	s.poolGen = snap.version
-	return s
-}
-
-// batchSession is session for the batch path.
+// batchSession checks a recycled session out of the pool, rebinding it to
+// snap when it last served a different version (one pointer store; the warm
+// arenas carry over because all snapshots share a configuration).
 func (srv *Server) batchSession(snap *ModelSnapshot) *BatchSession {
 	if v := srv.batchSessions.Get(); v != nil {
 		s := v.(*BatchSession)

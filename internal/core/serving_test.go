@@ -15,7 +15,8 @@ func TestSnapshotImmutableUnderTraining(t *testing.T) {
 	eps := benchCorpus(t, 12)
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
+	tr := NewParallelTrainer(m, 1)
+	defer tr.Close()
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, nil)
 
@@ -30,7 +31,7 @@ func TestSnapshotImmutableUnderTraining(t *testing.T) {
 		before[i] = est{c, d}
 	}
 
-	tr.TrainEpochBatched(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8, 1)
 
 	for i, ep := range eps {
 		c, d := snap.Model().Estimate(ep)
@@ -147,7 +148,8 @@ func TestServerServesAcrossPublishes(t *testing.T) {
 	eps := benchCorpus(t, 12)
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
+	tr := NewParallelTrainer(m, 1)
+	defer tr.Close()
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, NewBoundedMemoryPool(512))
 
@@ -157,7 +159,7 @@ func TestServerServesAcrossPublishes(t *testing.T) {
 		if snap.Version() != want {
 			t.Fatalf("round %d: serving version %d, want %d", round, snap.Version(), want)
 		}
-		ref := NewSession(snap.Model())
+		ref := NewBatchSession(snap.Model())
 		for i, ep := range eps {
 			c, d, v := srv.Estimate(ep)
 			if v != want {
@@ -178,7 +180,7 @@ func TestServerServesAcrossPublishes(t *testing.T) {
 				t.Fatalf("round %d plan %d: batch served %+v, snapshot replay (%g,%g)", round, i, batch[i], rc, rd)
 			}
 		}
-		tr.TrainEpochBatched(eps, 8, 1)
+		tr.TrainEpochParallel(eps, 8, 1)
 		tr.Publish(srv)
 	}
 	if srv.Pool().HitRate() == 0 {
@@ -212,7 +214,8 @@ func TestServerHotSwapConcurrentBitIdentical(t *testing.T) {
 	eps := benchCorpus(t, 12)
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
+	tr := NewParallelTrainer(m, 1)
+	defer tr.Close()
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, NewBoundedMemoryPool(256))
 
@@ -235,7 +238,7 @@ func TestServerHotSwapConcurrentBitIdentical(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for e := 0; e < epochs; e++ {
-			tr.TrainEpochBatched(eps, 8, 2)
+			tr.TrainEpochParallel(eps, 8, 1)
 			snap := tr.Publish(srv)
 			mu.Lock()
 			snaps[snap.Version()] = snap
@@ -281,7 +284,7 @@ func TestServerHotSwapConcurrentBitIdentical(t *testing.T) {
 	type est struct{ cost, card float64 }
 	refs := make(map[uint64][]est, len(snaps))
 	for v, snap := range snaps {
-		ref := NewSession(snap.Model())
+		ref := NewBatchSession(snap.Model())
 		es := make([]est, len(eps))
 		for i, ep := range eps {
 			c, d := ref.Estimate(ep)
@@ -327,7 +330,8 @@ func TestServerPrewarmHidesSwapTransient(t *testing.T) {
 	eps := benchCorpus(t, 12)
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
+	tr := NewParallelTrainer(m, 1)
+	defer tr.Close()
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, NewBoundedMemoryPool(1024))
 	srv.EnablePrewarm(4)
@@ -346,7 +350,7 @@ func TestServerPrewarmHidesSwapTransient(t *testing.T) {
 		ctrl.Estimate(ep)
 	}
 
-	tr.TrainEpochBatched(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8, 1)
 	tr.Publish(srv)
 	ctrl.Publish(m)
 	if n := srv.PrewarmNow(); n == 0 {
@@ -364,7 +368,7 @@ func TestServerPrewarmHidesSwapTransient(t *testing.T) {
 
 	// Pre-warmed entries must serve the same bits as an unpooled
 	// single-threaded replay of the new snapshot.
-	ref := NewSession(srv.Snapshot().Model())
+	ref := NewBatchSession(srv.Snapshot().Model())
 	for i := 0; i < 4; i++ {
 		c, d, sv := srv.Estimate(eps[i])
 		rc, rd := ref.Estimate(eps[i])
@@ -381,7 +385,8 @@ func TestServerPrewarmBackground(t *testing.T) {
 	eps := benchCorpus(t, 8)
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
+	tr := NewParallelTrainer(m, 1)
+	defer tr.Close()
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, NewBoundedMemoryPool(1024))
 	srv.EnablePrewarm(4)
@@ -390,7 +395,7 @@ func TestServerPrewarmBackground(t *testing.T) {
 			srv.Estimate(ep)
 		}
 	}
-	tr.TrainEpochBatched(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8, 1)
 	tr.Publish(srv)
 
 	v := srv.Version()
@@ -419,7 +424,8 @@ func BenchmarkPublish(b *testing.B) {
 	eps := benchCorpus(b, 4)
 	cfg := DefaultConfig()
 	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
+	tr := NewParallelTrainer(m, 1)
+	defer tr.Close()
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, NewBoundedMemoryPool(4096))
 	b.ReportAllocs()
@@ -478,12 +484,13 @@ func TestPublishDeltaBitIdentical(t *testing.T) {
 	eps := benchCorpus(t, 12)
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
+	tr := NewParallelTrainer(m, 1)
+	defer tr.Close()
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, NewBoundedMemoryPool(512))
 
 	for round := 0; round < 5; round++ {
-		tr.TrainEpochBatched(eps, 8, 1)
+		tr.TrainEpochParallel(eps, 8, 1)
 		snap := tr.PublishDelta(srv)
 		full := newSnapshot(m, snap.Version())
 		compareWeights(t, "delta vs full copy", snap.Model(), full.Model(), 0)
@@ -495,7 +502,7 @@ func TestPublishDeltaBitIdentical(t *testing.T) {
 		}
 		// Serving through the delta snapshot matches a single-threaded
 		// replay of the full copy.
-		ref := NewSession(full.Model())
+		ref := NewBatchSession(full.Model())
 		for i, ep := range eps {
 			c, d, v := srv.Estimate(ep)
 			rc, rd := ref.Estimate(ep)
@@ -526,14 +533,15 @@ func TestPublishDeltaReusesBuffers(t *testing.T) {
 	eps := benchCorpus(t, 8)
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
+	tr := NewParallelTrainer(m, 1)
+	defer tr.Close()
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, nil)
 
 	s1 := tr.PublishDelta(srv) // fresh slot A
-	tr.TrainEpochBatched(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8, 1)
 	s2 := tr.PublishDelta(srv) // fresh slot B (A still serving at publish time)
-	tr.TrainEpochBatched(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8, 1)
 	s3 := tr.PublishDelta(srv) // A retired and drained -> reused
 	if s1.model == s2.model {
 		t.Fatal("consecutive delta snapshots share a live buffer set")
@@ -545,12 +553,12 @@ func TestPublishDeltaReusesBuffers(t *testing.T) {
 	compareWeights(t, "recycled slot vs full copy", s3.Model(), newSnapshot(m, 0).Model(), 0)
 
 	// A pinned snapshot's buffers leave the rotation permanently.
-	tr.TrainEpochBatched(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8, 1)
 	s4 := tr.PublishDelta(srv)
 	s4.Pin()
-	tr.TrainEpochBatched(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8, 1)
 	s5 := tr.PublishDelta(srv)
-	tr.TrainEpochBatched(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8, 1)
 	s6 := tr.PublishDelta(srv)
 	if s6.model == s4.model {
 		t.Fatal("pinned snapshot's buffers were recycled")
@@ -560,7 +568,7 @@ func TestPublishDeltaReusesBuffers(t *testing.T) {
 		c, d := s4.Model().Estimate(ep)
 		want = append(want, struct{ c, d float64 }{c, d})
 	}
-	tr.TrainEpochBatched(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8, 1)
 	tr.PublishDelta(srv)
 	tr.PublishDelta(srv)
 	for i, ep := range eps {
@@ -580,10 +588,11 @@ func TestSnapshotPinnedAcrossDeltaPublishes(t *testing.T) {
 	eps := benchCorpus(t, 10)
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
+	tr := NewParallelTrainer(m, 1)
+	defer tr.Close()
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, nil)
-	tr.TrainEpochBatched(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8, 1)
 	tr.PublishDelta(srv)
 
 	held := srv.Snapshot() // pinned
@@ -594,7 +603,7 @@ func TestSnapshotPinnedAcrossDeltaPublishes(t *testing.T) {
 		before[i] = est{c, d}
 	}
 	for round := 0; round < 4; round++ {
-		tr.TrainEpochBatched(eps, 8, 1)
+		tr.TrainEpochParallel(eps, 8, 1)
 		tr.PublishDelta(srv)
 	}
 	for i, ep := range eps {
@@ -615,17 +624,18 @@ func TestPublishDeltaSingleTaskSkipsCleanHead(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Target = TargetCost
 	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
+	tr := NewParallelTrainer(m, 1)
+	defer tr.Close()
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, nil)
 
-	tr.TrainEpochBatched(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8, 1)
 	tr.PublishDelta(srv)
 	first := srv.LastDeltaCopied()
-	tr.TrainEpochBatched(eps, 8, 1)
-	tr.TrainEpochBatched(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8, 1)
 	tr.PublishDelta(srv) // second slot, full copy
-	tr.TrainEpochBatched(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8, 1)
 	tr.PublishDelta(srv) // recycled slot: delta from here on
 	steady := srv.LastDeltaCopied()
 	total := len(m.PS.Params())
@@ -653,7 +663,8 @@ func TestServerDeltaHotSwapConcurrentBitIdentical(t *testing.T) {
 	eps := benchCorpus(t, 12)
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
+	tr := NewParallelTrainer(m, 1)
+	defer tr.Close()
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, NewBoundedMemoryPool(256))
 
@@ -665,7 +676,7 @@ func TestServerDeltaHotSwapConcurrentBitIdentical(t *testing.T) {
 	refs := map[uint64][]est{}
 	snapRef := func(v uint64) { // full-copy reference, trainer goroutine
 		full := newSnapshot(m, v)
-		ref := NewSession(full.Model())
+		ref := NewBatchSession(full.Model())
 		es := make([]est, len(eps))
 		for i, ep := range eps {
 			c, d := ref.Estimate(ep)
@@ -685,7 +696,7 @@ func TestServerDeltaHotSwapConcurrentBitIdentical(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for e := 0; e < epochs; e++ {
-			tr.TrainEpochBatched(eps, 8, 2)
+			tr.TrainEpochParallel(eps, 8, 1)
 			snap := tr.PublishDelta(srv)
 			snapRef(snap.Version())
 			for w := 0; w < servers; w++ {
@@ -762,7 +773,8 @@ func TestPublishPrewarmRace(t *testing.T) {
 	eps := benchCorpus(t, 12)
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
+	tr := NewParallelTrainer(m, 1)
+	defer tr.Close()
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, NewBoundedMemoryPool(1024))
 	srv.EnablePrewarm(6)
@@ -782,7 +794,7 @@ func TestPublishPrewarmRace(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for e := 0; e < epochs; e++ {
-			tr.TrainEpochBatched(eps, 8, 1)
+			tr.TrainEpochParallel(eps, 8, 1)
 			snap := tr.Publish(srv)
 			mu.Lock()
 			snaps[snap.Version()] = snap
@@ -828,7 +840,7 @@ func TestPublishPrewarmRace(t *testing.T) {
 	type est struct{ cost, card float64 }
 	refsByV := map[uint64][]est{}
 	for v, snap := range snaps {
-		ref := NewSession(snap.Model())
+		ref := NewBatchSession(snap.Model())
 		es := make([]est, len(eps))
 		for i, ep := range eps {
 			c, d := ref.Estimate(ep)
@@ -862,7 +874,8 @@ func BenchmarkPublishDelta(b *testing.B) {
 
 	b.Run("clean", func(b *testing.B) {
 		m := New(cfg, testEnc)
-		tr := NewTrainer(m)
+		tr := NewParallelTrainer(m, 1)
+		defer tr.Close()
 		tr.FitNormalizers(eps)
 		srv := NewServer(m, NewBoundedMemoryPool(4096))
 		tr.PublishDelta(srv)
@@ -876,7 +889,8 @@ func BenchmarkPublishDelta(b *testing.B) {
 	})
 	b.Run("afterEpoch", func(b *testing.B) {
 		m := New(cfg, testEnc)
-		tr := NewTrainer(m)
+		tr := NewParallelTrainer(m, 1)
+		defer tr.Close()
 		tr.FitNormalizers(eps)
 		srv := NewServer(m, NewBoundedMemoryPool(4096))
 		tr.PublishDelta(srv)
@@ -885,7 +899,7 @@ func BenchmarkPublishDelta(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			tr.TrainEpochBatched(eps, 4, 1)
+			tr.TrainEpochParallel(eps, 4, 1)
 			b.StartTimer()
 			srv.PublishDelta(m)
 		}
@@ -901,7 +915,8 @@ func TestSnapshotDrainStats(t *testing.T) {
 	eps := benchCorpus(t, 8)
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
-	tr := NewTrainer(m)
+	tr := NewParallelTrainer(m, 1)
+	defer tr.Close()
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, nil)
 
@@ -910,7 +925,7 @@ func TestSnapshotDrainStats(t *testing.T) {
 	}
 
 	step := func() {
-		tr.TrainEpochBatched(eps, 4, 1)
+		tr.TrainEpochParallel(eps, 4, 1)
 		tr.PublishDelta(srv)
 	}
 	step() // v2: retires v1, a full copy with no slot — nothing to drain

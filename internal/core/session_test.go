@@ -28,36 +28,9 @@ var sessionVariants = []struct {
 	{"meanpool", func(c *Config) { c.Pred = PredPoolMean }},
 }
 
-// TestSessionReuseMatchesFresh drives one session across many plans in both
-// directions and checks every estimate is bit-identical to a fresh session's
-// — any stale buffer state leaking between calls would show up here.
-func TestSessionReuseMatchesFresh(t *testing.T) {
-	eps := benchCorpus(t, 16)
-	for _, variant := range sessionVariants {
-		cfg := TestConfig()
-		variant.mod(&cfg)
-		m := New(cfg, testEnc)
-		sess := NewSession(m)
-		check := func(ep *feature.EncodedPlan) {
-			c1, d1 := sess.Estimate(ep)
-			c2, d2 := NewSession(m).Estimate(ep)
-			if c1 != c2 || d1 != d2 {
-				t.Fatalf("%s: reused session (%g,%g) != fresh session (%g,%g)",
-					variant.name, c1, d1, c2, d2)
-			}
-		}
-		for _, ep := range eps {
-			check(ep)
-		}
-		for i := len(eps) - 1; i >= 0; i-- {
-			check(eps[i])
-		}
-	}
-}
-
-// TestEstimateZeroAlloc asserts the tentpole property: after warm-up, the
-// per-plan forward path performs zero heap allocations, both through an
-// explicit session and through the Model.Estimate convenience API.
+// TestEstimateZeroAlloc asserts that after warm-up the single-plan entry — a
+// batch of one — performs zero heap allocations, both through an explicit
+// session and through the Model.Estimate convenience API.
 func TestEstimateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -67,7 +40,7 @@ func TestEstimateZeroAlloc(t *testing.T) {
 		cfg := TestConfig()
 		variant.mod(&cfg)
 		m := New(cfg, testEnc)
-		sess := NewSession(m)
+		sess := NewBatchSession(m)
 		for _, ep := range eps {
 			sess.Estimate(ep) // warm-up sizes every buffer
 		}
@@ -101,7 +74,7 @@ func TestPooledPathZeroAlloc(t *testing.T) {
 	eps := benchCorpus(t, 8)
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
-	sess := NewSession(m)
+	sess := NewBatchSession(m)
 	pool := NewMemoryPool()
 	for _, ep := range eps {
 		sess.EstimateWithPool(ep, pool)
@@ -193,7 +166,7 @@ func TestPoolEvictedCardNode(t *testing.T) {
 	eps := benchCorpus(t, 16)
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
-	sess := NewSession(m)
+	sess := NewBatchSession(m)
 	tested := 0
 	for _, ep := range eps {
 		if ep.CardNode == ep.Root {

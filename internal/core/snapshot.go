@@ -51,7 +51,7 @@ type ModelSnapshot struct {
 func (s *ModelSnapshot) Version() uint64 { return s.version }
 
 // Model returns the snapshot's frozen model. Callers may evaluate it (its
-// own Estimate/EstimateBatch, NewSession, ValidationError) but must treat
+// own Estimate/EstimateBatch, NewBatchSession, ValidationError) but must treat
 // the weights as read-only; training against a snapshot model breaks the
 // immutability every concurrent reader relies on. For delta-published
 // snapshots, call Pin first if the model will be used past the next
@@ -75,7 +75,7 @@ func (s *ModelSnapshot) recyclable() bool {
 // newSnapshot deep-copies src's parameter values and normalizers into a
 // fresh model wired to the same encoder — the full-copy publication path.
 // The copy runs on the caller's goroutine, so callers must not mutate src
-// concurrently (the Trainer publishes between optimizer steps, where this
+// concurrently (the trainer publishes between optimizer steps, where this
 // holds by construction).
 func newSnapshot(src *Model, version uint64) *ModelSnapshot {
 	dst := New(src.Cfg, src.Enc)

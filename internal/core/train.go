@@ -1,50 +1,16 @@
 package core
 
 import (
-	"math/rand"
-
 	"costest/internal/feature"
 	"costest/internal/nn"
 )
 
-// Trainer runs mini-batch Adam training with the multitask q-error loss of
-// Section 4.3.
-type Trainer struct {
-	M   *Model
-	Opt *nn.Adam
-	rng *rand.Rand
-
-	costLoss nn.Loss
-	cardLoss nn.Loss
-
-	// sess is the trainer-owned forward/backward arena, reused across every
-	// sample so the training loop shares the inference runtime's caches.
-	sess *InferenceSession
-
-	// bsess is the shared batch forward/backward arena for TrainEpochBatched,
-	// created on first use; batchBuf is the reusable minibatch gather slice
-	// and permBuf the reusable epoch shuffle.
-	bsess    *BatchSession
-	batchBuf []*feature.EncodedPlan
-	permBuf  []int
-}
-
-// NewTrainer builds a trainer for the model.
-func NewTrainer(m *Model) *Trainer {
-	return &Trainer{
-		M:    m,
-		Opt:  nn.NewAdam(m.Cfg.LearnRate),
-		rng:  rand.New(rand.NewSource(m.Cfg.Seed + 1000)),
-		sess: NewSession(m),
-	}
-}
-
 // FitNormalizers fits the cost/cardinality target normalizers on the
 // training set (all supervised nodes when sub-plan supervision is on).
-func (t *Trainer) FitNormalizers(train []*feature.EncodedPlan) {
+func (pt *ParallelTrainer) FitNormalizers(train []*feature.EncodedPlan) {
 	var costs, cards []float64
 	for _, ep := range train {
-		if t.M.Cfg.SubplanLoss {
+		if pt.M.Cfg.SubplanLoss {
 			for i := range ep.Nodes {
 				costs = append(costs, ep.Nodes[i].TrueCost)
 				cards = append(cards, ep.Nodes[i].TrueRows)
@@ -54,110 +20,46 @@ func (t *Trainer) FitNormalizers(train []*feature.EncodedPlan) {
 			cards = append(cards, ep.Card)
 		}
 	}
-	t.M.CostNorm = nn.NewNormalizer(costs)
-	t.M.CardNorm = nn.NewNormalizer(cards)
-	t.rebuildLosses()
+	pt.M.CostNorm = nn.NewNormalizer(costs)
+	pt.M.CardNorm = nn.NewNormalizer(cards)
+	pt.rebuildLosses()
 }
 
-func (t *Trainer) rebuildLosses() {
-	if t.M.Cfg.UseQError {
-		t.costLoss = nn.QErrorLoss{Norm: t.M.CostNorm, GradClip: 50}
-		t.cardLoss = nn.QErrorLoss{Norm: t.M.CardNorm, GradClip: 50}
+func (pt *ParallelTrainer) rebuildLosses() {
+	if pt.M.Cfg.UseQError {
+		pt.costLoss = nn.QErrorLoss{Norm: pt.M.CostNorm, GradClip: 50}
+		pt.cardLoss = nn.QErrorLoss{Norm: pt.M.CardNorm, GradClip: 50}
 	} else {
-		t.costLoss = nn.MSLELoss{Norm: t.M.CostNorm}
-		t.cardLoss = nn.MSLELoss{Norm: t.M.CardNorm}
+		pt.costLoss = nn.MSLELoss{Norm: pt.M.CostNorm}
+		pt.cardLoss = nn.MSLELoss{Norm: pt.M.CardNorm}
 	}
 }
 
 // permute fills the trainer's reusable shuffle buffer with the same
-// permutation rand.Perm would produce (identical draws from t.rng, so epoch
-// schedules are unchanged and every epoch driver sharing the trainer's rng
-// stays replayable against the others), without allocating at steady state.
-func (t *Trainer) permute(n int) []int {
-	if cap(t.permBuf) < n {
-		t.permBuf = make([]int, n)
+// permutation rand.Perm would produce (identical draws from pt.rng, so the
+// minibatch schedule depends on the model seed alone, never on the shard
+// count), without allocating at steady state.
+func (pt *ParallelTrainer) permute(n int) []int {
+	if cap(pt.permBuf) < n {
+		pt.permBuf = make([]int, n)
 	}
-	p := t.permBuf[:n]
+	p := pt.permBuf[:n]
 	for i := range p {
-		j := t.rng.Intn(i + 1)
+		j := pt.rng.Intn(i + 1)
 		p[i] = p[j]
 		p[j] = i
 	}
 	return p
 }
 
-// TrainEpoch runs one epoch over samples in shuffled mini-batches and
-// returns the mean per-sample loss.
-func (t *Trainer) TrainEpoch(samples []*feature.EncodedPlan, batchSize int) float64 {
-	if t.costLoss == nil {
-		t.rebuildLosses()
-	}
-	if batchSize <= 0 {
-		batchSize = 32
-	}
-	idx := t.permute(len(samples))
-	var total float64
-	for start := 0; start < len(idx); start += batchSize {
-		end := start + batchSize
-		if end > len(idx) {
-			end = len(idx)
-		}
-		t.M.PS.ZeroGrad()
-		for _, i := range idx[start:end] {
-			total += t.accumulate(samples[i])
-		}
-		t.M.PS.ClipGradNorm(t.M.Cfg.GradClip * float64(end-start))
-		t.Opt.Step(t.M.PS)
-	}
-	return total / float64(len(samples))
-}
-
-// TrainEpochBatched runs one epoch like TrainEpoch, but forwards and
-// backwards whole minibatches through one shared BatchSession and gradient
-// arena: the level-wise batched forward of Section 4.3 paired with the
-// level-wise GEMM backward of batch_backward.go, with elementwise work
-// spread across `workers` goroutines (<= 0 means GOMAXPROCS). Gradients
-// match the per-sample TrainEpoch up to floating-point reassociation; epoch
-// time drops because every level's gate products and weight-gradient
-// accumulations run as matrix-matrix kernels. Returns the mean per-sample
-// loss.
-func (t *Trainer) TrainEpochBatched(samples []*feature.EncodedPlan, batchSize, workers int) float64 {
-	if t.costLoss == nil {
-		t.rebuildLosses()
-	}
-	if batchSize <= 0 {
-		batchSize = 32
-	}
-	if t.bsess == nil {
-		t.bsess = NewBatchSession(t.M)
-	}
-	idx := t.permute(len(samples))
-	var total float64
-	for start := 0; start < len(idx); start += batchSize {
-		end := start + batchSize
-		if end > len(idx) {
-			end = len(idx)
-		}
-		t.batchBuf = t.batchBuf[:0]
-		for _, i := range idx[start:end] {
-			t.batchBuf = append(t.batchBuf, samples[i])
-		}
-		t.M.PS.ZeroGrad()
-		total += t.accumulateBatch(t.batchBuf, workers)
-		t.M.PS.ClipGradNorm(t.M.Cfg.GradClip * float64(end-start))
-		t.Opt.Step(t.M.PS)
-	}
-	return total / float64(len(samples))
-}
-
 // Publish installs the trainer's current weights on srv as a new immutable
 // snapshot (see Server.Publish) — the retrain-in-place workflow: a
-// long-lived service keeps one Trainer mutating the live model and calls
+// long-lived service keeps one trainer mutating the live model and calls
 // Publish between epochs while the Server's Estimate/EstimateBatch callers
 // keep serving the previous snapshot untouched. Call from the training
 // goroutine so the weight copy never races an optimizer step.
-func (t *Trainer) Publish(srv *Server) *ModelSnapshot {
-	return srv.Publish(t.M)
+func (pt *ParallelTrainer) Publish(srv *Server) *ModelSnapshot {
+	return srv.Publish(pt.M)
 }
 
 // PublishDelta is Publish through the delta-publication path: only the
@@ -165,85 +67,20 @@ func (t *Trainer) Publish(srv *Server) *ModelSnapshot {
 // last synced are copied (see Server.PublishDelta), which makes publication
 // cheap enough to run per minibatch. Call from the training goroutine, like
 // Publish.
-func (t *Trainer) PublishDelta(srv *Server) *ModelSnapshot {
-	return srv.PublishDelta(t.M)
+func (pt *ParallelTrainer) PublishDelta(srv *Server) *ModelSnapshot {
+	return srv.PublishDelta(pt.M)
 }
 
-// accumulate runs forward + backward for one sample, returning its loss.
-func (t *Trainer) accumulate(ep *feature.EncodedPlan) float64 {
-	t.sess.forwardTrain(ep)
-	loss, hg := t.lossAndGrads(ep, t.sess)
-	t.M.backwardPlan(ep, t.sess, hg)
-	return loss
-}
-
-// lossAndGrads computes the multitask loss
-// ω·qerror(cost) + qerror(card) over the supervised nodes and the head
-// gradients for backprop.
-func (t *Trainer) lossAndGrads(ep *feature.EncodedPlan, st *InferenceSession) (float64, []headGrad) {
-	cfg := t.M.Cfg
-	if cap(st.hg) < len(ep.Nodes) {
-		st.hg = make([]headGrad, len(ep.Nodes))
-	}
-	hg := st.hg[:len(ep.Nodes)]
-	for i := range hg {
-		hg[i] = headGrad{}
-	}
-	var loss float64
-	var supervised int
-
-	superviseCost := func(idx int, truth float64, weight float64) {
-		l, g := t.costLoss.Eval(st.nodes[idx].costS, truth)
-		loss += weight * l
-		hg[idx].dCostS += weight * g
-		supervised++
-	}
-	superviseCard := func(idx int, truth float64, weight float64) {
-		l, g := t.cardLoss.Eval(st.nodes[idx].cardS, truth)
-		loss += weight * l
-		hg[idx].dCardS += weight * g
-		supervised++
-	}
-
-	if cfg.SubplanLoss {
-		for i := range ep.Nodes {
-			if cfg.Target != TargetCard {
-				superviseCost(i, ep.Nodes[i].TrueCost, cfg.LossWeight)
-			}
-			if cfg.Target != TargetCost {
-				superviseCard(i, ep.Nodes[i].TrueRows, 1)
-			}
-		}
-	} else {
-		if cfg.Target != TargetCard {
-			superviseCost(ep.Root, ep.Cost, cfg.LossWeight)
-		}
-		if cfg.Target != TargetCost {
-			superviseCard(ep.CardNode, ep.Card, 1)
-		}
-	}
-	if supervised == 0 {
-		return 0, hg
-	}
-	// Normalize the gradient scale by the supervision count so sub-plan
-	// supervision does not inflate step sizes.
-	scale := 1 / float64(supervised)
-	for i := range hg {
-		hg[i].dCostS *= scale
-		hg[i].dCardS *= scale
-	}
-	return loss / float64(supervised), hg
-}
-
-// ValidationError reports mean q-errors over a validation set.
+// ValidationError reports mean q-errors over a validation set, evaluated as
+// one single-worker batch (validation runs beside serving in the daemon's
+// retrain loop, so it does not fan out).
 func (m *Model) ValidationError(samples []*feature.EncodedPlan) (costQ, cardQ float64) {
 	if len(samples) == 0 {
 		return 0, 0
 	}
-	for _, ep := range samples {
-		cost, card := m.Estimate(ep)
-		costQ += nn.QError(cost, ep.Cost)
-		cardQ += nn.QError(card, ep.Card)
+	for i, e := range m.EstimateBatch(samples, 1) {
+		costQ += nn.QError(e.Cost, samples[i].Cost)
+		cardQ += nn.QError(e.Card, samples[i].Card)
 	}
 	n := float64(len(samples))
 	return costQ / n, cardQ / n
@@ -259,23 +96,4 @@ type EpochStats struct {
 	ValidCost float64
 	ValidCard float64
 	Published uint64
-}
-
-// Fit trains for the given number of epochs, reporting per-epoch validation
-// q-errors through cb (which may be nil). It returns the stats history —
-// the data behind the paper's validation-error curves (Figures 7 and 8).
-func (t *Trainer) Fit(train, valid []*feature.EncodedPlan, epochs, batchSize int,
-	cb func(EpochStats)) []EpochStats {
-	t.FitNormalizers(train)
-	history := make([]EpochStats, 0, epochs)
-	for e := 0; e < epochs; e++ {
-		loss := t.TrainEpoch(train, batchSize)
-		vc, vd := t.M.ValidationError(valid)
-		st := EpochStats{Epoch: e, TrainLoss: loss, ValidCost: vc, ValidCard: vd}
-		history = append(history, st)
-		if cb != nil {
-			cb(st)
-		}
-	}
-	return history
 }

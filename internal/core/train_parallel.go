@@ -2,17 +2,20 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 
 	"costest/internal/feature"
+	"costest/internal/nn"
 	"costest/internal/tensor"
 )
 
-// ParallelTrainer is the data-parallel training runtime: it extends the
-// batched trainer by sharding every minibatch across a fixed number of
+// ParallelTrainer is the trainer: mini-batch Adam on the multitask q-error
+// loss of Section 4.3, with every minibatch sharded across a fixed number of
 // long-lived worker BatchSessions, each accumulating into a private gradient
-// ParamSet that shadows the live weights, with a deterministic ordered
-// reduction into the shared optimizer state before each SGD step.
+// ParamSet that shadows the live weights, and a deterministic ordered
+// reduction into the shared optimizer state before each SGD step. One shard
+// is plain batched training; there is no separate sequential driver.
 //
 // Determinism contract (tested):
 //
@@ -24,11 +27,10 @@ import (
 //     never perturb the result.
 //   - Gradients are reduced in ascending shard order through
 //     tensor.AddVecsInto's strict left-to-right accumulation, then clipped
-//     and stepped exactly like TrainEpochBatched. With shards=1 the runtime
-//     degenerates to TrainEpochBatched bit for bit; with more shards the
-//     per-parameter sums reassociate across shard boundaries, so weights
-//     match the sequential trainer to floating-point reassociation (≤1e-6
-//     relative, the same tolerance as the GEMM-vs-recursive backward).
+//     and stepped. With shards=1 the reduction is a bit-exact copy of the
+//     one shard's gradient; with more shards the per-parameter sums
+//     reassociate across shard boundaries, so weights match the one-shard
+//     result to floating-point reassociation (≤1e-6 relative).
 //
 // Each worker's shadow model aliases the live model's weight storage
 // (nn.ParamSet.AliasValues) — forwards read the real weights with no copying
@@ -39,9 +41,19 @@ import (
 //
 // Workers are goroutines with session-sized arenas, started lazily on the
 // first epoch; call Close when done training to release them. A
-// ParallelTrainer is driven from one goroutine at a time (like Trainer).
+// ParallelTrainer is driven from one goroutine at a time.
 type ParallelTrainer struct {
-	*Trainer
+	M   *Model
+	Opt *nn.Adam
+	rng *rand.Rand
+
+	costLoss nn.Loss
+	cardLoss nn.Loss
+
+	// batchBuf is the reusable minibatch gather slice and permBuf the
+	// reusable epoch shuffle.
+	batchBuf []*feature.EncodedPlan
+	permBuf  []int
 
 	// shards is the fixed data-parallel width (resolved once at
 	// construction; <= 0 meant GOMAXPROCS).
@@ -61,7 +73,7 @@ type ParallelTrainer struct {
 	gradSrcs  [][]tensor.Vec
 
 	// pub is the auto-publish hook (nil when disabled): pubSrv receives the
-	// snapshots, pubOpts selects gating/delta/per-minibatch cadence,
+	// snapshots, pubOpts selects gating and per-minibatch cadence,
 	// pubSteps counts optimizer steps since the last mid-epoch publish and
 	// pubBest tracks the best published validation error for the gate.
 	pubSrv   *Server
@@ -88,18 +100,16 @@ type EarlyStopOptions struct {
 }
 
 // AutoPublishOptions configures the publish hook of ParallelTrainer.Fit.
+// Every publication goes through Server.PublishDelta.
 type AutoPublishOptions struct {
 	// Gated publishes after an epoch only when its combined validation
 	// q-error (cost + card) improves on the best previously published
 	// epoch; ungated publishes after every epoch.
 	Gated bool
-	// Delta routes epoch publishes through Server.PublishDelta instead of
-	// the full-copy Publish.
-	Delta bool
 	// EveryBatches > 0 additionally publishes mid-epoch after every N
-	// optimizer steps — always through the delta path, which is what makes
-	// per-minibatch cadence affordable. Mid-epoch publishes are not gated
-	// (there is no validation signal between minibatches).
+	// optimizer steps — the delta path is what makes per-minibatch cadence
+	// affordable. Mid-epoch publishes are not gated (there is no validation
+	// signal between minibatches).
 	EveryBatches int
 }
 
@@ -129,7 +139,12 @@ type workerTask struct {
 // workers knob). The shard count — not the per-epoch worker cap — is what
 // determines the trained bits; see the type comment.
 func NewParallelTrainer(m *Model, shards int) *ParallelTrainer {
-	return &ParallelTrainer{Trainer: NewTrainer(m), shards: resolveWorkers(shards)}
+	return &ParallelTrainer{
+		M:      m,
+		Opt:    nn.NewAdam(m.Cfg.LearnRate),
+		rng:    rand.New(rand.NewSource(m.Cfg.Seed + 1000)),
+		shards: resolveWorkers(shards),
+	}
 }
 
 // Shards returns the fixed data-parallel width.
@@ -157,14 +172,11 @@ func (pt *ParallelTrainer) EarlyStop(opts EarlyStopOptions) {
 	pt.stop = opts
 }
 
-// Fit trains for the given number of epochs through the data-parallel
-// runtime, mirroring Trainer.Fit: normalizers are fitted on the training
-// set, each epoch runs shuffled minibatches (sharded across the trainer's
-// workers, concurrency capped by workers), and validation q-errors are
-// reported per epoch through cb (which may be nil). With shards = 1 the
-// epoch schedule degenerates to TrainEpochBatched, so per-epoch losses
-// match Trainer.Fit to floating-point reassociation; more shards
-// reassociate gradient sums across shard boundaries only.
+// Fit trains for the given number of epochs: normalizers are fitted on the
+// training set, each epoch runs shuffled minibatches (sharded across the
+// trainer's workers, concurrency capped by workers), and validation
+// q-errors are reported per epoch through cb (which may be nil). More than
+// one shard reassociates gradient sums across shard boundaries only.
 //
 // When AutoPublish has been configured, each epoch's stats drive the hook:
 // ungated, every epoch publishes; gated, only epochs improving the best
@@ -183,14 +195,8 @@ func (pt *ParallelTrainer) Fit(train, valid []*feature.EncodedPlan, epochs, batc
 		vc, vd := pt.M.ValidationError(valid)
 		st := EpochStats{Epoch: e, TrainLoss: loss, ValidCost: vc, ValidCard: vd}
 		if pt.pubSrv != nil && (!pt.pubOpts.Gated || vc+vd < pt.pubBest) {
-			var snap *ModelSnapshot
-			if pt.pubOpts.Delta {
-				snap = pt.pubSrv.PublishDelta(pt.M)
-			} else {
-				snap = pt.pubSrv.Publish(pt.M)
-			}
 			pt.pubBest = vc + vd
-			st.Published = snap.Version()
+			st.Published = pt.pubSrv.PublishDelta(pt.M).Version()
 		}
 		history = append(history, st)
 		if cb != nil {
@@ -205,9 +211,8 @@ func (pt *ParallelTrainer) Fit(train, valid []*feature.EncodedPlan, epochs, batc
 	return history
 }
 
-// Close shuts the worker goroutines down. The trainer remains usable — its
-// sequential TrainEpoch/TrainEpochBatched paths are untouched, and a later
-// TrainEpochParallel call restarts fresh workers.
+// Close shuts the worker goroutines down. The trainer remains usable: a
+// later TrainEpochParallel call restarts fresh workers.
 func (pt *ParallelTrainer) Close() {
 	for _, w := range pt.workers {
 		close(w.work)
@@ -310,14 +315,15 @@ func (pt *ParallelTrainer) Warmup(samples []*feature.EncodedPlan) {
 	}
 }
 
-// TrainEpochParallel runs one epoch like TrainEpochBatched, but shards each
-// shuffled minibatch across the trainer's worker sessions: every shard
-// forwards and backwards its chunk concurrently into private gradients,
-// the shards are reduced in fixed order into the live ParamSet, and one
-// clipped Adam step applies — data-parallel SGD with the sequential
-// trainer's semantics. workers caps concurrent shard execution (<= 0 means
-// GOMAXPROCS; capped at the shard count) and cannot affect the trained
-// bits. Returns the mean per-sample loss.
+// TrainEpochParallel runs one epoch over samples in shuffled minibatches,
+// sharding each across the trainer's worker sessions: every shard forwards
+// and backwards its chunk concurrently into private gradients (the
+// level-wise batched forward of Section 4.3 paired with the level-wise GEMM
+// backward of batch_backward.go), the shards are reduced in fixed order into
+// the live ParamSet, and one clipped Adam step applies — data-parallel SGD
+// with single-shard semantics. workers caps concurrent shard execution
+// (<= 0 means GOMAXPROCS; capped at the shard count) and cannot affect the
+// trained bits. Returns the mean per-sample loss.
 func (pt *ParallelTrainer) TrainEpochParallel(samples []*feature.EncodedPlan, batchSize, workers int) float64 {
 	if pt.costLoss == nil {
 		pt.rebuildLosses()
@@ -383,7 +389,7 @@ func (pt *ParallelTrainer) treeReduceGrads(active int) {
 
 // stepParallel processes one minibatch: fixed contiguous shard assignment,
 // concurrent shard accumulation, ordered gradient reduction, then the
-// clip + Adam step of the sequential trainer.
+// clip + Adam step.
 func (pt *ParallelTrainer) stepParallel(batch []*feature.EncodedPlan) float64 {
 	// Shard assignment depends only on (len(batch), shards): shard i takes
 	// rows [i*chunk, (i+1)*chunk). Worker-count invariance starts here.
@@ -401,11 +407,11 @@ func (pt *ParallelTrainer) stepParallel(batch []*feature.EncodedPlan) float64 {
 	pt.wg.Wait()
 
 	// Ordered reduction: shard 0's gradient is copied (bit-exact — with one
-	// shard this path IS TrainEpochBatched), the rest accumulate in
-	// ascending shard order via the deterministic reduction kernel. At high
-	// shard counts the flat left-to-right sweep is replaced by a fixed-pair
-	// tree (see treeReduceGrads): still a pure function of the active shard
-	// count — never of scheduling — just a different fixed association.
+	// shard nothing is reassociated), the rest accumulate in ascending shard
+	// order via the deterministic reduction kernel. At high shard counts the
+	// flat left-to-right sweep is replaced by a fixed-pair tree (see
+	// treeReduceGrads): still a pure function of the active shard count —
+	// never of scheduling — just a different fixed association.
 	var loss float64
 	for i := 0; i < active; i++ {
 		loss += pt.workers[i].loss

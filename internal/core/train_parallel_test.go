@@ -29,11 +29,10 @@ func compareWeights(t *testing.T, label string, a, b *Model, tol float64) {
 	}
 }
 
-// TestTrainEpochParallelMatchesSequential is the gradient-parity gate: for
-// every architecture variant, weights trained by the data-parallel runtime
-// (3 shards) must match the sequential TrainEpochBatched result to 1e-6
-// relative after two epochs — the shard split only reassociates the
-// per-parameter gradient sums.
+// TestTrainEpochParallelMatchesSequential is the shard-parity gate: for
+// every architecture variant, weights trained with 3 shards must match the
+// one-shard (sequential) result to 1e-6 relative after two epochs — the
+// shard split only reassociates the per-parameter gradient sums.
 func TestTrainEpochParallelMatchesSequential(t *testing.T) {
 	eps := benchCorpus(t, 24)
 	for _, variant := range sessionVariants {
@@ -41,46 +40,23 @@ func TestTrainEpochParallelMatchesSequential(t *testing.T) {
 		variant.mod(&cfg)
 		mSeq := New(cfg, testEnc)
 		mPar := New(cfg, testEnc) // identical seed → identical weights
-		seq := NewTrainer(mSeq)
+		seq := NewParallelTrainer(mSeq, 1)
 		par := NewParallelTrainer(mPar, 3)
 		seq.FitNormalizers(eps)
 		par.FitNormalizers(eps)
 
 		for e := 0; e < 2; e++ {
-			lossSeq := seq.TrainEpochBatched(eps, 8, 1)
+			lossSeq := seq.TrainEpochParallel(eps, 8, 1)
 			lossPar := par.TrainEpochParallel(eps, 8, 2)
 			if math.Abs(lossSeq-lossPar) > 1e-6*math.Max(1, math.Abs(lossSeq)) {
-				t.Errorf("%s epoch %d: loss %g (sequential) vs %g (parallel)",
+				t.Errorf("%s epoch %d: loss %g (1 shard) vs %g (3 shards)",
 					variant.name, e, lossSeq, lossPar)
 			}
 		}
 		compareWeights(t, variant.name, mSeq, mPar, 1e-6)
+		seq.Close()
 		par.Close()
 	}
-}
-
-// TestTrainEpochParallelSingleShardBitIdentical pins the degenerate case:
-// with one shard the parallel runtime routes the whole minibatch through one
-// worker session and copies its gradient — it must reproduce
-// TrainEpochBatched bit for bit, losses included.
-func TestTrainEpochParallelSingleShardBitIdentical(t *testing.T) {
-	eps := benchCorpus(t, 20)
-	cfg := TestConfig()
-	mSeq := New(cfg, testEnc)
-	mPar := New(cfg, testEnc)
-	seq := NewTrainer(mSeq)
-	par := NewParallelTrainer(mPar, 1)
-	defer par.Close()
-	seq.FitNormalizers(eps)
-	par.FitNormalizers(eps)
-	for e := 0; e < 3; e++ {
-		lossSeq := seq.TrainEpochBatched(eps, 8, 1)
-		lossPar := par.TrainEpochParallel(eps, 8, 1)
-		if lossSeq != lossPar {
-			t.Fatalf("epoch %d: loss %g (sequential) vs %g (1-shard parallel), want bit-identical", e, lossSeq, lossPar)
-		}
-	}
-	compareWeights(t, "shards=1", mSeq, mPar, 0)
 }
 
 // TestTrainEpochParallelWorkerCountInvariant pins the determinism contract:
@@ -109,8 +85,8 @@ func TestTrainEpochParallelWorkerCountInvariant(t *testing.T) {
 // (>= treeReduceMinShards active shards) that the 3-4 shard tests above
 // never reach. Two contracts: worker-count invariance holds bit-exactly on
 // the tree path (its pairing is a pure function of the active shard count,
-// never of scheduling), and the tree result agrees with the sequential
-// trainer to the established cross-shard reassociation tolerance.
+// never of scheduling), and the tree result agrees with one-shard training
+// to the established cross-shard reassociation tolerance.
 func TestTreeReductionDeterministic(t *testing.T) {
 	eps := benchCorpus(t, 24)
 	cfg := TestConfig()
@@ -132,12 +108,13 @@ func TestTreeReductionDeterministic(t *testing.T) {
 	compareWeights(t, "tree workers 1 vs 12", models[0], models[2], 0)
 
 	mSeq := New(cfg, testEnc)
-	seq := NewTrainer(mSeq)
+	seq := NewParallelTrainer(mSeq, 1)
+	defer seq.Close()
 	seq.FitNormalizers(eps)
 	for e := 0; e < 2; e++ {
-		seq.TrainEpochBatched(eps, len(eps), 1)
+		seq.TrainEpochParallel(eps, len(eps), 1)
 	}
-	compareWeights(t, "tree vs sequential", mSeq, models[0], 1e-6)
+	compareWeights(t, "tree vs 1 shard", mSeq, models[0], 1e-6)
 }
 
 // TestTrainEpochParallelReducesLoss trains end to end through the parallel
@@ -243,12 +220,11 @@ func TestParallelTrainingConcurrentServingAndPublish(t *testing.T) {
 	}
 }
 
-// BenchmarkTrainEpochParallel measures the data-parallel trainer on the
-// BenchmarkTrainEpochBatched workload (64 samples, batch 16). shards1 is the
-// degenerate single-worker configuration (TrainEpochBatched plus one
-// gradient copy); shards2 adds the second worker and the ordered two-way
-// reduction — on a multi-core box the shard forwards/backwards overlap, on
-// this 1-core container the delta is the pure reduction overhead.
+// BenchmarkTrainEpochParallel measures one training epoch (64 samples, batch
+// 16). shards1 is plain batched training (one worker, one gradient copy);
+// shards2 adds the second worker and the ordered two-way reduction — with
+// idle cores the shard forwards/backwards overlap, without them the delta is
+// the pure reduction overhead.
 func BenchmarkTrainEpochParallel(b *testing.B) {
 	eps := benchCorpus(b, 64)
 	for _, shards := range []int{1, 2} {
@@ -268,24 +244,24 @@ func BenchmarkTrainEpochParallel(b *testing.B) {
 	}
 }
 
-// TestFitParallelMatchesSequentialFit pins the Fit acceptance gate: with
-// shards = 1 the parallel epoch loop consumes the same shuffle stream as
-// Trainer.Fit and routes whole minibatches through one worker, so per-epoch
-// training losses and validation q-errors must match the sequential Fit to
-// 1e-6 relative (the batched forward/backward reassociates per-parameter
-// sums, nothing else).
+// TestFitParallelMatchesSequentialFit pins the Fit acceptance gate: every
+// shard count consumes the same shuffle stream, so per-epoch training losses
+// and validation q-errors of a 2-shard Fit must match the one-shard
+// (sequential) Fit to 1e-6 relative — the shard split reassociates
+// per-parameter gradient sums, nothing else.
 func TestFitParallelMatchesSequentialFit(t *testing.T) {
 	eps := benchCorpus(t, 30)
 	train, valid := eps[:24], eps[24:]
 	cfg := TestConfig()
 	mSeq := New(cfg, testEnc)
 	mPar := New(cfg, testEnc)
-	seq := NewTrainer(mSeq)
-	par := NewParallelTrainer(mPar, 1)
+	seq := NewParallelTrainer(mSeq, 1)
+	defer seq.Close()
+	par := NewParallelTrainer(mPar, 2)
 	defer par.Close()
 
-	hSeq := seq.Fit(train, valid, 4, 8, nil)
-	hPar := par.Fit(train, valid, 4, 8, 1, nil)
+	hSeq := seq.Fit(train, valid, 4, 8, 1, nil)
+	hPar := par.Fit(train, valid, 4, 8, 2, nil)
 	if len(hSeq) != len(hPar) {
 		t.Fatalf("history lengths differ: %d vs %d", len(hSeq), len(hPar))
 	}
@@ -295,13 +271,13 @@ func TestFitParallelMatchesSequentialFit(t *testing.T) {
 	for e := range hSeq {
 		s, p := hSeq[e], hPar[e]
 		if !close1(s.TrainLoss, p.TrainLoss) {
-			t.Errorf("epoch %d: train loss %g (sequential Fit) vs %g (parallel Fit)", e, s.TrainLoss, p.TrainLoss)
+			t.Errorf("epoch %d: train loss %g (1 shard) vs %g (2 shards)", e, s.TrainLoss, p.TrainLoss)
 		}
 		if !close1(s.ValidCost, p.ValidCost) || !close1(s.ValidCard, p.ValidCard) {
 			t.Errorf("epoch %d: validation (%g,%g) vs (%g,%g)", e, s.ValidCost, s.ValidCard, p.ValidCost, p.ValidCard)
 		}
 	}
-	compareWeights(t, "Fit shards=1", mSeq, mPar, 1e-6)
+	compareWeights(t, "Fit 1 vs 2 shards", mSeq, mPar, 1e-6)
 }
 
 // TestFitAutoPublishGated drives the validation-gated publish hook: only
@@ -316,7 +292,7 @@ func TestFitAutoPublishGated(t *testing.T) {
 	pt := NewParallelTrainer(m, 2)
 	defer pt.Close()
 	srv := NewServer(m, NewBoundedMemoryPool(512))
-	pt.AutoPublish(srv, AutoPublishOptions{Gated: true, Delta: true})
+	pt.AutoPublish(srv, AutoPublishOptions{Gated: true})
 
 	hist := pt.Fit(train, valid, 6, 8, 2, nil)
 
@@ -362,7 +338,7 @@ func TestFitPerMinibatchDeltaPublish(t *testing.T) {
 	pt := NewParallelTrainer(m, 2)
 	defer pt.Close()
 	srv := NewServer(m, NewBoundedMemoryPool(512))
-	pt.AutoPublish(srv, AutoPublishOptions{Delta: true, EveryBatches: 1})
+	pt.AutoPublish(srv, AutoPublishOptions{EveryBatches: 1})
 
 	const epochs = 3
 	batch := 8
@@ -381,7 +357,7 @@ func TestFitPerMinibatchDeltaPublish(t *testing.T) {
 	// The final served snapshot carries the final weights.
 	snap := srv.Snapshot()
 	compareWeights(t, "served vs live", snap.Model(), m, 0)
-	ref := NewSession(snap.Model())
+	ref := NewBatchSession(snap.Model())
 	for i, ep := range eps {
 		c, d, v := srv.Estimate(ep)
 		rc, rd := ref.Estimate(ep)
@@ -406,7 +382,7 @@ func TestFitPerMinibatchServingRace(t *testing.T) {
 	defer pt.Close()
 	srv := NewServer(m, NewBoundedMemoryPool(256))
 	srv.EnablePrewarm(4)
-	pt.AutoPublish(srv, AutoPublishOptions{Delta: true, EveryBatches: 1})
+	pt.AutoPublish(srv, AutoPublishOptions{EveryBatches: 1})
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -455,7 +431,7 @@ func BenchmarkFitParallel(b *testing.B) {
 		defer pt.Close()
 		if publish {
 			srv := NewServer(m, NewBoundedMemoryPool(1024))
-			pt.AutoPublish(srv, AutoPublishOptions{Delta: true, EveryBatches: 1})
+			pt.AutoPublish(srv, AutoPublishOptions{EveryBatches: 1})
 		}
 		pt.FitNormalizers(train)
 		pt.Warmup(train)

@@ -47,23 +47,12 @@ type Config struct {
 
 	Workers int
 
-	// Trainer selects the model-training runtime: "parallel" drives every
-	// core-model fit through ParallelTrainer.Fit (the data-parallel epoch
-	// loop), "sequential" through the per-sample Trainer.Fit. The parallel
-	// path with Shards > 1 reassociates gradient sums across shard
-	// boundaries, so q-errors match the sequential path to floating-point
+	// Shards is the data-parallel width of the trainer (<= 0 resolves to
+	// GOMAXPROCS). More than one shard reassociates gradient sums across
+	// shard boundaries, so q-errors match a one-shard run to floating-point
 	// reassociation, not bit for bit.
-	Trainer string
-	// Shards is the data-parallel width of the parallel trainer (<= 0
-	// resolves to GOMAXPROCS).
 	Shards int
 }
-
-// Trainer runtime selectors for Config.Trainer.
-const (
-	TrainerSequential = "sequential"
-	TrainerParallel   = "parallel"
-)
 
 // Small returns a configuration that runs the full suite in roughly a
 // minute of CPU — the default for `go test -bench`.
@@ -88,7 +77,6 @@ func Small() Config {
 		StrDim:        16,
 		MSCNWidth:     32,
 		Workers:       0,
-		Trainer:       TrainerParallel,
 		Shards:        0,
 	}
 }
@@ -116,7 +104,6 @@ func Full() Config {
 		StrDim:        32,
 		MSCNWidth:     64,
 		Workers:       0,
-		Trainer:       TrainerParallel,
 		Shards:        0,
 	}
 }
@@ -153,18 +140,12 @@ func NewEnv(cfg Config) *Env {
 	}
 }
 
-// fitModel trains model on tr with per-epoch validation on va through the
-// runtime Config.Trainer selects — the single entry point every suite's
-// model fits go through, so the whole pipeline switches trainers together.
-// An empty selector defaults to the sequential runtime (zero-valued Configs
-// keep their historical behavior).
+// fitModel trains model on tr with per-epoch validation on va — the single
+// entry point every suite's model fits go through.
 func (e *Env) fitModel(model *core.Model, tr, va []*feature.EncodedPlan) []core.EpochStats {
-	if e.Cfg.Trainer == TrainerParallel {
-		pt := core.NewParallelTrainer(model, e.Cfg.Shards)
-		defer pt.Close()
-		return pt.Fit(tr, va, e.Cfg.Epochs, e.Cfg.BatchSize, e.Cfg.Workers, nil)
-	}
-	return core.NewTrainer(model).Fit(tr, va, e.Cfg.Epochs, e.Cfg.BatchSize, nil)
+	pt := core.NewParallelTrainer(model, e.Cfg.Shards)
+	defer pt.Close()
+	return pt.Fit(tr, va, e.Cfg.Epochs, e.Cfg.BatchSize, e.Cfg.Workers, nil)
 }
 
 // coreConfig builds a model config at the environment's sizes.

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -266,14 +267,14 @@ func TestParamSetSaveLoad(t *testing.T) {
 	NewLinear(ps, "a", 3, 2, rng)
 	NewLinear(ps, "b", 2, 2, rng)
 	var buf bytes.Buffer
-	if err := ps.Save(&buf); err != nil {
+	if err := ps.EncodeGob(gob.NewEncoder(&buf)); err != nil {
 		t.Fatal(err)
 	}
 
 	ps2 := NewParamSet()
 	NewLinear(ps2, "a", 3, 2, rng)
 	NewLinear(ps2, "b", 2, 2, rng)
-	if err := ps2.Load(&buf); err != nil {
+	if err := ps2.DecodeGob(gob.NewDecoder(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range ps.Params() {
@@ -291,12 +292,12 @@ func TestParamSetLoadShapeMismatch(t *testing.T) {
 	ps := NewParamSet()
 	NewLinear(ps, "a", 3, 2, rng)
 	var buf bytes.Buffer
-	if err := ps.Save(&buf); err != nil {
+	if err := ps.EncodeGob(gob.NewEncoder(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	ps2 := NewParamSet()
 	NewLinear(ps2, "a", 4, 2, rng)
-	if err := ps2.Load(&buf); err == nil {
+	if err := ps2.DecodeGob(gob.NewDecoder(&buf)); err == nil {
 		t.Fatal("expected shape mismatch error")
 	}
 }
@@ -375,7 +376,7 @@ func TestActivations(t *testing.T) {
 	}
 }
 
-// TestParamSetLoadValidation pins the Load hardening: count mismatches,
+// TestParamSetLoadValidation pins the DecodeGob hardening: count mismatches,
 // unknown names, duplicates and corrupt value lengths must all fail with an
 // error before any value is written — a failed load never leaves the
 // receiving set partially overwritten.
@@ -389,7 +390,7 @@ func TestParamSetLoadValidation(t *testing.T) {
 	}
 	src := build()
 	var full bytes.Buffer
-	if err := src.Save(&full); err != nil {
+	if err := src.EncodeGob(gob.NewEncoder(&full)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -398,7 +399,7 @@ func TestParamSetLoadValidation(t *testing.T) {
 	smaller := NewParamSet()
 	NewLinear(smaller, "a", 3, 2, rng)
 	var partial bytes.Buffer
-	if err := smaller.Save(&partial); err != nil {
+	if err := smaller.EncodeGob(gob.NewEncoder(&partial)); err != nil {
 		t.Fatal(err)
 	}
 	dst := build()
@@ -406,7 +407,7 @@ func TestParamSetLoadValidation(t *testing.T) {
 	for i, p := range dst.Params() {
 		before[i] = append([]float64(nil), p.Value...)
 	}
-	if err := dst.Load(&partial); err == nil {
+	if err := dst.DecodeGob(gob.NewDecoder(&partial)); err == nil {
 		t.Fatal("expected count-mismatch error loading a partial snapshot")
 	}
 	// ...and the superset direction.
@@ -414,10 +415,10 @@ func TestParamSetLoadValidation(t *testing.T) {
 	NewLinear(bigger, "c", 2, 1, rng)
 	dst2 := build()
 	var super bytes.Buffer
-	if err := bigger.Save(&super); err != nil {
+	if err := bigger.EncodeGob(gob.NewEncoder(&super)); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst2.Load(&super); err == nil {
+	if err := dst2.DecodeGob(gob.NewDecoder(&super)); err == nil {
 		t.Fatal("expected count-mismatch error loading a superset snapshot")
 	}
 
@@ -456,7 +457,7 @@ func TestParamSetLoadValidation(t *testing.T) {
 
 // TestDirtyStamps pins the delta-publication substrate: parameters are
 // stamped at registration and re-stamped by every tracked mutation (Adam
-// step, Load, InitXavier, MarkAllUpdated), while parameters an optimizer
+// step, DecodeGob, InitXavier, MarkAllUpdated), while parameters an optimizer
 // step provably does not move keep their stamp.
 func TestDirtyStamps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -504,17 +505,17 @@ func TestDirtyStamps(t *testing.T) {
 		t.Fatal("live parameter did not move on zero-gradient step (moment decay)")
 	}
 
-	// Load and InitXavier stamp everything they touch.
+	// DecodeGob and InitXavier stamp everything they touch.
 	var buf bytes.Buffer
-	if err := ps.Save(&buf); err != nil {
+	if err := ps.EncodeGob(gob.NewEncoder(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	st = lb.W.Stamp()
-	if err := ps.Load(&buf); err != nil {
+	if err := ps.DecodeGob(gob.NewDecoder(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	if lb.W.Stamp() <= st {
-		t.Fatal("Load did not stamp parameters")
+		t.Fatal("DecodeGob did not stamp parameters")
 	}
 	st = lb.W.Stamp()
 	ps.InitXavier(rng)

@@ -9,7 +9,6 @@ package nn
 import (
 	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
@@ -26,7 +25,7 @@ type Param struct {
 	m, v       []float64 // Adam first/second moment estimates
 
 	// stamp is the owning ParamSet's clock value at the last mutation of
-	// Value through a tracked path (registration, Adam step, Load,
+	// Value through a tracked path (registration, Adam step, DecodeGob,
 	// InitXavier, MarkAllUpdated) — the substrate of delta publication:
 	// a consumer that recorded a param's stamp can tell whether the values
 	// moved since. Code that writes Value directly (tests, ad-hoc surgery)
@@ -66,10 +65,10 @@ type ParamSet struct {
 	byName map[string]*Param
 
 	// clock is a logical mutation counter: every tracked write to parameter
-	// values (registration, an Adam step, Load, InitXavier, MarkAllUpdated)
-	// advances it once and stamps the touched parameters with the new value.
-	// Delta publication compares stamps against a recorded clock to copy
-	// only the parameters that moved.
+	// values (registration, an Adam step, DecodeGob, InitXavier,
+	// MarkAllUpdated) advances it once and stamps the touched parameters
+	// with the new value. Delta publication compares stamps against a
+	// recorded clock to copy only the parameters that moved.
 	clock uint64
 }
 
@@ -83,8 +82,8 @@ func (ps *ParamSet) tick() uint64 {
 }
 
 // MarkAllUpdated stamps every parameter as mutated at a fresh clock value.
-// Call it after writing parameter values directly (bypassing Adam, Load and
-// InitXavier) so delta consumers see the change.
+// Call it after writing parameter values directly (bypassing Adam, DecodeGob
+// and InitXavier) so delta consumers see the change.
 func (ps *ParamSet) MarkAllUpdated() {
 	t := ps.tick()
 	for _, p := range ps.params {
@@ -230,14 +229,9 @@ type paramBlob struct {
 	Value      []float64
 }
 
-// Save serializes all parameter values (not optimizer state) to w.
-func (ps *ParamSet) Save(w io.Writer) error {
-	return ps.EncodeGob(gob.NewEncoder(w))
-}
-
-// EncodeGob writes the parameter payload through an existing gob encoder, so
-// callers can embed it in a larger single-stream format (core.Model.Save's
-// versioned checkpoint does).
+// EncodeGob writes all parameter values (not optimizer state) through an
+// existing gob encoder, so callers can embed the payload in a larger
+// single-stream format (core.Model.Save's versioned checkpoint does).
 func (ps *ParamSet) EncodeGob(enc *gob.Encoder) error {
 	blobs := make([]paramBlob, len(ps.params))
 	for i, p := range ps.params {
@@ -246,23 +240,18 @@ func (ps *ParamSet) EncodeGob(enc *gob.Encoder) error {
 	return enc.Encode(blobs)
 }
 
-// DecodeGob is Load reading through an existing gob decoder, with the same
-// validation guarantees.
+// DecodeGob restores parameter values previously written by EncodeGob. The
+// snapshot must cover the receiving set exactly: every registered parameter
+// present once, no unknown or duplicate names, shapes and value lengths
+// matching. On any mismatch DecodeGob returns a descriptive error before
+// writing a single value, so a failed load never leaves the set partially
+// overwritten.
 func (ps *ParamSet) DecodeGob(dec *gob.Decoder) error {
 	var blobs []paramBlob
 	if err := dec.Decode(&blobs); err != nil {
 		return fmt.Errorf("nn: decode params: %w", err)
 	}
 	return ps.loadBlobs(blobs)
-}
-
-// Load restores parameter values previously written by Save. The snapshot
-// must cover the receiving set exactly: every registered parameter present
-// once, no unknown or duplicate names, shapes and value lengths matching.
-// On any mismatch Load returns a descriptive error before writing a single
-// value, so a failed load never leaves the set partially overwritten.
-func (ps *ParamSet) Load(r io.Reader) error {
-	return ps.DecodeGob(gob.NewDecoder(r))
 }
 
 // loadBlobs validates blobs against the registered parameters and then

@@ -112,7 +112,7 @@ func TestReplicationConformance(t *testing.T) {
 	// disconnect of everything in the middle.
 	const rounds = 24
 	for round := 0; round < rounds; round++ {
-		tr.TrainEpoch(primEps, 8)
+		tr.TrainEpochParallel(primEps, 8, 1)
 		tr.PublishDelta(srv)
 		time.Sleep(2 * time.Millisecond)
 		switch round {

@@ -194,7 +194,7 @@ func TestFailoverConformance(t *testing.T) {
 	// every connection die with it) exactly as a crashed process would look
 	// from the outside.
 	for round := 0; round < 12; round++ {
-		trA.TrainEpoch(primEps, 8)
+		trA.TrainEpochParallel(primEps, 8, 1)
 		trA.PublishDelta(srvA)
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -749,7 +749,7 @@ func TestHeartbeatKeepsIdleConnectionAlive(t *testing.T) {
 		t.Fatalf("publisher sent no heartbeats: %+v", ps)
 	}
 
-	tr.TrainEpoch(primEps, 8)
+	tr.TrainEpochParallel(primEps, 8, 1)
 	tr.PublishDelta(srv)
 	waitFor(t, 10*time.Second, "post-idle publication", func() bool { return f.Generation() == srv.Version() })
 }
@@ -861,7 +861,7 @@ func TestStatsUnderChurn(t *testing.T) {
 	}()
 
 	for round := 0; round < 30; round++ {
-		tr.TrainEpoch(primEps, 8)
+		tr.TrainEpochParallel(primEps, 8, 1)
 		tr.PublishDelta(srv)
 		if round%7 == 3 {
 			pub.DisconnectAll()

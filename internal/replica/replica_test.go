@@ -58,20 +58,21 @@ func encodePlans(t testing.TB, samples []*workload.Labeled) []*feature.EncodedPl
 }
 
 // trainedModel builds and briefly trains a model on eps.
-func trainedModel(t testing.TB, eps []*feature.EncodedPlan, epochs int) (*core.Model, *core.Trainer) {
+func trainedModel(t testing.TB, eps []*feature.EncodedPlan, epochs int) (*core.Model, *core.ParallelTrainer) {
 	t.Helper()
 	m := core.New(core.TestConfig(), testEnc)
-	tr := core.NewTrainer(m)
+	tr := core.NewParallelTrainer(m, 1)
+	t.Cleanup(tr.Close)
 	tr.FitNormalizers(eps)
 	for i := 0; i < epochs; i++ {
-		tr.TrainEpoch(eps, 8)
+		tr.TrainEpochParallel(eps, 8, 1)
 	}
 	return m, tr
 }
 
 // startPrimary boots a serving primary with a replication listener on a
 // loopback port and returns its server, publisher and listen address.
-func startPrimary(t testing.TB, m *core.Model, tr *core.Trainer) (*core.Server, *Publisher, string) {
+func startPrimary(t testing.TB, m *core.Model, tr *core.ParallelTrainer) (*core.Server, *Publisher, string) {
 	t.Helper()
 	srv := core.NewServer(m, core.NewMemoryPool())
 	tr.Publish(srv)
@@ -199,7 +200,7 @@ func TestFollowerBootstrapAndDelta(t *testing.T) {
 
 	// Three delta publications from real training steps.
 	for i := 0; i < 3; i++ {
-		tr.TrainEpoch(primEps, 8)
+		tr.TrainEpochParallel(primEps, 8, 1)
 		tr.PublishDelta(srv)
 	}
 	waitFor(t, 5*time.Second, "delta catch-up", func() bool { return f.Generation() == srv.Version() })
@@ -247,7 +248,7 @@ func TestFollowerReconnectCatchUp(t *testing.T) {
 
 	pub.DisconnectAll()
 	for i := 0; i < 2; i++ {
-		tr.TrainEpoch(primEps, 8)
+		tr.TrainEpochParallel(primEps, 8, 1)
 		tr.PublishDelta(srv)
 	}
 	waitFor(t, 10*time.Second, "reconnect catch-up", func() bool { return f.Generation() == srv.Version() })

@@ -54,12 +54,13 @@ func testCorpus(tb testing.TB, seed int64, n int) ([]*plan.Node, []*feature.Enco
 
 // testServer builds a trained server plus its trainer (for publish-churn
 // tests) over a generation-tagged bounded pool.
-func testServer(tb testing.TB, eps []*feature.EncodedPlan) (*core.Server, *core.Trainer) {
+func testServer(tb testing.TB, eps []*feature.EncodedPlan) (*core.Server, *core.ParallelTrainer) {
 	tb.Helper()
 	m := core.New(core.TestConfig(), testEnc)
-	tr := core.NewTrainer(m)
+	tr := core.NewParallelTrainer(m, 1)
+	tb.Cleanup(tr.Close)
 	tr.FitNormalizers(eps)
-	tr.TrainEpochBatched(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8, 1)
 	srv := core.NewServer(m, core.NewBoundedMemoryPool(2048))
 	return srv, tr
 }
@@ -369,7 +370,7 @@ func TestDrainContractUnderLoad(t *testing.T) {
 				return
 			default:
 			}
-			tr.TrainEpochBatched(eps, 8, 1)
+			tr.TrainEpochParallel(eps, 8, 1)
 			snap := tr.PublishDelta(srv)
 			snap.Pin()
 			versions.Store(snap.Version(), snap)

@@ -110,42 +110,6 @@ func MatVec(dst Vec, m *Mat, x Vec) {
 	}
 }
 
-// MatVec4 computes dK = mK * x for four equally shaped matrices in one
-// interleaved pass: each element of x is loaded once per output row quad and
-// feeds four independent accumulator chains, each in dotKernel's canonical
-// sequential order so gate pre-activations match the batch path's GEMM
-// (gateRun) bit for bit. This is the LSTM-style cell's gate kernel — the
-// four gate weight matrices share the input [R_{t-1}, x].
-//
-// costlint:noalloc
-func MatVec4(d0, d1, d2, d3 Vec, m0, m1, m2, m3 *Mat, x Vec) {
-	rows, cols := m0.Rows, m0.Cols
-	if m1.Rows != rows || m2.Rows != rows || m3.Rows != rows ||
-		m1.Cols != cols || m2.Cols != cols || m3.Cols != cols {
-		panic("tensor: MatVec4 matrix shape mismatch")
-	}
-	if len(d0) != rows || len(d1) != rows || len(d2) != rows || len(d3) != rows || len(x) != cols {
-		panic("tensor: MatVec4 vector shape mismatch")
-	}
-	for i := 0; i < rows; i++ {
-		r0 := m0.Data[i*cols : i*cols+cols]
-		r1 := m1.Data[i*cols : i*cols+cols]
-		r2 := m2.Data[i*cols : i*cols+cols]
-		r3 := m3.Data[i*cols : i*cols+cols]
-		var s0, s1, s2, s3 float64
-		for j, xv := range x {
-			s0 += r0[j] * xv
-			s1 += r1[j] * xv
-			s2 += r2[j] * xv
-			s3 += r3[j] * xv
-		}
-		d0[i] = s0
-		d1[i] = s1
-		d2[i] = s2
-		d3[i] = s3
-	}
-}
-
 // MatVecAdd computes dst = m*x + b.
 func MatVecAdd(dst Vec, m *Mat, x, b Vec) {
 	MatVec(dst, m, x)
@@ -286,15 +250,15 @@ func Dot(a, b Vec) float64 {
 // strictly ascending index order.
 //
 // Sequential order is the bit-level contract every forward-path kernel obeys
-// for each output element: MatVec's row quads, MatVec4's interleaved gates
-// and MatMulTransBInto's 2×2 register block all keep one sequential
+// for each output element: MatVec's row quads and MatMulTransBInto's 2×2
+// register block both keep one sequential
 // accumulator chain per output (their instruction-level parallelism comes
 // from computing four outputs at once, not from splitting one sum), and
 // their remainder rows/columns call dotKernel directly. An output element
 // therefore depends only on its two operand vectors — never on which kernel
 // computed it, its position inside a level, or how a batch was composed.
 // That determinism is what lets the representation memory pool share
-// entries between the single-plan and batched paths, and what lets the
+// entries between batches of any size and composition, and what lets the
 // hot-swap serving tests replay any served estimate single-threaded and
 // compare bit for bit. Do not "optimize" this into multiple accumulator
 // chains without restructuring every blocked kernel to match.
@@ -348,20 +312,6 @@ func Norm2(v Vec) float64 {
 		s += x * x
 	}
 	return math.Sqrt(s)
-}
-
-// Concat writes the concatenation of parts into dst and returns the number of
-// elements written. dst must be at least as long as the sum of part lengths.
-func Concat(dst Vec, parts ...Vec) int {
-	off := 0
-	for _, p := range parts {
-		n := copy(dst[off:], p)
-		if n != len(p) {
-			panic("tensor: Concat destination too short")
-		}
-		off += n
-	}
-	return off
 }
 
 // Mean computes dst = (a+b)/2 elementwise.

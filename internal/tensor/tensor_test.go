@@ -87,19 +87,6 @@ func TestAddOuter(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	dst := NewVec(5)
-	n := Concat(dst, Vec{1, 2}, Vec{3}, Vec{4, 5})
-	if n != 5 {
-		t.Fatalf("Concat wrote %d elements, want 5", n)
-	}
-	for i, want := range []float64{1, 2, 3, 4, 5} {
-		if dst[i] != want {
-			t.Fatalf("Concat = %v", dst)
-		}
-	}
-}
-
 func TestMinMaxMean(t *testing.T) {
 	a, b := Vec{1, 5, -2}, Vec{3, 2, -2}
 	dst := NewVec(3)
@@ -325,46 +312,6 @@ func BenchmarkMatMulInto(b *testing.B) {
 	}
 }
 
-func TestMatVec4MatchesMatVec(t *testing.T) {
-	rng := benchRng()
-	for _, shape := range []struct{ r, c int }{{1, 1}, {3, 5}, {16, 48}, {7, 33}} {
-		ms := make([]*Mat, 4)
-		ds := make([]Vec, 4)
-		want := make([]Vec, 4)
-		for k := range ms {
-			ms[k] = randMat(rng, shape.r, shape.c)
-			ds[k] = NewVec(shape.r)
-			want[k] = NewVec(shape.r)
-		}
-		x := randVec(rng, shape.c)
-		MatVec4(ds[0], ds[1], ds[2], ds[3], ms[0], ms[1], ms[2], ms[3], x)
-		for k := range ms {
-			MatVec(want[k], ms[k], x)
-			for i := range want[k] {
-				if math.Abs(ds[k][i]-want[k][i]) > 1e-12 {
-					t.Fatalf("shape %dx%d gate %d row %d: %g != %g",
-						shape.r, shape.c, k, i, ds[k][i], want[k][i])
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkMatVec4(b *testing.B) {
-	rng := benchRng()
-	ms := make([]*Mat, 4)
-	ds := make([]Vec, 4)
-	for k := range ms {
-		ms[k] = randMat(rng, 16, 48)
-		ds[k] = NewVec(16)
-	}
-	x := randVec(rng, 48)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatVec4(ds[0], ds[1], ds[2], ds[3], ms[0], ms[1], ms[2], ms[3], x)
-	}
-}
-
 // naiveAccum computes want += a(opA) * b(opB) elementwise for the accumulate
 // GEMM tests.
 func naiveAddMatMul(dst, a, b *Mat, transA bool) {
@@ -480,9 +427,9 @@ func BenchmarkMatMulTransAInto(b *testing.B) {
 }
 
 // TestCanonicalDotOrder pins the bit-level contract the serving runtime
-// depends on: every forward kernel that emits a dot product — Dot, MatVec,
-// MatVec4 and MatMulTransBInto (both its 2×2-blocked interior and its
-// remainder rows/columns) — must produce bit-identical results for the same
+// depends on: every forward kernel that emits a dot product — Dot, MatVec
+// and MatMulTransBInto (both its 2×2-blocked interior and its remainder
+// rows/columns) — must produce bit-identical results for the same
 // operand vectors, across odd and even shapes. Representations stored in the
 // memory pool by one path and consumed by another, and the hot-swap test's
 // single-threaded replays, all assume this equality is exact, not
@@ -510,19 +457,6 @@ func TestCanonicalDotOrder(t *testing.T) {
 				if mv[i] != want {
 					t.Fatalf("%dx%dx%d: MatVec[%d] = %v, Dot = %v",
 						shape.m, shape.k, shape.n, i, mv[i], want)
-				}
-			}
-		}
-
-		d := [4]Vec{NewVec(shape.m), NewVec(shape.m), NewVec(shape.m), NewVec(shape.m)}
-		ms := [4]*Mat{a, randMat(rng, shape.m, shape.k), randMat(rng, shape.m, shape.k), randMat(rng, shape.m, shape.k)}
-		x := randVec(rng, shape.k)
-		MatVec4(d[0], d[1], d[2], d[3], ms[0], ms[1], ms[2], ms[3], x)
-		for g := range ms {
-			for i := 0; i < shape.m; i++ {
-				if want := Dot(ms[g].Row(i), x); d[g][i] != want {
-					t.Fatalf("%dx%d: MatVec4 gate %d row %d = %v, Dot = %v",
-						shape.m, shape.k, g, i, d[g][i], want)
 				}
 			}
 		}
