@@ -51,14 +51,16 @@ test-fault:
 	$(GO) test -race -count=1 ./internal/replica/ -run 'Failover|Heartbeat|TokenAuth|Eviction|BackoffDelay'
 
 # Short coverage-guided fuzzing over every network- and disk-facing parser:
-# the replication frame reader and delta payload applier, the /estimate wire
-# plan decoder, and the checkpoint loader. Each target's seed corpus also
+# the replication frame reader and delta payload applier, the /estimate
+# request decoder (differentially, against the struct decoder it replaced)
+# and that struct decoder, and the checkpoint loader. Each target's seed corpus also
 # runs as a plain test in `make test`; this target additionally explores.
 # FUZZTIME tunes the per-target budget (CI uses the default).
 FUZZTIME ?= 15s
 test-fuzz:
 	$(GO) test ./internal/replica/ -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/replica/ -run '^$$' -fuzz '^FuzzApplyModelPayload$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzEstimateDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzWirePlanDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME)
 
@@ -74,13 +76,14 @@ check: build vet fmt-check lint test
 # memory pool read path, the hot-swap serving runtime (full-copy
 # BenchmarkPublish vs BenchmarkPublishDelta, continuous-loop
 # BenchmarkFitParallel), the tensor kernels underneath them, and the request
-# path's plan encoder.
+# path's body decoder and plan encoder.
 bench:
 	$(GO) test ./internal/core/ -run xxx \
 		-bench 'BenchmarkForwardSingle|BenchmarkForwardPooled|BenchmarkPoolGetParallel|BenchmarkEstimateBatch|BenchmarkTrainEpochParallel|BenchmarkPublish|BenchmarkServer|BenchmarkFitParallel' \
 		-benchmem -benchtime=1s
 	$(GO) test ./internal/tensor/ -run xxx -bench . -benchmem -benchtime=1s
 	$(GO) test ./internal/feature/ -run xxx -bench 'BenchmarkEncode' -benchmem -benchtime=1s
+	$(GO) test ./internal/serve/ -run xxx -bench 'BenchmarkDecodeEstimate' -benchmem -benchtime=1s
 
 # Regenerate $(BENCH_OUT) from a fresh benchmark run (see scripts/bench_json.sh).
 bench-json:

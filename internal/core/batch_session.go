@@ -55,9 +55,15 @@ type BatchSession struct {
 	levels  [][]levelItem
 	all     []levelItem
 
-	// cardPath marks, per global node id, the ancestors of each plan's
-	// cardinality node (pool-integration bookkeeping).
-	cardPath []bool
+	// In-batch sub-plan sharing (inference passes). rep maps each placed
+	// global node id to its representative — itself, or the earlier node of
+	// this batch with the same signature, whose G/R rows it reads instead of
+	// being evaluated; -1 marks a node skipped inside a shared or pooled
+	// subtree. seen is the per-call signature table behind it. placed/shared
+	// count this call's placements and how many of them were aliases.
+	rep            []int32
+	seen           map[string]placement
+	placed, shared int
 
 	// Node slabs: embedding, G/R representations, tanh(G) cache (training).
 	eBuf, gBuf, rBuf, tBuf []float64
@@ -121,6 +127,10 @@ type BatchSession struct {
 	fnBwdPredGrads, fnBwdPredScatter    func(int)
 }
 
+// placement records where the first occurrence of a signature landed: its
+// global node id and level (-1 when the pool served it).
+type placement struct{ id, level int32 }
+
 // headItem addresses one head evaluation: a plan's root (cost) or its
 // cardinality node.
 type headItem struct {
@@ -134,6 +144,7 @@ func NewBatchSession(m *Model) *BatchSession {
 	s := &BatchSession{
 		m: m, de: m.embedDim(), dh: m.Cfg.Hidden, eh: m.Cfg.EstHidden,
 		epd: m.ePred, atomDim: m.Enc.AtomDim(),
+		seen: make(map[string]placement),
 	}
 	s.bindKernels()
 	s.bindBackwardKernels()
@@ -212,10 +223,13 @@ func (s *BatchSession) flatOf(plan int, node int32, pidx int) int {
 	return s.predBase[s.offsets[plan]+int(node)] + pidx
 }
 
-// releasePlans drops the session's references to the last batch's plans (the
-// item/level lists hold only indices) so an idle pooled session does not pin
-// caller memory. Arenas stay warm.
-func (s *BatchSession) releasePlans() { s.eps = nil }
+// releasePlans drops the session's references to the last batch's plans and
+// their signature strings (the item/level lists hold only indices) so an idle
+// pooled session does not pin caller memory. Arenas stay warm.
+func (s *BatchSession) releasePlans() {
+	s.eps = nil
+	clear(s.seen)
+}
 
 // parRun executes fn(0..n-1), inline when the session is single-worker and
 // via parallelFor otherwise. fn must be one of the prebound kernels so the
@@ -288,8 +302,13 @@ func (s *BatchSession) run(eps []*feature.EncodedPlan, pool *MemoryPool, workers
 }
 
 // layout computes the global node addressing for this batch, sizes the
-// slabs, and builds the level lists — excluding subtrees served from the
-// memory pool, whose representations are injected into gBuf/rBuf directly.
+// slabs, and builds the level lists. Training passes take every node (each
+// is supervised and keeps its own gradient slot). Inference passes evaluate
+// each distinct sub-plan once: subtrees the memory pool holds have their
+// representations injected into gBuf/rBuf, and a node whose signature already
+// occurred in this batch becomes an alias of that first occurrence. The pool
+// alone cannot see such duplicates — it is asked here, before any row of the
+// batch exists, and filled by insertAll afterwards.
 func (s *BatchSession) layout(pool *MemoryPool) {
 	eps := s.eps
 	s.offsets = growSlice(s.offsets, len(eps)+1)
@@ -325,7 +344,11 @@ func (s *BatchSession) layout(pool *MemoryPool) {
 	s.k2 = growMats(s.k2, maxDepth)
 	s.nnPre = growMats(s.nnPre, maxDepth)
 
-	if pool == nil {
+	s.rep = growSlice(s.rep, s.total)
+	if s.train {
+		for i := range s.rep {
+			s.rep[i] = int32(i)
+		}
 		for pi, ep := range eps {
 			for d, nodes := range ep.Levels {
 				for _, n := range nodes {
@@ -334,15 +357,22 @@ func (s *BatchSession) layout(pool *MemoryPool) {
 			}
 		}
 	} else {
-		s.cardPath = growSlice(s.cardPath, s.total)
-		for i := range s.cardPath {
-			s.cardPath[i] = false
+		for i := range s.rep {
+			s.rep[i] = -1
 		}
-		for pi, ep := range eps {
-			s.markCardPath(pi, ep, ep.Root)
-		}
+		clear(s.seen)
+		s.placed, s.shared = 0, 0
 		for pi, ep := range eps {
 			s.placeNode(pi, ep, ep.Root, pool)
+		}
+		// The heads read each plan's cardinality node too. One that was
+		// skipped — it lies strictly inside a shared or pooled subtree — is
+		// placed in its own right (aliased, pooled or computed: a bounded
+		// pool may hold a subtree's root and have evicted the node inside).
+		for pi, ep := range eps {
+			if s.rep[s.offsets[pi]+ep.CardNode] < 0 {
+				s.placeNode(pi, ep, ep.CardNode, pool)
+			}
 		}
 	}
 
@@ -352,63 +382,40 @@ func (s *BatchSession) layout(pool *MemoryPool) {
 	}
 }
 
-// markCardPath flags idx and its ancestors when the subtree contains the
-// plan's cardinality node; returns whether it does.
-func (s *BatchSession) markCardPath(pi int, ep *feature.EncodedPlan, idx int) bool {
-	node := &ep.Nodes[idx]
-	found := idx == ep.CardNode
-	if !found && node.Left >= 0 {
-		found = s.markCardPath(pi, ep, node.Left)
-	}
-	if !found && node.Right >= 0 {
-		found = s.markCardPath(pi, ep, node.Right)
-	}
-	if found {
-		s.cardPath[s.offsets[pi]+idx] = true
-	}
-	return found
-}
-
-// placeNode assigns the subtree at idx to level lists, skipping sub-plans
-// whose representations the pool already holds (their G/R are copied into
-// the slabs so parents and heads read them like computed rows). Returns the
-// node's level, or -1 when the subtree was served from the pool.
+// placeNode assigns the subtree at idx to level lists and returns the level
+// of the node's representation, -1 when the pool served it. A signature seen
+// earlier in this batch aliases that node and its subtree is not visited; a
+// sub-plan the pool holds has its G/R copied into the slabs so parents and
+// heads read them like computed rows; anything else becomes a level row one
+// above its children's representatives.
 func (s *BatchSession) placeNode(pi int, ep *feature.EncodedPlan, idx int, pool *MemoryPool) int {
 	node := &ep.Nodes[idx]
 	id := s.offsets[pi] + idx
-	if g, r, ok := pool.GetGen(node.Sig, s.poolGen); ok {
-		usable := true
-		if s.cardPath[id] && idx != ep.CardNode {
-			// The plan's cardinality node sits strictly inside this pooled
-			// subtree. Taking the hit is only sound if its representation
-			// is itself resident (a bounded pool may have evicted it);
-			// otherwise fall through and recompute the subtree.
-			cid := s.offsets[pi] + ep.CardNode
-			if cg, cr, cok := pool.GetGen(ep.Nodes[ep.CardNode].Sig, s.poolGen); cok {
-				copy(s.gOf(cid), cg)
-				copy(s.rOf(cid), cr)
-			} else {
-				usable = false
-			}
-		}
-		if usable {
+	s.placed++
+	if first, ok := s.seen[node.Sig]; ok {
+		s.shared++
+		s.rep[id] = first.id
+		return int(first.level)
+	}
+	s.rep[id] = int32(id)
+	if pool != nil {
+		if g, r, ok := pool.GetGen(node.Sig, s.poolGen); ok {
 			copy(s.gOf(id), g)
 			copy(s.rOf(id), r)
+			s.seen[node.Sig] = placement{int32(id), -1}
 			return -1
 		}
 	}
-	h := 0
+	h := -1
 	if node.Left >= 0 {
-		if lh := s.placeNode(pi, ep, node.Left, pool) + 1; lh > h {
-			h = lh
-		}
+		h = s.placeNode(pi, ep, node.Left, pool)
 	}
 	if node.Right >= 0 {
-		if rh := s.placeNode(pi, ep, node.Right, pool) + 1; rh > h {
-			h = rh
-		}
+		h = max(h, s.placeNode(pi, ep, node.Right, pool))
 	}
+	h++
 	s.levels[h] = append(s.levels[h], levelItem{plan: pi, node: int32(idx)})
+	s.seen[node.Sig] = placement{int32(id), int32(h)}
 	return h
 }
 
@@ -559,7 +566,7 @@ func (s *BatchSession) headsTop() {
 	nh := len(s.headItems)
 	matInto(&s.headR, nh, s.dh)
 	for j, it := range s.headItems {
-		copy(s.headR.Row(j), s.rOf(s.offsets[it.plan]+int(it.node)))
+		copy(s.headR.Row(j), s.rOf(int(s.rep[s.offsets[it.plan]+int(it.node)])))
 	}
 	s.evalHeadsMat(&s.headR)
 
@@ -728,10 +735,12 @@ func (s *BatchSession) bindKernels() {
 		dh := s.dh
 		var gl, rl, gr, rr []float64
 		if node.Left >= 0 {
-			gl, rl = s.gOf(base+node.Left), s.rOf(base+node.Left)
+			li := int(s.rep[base+node.Left])
+			gl, rl = s.gOf(li), s.rOf(li)
 		}
 		if node.Right >= 0 {
-			gr, rr = s.gOf(base+node.Right), s.rOf(base+node.Right)
+			ri := int(s.rep[base+node.Right])
+			gr, rr = s.gOf(ri), s.rOf(ri)
 		}
 		zRow := s.zt[s.lvi].Row(j)
 		gRow := s.gPrev[s.lvi].Row(j)
@@ -786,7 +795,7 @@ func (s *BatchSession) bindKernels() {
 		zRow := s.zt[s.lvi].Row(j)
 		copy(zRow, s.eOf(base+int(it.node)))
 		if node.Left >= 0 {
-			copy(zRow[de:de+dh], s.rOf(base+node.Left))
+			copy(zRow[de:de+dh], s.rOf(int(s.rep[base+node.Left])))
 		} else {
 			// Reused buffers: absent children must be re-zeroed explicitly.
 			for i := de; i < de+dh; i++ {
@@ -794,7 +803,7 @@ func (s *BatchSession) bindKernels() {
 			}
 		}
 		if node.Right >= 0 {
-			copy(zRow[de+dh:], s.rOf(base+node.Right))
+			copy(zRow[de+dh:], s.rOf(int(s.rep[base+node.Right])))
 		} else {
 			for i := de + dh; i < len(zRow); i++ {
 				zRow[i] = 0

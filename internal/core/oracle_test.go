@@ -6,7 +6,9 @@ import (
 
 	"costest/internal/feature"
 	"costest/internal/nn"
+	"costest/internal/plan"
 	"costest/internal/tensor"
+	"costest/internal/workload"
 )
 
 // The oracle: a naive recursive forward pass, one node at a time, every
@@ -276,6 +278,158 @@ func TestSessionReuseMatchesFresh(t *testing.T) {
 			if got, want := (Estimate{cost, card}), oracleEstimate(m, ep); got != want {
 				t.Fatalf("%s: reused session %+v != oracle %+v at step %d", variant.name, got, want, k)
 			}
+		}
+	}
+}
+
+// enumBatch builds an enumeration-shaped batch, what an optimizer pricing the
+// candidates of a query sends: nine join-operator variants of each of two
+// plans with an Aggregate root (every variant shares every scan), one variant
+// twice, and the bare join below one variant's Aggregate. The repeated plan's
+// root — and the bare join's root, which is another plan's cardinality node —
+// alias an earlier node, so a cardinality node lies strictly inside an aliased
+// subtree.
+func enumBatch(t *testing.T) []*feature.EncodedPlan {
+	t.Helper()
+	lab := &workload.Labeler{Planner: testPl, Engine: testEng}
+	var roots []*plan.Node
+	for _, s := range lab.Label(workload.TrainingStrings(testDB, 4242, 40)) {
+		joins := 0
+		s.Plan.Walk(func(n *plan.Node) {
+			if n.Type.IsJoin() {
+				joins++
+			}
+		})
+		if s.Plan.Type == plan.Aggregate && joins >= 2 && len(roots) < 2 {
+			roots = append(roots, s.Plan)
+		}
+	}
+	if len(roots) < 2 {
+		t.Fatal("corpus has fewer than two Aggregate-rooted plans with two joins")
+	}
+	var batch []*plan.Node
+	for _, root := range roots {
+		for v := 0; v < 9; v++ {
+			c := root.Clone()
+			ops, d := [...]plan.NodeType{plan.HashJoin, plan.MergeJoin, plan.NestedLoop}, v
+			c.Walk(func(n *plan.Node) {
+				if n.Type.IsJoin() {
+					n.Type, d = ops[d%3], d/3
+				}
+			})
+			batch = append(batch, c)
+		}
+	}
+	batch = append(batch, batch[3].Clone(), batch[5].CardinalityNode().Clone())
+	eps := make([]*feature.EncodedPlan, len(batch))
+	for i, root := range batch {
+		ep, err := testEnc.Encode(root)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		eps[i] = ep
+	}
+	return eps
+}
+
+// TestInBatchSharingMatchesOracle: on an enumeration-shaped batch every
+// distinct sub-plan is evaluated once — the level rows of a pass are exactly
+// the distinct signatures the pool did not serve — and sharing moves no bit:
+// all variants, pool-less / cold / warm / cardinality nodes evicted, workers 1
+// and 4, against the naive oracle.
+func TestInBatchSharingMatchesOracle(t *testing.T) {
+	eps := enumBatch(t)
+	nodes := 0
+	for _, ep := range eps {
+		nodes += len(ep.Nodes)
+	}
+	for _, variant := range sessionVariants {
+		cfg := TestConfig()
+		variant.mod(&cfg)
+		m := New(cfg, testEnc)
+		want := make([]Estimate, len(eps))
+		for i, ep := range eps {
+			want[i] = oracleEstimate(m, ep)
+		}
+		s := NewBatchSession(m)
+		for _, workers := range []int{1, 4} {
+			check := func(label string, pool *MemoryPool) {
+				t.Helper()
+				// The rows this pass must evaluate: walk every plan from its
+				// root, and again from its cardinality node, stopping at
+				// what the pool serves.
+				distinct := map[string]bool{}
+				var walk func(ep *feature.EncodedPlan, i int)
+				walk = func(ep *feature.EncodedPlan, i int) {
+					if i < 0 {
+						return
+					}
+					if pool != nil {
+						if _, _, ok := pool.Get(ep.Nodes[i].Sig); ok {
+							return
+						}
+					}
+					distinct[ep.Nodes[i].Sig] = true
+					walk(ep, ep.Nodes[i].Left)
+					walk(ep, ep.Nodes[i].Right)
+				}
+				for _, ep := range eps {
+					walk(ep, ep.Root)
+					walk(ep, ep.CardNode)
+				}
+				for i, got := range s.EstimateBatchWithPool(eps, pool, workers) {
+					if got != want[i] {
+						t.Fatalf("%s/workers=%d/%s: plan %d = %+v, oracle %+v", variant.name, workers, label, i, got, want[i])
+					}
+				}
+				if len(s.all) != len(distinct) {
+					t.Fatalf("%s/workers=%d/%s: evaluated %d level rows for %d distinct unpooled signatures (%d nodes in the batch)",
+						variant.name, workers, label, len(s.all), len(distinct), nodes)
+				}
+				if s.shared == 0 || s.placed <= s.shared {
+					t.Fatalf("%s/%s: placed %d, shared %d: the batch shares sub-plans", variant.name, label, s.placed, s.shared)
+				}
+			}
+			check("nopool", nil)
+			if len(s.all)*2 > nodes {
+				t.Fatalf("%s: %d rows for %d nodes: the batch is not enumeration-shaped", variant.name, len(s.all), nodes)
+			}
+			full := NewMemoryPool()
+			check("cold pool", full)
+			check("warm pool", full)
+			rootsOnly := NewMemoryPool()
+			for _, ep := range eps {
+				sig := ep.Nodes[ep.Root].Sig
+				g, r, ok := full.Get(sig)
+				if !ok {
+					t.Fatalf("%s: root representation missing from warm pool", variant.name)
+				}
+				rootsOnly.Put(sig, g, r)
+			}
+			check("card node evicted", rootsOnly)
+		}
+	}
+}
+
+// TestInBatchSharingZeroAlloc: the signature table is part of the warm path —
+// a served enumeration-shaped batch allocates nothing, pool-less or against a
+// warm pool, and the server's sharing counters see it.
+func TestInBatchSharingZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	eps := enumBatch(t)
+	out := make([]Estimate, len(eps))
+	for name, pool := range map[string]*MemoryPool{"nopool": nil, "warm pool": NewMemoryPool()} {
+		srv := NewServer(New(TestConfig(), testEnc), pool)
+		snap := srv.AcquireSnapshot()
+		srv.EstimateBatchInto(snap, eps, out, 1)
+		if allocs := testing.AllocsPerRun(50, func() { srv.EstimateBatchInto(snap, eps, out, 1) }); allocs != 0 {
+			t.Errorf("%s: warm EstimateBatchInto allocates %.1f objects/op on a sharing batch, want 0", name, allocs)
+		}
+		srv.ReleaseSnapshot(snap)
+		if st := srv.SharingStats(); st.NodesShared == 0 || st.NodesPlaced <= st.NodesShared {
+			t.Errorf("%s: sharing counters %+v after serving a sharing batch", name, st)
 		}
 	}
 }

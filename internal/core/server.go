@@ -73,6 +73,10 @@ type Server struct {
 	publishHook func(m *Model, version uint64)
 
 	batchSessions sync.Pool
+
+	// nodesPlaced and nodesShared accumulate every served call's in-batch
+	// sharing counts (see SharingStats), fed by putSession.
+	nodesPlaced, nodesShared atomic.Int64
 }
 
 // hotTracker records how often each distinct plan (keyed by its root
@@ -446,7 +450,7 @@ func (srv *Server) prewarmReplay(wantVersion uint64) int {
 	s := srv.batchSession(snap)
 	s.EstimateBatchWithPool(plans, srv.pool, 1)
 	s.releasePlans()
-	srv.batchSessions.Put(s)
+	srv.putSession(s)
 	return len(plans)
 }
 
@@ -460,7 +464,7 @@ func (srv *Server) Estimate(ep *feature.EncodedPlan) (cost, card float64, versio
 	snap := srv.acquire()
 	s := srv.batchSession(snap)
 	cost, card = s.EstimateWithPool(ep, srv.pool)
-	srv.batchSessions.Put(s)
+	srv.putSession(s)
 	srv.release(snap)
 	if tr := srv.prewarm.Load(); tr != nil {
 		tr.track(ep)
@@ -510,7 +514,7 @@ func (srv *Server) EstimateBatchInto(snap *ModelSnapshot, eps []*feature.Encoded
 	s := srv.batchSession(snap)
 	copy(out, s.EstimateBatchWithPool(eps, srv.pool, workers))
 	s.releasePlans()
-	srv.batchSessions.Put(s)
+	srv.putSession(s)
 	if tr := srv.prewarm.Load(); tr != nil {
 		for _, ep := range eps {
 			tr.track(ep)
@@ -534,4 +538,29 @@ func (srv *Server) batchSession(snap *ModelSnapshot) *BatchSession {
 	s := NewBatchSession(snap.model)
 	s.poolGen = snap.version
 	return s
+}
+
+// putSession returns a session checked out by batchSession, folding its last
+// call's sharing counts into the server's.
+//
+// costlint:noalloc
+func (srv *Server) putSession(s *BatchSession) {
+	srv.nodesPlaced.Add(int64(s.placed))
+	srv.nodesShared.Add(int64(s.shared))
+	srv.batchSessions.Put(s)
+}
+
+// SharingStats is the in-batch half of sub-plan reuse, the half the pool's
+// hit rate cannot show: of the plan nodes the served batches placed, how many
+// repeated an earlier node of the same batch and were aliased to it instead of
+// being looked up in the pool or evaluated. Nodes below an aliased or pooled
+// node are never placed, so neither counter includes them.
+type SharingStats struct {
+	NodesPlaced int64
+	NodesShared int64
+}
+
+// SharingStats returns the server's lifetime in-batch sharing counters.
+func (srv *Server) SharingStats() SharingStats {
+	return SharingStats{NodesPlaced: srv.nodesPlaced.Load(), NodesShared: srv.nodesShared.Load()}
 }

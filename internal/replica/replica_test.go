@@ -11,6 +11,7 @@ import (
 	"costest/internal/core"
 	"costest/internal/dataset"
 	"costest/internal/exec"
+	"costest/internal/fault"
 	"costest/internal/feature"
 	"costest/internal/nn"
 	"costest/internal/pg"
@@ -233,9 +234,12 @@ func TestFollowerBootstrapAndDelta(t *testing.T) {
 	}
 }
 
-// TestFollowerReconnectCatchUp severs every follower connection, publishes
-// while the follower is gone, and checks the reconnect handshake heals the
-// gap by snapshot.
+// TestFollowerReconnectCatchUp severs every follower connection and publishes
+// while the follower is gone. Twice: first with the interleaving left free —
+// the follower redials within milliseconds and may be back before the first
+// publish lands, resuming by deltas, so only the invariants are asserted —
+// then with the follower held off until the publishes are done, where the
+// reconnect handshake must heal the gap by snapshot.
 func TestFollowerReconnectCatchUp(t *testing.T) {
 	samples := labeledSamples(t, 13, 12)
 	primEps := encodePlans(t, samples)
@@ -245,16 +249,37 @@ func TestFollowerReconnectCatchUp(t *testing.T) {
 	r := newTestReplica(t, m.Cfg, samples, addr)
 	f := r.start()
 	waitFor(t, 10*time.Second, "bootstrap", func() bool { return f.Generation() == srv.Version() })
+	publishTwice := func() {
+		for i := 0; i < 2; i++ {
+			tr.TrainEpochParallel(primEps, 8, 1)
+			tr.PublishDelta(srv)
+		}
+	}
 
 	pub.DisconnectAll()
-	for i := 0; i < 2; i++ {
-		tr.TrainEpochParallel(primEps, 8, 1)
-		tr.PublishDelta(srv)
-	}
+	publishTwice()
 	waitFor(t, 10*time.Second, "reconnect catch-up", func() bool { return f.Generation() == srv.Version() })
 	expectBitIdentical(t, srv, primEps, r)
-	if st := f.Stats(); st.SnapshotsApplied < 2 {
-		t.Fatalf("reconnect should have healed by snapshot: %+v", st)
+	before := f.Stats()
+	if before.Reconnects < 1 {
+		t.Fatalf("severed follower never reconnected: %+v", before)
+	}
+
+	// Hold the follower off: with the receive fault armed every session ends
+	// before it reads a frame, so the follower keeps redialing but applies
+	// nothing, and is two generations behind when the fault is lifted.
+	fault.Enable(fault.New(1).Add(fault.Rule{Site: fault.SiteReplicaRecv, Kind: fault.Error}))
+	defer fault.Disable()
+	pub.DisconnectAll()
+	publishTwice()
+	if behind := f.Generation(); behind != before.Generation {
+		t.Fatalf("held-off follower moved from generation %d to %d", before.Generation, behind)
+	}
+	fault.Disable()
+	waitFor(t, 10*time.Second, "held-off catch-up", func() bool { return f.Generation() == srv.Version() })
+	expectBitIdentical(t, srv, primEps, r)
+	if st := f.Stats(); st.SnapshotsApplied <= before.SnapshotsApplied || st.Reconnects <= before.Reconnects {
+		t.Fatalf("reconnect behind the primary should have healed by snapshot: before %+v, after %+v", before, st)
 	}
 }
 

@@ -1,0 +1,485 @@
+package serve
+
+import (
+	"fmt"
+	"strconv"
+	"strings"
+	"unicode/utf16"
+	"unicode/utf8"
+
+	"costest/internal/plan"
+	"costest/internal/sqlpred"
+)
+
+// DecodeEstimate parses an /estimate body — {"plan": P} or {"plans": [P...]},
+// optionally "timeout_ms" — straight into plan trees: one recursive-descent
+// pass over the wire format's grammar (see WirePlan), no reflection and no
+// intermediate tree. It is the request path's only decoder.
+//
+// It accepts what encoding/json into WirePlan followed by WirePlan.Decode
+// accepts and builds the same trees (null for a member means the member is
+// absent), except that it refuses a member name in the wrong case, a member
+// repeated within an object, a string that is not valid UTF-8, and anything
+// but whitespace after the request object. The size bounds (MaxPlanNodes, ...)
+// are enforced as the scan goes: an oversized body is refused at the first
+// node past a limit, before the rest is read or built.
+func DecodeEstimate(body []byte) (roots []*plan.Node, timeoutMS int, err error) {
+	d := decoder{b: body}
+	defer func() {
+		if r := recover(); r != nil {
+			refusal, ok := r.(refused)
+			if !ok {
+				panic(r)
+			}
+			roots, timeoutMS, err = nil, 0, refusal.err
+		}
+	}()
+	var single *plan.Node
+	for m := d.object(requestMembers); m.next(); {
+		switch m.name {
+		case "plan":
+			single = d.planNode(1)
+		case "plans":
+			for d.open('['); d.more(']'); {
+				roots = append(roots, d.planNode(1))
+			}
+		case "timeout_ms":
+			n, err := strconv.ParseInt(string(d.number()), 10, 0)
+			if err != nil {
+				d.fail("timeout_ms is not an integer")
+			}
+			timeoutMS = int(n)
+		}
+	}
+	if d.ws(); d.i < len(d.b) {
+		d.fail("unexpected data after the request object")
+	}
+	switch {
+	case single != nil && len(roots) > 0:
+		d.refuse(fmt.Errorf("serve: set plan or plans, not both"))
+	case single != nil:
+		roots = []*plan.Node{single}
+	case len(roots) == 0:
+		d.refuse(fmt.Errorf("serve: no plan"))
+	}
+	return roots, timeoutMS, nil
+}
+
+// The members of each wire object, in the order of the Wire* struct fields.
+var (
+	requestMembers = []string{"plan", "plans", "timeout_ms"}
+	planMembers    = []string{"op", "table", "index", "filter", "index_cond", "join", "param_join", "sort_keys", "aggs", "left", "right"}
+	predMembers    = []string{"bool", "left", "right", "atom"}
+	atomMembers    = []string{"table", "column", "op", "num", "str", "in"}
+	joinMembers    = []string{"left", "right"}
+	colMembers     = []string{"table", "column"}
+	aggMembers     = []string{"func", "col"}
+)
+
+// decoder is the scan state over one body. Whatever ends the scan — malformed
+// JSON, an unknown or repeated member, a value of the wrong type, a bound
+// exceeded, a broken per-node rule — unwinds to DecodeEstimate as a refused
+// panic. The exception is a rule broken inside a predicate tree, which pred
+// and atom return as an error: WirePred.decode ignores left/right beside an
+// atom, so whether it counts is only known once the enclosing node is read.
+type decoder struct {
+	b            []byte
+	i            int
+	opened       bool // the last token was an opening '{' or '['
+	nodes, preds int  // plan nodes of this plan, predicate nodes of this filter
+}
+
+type refused struct{ err error }
+
+func (d *decoder) refuse(err error) { panic(refused{err}) }
+
+func (d *decoder) fail(format string, args ...any) {
+	d.refuse(fmt.Errorf("serve: byte %d: %s", d.i, fmt.Sprintf(format, args...)))
+}
+
+// planNode scans one plan node and its subtree; depth 1 is a plan's root and
+// starts a fresh node budget.
+func (d *decoder) planNode(depth int) *plan.Node {
+	if depth == 1 {
+		d.nodes = 0
+	}
+	if depth > MaxPlanDepth {
+		d.refuse(errPlanDepth)
+	}
+	if d.nodes++; d.nodes > MaxPlanNodes {
+		d.refuse(errPlanNodes)
+	}
+	n := &plan.Node{}
+	var op string
+	var err error
+	for m := d.object(planMembers); m.next(); {
+		switch m.name {
+		case "op":
+			op = d.str()
+		case "table":
+			n.Table = d.str()
+		case "index":
+			n.Index = d.str()
+		case "filter":
+			d.preds = 0
+			n.Filter, err = d.pred()
+		case "index_cond":
+			n.IndexCond, err = d.atom()
+		case "join":
+			n.JoinCond = d.join()
+		case "param_join":
+			n.ParamJoin = d.join()
+		case "sort_keys":
+			for d.open('['); d.more(']'); {
+				var c plan.ColRef
+				if !d.null() {
+					c = d.col()
+				}
+				n.SortKeys = append(n.SortKeys, c)
+			}
+		case "aggs":
+			for d.open('['); d.more(']'); {
+				n.Aggs = append(n.Aggs, d.agg())
+			}
+		case "left":
+			n.Left = d.planNode(depth + 1)
+		case "right":
+			n.Right = d.planNode(depth + 1)
+		}
+		if err != nil {
+			d.refuse(err)
+		}
+	}
+	if err := finishNode(n, op); err != nil {
+		d.refuse(err)
+	}
+	return n
+}
+
+// pred scans one predicate-tree node; the error is a rule broken in its
+// subtree (see decoder).
+func (d *decoder) pred() (sqlpred.Pred, error) {
+	if d.preds++; d.preds > MaxPredNodes {
+		d.refuse(errPredNodes)
+	}
+	var (
+		connective              string
+		left, right             sqlpred.Pred
+		a                       *sqlpred.Atom
+		leftErr, rightErr, aErr error
+	)
+	for m := d.object(predMembers); m.next(); {
+		switch m.name {
+		case "bool":
+			connective = d.str()
+		case "left":
+			left, leftErr = d.pred()
+		case "right":
+			right, rightErr = d.pred()
+		case "atom":
+			a, aErr = d.atom()
+		}
+	}
+	isAtom, kind, err := predShape(a != nil || aErr != nil, connective)
+	switch {
+	case err != nil:
+		return nil, err
+	case isAtom && aErr != nil:
+		return nil, aErr
+	case isAtom:
+		return a, nil
+	case leftErr != nil:
+		return nil, leftErr
+	case rightErr != nil:
+		return nil, rightErr
+	case left == nil || right == nil:
+		return nil, fmt.Errorf("serve: %s needs two operands", connective)
+	}
+	return &sqlpred.Bool{Kind: kind, Left: left, Right: right}, nil
+}
+
+// atom scans one atomic predicate.
+func (d *decoder) atom() (*sqlpred.Atom, error) {
+	a := &sqlpred.Atom{}
+	var op string
+	operands := 0
+	for m := d.object(atomMembers); m.next(); {
+		switch m.name {
+		case "table":
+			a.Table = d.str()
+		case "column":
+			a.Column = d.str()
+		case "op":
+			op = d.str()
+		case "num":
+			var err error
+			if a.NumVal, err = strconv.ParseFloat(string(d.number()), 64); err != nil {
+				d.fail("num is out of range")
+			}
+			operands++
+		case "str":
+			a.StrVal, a.IsStr = d.str(), true
+			operands++
+		case "in":
+			for d.open('['); d.more(']'); {
+				if len(a.InVals) == MaxInValues {
+					d.refuse(errInValues)
+				}
+				v := ""
+				if !d.null() {
+					v = d.str()
+				}
+				a.InVals = append(a.InVals, v)
+			}
+			if len(a.InVals) > 0 { // an empty list is no operand
+				a.IsStr = true
+				operands++
+			}
+		}
+	}
+	if err := finishAtom(a, op, operands); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+func (d *decoder) join() *plan.JoinCond {
+	j := &plan.JoinCond{}
+	for m := d.object(joinMembers); m.next(); {
+		if m.name == "left" {
+			j.Left = d.col()
+		} else {
+			j.Right = d.col()
+		}
+	}
+	return j
+}
+
+func (d *decoder) col() (c plan.ColRef) {
+	for m := d.object(colMembers); m.next(); {
+		if m.name == "table" {
+			c.Table = d.str()
+		} else {
+			c.Column = d.str()
+		}
+	}
+	return c
+}
+
+func (d *decoder) agg() plan.AggSpec {
+	var w WireAgg
+	for m := d.object(aggMembers); m.next(); {
+		if m.name == "func" {
+			w.Func = d.str()
+		} else {
+			c := WireCol(d.col())
+			w.Col = &c
+		}
+	}
+	spec, err := w.decode()
+	if err != nil {
+		d.refuse(err)
+	}
+	return spec
+}
+
+// members iterates the members of one JSON object whose names must come from
+// a fixed list.
+type members struct {
+	d     *decoder
+	names []string
+	name  string // the current member, one of names
+	seen  uint   // bit i set once names[i] has occurred
+}
+
+func (d *decoder) object(names []string) members {
+	d.open('{')
+	return members{d: d, names: names}
+}
+
+// next advances to the next member that carries a value and leaves the scan at
+// the value; false once the object is closed. It refuses a name outside the
+// list (matched exactly) or already seen in this object, and steps over a
+// member whose value is null — in this format the same as leaving it out.
+func (m *members) next() bool {
+	d := m.d
+	for d.more('}') {
+		name, k := d.strBytes(), 0
+		for k < len(m.names) && m.names[k] != string(name) {
+			k++
+		}
+		if k == len(m.names) {
+			d.fail("unknown member %q", name)
+		}
+		if m.seen&(1<<k) != 0 {
+			d.fail("member %q repeated", name)
+		}
+		m.seen |= 1 << k
+		m.name = m.names[k]
+		if d.ws(); !d.eat(':') {
+			d.fail("expected ':' after member %q", name)
+		}
+		if d.ws(); !d.null() {
+			return true
+		}
+	}
+	return false
+}
+
+// ws skips JSON whitespace.
+func (d *decoder) ws() {
+	for d.i < len(d.b) && (d.b[d.i] == ' ' || d.b[d.i] == '\t' || d.b[d.i] == '\r' || d.b[d.i] == '\n') {
+		d.i++
+	}
+}
+
+// eat consumes c if it is the next byte.
+func (d *decoder) eat(c byte) bool {
+	if d.i == len(d.b) || d.b[d.i] != c {
+		return false
+	}
+	d.i++
+	return true
+}
+
+// open consumes the '{' or '[' that must start the value at the scan position.
+func (d *decoder) open(c byte) {
+	if d.ws(); !d.eat(c) {
+		d.fail("expected %q", c)
+	}
+	d.opened = true
+}
+
+// more steps to the next member or element of the object or array that ends
+// with end: it consumes end and returns false, or consumes the separating
+// comma (none right after the opening) and returns true with the scan at the
+// member or element.
+func (d *decoder) more(end byte) bool {
+	first := d.opened
+	d.opened = false
+	switch d.ws(); {
+	case d.i == len(d.b):
+		d.fail("unexpected end of body")
+	case d.eat(end):
+		return false
+	case first:
+	case !d.eat(','):
+		d.fail("expected ',' or %q", end)
+	}
+	d.ws()
+	return true
+}
+
+// null consumes a null literal if one is next.
+func (d *decoder) null() bool {
+	if string(d.b[d.i:min(d.i+4, len(d.b))]) != "null" {
+		return false
+	}
+	d.i += 4
+	return true
+}
+
+// number scans a number by the JSON grammar and returns its literal.
+func (d *decoder) number() []byte {
+	start := d.i
+	digits := func() {
+		from := d.i
+		for d.i < len(d.b) && d.b[d.i]-'0' <= 9 {
+			d.i++
+		}
+		if d.i == from {
+			d.fail("expected a digit")
+		}
+	}
+	d.eat('-')
+	if !d.eat('0') { // no digit may follow a leading zero
+		digits()
+	}
+	if d.eat('.') {
+		digits()
+	}
+	if d.eat('e') || d.eat('E') {
+		_ = d.eat('+') || d.eat('-')
+		digits()
+	}
+	return d.b[start:d.i]
+}
+
+func (d *decoder) str() string { return string(d.strBytes()) }
+
+// strBytes scans the string literal at the scan position and returns its
+// contents: a slice of the body when the literal is plain ASCII, an unescaped
+// copy otherwise. Control characters and invalid UTF-8 are refused.
+func (d *decoder) strBytes() []byte {
+	if !d.eat('"') {
+		d.fail("expected a string")
+	}
+	start := d.i
+	for ; d.i < len(d.b); d.i++ {
+		if c := d.b[d.i]; c == '"' {
+			d.i++
+			return d.b[start : d.i-1]
+		} else if c < ' ' || c == '\\' || c >= utf8.RuneSelf {
+			break
+		}
+	}
+	buf := append(make([]byte, 0, d.i-start+16), d.b[start:d.i]...)
+	for d.i < len(d.b) {
+		switch c := d.b[d.i]; {
+		case c == '"':
+			d.i++
+			return buf
+		case c == '\\':
+			d.i++
+			buf = d.escape(buf)
+		case c < ' ':
+			d.fail("control character in string")
+		default:
+			r, size := utf8.DecodeRune(d.b[d.i:])
+			if r == utf8.RuneError && size == 1 {
+				d.fail("invalid UTF-8 in string")
+			}
+			buf = append(buf, d.b[d.i:d.i+size]...)
+			d.i += size
+		}
+	}
+	d.fail("unterminated string")
+	return nil
+}
+
+// escape appends the character that the escape sequence at the scan position
+// (past its backslash) stands for. As in encoding/json, a \u escape naming
+// half a surrogate pair decodes to U+FFFD unless the other half follows.
+func (d *decoder) escape(buf []byte) []byte {
+	if d.i == len(d.b) {
+		d.fail("unterminated string")
+	}
+	c := d.b[d.i]
+	d.i++
+	if k := strings.IndexByte(`"\/bfnrt`, c); k >= 0 {
+		return append(buf, "\"\\/\b\f\n\r\t"[k])
+	}
+	if c != 'u' {
+		d.fail("invalid escape in string")
+	}
+	r := d.hex4()
+	if hi, at := r, d.i; utf16.IsSurrogate(hi) {
+		if r = utf8.RuneError; d.eat('\\') && d.eat('u') {
+			r = utf16.DecodeRune(hi, d.hex4())
+		}
+		if r == utf8.RuneError {
+			d.i = at // no other half: what follows stands for itself
+		}
+	}
+	return utf8.AppendRune(buf, r)
+}
+
+// hex4 scans the four hex digits of a \u escape.
+func (d *decoder) hex4() rune {
+	n, err := strconv.ParseUint(string(d.b[d.i:min(d.i+4, len(d.b))]), 16, 16)
+	if err != nil || d.i+4 > len(d.b) {
+		d.fail("invalid \\u escape in string")
+	}
+	d.i += 4
+	return rune(n)
+}

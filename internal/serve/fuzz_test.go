@@ -5,36 +5,15 @@ import (
 	"testing"
 )
 
-// FuzzWirePlanDecode drives the /estimate request path — JSON unmarshal into
-// WirePlan, then structural Decode — with arbitrary bytes. This is the
-// daemon's network-facing parser: any panic here is a remotely triggerable
-// crash, so the contract is error-or-plan, never panic. Decoded plans are
-// additionally pushed through the feature encoder, mirroring the full
-// boundary validation the HTTP handler performs before admission.
+// FuzzWirePlanDecode drives the wire format's struct decoder — JSON unmarshal
+// into WirePlan, then structural Decode — with arbitrary bytes. Clients, the
+// benchmark and DecodeEstimate's oracle go through it, so the contract is
+// error-or-plan, never panic. Decoded plans are additionally pushed through
+// the feature encoder, the next validation stage.
 func FuzzWirePlanDecode(f *testing.F) {
-	// A realistic plan from the wire encoder itself plus shape edge cases.
-	plans, _ := testCorpus(f, 401, 6)
-	for _, p := range plans {
-		b, err := json.Marshal(EncodeWire(p))
-		if err != nil {
-			f.Fatalf("marshal seed: %v", err)
-		}
-		f.Add(b)
+	for _, seed := range wirePlanSeeds(f) {
+		f.Add(seed)
 	}
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"op":"seqscan"}`))
-	f.Add([]byte(`{"op":"hashjoin","left":{"op":"seqscan","table":"t"}}`))
-	f.Add([]byte(`{"op":"seqscan","table":"t","filter":{"bool":"and","left":{"atom":{"table":"t","column":"c","op":"=","num":1}}}}`))
-	f.Add([]byte(`{"op":"seqscan","table":"t","filter":{"atom":{"table":"t","column":"c","op":"in","in":["a"]},"bool":"or"}}`))
-	f.Add([]byte(`[1,2,3]`))
-	f.Add([]byte(`not json`))
-	// A deep chain of unary operators: the shape the size bounds exist for.
-	deep, err := json.Marshal(wireUnaryChain(4 * MaxPlanDepth))
-	if err != nil {
-		f.Fatalf("marshal deep seed: %v", err)
-	}
-	f.Add(deep)
-
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var wp WirePlan
 		if err := json.Unmarshal(data, &wp); err != nil {
@@ -47,8 +26,31 @@ func FuzzWirePlanDecode(f *testing.F) {
 		if root == nil {
 			t.Fatal("Decode returned nil plan and nil error")
 		}
-		// The encoder is the next validation stage on the request path; it
-		// must reject unknown tables/columns with an error, not a panic.
+		// The encoder must reject unknown tables/columns with an error, not
+		// a panic.
 		_, _ = testEnc.Encode(root)
+	})
+}
+
+// FuzzEstimateDecode drives the /estimate request path's decoder with
+// arbitrary bytes. This is the daemon's network-facing parser: any panic here
+// is a remotely triggerable crash, so the contract is error-or-plans, never
+// panic — and, body by body, the differential of
+// TestDecodeEstimateMatchesOracle: it accepts exactly what the decoder it
+// replaced accepts, minus the four tightenings, and builds the same trees.
+// Accepted plans go on through the feature encoder, as in the handler.
+func FuzzEstimateDecode(f *testing.F) {
+	seeds := wirePlanSeeds(f)
+	for _, seed := range seeds {
+		f.Add(asRequest(seed))
+	}
+	f.Add([]byte(`{"plans":[` + string(seeds[0]) + `,` + string(seeds[1]) + `],"timeout_ms":50}`))
+	for _, body := range decodeTable {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, root := range checkDecodeAgainstOracle(t, body) {
+			_, _ = testEnc.Encode(root)
+		}
 	})
 }

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -13,6 +15,7 @@ import (
 
 	"costest/internal/core"
 	"costest/internal/feature"
+	"costest/internal/plan"
 )
 
 // Service is the HTTP face of the estimator daemon: it decodes wire plans,
@@ -77,7 +80,9 @@ func (s *Service) SetReady(ready bool) { s.ready.Store(ready) }
 // test) can discover the request shape without reading the source.
 func (s *Service) SetSample(w *WirePlan) { s.sample.Store(w) }
 
-// estimateRequest is the /estimate body: exactly one of Plan or Plans.
+// estimateRequest is the /estimate body: exactly one of Plan or Plans. The
+// daemon writes it (/samplez) and clients marshal it; the handler reads
+// bodies with DecodeEstimate.
 type estimateRequest struct {
 	Plan  *WirePlan   `json:"plan,omitempty"`
 	Plans []*WirePlan `json:"plans,omitempty"`
@@ -112,6 +117,7 @@ type statszResponse struct {
 	Degraded   bool            `json:"degraded"`
 	Scheduler  SchedulerStats  `json:"scheduler"`
 	Pool       *poolStats      `json:"pool,omitempty"`
+	Sharing    sharingStats    `json:"sharing"`
 	Drain      core.DrainStats `json:"snapshot_drain"`
 	Supervisor any             `json:"supervisor,omitempty"`
 	// Replication carries PublisherStats on a primary, FollowerStats (lag
@@ -127,6 +133,15 @@ type poolStats struct {
 	Bound     int     `json:"bound"`
 	HitRate   float64 `json:"hit_rate"`
 	StaleRate float64 `json:"stale_rate"`
+}
+
+// sharingStats is the in-batch half of sub-plan reuse (core.SharingStats):
+// plan nodes that repeated an earlier node of their own batch never reach the
+// pool, so the pool's hit rate alone understates what is not re-evaluated.
+type sharingStats struct {
+	NodesPlaced int64   `json:"nodes_placed"`
+	NodesShared int64   `json:"nodes_shared"`
+	SharedRate  float64 `json:"shared_rate"`
 }
 
 // Handler returns the daemon's HTTP mux, every route wrapped in per-request
@@ -204,6 +219,11 @@ func (s *Service) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	if s.ClusterStats != nil {
 		resp.Cluster = s.ClusterStats()
 	}
+	sh := s.srv.SharingStats()
+	resp.Sharing = sharingStats{NodesPlaced: sh.NodesPlaced, NodesShared: sh.NodesShared}
+	if sh.NodesPlaced > 0 {
+		resp.Sharing.SharedRate = float64(sh.NodesShared) / float64(sh.NodesPlaced)
+	}
 	if p := s.srv.Pool(); p != nil {
 		resp.Pool = &poolStats{
 			Entries:   p.Len(),
@@ -224,6 +244,22 @@ func (s *Service) handleSamplez(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, estimateRequest{Plan: sample})
 }
 
+// bodyBuffers recycles /estimate request-body buffers (an enumeration request
+// is tens of KB).
+var bodyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readEstimate reads one request body into a pooled buffer and decodes it.
+// DecodeEstimate copies what it keeps, so the buffer is free again on return.
+func readEstimate(body io.Reader) ([]*plan.Node, int, error) {
+	buf := bodyBuffers.Get().(*bytes.Buffer)
+	defer bodyBuffers.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(body); err != nil {
+		return nil, 0, err
+	}
+	return DecodeEstimate(buf.Bytes())
+}
+
 func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -237,49 +273,27 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if maxBody <= 0 {
 		maxBody = 1 << 20
 	}
-	var req estimateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	// Decode, then feature-encode, before admission, so invalid requests are
+	// 400s at the boundary and never occupy queue slots.
+	roots, timeoutMS, err := readEstimate(http.MaxBytesReader(w, r.Body, maxBody))
+	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	plans := req.Plans
-	if req.Plan != nil {
-		if len(plans) > 0 {
-			http.Error(w, "bad request: set plan or plans, not both", http.StatusBadRequest)
-			return
-		}
-		plans = []*WirePlan{req.Plan}
-	}
-	if len(plans) == 0 {
-		http.Error(w, "bad request: no plan", http.StatusBadRequest)
-		return
-	}
-
-	// Decode and feature-encode before admission, so invalid requests are
-	// 400s at the boundary and never occupy queue slots.
-	eps := make([]*feature.EncodedPlan, len(plans))
-	for i, wp := range plans {
-		root, err := wp.Decode()
-		if err != nil {
+	eps := make([]*feature.EncodedPlan, len(roots))
+	for i, root := range roots {
+		if eps[i], err = s.enc.Encode(root); err != nil {
 			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		ep, err := s.enc.Encode(root)
-		if err != nil {
-			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		eps[i] = ep
 	}
 
 	// Deadline propagation: the request context (client disconnects cancel
 	// it) plus the optional explicit budget.
 	ctx := r.Context()
-	if req.TimeoutMS > 0 {
+	if timeoutMS > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
 		defer cancel()
 	}
 

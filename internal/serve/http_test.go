@@ -122,7 +122,8 @@ func TestHTTPSamplezServesValidRequest(t *testing.T) {
 }
 
 // TestHTTPBadRequests: malformed bodies are 400s at the boundary and never
-// occupy a queue slot.
+// occupy a queue slot. (The tightened rows are servable once the defect named
+// beside them is removed: TestDecodeEstimateMatchesOracle has them both ways.)
 func TestHTTPBadRequests(t *testing.T) {
 	_, sched, ts := newTestService(t)
 	before := sched.Stats().Admitted
@@ -134,6 +135,14 @@ func TestHTTPBadRequests(t *testing.T) {
 		`{"plan":{"op":"hashjoin"}}`, // join without inputs
 		`{"plan":{"op":"seqscan","table":"title"},"bogus":1}`,                                                                        // unknown field
 		`{"plan":{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","column":"production_year","op":"in","num":3}}}}`, // op/operand mismatch
+		// The decoder's tightenings over encoding/json, and its number rules.
+		`{"Plan":{"op":"seqscan","table":"title"}}`,                                                                                  // member name in the wrong case
+		`{"plan":{"op":"seqscan","table":"title","table":"title"}}`,                                                                  // member repeated
+		"{\"plan\":{\"op\":\"seqscan\",\"table\":\"title\xff\"}}",                                                                    // invalid UTF-8
+		`{"plan":{"op":"seqscan","table":"title"}} trailing`,                                                                         // data after the request object
+		`{"plan":{"op":"seqscan","table":"title"},"timeout_ms":2.5}`,                                                                 // timeout_ms not an integer
+		`{"plan":{"op":"seqscan","table":"title"},"timeout_ms":1e30}`,                                                                // timeout_ms overflows
+		`{"plan":{"op":"indexscan","table":"title","index_cond":{"table":"title","column":"production_year","op":">","num":1e999}}}`, // number overflows
 	}
 	for _, body := range cases {
 		resp, err := http.Post(ts.URL+"/estimate", "application/json", strings.NewReader(body))
@@ -215,6 +224,11 @@ func TestHTTPStatsz(t *testing.T) {
 	plans, _ := testCorpus(t, 201, 12)
 	_, _, ts := newTestService(t)
 	postJSON(t, ts.URL+"/estimate", estimateRequest{Plan: EncodeWire(plans[0])})
+	// The same plan three times in one request: whichever way the dispatcher
+	// cuts it into batches, the copy served after the first either aliases
+	// it in-batch or hits the pool.
+	same := EncodeWire(plans[1])
+	postJSON(t, ts.URL+"/estimate", estimateRequest{Plans: []*WirePlan{same, same, same}})
 
 	resp, err := http.Get(ts.URL + "/statsz")
 	if err != nil {
@@ -228,6 +242,11 @@ func TestHTTPStatsz(t *testing.T) {
 			Bound     int     `json:"bound"`
 			StaleRate float64 `json:"stale_rate"`
 		} `json:"pool"`
+		Sharing *struct {
+			NodesPlaced int64   `json:"nodes_placed"`
+			NodesShared int64   `json:"nodes_shared"`
+			SharedRate  float64 `json:"shared_rate"`
+		} `json:"sharing"`
 		Drain struct {
 			Retired          int `json:"Retired"`
 			RetiredHighWater int `json:"RetiredHighWater"`
@@ -244,6 +263,10 @@ func TestHTTPStatsz(t *testing.T) {
 	}
 	if st.Pool == nil || st.Pool.Bound != 2048 {
 		t.Fatalf("statsz pool = %+v, want bound 2048", st.Pool)
+	}
+	if sh := st.Sharing; sh == nil || sh.NodesPlaced < 4 || sh.NodesShared > sh.NodesPlaced ||
+		sh.SharedRate != float64(sh.NodesShared)/float64(sh.NodesPlaced) {
+		t.Fatalf("statsz sharing = %+v, want at least the four served plans' roots placed", sh)
 	}
 	if st.Drain.RetiredHighWater < 0 || st.Drain.Retired > st.Drain.RetiredHighWater {
 		t.Fatalf("statsz drain inconsistent: %+v", st.Drain)
@@ -335,7 +358,8 @@ func wireInScan(vals int, asIndexCond bool) *WirePlan {
 
 // TestWirePlanBounds: each hostile-plan limit admits a plan at the limit and
 // rejects one past it with an error (a 400 over HTTP) that names the limit,
-// before anything is built or queued.
+// before anything is queued — and, on the request path, before the part of
+// the body past the limit is read or built.
 func TestWirePlanBounds(t *testing.T) {
 	withFilter := func(p *WirePred) *WirePlan { w := wireScan(); w.Filter = p; return w }
 	cases := []struct {
@@ -345,17 +369,20 @@ func TestWirePlanBounds(t *testing.T) {
 	}{
 		{"nodes", &WirePlan{Op: "sort", Left: wireJoinTree(128)}, // 256 nodes
 			&WirePlan{Op: "aggregate", Left: &WirePlan{Op: "sort", Left: wireJoinTree(128)}},
-			"plan has 257 nodes, limit 256"},
-		{"depth", wireUnaryChain(MaxPlanDepth), wireUnaryChain(MaxPlanDepth + 1), "65 levels deep, limit 64"},
+			"plan has more than 256 nodes"},
+		{"depth", wireUnaryChain(MaxPlanDepth), wireUnaryChain(MaxPlanDepth + 1), "more than 64 levels deep"},
 		{"predicate nodes", withFilter(wireAndChain(128)), // 255 nodes
-			withFilter(wireAndChain(129)), "predicate has 257 nodes, limit 256"},
-		{"in values", wireInScan(MaxInValues, false), wireInScan(MaxInValues+1, false), "IN list has 257 values, limit 256"},
-		{"index-cond in values", wireInScan(MaxInValues, true), wireInScan(MaxInValues+1, true), "IN list has 257 values, limit 256"},
+			withFilter(wireAndChain(129)), "predicate has more than 256 nodes"},
+		{"in values", wireInScan(MaxInValues, false), wireInScan(MaxInValues+1, false), "IN list has more than 256 values"},
+		{"index-cond in values", wireInScan(MaxInValues, true), wireInScan(MaxInValues+1, true), "IN list has more than 256 values"},
 	}
 	_, sched, ts := newTestService(t)
 	for _, c := range cases {
 		if _, err := c.ok.Decode(); err != nil {
 			t.Errorf("%s: plan at the limit rejected: %v", c.name, err)
+		}
+		if _, _, err := DecodeEstimate(mustMarshal(t, estimateRequest{Plan: c.ok})); err != nil {
+			t.Errorf("%s: request at the limit rejected: %v", c.name, err)
 		}
 		if _, err := c.over.Decode(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: plan past the limit: err = %v, want one naming %q", c.name, err, c.want)
@@ -368,5 +395,25 @@ func TestWirePlanBounds(t *testing.T) {
 	}
 	if st := sched.Stats(); st.Admitted != 0 {
 		t.Fatalf("oversized plans reached the queue: %+v", st)
+	}
+
+	// Early refusal: ≈1 MiB bodies of one hostile plan each — a unary chain
+	// (≈49k nodes, trips the depth bound) and a balanced join tree (≈31k
+	// nodes, trips the node bound) — are refused having built at most
+	// MaxPlanNodes nodes. Each node built costs at least its plan.Node
+	// allocation, so the allocation count bounds the nodes built.
+	if raceEnabled {
+		return // allocation counts are not meaningful under -race
+	}
+	for name, hostile := range map[string]*WirePlan{"unary chain": wireUnaryChain(49000), "join tree": wireJoinTree(15700)} {
+		body := mustMarshal(t, estimateRequest{Plan: hostile})
+		if len(body) < 1000<<10 || len(body) > 1<<20 {
+			t.Fatalf("%s: hostile body is %d bytes, want just under 1 MiB", name, len(body))
+		}
+		var err error
+		allocs := testing.AllocsPerRun(5, func() { _, _, err = DecodeEstimate(body) })
+		if err == nil || allocs > 3*MaxPlanNodes {
+			t.Errorf("%s: err = %v after %.0f allocations, want a refusal within %d", name, err, allocs, 3*MaxPlanNodes)
+		}
 	}
 }

@@ -100,10 +100,11 @@ var wireAtomOps = map[string]sqlpred.Op{
 	"in":       sqlpred.OpIn,
 }
 
-// Size bounds on one wire plan, checked before anything is built. Subtree
-// signatures are Θ(nodes × depth) bytes, so without them a 1 MiB body of
-// nested unary operators (~15k nodes) would cost hundreds of MB to encode.
-// The workloads' largest plans have 18 nodes, depth 11 and 9 predicate nodes.
+// Size bounds on one wire plan. Subtree signatures are Θ(nodes × depth)
+// bytes, so without them a 1 MiB body of nested unary operators (~15k nodes)
+// would cost hundreds of MB to encode. DecodeEstimate enforces them while it
+// scans, WirePlan.Decode before it builds anything. The workloads' largest
+// plans have 18 nodes, depth 11 and 9 predicate nodes.
 const (
 	MaxPlanNodes = 256 // plan nodes per plan
 	MaxPlanDepth = 64  // plan tree height
@@ -111,10 +112,21 @@ const (
 	MaxInValues  = 256 // values per IN list
 )
 
+// The refusals for a plan past a bound; they name the limit, not the final
+// count, because the scanning decoder stops at the first node past it.
+var (
+	errPlanNodes = fmt.Errorf("serve: plan has more than %d nodes", MaxPlanNodes)
+	errPlanDepth = fmt.Errorf("serve: plan is more than %d levels deep", MaxPlanDepth)
+	errPredNodes = fmt.Errorf("serve: a predicate has more than %d nodes", MaxPredNodes)
+	errInValues  = fmt.Errorf("serve: an IN list has more than %d values", MaxInValues)
+)
+
 // Decode converts the wire plan into a plan.Node tree, validating size
 // bounds, operator and predicate shapes. Schema validity (table/column
 // existence) is checked downstream by the feature encoder against its
-// catalog.
+// catalog. The request path does not come through here — DecodeEstimate
+// builds the same tree straight from the body — but every per-node rule is a
+// helper the two share, and the differential test pins them to each other.
 func (w *WirePlan) Decode() (*plan.Node, error) {
 	if w == nil {
 		return nil, fmt.Errorf("serve: empty plan")
@@ -123,13 +135,13 @@ func (w *WirePlan) Decode() (*plan.Node, error) {
 	sz.plan(w, 1)
 	switch {
 	case sz.nodes > MaxPlanNodes:
-		return nil, fmt.Errorf("serve: plan has %d nodes, limit %d", sz.nodes, MaxPlanNodes)
+		return nil, errPlanNodes
 	case sz.depth > MaxPlanDepth:
-		return nil, fmt.Errorf("serve: plan is %d levels deep, limit %d", sz.depth, MaxPlanDepth)
+		return nil, errPlanDepth
 	case sz.preds > MaxPredNodes:
-		return nil, fmt.Errorf("serve: a predicate has %d nodes, limit %d", sz.preds, MaxPredNodes)
+		return nil, errPredNodes
 	case sz.in > MaxInValues:
-		return nil, fmt.Errorf("serve: an IN list has %d values, limit %d", sz.in, MaxInValues)
+		return nil, errInValues
 	}
 	return w.decode()
 }
@@ -163,14 +175,7 @@ func (sz *wireSize) pred(w *WirePred) int {
 }
 
 func (w *WirePlan) decode() (*plan.Node, error) {
-	t, ok := wireOps[strings.ToLower(w.Op)]
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown operator %q", w.Op)
-	}
-	n := &plan.Node{Type: t, Table: w.Table, Index: w.Index}
-	if t.IsScan() && w.Table == "" {
-		return nil, fmt.Errorf("serve: %s without a table", w.Op)
-	}
+	n := &plan.Node{Table: w.Table, Index: w.Index}
 	var err error
 	if w.Filter != nil {
 		if n.Filter, err = w.Filter.decode(); err != nil {
@@ -178,11 +183,9 @@ func (w *WirePlan) decode() (*plan.Node, error) {
 		}
 	}
 	if w.IndexCond != nil {
-		a, err := w.IndexCond.decode()
-		if err != nil {
+		if n.IndexCond, err = w.IndexCond.decode(); err != nil {
 			return nil, err
 		}
-		n.IndexCond = a
 	}
 	if w.Join != nil {
 		n.JoinCond = &plan.JoinCond{Left: w.Join.Left.decode(), Right: w.Join.Right.decode()}
@@ -210,57 +213,78 @@ func (w *WirePlan) decode() (*plan.Node, error) {
 			return nil, err
 		}
 	}
-	if t.IsJoin() && (n.Left == nil || n.Right == nil) {
-		return nil, fmt.Errorf("serve: %s needs two inputs", w.Op)
-	}
-	if (t == plan.Sort || t == plan.Aggregate) && n.Left == nil {
-		return nil, fmt.Errorf("serve: %s needs an input", w.Op)
+	if err := finishNode(n, w.Op); err != nil {
+		return nil, err
 	}
 	return n, nil
 }
 
-func (w *WirePred) decode() (sqlpred.Pred, error) {
-	switch {
-	case w == nil:
-		return nil, fmt.Errorf("serve: empty predicate node")
-	case w.Atom != nil && w.Bool == "":
-		return w.Atom.decode()
-	case w.Atom == nil && w.Bool != "":
-		var kind sqlpred.BoolKind
-		switch strings.ToLower(w.Bool) {
-		case "and":
-			kind = sqlpred.And
-		case "or":
-			kind = sqlpred.Or
-		default:
-			return nil, fmt.Errorf("serve: unknown connective %q", w.Bool)
-		}
-		if w.Left == nil || w.Right == nil {
-			return nil, fmt.Errorf("serve: %s needs two operands", w.Bool)
-		}
-		l, err := w.Left.decode()
-		if err != nil {
-			return nil, err
-		}
-		r, err := w.Right.decode()
-		if err != nil {
-			return nil, err
-		}
-		return &sqlpred.Bool{Kind: kind, Left: l, Right: r}, nil
-	default:
-		return nil, fmt.Errorf("serve: predicate node must set exactly one of atom or bool")
+// finishNode types a plan node whose members are already in place and applies
+// the per-node rules: a known operator (names are case-insensitive), a table
+// on every scan, two inputs on a join, one on a sort or aggregate.
+func finishNode(n *plan.Node, op string) error {
+	t, ok := wireOps[strings.ToLower(op)]
+	if !ok {
+		return fmt.Errorf("serve: unknown operator %q", op)
 	}
+	n.Type = t
+	switch {
+	case t.IsScan() && n.Table == "":
+		return fmt.Errorf("serve: %s without a table", op)
+	case t.IsJoin() && (n.Left == nil || n.Right == nil):
+		return fmt.Errorf("serve: %s needs two inputs", op)
+	case (t == plan.Sort || t == plan.Aggregate) && n.Left == nil:
+		return fmt.Errorf("serve: %s needs an input", op)
+	}
+	return nil
+}
+
+// predShape classifies a predicate node, which must set exactly one of atom
+// or bool ("" counts as unset): an atom, or the named connective.
+func predShape(hasAtom bool, connective string) (isAtom bool, kind sqlpred.BoolKind, err error) {
+	switch {
+	case hasAtom && connective == "":
+		return true, 0, nil
+	case hasAtom || connective == "":
+		return false, 0, fmt.Errorf("serve: predicate node must set exactly one of atom or bool")
+	}
+	switch strings.ToLower(connective) {
+	case "and":
+		return false, sqlpred.And, nil
+	case "or":
+		return false, sqlpred.Or, nil
+	}
+	return false, 0, fmt.Errorf("serve: unknown connective %q", connective)
+}
+
+func (w *WirePred) decode() (sqlpred.Pred, error) {
+	if w == nil {
+		return nil, fmt.Errorf("serve: empty predicate node")
+	}
+	isAtom, kind, err := predShape(w.Atom != nil, w.Bool)
+	if err != nil {
+		return nil, err
+	}
+	if isAtom {
+		// left/right beside an atom are ignored, not refused.
+		return w.Atom.decode()
+	}
+	if w.Left == nil || w.Right == nil {
+		return nil, fmt.Errorf("serve: %s needs two operands", w.Bool)
+	}
+	l, err := w.Left.decode()
+	if err != nil {
+		return nil, err
+	}
+	r, err := w.Right.decode()
+	if err != nil {
+		return nil, err
+	}
+	return &sqlpred.Bool{Kind: kind, Left: l, Right: r}, nil
 }
 
 func (w *WireAtom) decode() (*sqlpred.Atom, error) {
-	op, ok := wireAtomOps[strings.ToLower(w.Op)]
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown predicate operator %q", w.Op)
-	}
-	if w.Table == "" || w.Column == "" {
-		return nil, fmt.Errorf("serve: predicate atom needs table and column")
-	}
-	a := &sqlpred.Atom{Table: w.Table, Column: w.Column, Op: op}
+	a := &sqlpred.Atom{Table: w.Table, Column: w.Column}
 	operands := 0
 	if w.Num != nil {
 		a.NumVal = *w.Num
@@ -274,14 +298,31 @@ func (w *WireAtom) decode() (*sqlpred.Atom, error) {
 		a.InVals, a.IsStr = w.In, true
 		operands++
 	}
-	if operands != 1 {
-		return nil, fmt.Errorf("serve: predicate atom on %s.%s needs exactly one operand (num, str or in)",
-			w.Table, w.Column)
-	}
-	if (op == sqlpred.OpIn) != (len(w.In) > 0) {
-		return nil, fmt.Errorf("serve: operator %q and operand kind disagree on %s.%s", w.Op, w.Table, w.Column)
+	if err := finishAtom(a, w.Op, operands); err != nil {
+		return nil, err
 	}
 	return a, nil
+}
+
+// finishAtom gives an atom whose column and operand are already in place its
+// operator and applies the atom rules: a known operator (case-insensitive),
+// a table and a column, exactly one of the three operand families, and
+// an IN list if and only if the operator is IN.
+func finishAtom(a *sqlpred.Atom, opName string, operands int) error {
+	op, ok := wireAtomOps[strings.ToLower(opName)]
+	switch {
+	case !ok:
+		return fmt.Errorf("serve: unknown predicate operator %q", opName)
+	case a.Table == "" || a.Column == "":
+		return fmt.Errorf("serve: predicate atom needs table and column")
+	case operands != 1:
+		return fmt.Errorf("serve: predicate atom on %s.%s needs exactly one operand (num, str or in)",
+			a.Table, a.Column)
+	case (op == sqlpred.OpIn) != (len(a.InVals) > 0):
+		return fmt.Errorf("serve: operator %q and operand kind disagree on %s.%s", opName, a.Table, a.Column)
+	}
+	a.Op = op
+	return nil
 }
 
 func (w WireCol) decode() plan.ColRef { return plan.ColRef{Table: w.Table, Column: w.Column} }
