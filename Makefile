@@ -75,15 +75,16 @@ check: build vet fmt-check lint test
 # entry, batch serving, BenchmarkTrainEpochParallel shard variants), the
 # memory pool read path, the hot-swap serving runtime (full-copy
 # BenchmarkPublish vs BenchmarkPublishDelta, continuous-loop
-# BenchmarkFitParallel), the tensor kernels underneath them, and the request
-# path's body decoder and plan encoder.
+# BenchmarkFitParallel), the tensor kernels underneath them, the request
+# path's body decoder and plan encoder, and the whole in-process /estimate
+# request (BenchmarkHandleEstimate: allocations and bytes per request).
 bench:
 	$(GO) test ./internal/core/ -run xxx \
 		-bench 'BenchmarkForwardSingle|BenchmarkForwardPooled|BenchmarkPoolGetParallel|BenchmarkEstimateBatch|BenchmarkTrainEpochParallel|BenchmarkPublish|BenchmarkServer|BenchmarkFitParallel' \
 		-benchmem -benchtime=1s
 	$(GO) test ./internal/tensor/ -run xxx -bench . -benchmem -benchtime=1s
 	$(GO) test ./internal/feature/ -run xxx -bench 'BenchmarkEncode' -benchmem -benchtime=1s
-	$(GO) test ./internal/serve/ -run xxx -bench 'BenchmarkDecodeEstimate' -benchmem -benchtime=1s
+	$(GO) test ./internal/serve/ -run xxx -bench 'BenchmarkDecodeEstimate|BenchmarkHandleEstimate' -benchmem -benchtime=1s
 
 # Regenerate $(BENCH_OUT) from a fresh benchmark run (see scripts/bench_json.sh).
 bench-json:

@@ -82,8 +82,10 @@ type Server struct {
 // hotTracker records how often each distinct plan (keyed by its root
 // signature) has been served, so a publish can replay the hottest ones
 // through the new snapshot. Hit counts are halved at each replay, so the hot
-// set adapts as the workload drifts. The tracker retains references to the
-// served EncodedPlans; cap the working set with the EnablePrewarm limit.
+// set adapts as the workload drifts. It is the one component that keeps a
+// served plan past its request, and a request's plans live in storage the
+// caller recycles (feature.Arena), so it keeps its own deep copy of each plan
+// it admits; cap the working set with the EnablePrewarm limit.
 type hotTracker struct {
 	mu    sync.Mutex
 	limit int
@@ -99,14 +101,16 @@ type hotPlan struct {
 }
 
 // track counts one served plan. New plans are admitted while the tracked set
-// is under twice the replay limit; replays prune it back down.
+// is under twice the replay limit; replays prune it back down. An admitted
+// plan is cloned, and keyed by the clone's signature: neither the map nor a
+// later replay may point into the caller's memory.
 func (tr *hotTracker) track(ep *feature.EncodedPlan) {
-	sig := ep.Nodes[ep.Root].Sig
 	tr.mu.Lock()
-	if hp := tr.plans[sig]; hp != nil {
+	if hp := tr.plans[ep.Nodes[ep.Root].Sig]; hp != nil {
 		hp.hits++
 	} else if len(tr.plans) < 2*tr.limit {
-		tr.plans[sig] = &hotPlan{ep: ep, hits: 1}
+		own := ep.Clone()
+		tr.plans[own.Nodes[own.Root].Sig] = &hotPlan{ep: own, hits: 1}
 	}
 	tr.mu.Unlock()
 }

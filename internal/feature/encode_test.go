@@ -2,6 +2,7 @@ package feature
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"costest/internal/plan"
@@ -122,6 +123,199 @@ func TestEncodeMatchesOracle(t *testing.T) {
 	}
 	t.Logf("%d plans, %d nodes; largest %d nodes, depth %d, %d predicate nodes on a node",
 		len(plans), nodes, maxNodes, maxDepth, maxPreds)
+}
+
+// enumRequest is the request an optimizer's enumeration loop sends: variants
+// candidate plans for each query, the same tree with its join operators
+// rewritten from the base-3 digits of the variant number, so the candidates of
+// one query share every scan and differ above it.
+func enumRequest(tb testing.TB, qs []*query.Query, queries, variants int) []*plan.Node {
+	tb.Helper()
+	joinOps := []plan.NodeType{plan.HashJoin, plan.MergeJoin, plan.NestedLoop}
+	var out []*plan.Node
+	for _, q := range qs {
+		root, err := testPl.Plan(q)
+		if err != nil || q.NumJoins() < 2 {
+			continue
+		}
+		if len(out) == queries*variants {
+			break
+		}
+		for v := 0; v < variants; v++ {
+			c, digits := root.Clone(), v
+			c.Walk(func(n *plan.Node) {
+				if n.Type.IsJoin() {
+					n.Type = joinOps[digits%len(joinOps)]
+					digits /= len(joinOps)
+				}
+			})
+			out = append(out, c)
+		}
+	}
+	if len(out) != queries*variants {
+		tb.Fatalf("only %d of %d enumeration plans built", len(out), queries*variants)
+	}
+	return out
+}
+
+// TestEncodeAllMatchesEncode: whatever else a request holds and whatever the
+// arena held before, every plan EncodeAll returns is deeply equal to Encode of
+// that plan alone — vectors, predicate trees, child indices, levels, the
+// cardinality node and the plan's own supervision targets. Requests follow one
+// another through a single arena, so a byte a recycled slab failed to zero, or
+// a table entry that outlived its request, shows up as a difference.
+func TestEncodeAllMatchesEncode(t *testing.T) {
+	seven := sevenNodePlan()
+	selfJoin := func() *plan.Node {
+		scan := func() *plan.Node {
+			return &plan.Node{Type: plan.SeqScan, Table: "title",
+				Filter: &sqlpred.Atom{Table: "title", Column: "production_year", Op: sqlpred.OpGt, NumVal: 1990}}
+		}
+		cond := &plan.JoinCond{Left: plan.ColRef{Table: "title", Column: "id"}, Right: plan.ColRef{Table: "title", Column: "episode_of_id"}}
+		inner := func() *plan.Node {
+			return &plan.Node{Type: plan.HashJoin, JoinCond: cond, Left: scan(), Right: scan()}
+		}
+		// The same scan four times, the same join twice, inside one plan.
+		return &plan.Node{Type: plan.MergeJoin, JoinCond: cond, Left: inner(), Right: inner()}
+	}
+	requests := map[string][]*plan.Node{
+		"scale":   planned(t, workload.Scale(testDB, 11, 40)),
+		"jobfull": planned(t, workload.JOBFull(testDB, 11, 40)),
+		"enum":    enumRequest(t, workload.Scale(testDB, 13, 80), 6, 8),
+		"enumjob": enumRequest(t, workload.JOBFull(testDB, 13, 40), 4, 8),
+		"shaped":  shapedPlans(),
+		// A subtree repeated inside one plan, then the plan repeated whole.
+		"selfjoin": {selfJoin(), selfJoin()},
+		// The second plan's cardinality node (the hash join under its sort
+		// and aggregate) lies strictly inside a subtree the first plan
+		// already encoded.
+		"cardnode": {seven.Left, sevenNodePlan()},
+		"single":   {sevenNodePlan()},
+	}
+	// Distinct targets on every node: a copied subtree must carry its own
+	// plan's, not those of the plan it was first seen in.
+	target := 1.0
+	for _, roots := range requests {
+		for _, root := range roots {
+			root.Walk(func(n *plan.Node) {
+				n.TrueRows, n.TrueCost = target, 1000+target
+				target++
+			})
+		}
+	}
+	order := []string{"enum", "jobfull", "selfjoin", "scale", "cardnode", "enumjob", "single", "shaped", "enum", "single"}
+	encoders := map[string]*Encoder{
+		"daemon":   NewEncoder(testCat, strembed.ZeroEncoder{}, true),
+		"nobitmap": NewEncoder(testCat, strembed.HashEmbedder{DimN: 16}, false),
+	}
+	for name, e := range encoders {
+		var a Arena
+		for _, req := range order {
+			roots := requests[req]
+			got, err := e.EncodeAll(roots, &a)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, req, err)
+			}
+			if len(got) != len(roots) {
+				t.Fatalf("%s/%s: %d plans encoded, want %d", name, req, len(got), len(roots))
+			}
+			for i, root := range roots {
+				want, err := e.Encode(root)
+				if err != nil {
+					t.Fatalf("%s/%s: plan %d: %v", name, req, i, err)
+				}
+				if !reflect.DeepEqual(got[i], want) {
+					t.Fatalf("%s/%s: plan %d (%s) differs from Encode\n got %+v\nwant %+v", name, req, i, root.Signature(), got[i], want)
+				}
+			}
+			total := 0
+			for _, root := range roots {
+				total += root.Count()
+			}
+			if a.Nodes != total {
+				t.Fatalf("%s/%s: arena counted %d nodes, request has %d", name, req, a.Nodes, total)
+			}
+			switch rate := float64(a.Shared) / float64(a.Nodes); {
+			case (req == "enum" || req == "enumjob") && rate < 0.5:
+				t.Fatalf("%s/%s: only %d of %d nodes shared; an 8-variant enumeration repeats most of its nodes", name, req, a.Shared, a.Nodes)
+			case req == "selfjoin" && a.Shared != 11:
+				// Plan 1: the second scan, the second join (3 nodes). Plan 2: all 7.
+				t.Fatalf("%s/selfjoin: %d nodes shared, want 11", name, a.Shared)
+			case req == "cardnode" && (a.Shared != 6 || got[1].CardNode != 2):
+				t.Fatalf("%s/cardnode: %d nodes shared (want 6), cardinality node %d (want 2)", name, a.Shared, got[1].CardNode)
+			case req == "single" && a.Shared != 0:
+				t.Fatalf("%s/single: %d nodes shared in a plan with no repeated subtree", name, a.Shared)
+			}
+		}
+	}
+}
+
+// TestEncodeAllRefusesSignatureCollision: table names travel into signatures
+// unescaped, so a client can send two differently shaped trees that sign
+// alike. Sharing one's encoding under the other would build a plan whose child
+// indices and levels disagree with its node count; EncodeAll must refuse the
+// request instead, whichever tree comes first, and the arena must be fit for
+// the next request.
+func TestEncodeAllRefusesSignatureCollision(t *testing.T) {
+	scan := func(table string) *plan.Node { return &plan.Node{Type: plan.SeqScan, Table: table} }
+	join := func(table string, l, r *plan.Node) *plan.Node {
+		return &plan.Node{Type: plan.HashJoin, Table: table, Left: l, Right: r}
+	}
+	// Three nodes and five, one signature: the left scan's name spells out the
+	// text of a join that the other tree really has.
+	inner := join("", scan("p"), scan("q")).Signature()
+	small := join("", scan("u]("+inner+","+scan("r").Signature()), scan("d"))
+	large := join("](0[u", join("", scan("p"), scan("q")), scan("r]],"+strings.TrimSuffix(scan("d").Signature(), "]")))
+	if small.Signature() != large.Signature() || small.Count() == large.Count() {
+		t.Fatalf("test trees do not collide:\n%s (%d nodes)\n%s (%d nodes)", small.Signature(), small.Count(), large.Signature(), large.Count())
+	}
+	e := NewEncoder(testCat, strembed.ZeroEncoder{}, true)
+	var a Arena
+	for _, roots := range [][]*plan.Node{{small, large}, {large, small}, {join("", small, large)}} {
+		if _, err := e.EncodeAll(roots, &a); err == nil || !strings.Contains(err.Error(), "two different subtrees") {
+			t.Fatalf("EncodeAll of colliding trees: err = %v, want a refusal", err)
+		}
+		// Either alone is an ordinary plan, before and after a refusal.
+		for _, root := range []*plan.Node{small, large} {
+			got, err := e.EncodeAll([]*plan.Node{root}, &a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := e.Encode(root); !reflect.DeepEqual(got[0], want) {
+				t.Fatalf("plan %s encoded differently after a refused request", root.Signature())
+			}
+		}
+	}
+}
+
+// TestEncodedPlanClone: a clone is deeply equal to its source and shares no
+// memory with it — overwriting everything the source points to leaves the
+// clone as it was.
+func TestEncodedPlanClone(t *testing.T) {
+	e := newEncoder()
+	var a Arena
+	roots := enumRequest(t, workload.Scale(testDB, 13, 80), 1, 8)
+	eps, err := e.EncodeAll(roots, &a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := eps[len(eps)-1] // mostly copies of earlier plans' subtrees
+	want, err := e.Encode(roots[len(roots)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := src.Clone()
+	if !reflect.DeepEqual(clone, want) {
+		t.Fatalf("clone differs from its source\n got %+v\nwant %+v", clone, want)
+	}
+	// Recycle the arena under a different request: every slab the source
+	// lived in is overwritten.
+	if _, err := e.EncodeAll(planned(t, workload.JOBFull(testDB, 5, 40)), &a); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(clone, want) {
+		t.Fatal("clone changed when its source's arena was recycled")
+	}
 }
 
 // normalizeEmpty maps the two spellings of "no elements" onto one: the old

@@ -110,35 +110,61 @@ type EncodedPlan struct {
 // Encode converts an executed plan into tensors. The plan must carry
 // TrueRows/TrueCost annotations if the sample will be used for training.
 //
-// Encode sits on the request path, so it is one sizing pass and one building
-// pass: every feature vector is carved out of a single float slab, node and
-// predicate-node storage is allocated at its final length, and all subtree
-// signatures are slices of the root's (plan.Node.SubtreeSignatures).
+// It is EncodeAll of one plan into an arena of its own, sized exactly by a
+// measuring pre-pass and never recycled, so the result lives as long as the
+// caller keeps it.
 func (e *Encoder) Encode(root *plan.Node) (*EncodedPlan, error) {
 	var sz planSize
 	sz.measure(e, root)
-	b := planBuilder{
-		e:        e,
-		ep:       &EncodedPlan{Nodes: make([]EncodedNode, 0, sz.nodes)},
-		sigs:     root.SubtreeSignatures(),
-		slab:     make([]float64, sz.floats),
-		preds:    make([]PredNode, sz.preds),
-		heights:  make([]int32, sz.nodes),
-		cardNode: root.CardinalityNode(),
-	}
-	if _, err := b.encodeNode(root); err != nil {
+	var a Arena
+	a.reserve(sz, root.Depth())
+	eps, err := e.EncodeAll([]*plan.Node{root}, &a)
+	if err != nil {
 		return nil, err
 	}
-	ep := b.ep
-	ep.Signature = ep.Nodes[ep.Root].Sig
-	ep.Cost = root.TrueCost
-	ep.Card = b.cardNode.TrueRows
-	ep.buildLevels(b.heights)
-	return ep, nil
+	return eps[0], nil
 }
 
-// planSize is the storage one plan's encoding needs, measured up front so
-// the builder never grows a slice.
+// EncodeAll encodes the plans of one request into the arena, which it resets
+// first: the result, and everything it points to, is valid until the arena's
+// next EncodeAll.
+//
+// A request's plans are encoded against one signature → encoded-subtree table,
+// the encoder's mirror of the paper's representation memory pool (Section 3):
+// an optimizer pricing the candidates of one query sends the same scans and
+// lower joins over and over, and a subtree whose signature already occurred —
+// in an earlier plan or earlier in the same one — is a copy of the earlier
+// EncodedNodes, not a second encoding. The copies alias the earlier feature
+// vectors and predicate nodes (nothing downstream writes to them); child
+// indices are shifted and the supervision targets taken from the plan's own
+// nodes, so each returned plan equals, value for value, what Encode builds.
+func (e *Encoder) EncodeAll(roots []*plan.Node, a *Arena) ([]*EncodedPlan, error) {
+	if a.seen == nil {
+		a.seen = make(map[string]subtree)
+	}
+	a.reset()
+	for _, root := range roots {
+		a.sigs = root.AppendSubtreeSignatures(a.sigs[:0], &a.sigScratch)
+		sigs := a.sigs
+		ep := a.plans.One()
+		ep.Nodes = a.nodes.Carve(len(sigs))[:0]
+		b := planBuilder{e: e, a: a, ep: ep, sigs: sigs, heights: a.ints.Carve(len(sigs)), cardNode: root.CardinalityNode()}
+		a.eps = append(a.eps, ep)
+		a.heights = append(a.heights, b.heights)
+		if _, err := b.encodeNode(root); err != nil {
+			return nil, err
+		}
+		ep.Signature = sigs[0]
+		ep.Cost = root.TrueCost
+		ep.Card = b.cardNode.TrueRows
+		a.buildLevels(ep, b.heights)
+		a.Nodes += len(sigs)
+	}
+	return a.eps, nil
+}
+
+// planSize is the storage one plan's encoding needs when nothing is shared,
+// measured up front so Encode's arena never grows.
 type planSize struct {
 	nodes  int // plan nodes
 	preds  int // predicate-tree nodes over all plan nodes
@@ -193,28 +219,27 @@ func countPredNodes(p sqlpred.Pred) int {
 	}
 }
 
-// planBuilder carries one Encode call's storage through the recursion.
+// planBuilder carries one plan's encoding through the recursion.
 type planBuilder struct {
 	e        *Encoder
+	a        *Arena
 	ep       *EncodedPlan
-	sigs     []string   // subtree signatures, indexed like ep.Nodes (pre-order)
-	slab     []float64  // zeroed; feature vectors are carved off its front
-	preds    []PredNode // predicate nodes are carved off its front
-	heights  []int32    // per node, height above the leaves
+	sigs     []string // subtree signatures, indexed like ep.Nodes (pre-order)
+	heights  []int32  // per node, height above the leaves
 	cardNode *plan.Node
 }
 
-// floats carves the next n elements off the slab, capped so an append to one
-// vector can never run into its neighbour.
-func (b *planBuilder) floats(n int) []float64 {
-	v := b.slab[:n:n]
-	b.slab = b.slab[n:]
-	return v
-}
+func (b *planBuilder) floats(n int) []float64 { return b.a.floats.Carve(n) }
 
 func (b *planBuilder) encodeNode(n *plan.Node) (int, error) {
 	e, ep := b.e, b.ep
 	idx := len(ep.Nodes)
+	if first, ok := b.a.seen[b.sigs[idx]]; ok {
+		if !b.share(n, first) {
+			return 0, fmt.Errorf("feature: signature %q names two different subtrees in one request", b.sigs[idx])
+		}
+		return idx, nil
+	}
 	ep.Nodes = append(ep.Nodes, EncodedNode{})
 	if n == b.cardNode {
 		ep.CardNode = idx
@@ -227,8 +252,7 @@ func (b *planBuilder) encodeNode(n *plan.Node) (int, error) {
 	e.encodeMeta(enc.Meta, n)
 
 	if k := predNodes(n); k > 0 {
-		enc.Pred.Nodes = b.preds[:0:k]
-		b.preds = b.preds[k:]
+		enc.Pred.Nodes = b.a.preds.Carve(k)[:0]
 		if n.Type.IsScan() {
 			p := scanPredicate(n)
 			if _, err := b.encodePredNode(p, &enc.Pred); err != nil {
@@ -268,7 +292,67 @@ func (b *planBuilder) encodeNode(n *plan.Node) (int, error) {
 	}
 	b.heights[idx] = height
 	ep.Nodes[idx] = enc
+	b.a.seen[enc.Sig] = subtree{plan: int32(len(b.a.eps) - 1), at: int32(idx), nodes: int32(len(ep.Nodes) - idx)}
 	return idx, nil
+}
+
+// share appends the subtree of n to the plan as a copy of its first encoding
+// in this arena — the nodes, and the heights beside them — and has retarget
+// stamp what is the plan's own.
+//
+// It reports false when the subtree does not have the shape of that encoding.
+// Plans arrive from the network and a signature does not escape the names it
+// embeds, so a client can build two different trees that sign alike; copying
+// one's nodes under the other would hand the batch runtime a plan whose child
+// indices and levels disagree with its length.
+//
+// costlint:noalloc
+func (b *planBuilder) share(n *plan.Node, first subtree) bool {
+	ep := b.ep
+	idx := len(ep.Nodes)
+	from, to := int(first.at), int(first.at+first.nodes)
+	if idx+to-from > cap(ep.Nodes) {
+		return false // more nodes than the plan has left
+	}
+	ep.Nodes = append(ep.Nodes, b.a.eps[first.plan].Nodes[from:to]...)
+	copy(b.heights[idx:], b.a.heights[first.plan][from:to])
+	b.a.Shared += to - from
+	_, ok := b.retarget(n, idx)
+	return ok
+}
+
+// retarget walks the subtree of n beside its copied encoding (both pre-order,
+// starting at idx) and stamps what belongs to this plan rather than to the
+// subtree's first occurrence: child indices, the executed plan's targets and
+// the position of the cardinality node. It returns the index after the
+// subtree, and false at the first node that has a child where the copy has
+// none or the reverse (see share): pre-order plus each node's children fixes a
+// tree's shape, so a walk that never disagrees has covered exactly the copy.
+//
+// costlint:noalloc
+func (b *planBuilder) retarget(n *plan.Node, idx int) (int, bool) {
+	node := &b.ep.Nodes[idx]
+	if (n.Left != nil) != (node.Left >= 0) || (n.Right != nil) != (node.Right >= 0) {
+		return 0, false
+	}
+	node.TrueRows, node.TrueCost = n.TrueRows, n.TrueCost
+	if n == b.cardNode {
+		b.ep.CardNode = idx
+	}
+	next, ok := idx+1, true
+	if n.Left != nil {
+		node.Left = next
+		if next, ok = b.retarget(n.Left, next); !ok {
+			return 0, false
+		}
+	}
+	if n.Right != nil {
+		node.Right = next
+		if next, ok = b.retarget(n.Right, next); !ok {
+			return 0, false
+		}
+	}
+	return next, true
 }
 
 // encodeMeta ORs into v the one-hot vectors of every column, table and index
@@ -432,29 +516,6 @@ func (e *Encoder) encodeJoinVec(v []float64, jc *plan.JoinCond) error {
 	}
 	v[atomColBase+s.NumColumns()+int(sqlpred.OpEq)] = 1
 	return nil
-}
-
-// buildLevels groups nodes by height above the leaves so batch training can
-// run whole levels at once (Section 4.3's width-first encoding). Within a
-// level nodes keep their pre-order; all levels share one backing array.
-func (ep *EncodedPlan) buildLevels(heights []int32) {
-	// starts[h+1] first counts level h, then (prefix-summed) is where level
-	// h+1 begins in the flat array.
-	starts := make([]int32, heights[ep.Root]+2)
-	for _, h := range heights {
-		starts[h+1]++
-	}
-	for h := 1; h < len(starts); h++ {
-		starts[h] += starts[h-1]
-	}
-	flat := make([]int32, len(heights))
-	ep.Levels = make([][]int32, len(starts)-1)
-	for h := range ep.Levels {
-		ep.Levels[h] = flat[starts[h]:starts[h]:starts[h+1]]
-	}
-	for i, h := range heights {
-		ep.Levels[h] = append(ep.Levels[h], int32(i))
-	}
 }
 
 // Depth returns the number of levels.

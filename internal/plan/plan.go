@@ -192,14 +192,36 @@ func (n *Node) Signature() string {
 // writes the root's, and every other entry is a slice of that one string.
 func (n *Node) SubtreeSignatures() []string {
 	count := n.Count()
-	spans := make([]sigSpan, 0, count)
+	var sc SigScratch
+	sc.Reserve(count)
+	return n.AppendSubtreeSignatures(make([]string, 0, count), &sc)
+}
+
+// SigScratch is the working storage of AppendSubtreeSignatures, reusable
+// across calls. The zero value is ready to use.
+type SigScratch struct {
+	buf   []byte
+	spans []sigSpan
+}
+
+// Reserve sizes the scratch for a plan of the given node count, for a caller
+// that will not reuse it.
+func (sc *SigScratch) Reserve(nodes int) {
 	// 48 bytes a node covers most workload plans without regrowing.
-	root := string(n.appendSignature(make([]byte, 0, 48*count), &spans))
-	out := make([]string, len(spans))
-	for i, sp := range spans {
-		out[i] = root[sp.start:sp.end]
+	sc.buf, sc.spans = make([]byte, 0, 48*nodes), make([]sigSpan, 0, nodes)
+}
+
+// AppendSubtreeSignatures appends SubtreeSignatures() to dst. With a reused
+// scratch and a dst of sufficient capacity its only allocation is the root's
+// signature string.
+func (n *Node) AppendSubtreeSignatures(dst []string, sc *SigScratch) []string {
+	sc.spans = sc.spans[:0]
+	sc.buf = n.appendSignature(sc.buf[:0], &sc.spans)
+	root := string(sc.buf)
+	for _, sp := range sc.spans {
+		dst = append(dst, root[sp.start:sp.end])
 	}
-	return out
+	return dst
 }
 
 // sigSpan locates one subtree's signature inside the root's.

@@ -8,13 +8,16 @@ import (
 	"unicode/utf8"
 
 	"costest/internal/plan"
+	"costest/internal/slab"
 	"costest/internal/sqlpred"
 )
 
 // DecodeEstimate parses an /estimate body — {"plan": P} or {"plans": [P...]},
 // optionally "timeout_ms" — straight into plan trees: one recursive-descent
 // pass over the wire format's grammar (see WirePlan), no reflection and no
-// intermediate tree. It is the request path's only decoder.
+// intermediate tree. It is the request path's only decoder: the handler calls
+// the same scan on a decoder it recycles, this entry point on a fresh one
+// whose trees the caller may keep.
 //
 // It accepts what encoding/json into WirePlan followed by WirePlan.Decode
 // accepts and builds the same trees (null for a member means the member is
@@ -24,7 +27,16 @@ import (
 // are enforced as the scan goes: an oversized body is refused at the first
 // node past a limit, before the rest is read or built.
 func DecodeEstimate(body []byte) (roots []*plan.Node, timeoutMS int, err error) {
-	d := decoder{b: body}
+	return new(decoder).decode(body)
+}
+
+// decode scans one body. The trees it returns are built in the decoder's
+// slabs and are valid until its next decode.
+func (d *decoder) decode(body []byte) (roots []*plan.Node, timeoutMS int, err error) {
+	d.reset(body)
+	if d.names == nil {
+		d.names = make(map[string]string)
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			refusal, ok := r.(refused)
@@ -41,7 +53,7 @@ func DecodeEstimate(body []byte) (roots []*plan.Node, timeoutMS int, err error) 
 			single = d.planNode(1)
 		case "plans":
 			for d.open('['); d.more(']'); {
-				roots = append(roots, d.planNode(1))
+				d.roots = append(d.roots, d.planNode(1))
 			}
 		case "timeout_ms":
 			n, err := strconv.ParseInt(string(d.number()), 10, 0)
@@ -55,14 +67,14 @@ func DecodeEstimate(body []byte) (roots []*plan.Node, timeoutMS int, err error) 
 		d.fail("unexpected data after the request object")
 	}
 	switch {
-	case single != nil && len(roots) > 0:
+	case single != nil && len(d.roots) > 0:
 		d.refuse(fmt.Errorf("serve: set plan or plans, not both"))
 	case single != nil:
-		roots = []*plan.Node{single}
-	case len(roots) == 0:
+		d.roots = append(d.roots, single)
+	case len(d.roots) == 0:
 		d.refuse(fmt.Errorf("serve: no plan"))
 	}
-	return roots, timeoutMS, nil
+	return d.roots, timeoutMS, nil
 }
 
 // The members of each wire object, in the order of the Wire* struct fields.
@@ -78,15 +90,56 @@ var (
 
 // decoder is the scan state over one body. Whatever ends the scan — malformed
 // JSON, an unknown or repeated member, a value of the wrong type, a bound
-// exceeded, a broken per-node rule — unwinds to DecodeEstimate as a refused
-// panic. The exception is a rule broken inside a predicate tree, which pred
-// and atom return as an error: WirePred.decode ignores left/right beside an
-// atom, so whether it counts is only known once the enclosing node is read.
+// exceeded, a broken per-node rule — unwinds to decode as a refused panic. The
+// exception is a rule broken inside a predicate tree, which pred and atom
+// return as an error: WirePred.decode ignores left/right beside an atom, so
+// whether it counts is only known once the enclosing node is read.
+//
+// The trees are carved off typed slabs and identifiers (operator, table,
+// column and index names — a handful of distinct strings, repeated in every
+// node) come from an intern table, so a recycled decoder allocates only for
+// operand strings and the rare list.
 type decoder struct {
 	b            []byte
 	i            int
 	opened       bool // the last token was an opening '{' or '['
 	nodes, preds int  // plan nodes of this plan, predicate nodes of this filter
+
+	unescaped []byte // strBytes' buffer for a literal that is not a slice of b
+
+	roots     []*plan.Node
+	planNodes slab.Slab[plan.Node]
+	atoms     slab.Slab[sqlpred.Atom]
+	bools     slab.Slab[sqlpred.Bool]
+	joins     slab.Slab[plan.JoinCond]
+	// names interns identifiers across requests. Clients choose the strings,
+	// so it is bounded: nothing longer than maxInternLen goes in, and it is
+	// emptied when it reaches maxInterned entries.
+	names map[string]string
+}
+
+const (
+	maxInterned  = 512
+	maxInternLen = 64
+)
+
+// reset points the decoder at a new body and recycles its slabs.
+//
+// costlint:noalloc
+func (d *decoder) reset(body []byte) {
+	d.b, d.i, d.opened = body, 0, false
+	clear(d.roots) // drop the pointers, keep the array
+	d.roots = d.roots[:0]
+	d.planNodes.Reset()
+	d.atoms.Reset()
+	d.bools.Reset()
+	d.joins.Reset()
+}
+
+// retained is the memory the decoder keeps between bodies, but for the intern
+// table (at most maxInterned strings of maxInternLen bytes).
+func (d *decoder) retained() int {
+	return d.planNodes.Bytes() + d.atoms.Bytes() + d.bools.Bytes() + d.joins.Bytes() + 8*cap(d.roots)
 }
 
 type refused struct{ err error }
@@ -109,17 +162,17 @@ func (d *decoder) planNode(depth int) *plan.Node {
 	if d.nodes++; d.nodes > MaxPlanNodes {
 		d.refuse(errPlanNodes)
 	}
-	n := &plan.Node{}
+	n := d.planNodes.One()
 	var op string
 	var err error
 	for m := d.object(planMembers); m.next(); {
 		switch m.name {
 		case "op":
-			op = d.str()
+			op = d.ident()
 		case "table":
-			n.Table = d.str()
+			n.Table = d.ident()
 		case "index":
-			n.Index = d.str()
+			n.Index = d.ident()
 		case "filter":
 			d.preds = 0
 			n.Filter, err = d.pred()
@@ -171,7 +224,7 @@ func (d *decoder) pred() (sqlpred.Pred, error) {
 	for m := d.object(predMembers); m.next(); {
 		switch m.name {
 		case "bool":
-			connective = d.str()
+			connective = d.ident()
 		case "left":
 			left, leftErr = d.pred()
 		case "right":
@@ -195,22 +248,24 @@ func (d *decoder) pred() (sqlpred.Pred, error) {
 	case left == nil || right == nil:
 		return nil, fmt.Errorf("serve: %s needs two operands", connective)
 	}
-	return &sqlpred.Bool{Kind: kind, Left: left, Right: right}, nil
+	b := d.bools.One()
+	b.Kind, b.Left, b.Right = kind, left, right
+	return b, nil
 }
 
 // atom scans one atomic predicate.
 func (d *decoder) atom() (*sqlpred.Atom, error) {
-	a := &sqlpred.Atom{}
+	a := d.atoms.One()
 	var op string
 	operands := 0
 	for m := d.object(atomMembers); m.next(); {
 		switch m.name {
 		case "table":
-			a.Table = d.str()
+			a.Table = d.ident()
 		case "column":
-			a.Column = d.str()
+			a.Column = d.ident()
 		case "op":
-			op = d.str()
+			op = d.ident()
 		case "num":
 			var err error
 			if a.NumVal, err = strconv.ParseFloat(string(d.number()), 64); err != nil {
@@ -244,7 +299,7 @@ func (d *decoder) atom() (*sqlpred.Atom, error) {
 }
 
 func (d *decoder) join() *plan.JoinCond {
-	j := &plan.JoinCond{}
+	j := d.joins.One()
 	for m := d.object(joinMembers); m.next(); {
 		if m.name == "left" {
 			j.Left = d.col()
@@ -258,26 +313,25 @@ func (d *decoder) join() *plan.JoinCond {
 func (d *decoder) col() (c plan.ColRef) {
 	for m := d.object(colMembers); m.next(); {
 		if m.name == "table" {
-			c.Table = d.str()
+			c.Table = d.ident()
 		} else {
-			c.Column = d.str()
+			c.Column = d.ident()
 		}
 	}
 	return c
 }
 
-func (d *decoder) agg() plan.AggSpec {
-	var w WireAgg
+func (d *decoder) agg() (spec plan.AggSpec) {
+	var fn string
 	for m := d.object(aggMembers); m.next(); {
 		if m.name == "func" {
-			w.Func = d.str()
+			fn = d.ident()
 		} else {
-			c := WireCol(d.col())
-			w.Col = &c
+			spec.Col = d.col()
 		}
 	}
-	spec, err := w.decode()
-	if err != nil {
+	var err error
+	if spec.Func, err = aggFunc(fn); err != nil {
 		d.refuse(err)
 	}
 	return spec
@@ -407,9 +461,28 @@ func (d *decoder) number() []byte {
 
 func (d *decoder) str() string { return string(d.strBytes()) }
 
+// ident scans a string that names something — an operator, table, column or
+// index — and returns the interned copy.
+func (d *decoder) ident() string {
+	b := d.strBytes()
+	if s, ok := d.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(s) <= maxInternLen {
+		if len(d.names) >= maxInterned {
+			clear(d.names)
+		}
+		d.names[s] = s
+	}
+	return s
+}
+
 // strBytes scans the string literal at the scan position and returns its
-// contents: a slice of the body when the literal is plain ASCII, an unescaped
-// copy otherwise. Control characters and invalid UTF-8 are refused.
+// contents, valid until the next call: a slice of the body when the literal is
+// plain ASCII, an unescaped copy in the decoder's buffer otherwise (encoding/json
+// writes < and > as \u escapes, so every other comparison operator is one).
+// Control characters and invalid UTF-8 are refused.
 func (d *decoder) strBytes() []byte {
 	if !d.eat('"') {
 		d.fail("expected a string")
@@ -423,11 +496,12 @@ func (d *decoder) strBytes() []byte {
 			break
 		}
 	}
-	buf := append(make([]byte, 0, d.i-start+16), d.b[start:d.i]...)
+	buf := append(d.unescaped[:0], d.b[start:d.i]...)
 	for d.i < len(d.b) {
 		switch c := d.b[d.i]; {
 		case c == '"':
 			d.i++
+			d.unescaped = buf
 			return buf
 		case c == '\\':
 			d.i++

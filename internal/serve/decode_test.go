@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"unicode/utf8"
 
@@ -103,11 +104,13 @@ func tightened(body []byte) bool {
 // checkDecodeAgainstOracle holds DecodeEstimate to the oracle on one body:
 // both refuse, or both accept with deeply equal trees, equal signatures and
 // equal timeouts — except that a tightened body the oracle accepts must be
-// refused. It returns the decoded plans (nil when refused).
+// refused — and a recycled decoder does exactly what a fresh one does. It
+// returns the decoded plans (nil when refused).
 func checkDecodeAgainstOracle(t *testing.T, body []byte) []*plan.Node {
 	t.Helper()
 	want, wantTimeout, oracleErr := oracleDecodeEstimate(body)
 	got, gotTimeout, err := DecodeEstimate(body)
+	checkRecycledDecoder(t, body, got, gotTimeout, err)
 	switch {
 	case oracleErr != nil && err == nil:
 		t.Fatalf("accepted a body the oracle refuses (%v):\n%s", oracleErr, body)
@@ -130,6 +133,31 @@ func checkDecodeAgainstOracle(t *testing.T, body []byte) []*plan.Node {
 		}
 	}
 	return got
+}
+
+// recycled is the decoder the way the handler holds one: reused body after
+// body, its slabs and intern table carrying whatever the bodies before left.
+var recycled struct {
+	sync.Mutex
+	decoder
+}
+
+// checkRecycledDecoder decodes body twice through the shared recycled decoder
+// and holds both passes to what a fresh decoder returned: the same refusal,
+// or deeply equal trees and the same timeout.
+func checkRecycledDecoder(t *testing.T, body []byte, want []*plan.Node, wantTimeout int, wantErr error) {
+	t.Helper()
+	recycled.Lock()
+	defer recycled.Unlock()
+	for pass := 1; pass <= 2; pass++ {
+		got, timeout, err := recycled.decode(body)
+		switch {
+		case (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()):
+			t.Fatalf("recycled decoder, pass %d: err %v, a fresh decoder's %v:\n%s", pass, err, wantErr, body)
+		case timeout != wantTimeout || !reflect.DeepEqual(got, want):
+			t.Fatalf("recycled decoder, pass %d: trees or timeout (%d, want %d) differ from a fresh decoder's:\n%s", pass, timeout, wantTimeout, body)
+		}
+	}
 }
 
 // wirePlanSeeds are bare wire plans (not request bodies): realistic plans

@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"testing"
+
+	"costest/internal/feature"
 )
 
 // FuzzWirePlanDecode drives the wire format's struct decoder — JSON unmarshal
@@ -38,7 +40,8 @@ func FuzzWirePlanDecode(f *testing.F) {
 // panic — and, body by body, the differential of
 // TestDecodeEstimateMatchesOracle: it accepts exactly what the decoder it
 // replaced accepts, minus the four tightenings, and builds the same trees.
-// Accepted plans go on through the feature encoder, as in the handler.
+// Accepted plans go on through the feature encoder on a recycled arena, as in
+// the handler.
 func FuzzEstimateDecode(f *testing.F) {
 	seeds := wirePlanSeeds(f)
 	for _, seed := range seeds {
@@ -48,9 +51,32 @@ func FuzzEstimateDecode(f *testing.F) {
 	for _, body := range decodeTable {
 		f.Add([]byte(body))
 	}
+	// Two trees of different shape that sign alike (see TestHTTPBadRequests).
+	f.Add([]byte(`{"plans":[{"op":"hashjoin","left":{"op":"seqscan","table":"u](2[](0[p],0[q]),0[r]"},"right":{"op":"seqscan","table":"d"}},` +
+		`{"op":"hashjoin","table":"](0[u","left":{"op":"hashjoin","left":{"op":"seqscan","table":"p"},"right":{"op":"seqscan","table":"q"}},"right":{"op":"seqscan","table":"r]],0[d"}}]}`))
+	var arena feature.Arena // recycled across inputs, as the handler's is across requests
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, root := range checkDecodeAgainstOracle(t, body) {
-			_, _ = testEnc.Encode(root)
+		roots := checkDecodeAgainstOracle(t, body)
+		eps, err := testEnc.EncodeAll(roots, &arena)
+		if err != nil {
+			return
+		}
+		// Whatever the plans share, each encoding must have its own tree's
+		// shape: the batch runtime indexes by these fields unchecked.
+		for i, ep := range eps {
+			members := 0
+			for _, level := range ep.Levels {
+				members += len(level)
+			}
+			if len(ep.Nodes) != roots[i].Count() || members != len(ep.Nodes) || ep.CardNode >= len(ep.Nodes) {
+				t.Fatalf("plan %d: %d nodes encoded as %d, %d level members, cardinality node %d:\n%s",
+					i, roots[i].Count(), len(ep.Nodes), members, ep.CardNode, body)
+			}
+			for j, n := range ep.Nodes {
+				if n.Left >= len(ep.Nodes) || n.Right >= len(ep.Nodes) || (n.Left >= 0 && n.Left <= j) || (n.Right >= 0 && n.Right <= j) {
+					t.Fatalf("plan %d node %d: children %d, %d of %d nodes:\n%s", i, j, n.Left, n.Right, len(ep.Nodes), body)
+				}
+			}
 		}
 	})
 }

@@ -6,16 +6,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"math"
 	"math/rand"
 	"net/http"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"costest/internal/core"
 	"costest/internal/feature"
-	"costest/internal/plan"
 )
 
 // Service is the HTTP face of the estimator daemon: it decodes wire plans,
@@ -61,6 +62,12 @@ type Service struct {
 
 	ready  atomic.Bool
 	sample atomic.Pointer[WirePlan]
+
+	// scratch recycles requestScratch values across /estimate requests.
+	scratch sync.Pool
+	// encodeNodes and encodeShared accumulate every request's encode-level
+	// sharing counts (feature.Arena.Nodes / Shared).
+	encodeNodes, encodeShared atomic.Int64
 }
 
 // NewService wires the HTTP layer over a scheduler. The service starts
@@ -82,7 +89,7 @@ func (s *Service) SetSample(w *WirePlan) { s.sample.Store(w) }
 
 // estimateRequest is the /estimate body: exactly one of Plan or Plans. The
 // daemon writes it (/samplez) and clients marshal it; the handler reads
-// bodies with DecodeEstimate.
+// bodies with DecodeEstimate's scan on a recycled decoder.
 type estimateRequest struct {
 	Plan  *WirePlan   `json:"plan,omitempty"`
 	Plans []*WirePlan `json:"plans,omitempty"`
@@ -135,13 +142,19 @@ type poolStats struct {
 	StaleRate float64 `json:"stale_rate"`
 }
 
-// sharingStats is the in-batch half of sub-plan reuse (core.SharingStats):
-// plan nodes that repeated an earlier node of their own batch never reach the
-// pool, so the pool's hit rate alone understates what is not re-evaluated.
+// sharingStats is sub-plan reuse short of the pool. The nodes_* fields are
+// the model's half (core.SharingStats): plan nodes that repeated an earlier
+// node of their own batch never reach the pool, so the pool's hit rate alone
+// understates what is not re-evaluated. The encode_* fields are the encoder's:
+// of the plan nodes /estimate requests carried, how many repeated an earlier
+// subtree of the same request and were copied instead of encoded.
 type sharingStats struct {
-	NodesPlaced int64   `json:"nodes_placed"`
-	NodesShared int64   `json:"nodes_shared"`
-	SharedRate  float64 `json:"shared_rate"`
+	NodesPlaced      int64   `json:"nodes_placed"`
+	NodesShared      int64   `json:"nodes_shared"`
+	SharedRate       float64 `json:"shared_rate"`
+	EncodeNodes      int64   `json:"encode_nodes"`
+	EncodeShared     int64   `json:"encode_shared"`
+	EncodeSharedRate float64 `json:"encode_shared_rate"`
 }
 
 // Handler returns the daemon's HTTP mux, every route wrapped in per-request
@@ -220,9 +233,15 @@ func (s *Service) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		resp.Cluster = s.ClusterStats()
 	}
 	sh := s.srv.SharingStats()
-	resp.Sharing = sharingStats{NodesPlaced: sh.NodesPlaced, NodesShared: sh.NodesShared}
+	resp.Sharing = sharingStats{
+		NodesPlaced: sh.NodesPlaced, NodesShared: sh.NodesShared,
+		EncodeNodes: s.encodeNodes.Load(), EncodeShared: s.encodeShared.Load(),
+	}
 	if sh.NodesPlaced > 0 {
 		resp.Sharing.SharedRate = float64(sh.NodesShared) / float64(sh.NodesPlaced)
+	}
+	if resp.Sharing.EncodeNodes > 0 {
+		resp.Sharing.EncodeSharedRate = float64(resp.Sharing.EncodeShared) / float64(resp.Sharing.EncodeNodes)
 	}
 	if p := s.srv.Pool(); p != nil {
 		resp.Pool = &poolStats{
@@ -244,20 +263,43 @@ func (s *Service) handleSamplez(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, estimateRequest{Plan: sample})
 }
 
-// bodyBuffers recycles /estimate request-body buffers (an enumeration request
-// is tens of KB).
-var bodyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// requestScratch owns everything one /estimate request builds: the body it
+// read, the plan trees decoded from it, their encodings, the per-plan results
+// and the response bytes. handleEstimate takes one from the service's pool
+// and puts it back once the response is written, so a request served on a
+// warm scratch leaves almost nothing for the collector — which, before this,
+// was the largest single cost of an enumeration request.
+//
+// Three rules keep that safe. The slabs underneath (internal/slab) start empty
+// and grow to what the traffic needs, rather than being sized for the largest
+// request allowed; recycled memory is zeroed where it is carved, because the
+// encoder writes ones into assumed zeros; and a scratch goes back to the pool
+// only on a normal return, after every Submit of the request has returned —
+// the scheduler and the model read the encoded plans until then, and nothing
+// reads them after (the prewarm tracker, which does keep plans, keeps clones).
+// A request that panics leaves its scratch to the collector.
+type requestScratch struct {
+	body      bytes.Buffer
+	dec       decoder
+	arena     feature.Arena
+	results   []Result
+	errs      []error
+	estimates []wireEstimate
+	out       []byte
+}
 
-// readEstimate reads one request body into a pooled buffer and decodes it.
-// DecodeEstimate copies what it keeps, so the buffer is free again on return.
-func readEstimate(body io.Reader) ([]*plan.Node, int, error) {
-	buf := bodyBuffers.Get().(*bytes.Buffer)
-	defer bodyBuffers.Put(buf)
-	buf.Reset()
-	if _, err := buf.ReadFrom(body); err != nil {
-		return nil, 0, err
-	}
-	return DecodeEstimate(buf.Bytes())
+// maxScratchBytes caps what a pooled scratch may hold on to. A 64-plan
+// enumeration request settles under a megabyte; a scratch that a rare huge
+// request (a body may be 1 MiB, thousands of nodes) grew past a few times that
+// is dropped instead of pooled, so one such request does not pin its
+// high-water mark for the life of the process.
+const maxScratchBytes = 4 << 20
+
+// retained is the memory the scratch would keep if pooled: the parts that
+// scale with a request's bytes. (The per-plan result slices are a few dozen
+// bytes a plan beside kilobytes here.)
+func (sc *requestScratch) retained() int {
+	return sc.body.Cap() + sc.dec.retained() + sc.arena.Bytes() + cap(sc.out)
 }
 
 func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
@@ -269,24 +311,43 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.unavailable(w, "model not ready")
 		return
 	}
+	sc, _ := s.scratch.Get().(*requestScratch)
+	if sc == nil {
+		sc = new(requestScratch)
+	}
+	s.serveEstimate(w, r, sc)
+	// Not deferred: only a request that returned normally is known to be done
+	// with its scratch.
+	if sc.retained() <= maxScratchBytes {
+		s.scratch.Put(sc)
+	}
+}
+
+// serveEstimate answers one /estimate request out of sc.
+func (s *Service) serveEstimate(w http.ResponseWriter, r *http.Request, sc *requestScratch) {
 	maxBody := s.MaxBodyBytes
 	if maxBody <= 0 {
 		maxBody = 1 << 20
 	}
 	// Decode, then feature-encode, before admission, so invalid requests are
 	// 400s at the boundary and never occupy queue slots.
-	roots, timeoutMS, err := readEstimate(http.MaxBytesReader(w, r.Body, maxBody))
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	roots, timeoutMS, err := sc.dec.decode(sc.body.Bytes())
 	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	eps := make([]*feature.EncodedPlan, len(roots))
-	for i, root := range roots {
-		if eps[i], err = s.enc.Encode(root); err != nil {
-			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-			return
-		}
+	eps, err := s.enc.EncodeAll(roots, &sc.arena)
+	if err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
 	}
+	s.encodeNodes.Add(int64(sc.arena.Nodes))
+	s.encodeShared.Add(int64(sc.arena.Shared))
 
 	// Deadline propagation: the request context (client disconnects cancel
 	// it) plus the optional explicit budget.
@@ -299,19 +360,21 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 	// Each plan is submitted individually — concurrently for multi-plan
 	// requests — so the scheduler coalesces across connections and within a
-	// request by the same rules.
-	results := make([]Result, len(eps))
-	errs := make([]error, len(eps))
+	// request by the same rules. Every Submit has returned before this
+	// function does: that is what lets the caller recycle sc.
+	sc.results = slices.Grow(sc.results[:0], len(eps))[:len(eps)]
+	sc.errs = slices.Grow(sc.errs[:0], len(eps))[:len(eps)]
+	results, errs := sc.results, sc.errs
 	if len(eps) == 1 {
 		results[0], errs[0] = s.sched.Submit(ctx, eps[0])
 	} else {
 		var wg sync.WaitGroup
+		wg.Add(len(eps))
 		for i := range eps {
-			wg.Add(1)
-			go func(i int) {
+			go func() {
 				defer wg.Done()
 				results[i], errs[i] = s.sched.Submit(ctx, eps[i])
-			}(i)
+			}()
 		}
 		wg.Wait()
 	}
@@ -329,8 +392,8 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	resp := estimateResponse{Estimates: make([]wireEstimate, len(results))}
-	for i, res := range results {
+	sc.estimates = sc.estimates[:0]
+	for _, res := range results {
 		we := wireEstimate{
 			Cost:     res.Cost,
 			Card:     res.Card,
@@ -342,9 +405,72 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 				we.Epoch, we.Generation = ep, gen
 			}
 		}
-		resp.Estimates[i] = we
+		sc.estimates = append(sc.estimates, we)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if sc.out, err = appendEstimates(sc.out[:0], sc.estimates); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(sc.out)
+}
+
+// appendEstimates appends the 200 body of /estimate — byte for byte what
+// writeJSON writes for an estimateResponse (two-space indent, encoding/json's
+// number formatting, omitempty on epoch, generation and degraded, a trailing
+// newline), without its reflection and re-indentation. The one difference: a
+// NaN or infinite estimate, which encoding/json cannot represent either (its
+// encoder fails after the 200 header is out and the body stays empty), is
+// returned as an error so the handler can answer 500.
+func appendEstimates(b []byte, ests []wireEstimate) ([]byte, error) {
+	b = append(b, "{\n  \"estimates\": ["...)
+	for i, e := range ests {
+		if math.IsNaN(e.Cost+e.Card) || math.IsInf(e.Cost, 0) || math.IsInf(e.Card, 0) {
+			return b, fmt.Errorf("serve: non-finite estimate (cost %v, card %v)", e.Cost, e.Card)
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"cost\": "...)
+		b = appendJSONFloat(b, e.Cost)
+		b = append(b, ",\n      \"card\": "...)
+		b = appendJSONFloat(b, e.Card)
+		b = append(b, ",\n      \"version\": "...)
+		b = strconv.AppendUint(b, e.Version, 10)
+		if e.Epoch != 0 {
+			b = append(b, ",\n      \"epoch\": "...)
+			b = strconv.AppendUint(b, e.Epoch, 10)
+		}
+		if e.Generation != 0 {
+			b = append(b, ",\n      \"generation\": "...)
+			b = strconv.AppendUint(b, e.Generation, 10)
+		}
+		if e.Degraded {
+			b = append(b, ",\n      \"degraded\": true"...)
+		}
+		b = append(b, "\n    }"...)
+	}
+	if len(ests) > 0 {
+		b = append(b, "\n  "...)
+	}
+	return append(b, "]\n}\n"...), nil
+}
+
+// appendJSONFloat formats a finite float the way encoding/json does (the ES6
+// number-to-string rules): %f between 1e-6 and 1e21, otherwise %e with the
+// exponent's leading zero dropped.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 is written e-7
+		b = b[:n-1]
+	}
+	return b
 }
 
 // unavailable writes a 503 with a Retry-After hint derived from the load the

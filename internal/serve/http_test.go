@@ -143,6 +143,10 @@ func TestHTTPBadRequests(t *testing.T) {
 		`{"plan":{"op":"seqscan","table":"title"},"timeout_ms":2.5}`,                                                                 // timeout_ms not an integer
 		`{"plan":{"op":"seqscan","table":"title"},"timeout_ms":1e30}`,                                                                // timeout_ms overflows
 		`{"plan":{"op":"indexscan","table":"title","index_cond":{"table":"title","column":"production_year","op":">","num":1e999}}}`, // number overflows
+		// Two plans of different shape whose signatures collide, because table
+		// names reach a signature unescaped (3 nodes, then 5).
+		`{"plans":[{"op":"hashjoin","left":{"op":"seqscan","table":"u](2[](0[p],0[q]),0[r]"},"right":{"op":"seqscan","table":"d"}},` +
+			`{"op":"hashjoin","table":"](0[u","left":{"op":"hashjoin","left":{"op":"seqscan","table":"p"},"right":{"op":"seqscan","table":"q"}},"right":{"op":"seqscan","table":"r]],0[d"}}]}`,
 	}
 	for _, body := range cases {
 		resp, err := http.Post(ts.URL+"/estimate", "application/json", strings.NewReader(body))
@@ -246,6 +250,11 @@ func TestHTTPStatsz(t *testing.T) {
 			NodesPlaced int64   `json:"nodes_placed"`
 			NodesShared int64   `json:"nodes_shared"`
 			SharedRate  float64 `json:"shared_rate"`
+			// The encoder's half: of the nodes requests carried, those copied
+			// from an earlier subtree of the same request.
+			EncodeNodes      int64   `json:"encode_nodes"`
+			EncodeShared     int64   `json:"encode_shared"`
+			EncodeSharedRate float64 `json:"encode_shared_rate"`
 		} `json:"sharing"`
 		Drain struct {
 			Retired          int `json:"Retired"`
@@ -267,6 +276,12 @@ func TestHTTPStatsz(t *testing.T) {
 	if sh := st.Sharing; sh == nil || sh.NodesPlaced < 4 || sh.NodesShared > sh.NodesPlaced ||
 		sh.SharedRate != float64(sh.NodesShared)/float64(sh.NodesPlaced) {
 		t.Fatalf("statsz sharing = %+v, want at least the four served plans' roots placed", sh)
+	}
+	// Two whole copies of plans[1] were shared, nothing of plans[0].
+	n0, n1 := int64(plans[0].Count()), int64(plans[1].Count())
+	if sh := st.Sharing; sh.EncodeNodes != n0+3*n1 || sh.EncodeShared != 2*n1 ||
+		sh.EncodeSharedRate != float64(sh.EncodeShared)/float64(sh.EncodeNodes) {
+		t.Fatalf("statsz encode sharing = %+v, want %d nodes, %d shared", sh, n0+3*n1, 2*n1)
 	}
 	if st.Drain.RetiredHighWater < 0 || st.Drain.Retired > st.Drain.RetiredHighWater {
 		t.Fatalf("statsz drain inconsistent: %+v", st.Drain)

@@ -328,22 +328,28 @@ func finishAtom(a *sqlpred.Atom, opName string, operands int) error {
 func (w WireCol) decode() plan.ColRef { return plan.ColRef{Table: w.Table, Column: w.Column} }
 
 func (w WireAgg) decode() (plan.AggSpec, error) {
-	var f plan.AggFunc
-	switch strings.ToLower(w.Func) {
-	case "min":
-		f = plan.AggMin
-	case "max":
-		f = plan.AggMax
-	case "count":
-		f = plan.AggCount
-	default:
-		return plan.AggSpec{}, fmt.Errorf("serve: unknown aggregate %q", w.Func)
+	f, err := aggFunc(w.Func)
+	if err != nil {
+		return plan.AggSpec{}, err
 	}
 	spec := plan.AggSpec{Func: f}
 	if w.Col != nil {
 		spec.Col = w.Col.decode()
 	}
 	return spec, nil
+}
+
+// aggFunc resolves an aggregate's wire name (case-insensitive).
+func aggFunc(name string) (plan.AggFunc, error) {
+	switch strings.ToLower(name) {
+	case "min":
+		return plan.AggMin, nil
+	case "max":
+		return plan.AggMax, nil
+	case "count":
+		return plan.AggCount, nil
+	}
+	return 0, fmt.Errorf("serve: unknown aggregate %q", name)
 }
 
 // EncodeWire converts a plan.Node tree into its wire form — the server's

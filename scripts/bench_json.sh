@@ -2,7 +2,7 @@
 # Regenerates a benchmark snapshot so the perf trajectory of the runtime is
 # tracked in-tree. Two suites:
 #
-#   scripts/bench_json.sh [BENCH_INFERENCE.json] [inference]   hot-path kernels + request decoder + plan encoder
+#   scripts/bench_json.sh [BENCH_INFERENCE.json] [inference]   hot-path kernels + plan encoder + request decoder + whole in-process /estimate request
 #   scripts/bench_json.sh BENCH_SERVE.json serve               networked daemon
 #
 # Custom benchmark metrics (mean_batch/op, p99_ns/op, ...) are captured
@@ -21,7 +21,7 @@ inference)
         -benchmem -benchtime=1s >"$tmp"
     go test ./internal/tensor/ -run xxx -bench . -benchmem -benchtime=1s >>"$tmp"
     go test ./internal/feature/ -run xxx -bench 'BenchmarkEncode' -benchmem -benchtime=1s >>"$tmp"
-    go test ./internal/serve/ -run xxx -bench 'BenchmarkDecodeEstimate' -benchmem -benchtime=1s >>"$tmp"
+    go test ./internal/serve/ -run xxx -bench 'BenchmarkDecodeEstimate|BenchmarkHandleEstimate' -benchmem -benchtime=1s >>"$tmp"
     ;;
 serve)
     go test ./internal/serve/ -run xxx -bench 'BenchmarkScheduler' \
