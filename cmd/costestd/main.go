@@ -1,7 +1,7 @@
 // Command costestd is the networked estimator daemon: a long-lived process
 // serving learned cost/cardinality estimates over HTTP, fronting the
-// hot-swap serving runtime (internal/core) with the micro-batching
-// scheduler and admission control of internal/serve.
+// hot-swap serving runtime (internal/core) with the batching scheduler and
+// admission control of internal/serve.
 //
 // Startup either cold-loads a self-describing checkpoint (-checkpoint) or
 // trains a model on the synthetic IMDB workload, then serves:
@@ -89,8 +89,8 @@ func main() {
 		shards     = flag.Int("shards", 1, "data-parallel trainer shards")
 		patience   = flag.Int("patience", 3, "early-stopping patience (0 disables)")
 		checkpoint = flag.String("checkpoint", "", "checkpoint path: cold-load if present, else train and save")
-		queueDepth = flag.Int("queue", 256, "admission queue depth")
-		workers    = flag.Int("workers", 0, "EstimateBatch workers (0 = GOMAXPROCS)")
+		queueDepth = flag.Int("queue", 256, "admission queue depth, in plans waiting for a run slot")
+		workers    = flag.Int("workers", 0, "trainer shards run at once per retrain epoch (0 = GOMAXPROCS); serving runs one request per processor, one worker each")
 		poolBound  = flag.Int("pool", 4096, "representation pool entry bound")
 		retrain    = flag.Duration("retrain", 0, "background retrain+publish interval; in -peers mode also the promoted member's training cadence (0 disables training entirely)")
 
@@ -184,12 +184,11 @@ func main() {
 	}
 
 	// Serving stack: hot-swap server over a generation-tagged bounded pool,
-	// micro-batching scheduler, HTTP service.
+	// batching scheduler (one run slot per processor), HTTP service.
 	srv := core.NewServer(model, core.NewBoundedMemoryPool(*poolBound))
 	srv.EnablePrewarm(16)
 	sched := serve.NewScheduler(srv, serve.SchedulerConfig{
 		QueueDepth:      *queueDepth,
-		Workers:         *workers,
 		BreakerFailures: *brkFails,
 		BreakerCooldown: *brkCool,
 	})

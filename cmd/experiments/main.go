@@ -24,7 +24,7 @@ func main() {
 	log.SetFlags(0)
 	preset := flag.String("preset", "small", "configuration preset: small or full")
 	suite := flag.String("suite", "all", "which suite to run: all, numeric or strings")
-	shards := flag.Int("shards", 0, "data-parallel trainer shard count (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "data-parallel trainer shard count (0 keeps the preset's 2)")
 	scale := flag.Float64("scale", 0, "override dataset scale factor")
 	epochs := flag.Int("epochs", 0, "override training epochs")
 	seed := flag.Int64("seed", 0, "override random seed")

@@ -506,8 +506,8 @@ func (srv *Server) EstimateBatchOn(snap *ModelSnapshot, eps []*feature.EncodedPl
 
 // EstimateBatchInto is EstimateBatchOn writing the estimates into
 // caller-provided storage: out must have len(eps) elements and is returned
-// filled. The warm path performs zero heap allocations — the micro-batching
-// scheduler's dispatcher reuses one result buffer across batches, which is
+// filled. The warm path performs zero heap allocations — each of the serving
+// scheduler's run slots reuses one result buffer across batches, which is
 // what keeps Submit→served round trips allocation-free in steady state.
 //
 // costlint:noalloc

@@ -50,7 +50,9 @@ type Config struct {
 	// Shards is the data-parallel width of the trainer (<= 0 resolves to
 	// GOMAXPROCS). More than one shard reassociates gradient sums across
 	// shard boundaries, so q-errors match a one-shard run to floating-point
-	// reassociation, not bit for bit.
+	// reassociation, not bit for bit — and depend on the shard count, which
+	// is why the shipped configurations fix it instead of following the
+	// machine.
 	Shards int
 }
 
@@ -77,7 +79,7 @@ func Small() Config {
 		StrDim:        16,
 		MSCNWidth:     32,
 		Workers:       0,
-		Shards:        0,
+		Shards:        2,
 	}
 }
 
@@ -104,7 +106,7 @@ func Full() Config {
 		StrDim:        32,
 		MSCNWidth:     64,
 		Workers:       0,
-		Shards:        0,
+		Shards:        2,
 	}
 }
 

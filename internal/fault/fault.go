@@ -40,7 +40,7 @@ const (
 	// estimator failure the caller must handle.
 	Error Kind = iota
 	// Panic makes Point panic — an injected crash the caller's recovery
-	// (supervisor, dispatcher) must contain.
+	// (supervisor, scheduler run) must contain.
 	Panic
 	// Latency makes Point sleep for the rule's Delay, then continue — an
 	// injected spike; other rules at the site still apply.

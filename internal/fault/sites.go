@@ -31,8 +31,8 @@ const (
 	// file is parsed — an unreadable or corrupt checkpoint at boot.
 	SiteCheckpointRead = "checkpoint.read"
 
-	// SiteServeBatch fires in the scheduler dispatcher immediately before a
-	// coalesced batch is estimated — the injected model-dispatch failure the
+	// SiteServeBatch fires in a scheduler run immediately before its batch
+	// is estimated — the injected model-dispatch failure the
 	// circuit breaker must absorb.
 	SiteServeBatch = "serve.batch"
 

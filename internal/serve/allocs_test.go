@@ -8,18 +8,17 @@ import (
 )
 
 // TestSubmitAdmitAllocs proves the steady-state serve round trip — admit,
-// dispatch, batch-estimate, respond — performs zero heap allocations per
-// request. Request objects are pooled, the dispatcher writes estimates into
-// reused scratch (EstimateBatchInto), and responses travel by value over the
-// pre-allocated done channel, so a warmed scheduler serves without touching
-// the allocator at all.
+// take a run slot, batch-estimate, answer — performs zero heap allocations
+// per request. Group objects are pooled and the run writes estimates into the
+// slot's reused scratch (EstimateBatchInto), so a warmed scheduler serves
+// without touching the allocator at all.
 func TestSubmitAdmitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the contract is enforced in the non-race pass")
 	}
 	_, eps := testCorpus(t, 301, 8)
 	srv, _ := testServer(t, eps)
-	s := NewScheduler(srv, SchedulerConfig{QueueDepth: 8, MaxBatch: 8, Workers: 1})
+	s := NewScheduler(srv, SchedulerConfig{QueueDepth: 8, MaxBatch: 8})
 	s.Start()
 	defer s.Close()
 
@@ -39,7 +38,7 @@ func TestSubmitAdmitAllocs(t *testing.T) {
 }
 
 // TestSubmitRejectAllocs proves overload rejection is allocation-free: a
-// Submit bounced off a full queue gets its pooled request recycled
+// Submit bounced off a full queue gets its pooled group recycled
 // immediately and returns ErrOverloaded without creating garbage — overload
 // must not accelerate memory pressure.
 func TestSubmitRejectAllocs(t *testing.T) {
@@ -48,10 +47,10 @@ func TestSubmitRejectAllocs(t *testing.T) {
 	}
 	_, eps := testCorpus(t, 303, 8)
 	srv, _ := testServer(t, eps)
-	s := NewScheduler(srv, SchedulerConfig{QueueDepth: 2, MaxBatch: 4, Workers: 1})
+	s := NewScheduler(srv, SchedulerConfig{QueueDepth: 2, MaxBatch: 4})
 
-	// Fill the queue against a stopped dispatcher so every measured Submit
-	// is rejected at admission.
+	// Fill the queue of an unstarted scheduler so every measured Submit is
+	// rejected at admission.
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {

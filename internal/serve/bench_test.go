@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -57,8 +58,8 @@ func benchScheduler(b *testing.B, cfg SchedulerConfig) {
 	}
 }
 
-// BenchmarkSchedulerGreedy is the shipped configuration: the dispatcher
-// coalesces whatever is queued (up to 64) and never waits for stragglers.
+// BenchmarkSchedulerGreedy is the shipped configuration: a freed run slot
+// takes whatever is waiting (up to 64 plans) and never waits for stragglers.
 func BenchmarkSchedulerGreedy(b *testing.B) {
 	benchScheduler(b, SchedulerConfig{QueueDepth: 512, MaxBatch: 64})
 }
@@ -142,21 +143,27 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// newHandlerHarness serves over a trained model with a scheduler at the
-// daemon's batch size.
+// newHandlerHarness serves over a trained model with the scheduler
+// configuration costestd ships (the defaults).
 func newHandlerHarness(tb testing.TB) (*handlerHarness, *Service) {
 	tb.Helper()
 	_, eps := testCorpus(tb, 201, 12)
 	srv, _ := testServer(tb, eps)
-	sched := NewScheduler(srv, SchedulerConfig{QueueDepth: 256, MaxBatch: 64, Workers: 1})
+	sched := NewScheduler(srv, SchedulerConfig{})
 	sched.Start()
 	tb.Cleanup(sched.Close)
 	svc := NewService(sched, srv, testEnc)
 	svc.SetReady(true)
-	hh := &handlerHarness{h: svc.Handler(), w: discardWriter{header: http.Header{}}}
+	return newHarness(svc.Handler()), svc
+}
+
+// newHarness is one caller of h: a harness is not safe for concurrent use,
+// so concurrent callers of one service take one each.
+func newHarness(h http.Handler) *handlerHarness {
+	hh := &handlerHarness{h: h, w: discardWriter{header: http.Header{}}}
 	hh.req = httptest.NewRequest(http.MethodPost, "/estimate", nil)
 	hh.req.Body = &hh.body
-	return hh, svc
+	return hh
 }
 
 // do serves one /estimate body and returns the status.
@@ -177,7 +184,10 @@ func (hh *handlerHarness) post(tb testing.TB, body []byte) {
 
 // BenchmarkHandleEstimate is the whole in-process request — body read, decode,
 // encode, scheduler round trip, response — on the two benchmark body shapes.
-// allocs/op and B/op are per request.
+// allocs/op and B/op are per request. The parallel row sends the 64-plan body
+// from concurrent callers (RunParallel: two at -cpu 1 or 2), which is where
+// running each request on its own processor shows; one caller at a time
+// cannot.
 func BenchmarkHandleEstimate(b *testing.B) {
 	single, enum64 := estimateBodies(b)
 	for _, c := range []struct {
@@ -194,4 +204,20 @@ func BenchmarkHandleEstimate(b *testing.B) {
 			}
 		})
 	}
+	b.Run("enum64_parallel", func(b *testing.B) {
+		hh, svc := newHandlerHarness(b)
+		hh.post(b, enum64)
+		b.SetParallelism(max(1, 2/runtime.GOMAXPROCS(0)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			hh := newHarness(svc.Handler())
+			for pb.Next() {
+				if status := hh.do(enum64); status != http.StatusOK {
+					b.Errorf("status %d: %s", status, hh.w.body)
+					return
+				}
+			}
+		})
+	})
 }

@@ -165,7 +165,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 }
 
 // TestBreakerSurvivesPanicsWithoutFallback: injected panics in the estimator
-// must not kill the dispatcher, and a breaker that trips before any batch
+// must not kill the scheduler, and a breaker that trips before any batch
 // ever succeeded has no fallback — requests are answered with errors, never
 // hung, and recovery still works once the fault clears.
 func TestBreakerSurvivesPanicsWithoutFallback(t *testing.T) {
@@ -198,7 +198,7 @@ func TestBreakerSurvivesPanicsWithoutFallback(t *testing.T) {
 		t.Fatal("breaker did not trip on panics")
 	}
 
-	// Fault spent: the probe succeeds, dispatcher alive, breaker closes.
+	// Fault spent: the probe succeeds, scheduler alive, breaker closes.
 	res, err := s.Submit(t.Context(), eps[0])
 	if err != nil || res.Degraded {
 		t.Fatalf("post-panic recovery: res=%+v err=%v", res, err)
@@ -231,9 +231,10 @@ func TestRetryAfterSecs(t *testing.T) {
 }
 
 // TestHTTPRetryAfterScalesWithQueueDepth: a 503 from a backed-up daemon must
-// carry a Retry-After derived from the actual backlog (queue depth times
-// measured batch time), not the constant floor.
+// carry a Retry-After derived from the actual backlog (plans waiting for a
+// run slot times the measured run time), not the constant floor.
 func TestHTTPRetryAfterScalesWithQueueDepth(t *testing.T) {
+	oneSlot(t)
 	plans, eps := testCorpus(t, 304, 8)
 	srv, _ := testServer(t, eps)
 	const depth = 8
@@ -242,8 +243,8 @@ func TestHTTPRetryAfterScalesWithQueueDepth(t *testing.T) {
 	svc.SetReady(true)
 	ts := httptest2(t, svc)
 
-	// The first two batches take 400ms each: the first teaches the scheduler
-	// its batch time, the second holds the dispatcher while the queue fills.
+	// The first two runs take 400ms each: the first teaches the scheduler
+	// its run time, the second holds the only slot while the queue fills.
 	const delay = 400 * time.Millisecond
 	fault.Enable(fault.New(1).Add(fault.Rule{Site: "serve.batch", Kind: fault.Latency, Delay: delay, Count: 2}))
 	defer fault.Disable()
@@ -253,24 +254,25 @@ func TestHTTPRetryAfterScalesWithQueueDepth(t *testing.T) {
 		t.Fatalf("first submit: %v", err)
 	}
 	if got := sched.Stats().MeanBatchUS; got < float64(delay/time.Microsecond) {
-		t.Fatalf("mean_batch_us = %.0f after one %v batch", got, delay)
+		t.Fatalf("mean_batch_us = %.0f after one %v run", got, delay)
 	}
 
 	done := make(chan struct{})
-	submit := func(i int) {
+	go func() {
+		defer func() { done <- struct{}{} }()
+		sched.Submit(t.Context(), eps[0])
+	}()
+	waitPickedUp(t, sched, 2)
+	// Two 4-plan groups fill the queue: admission counts plans, not groups.
+	for range 2 {
 		go func() {
 			defer func() { done <- struct{}{} }()
-			sched.Submit(t.Context(), eps[i%len(eps)])
+			sched.SubmitGroup(t.Context(), eps[:4], make([]Result, 4))
 		}()
-	}
-	submit(0)
-	waitPickedUp(t, sched, 2)
-	for i := 1; i <= depth; i++ {
-		submit(i)
 	}
 	waitDepth(t, sched, depth)
 
-	// hint = (8/1+1) * ~400ms = ~3.6s; jitter adds up to half.
+	// hint = (8/1+1) runs / 1 slot * ~400ms = ~3.6s; jitter adds up to half.
 	resp := postJSON(t, ts+"/estimate", estimateRequest{Plan: EncodeWire(plans[4])})
 	io.Copy(io.Discard, resp.Body)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -281,9 +283,9 @@ func TestHTTPRetryAfterScalesWithQueueDepth(t *testing.T) {
 		t.Fatalf("Retry-After %q not an integer: %v", resp.Header.Get("Retry-After"), err)
 	}
 	if secs < 4 || secs > 6 {
-		t.Fatalf("Retry-After %ds outside derived range [4, 6] for an %d-deep queue of %v batches", secs, depth, delay)
+		t.Fatalf("Retry-After %ds outside derived range [4, 6] for %d waiting plans behind %v runs", secs, depth, delay)
 	}
-	for i := 0; i <= depth; i++ {
+	for i := 0; i < 3; i++ {
 		<-done
 	}
 }

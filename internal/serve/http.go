@@ -20,18 +20,18 @@ import (
 )
 
 // Service is the HTTP face of the estimator daemon: it decodes wire plans,
-// routes them through the micro-batching scheduler, and exposes the health,
-// readiness and statistics endpoints an orchestrator probes. Handlers are
-// panic-recovered individually — a failing request 500s alone, the daemon
-// keeps serving.
+// submits each request's plans to the batching scheduler as one group, and
+// exposes the health, readiness and statistics endpoints an orchestrator
+// probes. Handlers are panic-recovered individually — a failing request 500s
+// alone, the daemon keeps serving.
 type Service struct {
 	sched *Scheduler
 	srv   *core.Server
 	enc   *feature.Encoder
 
 	// RetryAfter floors the back-off hint attached to 503 responses. The
-	// actual hint is derived per response from the scheduler's current queue
-	// depth and measured batch time (see Scheduler.RetryAfterHint), plus a random
+	// actual hint is derived per response from the plans waiting for a run
+	// slot and the measured run time (see Scheduler.RetryAfterHint), plus a random
 	// jitter of up to half the hint so a synchronized rejection burst does
 	// not come back as a synchronized retry storm.
 	RetryAfter time.Duration
@@ -93,8 +93,8 @@ func (s *Service) SetSample(w *WirePlan) { s.sample.Store(w) }
 type estimateRequest struct {
 	Plan  *WirePlan   `json:"plan,omitempty"`
 	Plans []*WirePlan `json:"plans,omitempty"`
-	// TimeoutMS bounds this request's time in the daemon (admission wait +
-	// batch dispatch); expired requests are answered 504, never served late.
+	// TimeoutMS bounds this request's time in the daemon (waiting for a run
+	// slot + running); expired requests are answered 504, never served late.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
@@ -274,7 +274,7 @@ func (s *Service) handleSamplez(w http.ResponseWriter, r *http.Request) {
 // and grow to what the traffic needs, rather than being sized for the largest
 // request allowed; recycled memory is zeroed where it is carved, because the
 // encoder writes ones into assumed zeros; and a scratch goes back to the pool
-// only on a normal return, after every Submit of the request has returned —
+// only on a normal return, after the request's SubmitGroup has returned —
 // the scheduler and the model read the encoded plans until then, and nothing
 // reads them after (the prewarm tracker, which does keep plans, keeps clones).
 // A request that panics leaves its scratch to the collector.
@@ -283,7 +283,6 @@ type requestScratch struct {
 	dec       decoder
 	arena     feature.Arena
 	results   []Result
-	errs      []error
 	estimates []wireEstimate
 	out       []byte
 }
@@ -358,30 +357,11 @@ func (s *Service) serveEstimate(w http.ResponseWriter, r *http.Request, sc *requ
 		defer cancel()
 	}
 
-	// Each plan is submitted individually — concurrently for multi-plan
-	// requests — so the scheduler coalesces across connections and within a
-	// request by the same rules. Every Submit has returned before this
-	// function does: that is what lets the caller recycle sc.
+	// The request's plans are admitted, run and answered as one group; the
+	// call has returned before this function does, which is what lets the
+	// caller recycle sc.
 	sc.results = slices.Grow(sc.results[:0], len(eps))[:len(eps)]
-	sc.errs = slices.Grow(sc.errs[:0], len(eps))[:len(eps)]
-	results, errs := sc.results, sc.errs
-	if len(eps) == 1 {
-		results[0], errs[0] = s.sched.Submit(ctx, eps[0])
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(len(eps))
-		for i := range eps {
-			go func() {
-				defer wg.Done()
-				results[i], errs[i] = s.sched.Submit(ctx, eps[i])
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
+	if err := s.sched.SubmitGroup(ctx, eps, sc.results); err != nil {
 		switch {
 		case errors.Is(err, ErrOverloaded), errors.Is(err, ErrDraining):
 			s.unavailable(w, err.Error())
@@ -393,7 +373,7 @@ func (s *Service) serveEstimate(w http.ResponseWriter, r *http.Request, sc *requ
 		return
 	}
 	sc.estimates = sc.estimates[:0]
-	for _, res := range results {
+	for _, res := range sc.results {
 		we := wireEstimate{
 			Cost:     res.Cost,
 			Card:     res.Card,
@@ -474,7 +454,7 @@ func appendJSONFloat(b []byte, f float64) []byte {
 }
 
 // unavailable writes a 503 with a Retry-After hint derived from the load the
-// daemon is actually under — queue depth over batch throughput — rather than
+// daemon is actually under — waiting plans over run throughput — rather than
 // a constant: a client rejected by a nearly drained queue can retry almost
 // immediately, one rejected by a full queue should stay away for the time the
 // backlog needs. RetryAfter floors the hint; jitter (up to half the hint)

@@ -228,9 +228,8 @@ func TestHTTPStatsz(t *testing.T) {
 	plans, _ := testCorpus(t, 201, 12)
 	_, _, ts := newTestService(t)
 	postJSON(t, ts.URL+"/estimate", estimateRequest{Plan: EncodeWire(plans[0])})
-	// The same plan three times in one request: whichever way the dispatcher
-	// cuts it into batches, the copy served after the first either aliases
-	// it in-batch or hits the pool.
+	// The same plan three times in one request, which runs as one batch: the
+	// copies after the first alias it in-batch.
 	same := EncodeWire(plans[1])
 	postJSON(t, ts.URL+"/estimate", estimateRequest{Plans: []*WirePlan{same, same, same}})
 
@@ -269,6 +268,11 @@ func TestHTTPStatsz(t *testing.T) {
 	}
 	if st.Scheduler.Served < 1 || st.Scheduler.Batches < 1 {
 		t.Fatalf("statsz scheduler counters empty: %+v", st.Scheduler)
+	}
+	// Two requests on an idle scheduler: two groups (1 and 3 plans), each run
+	// inline as its own batch.
+	if sc := st.Scheduler; sc.Groups != 2 || sc.MeanGroupPlans != 2 || sc.RunsInline != 2 || sc.Batches != 2 || sc.MeanBatch != 2 {
+		t.Fatalf("statsz group counters = %+v, want 2 inline groups of mean size 2 in 2 batches", sc)
 	}
 	if st.Pool == nil || st.Pool.Bound != 2048 {
 		t.Fatalf("statsz pool = %+v, want bound 2048", st.Pool)

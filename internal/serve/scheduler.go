@@ -1,31 +1,37 @@
 // Package serve is the networked serving runtime: it fronts a core.Server
-// with a work-conserving batching scheduler and an HTTP API (cmd/costestd is
-// the daemon around it). Concurrent requests fan into one bounded queue and
-// a dispatcher serves whatever queued while the previous batch ran as one
-// EstimateBatch call — a lone request is never delayed, batches grow with
-// load — while the robustness contract does the real work:
+// with a batching scheduler and an HTTP API (cmd/costestd is the daemon
+// around it). Parallelism is by request, not by level: the scheduler holds
+// GOMAXPROCS run slots, and a request whose plans find a slot free runs them
+// as one single-worker EstimateBatch call on its own goroutine — no
+// dispatcher to hand off to, no goroutines started per plan or per level.
+// Requests that find every slot busy wait, and the runner that frees a slot
+// hands it to them as one batch, so a lone request is never delayed and
+// batches grow with load. A request's plans are one group throughout: admitted,
+// answered, expired or refused whole. The robustness contract does the real
+// work:
 //
-//   - Admission control: the queue is bounded and Submit never blocks on a
-//     full queue; overload is an immediate ErrOverloaded (HTTP 503 +
+//   - Admission control: waiting is bounded in plans and Submit never blocks
+//     on a full queue; overload is an immediate ErrOverloaded (HTTP 503 +
 //     Retry-After), not unbounded growth.
-//   - Admitted means answered: every request that enters the queue receives
-//     exactly one response, even across dispatcher panics and shutdown.
-//   - Deadlines propagate: a request whose context expires while queued is
-//     answered with its context error before batch dispatch — never silently
+//   - Admitted means answered: every group that is admitted receives exactly
+//     one answer, even across estimator panics and shutdown.
+//   - Deadlines propagate: a group whose context expires while it waits is
+//     answered with its context error before it runs — never silently
 //     served late.
-//   - Graceful drain: Close stops admissions, flushes everything already
+//   - Graceful drain: Close stops admissions, answers everything already
 //     admitted (concurrent publishes included), then returns.
 //   - Degraded beats down: a circuit breaker on consecutive batch failures
-//     trips the dispatcher into a fallback path serving single-plan
-//     estimates from the last-known-good snapshot (flagged degraded), with
-//     half-open probing to recover — an estimator that starts failing turns
-//     into stale-but-correct answers, not an outage.
+//     trips the runners into a fallback path serving single-plan estimates
+//     from the last-known-good snapshot (flagged degraded), with half-open
+//     probing to recover — an estimator that starts failing turns into
+//     stale-but-correct answers, not an outage.
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,16 +50,16 @@ var (
 	ErrDraining = errors.New("serve: draining, not admitting requests")
 )
 
-// SchedulerConfig tunes the micro-batching scheduler.
+// SchedulerConfig tunes the batching scheduler. How many batches run at once
+// is not configured: it is GOMAXPROCS, one single-worker run per processor.
 type SchedulerConfig struct {
-	// QueueDepth bounds the admission queue; a full queue rejects instead of
-	// growing. <= 0 defaults to 256.
+	// QueueDepth bounds how many plans may wait for a run slot; a group that
+	// would overfill it is rejected instead of growing the queue. <= 0
+	// defaults to 256.
 	QueueDepth int
-	// MaxBatch caps how many requests one EstimateBatch call serves.
-	// <= 0 defaults to 64.
+	// MaxBatch caps how many waiting plans one run takes (a single group
+	// larger than this still runs whole). <= 0 defaults to 64.
 	MaxBatch int
-	// Workers is passed to Server.EstimateBatch (<= 0 means GOMAXPROCS).
-	Workers int
 	// BreakerFailures is how many consecutive batch failures (estimator
 	// errors or panics) trip the circuit breaker into degraded serving.
 	// <= 0 defaults to 3.
@@ -83,7 +89,7 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 // Result is one served estimate and the snapshot version that produced it.
 // Degraded marks an estimate served by the circuit breaker's fallback path:
 // still bit-identical to its reported (last-known-good) version, but not the
-// freshest published model and not micro-batched.
+// freshest published model and not batched.
 type Result struct {
 	Cost     float64
 	Card     float64
@@ -91,79 +97,108 @@ type Result struct {
 	Degraded bool
 }
 
-// response is the dispatcher's answer to one request.
-type response struct {
-	res Result
+// group is one admitted request: its plans, where their results go, and the
+// error that answers it whole. Groups are pooled; the admission contract
+// (exactly one answer per admitted group, received by its submitter)
+// guarantees done is empty again by the time a group is recycled.
+type group struct {
+	ctx context.Context
+	eps []*feature.EncodedPlan
+	out []Result
 	err error
+	// done tells a waiting submitter what happened to its group: nil once
+	// another runner answered it, or a run slot whose batch (this group
+	// first) the submitter is now to run.
+	done chan *runSlot
+	// one and oneRes back the group of a lone Submit.
+	one    [1]*feature.EncodedPlan
+	oneRes [1]Result
 }
 
-// request is one admitted estimate waiting for dispatch. done is buffered so
-// the dispatcher can always complete a request without blocking on its
-// waiter. Requests are pooled: the admission contract (exactly one response
-// per admitted request, received by its submitter) guarantees done is empty
-// again by the time a request is recycled.
-type request struct {
-	ctx  context.Context
-	ep   *feature.EncodedPlan
-	done chan response
+// runSlot is one permit to run the model, with the scratch one run reuses.
+// A slot is owned by exactly one goroutine at a time: free in the
+// scheduler's list, or held by the runner that took it.
+type runSlot struct {
+	batch []*group // the groups this run answers
+	live  []*group // the batch minus groups that expired while waiting
+	eps   []*feature.EncodedPlan
+	res   []core.Estimate
 }
 
-// SchedulerStats is a point-in-time counter snapshot.
+// fallback is the breaker's last-known-good snapshot and the number of its
+// holders: the breaker itself while it is current, plus every degraded run
+// reading it. The snapshot reference goes back to the server when the last
+// holder lets go, so a newer known-good version can replace it while an
+// older degraded run is still reading.
+type fallback struct {
+	snap  *core.ModelSnapshot
+	holds int
+}
+
+// SchedulerStats is a point-in-time counter snapshot. Admission and answer
+// counts are in plans; Groups counts requests.
 type SchedulerStats struct {
 	// Admission outcomes.
 	Admitted uint64 `json:"admitted"`
 	Rejected uint64 `json:"rejected"` // queue full at admission
 	Drained  uint64 `json:"drained"`  // rejected because draining
-	// Dispatch outcomes (admitted = served + expired + failed once idle).
+	// Answer outcomes (admitted = served + expired + failed once idle).
 	Served  uint64 `json:"served"`
-	Expired uint64 `json:"expired"` // context expired before batch dispatch
+	Expired uint64 `json:"expired"` // context expired before the group ran
 	Failed  uint64 `json:"failed"`  // answered with an estimator error
-	Panics  uint64 `json:"panics"`  // dispatcher panics survived
-	// Coalescing.
+	Panics  uint64 `json:"panics"`  // estimator panics survived
+	// Coalescing. A batch is one run: one EstimateBatch call.
 	Batches        uint64  `json:"batches"`
 	MeanBatch      float64 `json:"mean_batch"`
-	MeanBatchUS    float64 `json:"mean_batch_us"` // mean primary-path service time per batch
-	QueueHighWater int     `json:"queue_high_water"`
-	QueueDepth     int     `json:"queue_depth"`
+	MeanBatchUS    float64 `json:"mean_batch_us"`    // mean primary-path service time per run
+	QueueHighWater int     `json:"queue_high_water"` // most plans ever waiting for a slot
+	QueueDepth     int     `json:"queue_depth"`      // plans waiting for a slot now
+	// Groups is how many requests were admitted, MeanGroupPlans their mean
+	// size, and RunsInline how many ran on their submitter's goroutine the
+	// moment they arrived (the rest waited for a slot).
+	Groups         uint64  `json:"groups"`
+	MeanGroupPlans float64 `json:"mean_group_plans"`
+	RunsInline     uint64  `json:"runs_inline"`
 	// Circuit breaker / degraded serving.
 	BreakerOpen     bool   `json:"breaker_open"`
 	BreakerTrips    uint64 `json:"breaker_trips"`
 	BreakerProbes   uint64 `json:"breaker_probes"` // half-open probes attempted
-	Degraded        uint64 `json:"degraded"`       // requests served from the fallback snapshot
+	Degraded        uint64 `json:"degraded"`       // plans served from the fallback snapshot
 	FallbackVersion uint64 `json:"fallback_version"`
 }
 
-// Scheduler is the micro-batching front end over a core.Server. Create with
-// NewScheduler, start the dispatcher with Start, stop with Close.
+// Scheduler is the batching front end over a core.Server. Create with
+// NewScheduler, open its run slots with Start, stop with Close.
 type Scheduler struct {
 	srv *core.Server
 	cfg SchedulerConfig
 
-	// queue is the bounded fan-in channel decoupling producers from the
-	// dispatcher. Admission sends are non-blocking; the dispatcher is the
-	// only receiver.
-	queue chan *request
-
-	// admitMu linearizes admission against Close: Submit sends while holding
-	// the read side, Close flips draining and closes the queue under the
-	// write side, so no send can race the close and every request admitted
-	// before the drain decision is in the queue when the dispatcher flushes.
-	admitMu  sync.RWMutex
-	draining bool
-
-	wg sync.WaitGroup
+	// mu guards admission and the slots: draining, the free slots, and the
+	// groups waiting for one. A group is either running on a held slot or
+	// waiting, and groups wait only while no slot is free, so every waiting
+	// group is handed a slot by a runner (or by Start) eventually.
+	mu           sync.Mutex
+	started      bool
+	draining     bool
+	slots        []*runSlot // all GOMAXPROCS of them
+	free         []*runSlot
+	waiting      []*group
+	waitingPlans int
+	// inflight counts admitted groups not yet answered; Close waits on it.
+	inflight sync.WaitGroup
 
 	admitted, rejected, drained  atomic.Uint64
 	served, expired, failed      atomic.Uint64
 	panics, batches, batchedReqs atomic.Uint64
-	busyNanos                    atomic.Int64 // time spent inside primary-path batches
+	groups, runsInline           atomic.Uint64
+	busyNanos                    atomic.Int64 // time spent inside primary-path runs
 	queueHW                      atomic.Int64
 
-	// Circuit-breaker state. consecFails, good and lastTrip are
-	// dispatcher-owned (single goroutine); the atomics mirror what probes
-	// and Stats read concurrently.
+	// Circuit-breaker state, shared by concurrent runners under brkMu. The
+	// atomics mirror what Stats and Degraded read without the lock.
+	brkMu          sync.Mutex
 	consecFails    int
-	good           *core.ModelSnapshot // last-known-good, reference held
+	good           *fallback // last-known-good
 	lastTrip       time.Time
 	brkOpen        atomic.Bool
 	trips, probes  atomic.Uint64
@@ -172,126 +207,233 @@ type Scheduler struct {
 	// now is the breaker's clock (tests substitute a fake one).
 	now func() time.Time
 
-	// dispatcher-owned scratch (single goroutine, reused across batches).
-	batch []*request
-	live  []*request
-	eps   []*feature.EncodedPlan
-	res   []core.Estimate
-
-	// reqPool recycles request objects (each with its 1-buffered done
-	// channel) across Submit calls, keeping the admit and reject warm paths
-	// allocation-free under steady load.
-	reqPool sync.Pool
+	// groupPool recycles group objects (each with its 1-buffered done
+	// channel), keeping the admit and reject warm paths allocation-free.
+	groupPool sync.Pool
 }
 
-// NewScheduler builds a scheduler over srv. Call Start before Submit;
-// requests submitted to an unstarted scheduler queue up (and are rejected
-// once the queue fills) but are not dispatched.
+// NewScheduler builds a scheduler over srv with GOMAXPROCS run slots. Call
+// Start before Submit; groups submitted to an unstarted scheduler wait (and
+// are rejected once the queue fills) but do not run.
 func NewScheduler(srv *core.Server, cfg SchedulerConfig) *Scheduler {
 	cfg = cfg.withDefaults()
+	n := runtime.GOMAXPROCS(0)
 	s := &Scheduler{
-		srv:   srv,
-		cfg:   cfg,
-		queue: make(chan *request, cfg.QueueDepth),
-		batch: make([]*request, 0, cfg.MaxBatch),
-		live:  make([]*request, 0, cfg.MaxBatch),
-		eps:   make([]*feature.EncodedPlan, 0, cfg.MaxBatch),
-		res:   make([]core.Estimate, cfg.MaxBatch),
-		now:   time.Now,
+		srv:     srv,
+		cfg:     cfg,
+		slots:   make([]*runSlot, n),
+		free:    make([]*runSlot, 0, n),
+		waiting: make([]*group, 0, cfg.QueueDepth),
+		now:     time.Now,
 	}
-	s.reqPool.New = func() any {
-		return &request{done: make(chan response, 1)}
+	for i := range s.slots {
+		s.slots[i] = &runSlot{
+			batch: make([]*group, 0, cfg.MaxBatch),
+			live:  make([]*group, 0, cfg.MaxBatch),
+			eps:   make([]*feature.EncodedPlan, 0, cfg.MaxBatch),
+			res:   make([]core.Estimate, cfg.MaxBatch),
+		}
+	}
+	s.groupPool.New = func() any {
+		return &group{done: make(chan *runSlot, 1)}
 	}
 	return s
 }
 
-// Start launches the dispatcher goroutine. Start once; Close stops it.
+// Start opens the run slots, handing them first to whatever was admitted
+// before the start. Later calls do nothing.
 func (s *Scheduler) Start() {
-	s.wg.Add(1)
-	go s.dispatch()
+	s.mu.Lock()
+	started := s.started
+	s.started = true
+	s.mu.Unlock()
+	if !started {
+		for _, sl := range s.slots {
+			s.release(sl)
+		}
+	}
 }
 
-// Submit admits one plan for batched estimation and blocks until its batch
-// is served (or its admission is refused). The contract:
-//
-//   - A full queue returns ErrOverloaded immediately — Submit never blocks
-//     on admission, so overload backpressure reaches callers at once.
-//   - After Close has begun draining, Submit returns ErrDraining.
-//   - An admitted request always gets exactly one answer. If ctx expires
-//     before its batch dispatches, that answer is ctx's error; an admitted
-//     request is never silently served late or dropped.
+// Submit admits one plan, a group of one, and blocks until it is answered
+// (or its admission is refused). It is SubmitGroup without the slices.
 //
 // costlint:noalloc
 func (s *Scheduler) Submit(ctx context.Context, ep *feature.EncodedPlan) (Result, error) {
-	r := s.reqPool.Get().(*request)
-	r.ctx, r.ep = ctx, ep
-	s.admitMu.RLock()
-	if s.draining {
-		s.admitMu.RUnlock()
-		s.drained.Add(1)
-		s.putRequest(r)
-		return Result{}, ErrDraining
-	}
-	select {
-	case s.queue <- r:
-	default:
-		s.admitMu.RUnlock()
-		s.rejected.Add(1)
-		s.putRequest(r)
-		return Result{}, ErrOverloaded
-	}
-	s.admitMu.RUnlock()
-	s.admitted.Add(1)
-	if d := int64(len(s.queue)); d > s.queueHW.Load() {
-		// Racy high-water update is fine: the mark is a diagnostic floor.
-		s.queueHW.Store(d)
-	}
-	// Admitted: the dispatcher owns the request now and is guaranteed to
-	// answer (drain contract), so waiting on done alone cannot hang. Once the
-	// response is in hand the dispatcher is done with the request, so it can
-	// be recycled here.
-	resp := <-r.done
-	s.putRequest(r)
-	return resp.res, resp.err
+	g := s.groupPool.Get().(*group)
+	g.one[0] = ep
+	err := s.submit(ctx, g, g.one[:], g.oneRes[:])
+	res := g.oneRes[0]
+	g.one[0] = nil
+	g.clear()
+	s.groupPool.Put(g)
+	return res, err
 }
 
-// putRequest recycles a request whose done channel is known empty (never
-// admitted, or admitted and already answered). References are cleared so a
-// pooled request does not retain its caller's context or plan.
+// SubmitGroup admits a request's plans as one group and blocks until the
+// group is answered, writing plan i's estimate to out[i] (out must be at
+// least as long as eps). The contract:
+//
+//   - A free run slot runs the group at once, on the calling goroutine.
+//   - Otherwise the group waits; if that would put more than QueueDepth
+//     plans in waiting, it returns ErrOverloaded immediately — admission
+//     never blocks, so overload backpressure reaches callers at once.
+//   - After Close has begun draining, it returns ErrDraining.
+//   - An admitted group always gets exactly one answer, for all its plans:
+//     every estimate, or one error. If ctx expires before the group runs,
+//     that answer is ctx's error; an admitted group is never silently
+//     served late or dropped.
 //
 // costlint:noalloc
-func (s *Scheduler) putRequest(r *request) {
-	r.ctx, r.ep = nil, nil
-	s.reqPool.Put(r)
+func (s *Scheduler) SubmitGroup(ctx context.Context, eps []*feature.EncodedPlan, out []Result) error {
+	if len(eps) == 0 {
+		return nil
+	}
+	g := s.groupPool.Get().(*group)
+	err := s.submit(ctx, g, eps, out[:len(eps)])
+	g.clear()
+	s.groupPool.Put(g)
+	return err
+}
+
+// submit is the one admission path: run g inline on a free slot, or queue it
+// and wait for its answer (or for a slot to run it on).
+//
+// costlint:noalloc
+func (s *Scheduler) submit(ctx context.Context, g *group, eps []*feature.EncodedPlan, out []Result) error {
+	n := uint64(len(eps))
+	g.ctx, g.eps, g.out, g.err = ctx, eps, out, nil
+	var sl *runSlot
+	s.mu.Lock()
+	switch {
+	case s.draining:
+		s.mu.Unlock()
+		s.drained.Add(n)
+		return ErrDraining
+	case len(s.free) > 0:
+		// A slot is only free while nothing waits, so taking it here jumps
+		// no queue.
+		sl = s.free[len(s.free)-1]
+		s.free = s.free[:len(s.free)-1]
+	case s.waitingPlans+len(eps) > s.cfg.QueueDepth:
+		s.mu.Unlock()
+		s.rejected.Add(n)
+		return ErrOverloaded
+	default:
+		s.waiting = append(s.waiting, g)
+		s.waitingPlans += len(eps)
+		if d := int64(s.waitingPlans); d > s.queueHW.Load() {
+			s.queueHW.Store(d)
+		}
+	}
+	s.inflight.Add(1)
+	s.mu.Unlock()
+	s.admitted.Add(n)
+	s.groups.Add(1)
+
+	if sl != nil {
+		s.runsInline.Add(1)
+		sl.batch = sl.batch[:0]
+		sl.batch = append(sl.batch, g)
+		s.run(sl, g)
+	} else if sl = <-g.done; sl != nil {
+		// Admitted: a runner is guaranteed to answer the group or hand it a
+		// slot (drain contract), so waiting on done alone cannot hang.
+		s.run(sl, g)
+	}
+	return g.err
+}
+
+// clear drops a group's references so a pooled group retains nothing of its
+// caller's.
+//
+// costlint:noalloc
+func (g *group) clear() {
+	g.ctx, g.eps, g.out, g.err = nil, nil, nil, nil
+}
+
+// takeWaiting moves the oldest waiting groups into sl's batch: at least one,
+// and more while the batch stays within MaxBatch plans. Caller holds mu.
+//
+// costlint:noalloc
+func (s *Scheduler) takeWaiting(sl *runSlot) {
+	plans, k := len(s.waiting[0].eps), 1
+	for k < len(s.waiting) && plans+len(s.waiting[k].eps) <= s.cfg.MaxBatch {
+		plans += len(s.waiting[k].eps)
+		k++
+	}
+	sl.batch = sl.batch[:0]
+	sl.batch = append(sl.batch, s.waiting[:k]...)
+	rest := copy(s.waiting, s.waiting[k:])
+	clear(s.waiting[rest:])
+	s.waiting = s.waiting[:rest]
+	s.waitingPlans -= plans
+}
+
+// run executes sl's batch on the calling goroutine — self is the caller's
+// own group, answered in place rather than signalled — then releases the
+// slot.
+func (s *Scheduler) run(sl *runSlot, self *group) {
+	s.runBatch(sl, self)
+	s.release(sl)
+}
+
+// release passes a slot on: to the oldest waiting group's submitter together
+// with everything that fits a batch, or back to the free list when nothing
+// waits.
+func (s *Scheduler) release(sl *runSlot) {
+	s.mu.Lock()
+	if len(s.waiting) == 0 {
+		s.free = append(s.free, sl)
+		s.mu.Unlock()
+		return
+	}
+	s.takeWaiting(sl)
+	s.mu.Unlock()
+	sl.batch[0].done <- sl
+}
+
+// answer completes one group: its error (nil when out is filled), then the
+// signal its waiting submitter blocks on. Nothing touches g after the
+// signal — its submitter recycles it.
+func (s *Scheduler) answer(g, self *group, err error) {
+	g.err = err
+	s.inflight.Done()
+	if g != self {
+		g.done <- nil
+	}
 }
 
 // Close drains the scheduler: admission stops (Submit returns ErrDraining),
-// everything already admitted is flushed through the dispatcher, and Close
-// returns once the last response has been delivered. Safe to call once;
-// subsequent Submits keep failing fast.
+// everything already admitted is answered — on an unstarted scheduler too,
+// whose slots Close opens for it — and Close returns once the last answer is
+// in. Safe to call more than once; Submits keep failing fast.
 func (s *Scheduler) Close() {
-	s.admitMu.Lock()
-	if s.draining {
-		s.admitMu.Unlock()
-		s.wg.Wait()
-		return
-	}
+	s.mu.Lock()
 	s.draining = true
-	close(s.queue) // no sender can be in flight: sends hold admitMu.RLock
-	s.admitMu.Unlock()
-	s.wg.Wait()
+	s.mu.Unlock()
+	s.Start()
+	s.inflight.Wait()
+	s.brkMu.Lock()
+	if s.good != nil {
+		s.dropFallback(s.good)
+		s.good = nil
+	}
+	s.brkMu.Unlock()
 }
 
 // Draining reports whether Close has begun: once true, Submit fails fast
 // with ErrDraining (readiness probes flip unready on it).
 func (s *Scheduler) Draining() bool {
-	s.admitMu.RLock()
-	defer s.admitMu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.draining
 }
 
 // Stats returns a snapshot of the scheduler's counters.
 func (s *Scheduler) Stats() SchedulerStats {
+	s.mu.Lock()
+	depth := s.waitingPlans
+	s.mu.Unlock()
 	st := SchedulerStats{
 		Admitted:        s.admitted.Load(),
 		Rejected:        s.rejected.Load(),
@@ -302,7 +444,9 @@ func (s *Scheduler) Stats() SchedulerStats {
 		Panics:          s.panics.Load(),
 		Batches:         s.batches.Load(),
 		QueueHighWater:  int(s.queueHW.Load()),
-		QueueDepth:      len(s.queue),
+		QueueDepth:      depth,
+		Groups:          s.groups.Load(),
+		RunsInline:      s.runsInline.Load(),
 		BreakerOpen:     s.brkOpen.Load(),
 		BreakerTrips:    s.trips.Load(),
 		BreakerProbes:   s.probes.Load(),
@@ -312,6 +456,9 @@ func (s *Scheduler) Stats() SchedulerStats {
 	if st.Batches > 0 {
 		st.MeanBatch = float64(s.batchedReqs.Load()) / float64(st.Batches)
 		st.MeanBatchUS = float64(s.busyNanos.Load()) / float64(st.Batches) / float64(time.Microsecond)
+	}
+	if st.Groups > 0 {
+		st.MeanGroupPlans = float64(st.Admitted) / float64(st.Groups)
 	}
 	return st
 }
@@ -323,126 +470,69 @@ func (s *Scheduler) Stats() SchedulerStats {
 func (s *Scheduler) Degraded() bool { return s.brkOpen.Load() }
 
 // RetryAfterHint estimates how long a rejected client should wait before
-// retrying: the time for the dispatcher to drain everything currently queued
-// — depth/MaxBatch + 1 batches at the measured mean batch time /statsz
-// reports. HTTP 503s derive their Retry-After from this instead of a
-// constant, so the hint scales with how backed up (and how slow) the daemon
-// actually is; before the first batch there is nothing measured and it is 0.
+// retrying: the time the run slots need to clear what waits now. The waiting
+// plans take waiting/MaxBatch + 1 runs, spread over the slots, each at the
+// measured mean service time /statsz reports. HTTP 503s derive their
+// Retry-After from this instead of a constant, so the hint scales with how
+// backed up (and how slow) the daemon actually is; before the first run
+// there is nothing measured and it is 0.
 func (s *Scheduler) RetryAfterHint() time.Duration {
 	st := s.Stats()
-	batches := st.QueueDepth/s.cfg.MaxBatch + 1
-	return time.Duration(float64(batches) * st.MeanBatchUS * float64(time.Microsecond))
+	runs := float64(st.QueueDepth/s.cfg.MaxBatch+1) / float64(len(s.slots))
+	return time.Duration(runs * st.MeanBatchUS * float64(time.Microsecond))
 }
 
-// dispatch is the single consumer: it blocks for a batch's first request,
-// takes whatever else is already queued (up to MaxBatch), and serves the
-// batch with one EstimateBatch call. A closed queue (Close) drains naturally:
-// buffered requests keep arriving until the channel reports empty-and-closed,
-// and every one of them is answered before the goroutine exits.
-func (s *Scheduler) dispatch() {
-	defer s.wg.Done()
-	defer s.releaseGood()
-	for {
-		first, ok := <-s.queue
-		if !ok {
-			return
-		}
-		s.batch = append(s.batch[:0], first)
-		s.coalesce()
-		s.runBatch(s.batch)
-	}
-}
-
-// rotateGood makes snap the breaker's last-known-good fallback snapshot,
-// taking ownership of the caller's acquired reference. The previous holder's
-// reference is released, so at most one superseded snapshot is ever kept
-// alive by the breaker — its buffers rejoin the delta-publication rotation
-// the moment a newer batch succeeds.
-func (s *Scheduler) rotateGood(snap *core.ModelSnapshot) {
-	if s.good == snap {
-		s.srv.ReleaseSnapshot(snap) // same snapshot: drop the duplicate ref
-		return
-	}
-	if s.good != nil {
-		s.srv.ReleaseSnapshot(s.good)
-	}
-	s.good = snap
-	s.goodVersion.Store(snap.Version())
-}
-
-// releaseGood drops the fallback retention when the dispatcher exits.
-func (s *Scheduler) releaseGood() {
-	if s.good != nil {
-		s.srv.ReleaseSnapshot(s.good)
-		s.good = nil
-	}
-}
-
-// coalesce fills the current batch with whatever queued while the previous
-// batch was being served, without waiting: an idle dispatcher serves a lone
-// request at once, a busy one finds a backlog and batches it.
-func (s *Scheduler) coalesce() {
-	for len(s.batch) < s.cfg.MaxBatch {
-		select {
-		case r, ok := <-s.queue:
-			if !ok {
-				return
-			}
-			s.batch = append(s.batch, r)
-		default:
-			return
-		}
-	}
-}
-
-// runBatch answers every request in the batch: expired ones with their
-// context error before dispatch, the rest from one EstimateBatch call (or
-// the batch's failure, if the estimator errored — a panic fails only this
-// batch's requests, never the dispatcher). The circuit breaker wraps the
-// primary call:
+// runBatch answers every group in sl's batch: expired ones with their
+// context error before anything runs, the rest from one EstimateBatch call
+// (or the run's failure, if the estimator errored — a panic fails only this
+// run's groups). The circuit breaker wraps the primary call:
 //
-//   - closed: batches run normally; each failure increments a consecutive
-//     counter, and hitting BreakerFailures trips the breaker open.
+//   - closed: runs go through normally; each failure increments a
+//     consecutive counter, and hitting BreakerFailures trips the breaker.
 //   - open, inside BreakerCooldown: the primary path is not even tried —
-//     every request is answered from the last-known-good snapshot, one
+//     every plan is answered from the last-known-good snapshot, one
 //     single-plan Estimate each, flagged degraded.
-//   - open, cooldown elapsed: the batch is a half-open probe through the
+//   - open, cooldown elapsed: the run is a half-open probe through the
 //     primary path. Success closes the breaker; failure re-arms the
-//     cooldown and the batch falls back to degraded answers.
+//     cooldown and the run falls back to degraded answers.
 //
-// A failing batch with no fallback yet (no batch ever succeeded) is
-// answered with its error — there is nothing stale-but-correct to serve.
-func (s *Scheduler) runBatch(batch []*request) {
-	s.live, s.eps = s.live[:0], s.eps[:0]
-	for _, r := range batch {
-		if err := r.ctx.Err(); err != nil {
-			s.expired.Add(1)
-			r.done <- response{err: fmt.Errorf("serve: request expired before dispatch: %w", err)}
+// A failing run with no fallback yet (no run ever succeeded) is answered
+// with its error — there is nothing stale-but-correct to serve.
+func (s *Scheduler) runBatch(sl *runSlot, self *group) {
+	sl.live, sl.eps = sl.live[:0], sl.eps[:0]
+	for _, g := range sl.batch {
+		if err := g.ctx.Err(); err != nil {
+			s.expired.Add(uint64(len(g.eps)))
+			s.answer(g, self, fmt.Errorf("serve: request expired before dispatch: %w", err))
 			continue
 		}
-		s.live = append(s.live, r)
-		s.eps = append(s.eps, r.ep)
+		sl.live = append(sl.live, g)
+		sl.eps = append(sl.eps, g.eps...)
 	}
-	if len(s.live) == 0 {
+	if len(sl.live) == 0 {
 		return
 	}
 
 	probing := false
+	s.brkMu.Lock()
 	if s.brkOpen.Load() {
 		if s.now().Sub(s.lastTrip) < s.cfg.BreakerCooldown {
-			s.serveDegraded(s.live)
+			s.brkMu.Unlock()
+			s.serveDegraded(sl, self)
 			return
 		}
 		probing = true
 		s.probes.Add(1)
 	}
+	s.brkMu.Unlock()
 
 	start := time.Now()
-	ests, snap, err := s.estimateBatch(s.eps)
+	ests, snap, err := s.estimateBatch(sl)
 	s.busyNanos.Add(int64(time.Since(start)))
 	s.batches.Add(1)
-	s.batchedReqs.Add(uint64(len(s.live)))
+	s.batchedReqs.Add(uint64(len(sl.eps)))
 	if err != nil {
+		s.brkMu.Lock()
 		s.consecFails++
 		if probing {
 			s.lastTrip = s.now() // probe failed: re-arm the cooldown
@@ -451,37 +541,44 @@ func (s *Scheduler) runBatch(batch []*request) {
 			s.trips.Add(1)
 			s.brkOpen.Store(true)
 		}
-		if s.brkOpen.Load() && s.good != nil {
-			s.serveDegraded(s.live)
+		degrade := s.brkOpen.Load() && s.good != nil
+		s.brkMu.Unlock()
+		if degrade {
+			s.serveDegraded(sl, self)
 			return
 		}
-		for _, r := range s.live {
-			s.failed.Add(1)
-			r.done <- response{err: err}
+		for _, g := range sl.live {
+			s.failed.Add(uint64(len(g.eps)))
+			s.answer(g, self, err)
 		}
 		return
 	}
 
 	// Success: reset the breaker and retain this exact snapshot as the new
 	// last-known-good fallback.
-	s.consecFails = 0
-	if s.brkOpen.Load() {
-		s.brkOpen.Store(false)
-	}
 	version := snap.Version()
+	s.brkMu.Lock()
+	s.consecFails = 0
+	s.brkOpen.Store(false)
 	s.rotateGood(snap)
-	for i, r := range s.live {
-		s.served.Add(1)
-		r.done <- response{res: Result{Cost: ests[i].Cost, Card: ests[i].Card, Version: version}}
+	s.brkMu.Unlock()
+	for _, g := range sl.live {
+		for i := range g.eps {
+			g.out[i] = Result{Cost: ests[i].Cost, Card: ests[i].Card, Version: version}
+		}
+		ests = ests[len(g.eps):]
+		s.served.Add(uint64(len(g.eps)))
+		s.answer(g, self, nil)
 	}
 }
 
-// estimateBatch runs one batch through the primary path against an acquired
-// snapshot, returning the snapshot (still acquired — ownership passes to the
-// caller) on success. Panic recovery keeps one poisoned plan from taking the
-// dispatcher (and with it every future request) down; the "serve.batch"
-// fault hook is where chaos tests inject estimator failures.
-func (s *Scheduler) estimateBatch(eps []*feature.EncodedPlan) (ests []core.Estimate, snap *core.ModelSnapshot, err error) {
+// estimateBatch runs sl's live plans through the primary path against an
+// acquired snapshot, with one worker — the parallelism is across runs — and
+// returns the snapshot (still acquired — ownership passes to the caller) on
+// success. Panic recovery keeps one poisoned plan from failing anything but
+// its own run; the "serve.batch" fault hook is where chaos tests inject
+// estimator failures.
+func (s *Scheduler) estimateBatch(sl *runSlot) (ests []core.Estimate, snap *core.ModelSnapshot, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			if snap != nil {
@@ -494,46 +591,89 @@ func (s *Scheduler) estimateBatch(eps []*feature.EncodedPlan) (ests []core.Estim
 	if err := fault.Point(fault.SiteServeBatch); err != nil {
 		return nil, nil, err
 	}
+	if len(sl.eps) > len(sl.res) {
+		sl.res = make([]core.Estimate, len(sl.eps)) // a group larger than MaxBatch
+	}
 	snap = s.srv.AcquireSnapshot()
-	// The dispatcher owns s.res (single goroutine) and every response is
-	// copied out before the next batch reuses it, so writing estimates into
-	// the shared scratch keeps the steady-state serve path allocation-free.
-	ests = s.srv.EstimateBatchInto(snap, eps, s.res[:len(eps)], s.cfg.Workers)
+	// The slot's holder owns sl.res, and every estimate is copied out before
+	// the slot's next run reuses it, so the steady-state serve path stays
+	// allocation-free.
+	ests = s.srv.EstimateBatchInto(snap, sl.eps, sl.res[:len(sl.eps)], 1)
 	return ests, snap, nil
 }
 
-// serveDegraded answers every live request from the last-known-good
-// snapshot: one single-plan Estimate each against the retained snapshot's
-// frozen weights — no batching, no pool, nothing shared with the failing
-// primary path — flagged degraded and stamped with the fallback version, so
-// each answer is still bit-identical to a single-threaded evaluation of the
-// version it reports.
-func (s *Scheduler) serveDegraded(live []*request) {
-	for _, r := range live {
-		res, err := s.fallbackOne(r.ep)
-		if err != nil {
-			s.failed.Add(1)
-			r.done <- response{err: err}
-			continue
-		}
-		s.served.Add(1)
-		s.degradedServed.Add(1)
-		r.done <- response{res: res}
+// rotateGood makes snap the breaker's last-known-good fallback, taking
+// ownership of the caller's acquired reference, unless the fallback is
+// already that snapshot or a newer one (concurrent runs can finish out of
+// version order). The superseded fallback's reference goes back once no
+// degraded run reads it, so at most the snapshots in use are kept alive by
+// the breaker. Caller holds brkMu.
+func (s *Scheduler) rotateGood(snap *core.ModelSnapshot) {
+	if s.good != nil && snap.Version() <= s.good.snap.Version() {
+		s.srv.ReleaseSnapshot(snap) // nothing newer: drop the extra reference
+		return
+	}
+	if s.good != nil {
+		s.dropFallback(s.good)
+	}
+	s.good = &fallback{snap: snap, holds: 1}
+	s.goodVersion.Store(snap.Version())
+}
+
+// dropFallback lets go of one hold on f. Caller holds brkMu.
+func (s *Scheduler) dropFallback(f *fallback) {
+	if f.holds--; f.holds == 0 {
+		s.srv.ReleaseSnapshot(f.snap)
 	}
 }
 
-// fallbackOne serves one plan from the fallback snapshot with its own panic
-// containment (a poisoned plan fails alone, degraded mode survives).
-func (s *Scheduler) fallbackOne(ep *feature.EncodedPlan) (res Result, err error) {
+// serveDegraded answers every live group of sl from the last-known-good
+// snapshot: one single-plan Estimate per plan against the retained
+// snapshot's frozen weights — no batching, no pool, nothing shared with the
+// failing primary path — flagged degraded and stamped with the fallback
+// version, so each answer is still bit-identical to a single-threaded
+// evaluation of the version it reports. A plan that fails here fails its
+// whole group.
+func (s *Scheduler) serveDegraded(sl *runSlot, self *group) {
+	s.brkMu.Lock()
+	f := s.good
+	if f != nil {
+		f.holds++
+	}
+	s.brkMu.Unlock()
+	for _, g := range sl.live {
+		err := s.fallbackGroup(f, g)
+		if err != nil {
+			s.failed.Add(uint64(len(g.eps)))
+		} else {
+			s.served.Add(uint64(len(g.eps)))
+			s.degradedServed.Add(uint64(len(g.eps)))
+		}
+		s.answer(g, self, err)
+	}
+	if f != nil {
+		s.brkMu.Lock()
+		s.dropFallback(f)
+		s.brkMu.Unlock()
+	}
+}
+
+// fallbackGroup fills g's results from f with its own panic containment (a
+// poisoned plan fails its group alone, degraded mode survives).
+func (s *Scheduler) fallbackGroup(f *fallback, g *group) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.panics.Add(1)
-			res, err = Result{}, fmt.Errorf("serve: degraded estimate panic: %v", p)
+			err = fmt.Errorf("serve: degraded estimate panic: %v", p)
 		}
 	}()
-	if s.good == nil {
-		return Result{}, errors.New("serve: degraded with no last-known-good snapshot")
+	if f == nil {
+		return errors.New("serve: degraded with no last-known-good snapshot")
 	}
-	cost, card := s.good.Model().Estimate(ep)
-	return Result{Cost: cost, Card: card, Version: s.good.Version(), Degraded: true}, nil
+	m, version := f.snap.Model(), f.snap.Version()
+	for i, ep := range g.eps {
+		cost, card := m.Estimate(ep)
+		g.out[i] = Result{Cost: cost, Card: card, Version: version, Degraded: true}
+	}
+	return nil
 }

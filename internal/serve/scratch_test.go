@@ -62,7 +62,9 @@ func TestAppendEstimatesMatchesWriteJSON(t *testing.T) {
 // TestEstimateRequestAllocs caps what one warm /estimate request may leave for
 // the collector, measured through Service.Handler on the benchmark's two body
 // shapes. The ceilings are a third (a half for one plan) of what the same
-// harness measured before a request had a recycled scratch.
+// harness measured before a request had a recycled scratch, and for 64 plans
+// lower again since a request's plans are submitted as one group instead of
+// one goroutine each.
 func TestEstimateRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and sync.Pool drops items at random under it")
@@ -73,9 +75,11 @@ func TestEstimateRequestAllocs(t *testing.T) {
 		body          []byte
 		allocs, bytes float64
 	}{
-		// Before: 4,769 allocations and 1,360 KB for the 64-plan body, 133
-		// and 34.5 KB for one plan; now ≈ 281 / 38 KB and 17 / 1.4 KB.
-		{"enum64", enum64, 1589, 453e3},
+		// Before the scratch: 4,769 allocations and 1,360 KB for the 64-plan
+		// body, 133 and 34.5 KB for one plan. With it, but one Submit goroutine
+		// a plan: 281 / 74 KB and 17 / 3.7 KB. As one group: 215 / 72 KB and
+		// 16 / 3.6 KB.
+		{"enum64", enum64, 240, 453e3},
 		{"single", single, 66, 17e3},
 	} {
 		hh, _ := newHandlerHarness(t)
@@ -117,7 +121,8 @@ func TestScratchRetentionCap(t *testing.T) {
 		big = append(append(big, plan...), ',')
 	}
 	big = append(append(big, plan...), "]}"...)
-	// Answered 200, or 503 if the dispatcher falls a queue (256) behind, and
+	// Answered 200 (one group, run inline on the idle scheduler), or 503 had
+	// it found every slot busy with more plans than the queue (256) holds;
 	// decoded and encoded either way.
 	if status := hh.do(big); status != http.StatusOK && status != http.StatusServiceUnavailable {
 		t.Fatalf("1 MiB request: status %d: %s", status, hh.w.body)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -65,8 +66,26 @@ func testServer(tb testing.TB, eps []*feature.EncodedPlan) (*core.Server, *core.
 	return srv, tr
 }
 
+// oneSlot runs the calling test with GOMAXPROCS 1, so the schedulers it
+// builds have a single run slot: one busy run is enough to make every later
+// group wait, which is how tests stage a backlog deterministically.
+func oneSlot(tb testing.TB) {
+	tb.Helper()
+	prev := runtime.GOMAXPROCS(1)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// slotState is how many of s's run slots are held right now (by a runner, or
+// in hand-off to a waiting group), and whether a slot sits idle while groups
+// wait — which would strand them.
+func slotState(s *Scheduler) (held int, idleWhileWaiting bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.slots) - len(s.free), len(s.free) > 0 && len(s.waiting) > 0
+}
+
 // waitStats polls until the scheduler's counters satisfy ok — the
-// deterministic way to stage tests against what the dispatcher has (not) done
+// deterministic way to stage tests against what the runners have (not) done
 // yet.
 func waitStats(tb testing.TB, s *Scheduler, what string, ok func(SchedulerStats) bool) {
 	tb.Helper()
@@ -79,14 +98,14 @@ func waitStats(tb testing.TB, s *Scheduler, what string, ok func(SchedulerStats)
 	}
 }
 
-// waitDepth waits until the queue holds want requests.
+// waitDepth waits until want plans wait for a run slot.
 func waitDepth(tb testing.TB, s *Scheduler, want int) {
 	tb.Helper()
 	waitStats(tb, s, fmt.Sprintf("queue depth %d", want), func(st SchedulerStats) bool { return st.QueueDepth == want })
 }
 
-// waitPickedUp waits until the dispatcher has taken the admitted-th admitted
-// request off the queue (and, in tests that inject batch latency, sits in it).
+// waitPickedUp waits until the admitted-th admitted plan has left the queue
+// for a run slot (and, in tests that inject batch latency, sits in the run).
 func waitPickedUp(tb testing.TB, s *Scheduler, admitted uint64) {
 	tb.Helper()
 	waitStats(tb, s, fmt.Sprintf("request %d picked up", admitted), func(st SchedulerStats) bool {
@@ -94,15 +113,15 @@ func waitPickedUp(tb testing.TB, s *Scheduler, admitted uint64) {
 	})
 }
 
-// TestSchedulerCoalescesIntoOneBatch stages 16 concurrent requests against a
-// stopped dispatcher, then starts it: everything already queued must be
+// TestSchedulerCoalescesIntoOneBatch stages 16 concurrent requests against an
+// unstarted scheduler, then starts it: everything already waiting must be
 // served by a single EstimateBatch call, each response bit-identical to a
 // single-threaded evaluation of the served snapshot and stamped with its
 // version.
 func TestSchedulerCoalescesIntoOneBatch(t *testing.T) {
 	_, eps := testCorpus(t, 101, 20)
 	srv, _ := testServer(t, eps)
-	s := NewScheduler(srv, SchedulerConfig{QueueDepth: 32, MaxBatch: 32, Workers: 2})
+	s := NewScheduler(srv, SchedulerConfig{QueueDepth: 32, MaxBatch: 32})
 
 	const n = 16
 	results := make([]Result, n)
@@ -145,13 +164,14 @@ func TestSchedulerCoalescesIntoOneBatch(t *testing.T) {
 }
 
 // TestSchedulerBatchesWhileBusy: natural batching survives without a window.
-// A latency fault holds the first batch in the estimator; the n submits that
-// arrive meanwhile queue up behind it and are coalesced, not served one by
-// one.
+// A latency fault holds the only run slot in the estimator; the n submits
+// that arrive meanwhile wait behind it and are coalesced into the next run,
+// not served one by one.
 func TestSchedulerBatchesWhileBusy(t *testing.T) {
+	oneSlot(t)
 	_, eps := testCorpus(t, 106, 20)
 	srv, _ := testServer(t, eps)
-	s := NewScheduler(srv, SchedulerConfig{QueueDepth: 32, MaxBatch: 32, Workers: 2})
+	s := NewScheduler(srv, SchedulerConfig{QueueDepth: 32, MaxBatch: 32})
 	fault.Enable(fault.New(1).Add(fault.Rule{
 		Site: "serve.batch", Kind: fault.Latency, Delay: 200 * time.Millisecond, Count: 1}))
 	defer fault.Disable()
@@ -169,7 +189,7 @@ func TestSchedulerBatchesWhileBusy(t *testing.T) {
 		}()
 	}
 	submit(n)
-	waitPickedUp(t, s, 1) // the first batch now sits in the injected delay
+	waitPickedUp(t, s, 1) // the first run now sits in the injected delay
 	for i := 0; i < n; i++ {
 		submit(i)
 	}
@@ -183,15 +203,15 @@ func TestSchedulerBatchesWhileBusy(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.Served != n+1 || st.Batches > 3 || st.MeanBatch <= 1 {
-		t.Fatalf("%d requests behind a busy dispatcher: served %d in %d batches (mean %.1f), want <= 3 batches",
+		t.Fatalf("%d requests behind a busy run slot: served %d in %d batches (mean %.1f), want <= 3 batches",
 			n+1, st.Served, st.Batches, st.MeanBatch)
 	}
 }
 
-// TestSchedulerLoneRequestNotDelayed: on an idle dispatcher a lone Submit is
-// a batch of one, served at once — every sequential submit advances Batches
-// by exactly one — and no timer exists in Scheduler for a batching window to
-// come back through.
+// TestSchedulerLoneRequestNotDelayed: on an idle scheduler a lone Submit is
+// a batch of one, run at once on the caller's goroutine — every sequential
+// submit advances Batches and RunsInline by exactly one — and no timer exists
+// in Scheduler for a batching window to come back through.
 func TestSchedulerLoneRequestNotDelayed(t *testing.T) {
 	_, eps := testCorpus(t, 107, 8)
 	srv, _ := testServer(t, eps)
@@ -203,8 +223,8 @@ func TestSchedulerLoneRequestNotDelayed(t *testing.T) {
 		if _, err := s.Submit(context.Background(), eps[i%len(eps)]); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		if got := s.Stats().Batches; got != uint64(i+1) {
-			t.Fatalf("after %d sequential submits: %d batches, want one batch per submit", i+1, got)
+		if st := s.Stats(); st.Batches != uint64(i+1) || st.RunsInline != uint64(i+1) {
+			t.Fatalf("after %d sequential submits: %d batches, %d inline, want one inline run per submit", i+1, st.Batches, st.RunsInline)
 		}
 	}
 	if st := s.Stats(); st.MeanBatch != 1 || st.MeanBatchUS <= 0 {
@@ -218,7 +238,7 @@ func TestSchedulerLoneRequestNotDelayed(t *testing.T) {
 			typ = typ.Elem()
 		}
 		if typ == reflect.TypeOf(time.Timer{}) || typ == reflect.TypeOf(time.Ticker{}) {
-			t.Errorf("%s is a %v: the dispatcher must not wait on a clock", path, typ)
+			t.Errorf("%s is a %v: the scheduler must not wait on a clock", path, typ)
 		}
 		if typ.Kind() != reflect.Struct || typ.PkgPath() != reflect.TypeOf(s).Elem().PkgPath() || seen[typ] {
 			return
@@ -234,7 +254,7 @@ func TestSchedulerLoneRequestNotDelayed(t *testing.T) {
 // TestSchedulerAdmissionControl pins the bounded-queue contract: a full
 // queue rejects immediately with ErrOverloaded (no blocking, no growth), the
 // rejected request is gone for good, and everything admitted before the
-// rejection still completes once the dispatcher runs.
+// rejection still completes once the run slots open.
 func TestSchedulerAdmissionControl(t *testing.T) {
 	_, eps := testCorpus(t, 102, 8)
 	srv, _ := testServer(t, eps)
@@ -278,7 +298,7 @@ func TestSchedulerAdmissionControl(t *testing.T) {
 
 // TestSchedulerDeadlineExpiry: a request whose context dies while queued is
 // answered with the context error before batch dispatch — it never occupies
-// a slot in the model call and is never served late. Fresh requests on the
+// a place in the model call and is never served late. Fresh requests on the
 // same scheduler keep working.
 func TestSchedulerDeadlineExpiry(t *testing.T) {
 	_, eps := testCorpus(t, 103, 8)
@@ -294,7 +314,7 @@ func TestSchedulerDeadlineExpiry(t *testing.T) {
 		_, expiredErr = s.Submit(ctx, eps[0])
 	}()
 	waitDepth(t, s, 1)
-	cancel() // the request is queued; kill it before the dispatcher exists
+	cancel() // the request is queued; kill it before any slot is open
 	s.Start()
 	wg.Wait()
 	defer s.Close()
@@ -312,7 +332,7 @@ func TestSchedulerDeadlineExpiry(t *testing.T) {
 }
 
 // TestSchedulerPanicRecovery poisons a batch with an unservable plan: the
-// batch's requests fail with an error, the dispatcher survives, and the next
+// batch's requests fail with an error, the scheduler survives, and the next
 // request is served normally — a panic fails only the affected requests.
 func TestSchedulerPanicRecovery(t *testing.T) {
 	_, eps := testCorpus(t, 104, 8)
@@ -349,7 +369,6 @@ func TestDrainContractUnderLoad(t *testing.T) {
 	s := NewScheduler(srv, SchedulerConfig{
 		QueueDepth: 64,
 		MaxBatch:   8,
-		Workers:    2,
 	})
 	s.Start()
 
@@ -435,7 +454,7 @@ func TestDrainContractUnderLoad(t *testing.T) {
 		t.Fatal("no requests completed; load generator broken")
 	}
 	if st.MeanBatch <= 1 {
-		t.Fatalf("work-conserving dispatch did not coalesce under load: mean batch %.2f", st.MeanBatch)
+		t.Fatalf("waiting groups were not coalesced under load: mean batch %.2f", st.MeanBatch)
 	}
 
 	// Bit-identity: every completed request replays exactly on the snapshot

@@ -12,7 +12,7 @@ import (
 // (internal/plan) that an optimizer posts to /estimate. It mirrors the plan
 // tree one-to-one — operators by name, predicates as atom/bool trees — and
 // decodes with full validation, so malformed requests die at the HTTP
-// boundary with a 400 instead of reaching the dispatcher.
+// boundary with a 400 instead of reaching the scheduler.
 
 // WirePlan is one plan node.
 type WirePlan struct {

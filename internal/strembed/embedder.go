@@ -168,8 +168,14 @@ func Build(db *dataset.DB, ws []WorkloadString, cfg Config) *Embedder {
 	for _, c := range cols {
 		colsByTable[c.table] = append(colsByTable[c.table], c.column)
 	}
+	tables := make([]string, 0, len(colsByTable))
+	for table := range colsByTable {
+		tables = append(tables, table)
+	}
+	sort.Strings(tables) // skip-gram training depends on sentence order
 	var sentences [][]string
-	for table, columns := range colsByTable {
+	for _, table := range tables {
+		columns := colsByTable[table]
 		tab := db.Table(table)
 		if tab == nil {
 			continue

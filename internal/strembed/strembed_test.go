@@ -379,6 +379,48 @@ func TestBuildEmbedderEndToEnd(t *testing.T) {
 	}
 }
 
+// TestBuildEmbedderReproducible: the rule-selected embedder is a function of
+// its inputs — built again with the same seed, its dictionary and every vector
+// agree bit for bit. Skip-gram training is order-sensitive, so this holds only
+// while sentences are built in a fixed table order; three tables contribute
+// sentences here (two with two string columns, one through rule-extracted
+// substrings), and eight rebuilds catch a map-ordered build in nine runs of ten.
+func TestBuildEmbedderReproducible(t *testing.T) {
+	db := dataset.GenerateIMDB(dataset.Config{Seed: 1, Scale: 0.02})
+	ws := []WorkloadString{
+		{Table: "movie_companies", Column: "note", S: "(co-production)", Kind: MatchContains},
+		{Table: "company_name", Column: "name", S: "Ka", Kind: MatchPrefix},
+		{Table: "company_name", Column: "country_code", S: "[us]", Kind: MatchExact},
+		{Table: "name", Column: "name", S: "ro", Kind: MatchContains},
+		{Table: "name", Column: "gender", S: "f", Kind: MatchExact},
+	}
+	cfg := DefaultConfig()
+	cfg.Dim = 8
+	cfg.MaxValuesPerColumn = 500
+	cfg.SkipGram.Epochs = 1
+	first := Build(db, ws, cfg)
+	if len(first.Rules) == 0 {
+		t.Fatal("no rules selected: the test needs the rule-selected embedder")
+	}
+	for range 8 {
+		again := Build(db, ws, cfg)
+		if len(first.exact) != len(again.exact) {
+			t.Fatalf("dictionaries differ: %d vs %d tokens", len(first.exact), len(again.exact))
+		}
+		for tok, id := range first.exact {
+			aid, ok := again.exact[tok]
+			if !ok {
+				t.Fatalf("token %q in one build only", tok)
+			}
+			for k, x := range first.vectors[id] {
+				if y := again.vectors[aid][k]; math.Float64bits(x) != math.Float64bits(y) {
+					t.Fatalf("token %q, component %d: %v vs %v", tok, k, x, y)
+				}
+			}
+		}
+	}
+}
+
 func TestBuildEmbedderRulesHelpCoverage(t *testing.T) {
 	db := dataset.GenerateIMDB(dataset.Config{Seed: 1, Scale: 0.02})
 	// A prefix pattern whose core is NOT a full value: rules should add the
