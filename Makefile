@@ -73,14 +73,14 @@ check: build vet fmt-check lint test
 
 # Hot-path microbenchmarks: the batch runtime (single-plan batch-of-one
 # entry, batch serving, BenchmarkTrainEpochParallel shard variants), the
-# memory pool read path, the hot-swap serving runtime (full-copy
-# BenchmarkPublish vs BenchmarkPublishDelta, continuous-loop
-# BenchmarkFitParallel), the tensor kernels underneath them, the request
-# path's body decoder and plan encoder, and the whole in-process /estimate
-# request (BenchmarkHandleEstimate: allocations and bytes per request).
+# memory pool read path, the hot-swap serving runtime (BenchmarkPublishDelta,
+# continuous-loop BenchmarkFitParallel), the tensor kernels underneath them,
+# the request path's body decoder and plan encoder, and the whole in-process
+# /estimate request (BenchmarkHandleEstimate: allocations and bytes per
+# request).
 bench:
 	$(GO) test ./internal/core/ -run xxx \
-		-bench 'BenchmarkForwardSingle|BenchmarkForwardPooled|BenchmarkPoolGetParallel|BenchmarkEstimateBatch|BenchmarkTrainEpochParallel|BenchmarkPublish|BenchmarkServer|BenchmarkFitParallel' \
+		-bench 'BenchmarkForwardSingle|BenchmarkForwardPooled|BenchmarkPoolGetParallel|BenchmarkEstimateBatch|BenchmarkTrainEpochParallel|BenchmarkPublishDelta|BenchmarkServer|BenchmarkFitParallel' \
 		-benchmem -benchtime=1s
 	$(GO) test ./internal/tensor/ -run xxx -bench . -benchmem -benchtime=1s
 	$(GO) test ./internal/feature/ -run xxx -bench 'BenchmarkEncode' -benchmem -benchtime=1s

@@ -14,26 +14,24 @@
 //
 // The daemon is self-healing. Background retraining (-retrain) runs under a
 // supervisor: panicking cycles restart with exponential backoff, regressed
-// models are gated before publish (-gate-slack), and published models are
-// checkpointed crash-safely (-checkpoint, -checkpoint-every) — a kill at any
-// instant leaves a cold-loadable file. The serving path degrades instead of
-// failing: consecutive batch failures trip a circuit breaker
-// (-breaker-failures) into answering from the last-known-good snapshot,
-// with half-open probes (-breaker-cooldown) to recover. Chaos tests drive
-// all of it with -faults (deterministic, seedable fault injection).
+// models are gated before publish (-gate-slack), and every published model is
+// checkpointed crash-safely (-checkpoint) — a kill at any instant leaves a
+// cold-loadable file. The serving path degrades instead of failing: three
+// consecutive batch failures trip a circuit breaker into answering from the
+// last-known-good snapshot, with half-open probes to recover. Chaos tests
+// drive all of it with -faults (deterministic, seedable fault injection).
 //
 // The daemon scales out by replication (internal/replica): a primary
 // started with -replicate-listen streams every published model — dirty
 // parameters only, full snapshots for bootstrap and catch-up — to follower
-// daemons started with -follow, which serve bit-identical estimates and
-// report generation lag in /statsz. Followers train nothing locally and
-// turn ready once the first replicated model is applied.
-//
-// For high availability, daemons instead form a cluster with -peers: each
-// member follows the live primary through the ordered peer list, renewing a
-// primary-liveness lease on every authenticated frame (heartbeats keep idle
-// connections fed, read/write deadlines catch dead peers). A promotable
-// member (-promote-rank 0, -lease) whose lease lapses promotes itself: it
+// daemons started with -peers, which serve bit-identical estimates and
+// report generation lag in /statsz. Each follower follows the live primary
+// through the ordered peer list, renewing a primary-liveness lease on every
+// authenticated frame (heartbeats keep idle connections fed, read/write
+// deadlines catch dead peers), and turns ready once it serves the cluster's
+// weights. A follower at the default -promote-rank -1 never promotes and
+// trains nothing. For high availability, a promotable member
+// (-promote-rank 0, -lease) whose lease lapses promotes itself: it
 // seals the last applied generation, boots a parallel trainer over its
 // mirror model (paced by -retrain; 0 keeps the promoted member serve-only),
 // and publishes from its own -replicate-listen under the next epoch while
@@ -78,58 +76,67 @@ import (
 	"costest/internal/workload"
 )
 
+// poolBound is the representation pool's entry bound.
+const poolBound = 4096
+
+// options holds the daemon's command-line settings.
+type options struct {
+	addr, checkpoint, faults, replListen, peers, replToken string
+	scale, gateSlack                                       float64
+	seed, faultSeed                                        int64
+	queries, epochs, shards, patience, promoRank           int
+	retrain, lease, heartbeat                              time.Duration
+}
+
+// newFlagSet registers every daemon flag on a fresh FlagSet that parses into
+// o. Serving and supervision settings no deployment has set away from their
+// defaults are constants instead: the admission queue depth, breaker
+// threshold and cooldown (serve.SchedulerConfig's defaults), the pool bound,
+// the trainer's concurrency (GOMAXPROCS capped at -shards) and the checkpoint
+// cadence (every publish).
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("costestd", flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.Float64Var(&o.scale, "scale", 0.03, "synthetic IMDB scale factor")
+	fs.Int64Var(&o.seed, "seed", 42, "workload seed")
+	fs.IntVar(&o.queries, "queries", 240, "training workload size")
+	fs.IntVar(&o.epochs, "epochs", 20, "training epoch budget")
+	fs.IntVar(&o.shards, "shards", 1, "data-parallel trainer shards")
+	fs.IntVar(&o.patience, "patience", 3, "early-stopping patience (0 disables)")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint path: cold-load if present, else train and save; every published model is checkpointed here")
+	fs.DurationVar(&o.retrain, "retrain", 0, "background retrain+publish interval; in -peers mode also the promoted member's training cadence (0 disables training entirely)")
+
+	fs.Float64Var(&o.gateSlack, "gate-slack", 0.10, "allowed relative validation q-error regression before a retrained model is gated (negative disables the gate)")
+	fs.StringVar(&o.faults, "faults", "", "fault injection spec, e.g. 'daemon.retrain:panic:count=2;serve.batch:error:p=0.1' (chaos testing only)")
+	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for probabilistic fault rules")
+
+	fs.StringVar(&o.replListen, "replicate-listen", "", "replication listener address (primary side, or the promotion listener of a -peers member): stream every publication to follower daemons")
+	fs.StringVar(&o.peers, "peers", "", "comma-separated ordered replication peer list (follower mode: follow the live primary through this list)")
+	fs.IntVar(&o.promoRank, "promote-rank", -1, "promotion rank in -peers mode: 0 promotes first on primary-lease expiry, -1 never promotes (requires -replicate-listen when >= 0)")
+	fs.DurationVar(&o.lease, "lease", 3*time.Second, "base primary-liveness lease in -peers mode (rank r waits (r+1) leases)")
+	fs.DurationVar(&o.heartbeat, "heartbeat", 500*time.Millisecond, "replication heartbeat interval (both sides)")
+	fs.StringVar(&o.replToken, "replicate-token", "", "pre-shared replication auth token (constant-time checked on the handshake; empty disables)")
+	return fs
+}
+
 func main() {
 	log.SetFlags(0)
-	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		scale      = flag.Float64("scale", 0.03, "synthetic IMDB scale factor")
-		seed       = flag.Int64("seed", 42, "workload seed")
-		queries    = flag.Int("queries", 240, "training workload size")
-		epochs     = flag.Int("epochs", 20, "training epoch budget")
-		shards     = flag.Int("shards", 1, "data-parallel trainer shards")
-		patience   = flag.Int("patience", 3, "early-stopping patience (0 disables)")
-		checkpoint = flag.String("checkpoint", "", "checkpoint path: cold-load if present, else train and save")
-		queueDepth = flag.Int("queue", 256, "admission queue depth, in plans waiting for a run slot")
-		workers    = flag.Int("workers", 0, "trainer shards run at once per retrain epoch (0 = GOMAXPROCS); serving runs one request per processor, one worker each")
-		poolBound  = flag.Int("pool", 4096, "representation pool entry bound")
-		retrain    = flag.Duration("retrain", 0, "background retrain+publish interval; in -peers mode also the promoted member's training cadence (0 disables training entirely)")
-
-		gateSlack = flag.Float64("gate-slack", 0.10, "allowed relative validation q-error regression before a retrained model is gated (negative disables the gate)")
-		ckptEvery = flag.Int("checkpoint-every", 1, "checkpoint every Nth published model (requires -checkpoint)")
-		brkFails  = flag.Int("breaker-failures", 3, "consecutive batch failures that trip degraded serving")
-		brkCool   = flag.Duration("breaker-cooldown", 250*time.Millisecond, "open-breaker wait before a half-open probe")
-		faults    = flag.String("faults", "", "fault injection spec, e.g. 'daemon.retrain:panic:count=2;serve.batch:error:p=0.1' (chaos testing only)")
-		faultSeed = flag.Int64("fault-seed", 1, "seed for probabilistic fault rules")
-
-		replListen = flag.String("replicate-listen", "", "replication listener address (primary side, or the promotion listener of a -peers member): stream every publication to follower daemons")
-		follow     = flag.String("follow", "", "primary replication address to follow (replica side: serve the primary's models, no local training)")
-		peers      = flag.String("peers", "", "comma-separated ordered replication peer list (HA cluster member mode: follow the live primary through this list)")
-		promoRank  = flag.Int("promote-rank", -1, "promotion rank in -peers mode: 0 promotes first on primary-lease expiry, -1 never promotes (requires -replicate-listen when >= 0)")
-		lease      = flag.Duration("lease", 3*time.Second, "base primary-liveness lease in -peers mode (rank r waits (r+1) leases)")
-		heartbeat  = flag.Duration("heartbeat", 500*time.Millisecond, "replication heartbeat interval (both sides)")
-		replToken  = flag.String("replicate-token", "", "pre-shared replication auth token (constant-time checked on the handshake; empty disables)")
-	)
-	flag.Parse()
-	if *replListen != "" && *follow != "" {
-		log.Fatal("costestd: -replicate-listen and -follow are mutually exclusive (relay topologies are not supported)")
-	}
-	if *peers != "" && *follow != "" {
-		log.Fatal("costestd: -peers and -follow are mutually exclusive (a cluster member finds the primary through the peer list)")
-	}
-	if *peers == "" && *promoRank >= 0 {
+	var o options
+	newFlagSet(&o).Parse(os.Args[1:])
+	if o.peers == "" && o.promoRank >= 0 {
 		log.Fatal("costestd: -promote-rank requires -peers")
 	}
-	if *peers != "" && *promoRank >= 0 && *replListen == "" {
+	if o.peers != "" && o.promoRank >= 0 && o.replListen == "" {
 		log.Fatal("costestd: a promotable member (-promote-rank >= 0) needs -replicate-listen for its own replication listener")
 	}
 
-	if *faults != "" {
-		inj, err := fault.ParseSpec(*faults, *faultSeed)
+	if o.faults != "" {
+		inj, err := fault.ParseSpec(o.faults, o.faultSeed)
 		if err != nil {
 			log.Fatalf("costestd: -faults: %v", err)
 		}
 		fault.Enable(inj)
-		log.Printf("costestd: FAULT INJECTION ENABLED: %s (seed %d)", *faults, *faultSeed)
+		log.Printf("costestd: FAULT INJECTION ENABLED: %s (seed %d)", o.faults, o.faultSeed)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -138,12 +145,12 @@ func main() {
 	// Substrate: synthetic database, statistics, a labeled workload for
 	// normalizer fitting (and training, when there is no checkpoint).
 	start := time.Now()
-	db := dataset.GenerateIMDB(dataset.Config{Seed: 1, Scale: *scale})
+	db := dataset.GenerateIMDB(dataset.Config{Seed: 1, Scale: o.scale})
 	cat := stats.Collect(db, stats.Options{Buckets: 40, SampleSize: 64, Seed: 1})
 	eng := exec.NewEngine(db)
 	pl := planner.New(pg.New(cat), db.Schema)
 	labeler := &workload.Labeler{Planner: pl, Engine: eng}
-	labeled := labeler.Label(workload.TrainingNumeric(db, *seed, *queries))
+	labeled := labeler.Label(workload.TrainingNumeric(db, o.seed, o.queries))
 	enc := feature.NewEncoder(cat, strembed.ZeroEncoder{}, true)
 	var eps []*feature.EncodedPlan
 	var sample *serve.WirePlan
@@ -163,21 +170,18 @@ func main() {
 	log.Printf("costestd: substrate ready in %v (%d labeled plans)", time.Since(start).Round(time.Millisecond), len(eps))
 
 	var model *core.Model
-	if *follow != "" || *peers != "" {
-		// Replica/member mode: weights arrive over the replication stream, so
-		// the local model starts blank. Architecture and encoder dimensions
-		// must match the primary's (the replication handshake verifies this
-		// by schema hash and refuses mismatches).
+	if o.peers != "" {
+		// Follower mode: weights arrive over the replication stream, so the
+		// local model starts blank. Architecture and encoder dimensions must
+		// match the primary's (the replication handshake verifies this by
+		// schema hash and refuses mismatches).
 		model = core.New(core.TestConfig(), enc)
-		if *checkpoint != "" {
+		if o.checkpoint != "" {
 			log.Print("costestd: -checkpoint ignored in replica mode (models come from the primary)")
-		}
-		if *retrain > 0 && *peers == "" {
-			log.Print("costestd: -retrain ignored in replica mode (models come from the primary)")
 		}
 	} else {
 		var err error
-		model, err = loadOrTrain(*checkpoint, enc, eps, *epochs, *shards, *patience)
+		model, err = loadOrTrain(o.checkpoint, enc, eps, o.epochs, o.shards, o.patience)
 		if err != nil {
 			log.Fatalf("costestd: %v", err)
 		}
@@ -185,13 +189,9 @@ func main() {
 
 	// Serving stack: hot-swap server over a generation-tagged bounded pool,
 	// batching scheduler (one run slot per processor), HTTP service.
-	srv := core.NewServer(model, core.NewBoundedMemoryPool(*poolBound))
+	srv := core.NewServer(model, core.NewBoundedMemoryPool(poolBound))
 	srv.EnablePrewarm(16)
-	sched := serve.NewScheduler(srv, serve.SchedulerConfig{
-		QueueDepth:      *queueDepth,
-		BreakerFailures: *brkFails,
-		BreakerCooldown: *brkCool,
-	})
+	sched := serve.NewScheduler(srv, serve.SchedulerConfig{})
 	sched.Start()
 	svc := serve.NewService(sched, srv, enc)
 	svc.SetSample(sample)
@@ -203,14 +203,12 @@ func main() {
 	// Wired before the HTTP server starts so /statsz never races the
 	// SupervisorStats installation.
 	retrainDone := make(chan struct{})
-	if *retrain > 0 && *follow == "" && *peers == "" {
-		trainer := core.NewParallelTrainer(model, *shards)
-		sup := newSupervisor(srv, trainer, eps, *seed)
-		sup.Interval = *retrain
-		sup.Workers = *workers
-		sup.GateSlack = *gateSlack
-		sup.CheckpointPath = *checkpoint
-		sup.CheckpointEvery = *ckptEvery
+	if o.retrain > 0 && o.peers == "" {
+		trainer := core.NewParallelTrainer(model, o.shards)
+		sup := newSupervisor(srv, trainer, eps, o.seed)
+		sup.Interval = o.retrain
+		sup.GateSlack = o.gateSlack
+		sup.CheckpointPath = o.checkpoint
 		sup.logf = log.Printf
 		svc.SupervisorStats = sup.stats
 		go func() {
@@ -223,16 +221,17 @@ func main() {
 	}
 
 	// Replication wiring: a primary taps every publication and streams
-	// frames to follower daemons; a replica applies the primary's frames
-	// into its local server and only turns ready once the first replicated
-	// model is serving. Either side reports under "replication" in /statsz.
+	// frames to follower daemons; a follower applies the primary's frames
+	// into its local server and only turns ready once it serves cluster
+	// weights. Either side reports under "replication" in /statsz, and a
+	// follower adds "cluster".
 	var pub *replica.Publisher
 	followerDone := make(chan struct{})
 	becomeReady := func() { svc.SetReady(true) }
 	switch {
-	case *peers != "":
-		// HA cluster member: follow the live primary through the ordered peer
-		// list; a promotable member (rank >= 0) watches the primary lease and
+	case o.peers != "":
+		// Follower: follow the live primary through the ordered peer list; a
+		// promotable member (rank >= 0) watches the primary lease and
 		// takes over as the training primary when it lapses. After promotion,
 		// -retrain paces the member's training epochs exactly as it paces a
 		// boot primary's retrain cycles — and with -retrain 0 (the default)
@@ -240,23 +239,22 @@ func main() {
 		// model, again like a boot primary: a failover must not silently
 		// switch on continuous training load.
 		var memberTrain []*feature.EncodedPlan
-		if *retrain > 0 {
+		if o.retrain > 0 {
 			memberTrain = eps
 		}
 		member := replica.NewMember(replica.MemberConfig{
-			Peers:         strings.Split(*peers, ","),
-			Rank:          *promoRank,
-			Token:         *replToken,
+			Peers:         strings.Split(o.peers, ","),
+			Rank:          o.promoRank,
+			Token:         o.replToken,
 			Server:        srv,
 			Model:         model,
-			Listen:        *replListen,
-			Lease:         *lease,
-			Heartbeat:     *heartbeat,
+			Listen:        o.replListen,
+			Lease:         o.lease,
+			Heartbeat:     o.heartbeat,
 			Train:         memberTrain,
 			BatchSize:     16,
-			Workers:       *workers,
-			Shards:        *shards,
-			TrainInterval: *retrain,
+			Shards:        o.shards,
+			TrainInterval: o.retrain,
 			Logf:          log.Printf,
 		})
 		go func() {
@@ -272,7 +270,7 @@ func main() {
 		svc.ClusterStats = func() any { return member.Stats() }
 		svc.ClusterState = func() string { return member.State().String() }
 		svc.GenerationOf = member.EpochGenOf
-		log.Printf("costestd: cluster member (rank %d) following peers %s", *promoRank, *peers)
+		log.Printf("costestd: cluster member (rank %d) following peers %s", o.promoRank, o.peers)
 		becomeReady = func() {
 			go func() {
 				if err := member.WaitReady(ctx); err != nil {
@@ -283,14 +281,14 @@ func main() {
 					member.Epoch(), member.Generation(), member.State())
 			}()
 		}
-	case *replListen != "":
+	case o.replListen != "":
 		pub = replica.NewPublisher(model, srv.Version(), replica.PublisherConfig{
-			Token:     *replToken,
-			Heartbeat: *heartbeat,
+			Token:     o.replToken,
+			Heartbeat: o.heartbeat,
 			Logf:      log.Printf,
 		})
 		srv.SetPublishHook(pub.OnPublish)
-		rln, err := net.Listen("tcp", *replListen)
+		rln, err := net.Listen("tcp", o.replListen)
 		if err != nil {
 			log.Fatalf("costestd: replicate-listen: %v", err)
 		}
@@ -302,36 +300,11 @@ func main() {
 		}
 		close(followerDone)
 		log.Printf("costestd: replicating publications on %s (epoch %d)", rln.Addr(), pub.Epoch())
-	case *follow != "":
-		fol := replica.NewFollower(replica.FollowerConfig{
-			Addr:      *follow,
-			Token:     *replToken,
-			Server:    srv,
-			Model:     model,
-			Heartbeat: *heartbeat,
-			Logf:      log.Printf,
-		})
-		go func() {
-			defer close(followerDone)
-			fol.Run(ctx)
-		}()
-		svc.ReplicationStats = func() any { return fol.Stats() }
-		svc.GenerationOf = fol.EpochGenOf
-		log.Printf("costestd: following primary %s", *follow)
-		becomeReady = func() {
-			go func() {
-				if err := fol.WaitReady(ctx); err != nil {
-					return // shutting down before the first frame arrived
-				}
-				svc.SetReady(true)
-				log.Printf("costestd: first replicated model applied (generation %d), admitting traffic", fol.Generation())
-			}()
-		}
 	default:
 		close(followerDone)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		log.Fatalf("costestd: listen: %v", err)
 	}
@@ -339,8 +312,7 @@ func main() {
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- httpSrv.Serve(ln) }()
 	becomeReady()
-	log.Printf("costestd: serving v%d on %s (%d params, queue %d)",
-		srv.Version(), ln.Addr(), model.NumParams(), *queueDepth)
+	log.Printf("costestd: serving v%d on %s (%d params)", srv.Version(), ln.Addr(), model.NumParams())
 
 	select {
 	case <-ctx.Done():

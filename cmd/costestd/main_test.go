@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -157,5 +158,21 @@ func TestFaultSpecFlagParses(t *testing.T) {
 	}
 	if _, err := fault.ParseSpec("serve.batch:explode", 7); err == nil || !strings.Contains(err.Error(), "kind") {
 		t.Fatalf("bad kind accepted: %v", err)
+	}
+}
+
+// TestFlagSurface pins the daemon's option surface to exactly these flags. A
+// new flag must be added to this list, so every added knob shows in review.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"addr", "checkpoint", "epochs", "fault-seed", "faults", "gate-slack",
+		"heartbeat", "lease", "patience", "peers", "promote-rank", "queries",
+		"replicate-listen", "replicate-token", "retrain", "scale", "seed", "shards",
+	}
+	var got []string
+	newFlagSet(&options{}).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("costestd registers %d flags:\n  %s\nwant %d:\n  %s",
+			len(got), strings.Join(got, " "), len(want), strings.Join(want, " "))
 	}
 }

@@ -27,9 +27,9 @@ import (
 //     cycle. This is the rollback: the bad weights simply never reach the
 //     serving path. A non-finite training loss or validation Q-error is not
 //     a regression to weigh but a failed cycle, whatever GateSlack says.
-//   - Crash-safe checkpoints: every CheckpointEvery-th published model is
-//     saved through core.SaveCheckpoint (write-fsync-rename, .prev kept), so
-//     a kill at any instant leaves a cold-loadable last-good file.
+//   - Crash-safe checkpoints: every published model is saved through
+//     core.SaveCheckpoint (write-fsync-rename, .prev kept), so a kill at any
+//     instant leaves a cold-loadable last-good file.
 type supervisor struct {
 	srv     *core.Server
 	trainer *core.ParallelTrainer
@@ -38,17 +38,13 @@ type supervisor struct {
 
 	// Interval between cycle starts; failures wait nextBackoff instead.
 	Interval time.Duration
-	// Workers caps how many trainer shards execute concurrently per epoch
-	// (0 = GOMAXPROCS).
-	Workers int
 	// GateSlack is the allowed relative validation regression: a candidate
 	// publishes only while candQ <= pubQ*(1+GateSlack). Negative disables
 	// the gate (every cycle publishes).
 	GateSlack float64
-	// CheckpointPath, when set, receives crash-safe checkpoints of published
-	// models; CheckpointEvery <= 1 checkpoints every publish, N every Nth.
-	CheckpointPath  string
-	CheckpointEvery int
+	// CheckpointPath, when set, receives a crash-safe checkpoint of every
+	// published model.
+	CheckpointPath string
 	// BackoffBase/BackoffMax bound the failure backoff (defaulted in run).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
@@ -143,7 +139,7 @@ func (sv *supervisor) cycle() (err error) {
 	if err := fault.Point(fault.SiteDaemonRetrain); err != nil {
 		return err
 	}
-	loss := sv.trainer.TrainEpochParallel(sv.train, 16, sv.Workers)
+	loss := sv.trainer.TrainEpochParallel(sv.train, 16, 0)
 
 	// Publish gate: validate the candidate on the held-out slice against the
 	// published baseline before it can reach the serving path. NaN compares
@@ -162,15 +158,19 @@ func (sv *supervisor) cycle() (err error) {
 		return nil
 	}
 
+	prev := sv.srv.Version()
 	snap := sv.trainer.PublishDelta(sv.srv)
-	n := sv.publishes.Add(1)
+	if snap.Version() == prev {
+		return fmt.Errorf("publication refused (non-finite weights), keeping served model")
+	}
+	sv.publishes.Add(1)
 	sv.pubQBits.Store(math.Float64bits(candQ))
 	if sv.onPublish != nil {
 		sv.onPublish(snap.Version())
 	}
 	sv.logf("costestd: retrained (loss %.3f, valid q-error %.3f) -> published v%d", loss, candQ, snap.Version())
 
-	if sv.CheckpointPath != "" && sv.due(n) {
+	if sv.CheckpointPath != "" {
 		sv.checkpoint()
 	}
 	return nil
@@ -179,18 +179,9 @@ func (sv *supervisor) cycle() (err error) {
 // isFinite reports whether x is neither NaN nor an infinity.
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// due reports whether the nth publish is a checkpoint cadence hit.
-func (sv *supervisor) due(n uint64) bool {
-	every := uint64(1)
-	if sv.CheckpointEvery > 1 {
-		every = uint64(sv.CheckpointEvery)
-	}
-	return n%every == 0
-}
-
 // checkpoint saves the just-published model crash-safely. The snapshot the
-// publish produced is delta-backed and recyclable, so the save reads from a
-// freshly acquired reference — the exact published weights, protected from
+// publish produced is recyclable, so the save reads from a freshly acquired
+// reference — the exact published weights, protected from
 // recycling for the duration. A failed save is counted and logged, never
 // fatal: the previous checkpoint is still intact by SaveCheckpoint's
 // contract.

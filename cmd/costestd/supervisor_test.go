@@ -201,6 +201,49 @@ func TestSupervisorRefusesNonFiniteCandidate(t *testing.T) {
 	}
 }
 
+// TestSupervisorCountsRefusedPublication: a -Inf bias in front of a ReLU
+// keeps the loss and the validation Q-error finite, so the candidate passes
+// the supervisor's own checks. PublishDelta must refuse it, and the
+// supervisor must count the cycle as a failure — not a publish, and with no
+// checkpoint of the unchanged model.
+func TestSupervisorCountsRefusedPublication(t *testing.T) {
+	_, eps := testCorpus(t, 505, 24)
+	srv, tr, sched, _ := testStack(t, eps, serve.SchedulerConfig{QueueDepth: 16, MaxBatch: 8})
+	t.Cleanup(sched.Close)
+
+	sup := newSupervisor(srv, tr, eps, 1)
+	sup.Interval = time.Millisecond
+	sup.GateSlack = -1
+	sup.CheckpointPath = filepath.Join(t.TempDir(), "model.ckpt")
+	sup.BackoffBase = time.Hour // exactly one cycle runs before the test ends
+	sup.BackoffMax = time.Hour
+	sup.logf = t.Logf
+	v0 := srv.Version()
+
+	tr.M.PS.Get("embed.op.B").Value[0] = math.Inf(-1)
+	tr.M.PS.MarkAllUpdated()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); sup.run(ctx) }()
+	waitFor(t, "the poisoned cycle to finish", func() bool {
+		return sup.failures.Load()+sup.publishes.Load() > 0
+	})
+	cancel()
+	<-done
+
+	if got := srv.Version(); got != v0 {
+		t.Fatalf("infinite weights were published: v%d -> v%d", v0, got)
+	}
+	if n := srv.PublishesRefused(); n != 1 {
+		t.Fatalf("PublishesRefused = %d, want 1 (the candidate should pass the supervisor's own checks)", n)
+	}
+	if sup.failures.Load() != 1 || sup.publishes.Load() != 0 || sup.checkpoints.Load() != 0 {
+		t.Fatalf("failures=%d publishes=%d checkpoints=%d, want 1/0/0",
+			sup.failures.Load(), sup.publishes.Load(), sup.checkpoints.Load())
+	}
+}
+
 // TestSupervisorCheckpointsPublishedModel: each due publish saves a
 // crash-safe checkpoint that cold-loads to the exact published weights, and
 // an injected checkpoint write failure is absorbed (counted, last-good

@@ -110,7 +110,7 @@ func main() {
 	// 4. The parallel trainer composes with hot-swap serving: publish
 	// between epochs while the serving side keeps reading snapshots.
 	srv := core.NewServer(mPar, core.NewBoundedMemoryPool(4096))
-	snap := par.Publish(srv)
+	snap := par.PublishDelta(srv)
 	costQ, cardQ := snap.Model().ValidationError(eps)
 	fmt.Printf("published v%d from the parallel trainer (train-set q-error: cost %.2f, card %.2f)\n",
 		snap.Version(), costQ, cardQ)

@@ -210,11 +210,11 @@ func oracleMatrix(t *testing.T, run func(m *Model, eps []*feature.EncodedPlan, p
 				rootsOnly := NewMemoryPool()
 				for _, ep := range eps {
 					sig := ep.Nodes[ep.Root].Sig
-					g, r, ok := full.Get(sig)
+					g, r, ok := full.GetGen(sig, full.Generation())
 					if !ok {
 						t.Fatalf("%s: root representation missing from warm pool", variant.name)
 					}
-					rootsOnly.Put(sig, g, r)
+					rootsOnly.PutGen(sig, g, r, rootsOnly.Generation())
 				}
 				check("card node evicted", rootsOnly)
 			}
@@ -365,7 +365,7 @@ func TestInBatchSharingMatchesOracle(t *testing.T) {
 						return
 					}
 					if pool != nil {
-						if _, _, ok := pool.Get(ep.Nodes[i].Sig); ok {
+						if _, _, ok := pool.GetGen(ep.Nodes[i].Sig, pool.Generation()); ok {
 							return
 						}
 					}
@@ -400,11 +400,11 @@ func TestInBatchSharingMatchesOracle(t *testing.T) {
 			rootsOnly := NewMemoryPool()
 			for _, ep := range eps {
 				sig := ep.Nodes[ep.Root].Sig
-				g, r, ok := full.Get(sig)
+				g, r, ok := full.GetGen(sig, full.Generation())
 				if !ok {
 					t.Fatalf("%s: root representation missing from warm pool", variant.name)
 				}
-				rootsOnly.Put(sig, g, r)
+				rootsOnly.PutGen(sig, g, r, rootsOnly.Generation())
 			}
 			check("card node evicted", rootsOnly)
 		}

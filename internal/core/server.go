@@ -12,7 +12,7 @@ import (
 // the representation memory pool to the current ModelSnapshot, re-resolving
 // the snapshot pointer on every request. A long-lived optimizer process
 // keeps one Server; a ParallelTrainer retrains the live model in place and
-// calls Publish between epochs, while concurrent Estimate/EstimateBatch
+// calls PublishDelta between epochs, while concurrent Estimate/EstimateBatch
 // callers keep serving — requests in flight finish on the snapshot they
 // started with, later requests pick up the new one, and no request ever
 // observes torn weights.
@@ -37,17 +37,21 @@ type Server struct {
 	// version install with an older generation bump. Readers are lock-free.
 	pubMu sync.Mutex
 
-	// delta is the delta-publication state (lazily initialized by the first
-	// PublishDelta, reset when the source model changes); guarded by pubMu.
+	// delta is the publication state (created by NewServer, reset when the
+	// source model changes); guarded by pubMu.
 	delta *deltaPub
 
 	// retiredHW is the high-water mark of the retired-snapshot drain list —
-	// how many superseded delta snapshots have ever been awaiting drain at
-	// once. Steady-state double buffering holds it at 1; growth means retirees
+	// how many superseded snapshots have ever been awaiting drain at once.
+	// Steady-state double buffering holds it at 1; growth means retirees
 	// are not draining (long-pinned snapshots or requests stuck on old
 	// versions) and each stuck retiree is a full weight-buffer set that cannot
 	// be recycled. Guarded by pubMu.
 	retiredHW int
+
+	// refused counts publications PublishDelta refused for non-finite
+	// values.
+	refused atomic.Uint64
 
 	// prewarm tracks the hottest served plans for post-publish pool
 	// pre-warming (nil when disabled); prewarmMu serializes replays so they
@@ -63,11 +67,11 @@ type Server struct {
 	// of piling a goroutine per publish onto prewarmMu.
 	prewarmPending atomic.Bool
 
-	// publishHook, when set, observes every publication (full and delta)
-	// with the source model and the freshly installed version, called under
-	// pubMu on the publishing goroutine — i.e. with training quiesced, so
-	// the hook may read m's parameter values and stamps exactly like the
-	// publication itself did. This is the tap replication streams from: a
+	// publishHook, when set, observes every publication with the source
+	// model and the freshly installed version, called under pubMu on the
+	// publishing goroutine — i.e. with training quiesced, so the hook may
+	// read m's parameter values and stamps exactly like the publication
+	// itself did. This is the tap replication streams from: a
 	// replica.Publisher registers here and serializes the dirty parameters
 	// of each publication to its followers. Guarded by pubMu.
 	publishHook func(m *Model, version uint64)
@@ -144,23 +148,22 @@ func (tr *hotTracker) topPlans() []*feature.EncodedPlan {
 }
 
 // NewServer returns a server whose initial snapshot (version 1) copies m's
-// current weights. The pool may be nil to serve without representation
-// caching; a non-nil pool is owned by the server from here on — its
-// generation tracks the published version.
+// current weights into the first buffer set of PublishDelta's rotation. The
+// pool may be nil to serve without representation caching; a non-nil pool is
+// owned by the server from here on — its generation tracks the published
+// version.
 func NewServer(m *Model, pool *MemoryPool) *Server {
-	srv := &Server{pool: pool}
-	snap := newSnapshot(m, 1)
-	srv.cur.Store(snap)
-	if pool != nil {
-		pool.SetGeneration(snap.version)
-	}
+	srv := &Server{pool: pool, delta: &deltaPub{src: m}}
+	sl := newSlot(m)
+	srv.delta.lastCopied = sl.sync(m)
+	srv.install(&ModelSnapshot{version: 1, model: sl.model, slot: sl})
 	return srv
 }
 
 // Snapshot returns the currently served snapshot, pinned: callers may hold
 // it indefinitely (for replay, validation, or shadow scoring); it never
-// changes under them, even when the server publishes deltas (pinning
-// excludes the snapshot's buffers from recycling).
+// changes under them, however many publishes follow (pinning excludes the
+// snapshot's buffers from recycling).
 func (srv *Server) Snapshot() *ModelSnapshot {
 	for {
 		s := srv.cur.Load()
@@ -176,20 +179,15 @@ func (srv *Server) Snapshot() *ModelSnapshot {
 	}
 }
 
-// acquire checks the current snapshot out for one request. Full-copy
-// snapshots are frozen forever, so the common non-delta path is the same
-// single atomic load it has always been. Delta-backed snapshots are
-// ref-counted: the count guarantees a delta publish never recycles their
-// buffers mid-request, and the load/ref/re-check loop closes the race with
-// a publisher that retires the snapshot between the load and the ref — a
-// reader that loses the race releases and retries, never touching the
-// stale snapshot's weights.
+// acquire checks the current snapshot out for one request. The reference
+// count guarantees a publish never recycles the snapshot's buffers
+// mid-request, and the load/ref/re-check loop closes the race with a
+// publisher that retires the snapshot between the load and the ref — a
+// reader that loses the race releases and retries, never touching the stale
+// snapshot's weights.
 func (srv *Server) acquire() *ModelSnapshot {
 	for {
 		s := srv.cur.Load()
-		if !s.deltaBacked {
-			return s
-		}
 		s.refs.Add(1)
 		if srv.cur.Load() == s {
 			return s
@@ -199,15 +197,11 @@ func (srv *Server) acquire() *ModelSnapshot {
 }
 
 // release returns a snapshot checked out by acquire.
-func (srv *Server) release(s *ModelSnapshot) {
-	if s.deltaBacked {
-		s.refs.Add(-1)
-	}
-}
+func (srv *Server) release(s *ModelSnapshot) { s.refs.Add(-1) }
 
 // AcquireSnapshot checks the current snapshot out with an in-flight
 // reference held, exactly as a served request does. Unlike Snapshot (whose
-// pin is sticky and permanently excludes a delta snapshot's buffers from
+// pin is sticky and permanently excludes the snapshot's buffers from
 // recycling), an acquired reference is returned with ReleaseSnapshot, at
 // which point the buffers rejoin the recycling rotation — the right
 // primitive for rotating retention like the scheduler's last-known-good
@@ -225,28 +219,10 @@ func (srv *Server) Version() uint64 { return srv.cur.Load().version }
 // Pool returns the server's memory pool (nil when serving uncached).
 func (srv *Server) Pool() *MemoryPool { return srv.pool }
 
-// Publish atomically installs a full copy of m's current weights as the
-// next snapshot and advances the pool generation, logically invalidating
-// every pooled representation computed under older weights. It returns the
-// new snapshot, which stays frozen forever. The weight copy reads m on the
-// calling goroutine: call from the goroutine that trains m (between
-// optimizer steps), or with training otherwise quiesced. Concurrent serving
-// needs no quiescing — that is the point.
-func (srv *Server) Publish(m *Model) *ModelSnapshot {
-	srv.pubMu.Lock()
-	defer srv.pubMu.Unlock()
-	snap := newSnapshot(m, srv.cur.Load().version+1)
-	srv.install(snap)
-	if srv.publishHook != nil {
-		srv.publishHook(m, snap.version)
-	}
-	return snap
-}
-
-// SetPublishHook installs h to observe every subsequent publication (full
-// and delta) with the source model and the new version. The hook runs on
-// the publishing goroutine under the publication lock — training is
-// quiesced there, so h may read m's parameters the way the publication did.
+// SetPublishHook installs h to observe every subsequent publication with the
+// source model and the new version. The hook runs on the publishing
+// goroutine under the publication lock — training is quiesced there, so h
+// may read m's parameters the way the publication did.
 // Install before publishing begins; pass nil to remove.
 func (srv *Server) SetPublishHook(h func(m *Model, version uint64)) {
 	srv.pubMu.Lock()
@@ -254,36 +230,49 @@ func (srv *Server) SetPublishHook(h func(m *Model, version uint64)) {
 	srv.publishHook = h
 }
 
-// PublishDelta is Publish through the delta path: per-param dirty stamps
+// PublishDelta atomically installs m's current weights as the next snapshot
+// and advances the pool generation, logically invalidating every pooled
+// representation computed under older weights. Per-param dirty stamps
 // (nn.ParamSet) tell it which parameters moved since the target buffer set
 // was last synced, and only those are copied — between two publishes that
-// trained a handful of parameters, publication cost drops from a full
-// weight copy to the touched slice, making per-minibatch publication
-// affordable. Buffers double-buffer in steady state: the snapshot retired
-// by the previous publish drains its in-flight requests and is re-synced by
-// the next one. The returned snapshot is therefore only guaranteed frozen
-// until two further delta publishes — call Pin (or use Snapshot) to hold it
-// longer; served estimates are unaffected either way, since a buffer is
-// never recycled while a request or pin holds it.
+// trained a handful of parameters, publication cost drops from a full weight
+// copy to the touched slice, making per-minibatch publication affordable.
+// Buffers double-buffer in steady state: the snapshot retired by the
+// previous publish drains its in-flight requests and is re-synced by the
+// next one. The returned snapshot is therefore only guaranteed frozen until
+// two further publishes — call Pin (or use Snapshot) to hold it longer;
+// served estimates are unaffected either way, since a buffer is never
+// recycled while a request or pin holds it.
 //
-// Delta and full publication interleave freely and produce bit-identical
-// snapshots; the first PublishDelta for a given source model (or after the
-// source changes) full-copies into a fresh buffer set. Like Publish, call
-// with training quiesced on m. Dirty tracking covers Adam steps,
+// Publication is finite or refused: when a value it would copy is NaN or an
+// infinity, PublishDelta copies and installs nothing, advances no
+// generation, calls no hook, counts the refusal (PublishesRefused) and
+// returns the current snapshot unchanged.
+//
+// The first PublishDelta for a new source model full-copies into a fresh
+// buffer set; a full publication of the same model is
+// nn.ParamSet.MarkAllUpdated followed by PublishDelta. The copy reads m on
+// the calling goroutine: call from the goroutine that trains m (between
+// optimizer steps), or with training otherwise quiesced. Concurrent serving
+// needs no quiescing — that is the point. Dirty tracking covers Adam steps,
 // ParamSet.DecodeGob and InitXavier; code that writes parameter values
 // directly must call nn.ParamSet.MarkAllUpdated first.
 func (srv *Server) PublishDelta(m *Model) *ModelSnapshot {
 	srv.pubMu.Lock()
 	defer srv.pubMu.Unlock()
-	if srv.delta == nil || srv.delta.src != m {
+	if srv.delta.src != m {
 		srv.delta = &deltaPub{src: m}
 	}
 	sl := srv.delta.takeSlot()
 	if sl == nil {
 		sl = newSlot(m)
 	}
+	if !sl.finite(m) {
+		srv.refused.Add(1)
+		return srv.cur.Load()
+	}
 	srv.delta.lastCopied = sl.sync(m)
-	snap := &ModelSnapshot{version: srv.cur.Load().version + 1, model: sl.model, slot: sl, deltaBacked: true}
+	snap := &ModelSnapshot{version: srv.cur.Load().version + 1, model: sl.model, slot: sl}
 	srv.install(snap)
 	if srv.publishHook != nil {
 		srv.publishHook(m, snap.version)
@@ -291,23 +280,24 @@ func (srv *Server) PublishDelta(m *Model) *ModelSnapshot {
 	return snap
 }
 
-// LastDeltaCopied reports how many parameters the most recent PublishDelta
+// PublishesRefused reports how many publications PublishDelta refused
+// because a value it would have copied was NaN or an infinity.
+func (srv *Server) PublishesRefused() uint64 { return srv.refused.Load() }
+
+// LastDeltaCopied reports how many parameters the most recent publication
 // copied (the rest were already current in the reused buffer set) — an
 // observability hook for tests and publication metrics.
 func (srv *Server) LastDeltaCopied() int {
 	srv.pubMu.Lock()
 	defer srv.pubMu.Unlock()
-	if srv.delta == nil {
-		return 0
-	}
 	return srv.delta.lastCopied
 }
 
 // DrainStats reports the state of the retired-snapshot-slot drain list:
-// Retired is the number of superseded delta snapshots currently awaiting
-// drain (their weight buffers cannot be recycled until every in-flight
-// request and pin on them clears), RetiredHighWater the most that have ever
-// waited at once. Healthy steady-state delta publication double-buffers, so
+// Retired is the number of superseded snapshots currently awaiting drain
+// (their weight buffers cannot be recycled until every in-flight request and
+// pin on them clears), RetiredHighWater the most that have ever
+// waited at once. Healthy steady-state publication double-buffers, so
 // the high water sits at 1; a climbing mark is the observable symptom of
 // requests or pins holding old versions alive.
 type DrainStats struct {
@@ -319,24 +309,20 @@ type DrainStats struct {
 func (srv *Server) SnapshotDrainStats() DrainStats {
 	srv.pubMu.Lock()
 	defer srv.pubMu.Unlock()
-	st := DrainStats{RetiredHighWater: srv.retiredHW}
-	if srv.delta != nil {
-		st.Retired = len(srv.delta.retired)
-	}
-	return st
+	return DrainStats{Retired: len(srv.delta.retired), RetiredHighWater: srv.retiredHW}
 }
 
 // install makes snap the served snapshot: generation bump first, then the
 // snapshot store, so a snapshot is never observable before the pool accepts
-// its generation; the retiring delta snapshot (if any) joins the drain list
-// for buffer reuse. Caller holds pubMu.
+// its generation; the retiring snapshot (if any) joins the drain list for
+// buffer reuse. Caller holds pubMu (or owns srv exclusively, in NewServer).
 func (srv *Server) install(snap *ModelSnapshot) {
 	if srv.pool != nil {
 		srv.pool.SetGeneration(snap.version)
 	}
 	prev := srv.cur.Load()
 	srv.cur.Store(snap)
-	if prev != nil && prev.slot != nil && srv.delta != nil {
+	if prev != nil {
 		srv.delta.retired = append(srv.delta.retired, prev)
 		if n := len(srv.delta.retired); n > srv.retiredHW {
 			srv.retiredHW = n
@@ -355,7 +341,7 @@ func (srv *Server) install(snap *ModelSnapshot) {
 
 // EnablePrewarm turns on post-publish pool pre-warming: the server tracks
 // the hottest served plans (up to limit replayed per publish) and, after
-// every Publish, re-evaluates them against the new snapshot in a background
+// every publish, re-evaluates them against the new snapshot in a background
 // goroutine so their representations are already resident at the new pool
 // generation when foreground requests arrive — the stale-lookup transient a
 // swap otherwise causes is paid off the request path. limit <= 0 disables.
@@ -422,8 +408,8 @@ func (srv *Server) prewarmBackground() {
 //     generation older than the snapshot about to serve. The installer's
 //     own replay follows immediately.
 //
-// The snapshot is ref-acquired for the whole replay, so a delta publish can
-// never recycle its weight buffers mid-replay.
+// The snapshot is ref-acquired for the whole replay, so a publish can never
+// recycle its weight buffers mid-replay.
 func (srv *Server) prewarmReplay(wantVersion uint64) int {
 	tr := srv.prewarm.Load()
 	if tr == nil || srv.pool == nil {
@@ -484,31 +470,25 @@ func (srv *Server) Estimate(ep *feature.EncodedPlan) (cost, card float64, versio
 // the same version.
 func (srv *Server) EstimateBatch(eps []*feature.EncodedPlan, workers int) ([]Estimate, uint64) {
 	snap := srv.acquire()
-	out := srv.EstimateBatchOn(snap, eps, workers)
+	var out []Estimate
+	if len(eps) > 0 {
+		out = srv.EstimateBatchInto(snap, eps, make([]Estimate, len(eps)), workers)
+	}
 	srv.release(snap)
 	return out, snap.version
 }
 
-// EstimateBatchOn is EstimateBatch against a snapshot the caller already
-// holds (acquired via AcquireSnapshot, or pinned): the caller's hold is what
-// keeps the weights frozen for the duration, so the batch is bit-identical
-// to a single-threaded evaluation of snap's version even when it is no
-// longer the currently served one. This is the serving path for callers that
-// need the exact snapshot identity back — the scheduler's circuit breaker
-// retains the snapshot of each successful batch as its degraded-mode
-// fallback.
-func (srv *Server) EstimateBatchOn(snap *ModelSnapshot, eps []*feature.EncodedPlan, workers int) []Estimate {
-	if len(eps) == 0 {
-		return nil
-	}
-	return srv.EstimateBatchInto(snap, eps, make([]Estimate, len(eps)), workers)
-}
-
-// EstimateBatchInto is EstimateBatchOn writing the estimates into
+// EstimateBatchInto serves eps against a snapshot the caller already holds
+// (acquired via AcquireSnapshot, or pinned), writing the estimates into
 // caller-provided storage: out must have len(eps) elements and is returned
-// filled. The warm path performs zero heap allocations — each of the serving
-// scheduler's run slots reuses one result buffer across batches, which is
-// what keeps Submit→served round trips allocation-free in steady state.
+// filled. The caller's hold is what keeps the weights frozen for the
+// duration, so the batch is bit-identical to a single-threaded evaluation of
+// snap's version even when it is no longer the currently served one — the
+// scheduler's circuit breaker retains the snapshot of each successful batch
+// as its degraded-mode fallback. The warm path performs zero heap
+// allocations — each of the serving scheduler's run slots reuses one result
+// buffer across batches, which is what keeps Submit→served round trips
+// allocation-free in steady state.
 //
 // costlint:noalloc
 func (srv *Server) EstimateBatchInto(snap *ModelSnapshot, eps []*feature.EncodedPlan, out []Estimate, workers int) []Estimate {

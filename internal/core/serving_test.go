@@ -51,7 +51,7 @@ func TestSnapshotImmutableUnderTraining(t *testing.T) {
 		t.Fatal("live model did not move after a training epoch; test is vacuous")
 	}
 
-	next := tr.Publish(srv)
+	next := tr.PublishDelta(srv)
 	if next.Version() != 2 || srv.Version() != 2 {
 		t.Fatalf("publish version = %d (server %d), want 2", next.Version(), srv.Version())
 	}
@@ -97,15 +97,15 @@ func TestPoolGenerations(t *testing.T) {
 		t.Fatalf("generation moved backwards to %d", p.Generation())
 	}
 	before := p.Len()
-	if _, _, ok := p.Get("sig"); ok { // current-generation lookup
+	if _, _, ok := p.GetGen("sig", p.Generation()); ok { // current-generation lookup
 		t.Fatal("stale entry served after SetGeneration")
 	}
 	if p.Len() != before-1 {
 		t.Fatalf("stale entry not evicted: Len %d -> %d", before, p.Len())
 	}
 	// Re-inserting under the current generation serves again.
-	p.Put("sig", g, r)
-	if _, _, ok := p.Get("sig"); !ok {
+	p.PutGen("sig", g, r, p.Generation())
+	if _, _, ok := p.GetGen("sig", p.Generation()); !ok {
 		t.Fatal("refreshed entry missed at current generation")
 	}
 
@@ -181,7 +181,7 @@ func TestServerServesAcrossPublishes(t *testing.T) {
 			}
 		}
 		tr.TrainEpochParallel(eps, 8, 1)
-		tr.Publish(srv)
+		tr.PublishDelta(srv)
 	}
 	if srv.Pool().HitRate() == 0 {
 		t.Fatal("pooled serving produced no hits within a generation")
@@ -198,125 +198,6 @@ type servedObs struct {
 	version uint64
 	cost    float64
 	card    float64
-}
-
-// TestServerHotSwapConcurrentBitIdentical is the acceptance gate for the
-// hot-swap runtime, meant to run under -race: one goroutine retrains the
-// live model with the batched runtime and publishes after every epoch while
-// serving goroutines hammer the server's pooled single-plan and batch paths.
-// Every served estimate is then replayed single-threaded against the
-// snapshot version that served it and must match bit for bit — which fails
-// if a publish ever tears weights mid-request, and fails if any pool entry
-// recorded under generation N is consumed by a request serving generation
-// N±1 (representations are weights-dependent, so cross-generation reuse
-// perturbs the bits).
-func TestServerHotSwapConcurrentBitIdentical(t *testing.T) {
-	eps := benchCorpus(t, 12)
-	cfg := TestConfig()
-	m := New(cfg, testEnc)
-	tr := NewParallelTrainer(m, 1)
-	defer tr.Close()
-	tr.FitNormalizers(eps)
-	srv := NewServer(m, NewBoundedMemoryPool(256))
-
-	const epochs = 4
-	const servers = 3
-
-	var mu sync.Mutex
-	snaps := map[uint64]*ModelSnapshot{1: srv.Snapshot()}
-
-	// seen[w] is the highest version server w has served. The trainer waits
-	// for every server to reach each published version before training on —
-	// on a single-core box the scheduler could otherwise run one side to
-	// completion, leaving the interleavings untested.
-	var seen [servers]atomic.Uint64
-	done := make(chan struct{})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // trainer: retrain in place, publish after every epoch
-		defer wg.Done()
-		defer close(done)
-		for e := 0; e < epochs; e++ {
-			tr.TrainEpochParallel(eps, 8, 1)
-			snap := tr.Publish(srv)
-			mu.Lock()
-			snaps[snap.Version()] = snap
-			mu.Unlock()
-			for w := 0; w < servers; w++ {
-				for seen[w].Load() < snap.Version() {
-					runtime.Gosched()
-				}
-			}
-		}
-	}()
-
-	obs := make([][]servedObs, servers)
-	for w := 0; w < servers; w++ {
-		wg.Add(1)
-		go func(w int) { // server: pooled single-plan + batch serving
-			defer wg.Done()
-			var local []servedObs
-			for k := 0; ; k++ {
-				i := (w*7 + k) % len(eps)
-				c, d, v := srv.Estimate(eps[i])
-				local = append(local, servedObs{plan: i, version: v, cost: c, card: d})
-				ests, bv := srv.EstimateBatch(eps, 2)
-				for j, e := range ests {
-					local = append(local, servedObs{plan: j, version: bv, cost: e.Cost, card: e.Card})
-				}
-				if bv > seen[w].Load() {
-					seen[w].Store(bv)
-				}
-				select {
-				case <-done:
-					obs[w] = local
-					return
-				default:
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// Replay: for every version that served, compute the single-threaded,
-	// unpooled reference estimates from the retained snapshot.
-	type est struct{ cost, card float64 }
-	refs := make(map[uint64][]est, len(snaps))
-	for v, snap := range snaps {
-		ref := NewBatchSession(snap.Model())
-		es := make([]est, len(eps))
-		for i, ep := range eps {
-			c, d := ref.Estimate(ep)
-			es[i] = est{c, d}
-		}
-		refs[v] = es
-	}
-
-	served := 0
-	versions := map[uint64]int{}
-	for w := range obs {
-		for _, o := range obs[w] {
-			ref, known := refs[o.version]
-			if !known {
-				t.Fatalf("served version %d was never published", o.version)
-			}
-			if o.cost != ref[o.plan].cost || o.card != ref[o.plan].card {
-				t.Fatalf("version %d plan %d: served (%g,%g), single-threaded replay (%g,%g)",
-					o.version, o.plan, o.cost, o.card, ref[o.plan].cost, ref[o.plan].card)
-			}
-			served++
-			versions[o.version]++
-		}
-	}
-	if served == 0 {
-		t.Fatal("no estimates served")
-	}
-	if len(versions) != epochs+1 {
-		t.Fatalf("served %d distinct versions, want %d (all published snapshots)", len(versions), epochs+1)
-	}
-	t.Logf("replayed %d served estimates across %d versions (per-version counts: %v); pool hit %.0f%%, stale %.1f%%",
-		served, len(versions), versions, srv.Pool().HitRate()*100, srv.Pool().StaleRate()*100)
 }
 
 // TestServerPrewarmHidesSwapTransient pins the pre-warm contract: with
@@ -351,8 +232,8 @@ func TestServerPrewarmHidesSwapTransient(t *testing.T) {
 	}
 
 	tr.TrainEpochParallel(eps, 8, 1)
-	tr.Publish(srv)
-	ctrl.Publish(m)
+	tr.PublishDelta(srv)
+	ctrl.PublishDelta(m)
 	if n := srv.PrewarmNow(); n == 0 {
 		t.Fatal("PrewarmNow replayed no plans despite tracked traffic")
 	}
@@ -378,7 +259,7 @@ func TestServerPrewarmHidesSwapTransient(t *testing.T) {
 	}
 }
 
-// TestServerPrewarmBackground exercises the asynchronous path Publish
+// TestServerPrewarmBackground exercises the asynchronous path a publish
 // actually takes: after a publish, the background replay must repopulate the
 // pool at the new generation without any foreground call.
 func TestServerPrewarmBackground(t *testing.T) {
@@ -396,7 +277,7 @@ func TestServerPrewarmBackground(t *testing.T) {
 		}
 	}
 	tr.TrainEpochParallel(eps, 8, 1)
-	tr.Publish(srv)
+	tr.PublishDelta(srv)
 
 	v := srv.Version()
 	deadline := time.Now().Add(5 * time.Second)
@@ -414,24 +295,6 @@ func TestServerPrewarmBackground(t *testing.T) {
 			t.Fatal("background pre-warm never repopulated the pool at the new generation")
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// BenchmarkPublish measures hot-swap publication latency: one deep weight
-// copy into a fresh snapshot plus the O(1) pool invalidation, at default
-// model dimensions.
-func BenchmarkPublish(b *testing.B) {
-	eps := benchCorpus(b, 4)
-	cfg := DefaultConfig()
-	m := New(cfg, testEnc)
-	tr := NewParallelTrainer(m, 1)
-	defer tr.Close()
-	tr.FitNormalizers(eps)
-	srv := NewServer(m, NewBoundedMemoryPool(4096))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srv.Publish(m)
 	}
 }
 
@@ -467,7 +330,7 @@ func BenchmarkServerHotSwap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%64 == 63 {
-			srv.Publish(m)
+			srv.PublishDelta(m)
 		}
 		srv.EstimateBatch(eps, 1)
 	}
@@ -475,11 +338,21 @@ func BenchmarkServerHotSwap(b *testing.B) {
 	b.ReportMetric(srv.Pool().HitRate()*100, "hit%")
 }
 
-// TestPublishDeltaBitIdentical pins the delta-publication contract on the
-// sequential path: across rounds of training, every delta-published
-// snapshot's parameters must be bit-identical to a full copy taken at the
-// same point, normalizers included — and rounds that trained nothing must
-// copy nothing.
+// fullCopy deep-copies m's weights and normalizers into a fresh model: the
+// reference every published snapshot must match bit for bit.
+func fullCopy(m *Model) *Model {
+	c := New(m.Cfg, m.Enc)
+	for i, p := range m.PS.Params() {
+		copy(c.PS.Params()[i].Value, p.Value)
+	}
+	c.CostNorm, c.CardNorm = m.CostNorm, m.CardNorm
+	return c
+}
+
+// TestPublishDeltaBitIdentical pins the publication contract on the
+// sequential path: across rounds of training, every published snapshot's
+// parameters must be bit-identical to a full copy taken at the same point,
+// normalizers included — and rounds that trained nothing must copy nothing.
 func TestPublishDeltaBitIdentical(t *testing.T) {
 	eps := benchCorpus(t, 12)
 	cfg := TestConfig()
@@ -492,8 +365,8 @@ func TestPublishDeltaBitIdentical(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		tr.TrainEpochParallel(eps, 8, 1)
 		snap := tr.PublishDelta(srv)
-		full := newSnapshot(m, snap.Version())
-		compareWeights(t, "delta vs full copy", snap.Model(), full.Model(), 0)
+		full := fullCopy(m)
+		compareWeights(t, "delta vs full copy", snap.Model(), full, 0)
 		if snap.Model().CostNorm != m.CostNorm || snap.Model().CardNorm != m.CardNorm {
 			t.Fatalf("round %d: delta snapshot normalizers diverged", round)
 		}
@@ -502,7 +375,7 @@ func TestPublishDeltaBitIdentical(t *testing.T) {
 		}
 		// Serving through the delta snapshot matches a single-threaded
 		// replay of the full copy.
-		ref := NewBatchSession(full.Model())
+		ref := NewBatchSession(full)
 		for i, ep := range eps {
 			c, d, v := srv.Estimate(ep)
 			rc, rd := ref.Estimate(ep)
@@ -527,8 +400,9 @@ func TestPublishDeltaBitIdentical(t *testing.T) {
 }
 
 // TestPublishDeltaReusesBuffers pins the double-buffer rotation: once two
-// delta snapshots exist and the older one has drained, the next publish
-// reuses its buffer set instead of allocating a third.
+// snapshots exist and the older one has drained, the next publish reuses its
+// buffer set instead of allocating a third. NewServer's version 1 is the
+// first buffer set of the rotation.
 func TestPublishDeltaReusesBuffers(t *testing.T) {
 	eps := benchCorpus(t, 8)
 	cfg := TestConfig()
@@ -538,19 +412,20 @@ func TestPublishDeltaReusesBuffers(t *testing.T) {
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, nil)
 
-	s1 := tr.PublishDelta(srv) // fresh slot A
+	s0 := srv.cur.Load()       // slot A, NewServer's version 1
+	s1 := tr.PublishDelta(srv) // fresh slot B (A still serving at publish time)
 	tr.TrainEpochParallel(eps, 8, 1)
-	s2 := tr.PublishDelta(srv) // fresh slot B (A still serving at publish time)
+	s2 := tr.PublishDelta(srv) // A retired and drained -> reused
 	tr.TrainEpochParallel(eps, 8, 1)
-	s3 := tr.PublishDelta(srv) // A retired and drained -> reused
+	s3 := tr.PublishDelta(srv) // B retired and drained -> reused
 	if s1.model == s2.model {
-		t.Fatal("consecutive delta snapshots share a live buffer set")
+		t.Fatal("consecutive snapshots share a live buffer set")
 	}
-	if s3.model != s1.model {
-		t.Fatal("third delta publish did not reuse the drained first slot")
+	if s2.model != s0.model || s3.model != s1.model {
+		t.Fatal("publishes did not reuse the drained slots")
 	}
 	// The recycled snapshot must carry the current weights bit for bit.
-	compareWeights(t, "recycled slot vs full copy", s3.Model(), newSnapshot(m, 0).Model(), 0)
+	compareWeights(t, "recycled slot vs full copy", s3.Model(), fullCopy(m), 0)
 
 	// A pinned snapshot's buffers leave the rotation permanently.
 	tr.TrainEpochParallel(eps, 8, 1)
@@ -580,8 +455,8 @@ func TestPublishDeltaReusesBuffers(t *testing.T) {
 	_ = s5
 }
 
-// TestSnapshotPinnedAcrossDeltaPublishes pins Server.Snapshot's contract in
-// delta mode: a snapshot handed out for indefinite retention keeps serving
+// TestSnapshotPinnedAcrossDeltaPublishes pins Server.Snapshot's contract: a
+// snapshot handed out for indefinite retention keeps serving
 // the exact weights it was published with, no matter how many delta
 // publishes (and buffer recycles) happen afterwards.
 func TestSnapshotPinnedAcrossDeltaPublishes(t *testing.T) {
@@ -634,9 +509,9 @@ func TestPublishDeltaSingleTaskSkipsCleanHead(t *testing.T) {
 	first := srv.LastDeltaCopied()
 	tr.TrainEpochParallel(eps, 8, 1)
 	tr.TrainEpochParallel(eps, 8, 1)
-	tr.PublishDelta(srv) // second slot, full copy
+	tr.PublishDelta(srv) // recycled version-1 slot: delta from here on
 	tr.TrainEpochParallel(eps, 8, 1)
-	tr.PublishDelta(srv) // recycled slot: delta from here on
+	tr.PublishDelta(srv)
 	steady := srv.LastDeltaCopied()
 	total := len(m.PS.Params())
 	if first != total {
@@ -646,19 +521,23 @@ func TestPublishDeltaSingleTaskSkipsCleanHead(t *testing.T) {
 		t.Fatalf("steady-state delta copied all %d params; the clean card head should be skipped", steady)
 	}
 	// The skipped parameters are exactly the never-trained cardinality head.
-	full := newSnapshot(m, 0)
-	compareWeights(t, "single-task delta", srv.Snapshot().Model(), full.Model(), 0)
+	compareWeights(t, "single-task delta", srv.Snapshot().Model(), fullCopy(m), 0)
 }
 
-// TestServerDeltaHotSwapConcurrentBitIdentical is the delta twin of the
-// full-copy acceptance gate, meant to run under -race: the trainer retrains
-// and delta-publishes after every epoch — rotating and recycling snapshot
-// buffers — while serving goroutines hammer the pooled single-plan and
-// batch paths. At every publish the trainer also takes a private full copy;
-// every served estimate is replayed against the full copy of the version
-// that served it and must match bit for bit. Buffer recycling is what makes
-// this non-trivial: a recycle racing an in-flight request would tear the
-// request's weights, and the ref-count protocol must prevent it.
+// TestServerDeltaHotSwapConcurrentBitIdentical is the acceptance gate for
+// the hot-swap runtime, meant to run under -race: the trainer retrains and
+// publishes after every epoch — rotating and recycling snapshot buffers —
+// while serving goroutines hammer the pooled single-plan and batch paths. At
+// every publish the trainer also takes a private full copy; every served
+// estimate is replayed single-threaded against the full copy of the version
+// that served it and must match bit for bit. That fails if a publish ever
+// tears weights mid-request (a recycle racing an in-flight request, which the
+// ref-count protocol must prevent), and fails if any pool entry recorded
+// under generation N is consumed by a request serving generation N±1
+// (representations are weights-dependent, so cross-generation reuse perturbs
+// the bits). The trainer waits for every server to reach each published
+// version before training on — on a single-core box the scheduler could
+// otherwise run one side to completion, leaving the interleavings untested.
 func TestServerDeltaHotSwapConcurrentBitIdentical(t *testing.T) {
 	eps := benchCorpus(t, 12)
 	cfg := TestConfig()
@@ -675,8 +554,7 @@ func TestServerDeltaHotSwapConcurrentBitIdentical(t *testing.T) {
 	var mu sync.Mutex
 	refs := map[uint64][]est{}
 	snapRef := func(v uint64) { // full-copy reference, trainer goroutine
-		full := newSnapshot(m, v)
-		ref := NewBatchSession(full.Model())
+		ref := NewBatchSession(fullCopy(m))
 		es := make([]est, len(eps))
 		for i, ep := range eps {
 			c, d := ref.Estimate(ep)
@@ -757,8 +635,8 @@ func TestServerDeltaHotSwapConcurrentBitIdentical(t *testing.T) {
 	if len(versions) != epochs+1 {
 		t.Fatalf("served %d distinct versions, want %d", len(versions), epochs+1)
 	}
-	t.Logf("replayed %d delta-served estimates across %d versions (counts: %v)",
-		served, len(versions), versions)
+	t.Logf("replayed %d served estimates across %d versions (counts: %v); pool hit %.0f%%, stale %.1f%%",
+		served, len(versions), versions, srv.Pool().HitRate()*100, srv.Pool().StaleRate()*100)
 }
 
 // TestPublishPrewarmRace is the regression test for racing publishes against
@@ -795,7 +673,8 @@ func TestPublishPrewarmRace(t *testing.T) {
 		defer close(done)
 		for e := 0; e < epochs; e++ {
 			tr.TrainEpochParallel(eps, 8, 1)
-			snap := tr.Publish(srv)
+			snap := tr.PublishDelta(srv)
+			snap.Pin() // replayed after later publishes
 			mu.Lock()
 			snaps[snap.Version()] = snap
 			mu.Unlock()
@@ -862,8 +741,8 @@ func TestPublishPrewarmRace(t *testing.T) {
 	}
 }
 
-// BenchmarkPublishDelta measures delta publication at default model
-// dimensions against the full-copy BenchmarkPublish baseline. clean is the
+// BenchmarkPublishDelta measures publication at default model dimensions.
+// clean is the
 // steady-state floor — nothing trained between publishes, so the reused
 // buffer set is already current and zero parameters are copied; afterEpoch
 // pays one full training epoch's dirty set (at epoch cadence every
@@ -907,7 +786,7 @@ func BenchmarkPublishDelta(b *testing.B) {
 }
 
 // TestSnapshotDrainStats pins the retired-slot drain-list metric: steady
-// double-buffered delta publication keeps at most one retiree waiting, while
+// double-buffered publication keeps at most one retiree waiting, while
 // a request held in flight on an old version makes its slot unreclaimable
 // and pushes the high water up — exactly the symptom the metric exists to
 // surface.
@@ -928,15 +807,11 @@ func TestSnapshotDrainStats(t *testing.T) {
 		tr.TrainEpochParallel(eps, 4, 1)
 		tr.PublishDelta(srv)
 	}
-	step() // v2: retires v1, a full copy with no slot — nothing to drain
-	if st := srv.SnapshotDrainStats(); st.Retired != 0 {
-		t.Fatalf("full-copy predecessor joined the drain list: %+v", st)
-	}
-	step() // v3: retires delta-backed v2
+	step() // v2: retires v1
 	if st := srv.SnapshotDrainStats(); st.Retired != 1 || st.RetiredHighWater != 1 {
-		t.Fatalf("after first delta retirement: %+v, want {1 1}", st)
+		t.Fatalf("after first retirement: %+v, want {1 1}", st)
 	}
-	step() // v4: v2's slot is reclaimed, v3 retires — steady double buffering
+	step() // v3: v1's slot is reclaimed, v2 retires — steady double buffering
 	if st := srv.SnapshotDrainStats(); st.Retired != 1 || st.RetiredHighWater != 1 {
 		t.Fatalf("steady-state drain stats: %+v, want {1 1}", st)
 	}
@@ -944,9 +819,6 @@ func TestSnapshotDrainStats(t *testing.T) {
 	// A request stuck mid-flight on the current version keeps its slot from
 	// recycling: the next two publishes stack retirees and raise the mark.
 	held := srv.acquire()
-	if !held.deltaBacked {
-		t.Fatal("current snapshot is not delta-backed; test setup broken")
-	}
 	step() // retires held (refs > 0: kept on the list)
 	step() // held still referenced: a second retiree joins it
 	if st := srv.SnapshotDrainStats(); st.Retired < 2 || st.RetiredHighWater < 2 {

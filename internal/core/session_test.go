@@ -81,7 +81,7 @@ func TestPooledPathZeroAlloc(t *testing.T) {
 	}
 	sig := eps[0].Nodes[eps[0].Root].Sig
 	allocs := testing.AllocsPerRun(500, func() {
-		if _, _, ok := pool.Get(sig); !ok {
+		if _, _, ok := pool.GetGen(sig, pool.Generation()); !ok {
 			t.Fatal("warm pool missed")
 		}
 	})
@@ -106,15 +106,15 @@ func TestBoundedPoolEviction(t *testing.T) {
 	g := []float64{1, 2}
 	r := []float64{3, 4}
 	for i := 0; i < 10*maxEntries; i++ {
-		pool.Put(fmt.Sprintf("sig-%d", i), g, r)
+		pool.PutGen(fmt.Sprintf("sig-%d", i), g, r, pool.Generation())
 	}
 	// Per-shard enforcement makes the bound approximate; allow one extra
 	// entry per shard of headroom but no unbounded growth.
 	if n := pool.Len(); n > maxEntries+poolShardCount {
 		t.Fatalf("bounded pool grew to %d entries (cap %d)", n, maxEntries)
 	}
-	pool.Put("probe", g, r)
-	pg, pr, ok := pool.Get("probe")
+	pool.PutGen("probe", g, r, pool.Generation())
+	pg, pr, ok := pool.GetGen("probe", pool.Generation())
 	if !ok || pg[1] != 2 || pr[0] != 3 {
 		t.Fatal("bounded pool lost a fresh entry or corrupted it")
 	}
@@ -136,20 +136,20 @@ func TestClockEvictionKeepsHotEntries(t *testing.T) {
 	hot := make([]string, hotCount)
 	for i := range hot {
 		hot[i] = fmt.Sprintf("hot-join-prefix-%d", i)
-		pool.Put(hot[i], g, r)
+		pool.PutGen(hot[i], g, r, pool.Generation())
 	}
 	for k := 0; k < coldPuts; k++ {
 		// The optimizer keeps probing its hot sub-plans, so their reference
 		// bits are set when the next one-off insertion needs a victim.
 		for _, sig := range hot {
-			if _, _, ok := pool.Get(sig); !ok {
+			if _, _, ok := pool.GetGen(sig, pool.Generation()); !ok {
 				t.Fatalf("hot signature %q evicted after %d cold insertions", sig, k)
 			}
 		}
-		pool.Put(fmt.Sprintf("cold-oneoff-%d", k), g, r)
+		pool.PutGen(fmt.Sprintf("cold-oneoff-%d", k), g, r, pool.Generation())
 	}
 	for _, sig := range hot {
-		if _, _, ok := pool.Get(sig); !ok {
+		if _, _, ok := pool.GetGen(sig, pool.Generation()); !ok {
 			t.Fatalf("hot signature %q not resident after eviction pressure", sig)
 		}
 	}
@@ -178,11 +178,11 @@ func TestPoolEvictedCardNode(t *testing.T) {
 		pool := NewMemoryPool()
 		full := NewMemoryPool()
 		sess.EstimateWithPool(ep, full)
-		g, r, ok := full.Get(ep.Nodes[ep.Root].Sig)
+		g, r, ok := full.GetGen(ep.Nodes[ep.Root].Sig, full.Generation())
 		if !ok {
 			t.Fatal("root representation missing from warm pool")
 		}
-		pool.Put(ep.Nodes[ep.Root].Sig, g, r)
+		pool.PutGen(ep.Nodes[ep.Root].Sig, g, r, pool.Generation())
 		gotCost, gotCard := sess.EstimateWithPool(ep, pool)
 		if gotCost != wantCost || gotCard != wantCard {
 			t.Fatalf("evicted card node degraded the estimate: (%g,%g) vs (%g,%g)",
@@ -282,7 +282,7 @@ func BenchmarkPoolGetParallel(b *testing.B) {
 	sigs := make([]string, 512)
 	for i := range sigs {
 		sigs[i] = fmt.Sprintf("sig-%d|join|scan-%d", i, i%7)
-		pool.Put(sigs[i], g, r)
+		pool.PutGen(sigs[i], g, r, pool.Generation())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -290,7 +290,7 @@ func BenchmarkPoolGetParallel(b *testing.B) {
 		var i uint64
 		for pb.Next() {
 			n := atomic.AddUint64(&i, 1)
-			pool.Get(sigs[n%uint64(len(sigs))])
+			pool.GetGen(sigs[n%uint64(len(sigs))], pool.Generation())
 		}
 	})
 }

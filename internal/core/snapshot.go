@@ -2,45 +2,37 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
 // ModelSnapshot is an immutable, versioned copy of a model's weights and
 // target normalizers — the unit of publication for hot-swap serving. A
-// snapshot owns a private Model (its own ParamSet, deep-copied at
-// publication) that shares only the read-only feature encoder with the
-// source, so the trainer can keep mutating its live weights while every
-// goroutine holding the snapshot reads a frozen, torn-write-free view.
+// snapshot owns a private Model (its own ParamSet) that shares only the
+// read-only feature encoder with the source, so the trainer can keep mutating
+// its live weights while every goroutine holding the snapshot reads a frozen,
+// torn-write-free view.
 //
-// Snapshots are created by Server.Publish / Server.PublishDelta (or
-// NewServer) and are never mutated while reachable: the serving invariant —
-// any estimate served at version V is bit-identical to a single-threaded
-// evaluation of V's weights — depends on it. Full-copy snapshots stay
-// frozen forever. Delta-published snapshots recycle their weight buffers
-// (see snapshotSlot): once a delta snapshot has been superseded AND has no
-// in-flight server request reading it AND was never pinned, a later
-// PublishDelta may reuse its buffers. Hold a delta snapshot past the next
-// publish only after calling Pin.
+// Snapshots are created by NewServer (version 1) and Server.PublishDelta and
+// are never mutated while reachable: the serving invariant — any estimate
+// served at version V is bit-identical to a single-threaded evaluation of V's
+// weights — depends on it. Every snapshot's weights live in a recyclable
+// buffer set (see snapshotSlot): once a snapshot has been superseded AND has
+// no in-flight server request reading it AND was never pinned, a later
+// PublishDelta may reuse its buffers. Hold a snapshot past the next publish
+// only after calling Pin (Server.Snapshot does).
 type ModelSnapshot struct {
 	version uint64
 	model   *Model
 
 	// refs counts in-flight server requests (and pre-warm replays) reading
 	// this snapshot; the acquire/release protocol in Server keeps it exact.
-	// Only delta-backed snapshots are counted — full copies are frozen
-	// forever, so their requests skip the two atomic adds entirely and the
-	// pre-delta hot path stays a single atomic load.
 	refs atomic.Int64
 	// pinned marks a snapshot handed out for indefinite retention
 	// (Server.Snapshot, ModelSnapshot.Pin): its buffers are never recycled.
 	pinned atomic.Bool
-	// deltaBacked is set at construction for delta-published snapshots and
-	// never mutated, so the request path can branch on it without
-	// synchronization (slot, by contrast, is harvested under the publisher
-	// lock and must only be read there).
-	deltaBacked bool
-	// slot is the recyclable buffer set backing a delta-published snapshot;
-	// nil for full-copy snapshots (and for harvested delta retirees).
+	// slot is the recyclable buffer set backing the snapshot; nil once a
+	// later publish has harvested it. Guarded by the server's publisher lock.
 	slot *snapshotSlot
 }
 
@@ -53,44 +45,20 @@ func (s *ModelSnapshot) Version() uint64 { return s.version }
 // Model returns the snapshot's frozen model. Callers may evaluate it (its
 // own Estimate/EstimateBatch, NewBatchSession, ValidationError) but must treat
 // the weights as read-only; training against a snapshot model breaks the
-// immutability every concurrent reader relies on. For delta-published
-// snapshots, call Pin first if the model will be used past the next
-// publish.
+// immutability every concurrent reader relies on. Call Pin first if the model
+// will be used past the next publish.
 func (s *ModelSnapshot) Model() *Model { return s.model }
 
 // Pin marks the snapshot for indefinite retention: its weight buffers are
-// excluded from delta-publication recycling, restoring the frozen-forever
-// contract of full-copy snapshots. Pinning is sticky and idempotent.
-// Full-copy snapshots are implicitly pinned; calling Pin on one is a no-op.
+// excluded from publication recycling, so it stays frozen forever. Pinning is
+// sticky and idempotent.
 func (s *ModelSnapshot) Pin() { s.pinned.Store(true) }
 
 // recyclable reports whether the snapshot's slot may be reused for a new
-// publication: it is delta-backed, nobody pinned it, and no request is
-// mid-flight on it. Callers must already have retired it from serving (it
-// is not the current snapshot).
+// publication: nobody pinned it and no request is mid-flight on it. Callers
+// must already have retired it from serving (it is not the current snapshot).
 func (s *ModelSnapshot) recyclable() bool {
 	return s.slot != nil && !s.pinned.Load() && s.refs.Load() == 0
-}
-
-// newSnapshot deep-copies src's parameter values and normalizers into a
-// fresh model wired to the same encoder — the full-copy publication path.
-// The copy runs on the caller's goroutine, so callers must not mutate src
-// concurrently (the trainer publishes between optimizer steps, where this
-// holds by construction).
-func newSnapshot(src *Model, version uint64) *ModelSnapshot {
-	dst := New(src.Cfg, src.Enc)
-	sp, dp := src.PS.Params(), dst.PS.Params()
-	if len(sp) != len(dp) {
-		panic(fmt.Sprintf("core: snapshot parameter count mismatch: %d vs %d", len(sp), len(dp)))
-	}
-	for i := range sp {
-		if sp[i].Name != dp[i].Name {
-			panic(fmt.Sprintf("core: snapshot parameter order mismatch: %q vs %q", sp[i].Name, dp[i].Name))
-		}
-		copy(dp[i].Value, sp[i].Value)
-	}
-	dst.CostNorm, dst.CardNorm = src.CostNorm, src.CardNorm
-	return &ModelSnapshot{version: version, model: dst}
 }
 
 // snapshotSlot is one recyclable weight-buffer set for delta publication: a
@@ -99,8 +67,8 @@ func newSnapshot(src *Model, version uint64) *ModelSnapshot {
 // live stamp moved past the slot's recorded stamp — everything the slot
 // already holds from its previous turn in the rotation is kept as is.
 //
-// A server in steady-state delta publication rotates exactly two slots
-// (double buffering): the slot serving as the current snapshot and the slot
+// A server in steady-state publication rotates exactly two slots (double
+// buffering): the slot serving as the current snapshot and the slot
 // retired one publish ago, which drains and is re-synced by the next
 // publish. Pinned or still-referenced retirees drop out of the rotation and
 // a fresh slot takes their place.
@@ -125,11 +93,33 @@ func newSlot(src *Model) *snapshotSlot {
 	}
 }
 
+// finite reports whether every value sync would copy from src is neither NaN
+// nor an infinity: the normalizers, and each parameter whose stamp advanced
+// past the slot's record.
+func (sl *snapshotSlot) finite(src *Model) bool {
+	for _, v := range [...]float64{src.CostNorm.MinLog, src.CostNorm.MaxLog, src.CardNorm.MinLog, src.CardNorm.MaxLog} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	for i, p := range src.PS.Params() {
+		if p.Stamp() <= sl.stamps[i] {
+			continue
+		}
+		for _, v := range p.Value {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // sync brings the slot's weights up to date with src, copying only the
 // parameters whose stamp advanced past the slot's record, and returns how
 // many parameters were copied. Normalizers are two scalars and copy
-// unconditionally. Like newSnapshot, sync reads src on the caller's
-// goroutine with training quiesced.
+// unconditionally. sync reads src on the caller's goroutine with training
+// quiesced.
 func (sl *snapshotSlot) sync(src *Model) int {
 	if src != sl.src {
 		panic("core: slot re-synced against a different source model")
@@ -154,9 +144,9 @@ func (sl *snapshotSlot) sync(src *Model) int {
 	return copied
 }
 
-// deltaPub is a Server's delta-publication state for one source model:
-// retired delta snapshots awaiting drain (oldest first) and the count of
-// parameters copied by the last sync (observable for tests and metrics).
+// deltaPub is a Server's publication state for one source model: retired
+// snapshots awaiting drain (oldest first) and the count of parameters
+// copied by the last sync (observable for tests and metrics).
 type deltaPub struct {
 	src        *Model
 	retired    []*ModelSnapshot
@@ -172,9 +162,9 @@ func (d *deltaPub) takeSlot() *snapshotSlot {
 	for _, snap := range d.retired {
 		switch {
 		case snap.pinned.Load(), snap.slot != nil && snap.slot.src != d.src:
-			// Dropped: pinned retirees are frozen forever (like full
-			// copies), and a slot synced against a different source model
-			// carries stamps from the wrong clock.
+			// Dropped: pinned retirees are frozen forever, and a slot
+			// synced against a different source model carries stamps from
+			// the wrong clock.
 		case found == nil && snap.recyclable():
 			found = snap.slot
 			snap.slot = nil // the snapshot object no longer owns the buffers

@@ -52,21 +52,15 @@ func (pt *ParallelTrainer) permute(n int) []int {
 	return p
 }
 
-// Publish installs the trainer's current weights on srv as a new immutable
-// snapshot (see Server.Publish) — the retrain-in-place workflow: a
-// long-lived service keeps one trainer mutating the live model and calls
-// Publish between epochs while the Server's Estimate/EstimateBatch callers
-// keep serving the previous snapshot untouched. Call from the training
-// goroutine so the weight copy never races an optimizer step.
-func (pt *ParallelTrainer) Publish(srv *Server) *ModelSnapshot {
-	return srv.Publish(pt.M)
-}
-
-// PublishDelta is Publish through the delta-publication path: only the
-// parameters the optimizer touched since the target snapshot buffers were
-// last synced are copied (see Server.PublishDelta), which makes publication
-// cheap enough to run per minibatch. Call from the training goroutine, like
-// Publish.
+// PublishDelta installs the trainer's current weights on srv as a new
+// immutable snapshot (see Server.PublishDelta) — the retrain-in-place
+// workflow: a long-lived service keeps one trainer mutating the live model
+// and publishes between epochs while the Server's Estimate/EstimateBatch
+// callers keep serving the previous snapshot untouched. Only the parameters
+// the optimizer touched since the target snapshot buffers were last synced
+// are copied, which makes publication cheap enough to run per minibatch.
+// Call from the training goroutine so the weight copy never races an
+// optimizer step.
 func (pt *ParallelTrainer) PublishDelta(srv *Server) *ModelSnapshot {
 	return srv.PublishDelta(pt.M)
 }

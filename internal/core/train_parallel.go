@@ -36,8 +36,8 @@ import (
 // (nn.ParamSet.AliasValues) — forwards read the real weights with no copying
 // — while its gradient accumulators stay private, so concurrent workers
 // never write shared state. The optimizer steps only between worker joins,
-// which is also when Publish may run: the hot-swap serving topology of PR 3
-// composes unchanged, since serving never touches the training model.
+// which is also when PublishDelta may run: hot-swap serving composes
+// unchanged, since serving never touches the training model.
 //
 // Workers are goroutines with session-sized arenas, started lazily on the
 // first epoch; call Close when done training to release them. A
@@ -155,7 +155,7 @@ func (pt *ParallelTrainer) Shards() int { return pt.shards }
 // EveryBatches > 0 TrainEpochParallel delta-publishes mid-epoch every N
 // optimizer steps. Pass a nil server to disable. The hook publishes from
 // the training goroutine between optimizer steps, so the weight reads never
-// race an update — the same contract as calling Publish by hand.
+// race an update — the same contract as calling PublishDelta by hand.
 func (pt *ParallelTrainer) AutoPublish(srv *Server, opts AutoPublishOptions) {
 	pt.pubSrv = srv
 	pt.pubOpts = opts
@@ -195,8 +195,13 @@ func (pt *ParallelTrainer) Fit(train, valid []*feature.EncodedPlan, epochs, batc
 		vc, vd := pt.M.ValidationError(valid)
 		st := EpochStats{Epoch: e, TrainLoss: loss, ValidCost: vc, ValidCard: vd}
 		if pt.pubSrv != nil && (!pt.pubOpts.Gated || vc+vd < pt.pubBest) {
-			pt.pubBest = vc + vd
-			st.Published = pt.pubSrv.PublishDelta(pt.M).Version()
+			// A refused (non-finite) publication leaves the served version
+			// where it was: nothing is recorded as published.
+			prev := pt.pubSrv.Version()
+			if v := pt.pubSrv.PublishDelta(pt.M).Version(); v != prev {
+				pt.pubBest = vc + vd
+				st.Published = v
+			}
 		}
 		history = append(history, st)
 		if cb != nil {

@@ -188,7 +188,7 @@ func TestParallelTrainingConcurrentServingAndPublish(t *testing.T) {
 		defer close(done)
 		for e := 0; e < epochs; e++ {
 			pt.TrainEpochParallel(eps, 8, 2)
-			pt.Publish(srv)
+			pt.PublishDelta(srv)
 		}
 	}()
 	var maxV sync.Map
@@ -323,6 +323,49 @@ func TestFitAutoPublishGated(t *testing.T) {
 	}
 	if srv.Version() != lastPub {
 		t.Fatalf("server serves version %d, last published %d", srv.Version(), lastPub)
+	}
+}
+
+// TestFitAutoPublishRefusesNonFinite is the auto-publish sibling of the
+// daemon supervisor's non-finite refusal: Fit's hook publishes without the
+// supervisor's validation gate, so PublishDelta itself must refuse weights
+// holding a NaN — no snapshot, no pool-generation bump, no hook call, one
+// counted refusal per attempt — and Fit must record nothing as published
+// while the server keeps answering finite estimates from version 1.
+func TestFitAutoPublishRefusesNonFinite(t *testing.T) {
+	eps := benchCorpus(t, 24)
+	train, valid := eps[:20], eps[20:]
+	m := New(TestConfig(), testEnc)
+	pt := NewParallelTrainer(m, 1)
+	defer pt.Close()
+	pool := NewBoundedMemoryPool(512)
+	srv := NewServer(m, pool)
+	hooked := 0
+	srv.SetPublishHook(func(*Model, uint64) { hooked++ })
+	pt.AutoPublish(srv, AutoPublishOptions{})
+
+	m.PS.Params()[0].Value[0] = math.NaN()
+	m.PS.MarkAllUpdated()
+	hist := pt.Fit(train, valid, 2, 8, 1, nil)
+
+	for e, st := range hist {
+		if st.Published != 0 {
+			t.Fatalf("epoch %d recorded version %d as published from NaN weights", e, st.Published)
+		}
+	}
+	if v, g := srv.Version(), pool.Generation(); v != 1 || g != 1 {
+		t.Fatalf("refused publishes moved the server to version %d, pool generation %d; want 1, 1", v, g)
+	}
+	if hooked != 0 {
+		t.Fatalf("publish hook called %d times for refused publications", hooked)
+	}
+	if n := srv.PublishesRefused(); n != uint64(len(hist)) {
+		t.Fatalf("PublishesRefused = %d, want %d (one per epoch)", n, len(hist))
+	}
+	for i, ep := range valid {
+		if c, d, _ := srv.Estimate(ep); math.IsNaN(c) || math.IsNaN(d) {
+			t.Fatalf("plan %d served non-finite (%g, %g) after refused publishes", i, c, d)
+		}
 	}
 }
 

@@ -81,10 +81,9 @@ type MemberConfig struct {
 	// ParallelTrainer; empty means the promoted member serves and
 	// heartbeats but does not advance the model.
 	Train []*feature.EncodedPlan
-	// BatchSize, Workers and Shards tune the promoted trainer (defaults
-	// 8, 1, 1).
+	// BatchSize and Shards tune the promoted trainer (defaults 8, 1); its
+	// epochs run at most GOMAXPROCS shards at once.
 	BatchSize int
-	Workers   int
 	Shards    int
 	// TrainInterval is the pause between promoted training epochs
 	// (default: none — train continuously).
@@ -145,9 +144,6 @@ func NewMember(cfg MemberConfig) *Member {
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 8
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -279,7 +275,7 @@ func (m *Member) primaryLoop(ctx context.Context) {
 		tr := core.NewParallelTrainer(m.cfg.Model, m.cfg.Shards)
 		defer tr.Close()
 		for ctx.Err() == nil && !pub.Fenced() {
-			tr.TrainEpochParallel(m.cfg.Train, m.cfg.BatchSize, m.cfg.Workers)
+			tr.TrainEpochParallel(m.cfg.Train, m.cfg.BatchSize, 0)
 			if ctx.Err() != nil || pub.Fenced() {
 				break
 			}

@@ -85,7 +85,7 @@ func TestFailoverConformance(t *testing.T) {
 
 	// Primary A on a pre-bound port, epoch 1.
 	srvA := core.NewServer(mA, core.NewMemoryPool())
-	trA.Publish(srvA)
+	trA.PublishDelta(srvA)
 	pubA := NewPublisher(mA, srvA.Version(), PublisherConfig{
 		Epoch: 1, Heartbeat: hb, PeerTimeout: peerTO, Logf: t.Logf,
 	})
@@ -379,6 +379,63 @@ func TestBootPromotionClearsBootEpoch(t *testing.T) {
 	}
 }
 
+// TestPromotedMemberRefusesNonFiniteWeights is the promotion sibling of the
+// daemon supervisor's non-finite refusal: a promoted member publishes its
+// mirror model without the supervisor's gate, so a NaN in that model must be
+// refused by PublishDelta — on the promotion's announce publish and on every
+// trained epoch after it. The member keeps serving finite estimates from the
+// version it had, and a follower of the new primary never applies the NaN.
+func TestPromotedMemberRefusesNonFiniteWeights(t *testing.T) {
+	samples := labeledSamples(t, 53, 6)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	model := core.New(core.TestConfig(), testEnc)
+	srv := core.NewServer(model, core.NewMemoryPool())
+	eps := encodePlans(t, samples)
+	model.PS.Params()[0].Value[0] = math.NaN()
+	model.PS.MarkAllUpdated()
+	B := NewMember(MemberConfig{
+		Peers: []string{"127.0.0.1:1"}, Rank: 0, Listener: ln,
+		Server: srv, Model: model, Train: eps,
+		Lease: 150 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
+		RetryMin: 5 * time.Millisecond, RetryMax: 20 * time.Millisecond,
+		TrainInterval: 5 * time.Millisecond, BatchSize: 8,
+		Logf: t.Logf,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		B.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	waitFor(t, 15*time.Second, "promotion and a refused trained epoch", func() bool {
+		return B.State() == StatePrimary && srv.PublishesRefused() >= 2
+	})
+	r := newTestReplica(t, core.TestConfig(), samples, ln.Addr().String())
+	f := r.start()
+	waitFor(t, 15*time.Second, "the follower to be handed the promoted model twice", func() bool {
+		return f.Stats().Reconnects >= 2
+	})
+	if v := srv.Version(); v != 1 {
+		t.Fatalf("promoted member serves version %d, want 1 (every publication refused)", v)
+	}
+	if g := f.Generation(); g != 0 {
+		t.Fatalf("follower applied generation %d of a NaN model", g)
+	}
+	for i, ep := range eps {
+		if c, d, _ := srv.Estimate(ep); math.IsNaN(c) || math.IsNaN(d) {
+			t.Fatalf("plan %d served non-finite (%g, %g) by the promoted member", i, c, d)
+		}
+	}
+}
+
 // TestLeaseBoundsFailoverUnderWedgedPeer wedges the only peer (accepts, then
 // total silence) with an hour-long PeerTimeout and DialTimeout: the member's
 // read deadline must be capped by the remaining lease, so the lapse is still
@@ -441,7 +498,7 @@ func TestFenceRequiresHigherEpoch(t *testing.T) {
 	primEps := encodePlans(t, samples)
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewMemoryPool())
-	tr.Publish(srv)
+	tr.PublishDelta(srv)
 	pub := NewPublisher(m, srv.Version(), PublisherConfig{Epoch: 3, Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -550,7 +607,7 @@ func TestTokenlessPrimaryAcceptsAnyFollower(t *testing.T) {
 	primEps := encodePlans(t, samples)
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewMemoryPool())
-	tr.Publish(srv)
+	tr.PublishDelta(srv)
 	pub := NewPublisher(m, srv.Version(), PublisherConfig{Logf: t.Logf}) // no token
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -563,7 +620,7 @@ func TestTokenlessPrimaryAcceptsAnyFollower(t *testing.T) {
 	for _, token := range []string{"", "sekrit"} {
 		model := core.New(m.Cfg, testEnc)
 		f := NewFollower(FollowerConfig{
-			Addr: ln.Addr().String(), Token: token,
+			Peers: []string{ln.Addr().String()}, Token: token,
 			Server: core.NewServer(model, core.NewMemoryPool()), Model: model,
 			RetryMin: 5 * time.Millisecond, RetryMax: 25 * time.Millisecond,
 			Logf: t.Logf,
@@ -644,7 +701,7 @@ func TestReplicationTokenAuth(t *testing.T) {
 	primEps := encodePlans(t, samples)
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewMemoryPool())
-	tr.Publish(srv)
+	tr.PublishDelta(srv)
 	pub := NewPublisher(m, srv.Version(), PublisherConfig{Token: "hunter2", Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -658,7 +715,7 @@ func TestReplicationTokenAuth(t *testing.T) {
 	runFollower := func(token string) (*Follower, context.CancelFunc, chan struct{}) {
 		model := core.New(m.Cfg, testEnc)
 		f := NewFollower(FollowerConfig{
-			Addr: addr, Token: token,
+			Peers: []string{addr}, Token: token,
 			Server: core.NewServer(model, core.NewMemoryPool()), Model: model,
 			RetryMin: 5 * time.Millisecond, RetryMax: 25 * time.Millisecond,
 			Logf: t.Logf,
@@ -705,7 +762,7 @@ func TestHeartbeatKeepsIdleConnectionAlive(t *testing.T) {
 	primEps := encodePlans(t, samples)
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewMemoryPool())
-	tr.Publish(srv)
+	tr.PublishDelta(srv)
 	pub := NewPublisher(m, srv.Version(), PublisherConfig{
 		Heartbeat: 20 * time.Millisecond, PeerTimeout: 100 * time.Millisecond, Logf: t.Logf,
 	})
@@ -719,7 +776,7 @@ func TestHeartbeatKeepsIdleConnectionAlive(t *testing.T) {
 
 	model := core.New(m.Cfg, testEnc)
 	f := NewFollower(FollowerConfig{
-		Addr:   ln.Addr().String(),
+		Peers:  []string{ln.Addr().String()},
 		Server: core.NewServer(model, core.NewMemoryPool()), Model: model,
 		Heartbeat: 20 * time.Millisecond, PeerTimeout: 100 * time.Millisecond,
 		RetryMin: 5 * time.Millisecond, RetryMax: 25 * time.Millisecond,
@@ -764,7 +821,7 @@ func TestSlowFollowerEviction(t *testing.T) {
 	primEps := encodePlans(t, samples)
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewMemoryPool())
-	tr.Publish(srv)
+	tr.PublishDelta(srv)
 	pub := NewPublisher(m, srv.Version(), PublisherConfig{EvictAfter: 2, Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

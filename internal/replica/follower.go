@@ -22,9 +22,6 @@ const genMapCap = 1024
 
 // FollowerConfig configures a replica-side Follower.
 type FollowerConfig struct {
-	// Addr is the primary's replication listener ("host:port") — sugar for
-	// a single-entry Peers list.
-	Addr string
 	// Peers is the ordered list of replication listeners the follower dials
 	// through: the primary first, then promotion-ranked successors. On any
 	// connection loss or fencing the follower advances to the next peer
@@ -127,11 +124,8 @@ func NewFollower(cfg FollowerConfig) *Follower {
 	if cfg.Server == nil || cfg.Model == nil {
 		panic("replica: FollowerConfig needs Server and Model")
 	}
-	if len(cfg.Peers) == 0 && cfg.Addr != "" {
-		cfg.Peers = []string{cfg.Addr}
-	}
 	if len(cfg.Peers) == 0 {
-		panic("replica: FollowerConfig needs Addr or Peers")
+		panic("replica: FollowerConfig needs Peers")
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
@@ -455,8 +449,10 @@ func (f *Follower) applyFrame(fm Frame, full bool) error {
 
 // applyAndAck applies a validated frame into the local model, republishes it
 // through the local Server, and acknowledges the generation. A payload that
-// fails validation despite an intact checksum is a protocol bug — the
-// session drops so the reconnect handshake renegotiates from a snapshot.
+// fails validation despite an intact checksum — a protocol bug, or NaN/Inf
+// weights — is never applied: the session drops and the reconnect handshake
+// resyncs from a snapshot, under the reconnect backoff, so a primary that
+// keeps sending the same bad payload cannot spin the follower.
 func (f *Follower) applyAndAck(nc net.Conn, fm Frame, full bool) bool {
 	if err := f.applyFrame(fm, full); err != nil {
 		f.cfg.Logf("replica: %s frame for generation %d failed to apply: %v", fm.Type, fm.Gen, err)

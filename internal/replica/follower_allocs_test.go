@@ -20,7 +20,7 @@ func TestFollowerApplyPublishAllocs(t *testing.T) {
 	primary := core.New(core.TestConfig(), testEnc)
 	model := core.New(core.TestConfig(), testEnc)
 	f := NewFollower(FollowerConfig{
-		Addr:   "unused:0",
+		Peers:  []string{"unused:0"},
 		Server: core.NewServer(model, core.NewMemoryPool()),
 		Model:  model,
 	})

@@ -277,8 +277,8 @@ func AppendModelPayload(dst []byte, m *core.Model, idx []int) []byte {
 // always, then every parameter record into the matching parameter's values.
 // Validation runs over the whole payload before a single value is written
 // (validate-then-commit, like nn.ParamSet.Load), so a malformed payload —
-// truncated records, out-of-range indices, wrong value lengths — is a
-// descriptive error with m untouched. requireFull additionally demands that
+// truncated records, out-of-range indices, wrong value lengths, a NaN or
+// infinite normalizer or value — is a descriptive error with m untouched. requireFull additionally demands that
 // every parameter is covered exactly once (the snapshot contract).
 //
 // touched is a reusable scratch slice; the returned slice holds the
@@ -290,6 +290,11 @@ func ApplyModelPayload(m *core.Model, payload []byte, requireFull bool, touched 
 	params := m.PS.Params()
 	if len(payload) < normsSize+4 {
 		return touched[:0], fmt.Errorf("replica: payload %d bytes, want at least %d", len(payload), normsSize+4)
+	}
+	for off := 0; off < normsSize; off += 8 {
+		if !finiteBits(payload[off:]) {
+			return touched[:0], fmt.Errorf("replica: non-finite normalizer at byte %d", off)
+		}
 	}
 	count := int(binary.LittleEndian.Uint32(payload[normsSize:]))
 	if requireFull && count != len(params) {
@@ -332,7 +337,12 @@ func ApplyModelPayload(m *core.Model, payload []byte, requireFull bool, touched 
 		if len(payload)-off < n*8 {
 			return touched[:0], fmt.Errorf("replica: record %d: values truncated at byte %d", rec, off)
 		}
-		off += n * 8
+		for end := off + n*8; off < end; off += 8 {
+			if !finiteBits(payload[off:]) {
+				return touched[:0], fmt.Errorf("replica: record %d: parameter %q carries a non-finite value",
+					rec, params[idx].Name)
+			}
+		}
 	}
 	if off != len(payload) {
 		return touched[:0], fmt.Errorf("replica: %d trailing bytes after %d records", len(payload)-off, count)
@@ -356,4 +366,11 @@ func ApplyModelPayload(m *core.Model, payload []byte, requireFull bool, touched 
 		touched = append(touched, p)
 	}
 	return touched, nil
+}
+
+// finiteBits reports whether the little-endian float64 at the start of b is
+// neither NaN nor an infinity.
+func finiteBits(b []byte) bool {
+	v := math.Float64frombits(binary.LittleEndian.Uint64(b))
+	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }

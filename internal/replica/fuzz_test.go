@@ -2,6 +2,8 @@ package replica
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"costest/internal/core"
@@ -44,9 +46,9 @@ func FuzzFrameReader(f *testing.F) {
 }
 
 // FuzzApplyModelPayload hammers the payload validator with arbitrary bytes
-// against a real model: it must error or apply cleanly, never panic, and
-// never leave the model partially written on error (spot-checked by the
-// dedicated unit test; here we only chase panics and hangs).
+// against a real model: it must error or apply cleanly, never panic, never
+// leave the model partially written on error (spot-checked by the dedicated
+// unit test), and never apply a NaN or an infinity.
 func FuzzApplyModelPayload(f *testing.F) {
 	m := core.New(core.TestConfig(), testEnc)
 	allIdx := make([]int, len(m.PS.Params()))
@@ -58,9 +60,29 @@ func FuzzApplyModelPayload(f *testing.F) {
 	f.Add(AppendModelPayload(nil, m, nil))
 	f.Add([]byte{})
 	f.Add(make([]byte, normsSize+4))
+	nan := AppendModelPayload(nil, m, []int{0})
+	binary.LittleEndian.PutUint64(nan[normsSize+4+8:], math.Float64bits(math.NaN()))
+	f.Add(nan)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = ApplyModelPayload(m, data, false, nil)
-		_, _ = ApplyModelPayload(m, data, true, nil)
+		for _, full := range []bool{false, true} {
+			touched, err := ApplyModelPayload(m, data, full, nil)
+			if err != nil {
+				continue
+			}
+			norms := [...]float64{m.CostNorm.MinLog, m.CostNorm.MaxLog, m.CardNorm.MinLog, m.CardNorm.MaxLog}
+			for _, v := range norms {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("applied a non-finite normalizer %v", v)
+				}
+			}
+			for _, p := range touched {
+				for _, v := range p.Value {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("applied a non-finite value %v to %q", v, p.Name)
+					}
+				}
+			}
+		}
 	})
 }

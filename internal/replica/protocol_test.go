@@ -73,7 +73,7 @@ func TestFollowerProtocol(t *testing.T) {
 	}
 	defer ln.Close()
 	f := NewFollower(FollowerConfig{
-		Addr:     ln.Addr().String(),
+		Peers:    []string{ln.Addr().String()},
 		Server:   srv,
 		Model:    model,
 		RetryMin: 5 * time.Millisecond,
@@ -164,4 +164,98 @@ func TestFollowerProtocol(t *testing.T) {
 	if st := f.Stats(); st.DeltasApplied != 1 || st.SnapshotsApplied != 1 {
 		t.Fatalf("frame counters: %+v", st)
 	}
+}
+
+// TestFollowerRefusesNonFiniteFrame hands a real Follower CRC-valid frames
+// whose payloads carry a NaN: a snapshot, then — after a clean bootstrap — a
+// delta. Neither may be applied or acknowledged: the follower drops the
+// session and reconnects at the generation it still serves (the handshake
+// that resyncs it by snapshot), and its server keeps answering the last clean
+// weights.
+func TestFollowerRefusesNonFiniteFrame(t *testing.T) {
+	samples := labeledSamples(t, 23, 8)
+	refEps := encodePlans(t, samples)
+	m, _ := trainedModel(t, refEps, 1)
+	ref := core.NewServer(m, core.NewMemoryPool())
+
+	model := core.New(m.Cfg, testEnc)
+	srv := core.NewServer(model, core.NewMemoryPool())
+	srvEps := encodePlans(t, samples)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	f := NewFollower(FollowerConfig{
+		Peers:       []string{ln.Addr().String()},
+		Server:      srv,
+		Model:       model,
+		RetryMin:    5 * time.Millisecond,
+		RetryMax:    50 * time.Millisecond,
+		Heartbeat:   time.Hour,
+		PeerTimeout: time.Hour,
+		Logf:        t.Logf,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	// accept takes the follower's next connection and checks its hello.
+	accept := func(gen uint64) *scriptedPrimary {
+		t.Helper()
+		ln.(*net.TCPListener).SetDeadline(time.Now().Add(10 * time.Second))
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Fatalf("accept: %v", err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		sp := &scriptedPrimary{t: t, conn: conn, fr: NewFrameReader(conn)}
+		sp.expect(FrameHello, gen)
+		return sp
+	}
+	// refused checks that the follower answered a frame by hanging up.
+	refused := func(sp *scriptedPrimary, what string) {
+		t.Helper()
+		sp.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if fm, err := sp.fr.Read(); err == nil {
+			t.Fatalf("%s: follower answered with %v gen %d instead of dropping the session", what, fm.Type, fm.Gen)
+		}
+	}
+	allIdx := make([]int, len(m.PS.Params()))
+	for i := range allIdx {
+		allIdx[i] = i
+	}
+	withNaN := func(idx []int) []byte {
+		p := AppendModelPayload(nil, m, idx)
+		binary.LittleEndian.PutUint64(p[normsSize+4+8:], math.Float64bits(math.NaN())) // first record's first value
+		return p
+	}
+
+	sp := accept(0)
+	sp.send(AppendFrame(nil, FrameSnapshot, 1, 5, 5, withNaN(allIdx)))
+	refused(sp, "NaN snapshot")
+	sp = accept(0)
+	if g, v := f.Generation(), srv.Version(); g != 0 || v != 1 {
+		t.Fatalf("after a NaN snapshot: generation %d, version %d; want 0, 1", g, v)
+	}
+
+	sp.send(AppendFrame(nil, FrameSnapshot, 1, 5, 5, AppendModelPayload(nil, m, allIdx)))
+	sp.expect(FrameAck, 5)
+	expectEstimatesMatch(t, "after clean snapshot", srv, ref, srvEps, refEps)
+
+	sp.send(AppendFrame(nil, FrameDelta, 1, 6, 5, withNaN([]int{0})))
+	refused(sp, "NaN delta")
+	accept(5)
+	if g := f.Generation(); g != 5 {
+		t.Fatalf("generation %d after a NaN delta, want 5", g)
+	}
+	expectEstimatesMatch(t, "after NaN delta", srv, ref, srvEps, refEps)
 }

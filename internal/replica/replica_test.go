@@ -76,7 +76,7 @@ func trainedModel(t testing.TB, eps []*feature.EncodedPlan, epochs int) (*core.M
 func startPrimary(t testing.TB, m *core.Model, tr *core.ParallelTrainer) (*core.Server, *Publisher, string) {
 	t.Helper()
 	srv := core.NewServer(m, core.NewMemoryPool())
-	tr.Publish(srv)
+	tr.PublishDelta(srv)
 	pub := NewPublisher(m, srv.Version(), PublisherConfig{Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -118,7 +118,7 @@ func newTestReplica(t testing.TB, cfg core.Config, samples []*workload.Labeled, 
 // had).
 func (r *testReplica) start() *Follower {
 	f := NewFollower(FollowerConfig{
-		Addr:     r.addr,
+		Peers:    []string{r.addr},
 		Server:   r.srv,
 		Model:    r.model,
 		RetryMin: 5 * time.Millisecond,

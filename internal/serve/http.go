@@ -133,6 +133,9 @@ type statszResponse struct {
 	// Cluster carries MemberStats (state, epoch, lease, promotions) on an
 	// HA cluster member.
 	Cluster any `json:"cluster,omitempty"`
+	// PublishesRefused counts publications refused for NaN or infinite
+	// values (core.Server.PublishesRefused).
+	PublishesRefused uint64 `json:"publishes_refused"`
 }
 
 type poolStats struct {
@@ -222,6 +225,8 @@ func (s *Service) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Degraded:  s.sched.Degraded(),
 		Scheduler: s.sched.Stats(),
 		Drain:     s.srv.SnapshotDrainStats(),
+
+		PublishesRefused: s.srv.PublishesRefused(),
 	}
 	if s.SupervisorStats != nil {
 		resp.Supervisor = s.SupervisorStats()

@@ -259,9 +259,13 @@ func TestHTTPStatsz(t *testing.T) {
 			Retired          int `json:"Retired"`
 			RetiredHighWater int `json:"RetiredHighWater"`
 		} `json:"snapshot_drain"`
+		PublishesRefused *uint64 `json:"publishes_refused"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatalf("decode statsz: %v", err)
+	}
+	if st.PublishesRefused == nil || *st.PublishesRefused != 0 {
+		t.Fatalf("statsz publishes_refused = %v, want a present 0", st.PublishesRefused)
 	}
 	if st.Version == 0 {
 		t.Fatal("statsz missing snapshot version")

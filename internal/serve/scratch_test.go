@@ -186,7 +186,7 @@ func TestPrewarmOwnsItsPlans(t *testing.T) {
 	defer tr.Close()
 	tr.FitNormalizers(eps)
 	tr.TrainEpochParallel(eps, 8, 1)
-	srv.Publish(m)
+	srv.PublishDelta(m)
 	if n := srv.PrewarmNow(); n != len(plans) {
 		t.Fatalf("replayed %d plans, want %d", n, len(plans))
 	}

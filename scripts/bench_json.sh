@@ -17,7 +17,7 @@ trap 'rm -f "$tmp"' EXIT
 case "$suite" in
 inference)
     go test ./internal/core/ -run xxx \
-        -bench 'BenchmarkForwardSingle|BenchmarkForwardPooled|BenchmarkPoolGetParallel|BenchmarkEstimateBatch|BenchmarkTrainEpochParallel|BenchmarkPublish|BenchmarkServer|BenchmarkFitParallel' \
+        -bench 'BenchmarkForwardSingle|BenchmarkForwardPooled|BenchmarkPoolGetParallel|BenchmarkEstimateBatch|BenchmarkTrainEpochParallel|BenchmarkPublishDelta|BenchmarkServer|BenchmarkFitParallel' \
         -benchmem -benchtime=1s >"$tmp"
     go test ./internal/tensor/ -run xxx -bench . -benchmem -benchtime=1s >>"$tmp"
     go test ./internal/feature/ -run xxx -bench 'BenchmarkEncode' -benchmem -benchtime=1s >>"$tmp"

@@ -12,8 +12,8 @@
 #     byte-identical to before the crash, and a third boot must still
 #     cold-load it.
 #  3. Replication: a primary with -replicate-listen retraining continuously,
-#     a follower with -follow that must turn ready only once the first
-#     replicated model lands and then serve /estimate answers identical to
+#     a follower with -peers that must turn ready only once it serves the
+#     cluster's weights and then serve /estimate answers identical to
 #     the primary's; the follower is then killed (-9) mid-stream, restarted,
 #     and must catch up to identical answers again.
 #  4. Failover: a primary streams to a promotable cluster member (-peers,
@@ -91,7 +91,7 @@ grep -q "drained clean" "$logf" || { echo "smoke_costestd: no drain log line"; c
 sum_before="$(cksum <"$ckpt")"
 : >"$logf"
 "$bin" -addr "127.0.0.1:$port" -scale 0.02 -queries 60 -epochs 2 \
-    -checkpoint "$ckpt" -retrain 250ms -gate-slack=-1 -checkpoint-every 1 \
+    -checkpoint "$ckpt" -retrain 250ms -gate-slack=-1 \
     -faults 'checkpoint.rename:crash:count=1' >"$logf" 2>&1 &
 pid=$!
 status=0
@@ -140,7 +140,7 @@ sample="$(curl -sf "$base/samplez")"
 
 start_follower() {
     "$bin" -addr "127.0.0.1:$fport" -scale 0.02 -queries 60 \
-        -follow "127.0.0.1:$rport" >>"$flog" 2>&1 &
+        -peers "127.0.0.1:$rport" >>"$flog" 2>&1 &
     pid2=$!
 }
 
@@ -185,7 +185,7 @@ expect_identical() {
 
 start_follower
 wait_follower_ready
-grep -q "first replicated model applied" "$flog" || {
+grep -q "serving cluster weights" "$flog" || {
     echo "smoke_costestd: follower turned ready without a replicated model"
     cat "$flog"
     exit 1
@@ -274,7 +274,7 @@ printf '%s' "$sample" | curl -sf -X POST --data @- "http://127.0.0.1:$fport/esti
 # The old primary comes back — as a follower of the new primary — and must
 # catch up to byte-identical answers.
 "$bin" -addr "127.0.0.1:$port" -scale 0.02 -queries 60 \
-    -follow "127.0.0.1:$rport2" >>"$alog" 2>&1 &
+    -peers "127.0.0.1:$rport2" >>"$alog" 2>&1 &
 pid=$!
 wait_ready
 expect_identical
