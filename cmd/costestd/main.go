@@ -145,13 +145,11 @@ func main() {
 	// Substrate: synthetic database, statistics, a labeled workload for
 	// normalizer fitting (and training, when there is no checkpoint).
 	start := time.Now()
-	db := dataset.GenerateIMDB(dataset.Config{Seed: 1, Scale: o.scale})
-	cat := stats.Collect(db, stats.Options{Buckets: 40, SampleSize: 64, Seed: 1})
+	db, cat, enc := substrate(o.scale)
 	eng := exec.NewEngine(db)
 	pl := planner.New(pg.New(cat), db.Schema)
 	labeler := &workload.Labeler{Planner: pl, Engine: eng}
 	labeled := labeler.Label(workload.TrainingNumeric(db, o.seed, o.queries))
-	enc := feature.NewEncoder(cat, strembed.ZeroEncoder{}, true)
 	var eps []*feature.EncodedPlan
 	var sample *serve.WirePlan
 	for _, s := range labeled {
@@ -282,11 +280,15 @@ func main() {
 			}()
 		}
 	case o.replListen != "":
-		pub = replica.NewPublisher(model, srv.Version(), replica.PublisherConfig{
+		var err error
+		pub, err = replica.NewPublisher(model, srv.Version(), replica.PublisherConfig{
 			Token:     o.replToken,
 			Heartbeat: o.heartbeat,
 			Logf:      log.Printf,
 		})
+		if err != nil {
+			log.Fatalf("costestd: replicate-listen: %v", err)
+		}
 		srv.SetPublishHook(pub.OnPublish)
 		rln, err := net.Listen("tcp", o.replListen)
 		if err != nil {
@@ -341,6 +343,15 @@ func main() {
 	st := sched.Stats()
 	log.Printf("costestd: drained clean: %d served in %d batches (mean %.1f), %d rejected, 0 dropped",
 		st.Served, st.Batches, st.MeanBatch, st.Rejected)
+}
+
+// substrate generates the synthetic database at scale, collects its
+// statistics, and builds the plan encoder over them — the encoder a
+// checkpoint must match to cold-load.
+func substrate(scale float64) (*dataset.DB, *stats.Catalog, *feature.Encoder) {
+	db := dataset.GenerateIMDB(dataset.Config{Seed: 1, Scale: scale})
+	cat := stats.Collect(db, stats.Options{Buckets: 40, SampleSize: 64, Seed: 1})
+	return db, cat, feature.NewEncoder(cat, strembed.ZeroEncoder{}, true)
 }
 
 // loadOrTrain cold-loads the crash-safe checkpoint at path (falling back to

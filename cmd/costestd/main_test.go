@@ -1,11 +1,16 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
+	"math"
 	"os"
+	osexec "os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"costest/internal/core"
 	"costest/internal/dataset"
@@ -174,5 +179,39 @@ func TestFlagSurface(t *testing.T) {
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("costestd registers %d flags:\n  %s\nwant %d:\n  %s",
 			len(got), strings.Join(got, " "), len(want), strings.Join(want, " "))
+	}
+}
+
+// TestBootRefusesNonFiniteWeights: a primary that would boot holding a NaN
+// weight (here from a checkpoint, which loads it) must not hand followers a
+// bootstrap snapshot they refuse forever; the daemon exits at boot and says
+// why. The daemon runs as a child process: this test binary re-executed with
+// COSTESTD_TEST_MAIN holding main's arguments.
+func TestBootRefusesNonFiniteWeights(t *testing.T) {
+	if args, ok := os.LookupEnv("COSTESTD_TEST_MAIN"); ok {
+		os.Args = append([]string{"costestd"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	var o options
+	newFlagSet(&o).Parse(nil)
+	_, _, enc := substrate(o.scale)
+	m := core.New(core.TestConfig(), enc)
+	m.PS.Params()[0].Value[0] = math.NaN()
+	path := filepath.Join(t.TempDir(), "nan.ckpt")
+	if err := core.SaveCheckpoint(path, m); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := osexec.CommandContext(ctx, os.Args[0], "-test.run=^TestBootRefusesNonFiniteWeights$")
+	cmd.Env = append(os.Environ(), "COSTESTD_TEST_MAIN=-addr 127.0.0.1:0 -replicate-listen 127.0.0.1:0 -checkpoint "+path)
+	out, err := cmd.CombinedOutput()
+	var exit *osexec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("daemon with NaN weights: %v, want exit status 1; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "refusing to publish") || !strings.Contains(string(out), "non-finite") {
+		t.Fatalf("daemon exited without saying why:\n%s", out)
 	}
 }

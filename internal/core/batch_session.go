@@ -385,9 +385,9 @@ func (s *BatchSession) layout(pool *MemoryPool) {
 // placeNode assigns the subtree at idx to level lists and returns the level
 // of the node's representation, -1 when the pool served it. A signature seen
 // earlier in this batch aliases that node and its subtree is not visited; a
-// sub-plan the pool holds has its G/R copied into the slabs so parents and
-// heads read them like computed rows; anything else becomes a level row one
-// above its children's representatives.
+// sub-plan the pool holds has its G/R copied straight into the slabs so
+// parents and heads read them like computed rows; anything else becomes a
+// level row one above its children's representatives.
 func (s *BatchSession) placeNode(pi int, ep *feature.EncodedPlan, idx int, pool *MemoryPool) int {
 	node := &ep.Nodes[idx]
 	id := s.offsets[pi] + idx
@@ -399,9 +399,7 @@ func (s *BatchSession) placeNode(pi int, ep *feature.EncodedPlan, idx int, pool 
 	}
 	s.rep[id] = int32(id)
 	if pool != nil {
-		if g, r, ok := pool.GetGen(node.Sig, s.poolGen); ok {
-			copy(s.gOf(id), g)
-			copy(s.rOf(id), r)
+		if pool.GetGen(node.Sig, s.poolGen, s.gOf(id), s.rOf(id)) {
 			s.seen[node.Sig] = placement{int32(id), -1}
 			return -1
 		}
@@ -419,8 +417,9 @@ func (s *BatchSession) placeNode(pi int, ep *feature.EncodedPlan, idx int, pool 
 	return h
 }
 
-// insertAll stores every freshly computed sub-plan representation in the
-// pool (the paper's online workflow).
+// insertAll offers every freshly computed sub-plan representation to the
+// pool (the paper's online workflow); a bounded pool keeps only the ones it
+// has been offered before.
 func (s *BatchSession) insertAll(pool *MemoryPool) {
 	for _, it := range s.all {
 		id := s.offsets[it.plan] + int(it.node)

@@ -129,7 +129,7 @@ func TestEstimateBatchWithPoolEvictedCardNode(t *testing.T) {
 		}
 		full := NewMemoryPool()
 		m.EstimateBatchWithPool(eps[i:i+1], full, 1)
-		g, r, ok := full.GetGen(ep.Nodes[ep.Root].Sig, full.Generation())
+		g, r, ok := pooledCopy(full, m, ep.Nodes[ep.Root].Sig, full.Generation())
 		if !ok {
 			t.Fatal("root representation missing from warm pool")
 		}

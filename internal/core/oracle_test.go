@@ -210,7 +210,7 @@ func oracleMatrix(t *testing.T, run func(m *Model, eps []*feature.EncodedPlan, p
 				rootsOnly := NewMemoryPool()
 				for _, ep := range eps {
 					sig := ep.Nodes[ep.Root].Sig
-					g, r, ok := full.GetGen(sig, full.Generation())
+					g, r, ok := pooledCopy(full, m, sig, full.Generation())
 					if !ok {
 						t.Fatalf("%s: root representation missing from warm pool", variant.name)
 					}
@@ -365,7 +365,7 @@ func TestInBatchSharingMatchesOracle(t *testing.T) {
 						return
 					}
 					if pool != nil {
-						if _, _, ok := pool.GetGen(ep.Nodes[i].Sig, pool.Generation()); ok {
+						if pool.GetGen(ep.Nodes[i].Sig, pool.Generation(), nil, nil) {
 							return
 						}
 					}
@@ -400,7 +400,7 @@ func TestInBatchSharingMatchesOracle(t *testing.T) {
 			rootsOnly := NewMemoryPool()
 			for _, ep := range eps {
 				sig := ep.Nodes[ep.Root].Sig
-				g, r, ok := full.GetGen(sig, full.Generation())
+				g, r, ok := pooledCopy(full, m, sig, full.Generation())
 				if !ok {
 					t.Fatalf("%s: root representation missing from warm pool", variant.name)
 				}

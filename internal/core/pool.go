@@ -2,7 +2,6 @@ package core
 
 import (
 	"hash/maphash"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -12,14 +11,31 @@ import (
 // cheap mask of the signature hash.
 const poolShardCount = 32
 
+// Doorkeeper sizing, both relative to a bounded pool's residency bound: the
+// filter holds doorBitsPerEntry bits per resident entry (rounded up to a
+// power of two), and forgets every sighting once doorResetFactor × bound
+// fresh bits have been set, so "seen before" means "seen recently". The
+// filter is then at most 1 − e^(−1/16) ≈ 6 % full, which bounds how many
+// one-offs a colliding bit admits; those false admissions, not the length
+// of the window, are what cost the pool its hits.
+const (
+	doorBitsPerEntry = 16
+	doorResetFactor  = 1
+)
+
 // MemoryPool is the Representation Memory Pool of Section 3: a mapping from
 // sub-plan signatures to their learned representations, letting the online
 // estimator skip re-evaluating sub-plans the optimizer has asked about
 // before. It is safe for concurrent use.
 //
-// The map is sharded by signature hash and the hit/miss statistics are plain
-// atomics, so the read path takes only one shard's RLock — concurrent
-// optimizer threads probing the pool never serialize on a single mutex.
+// Every operation hashes the signature once (maphash): the hash picks the
+// shard, keys the shard's map and, in a bounded pool, the doorkeeper bit. A
+// hash match is confirmed against the stored signature, so a collision is a
+// miss (GetGen) or a replacement (PutGen), never a wrong answer. The
+// statistics are per-shard atomics, so the read path takes only one shard's
+// RLock and writes only that shard's cache lines — concurrent optimizer
+// threads probing the pool neither serialize on a single mutex nor contend
+// on a shared counter.
 //
 // Pooled representations are functions of the model weights, so a pool
 // serving a hot-swappable model is generation-tagged: every entry records
@@ -29,11 +45,6 @@ const poolShardCount = 32
 // invalidation instead of a stop-the-world flush. Entries from superseded
 // generations are evicted lazily as lookups touch them.
 type MemoryPool struct {
-	hits   atomic.Int64
-	misses atomic.Int64
-	// stale counts GetGen calls that found an entry whose generation did not
-	// match the caller's (a subset of misses).
-	stale atomic.Int64
 	// gen is the pool's current generation: the snapshot version whose
 	// representations the pool considers live. Entries below it are evicted
 	// lazily on lookup.
@@ -42,20 +53,47 @@ type MemoryPool struct {
 	// long-lived serving process from growing without limit. Fixed at
 	// construction.
 	maxPerShard int
-	shards      [poolShardCount]poolShard
+	// door admits a signature to a full shard of a bounded pool on its
+	// second sighting; nil for an unbounded pool, which evicts nothing and
+	// admits every offer.
+	door *doorkeeper
+	// The pad puts shards on a cache-line boundary, and a shard fills whole
+	// lines, so cores working in different shards never write one line
+	// (TestPoolShardLayout).
+	_      [40]byte
+	shards [poolShardCount]poolShard
 }
 
 type poolShard struct {
 	mu sync.RWMutex
-	m  map[string]*poolEntry
-	// ring holds the shard's resident entries in clock order (bounded pools
-	// only); hand is the clock sweep position.
-	ring []*poolEntry
+	m  map[uint64]*poolEntry
+	// ring holds a bounded shard's entries in clock order; its capacity is
+	// the shard bound and never grows, so entries are addressed in place and
+	// a full shard recycles a victim's slot — storage included — for the
+	// next admission. hand is the clock sweep position. Unbounded shards
+	// leave it empty.
+	ring []poolEntry
 	hand int
+	// full is set once a bounded shard's ring has no unused slot. From then
+	// on every admission evicts, so the doorkeeper decides it.
+	full atomic.Bool
+
+	hits, misses atomic.Int64
+	// stale counts GetGen calls that found an entry whose generation did not
+	// match the caller's (a subset of misses).
+	stale atomic.Int64
+	// admitted counts PutGen calls that stored their representation,
+	// declined those the doorkeeper turned away as first sightings.
+	admitted, declined atomic.Int64
+	_                  [16]byte
 }
 
+// poolEntry owns its storage: the signature bytes and the G/R vectors are
+// rewritten in place when the entry is refreshed or its slot recycled, and
+// readers copy out under the shard lock, so no caller ever holds pool memory.
 type poolEntry struct {
-	sig  string
+	hash uint64
+	sig  []byte
 	g, r []float64
 	// gen is the snapshot generation the representation was computed under.
 	gen uint64
@@ -68,41 +106,127 @@ type poolEntry struct {
 	ref atomic.Bool
 }
 
-// NewMemoryPool returns an empty, unbounded pool.
+// holds reports whether the entry stores sig (the comparison converts
+// without copying).
+func (e *poolEntry) holds(sig string) bool { return string(e.sig) == sig }
+
+// store overwrites the entry's contents in place; its buffers grow only when
+// the new contents outgrow them.
+//
+// costlint:noalloc
+func (e *poolEntry) store(sig string, g, r []float64, gen uint64) {
+	e.sig = e.sig[:0]
+	e.sig = append(e.sig, sig...)
+	e.g = e.g[:0]
+	e.g = append(e.g, g...)
+	e.r = e.r[:0]
+	e.r = append(e.r, r...)
+	e.gen = gen
+}
+
+// doorkeeper is TinyLFU's admission filter (Einziger, Friedman & Manes, ACM
+// TOS 2017): one bit per hashed signature records that it has been offered
+// before. A sub-plan that never recurs costs one bit and is never stored, so
+// one-offs neither allocate nor evict the entries that do recur. The bits
+// are atomics, so marking takes no lock; after a fixed number of fresh bits
+// the filter is cleared, bounding both its false-positive rate and how long
+// a sighting counts.
+type doorkeeper struct {
+	bits []atomic.Uint64
+	// mask selects a bit index from the hash's upper half (the low bits pick
+	// the shard).
+	mask       uint64
+	resetEvery uint64
+	// sets counts fresh bits. Every first sighting writes it, so it is
+	// padded off the cache line of the fields every mark reads.
+	_    [64]byte
+	sets atomic.Uint64
+}
+
+func newDoorkeeper(bound int) *doorkeeper {
+	n := uint64(64)
+	for n < uint64(bound)*doorBitsPerEntry {
+		n <<= 1
+	}
+	return &doorkeeper{
+		bits:       make([]atomic.Uint64, n/64),
+		mask:       n - 1,
+		resetEvery: uint64(bound) * doorResetFactor,
+	}
+}
+
+// mark sets h's bit and reports whether it was already set.
+//
+// costlint:noalloc
+func (d *doorkeeper) mark(h uint64) bool {
+	i := (h >> 32) & d.mask
+	w, b := &d.bits[i/64], uint64(1)<<(i%64)
+	// A CAS loop rather than Uint64.Or: go1.24.0 on amd64 clobbers a
+	// register when Or's result is used.
+	for {
+		old := w.Load()
+		if old&b != 0 {
+			return true
+		}
+		if w.CompareAndSwap(old, old|b) {
+			break
+		}
+	}
+	if d.sets.Add(1)%d.resetEvery == 0 {
+		d.reset()
+		w.Store(b) // the sighting that triggered the reset still counts
+	}
+	return false
+}
+
+// reset forgets every sighting.
+//
+// costlint:noalloc
+func (d *doorkeeper) reset() {
+	for i := range d.bits {
+		d.bits[i].Store(0)
+	}
+}
+
+// NewMemoryPool returns an empty, unbounded pool. It evicts nothing, so it
+// admits every representation on first offer.
 func NewMemoryPool() *MemoryPool {
 	return NewBoundedMemoryPool(0)
 }
 
 // NewBoundedMemoryPool returns an empty pool holding at most maxEntries
 // sub-plan representations (0 means unbounded). The bound is approximate —
-// it is enforced per shard — and eviction follows a per-shard
-// clock/second-chance policy: every GetGen marks its entry referenced, and the
-// clock sweep evicts the first entry it finds unreferenced, clearing marks
-// as it passes. Hot sub-plan signatures (the optimizer re-probing common
-// join prefixes) therefore survive a stream of one-off insertions, which
-// arbitrary-victim eviction could not guarantee. Entries already evicted for
-// generation staleness are reclaimed by the sweep before anything live.
+// it is enforced per shard.
+//
+// Once a shard is full, so that admitting means evicting, a bounded pool
+// admits a signature on its second sighting: the first PutGen only sets its
+// doorkeeper bit, so a one-off sub-plan costs no lock, no allocation and no
+// eviction. Until then every offer is admitted, since it evicts nothing. A
+// resident entry found stale by GetGen has already proven that it recurs, so
+// it marks its bit and its refresh after a publish is admitted at once.
+//
+// Eviction follows a per-shard clock/second-chance policy: every GetGen
+// marks its entry referenced, and the clock sweep evicts the first entry it
+// finds unreferenced, clearing marks as it passes. Hot sub-plan signatures
+// (the optimizer re-probing common join prefixes) therefore survive a stream
+// of colder admissions. Entries already evicted for generation staleness are
+// reclaimed by the sweep before anything live.
 func NewBoundedMemoryPool(maxEntries int) *MemoryPool {
 	p := &MemoryPool{}
 	if maxEntries > 0 {
 		p.maxPerShard = (maxEntries + poolShardCount - 1) / poolShardCount
+		p.door = newDoorkeeper(p.Bound())
 	}
 	for i := range p.shards {
-		p.shards[i].m = make(map[string]*poolEntry)
+		p.shards[i].m = make(map[uint64]*poolEntry, p.maxPerShard)
+		p.shards[i].ring = make([]poolEntry, 0, p.maxPerShard)
 	}
 	return p
 }
 
-// poolHashSeed keys the shard hash; one process-wide seed keeps sharding
+// poolHashSeed keys the signature hash; one process-wide seed keeps sharding
 // deterministic within a run while defeating adversarial signature layouts.
 var poolHashSeed = maphash.MakeSeed()
-
-// shardFor hashes sig (hardware-accelerated maphash; signatures are long
-// subtree descriptors, so a byte-at-a-time hash would dominate GetGen) to its
-// shard. Allocation-free.
-func (p *MemoryPool) shardFor(sig string) *poolShard {
-	return &p.shards[maphash.String(poolHashSeed, sig)&(poolShardCount-1)]
-}
 
 // Generation returns the pool's current generation.
 func (p *MemoryPool) Generation() uint64 { return p.gen.Load() }
@@ -121,49 +245,57 @@ func (p *MemoryPool) SetGeneration(gen uint64) {
 	}
 }
 
-// GetGen returns the stored representation for a sub-plan signature, marking
-// the entry referenced for the second-chance eviction sweep. It is pinned to
-// the caller's snapshot generation: it returns a representation only if the
-// entry was recorded under exactly gen, so a request serving snapshot N can
-// never consume weights-dependent state from snapshot N±1, even while a
-// publish is in flight. An entry found under a generation older than the
-// pool's current one is lazily evicted.
+// GetGen copies the stored representation of a sub-plan signature into g and
+// r and reports whether there was one, marking the entry referenced for the
+// second-chance eviction sweep. It is pinned to the caller's snapshot
+// generation: it serves a representation only if the entry was recorded
+// under exactly gen, so a request serving snapshot N can never consume
+// weights-dependent state from snapshot N±1, even while a publish is in
+// flight. An entry found under another generation marks the signature's
+// doorkeeper bit (it recurs), and one older than the pool's current
+// generation is lazily evicted.
 //
 // costlint:noalloc
-func (p *MemoryPool) GetGen(sig string, gen uint64) (g, r []float64, ok bool) {
-	s := p.shardFor(sig)
+func (p *MemoryPool) GetGen(sig string, gen uint64, g, r []float64) bool {
+	h := maphash.String(poolHashSeed, sig)
+	s := &p.shards[h&(poolShardCount-1)]
 	s.mu.RLock()
-	e, found := s.m[sig]
-	var egen uint64
-	if found {
-		g, r = e.g, e.r
-		egen = e.gen
+	e := s.m[h]
+	if e == nil || !e.holds(sig) {
+		s.mu.RUnlock()
+		s.misses.Add(1)
+		return false
+	}
+	if !e.ref.Load() {
 		e.ref.Store(true)
 	}
+	egen := e.gen
+	if egen == gen {
+		copy(g, e.g)
+		copy(r, e.r)
+		s.mu.RUnlock()
+		s.hits.Add(1)
+		return true
+	}
 	s.mu.RUnlock()
-	if !found {
-		p.misses.Add(1)
-		return nil, nil, false
+	s.stale.Add(1)
+	s.misses.Add(1)
+	if p.door != nil {
+		p.door.mark(h)
 	}
-	if egen != gen {
-		p.stale.Add(1)
-		p.misses.Add(1)
-		if egen < p.gen.Load() {
-			// The entry belongs to a superseded generation: evict it now
-			// rather than letting dead weight crowd the shard. Re-check under
-			// the write lock — a concurrent PutGen may have refreshed it.
-			s.mu.Lock()
-			if cur, resident := s.m[sig]; resident && cur == e && e.gen < p.gen.Load() {
-				delete(s.m, sig)
-				e.dead = true
-				e.ref.Store(false)
-			}
-			s.mu.Unlock()
+	if egen < p.gen.Load() {
+		// The entry belongs to a superseded generation: evict it now rather
+		// than letting dead weight crowd the shard. Re-check under the write
+		// lock — a concurrent PutGen may have refreshed or replaced it.
+		s.mu.Lock()
+		if e := s.m[h]; e != nil && e.gen < p.gen.Load() && e.holds(sig) {
+			delete(s.m, h)
+			e.dead = true
+			e.ref.Store(false)
 		}
-		return nil, nil, false
+		s.mu.Unlock()
 	}
-	p.hits.Add(1)
-	return g, r, true
+	return false
 }
 
 // PutGen stores a representation (copied) under the signature, tagged with
@@ -172,52 +304,63 @@ func (p *MemoryPool) GetGen(sig string, gen uint64) (g, r []float64, ok bool) {
 // records its entries honestly and they are rejected (not served) by readers
 // of the new generation.
 //
-// When a bounded shard is full, the clock hand sweeps the shard's ring:
-// slots holding generation-evicted (dead) entries are reclaimed first,
-// entries referenced since the last pass get a second chance (their bit is
-// cleared), and otherwise the first unreferenced entry is evicted, its ring
-// slot reused for the new entry. The sweep terminates within two passes —
-// the first pass can clear every bit, the second must find a victim.
+// A full shard of a bounded pool admits only a signature it has seen before
+// (see NewBoundedMemoryPool); a first sighting sets its doorkeeper bit and
+// returns. An admitted signature that is resident is refreshed in place.
+// Otherwise it takes a ring slot: a free one while the shard fills, then the
+// clock victim's — slots holding generation-evicted (dead) entries first,
+// entries referenced since the last pass getting a second chance (their bit
+// is cleared), and otherwise the first unreferenced entry. The sweep
+// terminates within two passes — the first pass can clear every bit, the
+// second must find a victim. The victim's buffers are reused, so a warm
+// PutGen into a full shard allocates nothing.
+//
+// costlint:noalloc
 func (p *MemoryPool) PutGen(sig string, g, r []float64, gen uint64) {
-	gc := make([]float64, len(g))
-	rc := make([]float64, len(r))
-	copy(gc, g)
-	copy(rc, r)
-	s := p.shardFor(sig)
-	s.mu.Lock()
-	if e, resident := s.m[sig]; resident {
-		// Refresh in place; readers that already fetched the old slices keep
-		// them (PutGen copies, entries never mutate a published slice).
-		e.g, e.r = gc, rc
-		e.gen = gen
-		s.mu.Unlock()
+	h := maphash.String(poolHashSeed, sig)
+	s := &p.shards[h&(poolShardCount-1)]
+	if p.door != nil && s.full.Load() && !p.door.mark(h) {
+		s.declined.Add(1)
 		return
 	}
-	// Encoded plans slice every subtree signature out of the root's; the
-	// entry keeps its own copy so a small key does not pin a whole plan's.
-	sig = strings.Clone(sig)
-	e := &poolEntry{sig: sig, g: gc, r: rc, gen: gen}
-	if max := p.maxPerShard; max > 0 {
-		if len(s.ring) == max {
-			for {
-				v := s.ring[s.hand]
-				if !v.dead {
-					if v.ref.CompareAndSwap(true, false) {
-						s.hand = (s.hand + 1) % len(s.ring)
-						continue
-					}
-					delete(s.m, v.sig)
-				}
-				s.ring[s.hand] = e
-				s.hand = (s.hand + 1) % len(s.ring)
-				break
-			}
-		} else {
-			s.ring = append(s.ring, e)
-		}
+	s.admitted.Add(1)
+	s.mu.Lock()
+	e := s.m[h]
+	if e == nil {
+		e = s.claim(p.maxPerShard)
+		e.hash = h
+		s.m[h] = e
 	}
-	s.m[sig] = e
+	e.store(sig, g, r, gen)
 	s.mu.Unlock()
+}
+
+// claim returns the slot for a signature new to the shard: a fresh entry in
+// an unbounded pool; in a bounded one the next unused ring slot while the
+// shard fills, then the clock victim, unlinked from the map. The caller
+// holds the shard write lock.
+func (s *poolShard) claim(max int) *poolEntry {
+	if max == 0 {
+		return new(poolEntry)
+	}
+	if n := len(s.ring); n < max {
+		s.ring = s.ring[:n+1]
+		s.full.Store(n+1 == max)
+		return &s.ring[n]
+	}
+	for {
+		v := &s.ring[s.hand]
+		s.hand = (s.hand + 1) % len(s.ring)
+		if v.dead {
+			v.dead = false
+			return v
+		}
+		if v.ref.CompareAndSwap(true, false) {
+			continue
+		}
+		delete(s.m, v.hash)
+		return v
+	}
 }
 
 // Len returns the number of cached sub-plans.
@@ -232,26 +375,47 @@ func (p *MemoryPool) Len() int {
 	return total
 }
 
+// poolCounts totals the per-shard statistics.
+type poolCounts struct{ hits, misses, stale, admitted, declined int64 }
+
+func (p *MemoryPool) counts() (c poolCounts) {
+	for i := range p.shards {
+		s := &p.shards[i]
+		c.hits += s.hits.Load()
+		c.misses += s.misses.Load()
+		c.stale += s.stale.Load()
+		c.admitted += s.admitted.Load()
+		c.declined += s.declined.Load()
+	}
+	return c
+}
+
 // HitRate returns hits/(hits+misses) over the pool's lifetime.
 func (p *MemoryPool) HitRate() float64 {
-	hits := p.hits.Load()
-	total := hits + p.misses.Load()
-	if total == 0 {
+	c := p.counts()
+	if c.hits+c.misses == 0 {
 		return 0
 	}
-	return float64(hits) / float64(total)
+	return float64(c.hits) / float64(c.hits+c.misses)
 }
 
 // StaleRate returns the fraction of lookups that found an entry of the
 // wrong generation — the transient cost of a hot swap, decaying to zero as
 // the new generation repopulates the pool.
 func (p *MemoryPool) StaleRate() float64 {
-	total := p.hits.Load() + p.misses.Load()
-	if total == 0 {
+	c := p.counts()
+	if c.hits+c.misses == 0 {
 		return 0
 	}
-	return float64(p.stale.Load()) / float64(total)
+	return float64(c.stale) / float64(c.hits+c.misses)
 }
+
+// Admitted returns how many PutGen calls stored their representation.
+func (p *MemoryPool) Admitted() int64 { return p.counts().admitted }
+
+// Declined returns how many PutGen calls a bounded pool turned away as first
+// sightings.
+func (p *MemoryPool) Declined() int64 { return p.counts().declined }
 
 // Bound returns the pool's configured residency bound (0 = unbounded),
 // rounded up to a whole number of per-shard slots.

@@ -71,16 +71,16 @@ func TestPoolGenerations(t *testing.T) {
 
 	p := NewMemoryPool()
 	p.PutGen("sig", g, r, 1)
-	if _, _, ok := p.GetGen("sig", 1); !ok {
+	if !p.GetGen("sig", 1, nil, nil) {
 		t.Fatal("same-generation lookup missed")
 	}
 	// A caller pinned to a different generation must never see the entry —
 	// in either direction (old entry/new caller, new entry/old caller).
-	if _, _, ok := p.GetGen("sig", 2); ok {
+	if p.GetGen("sig", 2, nil, nil) {
 		t.Fatal("generation-1 entry served to a generation-2 caller")
 	}
 	p.PutGen("sig2", g, r, 2)
-	if _, _, ok := p.GetGen("sig2", 1); ok {
+	if p.GetGen("sig2", 1, nil, nil) {
 		t.Fatal("generation-2 entry served to a generation-1 caller")
 	}
 	if p.StaleRate() == 0 {
@@ -97,7 +97,7 @@ func TestPoolGenerations(t *testing.T) {
 		t.Fatalf("generation moved backwards to %d", p.Generation())
 	}
 	before := p.Len()
-	if _, _, ok := p.GetGen("sig", p.Generation()); ok { // current-generation lookup
+	if p.GetGen("sig", p.Generation(), nil, nil) { // current-generation lookup
 		t.Fatal("stale entry served after SetGeneration")
 	}
 	if p.Len() != before-1 {
@@ -105,32 +105,39 @@ func TestPoolGenerations(t *testing.T) {
 	}
 	// Re-inserting under the current generation serves again.
 	p.PutGen("sig", g, r, p.Generation())
-	if _, _, ok := p.GetGen("sig", p.Generation()); !ok {
+	if !p.GetGen("sig", p.Generation(), nil, nil) {
 		t.Fatal("refreshed entry missed at current generation")
 	}
 
 	// Bounded pools must reclaim the ring slots of generation-evicted
-	// entries: fill a pool across a generation swap, touch everything (lazy
-	// eviction), then refill under the new generation. Each fresh insert
-	// must be immediately retrievable (its ring slot comes from a dead
-	// entry, not past the bound) and residency must respect the bound.
+	// entries: fill a pool across a generation swap (each signature offered
+	// twice, so a full shard's doorkeeper admits it too), touch everything
+	// (lazy eviction),
+	// then refill under the new generation. The refill is a single offer —
+	// every signature has been sighted before — and each fresh insert must
+	// be immediately retrievable (its ring slot comes from a dead entry, not
+	// past the bound) and residency must respect the bound.
 	// Shard assignment is hash-seeded per process, so assertions avoid
 	// assuming which signatures share a shard.
 	bp := NewBoundedMemoryPool(poolShardCount) // 1 entry per shard
 	sigs := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	for _, s := range sigs {
 		bp.PutGen(s, g, r, 1)
+		bp.PutGen(s, g, r, 1)
+	}
+	if bp.Len() == 0 {
+		t.Fatal("bounded pool admitted nothing")
 	}
 	bp.SetGeneration(2)
 	for _, s := range sigs {
-		bp.GetGen(s, 2) // touch: lazily evicts every generation-1 entry
+		bp.GetGen(s, 2, nil, nil) // touch: lazily evicts every generation-1 entry
 	}
 	if n := bp.Len(); n != 0 {
 		t.Fatalf("bounded pool kept %d stale entries after touches", n)
 	}
 	for _, s := range sigs {
 		bp.PutGen(s, g, r, 2)
-		if _, _, ok := bp.GetGen(s, 2); !ok {
+		if !bp.GetGen(s, 2, nil, nil) {
 			t.Fatalf("entry %q missing immediately after ring-slot reuse", s)
 		}
 	}
@@ -240,10 +247,10 @@ func TestServerPrewarmHidesSwapTransient(t *testing.T) {
 
 	v := srv.Version()
 	hotSig := eps[0].Nodes[eps[0].Root].Sig
-	if _, _, ok := srv.Pool().GetGen(hotSig, v); !ok {
+	if !srv.Pool().GetGen(hotSig, v, nil, nil) {
 		t.Fatal("hot plan not resident at the new generation after pre-warm")
 	}
-	if _, _, ok := ctrl.Pool().GetGen(hotSig, ctrl.Version()); ok {
+	if ctrl.Pool().GetGen(hotSig, ctrl.Version(), nil, nil) {
 		t.Fatal("control server hit at the new generation without pre-warm; transient test is vacuous")
 	}
 
@@ -284,7 +291,7 @@ func TestServerPrewarmBackground(t *testing.T) {
 	for {
 		hits := 0
 		for _, ep := range eps[:4] {
-			if _, _, ok := srv.Pool().GetGen(ep.Nodes[ep.Root].Sig, v); ok {
+			if srv.Pool().GetGen(ep.Nodes[ep.Root].Sig, v, nil, nil) {
 				hits++
 			}
 		}

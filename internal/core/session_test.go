@@ -80,8 +80,9 @@ func TestPooledPathZeroAlloc(t *testing.T) {
 		sess.EstimateWithPool(ep, pool)
 	}
 	sig := eps[0].Nodes[eps[0].Root].Sig
+	g, r := make([]float64, cfg.Hidden), make([]float64, cfg.Hidden)
 	allocs := testing.AllocsPerRun(500, func() {
-		if _, _, ok := pool.GetGen(sig, pool.Generation()); !ok {
+		if !pool.GetGen(sig, pool.Generation(), g, r) {
 			t.Fatal("warm pool missed")
 		}
 	})
@@ -99,31 +100,39 @@ func TestPooledPathZeroAlloc(t *testing.T) {
 }
 
 // TestBoundedPoolEviction checks the pool's size knob: a bounded pool must
-// stay near its cap and keep serving correct representations.
+// stay near its cap and keep serving correct representations. Every
+// signature is offered twice, so a full shard's doorkeeper admits it and it
+// presses on the bound.
 func TestBoundedPoolEviction(t *testing.T) {
 	const maxEntries = 64
 	pool := NewBoundedMemoryPool(maxEntries)
 	g := []float64{1, 2}
 	r := []float64{3, 4}
+	offer := func(sig string) {
+		pool.PutGen(sig, g, r, pool.Generation())
+		pool.PutGen(sig, g, r, pool.Generation())
+	}
 	for i := 0; i < 10*maxEntries; i++ {
-		pool.PutGen(fmt.Sprintf("sig-%d", i), g, r, pool.Generation())
+		offer(fmt.Sprintf("sig-%d", i))
 	}
 	// Per-shard enforcement makes the bound approximate; allow one extra
 	// entry per shard of headroom but no unbounded growth.
 	if n := pool.Len(); n > maxEntries+poolShardCount {
 		t.Fatalf("bounded pool grew to %d entries (cap %d)", n, maxEntries)
 	}
-	pool.PutGen("probe", g, r, pool.Generation())
-	pg, pr, ok := pool.GetGen("probe", pool.Generation())
-	if !ok || pg[1] != 2 || pr[0] != 3 {
+	offer("probe")
+	pg, pr := make([]float64, 2), make([]float64, 2)
+	if !pool.GetGen("probe", pool.Generation(), pg, pr) || pg[1] != 2 || pr[0] != 3 {
 		t.Fatal("bounded pool lost a fresh entry or corrupted it")
 	}
 }
 
 // TestClockEvictionKeepsHotEntries pins the second-chance behavior: hot
 // signatures that keep getting probed between insertions must survive a long
-// stream of one-off cold insertions. (Arbitrary-victim eviction would lose
-// roughly half the hot set under this pressure.)
+// stream of cold insertions. (Arbitrary-victim eviction would lose roughly
+// half the hot set under this pressure.) Hot and cold signatures alike are
+// offered twice, so a full shard's doorkeeper admits every one and each cold
+// signature is real eviction pressure.
 func TestClockEvictionKeepsHotEntries(t *testing.T) {
 	const (
 		hotCount   = 24
@@ -133,28 +142,35 @@ func TestClockEvictionKeepsHotEntries(t *testing.T) {
 	pool := NewBoundedMemoryPool(maxEntries)
 	g := []float64{1, 2}
 	r := []float64{3, 4}
+	offer := func(sig string) {
+		pool.PutGen(sig, g, r, pool.Generation())
+		pool.PutGen(sig, g, r, pool.Generation())
+	}
 	hot := make([]string, hotCount)
 	for i := range hot {
 		hot[i] = fmt.Sprintf("hot-join-prefix-%d", i)
-		pool.PutGen(hot[i], g, r, pool.Generation())
+		offer(hot[i])
 	}
 	for k := 0; k < coldPuts; k++ {
 		// The optimizer keeps probing its hot sub-plans, so their reference
-		// bits are set when the next one-off insertion needs a victim.
+		// bits are set when the next cold admission needs a victim.
 		for _, sig := range hot {
-			if _, _, ok := pool.GetGen(sig, pool.Generation()); !ok {
+			if !pool.GetGen(sig, pool.Generation(), nil, nil) {
 				t.Fatalf("hot signature %q evicted after %d cold insertions", sig, k)
 			}
 		}
-		pool.PutGen(fmt.Sprintf("cold-oneoff-%d", k), g, r, pool.Generation())
+		offer(fmt.Sprintf("cold-oneoff-%d", k))
 	}
 	for _, sig := range hot {
-		if _, _, ok := pool.GetGen(sig, pool.Generation()); !ok {
+		if !pool.GetGen(sig, pool.Generation(), nil, nil) {
 			t.Fatalf("hot signature %q not resident after eviction pressure", sig)
 		}
 	}
 	if n := pool.Len(); n > maxEntries+poolShardCount {
 		t.Fatalf("bounded pool grew to %d entries (cap %d)", n, maxEntries)
+	}
+	if a := pool.Admitted(); a < hotCount+coldPuts {
+		t.Fatalf("admitted %d entries, want at least %d: cold pressure was not admitted", a, hotCount+coldPuts)
 	}
 }
 
@@ -178,7 +194,7 @@ func TestPoolEvictedCardNode(t *testing.T) {
 		pool := NewMemoryPool()
 		full := NewMemoryPool()
 		sess.EstimateWithPool(ep, full)
-		g, r, ok := full.GetGen(ep.Nodes[ep.Root].Sig, full.Generation())
+		g, r, ok := pooledCopy(full, m, ep.Nodes[ep.Root].Sig, full.Generation())
 		if !ok {
 			t.Fatal("root representation missing from warm pool")
 		}
@@ -288,9 +304,10 @@ func BenchmarkPoolGetParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		var i uint64
+		gb, rb := make([]float64, len(g)), make([]float64, len(r))
 		for pb.Next() {
 			n := atomic.AddUint64(&i, 1)
-			pool.GetGen(sigs[n%uint64(len(sigs))], pool.Generation())
+			pool.GetGen(sigs[n%uint64(len(sigs))], pool.Generation(), gb, rb)
 		}
 	})
 }

@@ -96,23 +96,32 @@ func newSlot(src *Model) *snapshotSlot {
 // finite reports whether every value sync would copy from src is neither NaN
 // nor an infinity: the normalizers, and each parameter whose stamp advanced
 // past the slot's record.
-func (sl *snapshotSlot) finite(src *Model) bool {
-	for _, v := range [...]float64{src.CostNorm.MinLog, src.CostNorm.MaxLog, src.CardNorm.MinLog, src.CardNorm.MaxLog} {
+func (sl *snapshotSlot) finite(src *Model) bool { return src.checkFinite(sl.stamps) == nil }
+
+// CheckFinite returns an error naming the first NaN or infinite value among
+// m's normalizers and parameters — everything a full publication copies. It
+// is the scan PublishDelta refuses a publication on.
+func (m *Model) CheckFinite() error { return m.checkFinite(nil) }
+
+// checkFinite scans the normalizers and each parameter whose stamp is above
+// its entry in since (every parameter when since is nil).
+func (m *Model) checkFinite(since []uint64) error {
+	for _, v := range [...]float64{m.CostNorm.MinLog, m.CostNorm.MaxLog, m.CardNorm.MinLog, m.CardNorm.MaxLog} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
+			return fmt.Errorf("core: non-finite normalizer bound %v", v)
 		}
 	}
-	for i, p := range src.PS.Params() {
-		if p.Stamp() <= sl.stamps[i] {
+	for i, p := range m.PS.Params() {
+		if since != nil && p.Stamp() <= since[i] {
 			continue
 		}
 		for _, v := range p.Value {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return false
+				return fmt.Errorf("core: parameter %q holds non-finite value %v", p.Name, v)
 			}
 		}
 	}
-	return true
+	return nil
 }
 
 // sync brings the slot's weights up to date with src, copying only the

@@ -205,22 +205,14 @@ func (m *Member) onLeaseExpired() bool {
 		m.cfg.Logf("replica: promotion aborted by injected fault: %v", err)
 		return false
 	}
-	ln, err := m.listener()
-	if err != nil {
-		m.abortedPromos.Add(1)
-		m.state.Store(int32(StateFollowing))
-		m.cfg.Logf("replica: promotion aborted: listen %s: %v", m.cfg.Listen, err)
-		return false
-	}
-
 	// Seal: the last applied (epoch, generation) is this member's final
 	// word as a follower. The publisher continues the generation sequence
 	// from the seal under the next epoch, so cross-epoch history never
-	// reuses an (epoch, generation) coordinate.
+	// reuses an (epoch, generation) coordinate. A model holding NaN or an
+	// infinity cannot be published, so the member stays a follower.
 	sealedGen := m.fol.Generation()
 	epoch := promoteEpoch(m.fol.Epoch(), m.lastEpoch.Load())
-	m.lastEpoch.Store(epoch)
-	pub := NewPublisher(m.cfg.Model, sealedGen, PublisherConfig{
+	pub, err := NewPublisher(m.cfg.Model, sealedGen, PublisherConfig{
 		Epoch:        epoch,
 		Token:        m.cfg.Token,
 		Heartbeat:    m.cfg.Heartbeat,
@@ -228,6 +220,20 @@ func (m *Member) onLeaseExpired() bool {
 		WriteTimeout: m.cfg.WriteTimeout,
 		Logf:         m.cfg.Logf,
 	})
+	if err != nil {
+		m.abortedPromos.Add(1)
+		m.state.Store(int32(StateFollowing))
+		m.cfg.Logf("replica: promotion aborted: %v", err)
+		return false
+	}
+	ln, err := m.listener()
+	if err != nil {
+		m.abortedPromos.Add(1)
+		m.state.Store(int32(StateFollowing))
+		m.cfg.Logf("replica: promotion aborted: listen %s: %v", m.cfg.Listen, err)
+		return false
+	}
+	m.lastEpoch.Store(epoch)
 	m.cfg.Server.SetPublishHook(pub.OnPublish)
 	m.mu.Lock()
 	m.pub, m.ln = pub, ln

@@ -3,8 +3,10 @@ package replica
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -86,7 +88,7 @@ func TestFailoverConformance(t *testing.T) {
 	// Primary A on a pre-bound port, epoch 1.
 	srvA := core.NewServer(mA, core.NewMemoryPool())
 	trA.PublishDelta(srvA)
-	pubA := NewPublisher(mA, srvA.Version(), PublisherConfig{
+	pubA := mustPublisher(t, mA, srvA.Version(), PublisherConfig{
 		Epoch: 1, Heartbeat: hb, PeerTimeout: peerTO, Logf: t.Logf,
 	})
 	srvA.SetPublishHook(pubA.OnPublish)
@@ -224,7 +226,7 @@ func TestFailoverConformance(t *testing.T) {
 	// The zombie: A comes back on its old address still claiming epoch 1.
 	// Its frames must be rejected by any follower that lands on it, and the
 	// FrameFenced reply must fence the zombie itself.
-	zombie := NewPublisher(mA, srvA.Version(), PublisherConfig{
+	zombie := mustPublisher(t, mA, srvA.Version(), PublisherConfig{
 		Epoch: 1, Heartbeat: hb, PeerTimeout: peerTO, Logf: t.Logf,
 	})
 	lnZ, err := net.Listen("tcp", addrA)
@@ -379,30 +381,62 @@ func TestBootPromotionClearsBootEpoch(t *testing.T) {
 	}
 }
 
-// TestPromotedMemberRefusesNonFiniteWeights is the promotion sibling of the
-// daemon supervisor's non-finite refusal: a promoted member publishes its
-// mirror model without the supervisor's gate, so a NaN in that model must be
-// refused by PublishDelta — on the promotion's announce publish and on every
-// trained epoch after it. The member keeps serving finite estimates from the
-// version it had, and a follower of the new primary never applies the NaN.
-func TestPromotedMemberRefusesNonFiniteWeights(t *testing.T) {
+// TestNewPublisherRefusesNonFinite: a publisher's mirror is every follower's
+// bootstrap snapshot, so NewPublisher refuses a model holding NaN or an
+// infinity — in a parameter or in a normalizer — instead of mirroring it.
+func TestNewPublisherRefusesNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		poison func(m *core.Model)
+	}{
+		{"NaN weight", func(m *core.Model) { m.PS.Params()[0].Value[0] = math.NaN() }},
+		{"infinite normalizer", func(m *core.Model) { m.CardNorm.MaxLog = math.Inf(1) }},
+	} {
+		m := core.New(core.TestConfig(), testEnc)
+		if _, err := NewPublisher(m, 1, PublisherConfig{Logf: t.Logf}); err != nil {
+			t.Fatalf("%s: a finite model was refused: %v", tc.name, err)
+		}
+		tc.poison(m)
+		if pub, err := NewPublisher(m, 1, PublisherConfig{Logf: t.Logf}); err == nil || pub != nil {
+			t.Fatalf("%s: NewPublisher mirrored a non-finite model", tc.name)
+		} else if !strings.Contains(err.Error(), "non-finite") {
+			t.Fatalf("%s: refusal %q does not say why", tc.name, err)
+		}
+	}
+}
+
+// TestMemberWithNonFiniteWeightsStaysFollower is the promotion sibling of the
+// daemon supervisor's non-finite refusal: a member whose lease lapses while
+// its model holds a NaN would hand every follower a bootstrap snapshot they
+// refuse, so it must not promote. It stays a follower, counts each aborted
+// promotion, logs why, and keeps serving the finite version it had.
+func TestMemberWithNonFiniteWeightsStaysFollower(t *testing.T) {
 	samples := labeledSamples(t, 53, 6)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
+	defer ln.Close()
 	model := core.New(core.TestConfig(), testEnc)
 	srv := core.NewServer(model, core.NewMemoryPool())
 	eps := encodePlans(t, samples)
 	model.PS.Params()[0].Value[0] = math.NaN()
 	model.PS.MarkAllUpdated()
+	var logMu sync.Mutex
+	var logs []string
 	B := NewMember(MemberConfig{
 		Peers: []string{"127.0.0.1:1"}, Rank: 0, Listener: ln,
 		Server: srv, Model: model, Train: eps,
 		Lease: 150 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
 		RetryMin: 5 * time.Millisecond, RetryMax: 20 * time.Millisecond,
 		TrainInterval: 5 * time.Millisecond, BatchSize: 8,
-		Logf: t.Logf,
+		Logf: func(format string, args ...any) {
+			line := fmt.Sprintf(format, args...)
+			t.Log(line)
+			logMu.Lock()
+			logs = append(logs, line)
+			logMu.Unlock()
+		},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -415,23 +449,29 @@ func TestPromotedMemberRefusesNonFiniteWeights(t *testing.T) {
 		<-done
 	}()
 
-	waitFor(t, 15*time.Second, "promotion and a refused trained epoch", func() bool {
-		return B.State() == StatePrimary && srv.PublishesRefused() >= 2
+	waitFor(t, 15*time.Second, "two aborted promotions", func() bool {
+		return B.Stats().AbortedPromotions >= 2
 	})
-	r := newTestReplica(t, core.TestConfig(), samples, ln.Addr().String())
-	f := r.start()
-	waitFor(t, 15*time.Second, "the follower to be handed the promoted model twice", func() bool {
-		return f.Stats().Reconnects >= 2
-	})
-	if v := srv.Version(); v != 1 {
-		t.Fatalf("promoted member serves version %d, want 1 (every publication refused)", v)
+	if st := B.Stats(); st.State != StateFollowing.String() || st.Promotions != 0 {
+		t.Fatalf("member with NaN weights: state %s after %d promotions, want a follower that never promoted", st.State, st.Promotions)
 	}
-	if g := f.Generation(); g != 0 {
-		t.Fatalf("follower applied generation %d of a NaN model", g)
+	logMu.Lock()
+	why := ""
+	for _, line := range logs {
+		if strings.Contains(line, "promotion aborted") && strings.Contains(line, "non-finite") {
+			why = line
+		}
+	}
+	logMu.Unlock()
+	if why == "" {
+		t.Fatal("no log line says the promotion was aborted for non-finite weights")
+	}
+	if v := srv.Version(); v != 1 {
+		t.Fatalf("member serves version %d, want 1 (nothing published)", v)
 	}
 	for i, ep := range eps {
 		if c, d, _ := srv.Estimate(ep); math.IsNaN(c) || math.IsNaN(d) {
-			t.Fatalf("plan %d served non-finite (%g, %g) by the promoted member", i, c, d)
+			t.Fatalf("plan %d served non-finite (%g, %g)", i, c, d)
 		}
 	}
 }
@@ -499,7 +539,7 @@ func TestFenceRequiresHigherEpoch(t *testing.T) {
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewMemoryPool())
 	tr.PublishDelta(srv)
-	pub := NewPublisher(m, srv.Version(), PublisherConfig{Epoch: 3, Logf: t.Logf})
+	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Epoch: 3, Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -608,7 +648,7 @@ func TestTokenlessPrimaryAcceptsAnyFollower(t *testing.T) {
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewMemoryPool())
 	tr.PublishDelta(srv)
-	pub := NewPublisher(m, srv.Version(), PublisherConfig{Logf: t.Logf}) // no token
+	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Logf: t.Logf}) // no token
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -702,7 +742,7 @@ func TestReplicationTokenAuth(t *testing.T) {
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewMemoryPool())
 	tr.PublishDelta(srv)
-	pub := NewPublisher(m, srv.Version(), PublisherConfig{Token: "hunter2", Logf: t.Logf})
+	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Token: "hunter2", Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -763,7 +803,7 @@ func TestHeartbeatKeepsIdleConnectionAlive(t *testing.T) {
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewMemoryPool())
 	tr.PublishDelta(srv)
-	pub := NewPublisher(m, srv.Version(), PublisherConfig{
+	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{
 		Heartbeat: 20 * time.Millisecond, PeerTimeout: 100 * time.Millisecond, Logf: t.Logf,
 	})
 	srv.SetPublishHook(pub.OnPublish)
@@ -822,7 +862,7 @@ func TestSlowFollowerEviction(t *testing.T) {
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewMemoryPool())
 	tr.PublishDelta(srv)
-	pub := NewPublisher(m, srv.Version(), PublisherConfig{EvictAfter: 2, Logf: t.Logf})
+	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{EvictAfter: 2, Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

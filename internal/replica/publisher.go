@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -171,7 +172,15 @@ func (c *pubConn) trySend(b []byte) bool {
 // generation on a promoted Member). The caller must have m quiesced —
 // construct the publisher after the initial publish, before training starts
 // — and then register pub.OnPublish with core.Server.SetPublishHook.
-func NewPublisher(m *core.Model, gen uint64, cfg PublisherConfig) *Publisher {
+//
+// The mirror is what every follower's bootstrap snapshot carries, and a
+// follower refuses NaN or infinite values, so a model holding one is refused
+// here (core.Model.CheckFinite, the scan PublishDelta refuses on) rather
+// than handed to followers that would never become ready.
+func NewPublisher(m *core.Model, gen uint64, cfg PublisherConfig) (*Publisher, error) {
+	if err := m.CheckFinite(); err != nil {
+		return nil, fmt.Errorf("replica: refusing to publish: %w", err)
+	}
 	cfg.fill()
 	params := m.PS.Params()
 	p := &Publisher{
@@ -194,7 +203,7 @@ func NewPublisher(m *core.Model, gen uint64, cfg PublisherConfig) *Publisher {
 		p.allIdx[i] = i
 	}
 	p.mirror.CostNorm, p.mirror.CardNorm = m.CostNorm, m.CardNorm
-	return p
+	return p, nil
 }
 
 // Epoch returns the epoch this publisher streams under.

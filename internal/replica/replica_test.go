@@ -71,13 +71,23 @@ func trainedModel(t testing.TB, eps []*feature.EncodedPlan, epochs int) (*core.M
 	return m, tr
 }
 
+// mustPublisher builds a publisher over a finite model.
+func mustPublisher(t testing.TB, m *core.Model, gen uint64, cfg PublisherConfig) *Publisher {
+	t.Helper()
+	pub, err := NewPublisher(m, gen, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pub
+}
+
 // startPrimary boots a serving primary with a replication listener on a
 // loopback port and returns its server, publisher and listen address.
 func startPrimary(t testing.TB, m *core.Model, tr *core.ParallelTrainer) (*core.Server, *Publisher, string) {
 	t.Helper()
 	srv := core.NewServer(m, core.NewMemoryPool())
 	tr.PublishDelta(srv)
-	pub := NewPublisher(m, srv.Version(), PublisherConfig{Logf: t.Logf})
+	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -83,7 +83,7 @@ type Schema struct {
 
 	tableByName map[string]*Table
 	tableID     map[string]int
-	columnID    map[string]int // key: table.column
+	columnID    map[columnKey]int
 	indexID     map[string]int
 	columns     []Column // flattened, in id order
 }
@@ -97,7 +97,7 @@ func New(tables []*Table, indexes []*Index, joins []JoinEdge) (*Schema, error) {
 		Joins:       joins,
 		tableByName: make(map[string]*Table, len(tables)),
 		tableID:     make(map[string]int, len(tables)),
-		columnID:    make(map[string]int),
+		columnID:    make(map[columnKey]int),
 		indexID:     make(map[string]int, len(indexes)),
 	}
 	for i, t := range tables {
@@ -109,9 +109,9 @@ func New(tables []*Table, indexes []*Index, joins []JoinEdge) (*Schema, error) {
 		for j := range t.Columns {
 			c := &t.Columns[j]
 			c.Table = t.Name
-			key := c.QualifiedName()
+			key := columnKey{t.Name, c.Name}
 			if _, dup := s.columnID[key]; dup {
-				return nil, fmt.Errorf("schema: duplicate column %q", key)
+				return nil, fmt.Errorf("schema: duplicate column %q", c.QualifiedName())
 			}
 			s.columnID[key] = len(s.columns)
 			s.columns = append(s.columns, *c)
@@ -164,9 +164,13 @@ func (s *Schema) TableID(name string) int {
 	return -1
 }
 
+// columnKey addresses a column by its table and name, so a lookup builds no
+// qualified-name string.
+type columnKey struct{ table, column string }
+
 // ColumnID returns the one-hot id of table.column; -1 if unknown.
 func (s *Schema) ColumnID(table, column string) int {
-	if id, ok := s.columnID[table+"."+column]; ok {
+	if id, ok := s.columnID[columnKey{table, column}]; ok {
 		return id
 	}
 	return -1

@@ -91,6 +91,40 @@ func TestLookups(t *testing.T) {
 	}
 }
 
+// TestColumnIDDenseAndAllocFree: column ids number the columns table by
+// table in declaration order, and a lookup allocates nothing, even for a
+// qualified name too long for a stack buffer.
+func TestColumnIDDenseAndAllocFree(t *testing.T) {
+	tables := []*Table{
+		{Name: "movie_companies_long_table_name", Columns: []Column{
+			{Name: "id", Type: IntCol}, {Name: "production_company_identifier", Type: IntCol}}},
+		{Name: "cast_info", Columns: []Column{
+			{Name: "id", Type: IntCol}, {Name: "person_role_identifier", Type: IntCol}, {Name: "note", Type: StringCol}}},
+	}
+	s, err := New(tables, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, tab := range tables {
+		for _, c := range tab.Columns {
+			if id := s.ColumnID(tab.Name, c.Name); id != want {
+				t.Fatalf("ColumnID(%s, %s) = %d, want %d", tab.Name, c.Name, id, want)
+			}
+			want++
+		}
+	}
+	table, column := tables[0].Name, tables[0].Columns[1].Name
+	allocs := testing.AllocsPerRun(200, func() {
+		if s.ColumnID(table, column) != 1 || s.ColumnID(table, "missing") != -1 {
+			t.Fatal("ColumnID wrong")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ColumnID allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 func TestJoinGraph(t *testing.T) {
 	s := tinySchema(t)
 	if len(s.JoinsOf("a")) != 1 || len(s.JoinsOf("c")) != 0 {

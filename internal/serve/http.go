@@ -138,11 +138,16 @@ type statszResponse struct {
 	PublishesRefused uint64 `json:"publishes_refused"`
 }
 
+// poolStats is the memory pool's state. Admitted counts representations the
+// pool stored; Declined counts first sightings a bounded pool turned away
+// (core.NewBoundedMemoryPool admits a sub-plan on its second offer).
 type poolStats struct {
 	Entries   int     `json:"entries"`
 	Bound     int     `json:"bound"`
 	HitRate   float64 `json:"hit_rate"`
 	StaleRate float64 `json:"stale_rate"`
+	Admitted  int64   `json:"admitted"`
+	Declined  int64   `json:"declined"`
 }
 
 // sharingStats is sub-plan reuse short of the pool. The nodes_* fields are
@@ -254,6 +259,8 @@ func (s *Service) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			Bound:     p.Bound(),
 			HitRate:   p.HitRate(),
 			StaleRate: p.StaleRate(),
+			Admitted:  p.Admitted(),
+			Declined:  p.Declined(),
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

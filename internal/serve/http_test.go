@@ -244,6 +244,8 @@ func TestHTTPStatsz(t *testing.T) {
 		Pool      *struct {
 			Bound     int     `json:"bound"`
 			StaleRate float64 `json:"stale_rate"`
+			Admitted  *int64  `json:"admitted"`
+			Declined  *int64  `json:"declined"`
 		} `json:"pool"`
 		Sharing *struct {
 			NodesPlaced int64   `json:"nodes_placed"`
@@ -280,6 +282,12 @@ func TestHTTPStatsz(t *testing.T) {
 	}
 	if st.Pool == nil || st.Pool.Bound != 2048 {
 		t.Fatalf("statsz pool = %+v, want bound 2048", st.Pool)
+	}
+	// Every computed sub-plan was offered once to a pool with free slots,
+	// which admits a first offer: nothing had to be evicted for it.
+	if st.Pool.Admitted == nil || st.Pool.Declined == nil || *st.Pool.Admitted == 0 || *st.Pool.Declined != 0 {
+		t.Fatalf("statsz pool admitted/declined = %v/%v, want both present, first offers admitted",
+			st.Pool.Admitted, st.Pool.Declined)
 	}
 	if sh := st.Sharing; sh == nil || sh.NodesPlaced < 4 || sh.NodesShared > sh.NodesPlaced ||
 		sh.SharedRate != float64(sh.NodesShared)/float64(sh.NodesPlaced) {

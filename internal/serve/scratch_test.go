@@ -197,7 +197,7 @@ func TestPrewarmOwnsItsPlans(t *testing.T) {
 	}
 	snap := srv.Snapshot()
 	wantCost, wantCard := snap.Model().Estimate(fresh) // no pool: computed from the fresh encoding alone
-	if _, _, ok := srv.Pool().GetGen(fresh.Signature, snap.Version()); !ok {
+	if !srv.Pool().GetGen(fresh.Signature, snap.Version(), nil, nil) {
 		t.Fatal("the replayed plan is not in the pool")
 	}
 	cost, card, version := srv.Estimate(fresh) // the root is resident: answered from the replay's entry
