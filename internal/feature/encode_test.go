@@ -250,6 +250,42 @@ func TestEncodeAllMatchesEncode(t *testing.T) {
 	}
 }
 
+// TestEncodeAllSharedNodes: plans whose subtrees are shared by pointer — the
+// request decoder builds a repeated subtree once — encode exactly as their
+// unshared copies do. The aggregate's two inputs are one node, and the left
+// one is the cardinality node: it is placed where it is reached first, not
+// wherever its pointer was seen last.
+func TestEncodeAllSharedNodes(t *testing.T) {
+	join := sevenNodePlan().Left.Left
+	dag := []*plan.Node{
+		{Type: plan.Aggregate, Aggs: []plan.AggSpec{{Func: plan.AggCount}}, Left: join, Right: join},
+		{Type: plan.HashJoin, JoinCond: join.JoinCond, Left: join.Right, Right: join.Right},
+		join,
+	}
+	var trees []*plan.Node
+	for _, root := range dag {
+		trees = append(trees, root.Clone())
+	}
+	e := NewEncoder(testCat, strembed.ZeroEncoder{}, true)
+	var sharedArena, treeArena Arena
+	got, err := e.EncodeAll(dag, &sharedArena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.EncodeAll(trees, &treeArena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].CardNode != 1 {
+		t.Fatalf("cardinality node %d, want 1 (the aggregate's left input)", got[0].CardNode)
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("plan %d: shared nodes encode differently from their copies\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestEncodeAllRefusesSignatureCollision: table names travel into signatures
 // unescaped, so a client can send two differently shaped trees that sign
 // alike. Sharing one's encoding under the other would build a plan whose child

@@ -138,6 +138,9 @@ func (e *Encoder) Encode(root *plan.Node) (*EncodedPlan, error) {
 // vectors and predicate nodes (nothing downstream writes to them); child
 // indices are shifted and the supervision targets taken from the plan's own
 // nodes, so each returned plan equals, value for value, what Encode builds.
+//
+// The roots may share subtrees (the request decoder builds a repeated subtree
+// once): a node is placed by where it is reached, never by its identity.
 func (e *Encoder) EncodeAll(roots []*plan.Node, a *Arena) ([]*EncodedPlan, error) {
 	if a.seen == nil {
 		a.seen = make(map[string]subtree)
@@ -148,15 +151,22 @@ func (e *Encoder) EncodeAll(roots []*plan.Node, a *Arena) ([]*EncodedPlan, error
 		sigs := a.sigs
 		ep := a.plans.One()
 		ep.Nodes = a.nodes.Carve(len(sigs))[:0]
-		b := planBuilder{e: e, a: a, ep: ep, sigs: sigs, heights: a.ints.Carve(len(sigs)), cardNode: root.CardinalityNode()}
+		b := planBuilder{e: e, a: a, ep: ep, sigs: sigs, heights: a.ints.Carve(len(sigs))}
 		a.eps = append(a.eps, ep)
 		a.heights = append(a.heights, b.heights)
 		if _, err := b.encodeNode(root); err != nil {
 			return nil, err
 		}
+		// The cardinality node ends the chain of Sort and Aggregate left
+		// inputs below the root, and pre-order lists each left input right
+		// after its parent: its index is its distance down that chain.
+		card := root.CardinalityNode()
+		for n := root; n != card; n = n.Left {
+			ep.CardNode++
+		}
 		ep.Signature = sigs[0]
 		ep.Cost = root.TrueCost
-		ep.Card = b.cardNode.TrueRows
+		ep.Card = card.TrueRows
 		a.buildLevels(ep, b.heights)
 		a.Nodes += len(sigs)
 	}
@@ -221,12 +231,11 @@ func countPredNodes(p sqlpred.Pred) int {
 
 // planBuilder carries one plan's encoding through the recursion.
 type planBuilder struct {
-	e        *Encoder
-	a        *Arena
-	ep       *EncodedPlan
-	sigs     []string // subtree signatures, indexed like ep.Nodes (pre-order)
-	heights  []int32  // per node, height above the leaves
-	cardNode *plan.Node
+	e       *Encoder
+	a       *Arena
+	ep      *EncodedPlan
+	sigs    []string // subtree signatures, indexed like ep.Nodes (pre-order)
+	heights []int32  // per node, height above the leaves
 }
 
 func (b *planBuilder) floats(n int) []float64 { return b.a.floats.Carve(n) }
@@ -241,9 +250,6 @@ func (b *planBuilder) encodeNode(n *plan.Node) (int, error) {
 		return idx, nil
 	}
 	ep.Nodes = append(ep.Nodes, EncodedNode{})
-	if n == b.cardNode {
-		ep.CardNode = idx
-	}
 
 	enc := EncodedNode{Left: -1, Right: -1, TrueRows: n.TrueRows, TrueCost: n.TrueCost, Sig: b.sigs[idx]}
 	enc.Op = b.floats(e.OpDim())
@@ -323,11 +329,11 @@ func (b *planBuilder) share(n *plan.Node, first subtree) bool {
 
 // retarget walks the subtree of n beside its copied encoding (both pre-order,
 // starting at idx) and stamps what belongs to this plan rather than to the
-// subtree's first occurrence: child indices, the executed plan's targets and
-// the position of the cardinality node. It returns the index after the
-// subtree, and false at the first node that has a child where the copy has
-// none or the reverse (see share): pre-order plus each node's children fixes a
-// tree's shape, so a walk that never disagrees has covered exactly the copy.
+// subtree's first occurrence: child indices and the executed plan's targets.
+// It returns the index after the subtree, and false at the first node that
+// has a child where the copy has none or the reverse (see share): pre-order
+// plus each node's children fixes a tree's shape, so a walk that never
+// disagrees has covered exactly the copy.
 //
 // costlint:noalloc
 func (b *planBuilder) retarget(n *plan.Node, idx int) (int, bool) {
@@ -336,9 +342,6 @@ func (b *planBuilder) retarget(n *plan.Node, idx int) (int, bool) {
 		return 0, false
 	}
 	node.TrueRows, node.TrueCost = n.TrueRows, n.TrueCost
-	if n == b.cardNode {
-		b.ep.CardNode = idx
-	}
 	next, ok := idx+1, true
 	if n.Left != nil {
 		node.Left = next

@@ -1,11 +1,17 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
+	"unsafe"
 
 	"costest/internal/plan"
 	"costest/internal/slab"
@@ -26,6 +32,11 @@ import (
 // but whitespace after the request object. The size bounds (MaxPlanNodes, ...)
 // are enforced as the scan goes: an oversized body is refused at the first
 // node past a limit, before the rest is read or built.
+//
+// The trees it returns may share subtrees: a plan node whose bytes repeat, byte
+// for byte, a subtree built earlier from the same body is that subtree's
+// *plan.Node, not a second copy (see decoder.repeat). Within one body the plans
+// form a DAG; nothing on the request path writes to a node.
 func DecodeEstimate(body []byte) (roots []*plan.Node, timeoutMS int, err error) {
 	return new(decoder).decode(body)
 }
@@ -50,10 +61,11 @@ func (d *decoder) decode(body []byte) (roots []*plan.Node, timeoutMS int, err er
 	for m := d.object(requestMembers); m.next(); {
 		switch m.name {
 		case "plan":
-			single = d.planNode(1)
+			single, _ = d.planNode(1)
 		case "plans":
 			for d.open('['); d.more(']'); {
-				d.roots = append(d.roots, d.planNode(1))
+				root, _ := d.planNode(1)
+				d.roots = append(d.roots, root)
 			}
 		case "timeout_ms":
 			n, err := strconv.ParseInt(string(d.number()), 10, 0)
@@ -99,6 +111,10 @@ var (
 // column and index names — a handful of distinct strings, repeated in every
 // node) come from an intern table, so a recycled decoder allocates only for
 // operand strings and the rare list.
+//
+// A plan node is built once per body: the span table remembers where in the
+// body each decoded subtree lies, and a later node whose bytes repeat one is
+// that subtree (see repeat).
 type decoder struct {
 	b            []byte
 	i            int
@@ -116,12 +132,54 @@ type decoder struct {
 	// so it is bounded: nothing longer than maxInternLen goes in, and it is
 	// emptied when it reaches maxInterned entries.
 	names map[string]string
+
+	// spans are this body's decoded plan subtrees of at least spanPrefix
+	// bytes; heads[h&(len(heads)-1)] is 1 + the index of the newest span whose
+	// prefix hashes to h (0: none), and each span links to the one recorded
+	// before it in its bucket. compared counts the bytes repeat compared in
+	// this body, shared the bytes it skipped as repeats (each compared once).
+	spans            []span
+	heads            []int32
+	compared, shared int
+}
+
+// span is a plan subtree the decoder built from the body bytes [start, end):
+// its root, its node count and its height. Scanning a plan node reads only
+// the bytes inside it, so wherever the same bytes recur in the body they
+// decode to the same tree.
+type span struct {
+	hash          uint64 // of the span's first spanPrefix bytes
+	tail          uint64 // the span's last 8 bytes
+	start, end    int
+	prev          int32 // 1 + the index of the previous span in the bucket, 0: none
+	nodes, height int32
+	node          *plan.Node
 }
 
 const (
 	maxInterned  = 512
 	maxInternLen = 64
+
+	// spanPrefix is how many leading bytes of a plan node are hashed to find
+	// an earlier span; shorter spans are cheap to decode and not recorded.
+	spanPrefix = 48
+	// spanProbes caps the candidates repeat walks at one position.
+	spanProbes = 8
+	// spanChunk is how many bytes same compares at a time, so a mismatch is
+	// charged at most spanChunk-1 bytes more than it took to find.
+	spanChunk = 64
+	// compareRatio bounds the bytes compared in vain (by comparisons that
+	// failed) per body byte: once a body has wasted that much, the rest of it
+	// is decoded without probing. A successful comparison pays for itself —
+	// its bytes are skipped, and each byte is skipped at most once — so a
+	// hostile body costs at most about compareRatio+1 memory compares a byte
+	// more than a plain scan, a few per cent of what scanning the byte costs.
+	// The 64-plan enumeration wastes about a quarter of a byte a byte.
+	compareRatio = 2
 )
+
+// spanSeed keys the span table's prefix hash.
+var spanSeed = maphash.MakeSeed()
 
 // reset points the decoder at a new body and recycles its slabs.
 //
@@ -134,12 +192,18 @@ func (d *decoder) reset(body []byte) {
 	d.atoms.Reset()
 	d.bools.Reset()
 	d.joins.Reset()
+	d.spans = d.spans[:0]
+	d.compared, d.shared = 0, 0
+	buckets := max(16, 1<<bits.Len(uint(len(body)/64)))
+	d.heads = slices.Grow(d.heads[:0], buckets)[:buckets]
+	clear(d.heads)
 }
 
 // retained is the memory the decoder keeps between bodies, but for the intern
 // table (at most maxInterned strings of maxInternLen bytes).
 func (d *decoder) retained() int {
-	return d.planNodes.Bytes() + d.atoms.Bytes() + d.bools.Bytes() + d.joins.Bytes() + 8*cap(d.roots)
+	return d.planNodes.Bytes() + d.atoms.Bytes() + d.bools.Bytes() + d.joins.Bytes() + 8*cap(d.roots) +
+		int(unsafe.Sizeof(span{}))*cap(d.spans) + 4*cap(d.heads)
 }
 
 type refused struct{ err error }
@@ -150,11 +214,21 @@ func (d *decoder) fail(format string, args ...any) {
 	d.refuse(fmt.Errorf("serve: byte %d: %s", d.i, fmt.Sprintf(format, args...)))
 }
 
-// planNode scans one plan node and its subtree; depth 1 is a plan's root and
-// starts a fresh node budget.
-func (d *decoder) planNode(depth int) *plan.Node {
+// planNode scans one plan node and its subtree and returns it with its height;
+// depth 1 is a plan's root and starts a fresh node budget. A subtree whose
+// bytes repeat an earlier span of the body is that span's tree.
+func (d *decoder) planNode(depth int) (*plan.Node, int) {
 	if depth == 1 {
 		d.nodes = 0
+	}
+	start, nodes := d.i, d.nodes
+	probe := start+spanPrefix <= len(d.b) && d.compared-d.shared < compareRatio*len(d.b)
+	var h uint64
+	if probe {
+		h = maphash.Bytes(spanSeed, d.b[start:start+spanPrefix])
+		if s := d.repeat(h, depth); s != nil {
+			return s.node, int(s.height)
+		}
 	}
 	if depth > MaxPlanDepth {
 		d.refuse(errPlanDepth)
@@ -165,6 +239,7 @@ func (d *decoder) planNode(depth int) *plan.Node {
 	n := d.planNodes.One()
 	var op string
 	var err error
+	var left, right int // the children's heights
 	for m := d.object(planMembers); m.next(); {
 		switch m.name {
 		case "op":
@@ -195,9 +270,9 @@ func (d *decoder) planNode(depth int) *plan.Node {
 				n.Aggs = append(n.Aggs, d.agg())
 			}
 		case "left":
-			n.Left = d.planNode(depth + 1)
+			n.Left, left = d.planNode(depth + 1)
 		case "right":
-			n.Right = d.planNode(depth + 1)
+			n.Right, right = d.planNode(depth + 1)
 		}
 		if err != nil {
 			d.refuse(err)
@@ -206,7 +281,70 @@ func (d *decoder) planNode(depth int) *plan.Node {
 	if err := finishNode(n, op); err != nil {
 		d.refuse(err)
 	}
-	return n
+	height := 1 + max(left, right)
+	if probe && d.i-start >= spanPrefix {
+		d.record(h, start, d.nodes-nodes, height, n)
+	}
+	return n, height
+}
+
+// repeat looks for an earlier span that the bytes at the scan position repeat
+// — the newest spanProbes candidates of prefix hash h, confirmed byte for
+// byte — and, when its tree fits under this position's bounds, steps the scan
+// past it and returns it. A repeat that would cross MaxPlanDepth or
+// MaxPlanNodes here is left to the scan, which refuses it with the error an
+// unshared decode gives.
+//
+// costlint:noalloc
+func (d *decoder) repeat(h uint64, depth int) *span {
+	k := d.heads[h&uint64(len(d.heads)-1)]
+	for probes := 0; k > 0 && probes < spanProbes; probes++ {
+		s := &d.spans[k-1]
+		k = s.prev
+		size := s.end - s.start
+		if s.hash != h || size > len(d.b)-d.i ||
+			depth+int(s.height)-1 > MaxPlanDepth || d.nodes+int(s.nodes) > MaxPlanNodes {
+			continue
+		}
+		// The last 8 bytes first: a candidate of another shape seldom ends
+		// where this node would.
+		if d.compared += 8; binary.LittleEndian.Uint64(d.b[d.i+size-8:]) != s.tail {
+			continue
+		}
+		if d.same(d.b[d.i:d.i+size-8], d.b[s.start:s.end-8]) {
+			d.i += size
+			d.nodes += int(s.nodes)
+			d.shared += size
+			return s
+		}
+	}
+	return nil
+}
+
+// same reports whether a and b, of equal length, hold the same bytes. It
+// compares a chunk at a time and charges each chunk to d.compared.
+//
+// costlint:noalloc
+func (d *decoder) same(a, b []byte) bool {
+	for k := 0; k < len(a); k += spanChunk {
+		n := min(k+spanChunk, len(a))
+		d.compared += n - k
+		if !bytes.Equal(a[k:n], b[k:n]) {
+			return false
+		}
+	}
+	return true
+}
+
+// record adds the plan node n, just decoded from the body bytes [start, d.i),
+// to the span table under prefix hash h.
+//
+// costlint:noalloc
+func (d *decoder) record(h uint64, start, nodes, height int, n *plan.Node) {
+	head := &d.heads[h&uint64(len(d.heads)-1)]
+	d.spans = append(d.spans, span{hash: h, tail: binary.LittleEndian.Uint64(d.b[d.i-8:]), start: start, end: d.i,
+		prev: *head, nodes: int32(nodes), height: int32(height), node: n})
+	*head = int32(len(d.spans))
 }
 
 // pred scans one predicate-tree node; the error is a rule broken in its

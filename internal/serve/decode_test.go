@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"unicode/utf8"
 
+	"costest/internal/feature"
 	"costest/internal/plan"
 )
 
@@ -291,6 +293,85 @@ var decodeTable = []string{
 	`{"plan":{"op":"seqscan","table":"t"}} x`,
 	`{"plan":{"op":"seqscan","table":"t"}}{"plan":{"op":"bogus"}}`,
 	`{"plan":{"op":"seqscan","table":"t"}}` + "\x00",
+	// Repeated subtrees, which the decoder builds once per body (the scan S
+	// below is 97 bytes, past spanPrefix): a self-join; S across plans and as
+	// a whole plan; a whole plan repeated; near-repeats that differ in S's
+	// last byte, as the start of a longer node and as broken JSON; S with
+	// escapes and non-ASCII text, repeated; a repeat under an aggregate's two
+	// inputs, one of which is the cardinality node.
+	selfJoinBody,
+	`{"plans":[{"op":"sort","left":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}}},` +
+		`{"op":"aggregate","aggs":[{"func":"count"}],"left":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}}},` +
+		`{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}}]}`,
+	`{"plans":[{"op":"sort","left":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}}},` +
+		`{"op":"sort","left":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}}}]}`,
+	`{"plans":[{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}},` +
+		`{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1},"index":"i"},` +
+		`{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}}]}`,
+	`{"plans":[{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}},` +
+		`{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}]]}`,
+	`{"plans":[{"op":"seqscan","table":"t\u00e9é\u4e16世","filter":{"atom":{"table":"t","column":"\u0063","op":"\u003c","str":"😀\ud83d\ude00\n\ud83d"}}},` +
+		`{"op":"nestloop","join":{},"left":{"op":"seqscan","table":"t\u00e9é\u4e16世","filter":{"atom":{"table":"t","column":"\u0063","op":"\u003c","str":"😀\ud83d\ude00\n\ud83d"}}},` +
+		`"right":{"op":"seqscan","table":"t\u00e9é\u4e16世","filter":{"atom":{"table":"t","column":"\u0063","op":"\u003c","str":"😀\ud83d\ude00\n\ud83d"}}}}]}`,
+	aggregateRepeatBody,
+}
+
+const (
+	selfJoinBody = `{"plan":{"op":"hashjoin","join":{"left":{"table":"title","column":"id"},"right":{"table":"title","column":"id"}},` +
+		`"left":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}},` +
+		`"right":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}}}}`
+	aggregateRepeatBody = `{"plan":{"op":"aggregate","aggs":[{"func":"count"}],"right":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}},` +
+		`"left":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}}}}`
+)
+
+// repeatBodies are the generated half of the repeated-subtree rows: a span
+// that differs from an earlier one just past the hashed prefix and at its
+// last hashed byte; many distinct spans with one common prefix, then repeats
+// of the newest, of one within the probe window and of one beyond it; and a
+// repeat whose reuse would cross MaxPlanDepth or MaxPlanNodes, beside one
+// that just fits each bound.
+func repeatBodies(tb testing.TB) [][]byte {
+	tb.Helper()
+	plans := func(ps ...[]byte) []byte {
+		return []byte(`{"plans":[` + string(bytes.Join(ps, []byte(","))) + `]}`)
+	}
+	// A scan whose table name covers bytes 25..64, so spanPrefix-1 and
+	// spanPrefix fall inside it.
+	named := func(at int) []byte {
+		name := []byte(strings.Repeat("a", 40))
+		if at >= 0 {
+			name[at-25] = 'b'
+		}
+		return []byte(`{"op":"seqscan","table":"` + string(name) + `"}`)
+	}
+	keyed := func(k int) []byte {
+		return []byte(`{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":` + strconv.Itoa(k) + `}}`)
+	}
+	var distinct [][]byte
+	for k := range 3 * spanProbes {
+		distinct = append(distinct, keyed(k))
+	}
+	last := len(distinct) - 1
+	distinct = append(distinct, keyed(last), keyed(last-spanProbes/2), keyed(0))
+
+	// aggregates wraps w in n aggregates: their prefix is not the sort
+	// chain's, so each repeat of the chain under them is found at once.
+	aggregates := func(n int, w *WirePlan) *WirePlan {
+		for range n {
+			w = &WirePlan{Op: "aggregate", Left: w}
+		}
+		return w
+	}
+	join := func(l, r *WirePlan) *WirePlan { return &WirePlan{Op: "hashjoin", Left: l, Right: r} }
+	tree := wireJoinTree(64) // 127 nodes
+	return [][]byte{
+		plans(named(-1), named(spanPrefix), named(-1), named(spanPrefix-1), named(spanPrefix)),
+		plans(distinct...),
+		mustMarshal(tb, estimateRequest{Plans: []*WirePlan{wireUnaryChain(40), aggregates(24, wireUnaryChain(40))}}), // depth 64
+		mustMarshal(tb, estimateRequest{Plans: []*WirePlan{wireUnaryChain(40), aggregates(25, wireUnaryChain(40))}}), // depth 65
+		mustMarshal(tb, estimateRequest{Plan: join(tree, aggregates(1, tree))}),                                      // 256 nodes
+		mustMarshal(tb, estimateRequest{Plan: join(tree, join(wireScan(), tree))}),                                   // 257 nodes
+	}
 }
 
 // TestDecodeEstimateMatchesOracle is the differential that pins the request
@@ -350,18 +431,23 @@ func TestDecodeEstimateRefusals(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeEstimate measures the request path's decoder on the two body
-// shapes the benchmark workloads send: one plan, and a 64-plan enumeration.
+// BenchmarkDecodeEstimate measures the request path's decoder on the body
+// shapes the benchmark workloads send: one plan, 64 distinct plans, and the
+// 64-plan enumeration (8 queries × 8 join-operator variants). The top-level
+// rows decode on a fresh decoder per call (DecodeEstimate); the recycled rows
+// on one decoder reused body after body, as the handler holds it — the only
+// rows where a warm decoder's slabs and span table show. shared_bytes/op is
+// what the decoder skipped as repeats of an earlier subtree of the body.
 func BenchmarkDecodeEstimate(b *testing.B) {
 	plans, _ := testCorpus(b, 202, 80)
 	wire := make([]*WirePlan, 64)
 	for i := range wire {
 		wire[i] = EncodeWire(plans[i%len(plans)])
 	}
-	for name, body := range map[string][]byte{
-		"single":  mustMarshal(b, estimateRequest{Plan: wire[0]}),
-		"plans64": mustMarshal(b, estimateRequest{Plans: wire}),
-	} {
+	single := mustMarshal(b, estimateRequest{Plan: wire[0]})
+	plans64 := mustMarshal(b, estimateRequest{Plans: wire})
+	_, enum64 := estimateBodies(b)
+	for name, body := range map[string][]byte{"single": single, "plans64": plans64} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
@@ -372,4 +458,159 @@ func BenchmarkDecodeEstimate(b *testing.B) {
 			}
 		})
 	}
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{{"single", single}, {"plans64", plans64}, {"enum64", enum64}} {
+		b.Run("recycled/"+c.name, func(b *testing.B) {
+			var d decoder
+			if _, _, err := d.decode(c.body); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(c.body)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := d.decode(c.body); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(d.shared), "shared_bytes/op")
+		})
+	}
+}
+
+// nodeSet counts the plan nodes of roots as a tree walk sees them and as
+// distinct *plan.Node values.
+func nodeSet(roots []*plan.Node) (walked, distinct int) {
+	seen := map[*plan.Node]bool{}
+	for _, r := range roots {
+		r.Walk(func(n *plan.Node) {
+			walked++
+			seen[n] = true
+		})
+	}
+	return walked, len(seen)
+}
+
+// TestDecodeSharesRepeatedSubtrees: the generated repeat bodies hold to the
+// oracle like decodeTable's rows; a subtree whose bytes repeat comes back as
+// the same *plan.Node (the sharing is live), and the feature encoding of the
+// shared trees is the encoding of the oracle's unshared ones — signatures,
+// node counts, cardinality node, levels and every vector.
+func TestDecodeSharesRepeatedSubtrees(t *testing.T) {
+	for _, body := range repeatBodies(t) {
+		checkDecodeAgainstOracle(t, body)
+	}
+	_, enum64 := estimateBodies(t)
+	selfJoin, aggregate := []byte(selfJoinBody), []byte(aggregateRepeatBody)
+	for _, c := range []struct {
+		name      string
+		body      []byte
+		minShared float64 // of the body's bytes
+	}{
+		{"enum64", enum64, 0.4},
+		{"selfjoin", selfJoin, 0.3},
+		{"aggregate", aggregate, 0.3},
+	} {
+		var d decoder
+		got, _, err := d.decode(c.body)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want, _, err := oracleDecodeEstimate(c.body)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", c.name, err)
+		}
+		walked, distinct := nodeSet(got)
+		if wantWalked, _ := nodeSet(want); walked != wantWalked || distinct >= walked {
+			t.Fatalf("%s: %d nodes walked (oracle %d) but %d distinct: nothing shared", c.name, walked, wantWalked, distinct)
+		}
+		if rate := float64(d.shared) / float64(len(c.body)); rate < c.minShared {
+			t.Fatalf("%s: %d of %d bytes skipped as repeats (%.2f), want at least %.2f", c.name, d.shared, len(c.body), rate, c.minShared)
+		}
+		t.Logf("%s: %d of %d nodes distinct, %.2f of the bytes shared, %d bytes compared", c.name, distinct, walked, float64(d.shared)/float64(len(c.body)), d.compared)
+
+		var sharedArena, oracleArena feature.Arena
+		gotEps, err := testEnc.EncodeAll(got, &sharedArena)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", c.name, err)
+		}
+		wantEps, err := testEnc.EncodeAll(want, &oracleArena)
+		if err != nil {
+			t.Fatalf("%s: encode the oracle's trees: %v", c.name, err)
+		}
+		for i := range wantEps {
+			g, w := gotEps[i], wantEps[i]
+			if g.Signature != w.Signature || len(g.Nodes) != len(w.Nodes) || g.CardNode != w.CardNode || !reflect.DeepEqual(g.Levels, w.Levels) {
+				t.Fatalf("%s: plan %d encodes to %d nodes, cardinality node %d, levels %v; the oracle's trees to %d, %d, %v",
+					c.name, i, len(g.Nodes), g.CardNode, g.Levels, len(w.Nodes), w.CardNode, w.Levels)
+			}
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: plan %d: encoding differs from the oracle trees' encoding", c.name, i)
+			}
+		}
+		if sharedArena.Shared != oracleArena.Shared {
+			t.Fatalf("%s: encoder shared %d nodes of the decoder's trees, %d of the oracle's", c.name, sharedArena.Shared, oracleArena.Shared)
+		}
+	}
+	if roots, _, err := DecodeEstimate(selfJoin); err != nil || roots[0].Left != roots[0].Right {
+		t.Fatalf("self-join: the two identical inputs are distinct nodes (err %v)", err)
+	}
+}
+
+// TestDecodeRepeatKeepsBounds: reusing a subtree is checked against the
+// depth and node bounds of the position it recurs at. Where it just fits it is
+// shared; where it would cross a bound the body is refused with the error the
+// scan gives at the first node past the limit.
+func TestDecodeRepeatKeepsBounds(t *testing.T) {
+	bodies := repeatBodies(t)
+	for _, c := range []struct {
+		name string
+		body []byte
+		want error
+	}{
+		{"depth 64", bodies[2], nil},
+		{"depth 65", bodies[3], errPlanDepth},
+		{"256 nodes", bodies[4], nil},
+		{"257 nodes", bodies[5], errPlanNodes},
+	} {
+		var d decoder
+		_, _, err := d.decode(c.body)
+		switch {
+		case err != c.want:
+			t.Fatalf("%s: err %v, want %v", c.name, err, c.want)
+		case err == nil && d.shared == 0:
+			t.Fatalf("%s: accepted without sharing the repeat", c.name)
+		}
+	}
+}
+
+// TestDecodeRepeatCompareBound: the bytes repeat compares stay within a
+// constant factor of the body on the body that maximizes failed comparisons —
+// plans of the deepest chain the bounds allow, identical but for the leaf,
+// where every node of every plan has candidates that match for all but a few
+// bytes at the far end. It also holds the decode to the oracle.
+func TestDecodeRepeatCompareBound(t *testing.T) {
+	var chains []*WirePlan
+	for k := 0; len(chains) < 64; k++ {
+		w := &WirePlan{Op: "seqscan", Table: "t" + strconv.Itoa(k)}
+		for range MaxPlanDepth - 1 {
+			w = &WirePlan{Op: "sort", Left: w}
+		}
+		chains = append(chains, w)
+	}
+	body := mustMarshal(t, estimateRequest{Plans: chains})
+	var d decoder
+	if _, _, err := d.decode(body); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d bytes compared on a %d-byte body", d.compared, len(body))
+	if d.compared < len(body) {
+		t.Fatalf("only %d bytes compared on a %d-byte body: the body does not exercise the bound", d.compared, len(body))
+	}
+	if limit := (compareRatio + 1) * len(body); d.compared > limit {
+		t.Fatalf("%d bytes compared on a %d-byte body, bound %d", d.compared, len(body), limit)
+	}
+	checkDecodeAgainstOracle(t, body)
 }

@@ -51,6 +51,9 @@ func FuzzEstimateDecode(f *testing.F) {
 	for _, body := range decodeTable {
 		f.Add([]byte(body))
 	}
+	for _, body := range repeatBodies(f) {
+		f.Add(body)
+	}
 	// Two trees of different shape that sign alike (see TestHTTPBadRequests).
 	f.Add([]byte(`{"plans":[{"op":"hashjoin","left":{"op":"seqscan","table":"u](2[](0[p],0[q]),0[r]"},"right":{"op":"seqscan","table":"d"}},` +
 		`{"op":"hashjoin","table":"](0[u","left":{"op":"hashjoin","left":{"op":"seqscan","table":"p"},"right":{"op":"seqscan","table":"q"}},"right":{"op":"seqscan","table":"r]],0[d"}}]}`))

@@ -66,8 +66,10 @@ type Service struct {
 	// scratch recycles requestScratch values across /estimate requests.
 	scratch sync.Pool
 	// encodeNodes and encodeShared accumulate every request's encode-level
-	// sharing counts (feature.Arena.Nodes / Shared).
+	// sharing counts (feature.Arena.Nodes / Shared); decodeBytes and
+	// decodeShared the decoder's (body bytes, bytes skipped as repeats).
 	encodeNodes, encodeShared atomic.Int64
+	decodeBytes, decodeShared atomic.Int64
 }
 
 // NewService wires the HTTP layer over a scheduler. The service starts
@@ -155,14 +157,18 @@ type poolStats struct {
 // node of their own batch never reach the pool, so the pool's hit rate alone
 // understates what is not re-evaluated. The encode_* fields are the encoder's:
 // of the plan nodes /estimate requests carried, how many repeated an earlier
-// subtree of the same request and were copied instead of encoded.
+// subtree of the same request and were copied instead of encoded. The
+// decode_* fields are the decoder's: of the body bytes it accepted, how many
+// repeated an earlier subtree of the same body and were skipped, not scanned.
 type sharingStats struct {
-	NodesPlaced      int64   `json:"nodes_placed"`
-	NodesShared      int64   `json:"nodes_shared"`
-	SharedRate       float64 `json:"shared_rate"`
-	EncodeNodes      int64   `json:"encode_nodes"`
-	EncodeShared     int64   `json:"encode_shared"`
-	EncodeSharedRate float64 `json:"encode_shared_rate"`
+	NodesPlaced       int64   `json:"nodes_placed"`
+	NodesShared       int64   `json:"nodes_shared"`
+	SharedRate        float64 `json:"shared_rate"`
+	EncodeNodes       int64   `json:"encode_nodes"`
+	EncodeShared      int64   `json:"encode_shared"`
+	EncodeSharedRate  float64 `json:"encode_shared_rate"`
+	DecodeBytes       int64   `json:"decode_bytes"`
+	DecodeSharedBytes int64   `json:"decode_shared_bytes"`
 }
 
 // Handler returns the daemon's HTTP mux, every route wrapped in per-request
@@ -246,6 +252,7 @@ func (s *Service) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	resp.Sharing = sharingStats{
 		NodesPlaced: sh.NodesPlaced, NodesShared: sh.NodesShared,
 		EncodeNodes: s.encodeNodes.Load(), EncodeShared: s.encodeShared.Load(),
+		DecodeBytes: s.decodeBytes.Load(), DecodeSharedBytes: s.decodeShared.Load(),
 	}
 	if sh.NodesPlaced > 0 {
 		resp.Sharing.SharedRate = float64(sh.NodesShared) / float64(sh.NodesPlaced)
@@ -352,6 +359,8 @@ func (s *Service) serveEstimate(w http.ResponseWriter, r *http.Request, sc *requ
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
+	s.decodeBytes.Add(int64(sc.body.Len()))
+	s.decodeShared.Add(int64(sc.dec.shared))
 	eps, err := s.enc.EncodeAll(roots, &sc.arena)
 	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)

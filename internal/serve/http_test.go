@@ -227,11 +227,41 @@ func TestHTTPReadinessAndDrain(t *testing.T) {
 func TestHTTPStatsz(t *testing.T) {
 	plans, _ := testCorpus(t, 201, 12)
 	_, _, ts := newTestService(t)
+	// The decoder's counters: body bytes accepted, and those skipped as
+	// repeats of an earlier subtree of the same body.
+	decodeSharing := func() (bytes, shared int64) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/statsz")
+		if err != nil {
+			t.Fatalf("get statsz: %v", err)
+		}
+		defer resp.Body.Close()
+		var st struct {
+			Sharing struct {
+				DecodeBytes       *int64 `json:"decode_bytes"`
+				DecodeSharedBytes *int64 `json:"decode_shared_bytes"`
+			} `json:"sharing"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || st.Sharing.DecodeBytes == nil || st.Sharing.DecodeSharedBytes == nil {
+			t.Fatalf("statsz sharing lacks decode_bytes / decode_shared_bytes (%v)", err)
+		}
+		return *st.Sharing.DecodeBytes, *st.Sharing.DecodeSharedBytes
+	}
+	one := mustMarshal(t, estimateRequest{Plan: EncodeWire(plans[0])})
 	postJSON(t, ts.URL+"/estimate", estimateRequest{Plan: EncodeWire(plans[0])})
+	if n, shared := decodeSharing(); n != int64(len(one)) || shared != 0 {
+		t.Fatalf("after a one-plan body of %d bytes: decode_bytes %d, decode_shared_bytes %d, want %d and 0", len(one), n, shared, len(one))
+	}
 	// The same plan three times in one request, which runs as one batch: the
 	// copies after the first alias it in-batch.
 	same := EncodeWire(plans[1])
 	postJSON(t, ts.URL+"/estimate", estimateRequest{Plans: []*WirePlan{same, same, same}})
+	three := mustMarshal(t, estimateRequest{Plans: []*WirePlan{same, same, same}})
+	copies := 2 * int64(len(mustMarshal(t, same)))
+	if n, shared := decodeSharing(); n != int64(len(one)+len(three)) || shared < copies {
+		t.Fatalf("after the three-copy body: decode_bytes %d, decode_shared_bytes %d, want %d and at least the two copies' %d",
+			n, shared, len(one)+len(three), copies)
+	}
 
 	resp, err := http.Get(ts.URL + "/statsz")
 	if err != nil {

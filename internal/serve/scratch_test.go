@@ -114,13 +114,34 @@ func TestScratchRetentionCap(t *testing.T) {
 	// The node-densest plan the bounds allow (a 255-node join tree of bare
 	// scans), repeated until the body is as large as a body may be. Every copy
 	// shares the first one's encoding, so it is the body buffer and the node
-	// slabs that grow, not the feature vectors.
-	plan := mustMarshal(t, wireJoinTree(MaxPlanNodes/2))
+	// slabs that grow, not the feature vectors. The decoder builds a subtree
+	// once per body when its bytes repeat, so every leaf of every copy carries
+	// its own run of whitespace: each subtree's bytes are unique, and the
+	// slabs grow by every node the body holds.
+	leaves := 0
+	var tree func(n int) []byte
+	tree = func(n int) []byte {
+		if n > 1 {
+			return []byte(`{"op":"hashjoin","left":` + string(tree(n/2)) + `,"right":` + string(tree(n-n/2)) + `}`)
+		}
+		leaf := []byte(`{"op":"seqscan","table":"title"`)
+		for bit := range 16 {
+			leaf = append(leaf, " \t"[leaves>>bit&1])
+		}
+		leaves++
+		return append(leaf, '}')
+	}
 	big := []byte(`{"plans":[`)
-	for len(big)+2*len(plan)+3 <= 1<<20 {
+	for plan := tree(MaxPlanNodes / 2); len(big)+len(plan)+2 <= 1<<20; plan = tree(MaxPlanNodes / 2) {
 		big = append(append(big, plan...), ',')
 	}
-	big = append(append(big, plan...), "]}"...)
+	big[len(big)-1] = ']'
+	big = append(big, '}')
+	var dec decoder
+	if _, _, err := dec.decode(big); err != nil || dec.shared != 0 || len(big)+dec.retained() <= maxScratchBytes {
+		t.Fatalf("the 1 MiB body decodes with error %v, %d bytes shared, %d retained with the body: want a scratch past the cap",
+			err, dec.shared, len(big)+dec.retained())
+	}
 	// Answered 200 (one group, run inline on the idle scheduler), or 503 had
 	// it found every slot busy with more plans than the queue (256) holds;
 	// decoded and encoded either way.
