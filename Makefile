@@ -7,7 +7,7 @@ PKGS := ./...
 BENCH_OUT ?= BENCH_INFERENCE.json
 BENCH_SERVE_OUT ?= BENCH_SERVE.json
 
-.PHONY: all build vet fmt-check lint static-tools test test-fault test-fuzz test-replica check bench bench-json bench-serve clean
+.PHONY: all build vet fmt-check lint static-tools test test-fault test-fuzz test-replica check bench bench-json bench-serve loc clean
 
 all: check
 
@@ -94,6 +94,11 @@ bench-json:
 # (throughput, p99 latency, mean coalesced batch size).
 bench-serve:
 	./scripts/bench_json.sh $(BENCH_SERVE_OUT) serve
+
+# Non-test Go lines by ROADMAP's counting rule; a PR reports its net change
+# as the difference of this figure at the parent and at its head.
+loc:
+	@./scripts/count_lines.sh
 
 clean:
 	$(GO) clean $(PKGS)

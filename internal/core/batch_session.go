@@ -6,6 +6,7 @@ import (
 
 	"costest/internal/feature"
 	"costest/internal/nn"
+	"costest/internal/plan"
 	"costest/internal/tensor"
 )
 
@@ -57,12 +58,12 @@ type BatchSession struct {
 
 	// In-batch sub-plan sharing (inference passes). rep maps each placed
 	// global node id to its representative — itself, or the earlier node of
-	// this batch with the same signature, whose G/R rows it reads instead of
+	// this batch with the same plan.ID, whose G/R rows it reads instead of
 	// being evaluated; -1 marks a node skipped inside a shared or pooled
-	// subtree. seen is the per-call signature table behind it. placed/shared
-	// count this call's placements and how many of them were aliases.
+	// subtree. seen is the per-call ID table behind it. placed/shared count
+	// this call's placements and how many of them were aliases.
 	rep            []int32
-	seen           map[string]placement
+	seen           map[plan.ID]placement
 	placed, shared int
 
 	// Node slabs: embedding, G/R representations, tanh(G) cache (training).
@@ -127,7 +128,7 @@ type BatchSession struct {
 	fnBwdPredGrads, fnBwdPredScatter    func(int)
 }
 
-// placement records where the first occurrence of a signature landed: its
+// placement records where the first occurrence of a sub-plan landed: its
 // global node id and level (-1 when the pool served it).
 type placement struct{ id, level int32 }
 
@@ -144,7 +145,7 @@ func NewBatchSession(m *Model) *BatchSession {
 	s := &BatchSession{
 		m: m, de: m.embedDim(), dh: m.Cfg.Hidden, eh: m.Cfg.EstHidden,
 		epd: m.ePred, atomDim: m.Enc.AtomDim(),
-		seen: make(map[string]placement),
+		seen: make(map[plan.ID]placement),
 	}
 	s.bindKernels()
 	s.bindBackwardKernels()
@@ -172,7 +173,7 @@ func (s *BatchSession) EstimateBatch(eps []*feature.EncodedPlan, workers int) []
 }
 
 // EstimateBatchWithPool is EstimateBatch with a representation memory pool
-// (Section 3): sub-plans whose signatures hit the pool have their stored
+// (Section 3): sub-plans whose IDs hit the pool have their stored
 // G/R injected into the batch slabs up front and their subtrees skip the
 // level sweep entirely; newly computed sub-plan representations are
 // inserted afterwards. The returned slice is owned by the session.
@@ -223,12 +224,11 @@ func (s *BatchSession) flatOf(plan int, node int32, pidx int) int {
 	return s.predBase[s.offsets[plan]+int(node)] + pidx
 }
 
-// releasePlans drops the session's references to the last batch's plans and
-// their signature strings (the item/level lists hold only indices) so an idle
+// releasePlans drops the session's references to the last batch's plans (the
+// item/level lists hold only indices, the ID table only values) so an idle
 // pooled session does not pin caller memory. Arenas stay warm.
 func (s *BatchSession) releasePlans() {
 	s.eps = nil
-	clear(s.seen)
 }
 
 // parRun executes fn(0..n-1), inline when the session is single-worker and
@@ -305,7 +305,7 @@ func (s *BatchSession) run(eps []*feature.EncodedPlan, pool *MemoryPool, workers
 // slabs, and builds the level lists. Training passes take every node (each
 // is supervised and keeps its own gradient slot). Inference passes evaluate
 // each distinct sub-plan once: subtrees the memory pool holds have their
-// representations injected into gBuf/rBuf, and a node whose signature already
+// representations injected into gBuf/rBuf, and a node whose ID already
 // occurred in this batch becomes an alias of that first occurrence. The pool
 // alone cannot see such duplicates — it is asked here, before any row of the
 // batch exists, and filled by insertAll afterwards.
@@ -383,7 +383,7 @@ func (s *BatchSession) layout(pool *MemoryPool) {
 }
 
 // placeNode assigns the subtree at idx to level lists and returns the level
-// of the node's representation, -1 when the pool served it. A signature seen
+// of the node's representation, -1 when the pool served it. A sub-plan seen
 // earlier in this batch aliases that node and its subtree is not visited; a
 // sub-plan the pool holds has its G/R copied straight into the slabs so
 // parents and heads read them like computed rows; anything else becomes a
@@ -392,15 +392,15 @@ func (s *BatchSession) placeNode(pi int, ep *feature.EncodedPlan, idx int, pool 
 	node := &ep.Nodes[idx]
 	id := s.offsets[pi] + idx
 	s.placed++
-	if first, ok := s.seen[node.Sig]; ok {
+	if first, ok := s.seen[node.ID]; ok {
 		s.shared++
 		s.rep[id] = first.id
 		return int(first.level)
 	}
 	s.rep[id] = int32(id)
 	if pool != nil {
-		if pool.GetGen(node.Sig, s.poolGen, s.gOf(id), s.rOf(id)) {
-			s.seen[node.Sig] = placement{int32(id), -1}
+		if pool.GetGen(node.ID, s.poolGen, s.gOf(id), s.rOf(id)) {
+			s.seen[node.ID] = placement{int32(id), -1}
 			return -1
 		}
 	}
@@ -413,7 +413,7 @@ func (s *BatchSession) placeNode(pi int, ep *feature.EncodedPlan, idx int, pool 
 	}
 	h++
 	s.levels[h] = append(s.levels[h], levelItem{plan: pi, node: int32(idx)})
-	s.seen[node.Sig] = placement{int32(id), int32(h)}
+	s.seen[node.ID] = placement{int32(id), int32(h)}
 	return h
 }
 
@@ -423,7 +423,7 @@ func (s *BatchSession) placeNode(pi int, ep *feature.EncodedPlan, idx int, pool 
 func (s *BatchSession) insertAll(pool *MemoryPool) {
 	for _, it := range s.all {
 		id := s.offsets[it.plan] + int(it.node)
-		pool.PutGen(s.eps[it.plan].Nodes[it.node].Sig, s.gOf(id), s.rOf(id), s.poolGen)
+		pool.PutGen(s.eps[it.plan].Nodes[it.node].ID, s.gOf(id), s.rOf(id), s.poolGen)
 	}
 }
 

@@ -129,14 +129,14 @@ func TestEstimateBatchWithPoolEvictedCardNode(t *testing.T) {
 		}
 		full := NewMemoryPool()
 		m.EstimateBatchWithPool(eps[i:i+1], full, 1)
-		g, r, ok := pooledCopy(full, m, ep.Nodes[ep.Root].Sig, full.Generation())
+		g, r, ok := pooledCopy(full, m, ep.Nodes[ep.Root].ID, full.Generation())
 		if !ok {
 			t.Fatal("root representation missing from warm pool")
 		}
 		// A pool holding only the root: Get(root) hits, Get(cardNode)
 		// misses — exactly the post-eviction shape.
 		pool := NewMemoryPool()
-		pool.PutGen(ep.Nodes[ep.Root].Sig, g, r, pool.Generation())
+		pool.PutGen(ep.Nodes[ep.Root].ID, g, r, pool.Generation())
 		got := m.EstimateBatchWithPool(eps[i:i+1], pool, 1)
 		// Recomputing the card subtree regroups its GEMM levels, but the
 		// canonical kernel order makes level grouping irrelevant to the

@@ -209,7 +209,7 @@ func oracleMatrix(t *testing.T, run func(m *Model, eps []*feature.EncodedPlan, p
 				}
 				rootsOnly := NewMemoryPool()
 				for _, ep := range eps {
-					sig := ep.Nodes[ep.Root].Sig
+					sig := ep.Nodes[ep.Root].ID
 					g, r, ok := pooledCopy(full, m, sig, full.Generation())
 					if !ok {
 						t.Fatalf("%s: root representation missing from warm pool", variant.name)
@@ -358,18 +358,18 @@ func TestInBatchSharingMatchesOracle(t *testing.T) {
 				// The rows this pass must evaluate: walk every plan from its
 				// root, and again from its cardinality node, stopping at
 				// what the pool serves.
-				distinct := map[string]bool{}
+				distinct := map[plan.ID]bool{}
 				var walk func(ep *feature.EncodedPlan, i int)
 				walk = func(ep *feature.EncodedPlan, i int) {
 					if i < 0 {
 						return
 					}
 					if pool != nil {
-						if pool.GetGen(ep.Nodes[i].Sig, pool.Generation(), nil, nil) {
+						if pool.GetGen(ep.Nodes[i].ID, pool.Generation(), nil, nil) {
 							return
 						}
 					}
-					distinct[ep.Nodes[i].Sig] = true
+					distinct[ep.Nodes[i].ID] = true
 					walk(ep, ep.Nodes[i].Left)
 					walk(ep, ep.Nodes[i].Right)
 				}
@@ -399,7 +399,7 @@ func TestInBatchSharingMatchesOracle(t *testing.T) {
 			check("warm pool", full)
 			rootsOnly := NewMemoryPool()
 			for _, ep := range eps {
-				sig := ep.Nodes[ep.Root].Sig
+				sig := ep.Nodes[ep.Root].ID
 				g, r, ok := pooledCopy(full, m, sig, full.Generation())
 				if !ok {
 					t.Fatalf("%s: root representation missing from warm pool", variant.name)

@@ -1,14 +1,15 @@
 package core
 
 import (
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
+
+	"costest/internal/plan"
 )
 
 // poolShardCount is the number of independent shards a MemoryPool splits its
-// signature space across. Must be a power of two so the shard index is a
-// cheap mask of the signature hash.
+// sub-plan space across. Must be a power of two so the shard index is a cheap
+// mask of the sub-plan's ID.
 const poolShardCount = 32
 
 // Doorkeeper sizing, both relative to a bounded pool's residency bound: the
@@ -24,18 +25,16 @@ const (
 )
 
 // MemoryPool is the Representation Memory Pool of Section 3: a mapping from
-// sub-plan signatures to their learned representations, letting the online
+// sub-plan IDs (plan.ID) to their learned representations, letting the online
 // estimator skip re-evaluating sub-plans the optimizer has asked about
 // before. It is safe for concurrent use.
 //
-// Every operation hashes the signature once (maphash): the hash picks the
-// shard, keys the shard's map and, in a bounded pool, the doorkeeper bit. A
-// hash match is confirmed against the stored signature, so a collision is a
-// miss (GetGen) or a replacement (PutGen), never a wrong answer. The
-// statistics are per-shard atomics, so the read path takes only one shard's
-// RLock and writes only that shard's cache lines — concurrent optimizer
-// threads probing the pool neither serialize on a single mutex nor contend
-// on a shared counter.
+// The ID is already a keyed hash, so the pool hashes nothing: the ID's low
+// bits pick the shard, its second half the doorkeeper bit, and the whole
+// 128-bit ID keys the shard's map. The statistics are per-shard atomics, so
+// the read path takes only one shard's RLock and writes only that shard's
+// cache lines — concurrent optimizer threads probing the pool neither
+// serialize on a single mutex nor contend on a shared counter.
 //
 // Pooled representations are functions of the model weights, so a pool
 // serving a hot-swappable model is generation-tagged: every entry records
@@ -53,7 +52,7 @@ type MemoryPool struct {
 	// long-lived serving process from growing without limit. Fixed at
 	// construction.
 	maxPerShard int
-	// door admits a signature to a full shard of a bounded pool on its
+	// door admits a sub-plan to a full shard of a bounded pool on its
 	// second sighting; nil for an unbounded pool, which evicts nothing and
 	// admits every offer.
 	door *doorkeeper
@@ -66,7 +65,7 @@ type MemoryPool struct {
 
 type poolShard struct {
 	mu sync.RWMutex
-	m  map[uint64]*poolEntry
+	m  map[plan.ID]*poolEntry
 	// ring holds a bounded shard's entries in clock order; its capacity is
 	// the shard bound and never grows, so entries are addressed in place and
 	// a full shard recycles a victim's slot — storage included — for the
@@ -88,12 +87,11 @@ type poolShard struct {
 	_                  [16]byte
 }
 
-// poolEntry owns its storage: the signature bytes and the G/R vectors are
-// rewritten in place when the entry is refreshed or its slot recycled, and
-// readers copy out under the shard lock, so no caller ever holds pool memory.
+// poolEntry owns its storage: the G/R vectors are rewritten in place when the
+// entry is refreshed or its slot recycled, and readers copy out under the
+// shard lock, so no caller ever holds pool memory.
 type poolEntry struct {
-	hash uint64
-	sig  []byte
+	id   plan.ID
 	g, r []float64
 	// gen is the snapshot generation the representation was computed under.
 	gen uint64
@@ -106,17 +104,11 @@ type poolEntry struct {
 	ref atomic.Bool
 }
 
-// holds reports whether the entry stores sig (the comparison converts
-// without copying).
-func (e *poolEntry) holds(sig string) bool { return string(e.sig) == sig }
-
 // store overwrites the entry's contents in place; its buffers grow only when
 // the new contents outgrow them.
 //
 // costlint:noalloc
-func (e *poolEntry) store(sig string, g, r []float64, gen uint64) {
-	e.sig = e.sig[:0]
-	e.sig = append(e.sig, sig...)
+func (e *poolEntry) store(g, r []float64, gen uint64) {
 	e.g = e.g[:0]
 	e.g = append(e.g, g...)
 	e.r = e.r[:0]
@@ -125,15 +117,15 @@ func (e *poolEntry) store(sig string, g, r []float64, gen uint64) {
 }
 
 // doorkeeper is TinyLFU's admission filter (Einziger, Friedman & Manes, ACM
-// TOS 2017): one bit per hashed signature records that it has been offered
-// before. A sub-plan that never recurs costs one bit and is never stored, so
-// one-offs neither allocate nor evict the entries that do recur. The bits
-// are atomics, so marking takes no lock; after a fixed number of fresh bits
-// the filter is cleared, bounding both its false-positive rate and how long
-// a sighting counts.
+// TOS 2017): one bit per sub-plan, picked by its ID, records that it has been
+// offered before. A sub-plan that never recurs costs one bit and is never
+// stored, so one-offs neither allocate nor evict the entries that do recur.
+// The bits are atomics, so marking takes no lock; after a fixed number of
+// fresh bits the filter is cleared, bounding both its false-positive rate and
+// how long a sighting counts.
 type doorkeeper struct {
 	bits []atomic.Uint64
-	// mask selects a bit index from the hash's upper half (the low bits pick
+	// mask selects a bit index from the ID's second half (the first picks
 	// the shard).
 	mask       uint64
 	resetEvery uint64
@@ -159,7 +151,7 @@ func newDoorkeeper(bound int) *doorkeeper {
 //
 // costlint:noalloc
 func (d *doorkeeper) mark(h uint64) bool {
-	i := (h >> 32) & d.mask
+	i := h & d.mask
 	w, b := &d.bits[i/64], uint64(1)<<(i%64)
 	// A CAS loop rather than Uint64.Or: go1.24.0 on amd64 clobbers a
 	// register when Or's result is used.
@@ -199,7 +191,7 @@ func NewMemoryPool() *MemoryPool {
 // it is enforced per shard.
 //
 // Once a shard is full, so that admitting means evicting, a bounded pool
-// admits a signature on its second sighting: the first PutGen only sets its
+// admits a sub-plan on its second sighting: the first PutGen only sets its
 // doorkeeper bit, so a one-off sub-plan costs no lock, no allocation and no
 // eviction. Until then every offer is admitted, since it evicts nothing. A
 // resident entry found stale by GetGen has already proven that it recurs, so
@@ -207,8 +199,8 @@ func NewMemoryPool() *MemoryPool {
 //
 // Eviction follows a per-shard clock/second-chance policy: every GetGen
 // marks its entry referenced, and the clock sweep evicts the first entry it
-// finds unreferenced, clearing marks as it passes. Hot sub-plan signatures
-// (the optimizer re-probing common join prefixes) therefore survive a stream
+// finds unreferenced, clearing marks as it passes. Hot sub-plans (the
+// optimizer re-probing common join prefixes) therefore survive a stream
 // of colder admissions. Entries already evicted for generation staleness are
 // reclaimed by the sweep before anything live.
 func NewBoundedMemoryPool(maxEntries int) *MemoryPool {
@@ -218,15 +210,11 @@ func NewBoundedMemoryPool(maxEntries int) *MemoryPool {
 		p.door = newDoorkeeper(p.Bound())
 	}
 	for i := range p.shards {
-		p.shards[i].m = make(map[uint64]*poolEntry, p.maxPerShard)
+		p.shards[i].m = make(map[plan.ID]*poolEntry, p.maxPerShard)
 		p.shards[i].ring = make([]poolEntry, 0, p.maxPerShard)
 	}
 	return p
 }
-
-// poolHashSeed keys the signature hash; one process-wide seed keeps sharding
-// deterministic within a run while defeating adversarial signature layouts.
-var poolHashSeed = maphash.MakeSeed()
 
 // Generation returns the pool's current generation.
 func (p *MemoryPool) Generation() uint64 { return p.gen.Load() }
@@ -245,23 +233,22 @@ func (p *MemoryPool) SetGeneration(gen uint64) {
 	}
 }
 
-// GetGen copies the stored representation of a sub-plan signature into g and
-// r and reports whether there was one, marking the entry referenced for the
+// GetGen copies the stored representation of a sub-plan into g and r and
+// reports whether there was one, marking the entry referenced for the
 // second-chance eviction sweep. It is pinned to the caller's snapshot
 // generation: it serves a representation only if the entry was recorded
 // under exactly gen, so a request serving snapshot N can never consume
 // weights-dependent state from snapshot N±1, even while a publish is in
-// flight. An entry found under another generation marks the signature's
+// flight. An entry found under another generation marks the sub-plan's
 // doorkeeper bit (it recurs), and one older than the pool's current
 // generation is lazily evicted.
 //
 // costlint:noalloc
-func (p *MemoryPool) GetGen(sig string, gen uint64, g, r []float64) bool {
-	h := maphash.String(poolHashSeed, sig)
-	s := &p.shards[h&(poolShardCount-1)]
+func (p *MemoryPool) GetGen(id plan.ID, gen uint64, g, r []float64) bool {
+	s := &p.shards[id[0]&(poolShardCount-1)]
 	s.mu.RLock()
-	e := s.m[h]
-	if e == nil || !e.holds(sig) {
+	e := s.m[id]
+	if e == nil {
 		s.mu.RUnlock()
 		s.misses.Add(1)
 		return false
@@ -281,15 +268,15 @@ func (p *MemoryPool) GetGen(sig string, gen uint64, g, r []float64) bool {
 	s.stale.Add(1)
 	s.misses.Add(1)
 	if p.door != nil {
-		p.door.mark(h)
+		p.door.mark(id[1])
 	}
 	if egen < p.gen.Load() {
 		// The entry belongs to a superseded generation: evict it now rather
 		// than letting dead weight crowd the shard. Re-check under the write
 		// lock — a concurrent PutGen may have refreshed or replaced it.
 		s.mu.Lock()
-		if e := s.m[h]; e != nil && e.gen < p.gen.Load() && e.holds(sig) {
-			delete(s.m, h)
+		if e := s.m[id]; e != nil && e.gen < p.gen.Load() {
+			delete(s.m, id)
 			e.dead = true
 			e.ref.Store(false)
 		}
@@ -298,15 +285,15 @@ func (p *MemoryPool) GetGen(sig string, gen uint64, g, r []float64) bool {
 	return false
 }
 
-// PutGen stores a representation (copied) under the signature, tagged with
-// the snapshot generation it was computed under — the caller's generation,
-// not the pool's, so a request that resolved its snapshot before a publish
-// records its entries honestly and they are rejected (not served) by readers
-// of the new generation.
+// PutGen stores a representation (copied) under the sub-plan's ID, tagged
+// with the snapshot generation it was computed under — the caller's
+// generation, not the pool's, so a request that resolved its snapshot before
+// a publish records its entries honestly and they are rejected (not served)
+// by readers of the new generation.
 //
-// A full shard of a bounded pool admits only a signature it has seen before
+// A full shard of a bounded pool admits only a sub-plan it has seen before
 // (see NewBoundedMemoryPool); a first sighting sets its doorkeeper bit and
-// returns. An admitted signature that is resident is refreshed in place.
+// returns. An admitted sub-plan that is resident is refreshed in place.
 // Otherwise it takes a ring slot: a free one while the shard fills, then the
 // clock victim's — slots holding generation-evicted (dead) entries first,
 // entries referenced since the last pass getting a second chance (their bit
@@ -316,26 +303,25 @@ func (p *MemoryPool) GetGen(sig string, gen uint64, g, r []float64) bool {
 // PutGen into a full shard allocates nothing.
 //
 // costlint:noalloc
-func (p *MemoryPool) PutGen(sig string, g, r []float64, gen uint64) {
-	h := maphash.String(poolHashSeed, sig)
-	s := &p.shards[h&(poolShardCount-1)]
-	if p.door != nil && s.full.Load() && !p.door.mark(h) {
+func (p *MemoryPool) PutGen(id plan.ID, g, r []float64, gen uint64) {
+	s := &p.shards[id[0]&(poolShardCount-1)]
+	if p.door != nil && s.full.Load() && !p.door.mark(id[1]) {
 		s.declined.Add(1)
 		return
 	}
 	s.admitted.Add(1)
 	s.mu.Lock()
-	e := s.m[h]
+	e := s.m[id]
 	if e == nil {
 		e = s.claim(p.maxPerShard)
-		e.hash = h
-		s.m[h] = e
+		e.id = id
+		s.m[id] = e
 	}
-	e.store(sig, g, r, gen)
+	e.store(g, r, gen)
 	s.mu.Unlock()
 }
 
-// claim returns the slot for a signature new to the shard: a fresh entry in
+// claim returns the slot for a sub-plan new to the shard: a fresh entry in
 // an unbounded pool; in a bounded one the next unused ring slot while the
 // shard fills, then the clock victim, unlinked from the map. The caller
 // holds the shard write lock.
@@ -358,7 +344,7 @@ func (s *poolShard) claim(max int) *poolEntry {
 		if v.ref.CompareAndSwap(true, false) {
 			continue
 		}
-		delete(s.m, v.hash)
+		delete(s.m, v.id)
 		return v
 	}
 }

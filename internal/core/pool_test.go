@@ -1,19 +1,28 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"unsafe"
+
+	"costest/internal/plan"
 )
 
-// pooledCopy returns a copy of the representation p holds for sig at gen.
-func pooledCopy(p *MemoryPool, m *Model, sig string, gen uint64) (g, r []float64, ok bool) {
-	g, r = make([]float64, m.Cfg.Hidden), make([]float64, m.Cfg.Hidden)
-	return g, r, p.GetGen(sig, gen, g, r)
+// testID is a sub-plan ID for tests: distinct for each i, its halves mixed
+// like a hash's so that shards and doorkeeper bits spread as they do in
+// serving.
+func testID(i int) plan.ID {
+	mix := func(x uint64) uint64 { x ^= x >> 33; x *= 0xff51afd7ed558ccd; return x ^ x>>33 }
+	return plan.ID{mix(uint64(i)), mix(^uint64(i))}
 }
 
-// fillPool offers distinct signatures until every shard of the bounded pool
+// pooledCopy returns a copy of the representation p holds for id at gen.
+func pooledCopy(p *MemoryPool, m *Model, id plan.ID, gen uint64) (g, r []float64, ok bool) {
+	g, r = make([]float64, m.Cfg.Hidden), make([]float64, m.Cfg.Hidden)
+	return g, r, p.GetGen(id, gen, g, r)
+}
+
+// fillPool offers distinct sub-plans until every shard of the bounded pool
 // p is full, so that admitting anything more evicts.
 func fillPool(t *testing.T, p *MemoryPool) {
 	t.Helper()
@@ -29,35 +38,36 @@ func fillPool(t *testing.T, p *MemoryPool) {
 		if i > 100*p.Bound() {
 			t.Fatal("the pool never filled")
 		}
-		p.PutGen(fmt.Sprintf("filler-%d", i), g, r, 0)
+		p.PutGen(testID(i), g, r, 0)
 	}
 }
 
 // TestPoolAdmitsOnSecondSighting: a bounded pool with a free slot keeps a
-// first offer (it evicts nothing); once full, it turns a signature's first
+// first offer (it evicts nothing); once full, it turns a sub-plan's first
 // offer away and keeps its second. An unbounded pool keeps every first offer.
 func TestPoolAdmitsOnSecondSighting(t *testing.T) {
 	g := []float64{1, 2}
 	r := []float64{3, 4}
+	early, once := testID(-1), testID(-2)
 	p := NewBoundedMemoryPool(64)
-	p.PutGen("early", g, r, 0)
-	if !p.GetGen("early", 0, nil, nil) || p.Declined() != 0 {
+	p.PutGen(early, g, r, 0)
+	if !p.GetGen(early, 0, nil, nil) || p.Declined() != 0 {
 		t.Fatal("a pool with free slots declined a first offer")
 	}
 	fillPool(t, p)
 	p.door.reset() // forget the fillers' sightings: one could share a bit with "once"
 	admitted, declined := p.Admitted(), p.Declined()
-	p.PutGen("once", g, r, 0)
-	if p.GetGen("once", 0, nil, nil) {
+	p.PutGen(once, g, r, 0)
+	if p.GetGen(once, 0, nil, nil) {
 		t.Fatal("a one-off offer to a full pool became resident")
 	}
 	if p.Admitted() != admitted || p.Declined() != declined+1 {
 		t.Fatalf("admitted %d → %d, declined %d → %d after one first sighting",
 			admitted, p.Admitted(), declined, p.Declined())
 	}
-	p.PutGen("once", g, r, 0)
+	p.PutGen(once, g, r, 0)
 	gg, rr := make([]float64, 2), make([]float64, 2)
-	if !p.GetGen("once", 0, gg, rr) || gg[1] != 2 || rr[0] != 3 {
+	if !p.GetGen(once, 0, gg, rr) || gg[1] != 2 || rr[0] != 3 {
 		t.Fatal("the second offer was not admitted")
 	}
 	if p.Admitted() != admitted+1 || p.Declined() != declined+1 {
@@ -66,45 +76,46 @@ func TestPoolAdmitsOnSecondSighting(t *testing.T) {
 	}
 
 	u := NewMemoryPool()
-	u.PutGen("once", g, r, 0)
-	if !u.GetGen("once", 0, nil, nil) || u.Declined() != 0 {
+	u.PutGen(once, g, r, 0)
+	if !u.GetGen(once, 0, nil, nil) || u.Declined() != 0 {
 		t.Fatal("an unbounded pool declined a first offer")
 	}
 }
 
 // TestPoolStaleLookupAdmitsRefresh: a resident entry found stale has proven
 // that it recurs, so the refresh that follows a publish is admitted even
-// after the doorkeeper has forgotten the signature. A resident signature
+// after the doorkeeper has forgotten the sub-plan. A resident sub-plan
 // that nobody looked up since is the control: its refresh is declined.
 func TestPoolStaleLookupAdmitsRefresh(t *testing.T) {
 	g := []float64{1, 2}
 	r := []float64{3, 4}
 	p := NewBoundedMemoryPool(64)
 	fillPool(t, p)
-	for _, sig := range []string{"looked-up", "control"} {
-		p.PutGen(sig, g, r, 1)
-		p.PutGen(sig, g, r, 1)
-		if !p.GetGen(sig, 1, nil, nil) {
-			t.Fatalf("%q not resident after its second sighting", sig)
+	lookedUp, control := testID(-1), testID(-2)
+	for _, id := range []plan.ID{lookedUp, control} {
+		p.PutGen(id, g, r, 1)
+		p.PutGen(id, g, r, 1)
+		if !p.GetGen(id, 1, nil, nil) {
+			t.Fatalf("%x not resident after its second sighting", id)
 		}
 	}
 	p.door.reset() // forget every sighting, as the periodic reset does
 	p.SetGeneration(2)
-	if p.GetGen("looked-up", 2, nil, nil) {
+	if p.GetGen(lookedUp, 2, nil, nil) {
 		t.Fatal("a generation-1 entry served a generation-2 caller")
 	}
-	p.PutGen("looked-up", g, r, 2)
-	if !p.GetGen("looked-up", 2, nil, nil) {
+	p.PutGen(lookedUp, g, r, 2)
+	if !p.GetGen(lookedUp, 2, nil, nil) {
 		t.Fatal("the refresh after a stale lookup was not admitted")
 	}
-	p.PutGen("control", g, r, 2)
-	if p.GetGen("control", 2, nil, nil) {
-		t.Fatal("control: a forgotten signature was admitted without a stale lookup; the test is vacuous")
+	p.PutGen(control, g, r, 2)
+	if p.GetGen(control, 2, nil, nil) {
+		t.Fatal("control: a forgotten sub-plan was admitted without a stale lookup; the test is vacuous")
 	}
 }
 
 // TestPoolWarmPathZeroAlloc: once a bounded pool is full and its slots have
-// grown to the signatures' size, admitting a new signature recycles the clock
+// grown to the vectors' size, admitting a new sub-plan recycles the clock
 // victim's storage and a lookup copies out — neither allocates.
 func TestPoolWarmPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -113,11 +124,11 @@ func TestPoolWarmPathZeroAlloc(t *testing.T) {
 	const bound = 256
 	p := NewBoundedMemoryPool(bound)
 	g, r := make([]float64, 16), make([]float64, 16)
-	sigs := make([]string, 8*bound)
+	sigs := make([]plan.ID, 8*bound)
 	for i := range sigs {
-		sigs[i] = fmt.Sprintf("join(scan(title),scan(movie_info))#%06d", i)
+		sigs[i] = testID(i)
 	}
-	offer := func(sig string) {
+	offer := func(sig plan.ID) {
 		p.PutGen(sig, g, r, 0)
 		p.PutGen(sig, g, r, 0)
 	}
@@ -148,8 +159,8 @@ func TestPoolWarmPathZeroAlloc(t *testing.T) {
 
 // TestPoolRecycledSlotsNeverTorn hammers a small bounded pool from writers
 // and readers at once, so slots are recycled under concurrent lookups. Each
-// signature's G/R is a known function of it; a hit must return exactly that
-// vector, never a mix of two signatures' (run under -race).
+// sub-plan's G/R is a known function of it; a hit must return exactly that
+// vector, never a mix of two sub-plans' (run under -race).
 func TestPoolRecycledSlotsNeverTorn(t *testing.T) {
 	const (
 		dim     = 32
@@ -158,9 +169,9 @@ func TestPoolRecycledSlotsNeverTorn(t *testing.T) {
 		rounds  = 4000
 	)
 	p := NewBoundedMemoryPool(64) // 2 slots per shard: constant recycling
-	sigs := make([]string, nsigs)
+	sigs := make([]plan.ID, nsigs)
 	for i := range sigs {
-		sigs[i] = fmt.Sprintf("sub-plan-%d", i)
+		sigs[i] = testID(i)
 	}
 	vec := func(i int, sign float64) []float64 {
 		v := make([]float64, dim)
@@ -192,7 +203,7 @@ func TestPoolRecycledSlotsNeverTorn(t *testing.T) {
 				hits[w]++
 				for j := 0; j < dim; j++ {
 					if g[j] != float64(i*dim+j) || r[j] != -float64(i*dim+j) {
-						t.Errorf("signature %d: torn vector at %d: g=%v r=%v", i, j, g[j], r[j])
+						t.Errorf("sub-plan %d: torn vector at %d: g=%v r=%v", i, j, g[j], r[j])
 						return
 					}
 				}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"costest/internal/feature"
+	"costest/internal/plan"
 )
 
 // Server is the hot-swap serving runtime: it binds the batch sessions and
@@ -83,17 +85,17 @@ type Server struct {
 	nodesPlaced, nodesShared atomic.Int64
 }
 
-// hotTracker records how often each distinct plan (keyed by its root
-// signature) has been served, so a publish can replay the hottest ones
-// through the new snapshot. Hit counts are halved at each replay, so the hot
-// set adapts as the workload drifts. It is the one component that keeps a
-// served plan past its request, and a request's plans live in storage the
-// caller recycles (feature.Arena), so it keeps its own deep copy of each plan
-// it admits; cap the working set with the EnablePrewarm limit.
+// hotTracker records how often each distinct plan (keyed by its root's ID)
+// has been served, so a publish can replay the hottest ones through the new
+// snapshot. Hit counts are halved at each replay, so the hot set adapts as
+// the workload drifts. It is the one component that keeps a served plan past
+// its request, and a request's plans live in storage the caller recycles
+// (feature.Arena), so it keeps its own deep copy of each plan it admits; cap
+// the working set with the EnablePrewarm limit.
 type hotTracker struct {
 	mu    sync.Mutex
 	limit int
-	plans map[string]*hotPlan
+	plans map[plan.ID]*hotPlan
 	// scratch buffers reused across replays.
 	order []*hotPlan
 	batch []*feature.EncodedPlan
@@ -106,21 +108,20 @@ type hotPlan struct {
 
 // track counts one served plan. New plans are admitted while the tracked set
 // is under twice the replay limit; replays prune it back down. An admitted
-// plan is cloned, and keyed by the clone's signature: neither the map nor a
-// later replay may point into the caller's memory.
+// plan is cloned: neither the map nor a later replay may point into the
+// caller's memory.
 func (tr *hotTracker) track(ep *feature.EncodedPlan) {
 	tr.mu.Lock()
-	if hp := tr.plans[ep.Nodes[ep.Root].Sig]; hp != nil {
+	if hp := tr.plans[ep.Nodes[ep.Root].ID]; hp != nil {
 		hp.hits++
 	} else if len(tr.plans) < 2*tr.limit {
-		own := ep.Clone()
-		tr.plans[own.Nodes[own.Root].Sig] = &hotPlan{ep: own, hits: 1}
+		tr.plans[ep.Nodes[ep.Root].ID] = &hotPlan{ep: ep.Clone(), hits: 1}
 	}
 	tr.mu.Unlock()
 }
 
 // topPlans returns the hottest tracked plans (at most the replay limit, hit
-// count descending, root signature as the deterministic tie-break), halves
+// count descending, ties broken by the ordering of the root IDs), halves
 // every hit count, and prunes cooled-off entries beyond the limit.
 func (tr *hotTracker) topPlans() []*feature.EncodedPlan {
 	tr.mu.Lock()
@@ -133,14 +134,14 @@ func (tr *hotTracker) topPlans() []*feature.EncodedPlan {
 		if tr.order[i].hits != tr.order[j].hits {
 			return tr.order[i].hits > tr.order[j].hits
 		}
-		return tr.order[i].ep.Nodes[tr.order[i].ep.Root].Sig < tr.order[j].ep.Nodes[tr.order[j].ep.Root].Sig
+		return slices.Compare(tr.order[i].ep.Nodes[tr.order[i].ep.Root].ID[:], tr.order[j].ep.Nodes[tr.order[j].ep.Root].ID[:]) < 0
 	})
 	tr.batch = tr.batch[:0]
 	for i, hp := range tr.order {
 		if i < tr.limit {
 			tr.batch = append(tr.batch, hp.ep)
 		} else if hp.hits <= 1 {
-			delete(tr.plans, hp.ep.Nodes[hp.ep.Root].Sig)
+			delete(tr.plans, hp.ep.Nodes[hp.ep.Root].ID)
 		}
 		hp.hits /= 2
 	}
@@ -331,7 +332,7 @@ func (srv *Server) install(snap *ModelSnapshot) {
 	if srv.pool != nil && srv.prewarm.Load() != nil &&
 		srv.prewarmPending.CompareAndSwap(false, true) {
 		// Hide the post-swap stale transient from foreground requests:
-		// replay the hottest signatures through the new snapshot in the
+		// replay the hottest plans through the new snapshot in the
 		// background, repopulating the pool at the new generation. At most
 		// one worker runs; publishes landing while it works are coalesced
 		// into its catch-up loop.
@@ -353,7 +354,7 @@ func (srv *Server) EnablePrewarm(limit int) {
 		srv.prewarm.Store(nil)
 		return
 	}
-	srv.prewarm.Store(&hotTracker{limit: limit, plans: make(map[string]*hotPlan)})
+	srv.prewarm.Store(&hotTracker{limit: limit, plans: make(map[plan.ID]*hotPlan)})
 }
 
 // PrewarmNow replays the hottest tracked plans through the currently served

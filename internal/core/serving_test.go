@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"costest/internal/plan"
 )
 
 // TestSnapshotImmutableUnderTraining pins the copy-on-publish contract: a
@@ -70,17 +72,18 @@ func TestPoolGenerations(t *testing.T) {
 	r := []float64{3, 4}
 
 	p := NewMemoryPool()
-	p.PutGen("sig", g, r, 1)
-	if !p.GetGen("sig", 1, nil, nil) {
+	sig, sig2 := testID(1), testID(2)
+	p.PutGen(sig, g, r, 1)
+	if !p.GetGen(sig, 1, nil, nil) {
 		t.Fatal("same-generation lookup missed")
 	}
 	// A caller pinned to a different generation must never see the entry —
 	// in either direction (old entry/new caller, new entry/old caller).
-	if p.GetGen("sig", 2, nil, nil) {
+	if p.GetGen(sig, 2, nil, nil) {
 		t.Fatal("generation-1 entry served to a generation-2 caller")
 	}
-	p.PutGen("sig2", g, r, 2)
-	if p.GetGen("sig2", 1, nil, nil) {
+	p.PutGen(sig2, g, r, 2)
+	if p.GetGen(sig2, 1, nil, nil) {
 		t.Fatal("generation-2 entry served to a generation-1 caller")
 	}
 	if p.StaleRate() == 0 {
@@ -97,30 +100,29 @@ func TestPoolGenerations(t *testing.T) {
 		t.Fatalf("generation moved backwards to %d", p.Generation())
 	}
 	before := p.Len()
-	if p.GetGen("sig", p.Generation(), nil, nil) { // current-generation lookup
+	if p.GetGen(sig, p.Generation(), nil, nil) { // current-generation lookup
 		t.Fatal("stale entry served after SetGeneration")
 	}
 	if p.Len() != before-1 {
 		t.Fatalf("stale entry not evicted: Len %d -> %d", before, p.Len())
 	}
 	// Re-inserting under the current generation serves again.
-	p.PutGen("sig", g, r, p.Generation())
-	if !p.GetGen("sig", p.Generation(), nil, nil) {
+	p.PutGen(sig, g, r, p.Generation())
+	if !p.GetGen(sig, p.Generation(), nil, nil) {
 		t.Fatal("refreshed entry missed at current generation")
 	}
 
 	// Bounded pools must reclaim the ring slots of generation-evicted
-	// entries: fill a pool across a generation swap (each signature offered
+	// entries: fill a pool across a generation swap (each sub-plan offered
 	// twice, so a full shard's doorkeeper admits it too), touch everything
 	// (lazy eviction),
 	// then refill under the new generation. The refill is a single offer —
-	// every signature has been sighted before — and each fresh insert must
+	// every sub-plan has been sighted before — and each fresh insert must
 	// be immediately retrievable (its ring slot comes from a dead entry, not
 	// past the bound) and residency must respect the bound.
-	// Shard assignment is hash-seeded per process, so assertions avoid
-	// assuming which signatures share a shard.
+	// Assertions avoid assuming which sub-plans share a shard.
 	bp := NewBoundedMemoryPool(poolShardCount) // 1 entry per shard
-	sigs := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	sigs := []plan.ID{testID(10), testID(11), testID(12), testID(13), testID(14), testID(15), testID(16), testID(17)}
 	for _, s := range sigs {
 		bp.PutGen(s, g, r, 1)
 		bp.PutGen(s, g, r, 1)
@@ -138,7 +140,7 @@ func TestPoolGenerations(t *testing.T) {
 	for _, s := range sigs {
 		bp.PutGen(s, g, r, 2)
 		if !bp.GetGen(s, 2, nil, nil) {
-			t.Fatalf("entry %q missing immediately after ring-slot reuse", s)
+			t.Fatalf("entry %x missing immediately after ring-slot reuse", s)
 		}
 	}
 	if n := bp.Len(); n == 0 || n > len(sigs) {
@@ -246,7 +248,7 @@ func TestServerPrewarmHidesSwapTransient(t *testing.T) {
 	}
 
 	v := srv.Version()
-	hotSig := eps[0].Nodes[eps[0].Root].Sig
+	hotSig := eps[0].Nodes[eps[0].Root].ID
 	if !srv.Pool().GetGen(hotSig, v, nil, nil) {
 		t.Fatal("hot plan not resident at the new generation after pre-warm")
 	}
@@ -291,7 +293,7 @@ func TestServerPrewarmBackground(t *testing.T) {
 	for {
 		hits := 0
 		for _, ep := range eps[:4] {
-			if srv.Pool().GetGen(ep.Nodes[ep.Root].Sig, v, nil, nil) {
+			if srv.Pool().GetGen(ep.Nodes[ep.Root].ID, v, nil, nil) {
 				hits++
 			}
 		}

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"costest/internal/feature"
+	"costest/internal/plan"
 )
 
 // benchCorpus builds a small deterministic corpus for the forward-path
@@ -79,7 +79,7 @@ func TestPooledPathZeroAlloc(t *testing.T) {
 	for _, ep := range eps {
 		sess.EstimateWithPool(ep, pool)
 	}
-	sig := eps[0].Nodes[eps[0].Root].Sig
+	sig := eps[0].Nodes[eps[0].Root].ID
 	g, r := make([]float64, cfg.Hidden), make([]float64, cfg.Hidden)
 	allocs := testing.AllocsPerRun(500, func() {
 		if !pool.GetGen(sig, pool.Generation(), g, r) {
@@ -101,38 +101,39 @@ func TestPooledPathZeroAlloc(t *testing.T) {
 
 // TestBoundedPoolEviction checks the pool's size knob: a bounded pool must
 // stay near its cap and keep serving correct representations. Every
-// signature is offered twice, so a full shard's doorkeeper admits it and it
+// sub-plan is offered twice, so a full shard's doorkeeper admits it and it
 // presses on the bound.
 func TestBoundedPoolEviction(t *testing.T) {
 	const maxEntries = 64
 	pool := NewBoundedMemoryPool(maxEntries)
 	g := []float64{1, 2}
 	r := []float64{3, 4}
-	offer := func(sig string) {
-		pool.PutGen(sig, g, r, pool.Generation())
-		pool.PutGen(sig, g, r, pool.Generation())
+	offer := func(id plan.ID) {
+		pool.PutGen(id, g, r, pool.Generation())
+		pool.PutGen(id, g, r, pool.Generation())
 	}
 	for i := 0; i < 10*maxEntries; i++ {
-		offer(fmt.Sprintf("sig-%d", i))
+		offer(testID(i))
 	}
 	// Per-shard enforcement makes the bound approximate; allow one extra
 	// entry per shard of headroom but no unbounded growth.
 	if n := pool.Len(); n > maxEntries+poolShardCount {
 		t.Fatalf("bounded pool grew to %d entries (cap %d)", n, maxEntries)
 	}
-	offer("probe")
+	probe := testID(-1)
+	offer(probe)
 	pg, pr := make([]float64, 2), make([]float64, 2)
-	if !pool.GetGen("probe", pool.Generation(), pg, pr) || pg[1] != 2 || pr[0] != 3 {
+	if !pool.GetGen(probe, pool.Generation(), pg, pr) || pg[1] != 2 || pr[0] != 3 {
 		t.Fatal("bounded pool lost a fresh entry or corrupted it")
 	}
 }
 
 // TestClockEvictionKeepsHotEntries pins the second-chance behavior: hot
-// signatures that keep getting probed between insertions must survive a long
+// sub-plans that keep getting probed between insertions must survive a long
 // stream of cold insertions. (Arbitrary-victim eviction would lose roughly
-// half the hot set under this pressure.) Hot and cold signatures alike are
+// half the hot set under this pressure.) Hot and cold sub-plans alike are
 // offered twice, so a full shard's doorkeeper admits every one and each cold
-// signature is real eviction pressure.
+// sub-plan is real eviction pressure.
 func TestClockEvictionKeepsHotEntries(t *testing.T) {
 	const (
 		hotCount   = 24
@@ -142,28 +143,28 @@ func TestClockEvictionKeepsHotEntries(t *testing.T) {
 	pool := NewBoundedMemoryPool(maxEntries)
 	g := []float64{1, 2}
 	r := []float64{3, 4}
-	offer := func(sig string) {
-		pool.PutGen(sig, g, r, pool.Generation())
-		pool.PutGen(sig, g, r, pool.Generation())
+	offer := func(id plan.ID) {
+		pool.PutGen(id, g, r, pool.Generation())
+		pool.PutGen(id, g, r, pool.Generation())
 	}
-	hot := make([]string, hotCount)
+	hot := make([]plan.ID, hotCount)
 	for i := range hot {
-		hot[i] = fmt.Sprintf("hot-join-prefix-%d", i)
+		hot[i] = testID(-1 - i)
 		offer(hot[i])
 	}
 	for k := 0; k < coldPuts; k++ {
 		// The optimizer keeps probing its hot sub-plans, so their reference
 		// bits are set when the next cold admission needs a victim.
-		for _, sig := range hot {
-			if !pool.GetGen(sig, pool.Generation(), nil, nil) {
-				t.Fatalf("hot signature %q evicted after %d cold insertions", sig, k)
+		for i, id := range hot {
+			if !pool.GetGen(id, pool.Generation(), nil, nil) {
+				t.Fatalf("hot sub-plan %d evicted after %d cold insertions", i, k)
 			}
 		}
-		offer(fmt.Sprintf("cold-oneoff-%d", k))
+		offer(testID(k))
 	}
-	for _, sig := range hot {
-		if !pool.GetGen(sig, pool.Generation(), nil, nil) {
-			t.Fatalf("hot signature %q not resident after eviction pressure", sig)
+	for i, id := range hot {
+		if !pool.GetGen(id, pool.Generation(), nil, nil) {
+			t.Fatalf("hot sub-plan %d not resident after eviction pressure", i)
 		}
 	}
 	if n := pool.Len(); n > maxEntries+poolShardCount {
@@ -194,11 +195,11 @@ func TestPoolEvictedCardNode(t *testing.T) {
 		pool := NewMemoryPool()
 		full := NewMemoryPool()
 		sess.EstimateWithPool(ep, full)
-		g, r, ok := pooledCopy(full, m, ep.Nodes[ep.Root].Sig, full.Generation())
+		g, r, ok := pooledCopy(full, m, ep.Nodes[ep.Root].ID, full.Generation())
 		if !ok {
 			t.Fatal("root representation missing from warm pool")
 		}
-		pool.PutGen(ep.Nodes[ep.Root].Sig, g, r, pool.Generation())
+		pool.PutGen(ep.Nodes[ep.Root].ID, g, r, pool.Generation())
 		gotCost, gotCard := sess.EstimateWithPool(ep, pool)
 		if gotCost != wantCost || gotCard != wantCard {
 			t.Fatalf("evicted card node degraded the estimate: (%g,%g) vs (%g,%g)",
@@ -295,9 +296,9 @@ func BenchmarkPoolGetParallel(b *testing.B) {
 	pool := NewMemoryPool()
 	g := make([]float64, 16)
 	r := make([]float64, 16)
-	sigs := make([]string, 512)
+	sigs := make([]plan.ID, 512)
 	for i := range sigs {
-		sigs[i] = fmt.Sprintf("sig-%d|join|scan-%d", i, i%7)
+		sigs[i] = testID(i)
 		pool.PutGen(sigs[i], g, r, pool.Generation())
 	}
 	b.ReportAllocs()

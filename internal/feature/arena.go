@@ -2,7 +2,6 @@ package feature
 
 import (
 	"slices"
-	"strings"
 
 	"costest/internal/plan"
 	"costest/internal/slab"
@@ -10,7 +9,7 @@ import (
 
 // Arena is the storage EncodeAll builds one request's encoded plans in:
 // feature vectors, nodes, predicate nodes, plans and level lists each come off
-// a slab, and the signature table that lets a request encode each distinct
+// a slab, and the sub-plan ID table that lets a request encode each distinct
 // sub-plan once lives beside them. A serving goroutine keeps one Arena per
 // request in flight and hands it to EncodeAll again for the next request, by
 // which time it allocates nothing. The zero value is ready to use.
@@ -27,12 +26,9 @@ type Arena struct {
 
 	eps     []*EncodedPlan // the plans of this request, in order
 	heights [][]int32      // heights[p][i]: height of node i of plan p
-	// sigs is the current plan's subtree signatures (pre-order): slices of one
-	// string per plan, the only thing EncodeAll allocates on a warm arena.
-	sigs       []string
-	sigScratch plan.SigScratch
-	// seen maps a subtree signature to its first encoding in this request.
-	seen map[string]subtree
+	ids     []plan.ID      // the current plan's subtree IDs (pre-order)
+	// seen maps a subtree ID to its first encoding in this request.
+	seen map[plan.ID]subtree
 
 	// Nodes and Shared count the last EncodeAll: plan nodes in the request,
 	// and how many of them were copies of an earlier subtree.
@@ -68,13 +64,12 @@ func (a *Arena) reserve(sz planSize, depth int) {
 	a.ints.Reserve(2*sz.nodes + depth + 1)
 	a.eps = make([]*EncodedPlan, 0, 1)
 	a.heights = make([][]int32, 0, 1)
-	a.sigs = make([]string, 0, sz.nodes)
-	a.sigScratch.Reserve(sz.nodes)
-	a.seen = make(map[string]subtree, sz.nodes)
+	a.ids = make([]plan.ID, 0, sz.nodes)
+	a.seen = make(map[plan.ID]subtree, sz.nodes)
 }
 
 // Bytes is the memory the arena keeps across EncodeAll calls: its slabs. (The
-// signature table and the per-plan index slices grow with them and stay small
+// ID table and the per-plan index slices grow with them and stay small
 // beside them — a table entry stands for a node, and a node's vectors are
 // about a kilobyte.)
 func (a *Arena) Bytes() int {
@@ -107,15 +102,13 @@ func (a *Arena) buildLevels(ep *EncodedPlan, heights []int32) {
 }
 
 // Clone returns a deep copy of the plan that shares no memory with it —
-// vectors, predicate nodes, levels and signature strings included — for a
-// holder that outlives the arena the plan was built in.
+// vectors, predicate nodes and levels included — for a holder that outlives
+// the arena the plan was built in.
 func (ep *EncodedPlan) Clone() *EncodedPlan {
 	c := *ep
-	c.Signature = strings.Clone(ep.Signature)
 	c.Nodes = slices.Clone(ep.Nodes)
 	for i := range c.Nodes {
 		n := &c.Nodes[i]
-		n.Sig = strings.Clone(n.Sig)
 		n.Op, n.Meta, n.Bitmap = slices.Clone(n.Op), slices.Clone(n.Meta), slices.Clone(n.Bitmap)
 		n.Pred.Nodes = slices.Clone(n.Pred.Nodes)
 		for j := range n.Pred.Nodes {

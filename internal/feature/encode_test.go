@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"costest/internal/plan"
+	"costest/internal/plan/plantest"
 	"costest/internal/query"
 	"costest/internal/sqlpred"
 	"costest/internal/strembed"
@@ -60,9 +61,8 @@ func shapedPlans() []*plan.Node {
 }
 
 // TestEncodeMatchesOracle: over the workload plan mix, under both string
-// encoders, every EncodedNode.Sig is byte for byte plan.Node.Signature() of
-// its subtree (old and new formulation), and the whole EncodedPlan — every
-// vector, predicate tree, level and target — equals the old encoder's.
+// encoders, the whole EncodedPlan — every vector, predicate tree, level,
+// target and node ID — equals the old encoder's.
 func TestEncodeMatchesOracle(t *testing.T) {
 	// Scale and JOBFull are the request traffic, TrainingNumeric the daemon's
 	// training corpus.
@@ -86,17 +86,11 @@ func TestEncodeMatchesOracle(t *testing.T) {
 			}
 			var subtrees []*plan.Node
 			p.Walk(func(n *plan.Node) { subtrees = append(subtrees, n) })
-			for j, n := range subtrees {
-				if sig := got.Nodes[j].Sig; sig != n.Signature() || sig != oldSignature(n) {
-					t.Fatalf("%s: plan %d node %d: Sig drift\n     got %q\n     now %q\noriginal %q",
-						name, i, j, sig, n.Signature(), oldSignature(n))
-				}
-			}
 			normalizeEmpty(got)
 			normalizeEmpty(want)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: plan %d (%s): encoding differs from the oracle\n got %+v\nwant %+v",
-					name, i, p.Signature(), got, want)
+					name, i, p, got, want)
 			}
 			if name != "hash" {
 				continue
@@ -225,7 +219,7 @@ func TestEncodeAllMatchesEncode(t *testing.T) {
 					t.Fatalf("%s/%s: plan %d: %v", name, req, i, err)
 				}
 				if !reflect.DeepEqual(got[i], want) {
-					t.Fatalf("%s/%s: plan %d (%s) differs from Encode\n got %+v\nwant %+v", name, req, i, root.Signature(), got[i], want)
+					t.Fatalf("%s/%s: plan %d (%s) differs from Encode\n got %+v\nwant %+v", name, req, i, root, got[i], want)
 				}
 			}
 			total := 0
@@ -286,42 +280,66 @@ func TestEncodeAllSharedNodes(t *testing.T) {
 	}
 }
 
-// TestEncodeAllRefusesSignatureCollision: table names travel into signatures
-// unescaped, so a client can send two differently shaped trees that sign
-// alike. Sharing one's encoding under the other would build a plan whose child
-// indices and levels disagree with its node count; EncodeAll must refuse the
-// request instead, whichever tree comes first, and the arena must be fit for
-// the next request.
-func TestEncodeAllRefusesSignatureCollision(t *testing.T) {
+// TestEncodeAllDistinguishesTextCollision: the text signature sub-plans were
+// once keyed by embedded table names unescaped, so these two differently
+// shaped trees signed alike and EncodeAll had to refuse them together. Their
+// IDs differ: in one request, in either order or nested in one tree, each
+// encodes exactly as Encode encodes it alone.
+func TestEncodeAllDistinguishesTextCollision(t *testing.T) {
 	scan := func(table string) *plan.Node { return &plan.Node{Type: plan.SeqScan, Table: table} }
 	join := func(table string, l, r *plan.Node) *plan.Node {
 		return &plan.Node{Type: plan.HashJoin, Table: table, Left: l, Right: r}
 	}
-	// Three nodes and five, one signature: the left scan's name spells out the
-	// text of a join that the other tree really has.
-	inner := join("", scan("p"), scan("q")).Signature()
-	small := join("", scan("u]("+inner+","+scan("r").Signature()), scan("d"))
-	large := join("](0[u", join("", scan("p"), scan("q")), scan("r]],"+strings.TrimSuffix(scan("d").Signature(), "]")))
-	if small.Signature() != large.Signature() || small.Count() == large.Count() {
-		t.Fatalf("test trees do not collide:\n%s (%d nodes)\n%s (%d nodes)", small.Signature(), small.Count(), large.Signature(), large.Count())
+	// Three nodes and five, one text signature: the left scan's name spells
+	// out the text of a join that the other tree really has.
+	inner := oldSignature(join("", scan("p"), scan("q")))
+	small := join("", scan("u]("+inner+","+oldSignature(scan("r"))), scan("d"))
+	large := join("](0[u", join("", scan("p"), scan("q")), scan("r]],"+strings.TrimSuffix(oldSignature(scan("d")), "]")))
+	if oldSignature(small) != oldSignature(large) || small.Count() == large.Count() {
+		t.Fatalf("test trees do not collide:\n%s (%d nodes)\n%s (%d nodes)", oldSignature(small), small.Count(), oldSignature(large), large.Count())
 	}
+	plantest.CheckIDs(t, small, large)
 	e := NewEncoder(testCat, strembed.ZeroEncoder{}, true)
 	var a Arena
-	for _, roots := range [][]*plan.Node{{small, large}, {large, small}, {join("", small, large)}} {
-		if _, err := e.EncodeAll(roots, &a); err == nil || !strings.Contains(err.Error(), "two different subtrees") {
-			t.Fatalf("EncodeAll of colliding trees: err = %v, want a refusal", err)
+	for _, roots := range [][]*plan.Node{{small, large}, {large, small}, {join("", small, large), large, small}} {
+		got, err := e.EncodeAll(roots, &a)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Either alone is an ordinary plan, before and after a refusal.
-		for _, root := range []*plan.Node{small, large} {
-			got, err := e.EncodeAll([]*plan.Node{root}, &a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want, _ := e.Encode(root); !reflect.DeepEqual(got[0], want) {
-				t.Fatalf("plan %s encoded differently after a refused request", root.Signature())
+		for i, root := range roots {
+			if want, err := e.Encode(root); err != nil || !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("plan %d of %d (err %v) encodes differently beside the others:\n%s", i, len(roots), err, root)
 			}
 		}
 	}
+}
+
+// TestIDPartitionMatchesOldSignature: on corpora whose names need no escaping
+// (the workload mixes, the hand-shaped plans, enumeration requests), two
+// subtrees share an ID exactly when they shared the old text signature, so a
+// request shares just the sub-plans it shared before.
+func TestIDPartitionMatchesOldSignature(t *testing.T) {
+	enum := enumRequest(t, workload.Scale(testDB, 13, 80), 6, 8)
+	plantest.CheckIDs(t, append(shapedPlans(), enum...)...)
+	plans := append(planned(t, workload.Scale(testDB, 7, 120), workload.JOBFull(testDB, 7, 120),
+		workload.TrainingNumeric(testDB, 7, 120)), enum...)
+	byID, bySig := map[plan.ID]string{}, map[string]plan.ID{}
+	for _, p := range append(plans, shapedPlans()...) {
+		ids := p.AppendIDs(nil)
+		i := 0
+		p.Walk(func(n *plan.Node) {
+			sig, id := oldSignature(n), ids[i]
+			i++
+			if s, ok := byID[id]; ok && s != sig {
+				t.Fatalf("one ID for two text signatures:\n%s\n%s", s, sig)
+			}
+			if d, ok := bySig[sig]; ok && d != id {
+				t.Fatalf("two IDs for one text signature %s", sig)
+			}
+			byID[id], bySig[sig] = sig, id
+		})
+	}
+	t.Logf("%d plans, %d distinct sub-plans", len(plans), len(byID))
 }
 
 // TestEncodedPlanClone: a clone is deeply equal to its source and shares no
@@ -391,10 +409,12 @@ func sevenNodePlan() *plan.Node {
 	}
 }
 
-// TestEncodeAllocs caps what one Encode may allocate. The old encoder spent
-// about 290 allocations on this plan (a vector each for every node and
-// predicate node, a Signature re-walk per node through fmt); the sized
-// single pass needs a fixed handful plus the per-atom predicate compilation.
+// TestEncodeAllocs caps what one Encode may allocate, and holds a warm
+// EncodeAll to none beyond the sample bitmap's predicate compilation. The old
+// encoder spent about 290 allocations on this plan (a vector each for every
+// node and predicate node, a Signature re-walk per node through fmt); the
+// sized single pass needs a fixed handful plus the per-atom predicate
+// compilation.
 func TestEncodeAllocs(t *testing.T) {
 	root := sevenNodePlan()
 	if root.Count() != 7 {
@@ -409,6 +429,39 @@ func TestEncodeAllocs(t *testing.T) {
 	t.Logf("Encode: %.0f allocs/plan (oracle: %.0f)", got, old)
 	if got > 100 {
 		t.Fatalf("Encode allocates %.0f times on a 7-node plan, ceiling 100", got)
+	}
+	// A warm EncodeAll, its arena recycled from a request of the same shape,
+	// allocates nothing of its own: vectors, nodes, IDs and table entries all
+	// reuse the last request's. Only the sample bitmap compiles a matcher
+	// for each predicate node of each distinct scan.
+	roots := append(enumRequest(t, workload.Scale(testDB, 13, 80), 6, 8), root)
+	scans := map[plan.ID]int{}
+	for _, r := range roots {
+		ids, i := r.AppendIDs(nil), 0
+		r.Walk(func(n *plan.Node) {
+			if n.Type.IsScan() {
+				scans[ids[i]] = predNodes(n)
+			}
+			i++
+		})
+	}
+	compiled := 0
+	for _, k := range scans {
+		compiled += k
+	}
+	for _, enc := range []*Encoder{e, NewEncoder(testCat, strembed.ZeroEncoder{}, false)} {
+		var a Arena
+		if _, err := enc.EncodeAll(roots, &a); err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if enc.UseSampleBitmap {
+			want = compiled
+		}
+		if allocs := testing.AllocsPerRun(50, func() { enc.EncodeAll(roots, &a) }); allocs > float64(want) {
+			t.Fatalf("a warm EncodeAll of %d plans (sample bitmap %v) allocates %.0f times, want at most %d",
+				len(roots), enc.UseSampleBitmap, allocs, want)
+		}
 	}
 }
 

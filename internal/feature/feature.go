@@ -82,8 +82,9 @@ type EncodedNode struct {
 	Left   int // child indices into EncodedPlan.Nodes; -1 when absent
 	Right  int
 
-	// Sig is the subtree signature, keying the representation memory pool.
-	Sig string
+	// ID identifies the subtree rooted here; it keys the representation
+	// memory pool.
+	ID plan.ID
 
 	// Supervision targets copied from the executed plan.
 	TrueRows float64
@@ -103,8 +104,6 @@ type EncodedPlan struct {
 	Card float64
 	// CardNode indexes the node defining Card.
 	CardNode int
-	// Signature mirrors plan.Node.Signature for memory-pool keying.
-	Signature string
 }
 
 // Encode converts an executed plan into tensors. The plan must carry
@@ -129,29 +128,29 @@ func (e *Encoder) Encode(root *plan.Node) (*EncodedPlan, error) {
 // first: the result, and everything it points to, is valid until the arena's
 // next EncodeAll.
 //
-// A request's plans are encoded against one signature → encoded-subtree table,
-// the encoder's mirror of the paper's representation memory pool (Section 3):
-// an optimizer pricing the candidates of one query sends the same scans and
-// lower joins over and over, and a subtree whose signature already occurred —
-// in an earlier plan or earlier in the same one — is a copy of the earlier
-// EncodedNodes, not a second encoding. The copies alias the earlier feature
-// vectors and predicate nodes (nothing downstream writes to them); child
-// indices are shifted and the supervision targets taken from the plan's own
-// nodes, so each returned plan equals, value for value, what Encode builds.
+// A request's plans are encoded against one sub-plan ID → encoded-subtree
+// table, the encoder's mirror of the paper's representation memory pool
+// (Section 3): an optimizer pricing the candidates of one query sends the
+// same scans and lower joins over and over, and a subtree whose ID already
+// occurred — in an earlier plan or earlier in the same one — is a copy of the
+// earlier EncodedNodes, not a second encoding. The copies alias the earlier
+// feature vectors and predicate nodes (nothing downstream writes to them);
+// child indices are shifted and the supervision targets taken from the plan's
+// own nodes, so each returned plan equals, value for value, what Encode
+// builds.
 //
 // The roots may share subtrees (the request decoder builds a repeated subtree
-// once): a node is placed by where it is reached, never by its identity.
+// once): a node is placed by where it is reached, never by its pointer.
 func (e *Encoder) EncodeAll(roots []*plan.Node, a *Arena) ([]*EncodedPlan, error) {
 	if a.seen == nil {
-		a.seen = make(map[string]subtree)
+		a.seen = make(map[plan.ID]subtree)
 	}
 	a.reset()
 	for _, root := range roots {
-		a.sigs = root.AppendSubtreeSignatures(a.sigs[:0], &a.sigScratch)
-		sigs := a.sigs
+		a.ids = root.AppendIDs(a.ids[:0])
 		ep := a.plans.One()
-		ep.Nodes = a.nodes.Carve(len(sigs))[:0]
-		b := planBuilder{e: e, a: a, ep: ep, sigs: sigs, heights: a.ints.Carve(len(sigs))}
+		ep.Nodes = a.nodes.Carve(len(a.ids))[:0]
+		b := planBuilder{e: e, a: a, ep: ep, heights: a.ints.Carve(len(a.ids))}
 		a.eps = append(a.eps, ep)
 		a.heights = append(a.heights, b.heights)
 		if _, err := b.encodeNode(root); err != nil {
@@ -164,11 +163,10 @@ func (e *Encoder) EncodeAll(roots []*plan.Node, a *Arena) ([]*EncodedPlan, error
 		for n := root; n != card; n = n.Left {
 			ep.CardNode++
 		}
-		ep.Signature = sigs[0]
 		ep.Cost = root.TrueCost
 		ep.Card = card.TrueRows
 		a.buildLevels(ep, b.heights)
-		a.Nodes += len(sigs)
+		a.Nodes += len(a.ids)
 	}
 	return a.eps, nil
 }
@@ -234,8 +232,7 @@ type planBuilder struct {
 	e       *Encoder
 	a       *Arena
 	ep      *EncodedPlan
-	sigs    []string // subtree signatures, indexed like ep.Nodes (pre-order)
-	heights []int32  // per node, height above the leaves
+	heights []int32 // per node, height above the leaves
 }
 
 func (b *planBuilder) floats(n int) []float64 { return b.a.floats.Carve(n) }
@@ -243,15 +240,13 @@ func (b *planBuilder) floats(n int) []float64 { return b.a.floats.Carve(n) }
 func (b *planBuilder) encodeNode(n *plan.Node) (int, error) {
 	e, ep := b.e, b.ep
 	idx := len(ep.Nodes)
-	if first, ok := b.a.seen[b.sigs[idx]]; ok {
-		if !b.share(n, first) {
-			return 0, fmt.Errorf("feature: signature %q names two different subtrees in one request", b.sigs[idx])
-		}
+	if first, ok := b.a.seen[b.a.ids[idx]]; ok {
+		b.share(n, first)
 		return idx, nil
 	}
 	ep.Nodes = append(ep.Nodes, EncodedNode{})
 
-	enc := EncodedNode{Left: -1, Right: -1, TrueRows: n.TrueRows, TrueCost: n.TrueCost, Sig: b.sigs[idx]}
+	enc := EncodedNode{Left: -1, Right: -1, TrueRows: n.TrueRows, TrueCost: n.TrueCost, ID: b.a.ids[idx]}
 	enc.Op = b.floats(e.OpDim())
 	enc.Op[int(n.Type)] = 1
 	enc.Meta = b.floats(e.MetaDim())
@@ -298,7 +293,7 @@ func (b *planBuilder) encodeNode(n *plan.Node) (int, error) {
 	}
 	b.heights[idx] = height
 	ep.Nodes[idx] = enc
-	b.a.seen[enc.Sig] = subtree{plan: int32(len(b.a.eps) - 1), at: int32(idx), nodes: int32(len(ep.Nodes) - idx)}
+	b.a.seen[enc.ID] = subtree{plan: int32(len(b.a.eps) - 1), at: int32(idx), nodes: int32(len(ep.Nodes) - idx)}
 	return idx, nil
 }
 
@@ -306,56 +301,35 @@ func (b *planBuilder) encodeNode(n *plan.Node) (int, error) {
 // in this arena — the nodes, and the heights beside them — and has retarget
 // stamp what is the plan's own.
 //
-// It reports false when the subtree does not have the shape of that encoding.
-// Plans arrive from the network and a signature does not escape the names it
-// embeds, so a client can build two different trees that sign alike; copying
-// one's nodes under the other would hand the batch runtime a plan whose child
-// indices and levels disagree with its length.
-//
 // costlint:noalloc
-func (b *planBuilder) share(n *plan.Node, first subtree) bool {
-	ep := b.ep
-	idx := len(ep.Nodes)
+func (b *planBuilder) share(n *plan.Node, first subtree) {
+	idx := len(b.ep.Nodes)
 	from, to := int(first.at), int(first.at+first.nodes)
-	if idx+to-from > cap(ep.Nodes) {
-		return false // more nodes than the plan has left
-	}
-	ep.Nodes = append(ep.Nodes, b.a.eps[first.plan].Nodes[from:to]...)
+	b.ep.Nodes = append(b.ep.Nodes, b.a.eps[first.plan].Nodes[from:to]...)
 	copy(b.heights[idx:], b.a.heights[first.plan][from:to])
 	b.a.Shared += to - from
-	_, ok := b.retarget(n, idx)
-	return ok
+	b.retarget(n, idx)
 }
 
 // retarget walks the subtree of n beside its copied encoding (both pre-order,
 // starting at idx) and stamps what belongs to this plan rather than to the
 // subtree's first occurrence: child indices and the executed plan's targets.
-// It returns the index after the subtree, and false at the first node that
-// has a child where the copy has none or the reverse (see share): pre-order
-// plus each node's children fixes a tree's shape, so a walk that never
-// disagrees has covered exactly the copy.
+// It returns the index after the subtree.
 //
 // costlint:noalloc
-func (b *planBuilder) retarget(n *plan.Node, idx int) (int, bool) {
+func (b *planBuilder) retarget(n *plan.Node, idx int) int {
 	node := &b.ep.Nodes[idx]
-	if (n.Left != nil) != (node.Left >= 0) || (n.Right != nil) != (node.Right >= 0) {
-		return 0, false
-	}
 	node.TrueRows, node.TrueCost = n.TrueRows, n.TrueCost
-	next, ok := idx+1, true
+	next := idx + 1
 	if n.Left != nil {
 		node.Left = next
-		if next, ok = b.retarget(n.Left, next); !ok {
-			return 0, false
-		}
+		next = b.retarget(n.Left, next)
 	}
 	if n.Right != nil {
 		node.Right = next
-		if next, ok = b.retarget(n.Right, next); !ok {
-			return 0, false
-		}
+		next = b.retarget(n.Right, next)
 	}
-	return next, true
+	return next
 }
 
 // encodeMeta ORs into v the one-hot vectors of every column, table and index

@@ -10,12 +10,14 @@ import (
 
 // The encoder as it was before Encode became a single sized pass: one
 // Signature() re-walk per node through fmt, one allocation per vector, a
-// pseudo-atom for join conditions. Kept verbatim (renamed old*) as the oracle
-// the property test compares the live encoder against — pool keys, prewarm
-// ordering and every feature vector must not change.
+// pseudo-atom for join conditions. Kept verbatim (renamed old*, its node keys
+// now the subtree's ID) as the oracle the property test compares the live
+// encoder against — every feature vector must not change. oldSignature, the
+// text key, stays as the partition the ID must reproduce on escape-free
+// names (TestIDPartitionMatchesOldSignature).
 
 func oldEncode(e *Encoder, root *plan.Node) (*EncodedPlan, error) {
-	ep := &EncodedPlan{Root: 0, Signature: oldSignature(root)}
+	ep := &EncodedPlan{Root: 0}
 	cardNode := root.CardinalityNode()
 	if _, err := oldEncodeNode(e, root, ep, cardNode); err != nil {
 		return nil, err
@@ -34,7 +36,7 @@ func oldEncodeNode(e *Encoder, n *plan.Node, ep *EncodedPlan, cardNode *plan.Nod
 	}
 
 	enc := EncodedNode{Left: -1, Right: -1, TrueRows: n.TrueRows, TrueCost: n.TrueCost,
-		Sig: oldSignature(n)}
+		ID: n.AppendIDs(nil)[0]}
 	enc.Op = make([]float64, e.OpDim())
 	enc.Op[int(n.Type)] = 1
 	enc.Meta = oldEncodeMeta(e, n)
@@ -274,8 +276,8 @@ func oldBuildLevels(ep *EncodedPlan) {
 	}
 }
 
-// oldSignature is plan.Node.Signature as it was: a fresh fmt-based walk of
-// the whole subtree per call.
+// oldSignature is the text signature sub-plans were keyed by before plan.ID:
+// a fresh fmt-based walk of the whole subtree per call.
 func oldSignature(n *plan.Node) string {
 	var b strings.Builder
 	oldWriteSignature(n, &b)

@@ -4,8 +4,10 @@
 package plan
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strconv"
+	"hash/maphash"
+	"math"
 	"strings"
 
 	"costest/internal/sqlpred"
@@ -52,24 +54,12 @@ type ColRef struct {
 
 func (c ColRef) String() string { return c.Table + "." + c.Column }
 
-func (c ColRef) appendString(dst []byte) []byte {
-	dst = append(dst, c.Table...)
-	dst = append(dst, '.')
-	return append(dst, c.Column...)
-}
-
 // JoinCond is an equi-join condition left = right.
 type JoinCond struct {
 	Left, Right ColRef
 }
 
 func (j JoinCond) String() string { return j.Left.String() + " = " + j.Right.String() }
-
-func (j JoinCond) appendString(dst []byte) []byte {
-	dst = j.Left.appendString(dst)
-	dst = append(dst, " = "...)
-	return j.Right.appendString(dst)
-}
 
 // AggFunc is an aggregate function.
 type AggFunc int
@@ -177,103 +167,132 @@ func (n *Node) Depth() int {
 	return r + 1
 }
 
-// Signature returns a canonical string identifying the logical content of
-// the subtree; the Representation Memory Pool (Section 3) keys on it.
+// ID identifies a subtree by its content: two subtrees have one ID exactly
+// when they are equal in every field but the Est* and True* annotations, up
+// to the collision bound ARCHITECTURE.md states. The Representation Memory
+// Pool (Section 3) keys on it. IDs are keyed by seeds drawn at process start:
+// one means nothing outside the process that computed it, and none is ever
+// sent out of one.
+type ID [2]uint64
+
+var idSeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
+
+// Signature returns a non-nil plan's ID as 32 hex digits, comparable only
+// within one process.
 func (n *Node) Signature() string {
+	id := n.AppendIDs(nil)[0]
+	return fmt.Sprintf("%016x%016x", id[0], id[1])
+}
+
+// AppendIDs appends the ID of every subtree of n to dst in pre-order (the
+// order Walk visits nodes), so the first one appended is n's own. One pass
+// computes them bottom-up: a node's ID is a hash pair over its own fields and
+// its children's IDs. Only a node whose own fields outgrow the 512-byte
+// scratch (a long IN list) makes the pass allocate.
+//
+// costlint:noalloc
+func (n *Node) AppendIDs(dst []ID) []ID {
 	if n == nil {
-		return "_"
+		return dst
 	}
-	return n.SubtreeSignatures()[0]
-}
-
-// SubtreeSignatures returns the Signature of every subtree of n, indexed in
-// pre-order (the order Walk visits nodes), so out[0] is n.Signature(). A
-// subtree's signature is a substring of its parent's: one pass over the plan
-// writes the root's, and every other entry is a slice of that one string.
-func (n *Node) SubtreeSignatures() []string {
-	count := n.Count()
-	var sc SigScratch
-	sc.Reserve(count)
-	return n.AppendSubtreeSignatures(make([]string, 0, count), &sc)
-}
-
-// SigScratch is the working storage of AppendSubtreeSignatures, reusable
-// across calls. The zero value is ready to use.
-type SigScratch struct {
-	buf   []byte
-	spans []sigSpan
-}
-
-// Reserve sizes the scratch for a plan of the given node count, for a caller
-// that will not reuse it.
-func (sc *SigScratch) Reserve(nodes int) {
-	// 48 bytes a node covers most workload plans without regrowing.
-	sc.buf, sc.spans = make([]byte, 0, 48*nodes), make([]sigSpan, 0, nodes)
-}
-
-// AppendSubtreeSignatures appends SubtreeSignatures() to dst. With a reused
-// scratch and a dst of sufficient capacity its only allocation is the root's
-// signature string.
-func (n *Node) AppendSubtreeSignatures(dst []string, sc *SigScratch) []string {
-	sc.spans = sc.spans[:0]
-	sc.buf = n.appendSignature(sc.buf[:0], &sc.spans)
-	root := string(sc.buf)
-	for _, sp := range sc.spans {
-		dst = append(dst, root[sp.start:sp.end])
-	}
+	var scratch [512]byte
+	dst, _ = n.appendIDs(dst, scratch[:0])
 	return dst
 }
 
-// sigSpan locates one subtree's signature inside the root's.
-type sigSpan struct{ start, end int }
+// appendIDs threads the scratch through the pass; it holds one node's form at
+// a time.
+//
+// costlint:noalloc
+func (n *Node) appendIDs(dst []ID, form []byte) ([]ID, []byte) {
+	at := len(dst)
+	dst = append(dst, ID{})
+	var kids [2]ID // the zero ID marks an absent child
+	for i, c := range [2]*Node{n.Left, n.Right} {
+		if c != nil {
+			j := len(dst)
+			dst, form = c.appendIDs(dst, form)
+			kids[i] = dst[j]
+		}
+	}
+	form = n.appendForm(form[:0])
+	for _, k := range kids {
+		form = binary.LittleEndian.AppendUint64(form, k[0])
+		form = binary.LittleEndian.AppendUint64(form, k[1])
+	}
+	dst[at] = ID{maphash.Bytes(idSeeds[0], form), maphash.Bytes(idSeeds[1], form)}
+	return dst, form
+}
 
-func (n *Node) appendSignature(dst []byte, spans *[]sigSpan) []byte {
-	if n == nil {
-		return append(dst, '_')
+// appendForm appends the node's own fields, every one the ID covers, in a
+// binary form that reads back unambiguously: each string carries its length,
+// each optional part a tag, each list its count, each float its bits. Two
+// nodes write one form only if those fields are equal.
+//
+// costlint:noalloc
+func (n *Node) appendForm(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(n.Type))
+	b = appendStrs(b, n.Table, n.Index)
+	b = appendPred(b, n.Filter)
+	b = appendPred(b, n.IndexCond)
+	for _, j := range [2]*JoinCond{n.ParamJoin, n.JoinCond} {
+		if j == nil {
+			b = append(b, 0)
+		} else {
+			b = append(b, 1)
+			b = appendStrs(b, j.Left.Table, j.Left.Column, j.Right.Table, j.Right.Column)
+		}
 	}
-	idx := len(*spans)
-	*spans = append(*spans, sigSpan{start: len(dst)})
-	dst = strconv.AppendInt(dst, int64(n.Type), 10)
-	dst = append(dst, '[')
-	dst = append(dst, n.Table...)
-	if n.Index != "" {
-		dst = append(dst, '/')
-		dst = append(dst, n.Index...)
-	}
-	if n.Filter != nil {
-		dst = append(dst, '|')
-		dst = sqlpred.AppendString(dst, n.Filter)
-	}
-	if n.IndexCond != nil {
-		dst = append(dst, '@')
-		dst = sqlpred.AppendString(dst, n.IndexCond)
-	}
-	if n.ParamJoin != nil {
-		dst = append(dst, '#')
-		dst = n.ParamJoin.appendString(dst)
-	}
-	if n.JoinCond != nil {
-		dst = n.JoinCond.appendString(dst)
-	}
+	b = binary.AppendUvarint(b, uint64(len(n.SortKeys)))
 	for _, k := range n.SortKeys {
-		dst = k.appendString(dst)
-		dst = append(dst, ',')
+		b = appendStrs(b, k.Table, k.Column)
 	}
+	b = binary.AppendUvarint(b, uint64(len(n.Aggs)))
 	for _, a := range n.Aggs {
-		dst = append(dst, a.Func.String()...)
-		dst = a.Col.appendString(dst)
-		dst = append(dst, ',')
+		b = binary.AppendUvarint(b, uint64(a.Func))
+		b = appendStrs(b, a.Col.Table, a.Col.Column)
 	}
-	dst = append(dst, ']')
-	if n.Left != nil || n.Right != nil {
-		dst = append(dst, '(')
-		dst = n.Left.appendSignature(dst, spans)
-		dst = append(dst, ',')
-		dst = n.Right.appendSignature(dst, spans)
-		dst = append(dst, ')')
+	return b
+}
+
+// appendPred appends a predicate tree in pre-order behind tags: 0 absent,
+// 1 numeric atom, 2 string atom, 3 connective.
+//
+// costlint:noalloc
+func appendPred(b []byte, p sqlpred.Pred) []byte {
+	switch p := p.(type) {
+	case *sqlpred.Atom:
+		if p != nil {
+			tag := byte(1)
+			if p.IsStr {
+				tag = 2
+			}
+			b = append(b, tag)
+			b = appendStrs(b, p.Table, p.Column)
+			b = binary.AppendUvarint(b, uint64(p.Op))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.NumVal))
+			b = appendStrs(b, p.StrVal)
+			b = binary.AppendUvarint(b, uint64(len(p.InVals)))
+			return appendStrs(b, p.InVals...)
+		}
+	case *sqlpred.Bool:
+		if p != nil {
+			b = append(b, 3)
+			b = binary.AppendUvarint(b, uint64(p.Kind))
+			return appendPred(appendPred(b, p.Left), p.Right)
+		}
 	}
-	(*spans)[idx].end = len(dst)
-	return dst
+	b = append(b, 0)
+	return b
+}
+
+// costlint:noalloc
+func appendStrs(b []byte, ss ...string) []byte {
+	for _, s := range ss {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	return b
 }
 
 // String renders the plan as an indented EXPLAIN-style tree.

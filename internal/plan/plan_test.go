@@ -106,32 +106,6 @@ func TestSignatureSubtreesDiffer(t *testing.T) {
 	})
 }
 
-// TestSubtreeSignatures: one call yields every subtree's Signature in Walk
-// order, a unary node renders its missing child as "_", and a nil plan has
-// the nil signature and no subtrees.
-func TestSubtreeSignatures(t *testing.T) {
-	n := sampleTree()
-	sigs := n.SubtreeSignatures()
-	i := 0
-	n.Walk(func(m *Node) {
-		if i >= len(sigs) || sigs[i] != m.Signature() {
-			t.Errorf("subtree %d: SubtreeSignatures disagrees with Signature() = %q", i, m.Signature())
-		}
-		i++
-	})
-	if len(sigs) != i {
-		t.Errorf("%d signatures for %d nodes", len(sigs), i)
-	}
-	want := "6[COUNT.,](2[movie_companies.movie_id = title.id](0[movie_companies],0[title|title.production_year > 2000]),_)"
-	if sigs[0] != want {
-		t.Errorf("signature format changed:\n got %s\nwant %s", sigs[0], want)
-	}
-	var none *Node
-	if none.Signature() != "_" || len(none.SubtreeSignatures()) != 0 {
-		t.Errorf("nil plan: signature %q, %d subtrees", none.Signature(), len(none.SubtreeSignatures()))
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a := sampleTree()
 	a.TrueRows = 42

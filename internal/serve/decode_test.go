@@ -13,6 +13,7 @@ import (
 
 	"costest/internal/feature"
 	"costest/internal/plan"
+	"costest/internal/plan/plantest"
 )
 
 // oracleDecodeEstimate is the request decoder DecodeEstimate replaced, kept
@@ -131,7 +132,7 @@ func checkDecodeAgainstOracle(t *testing.T, body []byte) []*plan.Node {
 	}
 	for i := range got {
 		if !reflect.DeepEqual(got[i], want[i]) || got[i].Signature() != want[i].Signature() {
-			t.Fatalf("plan %d differs from the oracle's:\n got %s\nwant %s\nbody %s", i, got[i].Signature(), want[i].Signature(), body)
+			t.Fatalf("plan %d differs from the oracle's:\n got %s\nwant %s\nbody %s", i, got[i], want[i], body)
 		}
 	}
 	return got
@@ -411,6 +412,18 @@ func TestDecodeEstimateMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestDecodedIDsMatchStructure runs the identity differential over every
+// decodeTable row the decoder accepts and over the 8 × 8 enumeration body:
+// two decoded subtrees share an ID exactly when they are equal.
+func TestDecodedIDsMatchStructure(t *testing.T) {
+	_, enum64 := estimateBodies(t)
+	for _, body := range append(decodeTable, string(enum64), textCollisionBody) {
+		if roots, _, err := DecodeEstimate([]byte(body)); err == nil {
+			plantest.CheckIDs(t, roots...)
+		}
+	}
+}
+
 // TestDecodeEstimateRefusals: each tightening and each malformed-body class is
 // refused with an error that says what and where.
 func TestDecodeEstimateRefusals(t *testing.T) {
@@ -542,7 +555,7 @@ func TestDecodeSharesRepeatedSubtrees(t *testing.T) {
 		}
 		for i := range wantEps {
 			g, w := gotEps[i], wantEps[i]
-			if g.Signature != w.Signature || len(g.Nodes) != len(w.Nodes) || g.CardNode != w.CardNode || !reflect.DeepEqual(g.Levels, w.Levels) {
+			if g.Nodes[g.Root].ID != w.Nodes[w.Root].ID || len(g.Nodes) != len(w.Nodes) || g.CardNode != w.CardNode || !reflect.DeepEqual(g.Levels, w.Levels) {
 				t.Fatalf("%s: plan %d encodes to %d nodes, cardinality node %d, levels %v; the oracle's trees to %d, %d, %v",
 					c.name, i, len(g.Nodes), g.CardNode, g.Levels, len(w.Nodes), w.CardNode, w.Levels)
 			}

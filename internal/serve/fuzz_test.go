@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"costest/internal/feature"
+	"costest/internal/plan/plantest"
 )
 
 // FuzzWirePlanDecode drives the wire format's struct decoder — JSON unmarshal
@@ -34,12 +35,18 @@ func FuzzWirePlanDecode(f *testing.F) {
 	})
 }
 
+// textCollisionBody holds two plans of different shape whose old text
+// signatures coincided: table names reached the text unescaped.
+const textCollisionBody = `{"plans":[{"op":"hashjoin","left":{"op":"seqscan","table":"u](2[](0[p],0[q]),0[r]"},"right":{"op":"seqscan","table":"d"}},` +
+	`{"op":"hashjoin","table":"](0[u","left":{"op":"hashjoin","left":{"op":"seqscan","table":"p"},"right":{"op":"seqscan","table":"q"}},"right":{"op":"seqscan","table":"r]],0[d"}}]}`
+
 // FuzzEstimateDecode drives the /estimate request path's decoder with
 // arbitrary bytes. This is the daemon's network-facing parser: any panic here
 // is a remotely triggerable crash, so the contract is error-or-plans, never
 // panic — and, body by body, the differential of
 // TestDecodeEstimateMatchesOracle: it accepts exactly what the decoder it
-// replaced accepts, minus the four tightenings, and builds the same trees.
+// replaced accepts, minus the four tightenings, and builds the same trees,
+// whose sub-plans have one ID exactly when they are equal (plantest.CheckIDs).
 // Accepted plans go on through the feature encoder on a recycled arena, as in
 // the handler.
 func FuzzEstimateDecode(f *testing.F) {
@@ -54,12 +61,11 @@ func FuzzEstimateDecode(f *testing.F) {
 	for _, body := range repeatBodies(f) {
 		f.Add(body)
 	}
-	// Two trees of different shape that sign alike (see TestHTTPBadRequests).
-	f.Add([]byte(`{"plans":[{"op":"hashjoin","left":{"op":"seqscan","table":"u](2[](0[p],0[q]),0[r]"},"right":{"op":"seqscan","table":"d"}},` +
-		`{"op":"hashjoin","table":"](0[u","left":{"op":"hashjoin","left":{"op":"seqscan","table":"p"},"right":{"op":"seqscan","table":"q"}},"right":{"op":"seqscan","table":"r]],0[d"}}]}`))
+	f.Add([]byte(textCollisionBody))
 	var arena feature.Arena // recycled across inputs, as the handler's is across requests
 	f.Fuzz(func(t *testing.T, body []byte) {
 		roots := checkDecodeAgainstOracle(t, body)
+		plantest.CheckIDs(t, roots...)
 		eps, err := testEnc.EncodeAll(roots, &arena)
 		if err != nil {
 			return

@@ -78,9 +78,10 @@ func TestEstimateRequestAllocs(t *testing.T) {
 		// Before the scratch: 4,769 allocations and 1,360 KB for the 64-plan
 		// body, 133 and 34.5 KB for one plan. With it, but one Submit goroutine
 		// a plan: 281 / 74 KB and 17 / 3.7 KB. As one group: 215 / 72 KB and
-		// 16 / 3.6 KB.
-		{"enum64", enum64, 240, 453e3},
-		{"single", single, 66, 17e3},
+		// 16 / 3.6 KB. With sub-plan IDs in place of text signatures: 151 /
+		// 9.8 KB and 15 / 3.0 KB (the margins above them unchanged).
+		{"enum64", enum64, 176, 432e3},
+		{"single", single, 65, 16.4e3},
 	} {
 		hh, _ := newHandlerHarness(t)
 		for i := 0; i < 3; i++ { // a slab that grew mid-request fits the next one whole
@@ -218,7 +219,7 @@ func TestPrewarmOwnsItsPlans(t *testing.T) {
 	}
 	snap := srv.Snapshot()
 	wantCost, wantCard := snap.Model().Estimate(fresh) // no pool: computed from the fresh encoding alone
-	if !srv.Pool().GetGen(fresh.Signature, snap.Version(), nil, nil) {
+	if !srv.Pool().GetGen(fresh.Nodes[fresh.Root].ID, snap.Version(), nil, nil) {
 		t.Fatal("the replayed plan is not in the pool")
 	}
 	cost, card, version := srv.Estimate(fresh) // the root is resident: answered from the replay's entry

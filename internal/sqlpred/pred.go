@@ -6,7 +6,6 @@ package sqlpred
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -58,31 +57,14 @@ type Atom struct {
 
 func (*Atom) isPred() {}
 
-func (a *Atom) String() string { return string(a.appendString(nil)) }
-
-func (a *Atom) appendString(dst []byte) []byte {
-	dst = append(dst, a.Table...)
-	dst = append(dst, '.')
-	dst = append(dst, a.Column...)
-	dst = append(dst, ' ')
-	if a.Op == OpIn {
-		dst = append(dst, "IN ("...)
-		for i, v := range a.InVals {
-			if i > 0 {
-				dst = append(dst, ", "...)
-			}
-			dst = append(dst, v...)
-		}
-		return append(dst, ')')
+func (a *Atom) String() string {
+	switch {
+	case a.Op == OpIn:
+		return fmt.Sprintf("%s.%s IN (%s)", a.Table, a.Column, strings.Join(a.InVals, ", "))
+	case a.IsStr:
+		return fmt.Sprintf("%s.%s %s '%s'", a.Table, a.Column, a.Op, a.StrVal)
 	}
-	dst = append(dst, a.Op.String()...)
-	dst = append(dst, ' ')
-	if a.IsStr {
-		dst = append(dst, '\'')
-		dst = append(dst, a.StrVal...)
-		return append(dst, '\'')
-	}
-	return strconv.AppendFloat(dst, a.NumVal, 'g', -1, 64)
+	return fmt.Sprintf("%s.%s %s %g", a.Table, a.Column, a.Op, a.NumVal)
 }
 
 // BoolKind is the connective of a compound predicate.
@@ -110,27 +92,7 @@ type Bool struct {
 
 func (*Bool) isPred() {}
 
-func (b *Bool) String() string { return string(AppendString(nil, b)) }
-
-// AppendString appends p.String() to dst without the intermediate strings:
-// plan signatures are built from it on the request path. A nil p (or nil
-// operand of a malformed Bool) renders as fmt would, "%!s(<nil>)".
-func AppendString(dst []byte, p Pred) []byte {
-	switch n := p.(type) {
-	case *Atom:
-		return n.appendString(dst)
-	case *Bool:
-		dst = append(dst, '(')
-		dst = AppendString(dst, n.Left)
-		dst = append(dst, ' ')
-		dst = append(dst, n.Kind.String()...)
-		dst = append(dst, ' ')
-		dst = AppendString(dst, n.Right)
-		return append(dst, ')')
-	default:
-		return fmt.Appendf(dst, "%s", p)
-	}
-}
+func (b *Bool) String() string { return fmt.Sprintf("(%s %s %s)", b.Left, b.Kind, b.Right) }
 
 // Tables returns the distinct table names referenced by p, in first-seen
 // order.

@@ -125,9 +125,8 @@ func TestLikeMatchAgainstSplit(t *testing.T) {
 	}
 }
 
-// TestStringMatchesFmt pins the append-based String to the fmt formatting it
-// replaced — plan signatures, and so memory-pool keys, are built from it —
-// including how %g renders every float64.
+// TestStringMatchesFmt pins String's rendering of atoms, including how every
+// float64 prints, and of connectives.
 func TestStringMatchesFmt(t *testing.T) {
 	check := func(a *Atom) {
 		t.Helper()
@@ -164,9 +163,6 @@ func TestStringMatchesFmt(t *testing.T) {
 	tree := &Bool{Kind: Or, Left: &Bool{Kind: And, Left: a, Right: b}, Right: a}
 	if got, want := tree.String(), fmt.Sprintf("((%s AND %s) OR %s)", a, b, a); got != want {
 		t.Fatalf("Bool.String() = %q, want %q", got, want)
-	}
-	if got := string(AppendString([]byte("p="), tree)); got != "p="+tree.String() {
-		t.Fatalf("AppendString does not append: %q", got)
 	}
 }
 
