@@ -286,7 +286,7 @@ func BenchmarkTable12_MSCNBatch(b *testing.B) {
 	fix := timing(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fix.mscnM.EstimateBatch(fix.feats, 0)
+		fix.mscnM.EstimateBatch(fix.feats)
 	}
 	b.ReportMetric(float64(len(fix.feats)), "queries/op")
 }
@@ -303,7 +303,7 @@ func BenchmarkTable12_TLSTMBatch(b *testing.B) {
 	fix := timing(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fix.modelLSTM.EstimateBatch(fix.eps, 0)
+		fix.modelLSTM.EstimateBatch(fix.eps)
 	}
 	b.ReportMetric(float64(len(fix.eps)), "queries/op")
 }
@@ -320,7 +320,7 @@ func BenchmarkTable12_TPoolBatch(b *testing.B) {
 	fix := timing(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fix.model.EstimateBatch(fix.eps, 0)
+		fix.model.EstimateBatch(fix.eps)
 	}
 	b.ReportMetric(float64(len(fix.eps)), "queries/op")
 }

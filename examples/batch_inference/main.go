@@ -59,7 +59,7 @@ func main() {
 
 	// Width-first batched evaluation across the whole set.
 	t0 = time.Now()
-	model.EstimateBatch(eps, 0)
+	model.EstimateBatch(eps)
 	batch := time.Since(t0)
 
 	fmt.Printf("one by one: %7.3f ms/query\n", ms(seq, len(eps)))
@@ -88,11 +88,11 @@ func main() {
 	// arenas high-water sized, zero allocations per call once warm) plus the
 	// memory pool, so repeated batches skip every already-seen subtree.
 	sess := core.NewBatchSession(model)
-	sess.EstimateBatchWithPool(eps, pool, 0) // warm the arenas
+	sess.EstimateBatchWithPool(eps, pool) // warm the arenas
 	const rounds = 10
 	t0 = time.Now()
 	for i := 0; i < rounds; i++ {
-		sess.EstimateBatchWithPool(eps, pool, 0)
+		sess.EstimateBatchWithPool(eps, pool)
 	}
 	warmBatch := time.Since(t0) / rounds
 	fmt.Printf("\nwarm pooled batch session: %7.3f ms/query (0 allocs/op once warm)\n",

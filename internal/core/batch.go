@@ -2,8 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"costest/internal/feature"
 	"costest/internal/nn"
@@ -60,21 +58,21 @@ func (m *Model) EstimateWithPool(ep *feature.EncodedPlan, pool *MemoryPool) (cos
 // gates — and the predicate embedding's leaf layer / tree cells — as single
 // matrix-matrix products over every node in the level. The weights then
 // stream through the cache once per level instead of once per node, sparse
-// one-hot inputs skip their zero feature rows, and the remaining elementwise
-// work parallelizes across workers. This is the "Batch" variant of Table 12.
+// one-hot inputs skip their zero feature rows. The batch runs on the
+// caller's goroutine. This is the "Batch" variant of Table 12.
 //
 // This convenience API draws a reusable BatchSession from an internal pool,
 // so concurrent callers each get private arenas; the per-call state itself
 // is allocated once per session and reused (see BatchSession). Serving loops
 // that batch at high rates should hold their own NewBatchSession and call it
 // directly.
-func (m *Model) EstimateBatch(eps []*feature.EncodedPlan, workers int) []Estimate {
+func (m *Model) EstimateBatch(eps []*feature.EncodedPlan) []Estimate {
 	if len(eps) == 0 {
 		return nil
 	}
 	s := m.batchSession()
 	out := make([]Estimate, len(eps))
-	copy(out, s.EstimateBatch(eps, workers))
+	copy(out, s.EstimateBatch(eps))
 	s.releasePlans()
 	m.batchSessions.Put(s)
 	return out
@@ -85,13 +83,13 @@ func (m *Model) EstimateBatch(eps []*feature.EncodedPlan, workers int) []Estimat
 // are injected into the batch arenas up front), and newly computed sub-plan
 // representations are inserted afterwards — Section 3's online workflow on
 // the batch path.
-func (m *Model) EstimateBatchWithPool(eps []*feature.EncodedPlan, pool *MemoryPool, workers int) []Estimate {
+func (m *Model) EstimateBatchWithPool(eps []*feature.EncodedPlan, pool *MemoryPool) []Estimate {
 	if len(eps) == 0 {
 		return nil
 	}
 	s := m.batchSession()
 	out := make([]Estimate, len(eps))
-	copy(out, s.EstimateBatchWithPool(eps, pool, workers))
+	copy(out, s.EstimateBatchWithPool(eps, pool))
 	s.releasePlans()
 	m.batchSessions.Put(s)
 	return out
@@ -172,52 +170,3 @@ func biasReLU(dst []float64, l *nn.Linear) {
 }
 
 func sigmoidScalar(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
-// resolveWorkers maps the shared workers-knob convention onto a concrete
-// goroutine count: `workers <= 0` means one worker per available CPU
-// (runtime.GOMAXPROCS(0)). Every runtime entry point that takes a workers
-// parameter — EstimateBatch/EstimateBatchWithPool (via BatchSession.run) and
-// the data-parallel trainer — resolves through this one helper so the
-// default cannot drift between paths.
-func resolveWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
-// parallelFor runs f(0..n-1) across at most `workers` goroutines.
-func parallelFor(n, workers int, f func(int)) {
-	if n == 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"math"
-	"sync"
-
 	"costest/internal/feature"
 	"costest/internal/nn"
 	"costest/internal/plan"
@@ -16,14 +13,10 @@ import (
 // matrices — sized by high-water mark and reused across calls. After warming
 // up on the largest batch shape it has seen, steady-state EstimateBatch
 // performs zero heap allocations. A single plan is a batch of one (Estimate,
-// EstimateWithPool): there is no second, per-node evaluator.
-//
-// The parallel kernels are bound once at construction (the fn* fields) so
-// that repeated calls never materialize fresh closures; per-level context
-// travels through session fields (lvi/plvi) instead of captures. With
-// workers <= 1 every kernel runs inline, which is the allocation-free path
-// that AllocsPerRun tests enforce; with more workers the same kernels are
-// fanned out through parallelFor.
+// EstimateWithPool): there is no second, per-node evaluator. A batch runs on
+// the caller's goroutine: each level is a handful of GEMMs framed by plain
+// per-row loops, and concurrency lives across requests and trainer shards,
+// never inside a batch.
 //
 // A session is bound to one model and is NOT safe for concurrent use; give
 // each goroutine its own (Model.Estimate and Model.EstimateBatch maintain an
@@ -45,8 +38,7 @@ type BatchSession struct {
 	// snapshot's version so pooled representations never cross a hot swap.
 	poolGen uint64
 
-	workers int
-	train   bool
+	train bool
 
 	// Per-call plan addressing. one backs the single-plan entry points.
 	one     [1]*feature.EncodedPlan
@@ -69,23 +61,23 @@ type BatchSession struct {
 	// Node slabs: embedding, G/R representations, tanh(G) cache (training).
 	eBuf, gBuf, rBuf, tBuf []float64
 
-	// Per-level GEMM state. zt/gPrev are node-major ([n×in], [n×dh]); the
-	// gate pre-activation outputs f/k1/r/k2 are gate-major ([dh×n]); nnPre
-	// is the RepNN pre-activation ([dh×n]). Retained per level so training
-	// backward can replay them.
-	zt, gPrev, f, k1, r, k2, nnPre []tensor.Mat
+	// Per-level state, retained so training backward can replay it: the
+	// representation cell's matrices per plan level (a RepNN level uses only
+	// zt, its [n×(de+2dh)] input). nnPre is the RepNN pre-activation
+	// ([dh×n]) of the level being evaluated.
+	cells []cellMats
+	nnPre tensor.Mat
 
 	// Predicate-tree machinery.
-	predBase         []int
-	items            []predItem
-	itemHeights      []int
-	byLevel          [][]predItem
-	predHs           []int
-	pOut, pG         []float64
-	ptBuf            []float64 // tanh of predicate G (training, PredLSTM)
-	pzt, pgPrev      []tensor.Mat
-	pf, pk1, pr, pk2 []tensor.Mat
-	pxt, pleafOut    tensor.Mat // pool-variant leaf GEMM (level 0)
+	predBase      []int
+	items         []predItem
+	itemHeights   []int
+	byLevel       [][]predItem
+	predHs        []int
+	pOut, pG      []float64
+	ptBuf         []float64  // tanh of predicate G (training, PredLSTM)
+	pcells        []cellMats // predicate cell per predicate level (PredLSTM)
+	pxt, pleafOut tensor.Mat // pool-variant leaf GEMM (level 0)
 
 	// Estimation heads.
 	headItems    []headItem
@@ -95,37 +87,14 @@ type BatchSession struct {
 	sCost, sCard []float64
 	out          []Estimate
 
-	// Current-level context read by the prebound kernels.
-	lvi  int // plan level index
-	plvi int // predicate level index
-
 	// Backward state (training only, sized lazily; see batch_backward.go).
-	dCostS, dCardS                   []float64
-	dG, dR, dE                       []float64
-	dPre                             []float64
-	dH                               tensor.Mat
-	dF, dK1, dRM, dK2, dGp, dZ       tensor.Mat
-	dPOut, dPG                       []float64
-	dPF, dPK1, dPRM, dPK2, dPGp, dPZ tensor.Mat
-	dLeaf                            tensor.Mat
-	// Head-backward context read by fnHeadBack (headBackOne runs twice per
-	// pass, once per estimation head).
-	bwdH  *tensor.Mat
-	bwdWo []float64
-
-	// Prebound parallel kernels (see bindKernels and bindBackwardKernels).
-	fnEmbed, fnPredRoot                 func(int)
-	fnPredLeafGather, fnPredLeafScatter func(int)
-	fnPredPoolCombine                   func(int)
-	fnPredCellFill, fnPredCellFinish    func(int)
-	fnCellFill, fnCellFinish            func(int)
-	fnNNFill, fnNNFinish                func(int)
-	fnHeadFinish                        func(int)
-	fnHeadBack                          func(int)
-	fnBwdCellGrads, fnBwdCellScatter    func(int)
-	fnBwdNNGrads, fnBwdNNScatter        func(int)
-	fnBwdPredPool                       func(int)
-	fnBwdPredGrads, fnBwdPredScatter    func(int)
+	dCostS, dCardS []float64
+	dG, dR, dE     []float64
+	dPre           []float64
+	dH             tensor.Mat
+	grads          cellGrads // per-level scratch, plan and predicate levels
+	dPOut, dPG     []float64
+	dLeaf          tensor.Mat
 }
 
 // placement records where the first occurrence of a sub-plan landed: its
@@ -142,22 +111,19 @@ type headItem struct {
 // NewBatchSession returns a batch session bound to m. Buffers grow on first
 // contact with each batch shape and are reused afterwards.
 func NewBatchSession(m *Model) *BatchSession {
-	s := &BatchSession{
+	return &BatchSession{
 		m: m, de: m.embedDim(), dh: m.Cfg.Hidden, eh: m.Cfg.EstHidden,
 		epd: m.ePred, atomDim: m.Enc.AtomDim(),
 		seen: make(map[plan.ID]placement),
 	}
-	s.bindKernels()
-	s.bindBackwardKernels()
-	return s
 }
 
 // Rebind points the session at a different model sharing the original's
 // configuration and encoder — a hot-swapped snapshot. Arenas are sized by
-// the configuration alone and the prebound kernels read s.m per call, so
-// the rebind is one pointer store; it panics if the models are not
-// interchangeable. The caller owns concurrency: a session must not be
-// rebound while it is evaluating.
+// the configuration alone and every pass reads s.m afresh, so the rebind is
+// one pointer store; it panics if the models are not interchangeable. The
+// caller owns concurrency: a session must not be rebound while it is
+// evaluating.
 func (s *BatchSession) Rebind(m *Model) {
 	if m.Cfg != s.m.Cfg || m.Enc != s.m.Enc {
 		panic("core: Rebind across different model configurations")
@@ -168,8 +134,8 @@ func (s *BatchSession) Rebind(m *Model) {
 // EstimateBatch evaluates many plans with the width-first batching of
 // Section 4.3 (see Model.EstimateBatch for the algorithm). The returned
 // slice is owned by the session and overwritten by the next call.
-func (s *BatchSession) EstimateBatch(eps []*feature.EncodedPlan, workers int) []Estimate {
-	return s.run(eps, nil, workers, false)
+func (s *BatchSession) EstimateBatch(eps []*feature.EncodedPlan) []Estimate {
+	return s.run(eps, nil, false)
 }
 
 // EstimateBatchWithPool is EstimateBatch with a representation memory pool
@@ -177,8 +143,8 @@ func (s *BatchSession) EstimateBatch(eps []*feature.EncodedPlan, workers int) []
 // G/R injected into the batch slabs up front and their subtrees skip the
 // level sweep entirely; newly computed sub-plan representations are
 // inserted afterwards. The returned slice is owned by the session.
-func (s *BatchSession) EstimateBatchWithPool(eps []*feature.EncodedPlan, pool *MemoryPool, workers int) []Estimate {
-	return s.run(eps, pool, workers, false)
+func (s *BatchSession) EstimateBatchWithPool(eps []*feature.EncodedPlan, pool *MemoryPool) []Estimate {
+	return s.run(eps, pool, false)
 }
 
 // Estimate evaluates one plan as a batch of one and returns denormalized
@@ -201,7 +167,7 @@ func (s *BatchSession) Estimate(ep *feature.EncodedPlan) (cost, card float64) {
 // costlint:noalloc
 func (s *BatchSession) EstimateWithPool(ep *feature.EncodedPlan, pool *MemoryPool) (cost, card float64) {
 	s.one[0] = ep
-	e := s.run(s.one[:], pool, 1, false)[0]
+	e := s.run(s.one[:], pool, false)[0]
 	s.one[0] = nil
 	s.releasePlans()
 	return e.Cost, e.Card
@@ -212,16 +178,55 @@ func (s *BatchSession) EstimateWithPool(ep *feature.EncodedPlan, pool *MemoryPoo
 func (s *BatchSession) eOf(id int) []float64 { return s.eBuf[id*s.de : (id+1)*s.de] }
 func (s *BatchSession) gOf(id int) []float64 { return s.gBuf[id*s.dh : (id+1)*s.dh] }
 func (s *BatchSession) rOf(id int) []float64 { return s.rBuf[id*s.dh : (id+1)*s.dh] }
-func (s *BatchSession) tOf(id int) []float64 { return s.tBuf[id*s.dh : (id+1)*s.dh] }
 
 func (s *BatchSession) pOutOf(flat int) []float64 { return s.pOut[flat*s.epd : (flat+1)*s.epd] }
 func (s *BatchSession) pGOf(flat int) []float64   { return s.pG[flat*s.epd : (flat+1)*s.epd] }
-func (s *BatchSession) ptOf(flat int) []float64   { return s.ptBuf[flat*s.epd : (flat+1)*s.epd] }
+
+// tOf and ptOf return a node's tanh(G) cache row on a training pass and nil
+// on an inference pass, which retains none.
+func (s *BatchSession) tOf(id int) []float64 {
+	if !s.train {
+		return nil
+	}
+	return s.tBuf[id*s.dh : (id+1)*s.dh]
+}
+
+func (s *BatchSession) ptOf(flat int) []float64 {
+	if !s.train {
+		return nil
+	}
+	return s.ptBuf[flat*s.epd : (flat+1)*s.epd]
+}
 
 // flatOf maps one predicate-tree node of one plan node to its arena slot (a
 // tree's nodes occupy consecutive slots from the tree's base).
 func (s *BatchSession) flatOf(plan int, node int32, pidx int) int {
 	return s.predBase[s.offsets[plan]+int(node)] + pidx
+}
+
+// predNode returns the predicate-tree node an item addresses.
+func (s *BatchSession) predNode(it predItem) *feature.PredNode {
+	return &s.eps[it.plan].Nodes[it.node].Pred.Nodes[it.pidx]
+}
+
+// childOf returns the G and R rows of a plan node's child (in-plan index
+// idx; nil rows when idx < 0), read through the child's representative.
+func (s *BatchSession) childOf(base, idx int) (g, r []float64) {
+	if idx < 0 {
+		return nil, nil
+	}
+	id := int(s.rep[base+idx])
+	return s.gOf(id), s.rOf(id)
+}
+
+// predChildOf is childOf for a child (tree index pidx) of a predicate-tree
+// node of item it.
+func (s *BatchSession) predChildOf(it predItem, pidx int) (g, r []float64) {
+	if pidx < 0 {
+		return nil, nil
+	}
+	fl := s.flatOf(it.plan, it.node, pidx)
+	return s.pGOf(fl), s.pOutOf(fl)
 }
 
 // releasePlans drops the session's references to the last batch's plans (the
@@ -231,22 +236,8 @@ func (s *BatchSession) releasePlans() {
 	s.eps = nil
 }
 
-// parRun executes fn(0..n-1), inline when the session is single-worker and
-// via parallelFor otherwise. fn must be one of the prebound kernels so the
-// sequential path stays allocation-free.
-func (s *BatchSession) parRun(n int, fn func(int)) {
-	if s.workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	parallelFor(n, s.workers, fn)
-}
-
 // run is the shared forward driver for inference and training passes.
-func (s *BatchSession) run(eps []*feature.EncodedPlan, pool *MemoryPool, workers int, train bool) []Estimate {
-	s.workers = resolveWorkers(workers)
+func (s *BatchSession) run(eps []*feature.EncodedPlan, pool *MemoryPool, train bool) []Estimate {
 	s.train = train
 	s.eps = eps
 	if len(eps) == 0 {
@@ -254,36 +245,23 @@ func (s *BatchSession) run(eps []*feature.EncodedPlan, pool *MemoryPool, workers
 	}
 	s.layout(pool)
 
-	// Phase 1: simple-feature embeddings (parallel, sparse), then predicate
-	// embeddings batched level-wise across every predicate tree.
-	s.parRun(len(s.all), s.fnEmbed)
+	// Phase 1: simple-feature embeddings (sparse), then predicate embeddings
+	// batched level-wise across every predicate tree.
+	for _, it := range s.all {
+		s.m.embedSimple(&s.eps[it.plan].Nodes[it.node], s.eOf(s.offsets[it.plan]+int(it.node)))
+	}
 	s.batchPreds()
 
 	// Phase 2: level-by-level batched representation evaluation.
-	for d := range s.levels {
-		lv := s.levels[d]
+	for d, lv := range s.levels {
 		if len(lv) == 0 {
 			continue
 		}
-		s.lvi = d
-		n := len(lv)
 		switch s.m.Cfg.Rep {
 		case RepLSTM:
-			matInto(&s.zt[d], n, s.dh+s.de)
-			matInto(&s.gPrev[d], n, s.dh)
-			matInto(&s.f[d], s.dh, n)
-			matInto(&s.k1[d], s.dh, n)
-			matInto(&s.r[d], s.dh, n)
-			matInto(&s.k2[d], s.dh, n)
-			s.parRun(n, s.fnCellFill)
-			s.runGates(s.m.repCell, &s.zt[d], &s.f[d], &s.k1[d], &s.r[d], &s.k2[d])
-			s.parRun(n, s.fnCellFinish)
+			s.levelLSTM(d)
 		case RepNN:
-			matInto(&s.zt[d], n, s.de+2*s.dh)
-			matInto(&s.nnPre[d], s.dh, n)
-			s.parRun(n, s.fnNNFill)
-			tensor.MatMulTransBInto(&s.nnPre[d], s.m.repNN.W.Mat(), &s.zt[d])
-			s.parRun(n, s.fnNNFinish)
+			s.levelNN(d)
 		}
 	}
 
@@ -299,6 +277,65 @@ func (s *BatchSession) run(eps []*feature.EncodedPlan, pool *MemoryPool, workers
 		s.insertAll(pool)
 	}
 	return s.out
+}
+
+// levelLSTM evaluates plan level d through the representation cell: fill
+// every row from its children and embedding, run the four gate GEMMs, finish
+// every row into the G/R slabs.
+func (s *BatchSession) levelLSTM(d int) {
+	lv, c := s.levels[d], &s.cells[d]
+	c.size(len(lv), s.dh, s.de)
+	for j, it := range lv {
+		node := &s.eps[it.plan].Nodes[it.node]
+		base := s.offsets[it.plan]
+		gl, rl := s.childOf(base, node.Left)
+		gr, rr := s.childOf(base, node.Right)
+		c.fill(j, gl, rl, gr, rr, s.eOf(base+int(it.node)))
+	}
+	c.gates(s.m.repCell)
+	for j, it := range lv {
+		id := s.offsets[it.plan] + int(it.node)
+		c.finish(j, s.gOf(id), s.rOf(id), s.tOf(id))
+	}
+}
+
+// levelNN evaluates plan level d through the RepNN layer: R = ReLU(W·[E,
+// R^l, R^r] + b) as one GEMM over the level's input rows.
+func (s *BatchSession) levelNN(d int) {
+	lv, zt := s.levels[d], &s.cells[d].zt
+	n := len(lv)
+	de, dh := s.de, s.dh
+	matInto(zt, n, de+2*dh)
+	matInto(&s.nnPre, dh, n)
+	for j, it := range lv {
+		node := &s.eps[it.plan].Nodes[it.node]
+		base := s.offsets[it.plan]
+		zRow := zt.Row(j)
+		copy(zRow, s.eOf(base+int(it.node)))
+		// Reused buffers: an absent child's segment is re-zeroed explicitly.
+		if _, r := s.childOf(base, node.Left); r != nil {
+			copy(zRow[de:de+dh], r)
+		} else {
+			clear(zRow[de : de+dh])
+		}
+		if _, r := s.childOf(base, node.Right); r != nil {
+			copy(zRow[de+dh:], r)
+		} else {
+			clear(zRow[de+dh:])
+		}
+	}
+	tensor.MatMulTransBInto(&s.nnPre, s.m.repNN.W.Mat(), zt)
+	b := s.m.repNN.B.Vec()
+	for j, it := range lv {
+		r := s.rOf(s.offsets[it.plan] + int(it.node))
+		for i := range r {
+			v := s.nnPre.Data[i*n+j] + b[i]
+			if v < 0 {
+				v = 0
+			}
+			r[i] = v
+		}
+	}
 }
 
 // layout computes the global node addressing for this batch, sizes the
@@ -336,13 +373,7 @@ func (s *BatchSession) layout(pool *MemoryPool) {
 	}
 
 	s.levels = growOuter(s.levels, maxDepth)
-	s.zt = growMats(s.zt, maxDepth)
-	s.gPrev = growMats(s.gPrev, maxDepth)
-	s.f = growMats(s.f, maxDepth)
-	s.k1 = growMats(s.k1, maxDepth)
-	s.r = growMats(s.r, maxDepth)
-	s.k2 = growMats(s.k2, maxDepth)
-	s.nnPre = growMats(s.nnPre, maxDepth)
+	s.cells = growKeep(s.cells, maxDepth)
 
 	s.rep = growSlice(s.rep, s.total)
 	if s.train {
@@ -469,86 +500,89 @@ func (s *BatchSession) batchPreds() {
 		if s.train {
 			s.ptBuf = growSlice(s.ptBuf, len(s.items)*s.epd)
 		}
-		s.pzt = growMats(s.pzt, maxH+1)
-		s.pgPrev = growMats(s.pgPrev, maxH+1)
-		s.pf = growMats(s.pf, maxH+1)
-		s.pk1 = growMats(s.pk1, maxH+1)
-		s.pr = growMats(s.pr, maxH+1)
-		s.pk2 = growMats(s.pk2, maxH+1)
+		s.pcells = growKeep(s.pcells, maxH+1)
 	}
 	s.byLevel = growOuter(s.byLevel, maxH+1)
 	for k, it := range s.items {
 		s.byLevel[s.itemHeights[k]] = append(s.byLevel[s.itemHeights[k]], it)
 	}
 
-	for h := range s.byLevel {
-		lv := s.byLevel[h]
+	for h, lv := range s.byLevel {
 		if len(lv) == 0 {
 			continue
 		}
-		s.plvi = h
-		n := len(lv)
-		switch m.Cfg.Pred {
-		case PredPool, PredPoolMean:
-			if h == 0 {
-				// All leaves: one GEMM through W_p.
-				matInto(&s.pxt, n, s.atomDim)
-				s.parRun(n, s.fnPredLeafGather)
-				matInto(&s.pleafOut, s.epd, n)
-				tensor.MatMulTransBInto(&s.pleafOut, m.predLeaf.W.Mat(), &s.pxt)
-				s.parRun(n, s.fnPredLeafScatter)
-			} else {
-				s.parRun(n, s.fnPredPoolCombine)
-			}
-		case PredLSTM:
-			matInto(&s.pzt[h], n, s.epd+s.atomDim)
-			matInto(&s.pgPrev[h], n, s.epd)
-			matInto(&s.pf[h], s.epd, n)
-			matInto(&s.pk1[h], s.epd, n)
-			matInto(&s.pr[h], s.epd, n)
-			matInto(&s.pk2[h], s.epd, n)
-			s.parRun(n, s.fnPredCellFill)
-			s.runGates(m.predCell, &s.pzt[h], &s.pf[h], &s.pk1[h], &s.pr[h], &s.pk2[h])
-			s.parRun(n, s.fnPredCellFinish)
+		switch {
+		case m.Cfg.Pred == PredLSTM:
+			s.predLevelLSTM(h)
+		case h == 0:
+			s.predLeaves(lv)
+		default:
+			s.predPoolLevel(lv)
 		}
 	}
 
 	// Copy each tree root (pidx 0) into its node's embedding segment.
-	s.parRun(len(s.items), s.fnPredRoot)
-}
-
-// runGates evaluates the four cell gates over a level: pre = W·ztᵀ, then
-// bias + nonlinearity in place. The four products are independent; they run
-// inline on a single-worker session and overlapped otherwise.
-func (s *BatchSession) runGates(cell *lstmCell, zt *tensor.Mat, f, k1, r, k2 *tensor.Mat) {
-	if s.workers <= 1 {
-		gateRun(f, cell.wf, zt, sigmoidScalar)
-		gateRun(k1, cell.wk1, zt, sigmoidScalar)
-		gateRun(r, cell.wr, zt, math.Tanh)
-		gateRun(k2, cell.wk2, zt, sigmoidScalar)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(4)
-	go func() { defer wg.Done(); gateRun(f, cell.wf, zt, sigmoidScalar) }()
-	go func() { defer wg.Done(); gateRun(k1, cell.wk1, zt, sigmoidScalar) }()
-	go func() { defer wg.Done(); gateRun(r, cell.wr, zt, math.Tanh) }()
-	go func() { defer wg.Done(); gateRun(k2, cell.wk2, zt, sigmoidScalar) }()
-	wg.Wait()
-}
-
-// gateRun computes one gate's pre-activations for a level (dst = W·ztᵀ) and
-// applies bias and nonlinearity in place.
-func gateRun(dst *tensor.Mat, l *nn.Linear, zt *tensor.Mat, act func(float64) float64) {
-	tensor.MatMulTransBInto(dst, l.W.Mat(), zt)
-	b := l.B.Vec()
-	n := zt.Rows
-	for i := 0; i < dst.Rows; i++ {
-		row := dst.Data[i*n : (i+1)*n]
-		bi := b[i]
-		for j := range row {
-			row[j] = act(row[j] + bi)
+	predSegOff := m.eOp + m.eMeta + m.eBm
+	for _, it := range s.items {
+		if it.pidx == 0 {
+			id := s.offsets[it.plan] + int(it.node)
+			copy(s.eOf(id)[predSegOff:predSegOff+s.epd], s.pOutOf(it.flat))
 		}
+	}
+}
+
+// predLeaves embeds every predicate leaf of the batch (pool variants) as one
+// GEMM through W_p. The leaf inputs stay in pxt for training backward.
+func (s *BatchSession) predLeaves(lv []predItem) {
+	n := len(lv)
+	matInto(&s.pxt, n, s.atomDim)
+	for j, it := range lv {
+		copy(s.pxt.Row(j), s.predNode(it).Vec)
+	}
+	matInto(&s.pleafOut, s.epd, n)
+	tensor.MatMulTransBInto(&s.pleafOut, s.m.predLeaf.W.Mat(), &s.pxt)
+	b := s.m.predLeaf.B.Vec()
+	for j, it := range lv {
+		dst := s.pOutOf(it.flat)
+		for i := range dst {
+			dst[i] = s.pleafOut.Data[i*n+j] + b[i]
+		}
+	}
+}
+
+// predPoolLevel combines one level of AND/OR connectives elementwise: min
+// for AND and max for OR, or the mean under PredPoolMean.
+func (s *BatchSession) predPoolLevel(lv []predItem) {
+	for _, it := range lv {
+		pn := s.predNode(it)
+		l := s.pOutOf(s.flatOf(it.plan, it.node, pn.Left))
+		r := s.pOutOf(s.flatOf(it.plan, it.node, pn.Right))
+		dst := s.pOutOf(it.flat)
+		switch {
+		case s.m.Cfg.Pred == PredPoolMean:
+			tensor.Mean(dst, l, r)
+		case pn.Bool == 0:
+			tensor.MinInto(dst, l, r)
+		default:
+			tensor.MaxInto(dst, l, r)
+		}
+	}
+}
+
+// predLevelLSTM evaluates predicate level h through the predicate cell —
+// the plan levels' cell, addressed through the predicate slabs.
+func (s *BatchSession) predLevelLSTM(h int) {
+	lv, c := s.byLevel[h], &s.pcells[h]
+	c.size(len(lv), s.epd, s.atomDim)
+	for j, it := range lv {
+		pn := s.predNode(it)
+		gl, rl := s.predChildOf(it, pn.Left)
+		gr, rr := s.predChildOf(it, pn.Right)
+		c.fill(j, gl, rl, gr, rr, pn.Vec)
+	}
+	c.gates(s.m.predCell)
+	for j, it := range lv {
+		c.finish(j, s.pGOf(it.flat), s.pOutOf(it.flat), s.ptOf(it.flat))
 	}
 }
 
@@ -593,9 +627,26 @@ func (s *BatchSession) evalHeadsMat(R *tensor.Mat) {
 	matInto(&s.hCard, nh, s.eh)
 	s.sCost = growSlice(s.sCost, nh)
 	s.sCard = growSlice(s.sCard, nh)
-	tensor.MatMulTransBInto(&s.hCost, R, s.m.costH.W.Mat())
-	tensor.MatMulTransBInto(&s.hCard, R, s.m.cardH.W.Mat())
-	s.parRun(nh, s.fnHeadFinish)
+	m := s.m
+	tensor.MatMulTransBInto(&s.hCost, R, m.costH.W.Mat())
+	tensor.MatMulTransBInto(&s.hCard, R, m.cardH.W.Mat())
+	for j := 0; j < nh; j++ {
+		s.sCost[j] = headOut(s.hCost.Row(j), m.costH, m.costO)
+		s.sCard[j] = headOut(s.hCard.Row(j), m.cardH, m.cardO)
+	}
+}
+
+// headOut finishes one head row: the hidden layer's bias and ReLU in place
+// (row holds W·R), then the 1-wide sigmoid output layer.
+func headOut(row []float64, h, o *nn.Linear) float64 {
+	for i, bi := range h.B.Vec() {
+		v := row[i] + bi
+		if v < 0 {
+			v = 0
+		}
+		row[i] = v
+	}
+	return sigmoidScalar(tensor.Dot(row, o.W.Mat().Data) + o.B.Vec()[0])
 }
 
 // predHeightsInto writes each predicate node's height above the leaves into
@@ -614,242 +665,6 @@ func predHeightsInto(ep *feature.EncodedPred, i int, hs []int) int {
 	}
 	hs[i] = h + 1
 	return h + 1
-}
-
-// bindKernels allocates the session's parallel kernels once. Each reads its
-// loop context from session fields (lvi/plvi and the per-level matrices) so
-// steady-state calls never materialize new closures.
-func (s *BatchSession) bindKernels() {
-	// Kernels resolve s.m on every call (not a captured copy) so Rebind can
-	// hot-swap the model without re-binding closures.
-	s.fnEmbed = func(k int) {
-		it := s.all[k]
-		node := &s.eps[it.plan].Nodes[it.node]
-		s.m.embedSimple(node, s.eOf(s.offsets[it.plan]+int(it.node)))
-	}
-
-	s.fnPredRoot = func(k int) {
-		it := s.items[k]
-		if it.pidx != 0 {
-			return
-		}
-		m := s.m
-		predSegOff := m.eOp + m.eMeta + m.eBm
-		id := s.offsets[it.plan] + int(it.node)
-		copy(s.eOf(id)[predSegOff:predSegOff+s.epd], s.pOutOf(it.flat))
-	}
-
-	s.fnPredLeafGather = func(j int) {
-		it := s.byLevel[s.plvi][j]
-		copy(s.pxt.Row(j), s.eps[it.plan].Nodes[it.node].Pred.Nodes[it.pidx].Vec)
-	}
-
-	s.fnPredLeafScatter = func(j int) {
-		lv := s.byLevel[s.plvi]
-		n := len(lv)
-		b := s.m.predLeaf.B.Vec()
-		dst := s.pOutOf(lv[j].flat)
-		for i := 0; i < s.epd; i++ {
-			dst[i] = s.pleafOut.Data[i*n+j] + b[i]
-		}
-	}
-
-	s.fnPredPoolCombine = func(j int) {
-		it := s.byLevel[s.plvi][j]
-		pn := &s.eps[it.plan].Nodes[it.node].Pred.Nodes[it.pidx]
-		l := s.pOutOf(s.flatOf(it.plan, it.node, pn.Left))
-		r := s.pOutOf(s.flatOf(it.plan, it.node, pn.Right))
-		dst := s.pOutOf(it.flat)
-		switch {
-		case s.m.Cfg.Pred == PredPoolMean:
-			tensor.Mean(dst, l, r)
-		case pn.Bool == 0:
-			tensor.MinInto(dst, l, r)
-		default:
-			tensor.MaxInto(dst, l, r)
-		}
-	}
-
-	s.fnPredCellFill = func(j int) {
-		it := s.byLevel[s.plvi][j]
-		pn := &s.eps[it.plan].Nodes[it.node].Pred.Nodes[it.pidx]
-		epd := s.epd
-		var gl, rl, gr, rr []float64
-		if pn.Left >= 0 {
-			fl := s.flatOf(it.plan, it.node, pn.Left)
-			gl, rl = s.pGOf(fl), s.pOutOf(fl)
-		}
-		if pn.Right >= 0 {
-			fr := s.flatOf(it.plan, it.node, pn.Right)
-			gr, rr = s.pGOf(fr), s.pOutOf(fr)
-		}
-		zRow := s.pzt[s.plvi].Row(j)
-		gRow := s.pgPrev[s.plvi].Row(j)
-		for i := 0; i < epd; i++ {
-			var g, r float64
-			if gl != nil {
-				g += gl[i]
-				r += rl[i]
-			}
-			if gr != nil {
-				g += gr[i]
-				r += rr[i]
-			}
-			gRow[i] = g / 2
-			zRow[i] = r / 2
-		}
-		copy(zRow[epd:], pn.Vec)
-	}
-
-	s.fnPredCellFinish = func(j int) {
-		lv := s.byLevel[s.plvi]
-		n := len(lv)
-		it := lv[j]
-		g := s.pGOf(it.flat)
-		rOut := s.pOutOf(it.flat)
-		gRow := s.pgPrev[s.plvi].Row(j)
-		f, k1, r, k2 := &s.pf[s.plvi], &s.pk1[s.plvi], &s.pr[s.plvi], &s.pk2[s.plvi]
-		if s.train {
-			tRow := s.ptOf(it.flat)
-			for i := 0; i < s.epd; i++ {
-				gt := f.Data[i*n+j]*gRow[i] + k1.Data[i*n+j]*r.Data[i*n+j]
-				g[i] = gt
-				t := math.Tanh(gt)
-				tRow[i] = t
-				rOut[i] = k2.Data[i*n+j] * t
-			}
-			return
-		}
-		for i := 0; i < s.epd; i++ {
-			gt := f.Data[i*n+j]*gRow[i] + k1.Data[i*n+j]*r.Data[i*n+j]
-			g[i] = gt
-			rOut[i] = k2.Data[i*n+j] * math.Tanh(gt)
-		}
-	}
-
-	s.fnCellFill = func(j int) {
-		it := s.levels[s.lvi][j]
-		node := &s.eps[it.plan].Nodes[it.node]
-		base := s.offsets[it.plan]
-		dh := s.dh
-		var gl, rl, gr, rr []float64
-		if node.Left >= 0 {
-			li := int(s.rep[base+node.Left])
-			gl, rl = s.gOf(li), s.rOf(li)
-		}
-		if node.Right >= 0 {
-			ri := int(s.rep[base+node.Right])
-			gr, rr = s.gOf(ri), s.rOf(ri)
-		}
-		zRow := s.zt[s.lvi].Row(j)
-		gRow := s.gPrev[s.lvi].Row(j)
-		for i := 0; i < dh; i++ {
-			var g, r float64
-			if gl != nil {
-				g += gl[i]
-				r += rl[i]
-			}
-			if gr != nil {
-				g += gr[i]
-				r += rr[i]
-			}
-			gRow[i] = g / 2
-			zRow[i] = r / 2
-		}
-		copy(zRow[dh:], s.eOf(base+int(it.node)))
-	}
-
-	s.fnCellFinish = func(j int) {
-		lv := s.levels[s.lvi]
-		n := len(lv)
-		it := lv[j]
-		id := s.offsets[it.plan] + int(it.node)
-		g := s.gOf(id)
-		rOut := s.rOf(id)
-		gRow := s.gPrev[s.lvi].Row(j)
-		f, k1, r, k2 := &s.f[s.lvi], &s.k1[s.lvi], &s.r[s.lvi], &s.k2[s.lvi]
-		if s.train {
-			tRow := s.tOf(id)
-			for i := 0; i < s.dh; i++ {
-				gt := f.Data[i*n+j]*gRow[i] + k1.Data[i*n+j]*r.Data[i*n+j]
-				g[i] = gt
-				t := math.Tanh(gt)
-				tRow[i] = t
-				rOut[i] = k2.Data[i*n+j] * t
-			}
-			return
-		}
-		for i := 0; i < s.dh; i++ {
-			gt := f.Data[i*n+j]*gRow[i] + k1.Data[i*n+j]*r.Data[i*n+j]
-			g[i] = gt
-			rOut[i] = k2.Data[i*n+j] * math.Tanh(gt)
-		}
-	}
-
-	s.fnNNFill = func(j int) {
-		it := s.levels[s.lvi][j]
-		node := &s.eps[it.plan].Nodes[it.node]
-		base := s.offsets[it.plan]
-		de, dh := s.de, s.dh
-		zRow := s.zt[s.lvi].Row(j)
-		copy(zRow, s.eOf(base+int(it.node)))
-		if node.Left >= 0 {
-			copy(zRow[de:de+dh], s.rOf(int(s.rep[base+node.Left])))
-		} else {
-			// Reused buffers: absent children must be re-zeroed explicitly.
-			for i := de; i < de+dh; i++ {
-				zRow[i] = 0
-			}
-		}
-		if node.Right >= 0 {
-			copy(zRow[de+dh:], s.rOf(int(s.rep[base+node.Right])))
-		} else {
-			for i := de + dh; i < len(zRow); i++ {
-				zRow[i] = 0
-			}
-		}
-	}
-
-	s.fnNNFinish = func(j int) {
-		lv := s.levels[s.lvi]
-		n := len(lv)
-		it := lv[j]
-		r := s.rOf(s.offsets[it.plan] + int(it.node))
-		pre := &s.nnPre[s.lvi]
-		b := s.m.repNN.B.Vec()
-		for i := 0; i < s.dh; i++ {
-			v := pre.Data[i*n+j] + b[i]
-			if v < 0 {
-				v = 0
-			}
-			r[i] = v
-		}
-	}
-
-	s.fnHeadFinish = func(j int) {
-		m := s.m
-		hb := m.costH.B.Vec()
-		row := s.hCost.Row(j)
-		for i, bi := range hb {
-			v := row[i] + bi
-			if v < 0 {
-				v = 0
-			}
-			row[i] = v
-		}
-		s.sCost[j] = sigmoidScalar(tensor.Dot(row, m.costO.W.Mat().Data) + m.costO.B.Vec()[0])
-
-		hb = m.cardH.B.Vec()
-		row = s.hCard.Row(j)
-		for i, bi := range hb {
-			v := row[i] + bi
-			if v < 0 {
-				v = 0
-			}
-			row[i] = v
-		}
-		s.sCard[j] = sigmoidScalar(tensor.Dot(row, m.cardO.W.Mat().Data) + m.cardO.B.Vec()[0])
-	}
 }
 
 // sizing helpers
@@ -889,11 +704,11 @@ func growOuter[T any](s [][]T, n int) [][]T {
 	return s
 }
 
-// growMats resizes a per-level matrix list, keeping existing matrices (and
-// their backing arrays) intact.
-func growMats(s []tensor.Mat, n int) []tensor.Mat {
+// growKeep resizes a per-level list to n levels, keeping existing elements
+// (and the backing arrays they hold) intact.
+func growKeep[T any](s []T, n int) []T {
 	if cap(s) < n {
-		ns := make([]tensor.Mat, n)
+		ns := make([]T, n)
 		copy(ns, s[:cap(s)])
 		s = ns
 	}

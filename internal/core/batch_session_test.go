@@ -19,8 +19,8 @@ func TestBatchSessionReuseMatchesFresh(t *testing.T) {
 		m := New(cfg, testEnc)
 		sess := NewBatchSession(m)
 		check := func(batch []*feature.EncodedPlan) {
-			got := sess.EstimateBatch(batch, 1)
-			want := NewBatchSession(m).EstimateBatch(batch, 1)
+			got := sess.EstimateBatch(batch)
+			want := NewBatchSession(m).EstimateBatch(batch)
 			for i := range batch {
 				if got[i] != want[i] {
 					t.Fatalf("%s: reused session %+v != fresh session %+v at plan %d",
@@ -40,10 +40,9 @@ func TestBatchSessionReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestBatchSessionZeroAlloc asserts the tentpole property: after warm-up, a
-// single-worker EstimateBatch performs zero heap allocations per call across
-// all architecture variants. (Multi-worker runs pay only the goroutine
-// fan-out of parallelFor; the per-call arenas are shared.)
+// TestBatchSessionZeroAlloc asserts the tentpole property: after warm-up,
+// EstimateBatch performs zero heap allocations per call across all
+// architecture variants.
 func TestBatchSessionZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -54,17 +53,17 @@ func TestBatchSessionZeroAlloc(t *testing.T) {
 		variant.mod(&cfg)
 		m := New(cfg, testEnc)
 		sess := NewBatchSession(m)
-		sess.EstimateBatch(eps, 1) // warm-up sizes every arena
-		sess.EstimateBatch(eps[:5], 1)
+		sess.EstimateBatch(eps) // warm-up sizes every arena
+		sess.EstimateBatch(eps[:5])
 		allocs := testing.AllocsPerRun(100, func() {
-			sess.EstimateBatch(eps, 1)
+			sess.EstimateBatch(eps)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: warm EstimateBatch allocates %.1f objects/op, want 0", variant.name, allocs)
 		}
 		// Smaller batches of already-seen plans must stay allocation-free too.
 		allocs = testing.AllocsPerRun(100, func() {
-			sess.EstimateBatch(eps[:5], 1)
+			sess.EstimateBatch(eps[:5])
 		})
 		if allocs != 0 {
 			t.Errorf("%s: warm sub-batch EstimateBatch allocates %.1f objects/op, want 0", variant.name, allocs)
@@ -82,14 +81,14 @@ func TestEstimateBatchWithPool(t *testing.T) {
 		cfg := TestConfig()
 		variant.mod(&cfg)
 		m := New(cfg, testEnc)
-		want := m.EstimateBatch(eps, 2)
+		want := m.EstimateBatch(eps)
 		pool := NewMemoryPool()
 
-		cold := m.EstimateBatchWithPool(eps, pool, 2)
+		cold := m.EstimateBatchWithPool(eps, pool)
 		if pool.Len() == 0 {
 			t.Fatalf("%s: pool empty after cold batch", variant.name)
 		}
-		warm := m.EstimateBatchWithPool(eps, pool, 2)
+		warm := m.EstimateBatchWithPool(eps, pool)
 		if pool.HitRate() == 0 {
 			t.Fatalf("%s: warm batch produced no pool hits", variant.name)
 		}
@@ -121,14 +120,14 @@ func TestEstimateBatchWithPoolEvictedCardNode(t *testing.T) {
 	eps := benchCorpus(t, 16)
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
-	want := m.EstimateBatch(eps, 1)
+	want := m.EstimateBatch(eps)
 	tested := 0
 	for i, ep := range eps {
 		if ep.CardNode == ep.Root {
 			continue
 		}
 		full := NewMemoryPool()
-		m.EstimateBatchWithPool(eps[i:i+1], full, 1)
+		m.EstimateBatchWithPool(eps[i:i+1], full)
 		g, r, ok := pooledCopy(full, m, ep.Nodes[ep.Root].ID, full.Generation())
 		if !ok {
 			t.Fatal("root representation missing from warm pool")
@@ -137,7 +136,7 @@ func TestEstimateBatchWithPoolEvictedCardNode(t *testing.T) {
 		// misses — exactly the post-eviction shape.
 		pool := NewMemoryPool()
 		pool.PutGen(ep.Nodes[ep.Root].ID, g, r, pool.Generation())
-		got := m.EstimateBatchWithPool(eps[i:i+1], pool, 1)
+		got := m.EstimateBatchWithPool(eps[i:i+1], pool)
 		// Recomputing the card subtree regroups its GEMM levels, but the
 		// canonical kernel order makes level grouping irrelevant to the
 		// result: compare bit-exactly.
@@ -180,7 +179,7 @@ func TestBatchedTrainingConcurrentWithPooledEstimates(t *testing.T) {
 			sess := NewBatchSession(serveM)
 			for k := 0; k < 30; k++ {
 				sess.EstimateWithPool(eps[(w+k)%len(eps)], pool)
-				serveM.EstimateBatchWithPool(eps, pool, 2)
+				serveM.EstimateBatchWithPool(eps, pool)
 			}
 		}(w)
 	}
@@ -188,7 +187,7 @@ func TestBatchedTrainingConcurrentWithPooledEstimates(t *testing.T) {
 }
 
 // BenchmarkEstimateBatch measures the steady-state batch serving path: 24
-// plans per call through a warm BatchSession (workers = GOMAXPROCS).
+// plans per call through a warm BatchSession.
 func BenchmarkEstimateBatch(b *testing.B) {
 	eps := benchCorpus(b, 24)
 	for _, variant := range []struct {
@@ -203,11 +202,11 @@ func BenchmarkEstimateBatch(b *testing.B) {
 		variant.mod(&cfg)
 		m := New(cfg, testEnc)
 		sess := NewBatchSession(m)
-		sess.EstimateBatch(eps, 0)
+		sess.EstimateBatch(eps)
 		b.Run(variant.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sess.EstimateBatch(eps, 0)
+				sess.EstimateBatch(eps)
 			}
 		})
 	}
@@ -221,11 +220,11 @@ func BenchmarkEstimateBatchPooled(b *testing.B) {
 	m := New(cfg, testEnc)
 	sess := NewBatchSession(m)
 	pool := NewMemoryPool()
-	sess.EstimateBatchWithPool(eps, pool, 0)
+	sess.EstimateBatchWithPool(eps, pool)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess.EstimateBatchWithPool(eps, pool, 0)
+		sess.EstimateBatchWithPool(eps, pool)
 	}
 	b.ReportMetric(pool.HitRate()*100, "hit%")
 }

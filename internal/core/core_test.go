@@ -94,7 +94,7 @@ func TestModelGradCheck(t *testing.T) {
 			pt.FitNormalizers(eps)
 			bs := NewBatchSession(m)
 			objective := func() float64 {
-				bs.run(eps, nil, 1, true)
+				bs.run(eps, nil, true)
 				return pt.batchLossAndGrads(bs)
 			}
 			m.PS.ZeroGrad()

@@ -16,8 +16,7 @@ import (
 // sessions. It states the model's arithmetic once, in the order the paper
 // writes it (Section 4.2), and the batch runtime must match it bit for bit:
 // every inner product is tensor.Dot's canonical order, so how a batch was
-// composed, split across workers or short-circuited by the memory pool may
-// not move a single bit.
+// composed or short-circuited by the memory pool may not move a single bit.
 
 func oracleSigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
@@ -167,10 +166,10 @@ func oracleEstimate(m *Model, ep *feature.EncodedPlan) Estimate {
 
 // oracleMatrix drives run — an EstimateBatch entry point; pool is nil for
 // the pool-less case — over every architecture variant, batch sizes 1, 7 and
-// 64, workers 1 and 4, and three pool states (none; cold then warm; only the
-// plans' root representations resident, i.e. the cardinality nodes evicted),
-// demanding bit-exact agreement with the oracle throughout.
-func oracleMatrix(t *testing.T, run func(m *Model, eps []*feature.EncodedPlan, pool *MemoryPool, workers int) []Estimate) {
+// 64, and three pool states (none; cold then warm; only the plans' root
+// representations resident, i.e. the cardinality nodes evicted), demanding
+// bit-exact agreement with the oracle throughout.
+func oracleMatrix(t *testing.T, run func(m *Model, eps []*feature.EncodedPlan, pool *MemoryPool) []Estimate) {
 	corpus := benchCorpus(t, 40)
 	for _, variant := range sessionVariants {
 		cfg := TestConfig()
@@ -190,34 +189,32 @@ func oracleMatrix(t *testing.T, run func(m *Model, eps []*feature.EncodedPlan, p
 			for i := range eps {
 				eps[i] = corpus[(i*3+size)%len(corpus)]
 			}
-			for _, workers := range []int{1, 4} {
-				check := func(label string, pool *MemoryPool) {
-					t.Helper()
-					for i, got := range run(m, eps, pool, workers) {
-						if got != want[eps[i]] {
-							t.Fatalf("%s/size=%d/workers=%d/%s: plan %d = %+v, oracle %+v",
-								variant.name, size, workers, label, i, got, want[eps[i]])
-						}
+			check := func(label string, pool *MemoryPool) {
+				t.Helper()
+				for i, got := range run(m, eps, pool) {
+					if got != want[eps[i]] {
+						t.Fatalf("%s/size=%d/%s: plan %d = %+v, oracle %+v",
+							variant.name, size, label, i, got, want[eps[i]])
 					}
 				}
-				check("nopool", nil)
-				full := NewMemoryPool()
-				check("cold pool", full)
-				check("warm pool", full)
-				if full.HitRate() == 0 {
-					t.Fatalf("%s: warm pass produced no pool hits", variant.name)
-				}
-				rootsOnly := NewMemoryPool()
-				for _, ep := range eps {
-					sig := ep.Nodes[ep.Root].ID
-					g, r, ok := pooledCopy(full, m, sig, full.Generation())
-					if !ok {
-						t.Fatalf("%s: root representation missing from warm pool", variant.name)
-					}
-					rootsOnly.PutGen(sig, g, r, rootsOnly.Generation())
-				}
-				check("card node evicted", rootsOnly)
 			}
+			check("nopool", nil)
+			full := NewMemoryPool()
+			check("cold pool", full)
+			check("warm pool", full)
+			if full.HitRate() == 0 {
+				t.Fatalf("%s: warm pass produced no pool hits", variant.name)
+			}
+			rootsOnly := NewMemoryPool()
+			for _, ep := range eps {
+				sig := ep.Nodes[ep.Root].ID
+				g, r, ok := pooledCopy(full, m, sig, full.Generation())
+				if !ok {
+					t.Fatalf("%s: root representation missing from warm pool", variant.name)
+				}
+				rootsOnly.PutGen(sig, g, r, rootsOnly.Generation())
+			}
+			check("card node evicted", rootsOnly)
 		}
 	}
 }
@@ -226,12 +223,12 @@ func oracleMatrix(t *testing.T, run func(m *Model, eps []*feature.EncodedPlan, p
 // sessions) to the oracle: EstimateBatch/EstimateBatchWithPool, and for a
 // lone plan Estimate/EstimateWithPool, which must be the same batch of one.
 func TestBatchMatchesSequential(t *testing.T) {
-	oracleMatrix(t, func(m *Model, eps []*feature.EncodedPlan, pool *MemoryPool, workers int) []Estimate {
+	oracleMatrix(t, func(m *Model, eps []*feature.EncodedPlan, pool *MemoryPool) []Estimate {
 		var out []Estimate
 		if pool == nil {
-			out = m.EstimateBatch(eps, workers)
+			out = m.EstimateBatch(eps)
 		} else {
-			out = m.EstimateBatchWithPool(eps, pool, workers)
+			out = m.EstimateBatchWithPool(eps, pool)
 		}
 		if len(eps) == 1 {
 			cost, card := m.EstimateWithPool(eps[0], pool)
@@ -245,16 +242,16 @@ func TestBatchMatchesSequential(t *testing.T) {
 
 // TestBatchSessionMatchesSequential holds one BatchSession per model across
 // the whole matrix, so every call also reuses arenas last shaped by a
-// different batch size, worker count and pool state.
+// different batch size and pool state.
 func TestBatchSessionMatchesSequential(t *testing.T) {
 	sessions := map[*Model]*BatchSession{}
-	oracleMatrix(t, func(m *Model, eps []*feature.EncodedPlan, pool *MemoryPool, workers int) []Estimate {
+	oracleMatrix(t, func(m *Model, eps []*feature.EncodedPlan, pool *MemoryPool) []Estimate {
 		s := sessions[m]
 		if s == nil {
 			s = NewBatchSession(m)
 			sessions[m] = s
 		}
-		return s.EstimateBatchWithPool(eps, pool, workers)
+		return s.EstimateBatchWithPool(eps, pool)
 	})
 }
 
@@ -335,8 +332,8 @@ func enumBatch(t *testing.T) []*feature.EncodedPlan {
 // TestInBatchSharingMatchesOracle: on an enumeration-shaped batch every
 // distinct sub-plan is evaluated once — the level rows of a pass are exactly
 // the distinct signatures the pool did not serve — and sharing moves no bit:
-// all variants, pool-less / cold / warm / cardinality nodes evicted, workers 1
-// and 4, against the naive oracle.
+// all variants, pool-less / cold / warm / cardinality nodes evicted, against
+// the naive oracle.
 func TestInBatchSharingMatchesOracle(t *testing.T) {
 	eps := enumBatch(t)
 	nodes := 0
@@ -352,62 +349,60 @@ func TestInBatchSharingMatchesOracle(t *testing.T) {
 			want[i] = oracleEstimate(m, ep)
 		}
 		s := NewBatchSession(m)
-		for _, workers := range []int{1, 4} {
-			check := func(label string, pool *MemoryPool) {
-				t.Helper()
-				// The rows this pass must evaluate: walk every plan from its
-				// root, and again from its cardinality node, stopping at
-				// what the pool serves.
-				distinct := map[plan.ID]bool{}
-				var walk func(ep *feature.EncodedPlan, i int)
-				walk = func(ep *feature.EncodedPlan, i int) {
-					if i < 0 {
+		check := func(label string, pool *MemoryPool) {
+			t.Helper()
+			// The rows this pass must evaluate: walk every plan from its
+			// root, and again from its cardinality node, stopping at
+			// what the pool serves.
+			distinct := map[plan.ID]bool{}
+			var walk func(ep *feature.EncodedPlan, i int)
+			walk = func(ep *feature.EncodedPlan, i int) {
+				if i < 0 {
+					return
+				}
+				if pool != nil {
+					if pool.GetGen(ep.Nodes[i].ID, pool.Generation(), nil, nil) {
 						return
 					}
-					if pool != nil {
-						if pool.GetGen(ep.Nodes[i].ID, pool.Generation(), nil, nil) {
-							return
-						}
-					}
-					distinct[ep.Nodes[i].ID] = true
-					walk(ep, ep.Nodes[i].Left)
-					walk(ep, ep.Nodes[i].Right)
 				}
-				for _, ep := range eps {
-					walk(ep, ep.Root)
-					walk(ep, ep.CardNode)
-				}
-				for i, got := range s.EstimateBatchWithPool(eps, pool, workers) {
-					if got != want[i] {
-						t.Fatalf("%s/workers=%d/%s: plan %d = %+v, oracle %+v", variant.name, workers, label, i, got, want[i])
-					}
-				}
-				if len(s.all) != len(distinct) {
-					t.Fatalf("%s/workers=%d/%s: evaluated %d level rows for %d distinct unpooled signatures (%d nodes in the batch)",
-						variant.name, workers, label, len(s.all), len(distinct), nodes)
-				}
-				if s.shared == 0 || s.placed <= s.shared {
-					t.Fatalf("%s/%s: placed %d, shared %d: the batch shares sub-plans", variant.name, label, s.placed, s.shared)
-				}
+				distinct[ep.Nodes[i].ID] = true
+				walk(ep, ep.Nodes[i].Left)
+				walk(ep, ep.Nodes[i].Right)
 			}
-			check("nopool", nil)
-			if len(s.all)*2 > nodes {
-				t.Fatalf("%s: %d rows for %d nodes: the batch is not enumeration-shaped", variant.name, len(s.all), nodes)
-			}
-			full := NewMemoryPool()
-			check("cold pool", full)
-			check("warm pool", full)
-			rootsOnly := NewMemoryPool()
 			for _, ep := range eps {
-				sig := ep.Nodes[ep.Root].ID
-				g, r, ok := pooledCopy(full, m, sig, full.Generation())
-				if !ok {
-					t.Fatalf("%s: root representation missing from warm pool", variant.name)
-				}
-				rootsOnly.PutGen(sig, g, r, rootsOnly.Generation())
+				walk(ep, ep.Root)
+				walk(ep, ep.CardNode)
 			}
-			check("card node evicted", rootsOnly)
+			for i, got := range s.EstimateBatchWithPool(eps, pool) {
+				if got != want[i] {
+					t.Fatalf("%s/%s: plan %d = %+v, oracle %+v", variant.name, label, i, got, want[i])
+				}
+			}
+			if len(s.all) != len(distinct) {
+				t.Fatalf("%s/%s: evaluated %d level rows for %d distinct unpooled signatures (%d nodes in the batch)",
+					variant.name, label, len(s.all), len(distinct), nodes)
+			}
+			if s.shared == 0 || s.placed <= s.shared {
+				t.Fatalf("%s/%s: placed %d, shared %d: the batch shares sub-plans", variant.name, label, s.placed, s.shared)
+			}
 		}
+		check("nopool", nil)
+		if len(s.all)*2 > nodes {
+			t.Fatalf("%s: %d rows for %d nodes: the batch is not enumeration-shaped", variant.name, len(s.all), nodes)
+		}
+		full := NewMemoryPool()
+		check("cold pool", full)
+		check("warm pool", full)
+		rootsOnly := NewMemoryPool()
+		for _, ep := range eps {
+			sig := ep.Nodes[ep.Root].ID
+			g, r, ok := pooledCopy(full, m, sig, full.Generation())
+			if !ok {
+				t.Fatalf("%s: root representation missing from warm pool", variant.name)
+			}
+			rootsOnly.PutGen(sig, g, r, rootsOnly.Generation())
+		}
+		check("card node evicted", rootsOnly)
 	}
 }
 
@@ -423,8 +418,8 @@ func TestInBatchSharingZeroAlloc(t *testing.T) {
 	for name, pool := range map[string]*MemoryPool{"nopool": nil, "warm pool": NewMemoryPool()} {
 		srv := NewServer(New(TestConfig(), testEnc), pool)
 		snap := srv.AcquireSnapshot()
-		srv.EstimateBatchInto(snap, eps, out, 1)
-		if allocs := testing.AllocsPerRun(50, func() { srv.EstimateBatchInto(snap, eps, out, 1) }); allocs != 0 {
+		srv.EstimateBatchInto(snap, eps, out)
+		if allocs := testing.AllocsPerRun(50, func() { srv.EstimateBatchInto(snap, eps, out) }); allocs != 0 {
 			t.Errorf("%s: warm EstimateBatchInto allocates %.1f objects/op on a sharing batch, want 0", name, allocs)
 		}
 		srv.ReleaseSnapshot(snap)

@@ -436,10 +436,8 @@ func (srv *Server) prewarmReplay(wantVersion uint64) int {
 	if len(plans) == 0 {
 		return 0
 	}
-	// One worker: pre-warming is a background nicety and must not steal
-	// cores from foreground serving.
 	s := srv.batchSession(snap)
-	s.EstimateBatchWithPool(plans, srv.pool, 1)
+	s.EstimateBatchWithPool(plans, srv.pool)
 	s.releasePlans()
 	srv.putSession(s)
 	return len(plans)
@@ -465,15 +463,17 @@ func (srv *Server) Estimate(ep *feature.EncodedPlan) (cost, card float64, versio
 
 // EstimateBatch serves a batch of plans against the current snapshot
 // through the server's pool (see Model.EstimateBatch for the level-batched
-// algorithm and the meaning of workers), returning one estimate per plan
-// and the snapshot version that produced them. The whole batch is served
-// by a single snapshot resolution, so every returned estimate belongs to
-// the same version.
-func (srv *Server) EstimateBatch(eps []*feature.EncodedPlan, workers int) ([]Estimate, uint64) {
+// algorithm), returning one estimate per plan and the snapshot version that
+// produced them. The whole batch is served by a single snapshot resolution,
+// so every returned estimate belongs to the same version. The int argument
+// is ignored — a batch runs on the caller's goroutine; it remains only for
+// the benchmark's trace replay, and goes when ROADMAP 1.2 deletes that
+// replay.
+func (srv *Server) EstimateBatch(eps []*feature.EncodedPlan, _ int) ([]Estimate, uint64) {
 	snap := srv.acquire()
 	var out []Estimate
 	if len(eps) > 0 {
-		out = srv.EstimateBatchInto(snap, eps, make([]Estimate, len(eps)), workers)
+		out = srv.EstimateBatchInto(snap, eps, make([]Estimate, len(eps)))
 	}
 	srv.release(snap)
 	return out, snap.version
@@ -492,12 +492,12 @@ func (srv *Server) EstimateBatch(eps []*feature.EncodedPlan, workers int) ([]Est
 // allocation-free in steady state.
 //
 // costlint:noalloc
-func (srv *Server) EstimateBatchInto(snap *ModelSnapshot, eps []*feature.EncodedPlan, out []Estimate, workers int) []Estimate {
+func (srv *Server) EstimateBatchInto(snap *ModelSnapshot, eps []*feature.EncodedPlan, out []Estimate) []Estimate {
 	if len(eps) == 0 {
 		return out[:0]
 	}
 	s := srv.batchSession(snap)
-	copy(out, s.EstimateBatchWithPool(eps, srv.pool, workers))
+	copy(out, s.EstimateBatchWithPool(eps, srv.pool))
 	s.releasePlans()
 	srv.putSession(s)
 	if tr := srv.prewarm.Load(); tr != nil {

@@ -66,13 +66,12 @@ func (pt *ParallelTrainer) PublishDelta(srv *Server) *ModelSnapshot {
 }
 
 // ValidationError reports mean q-errors over a validation set, evaluated as
-// one single-worker batch (validation runs beside serving in the daemon's
-// retrain loop, so it does not fan out).
+// one batch.
 func (m *Model) ValidationError(samples []*feature.EncodedPlan) (costQ, cardQ float64) {
 	if len(samples) == 0 {
 		return 0, 0
 	}
-	for i, e := range m.EstimateBatch(samples, 1) {
+	for i, e := range m.EstimateBatch(samples) {
 		costQ += nn.QError(e.Cost, samples[i].Cost)
 		cardQ += nn.QError(e.Card, samples[i].Card)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 
 	"costest/internal/feature"
@@ -134,9 +135,19 @@ type workerTask struct {
 	wg  *sync.WaitGroup
 }
 
+// resolveWorkers maps the trainer's shard and worker-cap convention onto a
+// concrete count: n <= 0 means one per available CPU
+// (runtime.GOMAXPROCS(0)).
+func resolveWorkers(n int) int {
+	if n <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return n
+}
+
 // NewParallelTrainer builds a data-parallel trainer for the live model with
-// a fixed shard count (shards <= 0 resolves to GOMAXPROCS, like every other
-// workers knob). The shard count — not the per-epoch worker cap — is what
+// a fixed shard count (shards <= 0 resolves to GOMAXPROCS, like the
+// per-epoch worker cap). The shard count — not the worker cap — is what
 // determines the trained bits; see the type comment.
 func NewParallelTrainer(m *Model, shards int) *ParallelTrainer {
 	return &ParallelTrainer{
@@ -289,12 +300,11 @@ func (pt *ParallelTrainer) workerLoop(w *trainWorker) {
 
 // shardAccumulate runs forward + backward for one shard of a minibatch
 // through the worker's private session and gradient set, returning the
-// shard's summed per-sample loss. Inner kernels run single-worker, so the
-// warm path performs zero heap allocations — the parallelism lives across
-// shards, not inside them.
+// shard's summed per-sample loss. The warm path performs zero heap
+// allocations — the parallelism lives across shards, not inside them.
 func (pt *ParallelTrainer) shardAccumulate(w *trainWorker, eps []*feature.EncodedPlan) float64 {
 	w.shadow.PS.ZeroGrad()
-	w.sess.run(eps, nil, 1, true)
+	w.sess.run(eps, nil, true)
 	loss := pt.batchLossAndGrads(w.sess)
 	w.sess.backward()
 	return loss
@@ -359,39 +369,6 @@ func (pt *ParallelTrainer) TrainEpochParallel(samples []*feature.EncodedPlan, ba
 	return total / float64(len(samples))
 }
 
-// treeReduceMinShards is the active-shard count at which the gradient
-// reduction switches from the flat left-to-right sweep to the fixed-pair
-// tree. Below it the flat sweep's single destination pass is cheaper; above
-// it the tree halves the live partial count per round, which is the shape a
-// future multi-core reduction parallelizes without changing a single bit
-// (the association is fixed by the shard count alone).
-const treeReduceMinShards = 8
-
-// treeReduceGrads reduces the active shards' gradients into the live
-// ParamSet via a deterministic fixed-pair tree: round r combines shard i
-// with shard i+2^r for every i ≡ 0 (mod 2^(r+1)), each combine a strict
-// left-to-right tensor.AddVecsInto accumulation into the lower shard, until
-// shard 0 holds the tree's root sum, which is copied into the main
-// gradients. The pairing is a pure function of `active` — bit-identical
-// across runs and worker caps; versus the flat sweep it reassociates the
-// same per-element sums, so results agree to floating-point reassociation
-// (≤1e-6 relative, the established cross-shard tolerance). Shard gradient
-// buffers are scratch here: every shard re-zeroes its set at the start of
-// its next accumulation, so mutating them between joins is free.
-func (pt *ParallelTrainer) treeReduceGrads(active int) {
-	for stride := 1; stride < active; stride *= 2 {
-		for i := 0; i+stride < active; i += 2 * stride {
-			for pi := range pt.mainGrads {
-				srcs := pt.gradSrcs[pi]
-				tensor.AddVecsInto(srcs[i], srcs[i+stride])
-			}
-		}
-	}
-	for pi, dst := range pt.mainGrads {
-		copy(dst, pt.gradSrcs[pi][0])
-	}
-}
-
 // stepParallel processes one minibatch: fixed contiguous shard assignment,
 // concurrent shard accumulation, ordered gradient reduction, then the
 // clip + Adam step.
@@ -413,22 +390,16 @@ func (pt *ParallelTrainer) stepParallel(batch []*feature.EncodedPlan) float64 {
 
 	// Ordered reduction: shard 0's gradient is copied (bit-exact — with one
 	// shard nothing is reassociated), the rest accumulate in ascending shard
-	// order via the deterministic reduction kernel. At high shard counts the
-	// flat left-to-right sweep is replaced by a fixed-pair tree (see
-	// treeReduceGrads): still a pure function of the active shard count —
-	// never of scheduling — just a different fixed association.
+	// order via the deterministic reduction kernel — a pure function of the
+	// active shard count, never of scheduling.
 	var loss float64
 	for i := 0; i < active; i++ {
 		loss += pt.workers[i].loss
 	}
-	if active >= treeReduceMinShards {
-		pt.treeReduceGrads(active)
-	} else {
-		for pi, dst := range pt.mainGrads {
-			srcs := pt.gradSrcs[pi]
-			copy(dst, srcs[0])
-			tensor.AddVecsInto(dst, srcs[1:active]...)
-		}
+	for pi, dst := range pt.mainGrads {
+		srcs := pt.gradSrcs[pi]
+		copy(dst, srcs[0])
+		tensor.AddVecsInto(dst, srcs[1:active]...)
 	}
 	pt.M.PS.ClipGradNorm(pt.M.Cfg.GradClip * float64(len(batch)))
 	pt.Opt.Step(pt.M.PS)

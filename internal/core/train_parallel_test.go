@@ -81,31 +81,31 @@ func TestTrainEpochParallelWorkerCountInvariant(t *testing.T) {
 	compareWeights(t, "workers 1 vs 4", models[0], models[2], 0)
 }
 
-// TestTreeReductionDeterministic exercises the fixed-pair tree reduction
-// (>= treeReduceMinShards active shards) that the 3-4 shard tests above
-// never reach. Two contracts: worker-count invariance holds bit-exactly on
-// the tree path (its pairing is a pure function of the active shard count,
-// never of scheduling), and the tree result agrees with one-shard training
-// to the established cross-shard reassociation tolerance.
-func TestTreeReductionDeterministic(t *testing.T) {
+// TestManyShardReductionDeterministic holds the ordered reduction to its
+// contracts at a shard count far above the 3-4 shard tests: with 12 active
+// shards, worker-count invariance holds bit-exactly (the reduction order is
+// a pure function of the active shard count, never of scheduling), and the
+// result agrees with one-shard training to the established cross-shard
+// reassociation tolerance.
+func TestManyShardReductionDeterministic(t *testing.T) {
 	eps := benchCorpus(t, 24)
 	cfg := TestConfig()
-	shards := treeReduceMinShards + 4 // 12: chunk 2 over the 24-sample batch
+	const shards = 12 // chunk 2 over the 24-sample batch
 	models := make([]*Model, 0, 3)
 	for _, workers := range []int{1, 3, shards} {
 		m := New(cfg, testEnc)
 		pt := NewParallelTrainer(m, shards)
 		pt.FitNormalizers(eps)
 		for e := 0; e < 2; e++ {
-			// One batch spanning every sample => active == shards >= the
-			// tree threshold on every step.
+			// One batch spanning every sample => every shard is active on
+			// every step.
 			pt.TrainEpochParallel(eps, len(eps), workers)
 		}
 		pt.Close()
 		models = append(models, m)
 	}
-	compareWeights(t, "tree workers 1 vs 3", models[0], models[1], 0)
-	compareWeights(t, "tree workers 1 vs 12", models[0], models[2], 0)
+	compareWeights(t, "12 shards, workers 1 vs 3", models[0], models[1], 0)
+	compareWeights(t, "12 shards, workers 1 vs 12", models[0], models[2], 0)
 
 	mSeq := New(cfg, testEnc)
 	seq := NewParallelTrainer(mSeq, 1)
@@ -114,7 +114,7 @@ func TestTreeReductionDeterministic(t *testing.T) {
 	for e := 0; e < 2; e++ {
 		seq.TrainEpochParallel(eps, len(eps), 1)
 	}
-	compareWeights(t, "tree vs 1 shard", mSeq, models[0], 1e-6)
+	compareWeights(t, "12 shards vs 1 shard", mSeq, models[0], 1e-6)
 }
 
 // TestTrainEpochParallelReducesLoss trains end to end through the parallel
@@ -138,27 +138,31 @@ func TestTrainEpochParallelReducesLoss(t *testing.T) {
 	}
 }
 
-// TestTrainEpochParallelZeroAlloc asserts the warm-path allocation contract:
-// after the worker arenas have seen the epoch's shapes, a full parallel
-// epoch — shuffle, shard dispatch, forward/backward in every worker,
-// reduction, clip, Adam — performs zero heap allocations.
+// TestTrainEpochParallelZeroAlloc asserts the warm-path allocation contract
+// for every architecture variant: after the worker arenas have seen the
+// epoch's shapes, a full parallel epoch — shuffle, shard dispatch,
+// forward/backward in every worker, reduction, clip, Adam — performs zero
+// heap allocations.
 func TestTrainEpochParallelZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	eps := benchCorpus(t, 24)
-	cfg := TestConfig()
-	m := New(cfg, testEnc)
-	pt := NewParallelTrainer(m, 2)
-	defer pt.Close()
-	pt.FitNormalizers(eps)
-	pt.Warmup(eps) // sizes every worker arena for any shard of this corpus
-	pt.TrainEpochParallel(eps, 8, 2)
-	allocs := testing.AllocsPerRun(10, func() {
+	for _, variant := range sessionVariants {
+		cfg := TestConfig()
+		variant.mod(&cfg)
+		m := New(cfg, testEnc)
+		pt := NewParallelTrainer(m, 2)
+		pt.FitNormalizers(eps)
+		pt.Warmup(eps) // sizes every worker arena for any shard of this corpus
 		pt.TrainEpochParallel(eps, 8, 2)
-	})
-	if allocs != 0 {
-		t.Errorf("warm TrainEpochParallel allocates %.1f objects/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(10, func() {
+			pt.TrainEpochParallel(eps, 8, 2)
+		})
+		pt.Close()
+		if allocs != 0 {
+			t.Errorf("%s: warm TrainEpochParallel allocates %.1f objects/op, want 0", variant.name, allocs)
+		}
 	}
 }
 

@@ -45,6 +45,10 @@ type Config struct {
 	StrDim    int // string embedding width
 	MSCNWidth int
 
+	// Workers is the labeler's parallelism and the trainer's cap on
+	// concurrently executing shards (<= 0 resolves to GOMAXPROCS). It does
+	// not reach model evaluation: every batch, Table 12's Batch rows
+	// included, runs on one goroutine.
 	Workers int
 
 	// Shards is the data-parallel width of the trainer (<= 0 resolves to

@@ -61,7 +61,7 @@ func (e *Env) runTiming(m *stringModels, samples []*workload.Labeled) ([]TimingR
 			mscnModel.EstimateFeatures(f)
 		}
 	})
-	mscnBatchMS := best(func() { mscnModel.EstimateBatch(feats, e.Cfg.Workers) })
+	mscnBatchMS := best(func() { mscnModel.EstimateBatch(feats) })
 
 	timeTree := func(model *core.Model, enc *feature.Encoder) (seq, batch float64, err error) {
 		eps, err := encodeAll(enc, samples)
@@ -73,7 +73,7 @@ func (e *Env) runTiming(m *stringModels, samples []*workload.Labeled) ([]TimingR
 				model.Estimate(ep)
 			}
 		})
-		batch = best(func() { model.EstimateBatch(eps, e.Cfg.Workers) })
+		batch = best(func() { model.EstimateBatch(eps) })
 		return seq, batch, nil
 	}
 	tlstmMS, tlstmBatchMS, err := timeTree(m.tlstmEmbR, m.encR)

@@ -9,8 +9,6 @@ package mscn
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"costest/internal/nn"
 	"costest/internal/query"
@@ -190,35 +188,14 @@ func (m *Model) EstimateFeatures(f *Features) float64 {
 	return m.Norm.Denormalize(m.forward(f))
 }
 
-// EstimateBatch evaluates many featurized queries in parallel — the "Batch"
-// variant of Table 12.
-func (m *Model) EstimateBatch(fs []*Features, workers int) []float64 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// EstimateBatch evaluates many featurized queries on the caller's goroutine
+// — the "Batch" variant of Table 12. It reads no shared forward cache, so
+// concurrent calls are safe.
+func (m *Model) EstimateBatch(fs []*Features) []float64 {
 	out := make([]float64, len(fs))
-	var wg sync.WaitGroup
-	chunk := (len(fs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(fs) {
-			hi = len(fs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			// Each worker uses a private forward buffer by cloning nothing:
-			// MLP forward caches are not thread-safe, so batch workers
-			// evaluate through a lightweight stateless path.
-			for i := lo; i < hi; i++ {
-				out[i] = m.Norm.Denormalize(m.forwardStateless(fs[i]))
-			}
-		}(lo, hi)
+	for i, f := range fs {
+		out[i] = m.Norm.Denormalize(m.forwardStateless(f))
 	}
-	wg.Wait()
 	return out
 }
 

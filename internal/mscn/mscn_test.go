@@ -109,7 +109,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 		}
 		fs = append(fs, f)
 	}
-	batch := m.EstimateBatch(fs, 4)
+	batch := m.EstimateBatch(fs)
 	for i, f := range fs {
 		seq := m.EstimateFeatures(f)
 		if math.Abs(batch[i]-seq) > 1e-9*math.Max(1, seq) {

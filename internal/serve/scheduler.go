@@ -2,7 +2,7 @@
 // with a batching scheduler and an HTTP API (cmd/costestd is the daemon
 // around it). Parallelism is by request, not by level: the scheduler holds
 // GOMAXPROCS run slots, and a request whose plans find a slot free runs them
-// as one single-worker EstimateBatch call on its own goroutine — no
+// as one EstimateBatch call on its own goroutine — no
 // dispatcher to hand off to, no goroutines started per plan or per level.
 // Requests that find every slot busy wait, and the runner that frees a slot
 // hands it to them as one batch, so a lone request is never delayed and
@@ -598,7 +598,7 @@ func (s *Scheduler) estimateBatch(sl *runSlot) (ests []core.Estimate, snap *core
 	// The slot's holder owns sl.res, and every estimate is copied out before
 	// the slot's next run reuses it, so the steady-state serve path stays
 	// allocation-free.
-	ests = s.srv.EstimateBatchInto(snap, sl.eps, sl.res[:len(sl.eps)], 1)
+	ests = s.srv.EstimateBatchInto(snap, sl.eps, sl.res[:len(sl.eps)])
 	return ests, snap, nil
 }
 
