@@ -78,7 +78,7 @@ func TestChaosAcceptance(t *testing.T) {
 		}
 	})
 
-	sup := newSupervisor(srv, tr, eps, 1)
+	sup := newSupervisor(srv, tr.M, 1, eps, 1)
 	sup.Interval = 2 * time.Millisecond
 	sup.GateSlack = -1 // every cycle publishes: maximum churn under the load
 	sup.CheckpointPath = filepath.Join(t.TempDir(), "model.ckpt")

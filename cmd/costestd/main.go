@@ -32,10 +32,12 @@
 // weights. A follower at the default -promote-rank -1 never promotes and
 // trains nothing. For high availability, a promotable member
 // (-promote-rank 0, -lease) whose lease lapses promotes itself: it
-// seals the last applied generation, boots a parallel trainer over its
-// mirror model (paced by -retrain; 0 keeps the promoted member serve-only),
-// and publishes from its own -replicate-listen under the next epoch while
-// the surviving members re-dial through the peer list onto it.
+// seals the last applied generation and publishes from its own
+// -replicate-listen under the next epoch while the surviving members re-dial
+// through the peer list onto it. While primary it runs the same supervised
+// retrain loop as a boot primary (-retrain, -gate-slack, the daemon.retrain
+// fault site, the /statsz "supervisor" block; 0 keeps it serve-only); only
+// -checkpoint stays a boot-primary option.
 // Every frame carries the publisher's epoch; frames from a deposed primary's
 // stale epoch are fenced — rejected by followers and answered with a fencing
 // frame that silences the zombie. -replicate-token adds a constant-time
@@ -104,7 +106,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.IntVar(&o.shards, "shards", 1, "data-parallel trainer shards")
 	fs.IntVar(&o.patience, "patience", 3, "early-stopping patience (0 disables)")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint path: cold-load if present, else train and save; every published model is checkpointed here")
-	fs.DurationVar(&o.retrain, "retrain", 0, "background retrain+publish interval; in -peers mode also the promoted member's training cadence (0 disables training entirely)")
+	fs.DurationVar(&o.retrain, "retrain", 0, "interval of the supervised background retrain+publish loop; a -peers member runs it only while promoted (0 disables training entirely)")
 
 	fs.Float64Var(&o.gateSlack, "gate-slack", 0.10, "allowed relative validation q-error regression before a retrained model is gated (negative disables the gate)")
 	fs.StringVar(&o.faults, "faults", "", "fault injection spec, e.g. 'daemon.retrain:panic:count=2;serve.batch:error:p=0.1' (chaos testing only)")
@@ -198,20 +200,22 @@ func main() {
 	// panic containment with backoff restarts, candidates publish only past
 	// the validation gate, and published models checkpoint crash-safely —
 	// the scheduler keeps serving whatever snapshot is current throughout.
-	// Wired before the HTTP server starts so /statsz never races the
-	// SupervisorStats installation.
-	retrainDone := make(chan struct{})
-	if o.retrain > 0 && o.peers == "" {
-		trainer := core.NewParallelTrainer(model, o.shards)
-		sup := newSupervisor(srv, trainer, eps, o.seed)
+	// A boot primary runs it from here on; a cluster member runs it while it
+	// is primary. Wired before the HTTP server starts so /statsz never races
+	// the SupervisorStats installation.
+	var sup *supervisor
+	if o.retrain > 0 {
+		sup = newSupervisor(srv, model, o.shards, eps, o.seed)
 		sup.Interval = o.retrain
 		sup.GateSlack = o.gateSlack
-		sup.CheckpointPath = o.checkpoint
 		sup.logf = log.Printf
 		svc.SupervisorStats = sup.stats
+	}
+	retrainDone := make(chan struct{})
+	if sup != nil && o.peers == "" {
+		sup.CheckpointPath = o.checkpoint
 		go func() {
 			defer close(retrainDone)
-			defer trainer.Close()
 			sup.run(ctx)
 		}()
 	} else {
@@ -230,31 +234,26 @@ func main() {
 	case o.peers != "":
 		// Follower: follow the live primary through the ordered peer list; a
 		// promotable member (rank >= 0) watches the primary lease and
-		// takes over as the training primary when it lapses. After promotion,
-		// -retrain paces the member's training epochs exactly as it paces a
-		// boot primary's retrain cycles — and with -retrain 0 (the default)
-		// the promoted member serves and heartbeats without advancing the
-		// model, again like a boot primary: a failover must not silently
-		// switch on continuous training load.
-		var memberTrain []*feature.EncodedPlan
-		if o.retrain > 0 {
-			memberTrain = eps
+		// takes over as primary when it lapses. While primary it runs the
+		// same supervisor a boot primary runs — and with -retrain 0 (the
+		// default) it serves and heartbeats without advancing the model,
+		// again like a boot primary: a failover must not silently switch on
+		// continuous training load.
+		mc := replica.MemberConfig{
+			Peers:     strings.Split(o.peers, ","),
+			Rank:      o.promoRank,
+			Token:     o.replToken,
+			Server:    srv,
+			Model:     model,
+			Listen:    o.replListen,
+			Lease:     o.lease,
+			Heartbeat: o.heartbeat,
+			Logf:      log.Printf,
 		}
-		member := replica.NewMember(replica.MemberConfig{
-			Peers:         strings.Split(o.peers, ","),
-			Rank:          o.promoRank,
-			Token:         o.replToken,
-			Server:        srv,
-			Model:         model,
-			Listen:        o.replListen,
-			Lease:         o.lease,
-			Heartbeat:     o.heartbeat,
-			Train:         memberTrain,
-			BatchSize:     16,
-			Shards:        o.shards,
-			TrainInterval: o.retrain,
-			Logf:          log.Printf,
-		})
+		if sup != nil {
+			mc.Primary = sup.run
+		}
+		member := replica.NewMember(mc)
 		go func() {
 			defer close(followerDone)
 			member.Run(ctx)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -30,11 +31,17 @@ import (
 //   - Crash-safe checkpoints: every published model is saved through
 //     core.SaveCheckpoint (write-fsync-rename, .prev kept), so a kill at any
 //     instant leaves a cold-loadable last-good file.
+//
+// One supervisor serves every primary term of its process: a boot primary
+// runs it once, a cluster member runs it on each promotion (as
+// replica.MemberConfig.Primary). Each run is one term with a fresh trainer
+// and a fresh gate baseline; the counters span all terms.
 type supervisor struct {
-	srv     *core.Server
-	trainer *core.ParallelTrainer
-	train   []*feature.EncodedPlan
-	valid   []*feature.EncodedPlan
+	srv    *core.Server
+	model  *core.Model
+	shards int
+	train  []*feature.EncodedPlan
+	valid  []*feature.EncodedPlan
 
 	// Interval between cycle starts; failures wait nextBackoff instead.
 	Interval time.Duration
@@ -65,40 +72,47 @@ type supervisor struct {
 	backoffNanos              atomic.Int64
 }
 
-// newSupervisor builds a supervisor over the trainer's model, splitting eps
-// 4:1 into train/held-out validation and anchoring the publish gate at the
-// current model's validation error (the model being served at startup).
-func newSupervisor(srv *core.Server, trainer *core.ParallelTrainer, eps []*feature.EncodedPlan, seed int64) *supervisor {
+// newSupervisor builds a supervisor that retrains model (the live model
+// srv publishes from) with shards-wide trainers, splitting eps 4:1 into
+// train/held-out validation.
+func newSupervisor(srv *core.Server, model *core.Model, shards int, eps []*feature.EncodedPlan, seed int64) *supervisor {
 	cut := len(eps) * 4 / 5
 	if cut < 1 {
 		cut = len(eps)
 	}
-	sv := &supervisor{
-		srv:     srv,
-		trainer: trainer,
-		train:   eps[:cut],
-		valid:   eps[cut:],
-		logf:    func(format string, args ...any) {},
-		rng:     rand.New(rand.NewSource(seed)),
+	return &supervisor{
+		srv:    srv,
+		model:  model,
+		shards: shards,
+		train:  eps[:cut],
+		valid:  eps[cut:],
+		logf:   func(format string, args ...any) {},
+		rng:    rand.New(rand.NewSource(seed)),
 	}
-	vc, _ := trainer.M.ValidationError(sv.valid)
-	sv.pubQBits.Store(math.Float64bits(vc))
-	return sv
 }
 
 // pubQ returns the publish gate's current baseline Q-error.
 func (sv *supervisor) pubQ() float64 { return math.Float64frombits(sv.pubQBits.Load()) }
 
-// run is the supervision loop: retrain cycles at Interval while healthy,
-// exponential backoff with jitter after failures, until ctx ends. It never
-// returns early — a supervisor outlives every injected fault.
-func (sv *supervisor) run(ctx ctxDone) {
+// run is one primary term's supervision loop: it builds the term's trainer,
+// anchors the publish gate at the served model's validation error, then runs
+// retrain cycles at Interval while healthy, exponential backoff with jitter
+// after failures, until ctx ends. It never returns early — a supervisor
+// outlives every injected fault.
+func (sv *supervisor) run(ctx context.Context) {
 	if sv.BackoffBase <= 0 {
 		sv.BackoffBase = 500 * time.Millisecond
 	}
 	if sv.BackoffMax <= 0 {
 		sv.BackoffMax = 30 * time.Second
 	}
+	tr := core.NewParallelTrainer(sv.model, sv.shards)
+	defer tr.Close()
+	snap := sv.srv.AcquireSnapshot()
+	vc, _ := snap.Model().ValidationError(sv.valid)
+	sv.srv.ReleaseSnapshot(snap)
+	sv.pubQBits.Store(math.Float64bits(vc))
+
 	var backoff time.Duration
 	timer := time.NewTimer(sv.Interval)
 	defer timer.Stop()
@@ -108,7 +122,7 @@ func (sv *supervisor) run(ctx ctxDone) {
 			return
 		case <-timer.C:
 		}
-		if err := sv.cycle(); err != nil {
+		if err := sv.cycle(ctx, tr); err != nil {
 			sv.failures.Add(1)
 			backoff = sv.nextBackoff(backoff)
 			sv.backoffNanos.Store(int64(backoff))
@@ -125,10 +139,12 @@ func (sv *supervisor) run(ctx ctxDone) {
 	}
 }
 
-// cycle runs one contained retrain attempt: train an epoch, validate, gate,
-// publish, checkpoint. Panics become errors — the caller's backoff handles
-// them like any other failure.
-func (sv *supervisor) cycle() (err error) {
+// cycle runs one contained retrain attempt with tr: train an epoch,
+// validate, gate, publish, checkpoint. Panics become errors — the caller's
+// backoff handles them like any other failure. A cycle whose ctx ended
+// before it could publish (the daemon drains, or a promoted member was
+// fenced) publishes nothing.
+func (sv *supervisor) cycle(ctx context.Context, tr *core.ParallelTrainer) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			sv.panics.Add(1)
@@ -139,14 +155,14 @@ func (sv *supervisor) cycle() (err error) {
 	if err := fault.Point(fault.SiteDaemonRetrain); err != nil {
 		return err
 	}
-	loss := sv.trainer.TrainEpochParallel(sv.train, 16, 0)
+	loss := tr.TrainEpochParallel(sv.train, 16, 0)
 
 	// Publish gate: validate the candidate on the held-out slice against the
 	// published baseline before it can reach the serving path. NaN compares
 	// false against everything, so non-finite candidates are refused before
 	// the comparison, gate on or off: publishing one would serve NaN and
 	// poison the baseline (and, on a primary, every follower).
-	candQ, candCardQ := sv.trainer.M.ValidationError(sv.valid)
+	candQ, candCardQ := sv.model.ValidationError(sv.valid)
 	if !isFinite(loss) || !isFinite(candQ) || !isFinite(candCardQ) {
 		return fmt.Errorf("non-finite candidate (loss %v, valid q-error cost %v card %v), keeping served model",
 			loss, candQ, candCardQ)
@@ -157,9 +173,13 @@ func (sv *supervisor) cycle() (err error) {
 			candQ, pub, sv.GateSlack*100)
 		return nil
 	}
+	if ctx.Err() != nil {
+		sv.logf("costestd: primary term ended mid-cycle, candidate not published")
+		return nil
+	}
 
 	prev := sv.srv.Version()
-	snap := sv.trainer.PublishDelta(sv.srv)
+	snap := sv.srv.PublishDelta(sv.model)
 	if snap.Version() == prev {
 		return fmt.Errorf("publication refused (non-finite weights), keeping served model")
 	}
@@ -241,8 +261,3 @@ func (sv *supervisor) stats() any {
 		BackoffMS:        sv.backoffNanos.Load() / int64(time.Millisecond),
 	}
 }
-
-// ctxDone is the slice of context.Context the loop needs (tests pass bare
-// cancellation contexts; naming the dependency keeps run honest about using
-// nothing else).
-type ctxDone interface{ Done() <-chan struct{} }

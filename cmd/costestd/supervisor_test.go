@@ -43,7 +43,7 @@ func TestSupervisorPanicRecoveryBackoffThenPublish(t *testing.T) {
 		sched.Close()
 	})
 
-	sup := newSupervisor(srv, tr, eps, 1)
+	sup := newSupervisor(srv, tr.M, 1, eps, 1)
 	sup.Interval = time.Millisecond
 	sup.GateSlack = -1 // gate is the next test's subject
 	sup.BackoffBase = 2 * time.Millisecond
@@ -115,7 +115,7 @@ func TestSupervisorGateRejectsRegression(t *testing.T) {
 	srv, tr, sched, _ := testStack(t, eps, serve.SchedulerConfig{QueueDepth: 16, MaxBatch: 8})
 	t.Cleanup(sched.Close)
 
-	sup := newSupervisor(srv, tr, eps, 1)
+	sup := newSupervisor(srv, tr.M, 1, eps, 1)
 	sup.GateSlack = 0.10
 	sup.logf = t.Logf
 
@@ -123,7 +123,7 @@ func TestSupervisorGateRejectsRegression(t *testing.T) {
 	// regression (real Q-errors are >= 1 by construction).
 	sup.pubQBits.Store(math.Float64bits(1e-9))
 	v0 := srv.Version()
-	if err := sup.cycle(); err != nil {
+	if err := sup.cycle(context.Background(), tr); err != nil {
 		t.Fatalf("gated cycle errored: %v", err)
 	}
 	if got := srv.Version(); got != v0 {
@@ -135,7 +135,7 @@ func TestSupervisorGateRejectsRegression(t *testing.T) {
 
 	// Same candidate, gate disabled: publishes and advances the baseline.
 	sup.GateSlack = -1
-	if err := sup.cycle(); err != nil {
+	if err := sup.cycle(context.Background(), tr); err != nil {
 		t.Fatalf("ungated cycle errored: %v", err)
 	}
 	if got := srv.Version(); got == v0 {
@@ -161,13 +161,15 @@ func TestSupervisorRefusesNonFiniteCandidate(t *testing.T) {
 		srv, tr, sched, _ := testStack(t, eps, serve.SchedulerConfig{QueueDepth: 16, MaxBatch: 8})
 		t.Cleanup(sched.Close)
 
-		sup := newSupervisor(srv, tr, eps, 1)
+		sup := newSupervisor(srv, tr.M, 1, eps, 1)
 		sup.Interval = time.Millisecond
 		sup.GateSlack = slack
 		sup.BackoffBase = time.Hour // exactly one cycle runs before the test ends
 		sup.BackoffMax = time.Hour
 		sup.logf = t.Logf
-		v0, q0 := srv.Version(), sup.pubQBits.Load()
+		// run anchors the gate at the served model's Q-error.
+		v0 := srv.Version()
+		q0, _ := tr.M.ValidationError(sup.valid)
 
 		// Poison one weight on the cost head's path; stamp it so a delta
 		// publish would carry it.
@@ -189,7 +191,7 @@ func TestSupervisorRefusesNonFiniteCandidate(t *testing.T) {
 		if sup.failures.Load() != 1 || sup.publishes.Load() != 0 {
 			t.Fatalf("slack %v: failures=%d publishes=%d, want 1/0", slack, sup.failures.Load(), sup.publishes.Load())
 		}
-		if sup.pubQBits.Load() != q0 {
+		if sup.pubQ() != q0 {
 			t.Fatalf("slack %v: gate baseline moved to %v", slack, sup.pubQ())
 		}
 		for i, ep := range eps[:4] {
@@ -211,7 +213,7 @@ func TestSupervisorCountsRefusedPublication(t *testing.T) {
 	srv, tr, sched, _ := testStack(t, eps, serve.SchedulerConfig{QueueDepth: 16, MaxBatch: 8})
 	t.Cleanup(sched.Close)
 
-	sup := newSupervisor(srv, tr, eps, 1)
+	sup := newSupervisor(srv, tr.M, 1, eps, 1)
 	sup.Interval = time.Millisecond
 	sup.GateSlack = -1
 	sup.CheckpointPath = filepath.Join(t.TempDir(), "model.ckpt")
@@ -244,6 +246,42 @@ func TestSupervisorCountsRefusedPublication(t *testing.T) {
 	}
 }
 
+// TestSupervisorPublishesNothingAfterTermEnds: a primary term can end in the
+// middle of a cycle — the daemon drains, or a promoted member is fenced and
+// the model is about to get a new writer. A daemon.retrain latency fault
+// holds the cycle while ctx is canceled; the cycle must then publish
+// nothing.
+func TestSupervisorPublishesNothingAfterTermEnds(t *testing.T) {
+	_, eps := testCorpus(t, 506, 24)
+	srv, tr, sched, _ := testStack(t, eps, serve.SchedulerConfig{QueueDepth: 16, MaxBatch: 8})
+	t.Cleanup(sched.Close)
+
+	sup := newSupervisor(srv, tr.M, 1, eps, 1)
+	sup.Interval = time.Millisecond
+	sup.GateSlack = -1 // every finished cycle would publish
+	sup.logf = t.Logf
+	v0 := srv.Version()
+
+	fault.Enable(fault.New(7).Add(fault.Rule{
+		Site: fault.SiteDaemonRetrain, Kind: fault.Latency, Delay: 200 * time.Millisecond, Count: 1,
+	}))
+	defer fault.Disable()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); sup.run(ctx) }()
+	waitFor(t, "the held cycle", func() bool { return sup.cycles.Load() == 1 })
+	cancel()
+	<-done
+
+	if got := srv.Version(); got != v0 || sup.publishes.Load() != 0 {
+		t.Fatalf("cycle published after its term ended: v%d -> v%d, %d publishes", v0, got, sup.publishes.Load())
+	}
+	if sup.failures.Load() != 0 {
+		t.Fatalf("failures=%d: an ended term is not a failed cycle", sup.failures.Load())
+	}
+}
+
 // TestSupervisorCheckpointsPublishedModel: each due publish saves a
 // crash-safe checkpoint that cold-loads to the exact published weights, and
 // an injected checkpoint write failure is absorbed (counted, last-good
@@ -253,12 +291,12 @@ func TestSupervisorCheckpointsPublishedModel(t *testing.T) {
 	srv, tr, sched, _ := testStack(t, eps, serve.SchedulerConfig{QueueDepth: 16, MaxBatch: 8})
 	t.Cleanup(sched.Close)
 
-	sup := newSupervisor(srv, tr, eps, 1)
+	sup := newSupervisor(srv, tr.M, 1, eps, 1)
 	sup.GateSlack = -1
 	sup.CheckpointPath = filepath.Join(t.TempDir(), "model.ckpt")
 	sup.logf = t.Logf
 
-	if err := sup.cycle(); err != nil {
+	if err := sup.cycle(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 	if sup.checkpoints.Load() != 1 {
@@ -280,7 +318,7 @@ func TestSupervisorCheckpointsPublishedModel(t *testing.T) {
 
 	// Injected write failure: absorbed, counted, last-good intact.
 	fault.Enable(fault.New(5).Add(fault.Rule{Site: "checkpoint.write", Kind: fault.Error, Count: 1}))
-	err = sup.cycle()
+	err = sup.cycle(context.Background(), tr)
 	fault.Disable()
 	if err != nil {
 		t.Fatalf("checkpoint write fault escaped the cycle: %v", err)

@@ -110,43 +110,33 @@ func main() {
 	// 4. The parallel trainer composes with hot-swap serving: publish
 	// between epochs while the serving side keeps reading snapshots.
 	srv := core.NewServer(mPar, core.NewBoundedMemoryPool(4096))
-	snap := par.PublishDelta(srv)
+	snap := srv.PublishDelta(mPar)
 	costQ, cardQ := snap.Model().ValidationError(eps)
 	fmt.Printf("published v%d from the parallel trainer (train-set q-error: cost %.2f, card %.2f)\n",
 		snap.Version(), costQ, cardQ)
 
 	// 5. The continuous train-and-serve loop: ParallelTrainer.Fit drives
-	// shuffled epochs with per-epoch validation and auto-publishes into the
-	// server, gated on validation improvement — the server only ever serves
-	// the best-validated weights. Publishes go
-	// through the delta path: only the parameters the optimizer touched
-	// since the target snapshot buffers were last synced are copied
-	// (double-buffered rotation). Note the gate applies to epoch publishes
-	// only: setting EveryBatches > 0 additionally delta-publishes after
-	// every optimizer step, ungated — choose it when serving wants the
-	// freshest weights rather than the best-validated ones.
+	// shuffled epochs with per-epoch validation, and its epoch callback runs
+	// on the training goroutine with the workers joined, so it may publish.
+	// The trainer never publishes by itself: whether a trained model
+	// reaches serving is the caller's decision (cmd/costestd's supervisor
+	// gates it on validation). Publishes go through the delta path: only the
+	// parameters the optimizer touched since the target snapshot buffers
+	// were last synced are copied (double-buffered rotation).
 	train, valid := eps[:len(eps)*8/10], eps[len(eps)*8/10:]
 	mLoop := core.New(cfg, enc)
 	loop := core.NewParallelTrainer(mLoop, 2)
 	defer loop.Close()
 	loopSrv := core.NewServer(mLoop, core.NewBoundedMemoryPool(4096))
-	loop.AutoPublish(loopSrv, core.AutoPublishOptions{
-		Gated: true, // publish only on validation improvement
-	})
 	hist := loop.Fit(train, valid, 4, 16, 0, func(st core.EpochStats) {
-		tag := "held back (validation did not improve)"
-		if st.Published != 0 {
-			tag = fmt.Sprintf("published v%d (delta copied %d params)",
-				st.Published, loopSrv.LastDeltaCopied())
-		}
-		fmt.Printf("  epoch %d: loss %.5f, valid q-error cost %.2f card %.2f — %s\n",
-			st.Epoch, st.TrainLoss, st.ValidCost, st.ValidCard, tag)
+		v := loopSrv.PublishDelta(mLoop).Version()
+		fmt.Printf("  epoch %d: loss %.5f, valid q-error cost %.2f card %.2f — published v%d (delta copied %d params)\n",
+			st.Epoch, st.TrainLoss, st.ValidCost, st.ValidCard, v, loopSrv.LastDeltaCopied())
 	})
-	fmt.Printf("continuous loop: %d epochs, server at v%d serving the best-validated weights\n",
+	fmt.Printf("continuous loop: %d epochs, server at v%d serving the last epoch's weights\n",
 		len(hist), loopSrv.Version())
 
-	// Anything served during the loop came from an immutable snapshot; the
-	// served snapshot is the last one the gate admitted.
+	// Anything served during the loop came from an immutable snapshot.
 	c, d, v := loopSrv.Estimate(valid[0])
 	fmt.Printf("serving v%d: cost %.1f, card %.1f\n", v, c, d)
 }

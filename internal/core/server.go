@@ -65,8 +65,8 @@ type Server struct {
 	prewarmed atomic.Uint64
 	// prewarmPending is true while a background replay worker is alive; a
 	// publish only spawns a worker when it flips this false→true, so rapid
-	// publication (per-minibatch delta) kicks one coalescing worker instead
-	// of piling a goroutine per publish onto prewarmMu.
+	// publication kicks one coalescing worker instead of piling a goroutine
+	// per publish onto prewarmMu.
 	prewarmPending atomic.Bool
 
 	// publishHook, when set, observes every publication with the source
@@ -237,7 +237,7 @@ func (srv *Server) SetPublishHook(h func(m *Model, version uint64)) {
 // (nn.ParamSet) tell it which parameters moved since the target buffer set
 // was last synced, and only those are copied — between two publishes that
 // trained a handful of parameters, publication cost drops from a full weight
-// copy to the touched slice, making per-minibatch publication affordable.
+// copy to the touched slice, making frequent publication affordable.
 // Buffers double-buffer in steady state: the snapshot retired by the
 // previous publish drains its in-flight requests and is re-synced by the
 // next one. The returned snapshot is therefore only guaranteed frozen until

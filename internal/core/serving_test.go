@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -53,7 +54,7 @@ func TestSnapshotImmutableUnderTraining(t *testing.T) {
 		t.Fatal("live model did not move after a training epoch; test is vacuous")
 	}
 
-	next := tr.PublishDelta(srv)
+	next := srv.PublishDelta(tr.M)
 	if next.Version() != 2 || srv.Version() != 2 {
 		t.Fatalf("publish version = %d (server %d), want 2", next.Version(), srv.Version())
 	}
@@ -190,7 +191,7 @@ func TestServerServesAcrossPublishes(t *testing.T) {
 			}
 		}
 		tr.TrainEpochParallel(eps, 8, 1)
-		tr.PublishDelta(srv)
+		srv.PublishDelta(tr.M)
 	}
 	if srv.Pool().HitRate() == 0 {
 		t.Fatal("pooled serving produced no hits within a generation")
@@ -241,7 +242,7 @@ func TestServerPrewarmHidesSwapTransient(t *testing.T) {
 	}
 
 	tr.TrainEpochParallel(eps, 8, 1)
-	tr.PublishDelta(srv)
+	srv.PublishDelta(tr.M)
 	ctrl.PublishDelta(m)
 	if n := srv.PrewarmNow(); n == 0 {
 		t.Fatal("PrewarmNow replayed no plans despite tracked traffic")
@@ -286,7 +287,7 @@ func TestServerPrewarmBackground(t *testing.T) {
 		}
 	}
 	tr.TrainEpochParallel(eps, 8, 1)
-	tr.PublishDelta(srv)
+	srv.PublishDelta(tr.M)
 
 	v := srv.Version()
 	deadline := time.Now().Add(5 * time.Second)
@@ -373,7 +374,7 @@ func TestPublishDeltaBitIdentical(t *testing.T) {
 
 	for round := 0; round < 5; round++ {
 		tr.TrainEpochParallel(eps, 8, 1)
-		snap := tr.PublishDelta(srv)
+		snap := srv.PublishDelta(tr.M)
 		full := fullCopy(m)
 		compareWeights(t, "delta vs full copy", snap.Model(), full, 0)
 		if snap.Model().CostNorm != m.CostNorm || snap.Model().CardNorm != m.CardNorm {
@@ -401,10 +402,51 @@ func TestPublishDeltaBitIdentical(t *testing.T) {
 	if trained == 0 {
 		t.Fatal("delta publish after training copied no parameters; tracking is broken")
 	}
-	tr.PublishDelta(srv)
-	tr.PublishDelta(srv) // second clean publish reuses an in-rotation slot
+	srv.PublishDelta(tr.M)
+	srv.PublishDelta(tr.M) // second clean publish reuses an in-rotation slot
 	if n := srv.LastDeltaCopied(); n != 0 {
 		t.Fatalf("clean delta publish copied %d params, want 0", n)
+	}
+}
+
+// TestPublishDeltaRefusesNonFinite: PublishDelta is the one way weights
+// reach serving, so it must itself refuse weights holding a NaN — no
+// snapshot, no pool-generation bump, no hook call, one counted refusal per
+// attempt — while the server keeps answering finite estimates from version
+// 1. Here a trainer publishes from Fit's epoch callback, with no gate in
+// front of the publication.
+func TestPublishDeltaRefusesNonFinite(t *testing.T) {
+	eps := benchCorpus(t, 24)
+	train, valid := eps[:20], eps[20:]
+	m := New(TestConfig(), testEnc)
+	pt := NewParallelTrainer(m, 1)
+	defer pt.Close()
+	pool := NewBoundedMemoryPool(512)
+	srv := NewServer(m, pool)
+	hooked := 0
+	srv.SetPublishHook(func(*Model, uint64) { hooked++ })
+
+	m.PS.Params()[0].Value[0] = math.NaN()
+	m.PS.MarkAllUpdated()
+	hist := pt.Fit(train, valid, 2, 8, 1, func(st EpochStats) {
+		if v := srv.PublishDelta(m).Version(); v != 1 {
+			t.Fatalf("epoch %d: NaN weights published as version %d", st.Epoch, v)
+		}
+	})
+
+	if v, g := srv.Version(), pool.Generation(); v != 1 || g != 1 {
+		t.Fatalf("refused publishes moved the server to version %d, pool generation %d; want 1, 1", v, g)
+	}
+	if hooked != 0 {
+		t.Fatalf("publish hook called %d times for refused publications", hooked)
+	}
+	if n := srv.PublishesRefused(); n != uint64(len(hist)) {
+		t.Fatalf("PublishesRefused = %d, want %d (one per epoch)", n, len(hist))
+	}
+	for i, ep := range valid {
+		if c, d, _ := srv.Estimate(ep); math.IsNaN(c) || math.IsNaN(d) {
+			t.Fatalf("plan %d served non-finite (%g, %g) after refused publishes", i, c, d)
+		}
 	}
 }
 
@@ -421,12 +463,12 @@ func TestPublishDeltaReusesBuffers(t *testing.T) {
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, nil)
 
-	s0 := srv.cur.Load()       // slot A, NewServer's version 1
-	s1 := tr.PublishDelta(srv) // fresh slot B (A still serving at publish time)
+	s0 := srv.cur.Load()         // slot A, NewServer's version 1
+	s1 := srv.PublishDelta(tr.M) // fresh slot B (A still serving at publish time)
 	tr.TrainEpochParallel(eps, 8, 1)
-	s2 := tr.PublishDelta(srv) // A retired and drained -> reused
+	s2 := srv.PublishDelta(tr.M) // A retired and drained -> reused
 	tr.TrainEpochParallel(eps, 8, 1)
-	s3 := tr.PublishDelta(srv) // B retired and drained -> reused
+	s3 := srv.PublishDelta(tr.M) // B retired and drained -> reused
 	if s1.model == s2.model {
 		t.Fatal("consecutive snapshots share a live buffer set")
 	}
@@ -438,12 +480,12 @@ func TestPublishDeltaReusesBuffers(t *testing.T) {
 
 	// A pinned snapshot's buffers leave the rotation permanently.
 	tr.TrainEpochParallel(eps, 8, 1)
-	s4 := tr.PublishDelta(srv)
+	s4 := srv.PublishDelta(tr.M)
 	s4.Pin()
 	tr.TrainEpochParallel(eps, 8, 1)
-	s5 := tr.PublishDelta(srv)
+	s5 := srv.PublishDelta(tr.M)
 	tr.TrainEpochParallel(eps, 8, 1)
-	s6 := tr.PublishDelta(srv)
+	s6 := srv.PublishDelta(tr.M)
 	if s6.model == s4.model {
 		t.Fatal("pinned snapshot's buffers were recycled")
 	}
@@ -453,8 +495,8 @@ func TestPublishDeltaReusesBuffers(t *testing.T) {
 		want = append(want, struct{ c, d float64 }{c, d})
 	}
 	tr.TrainEpochParallel(eps, 8, 1)
-	tr.PublishDelta(srv)
-	tr.PublishDelta(srv)
+	srv.PublishDelta(tr.M)
+	srv.PublishDelta(tr.M)
 	for i, ep := range eps {
 		c, d := s4.Model().Estimate(ep)
 		if c != want[i].c || d != want[i].d {
@@ -477,7 +519,7 @@ func TestSnapshotPinnedAcrossDeltaPublishes(t *testing.T) {
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, nil)
 	tr.TrainEpochParallel(eps, 8, 1)
-	tr.PublishDelta(srv)
+	srv.PublishDelta(tr.M)
 
 	held := srv.Snapshot() // pinned
 	type est struct{ cost, card float64 }
@@ -488,7 +530,7 @@ func TestSnapshotPinnedAcrossDeltaPublishes(t *testing.T) {
 	}
 	for round := 0; round < 4; round++ {
 		tr.TrainEpochParallel(eps, 8, 1)
-		tr.PublishDelta(srv)
+		srv.PublishDelta(tr.M)
 	}
 	for i, ep := range eps {
 		c, d := held.Model().Estimate(ep)
@@ -514,13 +556,13 @@ func TestPublishDeltaSingleTaskSkipsCleanHead(t *testing.T) {
 	srv := NewServer(m, nil)
 
 	tr.TrainEpochParallel(eps, 8, 1)
-	tr.PublishDelta(srv)
+	srv.PublishDelta(tr.M)
 	first := srv.LastDeltaCopied()
 	tr.TrainEpochParallel(eps, 8, 1)
 	tr.TrainEpochParallel(eps, 8, 1)
-	tr.PublishDelta(srv) // recycled version-1 slot: delta from here on
+	srv.PublishDelta(tr.M) // recycled version-1 slot: delta from here on
 	tr.TrainEpochParallel(eps, 8, 1)
-	tr.PublishDelta(srv)
+	srv.PublishDelta(tr.M)
 	steady := srv.LastDeltaCopied()
 	total := len(m.PS.Params())
 	if first != total {
@@ -584,7 +626,7 @@ func TestServerDeltaHotSwapConcurrentBitIdentical(t *testing.T) {
 		defer close(done)
 		for e := 0; e < epochs; e++ {
 			tr.TrainEpochParallel(eps, 8, 1)
-			snap := tr.PublishDelta(srv)
+			snap := srv.PublishDelta(tr.M)
 			snapRef(snap.Version())
 			for w := 0; w < servers; w++ {
 				for seen[w].Load() < snap.Version() {
@@ -682,7 +724,7 @@ func TestPublishPrewarmRace(t *testing.T) {
 		defer close(done)
 		for e := 0; e < epochs; e++ {
 			tr.TrainEpochParallel(eps, 8, 1)
-			snap := tr.PublishDelta(srv)
+			snap := srv.PublishDelta(tr.M)
 			snap.Pin() // replayed after later publishes
 			mu.Lock()
 			snaps[snap.Version()] = snap
@@ -766,9 +808,9 @@ func BenchmarkPublishDelta(b *testing.B) {
 		defer tr.Close()
 		tr.FitNormalizers(eps)
 		srv := NewServer(m, NewBoundedMemoryPool(4096))
-		tr.PublishDelta(srv)
-		tr.PublishDelta(srv)
-		tr.PublishDelta(srv) // rotation warm: both slots synced
+		srv.PublishDelta(tr.M)
+		srv.PublishDelta(tr.M)
+		srv.PublishDelta(tr.M) // rotation warm: both slots synced
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -781,8 +823,8 @@ func BenchmarkPublishDelta(b *testing.B) {
 		defer tr.Close()
 		tr.FitNormalizers(eps)
 		srv := NewServer(m, NewBoundedMemoryPool(4096))
-		tr.PublishDelta(srv)
-		tr.PublishDelta(srv)
+		srv.PublishDelta(tr.M)
+		srv.PublishDelta(tr.M)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -814,7 +856,7 @@ func TestSnapshotDrainStats(t *testing.T) {
 
 	step := func() {
 		tr.TrainEpochParallel(eps, 4, 1)
-		tr.PublishDelta(srv)
+		srv.PublishDelta(tr.M)
 	}
 	step() // v2: retires v1
 	if st := srv.SnapshotDrainStats(); st.Retired != 1 || st.RetiredHighWater != 1 {

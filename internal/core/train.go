@@ -52,19 +52,6 @@ func (pt *ParallelTrainer) permute(n int) []int {
 	return p
 }
 
-// PublishDelta installs the trainer's current weights on srv as a new
-// immutable snapshot (see Server.PublishDelta) — the retrain-in-place
-// workflow: a long-lived service keeps one trainer mutating the live model
-// and publishes between epochs while the Server's Estimate/EstimateBatch
-// callers keep serving the previous snapshot untouched. Only the parameters
-// the optimizer touched since the target snapshot buffers were last synced
-// are copied, which makes publication cheap enough to run per minibatch.
-// Call from the training goroutine so the weight copy never races an
-// optimizer step.
-func (pt *ParallelTrainer) PublishDelta(srv *Server) *ModelSnapshot {
-	return srv.PublishDelta(pt.M)
-}
-
 // ValidationError reports mean q-errors over a validation set, evaluated as
 // one batch.
 func (m *Model) ValidationError(samples []*feature.EncodedPlan) (costQ, cardQ float64) {
@@ -79,14 +66,10 @@ func (m *Model) ValidationError(samples []*feature.EncodedPlan) (costQ, cardQ fl
 	return costQ / n, cardQ / n
 }
 
-// EpochStats reports one training epoch's outcome. Published carries the
-// snapshot version an auto-publishing ParallelTrainer.Fit installed after
-// the epoch (0 when nothing was published — the gate rejected the epoch or
-// no publish hook is configured).
+// EpochStats reports one training epoch's outcome.
 type EpochStats struct {
 	Epoch     int
 	TrainLoss float64
 	ValidCost float64
 	ValidCard float64
-	Published uint64
 }

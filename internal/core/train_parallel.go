@@ -73,15 +73,6 @@ type ParallelTrainer struct {
 	mainGrads []tensor.Vec
 	gradSrcs  [][]tensor.Vec
 
-	// pub is the auto-publish hook (nil when disabled): pubSrv receives the
-	// snapshots, pubOpts selects gating and per-minibatch cadence,
-	// pubSteps counts optimizer steps since the last mid-epoch publish and
-	// pubBest tracks the best published validation error for the gate.
-	pubSrv   *Server
-	pubOpts  AutoPublishOptions
-	pubSteps int
-	pubBest  float64
-
 	// stop is the early-stopping configuration of Fit (zero Patience
 	// disables it).
 	stop EarlyStopOptions
@@ -98,20 +89,6 @@ type EarlyStopOptions struct {
 	// validation error that counts as progress; epochs inside the band count
 	// against the patience budget.
 	MinDelta float64
-}
-
-// AutoPublishOptions configures the publish hook of ParallelTrainer.Fit.
-// Every publication goes through Server.PublishDelta.
-type AutoPublishOptions struct {
-	// Gated publishes after an epoch only when its combined validation
-	// q-error (cost + card) improves on the best previously published
-	// epoch; ungated publishes after every epoch.
-	Gated bool
-	// EveryBatches > 0 additionally publishes mid-epoch after every N
-	// optimizer steps — the delta path is what makes per-minibatch cadence
-	// affordable. Mid-epoch publishes are not gated (there is no validation
-	// signal between minibatches).
-	EveryBatches int
 }
 
 // trainWorker is one shard's long-lived state: a shadow model whose
@@ -161,19 +138,6 @@ func NewParallelTrainer(m *Model, shards int) *ParallelTrainer {
 // Shards returns the fixed data-parallel width.
 func (pt *ParallelTrainer) Shards() int { return pt.shards }
 
-// AutoPublish installs srv as the trainer's publication target: Fit
-// publishes after qualifying epochs (see AutoPublishOptions), and with
-// EveryBatches > 0 TrainEpochParallel delta-publishes mid-epoch every N
-// optimizer steps. Pass a nil server to disable. The hook publishes from
-// the training goroutine between optimizer steps, so the weight reads never
-// race an update — the same contract as calling PublishDelta by hand.
-func (pt *ParallelTrainer) AutoPublish(srv *Server, opts AutoPublishOptions) {
-	pt.pubSrv = srv
-	pt.pubOpts = opts
-	pt.pubSteps = 0
-	pt.pubBest = math.Inf(1)
-}
-
 // EarlyStop installs validation-based early stopping on Fit: training stops
 // once the combined validation q-error has gone opts.Patience consecutive
 // epochs without improving its best value by more than opts.MinDelta, so a
@@ -189,13 +153,12 @@ func (pt *ParallelTrainer) EarlyStop(opts EarlyStopOptions) {
 // q-errors are reported per epoch through cb (which may be nil). More than
 // one shard reassociates gradient sums across shard boundaries only.
 //
-// When AutoPublish has been configured, each epoch's stats drive the hook:
-// ungated, every epoch publishes; gated, only epochs improving the best
-// published combined validation q-error do. The installed version is
-// recorded in the returned stats. When EarlyStop has been configured, Fit
-// may return before `epochs` epochs — the history's length is the number
-// actually run. Fit returns the stats history — the data behind the paper's
-// validation-error curves (Figures 7 and 8).
+// The trainer never publishes: a caller that serves the model calls
+// Server.PublishDelta itself, from cb or between Fit calls — both run on
+// the training goroutine with the workers joined. When EarlyStop has been
+// configured, Fit may return before `epochs` epochs — the history's length
+// is the number actually run. Fit returns the stats history — the data
+// behind the paper's validation-error curves (Figures 7 and 8).
 func (pt *ParallelTrainer) Fit(train, valid []*feature.EncodedPlan, epochs, batchSize, workers int,
 	cb func(EpochStats)) []EpochStats {
 	pt.FitNormalizers(train)
@@ -205,15 +168,6 @@ func (pt *ParallelTrainer) Fit(train, valid []*feature.EncodedPlan, epochs, batc
 		loss := pt.TrainEpochParallel(train, batchSize, workers)
 		vc, vd := pt.M.ValidationError(valid)
 		st := EpochStats{Epoch: e, TrainLoss: loss, ValidCost: vc, ValidCard: vd}
-		if pt.pubSrv != nil && (!pt.pubOpts.Gated || vc+vd < pt.pubBest) {
-			// A refused (non-finite) publication leaves the served version
-			// where it was: nothing is recorded as published.
-			prev := pt.pubSrv.Version()
-			if v := pt.pubSrv.PublishDelta(pt.M).Version(); v != prev {
-				pt.pubBest = vc + vd
-				st.Published = v
-			}
-		}
 		history = append(history, st)
 		if cb != nil {
 			cb(st)
@@ -403,17 +357,5 @@ func (pt *ParallelTrainer) stepParallel(batch []*feature.EncodedPlan) float64 {
 	}
 	pt.M.PS.ClipGradNorm(pt.M.Cfg.GradClip * float64(len(batch)))
 	pt.Opt.Step(pt.M.PS)
-
-	// Mid-epoch publication: weights are quiesced here (workers joined, the
-	// optimizer stepped), so a delta publish reads a consistent state. The
-	// delta path keeps per-minibatch cadence affordable — only parameters
-	// touched since the target buffers' last sync are copied.
-	if pt.pubSrv != nil && pt.pubOpts.EveryBatches > 0 {
-		pt.pubSteps++
-		if pt.pubSteps >= pt.pubOpts.EveryBatches {
-			pt.pubSteps = 0
-			pt.pubSrv.PublishDelta(pt.M)
-		}
-	}
 	return loss
 }

@@ -192,7 +192,7 @@ func TestParallelTrainingConcurrentServingAndPublish(t *testing.T) {
 		defer close(done)
 		for e := 0; e < epochs; e++ {
 			pt.TrainEpochParallel(eps, 8, 2)
-			pt.PublishDelta(srv)
+			srv.PublishDelta(pt.M)
 		}
 	}()
 	var maxV sync.Map
@@ -284,100 +284,11 @@ func TestFitParallelMatchesSequentialFit(t *testing.T) {
 	compareWeights(t, "Fit 1 vs 2 shards", mSeq, mPar, 1e-6)
 }
 
-// TestFitAutoPublishGated drives the validation-gated publish hook: only
-// epochs improving the best published combined validation q-error publish,
-// versions increase monotonically, and the server ends up serving the last
-// published (not necessarily last trained) weights.
-func TestFitAutoPublishGated(t *testing.T) {
-	eps := benchCorpus(t, 30)
-	train, valid := eps[:24], eps[24:]
-	cfg := TestConfig()
-	m := New(cfg, testEnc)
-	pt := NewParallelTrainer(m, 2)
-	defer pt.Close()
-	srv := NewServer(m, NewBoundedMemoryPool(512))
-	pt.AutoPublish(srv, AutoPublishOptions{Gated: true})
-
-	hist := pt.Fit(train, valid, 6, 8, 2, nil)
-
-	best := math.Inf(1)
-	lastPub := uint64(1) // NewServer's initial snapshot
-	published := 0
-	for e, st := range hist {
-		improved := st.ValidCost+st.ValidCard < best
-		if improved {
-			best = st.ValidCost + st.ValidCard
-		}
-		if improved != (st.Published != 0) {
-			t.Fatalf("epoch %d: improved=%v but Published=%d", e, improved, st.Published)
-		}
-		if st.Published != 0 {
-			if st.Published <= lastPub {
-				t.Fatalf("epoch %d: version %d not increasing past %d", e, st.Published, lastPub)
-			}
-			lastPub = st.Published
-			published++
-		}
-	}
-	if published == 0 {
-		t.Fatal("gated Fit never published (epoch 0 always improves +Inf)")
-	}
-	if hist[0].Published == 0 {
-		t.Fatal("first epoch must publish: it always improves the +Inf gate")
-	}
-	if srv.Version() != lastPub {
-		t.Fatalf("server serves version %d, last published %d", srv.Version(), lastPub)
-	}
-}
-
-// TestFitAutoPublishRefusesNonFinite is the auto-publish sibling of the
-// daemon supervisor's non-finite refusal: Fit's hook publishes without the
-// supervisor's validation gate, so PublishDelta itself must refuse weights
-// holding a NaN — no snapshot, no pool-generation bump, no hook call, one
-// counted refusal per attempt — and Fit must record nothing as published
-// while the server keeps answering finite estimates from version 1.
-func TestFitAutoPublishRefusesNonFinite(t *testing.T) {
-	eps := benchCorpus(t, 24)
-	train, valid := eps[:20], eps[20:]
-	m := New(TestConfig(), testEnc)
-	pt := NewParallelTrainer(m, 1)
-	defer pt.Close()
-	pool := NewBoundedMemoryPool(512)
-	srv := NewServer(m, pool)
-	hooked := 0
-	srv.SetPublishHook(func(*Model, uint64) { hooked++ })
-	pt.AutoPublish(srv, AutoPublishOptions{})
-
-	m.PS.Params()[0].Value[0] = math.NaN()
-	m.PS.MarkAllUpdated()
-	hist := pt.Fit(train, valid, 2, 8, 1, nil)
-
-	for e, st := range hist {
-		if st.Published != 0 {
-			t.Fatalf("epoch %d recorded version %d as published from NaN weights", e, st.Published)
-		}
-	}
-	if v, g := srv.Version(), pool.Generation(); v != 1 || g != 1 {
-		t.Fatalf("refused publishes moved the server to version %d, pool generation %d; want 1, 1", v, g)
-	}
-	if hooked != 0 {
-		t.Fatalf("publish hook called %d times for refused publications", hooked)
-	}
-	if n := srv.PublishesRefused(); n != uint64(len(hist)) {
-		t.Fatalf("PublishesRefused = %d, want %d (one per epoch)", n, len(hist))
-	}
-	for i, ep := range valid {
-		if c, d, _ := srv.Estimate(ep); math.IsNaN(c) || math.IsNaN(d) {
-			t.Fatalf("plan %d served non-finite (%g, %g) after refused publishes", i, c, d)
-		}
-	}
-}
-
-// TestFitPerMinibatchDeltaPublish turns on mid-epoch delta publication at
-// every optimizer step: the server's version must advance once per step
-// plus once per published epoch, and the served snapshot after Fit must be
-// bit-identical to the live model — continuous publication never lags.
-func TestFitPerMinibatchDeltaPublish(t *testing.T) {
+// TestFitCallbackDeltaPublish publishes from Fit's epoch callback, which
+// runs on the training goroutine with the workers joined: the server's
+// version must advance once per epoch, and the served snapshot after Fit
+// must be bit-identical to the live model — publication never lags.
+func TestFitCallbackDeltaPublish(t *testing.T) {
 	eps := benchCorpus(t, 24)
 	train, valid := eps[:20], eps[20:]
 	cfg := TestConfig()
@@ -385,21 +296,16 @@ func TestFitPerMinibatchDeltaPublish(t *testing.T) {
 	pt := NewParallelTrainer(m, 2)
 	defer pt.Close()
 	srv := NewServer(m, NewBoundedMemoryPool(512))
-	pt.AutoPublish(srv, AutoPublishOptions{EveryBatches: 1})
 
-	const epochs = 3
-	batch := 8
-	hist := pt.Fit(train, valid, epochs, batch, 2, nil)
-
-	stepsPerEpoch := (len(train) + batch - 1) / batch
-	want := uint64(1 + epochs*stepsPerEpoch + epochs) // initial + per-step + per-epoch
-	if srv.Version() != want {
-		t.Fatalf("server version %d after per-minibatch publication, want %d", srv.Version(), want)
-	}
-	for _, st := range hist {
-		if st.Published == 0 {
-			t.Fatal("ungated Fit must publish every epoch")
+	const epochs = 4
+	hist := pt.Fit(train, valid, epochs, 8, 2, func(st EpochStats) {
+		if v := srv.PublishDelta(m).Version(); v != uint64(st.Epoch+2) {
+			t.Fatalf("epoch %d published version %d, want %d", st.Epoch, v, st.Epoch+2)
 		}
+	})
+
+	if want := uint64(1 + len(hist)); srv.Version() != want {
+		t.Fatalf("server version %d after %d epoch publishes, want %d", srv.Version(), len(hist), want)
 	}
 	// The final served snapshot carries the final weights.
 	snap := srv.Snapshot()
@@ -415,12 +321,12 @@ func TestFitPerMinibatchDeltaPublish(t *testing.T) {
 	}
 }
 
-// TestFitPerMinibatchServingRace composes continuous per-minibatch delta
-// publication with concurrent serving under -race: the training loop
-// publishes after every optimizer step while servers hammer the pooled
+// TestFitCallbackServingRace composes training with publication from Fit's
+// epoch callback and concurrent serving under -race, pre-warm on: the
+// training loop publishes after every epoch while servers hammer the pooled
 // paths. Every served estimate must carry a version that was actually
 // installed, and the delta buffers must never tear under the rotation.
-func TestFitPerMinibatchServingRace(t *testing.T) {
+func TestFitCallbackServingRace(t *testing.T) {
 	eps := benchCorpus(t, 24)
 	train, valid := eps[:20], eps[20:]
 	cfg := TestConfig()
@@ -429,7 +335,6 @@ func TestFitPerMinibatchServingRace(t *testing.T) {
 	defer pt.Close()
 	srv := NewServer(m, NewBoundedMemoryPool(256))
 	srv.EnablePrewarm(4)
-	pt.AutoPublish(srv, AutoPublishOptions{EveryBatches: 1})
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -437,7 +342,7 @@ func TestFitPerMinibatchServingRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer close(done)
-		pt.Fit(train, valid, 3, 8, 2, nil)
+		pt.Fit(train, valid, 6, 8, 2, func(EpochStats) { srv.PublishDelta(m) })
 	}()
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
@@ -464,9 +369,9 @@ func TestFitPerMinibatchServingRace(t *testing.T) {
 
 // BenchmarkFitParallel measures the continuous train-and-serve loop end to
 // end at test dimensions: a 2-epoch Fit over 64 plans through the parallel
-// runtime, without and with per-minibatch delta publication into a serving
-// Server — the publication overhead of the continuous loop is the delta
-// between the two.
+// runtime, without and with a delta publication into a serving Server from
+// the epoch callback — the publication overhead of the continuous loop is
+// the delta between the two.
 func BenchmarkFitParallel(b *testing.B) {
 	eps := benchCorpus(b, 64)
 	train, valid := eps[:56], eps[56:]
@@ -476,20 +381,21 @@ func BenchmarkFitParallel(b *testing.B) {
 		m := New(cfg, testEnc)
 		pt := NewParallelTrainer(m, 1)
 		defer pt.Close()
+		var cb func(EpochStats)
 		if publish {
 			srv := NewServer(m, NewBoundedMemoryPool(1024))
-			pt.AutoPublish(srv, AutoPublishOptions{EveryBatches: 1})
+			cb = func(EpochStats) { srv.PublishDelta(m) }
 		}
 		pt.FitNormalizers(train)
 		pt.Warmup(train)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pt.Fit(train, valid, 2, 16, 1, nil)
+			pt.Fit(train, valid, 2, 16, 1, cb)
 		}
 	}
 	b.Run("noPublish", func(b *testing.B) { run(b, false) })
-	b.Run("deltaEveryBatch", func(b *testing.B) { run(b, true) })
+	b.Run("deltaEveryEpoch", func(b *testing.B) { run(b, true) })
 }
 
 // TestFitEarlyStopping pins the patience contract: with a zero learning rate

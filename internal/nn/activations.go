@@ -48,11 +48,3 @@ func Tanh(dst, x tensor.Vec) {
 		dst[i] = math.Tanh(v)
 	}
 }
-
-// TanhBackwardInPlace converts the upstream gradient d (w.r.t. tanh output y)
-// into the pre-activation gradient: d *= 1 - y².
-func TanhBackwardInPlace(d, y tensor.Vec) {
-	for i := range d {
-		d[i] *= 1 - y[i]*y[i]
-	}
-}

@@ -61,6 +61,3 @@ func anyNonZero(g []float64) bool {
 	}
 	return false
 }
-
-// Steps reports how many optimizer steps have been applied.
-func (a *Adam) Steps() int { return a.steps }

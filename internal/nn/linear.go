@@ -85,12 +85,6 @@ func NewMLP(ps *ParamSet, name string, sizes []int, outAct Activation, rng *rand
 	return m
 }
 
-// InDim returns the input dimensionality.
-func (m *MLP) InDim() int { return m.Layers[0].In }
-
-// OutDim returns the output dimensionality.
-func (m *MLP) OutDim() int { return m.Layers[len(m.Layers)-1].Out }
-
 // Forward runs the MLP and writes the result into dst. The internal
 // activations are retained for a subsequent Backward call.
 func (m *MLP) Forward(dst, x tensor.Vec) {

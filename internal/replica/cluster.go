@@ -9,7 +9,6 @@ import (
 
 	"costest/internal/core"
 	"costest/internal/fault"
-	"costest/internal/feature"
 )
 
 // Fault-injection sites on the liveness machinery live in the central
@@ -77,17 +76,13 @@ type MemberConfig struct {
 	DialTimeout  time.Duration
 	RetryMin     time.Duration
 	RetryMax     time.Duration
-	// Train is the training corpus a promoted member feeds its
-	// ParallelTrainer; empty means the promoted member serves and
-	// heartbeats but does not advance the model.
-	Train []*feature.EncodedPlan
-	// BatchSize and Shards tune the promoted trainer (defaults 8, 1); its
-	// epochs run at most GOMAXPROCS shards at once.
-	BatchSize int
-	Shards    int
-	// TrainInterval is the pause between promoted training epochs
-	// (default: none — train continuously).
-	TrainInterval time.Duration
+	// Primary is the caller's primary work — typically a train-and-publish
+	// loop over Model through Server.PublishDelta. The member runs it on
+	// its Run goroutine at each promotion; ctx ends when the member is
+	// fenced or Run's ctx ends, and the member follows again only after
+	// Primary returns, so the model has one writer at a time. Nil means a
+	// promoted member serves and heartbeats but does not advance the model.
+	Primary func(ctx context.Context)
 	// Logf receives lifecycle events; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -95,8 +90,8 @@ type MemberConfig struct {
 // Member is one replica in a self-healing cluster: it follows the live
 // primary through the shared peer list, and — when promotable — watches the
 // primary lease. On lease expiry it promotes: seals the last applied
-// generation, boots a ParallelTrainer over its mirror model, and publishes
-// under epoch+1 from its own replication listener, while the surviving
+// generation, runs the configured Primary work, and publishes under
+// epoch+1 from its own replication listener, while the surviving
 // followers' peer-list walk finds it. A promoted member that is later fenced
 // by an even higher epoch demotes itself back to following and rejoins
 // through the peer list (its diverged weights are healed by snapshot).
@@ -142,12 +137,6 @@ func NewMember(cfg MemberConfig) *Member {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 8
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
 	m := &Member{cfg: cfg}
 	fcfg := FollowerConfig{
 		Peers:        cfg.Peers,
@@ -180,7 +169,7 @@ func (m *Member) Run(ctx context.Context) {
 		if ctx.Err() != nil || m.State() != StatePrimary {
 			break
 		}
-		m.primaryLoop(ctx)
+		m.primaryTerm(ctx)
 		if ctx.Err() != nil {
 			break
 		}
@@ -194,7 +183,7 @@ func (m *Member) Run(ctx context.Context) {
 
 // onLeaseExpired is the follower's lease-expiry callback (runs on the
 // follower goroutine, which owns the model — so the handoff from
-// frame-applier to trainer is free of concurrent writers by construction).
+// frame-applier to Primary is free of concurrent writers by construction).
 // It returns true when the member is now primary and the follower must stop.
 func (m *Member) onLeaseExpired() bool {
 	start := time.Now()
@@ -264,33 +253,23 @@ func (m *Member) listener() (net.Listener, error) {
 	return net.Listen("tcp", m.cfg.Listen)
 }
 
-// primaryLoop is the promoted member's publication loop: train epochs over
-// the configured corpus and publish each one, until ctx cancels or a higher
-// epoch fences this member.
-func (m *Member) primaryLoop(ctx context.Context) {
+// primaryTerm is one term as primary: it runs cfg.Primary under a context
+// that ends when ctx does or a higher epoch fences this member, and returns
+// only once Primary has returned and that context has ended — the publisher
+// keeps follower leases fed throughout.
+func (m *Member) primaryTerm(ctx context.Context) {
 	pub := m.Publisher()
-	if len(m.cfg.Train) == 0 {
-		// Nothing to train: the publisher's heartbeats keep follower leases
-		// fed; just wait for cancellation or fencing.
-		for ctx.Err() == nil && !pub.Fenced() {
-			if !sleepCtx(ctx, 10*time.Millisecond) {
-				break
-			}
+	term, end := context.WithCancel(ctx)
+	defer end()
+	go func() {
+		for !pub.Fenced() && sleepCtx(term, 10*time.Millisecond) {
 		}
-	} else {
-		tr := core.NewParallelTrainer(m.cfg.Model, m.cfg.Shards)
-		defer tr.Close()
-		for ctx.Err() == nil && !pub.Fenced() {
-			tr.TrainEpochParallel(m.cfg.Train, m.cfg.BatchSize, 0)
-			if ctx.Err() != nil || pub.Fenced() {
-				break
-			}
-			m.cfg.Server.PublishDelta(m.cfg.Model)
-			if m.cfg.TrainInterval > 0 && !sleepCtx(ctx, m.cfg.TrainInterval) {
-				break
-			}
-		}
+		end()
+	}()
+	if m.cfg.Primary != nil {
+		m.cfg.Primary(term)
 	}
+	<-term.Done()
 	if ctx.Err() == nil && pub.Fenced() {
 		// Fold the fencing epoch back into the follower before rejoining:
 		// frames below it stay rejected while following, and a later

@@ -113,7 +113,7 @@ func TestReplicationConformance(t *testing.T) {
 	const rounds = 24
 	for round := 0; round < rounds; round++ {
 		tr.TrainEpochParallel(primEps, 8, 1)
-		tr.PublishDelta(srv)
+		srv.PublishDelta(tr.M)
 		time.Sleep(2 * time.Millisecond)
 		switch round {
 		case rounds / 3:
@@ -153,7 +153,7 @@ func TestReplicationConformance(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 		if !converged() {
-			tr.PublishDelta(srv)
+			srv.PublishDelta(tr.M)
 		}
 	}
 	close(stop)

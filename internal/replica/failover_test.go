@@ -31,15 +31,15 @@ type testMember struct {
 
 // startMember boots a Member over a fresh blank model/server pair. The
 // member encodes its own private plans; promotable members default to
-// training on them after promotion.
+// training on them and publishing after promotion (trainAndPublish).
 func startMember(t testing.TB, cfg core.Config, samples []*workload.Labeled, mc MemberConfig) (*testMember, *core.Server, []*feature.EncodedPlan) {
 	t.Helper()
 	model := core.New(cfg, testEnc)
 	srv := core.NewServer(model, core.NewMemoryPool())
 	eps := encodePlans(t, samples)
 	mc.Server, mc.Model = srv, model
-	if mc.Train == nil && mc.Rank >= 0 {
-		mc.Train = eps
+	if mc.Primary == nil && mc.Rank >= 0 {
+		mc.Primary = trainAndPublish(model, srv, eps)
 	}
 	m := NewMember(mc)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -51,6 +51,23 @@ func startMember(t testing.TB, cfg core.Config, samples []*workload.Labeled, mc 
 	tm := &testMember{t: t, model: model, srv: srv, member: m, cancel: cancel, done: done}
 	t.Cleanup(tm.stop)
 	return tm, srv, eps
+}
+
+// trainAndPublish is the primary work of a promoted test member: train an
+// epoch over eps, publish it, pause 5 ms, until the term's ctx ends.
+func trainAndPublish(model *core.Model, srv *core.Server, eps []*feature.EncodedPlan) func(context.Context) {
+	return func(ctx context.Context) {
+		tr := core.NewParallelTrainer(model, 1)
+		defer tr.Close()
+		for ctx.Err() == nil {
+			tr.TrainEpochParallel(eps, 8, 0)
+			if ctx.Err() != nil {
+				return
+			}
+			srv.PublishDelta(model)
+			sleepCtx(ctx, 5*time.Millisecond)
+		}
+	}
 }
 
 func (tm *testMember) stop() {
@@ -87,7 +104,7 @@ func TestFailoverConformance(t *testing.T) {
 
 	// Primary A on a pre-bound port, epoch 1.
 	srvA := core.NewServer(mA, core.NewMemoryPool())
-	trA.PublishDelta(srvA)
+	srvA.PublishDelta(trA.M)
 	pubA := mustPublisher(t, mA, srvA.Version(), PublisherConfig{
 		Epoch: 1, Heartbeat: hb, PeerTimeout: peerTO, Logf: t.Logf,
 	})
@@ -111,7 +128,6 @@ func TestFailoverConformance(t *testing.T) {
 		Peers: []string{addrA}, Rank: 0, Listener: lnB,
 		Lease: leaseD, Heartbeat: hb, PeerTimeout: peerTO,
 		RetryMin: 5 * time.Millisecond, RetryMax: 50 * time.Millisecond,
-		TrainInterval: 5 * time.Millisecond, BatchSize: 8,
 		Logf: t.Logf,
 	})
 	// C never promotes; it walks the ordered peer list [A, B].
@@ -197,7 +213,7 @@ func TestFailoverConformance(t *testing.T) {
 	// from the outside.
 	for round := 0; round < 12; round++ {
 		trA.TrainEpochParallel(primEps, 8, 1)
-		trA.PublishDelta(srvA)
+		srvA.PublishDelta(trA.M)
 		time.Sleep(2 * time.Millisecond)
 	}
 	killAt := time.Now()
@@ -370,7 +386,6 @@ func TestBootPromotionClearsBootEpoch(t *testing.T) {
 		Peers: []string{"127.0.0.1:1"}, Rank: 0, Listener: ln,
 		Lease: 150 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
 		RetryMin: 5 * time.Millisecond, RetryMax: 20 * time.Millisecond,
-		TrainInterval: 5 * time.Millisecond, BatchSize: 8,
 		Logf: t.Logf,
 	})
 	waitFor(t, 15*time.Second, "boot promotion", func() bool {
@@ -426,10 +441,9 @@ func TestMemberWithNonFiniteWeightsStaysFollower(t *testing.T) {
 	var logs []string
 	B := NewMember(MemberConfig{
 		Peers: []string{"127.0.0.1:1"}, Rank: 0, Listener: ln,
-		Server: srv, Model: model, Train: eps,
+		Server: srv, Model: model,
 		Lease: 150 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
 		RetryMin: 5 * time.Millisecond, RetryMax: 20 * time.Millisecond,
-		TrainInterval: 5 * time.Millisecond, BatchSize: 8,
 		Logf: func(format string, args ...any) {
 			line := fmt.Sprintf(format, args...)
 			t.Log(line)
@@ -476,6 +490,113 @@ func TestMemberWithNonFiniteWeightsStaysFollower(t *testing.T) {
 	}
 }
 
+// TestPromotedMemberRunsPrimaryUntilFenced pins the Primary contract: a
+// rank-0 member starts its primary work on promotion, a higher epoch fences
+// it and ends the work's ctx, and the member follows again only after the
+// work returns. Here the work lingers 100 ms past its ctx while a live
+// epoch-5 primary is already reachable: the member's server must apply no
+// frame in that window, and must follow the new primary right after.
+func TestPromotedMemberRunsPrimaryUntilFenced(t *testing.T) {
+	const linger = 100 * time.Millisecond
+	samples := labeledSamples(t, 67, 6)
+	mA, _ := trainedModel(t, encodePlans(t, samples), 1)
+
+	// A's address is reserved but dead at boot, so B boot-promotes.
+	lnA, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen A: %v", err)
+	}
+	addrA := lnA.Addr().String()
+	lnA.Close()
+	lnB, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen B: %v", err)
+	}
+
+	// The server versions Primary saw when its ctx ended and when it returned.
+	type term struct{ atEnd, atReturn uint64 }
+	model := core.New(mA.Cfg, testEnc)
+	srv := core.NewServer(model, core.NewMemoryPool())
+	started := make(chan struct{}, 1)
+	ended := make(chan term, 1)
+	B := NewMember(MemberConfig{
+		Peers: []string{addrA}, Rank: 0, Listener: lnB,
+		Server: srv, Model: model,
+		Lease: 150 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
+		PeerTimeout: 100 * time.Millisecond,
+		RetryMin:    5 * time.Millisecond, RetryMax: 20 * time.Millisecond,
+		Logf: t.Logf,
+		Primary: func(ctx context.Context) {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			<-ctx.Done()
+			v := srv.Version()
+			time.Sleep(linger)
+			select {
+			case ended <- term{v, srv.Version()}:
+			default:
+			}
+		},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		B.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	select {
+	case <-started:
+	case <-time.After(15 * time.Second):
+		t.Fatal("Primary never started")
+	}
+	if st := B.Stats(); st.State != StatePrimary.String() || st.Promotions != 1 {
+		t.Fatalf("Primary started in state %s after %d promotions, want primary after 1", st.State, st.Promotions)
+	}
+
+	// The real primary comes up at epoch 5 on A's address; then a scripted
+	// follower claiming epoch 5 fences B's publisher.
+	pubA := mustPublisher(t, mA, 10, PublisherConfig{Epoch: 5, Heartbeat: 20 * time.Millisecond, Logf: t.Logf})
+	lnA, err = net.Listen("tcp", addrA)
+	if err != nil {
+		t.Fatalf("rebind A on %s: %v", addrA, err)
+	}
+	go pubA.Serve(lnA)
+	t.Cleanup(pubA.Close)
+	nc, err := net.Dial("tcp", lnB.Addr().String())
+	if err != nil {
+		t.Fatalf("dial member: %v", err)
+	}
+	defer nc.Close()
+	hello := make([]byte, 8)
+	binary.LittleEndian.PutUint64(hello, SchemaHash(model))
+	if _, err := nc.Write(AppendFrame(nil, FrameHello, 5, 0, 0, hello)); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	if _, err := nc.Write(AppendFrame(nil, FrameFenced, 5, 0, 0, nil)); err != nil {
+		t.Fatalf("fence frame: %v", err)
+	}
+
+	var tm term
+	select {
+	case tm = <-ended:
+	case <-time.After(15 * time.Second):
+		t.Fatal("fencing never ended Primary's ctx")
+	}
+	if tm.atReturn != tm.atEnd {
+		t.Fatalf("member applied frames while its Primary was still running: server v%d -> v%d", tm.atEnd, tm.atReturn)
+	}
+	waitFor(t, 15*time.Second, "the demoted member follows the epoch-5 primary", func() bool {
+		return B.Stats().Demotions == 1 && B.Follower().Epoch() == 5 && srv.Version() > tm.atReturn
+	})
+}
+
 // TestLeaseBoundsFailoverUnderWedgedPeer wedges the only peer (accepts, then
 // total silence) with an hour-long PeerTimeout and DialTimeout: the member's
 // read deadline must be capped by the remaining lease, so the lapse is still
@@ -519,7 +640,6 @@ func TestLeaseBoundsFailoverUnderWedgedPeer(t *testing.T) {
 		Lease: leaseD, Heartbeat: 50 * time.Millisecond,
 		PeerTimeout: time.Hour, DialTimeout: time.Hour, WriteTimeout: time.Hour,
 		RetryMin: 5 * time.Millisecond, RetryMax: 20 * time.Millisecond,
-		TrainInterval: 5 * time.Millisecond, BatchSize: 8,
 		Logf: t.Logf,
 	})
 	// Generous CI bound — but hours below PeerTimeout, which is the point:
@@ -538,7 +658,7 @@ func TestFenceRequiresHigherEpoch(t *testing.T) {
 	primEps := encodePlans(t, samples)
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewMemoryPool())
-	tr.PublishDelta(srv)
+	srv.PublishDelta(tr.M)
 	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Epoch: 3, Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -601,7 +721,6 @@ func TestDemotedMemberNeverReusesConsumedEpochs(t *testing.T) {
 		Lease: 150 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
 		PeerTimeout: 100 * time.Millisecond,
 		RetryMin:    5 * time.Millisecond, RetryMax: 20 * time.Millisecond,
-		TrainInterval: 5 * time.Millisecond, BatchSize: 8,
 		Logf: t.Logf,
 	})
 	waitFor(t, 15*time.Second, "boot promotion", func() bool {
@@ -647,7 +766,7 @@ func TestTokenlessPrimaryAcceptsAnyFollower(t *testing.T) {
 	primEps := encodePlans(t, samples)
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewMemoryPool())
-	tr.PublishDelta(srv)
+	srv.PublishDelta(tr.M)
 	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Logf: t.Logf}) // no token
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -741,7 +860,7 @@ func TestReplicationTokenAuth(t *testing.T) {
 	primEps := encodePlans(t, samples)
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewMemoryPool())
-	tr.PublishDelta(srv)
+	srv.PublishDelta(tr.M)
 	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Token: "hunter2", Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -802,7 +921,7 @@ func TestHeartbeatKeepsIdleConnectionAlive(t *testing.T) {
 	primEps := encodePlans(t, samples)
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewMemoryPool())
-	tr.PublishDelta(srv)
+	srv.PublishDelta(tr.M)
 	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{
 		Heartbeat: 20 * time.Millisecond, PeerTimeout: 100 * time.Millisecond, Logf: t.Logf,
 	})
@@ -847,7 +966,7 @@ func TestHeartbeatKeepsIdleConnectionAlive(t *testing.T) {
 	}
 
 	tr.TrainEpochParallel(primEps, 8, 1)
-	tr.PublishDelta(srv)
+	srv.PublishDelta(tr.M)
 	waitFor(t, 10*time.Second, "post-idle publication", func() bool { return f.Generation() == srv.Version() })
 }
 
@@ -861,7 +980,7 @@ func TestSlowFollowerEviction(t *testing.T) {
 	primEps := encodePlans(t, samples)
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewMemoryPool())
-	tr.PublishDelta(srv)
+	srv.PublishDelta(tr.M)
 	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{EvictAfter: 2, Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -959,7 +1078,7 @@ func TestStatsUnderChurn(t *testing.T) {
 
 	for round := 0; round < 30; round++ {
 		tr.TrainEpochParallel(primEps, 8, 1)
-		tr.PublishDelta(srv)
+		srv.PublishDelta(tr.M)
 		if round%7 == 3 {
 			pub.DisconnectAll()
 		}

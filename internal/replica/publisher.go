@@ -676,11 +676,3 @@ func (p *Publisher) Stats() PublisherStats {
 	p.mu.Unlock()
 	return st
 }
-
-// MinAcked returns the lowest generation acknowledged by a currently
-// connected follower, and whether any follower is connected. The
-// conformance suite uses it to wait for convergence.
-func (p *Publisher) MinAcked() (uint64, bool) {
-	st := p.Stats()
-	return st.MinAckedGen, st.Followers > 0
-}

@@ -86,7 +86,7 @@ func mustPublisher(t testing.TB, m *core.Model, gen uint64, cfg PublisherConfig)
 func startPrimary(t testing.TB, m *core.Model, tr *core.ParallelTrainer) (*core.Server, *Publisher, string) {
 	t.Helper()
 	srv := core.NewServer(m, core.NewMemoryPool())
-	tr.PublishDelta(srv)
+	srv.PublishDelta(tr.M)
 	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -212,7 +212,7 @@ func TestFollowerBootstrapAndDelta(t *testing.T) {
 	// Three delta publications from real training steps.
 	for i := 0; i < 3; i++ {
 		tr.TrainEpochParallel(primEps, 8, 1)
-		tr.PublishDelta(srv)
+		srv.PublishDelta(tr.M)
 	}
 	waitFor(t, 5*time.Second, "delta catch-up", func() bool { return f.Generation() == srv.Version() })
 	expectBitIdentical(t, srv, primEps, r)
@@ -262,7 +262,7 @@ func TestFollowerReconnectCatchUp(t *testing.T) {
 	publishTwice := func() {
 		for i := 0; i < 2; i++ {
 			tr.TrainEpochParallel(primEps, 8, 1)
-			tr.PublishDelta(srv)
+			srv.PublishDelta(tr.M)
 		}
 	}
 

@@ -390,7 +390,7 @@ func TestDrainContractUnderLoad(t *testing.T) {
 			default:
 			}
 			tr.TrainEpochParallel(eps, 8, 1)
-			snap := tr.PublishDelta(srv)
+			snap := srv.PublishDelta(tr.M)
 			snap.Pin()
 			versions.Store(snap.Version(), snap)
 		}

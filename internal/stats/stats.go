@@ -132,11 +132,6 @@ type Options struct {
 	Seed       int64
 }
 
-// DefaultOptions returns production-sized collection options.
-func DefaultOptions() Options {
-	return Options{Buckets: DefaultBuckets, SampleSize: DefaultSampleSize, MaxMCVs: 25, Seed: 1}
-}
-
 // Collect gathers statistics for every table and column of db.
 func Collect(db *dataset.DB, opt Options) *Catalog {
 	if opt.Buckets <= 0 {

@@ -18,9 +18,10 @@
 #     and must catch up to identical answers again.
 #  4. Failover: a primary streams to a promotable cluster member (-peers,
 #     -promote-rank 0). The primary is killed -9; the member's lease lapses,
-#     it promotes (epoch 2 in /statsz and /estimate) and keeps serving; the
-#     old primary then restarts as a follower of the new primary and catches
-#     up to byte-identical answers.
+#     it promotes (epoch 2 in /statsz and /estimate), keeps serving and runs
+#     the supervised retrain loop (a "supervisor" block with cycles >= 1 in
+#     /statsz); the old primary then restarts as a follower of the new
+#     primary and catches up to byte-identical answers.
 #
 # Run from the repository root: scripts/smoke_costestd.sh [port]
 # (the replication scenarios also use port+1 .. port+3)
@@ -270,6 +271,17 @@ curl -sf "http://127.0.0.1:$fport/statsz" | grep -q '"epoch": *2' || {
 printf '%s' "$sample" | curl -sf -X POST --data @- "http://127.0.0.1:$fport/estimate" | grep -q '"epoch": *2' || {
     echo "smoke_costestd: promoted member /estimate does not carry epoch 2"; exit 1;
 }
+# The promoted member runs the boot primary's supervisor: its first retrain
+# cycle (one -retrain interval after promotion) shows in /statsz.
+i=0
+while [ "$i" -lt 40 ]; do
+    if curl -sf "http://127.0.0.1:$fport/statsz" | tr -d ' \n' | grep -q '"supervisor":{"cycles":[1-9]'; then
+        break
+    fi
+    i=$((i + 1))
+    sleep 0.25
+done
+[ "$i" -lt 40 ] || { echo "smoke_costestd: promoted member /statsz shows no supervised retrain cycle"; cat "$mlog"; exit 1; }
 
 # The old primary comes back — as a follower of the new primary — and must
 # catch up to byte-identical answers.
