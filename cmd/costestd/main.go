@@ -266,7 +266,6 @@ func main() {
 		}
 		svc.ClusterStats = func() any { return member.Stats() }
 		svc.ClusterState = func() string { return member.State().String() }
-		svc.GenerationOf = member.EpochGenOf
 		log.Printf("costestd: cluster member (rank %d) following peers %s", o.promoRank, o.peers)
 		becomeReady = func() {
 			go func() {
@@ -295,10 +294,6 @@ func main() {
 		}
 		go pub.Serve(rln)
 		svc.ReplicationStats = func() any { return pub.Stats() }
-		svc.GenerationOf = func(version uint64) (uint64, uint64, bool) {
-			g, ok := pub.GenOf(version)
-			return pub.Epoch(), g, ok
-		}
 		close(followerDone)
 		log.Printf("costestd: replicating publications on %s (epoch %d)", rln.Addr(), pub.Epoch())
 	default:

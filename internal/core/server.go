@@ -46,7 +46,7 @@ type Server struct {
 	// retiredHW is the high-water mark of the retired-snapshot drain list —
 	// how many superseded snapshots have ever been awaiting drain at once.
 	// Steady-state double buffering holds it at 1; growth means retirees
-	// are not draining (long-pinned snapshots or requests stuck on old
+	// are not draining (long-held snapshots or requests stuck on old
 	// versions) and each stuck retiree is a full weight-buffer set that cannot
 	// be recycled. Guarded by pubMu.
 	retiredHW int
@@ -69,14 +69,15 @@ type Server struct {
 	// per publish onto prewarmMu.
 	prewarmPending atomic.Bool
 
-	// publishHook, when set, observes every publication with the source
-	// model and the freshly installed version, called under pubMu on the
-	// publishing goroutine — i.e. with training quiesced, so the hook may
-	// read m's parameter values and stamps exactly like the publication
-	// itself did. This is the tap replication streams from: a
-	// replica.Publisher registers here and serializes the dirty parameters
-	// of each publication to its followers. Guarded by pubMu.
-	publishHook func(m *Model, version uint64)
+	// publishHook, when set, sees every publication with the source model
+	// and the version about to be installed, and returns the snapshot's
+	// replication coordinates. It is called under pubMu on the publishing
+	// goroutine — i.e. with training quiesced, so the hook may read m's
+	// parameter values and stamps exactly like the publication itself did.
+	// This is the tap replication streams from: a replica.Publisher
+	// registers here and serializes the dirty parameters of each
+	// publication to its followers. Guarded by pubMu.
+	publishHook func(m *Model, version uint64) (epoch, gen uint64)
 
 	batchSessions sync.Pool
 
@@ -161,25 +162,6 @@ func NewServer(m *Model, pool *MemoryPool) *Server {
 	return srv
 }
 
-// Snapshot returns the currently served snapshot, pinned: callers may hold
-// it indefinitely (for replay, validation, or shadow scoring); it never
-// changes under them, however many publishes follow (pinning excludes the
-// snapshot's buffers from recycling).
-func (srv *Server) Snapshot() *ModelSnapshot {
-	for {
-		s := srv.cur.Load()
-		s.Pin()
-		// Re-check after pinning: a racing PublishDelta could have retired
-		// and reclaimed s between the load and the pin. Pinning a reclaimed
-		// snapshot is harmless (its slot pointer is already gone); the
-		// retry returns a snapshot whose pin is guaranteed to have landed
-		// before any reclaim decision.
-		if srv.cur.Load() == s {
-			return s
-		}
-	}
-}
-
 // acquire checks the current snapshot out for one request. The reference
 // count guarantees a publish never recycles the snapshot's buffers
 // mid-request, and the load/ref/re-check loop closes the race with a
@@ -200,15 +182,12 @@ func (srv *Server) acquire() *ModelSnapshot {
 // release returns a snapshot checked out by acquire.
 func (srv *Server) release(s *ModelSnapshot) { s.refs.Add(-1) }
 
-// AcquireSnapshot checks the current snapshot out with an in-flight
-// reference held, exactly as a served request does. Unlike Snapshot (whose
-// pin is sticky and permanently excludes the snapshot's buffers from
-// recycling), an acquired reference is returned with ReleaseSnapshot, at
-// which point the buffers rejoin the recycling rotation — the right
-// primitive for rotating retention like the scheduler's last-known-good
-// fallback snapshot, which outlives publishes only until the next known-good
-// version replaces it. While held, the snapshot's weights are guaranteed
-// frozen.
+// AcquireSnapshot checks the current snapshot out with a reference held,
+// exactly as a served request does: while held, the snapshot's weights are
+// guaranteed frozen, however many publishes follow. The reference is returned
+// with ReleaseSnapshot, at which point the buffers rejoin the recycling
+// rotation — how the scheduler keeps its last-known-good fallback and the
+// daemon's supervisor reads the served model for its gate and checkpoints.
 func (srv *Server) AcquireSnapshot() *ModelSnapshot { return srv.acquire() }
 
 // ReleaseSnapshot returns a reference taken by AcquireSnapshot.
@@ -220,12 +199,17 @@ func (srv *Server) Version() uint64 { return srv.cur.Load().version }
 // Pool returns the server's memory pool (nil when serving uncached).
 func (srv *Server) Pool() *MemoryPool { return srv.pool }
 
-// SetPublishHook installs h to observe every subsequent publication with the
-// source model and the new version. The hook runs on the publishing
-// goroutine under the publication lock — training is quiesced there, so h
-// may read m's parameters the way the publication did.
-// Install before publishing begins; pass nil to remove.
-func (srv *Server) SetPublishHook(h func(m *Model, version uint64)) {
+// SetPublishHook installs h to see every subsequent publication with the
+// source model and the version it will be served as. h returns the
+// publication's replication coordinates, which PublishDelta stores in the
+// snapshot (ModelSnapshot.Coordinates) before installing it, so no reader can
+// see the snapshot unlabeled; (0, 0) leaves it unlabeled. The hook runs on the
+// publishing goroutine under the publication lock — training is quiesced
+// there, so h may read m's parameters the way the publication did — after
+// the finite check and the weight copy, before the install: a replication
+// follower may receive a publication before this server serves it. Install
+// before publishing begins; pass nil to remove.
+func (srv *Server) SetPublishHook(h func(m *Model, version uint64) (epoch, gen uint64)) {
 	srv.pubMu.Lock()
 	defer srv.pubMu.Unlock()
 	srv.publishHook = h
@@ -241,9 +225,9 @@ func (srv *Server) SetPublishHook(h func(m *Model, version uint64)) {
 // Buffers double-buffer in steady state: the snapshot retired by the
 // previous publish drains its in-flight requests and is re-synced by the
 // next one. The returned snapshot is therefore only guaranteed frozen until
-// two further publishes — call Pin (or use Snapshot) to hold it longer;
-// served estimates are unaffected either way, since a buffer is never
-// recycled while a request or pin holds it.
+// two further publishes — hold it longer through AcquireSnapshot; served
+// estimates are unaffected either way, since a buffer is never recycled while
+// a reference is held on it.
 //
 // Publication is finite or refused: when a value it would copy is NaN or an
 // infinity, PublishDelta copies and installs nothing, advances no
@@ -274,10 +258,12 @@ func (srv *Server) PublishDelta(m *Model) *ModelSnapshot {
 	}
 	srv.delta.lastCopied = sl.sync(m)
 	snap := &ModelSnapshot{version: srv.cur.Load().version + 1, model: sl.model, slot: sl}
-	srv.install(snap)
 	if srv.publishHook != nil {
-		srv.publishHook(m, snap.version)
+		// The only write of a snapshot's coordinates: before install, so the
+		// snapshot is labeled before any reader can acquire it.
+		snap.epoch, snap.gen = srv.publishHook(m, snap.version)
 	}
+	srv.install(snap)
 	return snap
 }
 
@@ -296,11 +282,12 @@ func (srv *Server) LastDeltaCopied() int {
 
 // DrainStats reports the state of the retired-snapshot-slot drain list:
 // Retired is the number of superseded snapshots currently awaiting drain
-// (their weight buffers cannot be recycled until every in-flight request and
-// pin on them clears), RetiredHighWater the most that have ever
-// waited at once. Healthy steady-state publication double-buffers, so
-// the high water sits at 1; a climbing mark is the observable symptom of
-// requests or pins holding old versions alive.
+// (their weight buffers cannot be recycled until every reference held on them
+// — an in-flight request, an AcquireSnapshot holder — is released),
+// RetiredHighWater the most that have ever waited at once. Healthy
+// steady-state publication double-buffers, so the high water sits at 1; a
+// climbing mark is the observable symptom of references holding old versions
+// alive.
 type DrainStats struct {
 	Retired          int
 	RetiredHighWater int
@@ -480,7 +467,7 @@ func (srv *Server) EstimateBatch(eps []*feature.EncodedPlan, _ int) ([]Estimate,
 }
 
 // EstimateBatchInto serves eps against a snapshot the caller already holds
-// (acquired via AcquireSnapshot, or pinned), writing the estimates into
+// (acquired via AcquireSnapshot), writing the estimates into
 // caller-provided storage: out must have len(eps) elements and is returned
 // filled. The caller's hold is what keeps the weights frozen for the
 // duration, so the batch is bit-identical to a single-threaded evaluation of

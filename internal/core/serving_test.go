@@ -23,7 +23,8 @@ func TestSnapshotImmutableUnderTraining(t *testing.T) {
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, nil)
 
-	snap := srv.Snapshot()
+	snap := srv.AcquireSnapshot()
+	defer srv.ReleaseSnapshot(snap)
 	if snap.Version() != 1 {
 		t.Fatalf("initial snapshot version = %d, want 1", snap.Version())
 	}
@@ -58,8 +59,10 @@ func TestSnapshotImmutableUnderTraining(t *testing.T) {
 	if next.Version() != 2 || srv.Version() != 2 {
 		t.Fatalf("publish version = %d (server %d), want 2", next.Version(), srv.Version())
 	}
-	if srv.Snapshot() != next {
+	if cur := srv.AcquireSnapshot(); cur != next {
 		t.Fatal("server does not serve the published snapshot")
+	} else {
+		srv.ReleaseSnapshot(cur)
 	}
 }
 
@@ -164,7 +167,7 @@ func TestServerServesAcrossPublishes(t *testing.T) {
 	srv := NewServer(m, NewBoundedMemoryPool(512))
 
 	for round := 0; round < 3; round++ {
-		snap := srv.Snapshot()
+		snap := srv.AcquireSnapshot()
 		want := uint64(round + 1)
 		if snap.Version() != want {
 			t.Fatalf("round %d: serving version %d, want %d", round, snap.Version(), want)
@@ -190,6 +193,7 @@ func TestServerServesAcrossPublishes(t *testing.T) {
 				t.Fatalf("round %d plan %d: batch served %+v, snapshot replay (%g,%g)", round, i, batch[i], rc, rd)
 			}
 		}
+		srv.ReleaseSnapshot(snap)
 		tr.TrainEpochParallel(eps, 8, 1)
 		srv.PublishDelta(tr.M)
 	}
@@ -259,7 +263,9 @@ func TestServerPrewarmHidesSwapTransient(t *testing.T) {
 
 	// Pre-warmed entries must serve the same bits as an unpooled
 	// single-threaded replay of the new snapshot.
-	ref := NewBatchSession(srv.Snapshot().Model())
+	snap := srv.AcquireSnapshot()
+	defer srv.ReleaseSnapshot(snap)
+	ref := NewBatchSession(snap.Model())
 	for i := 0; i < 4; i++ {
 		c, d, sv := srv.Estimate(eps[i])
 		rc, rd := ref.Estimate(eps[i])
@@ -424,7 +430,7 @@ func TestPublishDeltaRefusesNonFinite(t *testing.T) {
 	pool := NewBoundedMemoryPool(512)
 	srv := NewServer(m, pool)
 	hooked := 0
-	srv.SetPublishHook(func(*Model, uint64) { hooked++ })
+	srv.SetPublishHook(func(*Model, uint64) (uint64, uint64) { hooked++; return 0, 0 })
 
 	m.PS.Params()[0].Value[0] = math.NaN()
 	m.PS.MarkAllUpdated()
@@ -447,6 +453,86 @@ func TestPublishDeltaRefusesNonFinite(t *testing.T) {
 		if c, d, _ := srv.Estimate(ep); math.IsNaN(c) || math.IsNaN(d) {
 			t.Fatalf("plan %d served non-finite (%g, %g) after refused publishes", i, c, d)
 		}
+	}
+}
+
+// TestPublishDeltaLabelsCoordinates pins where a snapshot's replication
+// coordinates come from: the publish hook's answer, stored before the
+// snapshot is installed. Readers acquire snapshots while publishes run, and
+// every snapshot they see after NewServer's unlabeled version 1 already
+// carries exactly the pair the hook returned for its version — none is ever
+// observable unlabeled. A refused non-finite publication calls no hook and
+// labels nothing. Run it under -race -count=10.
+func TestPublishDeltaLabelsCoordinates(t *testing.T) {
+	m := New(TestConfig(), testEnc)
+	srv := NewServer(m, nil)
+	hooked := 0
+	srv.SetPublishHook(func(_ *Model, version uint64) (uint64, uint64) {
+		if v := srv.Version(); v != version-1 {
+			t.Errorf("hook for version %d ran with version %d already served", version, v)
+		}
+		hooked++
+		return 7, version + 100
+	})
+
+	const publishes = 300
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var seen [3]atomic.Int64
+	for r := range seen {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for {
+				snap := srv.AcquireSnapshot()
+				ep, gen := snap.Coordinates()
+				want := [2]uint64{7, snap.Version() + 100}
+				if snap.Version() == 1 {
+					want = [2]uint64{}
+				}
+				srv.ReleaseSnapshot(snap)
+				if got := [2]uint64{ep, gen}; got != want {
+					t.Errorf("reader acquired v%d labeled %v, want %v", snap.Version(), got, want)
+					return
+				}
+				seen[r].Add(1)
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < publishes; i++ {
+		m.PS.MarkAllUpdated()
+		if ep, gen := srv.PublishDelta(m).Coordinates(); ep != 7 || gen != uint64(i+2)+100 {
+			t.Fatalf("publish %d returned a snapshot labeled (%d, %d)", i, ep, gen)
+		}
+		if i%16 == 0 {
+			runtime.Gosched()
+		}
+	}
+	close(done)
+	wg.Wait()
+	for r := range seen {
+		if seen[r].Load() == 0 {
+			t.Fatalf("reader %d acquired nothing; the test is vacuous", r)
+		}
+	}
+	if hooked != publishes {
+		t.Fatalf("hook called %d times for %d publishes", hooked, publishes)
+	}
+
+	m.PS.Params()[0].Value[0] = math.NaN()
+	m.PS.MarkAllUpdated()
+	snap := srv.PublishDelta(m)
+	if ep, gen := snap.Coordinates(); snap.Version() != publishes+1 || ep != 7 || gen != publishes+101 {
+		t.Fatalf("refused publish returned v%d labeled (%d, %d), want the served v%d labeled (7, %d)",
+			snap.Version(), ep, gen, publishes+1, publishes+101)
+	}
+	if hooked != publishes {
+		t.Fatalf("refused publish called the hook (%d calls for %d publishes)", hooked, publishes)
 	}
 }
 
@@ -478,16 +564,17 @@ func TestPublishDeltaReusesBuffers(t *testing.T) {
 	// The recycled snapshot must carry the current weights bit for bit.
 	compareWeights(t, "recycled slot vs full copy", s3.Model(), fullCopy(m), 0)
 
-	// A pinned snapshot's buffers leave the rotation permanently.
+	// A held snapshot's buffers leave the rotation while it is held.
 	tr.TrainEpochParallel(eps, 8, 1)
-	s4 := srv.PublishDelta(tr.M)
-	s4.Pin()
+	srv.PublishDelta(tr.M)
+	s4 := srv.AcquireSnapshot()
+	defer srv.ReleaseSnapshot(s4)
 	tr.TrainEpochParallel(eps, 8, 1)
 	s5 := srv.PublishDelta(tr.M)
 	tr.TrainEpochParallel(eps, 8, 1)
 	s6 := srv.PublishDelta(tr.M)
 	if s6.model == s4.model {
-		t.Fatal("pinned snapshot's buffers were recycled")
+		t.Fatal("held snapshot's buffers were recycled")
 	}
 	want := []struct{ c, d float64 }{}
 	for _, ep := range eps {
@@ -500,16 +587,16 @@ func TestPublishDeltaReusesBuffers(t *testing.T) {
 	for i, ep := range eps {
 		c, d := s4.Model().Estimate(ep)
 		if c != want[i].c || d != want[i].d {
-			t.Fatalf("pinned snapshot estimates moved after later delta publishes (plan %d)", i)
+			t.Fatalf("held snapshot estimates moved after later delta publishes (plan %d)", i)
 		}
 	}
 	_ = s5
 }
 
-// TestSnapshotPinnedAcrossDeltaPublishes pins Server.Snapshot's contract: a
-// snapshot handed out for indefinite retention keeps serving
-// the exact weights it was published with, no matter how many delta
-// publishes (and buffer recycles) happen afterwards.
+// TestSnapshotPinnedAcrossDeltaPublishes pins AcquireSnapshot's contract: a
+// snapshot held by reference keeps serving the exact weights it was
+// published with, no matter how many delta publishes (and buffer recycles)
+// happen before it is released.
 func TestSnapshotPinnedAcrossDeltaPublishes(t *testing.T) {
 	eps := benchCorpus(t, 10)
 	cfg := TestConfig()
@@ -521,7 +608,8 @@ func TestSnapshotPinnedAcrossDeltaPublishes(t *testing.T) {
 	tr.TrainEpochParallel(eps, 8, 1)
 	srv.PublishDelta(tr.M)
 
-	held := srv.Snapshot() // pinned
+	held := srv.AcquireSnapshot()
+	defer srv.ReleaseSnapshot(held)
 	type est struct{ cost, card float64 }
 	before := make([]est, len(eps))
 	for i, ep := range eps {
@@ -535,7 +623,7 @@ func TestSnapshotPinnedAcrossDeltaPublishes(t *testing.T) {
 	for i, ep := range eps {
 		c, d := held.Model().Estimate(ep)
 		if c != before[i].cost || d != before[i].card {
-			t.Fatalf("pinned snapshot estimate moved: plan %d (%g,%g) -> (%g,%g)",
+			t.Fatalf("held snapshot estimate moved: plan %d (%g,%g) -> (%g,%g)",
 				i, before[i].cost, before[i].card, c, d)
 		}
 	}
@@ -572,7 +660,9 @@ func TestPublishDeltaSingleTaskSkipsCleanHead(t *testing.T) {
 		t.Fatalf("steady-state delta copied all %d params; the clean card head should be skipped", steady)
 	}
 	// The skipped parameters are exactly the never-trained cardinality head.
-	compareWeights(t, "single-task delta", srv.Snapshot().Model(), fullCopy(m), 0)
+	snap := srv.AcquireSnapshot()
+	defer srv.ReleaseSnapshot(snap)
+	compareWeights(t, "single-task delta", snap.Model(), fullCopy(m), 0)
 }
 
 // TestServerDeltaHotSwapConcurrentBitIdentical is the acceptance gate for
@@ -715,7 +805,12 @@ func TestPublishPrewarmRace(t *testing.T) {
 
 	const epochs = 5
 	var mu sync.Mutex
-	snaps := map[uint64]*ModelSnapshot{1: srv.Snapshot()}
+	snaps := map[uint64]*ModelSnapshot{1: srv.AcquireSnapshot()}
+	defer func() {
+		for _, snap := range snaps {
+			srv.ReleaseSnapshot(snap)
+		}
+	}()
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -724,8 +819,8 @@ func TestPublishPrewarmRace(t *testing.T) {
 		defer close(done)
 		for e := 0; e < epochs; e++ {
 			tr.TrainEpochParallel(eps, 8, 1)
-			snap := srv.PublishDelta(tr.M)
-			snap.Pin() // replayed after later publishes
+			srv.PublishDelta(tr.M)
+			snap := srv.AcquireSnapshot() // replayed after later publishes
 			mu.Lock()
 			snaps[snap.Version()] = snap
 			mu.Unlock()

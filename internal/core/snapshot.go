@@ -16,21 +16,25 @@ import (
 // Snapshots are created by NewServer (version 1) and Server.PublishDelta and
 // are never mutated while reachable: the serving invariant — any estimate
 // served at version V is bit-identical to a single-threaded evaluation of V's
-// weights — depends on it. Every snapshot's weights live in a recyclable
-// buffer set (see snapshotSlot): once a snapshot has been superseded AND has
-// no in-flight server request reading it AND was never pinned, a later
-// PublishDelta may reuse its buffers. Hold a snapshot past the next publish
-// only after calling Pin (Server.Snapshot does).
+// weights — depends on it. A snapshot also names itself to the cluster: its
+// replication coordinates (see Coordinates) are written by PublishDelta
+// before the snapshot becomes visible and travel with it for as long as
+// anyone holds it. Every snapshot's weights live in a recyclable buffer set
+// (see snapshotSlot): once a snapshot has been superseded AND has no
+// reference held on it, a later PublishDelta may reuse its buffers. Hold a
+// snapshot past the next publish only through Server.AcquireSnapshot, until
+// Server.ReleaseSnapshot.
 type ModelSnapshot struct {
 	version uint64
 	model   *Model
+	// epoch and gen are the replication coordinates the publish hook returned
+	// for this snapshot; both zero when it was not replicated.
+	epoch, gen uint64
 
-	// refs counts in-flight server requests (and pre-warm replays) reading
-	// this snapshot; the acquire/release protocol in Server keeps it exact.
+	// refs counts the references held on this snapshot — in-flight server
+	// requests, pre-warm replays, AcquireSnapshot holders; the acquire/release
+	// protocol in Server keeps it exact.
 	refs atomic.Int64
-	// pinned marks a snapshot handed out for indefinite retention
-	// (Server.Snapshot, ModelSnapshot.Pin): its buffers are never recycled.
-	pinned atomic.Bool
 	// slot is the recyclable buffer set backing the snapshot; nil once a
 	// later publish has harvested it. Guarded by the server's publisher lock.
 	slot *snapshotSlot
@@ -42,23 +46,25 @@ type ModelSnapshot struct {
 // snapshot.
 func (s *ModelSnapshot) Version() uint64 { return s.version }
 
+// Coordinates returns the cluster-wide (epoch, generation) this snapshot
+// serves under: two snapshots with the same non-zero coordinates hold the same
+// weights, whichever process serves them. Zero means not replicated — no
+// publish hook labeled it (a daemon that does not replicate, NewServer's
+// version 1, or a publication a fenced publisher refused to stream).
+func (s *ModelSnapshot) Coordinates() (epoch, gen uint64) { return s.epoch, s.gen }
+
 // Model returns the snapshot's frozen model. Callers may evaluate it (its
 // own Estimate/EstimateBatch, NewBatchSession, ValidationError) but must treat
 // the weights as read-only; training against a snapshot model breaks the
-// immutability every concurrent reader relies on. Call Pin first if the model
-// will be used past the next publish.
+// immutability every concurrent reader relies on. The weights stay frozen
+// only while a reference is held (Server.AcquireSnapshot).
 func (s *ModelSnapshot) Model() *Model { return s.model }
 
-// Pin marks the snapshot for indefinite retention: its weight buffers are
-// excluded from publication recycling, so it stays frozen forever. Pinning is
-// sticky and idempotent.
-func (s *ModelSnapshot) Pin() { s.pinned.Store(true) }
-
 // recyclable reports whether the snapshot's slot may be reused for a new
-// publication: nobody pinned it and no request is mid-flight on it. Callers
-// must already have retired it from serving (it is not the current snapshot).
+// publication: no reference is held on it. Callers must already have retired
+// it from serving (it is not the current snapshot).
 func (s *ModelSnapshot) recyclable() bool {
-	return s.slot != nil && !s.pinned.Load() && s.refs.Load() == 0
+	return s.slot != nil && s.refs.Load() == 0
 }
 
 // snapshotSlot is one recyclable weight-buffer set for delta publication: a
@@ -70,8 +76,8 @@ func (s *ModelSnapshot) recyclable() bool {
 // A server in steady-state publication rotates exactly two slots (double
 // buffering): the slot serving as the current snapshot and the slot
 // retired one publish ago, which drains and is re-synced by the next
-// publish. Pinned or still-referenced retirees drop out of the rotation and
-// a fresh slot takes their place.
+// publish. A still-referenced retiree sits out the rotation until its last
+// reference goes, and a fresh slot takes its place meanwhile.
 type snapshotSlot struct {
 	// src is the live model whose stamps this slot's records refer to; a
 	// slot is only ever re-synced against its own source (stamps from a
@@ -163,17 +169,16 @@ type deltaPub struct {
 }
 
 // takeSlot returns a drained retired slot for reuse, or nil if none is
-// reclaimable. Reclaimed and permanently unreclaimable (pinned) retirees
-// leave the list; still-referenced ones stay for a later publish.
+// reclaimable. Reclaimed retirees leave the list; still-referenced ones stay
+// for a later publish.
 func (d *deltaPub) takeSlot() *snapshotSlot {
 	var found *snapshotSlot
 	kept := d.retired[:0]
 	for _, snap := range d.retired {
 		switch {
-		case snap.pinned.Load(), snap.slot != nil && snap.slot.src != d.src:
-			// Dropped: pinned retirees are frozen forever, and a slot
-			// synced against a different source model carries stamps from
-			// the wrong clock.
+		case snap.slot != nil && snap.slot.src != d.src:
+			// Dropped: a slot synced against a different source model
+			// carries stamps from the wrong clock.
 		case found == nil && snap.recyclable():
 			found = snap.slot
 			snap.slot = nil // the snapshot object no longer owns the buffers

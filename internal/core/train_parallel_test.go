@@ -308,7 +308,8 @@ func TestFitCallbackDeltaPublish(t *testing.T) {
 		t.Fatalf("server version %d after %d epoch publishes, want %d", srv.Version(), len(hist), want)
 	}
 	// The final served snapshot carries the final weights.
-	snap := srv.Snapshot()
+	snap := srv.AcquireSnapshot()
+	defer srv.ReleaseSnapshot(snap)
 	compareWeights(t, "served vs live", snap.Model(), m, 0)
 	ref := NewBatchSession(snap.Model())
 	for i, ep := range eps {

@@ -281,7 +281,8 @@ func (m *Member) primaryTerm(ctx context.Context) {
 }
 
 // closePrimary tears the promoted-side machinery down (idempotent): the
-// publish hook, the publisher and its listener.
+// publish hook, the publisher and its listener. A demoted member's next
+// Follower.Run registers the follower's hook again.
 func (m *Member) closePrimary() {
 	m.mu.Lock()
 	pub, ln := m.pub, m.ln
@@ -325,18 +326,6 @@ func (m *Member) Generation() uint64 {
 		return pub.Generation()
 	}
 	return m.fol.Generation()
-}
-
-// EpochGenOf maps a local Server version to cluster (epoch, generation)
-// coordinates, consulting the publisher's ring when primary and the
-// follower's otherwise (a version served before promotion still resolves).
-func (m *Member) EpochGenOf(version uint64) (epoch, gen uint64, ok bool) {
-	if pub := m.Publisher(); pub != nil {
-		if g, found := pub.GenOf(version); found {
-			return pub.Epoch(), g, true
-		}
-	}
-	return m.fol.EpochGenOf(version)
 }
 
 // WaitReady blocks until the member serves cluster weights — its follower

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"costest/internal/core"
 	"costest/internal/fault"
+	"costest/internal/feature"
 )
 
 // obs is one estimate observation: which process served it, at which
@@ -87,25 +89,26 @@ func TestReplicationConformance(t *testing.T) {
 		}
 	}
 	wg.Add(1 + len(replicas))
-	go runLoad(0, func(plan int) (obs, bool) {
-		cost, card, ver := srv.Estimate(primEps[plan])
-		// The primary's server version is the replication generation.
-		return obs{src: 0, gen: ver, plan: plan,
-			costBits: math.Float64bits(cost), cardBits: math.Float64bits(card)}, true
-	})
-	for ri, r := range replicas {
-		ri, r := ri, r
-		go runLoad(1+ri, func(plan int) (obs, bool) {
-			cost, card, ver := r.srv.Estimate(r.eps[plan])
-			gen, ok := r.follower().GenOf(ver)
-			if !ok {
-				// Version predates this follower instance (e.g. served across
-				// a restart); no generation to anchor the comparison to.
+	// Each observation is labeled by the snapshot that served it. Unlabeled
+	// snapshots (the primary's boot versions, published before its
+	// publisher existed, and a follower's blank version 1) have no
+	// generation to anchor the comparison to.
+	observe := func(src int, srv *core.Server, eps []*feature.EncodedPlan) func(int) (obs, bool) {
+		return func(plan int) (obs, bool) {
+			cost, card, epoch, gen := estimateAt(srv, eps[plan])
+			if gen == 0 {
 				return obs{}, false
 			}
-			return obs{src: 1 + ri, gen: gen, plan: plan,
+			if epoch != 1 {
+				t.Errorf("src %d served generation %d under epoch %d, want 1", src, gen, epoch)
+			}
+			return obs{src: src, gen: gen, plan: plan,
 				costBits: math.Float64bits(cost), cardBits: math.Float64bits(card)}, true
-		})
+		}
+	}
+	go runLoad(0, observe(0, srv, primEps))
+	for ri, r := range replicas {
+		go runLoad(1+ri, observe(1+ri, r.srv, r.eps))
 	}
 
 	// Churn: train-and-publish rounds with a follower restart and a forced

@@ -179,34 +179,23 @@ func TestFailoverConformance(t *testing.T) {
 			time.Sleep(500 * time.Microsecond)
 		}
 	}
+	// Each observation carries the coordinates of the snapshot that served
+	// it; unlabeled ones (A's versions from before its publisher) are
+	// skipped.
+	observe := func(src int, srv *core.Server, eps []*feature.EncodedPlan) func(int) (obsEG, bool) {
+		return func(plan int) (obsEG, bool) {
+			cost, card, epoch, gen := estimateAt(srv, eps[plan])
+			if gen == 0 {
+				return obsEG{}, false
+			}
+			return obsEG{src: src, epoch: epoch, gen: gen, plan: plan,
+				costBits: math.Float64bits(cost), cardBits: math.Float64bits(card)}, true
+		}
+	}
 	wg.Add(3)
-	go runLoad(0, func(plan int) (obsEG, bool) {
-		cost, card, ver := srvA.Estimate(primEps[plan])
-		gen, ok := pubA.GenOf(ver)
-		if !ok {
-			return obsEG{}, false // version predates the first churn publication
-		}
-		return obsEG{src: 0, epoch: pubA.Epoch(), gen: gen, plan: plan,
-			costBits: math.Float64bits(cost), cardBits: math.Float64bits(card)}, true
-	})
-	go runLoad(1, func(plan int) (obsEG, bool) {
-		cost, card, ver := srvB.Estimate(epsB[plan])
-		ep, gen, ok := B.member.EpochGenOf(ver)
-		if !ok {
-			return obsEG{}, false
-		}
-		return obsEG{src: 1, epoch: ep, gen: gen, plan: plan,
-			costBits: math.Float64bits(cost), cardBits: math.Float64bits(card)}, true
-	})
-	go runLoad(2, func(plan int) (obsEG, bool) {
-		cost, card, ver := srvC.Estimate(epsC[plan])
-		ep, gen, ok := C.member.EpochGenOf(ver)
-		if !ok {
-			return obsEG{}, false
-		}
-		return obsEG{src: 2, epoch: ep, gen: gen, plan: plan,
-			costBits: math.Float64bits(cost), cardBits: math.Float64bits(card)}, true
-	})
+	go runLoad(0, observe(0, srvA, primEps))
+	go runLoad(1, observe(1, srvB, epsB))
+	go runLoad(2, observe(2, srvC, epsC))
 
 	// Churn on A, then kill it mid-stream: close the publisher (listener and
 	// every connection die with it) exactly as a crashed process would look
@@ -755,6 +744,69 @@ func TestDemotedMemberNeverReusesConsumedEpochs(t *testing.T) {
 	})
 	if ep := B.member.Epoch(); ep != 6 {
 		t.Fatalf("re-promotion epoch = %d, want 6 (fenced by 5)", ep)
+	}
+}
+
+// TestDemotedMemberSnapshotKeepsCoordinates: a snapshot a member served
+// while primary at epoch E keeps (E, g) after the member is fenced and
+// demotes — the label lives in the snapshot, not in the publisher that
+// demotion closes. The demoted member labels through its follower again, and
+// its re-promotion publishes under the new epoch.
+func TestDemotedMemberSnapshotKeepsCoordinates(t *testing.T) {
+	samples := labeledSamples(t, 71, 6)
+	lnB, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	B, srvB, epsB := startMember(t, core.TestConfig(), samples, MemberConfig{
+		Peers: []string{"127.0.0.1:1"}, Rank: 0,
+		Listener: lnB, Listen: lnB.Addr().String(),
+		Lease: 150 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
+		PeerTimeout: 100 * time.Millisecond,
+		RetryMin:    5 * time.Millisecond, RetryMax: 20 * time.Millisecond,
+		Logf: t.Logf,
+	})
+	waitFor(t, 15*time.Second, "boot promotion", func() bool {
+		return B.member.State() == StatePrimary && srvB.Version() >= 3
+	})
+	held := srvB.AcquireSnapshot()
+	defer srvB.ReleaseSnapshot(held)
+	ep, gen := held.Coordinates()
+	if ep != 2 || gen == 0 {
+		t.Fatalf("primary at epoch 2 serves v%d labeled (%d, %d)", held.Version(), ep, gen)
+	}
+
+	// A scripted follower at epoch 5 fences the member's publisher.
+	nc, err := net.Dial("tcp", lnB.Addr().String())
+	if err != nil {
+		t.Fatalf("dial member: %v", err)
+	}
+	defer nc.Close()
+	hello := make([]byte, 8)
+	binary.LittleEndian.PutUint64(hello, SchemaHash(B.model))
+	if _, err := nc.Write(AppendFrame(nil, FrameHello, 5, 0, 0, hello)); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	if _, err := nc.Write(AppendFrame(nil, FrameFenced, 5, 0, 0, nil)); err != nil {
+		t.Fatalf("fence frame: %v", err)
+	}
+	waitFor(t, 15*time.Second, "demotion", func() bool {
+		return B.member.Stats().Demotions >= 1
+	})
+	if e, g := held.Coordinates(); e != ep || g != gen {
+		t.Fatalf("demotion relabeled v%d: (%d, %d) -> (%d, %d)", held.Version(), ep, gen, e, g)
+	}
+
+	// Peer list still dead: the member re-promotes at epoch 6, and what it
+	// publishes from then on is labeled with it.
+	waitFor(t, 15*time.Second, "re-promotion", func() bool {
+		return B.member.State() == StatePrimary && B.member.Stats().Promotions >= 2
+	})
+	if _, _, e, _ := estimateAt(srvB, epsB[0]); e != 6 {
+		t.Fatalf("re-promoted member serves epoch %d, want 6", e)
+	}
+	if e, g := held.Coordinates(); e != ep || g != gen {
+		t.Fatalf("re-promotion relabeled v%d: (%d, %d) -> (%d, %d)", held.Version(), ep, gen, e, g)
 	}
 }
 

@@ -15,11 +15,6 @@ import (
 	"costest/internal/nn"
 )
 
-// genMapCap bounds the follower's local-version → generation map: enough to
-// cover every snapshot a serving request could still be holding, tiny enough
-// to never matter.
-const genMapCap = 1024
-
 // FollowerConfig configures a replica-side Follower.
 type FollowerConfig struct {
 	// Peers is the ordered list of replication listeners the follower dials
@@ -73,7 +68,8 @@ type FollowerConfig struct {
 // Follower is the replica side of replication: it dials through the peer
 // list, applies snapshot and delta frames into its local model, republishes
 // each applied generation through Server.PublishDelta (so local serving
-// hot-swaps exactly like the primary's), and acknowledges it. Corrupt frames
+// hot-swaps exactly like the primary's), labels the snapshot with the
+// frame's (epoch, generation), and acknowledges it. Corrupt frames
 // are rejected by checksum and never applied; generation gaps — missed
 // frames, reconnects — trigger a full-snapshot resync; frames from a stale
 // primary epoch are rejected outright and answered with FrameFenced, so a
@@ -89,6 +85,11 @@ type Follower struct {
 	touched []*nn.Param
 	writeMu sync.Mutex
 	outBuf  []byte
+	// applyEpoch and applyGen are the coordinates of the frame applyFrame
+	// is publishing, which the label hook returns. Written and read on the
+	// Run goroutine only: the Server calls the hook on the publishing
+	// goroutine.
+	applyEpoch, applyGen uint64
 
 	gen        atomic.Uint64 // last applied + locally published generation
 	epoch      atomic.Uint64 // highest primary epoch ever seen
@@ -98,11 +99,6 @@ type Follower struct {
 
 	readyOnce sync.Once
 	ready     chan struct{}
-
-	verMu   sync.Mutex
-	verGen  map[uint64]epochGen // local Server version -> (epoch, generation)
-	verRing [genMapCap]uint64
-	verHead int
 
 	snapshots      atomic.Uint64
 	deltas         atomic.Uint64
@@ -115,8 +111,6 @@ type Follower struct {
 	heartbeatsOut  atomic.Uint64
 	lastApplyNanos atomic.Uint64
 }
-
-type epochGen struct{ epoch, gen uint64 }
 
 // NewFollower builds a follower; call Run to start it. Server and Model
 // must be non-nil and the model must be the one the server serves from.
@@ -152,7 +146,6 @@ func NewFollower(cfg FollowerConfig) *Follower {
 		cfg:     cfg,
 		schema:  SchemaHash(cfg.Model),
 		touched: make([]*nn.Param, 0, len(cfg.Model.PS.Params())),
-		verGen:  make(map[uint64]epochGen, genMapCap),
 		ready:   make(chan struct{}),
 	}
 }
@@ -186,8 +179,13 @@ func backoffDelay(attempt int, minD, maxD time.Duration, jit float64) time.Durat
 // advancing to the next peer with budgeted jittered backoff on any
 // connection loss or fencing. Between sessions it checks the primary lease;
 // on expiry OnLeaseExpired may promote this replica and end Run. It is the
-// follower's only model-writing goroutine.
+// follower's only model-writing goroutine, and it labels the Server's
+// publications: Run registers the follower as the Server's publish hook, so
+// every snapshot a frame publishes carries that frame's (epoch, generation).
+// Run leaves the hook in place when it returns — a promotion has already
+// replaced it with the new publisher's.
 func (f *Follower) Run(ctx context.Context) {
+	f.cfg.Server.SetPublishHook(f.label)
 	f.lastRenew.Store(time.Now().UnixNano())
 	attempt := 0
 	peer := 0
@@ -420,7 +418,8 @@ func (f *Follower) session(ctx context.Context, nc net.Conn, addr string) (appli
 }
 
 // applyFrame is the warm apply core: decode the payload into the local
-// model, republish it through the local Server, and record the generation.
+// model and republish it through the local Server, labeled with the frame's
+// (epoch, generation) by the label hook Run registered.
 // This is the follower half of the apply→PublishDelta round trip whose
 // steady state the AllocsPerRun conformance test pins at zero; the ready
 // signalling and ack I/O live in applyAndAck so this body stays
@@ -435,8 +434,8 @@ func (f *Follower) applyFrame(fm Frame, full bool) error {
 		return err
 	}
 	f.cfg.Model.PS.MarkParamsUpdated(touched)
-	snap := f.cfg.Server.PublishDelta(f.cfg.Model)
-	f.recordGen(snap.Version(), fm.Epoch, fm.Gen)
+	f.applyEpoch, f.applyGen = fm.Epoch, fm.Gen
+	f.cfg.Server.PublishDelta(f.cfg.Model)
 	f.gen.Store(fm.Gen)
 	f.lastApplyNanos.Store(uint64(time.Since(start)))
 	if full {
@@ -479,36 +478,10 @@ func (f *Follower) send(nc net.Conn, t FrameType, gen uint64, payload []byte) bo
 	return err == nil
 }
 
-// recordGen remembers which (epoch, replication generation) a local Server
-// version serves, capped to the last genMapCap publications.
-func (f *Follower) recordGen(version, epoch, gen uint64) {
-	f.verMu.Lock()
-	if len(f.verGen) >= genMapCap {
-		delete(f.verGen, f.verRing[f.verHead])
-	}
-	f.verRing[f.verHead] = version
-	f.verHead = (f.verHead + 1) % genMapCap
-	f.verGen[version] = epochGen{epoch: epoch, gen: gen}
-	f.verMu.Unlock()
-}
-
-// GenOf reports the replication generation served by the given local Server
-// version — the bridge the conformance suite uses to compare a follower's
-// estimates against the primary's at the same generation.
-func (f *Follower) GenOf(version uint64) (uint64, bool) {
-	f.verMu.Lock()
-	eg, ok := f.verGen[version]
-	f.verMu.Unlock()
-	return eg.gen, ok
-}
-
-// EpochGenOf reports the full (epoch, generation) coordinates served by the
-// given local Server version.
-func (f *Follower) EpochGenOf(version uint64) (epoch, gen uint64, ok bool) {
-	f.verMu.Lock()
-	eg, found := f.verGen[version]
-	f.verMu.Unlock()
-	return eg.epoch, eg.gen, found
+// label is the follower's publish hook: the coordinates of the frame
+// applyFrame is publishing.
+func (f *Follower) label(*core.Model, uint64) (epoch, gen uint64) {
+	return f.applyEpoch, f.applyGen
 }
 
 // Generation returns the last applied and locally served generation.

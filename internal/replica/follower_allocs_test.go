@@ -7,12 +7,12 @@ import (
 )
 
 // TestFollowerApplyPublishAllocs pins the follower's warm apply→PublishDelta
-// round trip — applyFrame: payload decode, dirty-stamp, delta republish,
-// generation bookkeeping — at the delta publisher's constant snapshot-header
-// cost, with nothing proportional to model size or payload length. The
-// `costlint:noalloc` annotation on applyFrame is this test's static
-// cross-check: the test proves the callees' amortized steady state, the
-// analyzer proves the body itself can never grow a new allocation site.
+// round trip — applyFrame: payload decode, dirty-stamp, delta republish
+// labeled by the follower's publish hook — at the delta publisher's constant
+// snapshot-header cost, with nothing proportional to model size or payload
+// length. The `costlint:noalloc` annotation on applyFrame is this test's
+// static cross-check: the test proves the callees' amortized steady state,
+// the analyzer proves the body itself can never grow a new allocation site.
 func TestFollowerApplyPublishAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the contract is enforced in the non-race pass")
@@ -24,6 +24,7 @@ func TestFollowerApplyPublishAllocs(t *testing.T) {
 		Server: core.NewServer(model, core.NewMemoryPool()),
 		Model:  model,
 	})
+	f.cfg.Server.SetPublishHook(f.label) // as Run registers it
 
 	idx := []int{0, 2, 4}
 	gen := uint64(1)
@@ -37,16 +38,14 @@ func TestFollowerApplyPublishAllocs(t *testing.T) {
 		gen++
 	}
 	// Warm until every amortized structure reaches its high-water mark: the
-	// touched scratch, the delta publisher's double buffers, and the
-	// version→generation map, which stops growing once the eviction ring is
-	// full (genMapCap entries).
-	for i := 0; i < genMapCap+8; i++ {
+	// touched scratch and the delta publisher's double buffers.
+	for i := 0; i < 8; i++ {
 		apply()
 	}
 	avg := testing.AllocsPerRun(200, apply)
 	// PublishDelta allocates exactly one constant-size ModelSnapshot header
 	// per publication; everything else — frame decode, parameter writes,
-	// ring bookkeeping, buffer re-sync — must not touch the allocator.
+	// labeling, buffer re-sync — must not touch the allocator.
 	if avg > 1 {
 		t.Errorf("apply→PublishDelta round trip allocates %.1f allocs/op, want <= 1 (the snapshot header)", avg)
 	}

@@ -98,7 +98,8 @@ func (cfg *PublisherConfig) fill() {
 // The publisher owns the replication generation counter: every publication
 // advances it by one, whatever the local Server version says. (A promoted
 // Member's server has its own version history; the replication generation is
-// the cluster-wide one.) GenOf maps local versions back to generations.
+// the cluster-wide one.) OnPublish returns the (epoch, generation) it
+// streams, and the Server stores it in the snapshot it is about to serve.
 type Publisher struct {
 	cfg PublisherConfig
 
@@ -120,11 +121,6 @@ type Publisher struct {
 	genA   atomic.Uint64 // lock-free view of gen (heartbeats, stats)
 	fenced atomic.Bool   // deposed: a follower proved a higher epoch exists
 	seenEp atomic.Uint64 // highest foreign epoch reported by a FrameFenced
-
-	verMu   sync.Mutex
-	verGen  map[uint64]uint64 // local Server version -> replication generation
-	verRing [genMapCap]uint64
-	verHead int
 
 	publications      atomic.Uint64
 	deltaFrames       atomic.Uint64
@@ -193,7 +189,6 @@ func NewPublisher(m *core.Model, gen uint64, cfg PublisherConfig) (*Publisher, e
 		conns:  make(map[*pubConn]struct{}),
 		logf:   cfg.Logf,
 		allIdx: make([]int, len(params)),
-		verGen: make(map[uint64]uint64, genMapCap),
 	}
 	p.genA.Store(gen)
 	mir := p.mirror.PS.Params()
@@ -225,17 +220,20 @@ func (p *Publisher) FencedBy() uint64 { return p.seenEp.Load() }
 // broadcasts it. Followers flagged for catch-up get a snapshot frame
 // instead; a follower whose queue is full is skipped and flagged (healed by
 // snapshot at a later publication), and after EvictAfter consecutive stalls
-// it is evicted outright. A fenced publisher ignores publications entirely.
-func (p *Publisher) OnPublish(m *core.Model, version uint64) {
+// it is evicted outright. It returns the publication's coordinates — this
+// publisher's epoch and the new generation — for the Server to store in the
+// snapshot. A fenced or closed publisher ignores publications entirely and
+// returns (0, 0): they serve unlabeled.
+func (p *Publisher) OnPublish(m *core.Model, _ uint64) (epoch, gen uint64) {
 	if p.fenced.Load() {
 		p.fencedDrops.Add(1)
-		return
+		return 0, 0
 	}
 	var evict []*pubConn
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return
+		return 0, 0
 	}
 	if m != p.src {
 		// A different source model (e.g. a checkpoint swap): every recorded
@@ -258,9 +256,8 @@ func (p *Publisher) OnPublish(m *core.Model, version uint64) {
 	p.mirror.CostNorm, p.mirror.CardNorm = m.CostNorm, m.CardNorm
 	prev := p.gen
 	p.gen++
-	gen := p.gen
+	gen = p.gen
 	p.genA.Store(gen)
-	p.recordGen(version, gen)
 	p.publications.Add(1)
 
 	frame := AppendFrame(nil, FrameDelta, p.cfg.Epoch, gen, prev, AppendModelPayload(nil, p.mirror, p.dirty))
@@ -303,6 +300,7 @@ func (p *Publisher) OnPublish(m *core.Model, version uint64) {
 		p.logf("replica: evicting slow follower %s (%d consecutive stalled publications)", c.nc.RemoteAddr(), p.cfg.EvictAfter)
 		p.drop(c)
 	}
+	return p.cfg.Epoch, gen
 }
 
 // stalled records one more publish-time queue stall and reports whether the
@@ -311,29 +309,6 @@ func (c *pubConn) stalled(evictAfter int) bool {
 	c.stalls++
 	c.framesDropped.Add(1)
 	return c.stalls >= evictAfter
-}
-
-// recordGen remembers which local Server version a replication generation
-// was published at, capped to the last genMapCap publications.
-func (p *Publisher) recordGen(version, gen uint64) {
-	p.verMu.Lock()
-	if len(p.verGen) >= genMapCap {
-		delete(p.verGen, p.verRing[p.verHead])
-	}
-	p.verRing[p.verHead] = version
-	p.verHead = (p.verHead + 1) % genMapCap
-	p.verGen[version] = gen
-	p.verMu.Unlock()
-}
-
-// GenOf reports the replication generation published at the given local
-// Server version — the bridge that anchors a primary's estimates to the
-// cluster-wide (epoch, generation) coordinates.
-func (p *Publisher) GenOf(version uint64) (uint64, bool) {
-	p.verMu.Lock()
-	g, ok := p.verGen[version]
-	p.verMu.Unlock()
-	return g, ok
 }
 
 // encodeSnapshotLocked encodes a full-snapshot frame of the mirror at the

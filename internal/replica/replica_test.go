@@ -171,6 +171,17 @@ func waitFor(t testing.TB, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// estimateAt serves ep from the snapshot srv serves now and reports that
+// snapshot's replication coordinates with the estimate (zero: unlabeled).
+func estimateAt(srv *core.Server, ep *feature.EncodedPlan) (cost, card float64, epoch, gen uint64) {
+	snap := srv.AcquireSnapshot()
+	defer srv.ReleaseSnapshot(snap)
+	epoch, gen = snap.Coordinates()
+	var out [1]core.Estimate
+	srv.EstimateBatchInto(snap, []*feature.EncodedPlan{ep}, out[:])
+	return out[0].Cost, out[0].Card, epoch, gen
+}
+
 // expectBitIdentical asserts that the replica serves every plan with
 // bit-identical cost and cardinality to the primary.
 func expectBitIdentical(t testing.TB, prim *core.Server, primEps []*feature.EncodedPlan, r *testReplica) {
@@ -313,5 +324,50 @@ func TestFollowerSchemaMismatch(t *testing.T) {
 	}
 	if g := f.Generation(); g != 0 {
 		t.Fatalf("mismatched follower applied generation %d", g)
+	}
+}
+
+// TestHeldFollowerSnapshotKeepsCoordinates: a follower's snapshot names the
+// frame it was published from for as long as anyone holds it. A snapshot held
+// across 1,100 further applied frames — more than any bounded
+// version→generation table would remember — still reports (1, g).
+func TestHeldFollowerSnapshotKeepsCoordinates(t *testing.T) {
+	samples := labeledSamples(t, 19, 8)
+	primEps := encodePlans(t, samples)
+	m, tr := trainedModel(t, primEps, 1)
+	srv, _, addr := startPrimary(t, m, tr)
+	r := newTestReplica(t, m.Cfg, samples, addr)
+	f := r.start()
+	waitFor(t, 10*time.Second, "bootstrap", func() bool { return f.Generation() == srv.Version() })
+
+	held := r.srv.AcquireSnapshot()
+	defer r.srv.ReleaseSnapshot(held)
+	if ep, gen := held.Coordinates(); ep != 1 || gen != srv.Version() {
+		t.Fatalf("bootstrapped follower serves (%d, %d), want (1, %d)", ep, gen, srv.Version())
+	}
+	wantGen := srv.Version()
+
+	st := f.Stats()
+	applied := st.SnapshotsApplied + st.DeltasApplied
+	const frames = 1100
+	p0 := m.PS.Params()[0]
+	for i := 1; i <= frames; i++ {
+		p0.Value[0] += 1e-6
+		m.PS.MarkParamsUpdated([]*nn.Param{p0})
+		srv.PublishDelta(m)
+		if i%16 == 0 || i == frames {
+			// Stay inside the publisher's send queue: every frame is applied.
+			waitFor(t, 10*time.Second, "follower catch-up", func() bool { return f.Generation() == srv.Version() })
+		}
+	}
+	st = f.Stats()
+	if n := st.SnapshotsApplied + st.DeltasApplied - applied; n < frames {
+		t.Fatalf("follower applied %d frames, want >= %d", n, frames)
+	}
+	if ep, gen := held.Coordinates(); ep != 1 || gen != wantGen {
+		t.Fatalf("held snapshot v%d reports (%d, %d) after %d frames, want (1, %d)", held.Version(), ep, gen, frames, wantGen)
+	}
+	if _, _, ep, gen := estimateAt(r.srv, r.eps[0]); ep != 1 || gen != srv.Version() {
+		t.Fatalf("follower head serves (%d, %d), want (1, %d)", ep, gen, srv.Version())
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"costest/internal/core"
 	"costest/internal/fault"
 )
 
@@ -356,5 +357,54 @@ func TestHTTPDegradedSurface(t *testing.T) {
 	}
 	if len(er.Estimates) != 1 || !er.Estimates[0].Degraded {
 		t.Fatalf("wire estimate not flagged degraded: %+v", er.Estimates)
+	}
+}
+
+// TestDegradedAnswerCarriesFallbackCoordinates: an answer names the snapshot
+// that gave it. With the breaker open, /estimate answers from the
+// last-known-good snapshot, and the wire carries that snapshot's
+// (epoch, generation) — not the coordinates of the newer snapshot published
+// since.
+func TestDegradedAnswerCarriesFallbackCoordinates(t *testing.T) {
+	plans, eps := testCorpus(t, 306, 8)
+	srv, tr := testServer(t, eps)
+	srv.SetPublishHook(func(_ *core.Model, version uint64) (uint64, uint64) { return 3, version + 40 })
+	srv.PublishDelta(tr.M) // v2, labeled (3, 42)
+	sched := NewScheduler(srv, SchedulerConfig{BreakerFailures: 1, BreakerCooldown: time.Hour})
+	sched.Start()
+	svc := NewService(sched, srv, testEnc)
+	svc.SetReady(true)
+	ts := httptest2(t, svc)
+	t.Cleanup(sched.Close)
+
+	estimate := func() wireEstimate {
+		t.Helper()
+		resp := postJSON(t, ts+"/estimate", estimateRequest{Plan: EncodeWire(plans[0])})
+		var er estimateResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || resp.StatusCode != http.StatusOK || len(er.Estimates) != 1 {
+			t.Fatalf("estimate: status %d, %+v, %v", resp.StatusCode, er, err)
+		}
+		return er.Estimates[0]
+	}
+	good := estimate()
+	if good.Degraded || good.Version != 2 || good.Epoch != 3 || good.Generation != 42 {
+		t.Fatalf("healthy answer %+v, want v2 at (3, 42)", good)
+	}
+
+	fault.Enable(fault.New(11).Add(fault.Rule{Site: "serve.batch", Kind: fault.Error, Count: 1}))
+	defer fault.Disable()
+	if res, err := sched.Submit(t.Context(), eps[0]); err != nil || !res.Degraded || res.Epoch != 3 || res.Generation != 42 {
+		t.Fatalf("trip submit: res=%+v err=%v, want degraded at (3, 42)", res, err)
+	}
+	tr.TrainEpochParallel(eps, 8, 1)
+	if ep, gen := srv.PublishDelta(tr.M).Coordinates(); ep != 3 || gen != 43 {
+		t.Fatalf("v3 labeled (%d, %d), want (3, 43)", ep, gen)
+	}
+
+	got := estimate()
+	want := good
+	want.Degraded = true
+	if got != want {
+		t.Fatalf("degraded answer %+v, want the fallback's %+v", got, want)
 	}
 }

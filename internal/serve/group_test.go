@@ -56,7 +56,7 @@ func TestGroupBreakerDegradedWhole(t *testing.T) {
 	if !s.Degraded() {
 		t.Fatal("breaker closed after a failing run at threshold 1")
 	}
-	fb := srv.Snapshot() // nothing published since: the fallback is the current snapshot
+	fb := heldSnapshot(t, srv) // nothing published since: the fallback is the current snapshot
 	for i, r := range out {
 		c, d := fb.Model().Estimate(group[i])
 		if !r.Degraded || r.Version != good.Version || r.Cost != c || r.Card != d {
@@ -167,7 +167,7 @@ func TestConcurrentGroupsWithinSlots(t *testing.T) {
 	s.Start()
 	defer s.Close()
 	group := enumGroup(t)
-	snap := srv.Snapshot()
+	snap := heldSnapshot(t, srv)
 
 	fault.Enable(fault.New(1).Add(fault.Rule{Site: "serve.batch", Kind: fault.Latency, Delay: time.Millisecond}))
 	defer fault.Disable()

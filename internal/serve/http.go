@@ -29,15 +29,6 @@ type Service struct {
 	srv   *core.Server
 	enc   *feature.Encoder
 
-	// RetryAfter floors the back-off hint attached to 503 responses. The
-	// actual hint is derived per response from the plans waiting for a run
-	// slot and the measured run time (see Scheduler.RetryAfterHint), plus a random
-	// jitter of up to half the hint so a synchronized rejection burst does
-	// not come back as a synchronized retry storm.
-	RetryAfter time.Duration
-	// MaxBodyBytes bounds request bodies (another unbounded-growth guard);
-	// <= 0 defaults to 1 MiB.
-	MaxBodyBytes int64
 	// SupervisorStats, when set, is rendered under "supervisor" in /statsz —
 	// the daemon installs its retrain supervisor's counters here.
 	SupervisorStats func() any
@@ -45,12 +36,6 @@ type Service struct {
 	// /statsz — a replication primary installs its publisher's counters, a
 	// replica its follower's (generation, lag, frames applied/rejected).
 	ReplicationStats func() any
-	// GenerationOf, when set, maps a local snapshot version to cluster
-	// (epoch, generation) coordinates, which /estimate responses then carry
-	// so clients can anchor cross-replica comparisons. Versions the
-	// replication runtime has not (yet) mapped report ok=false and the
-	// fields are omitted.
-	GenerationOf func(version uint64) (epoch, gen uint64, ok bool)
 	// ClusterState, when set, reports the cluster member's role
 	// ("following" / "promoting" / "primary"); /readyz reflects it so an
 	// orchestrator can see a failover in flight.
@@ -72,11 +57,21 @@ type Service struct {
 	decodeBytes, decodeShared atomic.Int64
 }
 
+// retryAfterFloor floors the back-off hint attached to 503 responses. The
+// actual hint is derived per response from the plans waiting for a run slot
+// and the measured run time (see Scheduler.RetryAfterHint), plus a random
+// jitter of up to half the hint so a synchronized rejection burst does not
+// come back as a synchronized retry storm.
+const retryAfterFloor = time.Second
+
+// maxBodyBytes bounds request bodies (another unbounded-growth guard).
+const maxBodyBytes = 1 << 20
+
 // NewService wires the HTTP layer over a scheduler. The service starts
 // unready; call SetReady(true) once the model is loaded and the scheduler
 // started.
 func NewService(sched *Scheduler, srv *core.Server, enc *feature.Encoder) *Service {
-	return &Service{sched: sched, srv: srv, enc: enc, RetryAfter: time.Second}
+	return &Service{sched: sched, srv: srv, enc: enc}
 }
 
 // SetReady flips the /readyz gate. Readiness additionally requires the
@@ -104,9 +99,10 @@ type estimateRequest struct {
 // the circuit breaker's fallback path: served from the last-known-good
 // snapshot (whose version it reports) instead of the freshest published one.
 // Epoch and Generation are the cluster-wide replication coordinates of the
-// serving model (present when the daemon replicates): two daemons reporting
-// the same (epoch, generation) serve bit-identical estimates, whatever their
-// local versions say.
+// snapshot that answered, as it carries them (core.ModelSnapshot.Coordinates;
+// present when the daemon replicates, omitted for a snapshot no publish hook
+// labeled): two daemons reporting the same (epoch, generation) serve
+// bit-identical estimates, whatever their local versions say.
 type wireEstimate struct {
 	Cost       float64 `json:"cost"`
 	Card       float64 `json:"card"`
@@ -343,14 +339,10 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 // serveEstimate answers one /estimate request out of sc.
 func (s *Service) serveEstimate(w http.ResponseWriter, r *http.Request, sc *requestScratch) {
-	maxBody := s.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = 1 << 20
-	}
 	// Decode, then feature-encode, before admission, so invalid requests are
 	// 400s at the boundary and never occupy queue slots.
 	sc.body.Reset()
-	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -395,18 +387,14 @@ func (s *Service) serveEstimate(w http.ResponseWriter, r *http.Request, sc *requ
 	}
 	sc.estimates = sc.estimates[:0]
 	for _, res := range sc.results {
-		we := wireEstimate{
-			Cost:     res.Cost,
-			Card:     res.Card,
-			Version:  res.Version,
-			Degraded: res.Degraded,
-		}
-		if s.GenerationOf != nil {
-			if ep, gen, ok := s.GenerationOf(res.Version); ok {
-				we.Epoch, we.Generation = ep, gen
-			}
-		}
-		sc.estimates = append(sc.estimates, we)
+		sc.estimates = append(sc.estimates, wireEstimate{
+			Cost:       res.Cost,
+			Card:       res.Card,
+			Version:    res.Version,
+			Epoch:      res.Epoch,
+			Generation: res.Generation,
+			Degraded:   res.Degraded,
+		})
 	}
 	if sc.out, err = appendEstimates(sc.out[:0], sc.estimates); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -478,12 +466,12 @@ func appendJSONFloat(b []byte, f float64) []byte {
 // daemon is actually under — waiting plans over run throughput — rather than
 // a constant: a client rejected by a nearly drained queue can retry almost
 // immediately, one rejected by a full queue should stay away for the time the
-// backlog needs. RetryAfter floors the hint; jitter (up to half the hint)
+// backlog needs. retryAfterFloor floors the hint; jitter (up to half the hint)
 // de-synchronizes retry storms.
 func (s *Service) unavailable(w http.ResponseWriter, msg string) {
 	hint := s.sched.RetryAfterHint()
-	if hint < s.RetryAfter {
-		hint = s.RetryAfter
+	if hint < retryAfterFloor {
+		hint = retryAfterFloor
 	}
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSecs(hint, rand.Float64())))
 	http.Error(w, msg, http.StatusServiceUnavailable)

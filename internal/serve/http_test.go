@@ -347,7 +347,7 @@ func TestHTTPStatsz(t *testing.T) {
 func TestWireRoundTrip(t *testing.T) {
 	plans, eps := testCorpus(t, 202, 16)
 	srv, _ := testServer(t, eps)
-	m := srv.Snapshot().Model()
+	m := heldSnapshot(t, srv).Model()
 	for i, p := range plans {
 		raw, err := json.Marshal(EncodeWire(p))
 		if err != nil {

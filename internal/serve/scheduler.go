@@ -86,15 +86,20 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	return c
 }
 
-// Result is one served estimate and the snapshot version that produced it.
-// Degraded marks an estimate served by the circuit breaker's fallback path:
-// still bit-identical to its reported (last-known-good) version, but not the
-// freshest published model and not batched.
+// Result is one served estimate and the snapshot that produced it: its
+// local Version and its replication coordinates Epoch and Generation (both
+// zero when the snapshot was not replicated; see
+// core.ModelSnapshot.Coordinates). Degraded marks an estimate served by the
+// circuit breaker's fallback path: still bit-identical to its reported
+// (last-known-good) snapshot, but not the freshest published model and not
+// batched.
 type Result struct {
-	Cost     float64
-	Card     float64
-	Version  uint64
-	Degraded bool
+	Cost       float64
+	Card       float64
+	Version    uint64
+	Epoch      uint64
+	Generation uint64
+	Degraded   bool
 }
 
 // group is one admitted request: its plans, where their results go, and the
@@ -557,6 +562,7 @@ func (s *Scheduler) runBatch(sl *runSlot, self *group) {
 	// Success: reset the breaker and retain this exact snapshot as the new
 	// last-known-good fallback.
 	version := snap.Version()
+	epoch, gen := snap.Coordinates()
 	s.brkMu.Lock()
 	s.consecFails = 0
 	s.brkOpen.Store(false)
@@ -564,7 +570,7 @@ func (s *Scheduler) runBatch(sl *runSlot, self *group) {
 	s.brkMu.Unlock()
 	for _, g := range sl.live {
 		for i := range g.eps {
-			g.out[i] = Result{Cost: ests[i].Cost, Card: ests[i].Card, Version: version}
+			g.out[i] = Result{Cost: ests[i].Cost, Card: ests[i].Card, Version: version, Epoch: epoch, Generation: gen}
 		}
 		ests = ests[len(g.eps):]
 		s.served.Add(uint64(len(g.eps)))
@@ -631,7 +637,7 @@ func (s *Scheduler) dropFallback(f *fallback) {
 // snapshot: one single-plan Estimate per plan against the retained
 // snapshot's frozen weights — no batching, no pool, nothing shared with the
 // failing primary path — flagged degraded and stamped with the fallback
-// version, so each answer is still bit-identical to a single-threaded
+// snapshot's version and coordinates, so each answer is still bit-identical to a single-threaded
 // evaluation of the version it reports. A plan that fails here fails its
 // whole group.
 func (s *Scheduler) serveDegraded(sl *runSlot, self *group) {
@@ -671,9 +677,10 @@ func (s *Scheduler) fallbackGroup(f *fallback, g *group) (err error) {
 		return errors.New("serve: degraded with no last-known-good snapshot")
 	}
 	m, version := f.snap.Model(), f.snap.Version()
+	epoch, gen := f.snap.Coordinates()
 	for i, ep := range g.eps {
 		cost, card := m.Estimate(ep)
-		g.out[i] = Result{Cost: cost, Card: card, Version: version, Degraded: true}
+		g.out[i] = Result{Cost: cost, Card: card, Version: version, Epoch: epoch, Generation: gen, Degraded: true}
 	}
 	return nil
 }

@@ -217,7 +217,7 @@ func TestPrewarmOwnsItsPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := srv.Snapshot()
+	snap := heldSnapshot(t, srv)
 	wantCost, wantCard := snap.Model().Estimate(fresh) // no pool: computed from the fresh encoding alone
 	if !srv.Pool().GetGen(fresh.Nodes[fresh.Root].ID, snap.Version(), nil, nil) {
 		t.Fatal("the replayed plan is not in the pool")
@@ -236,7 +236,7 @@ func TestPrewarmOwnsItsPlans(t *testing.T) {
 func TestConcurrentRequestsKeepTheirScratch(t *testing.T) {
 	_, svc := newHandlerHarness(t)
 	h := svc.Handler()
-	model := svc.srv.Snapshot().Model()
+	model := heldSnapshot(t, svc.srv).Model()
 	const clients, rounds = 4, 12
 
 	type request struct {

@@ -66,6 +66,14 @@ func testServer(tb testing.TB, eps []*feature.EncodedPlan) (*core.Server, *core.
 	return srv, tr
 }
 
+// heldSnapshot acquires srv's current snapshot and holds it until the test
+// ends, so its weights stay frozen across any later publishes.
+func heldSnapshot(tb testing.TB, srv *core.Server) *core.ModelSnapshot {
+	snap := srv.AcquireSnapshot()
+	tb.Cleanup(func() { srv.ReleaseSnapshot(snap) })
+	return snap
+}
+
 // oneSlot runs the calling test with GOMAXPROCS 1, so the schedulers it
 // builds have a single run slot: one busy run is enough to make every later
 // group wait, which is how tests stage a backlog deterministically.
@@ -139,7 +147,7 @@ func TestSchedulerCoalescesIntoOneBatch(t *testing.T) {
 	wg.Wait()
 	defer s.Close()
 
-	snap := srv.Snapshot()
+	snap := heldSnapshot(t, srv)
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			t.Fatalf("request %d failed: %v", i, errs[i])
@@ -372,10 +380,10 @@ func TestDrainContractUnderLoad(t *testing.T) {
 	})
 	s.Start()
 
-	// Pin every published snapshot so each reported version can be replayed
-	// bit for bit after the fact.
+	// Hold every published snapshot so each reported version can be
+	// replayed bit for bit after the fact.
 	var versions sync.Map
-	v1 := srv.Snapshot()
+	v1 := heldSnapshot(t, srv)
 	versions.Store(v1.Version(), v1)
 
 	stopPub := make(chan struct{})
@@ -390,8 +398,8 @@ func TestDrainContractUnderLoad(t *testing.T) {
 			default:
 			}
 			tr.TrainEpochParallel(eps, 8, 1)
-			snap := srv.PublishDelta(tr.M)
-			snap.Pin()
+			srv.PublishDelta(tr.M)
+			snap := heldSnapshot(t, srv) // the only publisher: the version just published
 			versions.Store(snap.Version(), snap)
 		}
 	}()

@@ -162,16 +162,18 @@ wait_follower_ready() {
 }
 
 # expect_identical: retry until primary and follower serve identical
-# cost/card bits for the sample plan. The version fields are local server
-# counters (a restarted follower restarts its own counter), so the bits are
-# what must agree; publications race the probes, so some attempt must catch
-# both daemons on the same generation's model.
+# cost/card bits for the sample plan, named by the same (epoch, generation).
+# The version fields are local server counters (a restarted follower restarts
+# its own counter), so the bits and the replication coordinates are what must
+# agree; publications race the probes, so some attempt must catch both
+# daemons on the same generation's model. Both answers must be labeled: the
+# primary's boot version, published before its publisher existed, is not.
 expect_identical() {
     i=0
     while [ "$i" -lt 60 ]; do
-        rp="$(printf '%s' "$sample" | curl -sf -X POST --data @- "$base/estimate" | grep -E '"(cost|card)"' || true)"
-        rf="$(printf '%s' "$sample" | curl -sf -X POST --data @- "http://127.0.0.1:$fport/estimate" | grep -E '"(cost|card)"' || true)"
-        if [ -n "$rp" ] && [ "$rp" = "$rf" ]; then
+        rp="$(printf '%s' "$sample" | curl -sf -X POST --data @- "$base/estimate" | grep -E '"(cost|card|epoch|generation)"' || true)"
+        rf="$(printf '%s' "$sample" | curl -sf -X POST --data @- "http://127.0.0.1:$fport/estimate" | grep -E '"(cost|card|epoch|generation)"' || true)"
+        if [ -n "$rp" ] && [ "$rp" = "$rf" ] && printf '%s' "$rp" | grep -q '"generation"'; then
             return 0
         fi
         i=$((i + 1))
