@@ -190,7 +190,6 @@ func main() {
 	// Serving stack: hot-swap server over a generation-tagged bounded pool,
 	// batching scheduler (one run slot per processor), HTTP service.
 	srv := core.NewServer(model, core.NewBoundedMemoryPool(poolBound))
-	srv.EnablePrewarm(16)
 	sched := serve.NewScheduler(srv, serve.SchedulerConfig{})
 	sched.Start()
 	svc := serve.NewService(sched, srv, enc)

@@ -65,7 +65,7 @@ func testStack(tb testing.TB, eps []*feature.EncodedPlan, cfg serve.SchedulerCon
 	tr := core.NewParallelTrainer(m, 1)
 	tb.Cleanup(tr.Close)
 	tr.FitNormalizers(eps)
-	tr.TrainEpochParallel(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8)
 	srv := core.NewServer(m, core.NewBoundedMemoryPool(2048))
 	sched := serve.NewScheduler(srv, cfg)
 	sched.Start()

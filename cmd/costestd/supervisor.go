@@ -155,7 +155,7 @@ func (sv *supervisor) cycle(ctx context.Context, tr *core.ParallelTrainer) (err 
 	if err := fault.Point(fault.SiteDaemonRetrain); err != nil {
 		return err
 	}
-	loss := tr.TrainEpochParallel(sv.train, 16, 0)
+	loss := tr.TrainEpochParallel(sv.train, 16)
 
 	// Publish gate: validate the candidate on the held-out slice against the
 	// published baseline before it can reach the serving path. NaN compares

@@ -2,8 +2,7 @@
 // shards every minibatch across worker sessions with private gradient
 // ParamSets and reduces them deterministically into one Adam step — the same
 // schedule whatever the shard count, so losses agree across shard counts to
-// floating-point reassociation and the worker count cannot change the
-// trained bits.
+// floating-point reassociation.
 //
 //	go run ./examples/parallel_training
 package main
@@ -66,13 +65,13 @@ func main() {
 	t0 := time.Now()
 	var lossSeq float64
 	for e := 0; e < epochs; e++ {
-		lossSeq = seq.TrainEpochParallel(eps, 16, 1)
+		lossSeq = seq.TrainEpochParallel(eps, 16)
 	}
 	dSeq := time.Since(t0)
 	t0 = time.Now()
 	var lossPar float64
 	for e := 0; e < epochs; e++ {
-		lossPar = par.TrainEpochParallel(eps, 16, 0)
+		lossPar = par.TrainEpochParallel(eps, 16)
 	}
 	dPar := time.Since(t0)
 	fmt.Printf("1 shard:  %d epochs in %v (final loss %.6f)\n", epochs, dSeq.Round(time.Millisecond), lossSeq)
@@ -81,33 +80,7 @@ func main() {
 	fmt.Printf("loss delta: %.2e (floating-point reassociation across shard boundaries only)\n",
 		math.Abs(lossSeq-lossPar))
 
-	// 3. The determinism contract: the workers knob caps concurrency, never
-	// the result. Train two more models with the same shard count but
-	// different worker caps and compare every weight bit for bit.
-	mA := core.New(cfg, enc)
-	mB := core.New(cfg, enc)
-	ptA := core.NewParallelTrainer(mA, 2)
-	ptB := core.NewParallelTrainer(mB, 2)
-	defer ptA.Close()
-	defer ptB.Close()
-	ptA.FitNormalizers(eps)
-	ptB.FitNormalizers(eps)
-	for e := 0; e < 2; e++ {
-		ptA.TrainEpochParallel(eps, 16, 1) // shards run one at a time
-		ptB.TrainEpochParallel(eps, 16, 2) // shards run concurrently
-	}
-	identical := true
-	pa, pb := mA.PS.Params(), mB.PS.Params()
-	for p := range pa {
-		for i := range pa[p].Value {
-			if pa[p].Value[i] != pb[p].Value[i] {
-				identical = false
-			}
-		}
-	}
-	fmt.Printf("workers=1 vs workers=2 weights bit-identical: %v\n", identical)
-
-	// 4. The parallel trainer composes with hot-swap serving: publish
+	// 3. The parallel trainer composes with hot-swap serving: publish
 	// between epochs while the serving side keeps reading snapshots.
 	srv := core.NewServer(mPar, core.NewBoundedMemoryPool(4096))
 	snap := srv.PublishDelta(mPar)
@@ -115,7 +88,7 @@ func main() {
 	fmt.Printf("published v%d from the parallel trainer (train-set q-error: cost %.2f, card %.2f)\n",
 		snap.Version(), costQ, cardQ)
 
-	// 5. The continuous train-and-serve loop: ParallelTrainer.Fit drives
+	// 4. The continuous train-and-serve loop: ParallelTrainer.Fit drives
 	// shuffled epochs with per-epoch validation, and its epoch callback runs
 	// on the training goroutine with the workers joined, so it may publish.
 	// The trainer never publishes by itself: whether a trained model

@@ -61,7 +61,7 @@ func main() {
 	model := core.New(cfg, enc)
 	trainer := core.NewParallelTrainer(model, 1)
 	defer trainer.Close()
-	trainer.Fit(encode(train), encode(valid), 8, 16, 1, func(s core.EpochStats) {
+	trainer.Fit(encode(train), encode(valid), 8, 16, 0, func(s core.EpochStats) {
 		fmt.Printf("  epoch %d: loss %.2f, valid cost q-error %.2f, valid card q-error %.2f\n",
 			s.Epoch, s.TrainLoss, s.ValidCost, s.ValidCard)
 	})

@@ -169,7 +169,7 @@ func TestBatchedTrainingConcurrentWithPooledEstimates(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for e := 0; e < 3; e++ {
-			tr.TrainEpochParallel(eps, 8, 1)
+			tr.TrainEpochParallel(eps, 8)
 		}
 	}()
 	for w := 0; w < 3; w++ {

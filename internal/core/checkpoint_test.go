@@ -18,7 +18,7 @@ func trainedCheckpointModel(t *testing.T) *Model {
 	tr := NewParallelTrainer(m, 1)
 	defer tr.Close()
 	tr.FitNormalizers(eps)
-	tr.TrainEpochParallel(eps, 4, 1)
+	tr.TrainEpochParallel(eps, 4)
 	return m
 }
 

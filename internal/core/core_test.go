@@ -159,7 +159,7 @@ func TestOverfitTinySet(t *testing.T) {
 	defer tr.Close()
 	tr.FitNormalizers(eps)
 	for e := 0; e < 150; e++ {
-		tr.TrainEpochParallel(eps, 6, 1)
+		tr.TrainEpochParallel(eps, 6)
 	}
 	costQ, cardQ := m.ValidationError(eps)
 	if cardQ > 4 {
@@ -205,7 +205,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	tr := NewParallelTrainer(m, 1)
 	defer tr.Close()
 	tr.FitNormalizers(eps)
-	tr.TrainEpochParallel(eps, 4, 1)
+	tr.TrainEpochParallel(eps, 4)
 
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {

@@ -23,7 +23,7 @@ func TestModelCheckpointRoundTrip(t *testing.T) {
 		tr := NewParallelTrainer(m, 1)
 		defer tr.Close()
 		tr.FitNormalizers(eps)
-		tr.TrainEpochParallel(eps, 4, 1)
+		tr.TrainEpochParallel(eps, 4)
 
 		var buf bytes.Buffer
 		if err := m.Save(&buf); err != nil {
@@ -90,7 +90,7 @@ func TestModelLoadErrors(t *testing.T) {
 	tr := NewParallelTrainer(src, 1)
 	defer tr.Close()
 	tr.FitNormalizers(eps)
-	tr.TrainEpochParallel(eps, 4, 1)
+	tr.TrainEpochParallel(eps, 4)
 	var good bytes.Buffer
 	if err := src.Save(&good); err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestLoadModelSelfDescribing(t *testing.T) {
 		tr := NewParallelTrainer(m, 1)
 		defer tr.Close()
 		tr.FitNormalizers(eps)
-		tr.TrainEpochParallel(eps, 4, 1)
+		tr.TrainEpochParallel(eps, 4)
 
 		var buf bytes.Buffer
 		if err := m.Save(&buf); err != nil {

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"costest/internal/feature"
-	"costest/internal/plan"
 )
 
 // Server is the hot-swap serving runtime: it binds the batch sessions and
@@ -22,7 +19,9 @@ import (
 // The memory pool is generation-tagged with the snapshot version, so a
 // publish invalidates every pooled representation in O(1) (SetGeneration)
 // instead of flushing the pool: entries from the old generation are
-// rejected by new-generation lookups and evicted lazily.
+// rejected by new-generation lookups and evicted lazily. A publish starts no
+// work of its own: the next request that needs a stale sub-plan recomputes it
+// and offers it to the pool at the new generation.
 //
 // Sessions are recycled through an internal sync.Pool and lazily rebound to
 // the current snapshot on checkout, so steady-state Estimate does the same
@@ -55,20 +54,6 @@ type Server struct {
 	// values.
 	refused atomic.Uint64
 
-	// prewarm tracks the hottest served plans for post-publish pool
-	// pre-warming (nil when disabled); prewarmMu serializes replays so they
-	// never pile up across rapid publishes, and prewarmed records the last
-	// version replayed so a foreground PrewarmNow and the background
-	// post-publish replay of the same version don't run twice.
-	prewarm   atomic.Pointer[hotTracker]
-	prewarmMu sync.Mutex
-	prewarmed atomic.Uint64
-	// prewarmPending is true while a background replay worker is alive; a
-	// publish only spawns a worker when it flips this false→true, so rapid
-	// publication kicks one coalescing worker instead of piling a goroutine
-	// per publish onto prewarmMu.
-	prewarmPending atomic.Bool
-
 	// publishHook, when set, sees every publication with the source model
 	// and the version about to be installed, and returns the snapshot's
 	// replication coordinates. It is called under pubMu on the publishing
@@ -84,69 +69,6 @@ type Server struct {
 	// nodesPlaced and nodesShared accumulate every served call's in-batch
 	// sharing counts (see SharingStats), fed by putSession.
 	nodesPlaced, nodesShared atomic.Int64
-}
-
-// hotTracker records how often each distinct plan (keyed by its root's ID)
-// has been served, so a publish can replay the hottest ones through the new
-// snapshot. Hit counts are halved at each replay, so the hot set adapts as
-// the workload drifts. It is the one component that keeps a served plan past
-// its request, and a request's plans live in storage the caller recycles
-// (feature.Arena), so it keeps its own deep copy of each plan it admits; cap
-// the working set with the EnablePrewarm limit.
-type hotTracker struct {
-	mu    sync.Mutex
-	limit int
-	plans map[plan.ID]*hotPlan
-	// scratch buffers reused across replays.
-	order []*hotPlan
-	batch []*feature.EncodedPlan
-}
-
-type hotPlan struct {
-	ep   *feature.EncodedPlan
-	hits int64
-}
-
-// track counts one served plan. New plans are admitted while the tracked set
-// is under twice the replay limit; replays prune it back down. An admitted
-// plan is cloned: neither the map nor a later replay may point into the
-// caller's memory.
-func (tr *hotTracker) track(ep *feature.EncodedPlan) {
-	tr.mu.Lock()
-	if hp := tr.plans[ep.Nodes[ep.Root].ID]; hp != nil {
-		hp.hits++
-	} else if len(tr.plans) < 2*tr.limit {
-		tr.plans[ep.Nodes[ep.Root].ID] = &hotPlan{ep: ep.Clone(), hits: 1}
-	}
-	tr.mu.Unlock()
-}
-
-// topPlans returns the hottest tracked plans (at most the replay limit, hit
-// count descending, ties broken by the ordering of the root IDs), halves
-// every hit count, and prunes cooled-off entries beyond the limit.
-func (tr *hotTracker) topPlans() []*feature.EncodedPlan {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.order = tr.order[:0]
-	for _, hp := range tr.plans {
-		tr.order = append(tr.order, hp)
-	}
-	sort.Slice(tr.order, func(i, j int) bool {
-		if tr.order[i].hits != tr.order[j].hits {
-			return tr.order[i].hits > tr.order[j].hits
-		}
-		return slices.Compare(tr.order[i].ep.Nodes[tr.order[i].ep.Root].ID[:], tr.order[j].ep.Nodes[tr.order[j].ep.Root].ID[:]) < 0
-	})
-	tr.batch = tr.batch[:0]
-	for i, hp := range tr.order {
-		if i < tr.limit {
-			tr.batch = append(tr.batch, hp.ep)
-		} else if hp.hits <= 1 {
-			delete(tr.plans, hp.ep.Nodes[hp.ep.Root].ID)
-		}
-		hp.hits /= 2
-	}
-	return tr.batch
 }
 
 // NewServer returns a server whose initial snapshot (version 1) copies m's
@@ -316,118 +238,6 @@ func (srv *Server) install(snap *ModelSnapshot) {
 			srv.retiredHW = n
 		}
 	}
-	if srv.pool != nil && srv.prewarm.Load() != nil &&
-		srv.prewarmPending.CompareAndSwap(false, true) {
-		// Hide the post-swap stale transient from foreground requests:
-		// replay the hottest plans through the new snapshot in the
-		// background, repopulating the pool at the new generation. At most
-		// one worker runs; publishes landing while it works are coalesced
-		// into its catch-up loop.
-		go srv.prewarmBackground()
-	}
-}
-
-// EnablePrewarm turns on post-publish pool pre-warming: the server tracks
-// the hottest served plans (up to limit replayed per publish) and, after
-// every publish, re-evaluates them against the new snapshot in a background
-// goroutine so their representations are already resident at the new pool
-// generation when foreground requests arrive — the stale-lookup transient a
-// swap otherwise causes is paid off the request path. limit <= 0 disables.
-// Enable before serving begins; tracking adds one small critical section per
-// request. On a server without a pool the call is a no-op (there is nothing
-// to pre-warm, so no tracking overhead is installed either).
-func (srv *Server) EnablePrewarm(limit int) {
-	if limit <= 0 || srv.pool == nil {
-		srv.prewarm.Store(nil)
-		return
-	}
-	srv.prewarm.Store(&hotTracker{limit: limit, plans: make(map[plan.ID]*hotPlan)})
-}
-
-// PrewarmNow replays the hottest tracked plans through the currently served
-// snapshot synchronously, returning how many were replayed — the foreground
-// form of the background pass Publish schedules (deterministic hooks for
-// tests and warm-up scripts). Concurrent publishes are safe: the replay
-// re-resolves the snapshot under the replay lock and verifies it against
-// the pool generation, so it can never warm the pool through weights older
-// than the generation it stamps.
-func (srv *Server) PrewarmNow() int {
-	return srv.prewarmReplay(0)
-}
-
-// prewarmBackground is the post-publish replay worker: it replays the
-// currently served version and loops until the replayed version has caught
-// up with the served one, coalescing every publish that landed while it
-// worked into a single catch-up pass. The prewarmPending handshake with
-// install guarantees at most one worker is ever replaying and that a
-// publish landing in the exit window re-kicks (its CompareAndSwap only
-// succeeds once this worker has cleared the flag and decided to exit).
-func (srv *Server) prewarmBackground() {
-	for {
-		if srv.prewarm.Load() == nil {
-			srv.prewarmPending.Store(false)
-			return // pre-warming was disabled mid-flight
-		}
-		cur := srv.cur.Load().version
-		if srv.prewarmed.Load() < cur {
-			srv.prewarmReplay(cur)
-		}
-		srv.prewarmPending.Store(false)
-		if srv.prewarmed.Load() >= srv.cur.Load().version {
-			return // caught up; the next publish kicks a fresh worker
-		}
-		if !srv.prewarmPending.CompareAndSwap(false, true) {
-			return // a racing publish already kicked its own worker
-		}
-	}
-}
-
-// prewarmReplay re-evaluates the hottest tracked plans against the
-// currently served snapshot, inserting their sub-plan representations into
-// the pool at that snapshot's generation. Replays are serialized, and two
-// guards close the racing-publish windows:
-//
-//   - wantVersion > 0 (a publish-scheduled replay) is skipped when the
-//     served snapshot has moved past it — the newer publish scheduled its
-//     own replay.
-//   - A replay only proceeds when the pool generation equals the resolved
-//     snapshot's version. A publish installs generation-then-snapshot, so a
-//     mismatch means an install is mid-flight; replaying would observe a
-//     generation older than the snapshot about to serve. The installer's
-//     own replay follows immediately.
-//
-// The snapshot is ref-acquired for the whole replay, so a publish can never
-// recycle its weight buffers mid-replay.
-func (srv *Server) prewarmReplay(wantVersion uint64) int {
-	tr := srv.prewarm.Load()
-	if tr == nil || srv.pool == nil {
-		return 0
-	}
-	srv.prewarmMu.Lock()
-	defer srv.prewarmMu.Unlock()
-	snap := srv.acquire()
-	defer srv.release(snap)
-	if wantVersion != 0 && snap.version != wantVersion {
-		return 0
-	}
-	if srv.pool.Generation() != snap.version {
-		return 0
-	}
-	// The guards passed: this version is being handled, record it (under
-	// prewarmMu) even if nothing is tracked yet — the background worker's
-	// catch-up loop terminates on this mark, not on the replay size.
-	if srv.prewarmed.Load() < snap.version {
-		srv.prewarmed.Store(snap.version)
-	}
-	plans := tr.topPlans()
-	if len(plans) == 0 {
-		return 0
-	}
-	s := srv.batchSession(snap)
-	s.EstimateBatchWithPool(plans, srv.pool)
-	s.releasePlans()
-	srv.putSession(s)
-	return len(plans)
 }
 
 // Estimate serves one plan against the current snapshot through the
@@ -442,9 +252,6 @@ func (srv *Server) Estimate(ep *feature.EncodedPlan) (cost, card float64, versio
 	cost, card = s.EstimateWithPool(ep, srv.pool)
 	srv.putSession(s)
 	srv.release(snap)
-	if tr := srv.prewarm.Load(); tr != nil {
-		tr.track(ep)
-	}
 	return cost, card, snap.version
 }
 
@@ -487,11 +294,6 @@ func (srv *Server) EstimateBatchInto(snap *ModelSnapshot, eps []*feature.Encoded
 	copy(out, s.EstimateBatchWithPool(eps, srv.pool))
 	s.releasePlans()
 	srv.putSession(s)
-	if tr := srv.prewarm.Load(); tr != nil {
-		for _, ep := range eps {
-			tr.track(ep)
-		}
-	}
 	return out
 }
 

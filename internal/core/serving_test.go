@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"costest/internal/plan"
 )
@@ -35,7 +34,7 @@ func TestSnapshotImmutableUnderTraining(t *testing.T) {
 		before[i] = est{c, d}
 	}
 
-	tr.TrainEpochParallel(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8)
 
 	for i, ep := range eps {
 		c, d := snap.Model().Estimate(ep)
@@ -156,7 +155,7 @@ func TestPoolGenerations(t *testing.T) {
 // serve, retrain, publish, serve again — every response must carry the
 // version that produced it and match that version's snapshot bit for bit,
 // through both the single-plan and batch paths, with pooled entries never
-// crossing the swap.
+// crossing the swap, and the pool refilling lazily after each publish.
 func TestServerServesAcrossPublishes(t *testing.T) {
 	eps := benchCorpus(t, 12)
 	cfg := TestConfig()
@@ -194,8 +193,23 @@ func TestServerServesAcrossPublishes(t *testing.T) {
 			}
 		}
 		srv.ReleaseSnapshot(snap)
-		tr.TrainEpochParallel(eps, 8, 1)
+		tr.TrainEpochParallel(eps, 8)
 		srv.PublishDelta(tr.M)
+
+		// The pool refills lazily: the publish left every entry stale, and
+		// one foreground serve of a plan makes its root resident at the new
+		// generation, with the bits of the unpooled snapshot replay.
+		c, d, v := srv.Estimate(eps[0])
+		root := eps[0].Nodes[eps[0].Root].ID
+		if !srv.Pool().GetGen(root, v, nil, nil) {
+			t.Fatalf("round %d: root not resident at generation %d after one serve", round, v)
+		}
+		snap = srv.AcquireSnapshot()
+		rc, rd := NewBatchSession(snap.Model()).Estimate(eps[0])
+		srv.ReleaseSnapshot(snap)
+		if v != want+1 || c != rc || d != rd {
+			t.Fatalf("round %d: first serve after publish (%g,%g) at v%d, snapshot replay (%g,%g) at v%d", round, c, d, v, rc, rd, want+1)
+		}
 	}
 	if srv.Pool().HitRate() == 0 {
 		t.Fatal("pooled serving produced no hits within a generation")
@@ -212,106 +226,6 @@ type servedObs struct {
 	version uint64
 	cost    float64
 	card    float64
-}
-
-// TestServerPrewarmHidesSwapTransient pins the pre-warm contract: with
-// pre-warming enabled, the hottest served plans' representations are already
-// resident at the *new* pool generation once the post-publish replay has
-// run — a foreground request arriving after the swap hits the pool instead
-// of paying the stale-miss recompute — and the pre-warmed entries carry
-// exactly the bits foreground recomputation would produce. A server without
-// pre-warming is the control: the same lookup misses.
-func TestServerPrewarmHidesSwapTransient(t *testing.T) {
-	eps := benchCorpus(t, 12)
-	cfg := TestConfig()
-	m := New(cfg, testEnc)
-	tr := NewParallelTrainer(m, 1)
-	defer tr.Close()
-	tr.FitNormalizers(eps)
-	srv := NewServer(m, NewBoundedMemoryPool(1024))
-	srv.EnablePrewarm(4)
-
-	ctrl := NewServer(New(cfg, testEnc), NewBoundedMemoryPool(1024))
-
-	// Build hotness: the first 4 plans are served repeatedly, the rest once.
-	for k := 0; k < 5; k++ {
-		for i := 0; i < 4; i++ {
-			srv.Estimate(eps[i])
-			ctrl.Estimate(eps[i])
-		}
-	}
-	for _, ep := range eps {
-		srv.Estimate(ep)
-		ctrl.Estimate(ep)
-	}
-
-	tr.TrainEpochParallel(eps, 8, 1)
-	srv.PublishDelta(tr.M)
-	ctrl.PublishDelta(m)
-	if n := srv.PrewarmNow(); n == 0 {
-		t.Fatal("PrewarmNow replayed no plans despite tracked traffic")
-	}
-
-	v := srv.Version()
-	hotSig := eps[0].Nodes[eps[0].Root].ID
-	if !srv.Pool().GetGen(hotSig, v, nil, nil) {
-		t.Fatal("hot plan not resident at the new generation after pre-warm")
-	}
-	if ctrl.Pool().GetGen(hotSig, ctrl.Version(), nil, nil) {
-		t.Fatal("control server hit at the new generation without pre-warm; transient test is vacuous")
-	}
-
-	// Pre-warmed entries must serve the same bits as an unpooled
-	// single-threaded replay of the new snapshot.
-	snap := srv.AcquireSnapshot()
-	defer srv.ReleaseSnapshot(snap)
-	ref := NewBatchSession(snap.Model())
-	for i := 0; i < 4; i++ {
-		c, d, sv := srv.Estimate(eps[i])
-		rc, rd := ref.Estimate(eps[i])
-		if sv != v || c != rc || d != rd {
-			t.Fatalf("plan %d: prewarmed serve (%g,%g) at v%d, replay (%g,%g) at v%d", i, c, d, sv, rc, rd, v)
-		}
-	}
-}
-
-// TestServerPrewarmBackground exercises the asynchronous path a publish
-// actually takes: after a publish, the background replay must repopulate the
-// pool at the new generation without any foreground call.
-func TestServerPrewarmBackground(t *testing.T) {
-	eps := benchCorpus(t, 8)
-	cfg := TestConfig()
-	m := New(cfg, testEnc)
-	tr := NewParallelTrainer(m, 1)
-	defer tr.Close()
-	tr.FitNormalizers(eps)
-	srv := NewServer(m, NewBoundedMemoryPool(1024))
-	srv.EnablePrewarm(4)
-	for k := 0; k < 3; k++ {
-		for _, ep := range eps {
-			srv.Estimate(ep)
-		}
-	}
-	tr.TrainEpochParallel(eps, 8, 1)
-	srv.PublishDelta(tr.M)
-
-	v := srv.Version()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		hits := 0
-		for _, ep := range eps[:4] {
-			if srv.Pool().GetGen(ep.Nodes[ep.Root].ID, v, nil, nil) {
-				hits++
-			}
-		}
-		if hits > 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background pre-warm never repopulated the pool at the new generation")
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // BenchmarkServerEstimate measures steady-state pooled serving through the
@@ -379,7 +293,7 @@ func TestPublishDeltaBitIdentical(t *testing.T) {
 	srv := NewServer(m, NewBoundedMemoryPool(512))
 
 	for round := 0; round < 5; round++ {
-		tr.TrainEpochParallel(eps, 8, 1)
+		tr.TrainEpochParallel(eps, 8)
 		snap := srv.PublishDelta(tr.M)
 		full := fullCopy(m)
 		compareWeights(t, "delta vs full copy", snap.Model(), full, 0)
@@ -551,9 +465,9 @@ func TestPublishDeltaReusesBuffers(t *testing.T) {
 
 	s0 := srv.cur.Load()         // slot A, NewServer's version 1
 	s1 := srv.PublishDelta(tr.M) // fresh slot B (A still serving at publish time)
-	tr.TrainEpochParallel(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8)
 	s2 := srv.PublishDelta(tr.M) // A retired and drained -> reused
-	tr.TrainEpochParallel(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8)
 	s3 := srv.PublishDelta(tr.M) // B retired and drained -> reused
 	if s1.model == s2.model {
 		t.Fatal("consecutive snapshots share a live buffer set")
@@ -565,13 +479,13 @@ func TestPublishDeltaReusesBuffers(t *testing.T) {
 	compareWeights(t, "recycled slot vs full copy", s3.Model(), fullCopy(m), 0)
 
 	// A held snapshot's buffers leave the rotation while it is held.
-	tr.TrainEpochParallel(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8)
 	srv.PublishDelta(tr.M)
 	s4 := srv.AcquireSnapshot()
 	defer srv.ReleaseSnapshot(s4)
-	tr.TrainEpochParallel(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8)
 	s5 := srv.PublishDelta(tr.M)
-	tr.TrainEpochParallel(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8)
 	s6 := srv.PublishDelta(tr.M)
 	if s6.model == s4.model {
 		t.Fatal("held snapshot's buffers were recycled")
@@ -581,7 +495,7 @@ func TestPublishDeltaReusesBuffers(t *testing.T) {
 		c, d := s4.Model().Estimate(ep)
 		want = append(want, struct{ c, d float64 }{c, d})
 	}
-	tr.TrainEpochParallel(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8)
 	srv.PublishDelta(tr.M)
 	srv.PublishDelta(tr.M)
 	for i, ep := range eps {
@@ -605,7 +519,7 @@ func TestSnapshotPinnedAcrossDeltaPublishes(t *testing.T) {
 	defer tr.Close()
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, nil)
-	tr.TrainEpochParallel(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8)
 	srv.PublishDelta(tr.M)
 
 	held := srv.AcquireSnapshot()
@@ -617,7 +531,7 @@ func TestSnapshotPinnedAcrossDeltaPublishes(t *testing.T) {
 		before[i] = est{c, d}
 	}
 	for round := 0; round < 4; round++ {
-		tr.TrainEpochParallel(eps, 8, 1)
+		tr.TrainEpochParallel(eps, 8)
 		srv.PublishDelta(tr.M)
 	}
 	for i, ep := range eps {
@@ -643,13 +557,13 @@ func TestPublishDeltaSingleTaskSkipsCleanHead(t *testing.T) {
 	tr.FitNormalizers(eps)
 	srv := NewServer(m, nil)
 
-	tr.TrainEpochParallel(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8)
 	srv.PublishDelta(tr.M)
 	first := srv.LastDeltaCopied()
-	tr.TrainEpochParallel(eps, 8, 1)
-	tr.TrainEpochParallel(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8)
+	tr.TrainEpochParallel(eps, 8)
 	srv.PublishDelta(tr.M) // recycled version-1 slot: delta from here on
-	tr.TrainEpochParallel(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8)
 	srv.PublishDelta(tr.M)
 	steady := srv.LastDeltaCopied()
 	total := len(m.PS.Params())
@@ -715,7 +629,7 @@ func TestServerDeltaHotSwapConcurrentBitIdentical(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for e := 0; e < epochs; e++ {
-			tr.TrainEpochParallel(eps, 8, 1)
+			tr.TrainEpochParallel(eps, 8)
 			snap := srv.PublishDelta(tr.M)
 			snapRef(snap.Version())
 			for w := 0; w < servers; w++ {
@@ -780,113 +694,6 @@ func TestServerDeltaHotSwapConcurrentBitIdentical(t *testing.T) {
 		served, len(versions), versions, srv.Pool().HitRate()*100, srv.Pool().StaleRate()*100)
 }
 
-// TestPublishPrewarmRace is the regression test for racing publishes against
-// foreground pre-warm replays, meant to run under -race: one goroutine
-// retrains and publishes, another hammers PrewarmNow, while servers keep
-// estimating. The replay guard must ensure a pre-warm only ever runs when
-// the pool generation equals the version of the snapshot it replays — so
-// pre-warmed entries always carry the generation of the weights that
-// computed them, and every served estimate stays bit-identical to its
-// version's replay even with warm pool hits in the mix.
-func TestPublishPrewarmRace(t *testing.T) {
-	eps := benchCorpus(t, 12)
-	cfg := TestConfig()
-	m := New(cfg, testEnc)
-	tr := NewParallelTrainer(m, 1)
-	defer tr.Close()
-	tr.FitNormalizers(eps)
-	srv := NewServer(m, NewBoundedMemoryPool(1024))
-	srv.EnablePrewarm(6)
-	for k := 0; k < 4; k++ { // build hotness before the storm
-		for _, ep := range eps {
-			srv.Estimate(ep)
-		}
-	}
-
-	const epochs = 5
-	var mu sync.Mutex
-	snaps := map[uint64]*ModelSnapshot{1: srv.AcquireSnapshot()}
-	defer func() {
-		for _, snap := range snaps {
-			srv.ReleaseSnapshot(snap)
-		}
-	}()
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // trainer/publisher
-		defer wg.Done()
-		defer close(done)
-		for e := 0; e < epochs; e++ {
-			tr.TrainEpochParallel(eps, 8, 1)
-			srv.PublishDelta(tr.M)
-			snap := srv.AcquireSnapshot() // replayed after later publishes
-			mu.Lock()
-			snaps[snap.Version()] = snap
-			mu.Unlock()
-			runtime.Gosched()
-		}
-	}()
-	wg.Add(1)
-	go func() { // foreground pre-warm hammer
-		defer wg.Done()
-		for {
-			srv.PrewarmNow()
-			select {
-			case <-done:
-				return
-			default:
-			}
-		}
-	}()
-	obs := make([][]servedObs, 2)
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var local []servedObs
-			for k := 0; ; k++ {
-				i := (w + k) % len(eps)
-				c, d, v := srv.Estimate(eps[i])
-				local = append(local, servedObs{plan: i, version: v, cost: c, card: d})
-				select {
-				case <-done:
-					obs[w] = local
-					return
-				default:
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Drain the last publish's background replay before replaying versions.
-	srv.PrewarmNow()
-
-	type est struct{ cost, card float64 }
-	refsByV := map[uint64][]est{}
-	for v, snap := range snaps {
-		ref := NewBatchSession(snap.Model())
-		es := make([]est, len(eps))
-		for i, ep := range eps {
-			c, d := ref.Estimate(ep)
-			es[i] = est{c, d}
-		}
-		refsByV[v] = es
-	}
-	for w := range obs {
-		for _, o := range obs[w] {
-			ref, known := refsByV[o.version]
-			if !known {
-				t.Fatalf("served version %d was never published", o.version)
-			}
-			if o.cost != ref[o.plan].cost || o.card != ref[o.plan].card {
-				t.Fatalf("version %d plan %d: served (%g,%g) under pre-warm storm, replay (%g,%g)",
-					o.version, o.plan, o.cost, o.card, ref[o.plan].cost, ref[o.plan].card)
-			}
-		}
-	}
-}
-
 // BenchmarkPublishDelta measures publication at default model dimensions.
 // clean is the
 // steady-state floor — nothing trained between publishes, so the reused
@@ -924,7 +731,7 @@ func BenchmarkPublishDelta(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			tr.TrainEpochParallel(eps, 4, 1)
+			tr.TrainEpochParallel(eps, 4)
 			b.StartTimer()
 			srv.PublishDelta(m)
 		}
@@ -950,7 +757,7 @@ func TestSnapshotDrainStats(t *testing.T) {
 	}
 
 	step := func() {
-		tr.TrainEpochParallel(eps, 4, 1)
+		tr.TrainEpochParallel(eps, 4)
 		srv.PublishDelta(tr.M)
 	}
 	step() // v2: retires v1

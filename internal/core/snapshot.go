@@ -32,7 +32,7 @@ type ModelSnapshot struct {
 	epoch, gen uint64
 
 	// refs counts the references held on this snapshot — in-flight server
-	// requests, pre-warm replays, AcquireSnapshot holders; the acquire/release
+	// requests and AcquireSnapshot holders; the acquire/release
 	// protocol in Server keeps it exact.
 	refs atomic.Int64
 	// slot is the recyclable buffer set backing the snapshot; nil once a

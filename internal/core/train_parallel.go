@@ -22,10 +22,8 @@ import (
 //
 //   - The shard count is fixed at construction and shard assignment is a pure
 //     function of (minibatch length, shards): shard i always takes the i-th
-//     contiguous chunk of the shuffled minibatch. The `workers` knob of
-//     TrainEpochParallel only caps how many shards *execute* concurrently, so
-//     trained weights are bit-identical across worker counts — scheduling can
-//     never perturb the result.
+//     contiguous chunk of the shuffled minibatch. Every shard of a minibatch
+//     runs at once, and scheduling can never perturb the result.
 //   - Gradients are reduced in ascending shard order through
 //     tensor.AddVecsInto's strict left-to-right accumulation, then clipped
 //     and stepped. With shards=1 the reduction is a bit-exact copy of the
@@ -61,11 +59,7 @@ type ParallelTrainer struct {
 	shards int
 
 	workers []*trainWorker
-	// sem caps concurrently executing shards at the `workers` argument of
-	// the current epoch; rebuilt only when the cap changes.
-	sem    chan struct{}
-	semCap int
-	wg     sync.WaitGroup
+	wg      sync.WaitGroup
 
 	// mainGrads[p] is the live model's gradient for parameter p;
 	// gradSrcs[p][s] is shard s's private gradient for the same parameter.
@@ -93,45 +87,29 @@ type EarlyStopOptions struct {
 
 // trainWorker is one shard's long-lived state: a shadow model whose
 // parameters alias the live weights but carry private gradients, the
-// worker's forward/backward arena bound to that shadow, and its task
-// channel.
+// worker's forward/backward arena bound to that shadow, and the channel its
+// slice of each minibatch arrives on.
 type trainWorker struct {
 	shadow *Model
 	sess   *BatchSession
-	work   chan workerTask
+	work   chan []*feature.EncodedPlan
 	// loss is the shard's last summed supervision-normalized loss; written
 	// by the worker, read by the coordinator after the join.
 	loss float64
 }
 
-// workerTask is one shard's slice of a minibatch. sem serializes execution
-// down to the epoch's worker cap; wg joins the minibatch.
-type workerTask struct {
-	eps []*feature.EncodedPlan
-	sem chan struct{}
-	wg  *sync.WaitGroup
-}
-
-// resolveWorkers maps the trainer's shard and worker-cap convention onto a
-// concrete count: n <= 0 means one per available CPU
-// (runtime.GOMAXPROCS(0)).
-func resolveWorkers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
 // NewParallelTrainer builds a data-parallel trainer for the live model with
-// a fixed shard count (shards <= 0 resolves to GOMAXPROCS, like the
-// per-epoch worker cap). The shard count — not the worker cap — is what
+// a fixed shard count (shards <= 0 resolves to GOMAXPROCS). The shard count
 // determines the trained bits; see the type comment.
 func NewParallelTrainer(m *Model, shards int) *ParallelTrainer {
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
 	return &ParallelTrainer{
 		M:      m,
 		Opt:    nn.NewAdam(m.Cfg.LearnRate),
 		rng:    rand.New(rand.NewSource(m.Cfg.Seed + 1000)),
-		shards: resolveWorkers(shards),
+		shards: shards,
 	}
 }
 
@@ -149,9 +127,11 @@ func (pt *ParallelTrainer) EarlyStop(opts EarlyStopOptions) {
 
 // Fit trains for the given number of epochs: normalizers are fitted on the
 // training set, each epoch runs shuffled minibatches (sharded across the
-// trainer's workers, concurrency capped by workers), and validation
-// q-errors are reported per epoch through cb (which may be nil). More than
-// one shard reassociates gradient sums across shard boundaries only.
+// trainer's workers), and validation q-errors are reported per epoch through
+// cb (which may be nil). More than one shard reassociates gradient sums
+// across shard boundaries only. The int argument is ignored — every shard of
+// a minibatch runs at once; it remains only for the benchmark's trace replay,
+// and goes when ROADMAP 1.2 deletes that replay.
 //
 // The trainer never publishes: a caller that serves the model calls
 // Server.PublishDelta itself, from cb or between Fit calls — both run on
@@ -159,13 +139,13 @@ func (pt *ParallelTrainer) EarlyStop(opts EarlyStopOptions) {
 // configured, Fit may return before `epochs` epochs — the history's length
 // is the number actually run. Fit returns the stats history — the data
 // behind the paper's validation-error curves (Figures 7 and 8).
-func (pt *ParallelTrainer) Fit(train, valid []*feature.EncodedPlan, epochs, batchSize, workers int,
+func (pt *ParallelTrainer) Fit(train, valid []*feature.EncodedPlan, epochs, batchSize, _ int,
 	cb func(EpochStats)) []EpochStats {
 	pt.FitNormalizers(train)
 	history := make([]EpochStats, 0, epochs)
 	best, sinceBest := math.Inf(1), 0
 	for e := 0; e < epochs; e++ {
-		loss := pt.TrainEpochParallel(train, batchSize, workers)
+		loss := pt.TrainEpochParallel(train, batchSize)
 		vc, vd := pt.M.ValidationError(valid)
 		st := EpochStats{Epoch: e, TrainLoss: loss, ValidCost: vc, ValidCard: vd}
 		history = append(history, st)
@@ -203,7 +183,7 @@ func (pt *ParallelTrainer) ensureWorkers() {
 		w := &trainWorker{
 			shadow: shadow,
 			sess:   NewBatchSession(shadow),
-			work:   make(chan workerTask, 1),
+			work:   make(chan []*feature.EncodedPlan, 1),
 		}
 		pt.workers[i] = w
 		go pt.workerLoop(w)
@@ -230,25 +210,12 @@ func newShadowModel(m *Model) *Model {
 	return s
 }
 
-// ensureSem sizes the execution-cap semaphore for this epoch's worker count.
-func (pt *ParallelTrainer) ensureSem(workers int) {
-	if workers == pt.semCap {
-		return
-	}
-	pt.sem = make(chan struct{}, workers)
-	for i := 0; i < workers; i++ {
-		pt.sem <- struct{}{}
-	}
-	pt.semCap = workers
-}
-
-// workerLoop drains one shard's task channel until Close.
+// workerLoop runs one shard's slice of each minibatch until Close, joining
+// the minibatch through pt.wg.
 func (pt *ParallelTrainer) workerLoop(w *trainWorker) {
-	for task := range w.work {
-		<-task.sem
-		w.loss = pt.shardAccumulate(w, task.eps)
-		task.sem <- struct{}{}
-		task.wg.Done()
+	for eps := range w.work {
+		w.loss = pt.shardAccumulate(w, eps)
+		pt.wg.Done()
 	}
 }
 
@@ -290,10 +257,8 @@ func (pt *ParallelTrainer) Warmup(samples []*feature.EncodedPlan) {
 // level-wise batched forward of Section 4.3 paired with the level-wise GEMM
 // backward of batch_backward.go), the shards are reduced in fixed order into
 // the live ParamSet, and one clipped Adam step applies — data-parallel SGD
-// with single-shard semantics. workers caps concurrent shard execution
-// (<= 0 means GOMAXPROCS; capped at the shard count) and cannot affect the
-// trained bits. Returns the mean per-sample loss.
-func (pt *ParallelTrainer) TrainEpochParallel(samples []*feature.EncodedPlan, batchSize, workers int) float64 {
+// with single-shard semantics. Returns the mean per-sample loss.
+func (pt *ParallelTrainer) TrainEpochParallel(samples []*feature.EncodedPlan, batchSize int) float64 {
 	if pt.costLoss == nil {
 		pt.rebuildLosses()
 	}
@@ -301,11 +266,6 @@ func (pt *ParallelTrainer) TrainEpochParallel(samples []*feature.EncodedPlan, ba
 		batchSize = 32
 	}
 	pt.ensureWorkers()
-	workers = resolveWorkers(workers)
-	if workers > pt.shards {
-		workers = pt.shards
-	}
-	pt.ensureSem(workers)
 
 	idx := pt.permute(len(samples))
 	var total float64
@@ -328,7 +288,7 @@ func (pt *ParallelTrainer) TrainEpochParallel(samples []*feature.EncodedPlan, ba
 // clip + Adam step.
 func (pt *ParallelTrainer) stepParallel(batch []*feature.EncodedPlan) float64 {
 	// Shard assignment depends only on (len(batch), shards): shard i takes
-	// rows [i*chunk, (i+1)*chunk). Worker-count invariance starts here.
+	// rows [i*chunk, (i+1)*chunk).
 	chunk := (len(batch) + pt.shards - 1) / pt.shards
 	active := (len(batch) + chunk - 1) / chunk
 	pt.wg.Add(active)
@@ -338,7 +298,7 @@ func (pt *ParallelTrainer) stepParallel(batch []*feature.EncodedPlan) float64 {
 		if hi > len(batch) {
 			hi = len(batch)
 		}
-		pt.workers[i].work <- workerTask{eps: batch[lo:hi], sem: pt.sem, wg: &pt.wg}
+		pt.workers[i].work <- batch[lo:hi]
 	}
 	pt.wg.Wait()
 

@@ -46,8 +46,8 @@ func TestTrainEpochParallelMatchesSequential(t *testing.T) {
 		par.FitNormalizers(eps)
 
 		for e := 0; e < 2; e++ {
-			lossSeq := seq.TrainEpochParallel(eps, 8, 1)
-			lossPar := par.TrainEpochParallel(eps, 8, 2)
+			lossSeq := seq.TrainEpochParallel(eps, 8)
+			lossPar := par.TrainEpochParallel(eps, 8)
 			if math.Abs(lossSeq-lossPar) > 1e-6*math.Max(1, math.Abs(lossSeq)) {
 				t.Errorf("%s epoch %d: loss %g (1 shard) vs %g (3 shards)",
 					variant.name, e, lossSeq, lossPar)
@@ -59,60 +59,38 @@ func TestTrainEpochParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestTrainEpochParallelWorkerCountInvariant pins the determinism contract:
-// with a fixed shard count, the workers knob only caps concurrency — weights
-// after training must be bit-identical whether shards execute one at a time
-// or all at once.
-func TestTrainEpochParallelWorkerCountInvariant(t *testing.T) {
-	eps := benchCorpus(t, 24)
-	cfg := TestConfig()
-	models := make([]*Model, 0, 3)
-	for _, workers := range []int{1, 2, 4} {
-		m := New(cfg, testEnc)
-		pt := NewParallelTrainer(m, 4)
-		pt.FitNormalizers(eps)
-		for e := 0; e < 2; e++ {
-			pt.TrainEpochParallel(eps, 8, workers)
-		}
-		pt.Close()
-		models = append(models, m)
-	}
-	compareWeights(t, "workers 1 vs 2", models[0], models[1], 0)
-	compareWeights(t, "workers 1 vs 4", models[0], models[2], 0)
-}
-
 // TestManyShardReductionDeterministic holds the ordered reduction to its
 // contracts at a shard count far above the 3-4 shard tests: with 12 active
-// shards, worker-count invariance holds bit-exactly (the reduction order is
-// a pure function of the active shard count, never of scheduling), and the
-// result agrees with one-shard training to the established cross-shard
-// reassociation tolerance.
+// shards running at once, three trainings give bit-identical weights (the
+// reduction order is a pure function of the active shard count, never of
+// scheduling), and the result agrees with one-shard training to the
+// established cross-shard reassociation tolerance.
 func TestManyShardReductionDeterministic(t *testing.T) {
 	eps := benchCorpus(t, 24)
 	cfg := TestConfig()
 	const shards = 12 // chunk 2 over the 24-sample batch
 	models := make([]*Model, 0, 3)
-	for _, workers := range []int{1, 3, shards} {
+	for range 3 {
 		m := New(cfg, testEnc)
 		pt := NewParallelTrainer(m, shards)
 		pt.FitNormalizers(eps)
 		for e := 0; e < 2; e++ {
 			// One batch spanning every sample => every shard is active on
 			// every step.
-			pt.TrainEpochParallel(eps, len(eps), workers)
+			pt.TrainEpochParallel(eps, len(eps))
 		}
 		pt.Close()
 		models = append(models, m)
 	}
-	compareWeights(t, "12 shards, workers 1 vs 3", models[0], models[1], 0)
-	compareWeights(t, "12 shards, workers 1 vs 12", models[0], models[2], 0)
+	compareWeights(t, "12 shards, run 1 vs 2", models[0], models[1], 0)
+	compareWeights(t, "12 shards, run 1 vs 3", models[0], models[2], 0)
 
 	mSeq := New(cfg, testEnc)
 	seq := NewParallelTrainer(mSeq, 1)
 	defer seq.Close()
 	seq.FitNormalizers(eps)
 	for e := 0; e < 2; e++ {
-		seq.TrainEpochParallel(eps, len(eps), 1)
+		seq.TrainEpochParallel(eps, len(eps))
 	}
 	compareWeights(t, "12 shards vs 1 shard", mSeq, models[0], 1e-6)
 }
@@ -128,10 +106,10 @@ func TestTrainEpochParallelReducesLoss(t *testing.T) {
 	pt := NewParallelTrainer(m, 2)
 	defer pt.Close()
 	pt.FitNormalizers(train)
-	first := pt.TrainEpochParallel(train, 16, 2)
+	first := pt.TrainEpochParallel(train, 16)
 	var last float64
 	for e := 0; e < 11; e++ {
-		last = pt.TrainEpochParallel(train, 16, 2)
+		last = pt.TrainEpochParallel(train, 16)
 	}
 	if last >= first {
 		t.Fatalf("parallel training loss did not decrease: %g -> %g", first, last)
@@ -155,9 +133,9 @@ func TestTrainEpochParallelZeroAlloc(t *testing.T) {
 		pt := NewParallelTrainer(m, 2)
 		pt.FitNormalizers(eps)
 		pt.Warmup(eps) // sizes every worker arena for any shard of this corpus
-		pt.TrainEpochParallel(eps, 8, 2)
+		pt.TrainEpochParallel(eps, 8)
 		allocs := testing.AllocsPerRun(10, func() {
-			pt.TrainEpochParallel(eps, 8, 2)
+			pt.TrainEpochParallel(eps, 8)
 		})
 		pt.Close()
 		if allocs != 0 {
@@ -181,7 +159,6 @@ func TestParallelTrainingConcurrentServingAndPublish(t *testing.T) {
 	defer pt.Close()
 	pt.FitNormalizers(eps)
 	srv := NewServer(m, NewBoundedMemoryPool(256))
-	srv.EnablePrewarm(4) // background replays join the race coverage
 
 	const epochs = 4
 	done := make(chan struct{})
@@ -191,7 +168,7 @@ func TestParallelTrainingConcurrentServingAndPublish(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for e := 0; e < epochs; e++ {
-			pt.TrainEpochParallel(eps, 8, 2)
+			pt.TrainEpochParallel(eps, 8)
 			srv.PublishDelta(pt.M)
 		}
 	}()
@@ -237,11 +214,11 @@ func BenchmarkTrainEpochParallel(b *testing.B) {
 		pt := NewParallelTrainer(m, shards)
 		pt.FitNormalizers(eps)
 		pt.Warmup(eps)
-		pt.TrainEpochParallel(eps, 16, 0)
+		pt.TrainEpochParallel(eps, 16)
 		b.Run(map[int]string{1: "shards1", 2: "shards2"}[shards], func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				pt.TrainEpochParallel(eps, 16, 0)
+				pt.TrainEpochParallel(eps, 16)
 			}
 		})
 		pt.Close()
@@ -323,7 +300,7 @@ func TestFitCallbackDeltaPublish(t *testing.T) {
 }
 
 // TestFitCallbackServingRace composes training with publication from Fit's
-// epoch callback and concurrent serving under -race, pre-warm on: the
+// epoch callback and concurrent serving under -race: the
 // training loop publishes after every epoch while servers hammer the pooled
 // paths. Every served estimate must carry a version that was actually
 // installed, and the delta buffers must never tear under the rotation.
@@ -335,7 +312,6 @@ func TestFitCallbackServingRace(t *testing.T) {
 	pt := NewParallelTrainer(m, 2)
 	defer pt.Close()
 	srv := NewServer(m, NewBoundedMemoryPool(256))
-	srv.EnablePrewarm(4)
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup

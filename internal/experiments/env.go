@@ -45,10 +45,10 @@ type Config struct {
 	StrDim    int // string embedding width
 	MSCNWidth int
 
-	// Workers is the labeler's parallelism and the trainer's cap on
-	// concurrently executing shards (<= 0 resolves to GOMAXPROCS). It does
-	// not reach model evaluation: every batch, Table 12's Batch rows
-	// included, runs on one goroutine.
+	// Workers is the labeler's parallelism (<= 0 resolves to GOMAXPROCS),
+	// and only that. It reaches neither the trainer, which runs every shard
+	// of a minibatch at once, nor model evaluation: every batch, Table 12's
+	// Batch rows included, runs on one goroutine.
 	Workers int
 
 	// Shards is the data-parallel width of the trainer (<= 0 resolves to
@@ -151,7 +151,7 @@ func NewEnv(cfg Config) *Env {
 func (e *Env) fitModel(model *core.Model, tr, va []*feature.EncodedPlan) []core.EpochStats {
 	pt := core.NewParallelTrainer(model, e.Cfg.Shards)
 	defer pt.Close()
-	return pt.Fit(tr, va, e.Cfg.Epochs, e.Cfg.BatchSize, e.Cfg.Workers, nil)
+	return pt.Fit(tr, va, e.Cfg.Epochs, e.Cfg.BatchSize, 0, nil)
 }
 
 // coreConfig builds a model config at the environment's sizes.

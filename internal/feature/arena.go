@@ -1,8 +1,6 @@
 package feature
 
 import (
-	"slices"
-
 	"costest/internal/plan"
 	"costest/internal/slab"
 )
@@ -14,8 +12,9 @@ import (
 // request in flight and hands it to EncodeAll again for the next request, by
 // which time it allocates nothing. The zero value is ready to use.
 //
-// Nothing built in an Arena may be kept past its next EncodeAll: a component
-// that outlives the request (the prewarm tracker) takes an EncodedPlan.Clone.
+// Nothing built in an Arena may be kept past its next EncodeAll, and no
+// component does: every reader of a request's plans is done when the request
+// returns.
 type Arena struct {
 	floats slab.Slab[float64]
 	nodes  slab.Slab[EncodedNode]
@@ -99,25 +98,4 @@ func (a *Arena) buildLevels(ep *EncodedPlan, heights []int32) {
 	for i, h := range heights {
 		ep.Levels[h] = append(ep.Levels[h], int32(i))
 	}
-}
-
-// Clone returns a deep copy of the plan that shares no memory with it —
-// vectors, predicate nodes and levels included — for a holder that outlives
-// the arena the plan was built in.
-func (ep *EncodedPlan) Clone() *EncodedPlan {
-	c := *ep
-	c.Nodes = slices.Clone(ep.Nodes)
-	for i := range c.Nodes {
-		n := &c.Nodes[i]
-		n.Op, n.Meta, n.Bitmap = slices.Clone(n.Op), slices.Clone(n.Meta), slices.Clone(n.Bitmap)
-		n.Pred.Nodes = slices.Clone(n.Pred.Nodes)
-		for j := range n.Pred.Nodes {
-			n.Pred.Nodes[j].Vec = slices.Clone(n.Pred.Nodes[j].Vec)
-		}
-	}
-	c.Levels = slices.Clone(ep.Levels)
-	for h := range c.Levels {
-		c.Levels[h] = slices.Clone(c.Levels[h])
-	}
-	return &c
 }

@@ -342,36 +342,6 @@ func TestIDPartitionMatchesOldSignature(t *testing.T) {
 	t.Logf("%d plans, %d distinct sub-plans", len(plans), len(byID))
 }
 
-// TestEncodedPlanClone: a clone is deeply equal to its source and shares no
-// memory with it — overwriting everything the source points to leaves the
-// clone as it was.
-func TestEncodedPlanClone(t *testing.T) {
-	e := newEncoder()
-	var a Arena
-	roots := enumRequest(t, workload.Scale(testDB, 13, 80), 1, 8)
-	eps, err := e.EncodeAll(roots, &a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := eps[len(eps)-1] // mostly copies of earlier plans' subtrees
-	want, err := e.Encode(roots[len(roots)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := src.Clone()
-	if !reflect.DeepEqual(clone, want) {
-		t.Fatalf("clone differs from its source\n got %+v\nwant %+v", clone, want)
-	}
-	// Recycle the arena under a different request: every slab the source
-	// lived in is overwritten.
-	if _, err := e.EncodeAll(planned(t, workload.JOBFull(testDB, 5, 40)), &a); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(clone, want) {
-		t.Fatal("clone changed when its source's arena was recycled")
-	}
-}
-
 // normalizeEmpty maps the two spellings of "no elements" onto one: the old
 // encoder left absent predicate trees nil, which DeepEqual distinguishes from
 // an empty non-nil slice though no consumer does.

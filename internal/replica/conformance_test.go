@@ -115,7 +115,7 @@ func TestReplicationConformance(t *testing.T) {
 	// disconnect of everything in the middle.
 	const rounds = 24
 	for round := 0; round < rounds; round++ {
-		tr.TrainEpochParallel(primEps, 8, 1)
+		tr.TrainEpochParallel(primEps, 8)
 		srv.PublishDelta(tr.M)
 		time.Sleep(2 * time.Millisecond)
 		switch round {

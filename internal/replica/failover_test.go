@@ -60,7 +60,7 @@ func trainAndPublish(model *core.Model, srv *core.Server, eps []*feature.Encoded
 		tr := core.NewParallelTrainer(model, 1)
 		defer tr.Close()
 		for ctx.Err() == nil {
-			tr.TrainEpochParallel(eps, 8, 0)
+			tr.TrainEpochParallel(eps, 8)
 			if ctx.Err() != nil {
 				return
 			}
@@ -201,7 +201,7 @@ func TestFailoverConformance(t *testing.T) {
 	// every connection die with it) exactly as a crashed process would look
 	// from the outside.
 	for round := 0; round < 12; round++ {
-		trA.TrainEpochParallel(primEps, 8, 1)
+		trA.TrainEpochParallel(primEps, 8)
 		srvA.PublishDelta(trA.M)
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -1017,7 +1017,7 @@ func TestHeartbeatKeepsIdleConnectionAlive(t *testing.T) {
 		t.Fatalf("publisher sent no heartbeats: %+v", ps)
 	}
 
-	tr.TrainEpochParallel(primEps, 8, 1)
+	tr.TrainEpochParallel(primEps, 8)
 	srv.PublishDelta(tr.M)
 	waitFor(t, 10*time.Second, "post-idle publication", func() bool { return f.Generation() == srv.Version() })
 }
@@ -1129,7 +1129,7 @@ func TestStatsUnderChurn(t *testing.T) {
 	}()
 
 	for round := 0; round < 30; round++ {
-		tr.TrainEpochParallel(primEps, 8, 1)
+		tr.TrainEpochParallel(primEps, 8)
 		srv.PublishDelta(tr.M)
 		if round%7 == 3 {
 			pub.DisconnectAll()

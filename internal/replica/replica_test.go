@@ -66,7 +66,7 @@ func trainedModel(t testing.TB, eps []*feature.EncodedPlan, epochs int) (*core.M
 	t.Cleanup(tr.Close)
 	tr.FitNormalizers(eps)
 	for i := 0; i < epochs; i++ {
-		tr.TrainEpochParallel(eps, 8, 1)
+		tr.TrainEpochParallel(eps, 8)
 	}
 	return m, tr
 }
@@ -222,7 +222,7 @@ func TestFollowerBootstrapAndDelta(t *testing.T) {
 
 	// Three delta publications from real training steps.
 	for i := 0; i < 3; i++ {
-		tr.TrainEpochParallel(primEps, 8, 1)
+		tr.TrainEpochParallel(primEps, 8)
 		srv.PublishDelta(tr.M)
 	}
 	waitFor(t, 5*time.Second, "delta catch-up", func() bool { return f.Generation() == srv.Version() })
@@ -272,7 +272,7 @@ func TestFollowerReconnectCatchUp(t *testing.T) {
 	waitFor(t, 10*time.Second, "bootstrap", func() bool { return f.Generation() == srv.Version() })
 	publishTwice := func() {
 		for i := 0; i < 2; i++ {
-			tr.TrainEpochParallel(primEps, 8, 1)
+			tr.TrainEpochParallel(primEps, 8)
 			srv.PublishDelta(tr.M)
 		}
 	}

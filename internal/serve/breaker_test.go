@@ -396,7 +396,7 @@ func TestDegradedAnswerCarriesFallbackCoordinates(t *testing.T) {
 	if res, err := sched.Submit(t.Context(), eps[0]); err != nil || !res.Degraded || res.Epoch != 3 || res.Generation != 42 {
 		t.Fatalf("trip submit: res=%+v err=%v, want degraded at (3, 42)", res, err)
 	}
-	tr.TrainEpochParallel(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8)
 	if ep, gen := srv.PublishDelta(tr.M).Coordinates(); ep != 3 || gen != 43 {
 		t.Fatalf("v3 labeled (%d, %d), want (3, 43)", ep, gen)
 	}

@@ -291,7 +291,7 @@ func (s *Service) handleSamplez(w http.ResponseWriter, r *http.Request) {
 // encoder writes ones into assumed zeros; and a scratch goes back to the pool
 // only on a normal return, after the request's SubmitGroup has returned —
 // the scheduler and the model read the encoded plans until then, and nothing
-// reads them after (the prewarm tracker, which does keep plans, keeps clones).
+// reads them after (no component keeps a served plan past its request).
 // A request that panics leaves its scratch to the collector.
 type requestScratch struct {
 	body      bytes.Buffer

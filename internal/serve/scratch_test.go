@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"costest/internal/core"
 	"costest/internal/plan"
 )
 
@@ -179,53 +178,6 @@ func TestScratchRetentionCap(t *testing.T) {
 	}
 	if _, ok := d.names[string(long)]; ok {
 		t.Fatalf("a %d-byte name was interned, bound %d", len(long), maxInternLen)
-	}
-}
-
-// TestPrewarmOwnsItsPlans: the prewarm tracker is the one component that keeps
-// a served plan after its request, and a request's plans live in a scratch the
-// next request overwrites. Serve a plan, serve other requests through the same
-// scratch, publish (emptying the pool of everything current) and replay: the
-// pool entry the replay made for the plan must be the one a fresh encoding of
-// it computes, bit for bit.
-func TestPrewarmOwnsItsPlans(t *testing.T) {
-	plans, eps := testCorpus(t, 201, 12)
-	hh, svc := newHandlerHarness(t)
-	srv := svc.srv
-	srv.EnablePrewarm(len(plans))
-
-	hh.post(t, mustMarshal(t, estimateRequest{Plan: EncodeWire(plans[0])}))
-	for round := 0; round < 3; round++ {
-		for _, p := range plans[1:] {
-			hh.post(t, mustMarshal(t, estimateRequest{Plan: EncodeWire(p)}))
-		}
-	}
-
-	// Retrain a little and publish: the pool's generation moves on, so
-	// whatever answers from it afterwards was put there by the replay.
-	m := core.New(core.TestConfig(), testEnc)
-	tr := core.NewParallelTrainer(m, 1)
-	defer tr.Close()
-	tr.FitNormalizers(eps)
-	tr.TrainEpochParallel(eps, 8, 1)
-	srv.PublishDelta(m)
-	if n := srv.PrewarmNow(); n != len(plans) {
-		t.Fatalf("replayed %d plans, want %d", n, len(plans))
-	}
-
-	fresh, err := testEnc.Encode(plans[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := heldSnapshot(t, srv)
-	wantCost, wantCard := snap.Model().Estimate(fresh) // no pool: computed from the fresh encoding alone
-	if !srv.Pool().GetGen(fresh.Nodes[fresh.Root].ID, snap.Version(), nil, nil) {
-		t.Fatal("the replayed plan is not in the pool")
-	}
-	cost, card, version := srv.Estimate(fresh) // the root is resident: answered from the replay's entry
-	if version != snap.Version() || math.Float64bits(cost) != math.Float64bits(wantCost) || math.Float64bits(card) != math.Float64bits(wantCard) {
-		t.Fatalf("estimate through the replayed pool entry = (%v, %v) at v%d, fresh evaluation = (%v, %v) at v%d",
-			cost, card, version, wantCost, wantCard, snap.Version())
 	}
 }
 

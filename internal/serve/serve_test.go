@@ -61,7 +61,7 @@ func testServer(tb testing.TB, eps []*feature.EncodedPlan) (*core.Server, *core.
 	tr := core.NewParallelTrainer(m, 1)
 	tb.Cleanup(tr.Close)
 	tr.FitNormalizers(eps)
-	tr.TrainEpochParallel(eps, 8, 1)
+	tr.TrainEpochParallel(eps, 8)
 	srv := core.NewServer(m, core.NewBoundedMemoryPool(2048))
 	return srv, tr
 }
@@ -397,7 +397,7 @@ func TestDrainContractUnderLoad(t *testing.T) {
 				return
 			default:
 			}
-			tr.TrainEpochParallel(eps, 8, 1)
+			tr.TrainEpochParallel(eps, 8)
 			srv.PublishDelta(tr.M)
 			snap := heldSnapshot(t, srv) // the only publisher: the version just published
 			versions.Store(snap.Version(), snap)

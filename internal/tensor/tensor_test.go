@@ -170,7 +170,7 @@ func TestScaleAddScaled(t *testing.T) {
 // source count (covering the pair-blocked loop and its odd remainder), the
 // result must be bit-identical to the strict left-to-right accumulation
 // dst += s0; dst += s1; … — the order the data-parallel gradient reduction
-// relies on for worker-count-invariant training.
+// relies on for scheduling-invariant training.
 func TestAddVecsInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 37
