@@ -53,7 +53,8 @@ test-fault:
 # Short coverage-guided fuzzing over every network- and disk-facing parser:
 # the replication frame reader and delta payload applier, the /estimate
 # request decoder (differentially, against the struct decoder it replaced)
-# and that struct decoder, and the checkpoint loader. Each target's seed corpus also
+# and that struct decoder, the checkpoint loader, and the GEMM kernel's AVX2
+# panels against its portable kernel and Dot. Each target's seed corpus also
 # runs as a plain test in `make test`; this target additionally explores.
 # FUZZTIME tunes the per-target budget (CI uses the default).
 FUZZTIME ?= 15s
@@ -63,6 +64,7 @@ test-fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzEstimateDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzWirePlanDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tensor/ -run '^$$' -fuzz '^FuzzMatMulTransB$$' -fuzztime $(FUZZTIME)
 
 # The replication conformance suite under the race detector — the
 # bit-identity acceptance gate for the scale-out streaming runtime.
@@ -95,7 +97,7 @@ bench-json:
 bench-serve:
 	./scripts/bench_json.sh $(BENCH_SERVE_OUT) serve
 
-# Non-test Go lines by ROADMAP's counting rule; a PR reports its net change
+# Non-test Go and assembly lines by ROADMAP's counting rule; a PR reports its net change
 # as the difference of this figure at the parent and at its head.
 loc:
 	@./scripts/count_lines.sh

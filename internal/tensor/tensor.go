@@ -250,11 +250,11 @@ func Dot(a, b Vec) float64 {
 // strictly ascending index order.
 //
 // Sequential order is the bit-level contract every forward-path kernel obeys
-// for each output element: MatVec's row quads and MatMulTransBInto's 2×2
-// register block both keep one sequential
-// accumulator chain per output (their instruction-level parallelism comes
-// from computing four outputs at once, not from splitting one sum), and
-// their remainder rows/columns call dotKernel directly. An output element
+// for each output element: MatVec's row quads, MatMulTransBInto's portable
+// 2×2 block and each lane of its AVX2 panels keep one sequential chain per
+// output, rounding each multiply and each add (no FMA; their ILP comes from
+// computing several outputs at once, not from splitting one sum), and
+// remainder rows/columns call dotKernel directly. An output element
 // therefore depends only on its two operand vectors — never on which kernel
 // computed it, its position inside a level, or how a batch was composed.
 // That determinism is what lets the representation memory pool share
@@ -401,30 +401,40 @@ func AddToColumn(m *Mat, j int, scale float64, v Vec) {
 // MatMulTransBInto computes dst = a * bᵀ for row-major matrices
 // (a: m×k, bt: n×k, dst: m×n). Both operands stream contiguous rows — the
 // cache-friendly kernel for level-batched evaluation, where bt holds one
-// node's input per row.
+// node's input per row. Each element is dotKernel's chain over its operand
+// rows: AVX2 panels of four columns on amd64 (one chain per lane, no FMA),
+// the portable kernel for the n mod 4 last columns and everywhere else.
+//
+// costlint:noalloc
 func MatMulTransBInto(dst, a, bt *Mat) {
 	if a.Cols != bt.Cols || dst.Rows != a.Rows || dst.Cols != bt.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransBInto shape mismatch: a %dx%d, bt %dx%d, dst %dx%d",
 			a.Rows, a.Cols, bt.Rows, bt.Cols, dst.Rows, dst.Cols))
 	}
+	matMulTransBCols(dst, a, bt, matMulTransBPanels(dst, a, bt))
+}
+
+// matMulTransBCols is the portable kernel: it computes columns [j0, n) of
+// dst = a * btᵀ. 2×2 register blocking makes each pass over k feed four dot
+// products, so every loaded element of a and bt is used twice; an odd last
+// column runs its two row chains in one loop. Each accumulator sums in
+// dotKernel's canonical sequential order, so an element is bit-identical
+// wherever it falls in the blocking and however large a level was.
+//
+// costlint:noalloc
+func matMulTransBCols(dst, a, bt *Mat, j0 int) {
 	k := a.Cols
 	n := bt.Rows
-	// 2×2 register blocking: each pass over k feeds four dot products, so
-	// every loaded element of a and bt is used twice. Each of the four
-	// accumulators sums in dotKernel's canonical sequential order, so a
-	// blocked element is bit-identical to the remainder path's dotKernel —
-	// results never depend on where an element falls in the blocking or how
-	// large a level was.
 	i := 0
 	for ; i+2 <= a.Rows; i += 2 {
 		a0 := a.Data[i*k : i*k+k]
-		a1 := a.Data[(i+1)*k : (i+1)*k+k]
+		a1 := a.Data[(i+1)*k:][:len(a0)]
 		d0 := dst.Data[i*dst.Cols : i*dst.Cols+n]
 		d1 := dst.Data[(i+1)*dst.Cols : (i+1)*dst.Cols+n]
-		j := 0
+		j := j0
 		for ; j+2 <= n; j += 2 {
-			b0 := bt.Data[j*k : j*k+k]
-			b1 := bt.Data[(j+1)*k : (j+1)*k+k]
+			b0 := bt.Data[j*k:][:len(a0)]
+			b1 := bt.Data[(j+1)*k:][:len(a0)]
 			var s00, s01, s10, s11 float64
 			for l, av0 := range a0 {
 				av1 := a1[l]
@@ -441,15 +451,20 @@ func MatMulTransBInto(dst, a, bt *Mat) {
 			d1[j+1] = s11
 		}
 		if j < n {
-			bRow := bt.Data[j*k : j*k+k]
-			d0[j] = dotKernel(a0, bRow)
-			d1[j] = dotKernel(a1, bRow)
+			b0 := bt.Data[j*k:][:len(a0)]
+			var s0, s1 float64
+			for l, av0 := range a0 {
+				bv := b0[l]
+				s0 += av0 * bv
+				s1 += a1[l] * bv
+			}
+			d0[j], d1[j] = s0, s1
 		}
 	}
 	if i < a.Rows {
 		aRow := a.Data[i*k : i*k+k]
 		dRow := dst.Data[i*dst.Cols : i*dst.Cols+n]
-		for j := 0; j < n; j++ {
+		for j := j0; j < n; j++ {
 			dRow[j] = dotKernel(aRow, bt.Data[j*k:j*k+k])
 		}
 	}

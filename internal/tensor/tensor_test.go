@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -426,39 +428,111 @@ func BenchmarkMatMulTransAInto(b *testing.B) {
 	}
 }
 
+// sameBits reports whether x and y are the same float64, bit for bit; a NaN
+// result may be any NaN.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
+}
+
+// specialMat fills an r×c matrix with normal values, a quarter of them
+// replaced by ±0, subnormals, ±Inf and 1e±300.
+func specialMat(rng *rand.Rand, r, c int) *Mat {
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310, math.Inf(1), math.Inf(-1), 1e300, -1e-300}
+	m := randMat(rng, r, c)
+	for i := range m.Data {
+		if rng.Intn(4) == 0 {
+			m.Data[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return m
+}
+
+// checkMatMulTransB holds MatMulTransBInto (the AVX2 panels where the CPU has
+// them) and the portable kernel alone to Dot over the same operand rows, bit
+// for bit.
+func checkMatMulTransB(t *testing.T, a, bt *Mat) {
+	t.Helper()
+	got, portable := NewMat(a.Rows, bt.Rows), NewMat(a.Rows, bt.Rows)
+	for i := range got.Data { // stale contents must not leak into the result
+		got.Data[i], portable.Data[i] = math.NaN(), math.NaN()
+	}
+	MatMulTransBInto(got, a, bt)
+	matMulTransBCols(portable, a, bt, 0)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < bt.Rows; j++ {
+			want := Dot(a.Row(i), bt.Row(j))
+			if !sameBits(got.At(i, j), want) || !sameBits(portable.At(i, j), want) {
+				t.Fatalf("%dx%dx%d [%d,%d]: MatMulTransBInto %v, portable %v, Dot %v",
+					a.Rows, a.Cols, bt.Rows, i, j, got.At(i, j), portable.At(i, j), want)
+			}
+		}
+	}
+}
+
 // TestCanonicalDotOrder pins the bit-level contract the serving runtime
 // depends on: every forward kernel that emits a dot product — Dot, MatVec
-// and MatMulTransBInto (both its 2×2-blocked interior and its remainder
-// rows/columns) — must produce bit-identical results for the same
-// operand vectors, across odd and even shapes. Representations stored in the
-// memory pool by one path and consumed by another, and the hot-swap test's
+// and MatMulTransBInto (its AVX2 panels, its portable 2×2 block and its
+// remainder rows and columns) — must produce bit-identical results for the
+// same operand vectors. The shapes reach every path: n below, at and past a
+// panel, odd m, k with and without a remainder mod 4; the operands include
+// ±0, subnormals, ±Inf and 1e±300. Representations stored in the memory pool
+// by one path and consumed by another, and the hot-swap test's
 // single-threaded replays, all assume this equality is exact, not
 // approximate.
 func TestCanonicalDotOrder(t *testing.T) {
 	rng := benchRng()
-	for _, shape := range []struct{ m, k, n int }{
-		{1, 1, 1}, {2, 2, 2}, {3, 5, 3}, {4, 7, 5}, {16, 48, 24}, {7, 33, 9}, {5, 8, 1},
-	} {
-		a := randMat(rng, shape.m, shape.k)
-		bt := randMat(rng, shape.n, shape.k)
-		gemm := NewMat(shape.m, shape.n)
-		MatMulTransBInto(gemm, a, bt)
-
-		mv := NewVec(shape.m)
-		for j := 0; j < shape.n; j++ {
-			x := bt.Row(j)
-			MatVec(mv, a, x)
-			for i := 0; i < shape.m; i++ {
-				want := Dot(a.Row(i), x)
-				if gemm.At(i, j) != want {
-					t.Fatalf("%dx%dx%d: MatMulTransBInto[%d,%d] = %v, Dot = %v",
-						shape.m, shape.k, shape.n, i, j, gemm.At(i, j), want)
-				}
-				if mv[i] != want {
-					t.Fatalf("%dx%dx%d: MatVec[%d] = %v, Dot = %v",
-						shape.m, shape.k, shape.n, i, mv[i], want)
+	for _, m := range []int{1, 3, 4, 5, 16, 17} {
+		for _, n := range []int{1, 3, 4, 5, 8, 64, 65} {
+			for _, k := range []int{0, 1, 48, 176, 300} {
+				checkMatMulTransB(t, randMat(rng, m, k), randMat(rng, n, k))
+				a, bt := specialMat(rng, m, k), specialMat(rng, n, k)
+				checkMatMulTransB(t, a, bt)
+				mv := NewVec(m)
+				for j := 0; j < n; j++ {
+					MatVec(mv, a, bt.Row(j))
+					for i := range mv {
+						if want := Dot(a.Row(i), bt.Row(j)); !sameBits(mv[i], want) {
+							t.Fatalf("%dx%dx%d: MatVec[%d] = %v, Dot = %v", m, k, n, i, mv[i], want)
+						}
+					}
 				}
 			}
 		}
+	}
+}
+
+// FuzzMatMulTransB holds the AVX2 path, the portable kernel and Dot to the
+// same bits on shapes and operand bit patterns the fuzzer picks.
+func FuzzMatMulTransB(f *testing.F) {
+	f.Add(uint8(4), uint8(4), uint8(4), []byte{})
+	f.Add(uint8(16), uint8(9), uint8(48), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0xf0, 0x7f})
+	f.Add(uint8(3), uint8(65), uint8(7), []byte("\x01\x02\x03\x04\x05\x06\x07\x08\xff\xee"))
+	f.Fuzz(func(t *testing.T, m, n, k uint8, data []byte) {
+		rows, cols, kk := int(m%20), int(n%70), int(k%64)
+		vals := make([]float64, (rows+cols)*kk)
+		for e := range vals {
+			if len(data) >= 8 {
+				vals[e] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*e%(len(data)-7):]))
+			}
+		}
+		a := &Mat{Rows: rows, Cols: kk, Data: vals[: rows*kk : rows*kk]}
+		checkMatMulTransB(t, a, &Mat{Rows: cols, Cols: kk, Data: vals[rows*kk:]})
+	})
+}
+
+// BenchmarkMatMulTransBGate is one LSTM gate of a plan level as served: W is
+// 16×48, one bt row per node, at level widths from single plans to
+// 64-plan batches.
+func BenchmarkMatMulTransBGate(b *testing.B) {
+	rng := benchRng()
+	a := randMat(rng, 16, 48)
+	for _, n := range []int{1, 2, 4, 8, 32, 64} {
+		bt := randMat(rng, n, 48)
+		dst := NewMat(16, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for b.Loop() {
+				MatMulTransBInto(dst, a, bt)
+			}
+		})
 	}
 }
