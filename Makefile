@@ -39,14 +39,14 @@ test:
 	$(GO) test $(PKGS)
 
 # Fault-tolerance suite under the race detector: the injector itself, the
-# crash-safe checkpoint I/O, the circuit breaker / degraded serving path,
+# crash-safe checkpoint I/O, failed-run containment in the scheduler,
 # the daemon's supervisor + chaos acceptance scenario, and the replication
 # failover suite (primary kill → lease-lapse promotion → zombie fencing,
 # plus heartbeat liveness, token auth and slow-follower eviction).
 test-fault:
 	$(GO) test -race -count=1 ./internal/fault/
 	$(GO) test -race -count=1 ./internal/core/ -run 'Checkpoint'
-	$(GO) test -race -count=1 ./internal/serve/ -run 'Breaker|RetryAfter|DegradedSurface'
+	$(GO) test -race -count=1 ./internal/serve/ -run 'FailedRun|PanickingRun|Breaker|FailsWhole|PanicRecovery|RetryAfter'
 	$(GO) test -race -count=1 ./cmd/costestd/
 	$(GO) test -race -count=1 ./internal/replica/ -run 'Failover|Heartbeat|TokenAuth|Eviction|BackoffDelay'
 

@@ -127,14 +127,14 @@ func demo(args []string) {
 	})
 
 	// Test on unseen JOB-style queries; compare against PG.
-	e.pg.Calibrate(plansOf(train))
+	pgCal := e.pg.Calibrated(plansOf(train))
 	testQ := workload.JOBFull(e.db, *seed+99, 30)
 	testS := lab.Label(testQ)
 	var pgCard, pgCost, tCard, tCost []float64
 	for _, s := range testS {
 		p := s.Plan.Clone()
 		pgCard = append(pgCard, metrics.QError(e.pg.EstimateCard(p), s.Card))
-		pgCost = append(pgCost, metrics.QError(e.pg.EstimateCost(p), s.Cost))
+		pgCost = append(pgCost, metrics.QError(pgCal.EstimateCost(p), s.Cost))
 		ep, err := enc.Encode(s.Plan)
 		if err != nil {
 			log.Fatalf("encode: %v", err)

@@ -16,10 +16,10 @@
 // supervisor: panicking cycles restart with exponential backoff, regressed
 // models are gated before publish (-gate-slack), and every published model is
 // checkpointed crash-safely (-checkpoint) — a kill at any instant leaves a
-// cold-loadable file. The serving path degrades instead of failing: three
-// consecutive batch failures trip a circuit breaker into answering from the
-// last-known-good snapshot, with half-open probes to recover. Chaos tests
-// drive all of it with -faults (deterministic, seedable fault injection).
+// cold-loadable file. A serving batch that fails — an estimator error or a
+// recovered panic — answers its own requests with a 500 and nothing else;
+// the next batch runs as if it had not happened. Chaos tests drive all of it
+// with -faults (deterministic, seedable fault injection).
 //
 // The daemon scales out by replication (internal/replica): a primary
 // started with -replicate-listen streams every published model — dirty
@@ -92,10 +92,10 @@ type options struct {
 
 // newFlagSet registers every daemon flag on a fresh FlagSet that parses into
 // o. Serving and supervision settings no deployment has set away from their
-// defaults are constants instead: the admission queue depth, breaker
-// threshold and cooldown (serve.SchedulerConfig's defaults), the pool bound,
-// the trainer's concurrency (GOMAXPROCS capped at -shards) and the checkpoint
-// cadence (every publish).
+// defaults are constants instead: the admission queue depth and batch cap
+// (serve.SchedulerConfig's defaults), the pool bound, the trainer's
+// concurrency (GOMAXPROCS capped at -shards) and the checkpoint cadence
+// (every publish).
 func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("costestd", flag.ExitOnError)
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
@@ -350,7 +350,7 @@ func substrate(scale float64) (*dataset.DB, *stats.Catalog, *feature.Encoder) {
 // loadOrTrain cold-loads the crash-safe checkpoint at path (falling back to
 // its .prev last-good copy for torn or corrupt primaries), otherwise trains
 // a model and, when path is set, saves it atomically for the next cold
-// start. A corrupt checkpoint with no loadable fallback is loud — it means
+// start. A corrupt checkpoint with no loadable .prev copy is loud — it means
 // durable state was lost — but never fatal: the daemon retrains from the
 // workload instead of crash-looping on a bad file.
 func loadOrTrain(path string, enc *feature.Encoder, eps []*feature.EncodedPlan,

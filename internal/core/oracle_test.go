@@ -417,12 +417,10 @@ func TestInBatchSharingZeroAlloc(t *testing.T) {
 	out := make([]Estimate, len(eps))
 	for name, pool := range map[string]*MemoryPool{"nopool": nil, "warm pool": NewMemoryPool()} {
 		srv := NewServer(New(TestConfig(), testEnc), pool)
-		snap := srv.AcquireSnapshot()
-		srv.EstimateBatchInto(snap, eps, out)
-		if allocs := testing.AllocsPerRun(50, func() { srv.EstimateBatchInto(snap, eps, out) }); allocs != 0 {
+		srv.EstimateBatchInto(eps, out)
+		if allocs := testing.AllocsPerRun(50, func() { srv.EstimateBatchInto(eps, out) }); allocs != 0 {
 			t.Errorf("%s: warm EstimateBatchInto allocates %.1f objects/op on a sharing batch, want 0", name, allocs)
 		}
-		srv.ReleaseSnapshot(snap)
 		if st := srv.SharingStats(); st.NodesShared == 0 || st.NodesPlaced <= st.NodesShared {
 			t.Errorf("%s: sharing counters %+v after serving a sharing batch", name, st)
 		}

@@ -108,8 +108,9 @@ func (srv *Server) release(s *ModelSnapshot) { s.refs.Add(-1) }
 // exactly as a served request does: while held, the snapshot's weights are
 // guaranteed frozen, however many publishes follow. The reference is returned
 // with ReleaseSnapshot, at which point the buffers rejoin the recycling
-// rotation — how the scheduler keeps its last-known-good fallback and the
-// daemon's supervisor reads the served model for its gate and checkpoints.
+// rotation — how the daemon's supervisor reads the served model for its gate
+// and checkpoints. Serving never needs it: Estimate, EstimateBatch and
+// EstimateBatchInto each hold the current snapshot for the length of one call.
 func (srv *Server) AcquireSnapshot() *ModelSnapshot { return srv.acquire() }
 
 // ReleaseSnapshot returns a reference taken by AcquireSnapshot.
@@ -264,37 +265,39 @@ func (srv *Server) Estimate(ep *feature.EncodedPlan) (cost, card float64, versio
 // the benchmark's trace replay, and goes when ROADMAP 1.2 deletes that
 // replay.
 func (srv *Server) EstimateBatch(eps []*feature.EncodedPlan, _ int) ([]Estimate, uint64) {
-	snap := srv.acquire()
 	var out []Estimate
 	if len(eps) > 0 {
-		out = srv.EstimateBatchInto(snap, eps, make([]Estimate, len(eps)))
+		out = make([]Estimate, len(eps))
 	}
-	srv.release(snap)
-	return out, snap.version
+	out, version, _, _ := srv.EstimateBatchInto(eps, out)
+	return out, version
 }
 
-// EstimateBatchInto serves eps against a snapshot the caller already holds
-// (acquired via AcquireSnapshot), writing the estimates into
-// caller-provided storage: out must have len(eps) elements and is returned
-// filled. The caller's hold is what keeps the weights frozen for the
-// duration, so the batch is bit-identical to a single-threaded evaluation of
-// snap's version even when it is no longer the currently served one — the
-// scheduler's circuit breaker retains the snapshot of each successful batch
-// as its degraded-mode fallback. The warm path performs zero heap
-// allocations — each of the serving scheduler's run slots reuses one result
-// buffer across batches, which is what keeps Submit→served round trips
-// allocation-free in steady state.
+// EstimateBatchInto serves eps against the current snapshot, writing the
+// estimates into caller-provided storage: out must have len(eps) elements
+// and is returned filled, with the local version and the replication
+// coordinates (ModelSnapshot.Coordinates) of the snapshot that answered. The
+// snapshot is held for the call alone, so the batch is bit-identical to a
+// single-threaded evaluation of that version even when a publish lands
+// mid-batch; the hold is returned on every path, a panic in the batch
+// included. The warm path performs zero heap allocations — each of the
+// serving scheduler's run slots reuses one result buffer across batches,
+// which is what keeps Submit→served round trips allocation-free in steady
+// state.
 //
 // costlint:noalloc
-func (srv *Server) EstimateBatchInto(snap *ModelSnapshot, eps []*feature.EncodedPlan, out []Estimate) []Estimate {
+func (srv *Server) EstimateBatchInto(eps []*feature.EncodedPlan, out []Estimate) (ests []Estimate, version, epoch, gen uint64) {
+	snap := srv.acquire()
+	defer srv.release(snap)
+	epoch, gen = snap.Coordinates()
 	if len(eps) == 0 {
-		return out[:0]
+		return out[:0], snap.version, epoch, gen
 	}
 	s := srv.batchSession(snap)
 	copy(out, s.EstimateBatchWithPool(eps, srv.pool))
 	s.releasePlans()
 	srv.putSession(s)
-	return out
+	return out, snap.version, epoch, gen
 }
 
 // batchSession checks a recycled session out of the pool, rebinding it to

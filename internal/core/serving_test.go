@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"costest/internal/feature"
 	"costest/internal/plan"
 )
 
@@ -786,5 +787,36 @@ func TestSnapshotDrainStats(t *testing.T) {
 	// pushing the mark up.
 	if st := srv.SnapshotDrainStats(); st.Retired > hw || st.RetiredHighWater != hw {
 		t.Fatalf("drain list kept growing after release: %+v (high water was %d)", st, hw)
+	}
+}
+
+// TestEstimateBatchIntoReleasesOnPanic: EstimateBatchInto holds the current
+// snapshot for the call alone, a panicking batch included. The serving
+// scheduler recovers such a panic and serves on, so a hold leaked by it would
+// keep that snapshot's buffers out of the rotation for good and push the
+// drain list past steady double buffering.
+func TestEstimateBatchIntoReleasesOnPanic(t *testing.T) {
+	eps := benchCorpus(t, 8)
+	m := New(TestConfig(), testEnc)
+	tr := NewParallelTrainer(m, 1)
+	defer tr.Close()
+	tr.FitNormalizers(eps)
+	srv := NewServer(m, nil)
+
+	poison := []*feature.EncodedPlan{{Nodes: make([]feature.EncodedNode, 1), Root: 7}}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("poisoned batch did not panic")
+			}
+		}()
+		srv.EstimateBatchInto(poison, make([]Estimate, 1))
+	}()
+	for range 3 {
+		tr.TrainEpochParallel(eps, 4)
+		srv.PublishDelta(tr.M)
+	}
+	if st := srv.SnapshotDrainStats(); st.Retired != 1 || st.RetiredHighWater != 1 {
+		t.Fatalf("drain stats after a panicking batch: %+v, want steady double buffering {1 1}", st)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -120,6 +121,45 @@ func TestStringSuiteEndToEnd(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
 		}
+	}
+}
+
+// TestStringSuiteIgnoresNumericSuite: the string suite's tables do not
+// depend on whether the numeric suite ran first in the same environment.
+// Calibrating the PostgreSQL baseline once rewrote the cost unit of the
+// estimator the planner and the labeler share, so the string suite planned
+// and labeled under a different unit after the numeric suite than alone.
+func TestStringSuiteIgnoresNumericSuite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration suite")
+	}
+	// The smallest numeric suite, at the small preset's data; 200 string
+	// training queries are enough for the old shared unit to flip a plan.
+	c := microConfig()
+	c.Scale, c.SampleSize, c.Buckets = 0.04, 64, 40
+	c.TrainNumeric, c.TestSynthetic, c.TestScale, c.TestJOBLight = 40, 10, 10, 10
+	c.TrainStrings, c.SingleTable, c.TestJOB = 200, 60, 20
+	c.Epochs = 1
+	tables := func(res *StringResults) *StringResults {
+		res.Table12 = nil // timings
+		return res
+	}
+
+	alone, err := NewEnv(c).RunStrings()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv(c)
+	if _, err := env.RunNumeric(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := env.RunStrings()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tables(alone), tables(after)) {
+		t.Errorf("string tables after the numeric suite differ from the string suite alone:\n%s\nvs alone\n%s",
+			ReportStrings(after), ReportStrings(alone))
 	}
 }
 

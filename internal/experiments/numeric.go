@@ -7,6 +7,7 @@ import (
 	"costest/internal/feature"
 	"costest/internal/metrics"
 	"costest/internal/mscn"
+	"costest/internal/pg"
 	"costest/internal/plan"
 	"costest/internal/query"
 	"costest/internal/strembed"
@@ -76,7 +77,7 @@ func (e *Env) RunNumeric() (*NumericResults, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.PG.Calibrate(plansOf(train))
+	pgCal := e.PG.Calibrated(plansOf(train))
 
 	res := &NumericResults{Figure7a: m.fig7a, Figure7b: m.fig7b}
 
@@ -93,7 +94,7 @@ func (e *Env) RunNumeric() (*NumericResults, error) {
 		if len(samples) == 0 {
 			return nil, fmt.Errorf("experiments: workload %s produced no labeled queries", tw.name)
 		}
-		card, cost, err := e.evalNumeric(m, samples)
+		card, cost, err := e.evalNumeric(m, pgCal, samples)
 		if err != nil {
 			return nil, err
 		}
@@ -242,8 +243,9 @@ func mscnCurve(h []mscn.EpochStats) []float64 {
 }
 
 // evalNumeric computes the card (Table 7) and cost (Table 8) ladders on one
-// labeled test workload.
-func (e *Env) evalNumeric(m *numericModels, samples []*workload.Labeled) (card, cost []MethodErrors, err error) {
+// labeled test workload; the PGCost row reads pgCal, the calibrated copy of
+// the environment's estimator.
+func (e *Env) evalNumeric(m *numericModels, pgCal *pg.Estimator, samples []*workload.Labeled) (card, cost []MethodErrors, err error) {
 	n := len(samples)
 	pgCard := make([]float64, 0, n)
 	pgCost := make([]float64, 0, n)
@@ -260,7 +262,7 @@ func (e *Env) evalNumeric(m *numericModels, samples []*workload.Labeled) (card, 
 	for _, s := range samples {
 		p := s.Plan.Clone()
 		pgCard = append(pgCard, metrics.QError(e.PG.EstimateCard(p), s.Card))
-		pgCost = append(pgCost, metrics.QError(e.PG.EstimateCost(p), s.Cost))
+		pgCost = append(pgCost, metrics.QError(pgCal.EstimateCost(p), s.Cost))
 
 		if est, err2 := m.mscnCard.Estimate(s.Query); err2 == nil {
 			mscnCardE = append(mscnCardE, metrics.QError(est, s.Card))

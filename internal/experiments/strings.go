@@ -6,6 +6,7 @@ import (
 	"costest/internal/core"
 	"costest/internal/feature"
 	"costest/internal/metrics"
+	"costest/internal/pg"
 	"costest/internal/query"
 	"costest/internal/sqlpred"
 	"costest/internal/strembed"
@@ -110,7 +111,7 @@ func (e *Env) RunStrings() (*StringResults, error) {
 		return nil, err
 	}
 
-	e.PG.Calibrate(plansOf(train))
+	pgCal := e.PG.Calibrated(plansOf(train))
 
 	jobQ := workload.JOBFull(e.DB, cfg.Seed+40, cfg.TestJOB)
 	jobSamples := e.Labeler.Label(jobQ)
@@ -122,7 +123,7 @@ func (e *Env) RunStrings() (*StringResults, error) {
 		Figure9:  map[string]BoxPair{},
 		Figure10: map[string][]CostPoint{},
 	}
-	if err := e.evalStrings(m, jobSamples, res); err != nil {
+	if err := e.evalStrings(m, pgCal, jobSamples, res); err != nil {
 		return nil, err
 	}
 	if res.Figure8, err = e.runSingleTable(); err != nil {
@@ -201,8 +202,9 @@ func CollectWorkloadStrings(qs []*query.Query) []strembed.WorkloadString {
 	return out
 }
 
-// evalStrings fills Tables 10-11 and Figures 9-10 from the JOB samples.
-func (e *Env) evalStrings(m *stringModels, samples []*workload.Labeled, res *StringResults) error {
+// evalStrings fills Tables 10-11 and Figures 9-10 from the JOB samples; the
+// PGCost row reads pgCal, the calibrated copy of the environment's estimator.
+func (e *Env) evalStrings(m *stringModels, pgCal *pg.Estimator, samples []*workload.Labeled, res *StringResults) error {
 	type ladder struct {
 		name  string
 		model *core.Model
@@ -222,7 +224,7 @@ func (e *Env) evalStrings(m *stringModels, samples []*workload.Labeled, res *Str
 	for _, s := range samples {
 		p := s.Plan.Clone()
 		pgCardE = append(pgCardE, metrics.QError(e.PG.EstimateCard(p), s.Card))
-		pgCost := e.PG.EstimateCost(p)
+		pgCost := pgCal.EstimateCost(p)
 		pgCostE = append(pgCostE, metrics.QError(pgCost, s.Cost))
 		res.Figure10["PGCost"] = append(res.Figure10["PGCost"], CostPoint{Real: s.Cost, Est: pgCost})
 

@@ -32,8 +32,8 @@ const (
 	SiteCheckpointRead = "checkpoint.read"
 
 	// SiteServeBatch fires in a scheduler run immediately before its batch
-	// is estimated — the injected model-dispatch failure the
-	// circuit breaker must absorb.
+	// is estimated — an injected estimator failure, which must fail that
+	// run's requests (HTTP 500) and nothing else.
 	SiteServeBatch = "serve.batch"
 
 	// SiteDaemonRetrain fires at the top of each supervised retrain cycle in

@@ -1,10 +1,10 @@
 // Package pg implements the PostgreSQL-style baseline estimator the paper
 // compares against (PGCard / PGCost): histogram-based selectivity with
 // attribute independence, distinct-count join selectivity, and the classic
-// page/CPU cost model with tunable GUC weights. A calibration step scales
-// cost units into the executor's milliseconds, mirroring the paper's "we
-// have tuned the factor of page IO so that the unit of the estimated cost
-// equals the unit of time".
+// page/CPU cost model with tunable GUC weights. A calibration step derives
+// an estimator whose cost units are the executor's milliseconds, mirroring
+// the paper's "we have tuned the factor of page IO so that the unit of the
+// estimated cost equals the unit of time".
 package pg
 
 import (
@@ -29,7 +29,7 @@ type Estimator struct {
 	CPUOperatorCost   float64
 
 	// UnitMS converts raw cost units into the executor's milliseconds;
-	// set by Calibrate, defaults to 1.
+	// defaults to 1, set on the copy Calibrated returns.
 	UnitMS float64
 }
 
@@ -195,19 +195,22 @@ func (e *Estimator) EstimateCost(root *plan.Node) float64 {
 	return root.EstCost
 }
 
-// Calibrate tunes UnitMS so raw cost units align with the executor's
-// milliseconds, using the geometric mean of true/estimated ratios over a
-// calibration set of executed plans (plans must carry TrueCost).
-func (e *Estimator) Calibrate(roots []*plan.Node) {
-	saved := e.UnitMS
-	e.UnitMS = 1
+// Calibrated returns a copy of e whose UnitMS aligns raw cost units with the
+// executor's milliseconds: the geometric mean of true/estimated ratios over a
+// calibration set of executed plans (plans must carry TrueCost; with none,
+// the copy keeps e's unit). e itself is unchanged, so a planner or labeler
+// that shares it plans and annotates the same way before and after; only
+// the cost estimates read from the copy are calibrated.
+func (e *Estimator) Calibrated(roots []*plan.Node) *Estimator {
+	c := *e
+	c.UnitMS = 1
 	var sumLog float64
 	var n int
 	for _, r := range roots {
 		if r.TrueCost <= 0 {
 			continue
 		}
-		raw := e.EstimateCost(r)
+		raw := c.EstimateCost(r)
 		if raw <= 0 {
 			continue
 		}
@@ -215,8 +218,9 @@ func (e *Estimator) Calibrate(roots []*plan.Node) {
 		n++
 	}
 	if n == 0 {
-		e.UnitMS = saved
-		return
+		c.UnitMS = e.UnitMS
+	} else {
+		c.UnitMS = math.Exp(sumLog / float64(n))
 	}
-	e.UnitMS = math.Exp(sumLog / float64(n))
+	return &c
 }

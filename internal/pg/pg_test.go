@@ -135,14 +135,17 @@ func TestCalibrate(t *testing.T) {
 		}
 		plans = append(plans, n)
 	}
-	est.Calibrate(plans)
-	if est.UnitMS <= 0 {
-		t.Fatalf("UnitMS = %g", est.UnitMS)
+	cal := est.Calibrated(plans)
+	if cal.UnitMS <= 0 {
+		t.Fatalf("UnitMS = %g", cal.UnitMS)
 	}
-	// After calibration the geometric mean ratio must be ~1.
+	if est.UnitMS != 1 {
+		t.Fatalf("calibration changed the estimator it started from: UnitMS %g", est.UnitMS)
+	}
+	// Under the calibrated unit the geometric mean ratio must be ~1.
 	var sumLog float64
 	for _, p := range plans {
-		sumLog += math.Log(p.TrueCost / est.EstimateCost(p))
+		sumLog += math.Log(p.TrueCost / cal.EstimateCost(p))
 	}
 	if math.Abs(sumLog/float64(len(plans))) > 0.01 {
 		t.Errorf("calibration off: mean log ratio %g", sumLog/3)
@@ -152,9 +155,8 @@ func TestCalibrate(t *testing.T) {
 func TestCalibrateEmptySet(t *testing.T) {
 	est := New(testCat)
 	est.UnitMS = 2.5
-	est.Calibrate(nil)
-	if est.UnitMS != 2.5 {
-		t.Error("calibration with no plans must not change UnitMS")
+	if cal := est.Calibrated(nil); cal.UnitMS != 2.5 || est.UnitMS != 2.5 {
+		t.Errorf("calibration with no plans must keep UnitMS 2.5: got %g, estimator left at %g", cal.UnitMS, est.UnitMS)
 	}
 }
 

@@ -174,11 +174,8 @@ func waitFor(t testing.TB, d time.Duration, what string, cond func() bool) {
 // estimateAt serves ep from the snapshot srv serves now and reports that
 // snapshot's replication coordinates with the estimate (zero: unlabeled).
 func estimateAt(srv *core.Server, ep *feature.EncodedPlan) (cost, card float64, epoch, gen uint64) {
-	snap := srv.AcquireSnapshot()
-	defer srv.ReleaseSnapshot(snap)
-	epoch, gen = snap.Coordinates()
 	var out [1]core.Estimate
-	srv.EstimateBatchInto(snap, []*feature.EncodedPlan{ep}, out[:])
+	_, _, epoch, gen = srv.EstimateBatchInto([]*feature.EncodedPlan{ep}, out[:])
 	return out[0].Cost, out[0].Card, epoch, gen
 }
 

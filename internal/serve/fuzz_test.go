@@ -2,8 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
+	"costest/internal/core"
 	"costest/internal/feature"
 	"costest/internal/plan/plantest"
 )
@@ -48,7 +50,10 @@ const textCollisionBody = `{"plans":[{"op":"hashjoin","left":{"op":"seqscan","ta
 // replaced accepts, minus the four tightenings, and builds the same trees,
 // whose sub-plans have one ID exactly when they are equal (plantest.CheckIDs).
 // Accepted plans go on through the feature encoder on a recycled arena, as in
-// the handler.
+// the handler, and every body that encodes runs as one batch on a pooled
+// server — the call a scheduler run makes — whose estimates must equal the
+// plans' single-plan evaluations. A panic anywhere on that path fails the
+// fuzzer: the scheduler would contain it, but only as a failed request.
 func FuzzEstimateDecode(f *testing.F) {
 	seeds := wirePlanSeeds(f)
 	for _, seed := range seeds {
@@ -63,6 +68,11 @@ func FuzzEstimateDecode(f *testing.F) {
 	}
 	f.Add([]byte(textCollisionBody))
 	var arena feature.Arena // recycled across inputs, as the handler's is across requests
+	// One server for every input, as the daemon's is for every request: its
+	// bounded pool fills, admits on second sightings and evicts.
+	srv := core.NewServer(core.New(core.TestConfig(), testEnc), core.NewBoundedMemoryPool(256))
+	snap := srv.AcquireSnapshot() // nothing publishes: this is the snapshot every batch runs on
+	defer srv.ReleaseSnapshot(snap)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		roots := checkDecodeAgainstOracle(t, body)
 		plantest.CheckIDs(t, roots...)
@@ -87,5 +97,15 @@ func FuzzEstimateDecode(f *testing.F) {
 				}
 			}
 		}
+		ests, _, _, _ := srv.EstimateBatchInto(eps, make([]core.Estimate, len(eps)))
+		for i, ep := range eps {
+			cost, card := snap.Model().Estimate(ep)
+			if !sameFloat(ests[i].Cost, cost) || !sameFloat(ests[i].Card, card) {
+				t.Fatalf("plan %d: batch (%g, %g), single plan (%g, %g):\n%s", i, ests[i].Cost, ests[i].Card, cost, card, body)
+			}
+		}
 	})
 }
+
+// sameFloat is float equality with every NaN equal to every other.
+func sameFloat(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }

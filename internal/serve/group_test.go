@@ -30,44 +30,6 @@ func enumGroup(tb testing.TB) []*feature.EncodedPlan {
 	return eps
 }
 
-// TestGroupBreakerDegradedWhole: a 64-plan group whose run fails at the
-// injected serve.batch hook trips the breaker and is answered from the
-// last-known-good snapshot as a whole — every plan degraded, stamped with the
-// fallback version, bit-identical to a single-threaded evaluation of it.
-func TestGroupBreakerDegradedWhole(t *testing.T) {
-	_, eps := testCorpus(t, 311, 8)
-	srv, _ := testServer(t, eps)
-	s := NewScheduler(srv, SchedulerConfig{BreakerFailures: 1, BreakerCooldown: time.Hour})
-	s.Start()
-	defer s.Close()
-
-	good, err := s.Submit(t.Context(), eps[0])
-	if err != nil {
-		t.Fatalf("healthy submit: %v", err)
-	}
-	fault.Enable(fault.New(11).Add(fault.Rule{Site: "serve.batch", Kind: fault.Error}))
-	defer fault.Disable()
-
-	group := enumGroup(t)
-	out := make([]Result, len(group))
-	if err := s.SubmitGroup(t.Context(), group, out); err != nil {
-		t.Fatalf("tripping group not served degraded: %v", err)
-	}
-	if !s.Degraded() {
-		t.Fatal("breaker closed after a failing run at threshold 1")
-	}
-	fb := heldSnapshot(t, srv) // nothing published since: the fallback is the current snapshot
-	for i, r := range out {
-		c, d := fb.Model().Estimate(group[i])
-		if !r.Degraded || r.Version != good.Version || r.Cost != c || r.Card != d {
-			t.Fatalf("plan %d of the group: %+v, want degraded (%g,%g) at v%d", i, r, c, d, good.Version)
-		}
-	}
-	if st := s.Stats(); st.Degraded != uint64(len(group)) || st.Failed != 0 || st.Groups != 2 {
-		t.Fatalf("stats %+v, want %d degraded plans, none failed, 2 groups", st, len(group))
-	}
-}
-
 // TestGroupDeadlineWhileWaiting: a 64-plan request whose timeout passes while
 // it waits for the only run slot is answered 504 as a whole when the slot
 // frees — no estimate of it is run or written.

@@ -95,10 +95,7 @@ type estimateRequest struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// wireEstimate is one estimate in a response. Degraded marks an answer from
-// the circuit breaker's fallback path: served from the last-known-good
-// snapshot (whose version it reports) instead of the freshest published one.
-// Epoch and Generation are the cluster-wide replication coordinates of the
+// wireEstimate is one estimate in a response. Epoch and Generation are the cluster-wide replication coordinates of the
 // snapshot that answered, as it carries them (core.ModelSnapshot.Coordinates;
 // present when the daemon replicates, omitted for a snapshot no publish hook
 // labeled): two daemons reporting the same (epoch, generation) serve
@@ -109,7 +106,6 @@ type wireEstimate struct {
 	Version    uint64  `json:"version"`
 	Epoch      uint64  `json:"epoch,omitempty"`
 	Generation uint64  `json:"generation,omitempty"`
-	Degraded   bool    `json:"degraded,omitempty"`
 }
 
 type estimateResponse struct {
@@ -119,7 +115,6 @@ type estimateResponse struct {
 // statszResponse is the /statsz body.
 type statszResponse struct {
 	Version    uint64          `json:"version"`
-	Degraded   bool            `json:"degraded"`
 	Scheduler  SchedulerStats  `json:"scheduler"`
 	Pool       *poolStats      `json:"pool,omitempty"`
 	Sharing    sharingStats    `json:"sharing"`
@@ -197,10 +192,9 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleReadyz distinguishes the daemon's three non-nominal states: draining
-// (shutting down — stop sending traffic), not ready (no model yet), and
-// degraded (breaker open, still answering from the last-known-good snapshot
-// — an orchestrator should NOT kill a degraded daemon, it is the fallback).
+// handleReadyz distinguishes the daemon's non-nominal states: draining
+// (shutting down — stop sending traffic) and not ready (no model yet) answer
+// 503; promoting (a cluster member mid-failover, still serving) answers 200.
 func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.sched.Draining() {
 		s.unavailable(w, "draining")
@@ -211,10 +205,6 @@ func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusOK)
-	if s.sched.Degraded() {
-		fmt.Fprintln(w, "degraded (serving from last-known-good snapshot)")
-		return
-	}
 	if s.ClusterState != nil {
 		if st := s.ClusterState(); st == "promoting" {
 			// Mid-failover: still serving the sealed weights, but tell the
@@ -229,7 +219,6 @@ func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	resp := statszResponse{
 		Version:   s.srv.Version(),
-		Degraded:  s.sched.Degraded(),
 		Scheduler: s.sched.Stats(),
 		Drain:     s.srv.SnapshotDrainStats(),
 
@@ -393,7 +382,6 @@ func (s *Service) serveEstimate(w http.ResponseWriter, r *http.Request, sc *requ
 			Version:    res.Version,
 			Epoch:      res.Epoch,
 			Generation: res.Generation,
-			Degraded:   res.Degraded,
 		})
 	}
 	if sc.out, err = appendEstimates(sc.out[:0], sc.estimates); err != nil {
@@ -407,7 +395,7 @@ func (s *Service) serveEstimate(w http.ResponseWriter, r *http.Request, sc *requ
 
 // appendEstimates appends the 200 body of /estimate — byte for byte what
 // writeJSON writes for an estimateResponse (two-space indent, encoding/json's
-// number formatting, omitempty on epoch, generation and degraded, a trailing
+// number formatting, omitempty on epoch and generation, a trailing
 // newline), without its reflection and re-indentation. The one difference: a
 // NaN or infinite estimate, which encoding/json cannot represent either (its
 // encoder fails after the 200 header is out and the body stays empty), is
@@ -434,9 +422,6 @@ func appendEstimates(b []byte, ests []wireEstimate) ([]byte, error) {
 		if e.Generation != 0 {
 			b = append(b, ",\n      \"generation\": "...)
 			b = strconv.AppendUint(b, e.Generation, 10)
-		}
-		if e.Degraded {
-			b = append(b, ",\n      \"degraded\": true"...)
 		}
 		b = append(b, "\n    }"...)
 	}

@@ -9,6 +9,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"costest/internal/fault"
 )
 
 // newTestService spins up a full serving stack (scheduler + HTTP service)
@@ -42,6 +45,16 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 	}
 	t.Cleanup(func() { resp.Body.Close() })
 	return resp
+}
+
+// httptest2 serves svc over a test HTTP server torn down with the test and
+// returns its base URL (the scheduler's lifecycle stays with the caller —
+// tests that stage a backlog control when it starts and drains).
+func httptest2(t *testing.T, svc *Service) string {
+	t.Helper()
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+	return ts.URL
 }
 
 // TestHTTPEstimateRoundTrip posts real plans through the wire format and
@@ -483,5 +496,87 @@ func TestWirePlanBounds(t *testing.T) {
 		if err == nil || allocs > 3*MaxPlanNodes {
 			t.Errorf("%s: err = %v after %.0f allocations, want a refusal within %d", name, err, allocs, 3*MaxPlanNodes)
 		}
+	}
+}
+
+// TestRetryAfterSecs pins the pure hint-to-header conversion: round up to
+// whole seconds, add up to half the hint of jitter, clamp to [1, 60].
+func TestRetryAfterSecs(t *testing.T) {
+	cases := []struct {
+		hint time.Duration
+		jit  float64
+		want int
+	}{
+		{0, 0, 1},                      // floor: never tell a client "0"
+		{time.Second, 0, 1},            // exact second, no jitter
+		{time.Second, 0.99, 2},         // jitter pushes past the second
+		{500 * time.Millisecond, 0, 1}, // sub-second rounds up
+		{4 * time.Second, 1.0, 6},      // 4s + 2s jitter
+		{10 * time.Minute, 0, 60},      // clamped ceiling
+	}
+	for _, c := range cases {
+		if got := retryAfterSecs(c.hint, c.jit); got != c.want {
+			t.Errorf("retryAfterSecs(%v, %g) = %d, want %d", c.hint, c.jit, got, c.want)
+		}
+	}
+}
+
+// TestHTTPRetryAfterScalesWithQueueDepth: a 503 from a backed-up daemon must
+// carry a Retry-After derived from the actual backlog (plans waiting for a
+// run slot times the measured run time), not the constant floor.
+func TestHTTPRetryAfterScalesWithQueueDepth(t *testing.T) {
+	oneSlot(t)
+	plans, eps := testCorpus(t, 304, 8)
+	srv, _ := testServer(t, eps)
+	const depth = 8
+	sched := NewScheduler(srv, SchedulerConfig{QueueDepth: depth, MaxBatch: 1})
+	svc := NewService(sched, srv, testEnc)
+	svc.SetReady(true)
+	ts := httptest2(t, svc)
+
+	// The first two runs take 400ms each: the first teaches the scheduler
+	// its run time, the second holds the only slot while the queue fills.
+	const delay = 400 * time.Millisecond
+	fault.Enable(fault.New(1).Add(fault.Rule{Site: "serve.batch", Kind: fault.Latency, Delay: delay, Count: 2}))
+	defer fault.Disable()
+	sched.Start()
+	defer sched.Close()
+	if _, err := sched.Submit(t.Context(), eps[0]); err != nil {
+		t.Fatalf("first submit: %v", err)
+	}
+	if got := sched.Stats().MeanBatchUS; got < float64(delay/time.Microsecond) {
+		t.Fatalf("mean_batch_us = %.0f after one %v run", got, delay)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer func() { done <- struct{}{} }()
+		sched.Submit(t.Context(), eps[0])
+	}()
+	waitPickedUp(t, sched, 2)
+	// Two 4-plan groups fill the queue: admission counts plans, not groups.
+	for range 2 {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			sched.SubmitGroup(t.Context(), eps[:4], make([]Result, 4))
+		}()
+	}
+	waitDepth(t, sched, depth)
+
+	// hint = (8/1+1) runs / 1 slot * ~400ms = ~3.6s; jitter adds up to half.
+	resp := postJSON(t, ts+"/estimate", estimateRequest{Plan: EncodeWire(plans[4])})
+	io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("full queue: status %d, want 503", resp.StatusCode)
+	}
+	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+	if err != nil {
+		t.Fatalf("Retry-After %q not an integer: %v", resp.Header.Get("Retry-After"), err)
+	}
+	if secs < 4 || secs > 6 {
+		t.Fatalf("Retry-After %ds outside derived range [4, 6] for %d waiting plans behind %v runs", secs, depth, delay)
+	}
+	for i := 0; i < 3; i++ {
+		<-done
 	}
 }

@@ -20,11 +20,9 @@
 //     served late.
 //   - Graceful drain: Close stops admissions, answers everything already
 //     admitted (concurrent publishes included), then returns.
-//   - Degraded beats down: a circuit breaker on consecutive batch failures
-//     trips the runners into a fallback path serving single-plan estimates
-//     from the last-known-good snapshot (flagged degraded), with half-open
-//     probing to recover — an estimator that starts failing turns into
-//     stale-but-correct answers, not an outage.
+//   - Failures stay in their run: a run whose estimator errors or panics
+//     answers its own groups with that error (HTTP 500) and touches nothing
+//     else — the next run starts clean, with no state carried over.
 package serve
 
 import (
@@ -60,14 +58,6 @@ type SchedulerConfig struct {
 	// MaxBatch caps how many waiting plans one run takes (a single group
 	// larger than this still runs whole). <= 0 defaults to 64.
 	MaxBatch int
-	// BreakerFailures is how many consecutive batch failures (estimator
-	// errors or panics) trip the circuit breaker into degraded serving.
-	// <= 0 defaults to 3.
-	BreakerFailures int
-	// BreakerCooldown is how long an open breaker serves pure fallback
-	// before a half-open probe retries the primary path. 0 defaults to
-	// 250ms; negative probes on every batch (useful in tests).
-	BreakerCooldown time.Duration
 }
 
 func (c SchedulerConfig) withDefaults() SchedulerConfig {
@@ -77,29 +67,19 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = 3
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 250 * time.Millisecond
-	}
 	return c
 }
 
 // Result is one served estimate and the snapshot that produced it: its
 // local Version and its replication coordinates Epoch and Generation (both
 // zero when the snapshot was not replicated; see
-// core.ModelSnapshot.Coordinates). Degraded marks an estimate served by the
-// circuit breaker's fallback path: still bit-identical to its reported
-// (last-known-good) snapshot, but not the freshest published model and not
-// batched.
+// core.ModelSnapshot.Coordinates).
 type Result struct {
 	Cost       float64
 	Card       float64
 	Version    uint64
 	Epoch      uint64
 	Generation uint64
-	Degraded   bool
 }
 
 // group is one admitted request: its plans, where their results go, and the
@@ -130,16 +110,6 @@ type runSlot struct {
 	res   []core.Estimate
 }
 
-// fallback is the breaker's last-known-good snapshot and the number of its
-// holders: the breaker itself while it is current, plus every degraded run
-// reading it. The snapshot reference goes back to the server when the last
-// holder lets go, so a newer known-good version can replace it while an
-// older degraded run is still reading.
-type fallback struct {
-	snap  *core.ModelSnapshot
-	holds int
-}
-
 // SchedulerStats is a point-in-time counter snapshot. Admission and answer
 // counts are in plans; Groups counts requests.
 type SchedulerStats struct {
@@ -155,7 +125,7 @@ type SchedulerStats struct {
 	// Coalescing. A batch is one run: one EstimateBatch call.
 	Batches        uint64  `json:"batches"`
 	MeanBatch      float64 `json:"mean_batch"`
-	MeanBatchUS    float64 `json:"mean_batch_us"`    // mean primary-path service time per run
+	MeanBatchUS    float64 `json:"mean_batch_us"`    // mean service time per run
 	QueueHighWater int     `json:"queue_high_water"` // most plans ever waiting for a slot
 	QueueDepth     int     `json:"queue_depth"`      // plans waiting for a slot now
 	// Groups is how many requests were admitted, MeanGroupPlans their mean
@@ -164,12 +134,6 @@ type SchedulerStats struct {
 	Groups         uint64  `json:"groups"`
 	MeanGroupPlans float64 `json:"mean_group_plans"`
 	RunsInline     uint64  `json:"runs_inline"`
-	// Circuit breaker / degraded serving.
-	BreakerOpen     bool   `json:"breaker_open"`
-	BreakerTrips    uint64 `json:"breaker_trips"`
-	BreakerProbes   uint64 `json:"breaker_probes"` // half-open probes attempted
-	Degraded        uint64 `json:"degraded"`       // plans served from the fallback snapshot
-	FallbackVersion uint64 `json:"fallback_version"`
 }
 
 // Scheduler is the batching front end over a core.Server. Create with
@@ -196,21 +160,8 @@ type Scheduler struct {
 	served, expired, failed      atomic.Uint64
 	panics, batches, batchedReqs atomic.Uint64
 	groups, runsInline           atomic.Uint64
-	busyNanos                    atomic.Int64 // time spent inside primary-path runs
+	busyNanos                    atomic.Int64 // time spent inside runs
 	queueHW                      atomic.Int64
-
-	// Circuit-breaker state, shared by concurrent runners under brkMu. The
-	// atomics mirror what Stats and Degraded read without the lock.
-	brkMu          sync.Mutex
-	consecFails    int
-	good           *fallback // last-known-good
-	lastTrip       time.Time
-	brkOpen        atomic.Bool
-	trips, probes  atomic.Uint64
-	degradedServed atomic.Uint64
-	goodVersion    atomic.Uint64
-	// now is the breaker's clock (tests substitute a fake one).
-	now func() time.Time
 
 	// groupPool recycles group objects (each with its 1-buffered done
 	// channel), keeping the admit and reject warm paths allocation-free.
@@ -229,7 +180,6 @@ func NewScheduler(srv *core.Server, cfg SchedulerConfig) *Scheduler {
 		slots:   make([]*runSlot, n),
 		free:    make([]*runSlot, 0, n),
 		waiting: make([]*group, 0, cfg.QueueDepth),
-		now:     time.Now,
 	}
 	for i := range s.slots {
 		s.slots[i] = &runSlot{
@@ -268,7 +218,7 @@ func (s *Scheduler) Submit(ctx context.Context, ep *feature.EncodedPlan) (Result
 	g.one[0] = ep
 	err := s.submit(ctx, g, g.one[:], g.oneRes[:])
 	res := g.oneRes[0]
-	g.one[0] = nil
+	g.one[0], g.oneRes[0] = nil, Result{} // a pooled group must not hand its last estimate to a failed Submit
 	g.clear()
 	s.groupPool.Put(g)
 	return res, err
@@ -418,12 +368,6 @@ func (s *Scheduler) Close() {
 	s.mu.Unlock()
 	s.Start()
 	s.inflight.Wait()
-	s.brkMu.Lock()
-	if s.good != nil {
-		s.dropFallback(s.good)
-		s.good = nil
-	}
-	s.brkMu.Unlock()
 }
 
 // Draining reports whether Close has begun: once true, Submit fails fast
@@ -440,23 +384,18 @@ func (s *Scheduler) Stats() SchedulerStats {
 	depth := s.waitingPlans
 	s.mu.Unlock()
 	st := SchedulerStats{
-		Admitted:        s.admitted.Load(),
-		Rejected:        s.rejected.Load(),
-		Drained:         s.drained.Load(),
-		Served:          s.served.Load(),
-		Expired:         s.expired.Load(),
-		Failed:          s.failed.Load(),
-		Panics:          s.panics.Load(),
-		Batches:         s.batches.Load(),
-		QueueHighWater:  int(s.queueHW.Load()),
-		QueueDepth:      depth,
-		Groups:          s.groups.Load(),
-		RunsInline:      s.runsInline.Load(),
-		BreakerOpen:     s.brkOpen.Load(),
-		BreakerTrips:    s.trips.Load(),
-		BreakerProbes:   s.probes.Load(),
-		Degraded:        s.degradedServed.Load(),
-		FallbackVersion: s.goodVersion.Load(),
+		Admitted:       s.admitted.Load(),
+		Rejected:       s.rejected.Load(),
+		Drained:        s.drained.Load(),
+		Served:         s.served.Load(),
+		Expired:        s.expired.Load(),
+		Failed:         s.failed.Load(),
+		Panics:         s.panics.Load(),
+		Batches:        s.batches.Load(),
+		QueueHighWater: int(s.queueHW.Load()),
+		QueueDepth:     depth,
+		Groups:         s.groups.Load(),
+		RunsInline:     s.runsInline.Load(),
 	}
 	if st.Batches > 0 {
 		st.MeanBatch = float64(s.batchedReqs.Load()) / float64(st.Batches)
@@ -467,12 +406,6 @@ func (s *Scheduler) Stats() SchedulerStats {
 	}
 	return st
 }
-
-// Degraded reports whether the circuit breaker is open — the scheduler is
-// answering from the last-known-good snapshot instead of the primary batch
-// path. Readiness probes use it to report "degraded" distinctly from
-// "draining": a degraded daemon still answers.
-func (s *Scheduler) Degraded() bool { return s.brkOpen.Load() }
 
 // RetryAfterHint estimates how long a rejected client should wait before
 // retrying: the time the run slots need to clear what waits now. The waiting
@@ -488,21 +421,10 @@ func (s *Scheduler) RetryAfterHint() time.Duration {
 }
 
 // runBatch answers every group in sl's batch: expired ones with their
-// context error before anything runs, the rest from one EstimateBatch call
-// (or the run's failure, if the estimator errored — a panic fails only this
-// run's groups). The circuit breaker wraps the primary call:
-//
-//   - closed: runs go through normally; each failure increments a
-//     consecutive counter, and hitting BreakerFailures trips the breaker.
-//   - open, inside BreakerCooldown: the primary path is not even tried —
-//     every plan is answered from the last-known-good snapshot, one
-//     single-plan Estimate each, flagged degraded.
-//   - open, cooldown elapsed: the run is a half-open probe through the
-//     primary path. Success closes the breaker; failure re-arms the
-//     cooldown and the run falls back to degraded answers.
-//
-// A failing run with no fallback yet (no run ever succeeded) is answered
-// with its error — there is nothing stale-but-correct to serve.
+// context error before anything runs, the rest from one EstimateBatchInto
+// call — or, if the run fails (the estimator errors or panics), each with
+// the run's error. A failure fails exactly this run's groups; it leaves no
+// state behind, so the next run starts clean.
 func (s *Scheduler) runBatch(sl *runSlot, self *group) {
 	sl.live, sl.eps = sl.live[:0], sl.eps[:0]
 	for _, g := range sl.batch {
@@ -518,56 +440,18 @@ func (s *Scheduler) runBatch(sl *runSlot, self *group) {
 		return
 	}
 
-	probing := false
-	s.brkMu.Lock()
-	if s.brkOpen.Load() {
-		if s.now().Sub(s.lastTrip) < s.cfg.BreakerCooldown {
-			s.brkMu.Unlock()
-			s.serveDegraded(sl, self)
-			return
-		}
-		probing = true
-		s.probes.Add(1)
-	}
-	s.brkMu.Unlock()
-
 	start := time.Now()
-	ests, snap, err := s.estimateBatch(sl)
+	ests, version, epoch, gen, err := s.estimateBatch(sl)
 	s.busyNanos.Add(int64(time.Since(start)))
 	s.batches.Add(1)
 	s.batchedReqs.Add(uint64(len(sl.eps)))
 	if err != nil {
-		s.brkMu.Lock()
-		s.consecFails++
-		if probing {
-			s.lastTrip = s.now() // probe failed: re-arm the cooldown
-		} else if s.consecFails >= s.cfg.BreakerFailures && !s.brkOpen.Load() {
-			s.lastTrip = s.now()
-			s.trips.Add(1)
-			s.brkOpen.Store(true)
-		}
-		degrade := s.brkOpen.Load() && s.good != nil
-		s.brkMu.Unlock()
-		if degrade {
-			s.serveDegraded(sl, self)
-			return
-		}
 		for _, g := range sl.live {
 			s.failed.Add(uint64(len(g.eps)))
 			s.answer(g, self, err)
 		}
 		return
 	}
-
-	// Success: reset the breaker and retain this exact snapshot as the new
-	// last-known-good fallback.
-	version := snap.Version()
-	epoch, gen := snap.Coordinates()
-	s.brkMu.Lock()
-	s.consecFails = 0
-	s.brkOpen.Store(false)
-	s.rotateGood(snap)
-	s.brkMu.Unlock()
 	for _, g := range sl.live {
 		for i := range g.eps {
 			g.out[i] = Result{Cost: ests[i].Cost, Card: ests[i].Card, Version: version, Epoch: epoch, Generation: gen}
@@ -578,109 +462,28 @@ func (s *Scheduler) runBatch(sl *runSlot, self *group) {
 	}
 }
 
-// estimateBatch runs sl's live plans through the primary path against an
-// acquired snapshot, with one worker — the parallelism is across runs — and
-// returns the snapshot (still acquired — ownership passes to the caller) on
-// success. Panic recovery keeps one poisoned plan from failing anything but
-// its own run; the "serve.batch" fault hook is where chaos tests inject
-// estimator failures.
-func (s *Scheduler) estimateBatch(sl *runSlot) (ests []core.Estimate, snap *core.ModelSnapshot, err error) {
+// estimateBatch runs sl's live plans as one batch on the current snapshot,
+// with one worker — the parallelism is across runs — and returns the
+// estimates with the version and coordinates of the snapshot that answered.
+// Panic recovery turns a panic anywhere in the run into this run's error;
+// the "serve.batch" fault hook is where chaos tests inject estimator
+// failures.
+func (s *Scheduler) estimateBatch(sl *runSlot) (ests []core.Estimate, version, epoch, gen uint64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			if snap != nil {
-				s.srv.ReleaseSnapshot(snap)
-			}
 			s.panics.Add(1)
-			ests, snap, err = nil, nil, fmt.Errorf("serve: estimator panic: %v", p)
+			err = fmt.Errorf("serve: estimator panic: %v", p)
 		}
 	}()
 	if err := fault.Point(fault.SiteServeBatch); err != nil {
-		return nil, nil, err
+		return nil, 0, 0, 0, err
 	}
 	if len(sl.eps) > len(sl.res) {
 		sl.res = make([]core.Estimate, len(sl.eps)) // a group larger than MaxBatch
 	}
-	snap = s.srv.AcquireSnapshot()
 	// The slot's holder owns sl.res, and every estimate is copied out before
 	// the slot's next run reuses it, so the steady-state serve path stays
 	// allocation-free.
-	ests = s.srv.EstimateBatchInto(snap, sl.eps, sl.res[:len(sl.eps)])
-	return ests, snap, nil
-}
-
-// rotateGood makes snap the breaker's last-known-good fallback, taking
-// ownership of the caller's acquired reference, unless the fallback is
-// already that snapshot or a newer one (concurrent runs can finish out of
-// version order). The superseded fallback's reference goes back once no
-// degraded run reads it, so at most the snapshots in use are kept alive by
-// the breaker. Caller holds brkMu.
-func (s *Scheduler) rotateGood(snap *core.ModelSnapshot) {
-	if s.good != nil && snap.Version() <= s.good.snap.Version() {
-		s.srv.ReleaseSnapshot(snap) // nothing newer: drop the extra reference
-		return
-	}
-	if s.good != nil {
-		s.dropFallback(s.good)
-	}
-	s.good = &fallback{snap: snap, holds: 1}
-	s.goodVersion.Store(snap.Version())
-}
-
-// dropFallback lets go of one hold on f. Caller holds brkMu.
-func (s *Scheduler) dropFallback(f *fallback) {
-	if f.holds--; f.holds == 0 {
-		s.srv.ReleaseSnapshot(f.snap)
-	}
-}
-
-// serveDegraded answers every live group of sl from the last-known-good
-// snapshot: one single-plan Estimate per plan against the retained
-// snapshot's frozen weights — no batching, no pool, nothing shared with the
-// failing primary path — flagged degraded and stamped with the fallback
-// snapshot's version and coordinates, so each answer is still bit-identical to a single-threaded
-// evaluation of the version it reports. A plan that fails here fails its
-// whole group.
-func (s *Scheduler) serveDegraded(sl *runSlot, self *group) {
-	s.brkMu.Lock()
-	f := s.good
-	if f != nil {
-		f.holds++
-	}
-	s.brkMu.Unlock()
-	for _, g := range sl.live {
-		err := s.fallbackGroup(f, g)
-		if err != nil {
-			s.failed.Add(uint64(len(g.eps)))
-		} else {
-			s.served.Add(uint64(len(g.eps)))
-			s.degradedServed.Add(uint64(len(g.eps)))
-		}
-		s.answer(g, self, err)
-	}
-	if f != nil {
-		s.brkMu.Lock()
-		s.dropFallback(f)
-		s.brkMu.Unlock()
-	}
-}
-
-// fallbackGroup fills g's results from f with its own panic containment (a
-// poisoned plan fails its group alone, degraded mode survives).
-func (s *Scheduler) fallbackGroup(f *fallback, g *group) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.panics.Add(1)
-			err = fmt.Errorf("serve: degraded estimate panic: %v", p)
-		}
-	}()
-	if f == nil {
-		return errors.New("serve: degraded with no last-known-good snapshot")
-	}
-	m, version := f.snap.Model(), f.snap.Version()
-	epoch, gen := f.snap.Coordinates()
-	for i, ep := range g.eps {
-		cost, card := m.Estimate(ep)
-		g.out[i] = Result{Cost: cost, Card: card, Version: version, Epoch: epoch, Generation: gen, Degraded: true}
-	}
-	return nil
+	ests, version, epoch, gen = s.srv.EstimateBatchInto(sl.eps, sl.res[:len(sl.eps)])
+	return ests, version, epoch, gen, nil
 }

@@ -31,10 +31,10 @@ func TestAppendEstimatesMatchesWriteJSON(t *testing.T) {
 		ests = append(ests, wireEstimate{Cost: f, Card: floats[len(floats)-1-i], Version: uint64(i)})
 	}
 	ests = append(ests,
-		wireEstimate{Cost: 1, Card: 1, Version: math.MaxUint64, Epoch: 3, Generation: 17, Degraded: true},
+		wireEstimate{Cost: 1, Card: 1, Version: math.MaxUint64, Epoch: 3, Generation: 17},
 		wireEstimate{Cost: 1, Card: 1, Version: 1, Epoch: 3},
 		wireEstimate{Cost: 1, Card: 1, Version: 1, Generation: 17},
-		wireEstimate{Cost: 1, Card: 1, Version: 1, Degraded: true},
+		wireEstimate{Cost: 1, Card: 1, Version: 1},
 		wireEstimate{},
 	)
 	for _, c := range [][]wireEstimate{ests, ests[:1], ests[len(ests)-5 : len(ests)-4], {}} {
