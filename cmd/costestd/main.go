@@ -54,6 +54,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"io/fs"
 	"log"
 	"net"
@@ -352,7 +353,9 @@ func substrate(scale float64) (*dataset.DB, *stats.Catalog, *feature.Encoder) {
 // a model and, when path is set, saves it atomically for the next cold
 // start. A corrupt checkpoint with no loadable .prev copy is loud — it means
 // durable state was lost — but never fatal: the daemon retrains from the
-// workload instead of crash-looping on a bad file.
+// workload instead of crash-looping on a bad file. Training needs at least
+// one epoch; a boot that would train with fewer is an error, while a
+// checkpoint boot never trains and takes any epoch budget.
 func loadOrTrain(path string, enc *feature.Encoder, eps []*feature.EncodedPlan,
 	epochs, shards, patience int) (*core.Model, error) {
 	if path != "" {
@@ -366,6 +369,9 @@ func loadOrTrain(path string, enc *feature.Encoder, eps []*feature.EncodedPlan,
 		default:
 			log.Printf("costestd: CHECKPOINT UNRECOVERABLE, retraining from scratch: %v", err)
 		}
+	}
+	if epochs < 1 {
+		return nil, fmt.Errorf("-epochs %d: training needs at least one epoch", epochs)
 	}
 	cut := len(eps) * 4 / 5
 	train, valid := eps[:cut], eps[cut:]

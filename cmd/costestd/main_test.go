@@ -97,6 +97,28 @@ func TestLoadOrTrainRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadOrTrainRejectsZeroEpochs: a boot that must train with no epoch
+// budget is an error, not an index panic on an empty history; a boot that
+// cold-loads a checkpoint trains nothing and takes the same budget.
+func TestLoadOrTrainRejectsZeroEpochs(t *testing.T) {
+	_, eps := testCorpus(t, 404, 16)
+	path := filepath.Join(t.TempDir(), "model.ckpt")
+	for _, epochs := range []int{0, -1} {
+		if m, err := loadOrTrain(path, testEnc, eps, epochs, 1, 0); err == nil || m != nil {
+			t.Fatalf("epochs %d: got model %v, err %v; want an error", epochs, m != nil, err)
+		}
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused boot left a checkpoint behind: %v", err)
+	}
+	if _, err := loadOrTrain(path, testEnc, eps, 1, 1, 0); err != nil {
+		t.Fatalf("one-epoch boot: %v", err)
+	}
+	if m, err := loadOrTrain(path, testEnc, eps, 0, 1, 0); err != nil || m == nil {
+		t.Fatalf("checkpoint boot with -epochs 0: model %v, err %v", m != nil, err)
+	}
+}
+
 // TestLoadOrTrainCorruptCheckpointFallsBackToTraining: a corrupt checkpoint
 // with no loadable fallback must not crash-loop the daemon — it retrains
 // from the workload and overwrites the bad file with a good one.

@@ -163,7 +163,7 @@ func (srv *Server) SetPublishHook(h func(m *Model, version uint64) (epoch, gen u
 // the calling goroutine: call from the goroutine that trains m (between
 // optimizer steps), or with training otherwise quiesced. Concurrent serving
 // needs no quiescing — that is the point. Dirty tracking covers Adam steps,
-// ParamSet.DecodeGob and InitXavier; code that writes parameter values
+// ParamSet.DecodeGob; code that writes parameter values
 // directly must call nn.ParamSet.MarkAllUpdated first.
 func (srv *Server) PublishDelta(m *Model) *ModelSnapshot {
 	srv.pubMu.Lock()

@@ -21,14 +21,6 @@ type Column struct {
 	Strs []string
 }
 
-// Len returns the number of values.
-func (c *Column) Len() int {
-	if c.Type == schema.IntCol {
-		return len(c.Ints)
-	}
-	return len(c.Strs)
-}
-
 // Table is the materialized contents of one table. Rows are addressed by
 // dense indices 0..NumRows-1; primary keys are the contiguous ids 1..NumRows,
 // so the PK index is the identity mapping (id-1 == row index).

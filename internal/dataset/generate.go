@@ -13,9 +13,6 @@ type Config struct {
 	Scale float64 // 1.0 ≈ 330k total rows; tests use much smaller scales
 }
 
-// DefaultConfig is the full-size generation configuration.
-func DefaultConfig() Config { return Config{Seed: 1, Scale: 1.0} }
-
 // Fixed dimension-table vocabularies. These include the exact literals the
 // paper's running examples use so the string-embedding pipeline sees the same
 // predicate families ("production companies", "top 250 rank", ...).

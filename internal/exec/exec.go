@@ -152,16 +152,6 @@ func NewEngine(db *dataset.DB) *Engine {
 	return e
 }
 
-// HasIndex reports whether an index (PK or secondary) exists on
-// table.column.
-func (e *Engine) HasIndex(table, column string) bool {
-	if e.DB.Schema.Table(table) != nil && e.DB.Schema.Table(table).PrimaryKey == column {
-		return e.DB.Schema.IndexOn(table, column) != nil
-	}
-	_, ok := e.secondary[table+"."+column]
-	return ok
-}
-
 // Run executes the plan rooted at root, annotating every node with TrueRows
 // and cumulative TrueCost, and returns the root result.
 func (e *Engine) Run(root *plan.Node) (*Relation, error) {

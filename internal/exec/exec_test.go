@@ -279,18 +279,6 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
-func TestHasIndex(t *testing.T) {
-	if !testEng.HasIndex("title", "id") {
-		t.Error("PK index missing")
-	}
-	if !testEng.HasIndex("movie_companies", "movie_id") {
-		t.Error("secondary FK index missing")
-	}
-	if testEng.HasIndex("title", "production_year") {
-		t.Error("unexpected index on production_year")
-	}
-}
-
 func TestCountersCost(t *testing.T) {
 	var c Counters
 	base := c.Cost()

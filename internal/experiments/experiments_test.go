@@ -7,6 +7,7 @@ import (
 
 	"costest/internal/query"
 	"costest/internal/sqlpred"
+	"costest/internal/strembed"
 	"costest/internal/workload"
 )
 
@@ -197,6 +198,34 @@ func TestCollectWorkloadStrings(t *testing.T) {
 	}
 	if kinds["prefix"] != 1 { // MatchPrefix
 		t.Errorf("Din kind = %d", kinds["prefix"])
+	}
+
+	// One literal used both as an equality and as a prefix pattern is two
+	// workload strings: the dedupe key includes the match kind.
+	q2 := &query.Query{
+		Tables: []string{"title"},
+		Filters: map[string]sqlpred.Pred{
+			"title": sqlpred.OrAll(
+				&sqlpred.Atom{Table: "title", Column: "title", Op: sqlpred.OpEq,
+					StrVal: "Dark", IsStr: true},
+				&sqlpred.Atom{Table: "title", Column: "title", Op: sqlpred.OpLike,
+					StrVal: "Dark%", IsStr: true},
+			),
+		},
+	}
+	ws = CollectWorkloadStrings([]*query.Query{q2})
+	if len(ws) != 2 {
+		t.Fatalf("same literal under = and LIKE: collected %v, want two entries", ws)
+	}
+	got := map[strembed.MatchKind]bool{}
+	for _, w := range ws {
+		if w.S != "Dark" {
+			t.Fatalf("collected %q, want %q", w.S, "Dark")
+		}
+		got[w.Kind] = true
+	}
+	if !got[strembed.MatchExact] || !got[strembed.MatchPrefix] {
+		t.Fatalf("match kinds %v, want exact and prefix", got)
 	}
 	_ = workload.JOBFullSize
 }

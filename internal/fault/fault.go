@@ -203,9 +203,6 @@ func Enable(inj *Injector) { active.Store(inj) }
 // Disable removes the installed injector; hook points return to no-ops.
 func Disable() { active.Store(nil) }
 
-// Enabled reports whether an injector is installed.
-func Enabled() bool { return active.Load() != nil }
-
 // Point is the hook production code places at a failure-prone operation:
 // it returns an injected error, sleeps, panics, or crashes when an installed
 // rule fires, and is a single atomic load returning nil when no injector is

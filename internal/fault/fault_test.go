@@ -13,9 +13,6 @@ import (
 // production cost of carrying the hooks.
 func TestDisabledIsNoOp(t *testing.T) {
 	Disable()
-	if Enabled() {
-		t.Fatal("Enabled() true with no injector installed")
-	}
 	if err := Point("anything"); err != nil {
 		t.Fatalf("disabled Point returned %v", err)
 	}

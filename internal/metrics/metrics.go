@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"costest/internal/tensor"
 )
@@ -183,18 +182,4 @@ func GeoMean(vals []float64) float64 {
 		return 0
 	}
 	return math.Exp(sum / float64(n))
-}
-
-// FormatTable joins header and rows for terminal output.
-func FormatTable(title, label string, rows []string) string {
-	var b strings.Builder
-	b.WriteString(title)
-	b.WriteByte('\n')
-	b.WriteString(Header(label))
-	b.WriteByte('\n')
-	for _, r := range rows {
-		b.WriteString(r)
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

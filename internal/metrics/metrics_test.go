@@ -121,10 +121,3 @@ func TestGeoMean(t *testing.T) {
 		t.Fatal("empty geomean should be 0")
 	}
 }
-
-func TestFormatTable(t *testing.T) {
-	out := FormatTable("Table 7", "JOB-light", []string{"row1", "row2"})
-	if !strings.Contains(out, "Table 7") || !strings.Contains(out, "row2") {
-		t.Fatal("table formatting wrong")
-	}
-}

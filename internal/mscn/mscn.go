@@ -25,11 +25,6 @@ type Config struct {
 	Seed         int64
 }
 
-// DefaultConfig mirrors the published MSCN setup at reduced width.
-func DefaultConfig() Config {
-	return Config{Hidden: 64, SampleBitmap: true, LearnRate: 0.001, GradClip: 5, Seed: 1}
-}
-
 // Features is one query's set-structured featurization.
 type Features struct {
 	Tables [][]float64

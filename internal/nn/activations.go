@@ -41,10 +41,3 @@ func SigmoidBackwardInPlace(d, y tensor.Vec) {
 		d[i] *= y[i] * (1 - y[i])
 	}
 }
-
-// Tanh computes dst = tanh(x) elementwise.
-func Tanh(dst, x tensor.Vec) {
-	for i, v := range x {
-		dst[i] = math.Tanh(v)
-	}
-}

@@ -370,10 +370,6 @@ func TestActivations(t *testing.T) {
 	if math.Abs(y[0]-0.5) > 1e-12 || y[1] < 0.999 || y[2] > 0.001 {
 		t.Fatalf("Sigmoid = %v", y)
 	}
-	Tanh(y, tensor.Vec{0, 10, -10})
-	if y[0] != 0 || y[1] < 0.999 || y[2] > -0.999 {
-		t.Fatalf("Tanh = %v", y)
-	}
 }
 
 // TestParamSetLoadValidation pins the DecodeGob hardening: count mismatches,
@@ -457,7 +453,7 @@ func TestParamSetLoadValidation(t *testing.T) {
 
 // TestDirtyStamps pins the delta-publication substrate: parameters are
 // stamped at registration and re-stamped by every tracked mutation (Adam
-// step, DecodeGob, InitXavier, MarkAllUpdated), while parameters an optimizer
+// step, DecodeGob, MarkAllUpdated), while parameters an optimizer
 // step provably does not move keep their stamp.
 func TestDirtyStamps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -505,7 +501,7 @@ func TestDirtyStamps(t *testing.T) {
 		t.Fatal("live parameter did not move on zero-gradient step (moment decay)")
 	}
 
-	// DecodeGob and InitXavier stamp everything they touch.
+	// DecodeGob stamps everything it touches.
 	var buf bytes.Buffer
 	if err := ps.EncodeGob(gob.NewEncoder(&buf)); err != nil {
 		t.Fatal(err)
@@ -516,11 +512,6 @@ func TestDirtyStamps(t *testing.T) {
 	}
 	if lb.W.Stamp() <= st {
 		t.Fatal("DecodeGob did not stamp parameters")
-	}
-	st = lb.W.Stamp()
-	ps.InitXavier(rng)
-	if lb.W.Stamp() <= st {
-		t.Fatal("InitXavier did not stamp parameters")
 	}
 	st = lb.W.Stamp()
 	ps.MarkAllUpdated()

@@ -10,7 +10,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"costest/internal/tensor"
 )
@@ -26,7 +25,7 @@ type Param struct {
 
 	// stamp is the owning ParamSet's clock value at the last mutation of
 	// Value through a tracked path (registration, Adam step, DecodeGob,
-	// InitXavier, MarkAllUpdated) — the substrate of delta publication:
+	// MarkAllUpdated) — the substrate of delta publication:
 	// a consumer that recorded a param's stamp can tell whether the values
 	// moved since. Code that writes Value directly (tests, ad-hoc surgery)
 	// must call ParamSet.MarkAllUpdated afterwards or delta consumers will
@@ -65,8 +64,8 @@ type ParamSet struct {
 	byName map[string]*Param
 
 	// clock is a logical mutation counter: every tracked write to parameter
-	// values (registration, an Adam step, DecodeGob, InitXavier,
-	// MarkAllUpdated) advances it once and stamps the touched parameters
+	// values (registration, an Adam step, DecodeGob, MarkAllUpdated)
+	// advances it once and stamps the touched parameters
 	// with the new value. Delta publication compares stamps against a
 	// recorded clock to copy only the parameters that moved.
 	clock uint64
@@ -82,8 +81,8 @@ func (ps *ParamSet) tick() uint64 {
 }
 
 // MarkAllUpdated stamps every parameter as mutated at a fresh clock value.
-// Call it after writing parameter values directly (bypassing Adam, DecodeGob
-// and InitXavier) so delta consumers see the change.
+// Call it after writing parameter values directly (bypassing Adam and
+// DecodeGob) so delta consumers see the change.
 func (ps *ParamSet) MarkAllUpdated() {
 	t := ps.tick()
 	for _, p := range ps.params {
@@ -288,20 +287,4 @@ func (ps *ParamSet) loadBlobs(blobs []paramBlob) error {
 		p.stamp = t
 	}
 	return nil
-}
-
-// InitXavier applies Xavier initialization to every matrix parameter and
-// zeroes every vector (bias) parameter.
-func (ps *ParamSet) InitXavier(rng *rand.Rand) {
-	t := ps.tick()
-	for _, p := range ps.params {
-		if p.Cols > 1 {
-			p.Mat().XavierInit(rng)
-		} else {
-			for i := range p.Value {
-				p.Value[i] = 0
-			}
-		}
-		p.stamp = t
-	}
 }

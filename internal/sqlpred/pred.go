@@ -1,7 +1,7 @@
 // Package sqlpred defines filter-predicate ASTs — atomic comparisons over
 // numeric and string columns combined with AND/OR — together with their
-// evaluation and the depth-first linearization used by the feature encoder
-// (Figure 4 of the paper).
+// evaluation. The feature encoder walks the tree itself (§4.2 of the paper),
+// so no linearized sequence is ever built.
 package sqlpred
 
 import (
@@ -93,20 +93,6 @@ type Bool struct {
 func (*Bool) isPred() {}
 
 func (b *Bool) String() string { return fmt.Sprintf("(%s %s %s)", b.Left, b.Kind, b.Right) }
-
-// Tables returns the distinct table names referenced by p, in first-seen
-// order.
-func Tables(p Pred) []string {
-	var out []string
-	seen := map[string]bool{}
-	Walk(p, func(a *Atom) {
-		if !seen[a.Table] {
-			seen[a.Table] = true
-			out = append(out, a.Table)
-		}
-	})
-	return out
-}
 
 // Walk visits every atom of p in DFS (left-to-right) order.
 func Walk(p Pred, f func(*Atom)) {

@@ -284,115 +284,11 @@ func TestTablesAndCounts(t *testing.T) {
 		atomNum("a", "x", OpGt, 1),
 		OrAll(atomNum("b", "y", OpLt, 2), atomNum("a", "z", OpEq, 3)),
 	)
-	tabs := Tables(p)
-	if len(tabs) != 2 || tabs[0] != "a" || tabs[1] != "b" {
-		t.Fatalf("Tables = %v", tabs)
-	}
 	if CountAtoms(p) != 3 {
 		t.Fatalf("CountAtoms = %d", CountAtoms(p))
 	}
 	if Depth(p) != 3 {
 		t.Fatalf("Depth = %d", Depth(p))
-	}
-}
-
-// randPred builds a random predicate tree of the given depth budget.
-func randPred(rng *rand.Rand, depth int) Pred {
-	if depth <= 0 || rng.Intn(3) == 0 {
-		if rng.Intn(2) == 0 {
-			return atomNum("t", "c", Op(rng.Intn(6)), float64(rng.Intn(100)))
-		}
-		return atomStr("t", "s", OpLike, "%v%")
-	}
-	kind := And
-	if rng.Intn(2) == 0 {
-		kind = Or
-	}
-	return &Bool{Kind: kind, Left: randPred(rng, depth-1), Right: randPred(rng, depth-1)}
-}
-
-func predEqual(a, b Pred) bool {
-	switch x := a.(type) {
-	case *Atom:
-		y, ok := b.(*Atom)
-		return ok && x.String() == y.String()
-	case *Bool:
-		y, ok := b.(*Bool)
-		return ok && x.Kind == y.Kind && predEqual(x.Left, y.Left) && predEqual(x.Right, y.Right)
-	case nil:
-		return b == nil
-	}
-	return false
-}
-
-// Property: DFS linearization round-trips (the paper's one-to-one mapping).
-func TestDFSRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := randPred(rng, 1+rng.Intn(4))
-		seq := Linearize(p)
-		back, ok := Delinearize(seq)
-		return ok && predEqual(p, back)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: distinct trees produce distinct sequences (injective mapping).
-func TestDFSInjectiveOnStructure(t *testing.T) {
-	a := atomNum("t", "c", OpEq, 1)
-	b := atomNum("t", "c", OpEq, 2)
-	c := atomNum("t", "c", OpEq, 3)
-	// (a AND b) AND c vs a AND (b AND c) — same atom multiset, different shape.
-	p1 := &Bool{Kind: And, Left: &Bool{Kind: And, Left: a, Right: b}, Right: c}
-	p2 := &Bool{Kind: And, Left: a, Right: &Bool{Kind: And, Left: b, Right: c}}
-	s1, s2 := Linearize(p1), Linearize(p2)
-	same := len(s1) == len(s2)
-	if same {
-		for i := range s1 {
-			if s1[i].Kind != s2[i].Kind || (s1[i].Kind == DFSAtom && s1[i].Atom != s2[i].Atom) {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatal("different tree shapes produced identical DFS sequences")
-	}
-}
-
-func TestLinearizeMatchesFigure4Shape(t *testing.T) {
-	// Figure 4: AND(OR(AND(p1,p2), AND(p3,p4)), p5) linearizes to
-	// AND OR AND p1 _ p2 _ _ AND p3 _ p4 _ _ _ p5 _ (with _ = padding).
-	p1 := atomNum("t", "season_nr", OpGt, 4)
-	p2 := atomNum("t", "season_nr", OpLt, 12)
-	p3 := atomNum("t", "season_nr", OpLt, 4)
-	p4 := atomNum("t", "episode_nr", OpGt, 37)
-	p5 := atomNum("t", "production_year", OpGt, 1922)
-	tree := &Bool{Kind: And,
-		Left: &Bool{Kind: Or,
-			Left:  &Bool{Kind: And, Left: p1, Right: p2},
-			Right: &Bool{Kind: And, Left: p3, Right: p4},
-		},
-		Right: p5,
-	}
-	seq := Linearize(tree)
-	kinds := make([]DFSKind, len(seq))
-	for i, n := range seq {
-		kinds[i] = n.Kind
-	}
-	want := []DFSKind{
-		DFSBool, DFSBool, DFSBool, DFSAtom, DFSPad, DFSAtom, DFSPad, DFSPad,
-		DFSBool, DFSAtom, DFSPad, DFSAtom, DFSPad, DFSPad, DFSPad, DFSAtom, DFSPad,
-	}
-	if len(kinds) != len(want) {
-		t.Fatalf("sequence length %d, want %d: %v", len(kinds), len(want), kinds)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("position %d kind %v, want %v", i, kinds[i], want[i])
-		}
 	}
 }
 

@@ -69,29 +69,6 @@ type StrHistogram struct {
 	Bounds []string
 }
 
-// SelLess estimates P(col < v) lexicographically.
-func (h *StrHistogram) SelLess(v string) float64 {
-	b := h.Bounds
-	if len(b) < 2 {
-		return 0.5
-	}
-	if v <= b[0] {
-		return 0
-	}
-	if v > b[len(b)-1] {
-		return 1
-	}
-	i := sort.SearchStrings(b, v)
-	if i > 0 {
-		i--
-	}
-	if i >= len(b)-1 {
-		i = len(b) - 2
-	}
-	nb := float64(len(b) - 1)
-	return (float64(i) + 0.5) / nb
-}
-
 // ColumnStats holds statistics for a single column.
 type ColumnStats struct {
 	Table, Column string

@@ -300,24 +300,6 @@ func patternCore(pattern string) (core string, prefixWild, suffixWild bool) {
 	return best, bestIdx > 0, bestIdx < len(parts)-1
 }
 
-// EmbedMany averages the embeddings of several strings (IN lists).
-func (e *Embedder) EmbedMany(values []string) []float64 {
-	out := make([]float64, e.dim)
-	if len(values) == 0 {
-		return out
-	}
-	for _, v := range values {
-		vec := e.Embed(v)
-		for i := range out {
-			out[i] += vec[i]
-		}
-	}
-	for i := range out {
-		out[i] /= float64(len(values))
-	}
-	return out
-}
-
 // PatternParts exposes LIKE-pattern analysis: the longest literal segment
 // and whether a wildcard precedes/follows it.
 func PatternParts(pattern string) (core string, prefixWild, suffixWild bool) {

@@ -32,20 +32,6 @@ func (h HashEmbedder) Embed(pattern string) []float64 {
 	return out
 }
 
-// EmbedMany ORs the bitmaps of several strings (IN lists).
-func (h HashEmbedder) EmbedMany(values []string) []float64 {
-	out := make([]float64, h.DimN)
-	for _, v := range values {
-		b := h.Embed(v)
-		for i := range out {
-			if b[i] == 1 {
-				out[i] = 1
-			}
-		}
-	}
-	return out
-}
-
 // ZeroEncoder embeds every string as an empty vector; numeric-only
 // experiments use it so the atom encoding carries no string dimensions.
 type ZeroEncoder struct{}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 )
 
 // Vec is a dense float64 vector.
@@ -62,14 +61,6 @@ func (m *Mat) XavierInit(rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / float64(m.Rows+m.Cols))
 	for i := range m.Data {
 		m.Data[i] = (rng.Float64()*2 - 1) * limit
-	}
-}
-
-// KaimingInit fills m with scaled normal init suited to ReLU layers.
-func (m *Mat) KaimingInit(rng *rand.Rand) {
-	std := math.Sqrt(2.0 / float64(m.Cols))
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64() * std
 	}
 }
 
@@ -163,16 +154,6 @@ func AddTo(dst, src Vec) {
 	}
 }
 
-// AddScaled computes dst += alpha*src elementwise.
-func AddScaled(dst Vec, alpha float64, src Vec) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("tensor: AddScaled length mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i, v := range src {
-		dst[i] += alpha * v
-	}
-}
-
 // AddVecsInto accumulates dst += Σ srcs[k] elementwise. Each destination
 // element is summed in strict left-to-right source order —
 // ((dst[i] + srcs[0][i]) + srcs[1][i]) + … — so the result is a function of
@@ -208,16 +189,6 @@ func AddVecsInto(dst Vec, srcs ...Vec) {
 func Scale(dst Vec, alpha float64) {
 	for i := range dst {
 		dst[i] *= alpha
-	}
-}
-
-// MulTo computes dst *= src elementwise (Hadamard product).
-func MulTo(dst, src Vec) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("tensor: MulTo length mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i, v := range src {
-		dst[i] *= v
 	}
 }
 
@@ -305,15 +276,6 @@ func axpyKernel(alpha float64, x, y Vec) {
 	}
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v Vec) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // Mean computes dst = (a+b)/2 elementwise.
 func Mean(dst, a, b Vec) {
 	if len(dst) != len(a) || len(a) != len(b) {
@@ -332,52 +294,6 @@ func MinInto(dst, a, b Vec) {
 	for i := range dst {
 		dst[i] = math.Min(a[i], b[i])
 	}
-}
-
-// nzScratch recycles the zero-row bitmaps MatMulInto uses to skip sparse
-// feature rows, keeping the kernel allocation-free at steady state.
-var nzScratch = sync.Pool{New: func() any { return new([]bool) }}
-
-// MatMulInto computes dst = a * b for row-major matrices (a: m×k, b: k×n,
-// dst: m×n), overwriting dst. The ikj loop order streams b's rows, which is
-// what makes level-batched evaluation beat repeated MatVec calls.
-func MatMulInto(dst, a, b *Mat) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch: a %dx%d, b %dx%d, dst %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	dst.Zero()
-	// Feature rows of b that are entirely zero (common for sparse one-hot
-	// inputs) contribute nothing; skip them wholesale. The bitmap comes from
-	// a pool so repeated calls don't allocate.
-	nzp := nzScratch.Get().(*[]bool)
-	nz := *nzp
-	if cap(nz) < b.Rows {
-		nz = make([]bool, b.Rows)
-	}
-	nz = nz[:b.Rows]
-	for l := 0; l < b.Rows; l++ {
-		nz[l] = false
-		row := b.Data[l*b.Cols : (l+1)*b.Cols]
-		for _, v := range row {
-			if v != 0 {
-				nz[l] = true
-				break
-			}
-		}
-	}
-	for i := 0; i < a.Rows; i++ {
-		aRow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		dRow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for l, av := range aRow {
-			if av == 0 || !nz[l] {
-				continue
-			}
-			axpyKernel(av, b.Data[l*b.Cols:(l+1)*b.Cols], dRow)
-		}
-	}
-	*nzp = nz
-	nzScratch.Put(nzp)
 }
 
 // AddColumn accumulates dst += scale * column j of m (dst length m.Rows).

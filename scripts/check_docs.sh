@@ -8,6 +8,12 @@
 #     `BENCH_INFERENCE.json`. Bare filename shorthand (`pool.go` inside a
 #     paragraph about internal/core) and non-path notation (`hash/maphash`,
 #     `dR/2`) are deliberately not checked.
+# It also checks the commands that README.md / ARCHITECTURE.md and the verify
+# notes (.claude/skills/verify/SKILL.md) tell a reader to run:
+#   - every `go run ./<dir>` names a directory holding Go files;
+#   - every `costest <subcommand>` invoked as a command (after a `/`, a
+#     backtick or at the start of a line) is one cmd/costest's main switch
+#     accepts.
 # Run from the repository root: scripts/check_docs.sh
 set -eu
 
@@ -36,6 +42,31 @@ for doc in README.md ARCHITECTURE.md PERFORMANCE.md; do
             echo "$doc references missing path: $ref"
             status=1
         fi
+    done
+done
+
+# Entry-point references: a deleted command or subcommand must leave the
+# docs with it.
+subcommands=" $(sed -n '/switch os.Args\[1\]/,/^	}/p' cmd/costest/main.go |
+    grep -oE 'case "[^"]+"' | sed -E 's/case "(.*)"/\1/' | tr '\n' ' ')"
+for doc in README.md ARCHITECTURE.md .claude/skills/verify/SKILL.md; do
+    [ -f "$doc" ] || { echo "check_docs: missing $doc"; status=1; continue; }
+    for dir in $(grep -oE 'go run +\./[A-Za-z0-9_./-]*[A-Za-z0-9_]' "$doc" |
+        sed -E 's/^go run +//' | sort -u); do
+        if ! ls "$dir"/*.go >/dev/null 2>&1; then
+            echo "$doc runs a missing command: go run $dir"
+            status=1
+        fi
+    done
+    for sub in $(grep -oE '(^|[/`])costest [a-z][a-z-]*' "$doc" |
+        sed -E 's/^.*costest //' | sort -u); do
+        case "$subcommands" in
+        *" $sub "*) ;;
+        *)
+            echo "$doc invokes an unknown subcommand: costest $sub (cmd/costest accepts:$subcommands)"
+            status=1
+            ;;
+        esac
     done
 done
 
