@@ -16,17 +16,21 @@
 //	BenchmarkFigure9     error-distribution boxes
 //	BenchmarkFigure10    estimated-vs-real cost quartiles
 //	BenchmarkTable12_*   per-query estimation latency (the real timed loops)
-//	BenchmarkAblation_*  design-choice ablations from DESIGN.md
+//	BenchmarkAblations   README's design-ablation table (5 seeds per pair)
 package costest_test
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"costest/internal/core"
 	"costest/internal/experiments"
 	"costest/internal/feature"
+	"costest/internal/metrics"
 	"costest/internal/mscn"
+	"costest/internal/nn"
 	"costest/internal/strembed"
 	"costest/internal/workload"
 )
@@ -338,14 +342,15 @@ func BenchmarkMemoryPoolWarm(b *testing.B) {
 	b.ReportMetric(pool.HitRate()*100, "hit%")
 }
 
-// ---- Ablations (design choices called out in DESIGN.md) ----
+// ---- Design ablations (README "Design ablations") ----
 
-// ablationFixture trains small models under different single design
-// changes and reports final validation q-errors.
-func ablationTrain(b *testing.B, mutate func(*core.Config)) (costQ, cardQ float64) {
+// ablationTrain trains a small model on seed's workload and initialization
+// under one design change and returns its last-epoch validation q-errors per
+// head.
+func ablationTrain(b *testing.B, seed int64, mutate func(*core.Config)) (cost, card metrics.Summary) {
 	b.Helper()
 	e := env()
-	qs := workload.TrainingStrings(e.DB, 321, 150)
+	qs := workload.TrainingStrings(e.DB, 320+seed, 150)
 	samples := e.Labeler.Label(qs)
 	train, valid := workload.Split(samples, 0.85)
 	enc := feature.NewEncoder(e.Cat, strembed.HashEmbedder{DimN: e.Cfg.StrDim}, true)
@@ -353,6 +358,7 @@ func ablationTrain(b *testing.B, mutate func(*core.Config)) (costQ, cardQ float6
 	cfg.Hidden, cfg.EstHidden = 16, 8
 	cfg.OpEmbed, cfg.MetaEmbed, cfg.BitmapEmbed, cfg.PredEmbed = 8, 8, 8, 8
 	cfg.LearnRate = 0.005
+	cfg.Seed = seed
 	mutate(&cfg)
 	model := core.New(cfg, enc)
 	var trE, vaE []*feature.EncodedPlan
@@ -372,55 +378,48 @@ func ablationTrain(b *testing.B, mutate func(*core.Config)) (costQ, cardQ float6
 	}
 	pt := core.NewParallelTrainer(model, 1)
 	defer pt.Close()
-	hist := pt.Fit(trE, vaE, 6, 16, 1, nil)
-	last := hist[len(hist)-1]
-	return last.ValidCost, last.ValidCard
-}
-
-func BenchmarkAblation_LossQError(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cost, card := ablationTrain(b, func(c *core.Config) { c.UseQError = true })
-		b.ReportMetric(cost, "valid_cost_q")
-		b.ReportMetric(card, "valid_card_q")
+	pt.Fit(trE, vaE, 6, 16, 1, nil)
+	var costQ, cardQ []float64
+	for i, est := range model.EstimateBatch(vaE) {
+		costQ = append(costQ, nn.QError(est.Cost, vaE[i].Cost, nn.CostFloor))
+		cardQ = append(cardQ, nn.QError(est.Card, vaE[i].Card, nn.CardFloor))
 	}
+	return metrics.Summarize(costQ), metrics.Summarize(cardQ)
 }
 
-func BenchmarkAblation_LossMSLE(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cost, card := ablationTrain(b, func(c *core.Config) { c.UseQError = false })
-		b.ReportMetric(cost, "valid_cost_q")
-		b.ReportMetric(card, "valid_card_q")
+// BenchmarkAblations trains each design pair — the paper's setting against
+// its alternative — on seeds 1-5 and logs README's "Design ablations" table:
+// per seed, each head's mean and p95 validation q-error as default /
+// alternative. A seed goes to the setting with the lower product of the two
+// heads' means (each head's relative error counts equally); the
+// alternative's code goes only where the default wins at least 4 of 5 seeds.
+func BenchmarkAblations(b *testing.B) {
+	pairs := []struct {
+		key, name string
+		def, alt  func(*core.Config)
+	}{
+		{"loss", "loss: q-error / MSLE", func(c *core.Config) { c.UseQError = true }, func(c *core.Config) { c.UseQError = false }},
+		{"pooling", "predicates: min-max / mean pooling", func(c *core.Config) { c.Pred = core.PredPool }, func(c *core.Config) { c.Pred = core.PredPoolMean }},
+		{"supervision", "supervision: every node / root only", func(c *core.Config) { c.SubplanLoss = true }, func(c *core.Config) { c.SubplanLoss = false }},
 	}
-}
-
-func BenchmarkAblation_MinMaxPooling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cost, card := ablationTrain(b, func(c *core.Config) { c.Pred = core.PredPool })
-		b.ReportMetric(cost, "valid_cost_q")
-		b.ReportMetric(card, "valid_card_q")
-	}
-}
-
-func BenchmarkAblation_MeanPooling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cost, card := ablationTrain(b, func(c *core.Config) { c.Pred = core.PredPoolMean })
-		b.ReportMetric(cost, "valid_cost_q")
-		b.ReportMetric(card, "valid_card_q")
-	}
-}
-
-func BenchmarkAblation_SubplanLossOn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cost, card := ablationTrain(b, func(c *core.Config) { c.SubplanLoss = true })
-		b.ReportMetric(cost, "valid_cost_q")
-		b.ReportMetric(card, "valid_card_q")
-	}
-}
-
-func BenchmarkAblation_SubplanLossOff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cost, card := ablationTrain(b, func(c *core.Config) { c.SubplanLoss = false })
-		b.ReportMetric(cost, "valid_cost_q")
-		b.ReportMetric(card, "valid_card_q")
+		var t strings.Builder
+		t.WriteString("\n| pair | seed | cost mean | cost p95 | card mean | card p95 | seed won by |\n|---|---|---|---|---|---|---|\n")
+		for _, p := range pairs {
+			wins := 0
+			for seed := int64(1); seed <= 5; seed++ {
+				dc, dd := ablationTrain(b, seed, p.def)
+				ac, ad := ablationTrain(b, seed, p.alt)
+				won := "alternative"
+				if dc.Mean*dd.Mean < ac.Mean*ad.Mean {
+					won = "default"
+					wins++
+				}
+				fmt.Fprintf(&t, "| %s | %d | %.4g / %.4g | %.4g / %.4g | %.4g / %.4g | %.4g / %.4g | %s |\n",
+					p.name, seed, dc.Mean, ac.Mean, dc.P95, ac.P95, dd.Mean, ad.Mean, dd.P95, ad.P95, won)
+			}
+			b.ReportMetric(float64(wins), "default_wins:"+p.key)
+		}
+		b.Log(t.String())
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"costest/internal/exec"
 	"costest/internal/fault"
 	"costest/internal/feature"
+	"costest/internal/nn"
 	"costest/internal/pg"
 	"costest/internal/plan"
 	"costest/internal/planner"
@@ -116,6 +117,28 @@ func TestLoadOrTrainRejectsZeroEpochs(t *testing.T) {
 	}
 	if m, err := loadOrTrain(path, testEnc, eps, 0, 1, 0); err != nil || m == nil {
 		t.Fatalf("checkpoint boot with -epochs 0: model %v, err %v", m != nil, err)
+	}
+}
+
+// TestNoTrueCostIsFloored: the cost head's q-error floor sits below every
+// node's true cost in the daemon's default training corpus, so the loss, the
+// normalizer and validation see each sub-millisecond plan's real error.
+func TestNoTrueCostIsFloored(t *testing.T) {
+	var o options
+	if err := newFlagSet(&o).Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	db, cat, _ := substrate(o.scale)
+	lab := &workload.Labeler{Planner: planner.New(pg.New(cat), db.Schema), Engine: exec.NewEngine(db)}
+	nodes, cheapest := 0, math.Inf(1)
+	for _, s := range lab.Label(workload.TrainingNumeric(db, o.seed, o.queries)) {
+		s.Plan.Walk(func(n *plan.Node) {
+			nodes++
+			cheapest = math.Min(cheapest, n.TrueCost)
+		})
+	}
+	if nodes == 0 || cheapest < nn.CostFloor {
+		t.Fatalf("cheapest of %d nodes costs %g ms, below the %g ms cost floor", nodes, cheapest, nn.CostFloor)
 	}
 }
 

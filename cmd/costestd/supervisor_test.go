@@ -14,6 +14,7 @@ import (
 
 	"costest/internal/core"
 	"costest/internal/fault"
+	"costest/internal/nn"
 	"costest/internal/serve"
 )
 
@@ -28,6 +29,18 @@ func waitFor(tb testing.TB, what string, cond func() bool) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// param returns the model parameter called name.
+func param(tb testing.TB, ps *nn.ParamSet, name string) *nn.Param {
+	tb.Helper()
+	for _, p := range ps.Params() {
+		if p.Name == name {
+			return p
+		}
+	}
+	tb.Fatalf("no parameter %q", name)
+	return nil
 }
 
 // TestSupervisorPanicRecoveryBackoffThenPublish: injected retrain panics are
@@ -173,7 +186,7 @@ func TestSupervisorRefusesNonFiniteCandidate(t *testing.T) {
 
 		// Poison one weight on the cost head's path; stamp it so a delta
 		// publish would carry it.
-		tr.M.PS.Get("est.cost.h.W").Value[0] = math.NaN()
+		param(t, tr.M.PS, "est.cost.h.W").Value[0] = math.NaN()
 		tr.M.PS.MarkAllUpdated()
 
 		ctx, cancel := context.WithCancel(context.Background())
@@ -222,7 +235,7 @@ func TestSupervisorCountsRefusedPublication(t *testing.T) {
 	sup.logf = t.Logf
 	v0 := srv.Version()
 
-	tr.M.PS.Get("embed.op.B").Value[0] = math.Inf(-1)
+	param(t, tr.M.PS, "embed.op.B").Value[0] = math.Inf(-1)
 	tr.M.PS.MarkAllUpdated()
 
 	ctx, cancel := context.WithCancel(context.Background())

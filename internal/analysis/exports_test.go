@@ -17,6 +17,7 @@ var exportAllowlist = map[string]string{
 	"(*costest/internal/serve.WirePlan).Decode":     "bench/costload's replay decodes request bodies with it",
 	"(*costest/internal/serve.Scheduler).Submit":    "bench/costload's replay submits plans through it",
 	"(*costest/internal/core.Server).EstimateBatch": "bench/costload's replay evaluates batches through it",
+	"costest/internal/tensor.NewMat":                "bench/costload builds its kernel-timing matrices with it",
 
 	// Oracles and validators of the test suites.
 	"(*costest/internal/stats.Catalog).TrueSelectivity":    "selectivity tests compare estimates with an exact table scan",
@@ -32,24 +33,10 @@ var exportAllowlist = map[string]string{
 	"costest/internal/fault.Calls":                         "fault, scheduler and chaos tests count hook-point calls",
 	"costest/internal/fault.SiteExamples":                  "the fault-site registry test checks every site has an example",
 
-	// Test aids: builders, accessors and checkers that several test suites
-	// share.
-	"costest/internal/plan/plantest.CheckIDs":        "the plan.ID partition check of the plan, feature and serve tests",
-	"costest/internal/sqlpred.OrAll":                 "sqlpred, stats, feature and experiments tests build OR trees with it",
-	"costest/internal/sqlpred.Depth":                 "predicate tests check tree shape with it",
-	"(*costest/internal/plan.Node).Count":            "plan, exec, feature and serve tests size plans with it",
-	"(*costest/internal/plan.Node).Tables":           "plan and exec tests check join coverage with it",
-	"(*costest/internal/query.Query).NumJoins":       "workload, feature and serve tests pick queries by join count",
-	"costest/internal/tensor.NewVec":                 "tensor and nn tests allocate vectors with it",
-	"(*costest/internal/tensor.Mat).At":              "tensor and core oracle tests read matrices element-wise",
-	"(*costest/internal/tensor.Mat).Set":             "tensor tests write matrices element-wise",
-	"(*costest/internal/tensor.Mat).Clone":           "the accumulating GEMM tests snapshot their destination with it",
-	"(*costest/internal/nn.ParamSet).Get":            "nn and supervisor tests reach a parameter by name",
-	"(*costest/internal/nn.ParamSet).Clock":          "the dirty-stamp test reads the mutation clock",
+	// Test aids that several packages' tests share. Single-package aids live
+	// in that package's export_test.go instead.
+	"costest/internal/plan/plantest.CheckIDs":        "plantest is the test-helper package: the plan.ID partition check of the plan, feature and serve tests",
 	"(*costest/internal/nn.ParamSet).MarkAllUpdated": "the documented call after writing weights directly; serving, replica and supervisor tests make it",
-	"(*costest/internal/core.BatchSession).Estimate": "the zero-allocation single-plan path the session tests pin",
-	"(*costest/internal/replica.Follower).WaitReady": "replica tests wait for a follower's first snapshot",
-	"(*costest/internal/strembed.Trie).Len":          "trie tests check the dictionary size",
 	"costest/internal/nn.ActIdentity":                "the zero Activation: an MLP output with no nonlinearity",
 }
 

@@ -147,22 +147,15 @@ func (s *BatchSession) EstimateBatchWithPool(eps []*feature.EncodedPlan, pool *M
 	return s.run(eps, pool, false)
 }
 
-// Estimate evaluates one plan as a batch of one and returns denormalized
-// estimates: the cost at the root, and the cardinality at the topmost
-// non-aggregate node (aggregates always emit one row, so the query's
-// cardinality is defined below them). The warm path performs zero heap
+// EstimateWithPool evaluates one plan as a batch of one and returns
+// denormalized estimates: the cost at the root, and the cardinality at the
+// topmost non-aggregate node (aggregates always emit one row, so the query's
+// cardinality is defined below them). With a representation memory pool (nil
+// for none), sub-plans already in the pool reuse their stored
+// representations, and new sub-plan representations are inserted (the
+// paper's online workflow, Section 3). The warm path performs zero heap
 // allocations, the property that lets the estimator sit inside an
 // optimizer's plan-enumeration loop (the paper's Table 12 use case).
-//
-// costlint:noalloc
-func (s *BatchSession) Estimate(ep *feature.EncodedPlan) (cost, card float64) {
-	return s.EstimateWithPool(ep, nil)
-}
-
-// EstimateWithPool is Estimate with a representation memory pool (nil for
-// none): sub-plans already in the pool reuse their stored representations,
-// and new sub-plan representations are inserted (the paper's online
-// workflow, Section 3).
 //
 // costlint:noalloc
 func (s *BatchSession) EstimateWithPool(ep *feature.EncodedPlan, pool *MemoryPool) (cost, card float64) {

@@ -78,8 +78,8 @@ func New(cfg Config, enc *feature.Encoder) *Model {
 
 	// Default normalizers; ParallelTrainer.Fit replaces them from training
 	// targets.
-	m.CostNorm = nn.NewNormalizer([]float64{1, 1e6})
-	m.CardNorm = nn.NewNormalizer([]float64{1, 1e8})
+	m.CostNorm = nn.NewNormalizer([]float64{1, 1e6}, nn.CostFloor)
+	m.CardNorm = nn.NewNormalizer([]float64{1, 1e8}, nn.CardFloor)
 	return m
 }
 

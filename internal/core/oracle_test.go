@@ -46,7 +46,7 @@ func oracleSparseReLU(l *nn.Linear, x []float64) []float64 {
 		v := b[i]
 		for j, xj := range x {
 			if xj != 0 {
-				v += xj * w.At(i, j)
+				v += xj * w.Data[i*w.Cols+j]
 			}
 		}
 		y[i] = oracleReLU(v)

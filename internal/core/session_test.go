@@ -16,6 +16,12 @@ func benchCorpus(tb testing.TB, n int) []*feature.EncodedPlan {
 	return labeledPlans(tb, 4242, n, true)
 }
 
+// Estimate is EstimateWithPool without a pool, the single-plan path the
+// session tests pin.
+func (s *BatchSession) Estimate(ep *feature.EncodedPlan) (cost, card float64) {
+	return s.EstimateWithPool(ep, nil)
+}
+
 // sessionVariants enumerates the architecture variants the session runtime
 // must serve.
 var sessionVariants = []struct {

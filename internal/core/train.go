@@ -20,18 +20,18 @@ func (pt *ParallelTrainer) FitNormalizers(train []*feature.EncodedPlan) {
 			cards = append(cards, ep.Card)
 		}
 	}
-	pt.M.CostNorm = nn.NewNormalizer(costs)
-	pt.M.CardNorm = nn.NewNormalizer(cards)
+	pt.M.CostNorm = nn.NewNormalizer(costs, nn.CostFloor)
+	pt.M.CardNorm = nn.NewNormalizer(cards, nn.CardFloor)
 	pt.rebuildLosses()
 }
 
 func (pt *ParallelTrainer) rebuildLosses() {
 	if pt.M.Cfg.UseQError {
-		pt.costLoss = nn.QErrorLoss{Norm: pt.M.CostNorm, GradClip: 50}
-		pt.cardLoss = nn.QErrorLoss{Norm: pt.M.CardNorm, GradClip: 50}
+		pt.costLoss = nn.QErrorLoss{Norm: pt.M.CostNorm, Floor: nn.CostFloor, GradClip: 50}
+		pt.cardLoss = nn.QErrorLoss{Norm: pt.M.CardNorm, Floor: nn.CardFloor, GradClip: 50}
 	} else {
-		pt.costLoss = nn.MSLELoss{Norm: pt.M.CostNorm}
-		pt.cardLoss = nn.MSLELoss{Norm: pt.M.CardNorm}
+		pt.costLoss = nn.MSLELoss{Norm: pt.M.CostNorm, Floor: nn.CostFloor}
+		pt.cardLoss = nn.MSLELoss{Norm: pt.M.CardNorm, Floor: nn.CardFloor}
 	}
 }
 
@@ -59,8 +59,8 @@ func (m *Model) ValidationError(samples []*feature.EncodedPlan) (costQ, cardQ fl
 		return 0, 0
 	}
 	for i, e := range m.EstimateBatch(samples) {
-		costQ += nn.QError(e.Cost, samples[i].Cost)
-		cardQ += nn.QError(e.Card, samples[i].Card)
+		costQ += nn.QError(e.Cost, samples[i].Cost, nn.CostFloor)
+		cardQ += nn.QError(e.Card, samples[i].Card, nn.CardFloor)
 	}
 	n := float64(len(samples))
 	return costQ / n, cardQ / n

@@ -290,15 +290,8 @@ func TestCountersCost(t *testing.T) {
 
 func TestPlanHelpers(t *testing.T) {
 	n := joinNode(plan.HashJoin, mcTitleJoin, scan("movie_companies", nil), scan("title", nil))
-	if got := n.Count(); got != 3 {
-		t.Errorf("Count = %d", got)
-	}
 	if got := n.Depth(); got != 2 {
 		t.Errorf("Depth = %d", got)
-	}
-	tabs := n.Tables()
-	if len(tabs) != 2 || tabs[0] != "movie_companies" || tabs[1] != "title" {
-		t.Errorf("Tables = %v", tabs)
 	}
 	sig1 := n.Signature()
 	n2 := joinNode(plan.HashJoin, mcTitleJoin, scan("title", nil), scan("movie_companies", nil))

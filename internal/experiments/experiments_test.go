@@ -205,12 +205,12 @@ func TestCollectWorkloadStrings(t *testing.T) {
 	q2 := &query.Query{
 		Tables: []string{"title"},
 		Filters: map[string]sqlpred.Pred{
-			"title": sqlpred.OrAll(
-				&sqlpred.Atom{Table: "title", Column: "title", Op: sqlpred.OpEq,
+			"title": &sqlpred.Bool{Kind: sqlpred.Or,
+				Left: &sqlpred.Atom{Table: "title", Column: "title", Op: sqlpred.OpEq,
 					StrVal: "Dark", IsStr: true},
-				&sqlpred.Atom{Table: "title", Column: "title", Op: sqlpred.OpLike,
+				Right: &sqlpred.Atom{Table: "title", Column: "title", Op: sqlpred.OpLike,
 					StrVal: "Dark%", IsStr: true},
-			),
+			},
 		},
 	}
 	ws = CollectWorkloadStrings([]*query.Query{q2})

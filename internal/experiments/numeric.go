@@ -7,6 +7,7 @@ import (
 	"costest/internal/feature"
 	"costest/internal/metrics"
 	"costest/internal/mscn"
+	"costest/internal/nn"
 	"costest/internal/pg"
 	"costest/internal/plan"
 	"costest/internal/query"
@@ -181,7 +182,7 @@ func (e *Env) trainNumericModels(train, valid []*workload.Labeled) (*numericMode
 	fit(m.tnnMCost, trS, vaS)
 
 	// MSCN variants.
-	mkMSCN := func(sample bool, target func(*workload.Labeled) float64) (*mscn.Model, []mscn.EpochStats, error) {
+	mkMSCN := func(sample bool, target func(*workload.Labeled) float64, floor float64) (*mscn.Model, []mscn.EpochStats, error) {
 		model := mscn.New(mscn.Config{
 			Hidden: cfg.MSCNWidth, SampleBitmap: sample,
 			LearnRate: 0.003, GradClip: 5, Seed: cfg.Seed,
@@ -201,7 +202,7 @@ func (e *Env) trainNumericModels(train, valid []*workload.Labeled) (*numericMode
 			}
 			vaF = append(vaF, &mscn.Sample{F: f, Target: target(s)})
 		}
-		tr := mscn.NewTrainer(model)
+		tr := mscn.NewTrainer(model, floor)
 		hist := tr.Fit(trF, vaF, cfg.Epochs, cfg.BatchSize)
 		return model, hist, nil
 	}
@@ -209,15 +210,15 @@ func (e *Env) trainNumericModels(train, valid []*workload.Labeled) (*numericMode
 	costOf := func(s *workload.Labeled) float64 { return s.Cost }
 
 	var hist []mscn.EpochStats
-	if m.mscnCard, hist, err = mkMSCN(true, cardOf); err != nil {
+	if m.mscnCard, hist, err = mkMSCN(true, cardOf, nn.CardFloor); err != nil {
 		return nil, err
 	}
 	mscnCardCurve := mscnCurve(hist)
-	if m.mscnNSCard, hist, err = mkMSCN(false, cardOf); err != nil {
+	if m.mscnNSCard, hist, err = mkMSCN(false, cardOf, nn.CardFloor); err != nil {
 		return nil, err
 	}
 	mscnNSCurve := mscnCurve(hist)
-	if m.mscnCost, _, err = mkMSCN(true, costOf); err != nil {
+	if m.mscnCost, _, err = mkMSCN(true, costOf, nn.CostFloor); err != nil {
 		return nil, err
 	}
 
@@ -261,17 +262,17 @@ func (e *Env) evalNumeric(m *numericModels, pgCal *pg.Estimator, samples []*work
 
 	for _, s := range samples {
 		p := s.Plan.Clone()
-		pgCard = append(pgCard, metrics.QError(e.PG.EstimateCard(p), s.Card))
-		pgCost = append(pgCost, metrics.QError(pgCal.EstimateCost(p), s.Cost))
+		pgCard = append(pgCard, nn.QError(e.PG.EstimateCard(p), s.Card, nn.CardFloor))
+		pgCost = append(pgCost, nn.QError(pgCal.EstimateCost(p), s.Cost, nn.CostFloor))
 
 		if est, err2 := m.mscnCard.Estimate(s.Query); err2 == nil {
-			mscnCardE = append(mscnCardE, metrics.QError(est, s.Card))
+			mscnCardE = append(mscnCardE, nn.QError(est, s.Card, nn.CardFloor))
 		}
 		if est, err2 := m.mscnNSCard.Estimate(s.Query); err2 == nil {
-			mscnNSCardE = append(mscnNSCardE, metrics.QError(est, s.Card))
+			mscnNSCardE = append(mscnNSCardE, nn.QError(est, s.Card, nn.CardFloor))
 		}
 		if est, err2 := m.mscnCost.Estimate(s.Query); err2 == nil {
-			mscnCostE = append(mscnCostE, metrics.QError(est, s.Cost))
+			mscnCostE = append(mscnCostE, nn.QError(est, s.Cost, nn.CostFloor))
 		}
 
 		epS, err2 := m.encS.Encode(s.Plan)
@@ -283,18 +284,18 @@ func (e *Env) evalNumeric(m *numericModels, pgCal *pg.Estimator, samples []*work
 			return nil, nil, err2
 		}
 		_, c := m.tlstmCard.Estimate(epS)
-		tlstmCardE = append(tlstmCardE, metrics.QError(c, s.Card))
+		tlstmCardE = append(tlstmCardE, nn.QError(c, s.Card, nn.CardFloor))
 		_, c = m.tlstmNSCard.Estimate(epNS)
-		tlstmNSCardE = append(tlstmNSCardE, metrics.QError(c, s.Card))
+		tlstmNSCardE = append(tlstmNSCardE, nn.QError(c, s.Card, nn.CardFloor))
 		_, c = m.tnnCard.Estimate(epS)
-		tnnCardE = append(tnnCardE, metrics.QError(c, s.Card))
+		tnnCardE = append(tnnCardE, nn.QError(c, s.Card, nn.CardFloor))
 
 		co, _ := m.tlstmCost.Estimate(epS)
-		tlstmCostE = append(tlstmCostE, metrics.QError(co, s.Cost))
+		tlstmCostE = append(tlstmCostE, nn.QError(co, s.Cost, nn.CostFloor))
 		co, _ = m.tlstmMCost.Estimate(epS)
-		tlstmMCostE = append(tlstmMCostE, metrics.QError(co, s.Cost))
+		tlstmMCostE = append(tlstmMCostE, nn.QError(co, s.Cost, nn.CostFloor))
 		co, _ = m.tnnMCost.Estimate(epS)
-		tnnMCostE = append(tnnMCostE, metrics.QError(co, s.Cost))
+		tnnMCostE = append(tnnMCostE, nn.QError(co, s.Cost, nn.CostFloor))
 	}
 
 	mk := func(name string, errs []float64) MethodErrors {

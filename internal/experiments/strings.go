@@ -6,6 +6,7 @@ import (
 	"costest/internal/core"
 	"costest/internal/feature"
 	"costest/internal/metrics"
+	"costest/internal/nn"
 	"costest/internal/pg"
 	"costest/internal/query"
 	"costest/internal/sqlpred"
@@ -223,9 +224,9 @@ func (e *Env) evalStrings(m *stringModels, pgCal *pg.Estimator, samples []*workl
 	costE := make(map[string][]float64)
 	for _, s := range samples {
 		p := s.Plan.Clone()
-		pgCardE = append(pgCardE, metrics.QError(e.PG.EstimateCard(p), s.Card))
+		pgCardE = append(pgCardE, nn.QError(e.PG.EstimateCard(p), s.Card, nn.CardFloor))
 		pgCost := pgCal.EstimateCost(p)
-		pgCostE = append(pgCostE, metrics.QError(pgCost, s.Cost))
+		pgCostE = append(pgCostE, nn.QError(pgCost, s.Cost, nn.CostFloor))
 		res.Figure10["PGCost"] = append(res.Figure10["PGCost"], CostPoint{Real: s.Cost, Est: pgCost})
 
 		for _, md := range methods {
@@ -234,8 +235,8 @@ func (e *Env) evalStrings(m *stringModels, pgCal *pg.Estimator, samples []*workl
 				return err
 			}
 			cost, card := md.model.Estimate(ep)
-			cardE[md.name] = append(cardE[md.name], metrics.QError(card, s.Card))
-			costE[md.name] = append(costE[md.name], metrics.QError(cost, s.Cost))
+			cardE[md.name] = append(cardE[md.name], nn.QError(card, s.Card, nn.CardFloor))
+			costE[md.name] = append(costE[md.name], nn.QError(cost, s.Cost, nn.CostFloor))
 			if md.name == "TLSTMEmbNR" || md.name == "TPoolEmbR" {
 				res.Figure10[md.name+"MCost"] = append(res.Figure10[md.name+"MCost"],
 					CostPoint{Real: s.Cost, Est: cost})

@@ -49,8 +49,8 @@ func shapedPlans() []*plan.Node {
 		sevenNodePlan(),
 		{Type: plan.IndexScan, Table: "title", Index: idx, IndexCond: idCond},
 		{Type: plan.IndexScan, Table: "title", Index: idx, IndexCond: idCond,
-			Filter: sqlpred.OrAll(num("production_year", sqlpred.OpGt, 1999.5), sqlpred.AndAll(
-				num("kind_id", sqlpred.OpNe, -0.0), num("episode_nr", sqlpred.OpGe, 1e-7), num("season_nr", sqlpred.OpLt, 1e21)))},
+			Filter: &sqlpred.Bool{Kind: sqlpred.Or, Left: num("production_year", sqlpred.OpGt, 1999.5), Right: sqlpred.AndAll(
+				num("kind_id", sqlpred.OpNe, -0.0), num("episode_nr", sqlpred.OpGe, 1e-7), num("season_nr", sqlpred.OpLt, 1e21))}},
 		{Type: plan.SeqScan, Table: "company_type", Filter: in},
 		{Type: plan.NestedLoop, JoinCond: pj,
 			Left:  &plan.Node{Type: plan.SeqScan, Table: "movie_companies"},
@@ -129,7 +129,7 @@ func enumRequest(tb testing.TB, qs []*query.Query, queries, variants int) []*pla
 	var out []*plan.Node
 	for _, q := range qs {
 		root, err := testPl.Plan(q)
-		if err != nil || q.NumJoins() < 2 {
+		if err != nil || len(q.Joins) < 2 {
 			continue
 		}
 		if len(out) == queries*variants {
@@ -224,7 +224,7 @@ func TestEncodeAllMatchesEncode(t *testing.T) {
 			}
 			total := 0
 			for _, root := range roots {
-				total += root.Count()
+				total += countNodes(root)
 			}
 			if a.Nodes != total {
 				t.Fatalf("%s/%s: arena counted %d nodes, request has %d", name, req, a.Nodes, total)
@@ -295,8 +295,8 @@ func TestEncodeAllDistinguishesTextCollision(t *testing.T) {
 	inner := oldSignature(join("", scan("p"), scan("q")))
 	small := join("", scan("u]("+inner+","+oldSignature(scan("r"))), scan("d"))
 	large := join("](0[u", join("", scan("p"), scan("q")), scan("r]],"+strings.TrimSuffix(oldSignature(scan("d")), "]")))
-	if oldSignature(small) != oldSignature(large) || small.Count() == large.Count() {
-		t.Fatalf("test trees do not collide:\n%s (%d nodes)\n%s (%d nodes)", oldSignature(small), small.Count(), oldSignature(large), large.Count())
+	if oldSignature(small) != oldSignature(large) || countNodes(small) == countNodes(large) {
+		t.Fatalf("test trees do not collide:\n%s (%d nodes)\n%s (%d nodes)", oldSignature(small), countNodes(small), oldSignature(large), countNodes(large))
 	}
 	plantest.CheckIDs(t, small, large)
 	e := NewEncoder(testCat, strembed.ZeroEncoder{}, true)
@@ -387,8 +387,8 @@ func sevenNodePlan() *plan.Node {
 // compilation.
 func TestEncodeAllocs(t *testing.T) {
 	root := sevenNodePlan()
-	if root.Count() != 7 {
-		t.Fatalf("test plan has %d nodes, want 7", root.Count())
+	if countNodes(root) != 7 {
+		t.Fatalf("test plan has %d nodes, want 7", countNodes(root))
 	}
 	e := NewEncoder(testCat, strembed.ZeroEncoder{}, true) // the daemon's encoder
 	if _, err := e.Encode(root); err != nil {

@@ -11,16 +11,6 @@ import (
 	"costest/internal/tensor"
 )
 
-// QError returns max(est,truth)/min(est,truth) with both values floored at 1.
-func QError(est, truth float64) float64 {
-	est = math.Max(est, 1)
-	truth = math.Max(truth, 1)
-	if est > truth {
-		return est / truth
-	}
-	return truth / est
-}
-
 // Summary holds the paper's table columns for one method on one workload.
 type Summary struct {
 	Median float64

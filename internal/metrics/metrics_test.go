@@ -62,15 +62,6 @@ func TestPercentileExact(t *testing.T) {
 	}
 }
 
-func TestQError(t *testing.T) {
-	if QError(10, 100) != 10 || QError(100, 10) != 10 {
-		t.Fatal("q-error not symmetric")
-	}
-	if QError(0, 0) != 1 {
-		t.Fatal("floored q-error should be 1")
-	}
-}
-
 func TestBoxStats(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 1000}
 	b := Box(vals)

@@ -75,7 +75,7 @@ func New(cfg Config, cat *stats.Catalog) *Model {
 	m.joinNet = nn.NewMLP(ps, "mscn.join", []int{m.joinDim, h, h}, nn.ActReLU, rng)
 	m.predNet = nn.NewMLP(ps, "mscn.pred", []int{m.predDim, h, h}, nn.ActReLU, rng)
 	m.outNet = nn.NewMLP(ps, "mscn.out", []int{3 * h, h, 1}, nn.ActSigmoid, rng)
-	m.Norm = nn.NewNormalizer([]float64{1, 1e8})
+	m.Norm = nn.NewNormalizer([]float64{1, 1e8}, nn.CardFloor)
 	return m
 }
 

@@ -73,7 +73,7 @@ func TestTrainingImprovesCardEstimates(t *testing.T) {
 	m := New(Config{Hidden: 24, SampleBitmap: true, LearnRate: 0.005, GradClip: 5, Seed: 2}, testCat)
 	samples := trainingSamples(t, m, 60)
 	cut := len(samples) * 8 / 10
-	tr := NewTrainer(m)
+	tr := NewTrainer(m, nn.CardFloor)
 	hist := tr.Fit(samples[:cut], samples[cut:], 15, 16)
 	if hist[len(hist)-1].TrainLoss >= hist[0].TrainLoss {
 		t.Fatalf("loss did not decrease: %g -> %g", hist[0].TrainLoss, hist[len(hist)-1].TrainLoss)
@@ -127,10 +127,11 @@ func TestMSCNGradCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &Sample{F: f, Target: 1234}
-	tr := NewTrainer(m)
+	tr := NewTrainer(m, nn.CostFloor)
 	tr.FitNormalizer([]*Sample{s, {F: f, Target: 1}})
-	// Use the smooth MSLE loss for finite-difference comparison.
-	tr.loss = nn.MSLELoss{Norm: m.Norm}
+	// The training loss without its per-sample clip, which finite
+	// differences cannot see.
+	tr.loss = nn.QErrorLoss{Norm: m.Norm, Floor: nn.CostFloor}
 
 	objective := func() float64 {
 		l, _ := tr.loss.Eval(m.forward(f), s.Target)

@@ -8,16 +8,18 @@ import (
 
 // Trainer optimizes an MSCN model with q-error loss and Adam.
 type Trainer struct {
-	M    *Model
-	Opt  *nn.Adam
-	rng  *rand.Rand
-	loss nn.Loss
+	M     *Model
+	Opt   *nn.Adam
+	rng   *rand.Rand
+	floor float64
+	loss  nn.Loss
 }
 
-// NewTrainer builds a trainer for the model.
-func NewTrainer(m *Model) *Trainer {
+// NewTrainer builds a trainer for the model's target, whose head floor
+// (nn.CostFloor or nn.CardFloor) the normalizer, the loss and validation use.
+func NewTrainer(m *Model, floor float64) *Trainer {
 	return &Trainer{M: m, Opt: nn.NewAdam(m.Cfg.LearnRate),
-		rng: rand.New(rand.NewSource(m.Cfg.Seed + 77))}
+		rng: rand.New(rand.NewSource(m.Cfg.Seed + 77)), floor: floor}
 }
 
 // FitNormalizer fits the target normalizer on training targets.
@@ -26,8 +28,8 @@ func (t *Trainer) FitNormalizer(samples []*Sample) {
 	for i, s := range samples {
 		vals[i] = s.Target
 	}
-	t.M.Norm = nn.NewNormalizer(vals)
-	t.loss = nn.QErrorLoss{Norm: t.M.Norm, GradClip: 50}
+	t.M.Norm = nn.NewNormalizer(vals, t.floor)
+	t.loss = nn.QErrorLoss{Norm: t.M.Norm, Floor: t.floor, GradClip: 50}
 }
 
 // TrainEpoch runs one shuffled epoch, returning the mean q-error loss.
@@ -106,20 +108,20 @@ func (t *Trainer) Fit(train, valid []*Sample, epochs, batchSize int) []EpochStat
 	hist := make([]EpochStats, 0, epochs)
 	for e := 0; e < epochs; e++ {
 		loss := t.TrainEpoch(train, batchSize)
-		hist = append(hist, EpochStats{Epoch: e, TrainLoss: loss, ValidQ: t.M.ValidationError(valid)})
+		hist = append(hist, EpochStats{Epoch: e, TrainLoss: loss, ValidQ: t.M.ValidationError(valid, t.floor)})
 	}
 	return hist
 }
 
-// ValidationError returns the mean q-error over samples.
-func (m *Model) ValidationError(samples []*Sample) float64 {
+// ValidationError returns the mean q-error over samples, floored at floor.
+func (m *Model) ValidationError(samples []*Sample, floor float64) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
 	var sum float64
 	for _, s := range samples {
 		est := m.EstimateFeatures(s.F)
-		sum += nn.QError(est, s.Target)
+		sum += nn.QError(est, s.Target, floor)
 	}
 	return sum / float64(len(samples))
 }

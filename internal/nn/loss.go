@@ -4,9 +4,15 @@ import (
 	"math"
 )
 
-// epsValue floors true/estimated values so q-error and logarithms stay finite
-// for zero-cardinality results.
-const epsValue = 1.0
+// Each estimation head floors its values so q-errors and logarithms stay
+// finite. CardFloor is one row, the usual convention: a zero-row result
+// counts as one. CostFloor sits below the executor's cheapest plan (one
+// operator's 0.05 ms startup), so no true cost is ever floored and every
+// sub-millisecond plan keeps its error.
+const (
+	CardFloor = 1.0
+	CostFloor = 0.01
+)
 
 // Normalizer maps positive targets (costs, cardinalities) to [0,1] by min-max
 // scaling in log space, matching the paper's "normalized true cost /
@@ -15,16 +21,16 @@ type Normalizer struct {
 	MinLog, MaxLog float64
 }
 
-// NewNormalizer fits a normalizer on the training targets. The range is
-// widened by a small margin so slightly out-of-range test values do not
-// saturate the sigmoid target exactly at 0 or 1.
-func NewNormalizer(values []float64) Normalizer {
+// NewNormalizer fits a normalizer on the training targets, each floored at
+// floor. The range is widened by a small margin so slightly out-of-range test
+// values do not saturate the sigmoid target exactly at 0 or 1.
+func NewNormalizer(values []float64, floor float64) Normalizer {
 	if len(values) == 0 {
 		return Normalizer{MinLog: 0, MaxLog: 1}
 	}
 	minLog, maxLog := math.Inf(1), math.Inf(-1)
 	for _, v := range values {
-		l := math.Log(math.Max(v, epsValue))
+		l := math.Log(math.Max(v, floor))
 		if l < minLog {
 			minLog = l
 		}
@@ -44,7 +50,7 @@ func (n Normalizer) Span() float64 { return n.MaxLog - n.MinLog }
 
 // Normalize maps a raw positive value to [0,1].
 func (n Normalizer) Normalize(v float64) float64 {
-	s := (math.Log(math.Max(v, epsValue)) - n.MinLog) / n.Span()
+	s := (math.Log(v) - n.MinLog) / n.Span()
 	if s < 0 {
 		return 0
 	}
@@ -60,10 +66,11 @@ func (n Normalizer) Denormalize(s float64) float64 {
 }
 
 // QError returns max(est,truth)/min(est,truth), the paper's error metric and
-// training loss. Both operands are floored at 1 so the ratio is always >= 1.
-func QError(est, truth float64) float64 {
-	est = math.Max(est, epsValue)
-	truth = math.Max(truth, epsValue)
+// training loss, with both operands floored at floor (CostFloor or
+// CardFloor) so the ratio is always >= 1.
+func QError(est, truth, floor float64) float64 {
+	est = math.Max(est, floor)
+	truth = math.Max(truth, floor)
 	if est > truth {
 		return est / truth
 	}
@@ -77,27 +84,36 @@ func QError(est, truth float64) float64 {
 // clipping for stability).
 type QErrorLoss struct {
 	Norm     Normalizer
+	Floor    float64 // the head's floor: CostFloor or CardFloor
 	GradClip float64 // 0 means no per-sample clipping
 }
 
 // Eval returns (loss, dLoss/ds) for sigmoid output s and raw target truth.
+//
+// The loss is QError(Denormalize(s), truth, Floor); above the floor the
+// gradient is its exact derivative. Below the floor the loss is flat, and
+// Eval returns the derivative just above it instead: when the truth is above
+// the floor that pushes the estimate up toward it (a zero gradient would
+// leave it stuck), and when the truth is at or below the floor both sides
+// floor to the same value, the loss is at its minimum 1, and the gradient is
+// 0. An estimate exactly at a truth above the floor also gets 0, a
+// subgradient at the minimum.
 func (l QErrorLoss) Eval(s, truth float64) (loss, grad float64) {
-	est := math.Max(l.Norm.Denormalize(s), epsValue)
-	truth = math.Max(truth, epsValue)
+	est := math.Max(l.Norm.Denormalize(s), l.Floor)
+	truth = math.Max(truth, l.Floor)
 	span := l.Norm.Span()
-	if est >= truth {
+	switch {
+	case est > truth:
 		loss = est / truth
 		grad = loss * span // d(est/truth)/ds = est*span/truth
-	} else {
+	case est < truth:
 		loss = truth / est
 		grad = -loss * span // d(truth/est)/ds = -truth*span/est
+	default:
+		return 1, 0
 	}
 	if l.GradClip > 0 {
-		if grad > l.GradClip {
-			grad = l.GradClip
-		} else if grad < -l.GradClip {
-			grad = -l.GradClip
-		}
+		grad = math.Max(-l.GradClip, math.Min(grad, l.GradClip))
 	}
 	return loss, grad
 }
@@ -106,12 +122,13 @@ func (l QErrorLoss) Eval(s, truth float64) (loss, grad float64) {
 // surrogate for q-error used by reproduction studies. Provided for the loss
 // ablation benchmark.
 type MSLELoss struct {
-	Norm Normalizer
+	Norm  Normalizer
+	Floor float64
 }
 
 // Eval returns (loss, dLoss/ds) for sigmoid output s and raw target truth.
 func (l MSLELoss) Eval(s, truth float64) (loss, grad float64) {
-	t := l.Norm.Normalize(truth)
+	t := l.Norm.Normalize(math.Max(truth, l.Floor))
 	d := s - t
 	return d * d, 2 * d
 }

@@ -28,11 +28,11 @@ func TestLinearGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ps := NewParamSet()
 	l := NewLinear(ps, "l", 4, 3, rng)
-	x := tensor.NewVec(4)
+	x := make(tensor.Vec, 4)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	y := tensor.NewVec(3)
+	y := make(tensor.Vec, 3)
 	// Scalar objective: sum(Wx+b).
 	obj := func() float64 {
 		l.Forward(y, x)
@@ -45,7 +45,7 @@ func TestLinearGradCheck(t *testing.T) {
 	obj()
 	ps.ZeroGrad()
 	dy := tensor.Vec{1, 1, 1}
-	dx := tensor.NewVec(4)
+	dx := make(tensor.Vec, 4)
 	l.Backward(dx, dy, x)
 
 	for i := range l.W.Value {
@@ -73,14 +73,14 @@ func TestMLPGradCheck(t *testing.T) {
 	ps := NewParamSet()
 	m := NewMLP(ps, "mlp", []int{3, 5, 2}, ActSigmoid, rng)
 	x := tensor.Vec{0.3, -0.7, 1.1}
-	out := tensor.NewVec(2)
+	out := make(tensor.Vec, 2)
 	obj := func() float64 {
 		m.Forward(out, x)
 		return out[0]*2 + out[1]*-1
 	}
 	obj()
 	ps.ZeroGrad()
-	dx := tensor.NewVec(3)
+	dx := make(tensor.Vec, 3)
 	m.Backward(dx, tensor.Vec{2, -1})
 
 	for _, p := range ps.Params() {
@@ -123,7 +123,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 	opt := NewAdam(0.05)
 	inputs := [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
 	targets := []float64{0, 1, 1, 0}
-	out := tensor.NewVec(1)
+	out := make(tensor.Vec, 1)
 	for epoch := 0; epoch < 2000; epoch++ {
 		ps.ZeroGrad()
 		for k, in := range inputs {
@@ -142,7 +142,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 }
 
 func TestNormalizerRoundTrip(t *testing.T) {
-	n := NewNormalizer([]float64{1, 10, 100, 100000})
+	n := NewNormalizer([]float64{1, 10, 100, 100000}, CardFloor)
 	for _, v := range []float64{1, 5, 99, 12345} {
 		s := n.Normalize(v)
 		if s < 0 || s > 1 {
@@ -155,23 +155,42 @@ func TestNormalizerRoundTrip(t *testing.T) {
 	}
 }
 
+// The normalizer floors its fitting values at the head's floor: a cost head
+// keeps sub-millisecond targets inside its range, a card head maps zero rows
+// to one.
+func TestNormalizerFloors(t *testing.T) {
+	costs := NewNormalizer([]float64{0.05, 0.3, 1e4}, CostFloor)
+	if d := costs.Denormalize(0); d > 0.05 {
+		t.Fatalf("cost range starts at %g ms, above the cheapest target 0.05 ms", d)
+	}
+	cards := NewNormalizer([]float64{0, 1, 1e4}, CardFloor)
+	if d := cards.Denormalize(0); d > 1 || d < 0.5 {
+		t.Fatalf("card range starts at %g rows, want just below the 1-row floor", d)
+	}
+}
+
 func TestNormalizerDegenerate(t *testing.T) {
-	n := NewNormalizer([]float64{42, 42, 42})
+	n := NewNormalizer([]float64{42, 42, 42}, CardFloor)
 	s := n.Normalize(42)
 	if math.IsNaN(s) || s < 0 || s > 1 {
 		t.Fatalf("degenerate Normalize = %g", s)
 	}
-	if NewNormalizer(nil).Span() <= 0 {
+	if NewNormalizer(nil, CardFloor).Span() <= 0 {
 		t.Fatal("empty normalizer must have positive span")
 	}
 }
 
-// Property: q-error is symmetric and >= 1.
+// Property: q-error is symmetric and >= 1 under either head's floor.
 func TestQErrorProperties(t *testing.T) {
 	f := func(a, b float64) bool {
-		a, b = math.Abs(a)+1, math.Abs(b)+1
-		q := QError(a, b)
-		return q >= 1 && math.Abs(q-QError(b, a)) < 1e-12
+		a, b = math.Abs(a), math.Abs(b)
+		for _, floor := range []float64{CostFloor, CardFloor} {
+			q := QError(a, b, floor)
+			if q < 1 || math.Abs(q-QError(b, a, floor)) > 1e-12*q {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -179,53 +198,100 @@ func TestQErrorProperties(t *testing.T) {
 }
 
 func TestQErrorExact(t *testing.T) {
-	if q := QError(10, 10); q != 1 {
+	if q := QError(10, 10, CardFloor); q != 1 {
 		t.Fatalf("QError(10,10) = %g", q)
 	}
-	if q := QError(100, 10); q != 10 {
+	if q := QError(100, 10, CardFloor); q != 10 {
 		t.Fatalf("QError(100,10) = %g", q)
 	}
-	if q := QError(0, 10); q != 10 { // zero floored to 1
+	if q := QError(0, 10, CardFloor); q != 10 { // zero rows floored to one
 		t.Fatalf("QError(0,10) = %g", q)
+	}
+	// The cost floor keeps sub-millisecond plans apart.
+	if q := QError(0.05, 0.5, CostFloor); math.Abs(q-10) > 1e-12 {
+		t.Fatalf("QError(0.05 ms, 0.5 ms) = %g, want 10", q)
+	}
+	if q := QError(0, 0.5, CostFloor); math.Abs(q-50) > 1e-12 {
+		t.Fatalf("QError(0 ms, 0.5 ms) = %g, want 50", q)
 	}
 }
 
 func TestQErrorLossGradientDirection(t *testing.T) {
-	norm := NewNormalizer([]float64{1, 1e6})
-	l := QErrorLoss{Norm: norm}
-	truth := 1000.0
-	sTrue := norm.Normalize(truth)
-	// Overestimate: positive gradient pushes s down.
-	_, g := l.Eval(sTrue+0.2, truth)
-	if g <= 0 {
-		t.Fatalf("overestimate gradient = %g, want > 0", g)
-	}
-	// Underestimate: negative gradient pushes s up.
-	_, g = l.Eval(sTrue-0.2, truth)
-	if g >= 0 {
-		t.Fatalf("underestimate gradient = %g, want < 0", g)
+	for _, floor := range []float64{CostFloor, CardFloor} {
+		norm := NewNormalizer([]float64{floor, floor * 1e6}, floor)
+		l := QErrorLoss{Norm: norm, Floor: floor}
+		truth := floor * 1000
+		sTrue := norm.Normalize(truth)
+		// Overestimate: positive gradient pushes s down.
+		if _, g := l.Eval(sTrue+0.2, truth); g <= 0 {
+			t.Fatalf("floor %g: overestimate gradient = %g, want > 0", floor, g)
+		}
+		// Underestimate: negative gradient pushes s up, below the floor too.
+		for _, s := range []float64{sTrue - 0.2, 0} {
+			if _, g := l.Eval(s, truth); g >= 0 {
+				t.Fatalf("floor %g: underestimate gradient at s=%g is %g, want < 0", floor, s, g)
+			}
+		}
 	}
 }
 
+// TestQErrorLossMatchesNumericalGradient checks Eval against finite
+// differences of its own loss, for each head's floor, at estimates below, at
+// and above the floor, with truths on both sides of it. Above the floor the
+// gradient is the central difference. Below it the loss is flat (central
+// difference 0): Eval returns 0 when the truth floors too, and otherwise the
+// derivative just above the floor. At the floor it returns the documented
+// one-sided derivative: from above when the truth is above the floor, from
+// below (0, the loss's minimum) when the truth floors too.
 func TestQErrorLossMatchesNumericalGradient(t *testing.T) {
-	norm := NewNormalizer([]float64{1, 1e6})
-	l := QErrorLoss{Norm: norm}
-	truth := 512.0
-	for _, s := range []float64{0.2, 0.5, 0.8} {
-		_, grad := l.Eval(s, truth)
-		const h = 1e-7
-		up, _ := l.Eval(s+h, truth)
-		down, _ := l.Eval(s-h, truth)
-		want := (up - down) / (2 * h)
-		if math.Abs(grad-want) > 1e-3*math.Max(1, math.Abs(want)) {
-			t.Fatalf("q-error grad at s=%g: %g, want %g", s, grad, want)
+	const h = 1e-7
+	for _, floor := range []float64{CostFloor, CardFloor} {
+		// s = 0 is the floor itself: the largest MinLog whose estimate does
+		// not exceed the floor.
+		minLog := math.Log(floor)
+		for math.Exp(minLog) > floor {
+			minLog = math.Nextafter(minLog, math.Inf(-1))
+		}
+		norm := Normalizer{MinLog: minLog, MaxLog: minLog + 16}
+		l := QErrorLoss{Norm: norm, Floor: floor}
+		span := norm.Span()
+		f := func(s, truth float64) float64 { loss, _ := l.Eval(s, truth); return loss }
+		for _, truth := range []float64{floor / 10, floor * 1000} {
+			above := truth > floor
+			for _, s := range []float64{-0.2, -0.01, 0, 0.05, 0.3, 0.6} {
+				loss, grad := l.Eval(s, truth)
+				if want := QError(norm.Denormalize(s), truth, floor); loss != want {
+					t.Fatalf("floor %g truth %g s=%g: loss %g, want QError %g", floor, truth, s, loss, want)
+				}
+				var want float64
+				switch {
+				case s < 0 && above:
+					want = -truth / floor * span
+				case s < 0:
+					want = 0
+				case s == 0 && above:
+					want = (f(h, truth) - f(0, truth)) / h
+				case s == 0:
+					want = (f(0, truth) - f(-h, truth)) / h
+				default:
+					want = (f(s+h, truth) - f(s-h, truth)) / (2 * h)
+				}
+				if s < 0 {
+					if central := (f(s+h, truth) - f(s-h, truth)) / (2 * h); central != 0 {
+						t.Fatalf("floor %g truth %g s=%g: loss not flat below the floor (%g)", floor, truth, s, central)
+					}
+				}
+				if math.Abs(grad-want) > 1e-4*math.Max(1, math.Abs(want)) {
+					t.Fatalf("floor %g truth %g s=%g: grad %g, want %g", floor, truth, s, grad, want)
+				}
+			}
 		}
 	}
 }
 
 func TestQErrorLossClipping(t *testing.T) {
-	norm := NewNormalizer([]float64{1, 1e9})
-	l := QErrorLoss{Norm: norm, GradClip: 10}
+	norm := NewNormalizer([]float64{1, 1e9}, CardFloor)
+	l := QErrorLoss{Norm: norm, Floor: CardFloor, GradClip: 10}
 	_, g := l.Eval(0.999, 2)
 	if math.Abs(g) > 10 {
 		t.Fatalf("clipped gradient = %g, |g| must be <= 10", g)
@@ -233,7 +299,7 @@ func TestQErrorLossClipping(t *testing.T) {
 }
 
 func TestMSLELoss(t *testing.T) {
-	norm := NewNormalizer([]float64{1, 1e6})
+	norm := NewNormalizer([]float64{1, 1e6}, CardFloor)
 	l := MSLELoss{Norm: norm}
 	truth := 100.0
 	loss, grad := l.Eval(norm.Normalize(truth), truth)
@@ -361,7 +427,7 @@ func TestAliasValues(t *testing.T) {
 
 func TestActivations(t *testing.T) {
 	x := tensor.Vec{-1, 0, 2}
-	y := tensor.NewVec(3)
+	y := make(tensor.Vec, 3)
 	ReLU(y, x)
 	if y[0] != 0 || y[1] != 0 || y[2] != 2 {
 		t.Fatalf("ReLU = %v", y)

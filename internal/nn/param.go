@@ -71,9 +71,6 @@ type ParamSet struct {
 	clock uint64
 }
 
-// Clock returns the set's current mutation counter.
-func (ps *ParamSet) Clock() uint64 { return ps.clock }
-
 // tick advances the mutation counter and returns its new value.
 func (ps *ParamSet) tick() uint64 {
 	ps.clock++
@@ -134,9 +131,6 @@ func (ps *ParamSet) NewParam(name string, rows, cols int) *Param {
 	ps.byName[name] = p
 	return p
 }
-
-// Get returns the named parameter, or nil if absent.
-func (ps *ParamSet) Get(name string) *Param { return ps.byName[name] }
 
 // Params returns all registered parameters in registration order.
 func (ps *ParamSet) Params() []*Param { return ps.params }

@@ -127,17 +127,6 @@ type Node struct {
 	TrueCost float64
 }
 
-// Tables returns the base tables covered by the subtree, in DFS order.
-func (n *Node) Tables() []string {
-	var out []string
-	n.Walk(func(m *Node) {
-		if m.Type.IsScan() {
-			out = append(out, m.Table)
-		}
-	})
-	return out
-}
-
 // Walk visits the subtree pre-order.
 func (n *Node) Walk(f func(*Node)) {
 	if n == nil {
@@ -146,13 +135,6 @@ func (n *Node) Walk(f func(*Node)) {
 	f(n)
 	n.Left.Walk(f)
 	n.Right.Walk(f)
-}
-
-// Count returns the number of nodes in the subtree.
-func (n *Node) Count() int {
-	c := 0
-	n.Walk(func(*Node) { c++ })
-	return c
 }
 
 // Depth returns the height of the subtree (leaf = 1).

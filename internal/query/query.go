@@ -29,9 +29,6 @@ func (q *Query) Filter(table string) sqlpred.Pred {
 	return q.Filters[table]
 }
 
-// NumJoins returns the number of join conditions.
-func (q *Query) NumJoins() int { return len(q.Joins) }
-
 // SQL renders the query as SQL text (for logs and examples).
 func (q *Query) SQL() string {
 	var b strings.Builder

@@ -68,12 +68,6 @@ func TestFilterAccessor(t *testing.T) {
 	}
 }
 
-func TestNumJoins(t *testing.T) {
-	if validQuery().NumJoins() != 1 {
-		t.Error("NumJoins wrong")
-	}
-}
-
 func TestSQLRendersAllClauses(t *testing.T) {
 	sql := validQuery().SQL()
 	for _, want := range []string{"SELECT COUNT(*)", "FROM movie_companies, title",

@@ -490,17 +490,6 @@ func (f *Follower) Generation() uint64 { return f.gen.Load() }
 // Epoch returns the highest primary epoch the follower has seen.
 func (f *Follower) Epoch() uint64 { return f.epoch.Load() }
 
-// WaitReady blocks until the follower has applied and published its first
-// frame (it is serving primary weights), or ctx expires.
-func (f *Follower) WaitReady(ctx context.Context) error {
-	select {
-	case <-f.ready:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // FollowerStats is the /statsz view of a follower, lag included.
 type FollowerStats struct {
 	Connected          bool   `json:"connected"`

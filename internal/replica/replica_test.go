@@ -206,10 +206,10 @@ func TestFollowerBootstrapAndDelta(t *testing.T) {
 
 	r := newTestReplica(t, m.Cfg, samples, addr)
 	f := r.start()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := f.WaitReady(ctx); err != nil {
-		t.Fatalf("follower never became ready: %v", err)
+	select {
+	case <-f.ready:
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower never became ready")
 	}
 	waitFor(t, 5*time.Second, "bootstrap catch-up", func() bool { return f.Generation() == srv.Version() })
 	expectBitIdentical(t, srv, primEps, r)

@@ -84,7 +84,7 @@ func enumVariants(tb testing.TB, seed int64, queries, variants int) []*plan.Node
 			break
 		}
 		root, err := testPl.Plan(q)
-		if err != nil || q.NumJoins() < 2 {
+		if err != nil || len(q.Joins) < 2 {
 			continue
 		}
 		for v := 0; v < variants; v++ {

@@ -87,9 +87,9 @@ func FuzzEstimateDecode(f *testing.F) {
 			for _, level := range ep.Levels {
 				members += len(level)
 			}
-			if len(ep.Nodes) != roots[i].Count() || members != len(ep.Nodes) || ep.CardNode >= len(ep.Nodes) {
+			if len(ep.Nodes) != countNodes(roots[i]) || members != len(ep.Nodes) || ep.CardNode >= len(ep.Nodes) {
 				t.Fatalf("plan %d: %d nodes encoded as %d, %d level members, cardinality node %d:\n%s",
-					i, roots[i].Count(), len(ep.Nodes), members, ep.CardNode, body)
+					i, countNodes(roots[i]), len(ep.Nodes), members, ep.CardNode, body)
 			}
 			for j, n := range ep.Nodes {
 				if n.Left >= len(ep.Nodes) || n.Right >= len(ep.Nodes) || (n.Left >= 0 && n.Left <= j) || (n.Right >= 0 && n.Right <= j) {

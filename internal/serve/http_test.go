@@ -344,7 +344,7 @@ func TestHTTPStatsz(t *testing.T) {
 		t.Fatalf("statsz sharing = %+v, want at least the four served plans' roots placed", sh)
 	}
 	// Two whole copies of plans[1] were shared, nothing of plans[0].
-	n0, n1 := int64(plans[0].Count()), int64(plans[1].Count())
+	n0, n1 := int64(countNodes(plans[0])), int64(countNodes(plans[1]))
 	if sh := st.Sharing; sh.EncodeNodes != n0+3*n1 || sh.EncodeShared != 2*n1 ||
 		sh.EncodeSharedRate != float64(sh.EncodeShared)/float64(sh.EncodeNodes) {
 		t.Fatalf("statsz encode sharing = %+v, want %d nodes, %d shared", sh, n0+3*n1, 2*n1)

@@ -31,6 +31,13 @@ var (
 	testEnc = feature.NewEncoder(testCat, strembed.HashEmbedder{DimN: 12}, true)
 )
 
+// countNodes returns the number of nodes in the plan tree.
+func countNodes(n *plan.Node) int {
+	c := 0
+	n.Walk(func(*plan.Node) { c++ })
+	return c
+}
+
 // testCorpus labels a small plan corpus and returns both the physical plans
 // (for wire-format tests) and their encodings.
 func testCorpus(tb testing.TB, seed int64, n int) ([]*plan.Node, []*feature.EncodedPlan) {

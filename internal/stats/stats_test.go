@@ -143,7 +143,7 @@ func TestCompoundIndependence(t *testing.T) {
 	b := &sqlpred.Atom{Table: "title", Column: "kind_id", Op: sqlpred.OpEq, NumVal: 1}
 	sa, sb := testCat.AtomSelectivity(a), testCat.AtomSelectivity(b)
 	and := testCat.PredSelectivity(sqlpred.AndAll(a, b))
-	or := testCat.PredSelectivity(sqlpred.OrAll(a, b))
+	or := testCat.PredSelectivity(&sqlpred.Bool{Kind: sqlpred.Or, Left: a, Right: b})
 	if math.Abs(and-sa*sb) > 1e-9 {
 		t.Errorf("AND independence: %g vs %g", and, sa*sb)
 	}

@@ -5,7 +5,6 @@ package strembed
 // a second trie over reversed strings.
 type Trie struct {
 	root *trieNode
-	size int
 }
 
 type trieNode struct {
@@ -17,9 +16,6 @@ type trieNode struct {
 func NewTrie() *Trie {
 	return &Trie{root: &trieNode{vecID: -1}}
 }
-
-// Len returns the number of stored strings.
-func (t *Trie) Len() int { return t.size }
 
 // Insert stores s with the given vector id, overwriting any previous id.
 func (t *Trie) Insert(s string, vecID int) {
@@ -35,9 +31,6 @@ func (t *Trie) Insert(s string, vecID int) {
 			n.children[c] = next
 		}
 		n = next
-	}
-	if n.vecID < 0 {
-		t.size++
 	}
 	n.vecID = int32(vecID)
 }

@@ -15,9 +15,6 @@ import (
 // Vec is a dense float64 vector.
 type Vec = []float64
 
-// NewVec returns a zeroed vector of length n.
-func NewVec(n int) Vec { return make(Vec, n) }
-
 // Mat is a dense row-major matrix: element (i, j) is Data[i*Cols+j].
 type Mat struct {
 	Rows, Cols int
@@ -32,21 +29,8 @@ func NewMat(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// At returns element (i, j).
-func (m *Mat) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns a view (not a copy) of row i.
 func (m *Mat) Row(i int) Vec { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy of m.
-func (m *Mat) Clone() *Mat {
-	c := NewMat(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
 
 // Zero resets all elements to zero.
 func (m *Mat) Zero() {

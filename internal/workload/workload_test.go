@@ -51,11 +51,11 @@ func TestJoinCountsWithinSpec(t *testing.T) {
 	g := NewGenerator(testDB, 5)
 	qs := g.Generate(Spec{MinJoins: 1, MaxJoins: 3, MaxAtomsPerTable: 1}, 30)
 	for _, q := range qs {
-		if q.NumJoins() < 1 || q.NumJoins() > 3 {
-			t.Fatalf("join count %d outside [1,3]", q.NumJoins())
+		if len(q.Joins) < 1 || len(q.Joins) > 3 {
+			t.Fatalf("join count %d outside [1,3]", len(q.Joins))
 		}
-		if len(q.Tables) != q.NumJoins()+1 {
-			t.Fatalf("tables %d != joins+1 (%d)", len(q.Tables), q.NumJoins()+1)
+		if len(q.Tables) != len(q.Joins)+1 {
+			t.Fatalf("tables %d != joins+1 (%d)", len(q.Tables), len(q.Joins)+1)
 		}
 	}
 }
@@ -63,8 +63,8 @@ func TestJoinCountsWithinSpec(t *testing.T) {
 func TestNumericOnlySpec(t *testing.T) {
 	qs := Synthetic(testDB, 7, 30)
 	for _, q := range qs {
-		if q.NumJoins() > 2 {
-			t.Fatalf("synthetic query with %d joins", q.NumJoins())
+		if len(q.Joins) > 2 {
+			t.Fatalf("synthetic query with %d joins", len(q.Joins))
 		}
 		for _, f := range q.Filters {
 			sqlpred.Walk(f, func(a *sqlpred.Atom) {
@@ -85,8 +85,8 @@ func TestJOBLightShape(t *testing.T) {
 		if !containsTable(q, "title") {
 			t.Fatalf("JOB-light query without title: %v", q.Tables)
 		}
-		if q.NumJoins() < 1 || q.NumJoins() > 4 {
-			t.Fatalf("JOB-light join count %d", q.NumJoins())
+		if len(q.Joins) < 1 || len(q.Joins) > 4 {
+			t.Fatalf("JOB-light join count %d", len(q.Joins))
 		}
 		for _, f := range q.Filters {
 			sqlpred.Walk(f, func(a *sqlpred.Atom) {
@@ -104,8 +104,8 @@ func TestJOBFullHasStrings(t *testing.T) {
 		if !hasStringAtom(q) {
 			t.Fatalf("JOB query without string atom: %s", q.SQL())
 		}
-		if q.NumJoins() < 2 {
-			t.Fatalf("JOB query with %d joins", q.NumJoins())
+		if len(q.Joins) < 2 {
+			t.Fatalf("JOB query with %d joins", len(q.Joins))
 		}
 	}
 }

@@ -92,6 +92,7 @@ require_section ARCHITECTURE.md "Networked serving"
 require_section ARCHITECTURE.md "Fault tolerance"
 require_section ARCHITECTURE.md "Scale-out replication"
 require_section README.md "A replicated cluster"
+require_section README.md "Design ablations"
 
 if [ "$status" -ne 0 ]; then
     echo "check_docs: FAILED — fix the stale references above"
