@@ -88,9 +88,9 @@ func TestChaosAcceptance(t *testing.T) {
 	// the first checkpoint write fails, and batches 6-9 of the serving path
 	// error: four failing runs in a row, then recovery.
 	fault.Enable(fault.New(99).
-		Add(fault.Rule{Site: "daemon.retrain", Kind: fault.Panic, Count: 2}).
-		Add(fault.Rule{Site: "checkpoint.write", Kind: fault.Error, Count: 1}).
-		Add(fault.Rule{Site: "serve.batch", Kind: fault.Error, After: 5, Count: 4}))
+		Add(fault.Rule{Site: fault.SiteDaemonRetrain, Kind: fault.Panic, Count: 2}).
+		Add(fault.Rule{Site: fault.SiteCheckpointWrite, Kind: fault.Error, Count: 1}).
+		Add(fault.Rule{Site: fault.SiteServeBatch, Kind: fault.Error, After: 5, Count: 4}))
 	defer fault.Disable()
 
 	ctx, cancel := context.WithCancel(context.Background())

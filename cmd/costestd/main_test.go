@@ -185,7 +185,7 @@ func TestLoadOrTrainInjectedReadFault(t *testing.T) {
 		t.Fatalf("seed boot: %v", err)
 	}
 
-	fault.Enable(fault.New(5).Add(fault.Rule{Site: "checkpoint.read", Kind: fault.Error}))
+	fault.Enable(fault.New(5).Add(fault.Rule{Site: fault.SiteCheckpointRead, Kind: fault.Error}))
 	defer fault.Disable()
 	m, err := loadOrTrain(path, testEnc, eps, 2, 1, 0)
 	if err != nil {
@@ -208,6 +208,9 @@ func TestFaultSpecFlagParses(t *testing.T) {
 	}
 	if _, err := fault.ParseSpec("serve.batch:explode", 7); err == nil || !strings.Contains(err.Error(), "kind") {
 		t.Fatalf("bad kind accepted: %v", err)
+	}
+	if _, err := fault.ParseSpec("serve.bach:error", 7); err == nil || !strings.Contains(err.Error(), `unknown site "serve.bach"`) {
+		t.Fatalf("unregistered site accepted: %v", err)
 	}
 }
 

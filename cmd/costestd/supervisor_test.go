@@ -64,7 +64,7 @@ func TestSupervisorPanicRecoveryBackoffThenPublish(t *testing.T) {
 	sup.logf = t.Logf
 
 	// The first two cycles panic inside the trainer; the rest succeed.
-	fault.Enable(fault.New(3).Add(fault.Rule{Site: "daemon.retrain", Kind: fault.Panic, Count: 2}))
+	fault.Enable(fault.New(3).Add(fault.Rule{Site: fault.SiteDaemonRetrain, Kind: fault.Panic, Count: 2}))
 	defer fault.Disable()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -330,7 +330,7 @@ func TestSupervisorCheckpointsPublishedModel(t *testing.T) {
 	}
 
 	// Injected write failure: absorbed, counted, last-good intact.
-	fault.Enable(fault.New(5).Add(fault.Rule{Site: "checkpoint.write", Kind: fault.Error, Count: 1}))
+	fault.Enable(fault.New(5).Add(fault.Rule{Site: fault.SiteCheckpointWrite, Kind: fault.Error, Count: 1}))
 	err = sup.cycle(context.Background(), tr)
 	fault.Disable()
 	if err != nil {

@@ -1,13 +1,11 @@
 // Command costlint is the project's static-analysis gate: it runs the
-// internal/analysis suite — faultsite, noalloc, canonicaldot,
-// atomichygiene — over the named packages and exits non-zero on any
-// finding. `make lint` (part of `make check` and CI) runs it over ./...,
-// which also enables the whole-program registered-but-never-injected check
-// on the fault-site registry.
+// internal/analysis suite — noalloc, canonicaldot, atomichygiene — over the
+// named packages and exits non-zero on any finding. `make lint` (part of
+// `make check` and CI) runs it over ./....
 //
 // Usage:
 //
-//	costlint [-unused-sites=auto|on|off] [packages...]
+//	costlint [packages...]
 //
 // With no arguments, ./... is assumed. The tree must build: the analyzers
 // consume compiled export data produced by `go list -export`.
@@ -17,20 +15,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"costest/internal/analysis"
 )
 
 func main() {
-	unused := flag.String("unused-sites", "auto",
-		"check for registered-but-never-injected fault sites: auto enables it when a ./... pattern is present, on/off force it")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: costlint [flags] [packages...]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: costlint [packages...]\n\nAnalyzers:\n")
 		for _, a := range analysis.Analyzers() {
 			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
 		}
-		flag.PrintDefaults()
 	}
 	flag.Parse()
 
@@ -42,17 +36,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	switch *unused {
-	case "on":
-		prog.CheckUnusedSites = true
-	case "off":
-	default:
-		for _, p := range patterns {
-			if p == "./..." || strings.HasSuffix(p, "/...") {
-				prog.CheckUnusedSites = true
-			}
-		}
 	}
 
 	diags := analysis.RunAnalyzers(prog, analysis.Analyzers())

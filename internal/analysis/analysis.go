@@ -1,12 +1,7 @@
-// Package analysis is the project's static-analysis layer: four custom
+// Package analysis is the project's static-analysis layer: three custom
 // analyzers that prove, at build-gate time and over every call site, the
 // serving invariants the dynamic test suites can only sample —
 //
-//   - faultsite: every fault-injection site name reaching fault.Point,
-//     fault.Calls or a fault.Rule literal in production code is a constant
-//     from the central registry (internal/fault/sites.go), and every
-//     registered site is actually consulted somewhere (no typo'd or dead
-//     chaos hooks);
 //   - noalloc: functions annotated `// costlint:noalloc` contain no
 //     allocating constructs — the static, every-line complement to the
 //     AllocsPerRun tests, which prove the warm path empirically but only at
@@ -15,10 +10,14 @@
 //     internal/tensor — every order-sensitive accumulation routes through
 //     the canonical kernels (tensor.Dot, tensor.Sum, tensor.AddVecsInto)
 //     that pin the bit-identical estimate contract;
-//   - atomichygiene: a variable or struct field accessed through sync/atomic
-//     anywhere is never read or written plainly elsewhere (mixed access is a
-//     data race the race detector only finds when a test happens to
-//     interleave it).
+//   - atomichygiene: no package-level sync/atomic function is used, so every
+//     atomic word is a typed atomic whose plain access cannot compile (mixed
+//     atomic/plain access is a data race the race detector only finds when a
+//     test happens to interleave it).
+//
+// The fault-site registry needs no analyzer: fault.Site's name is unexported,
+// so a hook point is named through the vars of internal/fault/sites.go and
+// the compiler rejects one named by a string.
 //
 // The framework is deliberately dependency-free: the container that builds
 // this repo has no module proxy access, so instead of
@@ -29,9 +28,9 @@
 // be ported to a multichecker verbatim if the dependency ever lands.
 //
 // Test files are never analyzed: the loader reads only GoFiles (non-test
-// sources), because tests intentionally allocate, name ad-hoc fault sites
-// and touch shared state single-threaded. The contracts these analyzers
-// prove are production serving contracts.
+// sources), because tests intentionally allocate and touch shared state
+// single-threaded. The contracts these analyzers prove are production serving
+// contracts.
 package analysis
 
 import (
@@ -43,17 +42,11 @@ import (
 	"strings"
 )
 
-// Analyzer is one static check. Run (optional) is invoked once per loaded
-// package; Finish (optional) is invoked once after every package has been
-// visited, for whole-program checks that need cross-package state (unused
-// fault sites, mixed atomic access across packages).
+// Analyzer is one static check; Run is invoked once per loaded package.
 type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(pass *Pass)
-	// Finish reports whole-program diagnostics after all Run calls. The
-	// prog argument carries every loaded package.
-	Finish func(prog *Program) []Diagnostic
 }
 
 // Pass carries one analyzer's view of one package.
@@ -98,44 +91,21 @@ type Package struct {
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
-	// CheckUnusedSites enables faultsite's whole-program
-	// registered-but-never-injected check. Only meaningful when the loaded
-	// pattern covers the entire module (cmd/costlint sets it for ./... runs);
-	// a partial load would report every site the absent packages consult.
-	CheckUnusedSites bool
 
 	diags []Diagnostic
-	// faultPointUses records registry-constant values consulted by
-	// fault.Point across all packages — faultsite.Finish's evidence for the
-	// registered-but-never-injected check.
-	faultPointUses map[string]bool
-}
-
-// markFaultPointUse records that a registry constant with the given value
-// reached a fault.Point call.
-func (p *Program) markFaultPointUse(val string) {
-	if p.faultPointUses == nil {
-		p.faultPointUses = make(map[string]bool)
-	}
-	p.faultPointUses[val] = true
 }
 
 // Analyzers returns the project's analyzer suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{FaultSite, NoAlloc, CanonicalDot, AtomicHygiene}
+	return []*Analyzer{NoAlloc, CanonicalDot, AtomicHygiene}
 }
 
 // RunAnalyzers applies every analyzer to prog and returns the diagnostics
 // sorted by position.
 func RunAnalyzers(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	for _, a := range analyzers {
-		if a.Run != nil {
-			for _, pkg := range prog.Packages {
-				a.Run(&Pass{Analyzer: a, Prog: prog, Pkg: pkg})
-			}
-		}
-		if a.Finish != nil {
-			prog.diags = append(prog.diags, a.Finish(prog)...)
+		for _, pkg := range prog.Packages {
+			a.Run(&Pass{Analyzer: a, Prog: prog, Pkg: pkg})
 		}
 	}
 	sort.Slice(prog.diags, func(i, j int) bool {
@@ -154,26 +124,10 @@ func RunAnalyzers(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	return prog.diags
 }
 
-// faultPkgSuffix identifies the fault-injection package by import-path
-// suffix, so fixtures under testdata resolve the same registry the
-// production tree does.
-const faultPkgSuffix = "internal/fault"
-
 // tensorPkgSuffix identifies the canonical-kernel package.
 const tensorPkgSuffix = "internal/tensor"
 
 // isPkgPath reports whether path is exactly suffix or ends with "/"+suffix.
 func isPkgPath(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
-}
-
-// importedPackage returns the directly imported package whose path matches
-// suffix, or nil.
-func importedPackage(pkg *Package, suffix string) *types.Package {
-	for _, imp := range pkg.Types.Imports() {
-		if isPkgPath(imp.Path(), suffix) {
-			return imp
-		}
-	}
-	return nil
 }

@@ -102,15 +102,13 @@ func runFixture(t *testing.T, a *Analyzer, name string) {
 	}
 }
 
-func TestFaultSiteFixture(t *testing.T)     { runFixture(t, FaultSite, "faultsite") }
 func TestNoAllocFixture(t *testing.T)       { runFixture(t, NoAlloc, "noalloc") }
 func TestCanonicalDotFixture(t *testing.T)  { runFixture(t, CanonicalDot, "canonicaldot") }
 func TestAtomicHygieneFixture(t *testing.T) { runFixture(t, AtomicHygiene, "atomichygiene") }
 
 // TestCostlintTreeClean is the self-application gate: the shipped tree must
 // hold every invariant the analyzers prove, with zero findings and zero
-// suppressions — including the whole-program registered-but-never-injected
-// check over the fault-site registry.
+// suppressions.
 func TestCostlintTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -119,7 +117,6 @@ func TestCostlintTreeClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	prog.CheckUnusedSites = true
 	for _, d := range RunAnalyzers(prog, Analyzers()) {
 		t.Errorf("%s", d.String())
 	}

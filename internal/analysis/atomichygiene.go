@@ -1,181 +1,29 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-	"strings"
-)
+import "go/types"
 
-// AtomicHygiene proves memory-order hygiene across the whole program: a
-// struct field or package-level variable that is accessed through the
-// sync/atomic functions anywhere must never be read or written plainly
-// anywhere else. Mixed atomic/plain access is a data race that the race
-// detector only reports when a test happens to interleave the two sides;
-// statically, the mix is visible at every commit.
-//
-// The typed atomics (atomic.Uint64, atomic.Pointer[T], ...) — the only form
-// the production tree uses — are immune by construction: their inner word is
-// unexported, so a plain access cannot compile. This analyzer therefore
-// guards the regression path: the first old-style atomic.LoadUint64(&s.f)
-// that slips in pins f as atomic program-wide, and every plain f read
-// elsewhere becomes a build-gate failure (including the tempting "it's only
-// initialization" write — initialize before publication via the composite
-// literal instead, or use a typed atomic).
-//
-// The check is whole-program (Finish): atomic evidence in one package flags
-// plain access in another, keyed by (package, type, field) so source-checked
-// and export-data views of the same field unify.
+// AtomicHygiene keeps every atomic word a typed atomic: non-test code uses no
+// package-level sync/atomic function (atomic.LoadUint64, atomic.AddInt32,
+// atomic.CompareAndSwapPointer, ...). A typed atomic (atomic.Uint64,
+// atomic.Pointer[T], ...) keeps its word unexported, so a plain read or
+// write of it cannot compile; a word reached through the functions is a
+// plain variable that any other line may touch without them, a data race
+// the race detector only reports when a test happens to interleave the two.
 var AtomicHygiene = &Analyzer{
-	Name:   "atomichygiene",
-	Doc:    "fields accessed via sync/atomic must never be accessed plainly",
-	Finish: finishAtomicHygiene,
+	Name: "atomichygiene",
+	Doc:  "use typed atomics, not the package-level sync/atomic functions",
+	Run:  runAtomicHygiene,
 }
 
-// atomicKey names a field or package-level variable position-independently.
-func atomicKey(obj types.Object, recv *types.Named) string {
-	pkg := ""
-	if obj.Pkg() != nil {
-		pkg = obj.Pkg().Path()
-	}
-	if recv != nil {
-		return pkg + ":" + recv.Obj().Name() + "." + obj.Name()
-	}
-	return pkg + ":" + obj.Name()
-}
-
-func finishAtomicHygiene(prog *Program) []Diagnostic {
-	atomicUses := make(map[string]string) // key -> example position (string for messages)
-	exempt := make(map[ast.Node]bool)     // &x.f nodes inside atomic calls
-	type access struct {
-		key string
-		pos ast.Node
-		pkg *Package
-	}
-	var plain []access
-
-	// Pass 1: collect atomic evidence and the exact argument nodes it lives
-	// in, so pass 2 can skip them.
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if !isSyncAtomicCall(pkg.Info, call) {
-					return true
-				}
-				for _, arg := range call.Args {
-					un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-					if !ok || un.Op.String() != "&" {
-						continue
-					}
-					key, ok := addressedKey(pkg.Info, un.X)
-					if !ok {
-						continue
-					}
-					if _, seen := atomicUses[key]; !seen {
-						atomicUses[key] = prog.Fset.Position(un.Pos()).String()
-					}
-					exempt[un] = true
-				}
-				return true
-			})
+func runAtomicHygiene(pass *Pass) {
+	for id, obj := range pass.Pkg.Info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+			continue
 		}
-	}
-	if len(atomicUses) == 0 {
-		return nil
-	}
-
-	// Pass 2: find plain accesses of the recorded fields/variables.
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			var walk func(n ast.Node) bool
-			walk = func(n ast.Node) bool {
-				if exempt[n] {
-					return false
-				}
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					if key, ok := addressedKey(pkg.Info, n); ok {
-						if _, hot := atomicUses[key]; hot {
-							plain = append(plain, access{key: key, pos: n, pkg: pkg})
-						}
-					}
-					return true
-				case *ast.Ident:
-					if obj, ok := pkg.Info.Uses[n].(*types.Var); ok && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-						key := atomicKey(obj, nil)
-						if _, hot := atomicUses[key]; hot {
-							plain = append(plain, access{key: key, pos: n, pkg: pkg})
-						}
-					}
-					return true
-				}
-				return true
-			}
-			ast.Inspect(file, walk)
+		if fn.Type().(*types.Signature).Recv() != nil {
+			continue // a typed atomic's method
 		}
+		pass.Reportf(id.Pos(), "atomic.%s on a plain word: use a typed atomic (atomic.Uint64, atomic.Pointer[T], ...)", fn.Name())
 	}
-
-	var diags []Diagnostic
-	for _, a := range plain {
-		diags = append(diags, Diagnostic{
-			Pos:      a.pos.Pos(),
-			Position: prog.Fset.Position(a.pos.Pos()),
-			Analyzer: "atomichygiene",
-			Message: "plain access to " + a.key[strings.Index(a.key, ":")+1:] +
-				", which is accessed atomically at " + atomicUses[a.key] +
-				" — mixed atomic/plain access is a data race; use a typed atomic (atomic.Uint64, atomic.Pointer) or atomic accessors everywhere",
-		})
-	}
-	return diags
-}
-
-// addressedKey resolves expr (the operand of & in an atomic call, or a
-// selector read) to an atomic hygiene key: a struct field selection or a
-// package-level variable. Returns ok=false for locals and non-variables —
-// atomics on locals cannot be mixed across packages, and intra-function
-// mixes are caught by the same key when the local is a named field.
-func addressedKey(info *types.Info, expr ast.Expr) (string, bool) {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.SelectorExpr:
-		sel, ok := info.Selections[e]
-		if !ok || sel.Kind() != types.FieldVal {
-			return "", false
-		}
-		recv := sel.Recv()
-		if ptr, ok := types.Unalias(recv).Underlying().(*types.Pointer); ok {
-			recv = ptr.Elem()
-		}
-		named, ok := types.Unalias(recv).(*types.Named)
-		if !ok {
-			return "", false
-		}
-		return atomicKey(sel.Obj(), named), true
-	case *ast.Ident:
-		obj, ok := info.Uses[e].(*types.Var)
-		if !ok || obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
-			return "", false
-		}
-		return atomicKey(obj, nil), true
-	}
-	return "", false
-}
-
-// isSyncAtomicCall reports whether call invokes a package-level sync/atomic
-// function (Load*/Store*/Add*/Swap*/CompareAndSwap*).
-func isSyncAtomicCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return false // typed-atomic methods are safe by construction
-	}
-	return true
 }

@@ -31,7 +31,6 @@ var exportAllowlist = map[string]string{
 	"(*costest/internal/strembed.SkipGram).Similarity":     "skip-gram tests check that co-occurring tokens embed close",
 	"costest/internal/fault.Disable":                       "fault tests uninstall the injector between cases",
 	"costest/internal/fault.Calls":                         "fault, scheduler and chaos tests count hook-point calls",
-	"costest/internal/fault.SiteExamples":                  "the fault-site registry test checks every site has an example",
 
 	// Test aids that several packages' tests share. Single-package aids live
 	// in that package's export_test.go instead.

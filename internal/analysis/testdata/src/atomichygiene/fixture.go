@@ -1,40 +1,28 @@
-// Package fixture exercises the atomichygiene analyzer: an old-style
-// sync/atomic access anywhere pins the field program-wide, so every plain
-// access elsewhere is a diagnosed data race. Typed atomics stay silent.
+// Package fixture exercises the atomichygiene analyzer: a package-level
+// sync/atomic function is flagged wherever it is named, called or taken as a
+// value; a typed atomic's methods stay silent.
 package fixture
 
 import "sync/atomic"
 
 type counter struct {
-	n     uint64        // accessed via atomic.AddUint64: plain access is a race
+	n     uint64        // reached through atomic.AddUint64: flagged
 	typed atomic.Uint64 // typed atomic: plain access cannot compile, never flagged
-	cold  uint64        // never touched atomically: plain access is fine
 }
 
 func (c *counter) inc() {
-	atomic.AddUint64(&c.n, 1) // the atomic evidence that pins c.n
+	atomic.AddUint64(&c.n, 1) // want `atomic\.AddUint64 on a plain word: use a typed atomic`
 	c.typed.Add(1)
 }
 
 func (c *counter) read() uint64 {
-	return c.n // want `plain access to counter\.n, which is accessed atomically at`
-}
-
-func (c *counter) reset() {
-	c.n = 0 // want `plain access to counter\.n`
-	c.cold = 0
-}
-
-func (c *counter) typedRead() uint64 {
-	return c.typed.Load() + c.cold
+	return c.n + c.typed.Load()
 }
 
 var pkgFlag uint32
 
-func raiseFlag() {
-	atomic.StoreUint32(&pkgFlag, 1)
-}
+var store = atomic.StoreUint32 // want `atomic\.StoreUint32 on a plain word`
 
-func readFlag() bool {
-	return pkgFlag == 1 // want `plain access to pkgFlag`
+func raiseFlag() {
+	store(&pkgFlag, 1)
 }

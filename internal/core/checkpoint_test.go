@@ -144,7 +144,7 @@ func TestSaveCheckpointInjectedIOError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, site := range []string{"checkpoint.write", "checkpoint.sync", "checkpoint.rename"} {
+	for _, site := range []fault.Site{fault.SiteCheckpointWrite, fault.SiteCheckpointSync, fault.SiteCheckpointRename} {
 		fault.Enable(fault.New(1).Add(fault.Rule{Site: site, Kind: fault.Error, Count: 1}))
 		err := SaveCheckpoint(path, m)
 		fault.Disable()
@@ -177,7 +177,7 @@ func TestLoadCheckpointInjectedReadError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fault.Enable(fault.New(1).Add(fault.Rule{Site: "checkpoint.read", Kind: fault.Error, Count: 1}))
+	fault.Enable(fault.New(1).Add(fault.Rule{Site: fault.SiteCheckpointRead, Kind: fault.Error, Count: 1}))
 	got, src, err := LoadCheckpoint(path, testEnc)
 	fault.Disable()
 	if err != nil {
@@ -188,7 +188,7 @@ func TestLoadCheckpointInjectedReadError(t *testing.T) {
 	}
 	sameEstimates(t, m, got)
 
-	fault.Enable(fault.New(1).Add(fault.Rule{Site: "checkpoint.read", Kind: fault.Error}))
+	fault.Enable(fault.New(1).Add(fault.Rule{Site: fault.SiteCheckpointRead, Kind: fault.Error}))
 	_, _, err = LoadCheckpoint(path, testEnc)
 	fault.Disable()
 	if err == nil || errors.Is(err, fs.ErrNotExist) {

@@ -12,7 +12,7 @@
 // runtime with its reusable zero-allocation arenas (BatchSession — a single
 // plan is a batch of one — and the ParallelTrainer that trains through it),
 // and the hot-swap serving runtime (Server, ModelSnapshot,
-// ParallelTrainer.Publish) — atomic weight publication with
+// Server.PublishDelta) — atomic weight publication with
 // generation-tagged pool invalidation, so a long-lived service retrains in
 // place while concurrent requests keep serving immutable snapshots. See
 // ARCHITECTURE.md and PERFORMANCE.md at the repository root.

@@ -79,10 +79,6 @@ type EarlyStopOptions struct {
 	// q-error (cost + card) may fail to improve before Fit stops; <= 0
 	// disables early stopping.
 	Patience int
-	// MinDelta is the least absolute improvement over the best combined
-	// validation error that counts as progress; epochs inside the band count
-	// against the patience budget.
-	MinDelta float64
 }
 
 // trainWorker is one shard's long-lived state: a shadow model whose
@@ -118,9 +114,8 @@ func (pt *ParallelTrainer) Shards() int { return pt.shards }
 
 // EarlyStop installs validation-based early stopping on Fit: training stops
 // once the combined validation q-error has gone opts.Patience consecutive
-// epochs without improving its best value by more than opts.MinDelta, so a
-// long `epochs` budget terminates when the model plateaus instead of burning
-// the remaining epochs. Zero Patience (the default) disables stopping.
+// epochs without improving on its best value, so a long `epochs` budget
+// terminates when the model plateaus instead of burning the remaining epochs. Zero Patience (the default) disables stopping.
 func (pt *ParallelTrainer) EarlyStop(opts EarlyStopOptions) {
 	pt.stop = opts
 }
@@ -152,7 +147,7 @@ func (pt *ParallelTrainer) Fit(train, valid []*feature.EncodedPlan, epochs, batc
 		if cb != nil {
 			cb(st)
 		}
-		if vc+vd < best-pt.stop.MinDelta {
+		if vc+vd < best {
 			best, sinceBest = vc+vd, 0
 		} else if sinceBest++; pt.stop.Patience > 0 && sinceBest >= pt.stop.Patience {
 			break

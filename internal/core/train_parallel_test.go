@@ -418,15 +418,4 @@ func TestFitEarlyStopping(t *testing.T) {
 	if len(h) > 4 {
 		t.Fatalf("Fit ran %d epochs past its %d-epoch budget", len(h), 4)
 	}
-
-	// MinDelta: improvements smaller than the band count against patience.
-	// A zero-lr run with a huge MinDelta behaves identically to the plateau.
-	cfg2 := TestConfig()
-	cfg2.LearnRate = 0
-	pt2 := NewParallelTrainer(New(cfg2, testEnc), 1)
-	defer pt2.Close()
-	pt2.EarlyStop(EarlyStopOptions{Patience: 2, MinDelta: 1e9})
-	if h := pt2.Fit(train, valid, 20, 4, 1, nil); len(h) != 3 {
-		t.Fatalf("min-delta plateau ran %d epochs, want 3", len(h))
-	}
 }

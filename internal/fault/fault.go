@@ -13,8 +13,8 @@
 // faults.
 //
 //	inj := fault.New(7).
-//		Add(fault.Rule{Site: "serve.batch", Kind: fault.Error, After: 5, Count: 4}).
-//		Add(fault.Rule{Site: "daemon.retrain", Kind: fault.Panic, Count: 2})
+//		Add(fault.Rule{Site: fault.SiteServeBatch, Kind: fault.Error, After: 5, Count: 4}).
+//		Add(fault.Rule{Site: fault.SiteDaemonRetrain, Kind: fault.Panic, Count: 2})
 //	fault.Enable(inj)
 //	defer fault.Disable()
 package fault
@@ -79,8 +79,8 @@ const crashExitCode = 3
 //   - at most Count calls fire (0 = unlimited);
 //   - P > 0 additionally gates each firing on a seeded coin flip.
 type Rule struct {
-	// Site names the hook point this rule applies to (e.g. "serve.batch").
-	Site string
+	// Site is the hook point this rule applies to (e.g. SiteServeBatch).
+	Site Site
 	// Kind selects the injected behavior.
 	Kind Kind
 	// P is the per-call firing probability; 0 fires deterministically.
@@ -134,7 +134,7 @@ type site struct {
 type Injector struct {
 	seed  int64
 	n     int
-	sites map[string]*site
+	sites map[Site]*site
 	// Exit intercepts Crash faults (nil uses os.Exit) — a test hook; the
 	// production daemon leaves it nil so a Crash is a real kill.
 	Exit func(code int)
@@ -142,7 +142,7 @@ type Injector struct {
 
 // New returns an empty injector whose probabilistic rules derive from seed.
 func New(seed int64) *Injector {
-	return &Injector{seed: seed, sites: make(map[string]*site)}
+	return &Injector{seed: seed, sites: make(map[Site]*site)}
 }
 
 // Add compiles one rule into the injector and returns it for chaining.
@@ -155,15 +155,15 @@ func (in *Injector) Add(r Rule) *Injector {
 	in.n++
 	cr := &rule{Rule: r, err: r.Err, rng: rand.New(rand.NewSource(in.seed + int64(in.n)*7919))}
 	if cr.err == nil {
-		cr.err = errors.New("fault: injected error at " + r.Site)
+		cr.err = errors.New("fault: injected error at " + r.Site.name)
 	}
 	st.rules = append(st.rules, cr)
 	return in
 }
 
 // point evaluates the site's rules against its next call number.
-func (in *Injector) point(name string) error {
-	st := in.sites[name]
+func (in *Injector) point(s Site) error {
+	st := in.sites[s]
 	if st == nil {
 		return nil
 	}
@@ -180,13 +180,13 @@ func (in *Injector) point(name string) error {
 		case Error:
 			return r.err
 		case Panic:
-			panic(fmt.Sprintf("fault: injected panic at %s (call %d)", name, n))
+			panic(fmt.Sprintf("fault: injected panic at %s (call %d)", s.name, n))
 		case Crash:
 			exit := in.Exit
 			if exit == nil {
 				exit = os.Exit
 			}
-			fmt.Fprintf(os.Stderr, "fault: injected crash at %s (call %d)\n", name, n)
+			fmt.Fprintf(os.Stderr, "fault: injected crash at %s (call %d)\n", s.name, n)
 			exit(crashExitCode)
 		}
 	}
@@ -209,23 +209,23 @@ func Disable() { active.Store(nil) }
 // installed (the production default).
 //
 // costlint:noalloc
-func Point(name string) error {
+func Point(s Site) error {
 	inj := active.Load()
 	if inj == nil {
 		return nil
 	}
-	return inj.point(name)
+	return inj.point(s)
 }
 
-// Calls reports how many times the named site has been consulted on the
+// Calls reports how many times site s has been consulted on the
 // installed injector (0 when disabled or the site has no rules) — test
 // observability for "did the code path actually run".
-func Calls(name string) uint64 {
+func Calls(s Site) uint64 {
 	inj := active.Load()
 	if inj == nil {
 		return 0
 	}
-	st := inj.sites[name]
+	st := inj.sites[s]
 	if st == nil {
 		return 0
 	}
@@ -240,7 +240,8 @@ func Calls(name string) uint64 {
 //	daemon.retrain:panic:p=0.1;serve.batch:latency:delay=50ms
 //
 // Kinds: error, panic, latency, crash. Keys: p (probability), after, count,
-// delay (Go duration). Probabilistic rules draw from seed.
+// delay (Go duration). A site must be registered in sites.go. Probabilistic
+// rules draw from seed.
 func ParseSpec(spec string, seed int64) (*Injector, error) {
 	inj := New(seed)
 	for _, part := range strings.Split(spec, ";") {
@@ -252,10 +253,11 @@ func ParseSpec(spec string, seed int64) (*Injector, error) {
 		if len(fields) < 2 {
 			return nil, fmt.Errorf("fault: rule %q: want site:kind[:key=value...]", part)
 		}
-		if strings.TrimSpace(fields[0]) == "" {
-			return nil, fmt.Errorf("fault: rule %q: empty site", part)
+		site, ok := registry[fields[0]]
+		if !ok {
+			return nil, fmt.Errorf("fault: rule %q: unknown site %q", part, fields[0])
 		}
-		r := Rule{Site: fields[0]}
+		r := Rule{Site: site}
 		switch fields[1] {
 		case "error":
 			r.Kind = Error

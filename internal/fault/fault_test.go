@@ -13,14 +13,14 @@ import (
 // production cost of carrying the hooks.
 func TestDisabledIsNoOp(t *testing.T) {
 	Disable()
-	if err := Point("anything"); err != nil {
+	if err := Point(Site{"anything"}); err != nil {
 		t.Fatalf("disabled Point returned %v", err)
 	}
-	if Calls("anything") != 0 {
+	if Calls(Site{"anything"}) != 0 {
 		t.Fatal("disabled Calls nonzero")
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
-		if Point("serve.batch") != nil {
+		if Point(SiteServeBatch) != nil {
 			t.Fatal("fired")
 		}
 	}); allocs != 0 {
@@ -31,11 +31,11 @@ func TestDisabledIsNoOp(t *testing.T) {
 // TestNthCallWindow: After/Count windows fire on exact call numbers — the
 // deterministic triggering chaos tests are built on.
 func TestNthCallWindow(t *testing.T) {
-	Enable(New(1).Add(Rule{Site: "s", Kind: Error, After: 1, Count: 2}))
+	Enable(New(1).Add(Rule{Site: Site{"s"}, Kind: Error, After: 1, Count: 2}))
 	defer Disable()
 	var got []bool
 	for i := 0; i < 5; i++ {
-		got = append(got, Point("s") != nil)
+		got = append(got, Point(Site{"s"}) != nil)
 	}
 	want := []bool{false, true, true, false, false}
 	for i := range want {
@@ -43,8 +43,8 @@ func TestNthCallWindow(t *testing.T) {
 			t.Fatalf("call %d fired=%v, want %v (pattern %v)", i+1, got[i], want[i], got)
 		}
 	}
-	if Calls("s") != 5 {
-		t.Fatalf("Calls = %d, want 5", Calls("s"))
+	if Calls(Site{"s"}) != 5 {
+		t.Fatalf("Calls = %d, want 5", Calls(Site{"s"}))
 	}
 }
 
@@ -52,12 +52,12 @@ func TestNthCallWindow(t *testing.T) {
 // match it with errors.Is.
 func TestErrorIdentity(t *testing.T) {
 	sentinel := errors.New("disk on fire")
-	Enable(New(1).Add(Rule{Site: "io", Kind: Error, Count: 1, Err: sentinel}))
+	Enable(New(1).Add(Rule{Site: Site{"io"}, Kind: Error, Count: 1, Err: sentinel}))
 	defer Disable()
-	if err := Point("io"); !errors.Is(err, sentinel) {
+	if err := Point(Site{"io"}); !errors.Is(err, sentinel) {
 		t.Fatalf("Point returned %v, want sentinel", err)
 	}
-	if err := Point("io"); err != nil {
+	if err := Point(Site{"io"}); err != nil {
 		t.Fatalf("count-exhausted rule still fired: %v", err)
 	}
 }
@@ -66,11 +66,11 @@ func TestErrorIdentity(t *testing.T) {
 // same fault sequence; a different seed diverges (reproducibility contract).
 func TestProbabilisticDeterminism(t *testing.T) {
 	pattern := func(seed int64) string {
-		Enable(New(seed).Add(Rule{Site: "p", Kind: Error, P: 0.5}))
+		Enable(New(seed).Add(Rule{Site: Site{"p"}, Kind: Error, P: 0.5}))
 		defer Disable()
 		var b strings.Builder
 		for i := 0; i < 64; i++ {
-			if Point("p") != nil {
+			if Point(Site{"p"}) != nil {
 				b.WriteByte('x')
 			} else {
 				b.WriteByte('.')
@@ -94,8 +94,8 @@ func TestProbabilisticDeterminism(t *testing.T) {
 // sleeps at least the configured delay and does not fail the call.
 func TestPanicAndLatencyKinds(t *testing.T) {
 	Enable(New(1).
-		Add(Rule{Site: "boom", Kind: Panic, Count: 1}).
-		Add(Rule{Site: "slow", Kind: Latency, Count: 1, Delay: 20 * time.Millisecond}))
+		Add(Rule{Site: Site{"boom"}, Kind: Panic, Count: 1}).
+		Add(Rule{Site: Site{"slow"}, Kind: Latency, Count: 1, Delay: 20 * time.Millisecond}))
 	defer Disable()
 
 	func() {
@@ -108,11 +108,11 @@ func TestPanicAndLatencyKinds(t *testing.T) {
 				t.Fatalf("panic message %q does not name the site", p)
 			}
 		}()
-		Point("boom")
+		Point(Site{"boom"})
 	}()
 
 	start := time.Now()
-	if err := Point("slow"); err != nil {
+	if err := Point(Site{"slow"}); err != nil {
 		t.Fatalf("Latency rule failed the call: %v", err)
 	}
 	if d := time.Since(start); d < 20*time.Millisecond {
@@ -124,11 +124,11 @@ func TestPanicAndLatencyKinds(t *testing.T) {
 // dedicated exit code (tests intercept; production leaves it nil = os.Exit).
 func TestCrashUsesExitHook(t *testing.T) {
 	var code int
-	inj := New(1).Add(Rule{Site: "kill", Kind: Crash, Count: 1})
+	inj := New(1).Add(Rule{Site: Site{"kill"}, Kind: Crash, Count: 1})
 	inj.Exit = func(c int) { code = c }
 	Enable(inj)
 	defer Disable()
-	if err := Point("kill"); err != nil {
+	if err := Point(Site{"kill"}); err != nil {
 		t.Fatalf("Crash returned error %v", err)
 	}
 	if code != crashExitCode {
@@ -139,7 +139,7 @@ func TestCrashUsesExitHook(t *testing.T) {
 // TestConcurrentPoints: concurrent hook-point traffic respects Count caps
 // exactly (run under -race in CI).
 func TestConcurrentPoints(t *testing.T) {
-	Enable(New(1).Add(Rule{Site: "c", Kind: Error, Count: 10}))
+	Enable(New(1).Add(Rule{Site: Site{"c"}, Kind: Error, Count: 10}))
 	defer Disable()
 	var wg sync.WaitGroup
 	var fired sync.Map
@@ -149,7 +149,7 @@ func TestConcurrentPoints(t *testing.T) {
 			defer wg.Done()
 			n := 0
 			for i := 0; i < 100; i++ {
-				if Point("c") != nil {
+				if Point(Site{"c"}) != nil {
 					n++
 				}
 			}
@@ -162,38 +162,38 @@ func TestConcurrentPoints(t *testing.T) {
 	if total != 10 {
 		t.Fatalf("Count=10 rule fired %d times under concurrency", total)
 	}
-	if Calls("c") != 800 {
-		t.Fatalf("Calls = %d, want 800", Calls("c"))
+	if Calls(Site{"c"}) != 800 {
+		t.Fatalf("Calls = %d, want 800", Calls(Site{"c"}))
 	}
 }
 
 // TestParseSpec: the daemon's -faults flag format round-trips into working
 // rules, and malformed specs are descriptive errors.
 func TestParseSpec(t *testing.T) {
-	inj, err := ParseSpec("io:error:after=1:count=2; slow:latency:delay=5ms;kill:crash:count=1", 9)
+	inj, err := ParseSpec("checkpoint.write:error:after=1:count=2; serve.batch:latency:delay=5ms;checkpoint.rename:crash:count=1", 9)
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
 	inj.Exit = func(int) {}
 	Enable(inj)
 	defer Disable()
-	if err := Point("io"); err != nil {
-		t.Fatalf("io call 1 fired early: %v", err)
+	if err := Point(SiteCheckpointWrite); err != nil {
+		t.Fatalf("checkpoint.write call 1 fired early: %v", err)
 	}
-	if err := Point("io"); err == nil {
-		t.Fatal("io call 2 did not fire")
+	if err := Point(SiteCheckpointWrite); err == nil {
+		t.Fatal("checkpoint.write call 2 did not fire")
 	}
-	if err := Point("slow"); err != nil {
+	if err := Point(SiteServeBatch); err != nil {
 		t.Fatalf("latency rule errored: %v", err)
 	}
 
 	for _, bad := range []string{
 		"siteonly",
-		"s:explode",
-		"s:error:count",
-		"s:error:count=x",
-		"s:error:weird=1",
-		"s:latency:delay=fast",
+		"serve.batch:explode",
+		"serve.batch:error:count",
+		"serve.batch:error:count=x",
+		"serve.batch:error:weird=1",
+		"serve.batch:latency:delay=fast",
 	} {
 		if _, err := ParseSpec(bad, 1); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted a malformed spec", bad)
@@ -210,20 +210,21 @@ func TestParseSpecErrors(t *testing.T) {
 		name, spec, want string
 	}{
 		{"missing kind", "siteonly", "want site:kind"},
-		{"empty site", ":error:p=1", "empty site"},
-		{"blank site", "  :error", "empty site"},
-		{"unknown kind", "s:explode", `unknown kind "explode"`},
-		{"option without value", "s:error:count", "not key=value"},
-		{"unknown option", "s:error:weird=1", `unknown option "weird"`},
-		{"bad probability syntax", "s:error:p=often", `option "p=often"`},
-		{"probability above one", "s:error:p=1.5", "outside [0, 1]"},
-		{"negative probability", "s:error:p=-0.1", "outside [0, 1]"},
-		{"NaN probability", "s:error:p=NaN", "outside [0, 1]"},
-		{"bad after", "s:error:after=-1", `option "after=-1"`},
-		{"bad count", "s:error:count=x", `option "count=x"`},
-		{"bad delay syntax", "s:latency:delay=fast", `option "delay=fast"`},
-		{"negative delay", "s:latency:delay=-5ms", "negative delay"},
-		{"later rule fails", "ok:error:p=0.5;s:latency:delay=oops", `option "delay=oops"`},
+		{"empty site", ":error:p=1", `unknown site ""`},
+		{"blank site", "  :error", `unknown site ""`},
+		{"unregistered site", "serve.bach:error:count=1", `unknown site "serve.bach"`},
+		{"unknown kind", "serve.batch:explode", `unknown kind "explode"`},
+		{"option without value", "serve.batch:error:count", "not key=value"},
+		{"unknown option", "serve.batch:error:weird=1", `unknown option "weird"`},
+		{"bad probability syntax", "serve.batch:error:p=often", `option "p=often"`},
+		{"probability above one", "serve.batch:error:p=1.5", "outside [0, 1]"},
+		{"negative probability", "serve.batch:error:p=-0.1", "outside [0, 1]"},
+		{"NaN probability", "serve.batch:error:p=NaN", "outside [0, 1]"},
+		{"bad after", "serve.batch:error:after=-1", `option "after=-1"`},
+		{"bad count", "serve.batch:error:count=x", `option "count=x"`},
+		{"bad delay syntax", "serve.batch:latency:delay=fast", `option "delay=fast"`},
+		{"negative delay", "serve.batch:latency:delay=-5ms", "negative delay"},
+		{"later rule fails", "daemon.retrain:error:p=0.5;serve.batch:latency:delay=oops", `option "delay=oops"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -242,9 +243,9 @@ func TestParseSpecErrors(t *testing.T) {
 	for _, good := range []string{
 		"",
 		";;",
-		" s:error:p=0 ; t:error:p=1 ",
-		"s:latency:delay=0s",
-		"s:error:after=0:count=0",
+		" serve.batch:error:p=0 ; daemon.retrain:error:p=1 ",
+		"serve.batch:latency:delay=0s",
+		"serve.batch:error:after=0:count=0",
 	} {
 		if _, err := ParseSpec(good, 1); err != nil {
 			t.Fatalf("ParseSpec(%q) rejected a valid spec: %v", good, err)
@@ -259,7 +260,7 @@ func BenchmarkPointDisabled(b *testing.B) {
 	Disable()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if Point("serve.batch") != nil {
+		if Point(SiteServeBatch) != nil {
 			b.Fatal("fired")
 		}
 	}
@@ -269,11 +270,11 @@ func BenchmarkPointDisabled(b *testing.B) {
 // fire at the probed site — the cost when chaos testing is on but this site
 // is quiet.
 func BenchmarkPointEnabledMiss(b *testing.B) {
-	Enable(New(1).Add(Rule{Site: "other", Kind: Error}))
+	Enable(New(1).Add(Rule{Site: Site{"other"}, Kind: Error}))
 	defer Disable()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if Point("serve.batch") != nil {
+		if Point(SiteServeBatch) != nil {
 			b.Fatal("fired")
 		}
 	}

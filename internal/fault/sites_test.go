@@ -1,98 +1,42 @@
 package fault
 
-import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"strconv"
-	"strings"
-	"testing"
-)
+import "testing"
 
-// registeredSites parses sites.go and returns constant name -> site value
-// for every Site* string constant — the same view the costlint faultsite
-// analyzer takes of the registry, so this test drifts with the source file
-// itself, not with a hand-maintained list.
-func registeredSites(t *testing.T) map[string]string {
-	t.Helper()
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "sites.go", nil, 0)
-	if err != nil {
-		t.Fatalf("parse sites.go: %v", err)
-	}
-	sites := make(map[string]string)
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.CONST {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for i, name := range vs.Names {
-				if !strings.HasPrefix(name.Name, "Site") || i >= len(vs.Values) {
-					continue
-				}
-				lit, ok := vs.Values[i].(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
-					continue
-				}
-				val, err := strconv.Unquote(lit.Value)
-				if err != nil {
-					t.Fatalf("unquote %s: %v", name.Name, err)
-				}
-				sites[name.Name] = val
-			}
-		}
-	}
-	if len(sites) == 0 {
-		t.Fatal("no Site* constants found in sites.go")
-	}
-	return sites
+// siteExamples is a documented -faults specification for every registered
+// site (the strings quoted in README and the daemon's usage text).
+var siteExamples = map[Site]string{
+	SiteCheckpointWrite:      "checkpoint.write:error:count=1",
+	SiteCheckpointSync:       "checkpoint.sync:crash:count=1",
+	SiteCheckpointRename:     "checkpoint.rename:crash:count=1",
+	SiteCheckpointRead:       "checkpoint.read:error:count=1",
+	SiteServeBatch:           "serve.batch:error:after=5:count=4",
+	SiteDaemonRetrain:        "daemon.retrain:panic:count=2",
+	SiteReplicaSend:          "replica.send:latency:p=0.2:delay=200us",
+	SiteReplicaSendCorrupt:   "replica.send.corrupt:error:p=0.25",
+	SiteReplicaRecv:          "replica.recv:error:count=1",
+	SiteReplicaHeartbeatSend: "replica.heartbeat.send:error:count=3",
+	SiteReplicaHeartbeatRecv: "replica.heartbeat.recv:error:count=3",
+	SiteReplicaLeaseRenew:    "replica.lease.renew:error:p=1",
+	SiteReplicaLeasePromote:  "replica.lease.promote:error:count=1",
 }
 
 // TestSiteExamples proves the registry and its documentation cannot drift
-// apart: every Site* constant declared in sites.go has a SiteExamples entry,
-// every entry's spec parses through ParseSpec, every parsed rule targets
-// exactly the site it documents, and no example is keyed by an unregistered
-// name.
+// apart: every registered site has an example, and every example parses
+// through ParseSpec into a rule for exactly the site it documents.
 func TestSiteExamples(t *testing.T) {
-	registered := registeredSites(t)
-
-	values := make(map[string]string, len(registered)) // site value -> const name
-	for name, val := range registered {
-		if prev, dup := values[val]; dup {
-			t.Errorf("site value %q registered twice: %s and %s", val, prev, name)
+	for name, s := range registry {
+		if _, ok := siteExamples[s]; !ok {
+			t.Errorf("registered site %q has no example", name)
 		}
-		values[val] = name
 	}
-
-	for name, val := range registered {
-		example, ok := SiteExamples[val]
-		if !ok {
-			t.Errorf("registered site %s (%q) has no SiteExamples entry", name, val)
-			continue
-		}
+	for s, example := range siteExamples {
 		inj, err := ParseSpec(example, 1)
 		if err != nil {
-			t.Errorf("SiteExamples[%s] = %q does not parse: %v", name, example, err)
+			t.Errorf("example %q for %q does not parse: %v", example, s.name, err)
 			continue
 		}
-		if _, ok := inj.sites[val]; !ok {
-			t.Errorf("SiteExamples[%s] = %q parses but installs no rule for %q", name, example, val)
-		}
-		for target := range inj.sites {
-			if _, known := values[target]; !known {
-				t.Errorf("SiteExamples[%s] = %q installs a rule for unregistered site %q", name, example, target)
-			}
-		}
-	}
-
-	for key := range SiteExamples {
-		if _, ok := values[key]; !ok {
-			t.Errorf("SiteExamples key %q is not a registered Site* constant value", key)
+		if _, ok := inj.sites[s]; !ok || len(inj.sites) != 1 {
+			t.Errorf("example %q installs rules for %v, want only %q", example, inj.sites, s.name)
 		}
 	}
 }

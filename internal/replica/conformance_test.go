@@ -56,7 +56,7 @@ func TestReplicationConformance(t *testing.T) {
 	// corrupted, one in five delayed. Corrupt frames must be caught by
 	// checksum and healed by snapshot resync; they must never reach a model.
 	inj, err := fault.ParseSpec(
-		fault.SiteReplicaSendCorrupt+":error:p=0.25;"+fault.SiteReplicaSend+":latency:p=0.2:delay=200us", 42)
+		"replica.send.corrupt:error:p=0.25;replica.send:latency:p=0.2:delay=200us", 42)
 	if err != nil {
 		t.Fatalf("fault spec: %v", err)
 	}

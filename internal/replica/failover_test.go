@@ -147,7 +147,7 @@ func TestFailoverConformance(t *testing.T) {
 	// Chaos on the wire for the whole failover: corrupt frames must be
 	// rejected by checksum, latency must be absorbed by deadline slack.
 	inj, err := fault.ParseSpec(
-		fault.SiteReplicaSendCorrupt+":error:p=0.15;"+fault.SiteReplicaSend+":latency:p=0.2:delay=200us", 99)
+		"replica.send.corrupt:error:p=0.15;replica.send:latency:p=0.2:delay=200us", 99)
 	if err != nil {
 		t.Fatalf("fault spec: %v", err)
 	}
@@ -1048,7 +1048,7 @@ func TestSlowFollowerEviction(t *testing.T) {
 
 	// Stall the wire: every publisher write takes 50ms, so the send queue
 	// (depth 32) fills and publications start stalling.
-	inj, err := fault.ParseSpec(fault.SiteReplicaSend+":latency:p=1:delay=50ms", 7)
+	inj, err := fault.ParseSpec("replica.send:latency:p=1:delay=50ms", 7)
 	if err != nil {
 		t.Fatalf("fault spec: %v", err)
 	}

@@ -16,12 +16,11 @@ import (
 )
 
 // Fault-injection sites on the replication link live in the central
-// registry (internal/fault/sites.go, enforced by the costlint faultsite
-// analyzer): fault.SiteReplicaSend, fault.SiteReplicaSendCorrupt,
-// fault.SiteReplicaRecv, fault.SiteReplicaHeartbeatSend and
-// fault.SiteReplicaHeartbeatRecv. The corrupt site is interpreted by the
-// sender as "flip bytes in a private copy of the frame before writing" —
-// the follower must reject it by checksum.
+// registry (internal/fault/sites.go): fault.SiteReplicaSend,
+// fault.SiteReplicaSendCorrupt, fault.SiteReplicaRecv,
+// fault.SiteReplicaHeartbeatSend and fault.SiteReplicaHeartbeatRecv. The
+// corrupt site is interpreted by the sender as "flip bytes in a private copy
+// of the frame before writing" — the follower must reject it by checksum.
 
 // DefaultEpoch is the epoch a zero PublisherConfig publishes under — the
 // boot primary's epoch. A promoting Member always seeds its epoch strictly

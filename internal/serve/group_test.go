@@ -44,7 +44,7 @@ func TestGroupDeadlineWhileWaiting(t *testing.T) {
 	svc.SetReady(true)
 	ts := httptest2(t, svc)
 
-	fault.Enable(fault.New(1).Add(fault.Rule{Site: "serve.batch", Kind: fault.Latency, Delay: 300 * time.Millisecond, Count: 1}))
+	fault.Enable(fault.New(1).Add(fault.Rule{Site: fault.SiteServeBatch, Kind: fault.Latency, Delay: 300 * time.Millisecond, Count: 1}))
 	defer fault.Disable()
 	held := make(chan error, 1)
 	go func() {
@@ -83,7 +83,7 @@ func TestGroupDrainAnswersInFlight(t *testing.T) {
 	s := NewScheduler(srv, SchedulerConfig{QueueDepth: 64, MaxBatch: 8})
 	s.Start()
 
-	fault.Enable(fault.New(1).Add(fault.Rule{Site: "serve.batch", Kind: fault.Latency, Delay: 200 * time.Millisecond, Count: 1}))
+	fault.Enable(fault.New(1).Add(fault.Rule{Site: fault.SiteServeBatch, Kind: fault.Latency, Delay: 200 * time.Millisecond, Count: 1}))
 	defer fault.Disable()
 	const groups = 6
 	var wg sync.WaitGroup
@@ -131,7 +131,7 @@ func TestConcurrentGroupsWithinSlots(t *testing.T) {
 	group := enumGroup(t)
 	snap := heldSnapshot(t, srv)
 
-	fault.Enable(fault.New(1).Add(fault.Rule{Site: "serve.batch", Kind: fault.Latency, Delay: time.Millisecond}))
+	fault.Enable(fault.New(1).Add(fault.Rule{Site: fault.SiteServeBatch, Kind: fault.Latency, Delay: time.Millisecond}))
 	defer fault.Disable()
 	stop := make(chan struct{})
 	var sampled, maxRuns atomic.Int64

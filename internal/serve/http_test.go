@@ -537,7 +537,7 @@ func TestHTTPRetryAfterScalesWithQueueDepth(t *testing.T) {
 	// The first two runs take 400ms each: the first teaches the scheduler
 	// its run time, the second holds the only slot while the queue fills.
 	const delay = 400 * time.Millisecond
-	fault.Enable(fault.New(1).Add(fault.Rule{Site: "serve.batch", Kind: fault.Latency, Delay: delay, Count: 2}))
+	fault.Enable(fault.New(1).Add(fault.Rule{Site: fault.SiteServeBatch, Kind: fault.Latency, Delay: delay, Count: 2}))
 	defer fault.Disable()
 	sched.Start()
 	defer sched.Close()

@@ -188,7 +188,7 @@ func TestSchedulerBatchesWhileBusy(t *testing.T) {
 	srv, _ := testServer(t, eps)
 	s := NewScheduler(srv, SchedulerConfig{QueueDepth: 32, MaxBatch: 32})
 	fault.Enable(fault.New(1).Add(fault.Rule{
-		Site: "serve.batch", Kind: fault.Latency, Delay: 200 * time.Millisecond, Count: 1}))
+		Site: fault.SiteServeBatch, Kind: fault.Latency, Delay: 200 * time.Millisecond, Count: 1}))
 	defer fault.Disable()
 	s.Start()
 	defer s.Close()
@@ -381,6 +381,10 @@ func TestSchedulerPanicRecovery(t *testing.T) {
 func TestDrainContractUnderLoad(t *testing.T) {
 	_, eps := testCorpus(t, 105, 24)
 	srv, tr := testServer(t, eps)
+	// Each run holds its slot for a millisecond, so the loaders queue behind
+	// it and the coalescing check below does not depend on CPU contention.
+	fault.Enable(fault.New(1).Add(fault.Rule{Site: fault.SiteServeBatch, Kind: fault.Latency, Delay: time.Millisecond}))
+	defer fault.Disable()
 	s := NewScheduler(srv, SchedulerConfig{
 		QueueDepth: 64,
 		MaxBatch:   8,
