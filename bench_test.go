@@ -17,6 +17,7 @@
 //	BenchmarkFigure10    estimated-vs-real cost quartiles
 //	BenchmarkTable12_*   per-query estimation latency (the real timed loops)
 //	BenchmarkAblations   README's design-ablation table (5 seeds per pair)
+//	BenchmarkLabel       labeling the daemon's default training corpus
 package costest_test
 
 import (
@@ -26,11 +27,16 @@ import (
 	"testing"
 
 	"costest/internal/core"
+	"costest/internal/dataset"
+	"costest/internal/exec"
 	"costest/internal/experiments"
 	"costest/internal/feature"
 	"costest/internal/metrics"
 	"costest/internal/mscn"
 	"costest/internal/nn"
+	"costest/internal/pg"
+	"costest/internal/planner"
+	"costest/internal/stats"
 	"costest/internal/strembed"
 	"costest/internal/workload"
 )
@@ -340,6 +346,23 @@ func BenchmarkMemoryPoolWarm(b *testing.B) {
 		fix.model.EstimateWithPool(fix.eps[i%len(fix.eps)], pool)
 	}
 	b.ReportMetric(pool.HitRate()*100, "hit%")
+}
+
+// BenchmarkLabel labels the daemon's default training corpus (cmd/costestd's
+// substrate at -scale 0.03, -seed 42, -queries 240) on one goroutine: the
+// planning and execution pass every training boot pays before it trains.
+func BenchmarkLabel(b *testing.B) {
+	db := dataset.GenerateIMDB(dataset.Config{Seed: 1, Scale: 0.03})
+	cat := stats.Collect(db, stats.Options{Buckets: 40, SampleSize: 64, Seed: 1})
+	lab := &workload.Labeler{Planner: planner.New(pg.New(cat), db.Schema), Engine: exec.NewEngine(db), Parallelism: 1}
+	qs := workload.TrainingNumeric(db, 42, 240)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := len(lab.Label(qs)); got != len(qs) {
+			b.Fatalf("%d/%d queries labeled", got, len(qs))
+		}
+	}
 }
 
 // ---- Design ablations (README "Design ablations") ----

@@ -4,7 +4,10 @@
 // admission control of internal/serve.
 //
 // Startup either cold-loads a self-describing checkpoint (-checkpoint) or
-// trains a model on the synthetic IMDB workload, then serves:
+// trains a model on the synthetic IMDB workload, then serves. The labeled
+// training corpus is built the first time something trains, so a process
+// that never trains (a follower, a checkpoint boot without -retrain) builds
+// none:
 //
 //	POST /estimate  {"plan": {...}}         one estimate (see GET /samplez)
 //	GET  /healthz                           process liveness
@@ -62,6 +65,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -145,30 +149,38 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Substrate: synthetic database, statistics, a labeled workload for
-	// normalizer fitting (and training, when there is no checkpoint).
+	// Substrate: synthetic database, statistics, the training workload and
+	// the /samplez plan, its first query planned but not executed.
 	start := time.Now()
 	db, cat, enc := substrate(o.scale)
-	eng := exec.NewEngine(db)
 	pl := planner.New(pg.New(cat), db.Schema)
-	labeler := &workload.Labeler{Planner: pl, Engine: eng}
-	labeled := labeler.Label(workload.TrainingNumeric(db, o.seed, o.queries))
-	var eps []*feature.EncodedPlan
+	qs := workload.TrainingNumeric(db, o.seed, o.queries)
 	var sample *serve.WirePlan
-	for _, s := range labeled {
-		ep, err := enc.Encode(s.Plan)
-		if err != nil {
-			log.Fatalf("costestd: encode: %v", err)
-		}
-		eps = append(eps, ep)
-		if sample == nil {
-			sample = serve.EncodeWire(s.Plan)
+	for _, q := range qs {
+		if root, err := pl.Plan(q); err == nil {
+			sample = serve.EncodeWire(root)
+			break
 		}
 	}
-	if len(eps) == 0 {
-		log.Fatal("costestd: empty training corpus")
-	}
-	log.Printf("costestd: substrate ready in %v (%d labeled plans)", time.Since(start).Round(time.Millisecond), len(eps))
+	log.Printf("costestd: substrate ready in %v", time.Since(start).Round(time.Millisecond))
+	// The labeled, encoded training corpus, built on first use.
+	corpus := sync.OnceValue(func() []*feature.EncodedPlan {
+		start := time.Now()
+		labeler := &workload.Labeler{Planner: pl, Engine: exec.NewEngine(db)}
+		var eps []*feature.EncodedPlan
+		for _, s := range labeler.Label(qs) {
+			ep, err := enc.Encode(s.Plan)
+			if err != nil {
+				log.Fatalf("costestd: encode: %v", err)
+			}
+			eps = append(eps, ep)
+		}
+		if len(eps) == 0 {
+			log.Fatal("costestd: empty training corpus")
+		}
+		log.Printf("costestd: labeled %d plans in %v", len(eps), time.Since(start).Round(time.Millisecond))
+		return eps
+	})
 
 	var model *core.Model
 	if o.peers != "" {
@@ -182,7 +194,7 @@ func main() {
 		}
 	} else {
 		var err error
-		model, err = loadOrTrain(o.checkpoint, enc, eps, o.epochs, o.shards, o.patience)
+		model, err = loadOrTrain(o.checkpoint, enc, corpus, o.epochs, o.shards, o.patience)
 		if err != nil {
 			log.Fatalf("costestd: %v", err)
 		}
@@ -205,7 +217,7 @@ func main() {
 	// the SupervisorStats installation.
 	var sup *supervisor
 	if o.retrain > 0 {
-		sup = newSupervisor(srv, model, o.shards, eps, o.seed)
+		sup = newSupervisor(srv, model, o.shards, corpus, o.seed)
 		sup.Interval = o.retrain
 		sup.GateSlack = o.gateSlack
 		sup.logf = log.Printf
@@ -355,8 +367,9 @@ func substrate(scale float64) (*dataset.DB, *stats.Catalog, *feature.Encoder) {
 // durable state was lost — but never fatal: the daemon retrains from the
 // workload instead of crash-looping on a bad file. Training needs at least
 // one epoch; a boot that would train with fewer is an error, while a
-// checkpoint boot never trains and takes any epoch budget.
-func loadOrTrain(path string, enc *feature.Encoder, eps []*feature.EncodedPlan,
+// checkpoint boot never trains, takes any epoch budget and never calls
+// corpus.
+func loadOrTrain(path string, enc *feature.Encoder, corpus func() []*feature.EncodedPlan,
 	epochs, shards, patience int) (*core.Model, error) {
 	if path != "" {
 		m, src, err := core.LoadCheckpoint(path, enc)
@@ -373,6 +386,7 @@ func loadOrTrain(path string, enc *feature.Encoder, eps []*feature.EncodedPlan,
 	if epochs < 1 {
 		return nil, fmt.Errorf("-epochs %d: training needs at least one epoch", epochs)
 	}
+	eps := corpus()
 	cut := len(eps) * 4 / 5
 	train, valid := eps[:cut], eps[cut:]
 	m := core.New(core.TestConfig(), enc)

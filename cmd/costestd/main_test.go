@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"flag"
+	"hash/fnv"
 	"math"
 	"os"
 	osexec "os/exec"
@@ -58,6 +60,11 @@ func testCorpus(tb testing.TB, seed int64, n int) ([]*plan.Node, []*feature.Enco
 	return plans, eps
 }
 
+// fixedCorpus is a training corpus that is already built.
+func fixedCorpus(eps []*feature.EncodedPlan) func() []*feature.EncodedPlan {
+	return func() []*feature.EncodedPlan { return eps }
+}
+
 // testStack builds a served, quick-trained model over the corpus: server,
 // started scheduler, HTTP service — the daemon's serving stack minus main().
 func testStack(tb testing.TB, eps []*feature.EncodedPlan, cfg serve.SchedulerConfig) (*core.Server, *core.ParallelTrainer, *serve.Scheduler, *serve.Service) {
@@ -81,11 +88,15 @@ func TestLoadOrTrainRoundTrip(t *testing.T) {
 	_, eps := testCorpus(t, 401, 16)
 	path := filepath.Join(t.TempDir(), "model.ckpt")
 
-	m1, err := loadOrTrain(path, testEnc, eps, 2, 1, 0)
+	m1, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 2, 1, 0)
 	if err != nil {
 		t.Fatalf("first boot: %v", err)
 	}
-	m2, err := loadOrTrain(path, testEnc, eps, 2, 1, 0)
+	// A checkpoint boot trains nothing, so it never asks for the corpus.
+	m2, err := loadOrTrain(path, testEnc, func() []*feature.EncodedPlan {
+		t.Fatal("checkpoint boot built the training corpus")
+		return nil
+	}, 2, 1, 0)
 	if err != nil {
 		t.Fatalf("second boot: %v", err)
 	}
@@ -105,17 +116,17 @@ func TestLoadOrTrainRejectsZeroEpochs(t *testing.T) {
 	_, eps := testCorpus(t, 404, 16)
 	path := filepath.Join(t.TempDir(), "model.ckpt")
 	for _, epochs := range []int{0, -1} {
-		if m, err := loadOrTrain(path, testEnc, eps, epochs, 1, 0); err == nil || m != nil {
+		if m, err := loadOrTrain(path, testEnc, fixedCorpus(eps), epochs, 1, 0); err == nil || m != nil {
 			t.Fatalf("epochs %d: got model %v, err %v; want an error", epochs, m != nil, err)
 		}
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("refused boot left a checkpoint behind: %v", err)
 	}
-	if _, err := loadOrTrain(path, testEnc, eps, 1, 1, 0); err != nil {
+	if _, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 1, 1, 0); err != nil {
 		t.Fatalf("one-epoch boot: %v", err)
 	}
-	if m, err := loadOrTrain(path, testEnc, eps, 0, 1, 0); err != nil || m == nil {
+	if m, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 0, 1, 0); err != nil || m == nil {
 		t.Fatalf("checkpoint boot with -epochs 0: model %v, err %v", m != nil, err)
 	}
 }
@@ -124,14 +135,8 @@ func TestLoadOrTrainRejectsZeroEpochs(t *testing.T) {
 // node's true cost in the daemon's default training corpus, so the loss, the
 // normalizer and validation see each sub-millisecond plan's real error.
 func TestNoTrueCostIsFloored(t *testing.T) {
-	var o options
-	if err := newFlagSet(&o).Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	db, cat, _ := substrate(o.scale)
-	lab := &workload.Labeler{Planner: planner.New(pg.New(cat), db.Schema), Engine: exec.NewEngine(db)}
 	nodes, cheapest := 0, math.Inf(1)
-	for _, s := range lab.Label(workload.TrainingNumeric(db, o.seed, o.queries)) {
+	for _, s := range defaultCorpus(t) {
 		s.Plan.Walk(func(n *plan.Node) {
 			nodes++
 			cheapest = math.Min(cheapest, n.TrueCost)
@@ -139,6 +144,41 @@ func TestNoTrueCostIsFloored(t *testing.T) {
 	}
 	if nodes == 0 || cheapest < nn.CostFloor {
 		t.Fatalf("cheapest of %d nodes costs %g ms, below the %g ms cost floor", nodes, cheapest, nn.CostFloor)
+	}
+}
+
+// defaultCorpus labels the daemon's training corpus at default flags, on
+// the daemon's own substrate.
+func defaultCorpus(t *testing.T) []*workload.Labeled {
+	t.Helper()
+	var o options
+	if err := newFlagSet(&o).Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	db, cat, _ := substrate(o.scale)
+	lab := &workload.Labeler{Planner: planner.New(pg.New(cat), db.Schema), Engine: exec.NewEngine(db)}
+	return lab.Label(workload.TrainingNumeric(db, o.seed, o.queries))
+}
+
+// TestGoldenLabels pins every label of the daemon's default corpus: the
+// FNV-64a hash of each node's TrueRows and TrueCost bits, in pre-order, plan
+// after plan. The pinned value is that of an executor that builds every
+// join, so counting the join under an Aggregate, or any other executor
+// change, fails here if it moves a single label bit.
+func TestGoldenLabels(t *testing.T) {
+	const want = 0x765d21ad1d97c1a6
+	labeled := defaultCorpus(t)
+	h := fnv.New64a()
+	var buf [16]byte
+	for _, s := range labeled {
+		s.Plan.Walk(func(n *plan.Node) {
+			binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(n.TrueRows))
+			binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(n.TrueCost))
+			h.Write(buf[:])
+		})
+	}
+	if len(labeled) != 240 || h.Sum64() != want {
+		t.Fatalf("%d labeled plans hash to %#x, want 240 plans hashing to %#x", len(labeled), h.Sum64(), uint64(want))
 	}
 }
 
@@ -152,7 +192,7 @@ func TestLoadOrTrainCorruptCheckpointFallsBackToTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := loadOrTrain(path, testEnc, eps, 2, 1, 0)
+	m, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 2, 1, 0)
 	if err != nil {
 		t.Fatalf("corrupt checkpoint was fatal: %v", err)
 	}
@@ -181,13 +221,13 @@ func TestLoadOrTrainCorruptCheckpointFallsBackToTraining(t *testing.T) {
 func TestLoadOrTrainInjectedReadFault(t *testing.T) {
 	_, eps := testCorpus(t, 403, 16)
 	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if _, err := loadOrTrain(path, testEnc, eps, 2, 1, 0); err != nil {
+	if _, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 2, 1, 0); err != nil {
 		t.Fatalf("seed boot: %v", err)
 	}
 
 	fault.Enable(fault.New(5).Add(fault.Rule{Site: fault.SiteCheckpointRead, Kind: fault.Error}))
 	defer fault.Disable()
-	m, err := loadOrTrain(path, testEnc, eps, 2, 1, 0)
+	m, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 2, 1, 0)
 	if err != nil {
 		t.Fatalf("unreadable checkpoint was fatal: %v", err)
 	}
@@ -261,5 +301,8 @@ func TestBootRefusesNonFiniteWeights(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "refusing to publish") || !strings.Contains(string(out), "non-finite") {
 		t.Fatalf("daemon exited without saying why:\n%s", out)
+	}
+	if strings.Contains(string(out), "labeled") {
+		t.Fatalf("a checkpoint boot that never trains built the training corpus:\n%s", out)
 	}
 }

@@ -40,8 +40,7 @@ type supervisor struct {
 	srv    *core.Server
 	model  *core.Model
 	shards int
-	train  []*feature.EncodedPlan
-	valid  []*feature.EncodedPlan
+	corpus func() []*feature.EncodedPlan
 
 	// Interval between cycle starts; failures wait nextBackoff instead.
 	Interval time.Duration
@@ -73,22 +72,27 @@ type supervisor struct {
 }
 
 // newSupervisor builds a supervisor that retrains model (the live model
-// srv publishes from) with shards-wide trainers, splitting eps 4:1 into
-// train/held-out validation.
-func newSupervisor(srv *core.Server, model *core.Model, shards int, eps []*feature.EncodedPlan, seed int64) *supervisor {
-	cut := len(eps) * 4 / 5
-	if cut < 1 {
-		cut = len(eps)
-	}
+// srv publishes from) with shards-wide trainers on the plans corpus returns,
+// which it first asks for when a term starts.
+func newSupervisor(srv *core.Server, model *core.Model, shards int, corpus func() []*feature.EncodedPlan, seed int64) *supervisor {
 	return &supervisor{
 		srv:    srv,
 		model:  model,
 		shards: shards,
-		train:  eps[:cut],
-		valid:  eps[cut:],
+		corpus: corpus,
 		logf:   func(format string, args ...any) {},
 		rng:    rand.New(rand.NewSource(seed)),
 	}
+}
+
+// split divides the corpus 4:1 into training and held-out validation plans.
+func (sv *supervisor) split() (train, valid []*feature.EncodedPlan) {
+	eps := sv.corpus()
+	cut := len(eps) * 4 / 5
+	if cut < 1 {
+		cut = len(eps)
+	}
+	return eps[:cut], eps[cut:]
 }
 
 // pubQ returns the publish gate's current baseline Q-error.
@@ -108,8 +112,9 @@ func (sv *supervisor) run(ctx context.Context) {
 	}
 	tr := core.NewParallelTrainer(sv.model, sv.shards)
 	defer tr.Close()
+	_, valid := sv.split()
 	snap := sv.srv.AcquireSnapshot()
-	vc, _ := snap.Model().ValidationError(sv.valid)
+	vc, _ := snap.Model().ValidationError(valid)
 	sv.srv.ReleaseSnapshot(snap)
 	sv.pubQBits.Store(math.Float64bits(vc))
 
@@ -155,14 +160,15 @@ func (sv *supervisor) cycle(ctx context.Context, tr *core.ParallelTrainer) (err 
 	if err := fault.Point(fault.SiteDaemonRetrain); err != nil {
 		return err
 	}
-	loss := tr.TrainEpochParallel(sv.train, 16)
+	train, valid := sv.split()
+	loss := tr.TrainEpochParallel(train, 16)
 
 	// Publish gate: validate the candidate on the held-out slice against the
 	// published baseline before it can reach the serving path. NaN compares
 	// false against everything, so non-finite candidates are refused before
 	// the comparison, gate on or off: publishing one would serve NaN and
 	// poison the baseline (and, on a primary, every follower).
-	candQ, candCardQ := sv.model.ValidationError(sv.valid)
+	candQ, candCardQ := sv.model.ValidationError(valid)
 	if !isFinite(loss) || !isFinite(candQ) || !isFinite(candCardQ) {
 		return fmt.Errorf("non-finite candidate (loss %v, valid q-error cost %v card %v), keeping served model",
 			loss, candQ, candCardQ)

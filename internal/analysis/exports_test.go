@@ -79,6 +79,96 @@ func TestExportsHaveCallers(t *testing.T) {
 	}
 }
 
+// foreignWriteAllowlist names the vars of other packages that module code may
+// write, each with why.
+var foreignWriteAllowlist = map[string]string{
+	"flag.Usage": "the flag package's documented hook for a command's usage message",
+}
+
+// TestNoForeignVarWrites keeps each package the only writer of its
+// package-level vars: no non-test code of the module assigns to, increments
+// or takes the address of another package's var, or of a field or element of
+// one. An exported var is then as good as a constant outside its package —
+// the fault package's Site vars, say, are the hook points its injector and
+// its callers both name, and a reassigned one would fork them silently.
+func TestNoForeignVarWrites(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module")
+	}
+	prog, err := Load("costest/...")
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	allowed := map[string]bool{}
+	for _, pkg := range prog.Packages {
+		check := func(x ast.Expr) {
+			v := foreignVar(pkg, x)
+			if v == nil {
+				return
+			}
+			key := v.Pkg().Path() + "." + v.Name()
+			if _, ok := foreignWriteAllowlist[key]; ok {
+				allowed[key] = true
+				return
+			}
+			t.Errorf("%s: writes %s, a package-level var of another package", prog.Fset.Position(x.Pos()), key)
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, x := range n.Lhs {
+						check(x)
+					}
+				case *ast.RangeStmt:
+					if n.Tok == token.ASSIGN {
+						check(n.Key)
+						check(n.Value)
+					}
+				case *ast.IncDecStmt:
+					check(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						check(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for key, why := range foreignWriteAllowlist {
+		if !allowed[key] {
+			t.Errorf("allowlist entry %s (%s) is written nowhere: drop it", key, why)
+		}
+	}
+}
+
+// foreignVar returns the package-level var of another package that writing
+// to x writes to (x itself, or a field or element of it), or nil.
+func foreignVar(pkg *Package, x ast.Expr) *types.Var {
+	for {
+		switch e := x.(type) {
+		case *ast.ParenExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.SelectorExpr:
+			if id, ok := e.X.(*ast.Ident); ok {
+				if _, ok := pkg.Info.Uses[id].(*types.PkgName); ok {
+					v, ok := pkg.Info.Uses[e.Sel].(*types.Var)
+					if ok && v.Pkg() != pkg.Types && v.Parent() == v.Pkg().Scope() {
+						return v
+					}
+					return nil
+				}
+			}
+			x = e.X
+		default:
+			return nil
+		}
+	}
+}
+
 // exportedDecl is one exported package-level declaration: its name-based key
 // (types.Func.FullName for funcs and methods, path.Name otherwise — each
 // package sees imported objects as different objects, so only names match

@@ -89,22 +89,20 @@ func (c Counters) Cost() float64 {
 }
 
 // Relation is an intermediate result: a bag of composite tuples, each tuple
-// holding one row index per base table.
+// holding one row index per base table. A relation only an Aggregate reads
+// is counted, not built: its Data is nil and rows holds its cardinality, as
+// it does for the Aggregate's own one-row result.
 type Relation struct {
 	Tables []string
 	Width  int
 	Data   []int32 // Width * NumRows entries, row-major
-	// scalar marks a one-row aggregate result with no base-table columns.
-	scalar bool
+	rows   int
 }
 
 // NumRows returns the relation's cardinality.
 func (r *Relation) NumRows() int {
-	if r.Width == 0 {
-		if r.scalar {
-			return 1
-		}
-		return 0
+	if r.Data == nil {
+		return r.rows
 	}
 	return len(r.Data) / r.Width
 }
@@ -155,12 +153,13 @@ func NewEngine(db *dataset.DB) *Engine {
 // Run executes the plan rooted at root, annotating every node with TrueRows
 // and cumulative TrueCost, and returns the root result.
 func (e *Engine) Run(root *plan.Node) (*Relation, error) {
-	rel, _, err := e.exec(root)
+	rel, _, err := e.exec(root, false)
 	return rel, err
 }
 
-// exec returns (result, cumulative cost, error).
-func (e *Engine) exec(n *plan.Node) (*Relation, float64, error) {
+// exec returns (result, cumulative cost, error). With count set, a join at
+// n returns its cardinality without building its tuples.
+func (e *Engine) exec(n *plan.Node, count bool) (*Relation, float64, error) {
 	if n == nil {
 		return nil, 0, errors.New("exec: nil plan node")
 	}
@@ -176,11 +175,11 @@ func (e *Engine) exec(n *plan.Node) (*Relation, float64, error) {
 	case plan.IndexScan:
 		rel, err = e.indexScan(n, &c)
 	case plan.HashJoin:
-		rel, childCost, err = e.hashJoin(n, &c)
+		rel, childCost, err = e.hashJoin(n, &c, count)
 	case plan.MergeJoin:
-		rel, childCost, err = e.mergeJoin(n, &c)
+		rel, childCost, err = e.mergeJoin(n, &c, count)
 	case plan.NestedLoop:
-		rel, childCost, err = e.nestedLoop(n, &c)
+		rel, childCost, err = e.nestedLoop(n, &c, count)
 	case plan.Sort:
 		rel, childCost, err = e.sortOp(n, &c)
 	case plan.Aggregate:
@@ -290,7 +289,7 @@ func (e *Engine) indexLookup(table string, cond *sqlpred.Atom) ([]int32, float64
 		if hi > int64(data.NumRows) {
 			hi = int64(data.NumRows)
 		}
-		var rows []int32
+		rows := make([]int32, 0, max(0, hi-lo+1))
 		for id := lo; id <= hi; id++ {
 			rows = append(rows, int32(id-1))
 		}
@@ -318,187 +317,213 @@ func joinKeys(cond *plan.JoinCond, left, right *Relation) (plan.ColRef, plan.Col
 	return plan.ColRef{}, plan.ColRef{}, fmt.Errorf("exec: join condition %v does not span children", cond)
 }
 
-// keyColumn returns the int column vector and tuple position used to read a
-// join key from a relation.
-func (e *Engine) keyColumn(rel *Relation, ref plan.ColRef) ([]int64, int, error) {
+// keyed is a relation with the int column its tuples are keyed by: the
+// column of the base table at tuple position pos.
+type keyed struct {
+	*Relation
+	col []int64
+	pos int
+}
+
+// key returns the i-th tuple's key.
+func (k keyed) key(i int) int64 { return k.col[k.Row(i)[k.pos]] }
+
+// keyColumn keys a relation by a column of one of its base tables.
+func (e *Engine) keyColumn(rel *Relation, ref plan.ColRef) (keyed, error) {
 	pos := rel.ColOf(ref.Table)
 	if pos < 0 {
-		return nil, 0, fmt.Errorf("exec: table %s not in relation", ref.Table)
+		return keyed{}, fmt.Errorf("exec: table %s not in relation", ref.Table)
 	}
 	col := e.DB.Table(ref.Table).IntColumn(ref.Column)
 	if col == nil {
-		return nil, 0, fmt.Errorf("exec: join key %s is not an int column", ref)
+		return keyed{}, fmt.Errorf("exec: join key %s is not an int column", ref)
 	}
-	return col, pos, nil
+	return keyed{rel, col, pos}, nil
 }
 
-func (e *Engine) hashJoin(n *plan.Node, c *Counters) (*Relation, float64, error) {
-	left, lc, err := e.exec(n.Left)
+// joinInputs executes a join's two children and keys each by its side of
+// the join condition, returning them with their summed cost.
+func (e *Engine) joinInputs(n *plan.Node) (l, r keyed, cost float64, err error) {
+	left, lc, err := e.exec(n.Left, false)
 	if err != nil {
-		return nil, 0, err
+		return l, r, 0, err
 	}
-	right, rc, err := e.exec(n.Right)
+	right, rc, err := e.exec(n.Right, false)
 	if err != nil {
-		return nil, 0, err
+		return l, r, 0, err
 	}
 	lRef, rRef, err := joinKeys(n.JoinCond, left, right)
 	if err != nil {
-		return nil, 0, err
+		return l, r, 0, err
 	}
-	lCol, lPos, err := e.keyColumn(left, lRef)
-	if err != nil {
-		return nil, 0, err
+	if l, err = e.keyColumn(left, lRef); err == nil {
+		r, err = e.keyColumn(right, rRef)
 	}
-	rCol, rPos, err := e.keyColumn(right, rRef)
+	return l, r, lc + rc, err
+}
+
+// joined returns an empty join output: left's tables, then tables.
+func joined(left *Relation, tables []string, width int) *Relation {
+	return &Relation{Tables: append(append([]string{}, left.Tables...), tables...), Width: left.Width + width}
+}
+
+// add appends the tuple l then r to a join's output, or only counts it when
+// count is set. Past MaxRows it returns ErrTooBig.
+func (e *Engine) add(out *Relation, count bool, l, r []int32) error {
+	out.rows++
+	if out.rows > e.MaxRows {
+		return ErrTooBig
+	}
+	if !count {
+		out.Data = append(append(out.Data, l...), r...)
+	}
+	return nil
+}
+
+// presize readies a join output of known cardinality: counted when count is
+// set, else with Data allocated at its exact size for the join to fill. Past
+// MaxRows it returns ErrTooBig.
+func (e *Engine) presize(out *Relation, rows int, count bool) error {
+	if rows > e.MaxRows {
+		return ErrTooBig
+	}
+	if count {
+		out.rows = rows
+	} else {
+		out.Data = make([]int32, 0, rows*out.Width)
+	}
+	return nil
+}
+
+func (e *Engine) hashJoin(n *plan.Node, c *Counters, count bool) (*Relation, float64, error) {
+	l, r, cost, err := e.joinInputs(n)
 	if err != nil {
 		return nil, 0, err
 	}
 	// Build on the right child (the planner puts the smaller estimate there).
-	build := make(map[int64][]int32, right.NumRows())
-	for i := 0; i < right.NumRows(); i++ {
-		k := rCol[right.Row(i)[rPos]]
-		build[k] = append(build[k], int32(i))
+	// A key's bucket holds its first row and its size; next chains the rest
+	// in ascending row order, so matches come out in build order.
+	type bucket struct{ first, n int32 }
+	build := make(map[int64]bucket, r.NumRows())
+	next := make([]int32, r.NumRows())
+	for i := r.NumRows() - 1; i >= 0; i-- {
+		b := build[r.key(i)]
+		next[i] = b.first
+		build[r.key(i)] = bucket{int32(i), b.n + 1}
 	}
-	c.HashBuild += float64(right.NumRows())
+	c.HashBuild += float64(r.NumRows())
+	c.HashProbe += float64(l.NumRows())
 
-	out := &Relation{Tables: append(append([]string{}, left.Tables...), right.Tables...),
-		Width: left.Width + right.Width}
-	for i := 0; i < left.NumRows(); i++ {
-		lRow := left.Row(i)
-		k := lCol[lRow[lPos]]
-		for _, j := range build[k] {
-			out.Data = append(out.Data, lRow...)
-			out.Data = append(out.Data, right.Row(int(j))...)
-			if out.NumRows() > e.MaxRows {
-				return nil, 0, ErrTooBig
-			}
+	rows := 0
+	for i := 0; i < l.NumRows(); i++ {
+		rows += int(build[l.key(i)].n)
+	}
+	out := joined(l.Relation, r.Tables, r.Width)
+	if err := e.presize(out, rows, count); err != nil {
+		return nil, 0, err
+	}
+	for i := 0; i < l.NumRows() && !count; i++ {
+		b := build[l.key(i)]
+		for j, m := b.first, int32(0); m < b.n; j, m = next[j], m+1 {
+			out.Data = append(append(out.Data, l.Row(i)...), r.Row(int(j))...)
 		}
 	}
-	c.HashProbe += float64(left.NumRows())
-	c.Output += float64(out.NumRows())
-	return out, lc + rc, nil
+	c.Output += float64(rows)
+	return out, cost, nil
 }
 
-func (e *Engine) mergeJoin(n *plan.Node, c *Counters) (*Relation, float64, error) {
-	left, lc, err := e.exec(n.Left)
+func (e *Engine) mergeJoin(n *plan.Node, c *Counters, count bool) (*Relation, float64, error) {
+	l, r, cost, err := e.joinInputs(n)
 	if err != nil {
 		return nil, 0, err
 	}
-	right, rc, err := e.exec(n.Right)
-	if err != nil {
-		return nil, 0, err
-	}
-	lRef, rRef, err := joinKeys(n.JoinCond, left, right)
-	if err != nil {
-		return nil, 0, err
-	}
-	lCol, lPos, err := e.keyColumn(left, lRef)
-	if err != nil {
-		return nil, 0, err
-	}
-	rCol, rPos, err := e.keyColumn(right, rRef)
-	if err != nil {
-		return nil, 0, err
-	}
-	lIdx := sortedOrder(left, lCol, lPos)
-	rIdx := sortedOrder(right, rCol, rPos)
-	nl, nr := float64(left.NumRows()), float64(right.NumRows())
+	lIdx, rIdx := sortedOrder(l), sortedOrder(r)
+	nl, nr := float64(l.NumRows()), float64(r.NumRows())
 	c.Comparisons += nl*math.Log2(nl+2) + nr*math.Log2(nr+2) + nl + nr
 	c.SortedRows += nl + nr
 
-	out := &Relation{Tables: append(append([]string{}, left.Tables...), right.Tables...),
-		Width: left.Width + right.Width}
-	i, j := 0, 0
-	for i < len(lIdx) && j < len(rIdx) {
-		lk := lCol[left.Row(lIdx[i])[lPos]]
-		rk := rCol[right.Row(rIdx[j])[rPos]]
-		switch {
-		case lk < rk:
-			i++
-		case lk > rk:
-			j++
-		default:
-			// Emit the cross product of the equal-key runs.
-			jEnd := j
-			for jEnd < len(rIdx) && rCol[right.Row(rIdx[jEnd])[rPos]] == lk {
-				jEnd++
-			}
-			for ; i < len(lIdx) && lCol[left.Row(lIdx[i])[lPos]] == lk; i++ {
-				for jj := j; jj < jEnd; jj++ {
-					out.Data = append(out.Data, left.Row(lIdx[i])...)
-					out.Data = append(out.Data, right.Row(rIdx[jj])...)
-					if out.NumRows() > e.MaxRows {
-						return nil, 0, ErrTooBig
-					}
+	// runs passes each pair of equal-key runs, [i0,i1) of lIdx and [j0,j1)
+	// of rIdx, to run in key order.
+	runs := func(run func(i0, i1, j0, j1 int)) {
+		i, j := 0, 0
+		for i < len(lIdx) && j < len(rIdx) {
+			switch lk, rk := l.key(lIdx[i]), r.key(rIdx[j]); {
+			case lk < rk:
+				i++
+			case lk > rk:
+				j++
+			default:
+				i0, j0 := i, j
+				for i < len(lIdx) && l.key(lIdx[i]) == lk {
+					i++
 				}
+				for j < len(rIdx) && r.key(rIdx[j]) == lk {
+					j++
+				}
+				run(i0, i, j0, j)
 			}
-			j = jEnd
 		}
 	}
-	c.Output += float64(out.NumRows())
-	return out, lc + rc, nil
+	rows := 0
+	runs(func(i0, i1, j0, j1 int) { rows += (i1 - i0) * (j1 - j0) })
+	out := joined(l.Relation, r.Tables, r.Width)
+	if err := e.presize(out, rows, count); err != nil {
+		return nil, 0, err
+	}
+	if !count {
+		// The output is the cross product of each pair of runs.
+		runs(func(i0, i1, j0, j1 int) {
+			for i := i0; i < i1; i++ {
+				for j := j0; j < j1; j++ {
+					out.Data = append(append(out.Data, l.Row(lIdx[i])...), r.Row(rIdx[j])...)
+				}
+			}
+		})
+	}
+	c.Output += float64(rows)
+	return out, cost, nil
 }
 
-func sortedOrder(rel *Relation, col []int64, pos int) []int {
-	idx := make([]int, rel.NumRows())
+func sortedOrder(k keyed) []int {
+	idx := make([]int, k.NumRows())
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		return col[rel.Row(idx[a])[pos]] < col[rel.Row(idx[b])[pos]]
-	})
+	sort.Slice(idx, func(a, b int) bool { return k.key(idx[a]) < k.key(idx[b]) })
 	return idx
 }
 
-func (e *Engine) nestedLoop(n *plan.Node, c *Counters) (*Relation, float64, error) {
-	left, lc, err := e.exec(n.Left)
-	if err != nil {
-		return nil, 0, err
-	}
+func (e *Engine) nestedLoop(n *plan.Node, c *Counters, count bool) (*Relation, float64, error) {
 	// Index nested loop: inner side is a parameterized index scan.
 	if n.Right != nil && n.Right.Type == plan.IndexScan && n.Right.ParamJoin != nil {
-		rel, cost, err := e.indexNL(n, left, lc, c)
-		return rel, cost, err
+		left, lc, err := e.exec(n.Left, false)
+		if err != nil {
+			return nil, 0, err
+		}
+		return e.indexNL(n, left, lc, c, count)
 	}
 	// Naive nested loop over a materialized inner.
-	right, rc, err := e.exec(n.Right)
+	l, r, cost, err := e.joinInputs(n)
 	if err != nil {
 		return nil, 0, err
 	}
-	lRef, rRef, err := joinKeys(n.JoinCond, left, right)
-	if err != nil {
-		return nil, 0, err
-	}
-	lCol, lPos, err := e.keyColumn(left, lRef)
-	if err != nil {
-		return nil, 0, err
-	}
-	rCol, rPos, err := e.keyColumn(right, rRef)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := &Relation{Tables: append(append([]string{}, left.Tables...), right.Tables...),
-		Width: left.Width + right.Width}
-	for i := 0; i < left.NumRows(); i++ {
-		lRow := left.Row(i)
-		lk := lCol[lRow[lPos]]
-		for j := 0; j < right.NumRows(); j++ {
-			if rCol[right.Row(j)[rPos]] == lk {
-				out.Data = append(out.Data, lRow...)
-				out.Data = append(out.Data, right.Row(j)...)
-				if out.NumRows() > e.MaxRows {
-					return nil, 0, ErrTooBig
+	out := joined(l.Relation, r.Tables, r.Width)
+	for i := 0; i < l.NumRows(); i++ {
+		for j := 0; j < r.NumRows(); j++ {
+			if r.key(j) == l.key(i) {
+				if err := e.add(out, count, l.Row(i), r.Row(j)); err != nil {
+					return nil, 0, err
 				}
 			}
 		}
 	}
-	c.Comparisons += float64(left.NumRows()) * float64(right.NumRows())
+	c.Comparisons += float64(l.NumRows()) * float64(r.NumRows())
 	c.Output += float64(out.NumRows())
-	return out, lc + rc, nil
+	return out, cost, nil
 }
 
 // indexNL drives the inner parameterized index scan once per outer tuple.
-func (e *Engine) indexNL(n *plan.Node, left *Relation, lc float64, c *Counters) (*Relation, float64, error) {
+func (e *Engine) indexNL(n *plan.Node, left *Relation, lc float64, c *Counters, count bool) (*Relation, float64, error) {
 	inner := n.Right
 	innerData := e.DB.Table(inner.Table)
 	if innerData == nil {
@@ -510,7 +535,7 @@ func (e *Engine) indexNL(n *plan.Node, left *Relation, lc float64, c *Counters) 
 	if outerRef.Table == inner.Table {
 		outerRef, innerRef = pj.Right, pj.Left
 	}
-	oCol, oPos, err := e.keyColumn(left, outerRef)
+	outer, err := e.keyColumn(left, outerRef)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -522,9 +547,11 @@ func (e *Engine) indexNL(n *plan.Node, left *Relation, lc float64, c *Counters) 
 	pk := e.DB.Schema.Table(inner.Table).PrimaryKey
 	var lookup func(k int64) []int32
 	if innerRef.Column == pk {
+		hit := make([]int32, 1)
 		lookup = func(k int64) []int32 {
 			if r := innerData.PKRow(k); r >= 0 {
-				return []int32{int32(r)}
+				hit[0] = int32(r)
+				return hit
 			}
 			return nil
 		}
@@ -537,53 +564,45 @@ func (e *Engine) indexNL(n *plan.Node, left *Relation, lc float64, c *Counters) 
 	}
 
 	logN := math.Log2(float64(innerData.NumRows) + 2)
-	out := &Relation{Tables: append(append([]string{}, left.Tables...), inner.Table),
-		Width: left.Width + 1}
+	out := joined(left, []string{inner.Table}, 1)
 	var innerC Counters
-	innerMatches := 0
 	for i := 0; i < left.NumRows(); i++ {
-		lRow := left.Row(i)
-		k := oCol[lRow[oPos]]
-		rows := lookup(k)
+		rows := lookup(outer.key(i))
 		innerC.IndexProbes += logN
 		innerC.RandPages += float64(len(rows))
 		innerC.Tuples += float64(len(rows))
 		innerC.Comparisons += float64(len(rows)) * atoms
-		for _, r := range rows {
-			if match(int(r)) {
-				out.Data = append(out.Data, lRow...)
-				out.Data = append(out.Data, r)
-				innerMatches++
-				if out.NumRows() > e.MaxRows {
-					return nil, 0, ErrTooBig
+		for j := range rows {
+			if match(int(rows[j])) {
+				if err := e.add(out, count, left.Row(i), rows[j:j+1]); err != nil {
+					return nil, 0, err
 				}
 			}
 		}
 	}
-	innerC.Output += float64(innerMatches)
+	innerMatches := float64(out.NumRows())
+	innerC.Output += innerMatches
 	innerCost := innerC.Cost()
-	inner.TrueRows = float64(innerMatches)
+	inner.TrueRows = innerMatches
 	inner.TrueCost = innerCost
-	c.Output += float64(out.NumRows())
+	c.Output += innerMatches
 	return out, lc + innerCost, nil
 }
 
 func (e *Engine) sortOp(n *plan.Node, c *Counters) (*Relation, float64, error) {
-	in, ic, err := e.exec(n.Left)
+	in, ic, err := e.exec(n.Left, false)
 	if err != nil {
 		return nil, 0, err
 	}
 	if len(n.SortKeys) == 0 {
 		return in, ic, nil
 	}
-	key := n.SortKeys[0]
-	col, pos, err := e.keyColumn(in, plan.ColRef{Table: key.Table, Column: key.Column})
+	k, err := e.keyColumn(in, n.SortKeys[0])
 	if err != nil {
 		return nil, 0, err
 	}
-	idx := sortedOrder(in, col, pos)
 	out := &Relation{Tables: in.Tables, Width: in.Width, Data: make([]int32, 0, len(in.Data))}
-	for _, i := range idx {
+	for _, i := range sortedOrder(k) {
 		out.Data = append(out.Data, in.Row(i)...)
 	}
 	nf := float64(in.NumRows())
@@ -593,37 +612,15 @@ func (e *Engine) sortOp(n *plan.Node, c *Counters) (*Relation, float64, error) {
 	return out, ic, nil
 }
 
+// aggregate is a plain Aggregate: one output row, charged one touch of
+// every input tuple per aggregate. The aggregate values are irrelevant to
+// cost and cardinality training, so its input is counted, not built.
 func (e *Engine) aggregate(n *plan.Node, c *Counters) (*Relation, float64, error) {
-	in, ic, err := e.exec(n.Left)
+	in, ic, err := e.exec(n.Left, true)
 	if err != nil {
 		return nil, 0, err
 	}
-	// Touch every input tuple per aggregate, like a plain Aggregate node.
 	c.Tuples += float64(in.NumRows()) * math.Max(1, float64(len(n.Aggs)))
-	for _, a := range n.Aggs {
-		if a.Func == plan.AggCount || a.Col.Table == "" {
-			continue
-		}
-		pos := in.ColOf(a.Col.Table)
-		if pos < 0 {
-			return nil, 0, fmt.Errorf("exec: aggregate over absent table %s", a.Col.Table)
-		}
-		// The aggregate value itself is irrelevant to cost/cardinality
-		// training; reading the column keeps the memory access realistic.
-		if col := e.DB.Table(a.Col.Table).IntColumn(a.Col.Column); col != nil {
-			var acc int64
-			for i := 0; i < in.NumRows(); i++ {
-				acc += col[in.Row(i)[pos]]
-			}
-			_ = acc
-		} else if scol := e.DB.Table(a.Col.Table).StrColumn(a.Col.Column); scol != nil {
-			var acc int
-			for i := 0; i < in.NumRows(); i++ {
-				acc += len(scol[in.Row(i)[pos]])
-			}
-			_ = acc
-		}
-	}
 	c.Output++
-	return &Relation{scalar: true}, ic, nil
+	return &Relation{rows: 1}, ic, nil
 }

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"costest/internal/dataset"
@@ -218,6 +220,107 @@ func TestMaxRowsGuard(t *testing.T) {
 	n := joinNode(plan.HashJoin, mcTitleJoin, scan("movie_companies", nil), scan("title", nil))
 	if _, err := small.Run(n); err != ErrTooBig {
 		t.Fatalf("err = %v, want ErrTooBig", err)
+	}
+
+	// A join only an Aggregate reads is counted, not built, and is held to
+	// the same bound: both inputs fit under it, the join's output does not.
+	small.MaxRows = max(testDB.Table("movie_companies").NumRows, testDB.Table("movie_info_idx").NumRows)
+	full, err := testEng.Run(joinNode(plan.HashJoin, mcMiJoin, scan("movie_companies", nil), scan("movie_info_idx", nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.NumRows() <= small.MaxRows {
+		t.Fatalf("join of %d rows does not exceed its inputs' %d", full.NumRows(), small.MaxRows)
+	}
+	inl := &plan.Node{Type: plan.NestedLoop, JoinCond: &mcMiJoin, Left: scan("movie_companies", nil),
+		Right: &plan.Node{Type: plan.IndexScan, Table: "movie_info_idx", Index: "movie_info_idx_movie_id_idx", ParamJoin: &mcMiJoin}}
+	for _, j := range []*plan.Node{
+		joinNode(plan.HashJoin, mcMiJoin, scan("movie_companies", nil), scan("movie_info_idx", nil)),
+		joinNode(plan.MergeJoin, mcMiJoin, scan("movie_companies", nil), scan("movie_info_idx", nil)),
+		joinNode(plan.NestedLoop, mcMiJoin, scan("movie_companies", nil), scan("movie_info_idx", nil)),
+		inl,
+	} {
+		agg := &plan.Node{Type: plan.Aggregate, Aggs: []plan.AggSpec{{Func: plan.AggCount}}, Left: j}
+		if _, err := small.Run(agg); err != ErrTooBig {
+			t.Fatalf("counted %v: err = %v, want ErrTooBig", j.Type, err)
+		}
+	}
+}
+
+var mcMiJoin = plan.JoinCond{
+	Left:  plan.ColRef{Table: "movie_companies", Column: "movie_id"},
+	Right: plan.ColRef{Table: "movie_info_idx", Column: "movie_id"},
+}
+
+// labelBits lists the TrueRows and TrueCost bits of every node under n, in
+// pre-order.
+func labelBits(n *plan.Node) []uint64 {
+	var bits []uint64
+	n.Walk(func(m *plan.Node) {
+		bits = append(bits, math.Float64bits(m.TrueRows), math.Float64bits(m.TrueCost))
+	})
+	return bits
+}
+
+// TestCountedJoinMatchesMaterialized is the differential check of counting:
+// a join that only an Aggregate reads is counted instead of built, and every
+// node under the Aggregate must carry the same TrueRows and TrueCost bits as
+// the same subtree run as the root, where every join is built. A built hash
+// or merge join's output is allocated once, at its exact size.
+func TestCountedJoinMatchesMaterialized(t *testing.T) {
+	miTitle := plan.JoinCond{
+		Left:  plan.ColRef{Table: "movie_info_idx", Column: "movie_id"},
+		Right: plan.ColRef{Table: "title", Column: "id"},
+	}
+	joins := map[string]func(f sqlpred.Pred) *plan.Node{
+		"hash": func(f sqlpred.Pred) *plan.Node {
+			return joinNode(plan.HashJoin, mcTitleJoin, scan("movie_companies", nil), scan("title", f))
+		},
+		"merge": func(f sqlpred.Pred) *plan.Node {
+			return joinNode(plan.MergeJoin, mcTitleJoin, scan("movie_companies", nil), scan("title", f))
+		},
+		"nested loop": func(f sqlpred.Pred) *plan.Node {
+			return joinNode(plan.NestedLoop, mcTitleJoin, scan("movie_companies", nil), scan("title", f))
+		},
+		"index nested loop on a primary key": func(f sqlpred.Pred) *plan.Node {
+			return &plan.Node{Type: plan.NestedLoop, JoinCond: &mcTitleJoin, Left: scan("movie_companies", nil),
+				Right: &plan.Node{Type: plan.IndexScan, Table: "title", Index: "title_pkey", ParamJoin: &mcTitleJoin, Filter: f}}
+		},
+		"index nested loop on a secondary index": func(f sqlpred.Pred) *plan.Node {
+			return &plan.Node{Type: plan.NestedLoop, JoinCond: &miTitle, Left: scan("title", f),
+				Right: &plan.Node{Type: plan.IndexScan, Table: "movie_info_idx", Index: "movie_info_idx_movie_id_idx", ParamJoin: &miTitle}}
+		},
+		"many-to-many merge": func(f sqlpred.Pred) *plan.Node {
+			return joinNode(plan.MergeJoin, mcMiJoin, scan("movie_companies", nil), scan("movie_info_idx", nil))
+		},
+		"hash over two joins": func(f sqlpred.Pred) *plan.Node {
+			lower := joinNode(plan.NestedLoop, mcTitleJoin, scan("movie_companies", nil), scan("title", f))
+			return joinNode(plan.HashJoin, miTitle, joinNode(plan.MergeJoin, mcMiJoin, lower, scan("movie_info_idx", nil)),
+				scan("title", nil))
+		},
+	}
+	filters := []sqlpred.Pred{nil, yearFilter(sqlpred.OpGt, 2008), yearFilter(sqlpred.OpGt, 3000)}
+	for name, build := range joins {
+		for _, f := range filters {
+			root := build(f)
+			rel, err := testEng.Run(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if root.Type != plan.NestedLoop && cap(rel.Data) != len(rel.Data) {
+				t.Errorf("%s (filter %v): built output has len %d, cap %d", name, f, len(rel.Data), cap(rel.Data))
+			}
+			agg := &plan.Node{Type: plan.Aggregate, Aggs: []plan.AggSpec{{Func: plan.AggCount}}, Left: build(f)}
+			if _, err := testEng.Run(agg); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := labelBits(agg.Left), labelBits(root); !slices.Equal(got, want) {
+				t.Errorf("%s (filter %v): counted labels %v, built %v", name, f, got, want)
+			}
+			if agg.TrueRows != 1 {
+				t.Errorf("%s: aggregate TrueRows = %g", name, agg.TrueRows)
+			}
+		}
 	}
 }
 

@@ -14,13 +14,14 @@
 #  3. Replication: a primary with -replicate-listen retraining continuously,
 #     a follower with -peers that must turn ready only once it serves the
 #     cluster's weights and then serve /estimate answers identical to
-#     the primary's; the follower is then killed (-9) mid-stream, restarted,
+#     the primary's, having labeled no training corpus; the follower is then killed (-9) mid-stream, restarted,
 #     and must catch up to identical answers again.
 #  4. Failover: a primary streams to a promotable cluster member (-peers,
 #     -promote-rank 0). The primary is killed -9; the member's lease lapses,
 #     it promotes (epoch 2 in /statsz and /estimate), keeps serving and runs
 #     the supervised retrain loop (a "supervisor" block with cycles >= 1 in
-#     /statsz); the old primary then restarts as a follower of the new
+#     /statsz, after labeling the training corpus it skipped as a follower);
+#     the old primary then restarts as a follower of the new
 #     primary and catches up to byte-identical answers.
 #
 # Run from the repository root: scripts/smoke_costestd.sh [port]
@@ -194,6 +195,12 @@ grep -q "serving cluster weights" "$flog" || {
     exit 1
 }
 expect_identical
+# A follower never trains, so it labels no training corpus.
+grep -q "substrate ready" "$flog" && ! grep -q "labeled" "$flog" || {
+    echo "smoke_costestd: the follower built a training corpus"
+    cat "$flog"
+    exit 1
+}
 curl -sf "http://127.0.0.1:$fport/statsz" | grep -q '"snapshot_frames_applied": *[1-9]' || {
     echo "smoke_costestd: follower /statsz shows no snapshot applied"
     exit 1
@@ -284,6 +291,9 @@ while [ "$i" -lt 40 ]; do
     sleep 0.25
 done
 [ "$i" -lt 40 ] || { echo "smoke_costestd: promoted member /statsz shows no supervised retrain cycle"; cat "$mlog"; exit 1; }
+grep -q "labeled [1-9][0-9]* plans in" "$mlog" || {
+    echo "smoke_costestd: promoted member retrained without labeling its corpus"; cat "$mlog"; exit 1;
+}
 
 # The old primary comes back — as a follower of the new primary — and must
 # catch up to byte-identical answers.
