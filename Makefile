@@ -54,9 +54,10 @@ test-fault:
 	$(GO) test -race -count=1 ./internal/replica/ -run 'Failover|Heartbeat|TokenAuth|Eviction|BackoffDelay'
 
 # Short coverage-guided fuzzing over every network- and disk-facing parser:
-# the replication frame reader and delta payload applier, the /estimate
-# request decoder (differentially, against the struct decoder it replaced)
-# and that struct decoder, the checkpoint loader, and the GEMM kernel's AVX2
+# the replication frame reader and the follower's frame apply path, the
+# /estimate request decoder (differentially, against the struct decoder it
+# replaced) and that struct decoder, the model payload codec (as a
+# replication payload and inside a checkpoint file), and the GEMM kernel's AVX2
 # panels against its portable kernel and Dot. Each target's seed corpus also
 # runs as a plain test in `make test`; this target additionally explores.
 # FUZZTIME tunes the per-target budget (CI uses the default).

@@ -223,16 +223,6 @@ func main() {
 		sup.logf = log.Printf
 		svc.SupervisorStats = sup.stats
 	}
-	retrainDone := make(chan struct{})
-	if sup != nil && o.peers == "" {
-		sup.CheckpointPath = o.checkpoint
-		go func() {
-			defer close(retrainDone)
-			sup.run(ctx)
-		}()
-	} else {
-		close(retrainDone)
-	}
 
 	// Replication wiring: a primary taps every publication and streams
 	// frames to follower daemons; a follower applies the primary's frames
@@ -300,6 +290,10 @@ func main() {
 			log.Fatalf("costestd: replicate-listen: %v", err)
 		}
 		srv.SetPublishHook(pub.OnPublish)
+		// Republish the boot model through the hook, so the snapshot this
+		// primary serves carries the (epoch, generation) its followers
+		// receive the same weights under.
+		srv.PublishDelta(model)
 		rln, err := net.Listen("tcp", o.replListen)
 		if err != nil {
 			log.Fatalf("costestd: replicate-listen: %v", err)
@@ -310,6 +304,19 @@ func main() {
 		log.Printf("costestd: replicating publications on %s (epoch %d)", rln.Addr(), pub.Epoch())
 	default:
 		close(followerDone)
+	}
+
+	// A boot primary's supervisor starts only now: NewPublisher's weight copy
+	// and the boot republish above read the model it trains.
+	retrainDone := make(chan struct{})
+	if sup != nil && o.peers == "" {
+		sup.CheckpointPath = o.checkpoint
+		go func() {
+			defer close(retrainDone)
+			sup.run(ctx)
+		}()
+	} else {
+		close(retrainDone)
 	}
 
 	ln, err := net.Listen("tcp", o.addr)

@@ -270,10 +270,10 @@ func TestFlagSurface(t *testing.T) {
 	}
 }
 
-// TestBootRefusesNonFiniteWeights: a primary that would boot holding a NaN
-// weight (here from a checkpoint, which loads it) must not hand followers a
-// bootstrap snapshot they refuse forever; the daemon exits at boot and says
-// why. The daemon runs as a child process: this test binary re-executed with
+// TestBootRefusesNonFiniteWeights: a primary must not boot holding a NaN
+// weight and hand followers a bootstrap snapshot they refuse forever. Here
+// the weight comes from a checkpoint, which the loader refuses; at -epochs 0
+// the daemon cannot retrain instead, so it exits at boot and says why. The daemon runs as a child process: this test binary re-executed with
 // COSTESTD_TEST_MAIN holding main's arguments.
 func TestBootRefusesNonFiniteWeights(t *testing.T) {
 	if args, ok := os.LookupEnv("COSTESTD_TEST_MAIN"); ok {
@@ -293,13 +293,13 @@ func TestBootRefusesNonFiniteWeights(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	cmd := osexec.CommandContext(ctx, os.Args[0], "-test.run=^TestBootRefusesNonFiniteWeights$")
-	cmd.Env = append(os.Environ(), "COSTESTD_TEST_MAIN=-addr 127.0.0.1:0 -replicate-listen 127.0.0.1:0 -checkpoint "+path)
+	cmd.Env = append(os.Environ(), "COSTESTD_TEST_MAIN=-addr 127.0.0.1:0 -replicate-listen 127.0.0.1:0 -epochs 0 -checkpoint "+path)
 	out, err := cmd.CombinedOutput()
 	var exit *osexec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 		t.Fatalf("daemon with NaN weights: %v, want exit status 1; output:\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "refusing to publish") || !strings.Contains(string(out), "non-finite") {
+	if !strings.Contains(string(out), "CHECKPOINT UNRECOVERABLE") || !strings.Contains(string(out), "non-finite") {
 		t.Fatalf("daemon exited without saying why:\n%s", out)
 	}
 	if strings.Contains(string(out), "labeled") {

@@ -18,6 +18,8 @@ var exportAllowlist = map[string]string{
 	"(*costest/internal/serve.Scheduler).Submit":    "bench/costload's replay submits plans through it",
 	"(*costest/internal/core.Server).EstimateBatch": "bench/costload's replay evaluates batches through it",
 	"costest/internal/tensor.NewMat":                "bench/costload builds its kernel-timing matrices with it",
+	"costest/internal/replica.AppendModelPayload":   "bench/costload encodes its replication frames through it",
+	"costest/internal/replica.ApplyModelPayload":    "bench/costload times the follower's frame apply through it",
 
 	// Oracles and validators of the test suites.
 	"(*costest/internal/stats.Catalog).TrueSelectivity":    "selectivity tests compare estimates with an exact table scan",

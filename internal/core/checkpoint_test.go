@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"io/fs"
 	"os"
@@ -119,6 +120,25 @@ func TestLoadCheckpointFallsBackToPrev(t *testing.T) {
 	}
 	sameEstimates(t, m, got)
 
+	// One flipped bit in the primary's weights (bit rot, a bad sector): the
+	// checksum refuses the file and .prev serves.
+	flipped, err := os.ReadFile(path + ".prev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped[len(flipped)/2] ^= 0x10 // amid the weights
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, src, err = LoadCheckpoint(path, testEnc)
+	if err != nil {
+		t.Fatalf("load with a bit-flipped primary: %v", err)
+	}
+	if src != path+".prev" {
+		t.Fatalf("loaded a bit-flipped primary from %s, want .prev fallback", src)
+	}
+	sameEstimates(t, m, got)
+
 	// Both corrupt: a descriptive error that is NOT fs.ErrNotExist, naming
 	// every rejected file.
 	if err := os.WriteFile(path+".prev", []byte("junk"), 0o644); err != nil {
@@ -127,6 +147,42 @@ func TestLoadCheckpointFallsBackToPrev(t *testing.T) {
 	_, _, err = LoadCheckpoint(path, testEnc)
 	if err == nil || errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("both-corrupt error = %v, want corruption report", err)
+	}
+}
+
+// TestCheckpointBitFlipsRefused: the CRC-32C over a checkpoint detects
+// every single-bit error, so no saved file with one flipped bit loads —
+// neither bit 0x10 of every 7th byte nor any bit of the version and
+// header-length fields.
+func TestCheckpointBitFlipsRefused(t *testing.T) {
+	var buf bytes.Buffer
+	if err := trainedCheckpointModel(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	type flip struct {
+		at   int
+		mask byte
+	}
+	var flips []flip
+	for i := 0; i < len(good); i += 7 {
+		flips = append(flips, flip{i, 0x10})
+	}
+	for i := len(modelMagic); i < len(modelMagic)+8; i++ {
+		for bit := 0; bit < 8; bit++ {
+			flips = append(flips, flip{i, 1 << bit})
+		}
+	}
+	b := make([]byte, len(good))
+	for _, f := range flips {
+		copy(b, good)
+		b[f.at] ^= f.mask
+		if _, err := LoadModel(bytes.NewReader(b), testEnc); err == nil {
+			t.Errorf("checkpoint with byte %d ^= %#x loaded", f.at, f.mask)
+		}
+	}
+	if _, err := LoadModel(bytes.NewReader(good), testEnc); err != nil {
+		t.Fatalf("the unflipped checkpoint does not load: %v", err)
 	}
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
-	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"sync"
@@ -89,19 +91,31 @@ func (m *Model) embedDim() int { return m.eOp + m.eMeta + m.eBm + m.ePred }
 // NumParams returns the number of scalar parameters.
 func (m *Model) NumParams() int { return m.PS.NumParams() }
 
-// modelMagic prefixes versioned checkpoint files. Legacy files (written
-// before checkpoints carried a header) start directly with the gob stream of
-// the parameter payload; LoadModel rejects them.
+// Checkpoint layout (little-endian):
+//
+//	magic "COSTESTM" (8) | version (4) | headerLen (4)
+//	gob modelHeader (headerLen)
+//	model payload over every parameter (see AppendModelPayload)
+//	crc32c over everything before it (4)
+//
+// The weights and normalizers travel in the same payload replication
+// streams, so a checkpoint load is the same validate-then-commit apply a
+// follower runs, behind a checksum that catches every single-bit error.
 const modelMagic = "COSTESTM"
 
-// modelCheckpointVersion is the current checkpoint format version. Version 3
-// made checkpoints self-describing: the header carries the model Config and
-// the encoder feature dimensions, so a cold process (costestd loading a
-// checkpoint at startup) can reconstruct the model without out-of-band
-// hyperparameters and verify its encoder is shape-compatible before touching
-// any weights. Version 2 added the header itself with the cost/cardinality
-// target normalizers; version 1 is the headerless legacy format.
-const modelCheckpointVersion = 3
+// modelCheckpointVersion is the current checkpoint format version. Version 4
+// replaced the gob parameter stream with the checksummed model payload.
+// Version 3 made checkpoints self-describing (the header carries the Config
+// and the encoder dimensions), version 2 added the header with the target
+// normalizers, version 1 is the headerless legacy format. LoadModel reads
+// version 4 only.
+const modelCheckpointVersion = 4
+
+// maxCheckpointBytes bounds the bytes LoadModel reads, against a corrupt or
+// hostile file: a DefaultConfig model saves about 0.5 MB.
+const maxCheckpointBytes = 64 << 20
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // EncoderMeta records the feature-space dimensions a model was built
 // against — the encoder facts a checkpoint needs to be loadable cold. The
@@ -146,43 +160,48 @@ func (em EncoderMeta) check(enc *feature.Encoder) string {
 	return ""
 }
 
-// modelHeader is the versioned checkpoint header: everything a round-tripped
-// model needs beyond the weights to reproduce bit-identical estimates. The
-// target normalizers used to be silently dropped, leaving a loaded model
-// misestimating until FitNormalizers was re-run. Since version 3 the header
-// also carries the Config and encoder dimensions (gob leaves them zero when
-// decoding older files).
+// modelHeader is the checkpoint header: what LoadModel needs to rebuild the
+// model the payload belongs to, and to check that it does.
 type modelHeader struct {
-	Version  int
-	CostNorm nn.Normalizer
-	CardNorm nn.Normalizer
-	Config   Config
-	Encoder  EncoderMeta
+	Config  Config
+	Encoder EncoderMeta
+	Schema  uint64 // SchemaHash of the saved model
 }
 
-// Save serializes a versioned checkpoint: a magic prefix, a header carrying
-// the target normalizers, the model Config and the encoder dimensions, then
-// the parameter values. The checkpoint is self-describing: LoadModel can
-// rebuild an identically configured model from it with nothing but a
-// shape-compatible encoder — no out-of-band hyperparameters. (The encoder's
-// own state — catalog, string embedder — is still the loader's to provide; a
+// Save serializes a checkpoint: magic, version, a header carrying the model
+// Config, the encoder dimensions and the schema hash, the model payload over
+// every parameter (weights and target normalizers), and a CRC-32C over all
+// of it. The checkpoint is self-describing: LoadModel can rebuild an
+// identically configured model from it with nothing but a shape-compatible
+// encoder — no out-of-band hyperparameters. (The encoder's own state —
+// catalog, string embedder — is still the loader's to provide; a
 // synthetic-substrate process reconstructs it from its generation seed.)
 func (m *Model) Save(w io.Writer) error {
-	if _, err := io.WriteString(w, modelMagic); err != nil {
-		return fmt.Errorf("core: write checkpoint magic: %w", err)
+	all := make([]int, len(m.PS.Params()))
+	for i := range all {
+		all[i] = i
 	}
-	enc := gob.NewEncoder(w)
-	hdr := modelHeader{
-		Version:  modelCheckpointVersion,
-		CostNorm: m.CostNorm,
-		CardNorm: m.CardNorm,
-		Config:   m.Cfg,
-		Encoder:  encoderMetaOf(m.Enc),
+	hdr := modelHeader{Config: m.Cfg, Encoder: encoderMetaOf(m.Enc), Schema: SchemaHash(m)}
+	b, err := encodeCheckpoint(hdr, AppendModelPayload(nil, m, all))
+	if err != nil {
+		return err
 	}
-	if err := enc.Encode(hdr); err != nil {
-		return fmt.Errorf("core: encode checkpoint header: %w", err)
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("core: write checkpoint: %w", err)
 	}
-	return m.PS.EncodeGob(enc)
+	return nil
+}
+
+// encodeCheckpoint lays out a checkpoint file around hdr and payload.
+func encodeCheckpoint(hdr modelHeader, payload []byte) ([]byte, error) {
+	var h bytes.Buffer
+	if err := gob.NewEncoder(&h).Encode(hdr); err != nil {
+		return nil, fmt.Errorf("core: encode checkpoint header: %w", err)
+	}
+	b := binary.LittleEndian.AppendUint32([]byte(modelMagic), modelCheckpointVersion)
+	b = binary.LittleEndian.AppendUint32(b, uint32(h.Len()))
+	b = append(append(b, h.Bytes()...), payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable)), nil
 }
 
 // maxCheckpointDim bounds each persisted Config dimension LoadModel will
@@ -223,33 +242,48 @@ func (c Config) checkLoadable() error {
 	return nil
 }
 
-// LoadModel reads a self-describing (version >= 3) checkpoint and rebuilds
-// the model it was saved from: the persisted Config constructs the network,
-// enc supplies the feature encoder, and the weights and normalizers load
-// into it — the cold-start path for a serving process handed nothing but a
-// checkpoint file and a substrate to rebuild the encoder on. The encoder is
-// validated against the persisted dimensions before any weight is touched,
-// so a checkpoint from a different schema or embedding width fails with a
-// descriptive error instead of shape panics (or, worse, silently wrong
-// estimates). Older checkpoints (version 2 and the headerless legacy format)
-// do not carry a Config and are rejected with a descriptive error.
+// LoadModel reads a checkpoint and rebuilds the model it was saved from:
+// the persisted Config constructs the network, enc supplies the feature
+// encoder, and the payload applies the weights and normalizers — the
+// cold-start path for a serving process handed nothing but a checkpoint file
+// and a substrate to rebuild the encoder on. Nothing is trusted before the
+// checksum verifies; the encoder is validated against the persisted
+// dimensions and the rebuilt model against the saved schema hash before any
+// weight is applied, so a checkpoint from a different schema or embedding
+// width fails with a descriptive error instead of shape panics (or, worse,
+// silently wrong estimates). The payload apply refuses NaN and infinite
+// values. Checkpoints of any other format version are rejected with a
+// descriptive error.
 func LoadModel(r io.Reader, enc *feature.Encoder) (*Model, error) {
-	br := bufio.NewReader(r)
-	prefix, err := br.Peek(len(modelMagic))
-	if err != nil || string(prefix) != modelMagic {
+	data, err := io.ReadAll(io.LimitReader(r, maxCheckpointBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("core: read checkpoint: %w", err)
+	}
+	if len(data) > maxCheckpointBytes {
+		return nil, fmt.Errorf("core: checkpoint exceeds %d bytes", maxCheckpointBytes)
+	}
+	const prefix = len(modelMagic) + 8
+	if !bytes.HasPrefix(data, []byte(modelMagic)) {
 		return nil, fmt.Errorf("core: checkpoint is not self-describing (legacy headerless format?); retrain and save a current checkpoint")
 	}
-	if _, err := br.Discard(len(modelMagic)); err != nil {
-		return nil, fmt.Errorf("core: read checkpoint magic: %w", err)
+	if len(data) < prefix+4 {
+		return nil, fmt.Errorf("core: checkpoint truncated at %d bytes", len(data))
 	}
-	dec := gob.NewDecoder(br)
+	if v := binary.LittleEndian.Uint32(data[len(modelMagic):]); v != modelCheckpointVersion {
+		return nil, fmt.Errorf("core: checkpoint format version %d is not supported (want %d); retrain and save a current checkpoint",
+			v, modelCheckpointVersion)
+	}
+	body := data[:len(data)-4]
+	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(data[len(body):]) {
+		return nil, fmt.Errorf("core: checkpoint checksum mismatch (corrupt or truncated file)")
+	}
+	hlen := binary.LittleEndian.Uint32(data[len(modelMagic)+4:])
+	if uint64(hlen) > uint64(len(body)-prefix) {
+		return nil, fmt.Errorf("core: checkpoint header length %d exceeds the file", hlen)
+	}
 	var hdr modelHeader
-	if err := dec.Decode(&hdr); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(body[prefix : prefix+int(hlen)])).Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("core: decode checkpoint header: %w", err)
-	}
-	if hdr.Version < 3 || hdr.Version > modelCheckpointVersion {
-		return nil, fmt.Errorf("core: checkpoint version %d is not self-describing (supported: 3..%d); retrain and save a current checkpoint",
-			hdr.Version, modelCheckpointVersion)
 	}
 	if diff := hdr.Encoder.check(enc); diff != "" {
 		return nil, fmt.Errorf("core: encoder incompatible with checkpoint: %s", diff)
@@ -258,9 +292,13 @@ func LoadModel(r io.Reader, enc *feature.Encoder) (*Model, error) {
 		return nil, fmt.Errorf("core: checkpoint config rejected: %w", err)
 	}
 	m := New(hdr.Config, enc)
-	if err := m.PS.DecodeGob(dec); err != nil {
+	if SchemaHash(m) != hdr.Schema {
+		return nil, fmt.Errorf("core: checkpoint parameter schema does not match the model its Config builds")
+	}
+	touched, err := ApplyModelPayload(m, body[prefix+int(hlen):], true, nil)
+	if err != nil {
 		return nil, err
 	}
-	m.CostNorm, m.CardNorm = hdr.CostNorm, hdr.CardNorm
+	m.PS.MarkParamsUpdated(touched)
 	return m, nil
 }

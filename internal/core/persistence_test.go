@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"strings"
 	"testing"
 
 	"costest/internal/feature"
+	"costest/internal/nn"
 	"costest/internal/strembed"
 )
 
@@ -48,35 +50,51 @@ func TestModelCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestModelLoadLegacyFormat pins what happens to pre-v3 checkpoint files now
-// that the self-describing format is the only one: the headerless
-// parameter-only stream (v1) and the normalizer-only header (v2) are both
-// refused with the descriptive "not self-describing" error, never decoded
-// into a half-configured model.
+// TestModelLoadLegacyFormat pins what happens to checkpoint files of older
+// formats now that the checksummed payload format (version 4) is the only
+// one: the headerless gob parameter stream (v1) and the gob headers of
+// versions 2 and 3 are all refused with the descriptive "retrain and save"
+// error, never decoded into a model, and so is a file from a later version.
+// The legacy files hold only what the loader reads before it refuses: the
+// magic (absent in v1) and the start of a gob stream like the one that
+// followed it.
 func TestModelLoadLegacyFormat(t *testing.T) {
-	m := New(TestConfig(), testEnc)
-
-	var v1 bytes.Buffer
-	if err := m.PS.EncodeGob(gob.NewEncoder(&v1)); err != nil { // the pre-header wire format
-		t.Fatal(err)
+	// The leading fields of the v2 and v3 gob headers.
+	type legacyHeader struct {
+		Version            int
+		CostNorm, CardNorm nn.Normalizer
 	}
-	// A version-2 header (pre-config): hand-built the way Save used to write.
-	var v2 bytes.Buffer
-	v2.WriteString(modelMagic)
-	enc := gob.NewEncoder(&v2)
-	if err := enc.Encode(modelHeader{Version: 2, CostNorm: m.CostNorm, CardNorm: m.CardNorm}); err != nil {
-		t.Fatal(err)
+	gobStream := func(prefix string, v any) []byte {
+		var b bytes.Buffer
+		b.WriteString(prefix)
+		if err := gob.NewEncoder(&b).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
 	}
-	if err := m.PS.EncodeGob(enc); err != nil {
-		t.Fatal(err)
+	files := map[string][]byte{
+		"v1 headerless": gobStream("", []struct{ Name string }{{"op.W"}}),
+		"v2 header":     gobStream(modelMagic, legacyHeader{Version: 2}),
+		"v3 header":     gobStream(modelMagic, legacyHeader{Version: 3}),
 	}
-
-	for name, data := range map[string][]byte{"v1 headerless": v1.Bytes(), "v2 header": v2.Bytes()} {
+	future := savedModelBytes(t) // a current file relabeled as the next version
+	binary.LittleEndian.PutUint32(future[len(modelMagic):], modelCheckpointVersion+1)
+	files["v5 (future)"] = reseal(future)
+	for name, data := range files {
 		_, err := LoadModel(bytes.NewReader(data), testEnc)
-		if err == nil || !strings.Contains(err.Error(), "not self-describing") {
-			t.Fatalf("%s: LoadModel error = %v, want the descriptive not-self-describing rejection", name, err)
+		if err == nil || !strings.Contains(err.Error(), "retrain and save a current checkpoint") {
+			t.Fatalf("%s: LoadModel error = %v, want the descriptive retrain-and-save rejection", name, err)
 		}
 	}
+}
+
+// fullPayload is the payload Save writes for m: every parameter.
+func fullPayload(m *Model) []byte {
+	all := make([]int, len(m.PS.Params()))
+	for i := range all {
+		all[i] = i
+	}
+	return AppendModelPayload(nil, m, all)
 }
 
 // TestModelLoadErrors drives the corrupt-input paths of the cold loader:
@@ -97,36 +115,42 @@ func TestModelLoadErrors(t *testing.T) {
 	}
 	full := good.Bytes()
 
-	// A header describing a wider model than the payload that follows it:
-	// the shape check must refuse the weights.
-	var mismatched bytes.Buffer
-	mismatched.WriteString(modelMagic)
-	enc := gob.NewEncoder(&mismatched)
+	// A header describing a wider model than the valid payload behind it,
+	// sealed with a valid checksum: with the saved model's schema hash the
+	// schema check refuses it, with the wider model's the payload's value
+	// lengths do.
 	bigCfg := cfg
 	bigCfg.Hidden *= 2
-	hdr := modelHeader{Version: modelCheckpointVersion, CostNorm: src.CostNorm, CardNorm: src.CardNorm,
-		Config: bigCfg, Encoder: encoderMetaOf(testEnc)}
-	if err := enc.Encode(hdr); err != nil {
+	wider := modelHeader{Config: bigCfg, Encoder: encoderMetaOf(testEnc), Schema: SchemaHash(src)}
+	staleSchema, err := encodeCheckpoint(wider, fullPayload(src))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.PS.EncodeGob(enc); err != nil {
+	wider.Schema = SchemaHash(New(bigCfg, testEnc))
+	shortValues, err := encodeCheckpoint(wider, fullPayload(src))
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	cases := []struct {
-		name string
-		data []byte
+		name, errLike string
+		data          []byte
 	}{
-		{"empty", nil},
-		{"truncated-magic", full[:4]},
-		{"truncated-header", full[:len(modelMagic)+3]},
-		{"truncated-params", full[:len(full)*3/4]},
-		{"garbage", []byte("COSTESTMnot a gob stream at all....")},
-		{"config-payload-mismatch", mismatched.Bytes()},
+		{"empty", "", nil},
+		{"truncated-magic", "", full[:4]},
+		{"truncated-header", "", full[:len(modelMagic)+3]},
+		{"truncated-params", "", full[:len(full)*3/4]},
+		{"garbage", "", []byte("COSTESTMnot a gob stream at all....")},
+		{"config-schema-mismatch", "schema", staleSchema},
+		{"config-payload-mismatch", "values", shortValues},
 	}
 	for _, tc := range cases {
-		if _, err := LoadModel(bytes.NewReader(tc.data), testEnc); err == nil {
+		_, err := LoadModel(bytes.NewReader(tc.data), testEnc)
+		if err == nil {
 			t.Fatalf("%s: LoadModel succeeded on corrupt input", tc.name)
+		}
+		if !strings.Contains(err.Error(), tc.errLike) {
+			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.errLike)
 		}
 	}
 

@@ -162,8 +162,9 @@ func (srv *Server) SetPublishHook(h func(m *Model, version uint64) (epoch, gen u
 // nn.ParamSet.MarkAllUpdated followed by PublishDelta. The copy reads m on
 // the calling goroutine: call from the goroutine that trains m (between
 // optimizer steps), or with training otherwise quiesced. Concurrent serving
-// needs no quiescing — that is the point. Dirty tracking covers Adam steps,
-// ParamSet.DecodeGob; code that writes parameter values
+// needs no quiescing — that is the point. Dirty tracking covers Adam steps
+// and a model payload applied with its touched parameters marked
+// (LoadModel, a replication follower); code that writes parameter values
 // directly must call nn.ParamSet.MarkAllUpdated first.
 func (srv *Server) PublishDelta(m *Model) *ModelSnapshot {
 	srv.pubMu.Lock()

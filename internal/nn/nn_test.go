@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -327,47 +325,6 @@ func TestClipGradNorm(t *testing.T) {
 	}
 }
 
-func TestParamSetSaveLoad(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	ps := NewParamSet()
-	NewLinear(ps, "a", 3, 2, rng)
-	NewLinear(ps, "b", 2, 2, rng)
-	var buf bytes.Buffer
-	if err := ps.EncodeGob(gob.NewEncoder(&buf)); err != nil {
-		t.Fatal(err)
-	}
-
-	ps2 := NewParamSet()
-	NewLinear(ps2, "a", 3, 2, rng)
-	NewLinear(ps2, "b", 2, 2, rng)
-	if err := ps2.DecodeGob(gob.NewDecoder(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range ps.Params() {
-		q := ps2.Params()[i]
-		for j := range p.Value {
-			if p.Value[j] != q.Value[j] {
-				t.Fatalf("param %s[%d] mismatch after load", p.Name, j)
-			}
-		}
-	}
-}
-
-func TestParamSetLoadShapeMismatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	ps := NewParamSet()
-	NewLinear(ps, "a", 3, 2, rng)
-	var buf bytes.Buffer
-	if err := ps.EncodeGob(gob.NewEncoder(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	ps2 := NewParamSet()
-	NewLinear(ps2, "a", 4, 2, rng)
-	if err := ps2.DecodeGob(gob.NewDecoder(&buf)); err == nil {
-		t.Fatal("expected shape mismatch error")
-	}
-}
-
 func TestDuplicateParamPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -438,88 +395,9 @@ func TestActivations(t *testing.T) {
 	}
 }
 
-// TestParamSetLoadValidation pins the DecodeGob hardening: count mismatches,
-// unknown names, duplicates and corrupt value lengths must all fail with an
-// error before any value is written — a failed load never leaves the
-// receiving set partially overwritten.
-func TestParamSetLoadValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	build := func() *ParamSet {
-		ps := NewParamSet()
-		NewLinear(ps, "a", 3, 2, rng)
-		NewLinear(ps, "b", 2, 2, rng)
-		return ps
-	}
-	src := build()
-	var full bytes.Buffer
-	if err := src.EncodeGob(gob.NewEncoder(&full)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Count mismatch: a snapshot covering fewer parameters than the set
-	// would silently leave the uncovered ones at their initial values.
-	smaller := NewParamSet()
-	NewLinear(smaller, "a", 3, 2, rng)
-	var partial bytes.Buffer
-	if err := smaller.EncodeGob(gob.NewEncoder(&partial)); err != nil {
-		t.Fatal(err)
-	}
-	dst := build()
-	before := make([][]float64, len(dst.Params()))
-	for i, p := range dst.Params() {
-		before[i] = append([]float64(nil), p.Value...)
-	}
-	if err := dst.DecodeGob(gob.NewDecoder(&partial)); err == nil {
-		t.Fatal("expected count-mismatch error loading a partial snapshot")
-	}
-	// ...and the superset direction.
-	bigger := build()
-	NewLinear(bigger, "c", 2, 1, rng)
-	dst2 := build()
-	var super bytes.Buffer
-	if err := bigger.EncodeGob(gob.NewEncoder(&super)); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst2.DecodeGob(gob.NewDecoder(&super)); err == nil {
-		t.Fatal("expected count-mismatch error loading a superset snapshot")
-	}
-
-	// Duplicate names in the payload.
-	dup := []paramBlob{
-		{Name: "a.W", Rows: 2, Cols: 3, Value: make([]float64, 6)},
-		{Name: "a.W", Rows: 2, Cols: 3, Value: make([]float64, 6)},
-		{Name: "a.B", Rows: 2, Cols: 1, Value: make([]float64, 2)},
-		{Name: "b.W", Rows: 2, Cols: 2, Value: make([]float64, 4)},
-	}
-	if err := build().loadBlobs(dup); err == nil {
-		t.Fatal("expected duplicate-parameter error")
-	}
-
-	// Corrupt value payload: length disagreeing with the declared shape
-	// would previously copy a short prefix and silently keep a stale tail.
-	short := []paramBlob{
-		{Name: "a.W", Rows: 2, Cols: 3, Value: make([]float64, 3)},
-		{Name: "a.B", Rows: 2, Cols: 1, Value: make([]float64, 2)},
-		{Name: "b.W", Rows: 2, Cols: 2, Value: make([]float64, 4)},
-		{Name: "b.B", Rows: 2, Cols: 1, Value: make([]float64, 2)},
-	}
-	if err := build().loadBlobs(short); err == nil {
-		t.Fatal("expected corrupt-length error")
-	}
-
-	// Every failed load above must be side-effect free.
-	for i, p := range dst.Params() {
-		for j := range p.Value {
-			if p.Value[j] != before[i][j] {
-				t.Fatalf("failed load mutated %s[%d]", p.Name, j)
-			}
-		}
-	}
-}
-
 // TestDirtyStamps pins the delta-publication substrate: parameters are
 // stamped at registration and re-stamped by every tracked mutation (Adam
-// step, DecodeGob, MarkAllUpdated), while parameters an optimizer
+// step, MarkAllUpdated), while parameters an optimizer
 // step provably does not move keep their stamp.
 func TestDirtyStamps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -567,18 +445,6 @@ func TestDirtyStamps(t *testing.T) {
 		t.Fatal("live parameter did not move on zero-gradient step (moment decay)")
 	}
 
-	// DecodeGob stamps everything it touches.
-	var buf bytes.Buffer
-	if err := ps.EncodeGob(gob.NewEncoder(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	st = lb.W.Stamp()
-	if err := ps.DecodeGob(gob.NewDecoder(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	if lb.W.Stamp() <= st {
-		t.Fatal("DecodeGob did not stamp parameters")
-	}
 	st = lb.W.Stamp()
 	ps.MarkAllUpdated()
 	if lb.W.Stamp() <= st {

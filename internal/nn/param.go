@@ -7,7 +7,6 @@
 package nn
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math"
 
@@ -24,8 +23,8 @@ type Param struct {
 	m, v       []float64 // Adam first/second moment estimates
 
 	// stamp is the owning ParamSet's clock value at the last mutation of
-	// Value through a tracked path (registration, Adam step, DecodeGob,
-	// MarkAllUpdated) — the substrate of delta publication:
+	// Value through a tracked path (registration, Adam step,
+	// MarkAllUpdated, MarkParamsUpdated) — the substrate of delta publication:
 	// a consumer that recorded a param's stamp can tell whether the values
 	// moved since. Code that writes Value directly (tests, ad-hoc surgery)
 	// must call ParamSet.MarkAllUpdated afterwards or delta consumers will
@@ -64,7 +63,7 @@ type ParamSet struct {
 	byName map[string]*Param
 
 	// clock is a logical mutation counter: every tracked write to parameter
-	// values (registration, an Adam step, DecodeGob, MarkAllUpdated)
+	// values (registration, an Adam step, MarkAllUpdated, MarkParamsUpdated)
 	// advances it once and stamps the touched parameters
 	// with the new value. Delta publication compares stamps against a
 	// recorded clock to copy only the parameters that moved.
@@ -78,8 +77,8 @@ func (ps *ParamSet) tick() uint64 {
 }
 
 // MarkAllUpdated stamps every parameter as mutated at a fresh clock value.
-// Call it after writing parameter values directly (bypassing Adam and
-// DecodeGob) so delta consumers see the change.
+// Call it after writing parameter values directly (bypassing Adam) so delta
+// consumers see the change.
 func (ps *ParamSet) MarkAllUpdated() {
 	t := ps.tick()
 	for _, p := range ps.params {
@@ -213,72 +212,4 @@ func (ps *ParamSet) AliasValues(src *ParamSet) {
 		p.Value = sp.Value
 		p.m, p.v = nil, nil
 	}
-}
-
-// paramBlob is the gob wire format for a parameter.
-type paramBlob struct {
-	Name       string
-	Rows, Cols int
-	Value      []float64
-}
-
-// EncodeGob writes all parameter values (not optimizer state) through an
-// existing gob encoder, so callers can embed the payload in a larger
-// single-stream format (core.Model.Save's versioned checkpoint does).
-func (ps *ParamSet) EncodeGob(enc *gob.Encoder) error {
-	blobs := make([]paramBlob, len(ps.params))
-	for i, p := range ps.params {
-		blobs[i] = paramBlob{Name: p.Name, Rows: p.Rows, Cols: p.Cols, Value: p.Value}
-	}
-	return enc.Encode(blobs)
-}
-
-// DecodeGob restores parameter values previously written by EncodeGob. The
-// snapshot must cover the receiving set exactly: every registered parameter
-// present once, no unknown or duplicate names, shapes and value lengths
-// matching. On any mismatch DecodeGob returns a descriptive error before
-// writing a single value, so a failed load never leaves the set partially
-// overwritten.
-func (ps *ParamSet) DecodeGob(dec *gob.Decoder) error {
-	var blobs []paramBlob
-	if err := dec.Decode(&blobs); err != nil {
-		return fmt.Errorf("nn: decode params: %w", err)
-	}
-	return ps.loadBlobs(blobs)
-}
-
-// loadBlobs validates blobs against the registered parameters and then
-// copies the values in (validate-then-commit, so errors are side-effect
-// free).
-func (ps *ParamSet) loadBlobs(blobs []paramBlob) error {
-	if len(blobs) != len(ps.params) {
-		return fmt.Errorf("nn: parameter count mismatch: model has %d parameters, snapshot has %d",
-			len(ps.params), len(blobs))
-	}
-	seen := make(map[string]bool, len(blobs))
-	for _, b := range blobs {
-		p := ps.byName[b.Name]
-		if p == nil {
-			return fmt.Errorf("nn: unknown parameter %q in snapshot", b.Name)
-		}
-		if seen[b.Name] {
-			return fmt.Errorf("nn: duplicate parameter %q in snapshot", b.Name)
-		}
-		seen[b.Name] = true
-		if p.Rows != b.Rows || p.Cols != b.Cols {
-			return fmt.Errorf("nn: parameter %q shape mismatch: model %dx%d, snapshot %dx%d",
-				b.Name, p.Rows, p.Cols, b.Rows, b.Cols)
-		}
-		if len(b.Value) != b.Rows*b.Cols {
-			return fmt.Errorf("nn: parameter %q has %d values, want %d (%dx%d); snapshot corrupt",
-				b.Name, len(b.Value), b.Rows*b.Cols, b.Rows, b.Cols)
-		}
-	}
-	t := ps.tick()
-	for _, b := range blobs {
-		p := ps.byName[b.Name]
-		copy(p.Value, b.Value)
-		p.stamp = t
-	}
-	return nil
 }

@@ -12,7 +12,7 @@ import (
 // frame bytes (as a follower would read them off the wire).
 func benchPayload(b *testing.B, m *core.Model, idx []int) []byte {
 	b.Helper()
-	payload := AppendModelPayload(nil, m, idx)
+	payload := core.AppendModelPayload(nil, m, idx)
 	return AppendFrame(nil, FrameSnapshot, 1, 1, 0, payload)
 }
 
@@ -32,7 +32,7 @@ func benchApply(b *testing.B, m *core.Model, frame []byte, requireFull bool) {
 		if err != nil {
 			b.Fatalf("read: %v", err)
 		}
-		touched, err = ApplyModelPayload(m, fm.Payload, requireFull, touched[:0])
+		touched, err = core.ApplyModelPayload(m, fm.Payload, requireFull, touched[:0])
 		if err != nil {
 			b.Fatalf("apply: %v", err)
 		}

@@ -564,7 +564,7 @@ func TestPromotedMemberRunsPrimaryUntilFenced(t *testing.T) {
 	}
 	defer nc.Close()
 	hello := make([]byte, 8)
-	binary.LittleEndian.PutUint64(hello, SchemaHash(model))
+	binary.LittleEndian.PutUint64(hello, core.SchemaHash(model))
 	if _, err := nc.Write(AppendFrame(nil, FrameHello, 5, 0, 0, hello)); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
@@ -658,7 +658,7 @@ func TestFenceRequiresHigherEpoch(t *testing.T) {
 	t.Cleanup(pub.Close)
 
 	hello := make([]byte, 8)
-	binary.LittleEndian.PutUint64(hello, SchemaHash(m))
+	binary.LittleEndian.PutUint64(hello, core.SchemaHash(m))
 	fence := func(epoch uint64) net.Conn {
 		t.Helper()
 		nc, err := net.Dial("tcp", ln.Addr().String())
@@ -726,7 +726,7 @@ func TestDemotedMemberNeverReusesConsumedEpochs(t *testing.T) {
 	}
 	defer nc.Close()
 	hello := make([]byte, 8)
-	binary.LittleEndian.PutUint64(hello, SchemaHash(B.model))
+	binary.LittleEndian.PutUint64(hello, core.SchemaHash(B.model))
 	if _, err := nc.Write(AppendFrame(nil, FrameHello, 5, 0, 0, hello)); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
@@ -783,7 +783,7 @@ func TestDemotedMemberSnapshotKeepsCoordinates(t *testing.T) {
 	}
 	defer nc.Close()
 	hello := make([]byte, 8)
-	binary.LittleEndian.PutUint64(hello, SchemaHash(B.model))
+	binary.LittleEndian.PutUint64(hello, core.SchemaHash(B.model))
 	if _, err := nc.Write(AppendFrame(nil, FrameHello, 5, 0, 0, hello)); err != nil {
 		t.Fatalf("hello: %v", err)
 	}

@@ -144,7 +144,7 @@ func NewFollower(cfg FollowerConfig) *Follower {
 	}
 	return &Follower{
 		cfg:     cfg,
-		schema:  SchemaHash(cfg.Model),
+		schema:  core.SchemaHash(cfg.Model),
 		touched: make([]*nn.Param, 0, len(cfg.Model.PS.Params())),
 		ready:   make(chan struct{}),
 	}
@@ -428,7 +428,7 @@ func (f *Follower) session(ctx context.Context, nc net.Conn, addr string) (appli
 // costlint:noalloc
 func (f *Follower) applyFrame(fm Frame, full bool) error {
 	start := time.Now()
-	touched, err := ApplyModelPayload(f.cfg.Model, fm.Payload, full, f.touched)
+	touched, err := core.ApplyModelPayload(f.cfg.Model, fm.Payload, full, f.touched)
 	f.touched = touched
 	if err != nil {
 		return err

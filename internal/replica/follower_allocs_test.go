@@ -30,7 +30,7 @@ func TestFollowerApplyPublishAllocs(t *testing.T) {
 	gen := uint64(1)
 	var payload []byte
 	apply := func() {
-		payload = AppendModelPayload(payload[:0], primary, idx)
+		payload = core.AppendModelPayload(payload[:0], primary, idx)
 		fm := Frame{Type: FrameDelta, Epoch: 1, Gen: gen, Prev: gen - 1, Payload: payload}
 		if err := f.applyFrame(fm, false); err != nil {
 			t.Fatalf("applyFrame: %v", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"costest/internal/core"
@@ -14,7 +15,7 @@ import (
 // checksum did not verify, and keep its payload-length bound.
 func FuzzFrameReader(f *testing.F) {
 	m := core.New(core.TestConfig(), testEnc)
-	valid := AppendFrame(nil, FrameDelta, 1, 7, 6, AppendModelPayload(nil, m, []int{0, 2}))
+	valid := AppendFrame(nil, FrameDelta, 1, 7, 6, core.AppendModelPayload(nil, m, []int{0, 2}))
 	f.Add(valid)
 	f.Add(AppendFrame(nil, FrameAck, 1, 3, 0, nil))
 	f.Add(AppendFrame(AppendFrame(nil, FrameHello, 0, 0, 0, make([]byte, 8)), FrameResync, 2, 5, 0, nil))
@@ -45,43 +46,71 @@ func FuzzFrameReader(f *testing.F) {
 	})
 }
 
-// FuzzApplyModelPayload hammers the payload validator with arbitrary bytes
-// against a real model: it must error or apply cleanly, never panic, never
-// leave the model partially written on error (spot-checked by the dedicated
-// unit test), and never apply a NaN or an infinity.
+// FuzzApplyModelPayload hammers the follower's apply path (applyFrame:
+// payload decode, dirty-stamp, delta republish through the local Server)
+// with arbitrary payload bytes, as a snapshot and as a delta frame. An
+// accepted frame must leave the served model finite and advance the
+// follower to the frame's generation; a rejected one must leave the model's
+// values, the generation and the applied-frame counters exactly as they
+// were. The codec itself is fuzzed in core's FuzzLoadModel.
 func FuzzApplyModelPayload(f *testing.F) {
 	m := core.New(core.TestConfig(), testEnc)
 	allIdx := make([]int, len(m.PS.Params()))
 	for i := range allIdx {
 		allIdx[i] = i
 	}
-	f.Add(AppendModelPayload(nil, m, allIdx))
-	f.Add(AppendModelPayload(nil, m, []int{0}))
-	f.Add(AppendModelPayload(nil, m, nil))
+	f.Add(core.AppendModelPayload(nil, m, allIdx))
+	f.Add(core.AppendModelPayload(nil, m, []int{0}))
+	f.Add(core.AppendModelPayload(nil, m, nil))
 	f.Add([]byte{})
-	f.Add(make([]byte, normsSize+4))
-	nan := AppendModelPayload(nil, m, []int{0})
-	binary.LittleEndian.PutUint64(nan[normsSize+4+8:], math.Float64bits(math.NaN()))
+	f.Add(make([]byte, 4*8+4)) // zero normalizers, zero records
+	nan := core.AppendModelPayload(nil, m, []int{0})
+	binary.LittleEndian.PutUint64(nan[4*8+4+8:], math.Float64bits(math.NaN()))
 	f.Add(nan)
+
+	fl := NewFollower(FollowerConfig{
+		Peers:  []string{"unused:0"},
+		Server: core.NewServer(m, core.NewMemoryPool()),
+		Model:  m,
+	})
+	fl.cfg.Server.SetPublishHook(fl.label) // as Run registers it
+	gen := uint64(0)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, full := range []bool{false, true} {
-			touched, err := ApplyModelPayload(m, data, full, nil)
-			if err != nil {
-				continue
+			before := make([][]float64, 0, len(m.PS.Params()))
+			for _, p := range m.PS.Params() {
+				before = append(before, slices.Clone(p.Value))
 			}
 			norms := [...]float64{m.CostNorm.MinLog, m.CostNorm.MaxLog, m.CardNorm.MinLog, m.CardNorm.MaxLog}
-			for _, v := range norms {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("applied a non-finite normalizer %v", v)
-				}
+			st := fl.Stats()
+			gen++
+			typ := FrameDelta
+			if full {
+				typ = FrameSnapshot
 			}
-			for _, p := range touched {
-				for _, v := range p.Value {
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						t.Fatalf("applied a non-finite value %v to %q", v, p.Name)
+			err := fl.applyFrame(Frame{Type: typ, Epoch: 1, Gen: gen, Prev: gen - 1, Payload: data}, full)
+			after := fl.Stats()
+			if err != nil {
+				if after.Generation != st.Generation || after.SnapshotsApplied != st.SnapshotsApplied ||
+					after.DeltasApplied != st.DeltasApplied {
+					t.Fatalf("rejected frame moved the follower: before %+v, after %+v", st, after)
+				}
+				if now := [...]float64{m.CostNorm.MinLog, m.CostNorm.MaxLog, m.CardNorm.MinLog, m.CardNorm.MaxLog}; now != norms {
+					t.Fatalf("rejected frame wrote normalizers %v, were %v", now, norms)
+				}
+				for i, p := range m.PS.Params() {
+					if !slices.Equal(p.Value, before[i]) {
+						t.Fatalf("rejected frame wrote parameter %q", p.Name)
 					}
 				}
+				continue
+			}
+			if after.Generation != gen {
+				t.Fatalf("applied frame for generation %d, follower reports %d", gen, after.Generation)
+			}
+			if err := m.CheckFinite(); err != nil {
+				t.Fatalf("applied frame left a non-finite model: %v", err)
 			}
 		}
 	})

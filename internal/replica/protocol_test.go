@@ -110,8 +110,8 @@ func TestFollowerProtocol(t *testing.T) {
 	if err != nil || hf.Type != FrameHello || hf.Gen != 0 {
 		t.Fatalf("bad hello: %+v, %v", hf, err)
 	}
-	if got := binary.LittleEndian.Uint64(hf.Payload); got != SchemaHash(model) {
-		t.Fatalf("hello schema %#x, want %#x", got, SchemaHash(model))
+	if got := binary.LittleEndian.Uint64(hf.Payload); got != core.SchemaHash(model) {
+		t.Fatalf("hello schema %#x, want %#x", got, core.SchemaHash(model))
 	}
 
 	// Snapshot bootstrap at generation 5.
@@ -120,7 +120,7 @@ func TestFollowerProtocol(t *testing.T) {
 		allIdx[i] = i
 	}
 	ref5 := core.NewServer(m, core.NewMemoryPool()) // reference for m's gen-5 weights
-	sp.send(AppendFrame(nil, FrameSnapshot, 1, 5, 5, AppendModelPayload(nil, m, allIdx)))
+	sp.send(AppendFrame(nil, FrameSnapshot, 1, 5, 5, core.AppendModelPayload(nil, m, allIdx)))
 	sp.expect(FrameAck, 5)
 	if g := f.Generation(); g != 5 {
 		t.Fatalf("generation %d after snapshot, want 5", g)
@@ -132,11 +132,11 @@ func TestFollowerProtocol(t *testing.T) {
 	p0.Value[0] += 0.25
 	m.PS.MarkParamsUpdated([]*nn.Param{p0})
 	ref6 := core.NewServer(m, core.NewMemoryPool())
-	delta65 := AppendFrame(nil, FrameDelta, 1, 6, 5, AppendModelPayload(nil, m, []int{0}))
+	delta65 := AppendFrame(nil, FrameDelta, 1, 6, 5, core.AppendModelPayload(nil, m, []int{0}))
 
 	// A delta building on generation 6 while the follower holds 5 is a gap:
 	// it must be skipped (never applied) and answered with a resync request.
-	sp.send(AppendFrame(nil, FrameDelta, 1, 7, 6, AppendModelPayload(nil, m, []int{0})))
+	sp.send(AppendFrame(nil, FrameDelta, 1, 7, 6, core.AppendModelPayload(nil, m, []int{0})))
 	sp.expect(FrameResync, 5)
 	if st := f.Stats(); st.GenerationGaps != 1 {
 		t.Fatalf("generation gaps = %d, want 1 (%+v)", st.GenerationGaps, st)
@@ -234,8 +234,9 @@ func TestFollowerRefusesNonFiniteFrame(t *testing.T) {
 		allIdx[i] = i
 	}
 	withNaN := func(idx []int) []byte {
-		p := AppendModelPayload(nil, m, idx)
-		binary.LittleEndian.PutUint64(p[normsSize+4+8:], math.Float64bits(math.NaN())) // first record's first value
+		p := core.AppendModelPayload(nil, m, idx)
+		first := len(core.AppendModelPayload(nil, m, nil)) + 8 // first record's first value
+		binary.LittleEndian.PutUint64(p[first:], math.Float64bits(math.NaN()))
 		return p
 	}
 
@@ -247,7 +248,7 @@ func TestFollowerRefusesNonFiniteFrame(t *testing.T) {
 		t.Fatalf("after a NaN snapshot: generation %d, version %d; want 0, 1", g, v)
 	}
 
-	sp.send(AppendFrame(nil, FrameSnapshot, 1, 5, 5, AppendModelPayload(nil, m, allIdx)))
+	sp.send(AppendFrame(nil, FrameSnapshot, 1, 5, 5, core.AppendModelPayload(nil, m, allIdx)))
 	sp.expect(FrameAck, 5)
 	expectEstimatesMatch(t, "after clean snapshot", srv, ref, srvEps, refEps)
 

@@ -184,7 +184,7 @@ func NewPublisher(m *core.Model, gen uint64, cfg PublisherConfig) (*Publisher, e
 		stamps: make([]uint64, len(params)),
 		src:    m,
 		gen:    gen,
-		schema: SchemaHash(m),
+		schema: core.SchemaHash(m),
 		conns:  make(map[*pubConn]struct{}),
 		logf:   cfg.Logf,
 		allIdx: make([]int, len(params)),
@@ -259,7 +259,7 @@ func (p *Publisher) OnPublish(m *core.Model, _ uint64) (epoch, gen uint64) {
 	p.genA.Store(gen)
 	p.publications.Add(1)
 
-	frame := AppendFrame(nil, FrameDelta, p.cfg.Epoch, gen, prev, AppendModelPayload(nil, p.mirror, p.dirty))
+	frame := AppendFrame(nil, FrameDelta, p.cfg.Epoch, gen, prev, core.AppendModelPayload(nil, p.mirror, p.dirty))
 	p.lastDeltaBytes.Store(uint64(len(frame)))
 	var snap []byte
 	for c := range p.conns {
@@ -313,7 +313,7 @@ func (c *pubConn) stalled(evictAfter int) bool {
 // encodeSnapshotLocked encodes a full-snapshot frame of the mirror at the
 // current generation. Caller holds p.mu.
 func (p *Publisher) encodeSnapshotLocked() []byte {
-	b := AppendFrame(nil, FrameSnapshot, p.cfg.Epoch, p.gen, p.gen, AppendModelPayload(nil, p.mirror, p.allIdx))
+	b := AppendFrame(nil, FrameSnapshot, p.cfg.Epoch, p.gen, p.gen, core.AppendModelPayload(nil, p.mirror, p.allIdx))
 	p.lastSnapshotBytes.Store(uint64(len(b)))
 	return b
 }
