@@ -60,15 +60,18 @@ test-fault:
 # replication payload and inside a checkpoint file), and the GEMM kernel's AVX2
 # panels against its portable kernel and Dot. Each target's seed corpus also
 # runs as a plain test in `make test`; this target additionally explores.
-# FUZZTIME tunes the per-target budget (CI uses the default).
+# FUZZTIME tunes the per-target budget (CI uses the default). Minimizing a new
+# input is capped at one attempt: grown from the checkpoint seeds (≈45 KB), an
+# uncapped minimization stalls every worker for most of a short budget. A
+# crasher still fails the run; only its minimization is cut short.
 FUZZTIME ?= 15s
 test-fuzz:
-	$(GO) test ./internal/replica/ -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/replica/ -run '^$$' -fuzz '^FuzzApplyModelPayload$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzEstimateDecode$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzWirePlanDecode$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/tensor/ -run '^$$' -fuzz '^FuzzMatMulTransB$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/replica/ -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/replica/ -run '^$$' -fuzz '^FuzzApplyModelPayload$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzEstimateDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzWirePlanDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/tensor/ -run '^$$' -fuzz '^FuzzMatMulTransB$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
 
 # The replication conformance suite under the race detector — the
 # bit-identity acceptance gate for the scale-out streaming runtime.

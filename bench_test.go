@@ -337,13 +337,14 @@ func BenchmarkTable12_TPoolBatch(b *testing.B) {
 
 func BenchmarkMemoryPoolWarm(b *testing.B) {
 	fix := timing(b)
-	pool := core.NewMemoryPool()
+	sess := core.NewBatchSession(fix.model)
+	pool := core.NewBoundedMemoryPool(4096)
 	for _, ep := range fix.eps {
-		fix.model.EstimateWithPool(ep, pool)
+		sess.EstimateWithPool(ep, pool)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fix.model.EstimateWithPool(fix.eps[i%len(fix.eps)], pool)
+		sess.EstimateWithPool(fix.eps[i%len(fix.eps)], pool)
 	}
 	b.ReportMetric(pool.HitRate()*100, "hit%")
 }

@@ -82,6 +82,15 @@ func testStack(tb testing.TB, eps []*feature.EncodedPlan, cfg serve.SchedulerCon
 	return srv, tr, sched, svc
 }
 
+// serveOne serves ep as a batch of one through EstimateBatchInto, the path
+// the scheduler takes, returning the estimate and the version of the snapshot
+// that answered.
+func serveOne(srv *core.Server, ep *feature.EncodedPlan) (cost, card float64, version uint64) {
+	out := make([]core.Estimate, 1)
+	out, version, _, _ = srv.EstimateBatchInto([]*feature.EncodedPlan{ep}, out)
+	return out[0].Cost, out[0].Card, version
+}
+
 // TestLoadOrTrainRoundTrip: a fresh path trains and saves; a second boot
 // cold-loads the identical model.
 func TestLoadOrTrainRoundTrip(t *testing.T) {

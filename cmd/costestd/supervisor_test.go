@@ -209,7 +209,7 @@ func TestSupervisorRefusesNonFiniteCandidate(t *testing.T) {
 			t.Fatalf("slack %v: gate baseline moved to %v", slack, sup.pubQ())
 		}
 		for i, ep := range eps[:4] {
-			cost, card, _ := srv.Estimate(ep)
+			cost, card, _ := serveOne(srv, ep)
 			if !isFinite(cost) || !isFinite(card) {
 				t.Fatalf("slack %v: plan %d served (%v, %v)", slack, i, cost, card)
 			}

@@ -22,17 +22,16 @@ var exportAllowlist = map[string]string{
 	"costest/internal/replica.ApplyModelPayload":    "bench/costload times the follower's frame apply through it",
 
 	// Oracles and validators of the test suites.
-	"(*costest/internal/stats.Catalog).TrueSelectivity":    "selectivity tests compare estimates with an exact table scan",
-	"(*costest/internal/schema.Schema).ConnectedSubset":    "schema, dataset and workload tests validate join graphs with it",
-	"(*costest/internal/schema.Schema).JoinBetween":        "schema and dataset tests validate foreign-key edges with it",
-	"(*costest/internal/schema.Schema).ColumnByID":         "schema and dataset tests resolve column ids with it",
-	"(*costest/internal/core.Model).EstimateBatchWithPool": "the pooled-batch entry of the forward oracle matrix",
-	"(*costest/internal/core.MemoryPool).Generation":       "core session and serving tests check pool invalidation with it",
-	"costest/internal/serve.DecodeEstimate":                "the request-decoder differential and fuzz target",
-	"(*costest/internal/strembed.Trie).Lookup":             "trie tests check the dictionary it builds",
-	"(*costest/internal/strembed.SkipGram).Similarity":     "skip-gram tests check that co-occurring tokens embed close",
-	"costest/internal/fault.Disable":                       "fault tests uninstall the injector between cases",
-	"costest/internal/fault.Calls":                         "fault, scheduler and chaos tests count hook-point calls",
+	"(*costest/internal/stats.Catalog).TrueSelectivity": "selectivity tests compare estimates with an exact table scan",
+	"(*costest/internal/schema.Schema).ConnectedSubset": "schema, dataset and workload tests validate join graphs with it",
+	"(*costest/internal/schema.Schema).JoinBetween":     "schema and dataset tests validate foreign-key edges with it",
+	"(*costest/internal/schema.Schema).ColumnByID":      "schema and dataset tests resolve column ids with it",
+	"(*costest/internal/core.MemoryPool).Generation":    "core session and serving tests check pool invalidation with it",
+	"costest/internal/serve.DecodeEstimate":             "the request-decoder differential and fuzz target",
+	"(*costest/internal/strembed.Trie).Lookup":          "trie tests check the dictionary it builds",
+	"(*costest/internal/strembed.SkipGram).Similarity":  "skip-gram tests check that co-occurring tokens embed close",
+	"costest/internal/fault.Disable":                    "fault tests uninstall the injector between cases",
+	"costest/internal/fault.Calls":                      "fault, scheduler and chaos tests count hook-point calls",
 
 	// Test aids that several packages' tests share. Single-package aids live
 	// in that package's export_test.go instead.

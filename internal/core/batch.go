@@ -32,21 +32,14 @@ type predItem struct {
 // session drawn from the model's internal pool, so concurrent callers each
 // get private buffers and the warm path performs zero heap allocations.
 // Optimizer loops that call per-plan estimation at high rates should hold
-// their own NewBatchSession and call its Estimate directly.
+// their own NewBatchSession and call it directly; pooled estimation (the
+// paper's online workflow, Section 3) goes through a Server or a
+// BatchSession.
 //
 // costlint:noalloc
 func (m *Model) Estimate(ep *feature.EncodedPlan) (cost, card float64) {
-	return m.EstimateWithPool(ep, nil)
-}
-
-// EstimateWithPool is Estimate with a representation memory pool: sub-plans
-// already in the pool reuse their stored representations, and new sub-plan
-// representations are inserted (the paper's online workflow, Section 3).
-//
-// costlint:noalloc
-func (m *Model) EstimateWithPool(ep *feature.EncodedPlan, pool *MemoryPool) (cost, card float64) {
 	s := m.batchSession()
-	cost, card = s.EstimateWithPool(ep, pool)
+	cost, card = s.EstimateWithPool(ep, nil)
 	m.batchSessions.Put(s)
 	return cost, card
 }
@@ -73,23 +66,6 @@ func (m *Model) EstimateBatch(eps []*feature.EncodedPlan) []Estimate {
 	s := m.batchSession()
 	out := make([]Estimate, len(eps))
 	copy(out, s.EstimateBatch(eps))
-	s.releasePlans()
-	m.batchSessions.Put(s)
-	return out
-}
-
-// EstimateBatchWithPool is EstimateBatch with a representation memory pool:
-// sub-plans already in the pool skip their levels' rows (their stored G/R
-// are injected into the batch arenas up front), and newly computed sub-plan
-// representations are inserted afterwards — Section 3's online workflow on
-// the batch path.
-func (m *Model) EstimateBatchWithPool(eps []*feature.EncodedPlan, pool *MemoryPool) []Estimate {
-	if len(eps) == 0 {
-		return nil
-	}
-	s := m.batchSession()
-	out := make([]Estimate, len(eps))
-	copy(out, s.EstimateBatchWithPool(eps, pool))
 	s.releasePlans()
 	m.batchSessions.Put(s)
 	return out

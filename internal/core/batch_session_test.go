@@ -71,6 +71,12 @@ func TestBatchSessionZeroAlloc(t *testing.T) {
 	}
 }
 
+// pooledBatch evaluates eps through pool on a fresh session and returns a copy
+// of the estimates, which the session would overwrite on its next call.
+func pooledBatch(m *Model, eps []*feature.EncodedPlan, pool *MemoryPool) []Estimate {
+	return append([]Estimate(nil), NewBatchSession(m).EstimateBatchWithPool(eps, pool)...)
+}
+
 // TestEstimateBatchWithPool checks the pooled batch path end to end: results
 // must match the unpooled batch bit for bit, both on a cold pool (all misses
 // + inserts) and a warm pool (subtree hits skip level rows) — pooled
@@ -82,13 +88,13 @@ func TestEstimateBatchWithPool(t *testing.T) {
 		variant.mod(&cfg)
 		m := New(cfg, testEnc)
 		want := m.EstimateBatch(eps)
-		pool := NewMemoryPool()
+		pool := NewBoundedMemoryPool(testPoolBound)
 
-		cold := m.EstimateBatchWithPool(eps, pool)
+		cold := pooledBatch(m, eps, pool)
 		if pool.Len() == 0 {
 			t.Fatalf("%s: pool empty after cold batch", variant.name)
 		}
-		warm := m.EstimateBatchWithPool(eps, pool)
+		warm := pooledBatch(m, eps, pool)
 		if pool.HitRate() == 0 {
 			t.Fatalf("%s: warm batch produced no pool hits", variant.name)
 		}
@@ -126,17 +132,17 @@ func TestEstimateBatchWithPoolEvictedCardNode(t *testing.T) {
 		if ep.CardNode == ep.Root {
 			continue
 		}
-		full := NewMemoryPool()
-		m.EstimateBatchWithPool(eps[i:i+1], full)
+		full := NewBoundedMemoryPool(testPoolBound)
+		pooledBatch(m, eps[i:i+1], full)
 		g, r, ok := pooledCopy(full, m, ep.Nodes[ep.Root].ID, full.Generation())
 		if !ok {
 			t.Fatal("root representation missing from warm pool")
 		}
 		// A pool holding only the root: Get(root) hits, Get(cardNode)
 		// misses — exactly the post-eviction shape.
-		pool := NewMemoryPool()
+		pool := NewBoundedMemoryPool(testPoolBound)
 		pool.PutGen(ep.Nodes[ep.Root].ID, g, r, pool.Generation())
-		got := m.EstimateBatchWithPool(eps[i:i+1], pool)
+		got := pooledBatch(m, eps[i:i+1], pool)
 		// Recomputing the card subtree regroups its GEMM levels, but the
 		// canonical kernel order makes level grouping irrelevant to the
 		// result: compare bit-exactly.
@@ -153,7 +159,7 @@ func TestEstimateBatchWithPoolEvictedCardNode(t *testing.T) {
 // TestBatchedTrainingConcurrentWithPooledEstimates exercises the paper's
 // serving topology under the race detector: one goroutine trains a model
 // while serving goroutines hammer a second model's pooled single-plan and
-// batch entry points against a shared memory pool.
+// batch entry points, each on its own session, against a shared memory pool.
 func TestBatchedTrainingConcurrentWithPooledEstimates(t *testing.T) {
 	eps := benchCorpus(t, 12)
 	cfg := TestConfig()
@@ -179,7 +185,7 @@ func TestBatchedTrainingConcurrentWithPooledEstimates(t *testing.T) {
 			sess := NewBatchSession(serveM)
 			for k := 0; k < 30; k++ {
 				sess.EstimateWithPool(eps[(w+k)%len(eps)], pool)
-				serveM.EstimateBatchWithPool(eps, pool)
+				sess.EstimateBatchWithPool(eps, pool)
 			}
 		}(w)
 	}
@@ -219,7 +225,7 @@ func BenchmarkEstimateBatchPooled(b *testing.B) {
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
 	sess := NewBatchSession(m)
-	pool := NewMemoryPool()
+	pool := NewBoundedMemoryPool(testPoolBound)
 	sess.EstimateBatchWithPool(eps, pool)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -177,14 +177,15 @@ func TestMemoryPool(t *testing.T) {
 	eps := labeledPlans(t, 606, 10, false)
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
-	pool := NewMemoryPool()
+	pool := NewBoundedMemoryPool(testPoolBound)
+	sess := NewBatchSession(m)
 
-	cost1, card1 := m.EstimateWithPool(eps[0], pool)
+	cost1, card1 := sess.EstimateWithPool(eps[0], pool)
 	if pool.Len() == 0 {
 		t.Fatal("pool empty after first estimate")
 	}
 	// Second evaluation of the same plan must hit the pool and agree.
-	cost2, card2 := m.EstimateWithPool(eps[0], pool)
+	cost2, card2 := sess.EstimateWithPool(eps[0], pool)
 	if cost1 != cost2 || card1 != card2 {
 		t.Fatalf("pooled estimate differs: (%g,%g) vs (%g,%g)", cost1, card1, cost2, card2)
 	}
@@ -194,7 +195,7 @@ func TestMemoryPool(t *testing.T) {
 	// Pooled estimates must equal non-pooled ones.
 	for _, ep := range eps {
 		c1, d1 := m.Estimate(ep)
-		c2, d2 := m.EstimateWithPool(ep, pool)
+		c2, d2 := sess.EstimateWithPool(ep, pool)
 		if math.Abs(c1-c2) > 1e-9*math.Max(1, c1) || math.Abs(d1-d2) > 1e-9*math.Max(1, d1) {
 			t.Fatalf("pool changed estimate: (%g,%g) vs (%g,%g)", c1, d1, c2, d2)
 		}

@@ -199,13 +199,13 @@ func oracleMatrix(t *testing.T, run func(m *Model, eps []*feature.EncodedPlan, p
 				}
 			}
 			check("nopool", nil)
-			full := NewMemoryPool()
+			full := NewBoundedMemoryPool(testPoolBound)
 			check("cold pool", full)
 			check("warm pool", full)
 			if full.HitRate() == 0 {
 				t.Fatalf("%s: warm pass produced no pool hits", variant.name)
 			}
-			rootsOnly := NewMemoryPool()
+			rootsOnly := NewBoundedMemoryPool(testPoolBound)
 			for _, ep := range eps {
 				sig := ep.Nodes[ep.Root].ID
 				g, r, ok := pooledCopy(full, m, sig, full.Generation())
@@ -219,21 +219,27 @@ func oracleMatrix(t *testing.T, run func(m *Model, eps []*feature.EncodedPlan, p
 	}
 }
 
-// TestBatchMatchesSequential pins the Model convenience API (pooled
-// sessions) to the oracle: EstimateBatch/EstimateBatchWithPool, and for a
-// lone plan Estimate/EstimateWithPool, which must be the same batch of one.
+// TestBatchMatchesSequential pins the entry points to the oracle: without a
+// pool the Model convenience API (recycled sessions), EstimateBatch and, for a
+// lone plan, Estimate; with one a fresh BatchSession's EstimateBatchWithPool
+// and EstimateWithPool. A lone plan must be the same batch of one.
 func TestBatchMatchesSequential(t *testing.T) {
 	oracleMatrix(t, func(m *Model, eps []*feature.EncodedPlan, pool *MemoryPool) []Estimate {
 		var out []Estimate
 		if pool == nil {
 			out = m.EstimateBatch(eps)
 		} else {
-			out = m.EstimateBatchWithPool(eps, pool)
+			out = pooledBatch(m, eps, pool)
 		}
 		if len(eps) == 1 {
-			cost, card := m.EstimateWithPool(eps[0], pool)
-			if one := (Estimate{cost, card}); one != out[0] {
-				t.Fatalf("Model.EstimateWithPool = %+v, batch of one = %+v", one, out[0])
+			var one Estimate
+			if pool == nil {
+				one.Cost, one.Card = m.Estimate(eps[0])
+			} else {
+				one.Cost, one.Card = NewBatchSession(m).EstimateWithPool(eps[0], pool)
+			}
+			if one != out[0] {
+				t.Fatalf("single-plan entry = %+v, batch of one = %+v", one, out[0])
 			}
 		}
 		return out
@@ -390,10 +396,10 @@ func TestInBatchSharingMatchesOracle(t *testing.T) {
 		if len(s.all)*2 > nodes {
 			t.Fatalf("%s: %d rows for %d nodes: the batch is not enumeration-shaped", variant.name, len(s.all), nodes)
 		}
-		full := NewMemoryPool()
+		full := NewBoundedMemoryPool(testPoolBound)
 		check("cold pool", full)
 		check("warm pool", full)
-		rootsOnly := NewMemoryPool()
+		rootsOnly := NewBoundedMemoryPool(testPoolBound)
 		for _, ep := range eps {
 			sig := ep.Nodes[ep.Root].ID
 			g, r, ok := pooledCopy(full, m, sig, full.Generation())
@@ -415,7 +421,7 @@ func TestInBatchSharingZeroAlloc(t *testing.T) {
 	}
 	eps := enumBatch(t)
 	out := make([]Estimate, len(eps))
-	for name, pool := range map[string]*MemoryPool{"nopool": nil, "warm pool": NewMemoryPool()} {
+	for name, pool := range map[string]*MemoryPool{"nopool": nil, "warm pool": NewBoundedMemoryPool(testPoolBound)} {
 		srv := NewServer(New(TestConfig(), testEnc), pool)
 		srv.EstimateBatchInto(eps, out)
 		if allocs := testing.AllocsPerRun(50, func() { srv.EstimateBatchInto(eps, out) }); allocs != 0 {

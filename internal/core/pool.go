@@ -12,7 +12,7 @@ import (
 // mask of the sub-plan's ID.
 const poolShardCount = 32
 
-// Doorkeeper sizing, both relative to a bounded pool's residency bound: the
+// Doorkeeper sizing, both relative to the pool's residency bound: the
 // filter holds doorBitsPerEntry bits per resident entry (rounded up to a
 // power of two), and forgets every sighting once doorResetFactor × bound
 // fresh bits have been set, so "seen before" means "seen recently". The
@@ -48,13 +48,10 @@ type MemoryPool struct {
 	// representations the pool considers live. Entries below it are evicted
 	// lazily on lookup.
 	gen atomic.Uint64
-	// maxPerShard bounds each shard's entry count (0 = unbounded), keeping a
-	// long-lived serving process from growing without limit. Fixed at
-	// construction.
+	// maxPerShard bounds each shard's entry count, keeping a long-lived
+	// serving process from growing without limit. Fixed at construction.
 	maxPerShard int
-	// door admits a sub-plan to a full shard of a bounded pool on its
-	// second sighting; nil for an unbounded pool, which evicts nothing and
-	// admits every offer.
+	// door admits a sub-plan to a full shard on its second sighting.
 	door *doorkeeper
 	// The pad puts shards on a cache-line boundary, and a shard fills whole
 	// lines, so cores working in different shards never write one line
@@ -66,14 +63,13 @@ type MemoryPool struct {
 type poolShard struct {
 	mu sync.RWMutex
 	m  map[plan.ID]*poolEntry
-	// ring holds a bounded shard's entries in clock order; its capacity is
-	// the shard bound and never grows, so entries are addressed in place and
-	// a full shard recycles a victim's slot — storage included — for the
-	// next admission. hand is the clock sweep position. Unbounded shards
-	// leave it empty.
+	// ring holds the shard's entries in clock order; its capacity is the
+	// shard bound and never grows, so entries are addressed in place and a
+	// full shard recycles a victim's slot — storage included — for the next
+	// admission. hand is the clock sweep position.
 	ring []poolEntry
 	hand int
-	// full is set once a bounded shard's ring has no unused slot. From then
+	// full is set once the shard's ring has no unused slot. From then
 	// on every admission evicts, so the doorkeeper decides it.
 	full atomic.Bool
 
@@ -180,22 +176,16 @@ func (d *doorkeeper) reset() {
 	}
 }
 
-// NewMemoryPool returns an empty, unbounded pool. It evicts nothing, so it
-// admits every representation on first offer.
-func NewMemoryPool() *MemoryPool {
-	return NewBoundedMemoryPool(0)
-}
-
 // NewBoundedMemoryPool returns an empty pool holding at most maxEntries
-// sub-plan representations (0 means unbounded). The bound is approximate —
-// it is enforced per shard.
+// sub-plan representations; it panics unless maxEntries > 0. The bound is
+// approximate — it is enforced per shard.
 //
-// Once a shard is full, so that admitting means evicting, a bounded pool
-// admits a sub-plan on its second sighting: the first PutGen only sets its
-// doorkeeper bit, so a one-off sub-plan costs no lock, no allocation and no
-// eviction. Until then every offer is admitted, since it evicts nothing. A
-// resident entry found stale by GetGen has already proven that it recurs, so
-// it marks its bit and its refresh after a publish is admitted at once.
+// Once a shard is full, so that admitting means evicting, the pool admits a
+// sub-plan on its second sighting: the first PutGen only sets its doorkeeper
+// bit, so a one-off sub-plan costs no lock, no allocation and no eviction.
+// Until then every offer is admitted, since it evicts nothing. A resident
+// entry found stale by GetGen has already proven that it recurs, so it marks
+// its bit and its refresh after a publish is admitted at once.
 //
 // Eviction follows a per-shard clock/second-chance policy: every GetGen
 // marks its entry referenced, and the clock sweep evicts the first entry it
@@ -204,11 +194,11 @@ func NewMemoryPool() *MemoryPool {
 // of colder admissions. Entries already evicted for generation staleness are
 // reclaimed by the sweep before anything live.
 func NewBoundedMemoryPool(maxEntries int) *MemoryPool {
-	p := &MemoryPool{}
-	if maxEntries > 0 {
-		p.maxPerShard = (maxEntries + poolShardCount - 1) / poolShardCount
-		p.door = newDoorkeeper(p.Bound())
+	if maxEntries <= 0 {
+		panic("core: NewBoundedMemoryPool needs a positive bound")
 	}
+	p := &MemoryPool{maxPerShard: (maxEntries + poolShardCount - 1) / poolShardCount}
+	p.door = newDoorkeeper(p.Bound())
 	for i := range p.shards {
 		p.shards[i].m = make(map[plan.ID]*poolEntry, p.maxPerShard)
 		p.shards[i].ring = make([]poolEntry, 0, p.maxPerShard)
@@ -267,9 +257,7 @@ func (p *MemoryPool) GetGen(id plan.ID, gen uint64, g, r []float64) bool {
 	s.mu.RUnlock()
 	s.stale.Add(1)
 	s.misses.Add(1)
-	if p.door != nil {
-		p.door.mark(id[1])
-	}
+	p.door.mark(id[1])
 	if egen < p.gen.Load() {
 		// The entry belongs to a superseded generation: evict it now rather
 		// than letting dead weight crowd the shard. Re-check under the write
@@ -291,7 +279,7 @@ func (p *MemoryPool) GetGen(id plan.ID, gen uint64, g, r []float64) bool {
 // a publish records its entries honestly and they are rejected (not served)
 // by readers of the new generation.
 //
-// A full shard of a bounded pool admits only a sub-plan it has seen before
+// A full shard admits only a sub-plan it has seen before
 // (see NewBoundedMemoryPool); a first sighting sets its doorkeeper bit and
 // returns. An admitted sub-plan that is resident is refreshed in place.
 // Otherwise it takes a ring slot: a free one while the shard fills, then the
@@ -305,7 +293,7 @@ func (p *MemoryPool) GetGen(id plan.ID, gen uint64, g, r []float64) bool {
 // costlint:noalloc
 func (p *MemoryPool) PutGen(id plan.ID, g, r []float64, gen uint64) {
 	s := &p.shards[id[0]&(poolShardCount-1)]
-	if p.door != nil && s.full.Load() && !p.door.mark(id[1]) {
+	if s.full.Load() && !p.door.mark(id[1]) {
 		s.declined.Add(1)
 		return
 	}
@@ -321,14 +309,10 @@ func (p *MemoryPool) PutGen(id plan.ID, g, r []float64, gen uint64) {
 	s.mu.Unlock()
 }
 
-// claim returns the slot for a sub-plan new to the shard: a fresh entry in
-// an unbounded pool; in a bounded one the next unused ring slot while the
-// shard fills, then the clock victim, unlinked from the map. The caller
-// holds the shard write lock.
+// claim returns the slot for a sub-plan new to the shard: the next unused
+// ring slot while the shard fills, then the clock victim, unlinked from the
+// map. The caller holds the shard write lock.
 func (s *poolShard) claim(max int) *poolEntry {
-	if max == 0 {
-		return new(poolEntry)
-	}
 	if n := len(s.ring); n < max {
 		s.ring = s.ring[:n+1]
 		s.full.Store(n+1 == max)
@@ -399,10 +383,10 @@ func (p *MemoryPool) StaleRate() float64 {
 // Admitted returns how many PutGen calls stored their representation.
 func (p *MemoryPool) Admitted() int64 { return p.counts().admitted }
 
-// Declined returns how many PutGen calls a bounded pool turned away as first
+// Declined returns how many PutGen calls the pool turned away as first
 // sightings.
 func (p *MemoryPool) Declined() int64 { return p.counts().declined }
 
-// Bound returns the pool's configured residency bound (0 = unbounded),
-// rounded up to a whole number of per-shard slots.
+// Bound returns the pool's configured residency bound, rounded up to a whole
+// number of per-shard slots.
 func (p *MemoryPool) Bound() int { return p.maxPerShard * poolShardCount }

@@ -8,6 +8,11 @@ import (
 	"costest/internal/plan"
 )
 
+// testPoolBound is the bound of the pools the tests build where no eviction is
+// wanted: the daemon's default, far more slots per shard than a test corpus
+// has sub-plans, so no shard fills and every offer is admitted.
+const testPoolBound = 4096
+
 // testID is a sub-plan ID for tests: distinct for each i, its halves mixed
 // like a hash's so that shards and doorkeeper bits spread as they do in
 // serving.
@@ -44,7 +49,7 @@ func fillPool(t *testing.T, p *MemoryPool) {
 
 // TestPoolAdmitsOnSecondSighting: a bounded pool with a free slot keeps a
 // first offer (it evicts nothing); once full, it turns a sub-plan's first
-// offer away and keeps its second. An unbounded pool keeps every first offer.
+// offer away and keeps its second.
 func TestPoolAdmitsOnSecondSighting(t *testing.T) {
 	g := []float64{1, 2}
 	r := []float64{3, 4}
@@ -74,11 +79,20 @@ func TestPoolAdmitsOnSecondSighting(t *testing.T) {
 		t.Fatalf("admitted %d → %d, declined %d → %d after a second sighting",
 			admitted, p.Admitted(), declined, p.Declined())
 	}
+}
 
-	u := NewMemoryPool()
-	u.PutGen(once, g, r, 0)
-	if !u.GetGen(once, 0, nil, nil) || u.Declined() != 0 {
-		t.Fatal("an unbounded pool declined a first offer")
+// TestPoolNeedsPositiveBound: every pool is bounded, so a bound of zero or
+// less is a caller's mistake, not a request for an unbounded pool.
+func TestPoolNeedsPositiveBound(t *testing.T) {
+	for _, bound := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewBoundedMemoryPool(%d) built a pool, want a panic", bound)
+				}
+			}()
+			NewBoundedMemoryPool(bound)
+		}()
 	}
 }
 

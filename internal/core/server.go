@@ -11,7 +11,7 @@ import (
 // the representation memory pool to the current ModelSnapshot, re-resolving
 // the snapshot pointer on every request. A long-lived optimizer process
 // keeps one Server; a ParallelTrainer retrains the live model in place and
-// calls PublishDelta between epochs, while concurrent Estimate/EstimateBatch
+// calls PublishDelta between epochs, while concurrent EstimateBatchInto
 // callers keep serving — requests in flight finish on the snapshot they
 // started with, later requests pick up the new one, and no request ever
 // observes torn weights.
@@ -24,8 +24,8 @@ import (
 // and offers it to the pool at the new generation.
 //
 // Sessions are recycled through an internal sync.Pool and lazily rebound to
-// the current snapshot on checkout, so steady-state Estimate does the same
-// zero-allocation work as a session held directly against a fixed model.
+// the current snapshot on checkout, so steady-state EstimateBatchInto does the
+// same zero-allocation work as a session held directly against a fixed model.
 // EstimateBatch allocates only its result slice (the session-owned slab
 // cannot outlive the checkout), len(eps) Estimates per call.
 type Server struct {
@@ -109,8 +109,8 @@ func (srv *Server) release(s *ModelSnapshot) { s.refs.Add(-1) }
 // guaranteed frozen, however many publishes follow. The reference is returned
 // with ReleaseSnapshot, at which point the buffers rejoin the recycling
 // rotation — how the daemon's supervisor reads the served model for its gate
-// and checkpoints. Serving never needs it: Estimate, EstimateBatch and
-// EstimateBatchInto each hold the current snapshot for the length of one call.
+// and checkpoints. Serving never needs it: EstimateBatch and EstimateBatchInto
+// each hold the current snapshot for the length of one call.
 func (srv *Server) AcquireSnapshot() *ModelSnapshot { return srv.acquire() }
 
 // ReleaseSnapshot returns a reference taken by AcquireSnapshot.
@@ -195,15 +195,6 @@ func (srv *Server) PublishDelta(m *Model) *ModelSnapshot {
 // because a value it would have copied was NaN or an infinity.
 func (srv *Server) PublishesRefused() uint64 { return srv.refused.Load() }
 
-// LastDeltaCopied reports how many parameters the most recent publication
-// copied (the rest were already current in the reused buffer set) — an
-// observability hook for tests and publication metrics.
-func (srv *Server) LastDeltaCopied() int {
-	srv.pubMu.Lock()
-	defer srv.pubMu.Unlock()
-	return srv.delta.lastCopied
-}
-
 // DrainStats reports the state of the retired-snapshot-slot drain list:
 // Retired is the number of superseded snapshots currently awaiting drain
 // (their weight buffers cannot be recycled until every reference held on them
@@ -240,21 +231,6 @@ func (srv *Server) install(snap *ModelSnapshot) {
 			srv.retiredHW = n
 		}
 	}
-}
-
-// Estimate serves one plan against the current snapshot through the
-// server's pool, returning denormalized cost/cardinality estimates and the
-// snapshot version that produced them. The estimate is bit-identical to a
-// single-threaded evaluation of that version's weights.
-//
-// costlint:noalloc
-func (srv *Server) Estimate(ep *feature.EncodedPlan) (cost, card float64, version uint64) {
-	snap := srv.acquire()
-	s := srv.batchSession(snap)
-	cost, card = s.EstimateWithPool(ep, srv.pool)
-	srv.putSession(s)
-	srv.release(snap)
-	return cost, card, snap.version
 }
 
 // EstimateBatch serves a batch of plans against the current snapshot

@@ -75,7 +75,7 @@ func TestPoolGenerations(t *testing.T) {
 	g := []float64{1, 2}
 	r := []float64{3, 4}
 
-	p := NewMemoryPool()
+	p := NewBoundedMemoryPool(testPoolBound)
 	sig, sig2 := testID(1), testID(2)
 	p.PutGen(sig, g, r, 1)
 	if !p.GetGen(sig, 1, nil, nil) {
@@ -174,7 +174,7 @@ func TestServerServesAcrossPublishes(t *testing.T) {
 		}
 		ref := NewBatchSession(snap.Model())
 		for i, ep := range eps {
-			c, d, v := srv.Estimate(ep)
+			c, d, v := serveOne(srv, ep)
 			if v != want {
 				t.Fatalf("round %d: Estimate served version %d", round, v)
 			}
@@ -200,7 +200,7 @@ func TestServerServesAcrossPublishes(t *testing.T) {
 		// The pool refills lazily: the publish left every entry stale, and
 		// one foreground serve of a plan makes its root resident at the new
 		// generation, with the bits of the unpooled snapshot replay.
-		c, d, v := srv.Estimate(eps[0])
+		c, d, v := serveOne(srv, eps[0])
 		root := eps[0].Nodes[eps[0].Root].ID
 		if !srv.Pool().GetGen(root, v, nil, nil) {
 			t.Fatalf("round %d: root not resident at generation %d after one serve", round, v)
@@ -229,21 +229,35 @@ type servedObs struct {
 	card    float64
 }
 
-// BenchmarkServerEstimate measures steady-state pooled serving through the
-// Server indirection (snapshot resolution + session checkout + pooled
-// forward) — the hot-swap counterpart of BenchmarkForwardPooled.
+// serveOne serves ep as a batch of one through EstimateBatchInto, the path
+// the daemon's scheduler takes, returning the estimate and the version of the
+// snapshot that answered.
+func serveOne(srv *Server, ep *feature.EncodedPlan) (cost, card float64, version uint64) {
+	out := make([]Estimate, 1)
+	out, version, _, _ = srv.EstimateBatchInto([]*feature.EncodedPlan{ep}, out)
+	return out[0].Cost, out[0].Card, version
+}
+
+// BenchmarkServerEstimate measures steady-state pooled serving of one plan
+// through the Server indirection (snapshot resolution + session checkout +
+// pooled forward), the way the scheduler serves a one-plan request: one
+// EstimateBatchInto call with reused plan and result buffers — the hot-swap
+// counterpart of BenchmarkForwardPooled.
 func BenchmarkServerEstimate(b *testing.B) {
 	eps := benchCorpus(b, 12)
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
-	srv := NewServer(m, NewMemoryPool())
+	srv := NewServer(m, NewBoundedMemoryPool(testPoolBound))
+	one, out := make([]*feature.EncodedPlan, 1), make([]Estimate, 1)
 	for _, ep := range eps {
-		srv.Estimate(ep)
+		one[0] = ep
+		srv.EstimateBatchInto(one, out)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srv.Estimate(eps[i%len(eps)])
+		one[0] = eps[i%len(eps)]
+		srv.EstimateBatchInto(one, out)
 	}
 	b.ReportMetric(srv.Pool().HitRate()*100, "hit%")
 }
@@ -280,6 +294,15 @@ func fullCopy(m *Model) *Model {
 	return c
 }
 
+// LastDeltaCopied reports how many parameters the most recent publication
+// copied (the rest were already current in the reused buffer set) — the
+// count the delta-publication tests check.
+func (srv *Server) LastDeltaCopied() int {
+	srv.pubMu.Lock()
+	defer srv.pubMu.Unlock()
+	return srv.delta.lastCopied
+}
+
 // TestPublishDeltaBitIdentical pins the publication contract on the
 // sequential path: across rounds of training, every published snapshot's
 // parameters must be bit-identical to a full copy taken at the same point,
@@ -308,7 +331,7 @@ func TestPublishDeltaBitIdentical(t *testing.T) {
 		// replay of the full copy.
 		ref := NewBatchSession(full)
 		for i, ep := range eps {
-			c, d, v := srv.Estimate(ep)
+			c, d, v := serveOne(srv, ep)
 			rc, rd := ref.Estimate(ep)
 			if v != snap.Version() || c != rc || d != rd {
 				t.Fatalf("round %d plan %d: delta-served (%g,%g) at v%d, full-copy replay (%g,%g)",
@@ -365,7 +388,7 @@ func TestPublishDeltaRefusesNonFinite(t *testing.T) {
 		t.Fatalf("PublishesRefused = %d, want %d (one per epoch)", n, len(hist))
 	}
 	for i, ep := range valid {
-		if c, d, _ := srv.Estimate(ep); math.IsNaN(c) || math.IsNaN(d) {
+		if c, d, _ := serveOne(srv, ep); math.IsNaN(c) || math.IsNaN(d) {
 			t.Fatalf("plan %d served non-finite (%g, %g) after refused publishes", i, c, d)
 		}
 	}
@@ -649,7 +672,7 @@ func TestServerDeltaHotSwapConcurrentBitIdentical(t *testing.T) {
 			var local []servedObs
 			for k := 0; ; k++ {
 				i := (w*5 + k) % len(eps)
-				c, d, v := srv.Estimate(eps[i])
+				c, d, v := serveOne(srv, eps[i])
 				local = append(local, servedObs{plan: i, version: v, cost: c, card: d})
 				ests, bv := srv.EstimateBatch(eps, 2)
 				for j, e := range ests {

@@ -81,7 +81,7 @@ func TestPooledPathZeroAlloc(t *testing.T) {
 	cfg := TestConfig()
 	m := New(cfg, testEnc)
 	sess := NewBatchSession(m)
-	pool := NewMemoryPool()
+	pool := NewBoundedMemoryPool(testPoolBound)
 	for _, ep := range eps {
 		sess.EstimateWithPool(ep, pool)
 	}
@@ -198,8 +198,8 @@ func TestPoolEvictedCardNode(t *testing.T) {
 		wantCost, wantCard := sess.Estimate(ep)
 		// A pool holding only the root: Get(root) hits and skips the whole
 		// tree, Get(cardNode) misses — exactly the post-eviction shape.
-		pool := NewMemoryPool()
-		full := NewMemoryPool()
+		pool := NewBoundedMemoryPool(testPoolBound)
+		full := NewBoundedMemoryPool(testPoolBound)
 		sess.EstimateWithPool(ep, full)
 		g, r, ok := pooledCopy(full, m, ep.Nodes[ep.Root].ID, full.Generation())
 		if !ok {
@@ -220,6 +220,7 @@ func TestPoolEvictedCardNode(t *testing.T) {
 
 // TestConcurrentEstimate hammers the convenience API from many goroutines;
 // the session pool must hand each caller private buffers (run with -race).
+// Each goroutine also serves through a shared memory pool on its own session.
 func TestConcurrentEstimate(t *testing.T) {
 	eps := benchCorpus(t, 12)
 	cfg := TestConfig()
@@ -229,12 +230,13 @@ func TestConcurrentEstimate(t *testing.T) {
 		c, d := m.Estimate(ep)
 		want[i] = [2]float64{c, d}
 	}
-	pool := NewMemoryPool()
+	pool := NewBoundedMemoryPool(testPoolBound)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			sess := NewBatchSession(m)
 			for k := 0; k < 50; k++ {
 				i := (w + k) % len(eps)
 				c, d := m.Estimate(eps[i])
@@ -242,7 +244,7 @@ func TestConcurrentEstimate(t *testing.T) {
 					t.Errorf("concurrent estimate diverged at plan %d", i)
 					return
 				}
-				cp, dp := m.EstimateWithPool(eps[i], pool)
+				cp, dp := sess.EstimateWithPool(eps[i], pool)
 				if cp != want[i][0] || dp != want[i][1] {
 					t.Errorf("concurrent pooled estimate diverged at plan %d", i)
 					return
@@ -282,15 +284,15 @@ func BenchmarkForwardSingle(b *testing.B) {
 func BenchmarkForwardPooled(b *testing.B) {
 	eps := benchCorpus(b, 24)
 	cfg := TestConfig()
-	m := New(cfg, testEnc)
-	pool := NewMemoryPool()
+	sess := NewBatchSession(New(cfg, testEnc))
+	pool := NewBoundedMemoryPool(testPoolBound)
 	for _, ep := range eps {
-		m.EstimateWithPool(ep, pool)
+		sess.EstimateWithPool(ep, pool)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.EstimateWithPool(eps[i%len(eps)], pool)
+		sess.EstimateWithPool(eps[i%len(eps)], pool)
 	}
 	b.ReportMetric(pool.HitRate()*100, "hit%")
 }
@@ -299,7 +301,7 @@ func BenchmarkForwardPooled(b *testing.B) {
 // representation memory pool: with many goroutines hammering Get, the read
 // path must not serialize on an exclusive lock.
 func BenchmarkPoolGetParallel(b *testing.B) {
-	pool := NewMemoryPool()
+	pool := NewBoundedMemoryPool(testPoolBound)
 	g := make([]float64, 16)
 	r := make([]float64, 16)
 	sigs := make([]plan.ID, 512)

@@ -109,9 +109,6 @@ func NewParallelTrainer(m *Model, shards int) *ParallelTrainer {
 	}
 }
 
-// Shards returns the fixed data-parallel width.
-func (pt *ParallelTrainer) Shards() int { return pt.shards }
-
 // EarlyStop installs validation-based early stopping on Fit: training stops
 // once the combined validation q-error has gone opts.Patience consecutive
 // epochs without improving on its best value, so a long `epochs` budget
@@ -224,26 +221,6 @@ func (pt *ParallelTrainer) shardAccumulate(w *trainWorker, eps []*feature.Encode
 	loss := pt.batchLossAndGrads(w.sess)
 	w.sess.backward()
 	return loss
-}
-
-// Warmup sizes every worker's arenas by running one full training pass of
-// samples through each worker session (the gradients land in the worker's
-// private set and are discarded). Per-level arena shapes are additive over
-// plans, so the full corpus is a superset of every minibatch shard a later
-// shuffle can produce — after Warmup, epochs over any subset of samples run
-// at zero heap allocations per worker, no matter how the shuffle falls
-// (without it, a new shuffle can still raise a high-water mark mid-epoch).
-func (pt *ParallelTrainer) Warmup(samples []*feature.EncodedPlan) {
-	if pt.costLoss == nil {
-		pt.rebuildLosses()
-	}
-	pt.ensureWorkers()
-	if len(samples) == 0 {
-		return
-	}
-	for _, w := range pt.workers {
-		pt.shardAccumulate(w, samples)
-	}
 }
 
 // TrainEpochParallel runs one epoch over samples in shuffled minibatches,

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"costest/internal/feature"
 )
 
 // compareWeights asserts every parameter of a and b agrees within relative
@@ -116,6 +118,26 @@ func TestTrainEpochParallelReducesLoss(t *testing.T) {
 	}
 }
 
+// Warmup sizes every worker's arenas by running one full training pass of
+// samples through each worker session (the gradients land in the worker's
+// private set and are discarded). Per-level arena shapes are additive over
+// plans, so the full corpus is a superset of every minibatch shard a later
+// shuffle can produce — after Warmup, epochs over any subset of samples run
+// at zero heap allocations per worker, no matter how the shuffle falls
+// (without it, a new shuffle can still raise a high-water mark mid-epoch).
+func (pt *ParallelTrainer) Warmup(samples []*feature.EncodedPlan) {
+	if pt.costLoss == nil {
+		pt.rebuildLosses()
+	}
+	pt.ensureWorkers()
+	if len(samples) == 0 {
+		return
+	}
+	for _, w := range pt.workers {
+		pt.shardAccumulate(w, samples)
+	}
+}
+
 // TestTrainEpochParallelZeroAlloc asserts the warm-path allocation contract
 // for every architecture variant: after the worker arenas have seen the
 // epoch's shapes, a full parallel epoch — shuffle, shard dispatch,
@@ -178,7 +200,7 @@ func TestParallelTrainingConcurrentServingAndPublish(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for k := 0; ; k++ {
-				_, _, v := srv.Estimate(eps[(w+k)%len(eps)])
+				_, _, v := serveOne(srv, eps[(w+k)%len(eps)])
 				if v == 0 {
 					panic("unversioned estimate")
 				}
@@ -290,7 +312,7 @@ func TestFitCallbackDeltaPublish(t *testing.T) {
 	compareWeights(t, "served vs live", snap.Model(), m, 0)
 	ref := NewBatchSession(snap.Model())
 	for i, ep := range eps {
-		c, d, v := srv.Estimate(ep)
+		c, d, v := serveOne(srv, ep)
 		rc, rd := ref.Estimate(ep)
 		if v != snap.Version() || c != rc || d != rd {
 			t.Fatalf("plan %d: served (%g,%g) at v%d, snapshot replay (%g,%g) at v%d",
@@ -326,7 +348,7 @@ func TestFitCallbackServingRace(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for k := 0; ; k++ {
-				_, _, v := srv.Estimate(eps[(w+k)%len(eps)])
+				_, _, v := serveOne(srv, eps[(w+k)%len(eps)])
 				if v == 0 || v > srv.Version() {
 					panic("served an uninstalled version")
 				}

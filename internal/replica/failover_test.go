@@ -35,7 +35,7 @@ type testMember struct {
 func startMember(t testing.TB, cfg core.Config, samples []*workload.Labeled, mc MemberConfig) (*testMember, *core.Server, []*feature.EncodedPlan) {
 	t.Helper()
 	model := core.New(cfg, testEnc)
-	srv := core.NewServer(model, core.NewMemoryPool())
+	srv := core.NewServer(model, core.NewBoundedMemoryPool(testPoolBound))
 	eps := encodePlans(t, samples)
 	mc.Server, mc.Model = srv, model
 	if mc.Primary == nil && mc.Rank >= 0 {
@@ -103,7 +103,7 @@ func TestFailoverConformance(t *testing.T) {
 	mA, trA := trainedModel(t, primEps, 1)
 
 	// Primary A on a pre-bound port, epoch 1.
-	srvA := core.NewServer(mA, core.NewMemoryPool())
+	srvA := core.NewServer(mA, core.NewBoundedMemoryPool(testPoolBound))
 	srvA.PublishDelta(trA.M)
 	pubA := mustPublisher(t, mA, srvA.Version(), PublisherConfig{
 		Epoch: 1, Heartbeat: hb, PeerTimeout: peerTO, Logf: t.Logf,
@@ -422,7 +422,7 @@ func TestMemberWithNonFiniteWeightsStaysFollower(t *testing.T) {
 	}
 	defer ln.Close()
 	model := core.New(core.TestConfig(), testEnc)
-	srv := core.NewServer(model, core.NewMemoryPool())
+	srv := core.NewServer(model, core.NewBoundedMemoryPool(testPoolBound))
 	eps := encodePlans(t, samples)
 	model.PS.Params()[0].Value[0] = math.NaN()
 	model.PS.MarkAllUpdated()
@@ -473,7 +473,7 @@ func TestMemberWithNonFiniteWeightsStaysFollower(t *testing.T) {
 		t.Fatalf("member serves version %d, want 1 (nothing published)", v)
 	}
 	for i, ep := range eps {
-		if c, d, _ := srv.Estimate(ep); math.IsNaN(c) || math.IsNaN(d) {
+		if c, d, _ := serveOne(srv, ep); math.IsNaN(c) || math.IsNaN(d) {
 			t.Fatalf("plan %d served non-finite (%g, %g)", i, c, d)
 		}
 	}
@@ -505,7 +505,7 @@ func TestPromotedMemberRunsPrimaryUntilFenced(t *testing.T) {
 	// The server versions Primary saw when its ctx ended and when it returned.
 	type term struct{ atEnd, atReturn uint64 }
 	model := core.New(mA.Cfg, testEnc)
-	srv := core.NewServer(model, core.NewMemoryPool())
+	srv := core.NewServer(model, core.NewBoundedMemoryPool(testPoolBound))
 	started := make(chan struct{}, 1)
 	ended := make(chan term, 1)
 	B := NewMember(MemberConfig{
@@ -646,7 +646,7 @@ func TestFenceRequiresHigherEpoch(t *testing.T) {
 	samples := labeledSamples(t, 53, 6)
 	primEps := encodePlans(t, samples)
 	m, tr := trainedModel(t, primEps, 1)
-	srv := core.NewServer(m, core.NewMemoryPool())
+	srv := core.NewServer(m, core.NewBoundedMemoryPool(testPoolBound))
 	srv.PublishDelta(tr.M)
 	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Epoch: 3, Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
@@ -817,7 +817,7 @@ func TestTokenlessPrimaryAcceptsAnyFollower(t *testing.T) {
 	samples := labeledSamples(t, 61, 8)
 	primEps := encodePlans(t, samples)
 	m, tr := trainedModel(t, primEps, 1)
-	srv := core.NewServer(m, core.NewMemoryPool())
+	srv := core.NewServer(m, core.NewBoundedMemoryPool(testPoolBound))
 	srv.PublishDelta(tr.M)
 	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Logf: t.Logf}) // no token
 	srv.SetPublishHook(pub.OnPublish)
@@ -832,7 +832,7 @@ func TestTokenlessPrimaryAcceptsAnyFollower(t *testing.T) {
 		model := core.New(m.Cfg, testEnc)
 		f := NewFollower(FollowerConfig{
 			Peers: []string{ln.Addr().String()}, Token: token,
-			Server: core.NewServer(model, core.NewMemoryPool()), Model: model,
+			Server: core.NewServer(model, core.NewBoundedMemoryPool(testPoolBound)), Model: model,
 			RetryMin: 5 * time.Millisecond, RetryMax: 25 * time.Millisecond,
 			Logf: t.Logf,
 		})
@@ -911,7 +911,7 @@ func TestReplicationTokenAuth(t *testing.T) {
 	samples := labeledSamples(t, 23, 8)
 	primEps := encodePlans(t, samples)
 	m, tr := trainedModel(t, primEps, 1)
-	srv := core.NewServer(m, core.NewMemoryPool())
+	srv := core.NewServer(m, core.NewBoundedMemoryPool(testPoolBound))
 	srv.PublishDelta(tr.M)
 	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Token: "hunter2", Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
@@ -927,7 +927,7 @@ func TestReplicationTokenAuth(t *testing.T) {
 		model := core.New(m.Cfg, testEnc)
 		f := NewFollower(FollowerConfig{
 			Peers: []string{addr}, Token: token,
-			Server: core.NewServer(model, core.NewMemoryPool()), Model: model,
+			Server: core.NewServer(model, core.NewBoundedMemoryPool(testPoolBound)), Model: model,
 			RetryMin: 5 * time.Millisecond, RetryMax: 25 * time.Millisecond,
 			Logf: t.Logf,
 		})
@@ -972,7 +972,7 @@ func TestHeartbeatKeepsIdleConnectionAlive(t *testing.T) {
 	samples := labeledSamples(t, 31, 8)
 	primEps := encodePlans(t, samples)
 	m, tr := trainedModel(t, primEps, 1)
-	srv := core.NewServer(m, core.NewMemoryPool())
+	srv := core.NewServer(m, core.NewBoundedMemoryPool(testPoolBound))
 	srv.PublishDelta(tr.M)
 	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{
 		Heartbeat: 20 * time.Millisecond, PeerTimeout: 100 * time.Millisecond, Logf: t.Logf,
@@ -988,7 +988,7 @@ func TestHeartbeatKeepsIdleConnectionAlive(t *testing.T) {
 	model := core.New(m.Cfg, testEnc)
 	f := NewFollower(FollowerConfig{
 		Peers:  []string{ln.Addr().String()},
-		Server: core.NewServer(model, core.NewMemoryPool()), Model: model,
+		Server: core.NewServer(model, core.NewBoundedMemoryPool(testPoolBound)), Model: model,
 		Heartbeat: 20 * time.Millisecond, PeerTimeout: 100 * time.Millisecond,
 		RetryMin: 5 * time.Millisecond, RetryMax: 25 * time.Millisecond,
 		Logf: t.Logf,
@@ -1031,7 +1031,7 @@ func TestSlowFollowerEviction(t *testing.T) {
 	samples := labeledSamples(t, 37, 8)
 	primEps := encodePlans(t, samples)
 	m, tr := trainedModel(t, primEps, 1)
-	srv := core.NewServer(m, core.NewMemoryPool())
+	srv := core.NewServer(m, core.NewBoundedMemoryPool(testPoolBound))
 	srv.PublishDelta(tr.M)
 	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{EvictAfter: 2, Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)

@@ -21,7 +21,7 @@ func TestFollowerApplyPublishAllocs(t *testing.T) {
 	model := core.New(core.TestConfig(), testEnc)
 	f := NewFollower(FollowerConfig{
 		Peers:  []string{"unused:0"},
-		Server: core.NewServer(model, core.NewMemoryPool()),
+		Server: core.NewServer(model, core.NewBoundedMemoryPool(testPoolBound)),
 		Model:  model,
 	})
 	f.cfg.Server.SetPublishHook(f.label) // as Run registers it

@@ -70,7 +70,7 @@ func FuzzApplyModelPayload(f *testing.F) {
 
 	fl := NewFollower(FollowerConfig{
 		Peers:  []string{"unused:0"},
-		Server: core.NewServer(m, core.NewMemoryPool()),
+		Server: core.NewServer(m, core.NewBoundedMemoryPool(testPoolBound)),
 		Model:  m,
 	})
 	fl.cfg.Server.SetPublishHook(fl.label) // as Run registers it

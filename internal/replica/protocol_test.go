@@ -45,8 +45,8 @@ func (sp *scriptedPrimary) send(b []byte) {
 func expectEstimatesMatch(t *testing.T, what string, srv, ref *core.Server, srvEps, refEps []*feature.EncodedPlan) {
 	t.Helper()
 	for i := range srvEps {
-		sc, sd, _ := srv.Estimate(srvEps[i])
-		rc, rd, _ := ref.Estimate(refEps[i])
+		sc, sd, _ := serveOne(srv, srvEps[i])
+		rc, rd, _ := serveOne(ref, refEps[i])
 		if math.Float64bits(sc) != math.Float64bits(rc) || math.Float64bits(sd) != math.Float64bits(rd) {
 			t.Fatalf("%s: plan %d: follower (%x, %x), reference (%x, %x)",
 				what, i, math.Float64bits(sc), math.Float64bits(sd), math.Float64bits(rc), math.Float64bits(rd))
@@ -64,7 +64,7 @@ func TestFollowerProtocol(t *testing.T) {
 	m, _ := trainedModel(t, refEps, 1)
 
 	model := core.New(m.Cfg, testEnc)
-	srv := core.NewServer(model, core.NewMemoryPool())
+	srv := core.NewServer(model, core.NewBoundedMemoryPool(testPoolBound))
 	srvEps := encodePlans(t, samples)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -119,7 +119,7 @@ func TestFollowerProtocol(t *testing.T) {
 	for i := range allIdx {
 		allIdx[i] = i
 	}
-	ref5 := core.NewServer(m, core.NewMemoryPool()) // reference for m's gen-5 weights
+	ref5 := core.NewServer(m, core.NewBoundedMemoryPool(testPoolBound)) // reference for m's gen-5 weights
 	sp.send(AppendFrame(nil, FrameSnapshot, 1, 5, 5, core.AppendModelPayload(nil, m, allIdx)))
 	sp.expect(FrameAck, 5)
 	if g := f.Generation(); g != 5 {
@@ -131,7 +131,7 @@ func TestFollowerProtocol(t *testing.T) {
 	p0 := m.PS.Params()[0]
 	p0.Value[0] += 0.25
 	m.PS.MarkParamsUpdated([]*nn.Param{p0})
-	ref6 := core.NewServer(m, core.NewMemoryPool())
+	ref6 := core.NewServer(m, core.NewBoundedMemoryPool(testPoolBound))
 	delta65 := AppendFrame(nil, FrameDelta, 1, 6, 5, core.AppendModelPayload(nil, m, []int{0}))
 
 	// A delta building on generation 6 while the follower holds 5 is a gap:
@@ -176,10 +176,10 @@ func TestFollowerRefusesNonFiniteFrame(t *testing.T) {
 	samples := labeledSamples(t, 23, 8)
 	refEps := encodePlans(t, samples)
 	m, _ := trainedModel(t, refEps, 1)
-	ref := core.NewServer(m, core.NewMemoryPool())
+	ref := core.NewServer(m, core.NewBoundedMemoryPool(testPoolBound))
 
 	model := core.New(m.Cfg, testEnc)
-	srv := core.NewServer(model, core.NewMemoryPool())
+	srv := core.NewServer(model, core.NewBoundedMemoryPool(testPoolBound))
 	srvEps := encodePlans(t, samples)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

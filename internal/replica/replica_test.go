@@ -29,6 +29,19 @@ var (
 	testEnc = feature.NewEncoder(testCat, strembed.HashEmbedder{DimN: 12}, true)
 )
 
+// testPoolBound is the bound of the servers' memory pools: the daemon's
+// default, the pool mode every served model runs.
+const testPoolBound = 4096
+
+// serveOne serves ep as a batch of one through EstimateBatchInto, the path
+// the daemon's scheduler takes, returning the estimate and the version of the
+// snapshot that answered.
+func serveOne(srv *core.Server, ep *feature.EncodedPlan) (cost, card float64, version uint64) {
+	out := make([]core.Estimate, 1)
+	out, version, _, _ = srv.EstimateBatchInto([]*feature.EncodedPlan{ep}, out)
+	return out[0].Cost, out[0].Card, version
+}
+
 // labeledSamples builds a deterministic labeled workload. Samples carry the
 // raw plans so each server under test can encode its own private
 // EncodedPlans (servers must never share plan buffers in these tests — the
@@ -85,7 +98,7 @@ func mustPublisher(t testing.TB, m *core.Model, gen uint64, cfg PublisherConfig)
 // loopback port and returns its server, publisher and listen address.
 func startPrimary(t testing.TB, m *core.Model, tr *core.ParallelTrainer) (*core.Server, *Publisher, string) {
 	t.Helper()
-	srv := core.NewServer(m, core.NewMemoryPool())
+	srv := core.NewServer(m, core.NewBoundedMemoryPool(testPoolBound))
 	srv.PublishDelta(tr.M)
 	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
@@ -118,7 +131,7 @@ func newTestReplica(t testing.TB, cfg core.Config, samples []*workload.Labeled, 
 		t:     t,
 		addr:  addr,
 		model: model,
-		srv:   core.NewServer(model, core.NewMemoryPool()),
+		srv:   core.NewServer(model, core.NewBoundedMemoryPool(testPoolBound)),
 		eps:   encodePlans(t, samples),
 	}
 }
@@ -184,8 +197,8 @@ func estimateAt(srv *core.Server, ep *feature.EncodedPlan) (cost, card float64, 
 func expectBitIdentical(t testing.TB, prim *core.Server, primEps []*feature.EncodedPlan, r *testReplica) {
 	t.Helper()
 	for i, ep := range primEps {
-		pc, pd, pv := prim.Estimate(ep)
-		rc, rd, rv := r.srv.Estimate(r.eps[i])
+		pc, pd, pv := serveOne(prim, ep)
+		rc, rd, rv := serveOne(r.srv, r.eps[i])
 		if math.Float64bits(pc) != math.Float64bits(rc) || math.Float64bits(pd) != math.Float64bits(rd) {
 			t.Fatalf("plan %d: primary (%x, %x) at v%d, replica (%x, %x) at v%d",
 				i, math.Float64bits(pc), math.Float64bits(pd), pv,

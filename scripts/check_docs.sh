@@ -14,6 +14,8 @@
 #   - every `costest <subcommand>` invoked as a command (after a `/`, a
 #     backtick or at the start of a line) is one cmd/costest's main switch
 #     accepts.
+# And it checks that every examples/<dir> holds a _test.go: an example
+# prints claims a reader takes on trust, so it carries a test of them.
 # Run from the repository root: scripts/check_docs.sh
 set -eu
 
@@ -68,6 +70,15 @@ for doc in README.md ARCHITECTURE.md .claude/skills/verify/SKILL.md; do
             ;;
         esac
     done
+done
+
+# Examples earn a test: a directory under examples/ without one fails.
+for dir in examples/*/; do
+    [ -d "$dir" ] || continue
+    if ! ls "$dir"*_test.go >/dev/null 2>&1; then
+        echo "${dir%/} has no _test.go: an example needs a test of what it prints"
+        status=1
+    fi
 done
 
 # Required sections: each runtime layer documents itself under a stable
