@@ -159,14 +159,65 @@ func TestNoTrueCostIsFloored(t *testing.T) {
 // defaultCorpus labels the daemon's training corpus at default flags, on
 // the daemon's own substrate.
 func defaultCorpus(t *testing.T) []*workload.Labeled {
+	labeled, _ := defaultSubstrate(t)
+	return labeled
+}
+
+// defaultSubstrate is defaultCorpus with the encoder the daemon encodes it
+// with.
+func defaultSubstrate(t *testing.T) ([]*workload.Labeled, *feature.Encoder) {
 	t.Helper()
 	var o options
 	if err := newFlagSet(&o).Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	db, cat, _ := substrate(o.scale)
+	db, cat, enc := substrate(o.scale)
 	lab := &workload.Labeler{Planner: planner.New(pg.New(cat), db.Schema), Engine: exec.NewEngine(db)}
-	return lab.Label(workload.TrainingNumeric(db, o.seed, o.queries))
+	return lab.Label(workload.TrainingNumeric(db, o.seed, o.queries)), enc
+}
+
+// TestGoldenFeatureBits pins every feature bit of the daemon's default
+// corpus as its training path encodes it (Encoder.Encode): the FNV-64a hash
+// of every float of every encoded node and the child indices beside them,
+// plan after plan. ID is left out: its seeds are drawn per process.
+func TestGoldenFeatureBits(t *testing.T) {
+	const want = 0x134c1c39c9579059
+	labeled, enc := defaultSubstrate(t)
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	floats := func(v []float64) {
+		put(uint64(len(v)))
+		for _, f := range v {
+			put(math.Float64bits(f))
+		}
+	}
+	for _, s := range labeled {
+		ep, err := enc.Encode(s.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		put(uint64(len(ep.Nodes)))
+		for _, n := range ep.Nodes {
+			floats(n.Op)
+			floats(n.Meta)
+			floats(n.Bitmap)
+			put(uint64(len(n.Pred.Nodes)))
+			for _, p := range n.Pred.Nodes {
+				floats(p.Vec)
+				put(uint64(int64(p.Left)))
+				put(uint64(int64(p.Right)))
+			}
+			put(uint64(int64(n.Left)))
+			put(uint64(int64(n.Right)))
+		}
+	}
+	if h.Sum64() != want {
+		t.Fatalf("the %d plans' features hash to %#x, want %#x", len(labeled), h.Sum64(), uint64(want))
+	}
 }
 
 // TestGoldenLabels pins every label of the daemon's default corpus: the

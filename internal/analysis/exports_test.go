@@ -25,7 +25,6 @@ var exportAllowlist = map[string]string{
 	"(*costest/internal/stats.Catalog).TrueSelectivity": "selectivity tests compare estimates with an exact table scan",
 	"(*costest/internal/schema.Schema).ConnectedSubset": "schema, dataset and workload tests validate join graphs with it",
 	"(*costest/internal/schema.Schema).JoinBetween":     "schema and dataset tests validate foreign-key edges with it",
-	"(*costest/internal/schema.Schema).ColumnByID":      "schema and dataset tests resolve column ids with it",
 	"(*costest/internal/core.MemoryPool).Generation":    "core session and serving tests check pool invalidation with it",
 	"costest/internal/serve.DecodeEstimate":             "the request-decoder differential and fuzz target",
 	"(*costest/internal/strembed.Trie).Lookup":          "trie tests check the dictionary it builds",

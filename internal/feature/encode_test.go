@@ -165,7 +165,7 @@ func TestEncodeAllMatchesEncode(t *testing.T) {
 			return &plan.Node{Type: plan.SeqScan, Table: "title",
 				Filter: &sqlpred.Atom{Table: "title", Column: "production_year", Op: sqlpred.OpGt, NumVal: 1990}}
 		}
-		cond := &plan.JoinCond{Left: plan.ColRef{Table: "title", Column: "id"}, Right: plan.ColRef{Table: "title", Column: "episode_of_id"}}
+		cond := &plan.JoinCond{Left: plan.ColRef{Table: "title", Column: "id"}, Right: plan.ColRef{Table: "title", Column: "kind_id"}}
 		inner := func() *plan.Node {
 			return &plan.Node{Type: plan.HashJoin, JoinCond: cond, Left: scan(), Right: scan()}
 		}
@@ -205,7 +205,7 @@ func TestEncodeAllMatchesEncode(t *testing.T) {
 	for name, e := range encoders {
 		var a Arena
 		for _, req := range order {
-			roots := requests[req]
+			roots := resolved(t, e, requests[req]...)
 			got, err := e.EncodeAll(roots, &a)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, req, err)
@@ -261,6 +261,7 @@ func TestEncodeAllSharedNodes(t *testing.T) {
 		trees = append(trees, root.Clone())
 	}
 	e := NewEncoder(testCat, strembed.ZeroEncoder{}, true)
+	resolved(t, e, append(dag, trees...)...)
 	var sharedArena, treeArena Arena
 	got, err := e.EncodeAll(dag, &sharedArena)
 	if err != nil {
@@ -284,11 +285,18 @@ func TestEncodeAllSharedNodes(t *testing.T) {
 // once keyed by embedded table names unescaped, so these two differently
 // shaped trees signed alike and EncodeAll had to refuse them together. Their
 // IDs differ: in one request, in either order or nested in one tree, each
-// encodes exactly as Encode encodes it alone.
+// encodes exactly as it encodes alone. No schema has these names, so every
+// node is given the id of one real table by hand: EncodeAll reads the ids,
+// and the IDs that key its sharing hash the names.
 func TestEncodeAllDistinguishesTextCollision(t *testing.T) {
-	scan := func(table string) *plan.Node { return &plan.Node{Type: plan.SeqScan, Table: table} }
+	title := int32(testDB.Schema.TableID("title") + 1)
+	scan := func(table string) *plan.Node { return &plan.Node{Type: plan.SeqScan, Table: table, TableID: title} }
 	join := func(table string, l, r *plan.Node) *plan.Node {
-		return &plan.Node{Type: plan.HashJoin, Table: table, Left: l, Right: r}
+		n := &plan.Node{Type: plan.HashJoin, Table: table, Left: l, Right: r}
+		if table != "" {
+			n.TableID = title
+		}
+		return n
 	}
 	// Three nodes and five, one text signature: the left scan's name spells
 	// out the text of a join that the other tree really has.
@@ -307,7 +315,8 @@ func TestEncodeAllDistinguishesTextCollision(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, root := range roots {
-			if want, err := e.Encode(root); err != nil || !reflect.DeepEqual(got[i], want) {
+			var alone Arena
+			if want, err := e.EncodeAll([]*plan.Node{root}, &alone); err != nil || !reflect.DeepEqual(got[i], want[0]) {
 				t.Fatalf("plan %d of %d (err %v) encodes differently beside the others:\n%s", i, len(roots), err, root)
 			}
 		}
@@ -380,11 +389,10 @@ func sevenNodePlan() *plan.Node {
 }
 
 // TestEncodeAllocs caps what one Encode may allocate, and holds a warm
-// EncodeAll to none beyond the sample bitmap's predicate compilation. The old
-// encoder spent about 290 allocations on this plan (a vector each for every
-// node and predicate node, a Signature re-walk per node through fmt); the
-// sized single pass needs a fixed handful plus the per-atom predicate
-// compilation.
+// EncodeAll to none. The old encoder spent about 290 allocations on this plan
+// (a vector each for every node and predicate node, a Signature re-walk per
+// node through fmt); the sized single pass needs a fixed handful. The sample
+// bitmap reads the columns by id, so it compiles no matcher.
 func TestEncodeAllocs(t *testing.T) {
 	root := sevenNodePlan()
 	if countNodes(root) != 7 {
@@ -401,36 +409,17 @@ func TestEncodeAllocs(t *testing.T) {
 		t.Fatalf("Encode allocates %.0f times on a 7-node plan, ceiling 100", got)
 	}
 	// A warm EncodeAll, its arena recycled from a request of the same shape,
-	// allocates nothing of its own: vectors, nodes, IDs and table entries all
-	// reuse the last request's. Only the sample bitmap compiles a matcher
-	// for each predicate node of each distinct scan.
-	roots := append(enumRequest(t, workload.Scale(testDB, 13, 80), 6, 8), root)
-	scans := map[plan.ID]int{}
-	for _, r := range roots {
-		ids, i := r.AppendIDs(nil), 0
-		r.Walk(func(n *plan.Node) {
-			if n.Type.IsScan() {
-				scans[ids[i]] = predNodes(n)
-			}
-			i++
-		})
-	}
-	compiled := 0
-	for _, k := range scans {
-		compiled += k
-	}
+	// allocates nothing: vectors, nodes, IDs and table entries all reuse the
+	// last request's.
+	roots := resolved(t, e, append(enumRequest(t, workload.Scale(testDB, 13, 80), 6, 8), root)...)
 	for _, enc := range []*Encoder{e, NewEncoder(testCat, strembed.ZeroEncoder{}, false)} {
 		var a Arena
 		if _, err := enc.EncodeAll(roots, &a); err != nil {
 			t.Fatal(err)
 		}
-		want := 0
-		if enc.UseSampleBitmap {
-			want = compiled
-		}
-		if allocs := testing.AllocsPerRun(50, func() { enc.EncodeAll(roots, &a) }); allocs > float64(want) {
-			t.Fatalf("a warm EncodeAll of %d plans (sample bitmap %v) allocates %.0f times, want at most %d",
-				len(roots), enc.UseSampleBitmap, allocs, want)
+		if allocs := testing.AllocsPerRun(50, func() { enc.EncodeAll(roots, &a) }); allocs > 0 {
+			t.Fatalf("a warm EncodeAll of %d plans (sample bitmap %v) allocates %.0f times, want none",
+				len(roots), enc.UseSampleBitmap, allocs)
 		}
 	}
 }

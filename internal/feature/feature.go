@@ -8,9 +8,11 @@
 package feature
 
 import (
+	"cmp"
 	"fmt"
 
 	"costest/internal/plan"
+	"costest/internal/schema"
 	"costest/internal/sqlpred"
 	"costest/internal/stats"
 	"costest/internal/strembed"
@@ -109,10 +111,13 @@ type EncodedPlan struct {
 // Encode converts an executed plan into tensors. The plan must carry
 // TrueRows/TrueCost annotations if the sample will be used for training.
 //
-// It is EncodeAll of one plan into an arena of its own, sized exactly by a
-// measuring pre-pass and never recycled, so the result lives as long as the
-// caller keeps it.
+// It is Resolve, then EncodeAll of one plan into an arena of its own, sized
+// exactly by a measuring pre-pass and never recycled, so the result lives as
+// long as the caller keeps it.
 func (e *Encoder) Encode(root *plan.Node) (*EncodedPlan, error) {
+	if err := e.Resolve(root); err != nil {
+		return nil, err
+	}
 	var sz planSize
 	sz.measure(e, root)
 	var a Arena
@@ -126,7 +131,9 @@ func (e *Encoder) Encode(root *plan.Node) (*EncodedPlan, error) {
 
 // EncodeAll encodes the plans of one request into the arena, which it resets
 // first: the result, and everything it points to, is valid until the arena's
-// next EncodeAll.
+// next EncodeAll. It reads tables, columns and indexes by their ids alone, so
+// the plans must be resolved — built by the request decoder, or passed
+// through Resolve — and a name without its id is an error.
 //
 // A request's plans are encoded against one sub-plan ID → encoded-subtree
 // table, the encoder's mirror of the paper's representation memory pool
@@ -250,7 +257,9 @@ func (b *planBuilder) encodeNode(n *plan.Node) (int, error) {
 	enc.Op = b.floats(e.OpDim())
 	enc.Op[int(n.Type)] = 1
 	enc.Meta = b.floats(e.MetaDim())
-	e.encodeMeta(enc.Meta, n)
+	if err := e.encodeMeta(enc.Meta, n); err != nil {
+		return 0, err
+	}
 
 	if k := predNodes(n); k > 0 {
 		enc.Pred.Nodes = b.a.preds.Carve(k)[:0]
@@ -260,10 +269,11 @@ func (b *planBuilder) encodeNode(n *plan.Node) (int, error) {
 				return 0, err
 			}
 			if e.UseSampleBitmap {
-				enc.Bitmap = b.floats(e.BitmapDim())
-				if err := e.Cat.SampleBitmap(enc.Bitmap, n.Table, p); err != nil {
-					return 0, err
+				if n.TableID == 0 {
+					return 0, fmt.Errorf("feature: %s without a table", n.Type)
 				}
+				enc.Bitmap = b.floats(e.BitmapDim())
+				e.Cat.SampleBitmap(enc.Bitmap, int(n.TableID)-1, p)
 			}
 		} else {
 			vec := b.floats(e.AtomDim())
@@ -334,65 +344,118 @@ func (b *planBuilder) retarget(n *plan.Node, idx int) int {
 
 // encodeMeta ORs into v the one-hot vectors of every column, table and index
 // the node touches: [columns | tables | indexes].
-func (e *Encoder) encodeMeta(v []float64, n *plan.Node) {
+func (e *Encoder) encodeMeta(v []float64, n *plan.Node) (err error) {
 	s := e.Cat.DB.Schema
-	if n.Table != "" {
-		e.setTable(v, n.Table)
-	}
-	if n.Index != "" {
-		if id := s.IndexID(n.Index); id >= 0 {
-			v[s.NumColumns()+s.NumTables()+id] = 1
+	tables, indexes := s.NumColumns(), s.NumColumns()+s.NumTables()
+	// set ORs in the bit of one name: none for no name, an error for a name
+	// without its id.
+	set := func(at int, name string, id int32) {
+		switch {
+		case id > 0:
+			v[at+int(id)-1] = 1
+		case name != "" && err == nil:
+			err = fmt.Errorf("feature: %q is not resolved", name)
 		}
 	}
-	e.setPredColumns(v, n.Filter)
-	if n.IndexCond != nil {
-		e.setColumn(v, n.IndexCond.Table, n.IndexCond.Column)
+	// col sets a column reference's column and table.
+	col := func(c plan.ColRef) {
+		switch {
+		case c.ColumnID > 0:
+			v[c.ColumnID-1] = 1
+			v[tables+s.ColumnTable(int(c.ColumnID)-1)] = 1
+		case c != plan.ColRef{} && err == nil:
+			err = fmt.Errorf("feature: column %s is not resolved", c)
+		}
 	}
-	e.setJoin(v, n.JoinCond)
-	e.setJoin(v, n.ParamJoin)
+	set(tables, n.Table, n.TableID)
+	set(indexes, n.Index, n.IndexID)
+	sqlpred.Walk(n.Filter, func(a *sqlpred.Atom) { set(0, a.Column, a.ColumnID) })
+	if n.IndexCond != nil {
+		set(0, n.IndexCond.Column, n.IndexCond.ColumnID)
+	}
+	for _, j := range [2]*plan.JoinCond{n.JoinCond, n.ParamJoin} {
+		if j != nil {
+			col(j.Left)
+			col(j.Right)
+		}
+	}
 	for _, k := range n.SortKeys {
-		e.setColumn(v, k.Table, k.Column)
-		e.setTable(v, k.Table)
+		col(k)
 	}
 	for _, a := range n.Aggs {
-		if a.Col.Table != "" {
-			e.setColumn(v, a.Col.Table, a.Col.Column)
-			e.setTable(v, a.Col.Table)
+		col(a.Col)
+	}
+	return err
+}
+
+// Resolve sets the ids of every table, column and index name in the tree
+// from the schema's name table (schema.Lookup), as the request decoder does
+// while it reads a body, and applies CheckScan: a tree built from names alone
+// — by the planner, WirePlan.Decode or a test — encodes once resolved. It
+// writes into the tree. A sort key or aggregate column that names nothing may
+// stay absent; every other name must resolve.
+func (e *Encoder) Resolve(n *plan.Node) error {
+	if n == nil {
+		return nil
+	}
+	s := e.Cat.DB.Schema
+	n.TableID, n.IndexID = schema.Lookup(s, n.Table).Table, schema.Lookup(s, n.Index).Index
+	unknown := (n.TableID == 0) != (n.Table == "") || (n.IndexID == 0) != (n.Index == "")
+	column := func(table, column string, id *int32, optional bool) {
+		*id = s.ColumnIn(schema.Lookup(s, table).Table, schema.Lookup(s, column))
+		unknown = unknown || *id == 0 && !(optional && table == "" && column == "")
+	}
+	sqlpred.Walk(n.Filter, func(a *sqlpred.Atom) { column(a.Table, a.Column, &a.ColumnID, false) })
+	if a := n.IndexCond; a != nil {
+		column(a.Table, a.Column, &a.ColumnID, false)
+	}
+	for _, j := range [2]*plan.JoinCond{n.JoinCond, n.ParamJoin} {
+		if j != nil {
+			column(j.Left.Table, j.Left.Column, &j.Left.ColumnID, false)
+			column(j.Right.Table, j.Right.Column, &j.Right.ColumnID, false)
 		}
 	}
+	for i := range n.SortKeys {
+		k := &n.SortKeys[i]
+		column(k.Table, k.Column, &k.ColumnID, true)
+	}
+	for i := range n.Aggs {
+		c := &n.Aggs[i].Col
+		column(c.Table, c.Column, &c.ColumnID, true)
+	}
+	if unknown {
+		return fmt.Errorf("feature: a %s node (table %q) names a table, column or index the schema lacks", n.Type, n.Table)
+	}
+	return cmp.Or(CheckScan(s, n), e.Resolve(n.Left), e.Resolve(n.Right))
 }
 
-func (e *Encoder) setColumn(v []float64, table, column string) {
-	if id := e.Cat.DB.Schema.ColumnID(table, column); id >= 0 {
-		v[id] = 1
+// CheckScan applies CheckAtom to every atom of a resolved scan's filter and
+// index condition. Resolve and the request decoder apply it to every node
+// they resolve.
+func CheckScan(s *schema.Schema, n *plan.Node) (err error) {
+	check := func(a *sqlpred.Atom) { err = cmp.Or(err, CheckAtom(s, int(n.TableID)-1, a)) }
+	if n.Type.IsScan() {
+		sqlpred.Walk(n.Filter, check)
+		if n.IndexCond != nil {
+			check(n.IndexCond)
+		}
 	}
+	return err
 }
 
-func (e *Encoder) setTable(v []float64, table string) {
-	s := e.Cat.DB.Schema
-	if id := s.TableID(table); id >= 0 {
-		v[s.NumColumns()+id] = 1
+// CheckAtom applies to one resolved atom of a filter on the table with the
+// given schema id the two rules the sample bitmap relies on beyond the ids:
+// the atom is on that table, and has a string operand (IN's included)
+// exactly when its column holds strings.
+func CheckAtom(s *schema.Schema, table int, a *sqlpred.Atom) error {
+	id := int(a.ColumnID) - 1
+	switch {
+	case id < 0 || s.ColumnTable(id) != table:
+		return fmt.Errorf("feature: atom on %s.%s is not on its scan's table", a.Table, a.Column)
+	case a.IsStr != (s.ColumnByID(id).Type == schema.StringCol):
+		return fmt.Errorf("feature: operand of %s does not match the type of %s.%s", a.Op, a.Table, a.Column)
 	}
-}
-
-func (e *Encoder) setJoin(v []float64, jc *plan.JoinCond) {
-	if jc == nil {
-		return
-	}
-	e.setColumn(v, jc.Left.Table, jc.Left.Column)
-	e.setColumn(v, jc.Right.Table, jc.Right.Column)
-	e.setTable(v, jc.Left.Table)
-	e.setTable(v, jc.Right.Table)
-}
-
-func (e *Encoder) setPredColumns(v []float64, p sqlpred.Pred) {
-	switch n := p.(type) {
-	case *sqlpred.Atom:
-		e.setColumn(v, n.Table, n.Column)
-	case *sqlpred.Bool:
-		e.setPredColumns(v, n.Left)
-		e.setPredColumns(v, n.Right)
-	}
+	return nil
 }
 
 // scanPredicate is the predicate material at a scan: its filter with the
@@ -450,11 +513,10 @@ func (e *Encoder) encodeAtomVec(v []float64, a *sqlpred.Atom) error {
 	numBase := opBase + int(sqlpred.NumOps)
 	strBase := numBase + 1
 
-	id := s.ColumnID(a.Table, a.Column)
-	if id < 0 {
-		return fmt.Errorf("feature: unknown column %s.%s", a.Table, a.Column)
+	if a.ColumnID == 0 {
+		return fmt.Errorf("feature: column %s.%s is not resolved", a.Table, a.Column)
 	}
-	v[atomColBase+id] = 1
+	v[atomColBase+int(a.ColumnID)-1] = 1
 	v[opBase+int(a.Op)] = 1
 
 	switch {
@@ -474,7 +536,7 @@ func (e *Encoder) encodeAtomVec(v []float64, a *sqlpred.Atom) error {
 	case a.IsStr:
 		copy(v[strBase:], e.Str.Embed(a.StrVal))
 	default:
-		v[numBase] = e.Cat.NormalizeNumeric(a.Table, a.Column, a.NumVal)
+		v[numBase] = e.Cat.NormalizeNumeric(int(a.ColumnID)-1, a.NumVal)
 	}
 	return nil
 }
@@ -482,16 +544,13 @@ func (e *Encoder) encodeAtomVec(v []float64, a *sqlpred.Atom) error {
 // encodeJoinVec lays an equi-join condition out in v as a pseudo-atom: both
 // columns set in the column one-hot, operator =, no operand.
 func (e *Encoder) encodeJoinVec(v []float64, jc *plan.JoinCond) error {
-	s := e.Cat.DB.Schema
-	id := s.ColumnID(jc.Left.Table, jc.Left.Column)
-	if id < 0 {
-		return fmt.Errorf("feature: unknown column %s.%s", jc.Left.Table, jc.Left.Column)
+	for _, c := range [2]plan.ColRef{jc.Left, jc.Right} {
+		if c.ColumnID == 0 {
+			return fmt.Errorf("feature: join column %s is not resolved", c)
+		}
+		v[atomColBase+int(c.ColumnID)-1] = 1
 	}
-	v[atomColBase+id] = 1
-	if id := s.ColumnID(jc.Right.Table, jc.Right.Column); id >= 0 {
-		v[atomColBase+id] = 1
-	}
-	v[atomColBase+s.NumColumns()+int(sqlpred.OpEq)] = 1
+	v[atomColBase+e.Cat.DB.Schema.NumColumns()+int(sqlpred.OpEq)] = 1
 	return nil
 }
 

@@ -32,6 +32,22 @@ func newEncoder() *Encoder {
 	return NewEncoder(testCat, strembed.HashEmbedder{DimN: 16}, true)
 }
 
+// resolved resolves every plan of roots (Encoder.Resolve) and returns them,
+// for the tests that call EncodeAll, which reads ids only.
+func resolved(tb testing.TB, e *Encoder, roots ...*plan.Node) []*plan.Node {
+	tb.Helper()
+	for _, root := range roots {
+		if err := e.Resolve(root); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return roots
+}
+
+// columnID is the ColumnID an atom or column reference on table.column
+// resolves to.
+func columnID(table, column string) int32 { return int32(testDB.Schema.ColumnID(table, column) + 1) }
+
 func executedPlan(t *testing.T) *plan.Node {
 	t.Helper()
 	f := &sqlpred.Atom{Table: "title", Column: "production_year", Op: sqlpred.OpGt, NumVal: 2005}
@@ -205,7 +221,7 @@ func TestPredicateEncoding(t *testing.T) {
 
 func TestStringOperandEmbedded(t *testing.T) {
 	e := newEncoder()
-	a := &sqlpred.Atom{Table: "movie_companies", Column: "note", Op: sqlpred.OpLike,
+	a := &sqlpred.Atom{Table: "movie_companies", Column: "note", ColumnID: columnID("movie_companies", "note"), Op: sqlpred.OpLike,
 		StrVal: "%(presents)%", IsStr: true}
 	vec := make([]float64, e.AtomDim())
 	if err := e.encodeAtomVec(vec, a); err != nil {
@@ -223,7 +239,7 @@ func TestStringOperandEmbedded(t *testing.T) {
 
 func TestINOperandAveraged(t *testing.T) {
 	e := newEncoder()
-	a := &sqlpred.Atom{Table: "company_type", Column: "kind", Op: sqlpred.OpIn,
+	a := &sqlpred.Atom{Table: "company_type", Column: "kind", ColumnID: columnID("company_type", "kind"), Op: sqlpred.OpIn,
 		InVals: []string{"distributors", "production companies"}, IsStr: true}
 	vec := make([]float64, e.AtomDim())
 	if err := e.encodeAtomVec(vec, a); err != nil {
@@ -239,7 +255,7 @@ func TestINOperandAveraged(t *testing.T) {
 	}
 	// An empty IN list has no operand, not a 0/0 one.
 	clear(vec)
-	if err := e.encodeAtomVec(vec, &sqlpred.Atom{Table: "company_type", Column: "kind", Op: sqlpred.OpIn, IsStr: true}); err != nil {
+	if err := e.encodeAtomVec(vec, &sqlpred.Atom{Table: "company_type", Column: "kind", ColumnID: a.ColumnID, Op: sqlpred.OpIn, IsStr: true}); err != nil {
 		t.Fatal(err)
 	}
 	for i, got := range vec[strBase:] {

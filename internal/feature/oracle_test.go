@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"costest/internal/plan"
+	"costest/internal/schema"
 	"costest/internal/sqlpred"
 )
 
@@ -48,8 +49,16 @@ func oldEncodeNode(e *Encoder, n *plan.Node, ep *EncodedPlan, cardNode *plan.Nod
 	if e.UseSampleBitmap && n.Type.IsScan() {
 		if p := oldScanPredicate(n); p != nil {
 			bm := make([]float64, e.Cat.SampleSize)
-			if err := e.Cat.SampleBitmap(bm, n.Table, p); err != nil {
-				return 0, err
+			if ts := e.Cat.Table(n.Table); ts != nil {
+				match, err := sqlpred.Compile(p, n.Table, e.Cat.DB.Table(n.Table))
+				if err != nil {
+					return 0, err
+				}
+				for i, row := range ts.Sample[:min(len(bm), len(ts.Sample))] {
+					if match(row) {
+						bm[i] = 1
+					}
+				}
 			}
 			enc.Bitmap = bm
 		}
@@ -87,7 +96,7 @@ func oldEncodeMeta(e *Encoder, n *plan.Node) []float64 {
 		}
 	}
 	setIndex := func(name string) {
-		if id := s.IndexID(name); id >= 0 {
+		if id := int(schema.Lookup(s, name).Index) - 1; id >= 0 {
 			v[s.NumColumns()+s.NumTables()+id] = 1
 		}
 	}
@@ -237,7 +246,7 @@ func oldEncodeAtomVec(e *Encoder, a *sqlpred.Atom) ([]float64, error) {
 	case a.IsStr:
 		copy(v[strBase:], e.Str.Embed(a.StrVal))
 	default:
-		v[numBase] = e.Cat.NormalizeNumeric(a.Table, a.Column, a.NumVal)
+		v[numBase] = e.Cat.NormalizeNumeric(e.Cat.DB.Schema.ColumnID(a.Table, a.Column), a.NumVal)
 	}
 	return v, nil
 }

@@ -7,9 +7,11 @@
 package mscn
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 
+	"costest/internal/feature"
 	"costest/internal/nn"
 	"costest/internal/query"
 	"costest/internal/sqlpred"
@@ -93,9 +95,16 @@ func (m *Model) Featurize(q *query.Query) (*Features, error) {
 		}
 		vec[id] = 1
 		if m.Cfg.SampleBitmap {
-			if err := m.Cat.SampleBitmap(vec[s.NumTables():], t, q.Filter(t)); err != nil {
+			pred := q.Filter(t)
+			var err error // the bitmap reads each atom's column by its id
+			sqlpred.Walk(pred, func(a *sqlpred.Atom) {
+				a.ColumnID = int32(s.ColumnID(a.Table, a.Column) + 1)
+				err = cmp.Or(err, feature.CheckAtom(s, id, a))
+			})
+			if err != nil {
 				return nil, err
 			}
+			m.Cat.SampleBitmap(vec[s.NumTables():], id, pred)
 		}
 		f.Tables = append(f.Tables, vec)
 	}
@@ -123,11 +132,11 @@ func (m *Model) Featurize(q *query.Query) (*Features, error) {
 				return
 			}
 			vec := make([]float64, m.predDim)
+			vec[s.NumColumns()+int(a.Op)] = 1
 			if id := s.ColumnID(a.Table, a.Column); id >= 0 {
 				vec[id] = 1
+				vec[s.NumColumns()+int(sqlpred.NumOps)] = m.Cat.NormalizeNumeric(id, a.NumVal)
 			}
-			vec[s.NumColumns()+int(a.Op)] = 1
-			vec[s.NumColumns()+int(sqlpred.NumOps)] = m.Cat.NormalizeNumeric(a.Table, a.Column, a.NumVal)
 			f.Preds = append(f.Preds, vec)
 		})
 	}

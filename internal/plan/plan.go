@@ -50,6 +50,7 @@ func (t NodeType) IsScan() bool { return t == SeqScan || t == IndexScan }
 // ColRef names a column of a table.
 type ColRef struct {
 	Table, Column string
+	ColumnID      int32 // see Node.TableID
 }
 
 func (c ColRef) String() string { return c.Table + "." + c.Column }
@@ -100,6 +101,13 @@ type Node struct {
 	Table  string
 	Index  string       // index name for IndexScan
 	Filter sqlpred.Pred // residual single-table filter evaluated at this node
+
+	// TableID and IndexID are 1 + the schema's one-hot ids of Table and
+	// Index, 0 while unresolved; ColRef.ColumnID and sqlpred.Atom.ColumnID
+	// are the same for columns. The request decoder sets them as it reads the
+	// names, Encoder.Resolve on a tree built from names alone, and the
+	// feature encoder reads nothing else. plan.ID hashes the names, not these.
+	TableID, IndexID int32
 
 	// IndexScan range/equality condition on the indexed column, when the
 	// scan is driven by a filter. For the inner side of an index nested

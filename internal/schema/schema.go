@@ -1,7 +1,8 @@
 // Package schema defines the logical database schema the estimator operates
 // over: tables, typed columns, primary-key indexes and the PK-FK join graph.
 // It also assigns the stable integer ids that the one-hot feature encodings
-// (Section 4.1 of the paper) are built from.
+// (Section 4.1 of the paper) are built from, and holds the one name table
+// that resolves a table, column or index name to them.
 package schema
 
 import (
@@ -81,61 +82,74 @@ type Schema struct {
 	Indexes []*Index
 	Joins   []JoinEdge
 
-	tableByName map[string]*Table
-	tableID     map[string]int
-	columnID    map[columnKey]int
-	indexID     map[string]int
-	columns     []Column // flattened, in id order
+	names    map[string]Name // the name table
+	colNames int             // distinct column names
+	columnIn []int32         // [table id*colNames + Name.column-1]: 1 + column id, 0: none
+	columns  []Column
+	tableOf  []int32 // by column id: its table's id
 }
 
-// New assembles a schema and freezes its id spaces. Tables keep their given
-// order (ids follow it); columns are numbered table-by-table.
+// Name is an entry of the schema's name table: a name that a table, a column
+// or an index has, the schema's own copy of it, and 1 + the id of the table
+// and of the index so named (0: none). The zero Name is no name.
+type Name struct {
+	Text         string
+	Table, Index int32
+	column       int32 // 1 + its number among column names; 0: no column's
+}
+
+// New assembles a schema and freezes its id spaces and its name table. Tables
+// keep their given order (ids follow it); columns are numbered table-by-table.
 func New(tables []*Table, indexes []*Index, joins []JoinEdge) (*Schema, error) {
-	s := &Schema{
-		Tables:      tables,
-		Indexes:     indexes,
-		Joins:       joins,
-		tableByName: make(map[string]*Table, len(tables)),
-		tableID:     make(map[string]int, len(tables)),
-		columnID:    make(map[columnKey]int),
-		indexID:     make(map[string]int, len(indexes)),
-	}
+	s := &Schema{Tables: tables, Indexes: indexes, Joins: joins, names: make(map[string]Name)}
 	for i, t := range tables {
-		if _, dup := s.tableByName[t.Name]; dup {
+		n := s.names[t.Name]
+		if n.Table != 0 {
 			return nil, fmt.Errorf("schema: duplicate table %q", t.Name)
 		}
-		s.tableByName[t.Name] = t
-		s.tableID[t.Name] = i
+		n.Text, n.Table = t.Name, int32(i+1)
+		s.names[t.Name] = n
 		for j := range t.Columns {
 			c := &t.Columns[j]
 			c.Table = t.Name
-			key := columnKey{t.Name, c.Name}
-			if _, dup := s.columnID[key]; dup {
-				return nil, fmt.Errorf("schema: duplicate column %q", c.QualifiedName())
+			if n := s.names[c.Name]; n.column == 0 {
+				s.colNames++
+				n.Text, n.column = c.Name, int32(s.colNames)
+				s.names[c.Name] = n
 			}
-			s.columnID[key] = len(s.columns)
 			s.columns = append(s.columns, *c)
+			s.tableOf = append(s.tableOf, int32(i))
 		}
 		if t.PrimaryKey != "" && t.Column(t.PrimaryKey) == nil {
 			return nil, fmt.Errorf("schema: table %q primary key %q not a column", t.Name, t.PrimaryKey)
 		}
 	}
+	s.columnIn = make([]int32, len(tables)*s.colNames)
+	for id, c := range s.columns {
+		at := &s.columnIn[int(s.tableOf[id])*s.colNames+int(s.names[c.Name].column-1)]
+		if *at != 0 {
+			return nil, fmt.Errorf("schema: duplicate column %q", c.QualifiedName())
+		}
+		*at = int32(id + 1)
+	}
 	for i, idx := range indexes {
-		tab := s.tableByName[idx.Table]
+		tab := s.Table(idx.Table)
 		if tab == nil {
 			return nil, fmt.Errorf("schema: index %q on unknown table %q", idx.Name, idx.Table)
 		}
 		if tab.Column(idx.Column) == nil {
 			return nil, fmt.Errorf("schema: index %q on unknown column %s.%s", idx.Name, idx.Table, idx.Column)
 		}
-		if _, dup := s.indexID[idx.Name]; dup {
+		n := s.names[idx.Name]
+		if n.Index != 0 {
 			return nil, fmt.Errorf("schema: duplicate index %q", idx.Name)
 		}
-		s.indexID[idx.Name] = i
+		n.Text, n.Index = idx.Name, int32(i+1)
+		s.names[idx.Name] = n
 	}
 	for _, j := range joins {
 		for _, ref := range [][2]string{{j.FKTable, j.FKColumn}, {j.PKTable, j.PKColumn}} {
-			tab := s.tableByName[ref[0]]
+			tab := s.Table(ref[0])
 			if tab == nil || tab.Column(ref[1]) == nil {
 				return nil, fmt.Errorf("schema: join %v references unknown column %s.%s", j, ref[0], ref[1])
 			}
@@ -144,8 +158,27 @@ func New(tables []*Table, indexes []*Index, joins []JoinEdge) (*Schema, error) {
 	return s, nil
 }
 
+// Lookup finds a name in the schema's name table; the zero Name if no table,
+// column or index has it. The name may be a string or the bytes of a request
+// body: the lookup builds no string.
+func Lookup[T string | []byte](s *Schema, name T) Name { return s.names[string(name)] }
+
+// ColumnIn returns 1 + the id of the column named c of the table with id
+// table-1; 0 if there is no such column.
+func (s *Schema) ColumnIn(table int32, c Name) int32 {
+	if table == 0 || c.column == 0 {
+		return 0
+	}
+	return s.columnIn[int(table-1)*s.colNames+int(c.column-1)]
+}
+
 // Table returns the named table, or nil.
-func (s *Schema) Table(name string) *Table { return s.tableByName[name] }
+func (s *Schema) Table(name string) *Table {
+	if id := s.TableID(name); id >= 0 {
+		return s.Tables[id]
+	}
+	return nil
+}
 
 // NumTables returns the size of the table one-hot space.
 func (s *Schema) NumTables() int { return len(s.Tables) }
@@ -157,35 +190,18 @@ func (s *Schema) NumColumns() int { return len(s.columns) }
 func (s *Schema) NumIndexes() int { return len(s.Indexes) }
 
 // TableID returns the one-hot id of a table; -1 if unknown.
-func (s *Schema) TableID(name string) int {
-	if id, ok := s.tableID[name]; ok {
-		return id
-	}
-	return -1
-}
-
-// columnKey addresses a column by its table and name, so a lookup builds no
-// qualified-name string.
-type columnKey struct{ table, column string }
+func (s *Schema) TableID(name string) int { return int(Lookup(s, name).Table) - 1 }
 
 // ColumnID returns the one-hot id of table.column; -1 if unknown.
 func (s *Schema) ColumnID(table, column string) int {
-	if id, ok := s.columnID[columnKey{table, column}]; ok {
-		return id
-	}
-	return -1
+	return int(s.ColumnIn(Lookup(s, table).Table, Lookup(s, column))) - 1
 }
 
 // ColumnByID returns the column with the given id.
 func (s *Schema) ColumnByID(id int) Column { return s.columns[id] }
 
-// IndexID returns the one-hot id of an index; -1 if unknown.
-func (s *Schema) IndexID(name string) int {
-	if id, ok := s.indexID[name]; ok {
-		return id
-	}
-	return -1
-}
+// ColumnTable returns the id of the table of the column with the given id.
+func (s *Schema) ColumnTable(id int) int { return int(s.tableOf[id]) }
 
 // IndexOn returns the index covering table.column, or nil.
 func (s *Schema) IndexOn(table, column string) *Index {

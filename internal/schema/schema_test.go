@@ -80,8 +80,8 @@ func TestLookups(t *testing.T) {
 	if s.ColumnID("a", "nope") != -1 {
 		t.Error("unknown column should be -1")
 	}
-	if s.IndexID("b_a_id") < 0 || s.IndexID("zzz") != -1 {
-		t.Error("IndexID wrong")
+	if Lookup(s, "b_a_id").Index == 0 || Lookup(s, "zzz").Index != 0 || Lookup(s, "a").Index != 0 {
+		t.Error("index lookup wrong")
 	}
 	if s.IndexOn("b", "a_id") == nil || s.IndexOn("a", "x") != nil {
 		t.Error("IndexOn wrong")
@@ -165,5 +165,40 @@ func TestJoinEdgeString(t *testing.T) {
 	e := JoinEdge{FKTable: "b", FKColumn: "a_id", PKTable: "a", PKColumn: "id"}
 	if e.String() != "b.a_id = a.id" {
 		t.Errorf("String = %q", e.String())
+	}
+}
+
+// TestNameTable: one entry per distinct name, whatever it names — a table
+// and a column of another table may share one — resolving to the schema's
+// own string and ids, from a string or from bytes, allocation-free.
+func TestNameTable(t *testing.T) {
+	s := tinySchema(t)
+	a, x, idx := Lookup(s, "a"), Lookup(s, []byte("x")), Lookup(s, "b_a_id")
+	switch {
+	case a.Text != "a" || a.Table != int32(s.TableID("a")+1) || a.Index != 0:
+		t.Fatalf("a: %+v", a)
+	case x.Table != 0 || s.ColumnIn(a.Table, x) != int32(s.ColumnID("a", "x")+1):
+		t.Fatalf("x: %+v, column of a %d", x, s.ColumnIn(a.Table, x))
+	case s.ColumnIn(Lookup(s, "c").Table, x) != 0 || s.ColumnIn(0, x) != 0 || s.ColumnIn(a.Table, Name{}) != 0:
+		t.Fatal("a column resolved on a table that does not have it")
+	case idx.Index == 0 || idx.Table != 0 || Lookup(s, "zzz") != (Name{}):
+		t.Fatal("index or unknown name resolved wrong")
+	case s.ColumnTable(s.ColumnID("b", "a_id")) != s.TableID("b"):
+		t.Fatal("ColumnTable wrong")
+	}
+	shared, err := New([]*Table{
+		{Name: "title", Columns: []Column{{Name: "id", Type: IntCol}}},
+		{Name: "movie", Columns: []Column{{Name: "id", Type: IntCol}, {Name: "title", Type: StringCol}}},
+	}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	title := Lookup(shared, []byte("title"))
+	if title.Table != 1 || shared.ColumnIn(2, title) != 3 || shared.ColumnIn(1, title) != 0 {
+		t.Fatalf("shared name: %+v, column of movie %d", title, shared.ColumnIn(2, title))
+	}
+	body := []byte("a_id")
+	if allocs := testing.AllocsPerRun(100, func() { _ = s.ColumnIn(Lookup(s, body[:1]).Table, Lookup(s, body)) }); allocs != 0 {
+		t.Fatalf("a lookup from bytes allocates %.1f objects", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
@@ -13,7 +14,9 @@ import (
 	"unicode/utf8"
 	"unsafe"
 
+	"costest/internal/feature"
 	"costest/internal/plan"
+	"costest/internal/schema"
 	"costest/internal/slab"
 	"costest/internal/sqlpred"
 )
@@ -25,28 +28,30 @@ import (
 // the same scan on a decoder it recycles, this entry point on a fresh one
 // whose trees the caller may keep.
 //
-// It accepts what encoding/json into WirePlan followed by WirePlan.Decode
-// accepts and builds the same trees (null for a member means the member is
-// absent), except that it refuses a member name in the wrong case, a member
-// repeated within an object, a string that is not valid UTF-8, and anything
-// but whitespace after the request object. The size bounds (MaxPlanNodes, ...)
-// are enforced as the scan goes: an oversized body is refused at the first
-// node past a limit, before the rest is read or built.
+// It accepts what encoding/json into WirePlan followed by WirePlan.Decode and
+// Encoder.Resolve against s accepts, and builds the same trees, every name's
+// id set (null for a member means the member is absent), except that it
+// refuses a member name in the wrong case, a member repeated within an
+// object, a string that is not valid UTF-8, and anything but whitespace
+// after the request object. A tree it accepts encodes. The size bounds
+// (MaxPlanNodes, ...) are enforced as the scan goes: an oversized body is
+// refused at the first node past a limit, before the rest is read or built.
 //
 // The trees it returns may share subtrees: a plan node whose bytes repeat, byte
 // for byte, a subtree built earlier from the same body is that subtree's
-// *plan.Node, not a second copy (see decoder.repeat). Within one body the plans
-// form a DAG; nothing on the request path writes to a node.
-func DecodeEstimate(body []byte) (roots []*plan.Node, timeoutMS int, err error) {
-	return new(decoder).decode(body)
+// *plan.Node, not a second copy (see decoder.repeat), and likewise a repeated
+// column reference, join condition or aggregate list (decoder.reuse). Within
+// one body the plans form a DAG; nothing on the request path writes to a node.
+func DecodeEstimate(s *schema.Schema, body []byte) (roots []*plan.Node, timeoutMS int, err error) {
+	return new(decoder).decode(s, body)
 }
 
-// decode scans one body. The trees it returns are built in the decoder's
-// slabs and are valid until its next decode.
-func (d *decoder) decode(body []byte) (roots []*plan.Node, timeoutMS int, err error) {
-	d.reset(body)
-	if d.names == nil {
-		d.names = make(map[string]string)
+// decode scans one body, resolving its names against s. The trees it returns
+// are built in the decoder's slabs and are valid until its next decode.
+func (d *decoder) decode(s *schema.Schema, body []byte) (roots []*plan.Node, timeoutMS int, err error) {
+	d.reset(s, body)
+	if d.seen == nil {
+		d.seen = make(map[string]reused)
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -91,26 +96,28 @@ func (d *decoder) decode(body []byte) (roots []*plan.Node, timeoutMS int, err er
 
 // The members of each wire object, in the order of the Wire* struct fields.
 var (
-	requestMembers = []string{"plan", "plans", "timeout_ms"}
-	planMembers    = []string{"op", "table", "index", "filter", "index_cond", "join", "param_join", "sort_keys", "aggs", "left", "right"}
-	predMembers    = []string{"bool", "left", "right", "atom"}
-	atomMembers    = []string{"table", "column", "op", "num", "str", "in"}
-	joinMembers    = []string{"left", "right"}
-	colMembers     = []string{"table", "column"}
-	aggMembers     = []string{"func", "col"}
+	requestMembers = newNames(false, "plan", "plans", "timeout_ms")
+	planMembers    = newNames(false, "op", "table", "index", "filter", "index_cond", "join", "param_join", "sort_keys", "aggs", "left", "right")
+	predMembers    = newNames(false, "bool", "left", "right", "atom")
+	atomMembers    = newNames(false, "table", "column", "op", "num", "str", "in")
+	joinMembers    = newNames(false, "left", "right")
+	colMembers     = newNames(false, "table", "column")
+	aggMembers     = newNames(false, "func", "col")
 )
 
 // decoder is the scan state over one body. Whatever ends the scan — malformed
 // JSON, an unknown or repeated member, a value of the wrong type, a bound
-// exceeded, a broken per-node rule — unwinds to decode as a refused panic. The
-// exception is a rule broken inside a predicate tree, which pred and atom
-// return as an error: WirePred.decode ignores left/right beside an atom, so
-// whether it counts is only known once the enclosing node is read.
+// exceeded, a name the schema lacks, a broken per-node rule — unwinds to
+// decode as a refused panic. The exception is a rule broken inside a
+// predicate tree, which pred and atom return as an error: WirePred.decode
+// ignores left/right beside an atom, so whether it counts is only known once
+// the enclosing node is read.
 //
-// The trees are carved off typed slabs and identifiers (operator, table,
-// column and index names — a handful of distinct strings, repeated in every
-// node) come from an intern table, so a recycled decoder allocates only for
-// operand strings and the rare list.
+// Each table, column and index name is resolved as it is read, with one
+// lookup in the schema's name table (schema.Lookup) that yields the schema's
+// own string and the id, and operator names with one probe of a fixed list;
+// the trees and their lists are carved off typed slabs. So a recycled
+// decoder allocates only for operand strings, and the encoder reads ids.
 //
 // A plan node is built once per body: the span table remembers where in the
 // body each decoded subtree lies, and a later node whose bytes repeat one is
@@ -122,16 +129,27 @@ type decoder struct {
 	nodes, preds int  // plan nodes of this plan, predicate nodes of this filter
 
 	unescaped []byte // strBytes' buffer for a literal that is not a slice of b
+	s         *schema.Schema
 
 	roots     []*plan.Node
 	planNodes slab.Slab[plan.Node]
 	atoms     slab.Slab[sqlpred.Atom]
 	bools     slab.Slab[sqlpred.Bool]
 	joins     slab.Slab[plan.JoinCond]
-	// names interns identifiers across requests. Clients choose the strings,
-	// so it is bounded: nothing longer than maxInternLen goes in, and it is
-	// emptied when it reaches maxInterned entries.
-	names map[string]string
+	cols      slab.Slab[plan.ColRef]
+	aggs      slab.Slab[plan.AggSpec]
+	strs      slab.Slab[string]
+	// colBuf, aggBuf and strBuf collect a list while it is scanned; it is then
+	// copied to a carving of its exact length.
+	colBuf []plan.ColRef
+	aggBuf []plan.AggSpec
+	strBuf []string
+	// seen are the column references, join conditions and aggregate lists
+	// decoded from this body, by their bytes (the keys alias the body, and go
+	// with it at reset; see reuse). A cleared map keeps its buckets, so
+	// seenMax is the most entries it has held.
+	seen    map[string]reused
+	seenMax int
 
 	// spans are this body's decoded plan subtrees of at least spanPrefix
 	// bytes; heads[h&(len(heads)-1)] is 1 + the index of the newest span whose
@@ -157,9 +175,6 @@ type span struct {
 }
 
 const (
-	maxInterned  = 512
-	maxInternLen = 64
-
 	// spanPrefix is how many leading bytes of a plan node are hashed to find
 	// an earlier span; shorter spans are cheap to decode and not recorded.
 	spanPrefix = 48
@@ -184,14 +199,19 @@ var spanSeed = maphash.MakeSeed()
 // reset points the decoder at a new body and recycles its slabs.
 //
 // costlint:noalloc
-func (d *decoder) reset(body []byte) {
-	d.b, d.i, d.opened = body, 0, false
+func (d *decoder) reset(s *schema.Schema, body []byte) {
+	d.s, d.b, d.i, d.opened = s, body, 0, false
 	clear(d.roots) // drop the pointers, keep the array
 	d.roots = d.roots[:0]
 	d.planNodes.Reset()
 	d.atoms.Reset()
 	d.bools.Reset()
 	d.joins.Reset()
+	d.cols.Reset()
+	d.aggs.Reset()
+	d.strs.Reset()
+	d.seenMax = max(d.seenMax, len(d.seen))
+	clear(d.seen)
 	d.spans = d.spans[:0]
 	d.compared, d.shared = 0, 0
 	buckets := max(16, 1<<bits.Len(uint(len(body)/64)))
@@ -199,11 +219,12 @@ func (d *decoder) reset(body []byte) {
 	clear(d.heads)
 }
 
-// retained is the memory the decoder keeps between bodies, but for the intern
-// table (at most maxInterned strings of maxInternLen bytes).
+// retained is the memory the decoder keeps between bodies.
 func (d *decoder) retained() int {
-	return d.planNodes.Bytes() + d.atoms.Bytes() + d.bools.Bytes() + d.joins.Bytes() + 8*cap(d.roots) +
-		int(unsafe.Sizeof(span{}))*cap(d.spans) + 4*cap(d.heads)
+	return d.planNodes.Bytes() + d.atoms.Bytes() + d.bools.Bytes() + d.joins.Bytes() + d.cols.Bytes() + d.aggs.Bytes() +
+		d.strs.Bytes() + 8*cap(d.roots) + int(unsafe.Sizeof(span{}))*cap(d.spans) + 4*cap(d.heads) +
+		int(unsafe.Sizeof(plan.ColRef{}))*cap(d.colBuf) + int(unsafe.Sizeof(plan.AggSpec{}))*cap(d.aggBuf) + 16*cap(d.strBuf) +
+		128*max(d.seenMax, len(d.seen)) // about an entry's size in the map's buckets
 }
 
 type refused struct{ err error }
@@ -237,38 +258,47 @@ func (d *decoder) planNode(depth int) (*plan.Node, int) {
 		d.refuse(errPlanNodes)
 	}
 	n := d.planNodes.One()
-	var op string
+	op := -1
 	var err error
 	var left, right int // the children's heights
 	for m := d.object(planMembers); m.next(); {
 		switch m.name {
 		case "op":
-			op = d.ident()
+			op, err = lookup(planOps, "operator", d.strBytes())
 		case "table":
-			n.Table = d.ident()
+			n.Table, n.TableID, err = d.named("table", false)
 		case "index":
-			n.Index = d.ident()
+			n.Index, n.IndexID, err = d.named("index", true)
 		case "filter":
 			d.preds = 0
 			n.Filter, err = d.pred()
 		case "index_cond":
-			n.IndexCond, err = d.atom()
+			n.IndexCond, err = d.atom("index_cond")
 		case "join":
-			n.JoinCond = d.join()
+			n.JoinCond = d.join("join")
 		case "param_join":
-			n.ParamJoin = d.join()
+			n.ParamJoin = d.join("param_join")
 		case "sort_keys":
+			keys := d.colBuf[:0]
 			for d.open('['); d.more(']'); {
 				var c plan.ColRef
 				if !d.null() {
-					c = d.col()
+					c = d.col("sort_keys", false)
 				}
-				n.SortKeys = append(n.SortKeys, c)
+				keys = append(keys, c)
 			}
+			d.colBuf, n.SortKeys = keys, carveCopy(&d.cols, keys)
 		case "aggs":
-			for d.open('['); d.more(']'); {
-				n.Aggs = append(n.Aggs, d.agg())
+			if v, ok := d.reuse(']', 1); ok {
+				n.Aggs = v.aggs
+				break
 			}
+			start, aggs := d.i, d.aggBuf[:0]
+			for d.open('['); d.more(']'); {
+				aggs = append(aggs, d.agg())
+			}
+			d.aggBuf, n.Aggs = aggs, carveCopy(&d.aggs, aggs)
+			d.keep(start, reused{aggs: n.Aggs})
 		case "left":
 			n.Left, left = d.planNode(depth + 1)
 		case "right":
@@ -279,6 +309,9 @@ func (d *decoder) planNode(depth int) (*plan.Node, int) {
 		}
 	}
 	if err := finishNode(n, op); err != nil {
+		d.refuse(err)
+	}
+	if err := feature.CheckScan(d.s, n); err != nil {
 		d.refuse(err)
 	}
 	height := 1 + max(left, right)
@@ -354,24 +387,26 @@ func (d *decoder) pred() (sqlpred.Pred, error) {
 		d.refuse(errPredNodes)
 	}
 	var (
-		connective              string
-		left, right             sqlpred.Pred
-		a                       *sqlpred.Atom
-		leftErr, rightErr, aErr error
+		kind                             = -1 // the connective's index in boolOps
+		left, right                      sqlpred.Pred
+		a                                *sqlpred.Atom
+		boolErr, leftErr, rightErr, aErr error
 	)
 	for m := d.object(predMembers); m.next(); {
 		switch m.name {
 		case "bool":
-			connective = d.ident()
+			if b := d.strBytes(); len(b) > 0 {
+				kind, boolErr = lookup(boolOps, "connective", b)
+			}
 		case "left":
 			left, leftErr = d.pred()
 		case "right":
 			right, rightErr = d.pred()
 		case "atom":
-			a, aErr = d.atom()
+			a, aErr = d.atom("filter")
 		}
 	}
-	isAtom, kind, err := predShape(a != nil || aErr != nil, connective)
+	isAtom, err := predShape(a != nil || aErr != nil, kind >= 0 || boolErr != nil)
 	switch {
 	case err != nil:
 		return nil, err
@@ -379,31 +414,34 @@ func (d *decoder) pred() (sqlpred.Pred, error) {
 		return nil, aErr
 	case isAtom:
 		return a, nil
+	case boolErr != nil:
+		return nil, boolErr
 	case leftErr != nil:
 		return nil, leftErr
 	case rightErr != nil:
 		return nil, rightErr
 	case left == nil || right == nil:
-		return nil, fmt.Errorf("serve: %s needs two operands", connective)
+		return nil, fmt.Errorf("serve: %s needs two operands", boolOps.list[kind])
 	}
 	b := d.bools.One()
-	b.Kind, b.Left, b.Right = kind, left, right
+	b.Kind, b.Left, b.Right = sqlpred.BoolKind(kind), left, right
 	return b, nil
 }
 
-// atom scans one atomic predicate.
-func (d *decoder) atom() (*sqlpred.Atom, error) {
+// atom scans one atomic predicate of the given slot (filter or index_cond).
+func (d *decoder) atom(slot string) (*sqlpred.Atom, error) {
 	a := d.atoms.One()
-	var op string
-	operands := 0
+	var t, c schema.Name
+	var tErr, cErr, opErr error
+	op, operands := -1, 0
 	for m := d.object(atomMembers); m.next(); {
 		switch m.name {
 		case "table":
-			a.Table = d.ident()
+			t, tErr = d.name(slot)
 		case "column":
-			a.Column = d.ident()
+			c, cErr = d.name(slot)
 		case "op":
-			op = d.ident()
+			op, opErr = lookup(atomOps, "predicate operator", d.strBytes())
 		case "num":
 			var err error
 			if a.NumVal, err = strconv.ParseFloat(string(d.number()), 64); err != nil {
@@ -414,77 +452,152 @@ func (d *decoder) atom() (*sqlpred.Atom, error) {
 			a.StrVal, a.IsStr = d.str(), true
 			operands++
 		case "in":
+			vals := d.strBuf[:0]
 			for d.open('['); d.more(']'); {
-				if len(a.InVals) == MaxInValues {
+				if len(vals) == MaxInValues {
 					d.refuse(errInValues)
 				}
 				v := ""
 				if !d.null() {
 					v = d.str()
 				}
-				a.InVals = append(a.InVals, v)
+				vals = append(vals, v)
 			}
-			if len(a.InVals) > 0 { // an empty list is no operand
+			d.strBuf, a.InVals = vals, carveCopy(&d.strs, vals)
+			if len(vals) > 0 { // an empty list is no operand
 				a.IsStr = true
 				operands++
 			}
 		}
 	}
-	if err := finishAtom(a, op, operands); err != nil {
+	a.Table, a.Column = t.Text, c.Text
+	if err := cmp.Or(opErr, tErr, cErr, finishAtom(a, op, operands)); err != nil {
 		return nil, err
+	}
+	if a.ColumnID = d.s.ColumnIn(t.Table, c); a.ColumnID == 0 {
+		return nil, fmt.Errorf("serve: %s names %s.%s, which is no column", slot, a.Table, a.Column)
 	}
 	return a, nil
 }
 
-func (d *decoder) join() *plan.JoinCond {
-	j := d.joins.One()
+// join scans the join condition of the given slot (join or param_join).
+func (d *decoder) join(slot string) *plan.JoinCond {
+	if v, ok := d.reuse('}', 3); ok {
+		return v.join
+	}
+	start, j := d.i, d.joins.One()
 	for m := d.object(joinMembers); m.next(); {
 		if m.name == "left" {
-			j.Left = d.col()
+			j.Left = d.col(slot, true)
 		} else {
-			j.Right = d.col()
+			j.Right = d.col(slot, true)
 		}
 	}
+	if j.Left.ColumnID == 0 || j.Right.ColumnID == 0 {
+		d.refuse(fmt.Errorf("serve: %s needs a left and a right column", slot))
+	}
+	d.keep(start, reused{join: j})
 	return j
 }
 
-func (d *decoder) col() (c plan.ColRef) {
+// col scans a column reference of the given slot and resolves it. One that
+// names nothing is the zero ColRef, refused where the column is needed.
+func (d *decoder) col(slot string, needed bool) (ref plan.ColRef) {
+	if v, ok := d.reuse('}', 1); ok {
+		return v.ref
+	}
+	start := d.i
+	var t, c schema.Name
 	for m := d.object(colMembers); m.next(); {
+		n, err := d.name(slot)
+		if err != nil {
+			d.refuse(err)
+		}
 		if m.name == "table" {
-			c.Table = d.ident()
+			t = n
 		} else {
-			c.Column = d.ident()
+			c = n
 		}
 	}
-	return c
+	ref = plan.ColRef{Table: t.Text, Column: c.Text, ColumnID: d.s.ColumnIn(t.Table, c)}
+	if ref.ColumnID != 0 {
+		d.keep(start, reused{ref: ref})
+	} else if needed || ref != (plan.ColRef{}) {
+		d.refuse(fmt.Errorf("serve: %s names %s, which is no column", slot, ref))
+	}
+	return ref
 }
 
 func (d *decoder) agg() (spec plan.AggSpec) {
-	var fn string
+	f, err := -1, errNoFunc
 	for m := d.object(aggMembers); m.next(); {
 		if m.name == "func" {
-			fn = d.ident()
+			f, err = lookup(aggFuncs, "aggregate", d.strBytes())
 		} else {
-			spec.Col = d.col()
+			spec.Col = d.col("aggs", false)
 		}
 	}
-	var err error
-	if spec.Func, err = aggFunc(fn); err != nil {
+	if err != nil {
 		d.refuse(err)
 	}
+	spec.Func = plan.AggFunc(f)
 	return spec
+}
+
+// reused is a value decoded earlier in the body: a column reference, a join
+// condition or an aggregate list.
+type reused struct {
+	ref  plan.ColRef
+	join *plan.JoinCond
+	aggs []plan.AggSpec
+}
+
+// reuse looks up the bytes from the scan position through the n-th close —
+// where a column reference, a join condition of two, or an aggregate list
+// ends — among the values decoded from this body, and on a hit steps past
+// them: bytes that decoded once decode the same wherever they recur, as plan
+// spans do. A value of another extent (a close inside a string) cannot match
+// a whole earlier value, and is decoded.
+func (d *decoder) reuse(close byte, n int) (reused, bool) {
+	end := d.i
+	for ; n > 0; n-- {
+		k := bytes.IndexByte(d.b[end:], close)
+		if k < 0 {
+			return reused{}, false
+		}
+		end += k + 1
+	}
+	v, ok := d.seen[unsafe.String(&d.b[d.i], end-d.i)]
+	if ok {
+		d.i = end
+	}
+	return v, ok
+}
+
+// keep records v as decoded from the bytes [start, d.i).
+func (d *decoder) keep(start int, v reused) { d.seen[unsafe.String(&d.b[start], d.i-start)] = v }
+
+// carveCopy copies a list collected in a decoder buffer to a carving of sl of
+// its length; nil for an empty list, as WirePlan.Decode leaves one.
+func carveCopy[T any](sl *slab.Slab[T], list []T) []T {
+	if len(list) == 0 {
+		return nil
+	}
+	v := sl.Carve(len(list))
+	copy(v, list)
+	return v
 }
 
 // members iterates the members of one JSON object whose names must come from
 // a fixed list.
 type members struct {
 	d     *decoder
-	names []string
+	names *names
 	name  string // the current member, one of names
-	seen  uint   // bit i set once names[i] has occurred
+	seen  uint   // bit i set once names.list[i] has occurred
 }
 
-func (d *decoder) object(names []string) members {
+func (d *decoder) object(names *names) members {
 	d.open('{')
 	return members{d: d, names: names}
 }
@@ -496,18 +609,16 @@ func (d *decoder) object(names []string) members {
 func (m *members) next() bool {
 	d := m.d
 	for d.more('}') {
-		name, k := d.strBytes(), 0
-		for k < len(m.names) && m.names[k] != string(name) {
-			k++
-		}
-		if k == len(m.names) {
+		name := d.strBytes()
+		k := find(m.names, name)
+		if k < 0 {
 			d.fail("unknown member %q", name)
 		}
 		if m.seen&(1<<k) != 0 {
 			d.fail("member %q repeated", name)
 		}
 		m.seen |= 1 << k
-		m.name = m.names[k]
+		m.name = m.names.list[k]
 		if d.ws(); !d.eat(':') {
 			d.fail("expected ':' after member %q", name)
 		}
@@ -520,9 +631,11 @@ func (m *members) next() bool {
 
 // ws skips JSON whitespace.
 func (d *decoder) ws() {
-	for d.i < len(d.b) && (d.b[d.i] == ' ' || d.b[d.i] == '\t' || d.b[d.i] == '\r' || d.b[d.i] == '\n') {
-		d.i++
+	b, i := d.b, d.i
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+		i++
 	}
+	d.i = i
 }
 
 // eat consumes c if it is the next byte.
@@ -599,21 +712,30 @@ func (d *decoder) number() []byte {
 
 func (d *decoder) str() string { return string(d.strBytes()) }
 
-// ident scans a string that names something — an operator, table, column or
-// index — and returns the interned copy.
-func (d *decoder) ident() string {
+// named scans the name of a table, or of an index, in the given slot: the
+// schema's text and 1 + the id.
+func (d *decoder) named(slot string, index bool) (string, int32, error) {
+	n, err := d.name(slot)
+	id := n.Table
+	if index {
+		id = n.Index
+	}
+	if err == nil && id == 0 && n.Text != "" {
+		err = fmt.Errorf("serve: %s names %q, which is no %s", slot, n.Text, slot)
+	}
+	return n.Text, id, err
+}
+
+// name scans a string that names a table, column or index of the given slot
+// and returns its entry in the schema's name table: the zero Name for "", and
+// an error for a name no table, column or index has.
+func (d *decoder) name(slot string) (schema.Name, error) {
 	b := d.strBytes()
-	if s, ok := d.names[string(b)]; ok {
-		return s
+	n := schema.Lookup(d.s, b)
+	if n.Text == "" && len(b) > 0 {
+		return n, fmt.Errorf("serve: %s names %q, which the schema lacks", slot, b)
 	}
-	s := string(b)
-	if len(s) <= maxInternLen {
-		if len(d.names) >= maxInterned {
-			clear(d.names)
-		}
-		d.names[s] = s
-	}
-	return s
+	return n, nil
 }
 
 // strBytes scans the string literal at the scan position and returns its
@@ -625,15 +747,16 @@ func (d *decoder) strBytes() []byte {
 	if !d.eat('"') {
 		d.fail("expected a string")
 	}
-	start := d.i
-	for ; d.i < len(d.b); d.i++ {
-		if c := d.b[d.i]; c == '"' {
-			d.i++
-			return d.b[start : d.i-1]
+	b, start, i := d.b, d.i, d.i // locals: the scan stays in registers
+	for ; i < len(b); i++ {
+		if c := b[i]; c == '"' {
+			d.i = i + 1
+			return b[start:i]
 		} else if c < ' ' || c == '\\' || c >= utf8.RuneSelf {
 			break
 		}
 	}
+	d.i = i
 	buf := append(d.unescaped[:0], d.b[start:d.i]...)
 	for d.i < len(d.b) {
 		switch c := d.b[d.i]; {

@@ -18,7 +18,9 @@ import (
 
 // oracleDecodeEstimate is the request decoder DecodeEstimate replaced, kept
 // as its oracle: encoding/json into estimateRequest (unknown fields refused,
-// as the handler did), the plan/plans rule, then WirePlan.Decode per plan.
+// as the handler did), the plan/plans rule, then WirePlan.Decode per plan
+// followed by the encoder's resolve step (Encoder.Resolve), which the decoder
+// does as it reads each name.
 func oracleDecodeEstimate(body []byte) ([]*plan.Node, int, error) {
 	var req estimateRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -42,6 +44,9 @@ func oracleDecodeEstimate(body []byte) ([]*plan.Node, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
+		if err := testEnc.Resolve(root); err != nil {
+			return nil, 0, err
+		}
 		roots[i] = root
 	}
 	return roots, req.TimeoutMS, nil
@@ -57,10 +62,10 @@ func tightened(body []byte) bool {
 	if !utf8.Valid(body) {
 		return true
 	}
-	names := map[string]bool{}
-	for _, list := range [][]string{requestMembers, planMembers, predMembers, atomMembers, joinMembers, colMembers, aggMembers} {
-		for _, name := range list {
-			names[name] = true
+	members := map[string]bool{}
+	for _, list := range []*names{requestMembers, planMembers, predMembers, atomMembers, joinMembers, colMembers, aggMembers} {
+		for _, name := range list.list {
+			members[name] = true
 		}
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -78,7 +83,7 @@ func tightened(body []byte) bool {
 		}
 		top := len(open) - 1
 		if name, isString := tok.(string); isString && top >= 0 && open[top].wantName {
-			if !names[name] || open[top].names[name] {
+			if !members[name] || open[top].names[name] {
 				return true
 			}
 			open[top].names[name] = true
@@ -112,7 +117,7 @@ func tightened(body []byte) bool {
 func checkDecodeAgainstOracle(t *testing.T, body []byte) []*plan.Node {
 	t.Helper()
 	want, wantTimeout, oracleErr := oracleDecodeEstimate(body)
-	got, gotTimeout, err := DecodeEstimate(body)
+	got, gotTimeout, err := DecodeEstimate(testDB.Schema, body)
 	checkRecycledDecoder(t, body, got, gotTimeout, err)
 	switch {
 	case oracleErr != nil && err == nil:
@@ -139,7 +144,8 @@ func checkDecodeAgainstOracle(t *testing.T, body []byte) []*plan.Node {
 }
 
 // recycled is the decoder the way the handler holds one: reused body after
-// body, its slabs and intern table carrying whatever the bodies before left.
+// body, its slabs, span table and value map carrying whatever the bodies
+// before left.
 var recycled struct {
 	sync.Mutex
 	decoder
@@ -153,7 +159,7 @@ func checkRecycledDecoder(t *testing.T, body []byte, want []*plan.Node, wantTime
 	recycled.Lock()
 	defer recycled.Unlock()
 	for pass := 1; pass <= 2; pass++ {
-		got, timeout, err := recycled.decode(body)
+		got, timeout, err := recycled.decode(testDB.Schema, body)
 		switch {
 		case (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()):
 			t.Fatalf("recycled decoder, pass %d: err %v, a fresh decoder's %v:\n%s", pass, err, wantErr, body)
@@ -176,9 +182,9 @@ func wirePlanSeeds(tb testing.TB) [][]byte {
 	for _, s := range []string{
 		`{}`,
 		`{"op":"seqscan"}`,
-		`{"op":"hashjoin","left":{"op":"seqscan","table":"t"}}`,
-		`{"op":"seqscan","table":"t","filter":{"bool":"and","left":{"atom":{"table":"t","column":"c","op":"=","num":1}}}}`,
-		`{"op":"seqscan","table":"t","filter":{"atom":{"table":"t","column":"c","op":"in","in":["a"]},"bool":"or"}}`,
+		`{"op":"hashjoin","left":{"op":"seqscan","table":"title"}}`,
+		`{"op":"seqscan","table":"title","filter":{"bool":"and","left":{"atom":{"table":"title","column":"kind_id","op":"=","num":1}}}}`,
+		`{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","column":"title","op":"in","in":["a"]},"bool":"or"}}`,
 		`[1,2,3]`,
 		`not json`,
 	} {
@@ -208,92 +214,95 @@ func asRequest(wirePlan []byte) []byte {
 // and tightened() do.
 var decodeTable = []string{
 	// Escapes, including surrogate pairs and halves.
-	`{"plan":{"op":"seqscan","table":"a\"b\\c\/d\b\f\n\r\t\u00e9\u4e16"}}`,
-	`{"plan":{"op":"seqscan","table":"\ud83d\ude00 \ud83d \ude00 \ud83d\ud83d\ude00 \ud83dx"}}`,
-	`{"plan":{"op":"seqscan","table":"\u0000"}}`,
-	`{"plan":{"op":"seqscan","table":"é世😀\ufffd"}}`,
-	`{"plan":{"\u006fp":"seqscan","table":"t"}}`,
-	`{"plan":{"op":"seqscan","table":"a\x"}}`,
-	`{"plan":{"op":"seqscan","table":"a\u12"}}`,
-	`{"plan":{"op":"seqscan","table":"a\ud83d\u12"}}`,
-	"{\"plan\":{\"op\":\"seqscan\",\"table\":\"a\tb\"}}",
-	`{"plan":{"op":"seqscan","table":"unterminated}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","column":"title","op":"=","str":"a\"b\\c\/d\b\f\n\r\t\u00e9\u4e16"}}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","column":"title","op":"=","str":"\ud83d\ude00 \ud83d \ude00 \ud83d\ud83d\ude00 \ud83dx"}}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","column":"title","op":"=","str":"\u0000"}}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","column":"title","op":"=","str":"é世😀\ufffd"}}}}`,
+	`{"plan":{"\u006fp":"seqscan","table":"title"}}`,
+	`{"plan":{"op":"seqscan","table":"titl\u0065","index":"title_pkey","filter":{"atom":{"table":"\u0074itle","column":"kind_\u0069d","op":">","num":1}}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","column":"title","op":"=","str":"a\x"}}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","column":"title","op":"=","str":"a\u12"}}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","column":"title","op":"=","str":"a\ud83d\u12"}}}}`,
+	"{\"plan\":{\"op\":\"seqscan\",\"table\":\"title\",\"filter\":{\"atom\":{\"table\":\"title\",\"column\":\"title\",\"op\":\"=\",\"str\":\"a\tb\"}}}}",
+	`{"plan":{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","column":"title","op":"=","str":"unterminated}}}}`,
 	// Numbers.
-	`{"plan":{"op":"seqscan","table":"t","index_cond":{"table":"t","column":"c","op":"=","num":-0}}}`,
-	`{"plan":{"op":"seqscan","table":"t","index_cond":{"table":"t","column":"c","op":"<","num":-12.50e+2}}}`,
-	`{"plan":{"op":"seqscan","table":"t","index_cond":{"table":"t","column":"c","op":"<","num":1E-400}}}`,
-	`{"plan":{"op":"seqscan","table":"t","index_cond":{"table":"t","column":"c","op":"<","num":1e400}}}`,
-	`{"plan":{"op":"seqscan","table":"t","index_cond":{"table":"t","column":"c","op":"<","num":01}}}`,
-	`{"plan":{"op":"seqscan","table":"t","index_cond":{"table":"t","column":"c","op":"<","num":1.}}}`,
-	`{"plan":{"op":"seqscan","table":"t","index_cond":{"table":"t","column":"c","op":"<","num":.5}}}`,
-	`{"plan":{"op":"seqscan","table":"t","index_cond":{"table":"t","column":"c","op":"<","num":+1}}}`,
-	`{"plan":{"op":"seqscan","table":"t","index_cond":{"table":"t","column":"c","op":"<","num":"1"}}}`,
-	`{"plan":{"op":"seqscan","table":"t"},"timeout_ms":250}`,
-	`{"plan":{"op":"seqscan","table":"t"},"timeout_ms":-0}`,
-	`{"plan":{"op":"seqscan","table":"t"},"timeout_ms":-7}`,
-	`{"plan":{"op":"seqscan","table":"t"},"timeout_ms":1.5}`,
-	`{"plan":{"op":"seqscan","table":"t"},"timeout_ms":1e3}`,
-	`{"plan":{"op":"seqscan","table":"t"},"timeout_ms":99999999999999999999}`,
-	`{"plan":{"op":"seqscan","table":"t"},"timeout_ms":"5"}`,
+	`{"plan":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":-0}}}`,
+	`{"plan":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"<","num":-12.50e+2}}}`,
+	`{"plan":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"<","num":1E-400}}}`,
+	`{"plan":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"<","num":1e400}}}`,
+	`{"plan":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"<","num":01}}}`,
+	`{"plan":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"<","num":1.}}}`,
+	`{"plan":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"<","num":.5}}}`,
+	`{"plan":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"<","num":+1}}}`,
+	`{"plan":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"<","num":"1"}}}`,
+	`{"plan":{"op":"seqscan","table":"title"},"timeout_ms":250}`,
+	`{"plan":{"op":"seqscan","table":"title"},"timeout_ms":-0}`,
+	`{"plan":{"op":"seqscan","table":"title"},"timeout_ms":-7}`,
+	`{"plan":{"op":"seqscan","table":"title"},"timeout_ms":1.5}`,
+	`{"plan":{"op":"seqscan","table":"title"},"timeout_ms":1e3}`,
+	`{"plan":{"op":"seqscan","table":"title"},"timeout_ms":99999999999999999999}`,
+	`{"plan":{"op":"seqscan","table":"title"},"timeout_ms":"5"}`,
 	// null is absence; inside an array it is the zero value.
-	`{"plan":null,"plans":[{"op":"seqscan","table":"t"}],"timeout_ms":null}`,
-	`{"plan":{"op":"seqscan","table":"t"},"plans":null}`,
-	`{"plan":{"op":"seqscan","table":"t"},"plans":[]}`,
-	`{"plan":{"op":"seqscan","table":"t"},"plans":[{"op":"seqscan","table":"t"}]}`,
-	`{"plans":[{"op":"seqscan","table":"t"},null]}`,
+	`{"plan":null,"plans":[{"op":"seqscan","table":"title"}],"timeout_ms":null}`,
+	`{"plan":{"op":"seqscan","table":"title"},"plans":null}`,
+	`{"plan":{"op":"seqscan","table":"title"},"plans":[]}`,
+	`{"plan":{"op":"seqscan","table":"title"},"plans":[{"op":"seqscan","table":"title"}]}`,
+	`{"plans":[{"op":"seqscan","table":"title"},null]}`,
 	`{"plans":[]}`,
 	`null`,
-	` { "plan" : { "op" : "SeqScan" , "table" : "t" , "index" : null , "filter" : null , "left" : null } } ` + "\r\n\t",
-	`{"plan":{"op":"sort","sort_keys":[null,{"table":"t","column":null},{}],"left":{"op":"seqscan","table":"t"}}}`,
-	`{"plan":{"op":"sort","sort_keys":[],"aggs":[],"left":{"op":"seqscan","table":"t"}}}`,
-	`{"plan":{"op":"aggregate","aggs":[{"func":"COUNT"},{"func":"min","col":{"table":"t","column":"c"}},{"func":"max","col":null}],"left":{"op":"seqscan","table":"t"}}}`,
-	`{"plan":{"op":"aggregate","aggs":[null],"left":{"op":"seqscan","table":"t"}}}`,
-	`{"plan":{"op":"aggregate","aggs":[{"func":"avg"}],"left":{"op":"seqscan","table":"t"}}}`,
-	`{"plan":{"op":"seqscan","table":"t","filter":{"atom":{"table":"t","column":"c","op":"IN","in":["a",null,"b"]}}}}`,
-	`{"plan":{"op":"seqscan","table":"t","filter":{"atom":{"table":"t","column":"c","op":"in","in":[]}}}}`,
-	`{"plan":{"op":"seqscan","table":"t","filter":{"atom":{"table":"t","column":"c","op":"=","str":"x","in":[]}}}}`,
-	`{"plan":{"op":"seqscan","table":"t","filter":{"atom":{"table":"t","column":"c","op":"=","str":"x","num":null}}}}`,
-	`{"plan":{"op":"seqscan","table":"t","filter":{"atom":{"table":"t","column":"c","op":"=","str":"x","num":1}}}}`,
-	`{"plan":{"op":"hashjoin","join":{"left":null,"right":{"table":"t"}},"param_join":{},"left":{"op":"seqscan","table":"t"},"right":{"op":"seqscan","table":"u"}}}`,
-	`{"plan":{"op":"hashjoin","join":null,"left":{"op":"seqscan","table":"t"},"right":{"op":"seqscan","table":"u"}}}`,
+	` { "plan" : { "op" : "SeqScan" , "table" : "title" , "index" : null , "filter" : null , "left" : null } } ` + "\r\n\t",
+	`{"plan":{"op":"sort","sort_keys":[null,{"table":"title","column":null},{}],"left":{"op":"seqscan","table":"title"}}}`,
+	`{"plan":{"op":"sort","sort_keys":[null,{"table":"title","column":"kind_id"},{"table":null,"column":null}],"left":{"op":"seqscan","table":"title"}}}`,
+	`{"plan":{"op":"sort","sort_keys":[],"aggs":[],"left":{"op":"seqscan","table":"title"}}}`,
+	`{"plan":{"op":"aggregate","aggs":[{"func":"COUNT"},{"func":"min","col":{"table":"title","column":"kind_id"}},{"func":"max","col":null}],"left":{"op":"seqscan","table":"title"}}}`,
+	`{"plan":{"op":"aggregate","aggs":[null],"left":{"op":"seqscan","table":"title"}}}`,
+	`{"plan":{"op":"aggregate","aggs":[{"func":"avg"}],"left":{"op":"seqscan","table":"title"}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","column":"title","op":"IN","in":["a",null,"b"]}}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","column":"title","op":"in","in":[]}}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","column":"title","op":"=","str":"x","in":[]}}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","column":"title","op":"=","str":"x","num":null}}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","column":"title","op":"=","str":"x","num":1}}}}`,
+	`{"plan":{"op":"hashjoin","join":{"left":null,"right":{"table":"title"}},"param_join":{},"left":{"op":"seqscan","table":"title"},"right":{"op":"seqscan","table":"kind_type"}}}`,
+	`{"plan":{"op":"hashjoin","join":null,"left":{"op":"seqscan","table":"title"},"right":{"op":"seqscan","table":"kind_type"}}}`,
+	`{"plan":{"op":"hashjoin","join":{"right":{"column":"id","table":"kind_type"},"left":{"table":"title","column":"kind_id"}},"param_join":null,"left":{"op":"seqscan","table":"title"},"right":{"op":"seqscan","table":"kind_type"}}}`,
 	// A predicate node: exactly one of atom or bool; left/right beside an
 	// atom are parsed, counted against the bound, and otherwise ignored.
-	`{"plan":{"op":"seqscan","table":"t","filter":{"atom":{"table":"t","column":"c","op":"=","num":1},"bool":"","left":{},"right":{"bool":"xor"}}}}`,
-	`{"plan":{"op":"seqscan","table":"t","filter":{"left":{},"atom":{"table":"t","column":"c","op":"=","num":1},"bool":null}}}`,
-	`{"plan":{"op":"seqscan","table":"t","filter":{"left":{"bogus":1},"atom":{"table":"t","column":"c","op":"=","num":1}}}}`,
-	`{"plan":{"op":"seqscan","table":"t","filter":{"left":{"atom":{"table":"t","column":"c","op":"=","num":"x"}},"atom":{"table":"t","column":"c","op":"=","num":1}}}}`,
-	`{"plan":{"op":"seqscan","table":"t","filter":{"bool":"AND","left":{"atom":{"table":"t","column":"c","op":"=","num":1}},"right":{"atom":{"table":"t","column":"c","op":"like","str":"%x%"}}}}}`,
-	`{"plan":{"op":"seqscan","table":"t","filter":{"bool":"and","left":{"atom":{"table":"t","column":"c","op":"=","num":1}},"right":{}}}}`,
-	`{"plan":{"op":"seqscan","table":"t","filter":{"bool":"and","left":{"atom":{"table":"t","column":"c","op":"=","num":1}},"right":null}}}`,
-	`{"plan":{"op":"seqscan","table":"t","filter":{"bool":"and","atom":{"table":"t","column":"c","op":"=","num":1}}}}`,
-	`{"plan":{"op":"seqscan","table":"t","filter":{}}}`,
-	`{"plan":{"op":"seqscan","table":"t","filter":{"atom":{"table":"","column":"c","op":"=","num":1}}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","column":"kind_id","op":"=","num":1},"bool":"","left":{},"right":{"bool":"xor"}}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"left":{},"atom":{"table":"title","column":"kind_id","op":"=","num":1},"bool":null}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"left":{"bogus":1},"atom":{"table":"title","column":"kind_id","op":"=","num":1}}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"left":{"atom":{"table":"title","column":"kind_id","op":"=","num":"x"}},"atom":{"table":"title","column":"kind_id","op":"=","num":1}}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"bool":"AND","left":{"atom":{"table":"title","column":"kind_id","op":"=","num":1}},"right":{"atom":{"table":"title","column":"title","op":"like","str":"%x%"}}}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"bool":"and","left":{"atom":{"table":"title","column":"kind_id","op":"=","num":1}},"right":{}}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"bool":"and","left":{"atom":{"table":"title","column":"kind_id","op":"=","num":1}},"right":null}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"bool":"and","atom":{"table":"title","column":"kind_id","op":"=","num":1}}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"atom":{"table":"","column":"kind_id","op":"=","num":1}}}}`,
 	// Wrong types, broken structure.
-	`{"plan":{"op":5,"table":"t"}}`,
-	`{"plan":{"op":"seqscan","table":"t","left":[]}}`,
-	`{"plan":{"op":"seqscan","table":"t","sort_keys":{}}}`,
-	`{"plan":{"op":"seqscan","table":"t","filter":true}}`,
-	`{"plan":{"op":"seqscan","table":"t",}}`,
-	`{"plan":{"op":"seqscan" "table":"t"}}`,
-	`{"plan":{"op":"seqscan","table":"t"}`,
-	`{"plan":{"op":"seqscan","table":"t","sort_keys":[{"table":"t"},]}}`,
-	`{"plan":{"op":"seqscan","table":"t"},"nullx":1}`,
+	`{"plan":{"op":5,"table":"title"}}`,
+	`{"plan":{"op":"seqscan","table":"title","left":[]}}`,
+	`{"plan":{"op":"seqscan","table":"title","sort_keys":{}}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":true}}`,
+	`{"plan":{"op":"seqscan","table":"title",}}`,
+	`{"plan":{"op":"seqscan" "table":"title"}}`,
+	`{"plan":{"op":"seqscan","table":"title"}`,
+	`{"plan":{"op":"seqscan","table":"title","sort_keys":[{"table":"title"},]}}`,
+	`{"plan":{"op":"seqscan","table":"title"},"nullx":1}`,
 	`{"plan":{"op":"seqscan","table":nul}}`,
-	`{"plan":{"op":"seqscan","table":"t","bool":"and"}}`,
-	`[{"plan":{"op":"seqscan","table":"t"}}]`,
+	`{"plan":{"op":"seqscan","table":"title","bool":"and"}}`,
+	`[{"plan":{"op":"seqscan","table":"title"}}]`,
 	``,
 	// The four tightenings: accepted by the oracle, refused here.
-	`{"Plan":{"op":"seqscan","table":"t"}}`,
-	`{"plan":{"OP":"seqscan","table":"t"}}`,
-	`{"plan":{"op":"seqscan","table":"t","filter":{"atom":{"table":"t","Column":"c","op":"=","num":1}}}}`,
-	`{"plan":{"op":"seqscan","op":"seqscan","table":"t"}}`,
-	`{"plan":{"left":{"op":"bogus"},"left":null,"op":"seqscan","table":"t"}}`,
-	`{"plan":null,"plan":{"op":"seqscan","table":"t"}}`,
-	"{\"plan\":{\"op\":\"seqscan\",\"table\":\"t\xff\"}}",
-	"{\"plan\":{\"op\":\"seqscan\",\"table\":\"\xed\xa0\x80\"}}",
-	`{"plan":{"op":"seqscan","table":"t"}} x`,
-	`{"plan":{"op":"seqscan","table":"t"}}{"plan":{"op":"bogus"}}`,
-	`{"plan":{"op":"seqscan","table":"t"}}` + "\x00",
+	`{"Plan":{"op":"seqscan","table":"title"}}`,
+	`{"plan":{"OP":"seqscan","table":"title"}}`,
+	`{"plan":{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","Column":"kind_id","op":"=","num":1}}}}`,
+	`{"plan":{"op":"seqscan","op":"seqscan","table":"title"}}`,
+	`{"plan":{"left":{"op":"bogus"},"left":null,"op":"seqscan","table":"title"}}`,
+	`{"plan":null,"plan":{"op":"seqscan","table":"title"}}`,
+	"{\"plan\":{\"op\":\"seqscan\",\"table\":\"title\",\"filter\":{\"atom\":{\"table\":\"title\",\"column\":\"title\",\"op\":\"=\",\"str\":\"t\xff\"}}}}",
+	"{\"plan\":{\"op\":\"seqscan\",\"table\":\"title\",\"filter\":{\"atom\":{\"table\":\"title\",\"column\":\"title\",\"op\":\"=\",\"str\":\"\xed\xa0\x80\"}}}}",
+	`{"plan":{"op":"seqscan","table":"title"}} x`,
+	`{"plan":{"op":"seqscan","table":"title"}}{"plan":{"op":"bogus"}}`,
+	`{"plan":{"op":"seqscan","table":"title"}}` + "\x00",
 	// Repeated subtrees, which the decoder builds once per body (the scan S
 	// below is 97 bytes, past spanPrefix): a self-join; S across plans and as
 	// a whole plan; a whole plan repeated; near-repeats that differ in S's
@@ -307,15 +316,33 @@ var decodeTable = []string{
 	`{"plans":[{"op":"sort","left":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}}},` +
 		`{"op":"sort","left":{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}}}]}`,
 	`{"plans":[{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}},` +
-		`{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1},"index":"i"},` +
+		`{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1},"index":"title_pkey"},` +
 		`{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}}]}`,
 	`{"plans":[{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}},` +
 		`{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":1}]]}`,
-	`{"plans":[{"op":"seqscan","table":"t\u00e9é\u4e16世","filter":{"atom":{"table":"t","column":"\u0063","op":"\u003c","str":"😀\ud83d\ude00\n\ud83d"}}},` +
-		`{"op":"nestloop","join":{},"left":{"op":"seqscan","table":"t\u00e9é\u4e16世","filter":{"atom":{"table":"t","column":"\u0063","op":"\u003c","str":"😀\ud83d\ude00\n\ud83d"}}},` +
-		`"right":{"op":"seqscan","table":"t\u00e9é\u4e16世","filter":{"atom":{"table":"t","column":"\u0063","op":"\u003c","str":"😀\ud83d\ude00\n\ud83d"}}}}]}`,
+	`{"plans":[{"op":"seqscan","table":"titl\u0065","filter":{"atom":{"table":"\u0074itle","column":"\u0074itle","op":"\u003c","str":"t\u00e9é\u4e16世😀\ud83d\ude00\n\ud83d"}}},` +
+		`{"op":"nestedloop","join":{"left":{"table":"title","column":"id"},"right":{"table":"title","column":"id"}},"left":{"op":"seqscan","table":"titl\u0065","filter":{"atom":{"table":"\u0074itle","column":"\u0074itle","op":"\u003c","str":"t\u00e9é\u4e16世😀\ud83d\ude00\n\ud83d"}}},` +
+		`"right":{"op":"seqscan","table":"titl\u0065","filter":{"atom":{"table":"\u0074itle","column":"\u0074itle","op":"\u003c","str":"t\u00e9é\u4e16世😀\ud83d\ude00\n\ud83d"}}}}]}`,
 	aggregateRepeatBody,
+	// Repeated values below the plan spans: the aggregate list, the join
+	// condition and its columns recur in plans whose operators differ, once
+	// byte for byte, once with whitespace inside, once under param_join; and a
+	// close inside a string, which no schema name holds, so that body is
+	// refused at the name after reuse has looked past the close.
+	reuseBody,
+	strings.Replace(reuseBody, `"column":"kind_id"},"right"`, `"column":"kind_id"} ,"right"`, 1),
+	strings.Replace(reuseBody, `"op":"mergejoin","join"`, `"op":"mergejoin","param_join"`, 1),
+	strings.ReplaceAll(reuseBody, `"column":"id"`, `"column":"i}d"`),
 }
+
+// reuseBody holds two plans that differ in their join operator only, so the
+// aggregate list, join condition and column references of the second repeat
+// the first's bytes.
+const reuseBody = `{"plans":[` +
+	`{"op":"aggregate","aggs":[{"func":"min","col":{"table":"title","column":"kind_id"}},{"func":"count"}],"left":{"op":"hashjoin",` +
+	`"join":{"left":{"table":"title","column":"kind_id"},"right":{"table":"kind_type","column":"id"}},"left":{"op":"seqscan","table":"title"},"right":{"op":"seqscan","table":"kind_type"}}},` +
+	`{"op":"aggregate","aggs":[{"func":"min","col":{"table":"title","column":"kind_id"}},{"func":"count"}],"left":{"op":"mergejoin",` +
+	`"join":{"left":{"table":"title","column":"kind_id"},"right":{"table":"kind_type","column":"id"}},"left":{"op":"seqscan","table":"title"},"right":{"op":"seqscan","table":"kind_type"}}}]}`
 
 const (
 	selfJoinBody = `{"plan":{"op":"hashjoin","join":{"left":{"table":"title","column":"id"},"right":{"table":"title","column":"id"}},` +
@@ -336,14 +363,14 @@ func repeatBodies(tb testing.TB) [][]byte {
 	plans := func(ps ...[]byte) []byte {
 		return []byte(`{"plans":[` + string(bytes.Join(ps, []byte(","))) + `]}`)
 	}
-	// A scan whose table name covers bytes 25..64, so spanPrefix-1 and
-	// spanPrefix fall inside it.
+	// A scan whose index condition's operand covers bytes 22..61, so
+	// spanPrefix-1 and spanPrefix fall inside it.
 	named := func(at int) []byte {
 		name := []byte(strings.Repeat("a", 40))
 		if at >= 0 {
-			name[at-25] = 'b'
+			name[at-22] = 'b'
 		}
-		return []byte(`{"op":"seqscan","table":"` + string(name) + `"}`)
+		return []byte(`{"index_cond":{"str":"` + string(name) + `","table":"title","column":"title","op":"="},"op":"seqscan","table":"title"}`)
 	}
 	keyed := func(k int) []byte {
 		return []byte(`{"op":"seqscan","table":"title","index_cond":{"table":"title","column":"kind_id","op":"=","num":` + strconv.Itoa(k) + `}}`)
@@ -407,8 +434,10 @@ func TestDecodeEstimateMatchesOracle(t *testing.T) {
 			refusedAsTightened++
 		}
 	}
-	if accepted < 20 || refusedAsTightened < 11 {
-		t.Fatalf("table: %d bodies accepted, %d refused by a tightening; want at least 20 and 11", accepted, refusedAsTightened)
+	// Every row written to be accepted is: a row whose names fall out of the
+	// schema would be refused at the first name and test nothing past it.
+	if accepted < 36 || refusedAsTightened < 11 {
+		t.Fatalf("table: %d bodies accepted, %d refused by a tightening; want at least 36 and 11", accepted, refusedAsTightened)
 	}
 }
 
@@ -417,28 +446,43 @@ func TestDecodeEstimateMatchesOracle(t *testing.T) {
 // two decoded subtrees share an ID exactly when they are equal.
 func TestDecodedIDsMatchStructure(t *testing.T) {
 	_, enum64 := estimateBodies(t)
-	for _, body := range append(decodeTable, string(enum64), textCollisionBody) {
-		if roots, _, err := DecodeEstimate([]byte(body)); err == nil {
+	for _, body := range append(decodeTable, string(enum64)) {
+		if roots, _, err := DecodeEstimate(testDB.Schema, []byte(body)); err == nil {
 			plantest.CheckIDs(t, roots...)
 		}
 	}
+	// The text-collision pair names no schema's tables, so only WirePlan.Decode
+	// builds it: their IDs tell the two shapes apart.
+	var req estimateRequest
+	if err := json.Unmarshal([]byte(textCollisionBody), &req); err != nil {
+		t.Fatal(err)
+	}
+	var roots []*plan.Node
+	for _, wp := range req.Plans {
+		root, err := wp.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots = append(roots, root)
+	}
+	plantest.CheckIDs(t, roots...)
 }
 
 // TestDecodeEstimateRefusals: each tightening and each malformed-body class is
 // refused with an error that says what and where.
 func TestDecodeEstimateRefusals(t *testing.T) {
 	for body, want := range map[string]string{
-		`{"Plan":{"op":"seqscan","table":"t"}}`:                    `byte 7: unknown member "Plan"`,
-		`{"plan":{"op":"seqscan","op":"seqscan","table":"t"}}`:     `member "op" repeated`,
-		"{\"plan\":{\"op\":\"seqscan\",\"table\":\"t\xff\"}}":      `invalid UTF-8 in string`,
-		`{"plan":{"op":"seqscan","table":"t"}} x`:                  `byte 38: unexpected data after the request object`,
-		`{"plan":{"op":"seqscan","table":"t"},"timeout_ms":1.5}`:   `timeout_ms is not an integer`,
-		`{"plan":{"op":"seqscan","table":"t","left":[]}}`:          `expected '{'`,
-		`{"plan":{"op":"seqscan","table":"t"}`:                     `unexpected end of body`,
-		`{"plan":{"op":"seqscan","table":"t"},"plans":[{"op":1}]}`: `expected a string`,
+		`{"Plan":{"op":"seqscan","table":"title"}}`:                    `byte 7: unknown member "Plan"`,
+		`{"plan":{"op":"seqscan","op":"seqscan","table":"title"}}`:     `member "op" repeated`,
+		"{\"plan\":{\"op\":\"seqscan\",\"table\":\"t\xff\"}}":          `invalid UTF-8 in string`,
+		`{"plan":{"op":"seqscan","table":"title"}} x`:                  `byte 42: unexpected data after the request object`,
+		`{"plan":{"op":"seqscan","table":"title"},"timeout_ms":1.5}`:   `timeout_ms is not an integer`,
+		`{"plan":{"op":"seqscan","table":"title","left":[]}}`:          `expected '{'`,
+		`{"plan":{"op":"seqscan","table":"title"}`:                     `unexpected end of body`,
+		`{"plan":{"op":"seqscan","table":"title"},"plans":[{"op":1}]}`: `expected a string`,
 		`{"plans":[]}`: `no plan`,
 	} {
-		if _, _, err := DecodeEstimate([]byte(body)); err == nil || !strings.Contains(err.Error(), want) {
+		if _, _, err := DecodeEstimate(testDB.Schema, []byte(body)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("body %q: err = %v, want one naming %q", body, err, want)
 		}
 	}
@@ -465,7 +509,7 @@ func BenchmarkDecodeEstimate(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
 			for i := 0; i < b.N; i++ {
-				if _, _, err := DecodeEstimate(body); err != nil {
+				if _, _, err := DecodeEstimate(testDB.Schema, body); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -477,14 +521,14 @@ func BenchmarkDecodeEstimate(b *testing.B) {
 	}{{"single", single}, {"plans64", plans64}, {"enum64", enum64}} {
 		b.Run("recycled/"+c.name, func(b *testing.B) {
 			var d decoder
-			if _, _, err := d.decode(c.body); err != nil {
+			if _, _, err := d.decode(testDB.Schema, c.body); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.SetBytes(int64(len(c.body)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := d.decode(c.body); err != nil {
+				if _, _, err := d.decode(testDB.Schema, c.body); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -527,7 +571,7 @@ func TestDecodeSharesRepeatedSubtrees(t *testing.T) {
 		{"aggregate", aggregate, 0.3},
 	} {
 		var d decoder
-		got, _, err := d.decode(c.body)
+		got, _, err := d.decode(testDB.Schema, c.body)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -567,8 +611,59 @@ func TestDecodeSharesRepeatedSubtrees(t *testing.T) {
 			t.Fatalf("%s: encoder shared %d nodes of the decoder's trees, %d of the oracle's", c.name, sharedArena.Shared, oracleArena.Shared)
 		}
 	}
-	if roots, _, err := DecodeEstimate(selfJoin); err != nil || roots[0].Left != roots[0].Right {
+	if roots, _, err := DecodeEstimate(testDB.Schema, selfJoin); err != nil || roots[0].Left != roots[0].Right {
 		t.Fatalf("self-join: the two identical inputs are distinct nodes (err %v)", err)
+	}
+}
+
+// TestDecodeReusesRepeatedValues: a column reference, join condition or
+// aggregate list whose bytes repeat one decoded earlier in the body is that
+// value, shared; the same value spelled with other whitespace is decoded
+// again and equal.
+func TestDecodeReusesRepeatedValues(t *testing.T) {
+	roots, _, err := DecodeEstimate(testDB.Schema, []byte(reuseBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := roots[0], roots[1]
+	if a.Left.JoinCond != b.Left.JoinCond || &a.Aggs[0] != &b.Aggs[0] || a.Left.JoinCond.Left != a.Aggs[0].Col {
+		t.Fatal("repeated join condition or aggregate list decoded twice")
+	}
+	spaced := strings.Replace(reuseBody, `"column":"id"}},"left":{"op":"seqscan","table":"title"},"right":{"op":"seqscan","table":"kind_type"}}}]}`,
+		`"column":"id"} },"left":{"op":"seqscan","table":"title"},"right":{"op":"seqscan","table":"kind_type"}}}]}`, 1)
+	if roots, _, err = DecodeEstimate(testDB.Schema, []byte(spaced)); err != nil {
+		t.Fatal(err)
+	}
+	if j0, j1 := roots[0].Left.JoinCond, roots[1].Left.JoinCond; j0 == j1 || *j0 != *j1 {
+		t.Fatalf("a join condition spelled differently: shared %v, equal %v", j0 == j1, *j0 == *j1)
+	}
+}
+
+// TestDecodeRetainsValueMap: a cleared map keeps its buckets, so retained
+// counts the value map by the most entries it has held, and a small body
+// after one of thousands of distinct column references does not make the
+// decoder look emptier than it is.
+func TestDecodeRetainsValueMap(t *testing.T) {
+	single, _ := estimateBodies(t)
+	keys := make([]string, 4096)
+	for i := range keys {
+		ws := make([]byte, 12) // each key's own whitespace: no two repeat
+		for bit := range ws {
+			ws[bit] = " \t"[i>>bit&1]
+		}
+		keys[i] = `{"table":"title","column":"id"` + string(ws) + `}`
+	}
+	many := `{"plan":{"op":"sort","sort_keys":[` + strings.Join(keys, ",") + `],"left":{"op":"seqscan","table":"title"}}}`
+	var d decoder
+	if _, _, err := d.decode(testDB.Schema, []byte(many)); err != nil {
+		t.Fatal(err)
+	}
+	grown := d.retained()
+	if _, _, err := d.decode(testDB.Schema, single); err != nil {
+		t.Fatal(err)
+	}
+	if d.retained() < grown {
+		t.Fatalf("retained %d bytes after a small body, %d after %d distinct column references", d.retained(), grown, len(keys))
 	}
 }
 
@@ -589,7 +684,7 @@ func TestDecodeRepeatKeepsBounds(t *testing.T) {
 		{"257 nodes", bodies[5], errPlanNodes},
 	} {
 		var d decoder
-		_, _, err := d.decode(c.body)
+		_, _, err := d.decode(testDB.Schema, c.body)
 		switch {
 		case err != c.want:
 			t.Fatalf("%s: err %v, want %v", c.name, err, c.want)
@@ -607,7 +702,8 @@ func TestDecodeRepeatKeepsBounds(t *testing.T) {
 func TestDecodeRepeatCompareBound(t *testing.T) {
 	var chains []*WirePlan
 	for k := 0; len(chains) < 64; k++ {
-		w := &WirePlan{Op: "seqscan", Table: "t" + strconv.Itoa(k)}
+		num := float64(k)
+		w := &WirePlan{Op: "seqscan", Table: "title", IndexCond: &WireAtom{Table: "title", Column: "kind_id", Op: "=", Num: &num}}
 		for range MaxPlanDepth - 1 {
 			w = &WirePlan{Op: "sort", Left: w}
 		}
@@ -615,7 +711,7 @@ func TestDecodeRepeatCompareBound(t *testing.T) {
 	}
 	body := mustMarshal(t, estimateRequest{Plans: chains})
 	var d decoder
-	if _, _, err := d.decode(body); err != nil {
+	if _, _, err := d.decode(testDB.Schema, body); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("%d bytes compared on a %d-byte body", d.compared, len(body))

@@ -50,9 +50,10 @@ const textCollisionBody = `{"plans":[{"op":"hashjoin","left":{"op":"seqscan","ta
 // replaced accepts, minus the four tightenings, and builds the same trees,
 // whose sub-plans have one ID exactly when they are equal (plantest.CheckIDs).
 // Accepted plans go on through the feature encoder on a recycled arena, as in
-// the handler, and every body that encodes runs as one batch on a pooled
-// server — the call a scheduler run makes — whose estimates must equal the
-// plans' single-plan evaluations. A panic anywhere on that path fails the
+// the handler, and must encode: the decoder resolves every name and applies
+// every rule the encoder relies on. Each body then runs as one batch on a
+// pooled server — the call a scheduler run makes — whose estimates must equal
+// the plans' single-plan evaluations. A panic anywhere on that path fails the
 // fuzzer: the scheduler would contain it, but only as a failed request.
 func FuzzEstimateDecode(f *testing.F) {
 	seeds := wirePlanSeeds(f)
@@ -67,6 +68,9 @@ func FuzzEstimateDecode(f *testing.F) {
 		f.Add(body)
 	}
 	f.Add([]byte(textCollisionBody))
+	for _, c := range unknownNames {
+		f.Add([]byte(`{"plan":` + c.plan + `}`))
+	}
 	var arena feature.Arena // recycled across inputs, as the handler's is across requests
 	// One server for every input, as the daemon's is for every request: its
 	// bounded pool fills, admits on second sightings and evicts.
@@ -76,9 +80,11 @@ func FuzzEstimateDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		roots := checkDecodeAgainstOracle(t, body)
 		plantest.CheckIDs(t, roots...)
+		// The decoder is the request path's only point of refusal: what it
+		// accepts encodes.
 		eps, err := testEnc.EncodeAll(roots, &arena)
 		if err != nil {
-			return
+			t.Fatalf("an accepted body does not encode: %v\n%s", err, body)
 		}
 		// Whatever the plans share, each encoding must have its own tree's
 		// shape: the batch runtime indexes by these fields unchecked.

@@ -335,7 +335,7 @@ func (s *Service) serveEstimate(w http.ResponseWriter, r *http.Request, sc *requ
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	roots, timeoutMS, err := sc.dec.decode(sc.body.Bytes())
+	roots, timeoutMS, err := sc.dec.decode(s.enc.Cat.DB.Schema, sc.body.Bytes())
 	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return

@@ -156,6 +156,10 @@ func TestHTTPBadRequests(t *testing.T) {
 		`{"plan":{"op":"seqscan","table":"title"},"timeout_ms":2.5}`,                                                                 // timeout_ms not an integer
 		`{"plan":{"op":"seqscan","table":"title"},"timeout_ms":1e30}`,                                                                // timeout_ms overflows
 		`{"plan":{"op":"indexscan","table":"title","index_cond":{"table":"title","column":"production_year","op":">","num":1e999}}}`, // number overflows
+		// Two plans of different shape whose old text signatures collided,
+		// because table names reached them unescaped: no schema has their
+		// names (TestDecodedIDsMatchStructure checks that their IDs differ).
+		textCollisionBody,
 	}
 	for _, body := range cases {
 		resp, err := http.Post(ts.URL+"/estimate", "application/json", strings.NewReader(body))
@@ -170,24 +174,49 @@ func TestHTTPBadRequests(t *testing.T) {
 	if after := sched.Stats().Admitted; after != before {
 		t.Fatalf("bad requests reached the queue: admitted %d -> %d", before, after)
 	}
-	// Two plans of different shape whose old text signatures collided, because
-	// table names reached them unescaped (3 nodes, then 5): a request that
-	// had to be refused, and their IDs tell them apart.
-	resp, err := http.Post(ts.URL+"/estimate", "application/json", strings.NewReader(textCollisionBody))
-	if err != nil {
-		t.Fatalf("post: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("text-collision pair: status %d, want 200", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/estimate")
+	resp, err := http.Get(ts.URL + "/estimate")
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /estimate: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// unknownNames are plans that name a table, column or index the schema
+// lacks, one for each slot that holds a name, with the slot.
+var unknownNames = func() []struct{ slot, plan string } {
+	const scan = `{"op":"seqscan","table":"title"}`
+	return []struct{ slot, plan string }{
+		{"table", `{"op":"seqscan","table":"nope"}`},
+		{"table", `{"op":"seqscan","table":"kind_id"}`}, // a column's name, no table's
+		{"index", `{"op":"indexscan","table":"title","index":"nope_pkey"}`},
+		{"index_cond", `{"op":"indexscan","table":"title","index_cond":{"table":"title","column":"nope","op":"=","num":1}}`},
+		{"index_cond", `{"op":"indexscan","table":"title","index_cond":{"table":"title","column":"note","op":"=","num":1}}`}, // a column of another table
+		{"filter", `{"op":"seqscan","table":"title","filter":{"atom":{"table":"title","column":"nope","op":"=","num":1}}}`},
+		{"join", `{"op":"hashjoin","join":{"left":{"table":"nope","column":"id"},"right":{"table":"title","column":"id"}},"left":` + scan + `,"right":` + scan + `}`},
+		{"join", `{"op":"hashjoin","join":{"left":{"table":"title","column":"id"},"right":{"table":"title","column":"nope"}},"left":` + scan + `,"right":` + scan + `}`},
+		{"param_join", `{"op":"indexscan","table":"title","param_join":{"left":{"table":"title","column":"id"},"right":{"table":"kind_type","column":"nope"}}}`},
+		{"sort_keys", `{"op":"sort","sort_keys":[{"table":"title","column":"nope"}],"left":` + scan + `}`},
+		{"aggs", `{"op":"aggregate","aggs":[{"func":"max","col":{"table":"title","column":"nope"}}],"left":` + scan + `}`},
+	}
+}()
+
+// TestUnknownNamesRefused: a plan that names a table, column or index the
+// schema lacks, in any slot that holds a name, is a 400 at decode that names
+// the slot, and never reaches the scheduler.
+func TestUnknownNamesRefused(t *testing.T) {
+	hh, svc := newHandlerHarness(t)
+	before := svc.sched.Stats().Admitted
+	for _, c := range unknownNames {
+		body := []byte(`{"plan":` + c.plan + `}`)
+		if status := hh.do(body); status != http.StatusBadRequest || !strings.Contains(string(hh.w.body), c.slot+" names") {
+			t.Errorf("%s: status %d, body %q; want a 400 naming the slot", c.plan, status, hh.w.body)
+		}
+	}
+	if after := svc.sched.Stats().Admitted; after != before {
+		t.Fatalf("plans with unknown names reached the queue: admitted %d -> %d", before, after)
 	}
 }
 
@@ -462,7 +491,7 @@ func TestWirePlanBounds(t *testing.T) {
 		if _, err := c.ok.Decode(); err != nil {
 			t.Errorf("%s: plan at the limit rejected: %v", c.name, err)
 		}
-		if _, _, err := DecodeEstimate(mustMarshal(t, estimateRequest{Plan: c.ok})); err != nil {
+		if _, _, err := DecodeEstimate(testDB.Schema, mustMarshal(t, estimateRequest{Plan: c.ok})); err != nil {
 			t.Errorf("%s: request at the limit rejected: %v", c.name, err)
 		}
 		if _, err := c.over.Decode(); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -492,7 +521,7 @@ func TestWirePlanBounds(t *testing.T) {
 			t.Fatalf("%s: hostile body is %d bytes, want just under 1 MiB", name, len(body))
 		}
 		var err error
-		allocs := testing.AllocsPerRun(5, func() { _, _, err = DecodeEstimate(body) })
+		allocs := testing.AllocsPerRun(5, func() { _, _, err = DecodeEstimate(testDB.Schema, body) })
 		if err == nil || allocs > 3*MaxPlanNodes {
 			t.Errorf("%s: err = %v after %.0f allocations, want a refusal within %d", name, err, allocs, 3*MaxPlanNodes)
 		}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"strings"
 
 	"costest/internal/plan"
 	"costest/internal/sqlpred"
@@ -70,34 +69,65 @@ type WireAgg struct {
 	Col  *WireCol `json:"col,omitempty"`
 }
 
-var wireOps = map[string]plan.NodeType{
-	"seqscan":    plan.SeqScan,
-	"indexscan":  plan.IndexScan,
-	"hashjoin":   plan.HashJoin,
-	"mergejoin":  plan.MergeJoin,
-	"nestedloop": plan.NestedLoop,
-	"sort":       plan.Sort,
-	"aggregate":  plan.Aggregate,
+// The wire names of the plan operators, atom operators, connectives and
+// aggregates, each list in the order of the enum it names (plan.NodeType,
+// sqlpred.Op, sqlpred.BoolKind, plan.AggFunc). They match case-insensitively.
+var (
+	planOps  = newNames(true, "seqscan", "indexscan", "hashjoin", "mergejoin", "nestedloop", "sort", "aggregate")
+	atomOps  = newNames(true, "=", "!=", "<", ">", "<=", ">=", "like", "not like", "in")
+	boolOps  = newNames(true, "and", "or")
+	aggFuncs = newNames(true, "min", "max", "count")
+)
+
+// names is a fixed list of names found with one probe: a name's slot is a
+// hash of its length and its first and last bytes, and newNames panics if two
+// names of a list share one. A list that folds case (its names are lower
+// case) matches ASCII letters in either case; the others match exactly.
+type names struct {
+	list []string
+	slot [64]int8 // 1 + the index in list of the name in the slot; 0: none
+	fold bool
 }
 
-var wirePlanOps = func() map[plan.NodeType]string {
-	m := make(map[plan.NodeType]string, len(wireOps))
-	for name, t := range wireOps {
-		m[t] = name
+func newNames(fold bool, list ...string) *names {
+	x := &names{list: list, fold: fold}
+	for i, name := range list {
+		h := nameSlot(name)
+		if x.slot[h] != 0 {
+			panic("serve: names " + name + " and " + list[x.slot[h]-1] + " share a slot")
+		}
+		x.slot[h] = int8(i + 1)
 	}
-	return m
-}()
+	return x
+}
 
-var wireAtomOps = map[string]sqlpred.Op{
-	"=":        sqlpred.OpEq,
-	"!=":       sqlpred.OpNe,
-	"<":        sqlpred.OpLt,
-	">":        sqlpred.OpGt,
-	"<=":       sqlpred.OpLe,
-	">=":       sqlpred.OpGe,
-	"like":     sqlpred.OpLike,
-	"not like": sqlpred.OpNotLike,
-	"in":       sqlpred.OpIn,
+func nameSlot[T string | []byte](name T) int {
+	return (len(name) + 3*int(name[0]|0x20) + 5*int(name[len(name)-1]|0x20)) & 63
+}
+
+// find returns the index in x of name, or -1.
+func find[T string | []byte](x *names, name T) int {
+	if len(name) == 0 {
+		return -1
+	}
+	k := int(x.slot[nameSlot(name)]) - 1
+	if k < 0 || len(x.list[k]) != len(name) || !x.fold && string(name) != x.list[k] {
+		return -1
+	}
+	for i := 0; x.fold && i < len(name); i++ {
+		if c := name[i]; c != x.list[k][i] && (c < 'A' || c > 'Z' || c+'a'-'A' != x.list[k][i]) {
+			return -1
+		}
+	}
+	return k
+}
+
+// lookup is find, refusing a name that is not in x as an unknown what.
+func lookup[T string | []byte](x *names, what string, name T) (int, error) {
+	if k := find(x, name); k >= 0 {
+		return k, nil
+	}
+	return -1, fmt.Errorf("serve: unknown %s %q", what, name)
 }
 
 // Size bounds on one wire plan. Subtree signatures are Θ(nodes × depth)
@@ -119,14 +149,17 @@ var (
 	errPlanDepth = fmt.Errorf("serve: plan is more than %d levels deep", MaxPlanDepth)
 	errPredNodes = fmt.Errorf("serve: a predicate has more than %d nodes", MaxPredNodes)
 	errInValues  = fmt.Errorf("serve: an IN list has more than %d values", MaxInValues)
+	errNoFunc    = fmt.Errorf("serve: aggregate without a func")
 )
 
 // Decode converts the wire plan into a plan.Node tree, validating size
-// bounds, operator and predicate shapes. Schema validity (table/column
-// existence) is checked downstream by the feature encoder against its
-// catalog. The request path does not come through here — DecodeEstimate
-// builds the same tree straight from the body — but every per-node rule is a
-// helper the two share, and the differential test pins them to each other.
+// bounds, operator and predicate shapes. It leaves the names unresolved:
+// Encoder.Encode resolves them against the schema (Encoder.Resolve) before it
+// encodes, refusing an unknown name there. The request path does not come
+// through here — DecodeEstimate builds the same tree straight from the body,
+// resolving each name as it reads it — but every per-node rule is a helper
+// the two share, and the differential test pins DecodeEstimate to Decode
+// followed by Resolve.
 func (w *WirePlan) Decode() (*plan.Node, error) {
 	if w == nil {
 		return nil, fmt.Errorf("serve: empty plan")
@@ -213,20 +246,25 @@ func (w *WirePlan) decode() (*plan.Node, error) {
 			return nil, err
 		}
 	}
-	if err := finishNode(n, w.Op); err != nil {
+	op, err := lookup(planOps, "operator", w.Op)
+	if err != nil {
+		return nil, err
+	}
+	if err := finishNode(n, op); err != nil {
 		return nil, err
 	}
 	return n, nil
 }
 
-// finishNode types a plan node whose members are already in place and applies
-// the per-node rules: a known operator (names are case-insensitive), a table
-// on every scan, two inputs on a join, one on a sort or aggregate.
-func finishNode(n *plan.Node, op string) error {
-	t, ok := wireOps[strings.ToLower(op)]
-	if !ok {
-		return fmt.Errorf("serve: unknown operator %q", op)
+// finishNode gives a plan node whose members are already in place its
+// operator, the index of its name in planOps (-1: none), and applies the
+// per-node rules: a table on every scan, two inputs on a join, one on a sort
+// or aggregate.
+func finishNode(n *plan.Node, k int) error {
+	if k < 0 {
+		return fmt.Errorf("serve: plan node without an op")
 	}
+	t, op := plan.NodeType(k), planOps.list[k]
 	n.Type = t
 	switch {
 	case t.IsScan() && n.Table == "":
@@ -239,29 +277,20 @@ func finishNode(n *plan.Node, op string) error {
 	return nil
 }
 
-// predShape classifies a predicate node, which must set exactly one of atom
-// or bool ("" counts as unset): an atom, or the named connective.
-func predShape(hasAtom bool, connective string) (isAtom bool, kind sqlpred.BoolKind, err error) {
-	switch {
-	case hasAtom && connective == "":
-		return true, 0, nil
-	case hasAtom || connective == "":
-		return false, 0, fmt.Errorf("serve: predicate node must set exactly one of atom or bool")
+// predShape checks that a predicate node sets exactly one of atom or bool (""
+// counts as unset) and reports which.
+func predShape(hasAtom, hasBool bool) (isAtom bool, err error) {
+	if hasAtom == hasBool {
+		return false, fmt.Errorf("serve: predicate node must set exactly one of atom or bool")
 	}
-	switch strings.ToLower(connective) {
-	case "and":
-		return false, sqlpred.And, nil
-	case "or":
-		return false, sqlpred.Or, nil
-	}
-	return false, 0, fmt.Errorf("serve: unknown connective %q", connective)
+	return hasAtom, nil
 }
 
 func (w *WirePred) decode() (sqlpred.Pred, error) {
 	if w == nil {
 		return nil, fmt.Errorf("serve: empty predicate node")
 	}
-	isAtom, kind, err := predShape(w.Atom != nil, w.Bool)
+	isAtom, err := predShape(w.Atom != nil, w.Bool != "")
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +298,11 @@ func (w *WirePred) decode() (sqlpred.Pred, error) {
 		// left/right beside an atom are ignored, not refused.
 		return w.Atom.decode()
 	}
-	if w.Left == nil || w.Right == nil {
+	kind, err := lookup(boolOps, "connective", w.Bool)
+	switch {
+	case err != nil:
+		return nil, err
+	case w.Left == nil || w.Right == nil:
 		return nil, fmt.Errorf("serve: %s needs two operands", w.Bool)
 	}
 	l, err := w.Left.decode()
@@ -280,7 +313,7 @@ func (w *WirePred) decode() (sqlpred.Pred, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sqlpred.Bool{Kind: kind, Left: l, Right: r}, nil
+	return &sqlpred.Bool{Kind: sqlpred.BoolKind(kind), Left: l, Right: r}, nil
 }
 
 func (w *WireAtom) decode() (*sqlpred.Atom, error) {
@@ -298,28 +331,32 @@ func (w *WireAtom) decode() (*sqlpred.Atom, error) {
 		a.InVals, a.IsStr = w.In, true
 		operands++
 	}
-	if err := finishAtom(a, w.Op, operands); err != nil {
+	op, err := lookup(atomOps, "predicate operator", w.Op)
+	if err != nil {
+		return nil, err
+	}
+	if err := finishAtom(a, op, operands); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
 // finishAtom gives an atom whose column and operand are already in place its
-// operator and applies the atom rules: a known operator (case-insensitive),
-// a table and a column, exactly one of the three operand families, and
-// an IN list if and only if the operator is IN.
-func finishAtom(a *sqlpred.Atom, opName string, operands int) error {
-	op, ok := wireAtomOps[strings.ToLower(opName)]
+// operator, the index of its name in atomOps (-1: none), and applies the
+// atom rules: a table and a column, exactly one of the three operand
+// families, and an IN list if and only if the operator is IN.
+func finishAtom(a *sqlpred.Atom, k int, operands int) error {
+	op := sqlpred.Op(k)
 	switch {
-	case !ok:
-		return fmt.Errorf("serve: unknown predicate operator %q", opName)
+	case k < 0:
+		return fmt.Errorf("serve: predicate atom without an op")
 	case a.Table == "" || a.Column == "":
 		return fmt.Errorf("serve: predicate atom needs table and column")
 	case operands != 1:
 		return fmt.Errorf("serve: predicate atom on %s.%s needs exactly one operand (num, str or in)",
 			a.Table, a.Column)
 	case (op == sqlpred.OpIn) != (len(a.InVals) > 0):
-		return fmt.Errorf("serve: operator %q and operand kind disagree on %s.%s", opName, a.Table, a.Column)
+		return fmt.Errorf("serve: operator %q and operand kind disagree on %s.%s", atomOps.list[op], a.Table, a.Column)
 	}
 	a.Op = op
 	return nil
@@ -328,28 +365,15 @@ func finishAtom(a *sqlpred.Atom, opName string, operands int) error {
 func (w WireCol) decode() plan.ColRef { return plan.ColRef{Table: w.Table, Column: w.Column} }
 
 func (w WireAgg) decode() (plan.AggSpec, error) {
-	f, err := aggFunc(w.Func)
+	f, err := lookup(aggFuncs, "aggregate", w.Func)
 	if err != nil {
 		return plan.AggSpec{}, err
 	}
-	spec := plan.AggSpec{Func: f}
+	spec := plan.AggSpec{Func: plan.AggFunc(f)}
 	if w.Col != nil {
 		spec.Col = w.Col.decode()
 	}
 	return spec, nil
-}
-
-// aggFunc resolves an aggregate's wire name (case-insensitive).
-func aggFunc(name string) (plan.AggFunc, error) {
-	switch strings.ToLower(name) {
-	case "min":
-		return plan.AggMin, nil
-	case "max":
-		return plan.AggMax, nil
-	case "count":
-		return plan.AggCount, nil
-	}
-	return 0, fmt.Errorf("serve: unknown aggregate %q", name)
 }
 
 // EncodeWire converts a plan.Node tree into its wire form — the server's
@@ -359,7 +383,7 @@ func EncodeWire(n *plan.Node) *WirePlan {
 	if n == nil {
 		return nil
 	}
-	w := &WirePlan{Op: wirePlanOps[n.Type], Table: n.Table, Index: n.Index}
+	w := &WirePlan{Op: planOps.list[n.Type], Table: n.Table, Index: n.Index}
 	w.Filter = encodeWirePred(n.Filter)
 	if n.IndexCond != nil {
 		w.IndexCond = encodeWireAtom(n.IndexCond)
@@ -374,7 +398,7 @@ func EncodeWire(n *plan.Node) *WirePlan {
 		w.SortKeys = append(w.SortKeys, encodeWireCol(k))
 	}
 	for _, a := range n.Aggs {
-		wa := WireAgg{Func: strings.ToLower(a.Func.String())}
+		wa := WireAgg{Func: aggFuncs.list[a.Func]}
 		if a.Col != (plan.ColRef{}) {
 			col := encodeWireCol(a.Col)
 			wa.Col = &col
@@ -394,7 +418,7 @@ func encodeWirePred(p sqlpred.Pred) *WirePred {
 		return &WirePred{Atom: encodeWireAtom(n)}
 	case *sqlpred.Bool:
 		return &WirePred{
-			Bool:  strings.ToLower(n.Kind.String()),
+			Bool:  boolOps.list[n.Kind],
 			Left:  encodeWirePred(n.Left),
 			Right: encodeWirePred(n.Right),
 		}
@@ -404,7 +428,7 @@ func encodeWirePred(p sqlpred.Pred) *WirePred {
 }
 
 func encodeWireAtom(a *sqlpred.Atom) *WireAtom {
-	w := &WireAtom{Table: a.Table, Column: a.Column, Op: strings.ToLower(a.Op.String())}
+	w := &WireAtom{Table: a.Table, Column: a.Column, Op: atomOps.list[a.Op]}
 	switch {
 	case a.Op == sqlpred.OpIn:
 		w.In = a.InVals

@@ -45,9 +45,10 @@ type Pred interface {
 
 // Atom is an atomic predicate ⟨column, operator, operand⟩ on a single table.
 type Atom struct {
-	Table  string
-	Column string
-	Op     Op
+	Table    string
+	Column   string
+	ColumnID int32 // 1 + the schema's column id, 0 while unresolved (see plan.Node)
+	Op       Op
 	// Exactly one operand family is used depending on the column type:
 	NumVal float64  // numeric comparisons
 	StrVal string   // string =/!=/LIKE/NOT LIKE (LIKE patterns use %)

@@ -82,6 +82,8 @@ type ColumnStats struct {
 	NumHist  *NumHistogram
 	// String columns:
 	StrHist *StrHistogram
+
+	data *dataset.Column // the values, for the sample bitmap
 }
 
 // TableStats holds statistics and the reservoir sample for one table.
@@ -99,6 +101,11 @@ type Catalog struct {
 	DB         *dataset.DB
 	Tables     map[string]*TableStats
 	SampleSize int
+
+	// byTable and byColumn hold the same stats by schema id, the way the
+	// feature encoder addresses them.
+	byTable  []*TableStats
+	byColumn []*ColumnStats
 }
 
 // Options configures statistics collection.
@@ -130,11 +137,14 @@ func Collect(db *dataset.DB, opt Options) *Catalog {
 			Cols:     make(map[string]*ColumnStats, len(tab.Columns)),
 			Sample:   reservoir(data.NumRows, opt.SampleSize, rng),
 		}
-		for _, col := range tab.Columns {
+		for i, col := range tab.Columns { // in schema id order, table by table
 			cs := collectColumn(data, col, opt)
+			cs.data = data.Cols[i]
 			ts.Cols[col.Name] = cs
+			cat.byColumn = append(cat.byColumn, cs)
 		}
 		cat.Tables[tab.Name] = ts
+		cat.byTable = append(cat.byTable, ts)
 	}
 	return cat
 }
@@ -303,11 +313,12 @@ func (c *Catalog) Column(table, column string) *ColumnStats {
 	return nil
 }
 
-// NormalizeNumeric maps a numeric operand to [0,1] using the column's
-// min/max, the operand encoding of Section 4.1 ("a normalized float").
-func (c *Catalog) NormalizeNumeric(table, column string, v float64) float64 {
-	cs := c.Column(table, column)
-	if cs == nil || cs.Max <= cs.Min {
+// NormalizeNumeric maps a numeric operand of the column with the given
+// schema id to [0,1] using the column's min/max, the operand encoding of
+// Section 4.1 ("a normalized float").
+func (c *Catalog) NormalizeNumeric(column int, v float64) float64 {
+	cs := c.byColumn[column]
+	if cs.Max <= cs.Min {
 		return 0.5
 	}
 	s := (v - cs.Min) / (cs.Max - cs.Min)
@@ -320,26 +331,35 @@ func (c *Catalog) NormalizeNumeric(table, column string, v float64) float64 {
 	return s
 }
 
-// SampleBitmap evaluates pred over the table's sample rows into dst, which
-// the caller supplies zeroed with the catalog's SampleSize as its length: one
-// 0/1 per sample row (the paper's Sample Bitmap feature), left zero-padded
-// when the table has fewer sampled rows, so the feature has a fixed dimension.
-func (c *Catalog) SampleBitmap(dst []float64, table string, pred sqlpred.Pred) error {
-	ts := c.Tables[table]
-	if ts == nil {
-		return nil
-	}
-	match, err := sqlpred.Compile(pred, table, c.DB.Table(table))
-	if err != nil {
-		return err
-	}
-	for i, row := range ts.Sample {
-		if i >= len(dst) {
-			break
-		}
-		if match(row) {
+// SampleBitmap evaluates pred over the sample rows of the table with the
+// given schema id into dst, which the caller supplies zeroed with the
+// catalog's SampleSize as its length: one 0/1 per sample row (the paper's
+// Sample Bitmap feature), left zero-padded when the table has fewer sampled
+// rows, so the feature has a fixed dimension. Every atom of pred must carry
+// the id of a column of that table whose type matches its operand.
+func (c *Catalog) SampleBitmap(dst []float64, table int, pred sqlpred.Pred) {
+	sample := c.byTable[table].Sample
+	for i, row := range sample[:min(len(dst), len(sample))] {
+		if c.match(pred, row) {
 			dst[i] = 1
 		}
 	}
-	return nil
+}
+
+// match evaluates pred on one row, reading each atom's column by its id.
+func (c *Catalog) match(pred sqlpred.Pred, row int) bool {
+	switch p := pred.(type) {
+	case *sqlpred.Atom:
+		col := c.byColumn[p.ColumnID-1].data
+		if p.IsStr {
+			return sqlpred.EvalAtomStr(p, col.Strs[row])
+		}
+		return sqlpred.EvalAtomInt(p, col.Ints[row])
+	case *sqlpred.Bool:
+		if p.Kind == sqlpred.And {
+			return c.match(p.Left, row) && c.match(p.Right, row)
+		}
+		return c.match(p.Left, row) || c.match(p.Right, row)
+	}
+	return true // no predicate
 }

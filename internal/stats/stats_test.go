@@ -194,10 +194,10 @@ func TestSampleBitmap(t *testing.T) {
 	if testCat.SampleSize != 64 {
 		t.Fatalf("catalog sample size %d, want 64", testCat.SampleSize)
 	}
+	sch := testCat.DB.Schema
+	p.ColumnID = int32(sch.ColumnID("title", "production_year") + 1)
 	bm := make([]float64, testCat.SampleSize)
-	if err := testCat.SampleBitmap(bm, "title", p); err != nil {
-		t.Fatal(err)
-	}
+	testCat.SampleBitmap(bm, sch.TableID("title"), p)
 	ones := 0
 	for _, b := range bm {
 		if b != 0 && b != 1 {
@@ -216,16 +216,12 @@ func TestSampleBitmap(t *testing.T) {
 	if math.Abs(frac-truth) > 0.35 {
 		t.Errorf("bitmap fraction %.2f far from truth %.2f", frac, truth)
 	}
-}
-
-func TestSampleBitmapUnknownTable(t *testing.T) {
-	bm := make([]float64, testCat.SampleSize)
-	if err := testCat.SampleBitmap(bm, "nope", nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range bm {
-		if b != 0 {
-			t.Fatal("unknown table bitmap must be all zeros")
+	// No predicate matches every sampled row.
+	all := make([]float64, testCat.SampleSize)
+	testCat.SampleBitmap(all, sch.TableID("title"), nil)
+	for i, b := range all {
+		if b != 1 {
+			t.Fatalf("bitmap of no predicate: row %d is %g, want 1", i, b)
 		}
 	}
 }
@@ -257,17 +253,14 @@ func TestReservoirProperties(t *testing.T) {
 }
 
 func TestNormalizeNumeric(t *testing.T) {
-	v := testCat.NormalizeNumeric("title", "production_year", 2100)
+	year := testCat.DB.Schema.ColumnID("title", "production_year")
+	v := testCat.NormalizeNumeric(year, 2100)
 	if v != 1 {
 		t.Errorf("above-max normalize = %g, want 1", v)
 	}
-	v = testCat.NormalizeNumeric("title", "production_year", 1700)
+	v = testCat.NormalizeNumeric(year, 1700)
 	if v != 0 {
 		t.Errorf("below-min normalize = %g, want 0", v)
-	}
-	v = testCat.NormalizeNumeric("nope", "nope", 5)
-	if v != 0.5 {
-		t.Errorf("unknown column normalize = %g, want 0.5", v)
 	}
 }
 
