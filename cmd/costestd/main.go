@@ -32,7 +32,9 @@
 // through the ordered peer list, renewing a primary-liveness lease on every
 // authenticated frame (heartbeats keep idle connections fed, read/write
 // deadlines catch dead peers), and turns ready once it serves the cluster's
-// weights. A follower at the default -promote-rank -1 never promotes and
+// weights. Every replication timeout scales with -heartbeat: read and write
+// deadlines are 4 heartbeats, a dial 10, and the reconnect backoff runs from
+// a fifth of one up to 4. A follower at the default -promote-rank -1 never promotes and
 // trains nothing. For high availability, a promotable member
 // (-promote-rank 0, -lease) whose lease lapses promotes itself: it
 // seals the last applied generation and publishes from its own
@@ -121,7 +123,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.peers, "peers", "", "comma-separated ordered replication peer list (follower mode: follow the live primary through this list)")
 	fs.IntVar(&o.promoRank, "promote-rank", -1, "promotion rank in -peers mode: 0 promotes first on primary-lease expiry, -1 never promotes (requires -replicate-listen when >= 0)")
 	fs.DurationVar(&o.lease, "lease", 3*time.Second, "base primary-liveness lease in -peers mode (rank r waits (r+1) leases)")
-	fs.DurationVar(&o.heartbeat, "heartbeat", 500*time.Millisecond, "replication heartbeat interval (both sides)")
+	fs.DurationVar(&o.heartbeat, "heartbeat", replica.DefaultHeartbeat, "replication heartbeat interval (both sides); every replication timeout scales with it")
 	fs.StringVar(&o.replToken, "replicate-token", "", "pre-shared replication auth token (constant-time checked on the handshake; empty disables)")
 	return fs
 }
@@ -264,7 +266,7 @@ func main() {
 			if p := member.Publisher(); p != nil {
 				return p.Stats()
 			}
-			return member.Follower().Stats()
+			return member.Stats().Follower
 		}
 		svc.ClusterStats = func() any { return member.Stats() }
 		svc.ClusterState = func() string { return member.State().String() }

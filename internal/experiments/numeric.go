@@ -121,30 +121,19 @@ func (e *Env) trainNumericModels(train, valid []*workload.Labeled) (*numericMode
 		encNS: feature.NewEncoder(e.Cat, strembed.ZeroEncoder{}, false),
 	}
 
-	encode := func(enc *feature.Encoder, samples []*workload.Labeled) ([]*feature.EncodedPlan, error) {
-		out := make([]*feature.EncodedPlan, 0, len(samples))
-		for _, s := range samples {
-			ep, err := enc.Encode(s.Plan)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ep)
-		}
-		return out, nil
-	}
-	trS, err := encode(m.encS, train)
+	trS, err := encodeAll(m.encS, train)
 	if err != nil {
 		return nil, err
 	}
-	vaS, err := encode(m.encS, valid)
+	vaS, err := encodeAll(m.encS, valid)
 	if err != nil {
 		return nil, err
 	}
-	trNS, err := encode(m.encNS, train)
+	trNS, err := encodeAll(m.encNS, train)
 	if err != nil {
 		return nil, err
 	}
-	vaNS, err := encode(m.encNS, valid)
+	vaNS, err := encodeAll(m.encNS, valid)
 	if err != nil {
 		return nil, err
 	}

@@ -53,8 +53,9 @@ type MemberConfig struct {
 	Rank int
 	// Token is the pre-shared replication auth token.
 	Token string
-	// Server and Model are the local serving runtime and its mirror model,
-	// exactly as for a Follower.
+	// Server is the local serving runtime frames publish into; Model is the
+	// mirror model it serves from. Replication frames write Model's
+	// parameters, so nothing else may mutate it while the member follows.
 	Server *core.Server
 	Model  *core.Model
 	// Listen is the address the member's own replication listener binds on
@@ -68,14 +69,10 @@ type MemberConfig struct {
 	// Lease is the base primary-liveness lease (see Rank). Required for
 	// promotable members.
 	Lease time.Duration
-	// Heartbeat, PeerTimeout, WriteTimeout, DialTimeout, RetryMin and
-	// RetryMax tune the wire exactly as in FollowerConfig/PublisherConfig.
-	Heartbeat    time.Duration
-	PeerTimeout  time.Duration
-	WriteTimeout time.Duration
-	DialTimeout  time.Duration
-	RetryMin     time.Duration
-	RetryMax     time.Duration
+	// Heartbeat is the interval between liveness frames, both while
+	// following and while primary; every other replication timeout derives
+	// from it (see timingFor). Zero means DefaultHeartbeat.
+	Heartbeat time.Duration
 	// Primary is the caller's primary work — typically a train-and-publish
 	// loop over Model through Server.PublishDelta. The member runs it on
 	// its Run goroutine at each promotion; ctx ends when the member is
@@ -97,8 +94,11 @@ type MemberConfig struct {
 // through the peer list (its diverged weights are healed by snapshot).
 type Member struct {
 	cfg   MemberConfig
-	fol   *Follower
+	tm    timing
+	fol   *follower
 	state atomic.Int32
+
+	promoted chan struct{} // closed at the first promotion
 
 	mu      sync.Mutex
 	pub     *Publisher // non-nil while primary (or fenced ex-primary)
@@ -132,40 +132,38 @@ func promoteEpoch(observed, ownLast uint64) uint64 {
 	return e + 1
 }
 
-// NewMember builds a member; call Run to start it.
+// NewMember builds a member; call Run to start it. Server, Model and Peers
+// are required.
 func NewMember(cfg MemberConfig) *Member {
+	if cfg.Server == nil || cfg.Model == nil {
+		panic("replica: MemberConfig needs Server and Model")
+	}
+	if len(cfg.Peers) == 0 {
+		panic("replica: MemberConfig needs Peers")
+	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	m := &Member{cfg: cfg}
-	fcfg := FollowerConfig{
-		Peers:        cfg.Peers,
-		Token:        cfg.Token,
-		Server:       cfg.Server,
-		Model:        cfg.Model,
-		DialTimeout:  cfg.DialTimeout,
-		RetryMin:     cfg.RetryMin,
-		RetryMax:     cfg.RetryMax,
-		Heartbeat:    cfg.Heartbeat,
-		PeerTimeout:  cfg.PeerTimeout,
-		WriteTimeout: cfg.WriteTimeout,
-		Logf:         cfg.Logf,
-	}
-	if cfg.Rank >= 0 && cfg.Lease > 0 {
-		// Rank-scaled lease: rank 0 moves first, each lower rank concedes a
-		// full extra lease so two members never race to promote.
-		fcfg.Lease = cfg.Lease * time.Duration(cfg.Rank+1)
-		fcfg.OnLeaseExpired = m.onLeaseExpired
-	}
-	m.fol = NewFollower(fcfg)
+	m := &Member{cfg: cfg, tm: timingFor(cfg.Heartbeat), promoted: make(chan struct{})}
+	m.fol = newFollower(m)
 	return m
+}
+
+// lease is the member's primary-liveness lease, rank-scaled: rank 0 moves
+// first, each lower rank concedes a full extra lease so two members never
+// race to promote. Zero for a member that never promotes.
+func (m *Member) lease() time.Duration {
+	if m.cfg.Rank < 0 || m.cfg.Lease <= 0 {
+		return 0
+	}
+	return m.cfg.Lease * time.Duration(m.cfg.Rank+1)
 }
 
 // Run drives the member until ctx is canceled: follow, promote on lease
 // expiry, publish as primary, demote and rejoin if fenced.
 func (m *Member) Run(ctx context.Context) {
 	for ctx.Err() == nil {
-		m.fol.Run(ctx) // returns on ctx cancel or after a successful promotion
+		m.fol.run(ctx) // returns on ctx cancel or after a successful promotion
 		if ctx.Err() != nil || m.State() != StatePrimary {
 			break
 		}
@@ -181,10 +179,11 @@ func (m *Member) Run(ctx context.Context) {
 	m.closePrimary()
 }
 
-// onLeaseExpired is the follower's lease-expiry callback (runs on the
-// follower goroutine, which owns the model — so the handoff from
-// frame-applier to Primary is free of concurrent writers by construction).
-// It returns true when the member is now primary and the follower must stop.
+// onLeaseExpired promotes the member when its follower finds the lease
+// lapsed (it runs on the follower goroutine, which owns the model — so the
+// handoff from frame-applier to Primary is free of concurrent writers by
+// construction). It returns true when the member is now primary and the
+// follower must stop.
 func (m *Member) onLeaseExpired() bool {
 	start := time.Now()
 	m.state.Store(int32(StatePromoting))
@@ -202,12 +201,10 @@ func (m *Member) onLeaseExpired() bool {
 	sealedGen := m.fol.Generation()
 	epoch := promoteEpoch(m.fol.Epoch(), m.lastEpoch.Load())
 	pub, err := NewPublisher(m.cfg.Model, sealedGen, PublisherConfig{
-		Epoch:        epoch,
-		Token:        m.cfg.Token,
-		Heartbeat:    m.cfg.Heartbeat,
-		PeerTimeout:  m.cfg.PeerTimeout,
-		WriteTimeout: m.cfg.WriteTimeout,
-		Logf:         m.cfg.Logf,
+		Epoch:     epoch,
+		Token:     m.cfg.Token,
+		Heartbeat: m.cfg.Heartbeat,
+		Logf:      m.cfg.Logf,
 	})
 	if err != nil {
 		m.abortedPromos.Add(1)
@@ -233,8 +230,11 @@ func (m *Member) onLeaseExpired() bool {
 	// follower that connects is snapshotted onto it.
 	m.cfg.Server.PublishDelta(m.cfg.Model)
 	m.promotionNanos.Store(uint64(time.Since(start)))
-	m.promotions.Add(1)
+	first := m.promotions.Add(1) == 1
 	m.state.Store(int32(StatePrimary))
+	if first {
+		close(m.promoted)
+	}
 	m.cfg.Logf("replica: PROMOTED to primary at epoch %d (sealed generation %d, promotion took %v)",
 		epoch, sealedGen, time.Since(start).Round(time.Millisecond))
 	return true
@@ -262,7 +262,9 @@ func (m *Member) primaryTerm(ctx context.Context) {
 	term, end := context.WithCancel(ctx)
 	defer end()
 	go func() {
-		for !pub.Fenced() && sleepCtx(term, 10*time.Millisecond) {
+		select {
+		case <-pub.fencedCh:
+		case <-term.Done():
 		}
 		end()
 	}()
@@ -275,14 +277,14 @@ func (m *Member) primaryTerm(ctx context.Context) {
 		// frames below it stay rejected while following, and a later
 		// re-promotion seeds strictly above it (the publisher only fences on
 		// a strictly higher epoch, so FencedBy also bounds our own epoch).
-		m.fol.ObserveEpoch(pub.FencedBy())
+		m.fol.observeEpoch(pub.FencedBy())
 		m.closePrimary()
 	}
 }
 
 // closePrimary tears the promoted-side machinery down (idempotent): the
-// publish hook, the publisher and its listener. A demoted member's next
-// Follower.Run registers the follower's hook again.
+// publish hook, the publisher and its listener. A demoted member's follower
+// registers its own hook again when it runs.
 func (m *Member) closePrimary() {
 	m.mu.Lock()
 	pub, ln := m.pub, m.ln
@@ -300,9 +302,6 @@ func (m *Member) closePrimary() {
 
 // State returns the member's current role.
 func (m *Member) State() MemberState { return MemberState(m.state.Load()) }
-
-// Follower returns the member's follower side (always non-nil).
-func (m *Member) Follower() *Follower { return m.fol }
 
 // Publisher returns the member's publisher, nil unless promoted.
 func (m *Member) Publisher() *Publisher {
@@ -331,19 +330,13 @@ func (m *Member) Generation() uint64 {
 // WaitReady blocks until the member serves cluster weights — its follower
 // applied a frame, or it promoted — or ctx expires.
 func (m *Member) WaitReady(ctx context.Context) error {
-	t := time.NewTicker(5 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.fol.ready:
-			return nil
-		case <-t.C:
-			if m.State() == StatePrimary {
-				return nil
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	select {
+	case <-m.fol.ready:
+		return nil
+	case <-m.promoted:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -375,9 +368,7 @@ func (m *Member) Stats() MemberStats {
 		LastPromotionNanos: m.promotionNanos.Load(),
 		Follower:           m.fol.Stats(),
 	}
-	if m.cfg.Rank >= 0 && m.cfg.Lease > 0 {
-		st.LeaseMillis = (m.cfg.Lease * time.Duration(m.cfg.Rank+1)).Milliseconds()
-	}
+	st.LeaseMillis = m.lease().Milliseconds()
 	if pub := m.Publisher(); pub != nil {
 		ps := pub.Stats()
 		st.Publisher = &ps

@@ -95,7 +95,7 @@ func (tm *testMember) stop() {
 func TestFailoverConformance(t *testing.T) {
 	const (
 		hb     = 40 * time.Millisecond
-		peerTO = 200 * time.Millisecond
+		peerTO = 4 * hb // the peer timeout timingFor derives from hb
 		leaseD = 400 * time.Millisecond
 	)
 	samples := labeledSamples(t, 29, 20)
@@ -106,7 +106,7 @@ func TestFailoverConformance(t *testing.T) {
 	srvA := core.NewServer(mA, core.NewBoundedMemoryPool(testPoolBound))
 	srvA.PublishDelta(trA.M)
 	pubA := mustPublisher(t, mA, srvA.Version(), PublisherConfig{
-		Epoch: 1, Heartbeat: hb, PeerTimeout: peerTO, Logf: t.Logf,
+		Epoch: 1, Heartbeat: hb, Logf: t.Logf,
 	})
 	srvA.SetPublishHook(pubA.OnPublish)
 	lnA, err := net.Listen("tcp", "127.0.0.1:0")
@@ -126,21 +126,19 @@ func TestFailoverConformance(t *testing.T) {
 	addrB := lnB.Addr().String()
 	B, srvB, epsB := startMember(t, mA.Cfg, samples, MemberConfig{
 		Peers: []string{addrA}, Rank: 0, Listener: lnB,
-		Lease: leaseD, Heartbeat: hb, PeerTimeout: peerTO,
-		RetryMin: 5 * time.Millisecond, RetryMax: 50 * time.Millisecond,
+		Lease: leaseD, Heartbeat: hb,
 		Logf: t.Logf,
 	})
 	// C never promotes; it walks the ordered peer list [A, B].
 	C, srvC, epsC := startMember(t, mA.Cfg, samples, MemberConfig{
 		Peers: []string{addrA, addrB}, Rank: -1,
-		Heartbeat: hb, PeerTimeout: peerTO,
-		RetryMin: 5 * time.Millisecond, RetryMax: 50 * time.Millisecond,
-		Logf: t.Logf,
+		Heartbeat: hb,
+		Logf:      t.Logf,
 	})
 	for _, m := range []*Member{B.member, C.member} {
 		m := m
 		waitFor(t, 15*time.Second, "member bootstrap", func() bool {
-			return m.Follower().Generation() == srvA.Version()
+			return m.fol.Generation() == srvA.Version()
 		})
 	}
 
@@ -225,14 +223,14 @@ func TestFailoverConformance(t *testing.T) {
 
 	// C must find B through the peer list and adopt epoch 2.
 	waitFor(t, 30*time.Second, "C adopts epoch 2", func() bool {
-		return C.member.Follower().Epoch() == 2
+		return C.member.fol.Epoch() == 2
 	})
 
 	// The zombie: A comes back on its old address still claiming epoch 1.
 	// Its frames must be rejected by any follower that lands on it, and the
 	// FrameFenced reply must fence the zombie itself.
 	zombie := mustPublisher(t, mA, srvA.Version(), PublisherConfig{
-		Epoch: 1, Heartbeat: hb, PeerTimeout: peerTO, Logf: t.Logf,
+		Epoch: 1, Heartbeat: hb, Logf: t.Logf,
 	})
 	lnZ, err := net.Listen("tcp", addrA)
 	if err != nil {
@@ -244,9 +242,9 @@ func TestFailoverConformance(t *testing.T) {
 	// Kick C off the new primary until its peer-list walk lands on the
 	// zombie (two peers: at most a couple of kicks).
 	fencedDeadline := time.Now().Add(20 * time.Second)
-	for !(zombie.Fenced() && C.member.Follower().Stats().FencedRejected >= 1) {
+	for !(zombie.Fenced() && C.member.fol.Stats().FencedRejected >= 1) {
 		if time.Now().After(fencedDeadline) {
-			t.Fatalf("zombie never fenced: zombie %+v, C follower %+v", zombie.Stats(), C.member.Follower().Stats())
+			t.Fatalf("zombie never fenced: zombie %+v, C follower %+v", zombie.Stats(), C.member.fol.Stats())
 		}
 		if bp := B.member.Publisher(); bp != nil {
 			bp.DisconnectAll()
@@ -262,8 +260,8 @@ func TestFailoverConformance(t *testing.T) {
 	fault.Disable()
 	headB := B.member.Generation()
 	waitFor(t, 30*time.Second, "C re-converges on promoted primary", func() bool {
-		st := C.member.Follower().Stats()
-		return st.Connected && st.Epoch == 2 && C.member.Follower().Generation() >= headB
+		st := C.member.fol.Stats()
+		return st.Connected && st.Epoch == 2 && C.member.fol.Generation() >= headB
 	})
 	// Dwell on the now-clean wire: under -race on one core, C can spend the
 	// whole chaos phase behind B and only touch the head generation at the
@@ -271,9 +269,9 @@ func TestFailoverConformance(t *testing.T) {
 	// observe a shared epoch-2 generation. Requiring a run of cleanly applied
 	// epoch-2 deltas (plus a little slack) guarantees the cross-process check
 	// below has epoch-2 groups to bite on.
-	d0 := C.member.Follower().Stats().DeltasApplied
+	d0 := C.member.fol.Stats().DeltasApplied
 	waitFor(t, 30*time.Second, "epoch-2 delta stream at C", func() bool {
-		return C.member.Follower().Stats().DeltasApplied >= d0+25
+		return C.member.fol.Stats().DeltasApplied >= d0+25
 	})
 	time.Sleep(250 * time.Millisecond)
 	close(stop)
@@ -331,12 +329,12 @@ func TestFailoverConformance(t *testing.T) {
 	if bp := B.member.Publisher(); bp != nil {
 		injected += bp.Stats().CorruptInjected
 	}
-	rejected := B.member.Follower().Stats().CorruptRejected + C.member.Follower().Stats().CorruptRejected
+	rejected := B.member.fol.Stats().CorruptRejected + C.member.fol.Stats().CorruptRejected
 	if injected == 0 || rejected == 0 {
 		t.Fatalf("chaos was a no-op: %d corrupt injected, %d rejected", injected, rejected)
 	}
 	t.Logf("chaos: %d corrupt injected, %d rejected; C fenced the zombie %d times",
-		injected, rejected, C.member.Follower().Stats().FencedRejected)
+		injected, rejected, C.member.fol.Stats().FencedRejected)
 }
 
 // TestPromoteEpoch pins the promotion epoch seeding rule: strictly above the
@@ -374,7 +372,6 @@ func TestBootPromotionClearsBootEpoch(t *testing.T) {
 	B, _, _ := startMember(t, core.TestConfig(), samples, MemberConfig{
 		Peers: []string{"127.0.0.1:1"}, Rank: 0, Listener: ln,
 		Lease: 150 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
-		RetryMin: 5 * time.Millisecond, RetryMax: 20 * time.Millisecond,
 		Logf: t.Logf,
 	})
 	waitFor(t, 15*time.Second, "boot promotion", func() bool {
@@ -432,7 +429,6 @@ func TestMemberWithNonFiniteWeightsStaysFollower(t *testing.T) {
 		Peers: []string{"127.0.0.1:1"}, Rank: 0, Listener: ln,
 		Server: srv, Model: model,
 		Lease: 150 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
-		RetryMin: 5 * time.Millisecond, RetryMax: 20 * time.Millisecond,
 		Logf: func(format string, args ...any) {
 			line := fmt.Sprintf(format, args...)
 			t.Log(line)
@@ -511,9 +507,7 @@ func TestPromotedMemberRunsPrimaryUntilFenced(t *testing.T) {
 	B := NewMember(MemberConfig{
 		Peers: []string{addrA}, Rank: 0, Listener: lnB,
 		Server: srv, Model: model,
-		Lease: 150 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
-		PeerTimeout: 100 * time.Millisecond,
-		RetryMin:    5 * time.Millisecond, RetryMax: 20 * time.Millisecond,
+		Lease: 150 * time.Millisecond, Heartbeat: 25 * time.Millisecond,
 		Logf: t.Logf,
 		Primary: func(ctx context.Context) {
 			select {
@@ -582,14 +576,15 @@ func TestPromotedMemberRunsPrimaryUntilFenced(t *testing.T) {
 		t.Fatalf("member applied frames while its Primary was still running: server v%d -> v%d", tm.atEnd, tm.atReturn)
 	}
 	waitFor(t, 15*time.Second, "the demoted member follows the epoch-5 primary", func() bool {
-		return B.Stats().Demotions == 1 && B.Follower().Epoch() == 5 && srv.Version() > tm.atReturn
+		return B.Stats().Demotions == 1 && B.fol.Epoch() == 5 && srv.Version() > tm.atReturn
 	})
 }
 
 // TestLeaseBoundsFailoverUnderWedgedPeer wedges the only peer (accepts, then
-// total silence) with an hour-long PeerTimeout and DialTimeout: the member's
-// read deadline must be capped by the remaining lease, so the lapse is still
-// detected and promotion happens on the lease bound — not lease + PeerTimeout.
+// total silence) under an hour-long heartbeat, so the derived peer, write and
+// dial timeouts are hours long: the member's read deadline must be capped by
+// the remaining lease, so the lapse is still detected and promotion happens
+// on the lease bound — not lease + peer timeout.
 func TestLeaseBoundsFailoverUnderWedgedPeer(t *testing.T) {
 	samples := labeledSamples(t, 47, 6)
 	wedged, err := net.Listen("tcp", "127.0.0.1:0")
@@ -626,12 +621,10 @@ func TestLeaseBoundsFailoverUnderWedgedPeer(t *testing.T) {
 	start := time.Now()
 	B, _, _ := startMember(t, core.TestConfig(), samples, MemberConfig{
 		Peers: []string{wedged.Addr().String()}, Rank: 0, Listener: lnB,
-		Lease: leaseD, Heartbeat: 50 * time.Millisecond,
-		PeerTimeout: time.Hour, DialTimeout: time.Hour, WriteTimeout: time.Hour,
-		RetryMin: 5 * time.Millisecond, RetryMax: 20 * time.Millisecond,
+		Lease: leaseD, Heartbeat: time.Hour,
 		Logf: t.Logf,
 	})
-	// Generous CI bound — but hours below PeerTimeout, which is the point:
+	// Generous CI bound — but hours below the peer timeout, which is the point:
 	// only the lease cap on the read deadline lets the lapse be seen at all.
 	waitFor(t, 30*time.Second, "promotion past the wedged peer", func() bool {
 		return B.member.State() == StatePrimary
@@ -707,9 +700,7 @@ func TestDemotedMemberNeverReusesConsumedEpochs(t *testing.T) {
 	B, _, _ := startMember(t, core.TestConfig(), samples, MemberConfig{
 		Peers: []string{"127.0.0.1:1"}, Rank: 0,
 		Listener: lnB, Listen: lnB.Addr().String(), // re-promotion rebinds the same port
-		Lease: 150 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
-		PeerTimeout: 100 * time.Millisecond,
-		RetryMin:    5 * time.Millisecond, RetryMax: 20 * time.Millisecond,
+		Lease: 150 * time.Millisecond, Heartbeat: 25 * time.Millisecond,
 		Logf: t.Logf,
 	})
 	waitFor(t, 15*time.Second, "boot promotion", func() bool {
@@ -761,9 +752,7 @@ func TestDemotedMemberSnapshotKeepsCoordinates(t *testing.T) {
 	B, srvB, epsB := startMember(t, core.TestConfig(), samples, MemberConfig{
 		Peers: []string{"127.0.0.1:1"}, Rank: 0,
 		Listener: lnB, Listen: lnB.Addr().String(),
-		Lease: 150 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
-		PeerTimeout: 100 * time.Millisecond,
-		RetryMin:    5 * time.Millisecond, RetryMax: 20 * time.Millisecond,
+		Lease: 150 * time.Millisecond, Heartbeat: 25 * time.Millisecond,
 		Logf: t.Logf,
 	})
 	waitFor(t, 15*time.Second, "boot promotion", func() bool {
@@ -819,7 +808,7 @@ func TestTokenlessPrimaryAcceptsAnyFollower(t *testing.T) {
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewBoundedMemoryPool(testPoolBound))
 	srv.PublishDelta(tr.M)
-	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Logf: t.Logf}) // no token
+	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Heartbeat: testHeartbeat, Logf: t.Logf}) // no token
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -830,11 +819,11 @@ func TestTokenlessPrimaryAcceptsAnyFollower(t *testing.T) {
 
 	for _, token := range []string{"", "sekrit"} {
 		model := core.New(m.Cfg, testEnc)
-		f := NewFollower(FollowerConfig{
-			Peers: []string{ln.Addr().String()}, Token: token,
+		f := NewMember(MemberConfig{
+			Peers: []string{ln.Addr().String()}, Rank: -1, Token: token,
 			Server: core.NewServer(model, core.NewBoundedMemoryPool(testPoolBound)), Model: model,
-			RetryMin: 5 * time.Millisecond, RetryMax: 25 * time.Millisecond,
-			Logf: t.Logf,
+			Heartbeat: testHeartbeat,
+			Logf:      t.Logf,
 		})
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan struct{})
@@ -863,7 +852,7 @@ type obsEG struct {
 }
 
 // TestBackoffDelay pins the reconnect backoff budget: exponential doubling
-// from RetryMin, clamped to RetryMax, jitter of at most half the base, never
+// from the minimum, clamped to the maximum, jitter of at most half the base, never
 // past the cap — the min/max possible sleep for every attempt is table-pinned.
 func TestBackoffDelay(t *testing.T) {
 	const (
@@ -903,6 +892,32 @@ func TestBackoffDelay(t *testing.T) {
 	}
 }
 
+// TestTimingDerivesFromHeartbeat pins every replication timeout to the
+// heartbeat. At costestd's 500 ms default the derivation must give the
+// daemon's timing: 5 s dial, 2 s peer and write timeouts, a 100 ms → 2 s
+// reconnect backoff, eviction after 3 stalls.
+func TestTimingDerivesFromHeartbeat(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		heartbeat time.Duration
+		want      timing
+	}{
+		{500 * ms, timing{heartbeat: 500 * ms, peerTimeout: 2 * time.Second, writeTimeout: 2 * time.Second,
+			dial: 5 * time.Second, retryMin: 100 * ms, retryMax: 2 * time.Second, evictAfter: 3}},
+		{0, timing{heartbeat: 500 * ms, peerTimeout: 2 * time.Second, writeTimeout: 2 * time.Second,
+			dial: 5 * time.Second, retryMin: 100 * ms, retryMax: 2 * time.Second, evictAfter: 3}},
+		{25 * ms, timing{heartbeat: 25 * ms, peerTimeout: 100 * ms, writeTimeout: 100 * ms,
+			dial: 250 * ms, retryMin: 5 * ms, retryMax: 100 * ms, evictAfter: 3}},
+	} {
+		if got := timingFor(tc.heartbeat); got != tc.want {
+			t.Errorf("timingFor(%v) = %+v, want %+v", tc.heartbeat, got, tc.want)
+		}
+	}
+	if DefaultHeartbeat != 500*ms {
+		t.Errorf("DefaultHeartbeat = %v, want costestd's 500ms", DefaultHeartbeat)
+	}
+}
+
 // TestReplicationTokenAuth proves the pre-shared token gate: a follower with
 // the wrong token is rejected at the handshake (before any payload field is
 // parsed — the rejection counts as an auth reject, not a schema mismatch)
@@ -913,7 +928,7 @@ func TestReplicationTokenAuth(t *testing.T) {
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewBoundedMemoryPool(testPoolBound))
 	srv.PublishDelta(tr.M)
-	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Token: "hunter2", Logf: t.Logf})
+	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Token: "hunter2", Heartbeat: testHeartbeat, Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -923,21 +938,21 @@ func TestReplicationTokenAuth(t *testing.T) {
 	t.Cleanup(pub.Close)
 	addr := ln.Addr().String()
 
-	runFollower := func(token string) (*Follower, context.CancelFunc, chan struct{}) {
+	runFollower := func(token string) (*follower, context.CancelFunc, chan struct{}) {
 		model := core.New(m.Cfg, testEnc)
-		f := NewFollower(FollowerConfig{
-			Peers: []string{addr}, Token: token,
+		mem := NewMember(MemberConfig{
+			Peers: []string{addr}, Rank: -1, Token: token,
 			Server: core.NewServer(model, core.NewBoundedMemoryPool(testPoolBound)), Model: model,
-			RetryMin: 5 * time.Millisecond, RetryMax: 25 * time.Millisecond,
-			Logf: t.Logf,
+			Heartbeat: testHeartbeat,
+			Logf:      t.Logf,
 		})
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			f.Run(ctx)
+			mem.Run(ctx)
 		}()
-		return f, cancel, done
+		return mem.fol, cancel, done
 	}
 
 	bad, badCancel, badDone := runFollower("wrong")
@@ -965,7 +980,7 @@ func TestReplicationTokenAuth(t *testing.T) {
 }
 
 // TestHeartbeatKeepsIdleConnectionAlive proves the liveness layer: with no
-// publications at all for many PeerTimeout windows, bidirectional heartbeats
+// publications at all for many peer-timeout windows, bidirectional heartbeats
 // keep the connection fed (no deadline trips, no reconnects) and the
 // connection still works when publication resumes.
 func TestHeartbeatKeepsIdleConnectionAlive(t *testing.T) {
@@ -975,7 +990,7 @@ func TestHeartbeatKeepsIdleConnectionAlive(t *testing.T) {
 	srv := core.NewServer(m, core.NewBoundedMemoryPool(testPoolBound))
 	srv.PublishDelta(tr.M)
 	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{
-		Heartbeat: 20 * time.Millisecond, PeerTimeout: 100 * time.Millisecond, Logf: t.Logf,
+		Heartbeat: 25 * time.Millisecond, Logf: t.Logf,
 	})
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -986,18 +1001,18 @@ func TestHeartbeatKeepsIdleConnectionAlive(t *testing.T) {
 	t.Cleanup(pub.Close)
 
 	model := core.New(m.Cfg, testEnc)
-	f := NewFollower(FollowerConfig{
-		Peers:  []string{ln.Addr().String()},
+	mem := NewMember(MemberConfig{
+		Peers: []string{ln.Addr().String()}, Rank: -1,
 		Server: core.NewServer(model, core.NewBoundedMemoryPool(testPoolBound)), Model: model,
-		Heartbeat: 20 * time.Millisecond, PeerTimeout: 100 * time.Millisecond,
-		RetryMin: 5 * time.Millisecond, RetryMax: 25 * time.Millisecond,
-		Logf: t.Logf,
+		Heartbeat: 25 * time.Millisecond,
+		Logf:      t.Logf,
 	})
+	f := mem.fol
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		f.Run(ctx)
+		mem.Run(ctx)
 	}()
 	defer func() {
 		cancel()
@@ -1005,7 +1020,7 @@ func TestHeartbeatKeepsIdleConnectionAlive(t *testing.T) {
 	}()
 	waitFor(t, 10*time.Second, "bootstrap", func() bool { return f.Generation() == srv.Version() })
 
-	time.Sleep(500 * time.Millisecond) // five PeerTimeout windows of publication silence
+	time.Sleep(500 * time.Millisecond) // five peer-timeout windows of publication silence
 	st := f.Stats()
 	if !st.Connected || st.Reconnects != 0 {
 		t.Fatalf("idle connection did not survive: %+v", st)
@@ -1033,7 +1048,7 @@ func TestSlowFollowerEviction(t *testing.T) {
 	m, tr := trainedModel(t, primEps, 1)
 	srv := core.NewServer(m, core.NewBoundedMemoryPool(testPoolBound))
 	srv.PublishDelta(tr.M)
-	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{EvictAfter: 2, Logf: t.Logf})
+	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Heartbeat: testHeartbeat, Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -1076,7 +1091,7 @@ func TestSlowFollowerEviction(t *testing.T) {
 	}
 }
 
-// TestStatsUnderChurn hammers Follower.Stats and Publisher.Stats (including
+// TestStatsUnderChurn hammers the follower's and the publisher's Stats (including
 // the per-connection counters) from a dedicated reader while publications,
 // forced disconnects and reconnects churn underneath. Cumulative counters
 // must be monotone across consecutive snapshots and -race must see no torn

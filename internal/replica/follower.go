@@ -15,68 +15,18 @@ import (
 	"costest/internal/nn"
 )
 
-// FollowerConfig configures a replica-side Follower.
-type FollowerConfig struct {
-	// Peers is the ordered list of replication listeners the follower dials
-	// through: the primary first, then promotion-ranked successors. On any
-	// connection loss or fencing the follower advances to the next peer
-	// with jittered backoff, cycling until one answers with a live epoch.
-	Peers []string
-	// Token is the pre-shared replication auth token sent in the hello.
-	Token string
-	// Server is the local serving runtime frames publish into.
-	Server *core.Server
-	// Model is the local mirror model the Server serves from; replication
-	// frames write its parameters. Nothing else may mutate it while the
-	// follower runs.
-	Model *core.Model
-	// DialTimeout bounds one connection attempt (default 5s).
-	DialTimeout time.Duration
-	// RetryMin/RetryMax bound the reconnect backoff (default 100ms / 2s).
-	// Each consecutive failed attempt doubles the base from RetryMin,
-	// clamped to RetryMax, plus jitter of at most half the base (see
-	// backoffDelay); a session that applies a frame resets the budget.
-	RetryMin time.Duration
-	RetryMax time.Duration
-	// Heartbeat is the interval between follower→primary liveness frames
-	// (default 2s). They keep the primary's read deadline fed.
-	Heartbeat time.Duration
-	// PeerTimeout bounds silence from the primary: each read arms a
-	// deadline of this length, and primary heartbeats keep it fed. A dead
-	// or wedged primary is detected within this bound instead of blocking
-	// forever. Default 4 × Heartbeat.
-	PeerTimeout time.Duration
-	// WriteTimeout bounds every control-frame write (default PeerTimeout).
-	WriteTimeout time.Duration
-	// Lease is the primary liveness lease: every valid frame from a
-	// current-epoch primary renews it, and when it lapses (no primary
-	// reachable anywhere in Peers for this long) OnLeaseExpired fires.
-	// Dial timeouts, read deadlines and reconnect sleeps are capped by the
-	// remaining lease (see leaseBound), so the lapse is detected within the
-	// lease bound even against a black-holed or wedged peer. Zero disables
-	// lease tracking.
-	Lease time.Duration
-	// OnLeaseExpired is called (from the Run goroutine, between sessions)
-	// when the lease lapses. Returning true stops Run — the callback has
-	// promoted this replica and the follower's job is done. Nil means this
-	// replica never promotes.
-	OnLeaseExpired func() bool
-	// Logf receives connection lifecycle events; nil discards them.
-	Logf func(format string, args ...any)
-}
-
-// Follower is the replica side of replication: it dials through the peer
-// list, applies snapshot and delta frames into its local model, republishes
-// each applied generation through Server.PublishDelta (so local serving
-// hot-swaps exactly like the primary's), labels the snapshot with the
-// frame's (epoch, generation), and acknowledges it. Corrupt frames
-// are rejected by checksum and never applied; generation gaps — missed
-// frames, reconnects — trigger a full-snapshot resync; frames from a stale
-// primary epoch are rejected outright and answered with FrameFenced, so a
-// deposed primary can never diverge this replica. Run owns the model: no
+// follower is a Member's replica half: it dials through the member's peer
+// list, applies snapshot and delta frames into the member's model,
+// republishes each applied generation through Server.PublishDelta (so local
+// serving hot-swaps exactly like the primary's), labels the snapshot with
+// the frame's (epoch, generation), and acknowledges it. Corrupt frames are
+// rejected by checksum and never applied; generation gaps — missed frames,
+// reconnects — trigger a full-snapshot resync; frames from a stale primary
+// epoch are rejected outright and answered with FrameFenced, so a deposed
+// primary can never diverge this replica. Its run goroutine owns the model: no
 // other writer may touch it.
-type Follower struct {
-	cfg    FollowerConfig
+type follower struct {
+	m      *Member // config, timing and lease; promotes on lease expiry
 	schema uint64
 
 	// touched is session-goroutine scratch: frame-apply is allocation-free
@@ -87,7 +37,7 @@ type Follower struct {
 	outBuf  []byte
 	// applyEpoch and applyGen are the coordinates of the frame applyFrame
 	// is publishing, which the label hook returns. Written and read on the
-	// Run goroutine only: the Server calls the hook on the publishing
+	// run goroutine only: the Server calls the hook on the publishing
 	// goroutine.
 	applyEpoch, applyGen uint64
 
@@ -112,40 +62,11 @@ type Follower struct {
 	lastApplyNanos atomic.Uint64
 }
 
-// NewFollower builds a follower; call Run to start it. Server and Model
-// must be non-nil and the model must be the one the server serves from.
-func NewFollower(cfg FollowerConfig) *Follower {
-	if cfg.Server == nil || cfg.Model == nil {
-		panic("replica: FollowerConfig needs Server and Model")
-	}
-	if len(cfg.Peers) == 0 {
-		panic("replica: FollowerConfig needs Peers")
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.RetryMin <= 0 {
-		cfg.RetryMin = 100 * time.Millisecond
-	}
-	if cfg.RetryMax < cfg.RetryMin {
-		cfg.RetryMax = 2 * time.Second
-	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = 2 * time.Second
-	}
-	if cfg.PeerTimeout <= 0 {
-		cfg.PeerTimeout = 4 * cfg.Heartbeat
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = cfg.PeerTimeout
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	return &Follower{
-		cfg:     cfg,
-		schema:  core.SchemaHash(cfg.Model),
-		touched: make([]*nn.Param, 0, len(cfg.Model.PS.Params())),
+func newFollower(m *Member) *follower {
+	return &follower{
+		m:       m,
+		schema:  core.SchemaHash(m.cfg.Model),
+		touched: make([]*nn.Param, 0, len(m.cfg.Model.PS.Params())),
 		ready:   make(chan struct{}),
 	}
 }
@@ -175,27 +96,27 @@ func backoffDelay(attempt int, minD, maxD time.Duration, jit float64) time.Durat
 	return d
 }
 
-// Run dials through the peer list and replicates until ctx is canceled,
+// run dials through the peer list and replicates until ctx is canceled,
 // advancing to the next peer with budgeted jittered backoff on any
 // connection loss or fencing. Between sessions it checks the primary lease;
-// on expiry OnLeaseExpired may promote this replica and end Run. It is the
+// on expiry the member may promote and end run. It is the
 // follower's only model-writing goroutine, and it labels the Server's
-// publications: Run registers the follower as the Server's publish hook, so
+// publications: run registers the follower as the Server's publish hook, so
 // every snapshot a frame publishes carries that frame's (epoch, generation).
-// Run leaves the hook in place when it returns — a promotion has already
+// run leaves the hook in place when it returns — a promotion has already
 // replaced it with the new publisher's.
-func (f *Follower) Run(ctx context.Context) {
-	f.cfg.Server.SetPublishHook(f.label)
+func (f *follower) run(ctx context.Context) {
+	f.m.cfg.Server.SetPublishHook(f.label)
 	f.lastRenew.Store(time.Now().UnixNano())
 	attempt := 0
 	peer := 0
 	for ctx.Err() == nil {
-		addr := f.cfg.Peers[peer%len(f.cfg.Peers)]
-		d := net.Dialer{Timeout: f.leaseBound(f.cfg.DialTimeout)}
+		addr := f.m.cfg.Peers[peer%len(f.m.cfg.Peers)]
+		d := net.Dialer{Timeout: f.leaseBound(f.m.tm.dial)}
 		nc, err := d.DialContext(ctx, "tcp", addr)
 		if err != nil {
-			delay := backoffDelay(attempt, f.cfg.RetryMin, f.cfg.RetryMax, rand.Float64())
-			f.cfg.Logf("replica: dial %s: %v (next peer in %v)", addr, err, delay)
+			delay := backoffDelay(attempt, f.m.tm.retryMin, f.m.tm.retryMax, rand.Float64())
+			f.m.cfg.Logf("replica: dial %s: %v (next peer in %v)", addr, err, delay)
 			if f.checkLease() {
 				return
 			}
@@ -221,31 +142,32 @@ func (f *Follower) Run(ctx context.Context) {
 			attempt++
 		}
 		peer++
-		if !sleepCtx(ctx, f.leaseBound(backoffDelay(attempt, f.cfg.RetryMin, f.cfg.RetryMax, rand.Float64()))) {
+		if !sleepCtx(ctx, f.leaseBound(backoffDelay(attempt, f.m.tm.retryMin, f.m.tm.retryMax, rand.Float64()))) {
 			return
 		}
 	}
 }
 
-// checkLease reports whether the primary lease has lapsed AND the expiry
-// callback promoted this replica (Run must stop). Renewal bookkeeping is
-// fault-gated at fault.SiteReplicaLeaseRenew, so chaos tests can starve the lease.
-func (f *Follower) checkLease() bool {
-	if f.cfg.Lease <= 0 || f.cfg.OnLeaseExpired == nil {
+// checkLease reports whether the primary lease has lapsed AND the member
+// promoted (run must stop). Renewal bookkeeping is fault-gated at
+// fault.SiteReplicaLeaseRenew, so chaos tests can starve the lease.
+func (f *follower) checkLease() bool {
+	lease := f.m.lease()
+	if lease <= 0 {
 		return false
 	}
 	last := time.Unix(0, f.lastRenew.Load())
-	if time.Since(last) < f.cfg.Lease {
+	if time.Since(last) < lease {
 		return false
 	}
-	f.cfg.Logf("replica: primary lease lapsed (last renewal %v ago, lease %v)", time.Since(last).Round(time.Millisecond), f.cfg.Lease)
-	return f.cfg.OnLeaseExpired()
+	f.m.cfg.Logf("replica: primary lease lapsed (last renewal %v ago, lease %v)", time.Since(last).Round(time.Millisecond), lease)
+	return f.m.onLeaseExpired()
 }
 
 // renewLease stamps the primary as live now. Gated by the fault.SiteReplicaLeaseRenew
 // fault site: an injected error suppresses the renewal, so the lease ages
 // as if the primary had gone silent.
-func (f *Follower) renewLease() {
+func (f *follower) renewLease() {
 	if fault.Point(fault.SiteReplicaLeaseRenew) != nil {
 		return
 	}
@@ -255,14 +177,15 @@ func (f *Follower) renewLease() {
 // leaseBound caps a dial timeout, read deadline or backoff sleep by the
 // remaining primary lease, so a black-holed dial or wedged connection can
 // never push the next lease-lapse check past the lease itself — failover
-// latency tracks the configured lease, not lease + DialTimeout/PeerTimeout.
+// latency tracks the configured lease, not lease + dial or peer timeout.
 // A healthy stream is unaffected: frames keep the remaining lease pinned
-// near its full length. Not lease-tracking members get d unchanged.
-func (f *Follower) leaseBound(d time.Duration) time.Duration {
-	if f.cfg.Lease <= 0 || f.cfg.OnLeaseExpired == nil {
+// near its full length. Members that never promote get d unchanged.
+func (f *follower) leaseBound(d time.Duration) time.Duration {
+	lease := f.m.lease()
+	if lease <= 0 {
 		return d
 	}
-	rem := f.cfg.Lease - time.Since(time.Unix(0, f.lastRenew.Load()))
+	rem := lease - time.Since(time.Unix(0, f.lastRenew.Load()))
 	// Floor keeps an already-lapsed lease from spinning the dial loop hot
 	// while promotion attempts are aborted (fault injection, bind failure).
 	const floor = 5 * time.Millisecond
@@ -275,11 +198,11 @@ func (f *Follower) leaseBound(d time.Duration) time.Duration {
 	return d
 }
 
-// ObserveEpoch raises the follower's highest-seen epoch to at least e. A
+// observeEpoch raises the follower's highest-seen epoch to at least e. A
 // demoting Member folds the epoch that fenced it back in before rejoining,
 // so stale frames below it stay rejected and a later re-promotion seeds
 // strictly above every epoch already consumed.
-func (f *Follower) ObserveEpoch(e uint64) {
+func (f *follower) observeEpoch(e uint64) {
 	for {
 		cur := f.epoch.Load()
 		if e <= cur || f.epoch.CompareAndSwap(cur, e) {
@@ -293,7 +216,7 @@ func (f *Follower) ObserveEpoch(e uint64) {
 // frames until the stream breaks, a deadline lapses, or a stale-epoch frame
 // fences the peer. It reports whether at least one frame was applied (used
 // to reset the reconnect backoff budget).
-func (f *Follower) session(ctx context.Context, nc net.Conn, addr string) (applied bool) {
+func (f *follower) session(ctx context.Context, nc net.Conn, addr string) (applied bool) {
 	defer nc.Close()
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
@@ -301,15 +224,15 @@ func (f *Follower) session(ctx context.Context, nc net.Conn, addr string) (appli
 	stop := context.AfterFunc(ctx, func() { nc.Close() })
 	defer stop()
 
-	hello := make([]byte, 8, 8+len(f.cfg.Token))
+	hello := make([]byte, 8, 8+len(f.m.cfg.Token))
 	binary.LittleEndian.PutUint64(hello, f.schema)
-	hello = append(hello, f.cfg.Token...)
+	hello = append(hello, f.m.cfg.Token...)
 	if !f.send(nc, FrameHello, f.gen.Load(), hello) {
-		f.cfg.Logf("replica: hello to %s: write failed", addr)
+		f.m.cfg.Logf("replica: hello to %s: write failed", addr)
 		return false
 	}
 	f.connected.Store(true)
-	f.cfg.Logf("replica: connected to primary %s at generation %d (epoch %d)", addr, f.gen.Load(), f.epoch.Load())
+	f.m.cfg.Logf("replica: connected to primary %s at generation %d (epoch %d)", addr, f.gen.Load(), f.epoch.Load())
 
 	// Heartbeats keep the primary's read deadline fed between acks. The
 	// goroutine dies with the session: closing hbStop (deferred) or the
@@ -319,7 +242,7 @@ func (f *Follower) session(ctx context.Context, nc net.Conn, addr string) (appli
 	hbWg.Add(1)
 	go func() {
 		defer hbWg.Done()
-		t := time.NewTicker(f.cfg.Heartbeat)
+		t := time.NewTicker(f.m.tm.heartbeat)
 		defer t.Stop()
 		for {
 			select {
@@ -345,17 +268,17 @@ func (f *Follower) session(ctx context.Context, nc net.Conn, addr string) (appli
 	fr := NewFrameReader(bufio.NewReaderSize(nc, 64<<10))
 	for {
 		if err := fault.Point(fault.SiteReplicaRecv); err != nil {
-			f.cfg.Logf("replica: injected receive fault: %v", err)
+			f.m.cfg.Logf("replica: injected receive fault: %v", err)
 			return applied
 		}
-		nc.SetReadDeadline(time.Now().Add(f.leaseBound(f.cfg.PeerTimeout)))
+		nc.SetReadDeadline(time.Now().Add(f.leaseBound(f.m.tm.peerTimeout)))
 		fm, err := fr.Read()
 		if err == ErrChecksum {
 			// The frame was consumed whole; its bytes are untrusted and are
 			// dropped without touching the model. Whatever generation it
 			// carried is lost, so ask for a snapshot.
 			f.corrupt.Add(1)
-			f.cfg.Logf("replica: corrupt frame rejected, requesting resync at generation %d", f.gen.Load())
+			f.m.cfg.Logf("replica: corrupt frame rejected, requesting resync at generation %d", f.gen.Load())
 			if !f.send(nc, FrameResync, f.gen.Load(), nil) {
 				return applied
 			}
@@ -363,7 +286,7 @@ func (f *Follower) session(ctx context.Context, nc net.Conn, addr string) (appli
 		}
 		if err != nil {
 			if ctx.Err() == nil {
-				f.cfg.Logf("replica: stream from %s broke: %v", addr, err)
+				f.m.cfg.Logf("replica: stream from %s broke: %v", addr, err)
 			}
 			return applied
 		}
@@ -372,12 +295,12 @@ func (f *Follower) session(ctx context.Context, nc net.Conn, addr string) (appli
 			// apply a byte of it — tell it the cluster has moved on and
 			// walk away to the next peer.
 			f.fencedFrames.Add(1)
-			f.cfg.Logf("replica: fencing %s — %s frame from stale epoch %d (cluster is at %d)", addr, fm.Type, fm.Epoch, ep)
+			f.m.cfg.Logf("replica: fencing %s — %s frame from stale epoch %d (cluster is at %d)", addr, fm.Type, fm.Epoch, ep)
 			f.send(nc, FrameFenced, f.gen.Load(), nil)
 			return applied
 		} else if fm.Epoch > ep {
 			f.epoch.Store(fm.Epoch)
-			f.cfg.Logf("replica: adopting primary epoch %d (was %d)", fm.Epoch, ep)
+			f.m.cfg.Logf("replica: adopting primary epoch %d (was %d)", fm.Epoch, ep)
 		}
 		switch fm.Type {
 		case FrameHeartbeat:
@@ -403,7 +326,7 @@ func (f *Follower) session(ctx context.Context, nc net.Conn, addr string) (appli
 				// rejected as corrupt). Applying it would silently diverge —
 				// skip it and catch up by snapshot.
 				f.gaps.Add(1)
-				f.cfg.Logf("replica: generation gap (have %d, delta builds on %d), requesting resync", f.gen.Load(), fm.Prev)
+				f.m.cfg.Logf("replica: generation gap (have %d, delta builds on %d), requesting resync", f.gen.Load(), fm.Prev)
 				if !f.send(nc, FrameResync, f.gen.Load(), nil) {
 					return applied
 				}
@@ -419,23 +342,23 @@ func (f *Follower) session(ctx context.Context, nc net.Conn, addr string) (appli
 
 // applyFrame is the warm apply core: decode the payload into the local
 // model and republish it through the local Server, labeled with the frame's
-// (epoch, generation) by the label hook Run registered.
+// (epoch, generation) by the label hook run registered.
 // This is the follower half of the apply→PublishDelta round trip whose
 // steady state the AllocsPerRun conformance test pins at zero; the ready
 // signalling and ack I/O live in applyAndAck so this body stays
 // allocation-free.
 //
 // costlint:noalloc
-func (f *Follower) applyFrame(fm Frame, full bool) error {
+func (f *follower) applyFrame(fm Frame, full bool) error {
 	start := time.Now()
-	touched, err := core.ApplyModelPayload(f.cfg.Model, fm.Payload, full, f.touched)
+	touched, err := core.ApplyModelPayload(f.m.cfg.Model, fm.Payload, full, f.touched)
 	f.touched = touched
 	if err != nil {
 		return err
 	}
-	f.cfg.Model.PS.MarkParamsUpdated(touched)
+	f.m.cfg.Model.PS.MarkParamsUpdated(touched)
 	f.applyEpoch, f.applyGen = fm.Epoch, fm.Gen
-	f.cfg.Server.PublishDelta(f.cfg.Model)
+	f.m.cfg.Server.PublishDelta(f.m.cfg.Model)
 	f.gen.Store(fm.Gen)
 	f.lastApplyNanos.Store(uint64(time.Since(start)))
 	if full {
@@ -452,9 +375,9 @@ func (f *Follower) applyFrame(fm Frame, full bool) error {
 // weights — is never applied: the session drops and the reconnect handshake
 // resyncs from a snapshot, under the reconnect backoff, so a primary that
 // keeps sending the same bad payload cannot spin the follower.
-func (f *Follower) applyAndAck(nc net.Conn, fm Frame, full bool) bool {
+func (f *follower) applyAndAck(nc net.Conn, fm Frame, full bool) bool {
 	if err := f.applyFrame(fm, full); err != nil {
-		f.cfg.Logf("replica: %s frame for generation %d failed to apply: %v", fm.Type, fm.Gen, err)
+		f.m.cfg.Logf("replica: %s frame for generation %d failed to apply: %v", fm.Type, fm.Gen, err)
 		return false
 	}
 	f.readyOnce.Do(func() { close(f.ready) })
@@ -469,10 +392,10 @@ func (f *Follower) applyAndAck(nc net.Conn, fm Frame, full bool) bool {
 // fenced), stamped with the highest epoch seen. writeMu serializes the
 // session loop and the heartbeat goroutine over the shared scratch buffer
 // and the socket.
-func (f *Follower) send(nc net.Conn, t FrameType, gen uint64, payload []byte) bool {
+func (f *follower) send(nc net.Conn, t FrameType, gen uint64, payload []byte) bool {
 	f.writeMu.Lock()
 	defer f.writeMu.Unlock()
-	nc.SetWriteDeadline(time.Now().Add(f.cfg.WriteTimeout))
+	nc.SetWriteDeadline(time.Now().Add(f.m.tm.writeTimeout))
 	f.outBuf = AppendFrame(f.outBuf[:0], t, f.epoch.Load(), gen, 0, payload)
 	_, err := nc.Write(f.outBuf)
 	return err == nil
@@ -480,15 +403,15 @@ func (f *Follower) send(nc net.Conn, t FrameType, gen uint64, payload []byte) bo
 
 // label is the follower's publish hook: the coordinates of the frame
 // applyFrame is publishing.
-func (f *Follower) label(*core.Model, uint64) (epoch, gen uint64) {
+func (f *follower) label(*core.Model, uint64) (epoch, gen uint64) {
 	return f.applyEpoch, f.applyGen
 }
 
 // Generation returns the last applied and locally served generation.
-func (f *Follower) Generation() uint64 { return f.gen.Load() }
+func (f *follower) Generation() uint64 { return f.gen.Load() }
 
 // Epoch returns the highest primary epoch the follower has seen.
-func (f *Follower) Epoch() uint64 { return f.epoch.Load() }
+func (f *follower) Epoch() uint64 { return f.epoch.Load() }
 
 // FollowerStats is the /statsz view of a follower, lag included.
 type FollowerStats struct {
@@ -512,7 +435,7 @@ type FollowerStats struct {
 // Stats snapshots the follower's counters. Lag is how many generations the
 // follower knows it is behind the primary (0 while caught up; between
 // publications primary and follower agree).
-func (f *Follower) Stats() FollowerStats {
+func (f *follower) Stats() FollowerStats {
 	st := FollowerStats{
 		Connected:          f.connected.Load(),
 		Epoch:              f.epoch.Load(),

@@ -19,12 +19,13 @@ func TestFollowerApplyPublishAllocs(t *testing.T) {
 	}
 	primary := core.New(core.TestConfig(), testEnc)
 	model := core.New(core.TestConfig(), testEnc)
-	f := NewFollower(FollowerConfig{
+	f := NewMember(MemberConfig{
 		Peers:  []string{"unused:0"},
+		Rank:   -1,
 		Server: core.NewServer(model, core.NewBoundedMemoryPool(testPoolBound)),
 		Model:  model,
-	})
-	f.cfg.Server.SetPublishHook(f.label) // as Run registers it
+	}).fol
+	f.m.cfg.Server.SetPublishHook(f.label) // as run registers it
 
 	idx := []int{0, 2, 4}
 	gen := uint64(1)

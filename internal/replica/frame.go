@@ -8,9 +8,11 @@
 // touched, which makes them a replication log. The primary-side Publisher
 // taps Server publications (core.Server.SetPublishHook), serializes only the
 // dirty parameters into a delta frame, and streams frames to every connected
-// follower; the replica-side Follower applies frames into a local mirror
-// model and republishes them through its own Server.PublishDelta, so the
-// replica's hot-swap serving runtime is byte-for-byte the primary's.
+// follower; on the replica side, a Member's follower half applies frames
+// into a local mirror model and republishes them through its own
+// Server.PublishDelta, so the replica's hot-swap serving runtime is
+// byte-for-byte the primary's. Every timeout of the wire derives from one
+// heartbeat (timingFor).
 //
 // The wire format is deliberately exact: parameter values travel as raw
 // IEEE-754 bit patterns (math.Float64bits), never through a decimal

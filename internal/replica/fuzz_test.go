@@ -68,12 +68,13 @@ func FuzzApplyModelPayload(f *testing.F) {
 	binary.LittleEndian.PutUint64(nan[4*8+4+8:], math.Float64bits(math.NaN()))
 	f.Add(nan)
 
-	fl := NewFollower(FollowerConfig{
+	fl := NewMember(MemberConfig{
 		Peers:  []string{"unused:0"},
+		Rank:   -1,
 		Server: core.NewServer(m, core.NewBoundedMemoryPool(testPoolBound)),
 		Model:  m,
-	})
-	fl.cfg.Server.SetPublishHook(fl.label) // as Run registers it
+	}).fol
+	fl.m.cfg.Server.SetPublishHook(fl.label) // as run registers it
 	gen := uint64(0)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

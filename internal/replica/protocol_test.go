@@ -13,18 +13,34 @@ import (
 	"costest/internal/nn"
 )
 
+// scriptHeartbeat is the heartbeat of the followers the scripted primary
+// drives: slow enough that its derived 1 s peer timeout never trips between
+// scripted frames, fast enough that a refused session redials in 50–150 ms.
+const scriptHeartbeat = 250 * time.Millisecond
+
 // scriptedPrimary lets a test play the primary's side of the protocol with
-// hand-built frames against a real Follower.
+// hand-built frames against a real follower.
 type scriptedPrimary struct {
 	t    *testing.T
 	conn net.Conn
 	fr   *FrameReader
 }
 
+// read returns the follower's next frame that is not a heartbeat: the
+// follower heartbeats on its own clock, which the script does not follow.
+func (sp *scriptedPrimary) read() (Frame, error) {
+	sp.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for {
+		f, err := sp.fr.Read()
+		if err != nil || f.Type != FrameHeartbeat {
+			return f, err
+		}
+	}
+}
+
 func (sp *scriptedPrimary) expect(typ FrameType, gen uint64) {
 	sp.t.Helper()
-	sp.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, err := sp.fr.Read()
+	f, err := sp.read()
 	if err != nil {
 		sp.t.Fatalf("reading frame (want %v gen %d): %v", typ, gen, err)
 	}
@@ -54,7 +70,7 @@ func expectEstimatesMatch(t *testing.T, what string, srv, ref *core.Server, srvE
 	}
 }
 
-// TestFollowerProtocol drives a real Follower with scripted frames: snapshot
+// TestFollowerProtocol drives a real follower with scripted frames: snapshot
 // bootstrap, a generation-gap delta that must trigger resync without being
 // applied, a corrupt frame that must be rejected by checksum without being
 // applied, and finally the clean delta.
@@ -72,24 +88,20 @@ func TestFollowerProtocol(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	f := NewFollower(FollowerConfig{
-		Peers:    []string{ln.Addr().String()},
-		Server:   srv,
-		Model:    model,
-		RetryMin: 5 * time.Millisecond,
-		RetryMax: 50 * time.Millisecond,
-		// The scripted primary plays frames by hand at test pace: silence
-		// the follower's heartbeats and read deadline so they never
-		// interleave with the script.
-		Heartbeat:   time.Hour,
-		PeerTimeout: time.Hour,
-		Logf:        t.Logf,
+	mem := NewMember(MemberConfig{
+		Peers:     []string{ln.Addr().String()},
+		Rank:      -1,
+		Server:    srv,
+		Model:     model,
+		Heartbeat: scriptHeartbeat,
+		Logf:      t.Logf,
 	})
+	f := mem.fol
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		f.Run(ctx)
+		mem.Run(ctx)
 	}()
 	defer func() {
 		cancel()
@@ -105,8 +117,7 @@ func TestFollowerProtocol(t *testing.T) {
 
 	// Handshake: the follower introduces itself at generation 0 with the
 	// model's schema hash.
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	hf, err := sp.fr.Read()
+	hf, err := sp.read()
 	if err != nil || hf.Type != FrameHello || hf.Gen != 0 {
 		t.Fatalf("bad hello: %+v, %v", hf, err)
 	}
@@ -166,7 +177,7 @@ func TestFollowerProtocol(t *testing.T) {
 	}
 }
 
-// TestFollowerRefusesNonFiniteFrame hands a real Follower CRC-valid frames
+// TestFollowerRefusesNonFiniteFrame hands a real follower CRC-valid frames
 // whose payloads carry a NaN: a snapshot, then — after a clean bootstrap — a
 // delta. Neither may be applied or acknowledged: the follower drops the
 // session and reconnects at the generation it still serves (the handshake
@@ -187,21 +198,20 @@ func TestFollowerRefusesNonFiniteFrame(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	f := NewFollower(FollowerConfig{
-		Peers:       []string{ln.Addr().String()},
-		Server:      srv,
-		Model:       model,
-		RetryMin:    5 * time.Millisecond,
-		RetryMax:    50 * time.Millisecond,
-		Heartbeat:   time.Hour,
-		PeerTimeout: time.Hour,
-		Logf:        t.Logf,
+	mem := NewMember(MemberConfig{
+		Peers:     []string{ln.Addr().String()},
+		Rank:      -1,
+		Server:    srv,
+		Model:     model,
+		Heartbeat: scriptHeartbeat,
+		Logf:      t.Logf,
 	})
+	f := mem.fol
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		f.Run(ctx)
+		mem.Run(ctx)
 	}()
 	defer func() {
 		cancel()
@@ -224,8 +234,7 @@ func TestFollowerRefusesNonFiniteFrame(t *testing.T) {
 	// refused checks that the follower answered a frame by hanging up.
 	refused := func(sp *scriptedPrimary, what string) {
 		t.Helper()
-		sp.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		if fm, err := sp.fr.Read(); err == nil {
+		if fm, err := sp.read(); err == nil {
 			t.Fatalf("%s: follower answered with %v gen %d instead of dropping the session", what, fm.Type, fm.Gen)
 		}
 	}

@@ -34,8 +34,49 @@ const DefaultEpoch = 1
 // block or bloat the primary).
 const connQueueDepth = 32
 
+// DefaultHeartbeat is the replication heartbeat of a zero Heartbeat, on
+// both sides of the wire, and the default of costestd's -heartbeat flag.
+const DefaultHeartbeat = 500 * time.Millisecond
+
+// timing is every replication timeout, each a multiple of the heartbeat —
+// the wire's one clock — so both sides of a connection agree on them and a
+// test or a deployment retimes the whole protocol with one value.
+type timing struct {
+	heartbeat time.Duration // between liveness frames, both directions
+	// peerTimeout bounds silence from the other side: each read arms a
+	// deadline of this length, which its heartbeats keep fed, so a dead or
+	// wedged peer is detected instead of blocking forever. writeTimeout
+	// bounds every frame write, dial one connection attempt.
+	peerTimeout, writeTimeout, dial time.Duration
+	// retryMin and retryMax bound the follower's reconnect backoff (see
+	// backoffDelay); a session that applies a frame resets it to retryMin.
+	retryMin, retryMax time.Duration
+	// evictAfter is how many consecutive publications may find a follower's
+	// send queue full before the follower is evicted (disconnected; it
+	// reconnects and heals by snapshot).
+	evictAfter int
+}
+
+// timingFor derives the replication timing from a heartbeat (a non-positive
+// one means DefaultHeartbeat): at the 500 ms default, peer and write
+// timeouts of 2 s, a 5 s dial and a 100 ms → 2 s reconnect backoff.
+func timingFor(heartbeat time.Duration) timing {
+	if heartbeat <= 0 {
+		heartbeat = DefaultHeartbeat
+	}
+	return timing{
+		heartbeat:    heartbeat,
+		peerTimeout:  4 * heartbeat,
+		writeTimeout: 4 * heartbeat,
+		dial:         10 * heartbeat,
+		retryMin:     heartbeat / 5,
+		retryMax:     4 * heartbeat,
+		evictAfter:   3,
+	}
+}
+
 // PublisherConfig tunes the primary side of replication. The zero value is
-// usable: epoch 1, no auth token, 2s heartbeats.
+// usable: epoch 1, no auth token, DefaultHeartbeat.
 type PublisherConfig struct {
 	// Epoch is the primary epoch stamped into every frame — the cluster's
 	// fencing token. Exactly one publisher may stream under a given epoch;
@@ -49,41 +90,10 @@ type PublisherConfig struct {
 	// followers whether or not they present a token.
 	Token string
 	// Heartbeat is the interval between liveness frames on every follower
-	// connection (default 2s).
+	// connection; every other timeout derives from it (see timingFor).
 	Heartbeat time.Duration
-	// PeerTimeout bounds silence from a follower: each read arms a deadline
-	// of this length, and follower heartbeats keep it fed. A wedged peer is
-	// disconnected instead of blocking forever. Default 4 × Heartbeat.
-	PeerTimeout time.Duration
-	// WriteTimeout bounds every frame write (default PeerTimeout).
-	WriteTimeout time.Duration
-	// EvictAfter is how many consecutive publications may find a follower's
-	// send queue full before the follower is evicted (disconnected; it
-	// reconnects and heals by snapshot). Default 3.
-	EvictAfter int
 	// Logf receives lifecycle events; nil discards them.
 	Logf func(format string, args ...any)
-}
-
-func (cfg *PublisherConfig) fill() {
-	if cfg.Epoch == 0 {
-		cfg.Epoch = DefaultEpoch
-	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = 2 * time.Second
-	}
-	if cfg.PeerTimeout <= 0 {
-		cfg.PeerTimeout = 4 * cfg.Heartbeat
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = cfg.PeerTimeout
-	}
-	if cfg.EvictAfter <= 0 {
-		cfg.EvictAfter = 3
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 }
 
 // Publisher is the primary side of replication: it taps every Server
@@ -101,6 +111,7 @@ func (cfg *PublisherConfig) fill() {
 // streams, and the Server stores it in the snapshot it is about to serve.
 type Publisher struct {
 	cfg PublisherConfig
+	tm  timing
 
 	mu     sync.Mutex
 	mirror *core.Model // publisher-owned copy of the last published weights
@@ -117,9 +128,10 @@ type Publisher struct {
 	dirty  []int // scratch: indices dirtied by the current publication
 	allIdx []int // 0..nparams-1, for snapshot encoding
 
-	genA   atomic.Uint64 // lock-free view of gen (heartbeats, stats)
-	fenced atomic.Bool   // deposed: a follower proved a higher epoch exists
-	seenEp atomic.Uint64 // highest foreign epoch reported by a FrameFenced
+	genA     atomic.Uint64 // lock-free view of gen (heartbeats, stats)
+	fenced   atomic.Bool   // deposed: a follower proved a higher epoch exists
+	fencedCh chan struct{} // closed once, when fenced is set
+	seenEp   atomic.Uint64 // highest foreign epoch reported by a FrameFenced
 
 	publications      atomic.Uint64
 	deltaFrames       atomic.Uint64
@@ -176,18 +188,25 @@ func NewPublisher(m *core.Model, gen uint64, cfg PublisherConfig) (*Publisher, e
 	if err := m.CheckFinite(); err != nil {
 		return nil, fmt.Errorf("replica: refusing to publish: %w", err)
 	}
-	cfg.fill()
+	if cfg.Epoch == 0 {
+		cfg.Epoch = DefaultEpoch
+	}
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
 	params := m.PS.Params()
 	p := &Publisher{
-		cfg:    cfg,
-		mirror: core.New(m.Cfg, m.Enc),
-		stamps: make([]uint64, len(params)),
-		src:    m,
-		gen:    gen,
-		schema: core.SchemaHash(m),
-		conns:  make(map[*pubConn]struct{}),
-		logf:   cfg.Logf,
-		allIdx: make([]int, len(params)),
+		cfg:      cfg,
+		tm:       timingFor(cfg.Heartbeat),
+		fencedCh: make(chan struct{}),
+		mirror:   core.New(m.Cfg, m.Enc),
+		stamps:   make([]uint64, len(params)),
+		src:      m,
+		gen:      gen,
+		schema:   core.SchemaHash(m),
+		conns:    make(map[*pubConn]struct{}),
+		logf:     cfg.Logf,
+		allIdx:   make([]int, len(params)),
 	}
 	p.genA.Store(gen)
 	mir := p.mirror.PS.Params()
@@ -218,7 +237,7 @@ func (p *Publisher) FencedBy() uint64 { return p.seenEp.Load() }
 // dirty parameters into the mirror, encodes one immutable delta frame, and
 // broadcasts it. Followers flagged for catch-up get a snapshot frame
 // instead; a follower whose queue is full is skipped and flagged (healed by
-// snapshot at a later publication), and after EvictAfter consecutive stalls
+// snapshot at a later publication), and after evictAfter consecutive stalls
 // it is evicted outright. It returns the publication's coordinates — this
 // publisher's epoch and the new generation — for the Server to store in the
 // snapshot. A fenced or closed publisher ignores publications entirely and
@@ -275,7 +294,7 @@ func (p *Publisher) OnPublish(m *core.Model, _ uint64) (epoch, gen uint64) {
 				c.stalls = 0
 				p.snapshotFrames.Add(1)
 				p.snapshotBytes.Add(uint64(len(snap)))
-			} else if c.stalled(p.cfg.EvictAfter) {
+			} else if c.stalled(p.tm.evictAfter) {
 				evict = append(evict, c)
 			} else {
 				p.droppedFrames.Add(1)
@@ -286,7 +305,7 @@ func (p *Publisher) OnPublish(m *core.Model, _ uint64) (epoch, gen uint64) {
 			p.deltaBytes.Add(uint64(len(frame)))
 		} else {
 			c.needsSnapshot = true
-			if c.stalled(p.cfg.EvictAfter) {
+			if c.stalled(p.tm.evictAfter) {
 				evict = append(evict, c)
 			} else {
 				p.droppedFrames.Add(1)
@@ -296,7 +315,7 @@ func (p *Publisher) OnPublish(m *core.Model, _ uint64) (epoch, gen uint64) {
 	p.mu.Unlock()
 	for _, c := range evict {
 		p.evictions.Add(1)
-		p.logf("replica: evicting slow follower %s (%d consecutive stalled publications)", c.nc.RemoteAddr(), p.cfg.EvictAfter)
+		p.logf("replica: evicting slow follower %s (%d consecutive stalled publications)", c.nc.RemoteAddr(), p.tm.evictAfter)
 		p.drop(c)
 	}
 	return p.cfg.Epoch, gen
@@ -354,7 +373,7 @@ func (p *Publisher) Serve(ln net.Listener) {
 // handleConn validates the hello handshake — auth token first, in constant
 // time, before any payload field is parsed — starts the writer, and then
 // consumes control frames until the connection dies. Every read arms a
-// PeerTimeout deadline; the follower's heartbeats keep it fed.
+// peer-timeout deadline; the follower's heartbeats keep it fed.
 func (p *Publisher) handleConn(c *pubConn) {
 	defer p.wg.Done()
 	defer p.drop(c)
@@ -363,7 +382,7 @@ func (p *Publisher) handleConn(c *pubConn) {
 		return
 	}
 	fr := NewFrameReader(bufio.NewReaderSize(c.nc, 32<<10))
-	c.nc.SetReadDeadline(time.Now().Add(p.cfg.PeerTimeout))
+	c.nc.SetReadDeadline(time.Now().Add(p.tm.peerTimeout))
 	f, err := fr.Read()
 	if err != nil || f.Type != FrameHello || len(f.Payload) < 8 {
 		p.rejectedConns.Add(1)
@@ -422,7 +441,7 @@ func (p *Publisher) handleConn(c *pubConn) {
 	p.wg.Add(1)
 	go p.writeLoop(c)
 	for {
-		c.nc.SetReadDeadline(time.Now().Add(p.cfg.PeerTimeout))
+		c.nc.SetReadDeadline(time.Now().Add(p.tm.peerTimeout))
 		f, err := fr.Read()
 		if err == ErrChecksum {
 			continue // control frame corrupted in transit; follower will resend
@@ -471,6 +490,7 @@ func (p *Publisher) fence(higher uint64) {
 		return
 	}
 	p.seenEp.Store(higher)
+	close(p.fencedCh)
 	p.logf("replica: FENCED — epoch %d deposed by epoch %d, ceasing publication", p.cfg.Epoch, higher)
 	p.DisconnectAll()
 }
@@ -480,7 +500,7 @@ func (p *Publisher) fence(higher uint64) {
 // follower's lease and read deadline stay fed between publications.
 func (p *Publisher) writeLoop(c *pubConn) {
 	defer p.wg.Done()
-	hb := time.NewTicker(p.cfg.Heartbeat)
+	hb := time.NewTicker(p.tm.heartbeat)
 	defer hb.Stop()
 	for {
 		select {
@@ -521,7 +541,7 @@ func (p *Publisher) writeFrame(c *pubConn, b []byte) error {
 		b = cb
 		p.corruptInjected.Add(1)
 	}
-	c.nc.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
+	c.nc.SetWriteDeadline(time.Now().Add(p.tm.writeTimeout))
 	_, err := c.nc.Write(b)
 	return err
 }

@@ -29,6 +29,11 @@ var (
 	testEnc = feature.NewEncoder(testCat, strembed.HashEmbedder{DimN: 12}, true)
 )
 
+// testHeartbeat is the replication heartbeat of the test primaries and their
+// followers (both sides of a connection must share one): it derives a 400 ms
+// peer timeout and a 20 ms → 400 ms reconnect backoff (see timingFor).
+const testHeartbeat = 100 * time.Millisecond
+
 // testPoolBound is the bound of the servers' memory pools: the daemon's
 // default, the pool mode every served model runs.
 const testPoolBound = 4096
@@ -100,7 +105,7 @@ func startPrimary(t testing.TB, m *core.Model, tr *core.ParallelTrainer) (*core.
 	t.Helper()
 	srv := core.NewServer(m, core.NewBoundedMemoryPool(testPoolBound))
 	srv.PublishDelta(tr.M)
-	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Logf: t.Logf})
+	pub := mustPublisher(t, m, srv.Version(), PublisherConfig{Heartbeat: testHeartbeat, Logf: t.Logf})
 	srv.SetPublishHook(pub.OnPublish)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -112,14 +117,15 @@ func startPrimary(t testing.TB, m *core.Model, tr *core.ParallelTrainer) (*core.
 }
 
 // testReplica is one replica process-equivalent: its own model, server and
-// privately encoded plans, plus the running Follower.
+// privately encoded plans, plus the running follower (the half of a rank −1
+// member, which never promotes).
 type testReplica struct {
 	t      testing.TB
 	addr   string
 	model  *core.Model
 	srv    *core.Server
 	eps    []*feature.EncodedPlan
-	fptr   atomic.Pointer[Follower]
+	fptr   atomic.Pointer[follower]
 	cancel context.CancelFunc
 	done   chan struct{}
 }
@@ -136,31 +142,31 @@ func newTestReplica(t testing.TB, cfg core.Config, samples []*workload.Labeled, 
 	}
 }
 
-// start launches a fresh Follower (as after a process restart: all
+// start launches a fresh member (as after a process restart: all
 // replication state forgotten, the local model keeps whatever weights it
-// had).
-func (r *testReplica) start() *Follower {
-	f := NewFollower(FollowerConfig{
-		Peers:    []string{r.addr},
-		Server:   r.srv,
-		Model:    r.model,
-		RetryMin: 5 * time.Millisecond,
-		RetryMax: 50 * time.Millisecond,
-		Logf:     r.t.Logf,
+// had) and returns its follower.
+func (r *testReplica) start() *follower {
+	m := NewMember(MemberConfig{
+		Peers:     []string{r.addr},
+		Rank:      -1,
+		Server:    r.srv,
+		Model:     r.model,
+		Heartbeat: testHeartbeat,
+		Logf:      r.t.Logf,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		f.Run(ctx)
+		m.Run(ctx)
 	}()
-	r.fptr.Store(f)
+	r.fptr.Store(m.fol)
 	r.cancel, r.done = cancel, done
 	r.t.Cleanup(r.stop)
-	return f
+	return m.fol
 }
 
-func (r *testReplica) follower() *Follower { return r.fptr.Load() }
+func (r *testReplica) follower() *follower { return r.fptr.Load() }
 
 // stop cancels the follower and waits for its goroutine; idempotent.
 func (r *testReplica) stop() {
