@@ -75,7 +75,7 @@ func TestChaosAcceptance(t *testing.T) {
 		}
 	})
 
-	sup := newSupervisor(srv, tr.M, 1, fixedCorpus(eps), 1)
+	sup := newSupervisor(srv, tr.M, fixedCorpus(eps))
 	sup.Interval = 2 * time.Millisecond
 	sup.GateSlack = -1 // every cycle publishes: maximum churn under the load
 	sup.CheckpointPath = filepath.Join(t.TempDir(), "model.ckpt")

@@ -22,7 +22,14 @@
 // cold-loadable file. A serving batch that fails — an estimator error or a
 // recovered panic — answers its own requests with a 500 and nothing else;
 // the next batch runs as if it had not happened. Chaos tests drive all of it
-// with -faults (deterministic, seedable fault injection).
+// with -faults (deterministic fault injection; its probabilistic rules draw
+// from a fixed seed).
+//
+// Training is fixed where no deployment varied it: the workload is drawn
+// from seed 42, every trainer runs one data-parallel shard (bit-exact plain
+// batched training), and the boot fit stops early after 3 epochs without a
+// better validation q-error. The boot fit and the supervisor hold out the
+// same fifth of the corpus.
 //
 // The daemon scales out by replication (internal/replica): a primary
 // started with -replicate-listen streams every published model — dirty
@@ -85,39 +92,46 @@ import (
 	"costest/internal/workload"
 )
 
-// poolBound is the representation pool's entry bound.
-const poolBound = 4096
+// Settings no deployment has set away from one value.
+const (
+	// poolBound is the representation pool's entry bound.
+	poolBound = 4096
+	// seed draws the training workload and the retrain backoff's jitter.
+	seed = 42
+	// trainShards is the data-parallel width of every trainer: one shard
+	// trains bit-exactly like plain batched training.
+	trainShards = 1
+	// patience is the boot training's early-stopping patience in epochs.
+	patience = 3
+	// faultSeed seeds the probabilistic rules of -faults.
+	faultSeed = 1
+)
 
 // options holds the daemon's command-line settings.
 type options struct {
 	addr, checkpoint, faults, replListen, peers, replToken string
 	scale, gateSlack                                       float64
-	seed, faultSeed                                        int64
-	queries, epochs, shards, patience, promoRank           int
+	queries, epochs, promoRank                             int
 	retrain, lease, heartbeat                              time.Duration
 }
 
 // newFlagSet registers every daemon flag on a fresh FlagSet that parses into
-// o. Serving and supervision settings no deployment has set away from their
-// defaults are constants instead: the admission queue depth and batch cap
-// (serve.SchedulerConfig's defaults), the pool bound, the trainer's
-// concurrency (GOMAXPROCS capped at -shards) and the checkpoint cadence
-// (every publish).
+// o. Serving, training and supervision settings no deployment has set away
+// from one value are constants instead: the admission queue depth and batch
+// cap (serve.SchedulerConfig's defaults), the pool bound, the workload seed,
+// the trainer's shard count and early-stopping patience, the fault seed and
+// the checkpoint cadence (every publish).
 func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("costestd", flag.ExitOnError)
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.Float64Var(&o.scale, "scale", 0.03, "synthetic IMDB scale factor")
-	fs.Int64Var(&o.seed, "seed", 42, "workload seed")
 	fs.IntVar(&o.queries, "queries", 240, "training workload size")
 	fs.IntVar(&o.epochs, "epochs", 20, "training epoch budget")
-	fs.IntVar(&o.shards, "shards", 1, "data-parallel trainer shards")
-	fs.IntVar(&o.patience, "patience", 3, "early-stopping patience (0 disables)")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint path: cold-load if present, else train and save; every published model is checkpointed here")
 	fs.DurationVar(&o.retrain, "retrain", 0, "interval of the supervised background retrain+publish loop; a -peers member runs it only while promoted (0 disables training entirely)")
 
 	fs.Float64Var(&o.gateSlack, "gate-slack", 0.10, "allowed relative validation q-error regression before a retrained model is gated (negative disables the gate)")
 	fs.StringVar(&o.faults, "faults", "", "fault injection spec, e.g. 'daemon.retrain:panic:count=2;serve.batch:error:p=0.1' (chaos testing only)")
-	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for probabilistic fault rules")
 
 	fs.StringVar(&o.replListen, "replicate-listen", "", "replication listener address (primary side, or the promotion listener of a -peers member): stream every publication to follower daemons")
 	fs.StringVar(&o.peers, "peers", "", "comma-separated ordered replication peer list (follower mode: follow the live primary through this list)")
@@ -140,12 +154,12 @@ func main() {
 	}
 
 	if o.faults != "" {
-		inj, err := fault.ParseSpec(o.faults, o.faultSeed)
+		inj, err := fault.ParseSpec(o.faults, faultSeed)
 		if err != nil {
 			log.Fatalf("costestd: -faults: %v", err)
 		}
 		fault.Enable(inj)
-		log.Printf("costestd: FAULT INJECTION ENABLED: %s (seed %d)", o.faults, o.faultSeed)
+		log.Printf("costestd: FAULT INJECTION ENABLED: %s (seed %d)", o.faults, faultSeed)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -156,7 +170,7 @@ func main() {
 	start := time.Now()
 	db, cat, enc := substrate(o.scale)
 	pl := planner.New(pg.New(cat), db.Schema)
-	qs := workload.TrainingNumeric(db, o.seed, o.queries)
+	qs := workload.TrainingNumeric(db, seed, o.queries)
 	var sample *serve.WirePlan
 	for _, q := range qs {
 		if root, err := pl.Plan(q); err == nil {
@@ -196,7 +210,7 @@ func main() {
 		}
 	} else {
 		var err error
-		model, err = loadOrTrain(o.checkpoint, enc, corpus, o.epochs, o.shards, o.patience)
+		model, err = loadOrTrain(o.checkpoint, enc, corpus, o.epochs)
 		if err != nil {
 			log.Fatalf("costestd: %v", err)
 		}
@@ -219,7 +233,7 @@ func main() {
 	// the SupervisorStats installation.
 	var sup *supervisor
 	if o.retrain > 0 {
-		sup = newSupervisor(srv, model, o.shards, corpus, o.seed)
+		sup = newSupervisor(srv, model, corpus)
 		sup.Interval = o.retrain
 		sup.GateSlack = o.gateSlack
 		sup.logf = log.Printf
@@ -378,8 +392,7 @@ func substrate(scale float64) (*dataset.DB, *stats.Catalog, *feature.Encoder) {
 // one epoch; a boot that would train with fewer is an error, while a
 // checkpoint boot never trains, takes any epoch budget and never calls
 // corpus.
-func loadOrTrain(path string, enc *feature.Encoder, corpus func() []*feature.EncodedPlan,
-	epochs, shards, patience int) (*core.Model, error) {
+func loadOrTrain(path string, enc *feature.Encoder, corpus func() []*feature.EncodedPlan, epochs int) (*core.Model, error) {
 	if path != "" {
 		m, src, err := core.LoadCheckpoint(path, enc)
 		switch {
@@ -395,11 +408,9 @@ func loadOrTrain(path string, enc *feature.Encoder, corpus func() []*feature.Enc
 	if epochs < 1 {
 		return nil, fmt.Errorf("-epochs %d: training needs at least one epoch", epochs)
 	}
-	eps := corpus()
-	cut := len(eps) * 4 / 5
-	train, valid := eps[:cut], eps[cut:]
+	train, valid := split(corpus())
 	m := core.New(core.TestConfig(), enc)
-	pt := core.NewParallelTrainer(m, shards)
+	pt := core.NewParallelTrainer(m, trainShards)
 	defer pt.Close()
 	pt.EarlyStop(core.EarlyStopOptions{Patience: patience})
 	start := time.Now()
@@ -414,4 +425,15 @@ func loadOrTrain(path string, enc *feature.Encoder, corpus func() []*feature.Enc
 		log.Printf("costestd: saved checkpoint %s", path)
 	}
 	return m, nil
+}
+
+// split divides a corpus 4:1 into training and held-out validation plans. A
+// corpus too small to hold a fifth out trains on every plan and holds none
+// out.
+func split(eps []*feature.EncodedPlan) (train, valid []*feature.EncodedPlan) {
+	cut := len(eps) * 4 / 5
+	if cut < 1 {
+		cut = len(eps)
+	}
+	return eps[:cut], eps[cut:]
 }

@@ -97,7 +97,7 @@ func TestLoadOrTrainRoundTrip(t *testing.T) {
 	_, eps := testCorpus(t, 401, 16)
 	path := filepath.Join(t.TempDir(), "model.ckpt")
 
-	m1, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 2, 1, 0)
+	m1, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 2)
 	if err != nil {
 		t.Fatalf("first boot: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestLoadOrTrainRoundTrip(t *testing.T) {
 	m2, err := loadOrTrain(path, testEnc, func() []*feature.EncodedPlan {
 		t.Fatal("checkpoint boot built the training corpus")
 		return nil
-	}, 2, 1, 0)
+	}, 2)
 	if err != nil {
 		t.Fatalf("second boot: %v", err)
 	}
@@ -125,19 +125,52 @@ func TestLoadOrTrainRejectsZeroEpochs(t *testing.T) {
 	_, eps := testCorpus(t, 404, 16)
 	path := filepath.Join(t.TempDir(), "model.ckpt")
 	for _, epochs := range []int{0, -1} {
-		if m, err := loadOrTrain(path, testEnc, fixedCorpus(eps), epochs, 1, 0); err == nil || m != nil {
+		if m, err := loadOrTrain(path, testEnc, fixedCorpus(eps), epochs); err == nil || m != nil {
 			t.Fatalf("epochs %d: got model %v, err %v; want an error", epochs, m != nil, err)
 		}
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("refused boot left a checkpoint behind: %v", err)
 	}
-	if _, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 1, 1, 0); err != nil {
+	if _, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 1); err != nil {
 		t.Fatalf("one-epoch boot: %v", err)
 	}
-	if m, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 0, 1, 0); err != nil || m == nil {
+	if m, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 0); err != nil || m == nil {
 		t.Fatalf("checkpoint boot with -epochs 0: model %v, err %v", m != nil, err)
 	}
+}
+
+// TestSplitHoldsOutAFifth: the boot and the supervisor split a corpus one
+// way — the default corpus's 240 plans 192/48, and a corpus too small to
+// hold a fifth out wholly into training.
+func TestSplitHoldsOutAFifth(t *testing.T) {
+	eps := make([]*feature.EncodedPlan, 240)
+	for _, c := range []struct{ n, train, valid int }{{240, 192, 48}, {5, 4, 1}, {2, 1, 1}, {1, 1, 0}, {0, 0, 0}} {
+		train, valid := split(eps[:c.n])
+		if len(train) != c.train || len(valid) != c.valid {
+			t.Errorf("%d plans split %d/%d, want %d/%d", c.n, len(train), len(valid), c.train, c.valid)
+		}
+	}
+}
+
+// TestLoadOrTrainOnePlanCorpus: a boot over a one-plan corpus trains on that
+// plan, as the supervisor does, instead of running its epochs over no plans
+// and saving the model with the weights it was initialized with.
+func TestLoadOrTrainOnePlanCorpus(t *testing.T) {
+	_, eps := testCorpus(t, 405, 4)
+	m, err := loadOrTrain("", testEnc, fixedCorpus(eps[:1]), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := core.New(core.TestConfig(), testEnc).PS.Params()
+	for i, p := range m.PS.Params() {
+		for j, v := range p.Value {
+			if v != initial[i].Value[j] {
+				return
+			}
+		}
+	}
+	t.Fatal("a one-plan boot kept every initial weight: it trained on no plan")
 }
 
 // TestNoTrueCostIsFloored: the cost head's q-error floor sits below every
@@ -173,7 +206,7 @@ func defaultSubstrate(t *testing.T) ([]*workload.Labeled, *feature.Encoder) {
 	}
 	db, cat, enc := substrate(o.scale)
 	lab := &workload.Labeler{Planner: planner.New(pg.New(cat), db.Schema), Engine: exec.NewEngine(db)}
-	return lab.Label(workload.TrainingNumeric(db, o.seed, o.queries)), enc
+	return lab.Label(workload.TrainingNumeric(db, seed, o.queries)), enc
 }
 
 // TestGoldenFeatureBits pins every feature bit of the daemon's default
@@ -252,7 +285,7 @@ func TestLoadOrTrainCorruptCheckpointFallsBackToTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 2, 1, 0)
+	m, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 2)
 	if err != nil {
 		t.Fatalf("corrupt checkpoint was fatal: %v", err)
 	}
@@ -281,13 +314,13 @@ func TestLoadOrTrainCorruptCheckpointFallsBackToTraining(t *testing.T) {
 func TestLoadOrTrainInjectedReadFault(t *testing.T) {
 	_, eps := testCorpus(t, 403, 16)
 	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if _, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 2, 1, 0); err != nil {
+	if _, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 2); err != nil {
 		t.Fatalf("seed boot: %v", err)
 	}
 
 	fault.Enable(fault.New(5).Add(fault.Rule{Site: fault.SiteCheckpointRead, Kind: fault.Error}))
 	defer fault.Disable()
-	m, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 2, 1, 0)
+	m, err := loadOrTrain(path, testEnc, fixedCorpus(eps), 2)
 	if err != nil {
 		t.Fatalf("unreadable checkpoint was fatal: %v", err)
 	}
@@ -318,9 +351,9 @@ func TestFaultSpecFlagParses(t *testing.T) {
 // new flag must be added to this list, so every added knob shows in review.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"addr", "checkpoint", "epochs", "fault-seed", "faults", "gate-slack",
-		"heartbeat", "lease", "patience", "peers", "promote-rank", "queries",
-		"replicate-listen", "replicate-token", "retrain", "scale", "seed", "shards",
+		"addr", "checkpoint", "epochs", "faults", "gate-slack", "heartbeat",
+		"lease", "peers", "promote-rank", "queries", "replicate-listen",
+		"replicate-token", "retrain", "scale",
 	}
 	var got []string
 	newFlagSet(&options{}).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })

@@ -39,7 +39,6 @@ import (
 type supervisor struct {
 	srv    *core.Server
 	model  *core.Model
-	shards int
 	corpus func() []*feature.EncodedPlan
 
 	// Interval between cycle starts; failures wait nextBackoff instead.
@@ -72,27 +71,16 @@ type supervisor struct {
 }
 
 // newSupervisor builds a supervisor that retrains model (the live model
-// srv publishes from) with shards-wide trainers on the plans corpus returns,
-// which it first asks for when a term starts.
-func newSupervisor(srv *core.Server, model *core.Model, shards int, corpus func() []*feature.EncodedPlan, seed int64) *supervisor {
+// srv publishes from) on the plans corpus returns, which it first asks for
+// when a term starts.
+func newSupervisor(srv *core.Server, model *core.Model, corpus func() []*feature.EncodedPlan) *supervisor {
 	return &supervisor{
 		srv:    srv,
 		model:  model,
-		shards: shards,
 		corpus: corpus,
 		logf:   func(format string, args ...any) {},
 		rng:    rand.New(rand.NewSource(seed)),
 	}
-}
-
-// split divides the corpus 4:1 into training and held-out validation plans.
-func (sv *supervisor) split() (train, valid []*feature.EncodedPlan) {
-	eps := sv.corpus()
-	cut := len(eps) * 4 / 5
-	if cut < 1 {
-		cut = len(eps)
-	}
-	return eps[:cut], eps[cut:]
 }
 
 // pubQ returns the publish gate's current baseline Q-error.
@@ -110,9 +98,9 @@ func (sv *supervisor) run(ctx context.Context) {
 	if sv.BackoffMax <= 0 {
 		sv.BackoffMax = 30 * time.Second
 	}
-	tr := core.NewParallelTrainer(sv.model, sv.shards)
+	tr := core.NewParallelTrainer(sv.model, trainShards)
 	defer tr.Close()
-	_, valid := sv.split()
+	_, valid := split(sv.corpus())
 	snap := sv.srv.AcquireSnapshot()
 	vc, _ := snap.Model().ValidationError(valid)
 	sv.srv.ReleaseSnapshot(snap)
@@ -160,7 +148,7 @@ func (sv *supervisor) cycle(ctx context.Context, tr *core.ParallelTrainer) (err 
 	if err := fault.Point(fault.SiteDaemonRetrain); err != nil {
 		return err
 	}
-	train, valid := sv.split()
+	train, valid := split(sv.corpus())
 	loss := tr.TrainEpochParallel(train, 16)
 
 	// Publish gate: validate the candidate on the held-out slice against the

@@ -56,7 +56,7 @@ func TestSupervisorPanicRecoveryBackoffThenPublish(t *testing.T) {
 		sched.Close()
 	})
 
-	sup := newSupervisor(srv, tr.M, 1, fixedCorpus(eps), 1)
+	sup := newSupervisor(srv, tr.M, fixedCorpus(eps))
 	sup.Interval = time.Millisecond
 	sup.GateSlack = -1 // gate is the next test's subject
 	sup.BackoffBase = 2 * time.Millisecond
@@ -128,7 +128,7 @@ func TestSupervisorGateRejectsRegression(t *testing.T) {
 	srv, tr, sched, _ := testStack(t, eps, serve.SchedulerConfig{QueueDepth: 16, MaxBatch: 8})
 	t.Cleanup(sched.Close)
 
-	sup := newSupervisor(srv, tr.M, 1, fixedCorpus(eps), 1)
+	sup := newSupervisor(srv, tr.M, fixedCorpus(eps))
 	sup.GateSlack = 0.10
 	sup.logf = t.Logf
 
@@ -174,7 +174,7 @@ func TestSupervisorRefusesNonFiniteCandidate(t *testing.T) {
 		srv, tr, sched, _ := testStack(t, eps, serve.SchedulerConfig{QueueDepth: 16, MaxBatch: 8})
 		t.Cleanup(sched.Close)
 
-		sup := newSupervisor(srv, tr.M, 1, fixedCorpus(eps), 1)
+		sup := newSupervisor(srv, tr.M, fixedCorpus(eps))
 		sup.Interval = time.Millisecond
 		sup.GateSlack = slack
 		sup.BackoffBase = time.Hour // exactly one cycle runs before the test ends
@@ -182,7 +182,7 @@ func TestSupervisorRefusesNonFiniteCandidate(t *testing.T) {
 		sup.logf = t.Logf
 		// run anchors the gate at the served model's Q-error.
 		v0 := srv.Version()
-		_, valid := sup.split()
+		_, valid := split(sup.corpus())
 		q0, _ := tr.M.ValidationError(valid)
 
 		// Poison one weight on the cost head's path; stamp it so a delta
@@ -227,7 +227,7 @@ func TestSupervisorCountsRefusedPublication(t *testing.T) {
 	srv, tr, sched, _ := testStack(t, eps, serve.SchedulerConfig{QueueDepth: 16, MaxBatch: 8})
 	t.Cleanup(sched.Close)
 
-	sup := newSupervisor(srv, tr.M, 1, fixedCorpus(eps), 1)
+	sup := newSupervisor(srv, tr.M, fixedCorpus(eps))
 	sup.Interval = time.Millisecond
 	sup.GateSlack = -1
 	sup.CheckpointPath = filepath.Join(t.TempDir(), "model.ckpt")
@@ -270,7 +270,7 @@ func TestSupervisorPublishesNothingAfterTermEnds(t *testing.T) {
 	srv, tr, sched, _ := testStack(t, eps, serve.SchedulerConfig{QueueDepth: 16, MaxBatch: 8})
 	t.Cleanup(sched.Close)
 
-	sup := newSupervisor(srv, tr.M, 1, fixedCorpus(eps), 1)
+	sup := newSupervisor(srv, tr.M, fixedCorpus(eps))
 	sup.Interval = time.Millisecond
 	sup.GateSlack = -1 // every finished cycle would publish
 	sup.logf = t.Logf
@@ -305,7 +305,7 @@ func TestSupervisorCheckpointsPublishedModel(t *testing.T) {
 	srv, tr, sched, _ := testStack(t, eps, serve.SchedulerConfig{QueueDepth: 16, MaxBatch: 8})
 	t.Cleanup(sched.Close)
 
-	sup := newSupervisor(srv, tr.M, 1, fixedCorpus(eps), 1)
+	sup := newSupervisor(srv, tr.M, fixedCorpus(eps))
 	sup.GateSlack = -1
 	sup.CheckpointPath = filepath.Join(t.TempDir(), "model.ckpt")
 	sup.logf = t.Logf

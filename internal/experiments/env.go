@@ -8,12 +8,13 @@
 package experiments
 
 import (
-	"costest/internal/core"
+	"fmt"
+
 	"costest/internal/dataset"
 	"costest/internal/exec"
-	"costest/internal/feature"
 	"costest/internal/pg"
 	"costest/internal/planner"
+	"costest/internal/query"
 	"costest/internal/stats"
 	"costest/internal/workload"
 )
@@ -44,20 +45,6 @@ type Config struct {
 	EstHidden int
 	StrDim    int // string embedding width
 	MSCNWidth int
-
-	// Workers is the labeler's parallelism (<= 0 resolves to GOMAXPROCS),
-	// and only that. It reaches neither the trainer, which runs every shard
-	// of a minibatch at once, nor model evaluation: every batch, Table 12's
-	// Batch rows included, runs on one goroutine.
-	Workers int
-
-	// Shards is the data-parallel width of the trainer (<= 0 resolves to
-	// GOMAXPROCS). More than one shard reassociates gradient sums across
-	// shard boundaries, so q-errors match a one-shard run to floating-point
-	// reassociation, not bit for bit — and depend on the shard count, which
-	// is why the shipped configurations fix it instead of following the
-	// machine.
-	Shards int
 }
 
 // Small returns a configuration that runs the full suite in roughly a
@@ -82,8 +69,6 @@ func Small() Config {
 		EstHidden:     12,
 		StrDim:        16,
 		MSCNWidth:     32,
-		Workers:       0,
-		Shards:        2,
 	}
 }
 
@@ -109,61 +94,49 @@ func Full() Config {
 		EstHidden:     32,
 		StrDim:        32,
 		MSCNWidth:     64,
-		Workers:       0,
-		Shards:        2,
 	}
 }
+
+// trainShards is the data-parallel width of every model fit. More than one
+// shard reassociates gradient sums across shard boundaries, so q-errors
+// match a one-shard run to floating-point reassociation, not bit for bit —
+// and depend on the shard count, which is why it is fixed instead of
+// following the machine.
+const trainShards = 2
 
 // Env is the shared experimental environment.
 type Env struct {
 	Cfg     Config
 	DB      *dataset.DB
 	Cat     *stats.Catalog
-	Eng     *exec.Engine
 	PG      *pg.Estimator
-	Planner *planner.Planner
 	Labeler *workload.Labeler
 }
 
-// NewEnv generates the database, collects statistics and wires the engine,
-// baseline estimator and planner.
+// NewEnv generates the database, collects statistics and wires the baseline
+// estimator and the labeler, which plans with it and executes every plan.
 func NewEnv(cfg Config) *Env {
 	db := dataset.GenerateIMDB(dataset.Config{Seed: cfg.Seed, Scale: cfg.Scale})
 	cat := stats.Collect(db, stats.Options{
 		Buckets: cfg.Buckets, SampleSize: cfg.SampleSize, Seed: cfg.Seed,
 	})
-	eng := exec.NewEngine(db)
 	est := pg.New(cat)
-	pl := planner.New(est, db.Schema)
 	return &Env{
 		Cfg:     cfg,
 		DB:      db,
 		Cat:     cat,
-		Eng:     eng,
 		PG:      est,
-		Planner: pl,
-		Labeler: &workload.Labeler{Planner: pl, Engine: eng, Parallelism: cfg.Workers},
+		Labeler: &workload.Labeler{Planner: planner.New(est, db.Schema), Engine: exec.NewEngine(db)},
 	}
 }
 
-// fitModel trains model on tr with per-epoch validation on va — the single
-// entry point every suite's model fits go through.
-func (e *Env) fitModel(model *core.Model, tr, va []*feature.EncodedPlan) []core.EpochStats {
-	pt := core.NewParallelTrainer(model, e.Cfg.Shards)
-	defer pt.Close()
-	return pt.Fit(tr, va, e.Cfg.Epochs, e.Cfg.BatchSize, 0, nil)
-}
-
-// coreConfig builds a model config at the environment's sizes.
-func (e *Env) coreConfig(pred core.PredModel, rep core.RepModel, target core.Target) core.Config {
-	c := core.DefaultConfig()
-	c.OpEmbed, c.MetaEmbed, c.BitmapEmbed, c.PredEmbed = e.Cfg.Embed, e.Cfg.Embed, e.Cfg.Embed, e.Cfg.Embed
-	c.Hidden = e.Cfg.Hidden
-	c.EstHidden = e.Cfg.EstHidden
-	c.Pred = pred
-	c.Rep = rep
-	c.Target = target
-	c.Seed = e.Cfg.Seed
-	c.LearnRate = 0.003
-	return c
+// labelSplit labels qs and splits the labeled queries 9:1 into training and
+// validation sets; fewer than atLeast labeled queries is an error.
+func (e *Env) labelSplit(what string, qs []*query.Query, atLeast int) (train, valid []*workload.Labeled, err error) {
+	labeled := e.Labeler.Label(qs)
+	if len(labeled) < atLeast {
+		return nil, nil, fmt.Errorf("experiments: only %d/%d %s queries labeled", len(labeled), len(qs), what)
+	}
+	train, valid = workload.Split(labeled, 0.9)
+	return train, valid, nil
 }

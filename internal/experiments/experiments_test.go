@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
@@ -81,6 +82,18 @@ func TestNumericSuiteEndToEnd(t *testing.T) {
 			t.Errorf("report missing %q", want)
 		}
 	}
+	checkGoldenReport(t, out, 0x6f0e6a6ae95dd16d)
+}
+
+// checkGoldenReport pins a rendered report byte for byte through its FNV-64a
+// hash: a change to the evaluation that moves no number keeps the hash.
+func checkGoldenReport(t *testing.T, report string, want uint64) {
+	t.Helper()
+	h := fnv.New64a()
+	h.Write([]byte(report))
+	if h.Sum64() != want {
+		t.Errorf("report hashes to %#x, want %#x:\n%s", h.Sum64(), want, report)
+	}
 }
 
 func TestStringSuiteEndToEnd(t *testing.T) {
@@ -123,6 +136,8 @@ func TestStringSuiteEndToEnd(t *testing.T) {
 			t.Errorf("report missing %q", want)
 		}
 	}
+	res.Table12 = nil // timings
+	checkGoldenReport(t, ReportStrings(res), 0x3fc135d0b99fab67)
 }
 
 // TestStringSuiteIgnoresNumericSuite: the string suite's tables do not

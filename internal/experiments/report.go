@@ -13,11 +13,13 @@ func ReportNumeric(r *NumericResults) string {
 	var b strings.Builder
 	b.WriteString("=== Table 7: Cardinality errors on numeric workloads ===\n")
 	for _, wt := range r.Table7 {
-		writeWorkloadTable(&b, wt)
+		writeTable(&b, wt.Workload, wt.Methods)
+		b.WriteByte('\n')
 	}
 	b.WriteString("\n=== Table 8: Cost errors on numeric workloads ===\n")
 	for _, wt := range r.Table8 {
-		writeWorkloadTable(&b, wt)
+		writeTable(&b, wt.Workload, wt.Methods)
+		b.WriteByte('\n')
 	}
 	b.WriteString("\n=== Figure 7a: Card validation error vs epoch ===\n")
 	writeCurves(&b, r.Figure7a)
@@ -30,19 +32,9 @@ func ReportNumeric(r *NumericResults) string {
 func ReportStrings(r *StringResults) string {
 	var b strings.Builder
 	b.WriteString("=== Table 10: Cardinality errors on the JOB workload ===\n")
-	b.WriteString(metrics.Header("Cardinality"))
-	b.WriteByte('\n')
-	for _, m := range r.Table10 {
-		b.WriteString(m.Summary.Row(m.Name))
-		b.WriteByte('\n')
-	}
+	writeTable(&b, "Cardinality", r.Table10)
 	b.WriteString("\n=== Table 11: Cost errors on the JOB workload ===\n")
-	b.WriteString(metrics.Header("Cost"))
-	b.WriteByte('\n')
-	for _, m := range r.Table11 {
-		b.WriteString(m.Summary.Row(m.Name))
-		b.WriteByte('\n')
-	}
+	writeTable(&b, "Cost", r.Table11)
 	b.WriteString("\n=== Figure 8: Single-table card validation error vs epoch ===\n")
 	writeCurves(&b, r.Figure8)
 
@@ -83,14 +75,15 @@ func ReportStrings(r *StringResults) string {
 	return b.String()
 }
 
-func writeWorkloadTable(b *strings.Builder, wt WorkloadTable) {
-	b.WriteString(metrics.Header(wt.Workload))
+// writeTable renders one accuracy table (Tables 7, 8, 10 and 11): a header
+// titled title, then one row per method.
+func writeTable(b *strings.Builder, title string, methods []MethodErrors) {
+	b.WriteString(metrics.Header(title))
 	b.WriteByte('\n')
-	for _, m := range wt.Methods {
+	for _, m := range methods {
 		b.WriteString(m.Summary.Row(m.Name))
 		b.WriteByte('\n')
 	}
-	b.WriteByte('\n')
 }
 
 func writeCurves(b *strings.Builder, curves []Curve) {
@@ -130,11 +123,4 @@ func figure10Row(name string, pts []CostPoint) string {
 	}
 	b.WriteByte('\n')
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -6,15 +6,14 @@ import (
 	"costest/internal/core"
 	"costest/internal/feature"
 	"costest/internal/metrics"
-	"costest/internal/nn"
-	"costest/internal/pg"
 	"costest/internal/query"
 	"costest/internal/sqlpred"
 	"costest/internal/strembed"
 	"costest/internal/workload"
 )
 
-// CostPoint pairs a real cost with a method's estimate (Figure 10).
+// CostPoint pairs a true value with a method's estimate of it; Figure 10
+// plots the cost rows'.
 type CostPoint struct {
 	Real float64
 	Est  float64
@@ -43,117 +42,85 @@ type TimingRow struct {
 	PerMsQ float64 // milliseconds per query
 }
 
-// stringModels bundles the string-workload method ladder.
-type stringModels struct {
-	encHash *feature.Encoder
-	encNR   *feature.Encoder
-	encR    *feature.Encoder
-
-	tlstmHash  *core.Model // TLSTMHashMCost/Card (multitask)
-	tlstmEmbNR *core.Model
-	tlstmEmbR  *core.Model
-	tpoolEmbR  *core.Model
-}
-
 // RunStrings trains the string-predicate ladder and evaluates Tables 10-12
 // and Figures 8-10.
 func (e *Env) RunStrings() (*StringResults, error) {
 	cfg := e.Cfg
-
-	trainQ := workload.TrainingStrings(e.DB, cfg.Seed+30, cfg.TrainStrings)
-	labeled := e.Labeler.Label(trainQ)
-	if len(labeled) < cfg.TrainStrings/3 {
-		return nil, fmt.Errorf("experiments: only %d/%d string training queries labeled", len(labeled), cfg.TrainStrings)
-	}
-	train, valid := workload.Split(labeled, 0.9)
-
-	// String encoders are built from the training workload's literals.
-	ws := CollectWorkloadStrings(queriesOf(train))
-	embCfg := strembed.DefaultConfig()
-	embCfg.Dim = cfg.StrDim
-	embCfg.MaxValuesPerColumn = 4000
-	embCfg.SkipGram.Epochs = 2
-	embCfg.SkipGram.Seed = cfg.Seed
-	embCfg.UseRules = false
-	embNR := strembed.Build(e.DB, ws, embCfg)
-	embCfg.UseRules = true
-	embR := strembed.Build(e.DB, ws, embCfg)
-
-	m := &stringModels{
-		encHash: feature.NewEncoder(e.Cat, strembed.HashEmbedder{DimN: cfg.StrDim}, true),
-		encNR:   feature.NewEncoder(e.Cat, embNR, true),
-		encR:    feature.NewEncoder(e.Cat, embR, true),
+	train, valid, err := e.labelSplit("string training",
+		workload.TrainingStrings(e.DB, cfg.Seed+30, cfg.TrainStrings), cfg.TrainStrings/3)
+	if err != nil {
+		return nil, err
 	}
 
-	fit := func(pred core.PredModel, enc *feature.Encoder) (*core.Model, error) {
-		model := core.New(e.coreConfig(pred, core.RepLSTM, core.TargetBoth), enc)
-		tr, err := encodeAll(enc, train)
+	// Every ladder model is multitask: it fills one row of each table.
+	rows := []method{pgRow("PGCard", cardHead, e.PG), pgRow("PGCost", costHead, e.PG.Calibrated(plansOf(train)))}
+	var models []*core.Model
+	for _, v := range e.stringLadder(train, core.TargetBoth) {
+		model, _, err := e.fitTree(v.spec, train, valid)
 		if err != nil {
 			return nil, err
 		}
-		va, err := encodeAll(enc, valid)
-		if err != nil {
-			return nil, err
-		}
-		e.fitModel(model, tr, va)
-		return model, nil
-	}
-	var err error
-	if m.tlstmHash, err = fit(core.PredLSTM, m.encHash); err != nil {
-		return nil, err
-	}
-	if m.tlstmEmbNR, err = fit(core.PredLSTM, m.encNR); err != nil {
-		return nil, err
-	}
-	if m.tlstmEmbR, err = fit(core.PredLSTM, m.encR); err != nil {
-		return nil, err
-	}
-	if m.tpoolEmbR, err = fit(core.PredPool, m.encR); err != nil {
-		return nil, err
+		models = append(models, model)
+		rows = append(rows, treeRow(v.name+"Card", cardHead, model), treeRow(v.name+"MCost", costHead, model))
 	}
 
-	pgCal := e.PG.Calibrated(plansOf(train))
-
-	jobQ := workload.JOBFull(e.DB, cfg.Seed+40, cfg.TestJOB)
-	jobSamples := e.Labeler.Label(jobQ)
+	jobSamples := e.Labeler.Label(workload.JOBFull(e.DB, cfg.Seed+40, cfg.TestJOB))
 	if len(jobSamples) == 0 {
 		return nil, fmt.Errorf("experiments: no labelable JOB queries")
 	}
-
-	res := &StringResults{
-		Figure9:  map[string]BoxPair{},
-		Figure10: map[string][]CostPoint{},
-	}
-	if err := e.evalStrings(m, pgCal, jobSamples, res); err != nil {
+	res := &StringResults{Figure9: map[string]BoxPair{}, Figure10: map[string][]CostPoint{}}
+	if res.Table10, res.Table11, err = score(rows, jobSamples); err != nil {
 		return nil, err
 	}
+	// Figures 9 and 10 take their rows from the scored tables.
+	for _, f := range []struct{ name, card, cost string }{
+		{"PG", "PGCard", "PGCost"},
+		{"TLSTMHashM", "TLSTMHashCard", "TLSTMHashMCost"},
+		{"TPoolEmbRM", "TPoolEmbRCard", "TPoolEmbRMCost"},
+	} {
+		res.Figure9[f.name] = BoxPair{
+			Card: metrics.Box(named(res.Table10, f.card).Errors),
+			Cost: metrics.Box(named(res.Table11, f.cost).Errors),
+		}
+	}
+	for _, name := range []string{"PGCost", "TLSTMEmbNRMCost", "TPoolEmbRMCost"} {
+		res.Figure10[name] = named(res.Table11, name).points
+	}
+
 	if res.Figure8, err = e.runSingleTable(); err != nil {
 		return nil, err
 	}
-	if res.Table12, err = e.runTiming(m, jobSamples); err != nil {
+	// Table 12 times the ladder's two ruled-embedder models: TLSTM and TPool.
+	if res.Table12, err = e.runTiming(jobSamples, models[2], models[3]); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-func queriesOf(samples []*workload.Labeled) []*query.Query {
-	out := make([]*query.Query, len(samples))
-	for i, s := range samples {
-		out[i] = s.Query
-	}
-	return out
+// variant is one rung of the string-predicate ladder: a row-name stem and
+// the tree model it names.
+type variant struct {
+	name string
+	spec treeSpec
 }
 
-func encodeAll(enc *feature.Encoder, samples []*workload.Labeled) ([]*feature.EncodedPlan, error) {
-	out := make([]*feature.EncodedPlan, 0, len(samples))
-	for _, s := range samples {
-		ep, err := enc.Encode(s.Plan)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ep)
+// stringLadder returns the string-predicate ladder of Section 6.3 for
+// target, its string embedders built from train's literals: hashing, the
+// embedder without rules and the embedder with them behind the tree-LSTM
+// predicate model, then the ruled embedder behind min-max pooling.
+func (e *Env) stringLadder(train []*workload.Labeled, target core.Target) []variant {
+	ws := CollectWorkloadStrings(queriesOf(train))
+	embCfg := strembed.Config{Dim: e.Cfg.StrDim, Seed: e.Cfg.Seed}
+	encNR := feature.NewEncoder(e.Cat, strembed.Build(e.DB, ws, embCfg), true)
+	embCfg.UseRules = true
+	encR := feature.NewEncoder(e.Cat, strembed.Build(e.DB, ws, embCfg), true)
+	encHash := feature.NewEncoder(e.Cat, strembed.HashEmbedder{DimN: e.Cfg.StrDim}, true)
+	return []variant{
+		{"TLSTMHash", treeSpec{core.PredLSTM, core.RepLSTM, target, encHash}},
+		{"TLSTMEmbNR", treeSpec{core.PredLSTM, core.RepLSTM, target, encNR}},
+		{"TLSTMEmbR", treeSpec{core.PredLSTM, core.RepLSTM, target, encR}},
+		{"TPoolEmbR", treeSpec{core.PredPool, core.RepLSTM, target, encR}},
 	}
-	return out, nil
 }
 
 // CollectWorkloadStrings extracts the string literals of a query set, scoped
@@ -203,120 +170,22 @@ func CollectWorkloadStrings(qs []*query.Query) []strembed.WorkloadString {
 	return out
 }
 
-// evalStrings fills Tables 10-11 and Figures 9-10 from the JOB samples; the
-// PGCost row reads pgCal, the calibrated copy of the environment's estimator.
-func (e *Env) evalStrings(m *stringModels, pgCal *pg.Estimator, samples []*workload.Labeled, res *StringResults) error {
-	type ladder struct {
-		name  string
-		model *core.Model
-		enc   *feature.Encoder
-	}
-	methods := []ladder{
-		{"TLSTMHash", m.tlstmHash, m.encHash},
-		{"TLSTMEmbNR", m.tlstmEmbNR, m.encNR},
-		{"TLSTMEmbR", m.tlstmEmbR, m.encR},
-		{"TPoolEmbR", m.tpoolEmbR, m.encR},
-	}
-
-	pgCardE := make([]float64, 0, len(samples))
-	pgCostE := make([]float64, 0, len(samples))
-	cardE := make(map[string][]float64)
-	costE := make(map[string][]float64)
-	for _, s := range samples {
-		p := s.Plan.Clone()
-		pgCardE = append(pgCardE, nn.QError(e.PG.EstimateCard(p), s.Card, nn.CardFloor))
-		pgCost := pgCal.EstimateCost(p)
-		pgCostE = append(pgCostE, nn.QError(pgCost, s.Cost, nn.CostFloor))
-		res.Figure10["PGCost"] = append(res.Figure10["PGCost"], CostPoint{Real: s.Cost, Est: pgCost})
-
-		for _, md := range methods {
-			ep, err := md.enc.Encode(s.Plan)
-			if err != nil {
-				return err
-			}
-			cost, card := md.model.Estimate(ep)
-			cardE[md.name] = append(cardE[md.name], nn.QError(card, s.Card, nn.CardFloor))
-			costE[md.name] = append(costE[md.name], nn.QError(cost, s.Cost, nn.CostFloor))
-			if md.name == "TLSTMEmbNR" || md.name == "TPoolEmbR" {
-				res.Figure10[md.name+"MCost"] = append(res.Figure10[md.name+"MCost"],
-					CostPoint{Real: s.Cost, Est: cost})
-			}
-		}
-	}
-
-	mk := func(name string, errs []float64) MethodErrors {
-		return MethodErrors{Name: name, Errors: errs, Summary: metrics.Summarize(errs)}
-	}
-	res.Table10 = []MethodErrors{
-		mk("PGCard", pgCardE),
-		mk("TLSTMHashCard", cardE["TLSTMHash"]),
-		mk("TLSTMEmbNRCard", cardE["TLSTMEmbNR"]),
-		mk("TLSTMEmbRCard", cardE["TLSTMEmbR"]),
-		mk("TPoolEmbRCard", cardE["TPoolEmbR"]),
-	}
-	res.Table11 = []MethodErrors{
-		mk("PGCost", pgCostE),
-		mk("TLSTMHashMCost", costE["TLSTMHash"]),
-		mk("TLSTMEmbNRMCost", costE["TLSTMEmbNR"]),
-		mk("TLSTMEmbRMCost", costE["TLSTMEmbR"]),
-		mk("TPoolEmbRMCost", costE["TPoolEmbR"]),
-	}
-
-	res.Figure9["PG"] = BoxPair{Card: metrics.Box(pgCardE), Cost: metrics.Box(pgCostE)}
-	res.Figure9["TLSTMHashM"] = BoxPair{Card: metrics.Box(cardE["TLSTMHash"]), Cost: metrics.Box(costE["TLSTMHash"])}
-	res.Figure9["TPoolEmbRM"] = BoxPair{Card: metrics.Box(cardE["TPoolEmbR"]), Cost: metrics.Box(costE["TPoolEmbR"])}
-	return nil
-}
-
 // runSingleTable reproduces Figure 8: per-epoch card validation error of
-// the four string-predicate variants on a single-table workload.
+// the string-predicate ladder on a single-table workload.
 func (e *Env) runSingleTable() ([]Curve, error) {
 	cfg := e.Cfg
-	qs := workload.SingleTableStrings(e.DB, cfg.Seed+50, cfg.SingleTable)
-	labeled := e.Labeler.Label(qs)
-	if len(labeled) < cfg.SingleTable/3 {
-		return nil, fmt.Errorf("experiments: only %d single-table queries labeled", len(labeled))
-	}
-	train, valid := workload.Split(labeled, 0.9)
-
-	ws := CollectWorkloadStrings(queriesOf(train))
-	embCfg := strembed.DefaultConfig()
-	embCfg.Dim = cfg.StrDim
-	embCfg.MaxValuesPerColumn = 4000
-	embCfg.SkipGram.Epochs = 2
-	embCfg.SkipGram.Seed = cfg.Seed
-	embCfg.UseRules = false
-	embNR := strembed.Build(e.DB, ws, embCfg)
-	embCfg.UseRules = true
-	embR := strembed.Build(e.DB, ws, embCfg)
-
-	variants := []struct {
-		name string
-		pred core.PredModel
-		enc  *feature.Encoder
-	}{
-		{"TLSTMHashCard", core.PredLSTM, feature.NewEncoder(e.Cat, strembed.HashEmbedder{DimN: cfg.StrDim}, true)},
-		{"TLSTMEmbNRCard", core.PredLSTM, feature.NewEncoder(e.Cat, embNR, true)},
-		{"TLSTMEmbRCard", core.PredLSTM, feature.NewEncoder(e.Cat, embR, true)},
-		{"TPoolEmbRCard", core.PredPool, feature.NewEncoder(e.Cat, embR, true)},
+	train, valid, err := e.labelSplit("single-table",
+		workload.SingleTableStrings(e.DB, cfg.Seed+50, cfg.SingleTable), cfg.SingleTable/3)
+	if err != nil {
+		return nil, err
 	}
 	var curves []Curve
-	for _, v := range variants {
-		tr, err := encodeAll(v.enc, train)
+	for _, v := range e.stringLadder(train, core.TargetCard) {
+		_, hist, err := e.fitTree(v.spec, train, valid)
 		if err != nil {
 			return nil, err
 		}
-		va, err := encodeAll(v.enc, valid)
-		if err != nil {
-			return nil, err
-		}
-		model := core.New(e.coreConfig(v.pred, core.RepLSTM, core.TargetCard), v.enc)
-		hist := e.fitModel(model, tr, va)
-		vals := make([]float64, len(hist))
-		for i, h := range hist {
-			vals[i] = h.ValidCard
-		}
-		curves = append(curves, Curve{Name: v.name, Values: vals})
+		curves = append(curves, curveOf(v.name+"Card", hist, cardHead.valid))
 	}
 	return curves, nil
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"costest/internal/core"
-	"costest/internal/feature"
 	"costest/internal/mscn"
 	"costest/internal/workload"
 )
@@ -15,9 +14,9 @@ import (
 const timingRepeats = 5
 
 // runTiming reproduces Table 12: per-query estimation latency on the JOB
-// workload for PostgreSQL-style costing, MSCN, and the tree models with and
-// without width-first batching.
-func (e *Env) runTiming(m *stringModels, samples []*workload.Labeled) ([]TimingRow, error) {
+// workload for PostgreSQL-style costing, MSCN, and the tree-LSTM and pooling
+// tree models with and without width-first batching.
+func (e *Env) runTiming(samples []*workload.Labeled, tlstm, tpool *core.Model) ([]TimingRow, error) {
 	n := len(samples)
 	if n == 0 {
 		return nil, nil
@@ -63,8 +62,8 @@ func (e *Env) runTiming(m *stringModels, samples []*workload.Labeled) ([]TimingR
 	})
 	mscnBatchMS := best(func() { mscnModel.EstimateBatch(feats) })
 
-	timeTree := func(model *core.Model, enc *feature.Encoder) (seq, batch float64, err error) {
-		eps, err := encodeAll(enc, samples)
+	timeTree := func(model *core.Model) (seq, batch float64, err error) {
+		eps, err := encodeAll(model.Enc, samples)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -76,11 +75,11 @@ func (e *Env) runTiming(m *stringModels, samples []*workload.Labeled) ([]TimingR
 		batch = best(func() { model.EstimateBatch(eps) })
 		return seq, batch, nil
 	}
-	tlstmMS, tlstmBatchMS, err := timeTree(m.tlstmEmbR, m.encR)
+	tlstmMS, tlstmBatchMS, err := timeTree(tlstm)
 	if err != nil {
 		return nil, err
 	}
-	tpoolMS, tpoolBatchMS, err := timeTree(m.tpoolEmbR, m.encR)
+	tpoolMS, tpoolBatchMS, err := timeTree(tpool)
 	if err != nil {
 		return nil, err
 	}

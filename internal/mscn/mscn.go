@@ -22,10 +22,15 @@ import (
 type Config struct {
 	Hidden       int
 	SampleBitmap bool
-	LearnRate    float64
-	GradClip     float64
 	Seed         int64
 }
+
+// Training settings: Adam's learning rate, and the gradient-norm clip per
+// sample of a minibatch.
+const (
+	learnRate = 0.003
+	gradClip  = 5
+)
 
 // Features is one query's set-structured featurization.
 type Features struct {

@@ -40,7 +40,7 @@ func trainingSamples(t *testing.T, m *Model, n int) []*Sample {
 }
 
 func TestFeaturizeShapes(t *testing.T) {
-	m := New(Config{Hidden: 16, SampleBitmap: true, LearnRate: 0.001, GradClip: 5, Seed: 1}, testCat)
+	m := New(Config{Hidden: 16, SampleBitmap: true, Seed: 1}, testCat)
 	qs := workload.TrainingNumeric(testDB, 3, 10)
 	for _, q := range qs {
 		f, err := m.Featurize(q)
@@ -70,7 +70,7 @@ func TestSampleBitmapChangesDim(t *testing.T) {
 }
 
 func TestTrainingImprovesCardEstimates(t *testing.T) {
-	m := New(Config{Hidden: 24, SampleBitmap: true, LearnRate: 0.005, GradClip: 5, Seed: 2}, testCat)
+	m := New(Config{Hidden: 24, SampleBitmap: true, Seed: 2}, testCat)
 	samples := trainingSamples(t, m, 60)
 	cut := len(samples) * 8 / 10
 	tr := NewTrainer(m, nn.CardFloor)
@@ -120,7 +120,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 
 // MSCN gradient check through pooling.
 func TestMSCNGradCheck(t *testing.T) {
-	m := New(Config{Hidden: 6, SampleBitmap: false, LearnRate: 0.001, GradClip: 100, Seed: 5}, testCat)
+	m := New(Config{Hidden: 6, SampleBitmap: false, Seed: 5}, testCat)
 	qs := workload.TrainingNumeric(testDB, 9, 4)
 	f, err := m.Featurize(qs[0])
 	if err != nil {

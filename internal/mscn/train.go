@@ -18,7 +18,7 @@ type Trainer struct {
 // NewTrainer builds a trainer for the model's target, whose head floor
 // (nn.CostFloor or nn.CardFloor) the normalizer, the loss and validation use.
 func NewTrainer(m *Model, floor float64) *Trainer {
-	return &Trainer{M: m, Opt: nn.NewAdam(m.Cfg.LearnRate),
+	return &Trainer{M: m, Opt: nn.NewAdam(learnRate),
 		rng: rand.New(rand.NewSource(m.Cfg.Seed + 77)), floor: floor}
 }
 
@@ -51,7 +51,7 @@ func (t *Trainer) TrainEpoch(samples []*Sample, batchSize int) float64 {
 		for _, i := range idx[start:end] {
 			total += t.step(samples[i])
 		}
-		t.M.PS.ClipGradNorm(t.M.Cfg.GradClip * float64(end-start))
+		t.M.PS.ClipGradNorm(gradClip * float64(end-start))
 		t.Opt.Step(t.M.PS)
 	}
 	return total / float64(len(samples))

@@ -22,26 +22,19 @@ type Config struct {
 	// holds only the full string values of the referenced columns (the
 	// paper's "EmbNR" variant).
 	UseRules bool
-	// Budget bounds the substring dictionary size (Algorithm 1's B).
-	Budget int
-	// MaxValuesPerColumn caps the distinct values enumerated per column.
-	MaxValuesPerColumn int
-	// MaxPairsPerString caps (workload string, value) candidate pairs.
-	MaxPairsPerString int
-	SkipGram          SkipGramConfig
+	// Seed drives skip-gram training.
+	Seed int64
 }
 
-// DefaultConfig returns full-size build settings.
-func DefaultConfig() Config {
-	return Config{
-		Dim:                32,
-		UseRules:           true,
-		Budget:             20000,
-		MaxValuesPerColumn: 20000,
-		MaxPairsPerString:  3,
-		SkipGram:           DefaultSkipGramConfig(),
-	}
-}
+// Build's fixed bounds.
+const (
+	// dictBudget bounds the substring dictionary size (Algorithm 1's B).
+	dictBudget = 20000
+	// maxValuesPerColumn caps the distinct values enumerated per column.
+	maxValuesPerColumn = 4000
+	// maxPairsPerString caps (workload string, value) candidate pairs.
+	maxPairsPerString = 3
+)
 
 // Embedder is the trained string-embedding index: skip-gram vectors behind
 // prefix and suffix tries (Section 5.3).
@@ -62,17 +55,6 @@ func (e *Embedder) Dim() int { return e.dim }
 // Build trains an Embedder for the workload strings over db. Only the
 // columns referenced by ws contribute values and sentences.
 func Build(db *dataset.DB, ws []WorkloadString, cfg Config) *Embedder {
-	if cfg.Dim <= 0 {
-		cfg.Dim = 32
-	}
-	if cfg.MaxValuesPerColumn <= 0 {
-		cfg.MaxValuesPerColumn = 20000
-	}
-	if cfg.MaxPairsPerString <= 0 {
-		cfg.MaxPairsPerString = 3
-	}
-	cfg.SkipGram.Dim = cfg.Dim
-
 	e := &Embedder{dim: cfg.Dim, exact: map[string]int{}, prefix: NewTrie(), suffix: NewTrie()}
 
 	// Referenced columns and their distinct values.
@@ -107,7 +89,7 @@ func Build(db *dataset.DB, ws []WorkloadString, cfg Config) *Embedder {
 			}
 			seen[v] = true
 			vals = append(vals, v)
-			if len(vals) >= cfg.MaxValuesPerColumn {
+			if len(vals) >= maxValuesPerColumn {
 				break
 			}
 		}
@@ -134,13 +116,13 @@ func Build(db *dataset.DB, ws []WorkloadString, cfg Config) *Embedder {
 				}
 				cands = append(cands, CandidateRules(w, v)...)
 				pairs++
-				if pairs >= cfg.MaxPairsPerString {
+				if pairs >= maxPairsPerString {
 					break
 				}
 			}
 		}
 		cands = dedupRules(cands)
-		sel := SelectRules(cands, ws, valuesByColumn, cfg.Budget)
+		sel := SelectRules(cands, ws, valuesByColumn, dictBudget)
 		e.Rules = sel.Rules
 		for s := range sel.Dict {
 			dict[s] = true
@@ -208,7 +190,7 @@ func Build(db *dataset.DB, ws []WorkloadString, cfg Config) *Embedder {
 		}
 	}
 
-	sg := TrainSkipGram(sentences, cfg.SkipGram)
+	sg := TrainSkipGram(sentences, cfg.Dim, cfg.Seed)
 
 	// Index every dictionary token that received a vector; tokens unseen in
 	// sentences get deterministic pseudo-vectors derived from the hash

@@ -8,24 +8,15 @@ import (
 	"costest/internal/tensor"
 )
 
-// SkipGramConfig controls word2vec training (Mikolov-style skip-gram with
-// negative sampling), which the paper uses to learn coexistence-aware string
+// Skip-gram training settings (Mikolov-style skip-gram with negative
+// sampling), which the paper uses to learn coexistence-aware string
 // representations from per-tuple token "sentences" (Section 5.1).
-type SkipGramConfig struct {
-	Dim         int
-	Epochs      int
-	NegSamples  int
-	LearnRate   float64
-	MinCount    int
-	MaxSentence int // sentences are truncated to bound cost
-	Seed        int64
-}
-
-// DefaultSkipGramConfig returns training settings sized for this corpus.
-func DefaultSkipGramConfig() SkipGramConfig {
-	return SkipGramConfig{Dim: 32, Epochs: 3, NegSamples: 4, LearnRate: 0.025,
-		MinCount: 1, MaxSentence: 16, Seed: 1}
-}
+const (
+	sgEpochs      = 2
+	sgNegSamples  = 4
+	sgLearnRate   = 0.025
+	sgMaxSentence = 16 // sentences are truncated to bound cost
+)
 
 // SkipGram holds a trained embedding table.
 type SkipGram struct {
@@ -35,25 +26,10 @@ type SkipGram struct {
 	Vectors [][]float64 // input vectors; one per vocab word
 }
 
-// TrainSkipGram learns embeddings from sentences (each a bag of tokens that
-// co-occur in one tuple). Training is deterministic in cfg.Seed.
-func TrainSkipGram(sentences [][]string, cfg SkipGramConfig) *SkipGram {
-	if cfg.Dim <= 0 {
-		cfg.Dim = 32
-	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 3
-	}
-	if cfg.NegSamples <= 0 {
-		cfg.NegSamples = 4
-	}
-	if cfg.LearnRate <= 0 {
-		cfg.LearnRate = 0.025
-	}
-	if cfg.MaxSentence <= 0 {
-		cfg.MaxSentence = 16
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// TrainSkipGram learns dim-wide embeddings from sentences (each a bag of
+// tokens that co-occur in one tuple). Training is deterministic in seed.
+func TrainSkipGram(sentences [][]string, dim int, seed int64) *SkipGram {
+	rng := rand.New(rand.NewSource(seed))
 
 	// Vocabulary with counts.
 	counts := map[string]int{}
@@ -63,17 +39,15 @@ func TrainSkipGram(sentences [][]string, cfg SkipGramConfig) *SkipGram {
 		}
 	}
 	words := make([]string, 0, len(counts))
-	for w, c := range counts {
-		if c >= cfg.MinCount {
-			words = append(words, w)
-		}
+	for w := range counts {
+		words = append(words, w)
 	}
 	sort.Strings(words) // deterministic vocab order
 	vocab := make(map[string]int, len(words))
 	for i, w := range words {
 		vocab[w] = i
 	}
-	sg := &SkipGram{Dim: cfg.Dim, Vocab: vocab, Words: words}
+	sg := &SkipGram{Dim: dim, Vocab: vocab, Words: words}
 	if len(words) == 0 {
 		return sg
 	}
@@ -82,36 +56,32 @@ func TrainSkipGram(sentences [][]string, cfg SkipGramConfig) *SkipGram {
 	sg.Vectors = make([][]float64, len(words))
 	out := make([][]float64, len(words))
 	for i := range sg.Vectors {
-		v := make([]float64, cfg.Dim)
+		v := make([]float64, dim)
 		for j := range v {
-			v[j] = (rng.Float64() - 0.5) / float64(cfg.Dim)
+			v[j] = (rng.Float64() - 0.5) / float64(dim)
 		}
 		sg.Vectors[i] = v
-		out[i] = make([]float64, cfg.Dim)
+		out[i] = make([]float64, dim)
 	}
 
 	// Unigram^(3/4) negative-sampling table.
 	negTable := buildNegTable(words, counts)
 
-	grad := make([]float64, cfg.Dim)
-	lr := cfg.LearnRate
-	totalSteps := cfg.Epochs * len(sentences)
+	grad := make([]float64, dim)
+	totalSteps := sgEpochs * len(sentences)
 	step := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < sgEpochs; epoch++ {
 		for _, sent := range sentences {
 			step++
 			// Linear learning-rate decay with a floor.
-			lr = cfg.LearnRate * (1 - float64(step)/float64(totalSteps+1))
-			if lr < cfg.LearnRate*0.05 {
-				lr = cfg.LearnRate * 0.05
-			}
-			ids := tokenIDs(sent, vocab, cfg.MaxSentence)
+			lr := max(sgLearnRate*(1-float64(step)/float64(totalSteps+1)), sgLearnRate*0.05)
+			ids := tokenIDs(sent, vocab, sgMaxSentence)
 			for i, center := range ids {
 				for j, ctx := range ids {
 					if i == j {
 						continue
 					}
-					trainPair(sg.Vectors[center], out, ctx, negTable, rng, cfg.NegSamples, lr, grad)
+					trainPair(sg.Vectors[center], out, ctx, negTable, rng, sgNegSamples, lr, grad)
 				}
 			}
 		}

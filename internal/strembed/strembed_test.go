@@ -274,10 +274,7 @@ func TestSkipGramCooccurrence(t *testing.T) {
 		sentences = append(sentences, []string{"alpha", "beta"})
 		sentences = append(sentences, []string{"gamma", "delta"})
 	}
-	cfg := DefaultSkipGramConfig()
-	cfg.Dim = 16
-	cfg.Epochs = 5
-	sg := TrainSkipGram(sentences, cfg)
+	sg := TrainSkipGram(sentences, 16, 1)
 	same := sg.Similarity("alpha", "beta")
 	cross := sg.Similarity("alpha", "gamma")
 	if same <= cross {
@@ -287,10 +284,8 @@ func TestSkipGramCooccurrence(t *testing.T) {
 
 func TestSkipGramDeterministic(t *testing.T) {
 	sentences := [][]string{{"a", "b"}, {"b", "c"}, {"a", "c"}}
-	cfg := DefaultSkipGramConfig()
-	cfg.Dim = 8
-	s1 := TrainSkipGram(sentences, cfg)
-	s2 := TrainSkipGram(sentences, cfg)
+	s1 := TrainSkipGram(sentences, 8, 1)
+	s2 := TrainSkipGram(sentences, 8, 1)
 	for i := range s1.Vectors {
 		for j := range s1.Vectors[i] {
 			if s1.Vectors[i][j] != s2.Vectors[i][j] {
@@ -347,11 +342,7 @@ func TestBuildEmbedderEndToEnd(t *testing.T) {
 		{Table: "company_type", Column: "kind", S: "production companies", Kind: MatchExact},
 		{Table: "info_type", Column: "info", S: "top 250 rank", Kind: MatchExact},
 	}
-	cfg := DefaultConfig()
-	cfg.Dim = 16
-	cfg.MaxValuesPerColumn = 2000
-	cfg.SkipGram.Epochs = 2
-	e := Build(db, ws, cfg)
+	e := Build(db, ws, Config{Dim: 16, UseRules: true, Seed: 1})
 
 	if e.Dim() != 16 {
 		t.Fatalf("Dim = %d", e.Dim())
@@ -381,7 +372,7 @@ func TestBuildEmbedderEndToEnd(t *testing.T) {
 // agree bit for bit. Skip-gram training is order-sensitive, so this holds only
 // while sentences are built in a fixed table order; three tables contribute
 // sentences here (two with two string columns, one through rule-extracted
-// substrings), and eight rebuilds catch a map-ordered build in nine runs of ten.
+// substrings), and eight rebuilds catch a map-ordered build in ten runs of ten.
 func TestBuildEmbedderReproducible(t *testing.T) {
 	db := dataset.GenerateIMDB(dataset.Config{Seed: 1, Scale: 0.02})
 	ws := []WorkloadString{
@@ -391,10 +382,7 @@ func TestBuildEmbedderReproducible(t *testing.T) {
 		{Table: "name", Column: "name", S: "ro", Kind: MatchContains},
 		{Table: "name", Column: "gender", S: "f", Kind: MatchExact},
 	}
-	cfg := DefaultConfig()
-	cfg.Dim = 8
-	cfg.MaxValuesPerColumn = 500
-	cfg.SkipGram.Epochs = 1
+	cfg := Config{Dim: 8, UseRules: true, Seed: 1}
 	first := Build(db, ws, cfg)
 	if len(first.Rules) == 0 {
 		t.Fatal("no rules selected: the test needs the rule-selected embedder")
@@ -434,10 +422,7 @@ func TestBuildEmbedderRulesHelpCoverage(t *testing.T) {
 		t.Skip("no usable title")
 	}
 	ws := []WorkloadString{{Table: "aka_title", Column: "title", S: q, Kind: MatchPrefix}}
-	cfg := DefaultConfig()
-	cfg.Dim = 8
-	cfg.SkipGram.Epochs = 1
-	cfg.MaxValuesPerColumn = 1000
+	cfg := Config{Dim: 8, UseRules: true, Seed: 1}
 
 	withRules := Build(db, ws, cfg)
 	cfg.UseRules = false
